@@ -1,0 +1,228 @@
+//! The host a run was measured on: a fingerprint carried by every
+//! output, the process's own CPU time and peak memory, and a fixed
+//! calibration loop that tells two hosts (or two moods of one host)
+//! apart.
+
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use crate::emit::Obj;
+
+/// Everything needed to decide whether two outputs are comparable.
+#[derive(Clone, Debug)]
+pub struct Fingerprint {
+    /// `model name` from `/proc/cpuinfo`.
+    pub cpu_model: String,
+    /// `std::thread::available_parallelism`.
+    pub nproc: usize,
+    /// The `TRAJCL_THREADS` environment variable, `unset` when absent.
+    pub trajcl_threads: String,
+    /// `trajcl_index::kernels::dispatch::description()`.
+    pub dispatch: &'static str,
+    /// `trajcl_index::kernels::dispatch::forced_scalar()`.
+    pub forced_scalar: bool,
+    /// Short commit id, `-dirty` when the tree has uncommitted changes,
+    /// `unknown` outside a git checkout.
+    pub commit: String,
+    /// Score of [`calib_mops`] when the fingerprint was taken.
+    pub calib_mops: f64,
+}
+
+impl Fingerprint {
+    /// Reads the host and runs the calibration loop (~0.1 s).
+    pub fn take() -> Fingerprint {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| {
+                text.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split(':').nth(1))
+                    .map(|s| s.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        Fingerprint {
+            cpu_model,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            trajcl_threads: std::env::var("TRAJCL_THREADS").unwrap_or_else(|_| "unset".into()),
+            dispatch: trajcl_index::kernels::dispatch::description(),
+            forced_scalar: trajcl_index::kernels::dispatch::forced_scalar(),
+            commit: git_commit(),
+            calib_mops: calib_mops(),
+        }
+    }
+
+    /// True when the commit names a clean checkout.
+    pub fn is_clean_commit(&self) -> bool {
+        self.commit != "unknown" && !self.commit.ends_with("-dirty")
+    }
+
+    /// The fingerprint as a JSON object.
+    pub fn to_json(&self) -> String {
+        Obj::new()
+            .str("cpu_model", &self.cpu_model)
+            .num("nproc", self.nproc as f64)
+            .str("trajcl_threads", &self.trajcl_threads)
+            .str("dispatch", self.dispatch)
+            .bool("forced_scalar", self.forced_scalar)
+            .str("commit", &self.commit)
+            .num("calib_mops", self.calib_mops)
+            .finish()
+    }
+}
+
+/// Short commit id of the enclosing checkout (see [`Fingerprint::commit`]).
+fn git_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain"]) {
+        Some(status) if status.is_empty() => head,
+        _ => format!("{head}-dirty"),
+    }
+}
+
+/// Millions of steps per second of a fixed, dependent integer loop (a
+/// 64-bit LCG feeding an xorshift). It touches no memory and cannot be
+/// vectorised, so it tracks core clock and steal time and nothing the
+/// program under test does. Two run sets whose scores differ by more
+/// than 10 % are "host drift" and are not compared (README).
+pub fn calib_mops() -> f64 {
+    const STEPS: u64 = 10_000_000;
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let t = Instant::now();
+        let mut x: u64 = std::hint::black_box(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..STEPS {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x ^= x >> 29;
+        }
+        std::hint::black_box(x);
+        best = best.max(STEPS as f64 / t.elapsed().as_secs_f64() / 1e6);
+    }
+    best
+}
+
+/// User plus system CPU time of this process so far, in microseconds
+/// (`utime + stime` of `/proc/self/stat`, in 10 ms ticks); `None` where
+/// `/proc` is absent.
+pub fn cpu_time_us() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name may hold spaces; fields are counted after its ')'.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    let mut fields = rest.split_whitespace();
+    let utime: u64 = fields.nth(11)?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    // USER_HZ is 100 on every Linux ABI this builds for.
+    Some((utime + stime) * 10_000)
+}
+
+/// CPU time the hypervisor gave to someone else, summed over this
+/// guest's CPUs, in 10 ms ticks (`steal` of the `cpu` line of
+/// `/proc/stat`); `None` where `/proc` is absent.
+pub fn steal_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let line = stat.lines().find(|l| l.starts_with("cpu "))?;
+    line.split_whitespace().nth(8)?.parse().ok()
+}
+
+/// The host's counters at one instant.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tick {
+    /// [`steal_ticks`] so far.
+    pub steal_ticks: u64,
+    /// [`cpu_time_us`] so far.
+    pub cpu_us: u64,
+}
+
+impl Tick {
+    fn now() -> Tick {
+        Tick {
+            steal_ticks: steal_ticks().unwrap_or(0),
+            cpu_us: cpu_time_us().unwrap_or(0),
+        }
+    }
+}
+
+/// Reads the host's counters at `start` and at the end of each of
+/// `windows` consecutive windows, on a thread of its own (two small
+/// `/proc` reads per window). Window `w` spans ticks `w` and `w + 1`.
+pub fn sample_windows(start: Instant, window: Duration, windows: usize) -> JoinHandle<Vec<Tick>> {
+    std::thread::spawn(move || {
+        (0..=windows as u32)
+            .map(|w| {
+                let at = start + window * w;
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                Tick::now()
+            })
+            .collect()
+    })
+}
+
+/// Peak resident set of this process in MB (`VmHWM`); `None` where
+/// `/proc` is absent.
+pub fn rss_peak_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn process_counters_are_readable_and_monotone() {
+        let before = cpu_time_us().expect("/proc/self/stat");
+        let score = calib_mops();
+        assert!(score.is_finite() && score > 0.0);
+        let after = cpu_time_us().unwrap();
+        assert!(after >= before);
+        assert!(rss_peak_mb().unwrap() > 0.0);
+        assert!(steal_ticks().is_some());
+    }
+
+    #[test]
+    fn windows_are_sampled_at_their_boundaries() {
+        let start = Instant::now() + Duration::from_millis(5);
+        let ticks = sample_windows(start, Duration::from_millis(20), 3)
+            .join()
+            .unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(60));
+        assert_eq!(ticks.len(), 4);
+        assert!(ticks
+            .windows(2)
+            .all(|t| t[1].cpu_us >= t[0].cpu_us && t[1].steal_ticks >= t[0].steal_ticks));
+    }
+
+    #[test]
+    fn fingerprint_is_one_json_object() {
+        let fp = Fingerprint {
+            cpu_model: "Some \"CPU\"".into(),
+            nproc: 2,
+            trajcl_threads: "unset".into(),
+            dispatch: "avx2",
+            forced_scalar: false,
+            commit: "abc1234-dirty".into(),
+            calib_mops: 812.5,
+        };
+        assert!(!fp.is_clean_commit());
+        let parsed = trajcl_serve::json::parse(&fp.to_json()).unwrap();
+        assert_eq!(
+            parsed.get("cpu_model").and_then(|j| j.as_str()),
+            Some("Some \"CPU\"")
+        );
+        assert_eq!(parsed.get("nproc").and_then(|j| j.as_u64()), Some(2));
+    }
+}

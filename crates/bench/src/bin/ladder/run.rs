@@ -1,0 +1,930 @@
+//! One untraced run of one workload: bring the stack up, take the
+//! oracle's answers, warm up, measure a span of windows, check answers —
+//! several rounds of it — and reduce the rounds to the end-to-end
+//! metrics.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use trajcl_engine::Engine;
+use trajcl_geo::Trajectory;
+use trajcl_index::{brute_force_knn, Metric};
+use trajcl_serve::ServerStats;
+use trajcl_tensor::{Shape, Tensor};
+
+use crate::emit::{Measured, RunResult};
+use crate::gen::{self, Stream};
+use crate::host::{self, Tick};
+use crate::load::{self, HotKnn, Outcome, Schedule, Script, Span, UpsertStream};
+use crate::oracle;
+use crate::spec::{MetricSpec, Sizing, Workload, END_TO_END};
+use crate::stack::{self, connect, knn_payload, knn_reply_text, traj_json, Inputs, Stack};
+use crate::stats::{self, Summary, MIN_BEYOND};
+
+/// Closed-loop connections of every closed-loop workload (generator
+/// threads ≤ `nproc` of the 2-core reference sandbox).
+pub const CONNECTIONS: usize = 2;
+/// The latency limit behind `knn_within_10ms_share`.
+const LIMIT_NS: u64 = 10_000_000;
+/// One cold request in this many is re-derived in process afterwards.
+const COLD_SAMPLE_EVERY: u64 = 50;
+/// Cold-stream indices of warm-up queries start here, clear of every
+/// measured request.
+const COLD_WARMUP_BASE: u64 = 1 << 40;
+/// A window is quiet when the hypervisor stole at most this share of its
+/// CPU capacity (one 10 ms tick of a 250 ms window on two CPUs).
+const QUIET_STEAL_SHARE: f64 = 0.025;
+/// Quiet windows a run needs before it may drop the others.
+const MIN_QUIET_WINDOWS: usize = 8;
+/// Share of open-loop sends that may be issued late before the run is
+/// invalid. On two cores the paced sender shares a CPU with the forward
+/// pass it triggers, so some lateness is the sandbox's, not a fault.
+const MAX_LATE_SHARE: f64 = 0.05;
+/// Lead between publishing a span and its start, so every generator
+/// thread is already spinning on the clock when it begins.
+const START_LEAD: Duration = Duration::from_millis(2);
+
+/// What to run.
+#[derive(Clone, Copy, Debug)]
+pub struct RunOptions {
+    /// The workload.
+    pub workload: Workload,
+    /// Input seed (never the model's: weights stay on seed 0).
+    pub seed: u64,
+    /// Measured seconds, split evenly across the rounds.
+    pub seconds: u64,
+    /// Sizes.
+    pub sizing: Sizing,
+}
+
+/// Server counters accumulated over a measured span.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StatsDelta {
+    /// Fused forward passes.
+    pub batches: u64,
+    /// Trajectories embedded through the batcher.
+    pub batched_trajs: u64,
+    /// Embedding-cache hits.
+    pub cache_hits: u64,
+    /// Embedding-cache misses.
+    pub cache_misses: u64,
+}
+
+impl StatsDelta {
+    fn between(before: &ServerStats, after: &ServerStats) -> StatsDelta {
+        StatsDelta {
+            batches: after.batches - before.batches,
+            batched_trajs: after.batched_trajs - before.batched_trajs,
+            cache_hits: after.cache_hits - before.cache_hits,
+            cache_misses: after.cache_misses - before.cache_misses,
+        }
+    }
+}
+
+/// Everything one round measured.
+#[derive(Debug, Default)]
+pub struct Round {
+    /// Bring-up plus oracle plus warm-up, in seconds.
+    pub setup_s: f64,
+    /// Host counters at the span's start and at the end of each window.
+    pub ticks: Vec<Tick>,
+    /// Length of the measured span.
+    pub span: Duration,
+    /// One outcome per kNN connection.
+    pub knn: Vec<Outcome>,
+    /// The upsert connection's outcome (mixed workload).
+    pub upsert: Option<Outcome>,
+    /// Due times of the open-loop sends issued late.
+    pub late_at: Vec<u64>,
+    /// Sum and count of per-query recall values.
+    pub recall: (f64, usize),
+    /// Failures no generator connection counted: a warm-up that went
+    /// wrong, sampled cold replies that disagreed with the re-derived
+    /// answer.
+    pub other_failed: u64,
+    /// Descriptions of failures, for the report.
+    pub notes: Vec<String>,
+    /// Server counters over the span.
+    pub stats: StatsDelta,
+}
+
+/// Exact answers by brute force over the live vectors of a stack.
+pub struct Truth {
+    table: Tensor,
+}
+
+impl Truth {
+    /// The true `k` nearest of `query`, as `(row, distance)`.
+    pub fn answer(&self, query: &[f32], k: usize) -> Vec<(u64, f64)> {
+        brute_force_knn(&self.table, query, k, Metric::L1)
+            .into_iter()
+            .map(|(row, dist)| (row as u64, dist))
+            .collect()
+    }
+
+    /// Truth over `engine`'s database embeddings plus `extra` rows (the
+    /// mixed workload's buffered vectors).
+    fn over(engine: &Engine, extra: &[Vec<f32>]) -> Truth {
+        let base = engine.embeddings().expect("engine has a database");
+        let dim = base.shape().last();
+        let mut data = base.data().to_vec();
+        for row in extra {
+            data.extend_from_slice(row);
+        }
+        let rows = data.len() / dim;
+        Truth {
+            table: Tensor::from_vec(data, Shape::d2(rows, dim)),
+        }
+    }
+}
+
+/// A second engine over the same database, for the fleet: its shard
+/// servers hold no exact table to brute-force, so the oracle brings its
+/// own. Built once per run, outside every `setup_s`.
+pub struct Reference {
+    engine: Arc<Engine>,
+    hot_embeddings: Vec<Vec<f32>>,
+}
+
+impl Reference {
+    /// Embeds the database and the hot pool in process.
+    pub fn build(inputs: &Inputs, sizing: &Sizing) -> Reference {
+        let engine = Arc::new(stack::engine(inputs.db.clone(), sizing));
+        let hot = engine.embed_all(&inputs.hot).expect("embed hot pool");
+        let hot_embeddings = (0..inputs.hot.len()).map(|i| hot.row(i).to_vec()).collect();
+        Reference {
+            engine,
+            hot_embeddings,
+        }
+    }
+}
+
+/// The hot pool's requests and, per query, the one right reply.
+pub struct HotOracle {
+    /// Request payloads.
+    pub payloads: Vec<String>,
+    /// Expected reply text.
+    pub expected: Vec<String>,
+    /// The answers behind the text.
+    pub answers: Vec<Vec<(u64, f64)>>,
+}
+
+impl HotOracle {
+    /// Takes the answers before the measured span: from `Server::knn` in
+    /// process, or — for a fleet, which has no in-process twin — from the
+    /// fleet's own reply over the wire, required complete.
+    pub fn take(stack: &Stack, hot: &[Trajectory], k: usize) -> HotOracle {
+        let payloads: Vec<String> = hot.iter().map(|t| knn_payload(None, t, k)).collect();
+        let mut expected = Vec::with_capacity(hot.len());
+        let mut answers = Vec::with_capacity(hot.len());
+        if stack.is_fleet() {
+            let mut client = connect(stack.addr()).expect("oracle connect");
+            for payload in &payloads {
+                let text = client.call(payload).expect("oracle reply");
+                let reply = oracle::parse_reply(&text).expect("fleet oracle reply");
+                assert!(!reply.partial, "fleet answered partially before the span");
+                answers.push(
+                    reply
+                        .hits
+                        .iter()
+                        .map(|(id, d)| (*id, d.parse().expect("printed distance")))
+                        .collect(),
+                );
+                expected.push(text);
+            }
+        } else {
+            for traj in hot {
+                let hits = stack.server().knn(traj, k).expect("oracle knn");
+                expected.push(knn_reply_text(&hits));
+                answers.push(hits);
+            }
+        }
+        HotOracle {
+            payloads,
+            expected,
+            answers,
+        }
+    }
+
+    /// The two closed-loop scripts that share the pool.
+    pub fn lanes(&self, lanes: usize) -> Vec<HotKnn<'_>> {
+        (0..lanes)
+            .map(|lane| HotKnn {
+                payloads: &self.payloads,
+                expected: &self.expected,
+                answers: &self.answers,
+                lane,
+                lanes,
+            })
+            .collect()
+    }
+
+    /// Mean recall of the served answers against brute force.
+    fn recall(&self, truth: &Truth, embeddings: &[Vec<f32>]) -> (f64, usize) {
+        let sum: f64 = self
+            .answers
+            .iter()
+            .zip(embeddings)
+            .map(|(served, q)| {
+                let distances: Vec<f64> = served.iter().map(|h| h.1).collect();
+                oracle::recall(&distances, &truth.answer(q, served.len()))
+            })
+            .sum();
+        (sum, self.answers.len())
+    }
+}
+
+/// Warm-up script of the cold workload: never-repeating queries from a
+/// range of the cold stream no measured request uses.
+struct ColdWarmup {
+    seed: u64,
+    k: usize,
+}
+
+impl Script for ColdWarmup {
+    fn request(&self, n: usize, out: &mut String) {
+        let traj = gen::trajectory(self.seed, Stream::Cold, COLD_WARMUP_BASE + n as u64);
+        *out = knn_payload(None, &traj, self.k);
+    }
+
+    fn verdict(&self, _n: usize, reply: &str) -> Result<(), String> {
+        if reply.starts_with("{\"ok\":true") {
+            Ok(())
+        } else {
+            Err(format!("cold warm-up: {reply}"))
+        }
+    }
+}
+
+fn sampled(seed: u64, index: u64) -> bool {
+    let mut h = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 31;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (h >> 33).is_multiple_of(COLD_SAMPLE_EVERY)
+}
+
+/// Brings `workload`'s stack up from nothing, warms it and measures one
+/// span. The stack is handed back running (a traced run goes on to
+/// probe it); the caller shuts it down.
+pub fn measure_round(
+    opts: &RunOptions,
+    inputs: &Inputs,
+    reference: Option<&Reference>,
+    round: usize,
+    span: Duration,
+) -> (Round, Stack) {
+    let RunOptions {
+        workload,
+        seed,
+        sizing,
+        ..
+    } = *opts;
+    // The generator's own preparation is not the system's set-up.
+    let schedule = Schedule::new(sizing.cold_rate, span);
+    let cold_base = (round * schedule.count) as u64;
+    let cold_count = if workload.is_cold() {
+        schedule.count
+    } else {
+        0
+    };
+    let cold: Vec<Trajectory> = (0..cold_count as u64)
+        .map(|i| gen::trajectory(seed, Stream::Cold, cold_base + i))
+        .collect();
+    let cold_payloads: Vec<String> = (0u64..)
+        .zip(&cold)
+        .map(|(i, traj)| knn_payload(Some(i), traj, sizing.k))
+        .collect();
+    let write_json: Vec<String> = inputs.write.iter().map(traj_json).collect();
+
+    let began = Instant::now();
+    let stack = Stack::bring_up(workload, inputs, &sizing);
+    let hot = (!workload.is_cold()).then(|| HotOracle::take(&stack, &inputs.hot, sizing.k));
+
+    let mut out = Round {
+        span,
+        ..Round::default()
+    };
+    let mut setup_s = 0.0;
+    let mut stats_before = ServerStats::default();
+    let mut sampler = None;
+    let window = Duration::from_millis(sizing.window_ms);
+    let mut on_warm = || {
+        setup_s = began.elapsed().as_secs_f64();
+        stats_before = stack.stats();
+        let start = Instant::now() + START_LEAD;
+        sampler = Some(host::sample_windows(
+            start,
+            window,
+            windows_in(span, window),
+        ));
+        Span {
+            start,
+            length: span,
+        }
+    };
+
+    match workload {
+        Workload::TcpKnnColdOpen => {
+            let warm = ColdWarmup { seed, k: sizing.k };
+            if let Err(why) = load::warm_up(stack.addr(), &warm, sizing.warmup_requests) {
+                out.other_failed += 1;
+                out.notes.push(format!("warm-up failed: {why}"));
+            }
+            let start = on_warm().start;
+            let open = load::open_loop(stack.addr(), &cold_payloads, &schedule, start, |i| {
+                sampled(seed, cold_base + i as u64)
+            });
+            out.late_at = open.late_at;
+            out.knn = vec![open.outcome];
+            // Re-derive the sampled answers in process, against the same
+            // server, before anything else touches it.
+            let server = stack.server();
+            let truth = Truth::over(server.engine(), &[]);
+            for (i, text) in &open.kept {
+                let traj = &cold[*i];
+                let expected = server.knn(traj, sizing.k).expect("re-derive knn");
+                if let Err(why) = oracle::check_rederived(&expected, Some(text)) {
+                    out.other_failed += 1;
+                    out.notes
+                        .push(format!("cold query {}: {why:?}", cold_base + *i as u64));
+                    continue;
+                }
+                let q = server.embed(traj).expect("re-derive embedding");
+                let reply = oracle::parse_reply(text).expect("checked above");
+                let served = oracle::served_distances(&reply);
+                out.recall.0 += oracle::recall(&served, &truth.answer(&q, sizing.k));
+                out.recall.1 += 1;
+            }
+        }
+        Workload::TcpMixedRw => {
+            let hot = hot.as_ref().expect("hot oracle");
+            let writer = UpsertStream {
+                traj_json: &write_json,
+                write_ids: sizing.write_ids,
+                expect_replace: true,
+            };
+            let readers = hot.lanes(1);
+            let scripts: [&dyn Script; 2] = [&writer, &readers[0]];
+            let mut outcomes =
+                load::closed_loop(stack.addr(), &scripts, sizing.warmup_requests, &mut on_warm);
+            out.knn = vec![outcomes.pop().expect("reader outcome")];
+            out.upsert = outcomes.pop();
+        }
+        Workload::TcpKnnHot | Workload::FleetKnnHot => {
+            let hot = hot.as_ref().expect("hot oracle");
+            let lanes = hot.lanes(CONNECTIONS);
+            let scripts: Vec<&dyn Script> = lanes.iter().map(|l| l as &dyn Script).collect();
+            out.knn =
+                load::closed_loop(stack.addr(), &scripts, sizing.warmup_requests, &mut on_warm);
+        }
+    }
+    out.setup_s = setup_s;
+    out.ticks = sampler.and_then(|s| s.join().ok()).unwrap_or_default();
+    out.stats = StatsDelta::between(&stats_before, &stack.stats());
+
+    if let Some(hot) = &hot {
+        out.recall = match reference {
+            Some(reference) => hot.recall(
+                &Truth::over(&reference.engine, &[]),
+                &reference.hot_embeddings,
+            ),
+            // A traced fleet phase brings no reference: recall is an
+            // end-to-end metric, and those come from the untraced run.
+            None if stack.is_fleet() => (0.0, 0),
+            None => {
+                let server = stack.server();
+                let embed = |t: &Trajectory| server.embed(t).expect("oracle embed");
+                let extra: Vec<Vec<f32>> = if workload == Workload::TcpMixedRw {
+                    let pool: Vec<Vec<f32>> = inputs.write.iter().map(embed).collect();
+                    (0..sizing.write_ids)
+                        .map(|j| pool[j % pool.len()].clone())
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let queries: Vec<Vec<f32>> = inputs.hot.iter().map(embed).collect();
+                hot.recall(&Truth::over(server.engine(), &extra), &queries)
+            }
+        };
+    }
+    let generator_notes: Vec<String> = out
+        .knn
+        .iter()
+        .chain(&out.upsert)
+        .flat_map(|o| o.notes.iter().cloned())
+        .collect();
+    out.notes.extend(generator_notes);
+    (out, stack)
+}
+
+/// Whole windows in a span (at least one).
+fn windows_in(span: Duration, window: Duration) -> usize {
+    ((span.as_nanos() / window.as_nanos().max(1)) as usize).max(1)
+}
+
+/// One windowed metric over *all* the windows used, for the report: the
+/// context the reported value (over the better quarter) is read against.
+#[derive(Clone, Debug)]
+pub struct Detail {
+    /// Metric name.
+    pub name: &'static str,
+    /// Median, quartiles and window count over all the windows used.
+    pub summary: Summary,
+}
+
+/// The reduced rounds: the end-to-end result plus what the report and
+/// the traced run's `client.*` metrics need.
+pub struct Reduced {
+    /// The end-to-end metrics in declaration order.
+    pub result: RunResult,
+    /// Per-window summaries of the windowed metrics.
+    pub details: Vec<Detail>,
+    /// Share of open-loop sends issued late (0 on closed loops).
+    pub late_share: f64,
+    /// The lowest quantile a window's `knn_p90_us` had to be lowered to
+    /// (0.90 unless some window held too few samples for ten to lie
+    /// beyond it).
+    pub tail_quantile: f64,
+    /// 99th percentile of the best quarter's pooled kNN latencies, in
+    /// microseconds: per-layer `client.knn_p99_us`, too unsteady between
+    /// runs to carry a bound (README, "Measured at this commit").
+    pub knn_p99_us: f64,
+    /// Upsert connection over the best quarter: qps, p50, pooled p99.
+    pub upsert: Option<[f64; 3]>,
+    /// Share of the measured windows that were quiet.
+    pub quiet_share: f64,
+    /// Share of the measured spans' CPU capacity the hypervisor stole.
+    pub steal_share: f64,
+    /// Failure descriptions.
+    pub notes: Vec<String>,
+    /// Server counters summed over the rounds.
+    pub stats: StatsDelta,
+}
+
+/// One measurement window of one round.
+#[derive(Default)]
+struct Window {
+    /// Latencies of correct kNN replies, ascending.
+    knn: Vec<u64>,
+    /// Latencies of correct upsert replies, ascending.
+    upsert: Vec<u64>,
+    /// kNN requests sent (or due) in the window.
+    knn_attempted: u64,
+    /// Open-loop sends issued late.
+    late: u64,
+    /// Process CPU spent, in microseconds.
+    cpu_us: u64,
+    /// Share of the window's CPU capacity the hypervisor stole.
+    steal_share: f64,
+}
+
+impl Window {
+    /// A window the hypervisor left alone. A stolen window measures the
+    /// host, not the program: it is kept out of every timing metric.
+    fn quiet(&self) -> bool {
+        self.steal_share <= QUIET_STEAL_SHARE
+    }
+}
+
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1e3
+}
+
+/// Cuts one round into its windows.
+fn windows_of(round: &Round, window_ns: u64, nproc: usize) -> Vec<Window> {
+    let count = windows_in(round.span, Duration::from_nanos(window_ns));
+    let mut windows: Vec<Window> = (0..count).map(|_| Window::default()).collect();
+    let slot = |at_ns: u64| Some((at_ns / window_ns) as usize).filter(|&w| w < count);
+    for outcome in &round.knn {
+        for s in &outcome.samples {
+            if let Some(w) = slot(s.at_ns) {
+                windows[w].knn.push(s.latency_ns);
+                windows[w].knn_attempted += 1;
+            }
+        }
+        for &at in &outcome.failed_at {
+            if let Some(w) = slot(at) {
+                windows[w].knn_attempted += 1;
+            }
+        }
+    }
+    for s in round.upsert.iter().flat_map(|o| &o.samples) {
+        if let Some(w) = slot(s.at_ns) {
+            windows[w].upsert.push(s.latency_ns);
+        }
+    }
+    for &at in &round.late_at {
+        if let Some(w) = slot(at) {
+            windows[w].late += 1;
+        }
+    }
+    let capacity_us = window_ns as f64 / 1e3 * nproc as f64;
+    for (w, window) in windows.iter_mut().enumerate() {
+        window.knn.sort_unstable();
+        window.upsert.sort_unstable();
+        if let (Some(from), Some(to)) = (round.ticks.get(w), round.ticks.get(w + 1)) {
+            window.cpu_us = to.cpu_us - from.cpu_us;
+            window.steal_share = (to.steal_ticks - from.steal_ticks) as f64 * 1e4 / capacity_us;
+        }
+    }
+    windows
+}
+
+/// Reduces the rounds of one run to its metrics.
+pub fn reduce(opts: &RunOptions, rounds: &[Round]) -> Reduced {
+    let window_ns = opts.sizing.window_ms * 1_000_000;
+    let window_s = window_ns as f64 / 1e9;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let all: Vec<Window> = rounds
+        .iter()
+        .flat_map(|r| windows_of(r, window_ns, nproc))
+        .collect();
+    let mut notes: Vec<String> = rounds
+        .iter()
+        .flat_map(|r| r.notes.iter().cloned())
+        .collect();
+
+    // Timing metrics come from quiet windows only — unless the host left
+    // too few of them to stand on, in which case every window counts and
+    // the run says so.
+    let quiet_count = all.iter().filter(|w| w.quiet()).count();
+    let quiet_share = quiet_count as f64 / all.len().max(1) as f64;
+    let enough = quiet_count >= MIN_QUIET_WINDOWS.min(all.len());
+    if !enough {
+        notes.push(format!(
+            "only {quiet_count} of {} windows were free of CPU steal: timing metrics use them all",
+            all.len()
+        ));
+    }
+    let used: Vec<&Window> = all.iter().filter(|w| !enough || w.quiet()).collect();
+
+    // Each windowed metric is the median of the better quarter of its
+    // per-window values (README, "Which windows speak for the run"); the
+    // quarter of windows with the lowest median latency also lends its
+    // pooled samples to `client.knn_p99_us`.
+    let mut ranked: Vec<(u64, &Window)> = used
+        .iter()
+        .filter_map(|w| stats::percentile(&w.knn, 0.50).map(|p50| (p50, *w)))
+        .collect();
+    ranked.sort_by_key(|(p50, _)| *p50);
+    ranked.truncate(ranked.len().div_ceil(4));
+    let best: Vec<&Window> = ranked.iter().map(|(_, w)| *w).collect();
+
+    let knn_rate = |w: &Window| w.knn.len() as f64 / window_s;
+    let ops_rate = |w: &Window| (w.knn.len() + w.upsert.len()) as f64 / window_s;
+    let knn_median = |w: &Window| stats::percentile(&w.knn, 0.50).map_or(f64::NAN, us);
+    // The tail a single window can carry: a 250 ms window of the slowest
+    // stream (the open loop's 400/s) holds 100 samples, ten beyond p90.
+    let lowest_tail = std::cell::Cell::new(0.90f64);
+    let knn_tail = |w: &Window| match stats::tail_percentile(&w.knn, 0.90, MIN_BEYOND) {
+        Some((value, quantile)) => {
+            lowest_tail.set(lowest_tail.get().min(quantile));
+            us(value)
+        }
+        None => f64::NAN,
+    };
+    let replies = |w: &Window| (w.knn.len() + w.upsert.len()) as u64;
+    let cpu_per_reply = |w: &Window| w.cpu_us as f64 / replies(w) as f64;
+    let over = |f: &dyn Fn(&Window) -> f64| -> Vec<f64> {
+        used.iter()
+            .map(|w| f(w))
+            .filter(|v| v.is_finite())
+            .collect()
+    };
+    let pooled = |pick: &dyn Fn(&Window) -> &Vec<u64>| -> Vec<u64> {
+        let mut pool: Vec<u64> = best.iter().flat_map(|w| pick(w).iter().copied()).collect();
+        pool.sort_unstable();
+        pool
+    };
+    let knn_pool = pooled(&|w| &w.knn);
+    let knn_p99_us =
+        stats::tail_percentile(&knn_pool, 0.99, MIN_BEYOND).map_or(f64::NAN, |(v, _)| us(v));
+
+    let sum = |f: &dyn Fn(&Window) -> u64| -> f64 { used.iter().map(|w| f(w)).sum::<u64>() as f64 };
+    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { f64::NAN };
+    let knn_attempted = sum(&|w| w.knn_attempted);
+    let within_limit = sum(&|w| w.knn.iter().filter(|&&l| l <= LIMIT_NS).count() as u64);
+
+    // Correctness is not a timing metric: every request of every window
+    // counts, stolen or not.
+    let every = || rounds.iter().flat_map(|r| r.knn.iter().chain(&r.upsert));
+    let attempted: u64 = every().map(|o| o.attempted).sum();
+    let failed: u64 =
+        every().map(|o| o.failed).sum::<u64>() + rounds.iter().map(|r| r.other_failed).sum::<u64>();
+    let recall_sum: f64 = rounds.iter().map(|r| r.recall.0).sum();
+    let recall_n: usize = rounds.iter().map(|r| r.recall.1).sum();
+    let setups: Vec<f64> = rounds.iter().map(|r| r.setup_s).collect();
+
+    // (name, median of the better quarter, summary over all windows used)
+    let windowed: [(&'static str, f64, Option<Summary>); 5] = [
+        ("knn_qps", &knn_rate as &dyn Fn(&Window) -> f64, true),
+        ("ops_qps", &ops_rate, true),
+        ("knn_p50_us", &knn_median, false),
+        ("knn_p90_us", &knn_tail, false),
+        ("cpu_us_per_req", &cpu_per_reply, false),
+    ]
+    .map(|(name, f, higher_is_better)| {
+        let values = over(f);
+        let value = stats::better_quarter_median(&values, higher_is_better);
+        (name, value.unwrap_or(f64::NAN), Summary::of(&values))
+    });
+    let value_of = |m: &MetricSpec| -> f64 {
+        match m.name {
+            "setup_s" => stats::median(&setups).unwrap_or(f64::NAN),
+            "knn_within_10ms_share" => ratio(within_limit, knn_attempted),
+            "rss_peak_mb" => host::rss_peak_mb().unwrap_or(f64::NAN),
+            "recall_at_10" => ratio(recall_sum, recall_n as f64),
+            "ok_share" => ratio(attempted.saturating_sub(failed) as f64, attempted as f64),
+            name => windowed
+                .iter()
+                .find(|(n, _, _)| *n == name)
+                .map_or(f64::NAN, |(_, value, _)| *value),
+        }
+    };
+    let metrics: Vec<Measured> = END_TO_END
+        .iter()
+        .map(|m| Measured {
+            name: m.name.to_string(),
+            value: value_of(m),
+            unit: m.unit.to_string(),
+        })
+        .collect();
+
+    let late_share = if opts.workload.is_cold() {
+        ratio(sum(&|w| w.late), knn_attempted)
+    } else {
+        0.0
+    };
+    let mut result = RunResult {
+        correct: false,
+        attempted: attempted.max(1),
+        failed,
+        metrics,
+    };
+    let missing = result.missing(END_TO_END);
+    for name in &missing {
+        notes.push(format!("declared metric {name} is absent or not finite"));
+    }
+    if late_share > MAX_LATE_SHARE {
+        notes.push(format!(
+            "generator ran late on {:.2}% of sends in quiet windows (limit {:.0}%): run invalid",
+            late_share * 100.0,
+            MAX_LATE_SHARE * 100.0
+        ));
+    }
+    result.correct =
+        failed == 0 && attempted > 0 && missing.is_empty() && late_share <= MAX_LATE_SHARE;
+
+    let details = windowed
+        .iter()
+        .filter_map(|(name, _, summary)| summary.map(|summary| Detail { name, summary }))
+        .collect();
+    let upsert_pool = pooled(&|w| &w.upsert);
+    let upsert = (!upsert_pool.is_empty()).then(|| {
+        let rate = |w: &Window| w.upsert.len() as f64 / window_s;
+        let p50 = |w: &Window| stats::percentile(&w.upsert, 0.50).map_or(f64::NAN, us);
+        let p99 = stats::tail_percentile(&upsert_pool, 0.99, MIN_BEYOND);
+        [
+            stats::better_quarter_median(&over(&rate), true).unwrap_or(f64::NAN),
+            stats::better_quarter_median(&over(&p50), false).unwrap_or(f64::NAN),
+            p99.map_or(f64::NAN, |(v, _)| us(v)),
+        ]
+    });
+    let mut stats = StatsDelta::default();
+    for round in rounds {
+        stats.batches += round.stats.batches;
+        stats.batched_trajs += round.stats.batched_trajs;
+        stats.cache_hits += round.stats.cache_hits;
+        stats.cache_misses += round.stats.cache_misses;
+    }
+    Reduced {
+        result,
+        details,
+        late_share,
+        tail_quantile: lowest_tail.get(),
+        knn_p99_us,
+        upsert,
+        quiet_share,
+        steal_share: all.iter().map(|w| w.steal_share).sum::<f64>() / all.len().max(1) as f64,
+        notes,
+        stats,
+    }
+}
+
+/// Runs every round of `opts` and reduces them. Prints one progress
+/// line per round to stderr.
+pub fn run(opts: &RunOptions) -> Reduced {
+    let inputs = Inputs::generate(opts.seed, &opts.sizing);
+    let reference =
+        (opts.workload == Workload::FleetKnnHot).then(|| Reference::build(&inputs, &opts.sizing));
+    let rounds = opts.sizing.rounds_for(opts.seconds);
+    let span = Duration::from_millis(opts.seconds * 1000 / rounds as u64);
+    let mut measured = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let (data, stack) = measure_round(opts, &inputs, reference.as_ref(), round, span);
+        stack.shutdown();
+        eprintln!(
+            "  {} round {}/{}: set-up {:.3} s, {} replies in {:.1} s",
+            opts.workload.name(),
+            round + 1,
+            rounds,
+            data.setup_s,
+            data.knn
+                .iter()
+                .chain(&data.upsert)
+                .map(|o| o.samples.len())
+                .sum::<usize>(),
+            span.as_secs_f64(),
+        );
+        measured.push(data);
+    }
+    reduce(opts, &measured)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stats::Sample;
+
+    /// One-second windows, so the arithmetic below is easy to follow.
+    fn opts(workload: Workload) -> RunOptions {
+        RunOptions {
+            workload,
+            seed: 1,
+            seconds: 2,
+            sizing: Sizing {
+                window_ms: 1000,
+                ..Sizing::smoke()
+            },
+        }
+    }
+
+    /// `per_window[w]` replies in one-second window `w`, all `latency_us`.
+    fn outcome(per_window: &[usize], latency_us: u64, failed: u64) -> Outcome {
+        let samples: Vec<Sample> = per_window
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &count)| {
+                (0..count).map(move |i| Sample {
+                    at_ns: w as u64 * 1_000_000_000 + i as u64 * 1000,
+                    latency_ns: latency_us * 1000,
+                })
+            })
+            .collect();
+        Outcome {
+            attempted: samples.len() as u64 + failed,
+            samples,
+            failed,
+            failed_at: vec![0; failed as usize],
+            notes: Vec::new(),
+        }
+    }
+
+    /// A round of `steal.len()` one-second windows: `steal[w]` ticks
+    /// stolen and 2 s of process CPU spent in window `w`.
+    fn round(knn: Vec<Outcome>, upsert: Option<Outcome>, steal: &[u64]) -> Round {
+        let mut ticks = vec![Tick::default()];
+        for (w, stolen) in steal.iter().enumerate() {
+            ticks.push(Tick {
+                steal_ticks: ticks[w].steal_ticks + stolen,
+                cpu_us: ticks[w].cpu_us + 2_000_000,
+            });
+        }
+        Round {
+            setup_s: 0.5,
+            ticks,
+            span: Duration::from_secs(steal.len() as u64),
+            knn,
+            upsert,
+            recall: (9.5, 10),
+            ..Round::default()
+        }
+    }
+
+    #[test]
+    fn rounds_reduce_to_every_declared_metric() {
+        let rounds = [round(
+            vec![outcome(&[1500, 1500], 200, 0), outcome(&[500, 500], 400, 0)],
+            None,
+            &[0, 0],
+        )];
+        let reduced = reduce(&opts(Workload::TcpKnnHot), &rounds);
+        let r = &reduced.result;
+        assert!(r.correct, "{:?}", reduced.notes);
+        assert_eq!(r.missing(END_TO_END), Vec::<&str>::new());
+        assert_eq!(r.get("knn_qps"), Some(2000.0));
+        assert_eq!(r.get("ops_qps"), Some(2000.0));
+        assert_eq!(r.get("knn_p50_us"), Some(200.0));
+        assert_eq!(r.get("knn_p90_us"), Some(400.0));
+        assert_eq!(reduced.knn_p99_us, 400.0);
+        assert_eq!(r.get("knn_within_10ms_share"), Some(1.0));
+        assert_eq!(r.get("cpu_us_per_req"), Some(1000.0));
+        assert_eq!(r.get("recall_at_10"), Some(0.95));
+        assert_eq!(r.get("ok_share"), Some(1.0));
+        assert_eq!(r.get("setup_s"), Some(0.5));
+        assert_eq!((r.attempted, r.failed), (4000, 0));
+        assert_eq!(reduced.tail_quantile, 0.90);
+        assert_eq!(reduced.details[0].summary.windows, 2);
+        assert_eq!((reduced.quiet_share, reduced.steal_share), (1.0, 0.0));
+    }
+
+    #[test]
+    fn failures_and_writers_are_accounted_for() {
+        let rounds = [round(
+            vec![outcome(&[100, 100], 20_000, 4)],
+            Some(outcome(&[900, 900], 100, 0)),
+            &[0, 0],
+        )];
+        let reduced = reduce(&opts(Workload::TcpMixedRw), &rounds);
+        let r = &reduced.result;
+        assert!(!r.correct);
+        assert_eq!((r.attempted, r.failed), (2004, 4));
+        assert_eq!(r.get("knn_qps"), Some(100.0));
+        assert_eq!(r.get("ops_qps"), Some(1000.0));
+        // Failed requests miss the limit, and so do 20 ms replies.
+        assert_eq!(r.get("knn_within_10ms_share"), Some(0.0));
+        assert_eq!(r.get("ok_share"), Some(2000.0 / 2004.0));
+        // Windows of 100 samples carry a p90 exactly; with 99 they would
+        // not, and the report would say so.
+        assert_eq!(reduced.tail_quantile, 0.90);
+        assert_eq!(reduced.upsert, Some([900.0, 100.0, 100.0]));
+    }
+
+    #[test]
+    fn the_least_disturbed_quarter_of_windows_speaks_for_the_run() {
+        // Eight windows flipping between a regime where hand-offs stay
+        // on one CPU (2000 replies at 90 us) and one where they do not
+        // (1000 at 140 us): the run reports the former, and shows the
+        // spread of all eight beside it.
+        let fast = outcome(&[2000, 0, 2000, 0, 0, 2000, 0, 2000], 90, 0);
+        let slow = outcome(&[0, 1000, 0, 1000, 1000, 0, 1000, 0], 140, 0);
+        let rounds = [round(vec![fast, slow], None, &[0; 8])];
+        let reduced = reduce(&opts(Workload::TcpKnnHot), &rounds);
+        let r = &reduced.result;
+        assert_eq!(r.get("knn_qps"), Some(2000.0));
+        assert_eq!(r.get("knn_p50_us"), Some(90.0));
+        assert_eq!(r.get("knn_p90_us"), Some(90.0));
+        // 2 s of CPU per window over 2000 replies, in the two best windows.
+        assert_eq!(r.get("cpu_us_per_req"), Some(1000.0));
+        let qps = &reduced.details[0];
+        assert_eq!((qps.summary.median, qps.summary.windows), (1500.0, 8));
+    }
+
+    #[test]
+    fn stolen_windows_are_kept_out_of_timing_metrics() {
+        // Ten windows; the hypervisor took a second of CPU in two of
+        // them, and the replies show it.
+        let per_window = [1000, 1000, 1000, 300, 250, 1000, 1000, 1000, 1000, 1000];
+        let steal = [0, 0, 0, 100, 100, 0, 0, 0, 0, 0];
+        let rounds = [round(vec![outcome(&per_window, 150, 0)], None, &steal)];
+        let reduced = reduce(&opts(Workload::TcpKnnHot), &rounds);
+        assert_eq!(reduced.quiet_share, 0.8);
+        assert!(reduced.steal_share > 0.0);
+        let qps = &reduced.details[0];
+        assert_eq!((qps.name, qps.summary.windows), ("knn_qps", 8));
+        assert_eq!(
+            (qps.summary.q1, qps.summary.median, qps.summary.q3),
+            (1000.0, 1000.0, 1000.0)
+        );
+        // CPU and replies of the stolen windows are out on both sides.
+        assert_eq!(reduced.result.get("cpu_us_per_req"), Some(2000.0));
+        // Correctness still counts every request.
+        assert_eq!(reduced.result.attempted, 8550);
+
+        // With fewer quiet windows than a median can stand on, nothing
+        // is dropped and the run says so.
+        let noisy = [round(
+            vec![outcome(&[1000, 300, 250], 150, 0)],
+            None,
+            &[0, 100, 100],
+        )];
+        let reduced = reduce(&opts(Workload::TcpKnnHot), &noisy);
+        assert_eq!(reduced.details[0].summary.windows, 3);
+        assert!(reduced.notes.iter().any(|n| n.contains("CPU steal")));
+        assert!(reduced.result.correct, "a noisy host is not a wrong answer");
+    }
+
+    #[test]
+    fn a_late_generator_invalidates_the_run() {
+        let mut one = round(vec![outcome(&[400, 400], 900, 0)], None, &[0, 0]);
+        one.late_at = (0..80).map(|i| i * 1000).collect();
+        let reduced = reduce(&opts(Workload::TcpKnnColdOpen), &[one]);
+        assert_eq!(reduced.late_share, 0.1);
+        assert!(!reduced.result.correct);
+        assert!(reduced.notes.iter().any(|n| n.contains("run invalid")));
+    }
+
+    #[test]
+    fn the_cold_sample_is_seeded_and_about_one_in_fifty() {
+        let picked = (0..100_000).filter(|&i| sampled(9, i)).count();
+        assert!((1500..2500).contains(&picked), "{picked}");
+        assert_eq!(
+            (0..1000).filter(|&i| sampled(9, i)).collect::<Vec<_>>(),
+            (0..1000).filter(|&i| sampled(9, i)).collect::<Vec<_>>()
+        );
+        assert_ne!(
+            (0..1000).filter(|&i| sampled(9, i)).collect::<Vec<_>>(),
+            (0..1000).filter(|&i| sampled(10, i)).collect::<Vec<_>>()
+        );
+    }
+}
