@@ -51,11 +51,6 @@ impl Fingerprint {
         }
     }
 
-    /// True when the commit names a clean checkout.
-    pub fn is_clean_commit(&self) -> bool {
-        self.commit != "unknown" && !self.commit.ends_with("-dirty")
-    }
-
     /// The fingerprint as a JSON object.
     pub fn to_json(&self) -> String {
         Obj::new()
@@ -139,31 +134,31 @@ pub fn steal_ticks() -> Option<u64> {
 /// The host's counters at one instant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tick {
+    /// When the counters were read, in nanoseconds after the span's start.
+    pub at_ns: u64,
     /// [`steal_ticks`] so far.
     pub steal_ticks: u64,
     /// [`cpu_time_us`] so far.
     pub cpu_us: u64,
 }
 
-impl Tick {
-    fn now() -> Tick {
-        Tick {
-            steal_ticks: steal_ticks().unwrap_or(0),
-            cpu_us: cpu_time_us().unwrap_or(0),
-        }
-    }
-}
-
 /// Reads the host's counters at `start` and at the end of each of
 /// `windows` consecutive windows, on a thread of its own (two small
-/// `/proc` reads per window). Window `w` spans ticks `w` and `w + 1`.
+/// `/proc` reads per window). Window `w` spans ticks `w` and `w + 1` — as
+/// they were taken, not as they were planned: a reader woken late (the
+/// hypervisor had the CPU) makes one window longer and the next shorter,
+/// and the requests, the CPU time and the steal of both stay on one clock.
 pub fn sample_windows(start: Instant, window: Duration, windows: usize) -> JoinHandle<Vec<Tick>> {
     std::thread::spawn(move || {
         (0..=windows as u32)
             .map(|w| {
                 let at = start + window * w;
                 std::thread::sleep(at.saturating_duration_since(Instant::now()));
-                Tick::now()
+                Tick {
+                    at_ns: start.elapsed().as_nanos() as u64,
+                    steal_ticks: steal_ticks().unwrap_or(0),
+                    cpu_us: cpu_time_us().unwrap_or(0),
+                }
             })
             .collect()
     })
@@ -204,6 +199,10 @@ mod tests {
         assert!(ticks
             .windows(2)
             .all(|t| t[1].cpu_us >= t[0].cpu_us && t[1].steal_ticks >= t[0].steal_ticks));
+        // Each tick is stamped when it was taken: at its boundary or after.
+        for (w, tick) in ticks.iter().enumerate() {
+            assert!(tick.at_ns >= w as u64 * 20_000_000, "{tick:?}");
+        }
     }
 
     #[test]
@@ -217,7 +216,6 @@ mod tests {
             commit: "abc1234-dirty".into(),
             calib_mops: 812.5,
         };
-        assert!(!fp.is_clean_commit());
         let parsed = trajcl_serve::json::parse(&fp.to_json()).unwrap();
         assert_eq!(
             parsed.get("cpu_model").and_then(|j| j.as_str()),

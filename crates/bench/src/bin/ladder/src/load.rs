@@ -35,9 +35,15 @@ pub struct Outcome {
     pub attempted: u64,
     /// Requests without a correct, timely reply.
     pub failed: u64,
-    /// When each failed request was sent (closed loop) or due (open
+    /// When each request that failed outright — error reply, broken
+    /// transport, wrong answer — was sent (closed loop) or due (open
     /// loop), in nanoseconds since the span began.
     pub failed_at: Vec<u64>,
+    /// The same for the requests that failed by timing out: no reply, or
+    /// none within [`REPLY_DEADLINE`]. Kept apart because a timeout says
+    /// the request waited, not that an answer was wrong, and whoever
+    /// knows what the host did meanwhile may find it was the host's.
+    pub timed_out_at: Vec<u64>,
     /// The first few failures, described.
     pub notes: Vec<String>,
 }
@@ -46,6 +52,14 @@ impl Outcome {
     fn fail(&mut self, at_ns: u64, note: impl FnOnce() -> String) {
         self.failed += 1;
         self.failed_at.push(at_ns);
+        if self.notes.len() < NOTES_KEPT {
+            self.notes.push(note());
+        }
+    }
+
+    fn time_out(&mut self, at_ns: u64, note: impl FnOnce() -> String) {
+        self.failed += 1;
+        self.timed_out_at.push(at_ns);
         if self.notes.len() < NOTES_KEPT {
             self.notes.push(note());
         }
@@ -244,7 +258,11 @@ fn drive_closed(
             Err(e) => {
                 // A timed-out or broken connection is mid-frame: start
                 // over on a fresh one, as a real client would.
-                out.fail(sent_ns, || format!("transport: {e}"));
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                    out.time_out(sent_ns, || format!("no reply within the deadline: {e}"));
+                } else {
+                    out.fail(sent_ns, || format!("transport: {e}"));
+                }
                 match connect(addr) {
                     Ok(fresh) => client = fresh,
                     Err(e) => {
@@ -437,7 +455,7 @@ pub fn open_loop(
                     .outcome
                     .fail(due_ns, || format!("cold query {i}: {reply}"));
             } else if latency_ns > REPLY_DEADLINE.as_nanos() as u64 {
-                result.outcome.fail(due_ns, || {
+                result.outcome.time_out(due_ns, || {
                     format!("cold query {i}: reply {latency_ns} ns after due time")
                 });
             } else {
@@ -457,7 +475,7 @@ pub fn open_loop(
         // miss every limit.
         result.outcome.attempted = count as u64;
         for (i, _) in answered.iter().enumerate().filter(|(_, a)| !**a) {
-            result.outcome.fail(schedule.due_ns(i), || {
+            result.outcome.time_out(schedule.due_ns(i), || {
                 format!("no reply within the deadline ({sent} of {count} sent)")
             });
         }

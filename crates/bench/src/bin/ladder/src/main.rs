@@ -2,15 +2,16 @@
 //!
 //! Four workloads drive the real stack from outside — `net::listen`,
 //! loopback sockets, production defaults — and report ten end-to-end
-//! metrics each; a traced run adds a per-layer rung table. README.md in
-//! this directory is the manual: metric glossary, the window/median
-//! protocol, how to read a trace, and what replaced which legacy cell.
+//! metrics each; a traced run adds a per-layer rung table. README.md
+//! beside this package's manifest is the manual: metric glossary, the
+//! window protocol, how to read a trace, and what replaced which legacy
+//! cell.
 //!
 //! ```text
-//! ladder all --seed S [--smoke] [--record FILE]   every workload, run + trace, as child processes
 //! ladder run <workload> --seed S [--seconds N]    one untraced run, in this process
 //! ladder trace <workload> --seed S                one traced run, in this process
-//! ladder --workload W --seed S --seconds N --trace 0|1    the driver's contract (BENCHMARK.json)
+//! ladder --workload W --seed S --seconds N --trace 0|1    the same, supervised (BENCHMARK.json)
+//! ladder all --seed S [--smoke]                   every workload, supervised, run + trace
 //! ```
 
 mod emit;
@@ -28,41 +29,43 @@ use std::io::Read;
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-use emit::{Measured, Obj, RunResult};
+use emit::{Measured, RunResult};
 use host::Fingerprint;
 use run::RunOptions;
 use spec::{MetricSpec, Sizing, Workload, END_TO_END, PER_LAYER};
 
-/// Re-runs of a workload whose attempt was void (so three attempts in
-/// all, as long as they fit [`SUPERVISION_BUDGET`]).
-const MAX_RETRIES: u64 = 2;
+/// Re-runs of a workload whose attempt died (so three attempts in all,
+/// as long as they fit [`SUPERVISION_BUDGET`]).
+const MAX_RETRIES: usize = 2;
 /// Everything one supervised workload may take, retries included: under
 /// the 180 s the driver allows one run.
 const SUPERVISION_BUDGET: Duration = Duration::from_secs(170);
 /// Exit status of a child that ran to the end but whose result is not
-/// correct — told apart from a crash so its report can still be shown.
+/// correct — told apart from a crash: it is final, its report is shown.
 const EXIT_INCORRECT: u8 = 3;
-
 /// With less than this left of the budget, another attempt cannot finish.
 const MIN_ATTEMPT: Duration = Duration::from_secs(30);
+/// The per-layer metric the supervisor owns: a child cannot know how many
+/// attempts died before it.
+const CRASH_RETRIES: &str = "client.crash_retries";
 
 const USAGE: &str = "usage:
-  ladder all --seed S [--smoke] [--seconds N] [--record FILE]
   ladder run <workload> --seed S [--seconds N] [--smoke]
   ladder trace <workload> --seed S [--smoke]
   ladder --workload <workload> --seed S --seconds N --trace 0|1
+  ladder all --seed S [--smoke] [--seconds N]
 workloads: tcp_knn_hot tcp_knn_cold_open tcp_mixed_rw fleet_knn_hot";
 
 /// What the command line asked for.
 #[derive(Debug, PartialEq)]
 enum Mode {
-    /// Every workload, untraced and traced, each in a child process.
-    All,
-    /// One workload in this process.
-    One { workload: Workload, traced: bool },
+    /// One workload in this process (`run`, `trace`).
+    Here { workload: Workload, traced: bool },
     /// One workload in a supervised child, result line last: the
     /// `BENCHMARK.json` contract.
-    Driver { workload: Workload, traced: bool },
+    Supervised { workload: Workload, traced: bool },
+    /// Every workload, untraced and traced, each supervised.
+    All,
 }
 
 #[derive(Debug, PartialEq)]
@@ -71,15 +74,12 @@ struct Args {
     seed: u64,
     seconds: Option<u64>,
     smoke: bool,
-    record: Option<String>,
-    /// Set by a supervising parent: crashes of earlier attempts.
-    crash_retries: u64,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
     let (mut seed, mut seconds, mut workload, mut trace_flag) = (None, None, None, None);
-    let (mut smoke, mut record, mut crash_retries) = (false, None, 0);
+    let mut smoke = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -95,9 +95,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--seed" => seed = Some(number("--seed", value("--seed")?)?),
             "--seconds" => seconds = Some(number("--seconds", value("--seconds")?)?),
             "--trace" => trace_flag = Some(number("--trace", value("--trace")?)? != 0),
-            "--crash-retries" => crash_retries = number(arg, value("--crash-retries")?)?,
             "--workload" => workload = Some(value("--workload")?),
-            "--record" => record = Some(value("--record")?),
             "--smoke" => smoke = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             word => positional.push(word.to_string()),
@@ -106,12 +104,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let named =
         |name: &str| Workload::parse(name).ok_or_else(|| format!("unknown workload {name:?}"));
     let mode = match (positional.first().map(String::as_str), workload) {
-        (None, Some(w)) => Mode::Driver {
+        (None, Some(w)) => Mode::Supervised {
             workload: named(&w)?,
             traced: trace_flag.ok_or("--workload needs --trace 0|1")?,
         },
         (Some("all"), None) if positional.len() == 1 => Mode::All,
-        (Some(verb @ ("run" | "trace")), None) if positional.len() == 2 => Mode::One {
+        (Some(verb @ ("run" | "trace")), None) if positional.len() == 2 => Mode::Here {
             workload: named(&positional[1])?,
             traced: verb == "trace",
         },
@@ -129,8 +127,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds,
         smoke,
-        record,
-        crash_retries,
     })
 }
 
@@ -171,31 +167,27 @@ fn run_report(opts: &RunOptions) -> Report {
             .find(|d| d.name == spec.name)
             .map_or(String::new(), |d| {
                 format!(
-                    "  [median of the better quarter; all {} quiet windows: Q1 {:.1} median {:.1} Q3 {:.1}, IQR {:.1} %]",
+                    "  [per window, {} quiet windows: Q1 {:.1} median {:.1} Q3 {:.1}, IQR {:.1} %; better quarter {:.1}]",
                     d.summary.windows,
                     d.summary.q1,
                     d.summary.median,
                     d.summary.q3,
-                    d.summary.iqr_share() * 100.0
+                    d.summary.iqr_share() * 100.0,
+                    d.better_quarter
                 )
             });
         lines.push(metric_line(spec, value, &extra));
     }
     lines.push(format!(
-        "  host: {:.1} % of windows quiet, {:.2} % of CPU stolen",
-        reduced.quiet_share * 100.0,
-        reduced.steal_share * 100.0
+        "  kNN latency samples in quiet windows: {}; p99 {:.1} us (per-layer client.knn_p99_us)",
+        reduced.knn_samples, reduced.knn_p99_us
     ));
     lines.push(format!(
-        "  knn p99 over the pooled samples of the quarter of windows with the lowest p50: {:.1} us (per-layer client.knn_p99_us)",
-        reduced.knn_p99_us
+        "  host: {:.1} % of windows quiet, {:.2} % of CPU stolen; generator: {:.2} % of open-loop sends late",
+        reduced.quiet_share * 100.0,
+        reduced.steal_share * 100.0,
+        reduced.late_share * 100.0
     ));
-    if reduced.tail_quantile < 0.90 {
-        lines.push(format!(
-            "  note: some windows were too small for p90; lowest quantile reported {:.4}",
-            reduced.tail_quantile
-        ));
-    }
     if let Some([qps, p50, p99]) = reduced.upsert {
         lines.push(format!(
             "  upsert stream: {qps:.1} 1/s, p50 {p50:.1} us, p99 {p99:.1} us (per-layer client.upsert_* in a traced run)"
@@ -206,7 +198,7 @@ fn run_report(opts: &RunOptions) -> Report {
             .notes
             .iter()
             .take(12)
-            .map(|n| format!("  failure: {n}")),
+            .map(|n| format!("  note: {n}")),
     );
     Report {
         result: reduced.result,
@@ -214,15 +206,15 @@ fn run_report(opts: &RunOptions) -> Report {
     }
 }
 
-fn trace_report(opts: &RunOptions, crash_retries: u64) -> Report {
-    let traced = trace::trace(opts, crash_retries);
+fn trace_report(opts: &RunOptions) -> Report {
+    let traced = trace::trace(opts);
     let mut lines = traced.table;
     for spec in PER_LAYER {
         let value = traced.result.get(spec.name).unwrap_or(f64::NAN);
         lines.push(metric_line(spec, value, ""));
     }
     lines.push(format!("  spans: {}", traced.span_file.display()));
-    lines.extend(traced.notes.iter().map(|n| format!("  failure: {n}")));
+    lines.extend(traced.notes.iter().map(|n| format!("  note: {n}")));
     Report {
         result: traced.result,
         lines,
@@ -239,7 +231,6 @@ fn run_here(args: &Args, workload: Workload, traced: bool) -> RunResult {
         seconds: args.seconds.unwrap_or(sizing.seconds),
         sizing,
     };
-    let fingerprint = Fingerprint::take();
     println!(
         "ladder {} {} seed={} seconds={} rows={} smoke={}",
         if traced { "trace" } else { "run" },
@@ -249,9 +240,9 @@ fn run_here(args: &Args, workload: Workload, traced: bool) -> RunResult {
         sizing.rows,
         args.smoke
     );
-    println!("host {}", fingerprint.to_json());
+    println!("host {}", Fingerprint::take().to_json());
     let report = if traced {
-        trace_report(&opts, args.crash_retries)
+        trace_report(&opts)
     } else {
         run_report(&opts)
     };
@@ -264,82 +255,64 @@ fn run_here(args: &Args, workload: Workload, traced: bool) -> RunResult {
 
 /// How one attempt at a child process ended.
 enum Attempt {
-    /// Exit code 0: a correct result; its standard output.
-    Completed(String),
-    /// Ran to the end, but something was wrong (a failed request, a late
-    /// generator): its standard output, and the exit status.
-    Incorrect(String),
-    /// Killed by a signal, hung, or died some other way; a description.
-    Crashed(String),
+    /// Ran to the end and printed its report — correct or not, that is
+    /// the measurement: its standard output.
+    Finished(String),
+    /// Killed by a signal, hung, or died some other way: how.
+    Died(String),
 }
 
-/// A supervised workload: the output of its last attempt that produced
-/// any (a correct one if there was one), and how many attempts were void
-/// before it.
+/// A supervised workload.
 struct Supervised {
+    /// Output of the attempt that ran to the end, if one did.
     stdout: Option<String>,
-    retries: u64,
+    /// How each attempt before it died.
+    died: Vec<String>,
 }
 
-/// Runs `attempt` until one completes correctly, at most
-/// `1 + MAX_RETRIES` times and within [`SUPERVISION_BUDGET`].
+/// Runs `attempt` until one runs to the end, at most `1 + MAX_RETRIES`
+/// times and within [`SUPERVISION_BUDGET`].
 ///
-/// A void attempt is one in which the program under test crashed, hung,
-/// or answered wrongly: on this codebase all three happen sporadically
-/// (README, "Crashes"), so one bad attempt says nothing about the commit
-/// — but the same failure three times in a row does, and is then what
-/// gets reported. Each attempt is told how many were void before it, so
-/// the one that completes reports `client.crash_retries` itself, and how
-/// long it may take.
-fn supervise(mut attempt: impl FnMut(u64, Duration) -> Attempt) -> Supervised {
+/// Only an attempt that *died* — the program under test took the process
+/// down, or hung it — is re-run, and every death is kept for the report
+/// (README, "Crashes"). An attempt that ran to the end is final even when
+/// its answers were wrong or requests failed: that is a result, and
+/// re-running it until it passes would report the best of three.
+fn supervise(mut attempt: impl FnMut(Duration) -> Attempt) -> Supervised {
     let began = Instant::now();
-    let mut last_output = None;
-    let mut voids = 0;
+    let mut died = Vec::new();
     loop {
         let left = SUPERVISION_BUDGET.saturating_sub(began.elapsed());
-        let how = match attempt(voids, left) {
-            Attempt::Completed(stdout) => {
+        match attempt(left) {
+            Attempt::Finished(stdout) => {
                 return Supervised {
                     stdout: Some(stdout),
-                    retries: voids,
+                    died,
                 }
             }
-            Attempt::Incorrect(stdout) => {
-                last_output = Some(stdout);
-                "ran to the end, result not correct".to_string()
+            Attempt::Died(how) => {
+                eprintln!("ladder: attempt {} died: {how}", died.len() + 1);
+                died.push(how);
             }
-            Attempt::Crashed(how) => how,
-        };
-        eprintln!("ladder: attempt {} void: {how}", voids + 1);
-        let out_of_time = began.elapsed() + MIN_ATTEMPT > SUPERVISION_BUDGET;
-        if voids == MAX_RETRIES || out_of_time {
-            return Supervised {
-                stdout: last_output,
-                retries: voids,
-            };
         }
-        voids += 1;
+        let out_of_time = began.elapsed() + MIN_ATTEMPT > SUPERVISION_BUDGET;
+        if died.len() > MAX_RETRIES || out_of_time {
+            return Supervised { stdout: None, died };
+        }
     }
 }
 
-/// Spawns this executable on one workload and waits for it, at most
-/// `deadline`.
-fn spawn_child(
-    args: &Args,
-    workload: Workload,
-    traced: bool,
-    voids: u64,
-    deadline: Duration,
-) -> Attempt {
+/// Spawns this executable on one workload (`run` or `trace`) and waits
+/// for it, at most `deadline`.
+fn spawn_child(args: &Args, workload: Workload, traced: bool, deadline: Duration) -> Attempt {
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
-        Err(e) => return Attempt::Crashed(format!("cannot find own executable: {e}")),
+        Err(e) => return Attempt::Died(format!("cannot find own executable: {e}")),
     };
     let mut cmd = Command::new(exe);
     cmd.arg(if traced { "trace" } else { "run" })
         .arg(workload.name())
-        .args(["--seed", &args.seed.to_string()])
-        .args(["--crash-retries", &voids.to_string()]);
+        .args(["--seed", &args.seed.to_string()]);
     if let Some(seconds) = args.seconds {
         cmd.args(["--seconds", &seconds.to_string()]);
     }
@@ -353,7 +326,7 @@ fn spawn_child(
         .spawn();
     let mut child = match spawned {
         Ok(child) => child,
-        Err(e) => return Attempt::Crashed(format!("spawn failed: {e}")),
+        Err(e) => return Attempt::Died(format!("spawn failed: {e}")),
     };
     // Drain the pipe on the side so a talkative child never blocks on it.
     let mut pipe = child.stdout.take().expect("piped stdout");
@@ -377,14 +350,13 @@ fn spawn_child(
     };
     let stdout = reader.join().unwrap_or_default();
     match status {
-        Err(how) => Attempt::Crashed(how),
-        Ok(status) if status.success() => Attempt::Completed(stdout),
-        Ok(status) if status.code() == Some(i32::from(EXIT_INCORRECT)) => {
-            Attempt::Incorrect(stdout)
+        Err(how) => Attempt::Died(how),
+        Ok(status) if status.success() || status.code() == Some(i32::from(EXIT_INCORRECT)) => {
+            Attempt::Finished(stdout)
         }
         Ok(status) => {
             use std::os::unix::process::ExitStatusExt;
-            Attempt::Crashed(match status.signal() {
+            Attempt::Died(match status.signal() {
                 Some(signal) => format!("killed by signal {signal}"),
                 None => format!("exit status {status}"),
             })
@@ -406,32 +378,70 @@ fn attempt_deadline(args: &Args, traced: bool) -> Duration {
     Duration::from_secs(2 * measured)
 }
 
-fn last_line_result(stdout: &str) -> Result<RunResult, String> {
-    let line = stdout.lines().last().ok_or("child printed nothing")?;
-    RunResult::from_json(line)
+/// What a supervised workload has to show: the report of the attempt that
+/// ran to the end (with the deaths before it) and its result line, or —
+/// when every attempt died — the deaths alone.
+struct Shown {
+    report: String,
+    result: Option<(RunResult, String)>,
 }
 
-/// One supervised workload, as `drive` and `all` run it.
-fn supervised_child(args: &Args, workload: Workload, traced: bool) -> Supervised {
+/// Sets the supervisor's own metric in a traced child's result line (the
+/// child, which cannot know, prints 0).
+fn with_crash_retries(line: &str, retries: usize) -> String {
+    let unset = format!("\"{CRASH_RETRIES}\":{{\"value\":0,");
+    let set = format!("\"{CRASH_RETRIES}\":{{\"value\":{retries},");
+    line.replacen(&unset, &set, 1)
+}
+
+fn show(supervised: Supervised) -> Shown {
+    let mut report = String::new();
+    let mut result = None;
+    if let Some(stdout) = &supervised.stdout {
+        let (body, line) = stdout.trim_end().rsplit_once('\n').unwrap_or(("", stdout));
+        let line = with_crash_retries(line, supervised.died.len());
+        match RunResult::from_json(&line) {
+            Ok(parsed) => {
+                report.push_str(body);
+                report.push('\n');
+                result = Some((parsed, line));
+            }
+            Err(why) => report.push_str(&format!("  no result line: {why}\n")),
+        }
+    }
+    // Printed for untraced runs too, whose result line has no room for it.
+    report.push_str(&format!(
+        "  {CRASH_RETRIES}: {}{}\n",
+        supervised.died.len(),
+        supervised
+            .died
+            .iter()
+            .map(|how| format!(" [{how}]"))
+            .collect::<String>()
+    ));
+    Shown { report, result }
+}
+
+/// One workload in a supervised child: what `--workload` prints and what
+/// `all` loops over.
+fn supervised(args: &Args, workload: Workload, traced: bool) -> Shown {
     let deadline = attempt_deadline(args, traced);
-    supervise(|voids, left| spawn_child(args, workload, traced, voids, deadline.min(left)))
+    show(supervise(|left| {
+        spawn_child(args, workload, traced, deadline.min(left))
+    }))
 }
 
-/// The driver's contract: the workload runs in a supervised child; its
-/// output is relayed, result line last.
+/// The driver's contract: the report, result line last.
 fn drive(args: &Args, workload: Workload, traced: bool) -> ExitCode {
-    let supervised = supervised_child(args, workload, traced);
-    match supervised.stdout {
-        Some(stdout) if last_line_result(&stdout).is_ok() => {
-            print!("{stdout}");
+    let shown = supervised(args, workload, traced);
+    print!("{}", shown.report);
+    match shown.result {
+        Some((_, line)) => {
+            println!("{line}");
             ExitCode::SUCCESS
         }
-        _ => {
-            eprintln!(
-                "ladder: {} produced no result in {} attempts",
-                workload.name(),
-                supervised.retries + 1
-            );
+        None => {
+            eprintln!("ladder: {} produced no result", workload.name());
             ExitCode::FAILURE
         }
     }
@@ -456,44 +466,27 @@ fn never_completed(declared: &[MetricSpec]) -> RunResult {
     }
 }
 
-/// `ladder all`: every workload untraced then traced, each in its own
-/// process; prints every metric by name; fails when any check did.
+/// `ladder all`: every workload untraced then traced, each supervised;
+/// prints every metric by name; fails when any check did.
 fn all(args: &Args) -> ExitCode {
-    let fingerprint = Fingerprint::take();
     println!("ladder all seed={} smoke={}", args.seed, args.smoke);
-    println!("host {}", fingerprint.to_json());
+    println!("host {}", Fingerprint::take().to_json());
     let mut ok = true;
-    let mut rows = Vec::new();
     for workload in Workload::ALL {
         println!("workload {}: {}", workload.name(), workload.why());
         for (traced, declared) in [(false, END_TO_END), (true, PER_LAYER)] {
-            let supervised = supervised_child(args, workload, traced);
-            let stdout = supervised.stdout.as_deref();
-            let result = match stdout.map(last_line_result) {
-                Some(Ok(result)) => {
-                    // Relay the child's report minus its result line.
-                    let report = stdout.and_then(|s| s.trim_end().rsplit_once('\n'));
-                    if let Some((report, _result_line)) = report {
-                        println!("{report}");
-                    }
-                    result
-                }
-                Some(Err(why)) => {
-                    println!("ladder: {} printed no result line: {why}", workload.name());
-                    never_completed(declared)
-                }
-                None => {
+            let shown = supervised(args, workload, traced);
+            print!("{}", shown.report);
+            let result = shown.result.map_or_else(
+                || {
                     println!(
-                        "ladder: {} never completed ({} attempts died); reported with ok_share = 0",
-                        workload.name(),
-                        supervised.retries + 1
+                        "  {} never completed; reported with ok_share = 0",
+                        workload.name()
                     );
                     never_completed(declared)
-                }
-            };
-            if supervised.retries > 0 {
-                println!("  crash retries: {}", supervised.retries);
-            }
+                },
+                |(result, _)| result,
+            );
             let missing = result.missing(declared);
             if !result.correct || !missing.is_empty() {
                 ok = false;
@@ -512,19 +505,6 @@ fn all(args: &Args) -> ExitCode {
                     println!("  FAILED smoke check: {}: {why}", workload.name());
                 }
             }
-            rows.push(
-                Obj::new()
-                    .str("workload", workload.name())
-                    .bool("traced", traced)
-                    .raw("result", &result.to_json())
-                    .finish(),
-            );
-        }
-    }
-    if let Some(path) = &args.record {
-        if let Err(why) = record(path, args, &fingerprint, &rows) {
-            println!("ladder: not recorded: {why}");
-            ok = false;
         }
     }
     println!(
@@ -536,31 +516,6 @@ fn all(args: &Args) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Appends this run's numbers as one JSON line to `path` — refused from
-/// a dirty or unknown tree, so a recorded baseline always names the code
-/// that produced it. (`BENCHMARK.json` itself holds declarations only.)
-fn record(path: &str, args: &Args, fp: &Fingerprint, rows: &[String]) -> Result<(), String> {
-    if !fp.is_clean_commit() {
-        return Err(format!(
-            "commit is {:?}; baselines are only recorded from a clean checkout",
-            fp.commit
-        ));
-    }
-    let line = Obj::new()
-        .raw("host", &fp.to_json())
-        .num("seed", args.seed as f64)
-        .bool("smoke", args.smoke)
-        .raw("results", &format!("[{}]", rows.join(",")))
-        .finish();
-    use std::io::Write;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| writeln!(f, "{line}"))
-        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// What `--smoke` asserts beyond "every check passed".
@@ -595,9 +550,12 @@ fn smoke_checks(result: &RunResult, workload: Workload, traced: bool) -> Result<
             "serve.router.search_us",
         ]
     };
+    // Medians of layers timed one after the other, not nested: a rung
+    // that adds a microsecond or two to the one below it (`Server::knn`
+    // over `ShardRouter::search`) can read a little under it.
     for pair in ladder.windows(2) {
         let (outer, inner) = (get(pair[0])?, get(pair[1])?);
-        if outer < inner {
+        if outer * 1.1 < inner {
             return Err(format!("{} {outer} < {} {inner}", pair[0], pair[1]));
         }
     }
@@ -615,11 +573,11 @@ fn main() -> ExitCode {
     };
     match args.mode {
         Mode::All => all(&args),
-        Mode::Driver { workload, traced } => drive(&args, workload, traced),
-        Mode::One { workload, traced } => {
+        Mode::Supervised { workload, traced } => drive(&args, workload, traced),
+        Mode::Here { workload, traced } => {
             // The program under test runs on threads of this process. A
             // panic on any of them is that program crashing: die with it
-            // (SIGABRT) instead of limping on with a worker short, so the
+            // (SIGABRT) instead of limping on with a worker short, so a
             // supervising parent sees a crash, counts it and retries.
             let default_hook = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
@@ -658,7 +616,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             driver.mode,
-            Mode::Driver {
+            Mode::Supervised {
                 workload: Workload::TcpMixedRw,
                 traced: true
             }
@@ -667,7 +625,7 @@ mod tests {
         let one = parse_args(&argv(&["trace", "fleet_knn_hot", "--seed", "3", "--smoke"])).unwrap();
         assert_eq!(
             one.mode,
-            Mode::One {
+            Mode::Here {
                 workload: Workload::FleetKnnHot,
                 traced: true
             }
@@ -691,36 +649,94 @@ mod tests {
     }
 
     #[test]
-    fn a_void_attempt_is_retried_twice_and_counted() {
-        let mut told = Vec::new();
-        let survived = supervise(|voids, left| {
+    fn a_dead_attempt_is_retried_twice_and_a_finished_one_never() {
+        let mut attempts = 0;
+        let survived = supervise(|left| {
             assert!(left <= SUPERVISION_BUDGET);
-            told.push(voids);
-            match voids {
-                0 => Attempt::Crashed("killed by signal 11".into()),
-                1 => Attempt::Incorrect("wrong answer".into()),
-                _ => Attempt::Completed("done".into()),
+            attempts += 1;
+            match attempts {
+                1 => Attempt::Died("killed by signal 11".into()),
+                2 => Attempt::Died("hung: killed after 50s".into()),
+                _ => Attempt::Finished("done".into()),
             }
         });
         assert_eq!(survived.stdout.as_deref(), Some("done"));
-        assert_eq!(survived.retries, 2);
-        assert_eq!(told, [0, 1, 2]);
+        assert_eq!(
+            survived.died,
+            ["killed by signal 11", "hung: killed after 50s"]
+        );
 
-        // Never correct: three attempts, and the last report that exists
-        // is what is shown — a failure that repeats is real.
+        // An attempt that ran to the end is the measurement, whatever it
+        // says: wrong answers are reported, not re-rolled.
         let mut attempts = 0;
-        let dead = supervise(|_, _| {
+        let wrong = supervise(|_| {
             attempts += 1;
-            if attempts == 2 {
-                Attempt::Incorrect("failed 1 of 9".into())
-            } else {
-                Attempt::Crashed("exit status 101".into())
-            }
+            Attempt::Finished("{\"correct\":false}".into())
         });
-        assert_eq!((dead.retries, attempts), (2, 3));
-        assert_eq!(dead.stdout.as_deref(), Some("failed 1 of 9"));
-        let gone = supervise(|_, _| Attempt::Crashed("hung".into()));
-        assert_eq!((gone.stdout, gone.retries), (None, 2));
+        assert_eq!(attempts, 1);
+        assert_eq!(wrong.stdout.as_deref(), Some("{\"correct\":false}"));
+        assert!(wrong.died.is_empty());
+
+        // Dead three times over: nothing to show but the deaths.
+        let gone = supervise(|_| Attempt::Died("exit status 101".into()));
+        assert_eq!((gone.stdout, gone.died.len()), (None, 3));
+    }
+
+    #[test]
+    fn the_supervisor_reports_deaths_in_the_report_and_the_traced_result() {
+        let traced = RunResult {
+            correct: true,
+            attempted: 9,
+            failed: 0,
+            metrics: vec![
+                Measured {
+                    name: CRASH_RETRIES.into(),
+                    value: 0.0,
+                    unit: "count".into(),
+                },
+                Measured {
+                    name: "host.calib_mops".into(),
+                    value: 512.25,
+                    unit: "1/us".into(),
+                },
+            ],
+        };
+        let stdout = format!("ladder trace w\n  a rung\n{}\n", traced.to_json());
+        let shown = show(Supervised {
+            stdout: Some(stdout.clone()),
+            died: vec!["killed by signal 6".into(), "hung".into()],
+        });
+        let (result, line) = shown.result.expect("a result");
+        assert_eq!(result.get(CRASH_RETRIES), Some(2.0));
+        assert_eq!(result.get("host.calib_mops"), Some(512.25));
+        assert!(line.contains("\"client.crash_retries\":{\"value\":2,"));
+        assert!(shown.report.starts_with("ladder trace w\n  a rung\n"));
+        assert!(shown
+            .report
+            .contains("client.crash_retries: 2 [killed by signal 6] [hung]"));
+
+        // No death, nothing to patch: the line passes through untouched.
+        let calm = show(Supervised {
+            stdout: Some(stdout),
+            died: Vec::new(),
+        });
+        assert_eq!(calm.result.expect("a result").1, traced.to_json());
+        assert!(calm.report.ends_with("client.crash_retries: 0\n"));
+
+        // Every attempt died: deaths only.
+        let gone = show(Supervised {
+            stdout: None,
+            died: vec!["killed by signal 11".into(); 3],
+        });
+        assert!(gone.result.is_none());
+        assert!(gone.report.contains("client.crash_retries: 3"));
+        // A child that ended without a result line has no result either.
+        let mute = show(Supervised {
+            stdout: Some("panic text\n".into()),
+            died: Vec::new(),
+        });
+        assert!(mute.result.is_none());
+        assert!(mute.report.contains("no result line"));
     }
 
     #[test]
@@ -730,58 +746,5 @@ mod tests {
         assert_eq!(stand_in.get("ok_share"), Some(0.0));
         assert_eq!(stand_in.missing(END_TO_END).len(), END_TO_END.len() - 1);
         assert!(RunResult::from_json(&stand_in.to_json()).is_ok());
-    }
-
-    #[test]
-    fn baselines_are_refused_from_a_dirty_tree() {
-        let args = parse_args(&argv(&["all", "--seed", "1"])).unwrap();
-        let mut fp = Fingerprint {
-            cpu_model: "x".into(),
-            nproc: 2,
-            trajcl_threads: "unset".into(),
-            dispatch: "scalar",
-            forced_scalar: false,
-            commit: "abc1234-dirty".into(),
-            calib_mops: 1.0,
-        };
-        let path = std::env::temp_dir().join(format!("ladder-record-{}.jsonl", std::process::id()));
-        let path_str = path.to_str().unwrap();
-        assert!(record(path_str, &args, &fp, &[])
-            .unwrap_err()
-            .contains("clean"));
-        assert!(!path.exists());
-        fp.commit = "unknown".into();
-        assert!(record(path_str, &args, &fp, &[]).is_err());
-        fp.commit = "abc1234".into();
-        record(path_str, &args, &fp, &["{\"workload\":\"w\"}".to_string()]).unwrap();
-        let line = std::fs::read_to_string(&path).unwrap();
-        assert!(trajcl_serve::json::parse(line.trim()).is_ok());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// `ladder all --smoke` in one process: every workload untraced and
-    /// traced at smoke size, with the smoke assertions. The binary runs
-    /// each in a supervised child; here an attempt that panics or ends
-    /// incorrect is retried like a void child would be (README,
-    /// "Crashes": the pool bug bites in-process too) — a SIGSEGV still
-    /// takes the test binary down.
-    #[test]
-    fn smoke_all_workloads_run_and_trace() {
-        let args = parse_args(&argv(&["all", "--seed", "1", "--smoke"])).unwrap();
-        for workload in Workload::ALL {
-            for (traced, declared) in [(false, END_TO_END), (true, PER_LAYER)] {
-                let attempt = || {
-                    std::panic::catch_unwind(|| run_here(&args, workload, traced))
-                        .ok()
-                        .filter(|result| result.correct)
-                };
-                let result = (0..=MAX_RETRIES)
-                    .find_map(|_| attempt())
-                    .unwrap_or_else(|| panic!("{} traced={traced}: void", workload.name()));
-                assert_eq!(result.missing(declared), Vec::<&str>::new());
-                smoke_checks(&result, workload, traced)
-                    .unwrap_or_else(|why| panic!("{} traced={traced}: {why}", workload.name()));
-            }
-        }
     }
 }

@@ -39,7 +39,7 @@ const MIN_QUIET_WINDOWS: usize = 8;
 /// Share of open-loop sends that may be issued late before the run is
 /// invalid. On two cores the paced sender shares a CPU with the forward
 /// pass it triggers, so some lateness is the sandbox's, not a fault.
-const MAX_LATE_SHARE: f64 = 0.05;
+pub const MAX_LATE_SHARE: f64 = 0.05;
 /// Lead between publishing a span and its start, so every generator
 /// thread is already spinning on the clock when it begins.
 const START_LEAD: Duration = Duration::from_millis(2);
@@ -88,8 +88,6 @@ pub struct Round {
     pub setup_s: f64,
     /// Host counters at the span's start and at the end of each window.
     pub ticks: Vec<Tick>,
-    /// Length of the measured span.
-    pub span: Duration,
     /// One outcome per kNN connection.
     pub knn: Vec<Outcome>,
     /// The upsert connection's outcome (mixed workload).
@@ -300,10 +298,7 @@ pub fn measure_round(
     let stack = Stack::bring_up(workload, inputs, &sizing);
     let hot = (!workload.is_cold()).then(|| HotOracle::take(&stack, &inputs.hot, sizing.k));
 
-    let mut out = Round {
-        span,
-        ..Round::default()
-    };
+    let mut out = Round::default();
     let mut setup_s = 0.0;
     let mut stats_before = ServerStats::default();
     let mut sampler = None;
@@ -422,14 +417,17 @@ fn windows_in(span: Duration, window: Duration) -> usize {
     ((span.as_nanos() / window.as_nanos().max(1)) as usize).max(1)
 }
 
-/// One windowed metric over *all* the windows used, for the report: the
-/// context the reported value (over the better quarter) is read against.
+/// How one windowed metric varied from window to window: context for
+/// the reported value, which is taken over all the windows together.
 #[derive(Clone, Debug)]
 pub struct Detail {
     /// Metric name.
     pub name: &'static str,
-    /// Median, quartiles and window count over all the windows used.
+    /// Median, quartiles and count of the per-window values.
     pub summary: Summary,
+    /// Median of the better quarter of the per-window values: what the
+    /// stack does in its good moments (README, "Two regimes").
+    pub better_quarter: f64,
 }
 
 /// The reduced rounds: the end-to-end result plus what the report and
@@ -437,19 +435,17 @@ pub struct Detail {
 pub struct Reduced {
     /// The end-to-end metrics in declaration order.
     pub result: RunResult,
-    /// Per-window summaries of the windowed metrics.
+    /// Per-window spread of the windowed metrics.
     pub details: Vec<Detail>,
     /// Share of open-loop sends issued late (0 on closed loops).
     pub late_share: f64,
-    /// The lowest quantile a window's `knn_p90_us` had to be lowered to
-    /// (0.90 unless some window held too few samples for ten to lie
-    /// beyond it).
-    pub tail_quantile: f64,
-    /// 99th percentile of the best quarter's pooled kNN latencies, in
-    /// microseconds: per-layer `client.knn_p99_us`, too unsteady between
-    /// runs to carry a bound (README, "Measured at this commit").
+    /// kNN latency samples the percentiles were taken over.
+    pub knn_samples: usize,
+    /// 99th percentile of those samples, in microseconds: per-layer
+    /// `client.knn_p99_us`, too unsteady between runs to carry a bound
+    /// (README, "Measured at this commit").
     pub knn_p99_us: f64,
-    /// Upsert connection over the best quarter: qps, p50, pooled p99.
+    /// Upsert connection: qps, p50, p99.
     pub upsert: Option<[f64; 3]>,
     /// Share of the measured windows that were quiet.
     pub quiet_share: f64,
@@ -470,8 +466,14 @@ struct Window {
     upsert: Vec<u64>,
     /// kNN requests sent (or due) in the window.
     knn_attempted: u64,
+    /// Correct kNN replies that *arrived* in the window. On a closed loop
+    /// that is `knn.len()`; the open loop files a sample under its due
+    /// time, and its reply may arrive a window later.
+    knn_arrived: u64,
     /// Open-loop sends issued late.
     late: u64,
+    /// How long the window lasted.
+    length_ns: u64,
     /// Process CPU spent, in microseconds.
     cpu_us: u64,
     /// Share of the window's CPU capacity the hypervisor stole.
@@ -490,15 +492,66 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
-/// Cuts one round into its windows.
-fn windows_of(round: &Round, window_ns: u64, nproc: usize) -> Vec<Window> {
-    let count = windows_in(round.span, Duration::from_nanos(window_ns));
-    let mut windows: Vec<Window> = (0..count).map(|_| Window::default()).collect();
-    let slot = |at_ns: u64| Some((at_ns / window_ns) as usize).filter(|&w| w < count);
+/// Cuts one round into its windows: window `w` runs from tick `w` to
+/// tick `w + 1`, as the sampler took them. `from_due` says the samples
+/// are stamped with due times (the open loop), not completion times.
+///
+/// Also returns how many timeouts were the host's: a request whose wait —
+/// from when it was sent (or due) until the reply deadline — overlapped a
+/// window the hypervisor took CPU from measured the host, exactly as that
+/// window's latencies did. It is dropped from the run, neither attempted
+/// nor failed. A timeout with the CPUs left alone is the program's.
+fn windows_of(round: &Round, nproc: usize, from_due: bool) -> (Vec<Window>, u64) {
+    let edges: Vec<u64> = round.ticks.iter().map(|t| t.at_ns).collect();
+    let count = edges.len().saturating_sub(1);
+    let mut windows: Vec<Window> = round
+        .ticks
+        .windows(2)
+        .map(|ticks| {
+            let (from, to) = (&ticks[0], &ticks[1]);
+            let length_ns = to.at_ns - from.at_ns;
+            // A steal tick is 10 ms of one CPU.
+            let capacity_us = length_ns as f64 / 1e3 * nproc as f64;
+            Window {
+                length_ns,
+                cpu_us: to.cpu_us - from.cpu_us,
+                steal_share: (to.steal_ticks - from.steal_ticks) as f64 * 1e4 / capacity_us,
+                ..Window::default()
+            }
+        })
+        .collect();
+    // The window whose edges enclose `at_ns`; none before the first tick
+    // or after the last.
+    let slot = |at_ns: u64| {
+        edges
+            .partition_point(|&edge| edge <= at_ns)
+            .checked_sub(1)
+            .filter(|&w| w < count)
+    };
+    let deadline_ns = load::REPLY_DEADLINE.as_nanos() as u64;
+    let hosts_fault = |windows: &[Window], at_ns: u64| {
+        let first = slot(at_ns).unwrap_or(0);
+        let last = slot(at_ns + deadline_ns).unwrap_or(count.saturating_sub(1));
+        windows
+            .get(first..=last)
+            .is_some_and(|wait| wait.iter().any(|w| !w.quiet()))
+    };
+    let mut excused = 0;
     for outcome in &round.knn {
         for s in &outcome.samples {
             if let Some(w) = slot(s.at_ns) {
                 windows[w].knn.push(s.latency_ns);
+                windows[w].knn_attempted += 1;
+            }
+            let arrived_ns = s.at_ns + if from_due { s.latency_ns } else { 0 };
+            if let Some(w) = slot(arrived_ns) {
+                windows[w].knn_arrived += 1;
+            }
+        }
+        for &at in &outcome.timed_out_at {
+            if hosts_fault(&windows, at) {
+                excused += 1;
+            } else if let Some(w) = slot(at) {
                 windows[w].knn_attempted += 1;
             }
         }
@@ -508,41 +561,49 @@ fn windows_of(round: &Round, window_ns: u64, nproc: usize) -> Vec<Window> {
             }
         }
     }
-    for s in round.upsert.iter().flat_map(|o| &o.samples) {
-        if let Some(w) = slot(s.at_ns) {
-            windows[w].upsert.push(s.latency_ns);
+    if let Some(outcome) = &round.upsert {
+        for s in &outcome.samples {
+            if let Some(w) = slot(s.at_ns) {
+                windows[w].upsert.push(s.latency_ns);
+            }
         }
+        excused += outcome
+            .timed_out_at
+            .iter()
+            .filter(|&&at| hosts_fault(&windows, at))
+            .count() as u64;
     }
     for &at in &round.late_at {
         if let Some(w) = slot(at) {
             windows[w].late += 1;
         }
     }
-    let capacity_us = window_ns as f64 / 1e3 * nproc as f64;
-    for (w, window) in windows.iter_mut().enumerate() {
+    for window in &mut windows {
         window.knn.sort_unstable();
         window.upsert.sort_unstable();
-        if let (Some(from), Some(to)) = (round.ticks.get(w), round.ticks.get(w + 1)) {
-            window.cpu_us = to.cpu_us - from.cpu_us;
-            window.steal_share = (to.steal_ticks - from.steal_ticks) as f64 * 1e4 / capacity_us;
-        }
     }
-    windows
+    (windows, excused)
 }
 
 /// Reduces the rounds of one run to its metrics.
 pub fn reduce(opts: &RunOptions, rounds: &[Round]) -> Reduced {
-    let window_ns = opts.sizing.window_ms * 1_000_000;
-    let window_s = window_ns as f64 / 1e9;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let all: Vec<Window> = rounds
-        .iter()
-        .flat_map(|r| windows_of(r, window_ns, nproc))
-        .collect();
+    let mut all = Vec::new();
+    let mut excused = 0;
+    for round in rounds {
+        let (windows, hosts) = windows_of(round, nproc, opts.workload.is_cold());
+        all.extend(windows);
+        excused += hosts;
+    }
     let mut notes: Vec<String> = rounds
         .iter()
         .flat_map(|r| r.notes.iter().cloned())
         .collect();
+    if excused > 0 {
+        notes.push(format!(
+            "{excused} requests timed out while the hypervisor held the CPU: dropped, neither attempted nor failed"
+        ));
+    }
 
     // Timing metrics come from quiet windows only — unless the host left
     // too few of them to stand on, in which case every window counts and
@@ -558,87 +619,71 @@ pub fn reduce(opts: &RunOptions, rounds: &[Round]) -> Reduced {
     }
     let used: Vec<&Window> = all.iter().filter(|w| !enough || w.quiet()).collect();
 
-    // Each windowed metric is the median of the better quarter of its
-    // per-window values (README, "Which windows speak for the run"); the
-    // quarter of windows with the lowest median latency also lends its
-    // pooled samples to `client.knn_p99_us`.
-    let mut ranked: Vec<(u64, &Window)> = used
-        .iter()
-        .filter_map(|w| stats::percentile(&w.knn, 0.50).map(|p50| (p50, *w)))
-        .collect();
-    ranked.sort_by_key(|(p50, _)| *p50);
-    ranked.truncate(ranked.len().div_ceil(4));
-    let best: Vec<&Window> = ranked.iter().map(|(_, w)| *w).collect();
-
-    let knn_rate = |w: &Window| w.knn.len() as f64 / window_s;
-    let ops_rate = |w: &Window| (w.knn.len() + w.upsert.len()) as f64 / window_s;
-    let knn_median = |w: &Window| stats::percentile(&w.knn, 0.50).map_or(f64::NAN, us);
-    // The tail a single window can carry: a 250 ms window of the slowest
-    // stream (the open loop's 400/s) holds 100 samples, ten beyond p90.
-    let lowest_tail = std::cell::Cell::new(0.90f64);
-    let knn_tail = |w: &Window| match stats::tail_percentile(&w.knn, 0.90, MIN_BEYOND) {
-        Some((value, quantile)) => {
-            lowest_tail.set(lowest_tail.get().min(quantile));
+    // Every timing metric is taken over all the windows used, together:
+    // replies per second of the time they cover, percentiles of their
+    // pooled latency samples, CPU per reply. Whatever share of the span a
+    // slow phase takes — the host's or the program's own — it weighs in
+    // with that share (README, "Windows").
+    let seconds = |w: &Window| w.length_ns as f64 / 1e9;
+    let used_s: f64 = used.iter().map(|w| seconds(w)).sum();
+    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { f64::NAN };
+    let sum = |f: &dyn Fn(&Window) -> u64| -> f64 { used.iter().map(|w| f(w)).sum::<u64>() as f64 };
+    let pooled = |pick: &dyn Fn(&Window) -> &Vec<u64>| -> Vec<u64> {
+        let mut pool: Vec<u64> = used.iter().flat_map(|w| pick(w).iter().copied()).collect();
+        pool.sort_unstable();
+        pool
+    };
+    let percentile_us = |pool: &[u64], q: f64| stats::percentile(pool, q).map_or(f64::NAN, us);
+    // A tail needs ten samples beyond it; a run that short says so.
+    let tail_us = |pool: &[u64], q: f64, notes: &mut Vec<String>| match stats::tail_percentile(
+        pool, q, MIN_BEYOND,
+    ) {
+        Some((value, reported)) => {
+            if reported < q {
+                notes.push(format!(
+                    "only {} samples: p{:.0} reported at quantile {reported:.4}",
+                    pool.len(),
+                    q * 100.0
+                ));
+            }
             us(value)
         }
         None => f64::NAN,
     };
-    let replies = |w: &Window| (w.knn.len() + w.upsert.len()) as u64;
-    let cpu_per_reply = |w: &Window| w.cpu_us as f64 / replies(w) as f64;
-    let over = |f: &dyn Fn(&Window) -> f64| -> Vec<f64> {
-        used.iter()
-            .map(|w| f(w))
-            .filter(|v| v.is_finite())
-            .collect()
-    };
-    let pooled = |pick: &dyn Fn(&Window) -> &Vec<u64>| -> Vec<u64> {
-        let mut pool: Vec<u64> = best.iter().flat_map(|w| pick(w).iter().copied()).collect();
-        pool.sort_unstable();
-        pool
-    };
     let knn_pool = pooled(&|w| &w.knn);
-    let knn_p99_us =
-        stats::tail_percentile(&knn_pool, 0.99, MIN_BEYOND).map_or(f64::NAN, |(v, _)| us(v));
-
-    let sum = |f: &dyn Fn(&Window) -> u64| -> f64 { used.iter().map(|w| f(w)).sum::<u64>() as f64 };
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { f64::NAN };
+    let upsert_pool = pooled(&|w| &w.upsert);
+    let replies = (knn_pool.len() + upsert_pool.len()) as f64;
+    // Throughput counts replies where they arrive, so the open loop
+    // reports the rate it was answered at, not its own schedule.
+    let knn_arrived = sum(&|w| w.knn_arrived);
     let knn_attempted = sum(&|w| w.knn_attempted);
-    let within_limit = sum(&|w| w.knn.iter().filter(|&&l| l <= LIMIT_NS).count() as u64);
+    let within_limit = knn_pool.partition_point(|&l| l <= LIMIT_NS) as f64;
+    let knn_p90_us = tail_us(&knn_pool, 0.90, &mut notes);
+    let knn_p99_us = tail_us(&knn_pool, 0.99, &mut notes);
 
     // Correctness is not a timing metric: every request of every window
-    // counts, stolen or not.
+    // counts, stolen or not — but for the timeouts that were the host's.
     let every = || rounds.iter().flat_map(|r| r.knn.iter().chain(&r.upsert));
-    let attempted: u64 = every().map(|o| o.attempted).sum();
-    let failed: u64 =
-        every().map(|o| o.failed).sum::<u64>() + rounds.iter().map(|r| r.other_failed).sum::<u64>();
+    let attempted: u64 = every().map(|o| o.attempted).sum::<u64>() - excused;
+    let failed: u64 = every().map(|o| o.failed).sum::<u64>() - excused
+        + rounds.iter().map(|r| r.other_failed).sum::<u64>();
     let recall_sum: f64 = rounds.iter().map(|r| r.recall.0).sum();
     let recall_n: usize = rounds.iter().map(|r| r.recall.1).sum();
     let setups: Vec<f64> = rounds.iter().map(|r| r.setup_s).collect();
 
-    // (name, median of the better quarter, summary over all windows used)
-    let windowed: [(&'static str, f64, Option<Summary>); 5] = [
-        ("knn_qps", &knn_rate as &dyn Fn(&Window) -> f64, true),
-        ("ops_qps", &ops_rate, true),
-        ("knn_p50_us", &knn_median, false),
-        ("knn_p90_us", &knn_tail, false),
-        ("cpu_us_per_req", &cpu_per_reply, false),
-    ]
-    .map(|(name, f, higher_is_better)| {
-        let values = over(f);
-        let value = stats::better_quarter_median(&values, higher_is_better);
-        (name, value.unwrap_or(f64::NAN), Summary::of(&values))
-    });
     let value_of = |m: &MetricSpec| -> f64 {
         match m.name {
             "setup_s" => stats::median(&setups).unwrap_or(f64::NAN),
+            "knn_qps" => ratio(knn_arrived, used_s),
+            "ops_qps" => ratio(knn_arrived + upsert_pool.len() as f64, used_s),
+            "knn_p50_us" => percentile_us(&knn_pool, 0.50),
+            "knn_p90_us" => knn_p90_us,
             "knn_within_10ms_share" => ratio(within_limit, knn_attempted),
+            "cpu_us_per_req" => ratio(sum(&|w| w.cpu_us), replies),
             "rss_peak_mb" => host::rss_peak_mb().unwrap_or(f64::NAN),
             "recall_at_10" => ratio(recall_sum, recall_n as f64),
             "ok_share" => ratio(attempted.saturating_sub(failed) as f64, attempted as f64),
-            name => windowed
-                .iter()
-                .find(|(n, _, _)| *n == name)
-                .map_or(f64::NAN, |(_, value, _)| *value),
+            _ => f64::NAN,
         }
     };
     let metrics: Vec<Measured> = END_TO_END
@@ -649,6 +694,51 @@ pub fn reduce(opts: &RunOptions, rounds: &[Round]) -> Reduced {
             unit: m.unit.to_string(),
         })
         .collect();
+
+    // How the same metrics varied window by window, for the report.
+    let per_window = |f: &dyn Fn(&Window) -> f64| -> Vec<f64> {
+        used.iter()
+            .map(|w| f(w))
+            .filter(|v| v.is_finite())
+            .collect()
+    };
+    let details: Vec<Detail> = [
+        (
+            "knn_qps",
+            &(|w: &Window| w.knn_arrived as f64 / seconds(w)) as &dyn Fn(&Window) -> f64,
+            true,
+        ),
+        (
+            "ops_qps",
+            &|w: &Window| (w.knn_arrived as usize + w.upsert.len()) as f64 / seconds(w),
+            true,
+        ),
+        (
+            "knn_p50_us",
+            &|w: &Window| percentile_us(&w.knn, 0.50),
+            false,
+        ),
+        (
+            "knn_p90_us",
+            &|w: &Window| percentile_us(&w.knn, 0.90),
+            false,
+        ),
+        (
+            "cpu_us_per_req",
+            &|w: &Window| ratio(w.cpu_us as f64, (w.knn.len() + w.upsert.len()) as f64),
+            false,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(name, f, higher_is_better)| {
+        let values = per_window(f);
+        Some(Detail {
+            name,
+            summary: Summary::of(&values)?,
+            better_quarter: stats::better_quarter_median(&values, higher_is_better)?,
+        })
+    })
+    .collect();
 
     let late_share = if opts.workload.is_cold() {
         ratio(sum(&|w| w.late), knn_attempted)
@@ -675,19 +765,11 @@ pub fn reduce(opts: &RunOptions, rounds: &[Round]) -> Reduced {
     result.correct =
         failed == 0 && attempted > 0 && missing.is_empty() && late_share <= MAX_LATE_SHARE;
 
-    let details = windowed
-        .iter()
-        .filter_map(|(name, _, summary)| summary.map(|summary| Detail { name, summary }))
-        .collect();
-    let upsert_pool = pooled(&|w| &w.upsert);
     let upsert = (!upsert_pool.is_empty()).then(|| {
-        let rate = |w: &Window| w.upsert.len() as f64 / window_s;
-        let p50 = |w: &Window| stats::percentile(&w.upsert, 0.50).map_or(f64::NAN, us);
-        let p99 = stats::tail_percentile(&upsert_pool, 0.99, MIN_BEYOND);
         [
-            stats::better_quarter_median(&over(&rate), true).unwrap_or(f64::NAN),
-            stats::better_quarter_median(&over(&p50), false).unwrap_or(f64::NAN),
-            p99.map_or(f64::NAN, |(v, _)| us(v)),
+            ratio(upsert_pool.len() as f64, used_s),
+            percentile_us(&upsert_pool, 0.50),
+            tail_us(&upsert_pool, 0.99, &mut notes),
         ]
     });
     let mut stats = StatsDelta::default();
@@ -701,7 +783,7 @@ pub fn reduce(opts: &RunOptions, rounds: &[Round]) -> Reduced {
         result,
         details,
         late_share,
-        tail_quantile: lowest_tail.get(),
+        knn_samples: knn_pool.len(),
         knn_p99_us,
         upsert,
         quiet_share,
@@ -776,6 +858,7 @@ mod tests {
             samples,
             failed,
             failed_at: vec![0; failed as usize],
+            timed_out_at: Vec::new(),
             notes: Vec::new(),
         }
     }
@@ -786,6 +869,7 @@ mod tests {
         let mut ticks = vec![Tick::default()];
         for (w, stolen) in steal.iter().enumerate() {
             ticks.push(Tick {
+                at_ns: (w as u64 + 1) * 1_000_000_000,
                 steal_ticks: ticks[w].steal_ticks + stolen,
                 cpu_us: ticks[w].cpu_us + 2_000_000,
             });
@@ -793,7 +877,6 @@ mod tests {
         Round {
             setup_s: 0.5,
             ticks,
-            span: Duration::from_secs(steal.len() as u64),
             knn,
             upsert,
             recall: (9.5, 10),
@@ -823,7 +906,7 @@ mod tests {
         assert_eq!(r.get("ok_share"), Some(1.0));
         assert_eq!(r.get("setup_s"), Some(0.5));
         assert_eq!((r.attempted, r.failed), (4000, 0));
-        assert_eq!(reduced.tail_quantile, 0.90);
+        assert_eq!(reduced.knn_samples, 4000);
         assert_eq!(reduced.details[0].summary.windows, 2);
         assert_eq!((reduced.quiet_share, reduced.steal_share), (1.0, 0.0));
     }
@@ -844,30 +927,44 @@ mod tests {
         // Failed requests miss the limit, and so do 20 ms replies.
         assert_eq!(r.get("knn_within_10ms_share"), Some(0.0));
         assert_eq!(r.get("ok_share"), Some(2000.0 / 2004.0));
-        // Windows of 100 samples carry a p90 exactly; with 99 they would
-        // not, and the report would say so.
-        assert_eq!(reduced.tail_quantile, 0.90);
         assert_eq!(reduced.upsert, Some([900.0, 100.0, 100.0]));
+        // 200 kNN samples leave ten beyond p90 but not beyond p99, and
+        // the run says which quantile it reported instead.
+        assert_eq!(r.get("knn_p90_us"), Some(20_000.0));
+        let lowered: Vec<_> = reduced
+            .notes
+            .iter()
+            .filter(|n| n.contains("reported at quantile"))
+            .collect();
+        assert_eq!(lowered.len(), 1, "{:?}", reduced.notes);
+        assert!(lowered[0].contains("200 samples: p99"));
     }
 
     #[test]
-    fn the_least_disturbed_quarter_of_windows_speaks_for_the_run() {
+    fn a_slow_regime_weighs_in_with_its_share_of_the_run() {
         // Eight windows flipping between a regime where hand-offs stay
         // on one CPU (2000 replies at 90 us) and one where they do not
-        // (1000 at 140 us): the run reports the former, and shows the
-        // spread of all eight beside it.
+        // (1000 at 140 us). Every window counts: throughput is the mean
+        // rate, the percentiles pool all 12 000 samples — so a change
+        // that makes the slow regime slower, or more frequent, moves
+        // them. The better quarter is printed beside, not reported.
         let fast = outcome(&[2000, 0, 2000, 0, 0, 2000, 0, 2000], 90, 0);
         let slow = outcome(&[0, 1000, 0, 1000, 1000, 0, 1000, 0], 140, 0);
         let rounds = [round(vec![fast, slow], None, &[0; 8])];
         let reduced = reduce(&opts(Workload::TcpKnnHot), &rounds);
         let r = &reduced.result;
-        assert_eq!(r.get("knn_qps"), Some(2000.0));
+        assert_eq!(r.get("knn_qps"), Some(1500.0));
+        // Two thirds of the samples are fast ones: the median is, the
+        // 90th percentile is not.
         assert_eq!(r.get("knn_p50_us"), Some(90.0));
-        assert_eq!(r.get("knn_p90_us"), Some(90.0));
-        // 2 s of CPU per window over 2000 replies, in the two best windows.
-        assert_eq!(r.get("cpu_us_per_req"), Some(1000.0));
+        assert_eq!(r.get("knn_p90_us"), Some(140.0));
+        // 16 s of CPU over 12 000 replies.
+        assert_eq!(r.get("cpu_us_per_req"), Some(16e6 / 12e3));
         let qps = &reduced.details[0];
         assert_eq!((qps.summary.median, qps.summary.windows), (1500.0, 8));
+        assert_eq!(qps.better_quarter, 2000.0);
+        let p50 = &reduced.details[2];
+        assert_eq!((p50.name, p50.better_quarter), ("knn_p50_us", 90.0));
     }
 
     #[test]
@@ -905,6 +1002,70 @@ mod tests {
     }
 
     #[test]
+    fn windows_are_as_long_as_the_sampler_found_them() {
+        // The second tick was taken half a second late (the hypervisor
+        // had the CPU, and says so): the first window is 1.5 s long and
+        // holds the requests, the CPU time and the steal of 1.5 s; the
+        // second is what is left.
+        let mut late = round(
+            vec![outcome(&[1000, 1000, 1000], 150, 0)],
+            None,
+            &[60, 0, 0],
+        );
+        late.ticks[1].at_ns = 1_500_000_000;
+        late.knn[0].samples[1000..2000]
+            .iter_mut()
+            .for_each(|s| s.at_ns += 200_000_000);
+        let (windows, _) = windows_of(&late, 2, false);
+        let seen: Vec<_> = windows.iter().map(|w| (w.length_ns, w.knn.len())).collect();
+        assert_eq!(
+            seen,
+            [
+                (1_500_000_000, 2000),
+                (500_000_000, 0),
+                (1_000_000_000, 1000)
+            ]
+        );
+        // 60 ticks of 10 ms over 1.5 s of two CPUs.
+        assert_eq!(windows[0].steal_share, 0.2);
+        assert!(!windows[0].quiet() && windows[1].quiet());
+    }
+
+    #[test]
+    fn a_timeout_while_the_hypervisor_held_the_cpu_is_the_hosts() {
+        // A request sent at 0.9 s got no reply within the 1 s deadline.
+        let with_timeout = |steal: &[u64]| {
+            let mut lane = outcome(&[1000, 300, 1000], 150, 0);
+            lane.attempted += 1;
+            lane.failed = 1;
+            lane.timed_out_at = vec![900_000_000];
+            reduce(
+                &opts(Workload::TcpKnnHot),
+                &[round(vec![lane], None, steal)],
+            )
+        };
+        // The hypervisor took a second of CPU while it waited: the wait
+        // measured the host, and the request is dropped like the stolen
+        // window's latencies.
+        let stolen = with_timeout(&[0, 100, 0]);
+        assert_eq!((stolen.result.attempted, stolen.result.failed), (2300, 0));
+        assert!(stolen.result.correct, "{:?}", stolen.notes);
+        assert!(stolen
+            .notes
+            .iter()
+            .any(|n| n.contains("1 requests timed out")));
+        assert_eq!(stolen.result.get("knn_within_10ms_share"), Some(1.0));
+        // With the CPUs left alone the program lost it.
+        let lost = with_timeout(&[0, 0, 0]);
+        assert_eq!((lost.result.attempted, lost.result.failed), (2301, 1));
+        assert!(!lost.result.correct);
+        assert_eq!(
+            lost.result.get("knn_within_10ms_share"),
+            Some(2300.0 / 2301.0)
+        );
+    }
+
+    #[test]
     fn a_late_generator_invalidates_the_run() {
         let mut one = round(vec![outcome(&[400, 400], 900, 0)], None, &[0, 0]);
         one.late_at = (0..80).map(|i| i * 1000).collect();
@@ -912,6 +1073,24 @@ mod tests {
         assert_eq!(reduced.late_share, 0.1);
         assert!(!reduced.result.correct);
         assert!(reduced.notes.iter().any(|n| n.contains("run invalid")));
+    }
+
+    #[test]
+    fn the_open_loop_counts_replies_where_they_arrive() {
+        // 400 requests due in each of two windows, answered 1.5 s after
+        // their due times: latency and the limit are charged to the due
+        // window, throughput to the window the reply reached — and the
+        // second window's replies reached none of the span.
+        let slow = round(vec![outcome(&[400, 400], 1_500_000, 0)], None, &[0, 0]);
+        let reduced = reduce(&opts(Workload::TcpKnnColdOpen), &[slow]);
+        let r = &reduced.result;
+        assert_eq!(r.get("knn_p50_us"), Some(1_500_000.0));
+        assert_eq!(r.get("knn_within_10ms_share"), Some(0.0));
+        assert_eq!(r.get("knn_qps"), Some(200.0));
+        // A closed loop stamps completion: the same samples count in place.
+        let closed = round(vec![outcome(&[400, 400], 1_500_000, 0)], None, &[0, 0]);
+        let reduced = reduce(&opts(Workload::TcpKnnHot), &[closed]);
+        assert_eq!(reduced.result.get("knn_qps"), Some(400.0));
     }
 
     #[test]

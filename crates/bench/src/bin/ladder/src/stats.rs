@@ -1,11 +1,12 @@
 //! Percentile, quartile and window arithmetic.
 //!
-//! The protocol (README, "Windows and medians"): a run is cut into
-//! fixed-length windows; throughput and median latency are computed per
-//! window and the run reports the median over windows, with the
-//! quartiles and the sample counts beside it. A tail percentile must
-//! have at least [`MIN_BEYOND`] samples beyond it; when it does not, the
-//! highest percentile that does is reported instead and the run says so.
+//! The protocol (README, "Windows"): a run is cut into fixed-length
+//! windows so that the ones the hypervisor disturbed can be left out;
+//! the metrics are taken over all the others together, and the spread of
+//! the per-window values (median, quartiles, better quarter) is printed
+//! beside them. A tail percentile must have at least [`MIN_BEYOND`]
+//! samples beyond it; when it does not, the highest percentile that does
+//! is reported instead and the run says so.
 
 /// Samples a tail percentile must leave beyond itself to be trusted.
 pub const MIN_BEYOND: usize = 10;
@@ -54,10 +55,10 @@ pub fn median(values: &[f64]) -> Option<f64> {
 }
 
 /// Median of the better quarter of `values` — the highest quarter when
-/// `higher_is_better`, the lowest otherwise; at least one value. This is
-/// how a run's windows are reduced to one number (README, "Which windows
-/// speak for the run"): interference only ever makes a window worse, so
-/// the better windows are the ones that measured the program.
+/// `higher_is_better`, the lowest otherwise; at least one value. A
+/// diagnostic, never a bounded metric: it says what the stack does in
+/// its good moments and is blind to everything else (README, "Two
+/// regimes").
 pub fn better_quarter_median(values: &[f64], higher_is_better: bool) -> Option<f64> {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
@@ -91,7 +92,7 @@ pub fn quartiles(values: &[f64]) -> Option<(f64, f64)> {
 /// Median, quartiles and count of one metric's per-window values.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
-    /// Median over windows: the reported value.
+    /// Median over windows.
     pub median: f64,
     /// First quartile over windows (the median itself below two windows).
     pub q1: f64,
@@ -190,8 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn the_better_quarter_shrugs_off_disturbed_windows() {
-        // Twelve windows of throughput; interference halved five of them.
+    fn the_better_quarter_reads_the_good_regime() {
+        // Twelve windows of throughput, five of them in the slow regime.
         let qps = [
             20.0, 21.0, 9.0, 22.0, 10.0, 19.0, 11.0, 20.5, 8.0, 21.5, 10.5, 20.0,
         ];
@@ -208,9 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn window_medians_ignore_one_bad_window() {
-        // Five windows of throughput, one hit by a stall: the reported
-        // value is the median window, not the mean.
+    fn window_summaries() {
+        // Five windows of throughput, one hit by a stall.
         let s = Summary::of(&[4000.0, 4100.0, 1200.0, 4050.0, 3990.0]).unwrap();
         assert_eq!(s.median, 4000.0);
         assert_eq!(s.windows, 5);
