@@ -1,8 +1,11 @@
 //! The host a run was measured on: a fingerprint carried by every
-//! output, the process's own CPU time and peak memory, and a fixed
-//! calibration loop that tells two hosts (or two moods of one host)
-//! apart.
+//! output, the process's own CPU time and peak memory, a fixed
+//! calibration loop that tells two hosts apart, and the yardstick — fixed
+//! work timed every few milliseconds beside the measured program, whose
+//! pace says how fast the host was running *at that moment*.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -164,6 +167,121 @@ pub fn sample_windows(start: Instant, window: Duration, windows: usize) -> JoinH
     })
 }
 
+/// One pass of the yardstick on the reference sandbox with both its CPUs
+/// at their faster pace, in microseconds. A host's *slowdown* is its own
+/// pass time over this; only ratios of slowdowns matter, so the constant
+/// fixes the unit ("microseconds at the reference pace") and nothing else.
+pub const YARDSTICK_US: f64 = 110.0;
+/// Pause between two passes: 0.5 % of one CPU goes to the yardstick.
+const YARDSTICK_EVERY: Duration = Duration::from_millis(25);
+
+/// Fixed work whose pace follows the host's: sort 2048 keys four times,
+/// then sum the squares of 65 536 floats four times — branchy integer and
+/// streaming float work that keeps several execution ports busy, as the
+/// program under test does.
+///
+/// Why it exists (README, "Host speed"): each vCPU of the reference
+/// sandbox flips, every 5 to 30 s, between two paces a quarter to a half
+/// apart — its hyperthread sibling belongs to someone else — and no
+/// counter in the guest shows it. Everything timed moves with it; this
+/// work, timed beside the program, moves the same way (r ≈ 0.9–0.98 with
+/// a round's latency, CPU per request and throughput), and a dependent
+/// chain like [`calib_mops`] does not.
+pub struct Yardstick {
+    keys: Vec<u32>,
+    floats: Vec<f32>,
+}
+
+impl Yardstick {
+    /// The work's fixed inputs (xorshift from a constant).
+    pub fn new() -> Yardstick {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        Yardstick {
+            keys: (0..2048).map(|_| next() as u32).collect(),
+            floats: (0..65_536).map(|_| (next() % 1000) as f32 / 1e3).collect(),
+        }
+    }
+
+    /// Does the work once and returns how long it took, in microseconds.
+    pub fn pass_us(&self) -> f64 {
+        let began = Instant::now();
+        for _ in 0..4 {
+            let mut keys = self.keys.clone();
+            keys.sort_unstable();
+            std::hint::black_box(&keys);
+        }
+        let mut sums = [0f32; 8];
+        for _ in 0..4 {
+            for chunk in self.floats.chunks_exact(8) {
+                for (sum, v) in sums.iter_mut().zip(chunk) {
+                    *sum += v * v;
+                }
+            }
+        }
+        std::hint::black_box(sums);
+        began.elapsed().as_nanos() as f64 / 1e3
+    }
+}
+
+/// One timed pass of the yardstick.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Pass {
+    /// When it began, in nanoseconds after the watch's origin.
+    pub at_ns: u64,
+    /// How long it took, in microseconds.
+    pub us: f64,
+}
+
+/// A thread doing one yardstick pass every 25 ms until told to stop.
+pub struct Watch {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<Vec<Pass>>,
+}
+
+/// Starts timing yardstick passes, stamped relative to `origin`.
+pub fn watch(origin: Instant) -> Watch {
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let thread = std::thread::spawn(move || {
+        let yardstick = Yardstick::new();
+        let mut passes = Vec::new();
+        // Relaxed: the flag publishes nothing but itself.
+        while !stopped.load(Ordering::Relaxed) {
+            let at_ns = origin.elapsed().as_nanos() as u64;
+            passes.push(Pass {
+                at_ns,
+                us: yardstick.pass_us(),
+            });
+            std::thread::sleep(YARDSTICK_EVERY);
+        }
+        passes
+    });
+    Watch { stop, thread }
+}
+
+impl Watch {
+    /// Stops the thread and returns its passes, oldest first.
+    pub fn finish(self) -> Vec<Pass> {
+        self.stop.store(true, Ordering::Relaxed);
+        self.thread.join().unwrap_or_default()
+    }
+}
+
+/// The host's slowdown over `passes`: their median time over
+/// [`YARDSTICK_US`]. The median, so that a pass the scheduler interrupted
+/// (it then reads a time slice too long) does not count. `None` without
+/// passes.
+pub fn slowdown(passes: impl Iterator<Item = f64>) -> Option<f64> {
+    let times: Vec<f64> = passes.collect();
+    crate::stats::median(&times).map(|us| us / YARDSTICK_US)
+}
+
 /// Peak resident set of this process in MB (`VmHWM`); `None` where
 /// `/proc` is absent.
 pub fn rss_peak_mb() -> Option<f64> {
@@ -203,6 +321,21 @@ mod tests {
         for (w, tick) in ticks.iter().enumerate() {
             assert!(tick.at_ns >= w as u64 * 20_000_000, "{tick:?}");
         }
+    }
+
+    #[test]
+    fn the_yardstick_is_timed_beside_the_caller_and_reduced_by_its_median() {
+        let origin = Instant::now();
+        let watch = watch(origin);
+        std::thread::sleep(Duration::from_millis(120));
+        let passes = watch.finish();
+        assert!(passes.len() >= 2, "{passes:?}");
+        assert!(passes.windows(2).all(|p| p[0].at_ns < p[1].at_ns));
+        assert!(passes.iter().all(|p| p.us > 0.0));
+        // One interrupted pass among three does not move the slowdown.
+        let times = [YARDSTICK_US * 1.2, YARDSTICK_US * 40.0, YARDSTICK_US * 1.2];
+        assert_eq!(slowdown(times.into_iter()), Some(1.2));
+        assert_eq!(slowdown(std::iter::empty()), None);
     }
 
     #[test]

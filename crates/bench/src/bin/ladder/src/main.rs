@@ -1,7 +1,7 @@
 //! `ladder`: one benchmark for the serving stack.
 //!
 //! Four workloads drive the real stack from outside — `net::listen`,
-//! loopback sockets, production defaults — and report ten end-to-end
+//! loopback sockets, production defaults — and report nine end-to-end
 //! metrics each; a traced run adds a per-layer rung table. README.md
 //! beside this package's manifest is the manual: metric glossary, the
 //! window protocol, how to read a trace, and what replaced which legacy
@@ -40,11 +40,22 @@ const MAX_RETRIES: usize = 2;
 /// Everything one supervised workload may take, retries included: under
 /// the 180 s the driver allows one run.
 const SUPERVISION_BUDGET: Duration = Duration::from_secs(170);
+/// An attempt still running after this long is hung. A healthy one takes
+/// 30 s on the reference sandbox, traced or not; the limit leaves a host
+/// three times slower its result, and a second attempt its 70 s. A limit
+/// near the healthy duration is no limit: on a slower host it kills every
+/// attempt of a healthy program (README, "Supervision").
+const HANG_AFTER: Duration = Duration::from_secs(100);
 /// Exit status of a child that ran to the end but whose result is not
 /// correct — told apart from a crash: it is final, its report is shown.
 const EXIT_INCORRECT: u8 = 3;
 /// With less than this left of the budget, another attempt cannot finish.
-const MIN_ATTEMPT: Duration = Duration::from_secs(30);
+const MIN_ATTEMPT: Duration = Duration::from_secs(35);
+/// Lanes of `trajcl_tensor::pool` under the benchmark: the calling thread
+/// alone. With more, `Latch::complete_one` can touch a latch its waiter
+/// has already freed, and no workload is then free of failed operations
+/// (README, "The pool runs one lane").
+const POOL_LANES: &str = "1";
 /// The per-layer metric the supervisor owns: a child cannot know how many
 /// attempts died before it.
 const CRASH_RETRIES: &str = "client.crash_retries";
@@ -179,14 +190,30 @@ fn run_report(opts: &RunOptions) -> Report {
         lines.push(metric_line(spec, value, &extra));
     }
     lines.push(format!(
-        "  kNN latency samples in quiet windows: {}; p99 {:.1} us (per-layer client.knn_p99_us)",
-        reduced.knn_samples, reduced.knn_p99_us
+        "  kNN latency samples in quiet windows: {}; p90 {:.1} us, p99 {:.1} us (per-layer client.knn_p90_us, client.knn_p99_us)",
+        reduced.knn_samples, reduced.knn_p90_us, reduced.knn_p99_us
     ));
     lines.push(format!(
         "  host: {:.1} % of windows quiet, {:.2} % of CPU stolen; generator: {:.2} % of open-loop sends late",
         reduced.quiet_share * 100.0,
         reduced.steal_share * 100.0,
         reduced.late_share * 100.0
+    ));
+    let pace = |slowdown: f64| format!("{slowdown:.2}");
+    lines.push(format!(
+        "  host pace (yardstick slowdown per round): spans [{}], set-ups [{}]; every time above is the measured one / its round's slowdown",
+        reduced
+            .slowdowns
+            .iter()
+            .map(|(_, span)| pace(*span))
+            .collect::<Vec<_>>()
+            .join(" "),
+        reduced
+            .slowdowns
+            .iter()
+            .map(|(setup, _)| setup.map_or("-".to_string(), pace))
+            .collect::<Vec<_>>()
+            .join(" "),
     ));
     if let Some([qps, p50, p99]) = reduced.upsert {
         lines.push(format!(
@@ -275,7 +302,7 @@ struct Supervised {
 ///
 /// Only an attempt that *died* — the program under test took the process
 /// down, or hung it — is re-run, and every death is kept for the report
-/// (README, "Crashes"). An attempt that ran to the end is final even when
+/// (README, "Supervision"). An attempt that ran to the end is final even when
 /// its answers were wrong or requests failed: that is a result, and
 /// re-running it until it passes would report the best of three.
 fn supervise(mut attempt: impl FnMut(Duration) -> Attempt) -> Supervised {
@@ -364,20 +391,6 @@ fn spawn_child(args: &Args, workload: Workload, traced: bool, deadline: Duration
     }
 }
 
-/// How long one attempt may run before it counts as hung: twice what a
-/// healthy one takes (set-ups and teardown around `seconds` of
-/// measurement; a traced run's rungs take about as long again).
-fn attempt_deadline(args: &Args, traced: bool) -> Duration {
-    let sizing = sizing_of(args);
-    let seconds = args.seconds.unwrap_or(sizing.seconds);
-    let measured = if traced {
-        sizing.trace_phase_seconds + 25
-    } else {
-        seconds + 10
-    };
-    Duration::from_secs(2 * measured)
-}
-
 /// What a supervised workload has to show: the report of the attempt that
 /// ran to the end (with the deaths before it) and its result line, or —
 /// when every attempt died — the deaths alone.
@@ -425,9 +438,8 @@ fn show(supervised: Supervised) -> Shown {
 /// One workload in a supervised child: what `--workload` prints and what
 /// `all` loops over.
 fn supervised(args: &Args, workload: Workload, traced: bool) -> Shown {
-    let deadline = attempt_deadline(args, traced);
     show(supervise(|left| {
-        spawn_child(args, workload, traced, deadline.min(left))
+        spawn_child(args, workload, traced, HANG_AFTER.min(left))
     }))
 }
 
@@ -563,6 +575,9 @@ fn smoke_checks(result: &RunResult, workload: Workload, traced: bool) -> Result<
 }
 
 fn main() -> ExitCode {
+    // Before any thread exists and before the pool is first used: the
+    // pool reads its width once. Children inherit it.
+    std::env::set_var("TRAJCL_THREADS", POOL_LANES);
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
         Ok(args) => args,

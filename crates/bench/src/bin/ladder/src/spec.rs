@@ -125,7 +125,6 @@ pub const END_TO_END: &[MetricSpec] = &[
     e2e("knn_qps", "1/s", Higher, 0.25),
     e2e("ops_qps", "1/s", Higher, 0.25),
     e2e("knn_p50_us", "us", Lower, 0.25),
-    e2e("knn_p90_us", "us", Lower, 0.25),
     e2e("knn_within_10ms_share", "share", Higher, 0.05),
     e2e("cpu_us_per_req", "us", Lower, 0.25),
     e2e("rss_peak_mb", "MB", Lower, 0.20),
@@ -183,6 +182,7 @@ pub const PER_LAYER: &[MetricSpec] = &[
     layer("serve.fleet.partial_share", "share", Lower),
     layer("serve.server.unattributed_share", "share", Lower),
     // Generator and host.
+    layer("client.knn_p90_us", "us", Lower),
     layer("client.knn_p99_us", "us", Lower),
     layer("client.knn_qps_best_quarter", "1/s", Higher),
     layer("client.knn_p50_us_best_quarter", "us", Lower),
@@ -194,6 +194,7 @@ pub const PER_LAYER: &[MetricSpec] = &[
     layer("client.quiet_window_share", "share", Higher),
     layer("client.crash_retries", "count", Lower),
     layer("host.steal_share", "share", Lower),
+    layer("host.slowdown", "ratio", Lower),
     layer("host.calib_mops", "1/us", Higher),
 ];
 

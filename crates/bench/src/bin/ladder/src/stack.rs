@@ -6,7 +6,9 @@
 //! Everything here is production configuration: `ServeConfig::default()`
 //! with only shard count, IVF cells and (for the mixed workload) the WAL
 //! set; `handlers = workers`, as `trajcl serve` wires it; four handlers
-//! on the fleet front-end, its CLI default; `TRAJCL_THREADS` untouched.
+//! on the fleet front-end, its CLI default. The one departure is made in
+//! `main`: `TRAJCL_THREADS=1`, because the tensor pool is not memory-safe
+//! with more lanes (README, "The pool runs one lane").
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -742,6 +742,7 @@ pub fn trace(opts: &RunOptions) -> Traced {
         "serve.batcher.trajs_per_batch",
         reduced.stats.batched_trajs as f64 / reduced.stats.batches.max(1) as f64,
     );
+    extras.insert("client.knn_p90_us", reduced.knn_p90_us);
     extras.insert("client.knn_p99_us", reduced.knn_p99_us);
     for (name, metric) in [
         ("client.knn_qps_best_quarter", "knn_qps"),
@@ -757,6 +758,14 @@ pub fn trace(opts: &RunOptions) -> Traced {
     // many attempts died before it.
     extras.insert("client.crash_retries", 0.0);
     extras.insert("host.steal_share", reduced.steal_share);
+    // The traced phase's pace; the rungs themselves are raw times.
+    extras.insert(
+        "host.slowdown",
+        reduced
+            .slowdowns
+            .first()
+            .map_or(f64::NAN, |(_, span)| *span),
+    );
     extras.insert("host.calib_mops", calib_mops);
 
     let metrics: Vec<Measured> = PER_LAYER
