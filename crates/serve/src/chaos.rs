@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::proto::read_frame;
+use crate::proto::{encode_frame, read_frame};
 
 /// One injected fault (see module docs for each variant's effect).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -348,10 +348,7 @@ fn relay_frames(
 /// [`crate::proto::write_frame`], the payload may be invalid UTF-8 —
 /// garbling depends on it).
 fn write_raw(writer: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    writeln!(writer, "{}", payload.len())?;
-    writer.write_all(payload)?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    writer.write_all(&encode_frame(payload))
 }
 
 #[cfg(test)]

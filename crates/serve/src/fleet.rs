@@ -44,8 +44,9 @@
 //! exactly this path (SIGKILL mid-pipeline, restart, bit-exact
 //! verification).
 
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,7 +54,7 @@ use trajcl_index::{merge_partials, shard_for};
 
 use crate::json::{parse, Json};
 use crate::net::{Client, ClientOptions, FrameHandler};
-use crate::proto::{err_response, req_echo, MAX_K};
+use crate::proto::{encode_frame, err_response, req_echo, MAX_K};
 
 /// Tuning knobs for [`Fleet::connect`].
 #[derive(Clone, Copy, Debug)]
@@ -62,10 +63,11 @@ pub struct FleetConfig {
     /// per-write). The per-call read deadline is additionally tightened
     /// to the remaining [`FleetConfig::op_deadline`] budget.
     pub client: ClientOptions,
-    /// Total wall-clock budget for one downstream call including
-    /// reconnects, retries and backoff sleeps. This is the fleet's
-    /// answer-by deadline: a scattered read completes (possibly
-    /// partial) within roughly this budget regardless of shard state.
+    /// Total budget of one routed operation including reconnects, retries
+    /// and backoff sleeps, from when it first holds the connection(s) it
+    /// asked for (it may queue behind a scatter stuck on a stalled shard).
+    /// A scatter has ONE, shared by its pipelined attempt and every shard's
+    /// retries: however many shards fail, it answers (possibly partial) by then.
     pub op_deadline: Duration,
     /// Extra attempts after the first failed one.
     pub retries: u32,
@@ -145,9 +147,9 @@ struct Shard {
     addr: String,
     /// The persistent connection, dialled lazily and dropped on any
     /// transport error (a failed call may leave the stream mid-frame;
-    /// resynchronisation is reconnection). Held across a full
-    /// request/response round trip, so calls to ONE shard serialise —
-    /// scatter parallelism is across shards, not within one.
+    /// resynchronisation is reconnection). Held from a request's write
+    /// until its reply is read, so a connection never carries two
+    /// requests; [`Fleet::scatter`] has the lock order.
     conn: Mutex<Option<Client>>,
     state: Mutex<HealthState>,
 }
@@ -155,6 +157,18 @@ struct Shard {
 impl Shard {
     fn health(&self) -> ShardHealth {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).health
+    }
+
+    /// A scatter's send: `frame` onto the live connection, if the breaker is closed and there is one.
+    fn send(&self, frame: &[u8]) -> Leg<'_> {
+        if self.health() == ShardHealth::Down {
+            return Leg::Skipped;
+        }
+        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
+        match conn.as_mut().map(|client| client.send_encoded(frame)) {
+            Some(sent) => Leg::Sent(conn, sent),
+            None => Leg::Tried(None),
+        }
     }
 
     /// A live call or probe succeeded: Degraded/Up → Up; Down → the
@@ -185,6 +199,23 @@ impl Shard {
         };
     }
 }
+
+/// How one attempt at a shard went; `None`: nothing was tried, nothing to record.
+type Attempt = Option<io::Result<String>>;
+
+/// One shard's leg of a [`Fleet::scatter`].
+enum Leg<'a> {
+    /// Breaker open: not tried (the prober owns re-admission).
+    Skipped,
+    /// Request handed to the live connection; lock held until the reply is read.
+    Sent(MutexGuard<'a, Option<Client>>, io::Result<()>),
+    /// Attempt 0's outcome (`None`: no live connection).
+    Tried(Attempt),
+}
+
+/// Floor of a re-armed read deadline (std rejects 0): a reply already in the
+/// socket buffer is still read after a slower sibling spent the budget.
+const READ_FLOOR: Duration = Duration::from_millis(1);
 
 /// The splitmix64 mixer (same constants as the placement hash) — drives
 /// the deterministic backoff-jitter stream.
@@ -219,10 +250,10 @@ impl Fleet {
     /// # Errors
     /// [`std::io::ErrorKind::InvalidInput`] for an empty address list;
     /// the last dial error when no shard is reachable.
-    pub fn connect(addrs: &[String], cfg: FleetConfig) -> std::io::Result<Fleet> {
+    pub fn connect(addrs: &[String], cfg: FleetConfig) -> io::Result<Fleet> {
         if addrs.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
                 "fleet needs at least one shard address",
             ));
         }
@@ -253,7 +284,7 @@ impl Fleet {
         }
         if reachable == 0 {
             return Err(last_err.unwrap_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::NotConnected, "no shard reachable")
+                io::Error::new(io::ErrorKind::NotConnected, "no shard reachable")
             }));
         }
         let stop = Arc::new(AtomicBool::new(false));
@@ -297,111 +328,133 @@ impl Fleet {
         (splitmix64(self.cfg.jitter_seed ^ n) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// One downstream call with the full robustness envelope: per-op
-    /// deadline, bounded retries, backoff+jitter, health recording.
+    /// One downstream call with the full robustness envelope: one budget,
+    /// bounded retries, backoff+jitter, health recording. A scatter passes
+    /// its `deadline` and its pipelined attempt 0 (`first`); a single-shard
+    /// operation passes neither: [`Fleet::call_once`] mints one, makes the other.
     /// Transport errors surface as `Err`; in-band downstream errors are
     /// `Ok` (the shard is healthy — the request was bad).
-    fn call_shard(&self, shard: &Shard, payload: &str) -> std::io::Result<String> {
-        let deadline = Instant::now() + self.cfg.op_deadline;
-        let mut attempt: u32 = 0;
-        loop {
-            match self.call_once(shard, payload, deadline) {
-                Ok(resp) => {
-                    shard.record_success(self.cfg.down_after);
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    shard.record_failure(self.cfg.down_after);
-                    attempt += 1;
-                    if attempt > self.cfg.retries {
-                        return Err(e);
-                    }
-                    // Exponential backoff with deterministic jitter in
-                    // [0.5, 1.0)× — desynchronises retry storms without
-                    // nondeterminism the chaos suite couldn't replay.
-                    let exp = self
-                        .cfg
-                        .backoff_base
-                        .saturating_mul(1u32 << (attempt - 1).min(16));
-                    let capped = exp.min(self.cfg.backoff_max);
-                    let sleep = capped.mul_f64(0.5 + 0.5 * self.jitter());
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() || sleep >= remaining {
-                        return Err(e); // budget exhausted: fail now, not late
-                    }
-                    std::thread::sleep(sleep);
-                }
-            }
-        }
-    }
-
-    /// One attempt: (re)dial if needed, tighten the read deadline to
-    /// the remaining budget, round-trip. Any error drops the
-    /// connection — a half-written or half-read frame leaves the stream
-    /// unsynchronisable, so reconnection IS the resync protocol.
-    fn call_once(
+    fn call_shard(
         &self,
         shard: &Shard,
         payload: &str,
-        deadline: Instant,
-    ) -> std::io::Result<String> {
-        let budget = |cap: Option<Duration>| -> std::io::Result<Option<Duration>> {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "op deadline exhausted",
-                ));
+        mut deadline: Option<Instant>,
+        first: Attempt,
+    ) -> io::Result<String> {
+        let cfg = &self.cfg;
+        let mut outcome = first.or_else(|| self.call_once(shard, payload, &mut deadline));
+        let mut attempt: u32 = 0;
+        loop {
+            let e = match outcome {
+                Some(Ok(resp)) => {
+                    shard.record_success(cfg.down_after);
+                    return Ok(resp);
+                }
+                Some(Err(e)) => e,
+                None => return Err(io::ErrorKind::TimedOut.into()), // not tried: not charged
+            };
+            shard.record_failure(cfg.down_after);
+            attempt += 1;
+            if attempt > cfg.retries {
+                return Err(e);
             }
-            Ok(Some(cap.map_or(remaining, |c| c.min(remaining))))
-        };
-        let mut conn = shard.conn.lock().unwrap_or_else(|p| p.into_inner());
-        let client = match conn.as_mut() {
-            Some(client) => client,
-            None => {
-                let opts = ClientOptions {
-                    connect_timeout: budget(self.cfg.client.connect_timeout)?,
-                    read_timeout: budget(self.cfg.client.read_timeout)?,
-                    write_timeout: budget(self.cfg.client.write_timeout)?,
-                };
-                conn.insert(Client::connect_with(&shard.addr, &opts)?)
+            // Exponential backoff with deterministic jitter in
+            // [0.5, 1.0)× — desynchronises retry storms without
+            // nondeterminism the chaos suite couldn't replay.
+            let exp = cfg.backoff_base.saturating_mul(1 << (attempt - 1).min(16));
+            let capped = exp.min(cfg.backoff_max);
+            let sleep = capped.mul_f64(0.5 + 0.5 * self.jitter());
+            let left = deadline.map_or(sleep, |d| d.saturating_duration_since(Instant::now()));
+            if sleep >= left {
+                return Err(e); // budget exhausted: fail now, not late
             }
-        };
-        let result = client
-            .set_read_timeout(budget(self.cfg.client.read_timeout)?)
-            .and_then(|()| client.call(payload));
-        if result.is_err() {
-            *conn = None;
+            std::thread::sleep(sleep);
+            outcome = self.call_once(shard, payload, &mut deadline);
         }
-        result
     }
 
-    /// Scatters `payload` to every non-Down shard in parallel, returning
-    /// per-shard results (`None` for skipped-Down and failed shards)
-    /// plus the ok count.
-    fn scatter(&self, payload: &str) -> (Vec<Option<String>>, usize) {
-        let mut results: Vec<Option<String>> = vec![None; self.shards.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    // Breaker open: don't even try (the prober owns
-                    // re-admission), keep the deadline for live shards.
-                    if shard.health() == ShardHealth::Down {
-                        return None;
-                    }
-                    Some(scope.spawn(move || self.call_shard(shard, payload).ok()))
-                })
-                .collect();
-            for (slot, handle) in results.iter_mut().zip(handles) {
-                if let Some(handle) = handle {
-                    *slot = handle.join().unwrap_or(None);
-                }
+    /// One lock-step attempt: (re)dial if needed, send, read the reply. The
+    /// wait for the lock may be for a scatter stuck on a stalled SIBLING, so
+    /// it is not this shard's: a budget not minted yet starts once the lock is
+    /// ours, and one spent by then returns `None` — nothing sent or recorded.
+    fn call_once(&self, shard: &Shard, payload: &str, deadline: &mut Option<Instant>) -> Attempt {
+        let mut conn = shard.conn.lock().unwrap_or_else(|p| p.into_inner());
+        let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.op_deadline);
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|l| !l.is_zero())?;
+        let sent = match conn.as_mut() {
+            Some(client) => client.send(payload),
+            None => {
+                let cap = |t: Option<Duration>| Some(t.map_or(left, |t| t.min(left)));
+                let opts = ClientOptions {
+                    connect_timeout: cap(self.cfg.client.connect_timeout),
+                    read_timeout: cap(self.cfg.client.read_timeout),
+                    write_timeout: cap(self.cfg.client.write_timeout),
+                };
+                Client::connect_with(&shard.addr, &opts).and_then(|c| conn.insert(c).send(payload))
             }
+        };
+        Some(self.read_reply(&mut conn, sent, deadline))
+    }
+
+    /// Second half of an exchange on `conn`, given how the send went: reads
+    /// the reply, the read deadline tightened to what is left of `deadline`.
+    /// Any error drops the connection — a half-written or half-read frame
+    /// leaves the stream unsynchronisable: reconnection IS the resync protocol.
+    fn read_reply(
+        &self,
+        conn: &mut Option<Client>,
+        sent: io::Result<()>,
+        deadline: Instant,
+    ) -> io::Result<String> {
+        let reply = sent.and_then(|()| {
+            let client = conn.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            let wait = self.cfg.client.read_timeout.map_or(left, |c| c.min(left));
+            client.set_read_timeout(Some(wait.max(READ_FLOOR)))?;
+            client.reply()
         });
-        let ok = results.iter().filter(|r| r.is_some()).count();
-        (results, ok)
+        if reply.is_err() {
+            *conn = None;
+        }
+        reply
+    }
+
+    /// Scatters `payload` to every non-Down shard and returns the replies
+    /// that came back, in shard order (`Err` when none did).
+    /// Send-all-then-receive-all on the calling thread: the frame, encoded
+    /// once, is written on each live connection; then ONE budget starts (the
+    /// wait for the locks is not on it) and the replies are read in the same
+    /// order, each lock released as its reply comes in. That is attempt 0 of
+    /// [`Fleet::call_shard`]'s envelope; a shard it failed on, or that had no
+    /// live connection, then runs the rest of it on what is left of the budget.
+    ///
+    /// Lock order: only this function holds several `conn` locks, and it
+    /// takes them in ascending shard index; `call_once` and `shutdown` hold
+    /// one and take no second — no cycle, no deadlock. A stalled shard
+    /// keeps the locks after it for at most its read deadline.
+    fn scatter(&self, payload: &str) -> Result<Vec<String>, String> {
+        let frame = encode_frame(payload.as_bytes());
+        let legs: Vec<Leg<'_>> = self.shards.iter().map(|s| s.send(&frame)).collect();
+        let deadline = Instant::now() + self.cfg.op_deadline;
+        let receive = |leg| match leg {
+            Leg::Sent(mut conn, sent) => {
+                Leg::Tried(Some(self.read_reply(&mut conn, sent, deadline)))
+            }
+            unsent => unsent,
+        };
+        let legs: Vec<Leg<'_>> = legs.into_iter().map(receive).collect();
+        let mut replies = Vec::with_capacity(legs.len());
+        for (shard, leg) in self.shards.iter().zip(legs) {
+            if let Leg::Tried(first) = leg {
+                replies.extend(self.call_shard(shard, payload, Some(deadline), first).ok());
+            }
+        }
+        if replies.is_empty() {
+            return Err("no shard reachable".into());
+        }
+        Ok(replies)
     }
 
     /// The fleet's degradation preamble: `"partial":…,"shards_ok":…,
@@ -426,8 +479,8 @@ impl Fleet {
             // shards' (probe those via `stats` health).
             "ping" => Ok(format!("{{{echo}\"ok\":true,\"pong\":true}}")),
             "knn" => self.route_knn(obj, &echo, payload),
-            "upsert" | "remove" => self.route_write(obj, &echo, payload),
-            "embed" | "distance" => self.route_any_shard(&echo, payload),
+            "upsert" | "remove" => self.route_write(obj, payload),
+            "embed" | "distance" => self.route_any_shard(payload),
             "compact" => self.route_compact(&echo, payload),
             "stats" => self.route_stats(&echo, payload),
             other => Err(format!("unknown op {other:?}")),
@@ -446,10 +499,8 @@ impl Fleet {
             .filter(|&k| k <= MAX_K as u64)
             .ok_or_else(|| format!("\"k\" must be an integer in 0..={MAX_K}"))?
             as usize;
-        let (results, ok) = self.scatter(payload);
-        if ok == 0 {
-            return Err("no shard reachable".into());
-        }
+        let replies = self.scatter(payload)?;
+        let ok = replies.len();
         if self.cfg.fail_closed && ok < self.shards.len() {
             return Err(format!(
                 "fail-closed: {} of {} shards unavailable",
@@ -458,8 +509,8 @@ impl Fleet {
             ));
         }
         let mut partials = Vec::with_capacity(ok);
-        for resp in results.into_iter().flatten() {
-            partials.push(parse_hits(&resp)?);
+        for resp in &replies {
+            partials.push(parse_hits(resp)?);
         }
         let merged = merge_partials(partials, k);
         let rows: Vec<String> = merged
@@ -482,7 +533,7 @@ impl Fleet {
     /// Route a write to its owning shard by the placement hash. A Down
     /// owner errors in-band immediately — writes never hang and never
     /// silently land on the wrong shard.
-    fn route_write(&self, obj: &Json, _echo: &str, payload: &str) -> Result<String, String> {
+    fn route_write(&self, obj: &Json, payload: &str) -> Result<String, String> {
         let id = obj
             .get("id")
             .ok_or("missing field \"id\"")?
@@ -492,17 +543,15 @@ impl Fleet {
         if shard.health() == ShardHealth::Down {
             return Err(format!("shard {} is down; write refused", shard.addr));
         }
-        match self.call_shard(shard, payload) {
-            // The downstream response already carries the req echo and
-            // the op's fields — forward it verbatim.
-            Ok(resp) => Ok(resp),
-            Err(e) => Err(format!("shard {}: {e}", shard.addr)),
-        }
+        // The downstream response already carries the req echo and the
+        // op's fields — forward it verbatim.
+        self.call_shard(shard, payload, None, None)
+            .map_err(|e| format!("shard {}: {e}", shard.addr))
     }
 
     /// Ops any one shard can answer (every shard holds the full model):
     /// round-robin over live shards, failing over to the next.
-    fn route_any_shard(&self, _echo: &str, payload: &str) -> Result<String, String> {
+    fn route_any_shard(&self, payload: &str) -> Result<String, String> {
         let n = self.shards.len();
         let start = (self.jitter() * n as f64) as usize % n;
         let mut last_err = None;
@@ -511,7 +560,7 @@ impl Fleet {
             if shard.health() == ShardHealth::Down {
                 continue;
             }
-            match self.call_shard(shard, payload) {
+            match self.call_shard(shard, payload, None, None) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => last_err = Some(format!("shard {}: {e}", shard.addr)),
             }
@@ -521,17 +570,14 @@ impl Fleet {
 
     /// Scatter `compact`, sum the per-shard sealed counts.
     fn route_compact(&self, echo: &str, payload: &str) -> Result<String, String> {
-        let (results, ok) = self.scatter(payload);
-        if ok == 0 {
-            return Err("no shard reachable".into());
-        }
+        let replies = self.scatter(payload)?;
         let mut sealed: u64 = 0;
-        for resp in results.into_iter().flatten() {
-            sealed += parse_ok_field(&resp, "sealed")?;
+        for resp in &replies {
+            sealed += parse_ok_field(resp, "sealed")?;
         }
         Ok(format!(
             "{{{echo}\"ok\":true,{},\"sealed\":{sealed}}}",
-            self.degradation_fields(ok)
+            self.degradation_fields(replies.len())
         ))
     }
 
@@ -540,17 +586,14 @@ impl Fleet {
     /// order). Counters of unreachable shards are simply missing from
     /// the sums — `shards_ok` says how many contributed.
     fn route_stats(&self, echo: &str, payload: &str) -> Result<String, String> {
-        let (results, ok) = self.scatter(payload);
-        if ok == 0 {
-            return Err("no shard reachable".into());
-        }
+        let replies = self.scatter(payload)?;
         let mut sums: [u64; 4] = [0; 4]; // size, buffer, memory_bytes, shards
-        for resp in results.into_iter().flatten() {
+        for resp in &replies {
             for (slot, key) in sums
                 .iter_mut()
                 .zip(["size", "buffer", "memory_bytes", "shards"])
             {
-                *slot += parse_ok_field(&resp, key)?;
+                *slot += parse_ok_field(resp, key)?;
             }
         }
         let health: Vec<String> = self
@@ -560,7 +603,7 @@ impl Fleet {
             .collect();
         Ok(format!(
             "{{{echo}\"ok\":true,{},\"size\":{},\"buffer\":{},\"memory_bytes\":{},\"shards\":{},\"health\":[{}]}}",
-            self.degradation_fields(ok),
+            self.degradation_fields(replies.len()),
             sums[0],
             sums[1],
             sums[2],
@@ -593,14 +636,14 @@ impl Drop for Fleet {
 /// One fresh-connection `ping` round trip (the probe primitive: never
 /// touches the persistent per-shard connection, so probing cannot
 /// interfere with live traffic).
-fn probe_once(addr: &str, opts: &ClientOptions) -> std::io::Result<()> {
+fn probe_once(addr: &str, opts: &ClientOptions) -> io::Result<()> {
     let mut client = Client::connect_with(addr, opts)?;
     let resp = client.call("{\"op\":\"ping\"}")?;
     if resp.contains("\"pong\":true") {
         Ok(())
     } else {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
             format!("unexpected ping response: {resp}"),
         ))
     }
@@ -714,6 +757,42 @@ mod tests {
         shard.record_success(3);
         shard.record_success(3);
         assert_eq!(shard.health(), ShardHealth::Up);
+    }
+
+    /// A budget already spent when the lock is ours (the wait was for a
+    /// scatter stuck on a sibling): nothing dialled or sent, no failure
+    /// charged — with `down_after` 1 a charge would trip the breaker.
+    #[test]
+    fn a_budget_spent_waiting_for_the_lock_is_not_charged_to_the_shard() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let shard = Arc::new(Shard {
+            addr: listener.local_addr().unwrap().to_string(),
+            conn: Mutex::new(None),
+            state: Mutex::new(HealthState {
+                health: ShardHealth::Up,
+                consecutive_fails: 0,
+            }),
+        });
+        let fleet = Fleet {
+            shards: vec![Arc::clone(&shard)],
+            cfg: FleetConfig {
+                down_after: 1,
+                ..FleetConfig::default()
+            },
+            stop: Arc::new(AtomicBool::new(false)),
+            prober: Mutex::new(None),
+            ticket: AtomicU64::new(0),
+        };
+        let spent = Instant::now();
+        let e = fleet
+            .call_shard(&shard, "{\"op\":\"ping\"}", Some(spent), None)
+            .unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(shard.health(), ShardHealth::Up);
+        assert!(shard.conn.lock().unwrap().is_none());
+        let dialled = listener.accept();
+        assert!(dialled.is_err(), "{dialled:?}");
     }
 
     #[test]

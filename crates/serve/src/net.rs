@@ -365,9 +365,9 @@ pub fn listen_with<H: FrameHandler + 'static>(
             opts,
             move || {
                 listener.accept().map(|(s, _)| {
-                    // Frames are small header+payload write pairs; without
-                    // TCP_NODELAY, Nagle + delayed ACK turns every
-                    // lock-step round trip into a ~40ms stall.
+                    // A peer that splits its frames into small writes
+                    // would, without TCP_NODELAY, stall every lock-step
+                    // round trip ~40ms on Nagle + delayed ACK.
                     let _ = s.set_nodelay(true);
                     Stream::Tcp(s)
                 })
@@ -573,6 +573,16 @@ impl Client {
     /// connection instead of answering; transport failures pass through.
     pub fn call(&mut self, payload: &str) -> std::io::Result<String> {
         self.send(payload)?;
+        self.reply()
+    }
+
+    /// [`Client::send`] of a frame already encoded (`proto::encode_frame`).
+    pub(crate) fn send_encoded(&mut self, frame: &[u8]) -> std::io::Result<()> {
+        self.output.write_all(frame)
+    }
+
+    /// [`Client::recv`] of a reply that is owed: a closed connection is an error.
+    pub(crate) fn reply(&mut self) -> std::io::Result<String> {
         self.recv()?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

@@ -131,7 +131,8 @@ pub fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
     Ok(Some(payload))
 }
 
-/// Writes one frame.
+/// Writes one frame, as a single `write` of the whole frame (PROTOCOL.md
+/// §1: senders should not split a frame; receivers accept any split).
 ///
 /// # Examples
 ///
@@ -149,10 +150,18 @@ pub fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
 /// );
 /// ```
 pub fn write_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    writeln!(writer, "{}", payload.len())?;
-    writer.write_all(payload.as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(&encode_frame(payload.as_bytes()))?;
     writer.flush()
+}
+
+/// One frame's bytes in one buffer: written piecewise to a raw socket, each
+/// piece is a syscall and, under `TCP_NODELAY`, a segment the peer wakes for.
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(payload.len() + 22); // 20 digits of a u64 + 2 × `\n`
+    let _ = writeln!(frame, "{}", payload.len()); // writing into a Vec cannot fail
+    frame.extend_from_slice(payload);
+    frame.push(b'\n');
+    frame
 }
 
 /// Decodes `[[x,y],...]` into a trajectory.
@@ -308,6 +317,80 @@ mod tests {
             r#"{"op":"compact"}"#
         );
         assert!(read_frame(&mut reader).unwrap().is_none());
+    }
+
+    /// Counts `write` calls (and accepts every byte of each).
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_the_documented_bytes() {
+        for len in [0usize, 24, 64 * 1024] {
+            let payload = "x".repeat(len);
+            let mut out = CountingWriter {
+                bytes: Vec::new(),
+                writes: 0,
+            };
+            write_frame(&mut out, &payload).unwrap();
+            assert_eq!(out.writes, 1, "{len}-byte payload");
+            assert_eq!(out.bytes, format!("{len}\n{payload}\n").into_bytes());
+        }
+    }
+
+    /// Hands out its bytes in chunks of at most `chunk` per `read`.
+    struct Chunked {
+        bytes: Vec<u8>,
+        pos: usize,
+        chunk: usize,
+    }
+
+    impl std::io::Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_accepts_any_segmentation() {
+        let payloads = [r#"{"op":"stats"}"#, "", r#"{"req":7,"op":"ping"}"#];
+        let mut bytes = Vec::new();
+        for p in payloads {
+            write_frame(&mut bytes, p).unwrap();
+        }
+        bytes.pop(); // ragged last frame: the stream ends after the payload
+        for chunk in [1, 3, bytes.len()] {
+            // A byte at a time, ragged thirds, all three frames at once.
+            let mut reader = std::io::BufReader::new(Chunked {
+                bytes: bytes.clone(),
+                pos: 0,
+                chunk,
+            });
+            for p in payloads {
+                assert_eq!(
+                    read_frame(&mut reader).unwrap().unwrap(),
+                    p,
+                    "chunk {chunk}"
+                );
+            }
+            assert!(read_frame(&mut reader).unwrap().is_none());
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! correct `shards_ok`/`shards_total`, and returns to bit-exact
 //! unsharded-oracle-equivalent answers after the shard restarts.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -564,45 +565,86 @@ fn fleet_survives_frame_faults_and_converges() {
     shard.kill();
 }
 
+/// A listener that accepts, reads, answers `ping` — and silently
+/// swallows everything else (see
+/// `stalled_shard_hits_read_deadline_and_degrades`), after answering its
+/// first `answers` data frames like a shard that holds nothing.
+struct Staller {
+    addr: String,
+    /// Frames swallowed so far.
+    swallowed: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Staller {
+    fn spawn() -> Staller {
+        Staller::spawn_after(0)
+    }
+
+    fn spawn_after(answers: usize) -> Staller {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let swallowed = Arc::new(AtomicUsize::new(0));
+        let answered = Arc::new(AtomicUsize::new(0));
+        let thread = {
+            let (stop, swallowed) = (Arc::clone(&stop), Arc::clone(&swallowed));
+            std::thread::spawn(move || {
+                listener.set_nonblocking(false).expect("blocking listener");
+                while !stop.load(Ordering::Acquire) {
+                    let Ok((conn, _)) = listener.accept() else {
+                        break;
+                    };
+                    let (swallowed, answered) = (Arc::clone(&swallowed), Arc::clone(&answered));
+                    std::thread::spawn(move || {
+                        let mut reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
+                        let mut writer = conn;
+                        while let Ok(Some(payload)) = read_frame(&mut reader) {
+                            let reply = if payload.contains("\"op\":\"ping\"") {
+                                "{\"ok\":true,\"pong\":true}"
+                            } else if answered.fetch_add(1, Ordering::AcqRel) < answers {
+                                "{\"ok\":true,\"hits\":[]}"
+                            } else {
+                                // Swallowed. The caller waits.
+                                swallowed.fetch_add(1, Ordering::AcqRel);
+                                continue;
+                            };
+                            if write_frame(&mut writer, reply).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                }
+            })
+        };
+        Staller {
+            addr,
+            swallowed,
+            stop,
+            thread,
+        }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, Ordering::Release);
+        let _ = std::net::TcpStream::connect(&self.addr); // wake accept()
+        let _ = self.thread.join();
+    }
+}
+
 /// A shard that accepts, reads, answers `ping` — and silently swallows
 /// everything else. The deadliest failure mode: TCP healthy, probes
 /// green, data path dead. Reads must still complete within the op
 /// budget, marked partial.
 #[test]
 fn stalled_shard_hits_read_deadline_and_degrades() {
-    // The stalling listener.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let stall_addr = listener.local_addr().expect("addr").to_string();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let stall_thread = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            listener.set_nonblocking(false).expect("blocking listener");
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                let Ok((conn, _)) = listener.accept() else {
-                    break;
-                };
-                std::thread::spawn(move || {
-                    let mut reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
-                    let mut writer = conn;
-                    while let Ok(Some(payload)) = read_frame(&mut reader) {
-                        // Anything but a ping: swallowed. The caller waits.
-                        if payload.contains("\"op\":\"ping\"")
-                            && write_frame(&mut writer, "{\"ok\":true,\"pong\":true}").is_err()
-                        {
-                            return;
-                        }
-                    }
-                });
-            }
-        })
-    };
-
+    let staller = Staller::spawn();
     let real = ShardServer::spawn();
     let mut cfg = fleet_cfg();
     cfg.client.read_timeout = Some(ms(300));
     cfg.op_deadline = ms(1000);
-    let addrs = [real.addr(), stall_addr.clone()];
+    let addrs = [real.addr(), staller.addr.clone()];
     let fleet = Fleet::connect(&addrs, cfg).expect("fleet");
 
     // Seed only ids the REAL shard owns (writes to the staller would
@@ -632,9 +674,7 @@ fn stalled_shard_hits_read_deadline_and_degrades() {
     assert_ne!(fleet.health()[1], ShardHealth::Up, "{:?}", fleet.health());
 
     fleet.shutdown();
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    let _ = std::net::TcpStream::connect(&stall_addr); // wake accept()
-    let _ = stall_thread.join();
+    staller.stop();
     real.kill();
 }
 
@@ -704,4 +744,264 @@ fn kill_after_frames_severs_the_connection() {
 
     proxy.shutdown();
     shard.kill();
+}
+
+/// Upserts `ids` through `fleet` and into a fresh unsharded oracle
+/// (neither compacted: buffer scans are exact on both sides) and
+/// returns the oracle with a connection to it.
+fn seed_with_oracle(fleet: &Fleet, ids: &[u64]) -> (ShardServer, Client) {
+    let oracle = ShardServer::spawn();
+    let mut oracle_client = Client::connect(&oracle.addr()).expect("connect oracle");
+    for &id in ids {
+        let r = fleet.handle_frame(&upsert_payload(id));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        oracle_client
+            .call(&upsert_payload(id))
+            .expect("oracle upsert");
+    }
+    (oracle, oracle_client)
+}
+
+/// The scatter's envelope with one shard stalled PAST the op budget
+/// (its read deadline is longer than `op_deadline`) on a LIVE connection
+/// — so the stall happens in the pipelined attempt, with the locks of
+/// shards 1–3 held — while the healthy shards sit behind 40 ms round
+/// trips (slower than the 1 ms read floor). The answer takes one budget,
+/// not one per shard; the three shards that answered are all in it (a
+/// reply already in the socket buffer is read even though the slow
+/// sibling spent the budget); and a write to a healthy shard issued
+/// while the scatter waits on shard 0 waits for that shard's lock until
+/// shard 0's read deadline fires, then SUCCEEDS on a budget of its own:
+/// the wait is the scatter's doing, not the healthy shard's. The same
+/// goes for a second scatter queued behind the first: its budget starts
+/// once it holds its connections, so it too answers 3 of 4.
+#[test]
+fn scatter_with_a_stalled_shard_takes_one_budget_and_keeps_the_healthy_replies() {
+    const NSHARDS: usize = 4;
+    // Shard 0 answers one data frame (the warming kNN), then stalls.
+    let staller = Staller::spawn_after(1);
+    let real: Vec<ShardServer> = (1..NSHARDS).map(|_| ShardServer::spawn()).collect();
+    let slow = ChaosPlan {
+        delay_per_mille: 1000,
+        delay: ms(20),
+        ..ChaosPlan::none(5)
+    };
+    let proxies: Vec<ChaosProxy> = real
+        .iter()
+        .map(|s| ChaosProxy::start(&s.addr(), slow).expect("proxy"))
+        .collect();
+    let mut cfg = fleet_cfg();
+    cfg.client.read_timeout = Some(ms(3000));
+    cfg.op_deadline = ms(800);
+    let budget = cfg.op_deadline.mul_f64(1.5);
+    let mut addrs = vec![staller.addr.clone()];
+    addrs.extend(proxies.iter().map(|p| p.local_addr().to_string()));
+    let fleet = Arc::new(Fleet::connect(&addrs, cfg).expect("fleet"));
+
+    // Seed only ids the real shards own: the oracle over the same ids
+    // is then exactly "every hit of the three healthy shards".
+    let mine: Vec<u64> = (0..32).filter(|&id| shard_for(id, NSHARDS) != 0).collect();
+    let (oracle, mut oracle_client) = seed_with_oracle(&fleet, &mine);
+    let o = oracle_client
+        .call(&knn_payload(mine[0], 5))
+        .expect("oracle knn");
+    // The warming kNN: `Fleet::connect` dials nothing, so this is what
+    // gives shard 0 the live connection the next scatter pipelines on.
+    let warm = fleet.handle_frame(&knn_payload(mine[0], 5));
+    assert!(warm.contains("\"partial\":false,\"shards_ok\":4"), "{warm}");
+    assert_eq!(hits_of(&warm), hits_of(&o));
+    assert_eq!(fleet.health(), vec![ShardHealth::Up; NSHARDS]);
+
+    let scatter = || {
+        let fleet = Arc::clone(&fleet);
+        let payload = knn_payload(mine[0], 5);
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            (fleet.handle_frame(&payload), started.elapsed())
+        })
+    };
+    let first = scatter();
+    // Once shard 0 has swallowed the query, the scatter is under way: it
+    // has written to every shard, holds every lock and waits on shard 0.
+    wait_for(
+        || staller.swallowed.load(Ordering::Acquire) > 0,
+        budget,
+        "the scatter to reach shard 0",
+    );
+    let queued = scatter();
+    let owned_by_1 = *mine
+        .iter()
+        .find(|&&id| shard_for(id, NSHARDS) == 1)
+        .expect("an id on shard 1");
+    let write_started = Instant::now();
+    let w = fleet.handle_frame(&upsert_payload(owned_by_1));
+    let write_took = write_started.elapsed();
+    assert!(w.contains("\"replaced\":true"), "{w}");
+    assert!(
+        write_took > cfg.op_deadline / 2,
+        "the write took {write_took:?}: the scatter was not holding shard 1's lock"
+    );
+    assert!(
+        write_took < budget,
+        "a write to a healthy shard waited {write_took:?} behind the stalled scatter"
+    );
+
+    // The queued scatter waits out the first one's hold on shard 0 (up
+    // to one `op_deadline`), then runs on its own budget.
+    for (scatter, limit) in [(first, budget), (queued, budget + cfg.op_deadline)] {
+        let (f, took) = scatter.join().expect("scatter thread");
+        assert!(
+            f.contains("\"partial\":true,\"shards_ok\":3,\"shards_total\":4"),
+            "{f}"
+        );
+        assert!(took < limit, "stalled-shard knn took {took:?}");
+        assert_eq!(hits_of(&f), hits_of(&o));
+    }
+    // Only the shard that stalled pays for it.
+    assert_ne!(fleet.health()[0], ShardHealth::Up, "{:?}", fleet.health());
+    assert_eq!(fleet.health()[1..], [ShardHealth::Up; NSHARDS - 1]);
+
+    fleet.shutdown();
+    staller.stop();
+    for p in proxies {
+        p.shutdown();
+    }
+    for s in real {
+        s.kill();
+    }
+    oracle.kill();
+}
+
+/// A shard connection severed BETWEEN two requests: the scatter's
+/// pipelined write lands on a dead connection, which costs exactly one
+/// recorded failure (Up → Degraded, never Down with `down_after` 2) and
+/// then the retry path re-dials and completes the answer bit-exactly.
+#[test]
+fn severed_connection_costs_one_failure_and_the_retry_completes_the_answer() {
+    const NSHARDS: usize = 2;
+    let shards = [ShardServer::spawn(), ShardServer::spawn()];
+    let ids: Vec<u64> = (0..24).collect();
+    let on_0 = ids
+        .iter()
+        .filter(|&&id| shard_for(id, NSHARDS) == 0)
+        .count() as u64;
+    // Shard 0's connection carries its upserts and one kNN (two frames
+    // each), then dies on the next frame it is handed.
+    let plan = ChaosPlan {
+        kill_after_frames: Some(2 * (on_0 + 1)),
+        ..ChaosPlan::none(11)
+    };
+    let proxy = ChaosProxy::start(&shards[0].addr(), plan).expect("proxy");
+    let mut cfg = fleet_cfg();
+    cfg.backoff_base = ms(40); // a backoff long enough to be seen Degraded in
+    let addrs = [proxy.local_addr().to_string(), shards[1].addr()];
+    let fleet = Arc::new(Fleet::connect(&addrs, cfg).expect("fleet"));
+    let (oracle, mut oracle_client) = seed_with_oracle(&fleet, &ids);
+
+    let done = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (fleet, done) = (Arc::clone(&fleet), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            loop {
+                // Read the flag first: the last sample is then taken
+                // after the queries are over.
+                let last = done.load(Ordering::Acquire);
+                let h = fleet.health()[0];
+                if seen.last() != Some(&h) {
+                    seen.push(h);
+                }
+                if last {
+                    return seen;
+                }
+                std::thread::sleep(ms(1));
+            }
+        })
+    };
+    for qid in [3u64, 9] {
+        let f = fleet.handle_frame(&knn_payload(qid, 5));
+        assert!(
+            f.contains("\"partial\":false,\"shards_ok\":2,\"shards_total\":2"),
+            "query {qid}: {f}"
+        );
+        let o = oracle_client
+            .call(&knn_payload(qid, 5))
+            .expect("oracle knn");
+        assert_eq!(hits_of(&f), hits_of(&o), "query {qid}");
+    }
+    done.store(true, Ordering::Release);
+    let seen = watcher.join().expect("watcher");
+    assert_eq!(
+        seen,
+        [ShardHealth::Up, ShardHealth::Degraded, ShardHealth::Up],
+        "the severed attempt must record exactly one failure"
+    );
+    assert_eq!(proxy.faults_injected(), 1, "the kill budget never fired");
+
+    fleet.shutdown();
+    proxy.shutdown();
+    for s in shards {
+        s.kill();
+    }
+    oracle.kill();
+}
+
+/// Two handler threads scattering at once for two seconds: the lock
+/// order (ascending shard index) means neither can deadlock the other,
+/// and a connection never carries two requests, so neither can read
+/// the other's reply — every answer is its own query's oracle answer.
+#[test]
+fn concurrent_scatters_neither_deadlock_nor_cross_replies() {
+    const NSHARDS: usize = 4;
+    const QUERIES: u64 = 16;
+    let shards: Vec<ShardServer> = (0..NSHARDS).map(|_| ShardServer::spawn()).collect();
+    let addrs: Vec<String> = shards.iter().map(ShardServer::addr).collect();
+    let fleet = Arc::new(Fleet::connect(&addrs, fleet_cfg()).expect("fleet"));
+    let ids: Vec<u64> = (0..48).collect();
+    let (oracle, mut oracle_client) = seed_with_oracle(&fleet, &ids);
+    let expected: Arc<Vec<String>> = Arc::new(
+        (0..QUERIES)
+            .map(|qid| {
+                let o = oracle_client
+                    .call(&knn_payload(qid, 5))
+                    .expect("oracle knn");
+                hits_of(&o).to_string()
+            })
+            .collect(),
+    );
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    for lane in 0..2u64 {
+        let (fleet, expected, tx) = (Arc::clone(&fleet), Arc::clone(&expected), tx.clone());
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            let mut answered = 0u64;
+            // Lane 0 asks the even queries, lane 1 the odd ones.
+            for qid in (lane..QUERIES).step_by(2).cycle() {
+                if started.elapsed() >= Duration::from_secs(2) {
+                    break;
+                }
+                let f = fleet.handle_frame(&knn_payload(qid, 5));
+                assert!(f.contains("\"partial\":false,\"shards_ok\":4"), "{f}");
+                assert_eq!(hits_of(&f), expected[qid as usize], "query {qid}");
+                answered += 1;
+            }
+            let _ = tx.send(answered);
+        });
+    }
+    drop(tx);
+    for _ in 0..2 {
+        // A lane that deadlocked or panicked never reports.
+        let answered = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a scatter lane deadlocked or failed");
+        assert!(answered > 0);
+    }
+    assert_eq!(fleet.health(), vec![ShardHealth::Up; NSHARDS]);
+
+    fleet.shutdown();
+    for s in shards {
+        s.kill();
+    }
+    oracle.kill();
 }

@@ -32,12 +32,17 @@ struct Task {
     latch: *const Latch,
 }
 
-// SAFETY: the pointers reference the stack frame of a caller that blocks in
-// `Latch::wait` until every task has completed, so they stay valid for the
-// task's whole lifetime regardless of which thread runs it.
+// SAFETY: the pointers reference the stack frame of a caller that cannot
+// leave `Latch::wait` before every task has released the latch's lock in
+// `complete_one` — each task's last access to either — so they stay valid
+// for as long as any thread uses them, whichever thread that is.
 unsafe impl Send for Task {}
 
 /// Countdown latch: the caller waits until all its tasks have completed.
+///
+/// It lives in the waiter's stack frame, so `wait` must not return while a
+/// completer can still touch it: the count goes down, and is read, only
+/// under `lock`, and releasing `lock` is the last thing a completer does.
 struct Latch {
     remaining: AtomicUsize,
     panicked: AtomicBool,
@@ -56,8 +61,8 @@ impl Latch {
     }
 
     fn complete_one(&self) {
+        let _guard = self.lock.lock().unwrap();
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.lock.lock().unwrap();
             self.cv.notify_all();
         }
     }
@@ -84,12 +89,14 @@ pub struct ThreadPool {
 fn run_task(task: Task) {
     // SAFETY: `task.call` is always `trampoline::<F>` for the same `F` whose
     // closure `task.ctx` points at (both are set together in `run`), and the
-    // caller that owns that closure blocks in `latch.wait` until this task
-    // calls `complete_one`, so the pointer is live and correctly typed.
+    // caller that owns that closure cannot leave `latch.wait` before this
+    // task's `complete_one` below, which runs only after the call returned,
+    // so the pointer is live and correctly typed for the whole call.
     let result = catch_unwind(AssertUnwindSafe(|| unsafe {
         (task.call)(task.ctx, task.index)
     }));
-    // SAFETY: the owning caller is blocked until `complete_one` below.
+    // SAFETY: the owning caller cannot see the count reach zero, and so
+    // cannot return, until `complete_one` below has let go of the latch.
     let latch = unsafe { &*task.latch };
     if result.is_err() {
         latch.panicked.store(true, Ordering::Release);
@@ -164,7 +171,8 @@ impl ThreadPool {
             return;
         }
         unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), index: usize) {
-            // SAFETY: `ctx` points to `f`, alive until `latch.wait` returns.
+            // SAFETY: `ctx` points to `f`, alive until `latch.wait` returns,
+            // which needs this task's `complete_one`, which follows this call.
             let f = unsafe { &*(ctx as *const F) };
             f(index);
         }
@@ -320,6 +328,48 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 16);
+    }
+
+    /// Regression for the latch use-after-return: the last completer used to
+    /// decrement BEFORE locking, so the waiter could see zero and return
+    /// while the completer was still about to lock a latch whose frame was
+    /// gone. Each region here runs in a frame that dies at once;
+    /// `stack_is_quiet` then re-uses that stack and watches it, so a
+    /// completer touching a dead latch flips a canary byte (or hangs, or
+    /// crashes) instead of going unnoticed.
+    #[test]
+    fn no_task_touches_the_latch_after_its_waiter_returned() {
+        #[inline(never)]
+        fn region(pool: &ThreadPool) -> usize {
+            let sum = AtomicUsize::new(0);
+            pool.run(3, |i| {
+                sum.fetch_add(i + 1, Ordering::Relaxed);
+            });
+            sum.into_inner()
+        }
+        #[inline(never)]
+        fn stack_is_quiet() -> bool {
+            let mut canary = [0xA5u8; 2048];
+            std::hint::black_box(&mut canary);
+            for _ in 0..64 {
+                std::hint::spin_loop();
+            }
+            std::hint::black_box(&canary).iter().all(|&b| b == 0xA5)
+        }
+        let pool = ThreadPool::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for round in 0..100_000 {
+                        assert_eq!(region(&pool), 6, "round {round}");
+                        assert!(
+                            stack_is_quiet(),
+                            "round {round}: a task wrote into a dead frame"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]
