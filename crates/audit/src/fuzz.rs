@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
-use trajcl_index::{IvfIndex, Metric, Quantization};
+use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization, ScanMode};
 use trajcl_tensor::{Shape, Tensor};
 
 /// Base seed of the whole fuzz run (xor-folded with target and case ids).
@@ -373,22 +373,30 @@ fn corpus_proto() -> Vec<Vec<u8>> {
     vec![single, multi, blanks]
 }
 
-/// Valid IVF blobs covering all three sections: IVF1 (f32), IVF2 (SQ8)
-/// and IVF3 (PQ).
+/// Valid `IVF4` blobs, one per storage tag × scan mode the builder can
+/// produce: f32, SQ8 under either scan kernel, and PQ both nibble-packed
+/// (`nbits ≤ 4`) and one byte per code.
 fn corpus_ivf() -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED);
     let emb = Tensor::randn(Shape::d2(64, 8), 0.0, 1.0, &mut rng);
-    let plain = IvfIndex::build(&emb, 4, Metric::L1, &mut rng);
-    let sq8 = IvfIndex::build_with(&emb, 4, Metric::L1, Quantization::Sq8, 4, &mut rng);
-    let pq = IvfIndex::build_with(
-        &emb,
-        4,
-        Metric::L1,
-        Quantization::Pq { m: 2, nbits: 4 },
-        4,
-        &mut rng,
-    );
-    vec![plain.to_bytes(), sq8.to_bytes(), pq.to_bytes()]
+    [
+        (Quantization::None, ScanMode::Asymmetric),
+        (Quantization::Sq8, ScanMode::Asymmetric),
+        (Quantization::Sq8, ScanMode::Symmetric),
+        (Quantization::Pq { m: 2, nbits: 4 }, ScanMode::Asymmetric),
+        (Quantization::Pq { m: 2, nbits: 8 }, ScanMode::Asymmetric),
+    ]
+    .into_iter()
+    .map(|(quantization, scan)| {
+        let opts = IndexOptions {
+            nlist: Some(4),
+            quantization,
+            scan,
+            ..IndexOptions::default()
+        };
+        IvfIndex::build_with(&emb, Metric::L1, &opts, &mut rng).to_bytes()
+    })
+    .collect()
 }
 
 /// A small trained-shape (but untrained) model + featurizer, mirroring
@@ -412,42 +420,29 @@ fn tiny_model() -> (TrajClModel, Featurizer, Vec<Trajectory>) {
     (model, feat, trajs)
 }
 
-/// Valid TCE1 blobs: bare model, SQ8-indexed, PQ-indexed, and a
-/// tail-less legacy file (pre-quantization format).
+/// Valid TCE1 blobs: bare model, SQ8-indexed and PQ-indexed.
 fn corpus_engine() -> Vec<Vec<u8>> {
     let (model, feat, trajs) = tiny_model();
     let bare = Engine::builder()
         .trajcl(model, feat)
         .build()
         .expect("bare engine");
-    let bare_bytes = bare.to_bytes().expect("serialize bare engine");
-
-    let (model, feat, _) = tiny_model();
-    let sq8 = Engine::builder()
-        .trajcl(model, feat)
-        .database(trajs.clone())
-        .ivf_index(3)
-        .quantization(Quantization::Sq8)
-        .build()
-        .expect("sq8 engine");
-    let sq8_bytes = sq8.to_bytes().expect("serialize sq8 engine");
-
-    let (model, feat, _) = tiny_model();
-    let pq = Engine::builder()
-        .trajcl(model, feat)
-        .database(trajs)
-        .ivf_index(3)
-        .quantization(Quantization::Pq { m: 4, nbits: 4 })
-        .build()
-        .expect("pq engine");
-    let pq_bytes = pq.to_bytes().expect("serialize pq engine");
-
-    // Dropping the last 5 bytes removes the `shards u32 + durability u8`
-    // suffix, yielding a valid pre-sharding engine file (quantization and
-    // scan-mode tails intact) and exercising the tail-absent path.
-    let legacy = sq8_bytes[..sq8_bytes.len() - 5].to_vec();
-
-    vec![bare_bytes, sq8_bytes, pq_bytes, legacy]
+    let mut blobs = vec![bare.to_bytes().expect("serialize bare engine")];
+    for quantization in [Quantization::Sq8, Quantization::Pq { m: 4, nbits: 4 }] {
+        let (model, feat, _) = tiny_model();
+        let engine = Engine::builder()
+            .trajcl(model, feat)
+            .database(trajs.clone())
+            .index_options(IndexOptions {
+                nlist: Some(3),
+                quantization,
+                ..IndexOptions::default()
+            })
+            .build()
+            .expect("indexed engine");
+        blobs.push(engine.to_bytes().expect("serialize indexed engine"));
+    }
+    blobs
 }
 
 /// Valid WAL inputs: single records of every op tag, a multi-record log

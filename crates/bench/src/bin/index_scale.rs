@@ -50,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajcl_bench::snapfile::{append_run, git_commit};
 use trajcl_index::kernels::dispatch;
-use trajcl_index::{brute_force_batch_knn, IvfIndex, Metric, Quantization, ScanMode};
+use trajcl_index::{brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, ScanMode};
 use trajcl_tensor::{Shape, Tensor};
 
 const K: usize = 10;
@@ -256,15 +256,20 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
         ivf.memory_bytes() as f64 / 1e6
     );
 
+    // Every quantized cell: same cells, same seed, one field varied.
+    let quantized = |quantization, rescore_factor, scan| {
+        let opts = IndexOptions {
+            nlist: Some(nlist),
+            quantization,
+            rescore_factor,
+            scan,
+            ..IndexOptions::default()
+        };
+        IvfIndex::build_with(&table, Metric::L1, &opts, &mut StdRng::seed_from_u64(7))
+    };
+
     let t0 = Instant::now();
-    let sq8 = IvfIndex::build_with(
-        &table,
-        nlist,
-        Metric::L1,
-        Quantization::Sq8,
-        4,
-        &mut StdRng::seed_from_u64(7),
-    );
+    let sq8 = quantized(Quantization::Sq8, 4, ScanMode::Asymmetric);
     let sq8_build_s = t0.elapsed().as_secs_f64();
     let (sq8_hits, sq8_qps) = timed(nq, || {
         sq8.batch_search_rescored(&queries, K, nprobe, Some(&table))
@@ -276,15 +281,7 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     );
 
     let t0 = Instant::now();
-    let sym = IvfIndex::build_with_scan(
-        &table,
-        nlist,
-        Metric::L1,
-        Quantization::Sq8,
-        4,
-        ScanMode::Symmetric,
-        &mut StdRng::seed_from_u64(7),
-    );
+    let sym = quantized(Quantization::Sq8, 4, ScanMode::Symmetric);
     let sym_build_s = t0.elapsed().as_secs_f64();
     let (sym_hits, sym_qps) = timed(nq, || {
         sym.batch_search_rescored(&queries, K, nprobe, Some(&table))
@@ -298,13 +295,10 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
 
     let pq_m = (d / PQ_DIMS_PER_SUBSPACE).max(1);
     let t0 = Instant::now();
-    let pq = IvfIndex::build_with(
-        &table,
-        nlist,
-        Metric::L1,
+    let pq = quantized(
         Quantization::Pq { m: pq_m, nbits: 8 },
         PQ_RESCORE_FACTOR,
-        &mut StdRng::seed_from_u64(7),
+        ScanMode::Asymmetric,
     );
     let pq_build_s = t0.elapsed().as_secs_f64();
     let (pq_hits, pq_qps) = timed(nq, || {
@@ -317,13 +311,10 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     );
 
     let t0 = Instant::now();
-    let pq4 = IvfIndex::build_with(
-        &table,
-        nlist,
-        Metric::L1,
+    let pq4 = quantized(
         Quantization::Pq { m: pq_m, nbits: 4 },
         PQ4_RESCORE_FACTOR,
-        &mut StdRng::seed_from_u64(7),
+        ScanMode::Asymmetric,
     );
     let pq4_build_s = t0.elapsed().as_secs_f64();
     let (pq4_hits, pq4_qps) = timed(nq, || {

@@ -13,7 +13,7 @@ use trajcl_core::{
     build_featurizer, l1_distances, train, EncoderVariant, Featurizer, MocoState, TrajClConfig,
 };
 use trajcl_data::{mean_rank, Dataset, DatasetProfile, QueryProtocol, Splits};
-use trajcl_engine::{Engine, EngineError};
+use trajcl_engine::{Engine, EngineError, IndexOptions};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
 use trajcl_nn::StepDecay;
@@ -308,7 +308,10 @@ impl TrainedModels {
         Engine::builder()
             .trajcl(self.trajcl.online.clone(), featurizer.clone())
             .database(database)
-            .maybe_ivf_index(nlist)
+            .index_options(IndexOptions {
+                nlist,
+                ..IndexOptions::default()
+            })
             .nprobe(nprobe)
             .build()
     }

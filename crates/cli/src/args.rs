@@ -143,7 +143,7 @@ USAGE:
   trajcl serve    --model MODEL --db FILE [--listen ADDR] [--shards N]
                   [--index NLIST] [--wal DIR]
                   [--quantize sq8|pq4[:M]|pq[:M]] [--scan symmetric|asym]
-                  [--workers N] [--max-batch N] [--max-wait-us N]
+                  [--rescore-factor N] [--workers N] [--max-batch N] [--max-wait-us N]
                   [--cache N] [--queue N] [--idle-timeout-ms N]
   trajcl serve    --fleet ADDR1,ADDR2,... [--listen ADDR] [--fail-closed]
                   [--op-deadline-ms N] [--retries N] [--probe-ms N]
@@ -165,12 +165,14 @@ M=8 — sub-byte per dimension); `--quantize pq4[:M]` packs two 4-bit PQ
 codes per byte for half the PQ footprint. `--scan symmetric` quantizes
 the query too and scans SQ8 codes with integer SIMD kernels
 (AVX-512/AVX2/scalar picked at runtime; set TRAJCL_FORCE_SCALAR=1 to pin
-the portable path). `query` rescores the top
-`--rescore-factor` x k quantized candidates against the engine's exact
-f32 embeddings, so its distances stay exact; `serve`'s mutable index
-keeps no exact copy of sealed rows, but rescores hits that still match
-the engine's cached table (ids upserted through the server keep
-asymmetric, error-bounded distances).
+the portable path). `query` and `serve` read these four flags the same
+way: `--quantize` and `--scan symmetric` need `--index NLIST` (they
+describe the IVF index). `query` rescores the top `--rescore-factor` x k
+quantized candidates against the engine's exact f32 embeddings, so its
+distances stay exact; `serve`'s mutable index keeps no exact copy of
+sealed rows, but over-fetches by the same factor and rescores hits that
+still match the engine's cached table (ids upserted through the server
+keep asymmetric, error-bounded distances).
 
 `serve` speaks length-prefixed JSON frames (`LEN\\n{...}\\n`): ops ping,
 embed, knn, distance, upsert, remove, compact, stats (PROTOCOL.md at

@@ -10,7 +10,7 @@ use std::io::Write as _;
 use std::path::Path;
 use trajcl_core::{load_model, FinetuneConfig, FinetuneScope, TrajClConfig};
 use trajcl_data::{hit_ratio, load_trajectory_file, save_trajectory_file, Dataset, DatasetProfile};
-use trajcl_engine::{Engine, EngineError};
+use trajcl_engine::{Engine, EngineError, IndexOptions, Quantization, ScanMode};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
 use trajcl_serve::{ServeConfig, Server};
@@ -72,12 +72,13 @@ fn audit_cmd(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineErr
             writeln!(out, "  {v}")?;
         }
         for stale in &report.stale_allowances {
-            writeln!(out, "  note: stale allowance {stale}")?;
+            writeln!(out, "  stale allowance {stale}")?;
         }
         if !report.passed() {
             failures.push(format!(
-                "{} lint violation(s) beyond crates/audit/allowlist.txt",
-                report.new_violations.len()
+                "{} lint violation(s) beyond crates/audit/allowlist.txt, {} stale allowance(s) in it",
+                report.new_violations.len(),
+                report.stale_allowances.len()
             ));
         }
     }
@@ -293,54 +294,44 @@ fn json_approx_line(measure: &str, k: usize, hr: f64, queries: usize, database: 
     )
 }
 
-/// Parses the `--quantize` option (`sq8` | `pq4[:M]` | `pq[:M]` |
-/// `none`), when present.
-fn parse_quantize(args: &Args) -> Result<Option<trajcl_engine::Quantization>, EngineError> {
-    args.options
-        .get("quantize")
-        .map(|v| v.parse().map_err(invalid))
-        .transpose()
-}
-
-/// Parses the `--scan` option (`symmetric` | `asym`), when present.
-fn parse_scan(args: &Args) -> Result<Option<trajcl_engine::ScanMode>, EngineError> {
-    args.options
-        .get("scan")
-        .map(|v| v.parse().map_err(invalid))
-        .transpose()
+/// The index description `query` and `serve` build with: `base` (the
+/// loaded engine's) overridden by `--index NLIST`, `--quantize` (`sq8` |
+/// `pq4[:M]` | `pq[:M]` | `none`), `--scan` (`symmetric` | `asym`) and
+/// `--rescore-factor N`. Quantization and the symmetric scan are
+/// properties of the IVF index: asked for without cells they would
+/// silently do nothing, so those combinations are rejected.
+fn index_flags(args: &Args, base: IndexOptions) -> Result<IndexOptions, EngineError> {
+    let mut opts = base;
+    if args.options.contains_key("index") {
+        opts.nlist = Some(num::<usize>(args, "index", 16)?.max(1));
+    }
+    if let Some(v) = args.options.get("quantize") {
+        opts.quantization = v.parse().map_err(invalid)?;
+        if opts.quantization != Quantization::None && opts.nlist.is_none() {
+            return Err(invalid(
+                "--quantize needs --index NLIST (quantization applies to the IVF index)",
+            ));
+        }
+    }
+    if let Some(v) = args.options.get("scan") {
+        opts.scan = v.parse().map_err(invalid)?;
+        if opts.scan == ScanMode::Symmetric && opts.nlist.is_none() {
+            return Err(invalid(
+                "--scan symmetric needs --index NLIST and --quantize sq8 (it selects the SQ8 scan kernel)",
+            ));
+        }
+    }
+    opts.rescore_factor = num(args, "rescore-factor", opts.rescore_factor)?;
+    Ok(opts)
 }
 
 fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
     if args.options.contains_key("connect") {
         return query_remote(args, out);
     }
-    let mut engine = load_engine(req(args, "model")?)?;
-    if args.options.contains_key("index") {
-        let nlist: usize = num(args, "index", 16)?;
-        engine = engine.with_ivf_index(nlist.max(1));
-    }
-    if let Some(quant) = parse_quantize(args)? {
-        // Quantization is a property of the IVF index; without one the
-        // flag would silently do nothing.
-        if quant != trajcl_engine::Quantization::None && !args.options.contains_key("index") {
-            return Err(invalid(
-                "--quantize needs --index NLIST (quantization applies to the IVF index)",
-            ));
-        }
-        engine = engine.with_quantization(quant);
-    }
-    if let Some(scan) = parse_scan(args)? {
-        // Symmetric scanning is a property of the SQ8-quantized IVF
-        // index; without one the flag would silently do nothing.
-        if scan == trajcl_engine::ScanMode::Symmetric && !args.options.contains_key("index") {
-            return Err(invalid(
-                "--scan symmetric needs --index NLIST and --quantize sq8 (it selects the SQ8 scan kernel)",
-            ));
-        }
-        engine = engine.with_scan_mode(scan);
-    }
-    let rescore = num(args, "rescore-factor", engine.rescore_factor())?;
-    engine = engine.with_rescore_factor(rescore);
+    let engine = load_engine(req(args, "model")?)?;
+    let opts = index_flags(args, *engine.index_options())?;
+    let engine = engine.with_index_options(opts);
     let db = load_trajectory_file(Path::new(req(args, "db")?))?;
     let engine = engine.with_database(db)?;
     let qi: usize = num(args, "query", 0)?;
@@ -517,35 +508,23 @@ fn idle_timeout_opt(
     Ok((ms > 0).then(|| std::time::Duration::from_millis(ms)))
 }
 
-/// Builds the serving runtime from CLI options, then serves protocol
-/// frames: on a TCP / unix-socket listener with `--listen`, or between
-/// stdin and `out` until end-of-stream otherwise. With `--fleet` the
-/// process is instead the front-end router over downstream shard
-/// servers — no model or database of its own.
-fn serve(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), EngineError> {
-    if args.options.contains_key("fleet") {
-        return serve_fleet(args, out);
-    }
+/// Builds the serving runtime `trajcl serve` runs from CLI options;
+/// returns it with the handler-thread count.
+fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
     let engine = load_engine(req(args, "model")?)?;
     // The server only ever consults its own MutableIndex, so k-means must
-    // train there and nowhere else: remember the engine's persisted IVF
-    // configuration, then strip it so with_database skips the engine-side
-    // build (which would otherwise duplicate both the training time and
-    // the vector table).
-    let engine_nlist = engine.nlist();
-    let engine = engine.without_ivf_index();
+    // train there and nowhere else: the engine carries the index
+    // description, minus the cells, so with_database skips the
+    // engine-side build (which would otherwise duplicate both the
+    // training time and the vector table); the cells go to the server.
+    let opts = index_flags(args, *engine.index_options())?;
+    let engine = engine.with_index_options(opts).without_ivf_index();
     let db = load_trajectory_file(Path::new(req(args, "db")?))?;
     let engine = engine.with_database(db)?;
     let mut cfg = ServeConfig {
-        ivf_nlist: engine_nlist,
+        ivf_nlist: opts.nlist,
         ..ServeConfig::default()
     };
-    if args.options.contains_key("index") {
-        let nlist: usize = num(args, "index", 16)?;
-        cfg.ivf_nlist = Some(nlist.max(1));
-    }
-    cfg.quantization = parse_quantize(args)?;
-    cfg.scan = parse_scan(args)?;
     cfg.workers = num(args, "workers", cfg.workers)?;
     cfg.max_batch = num(args, "max-batch", cfg.max_batch)?;
     cfg.max_wait = std::time::Duration::from_micros(num(args, "max-wait-us", 2000u64)?);
@@ -567,7 +546,19 @@ fn serve(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), Engi
         cfg.wal = Some(wal);
     }
     let handlers = cfg.workers.max(1);
-    let server = Server::new(std::sync::Arc::new(engine), cfg)?;
+    Ok((Server::new(std::sync::Arc::new(engine), cfg)?, handlers))
+}
+
+/// Builds the serving runtime from CLI options, then serves protocol
+/// frames: on a TCP / unix-socket listener with `--listen`, or between
+/// stdin and `out` until end-of-stream otherwise. With `--fleet` the
+/// process is instead the front-end router over downstream shard
+/// servers — no model or database of its own.
+fn serve(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), EngineError> {
+    if args.options.contains_key("fleet") {
+        return serve_fleet(args, out);
+    }
+    let (server, handlers) = build_server(args)?;
     if let Some(rec) = server.wal_recovery() {
         eprintln!(
             "trajcl serve: WAL recovery replayed {} checkpoint row(s) + {} log op(s), \
@@ -728,11 +719,14 @@ fn approx(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError>
 mod tests {
     use super::*;
 
-    fn run_cmd(line: &str) -> (i32, String) {
+    fn args_of(line: &str) -> Args {
         let argv: Vec<String> = line.split_whitespace().map(|s| s.to_string()).collect();
-        let args = Args::parse(&argv).unwrap();
+        Args::parse(&argv).unwrap()
+    }
+
+    fn run_cmd(line: &str) -> (i32, String) {
         let mut out = Vec::new();
-        let code = run(&args, &mut out);
+        let code = run(&args_of(line), &mut out);
         (code, String::from_utf8(out).unwrap())
     }
 
@@ -1029,6 +1023,33 @@ mod tests {
         assert!(find(3).contains("\"removed\":true"));
         assert!(find(4).contains("\"size\":24"));
         assert!(find(5).contains("\"ok\":false"));
+
+        // `serve` reads the index flags through the applier `query` uses:
+        // the description reaches every shard, rescore factor included,
+        // and k-means trains in the server only.
+        let (server, _) = build_server(&args_of(&format!(
+            "serve --model {} --db {} --index 4 --quantize sq8 --rescore-factor 8 --shards 2",
+            model.display(),
+            data.display()
+        )))
+        .unwrap();
+        for s in 0..2 {
+            let opts = server.index().shard(s).options();
+            assert_eq!(opts.rescore_factor, 8);
+            assert_eq!(opts.quantization, Quantization::Sq8);
+            assert_eq!(opts.nlist, Some(4));
+        }
+        assert!(server.engine().index().is_none());
+        server.shutdown();
+        // And the combinations `query` rejects are rejected here too.
+        let err = build_server(&args_of(&format!(
+            "serve --model {} --db {} --quantize sq8",
+            model.display(),
+            data.display()
+        )))
+        .err()
+        .expect("--quantize without --index must fail");
+        assert!(err.to_string().contains("--index"), "{err}");
     }
 
     #[test]

@@ -18,8 +18,8 @@ use trajcl_core::{
 use trajcl_data::Dataset;
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_index::{
-    atomic_write, brute_force_batch_knn, Durability, IvfIndex, Metric, Quantization, RealFs,
-    ScanMode, DEFAULT_RESCORE_FACTOR,
+    atomic_write, brute_force_batch_knn, Durability, IndexOptions, IvfIndex, Metric, Quantization,
+    RealFs, ScanMode,
 };
 use trajcl_measures::HeuristicMeasure;
 use trajcl_tensor::{InferCtx, Shape, Tensor};
@@ -39,15 +39,11 @@ pub struct Engine {
     database: Vec<Trajectory>,
     embeddings: Option<Tensor>,
     index: Option<IvfIndex>,
-    nlist: Option<usize>,
+    index_options: IndexOptions,
     nprobe: usize,
-    quantization: Quantization,
-    rescore_factor: usize,
-    scan: ScanMode,
     shards: usize,
     durability: Durability,
     batch_size: usize,
-    seed: u64,
     train_report: Option<TrainReport>,
 }
 
@@ -84,32 +80,19 @@ impl Engine {
         self.train_report.as_ref()
     }
 
-    /// Number of IVF cells requested at build time (`None` = brute force).
-    pub fn nlist(&self) -> Option<usize> {
-        self.nlist
+    /// How the IVF index is trained and stored: cells (`nlist: None` =
+    /// brute force over the cached table), k-means seed, storage
+    /// quantization, the over-fetch multiplier of exact rescoring
+    /// (indexed queries re-rank the top `rescore_factor · k` quantized
+    /// candidates against the cached embedding table) and the scan
+    /// kernel. `trajcl-serve` builds its shards from the same value.
+    pub fn index_options(&self) -> &IndexOptions {
+        &self.index_options
     }
 
     /// Number of IVF cells probed per indexed query.
     pub fn nprobe(&self) -> usize {
         self.nprobe
-    }
-
-    /// Storage quantization applied when building the IVF index.
-    pub fn quantization(&self) -> Quantization {
-        self.quantization
-    }
-
-    /// Over-fetch multiplier for quantized (SQ8/PQ) rescoring (indexed
-    /// queries re-rank the top `rescore_factor · k` quantized candidates
-    /// against the exact cached embedding table).
-    pub fn rescore_factor(&self) -> usize {
-        self.rescore_factor
-    }
-
-    /// Scan kernel for quantized index scans ([`ScanMode::Symmetric`]
-    /// quantizes the query too and scans in integer arithmetic).
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan
     }
 
     /// Serving shard count: how many hash-on-id index shards
@@ -132,11 +115,6 @@ impl Engine {
     /// Inference mini-batch size used by [`Engine::embed_all`].
     pub fn batch_size(&self) -> usize {
         self.batch_size
-    }
-
-    /// Seed used for index construction (k-means initialisation).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Embeds trajectories in chunks of the configured batch size,
@@ -264,52 +242,36 @@ impl Engine {
     /// persisted engine (which carries no geometry) resumes serving.
     pub fn with_database(mut self, trajs: Vec<Trajectory>) -> Result<Engine, EngineError> {
         self.database = trajs;
+        self.index_database()?;
+        Ok(self)
+    }
+
+    /// Embeds the database into the cached table and, when cells are
+    /// configured, trains the IVF index over it (embedding backends
+    /// only; replaces whatever table and index were there).
+    fn index_database(&mut self) -> Result<(), EngineError> {
         self.embeddings = None;
         self.index = None;
         if self.backend.supports_embedding() && !self.database.is_empty() {
             let emb = self.embed_all(&self.database)?;
-            if let Some(nlist) = self.nlist {
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                self.index = Some(IvfIndex::build_with_scan(
+            if self.index_options.nlist.is_some() {
+                let mut rng = StdRng::seed_from_u64(self.index_options.seed);
+                self.index = Some(IvfIndex::build_with(
                     &emb,
-                    nlist,
                     Metric::L1,
-                    self.quantization,
-                    self.rescore_factor,
-                    self.scan,
+                    &self.index_options,
                     &mut rng,
                 ));
             }
             self.embeddings = Some(emb);
         }
-        Ok(self)
+        Ok(())
     }
 
-    /// Requests an IVF index with `nlist` cells; takes effect at the next
+    /// Replaces the index description; takes effect at the next
     /// [`Engine::with_database`] call.
-    pub fn with_ivf_index(mut self, nlist: usize) -> Self {
-        self.nlist = Some(nlist);
-        self
-    }
-
-    /// Requests quantized (SQ8/PQ) or exact index storage; takes effect
-    /// at the next [`Engine::with_database`] call.
-    pub fn with_quantization(mut self, quantization: Quantization) -> Self {
-        self.quantization = quantization;
-        self
-    }
-
-    /// Sets the SQ8 rescoring over-fetch multiplier; takes effect at the
-    /// next [`Engine::with_database`] call.
-    pub fn with_rescore_factor(mut self, rescore_factor: usize) -> Self {
-        self.rescore_factor = rescore_factor.max(1);
-        self
-    }
-
-    /// Sets the quantized-scan kernel; takes effect at the next
-    /// [`Engine::with_database`] call.
-    pub fn with_scan_mode(mut self, scan: ScanMode) -> Self {
-        self.scan = scan;
+    pub fn with_index_options(mut self, index_options: IndexOptions) -> Self {
+        self.index_options = index_options;
         self
     }
 
@@ -325,7 +287,7 @@ impl Engine {
     /// The serving layer uses this so index training happens once, in its
     /// own [`trajcl_index::MutableIndex`], not twice.
     pub fn without_ivf_index(mut self) -> Self {
-        self.nlist = None;
+        self.index_options.nlist = None;
         self.index = None;
         self
     }
@@ -363,14 +325,11 @@ impl Engine {
         EngineBuilder::new()
             .backend(Box::new(backend))
             .database(self.database.clone())
-            .maybe_ivf_index(self.nlist)
+            .index_options(self.index_options)
             .nprobe(self.nprobe)
-            .quantization(self.quantization)
-            .rescore_factor(self.rescore_factor)
             .shards(self.shards)
             .durability(self.durability)
             .batch_size(self.batch_size)
-            .seed(self.seed)
             .build()
     }
 
@@ -395,8 +354,9 @@ impl Engine {
         out.extend_from_slice(&model_bytes);
         out.extend_from_slice(&(self.nprobe as u32).to_le_bytes());
         out.extend_from_slice(&(self.batch_size as u32).to_le_bytes());
-        out.extend_from_slice(&(self.nlist.unwrap_or(0) as u32).to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
+        let opts = &self.index_options;
+        out.extend_from_slice(&(opts.nlist.unwrap_or(0) as u32).to_le_bytes());
+        out.extend_from_slice(&opts.seed.to_le_bytes());
         match &self.embeddings {
             Some(emb) => {
                 out.push(1);
@@ -417,43 +377,17 @@ impl Engine {
             }
             None => out.push(0),
         }
-        // Quantization tail (appended so pre-SQ8 files — which simply end
-        // here — still load with default settings). The PQ tag carries
-        // its geometry after the rescore factor; pre-PQ readers never see
-        // it because they reject the unknown tag.
-        match self.quantization {
-            Quantization::None => {
-                out.push(0u8);
-                out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-            }
-            Quantization::Sq8 => {
-                out.push(1u8);
-                out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-            }
-            Quantization::Pq { m, nbits } => {
-                out.push(2u8);
-                out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-                out.extend_from_slice(&(m as u32).to_le_bytes());
-                out.push(nbits);
-            }
+        // The tail: `tag | rescore | [PQ: m, nbits] | scan | shards |
+        // durability`, each enum through its one wire codec.
+        out.push(opts.quantization.wire_tag());
+        out.extend_from_slice(&(opts.rescore_factor as u32).to_le_bytes());
+        if let Quantization::Pq { m, nbits } = opts.quantization {
+            out.extend_from_slice(&(m as u32).to_le_bytes());
+            out.push(nbits);
         }
-        // Scan-mode tail (appended after the quantization tail the same
-        // way: pre-symmetric files end before it and default to the
-        // asymmetric kernel).
-        out.push(match self.scan {
-            ScanMode::Asymmetric => 0u8,
-            ScanMode::Symmetric => 1u8,
-        });
-        // Shard-count tail (same append-only convention: pre-sharding
-        // files end at the scan byte and default to one shard).
+        out.push(opts.scan.to_wire());
         out.extend_from_slice(&(self.shards as u32).to_le_bytes());
-        // Durability tail (same convention: pre-WAL files end at the
-        // shard count and default to ephemeral).
-        out.push(match self.durability {
-            Durability::Ephemeral => 0u8,
-            Durability::Buffered => 1u8,
-            Durability::Fsync => 2u8,
-        });
+        out.push(self.durability.to_wire());
         Ok(out)
     }
 
@@ -469,7 +403,10 @@ impl Engine {
         atomic_write(&RealFs, path, &bytes).map_err(EngineError::Io)
     }
 
-    /// Restores an engine from [`Engine::to_bytes`] output.
+    /// Restores an engine from [`Engine::to_bytes`] output. Every field
+    /// is mandatory: a file that ends early — inside the tail included —
+    /// is [`EngineError::CorruptEngineFile`], never an engine with
+    /// silently defaulted settings.
     pub fn from_bytes(bytes: &[u8]) -> Result<Engine, EngineError> {
         let mut r = bytes;
         let take = |r: &mut &[u8], n: usize| -> Result<Vec<u8>, EngineError> {
@@ -483,6 +420,7 @@ impl Engine {
         let u32_of = |r: &mut &[u8]| -> Result<u32, EngineError> {
             take(r, 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         };
+        let u8_of = |r: &mut &[u8]| -> Result<u8, EngineError> { take(r, 1).map(|b| b[0]) };
         if take(&mut r, 4)? != ENGINE_MAGIC {
             return Err(EngineError::CorruptEngineFile("bad magic"));
         }
@@ -497,7 +435,7 @@ impl Engine {
                 .try_into()
                 .map_err(|_| EngineError::CorruptEngineFile("seed"))?,
         );
-        let embeddings = match take(&mut r, 1)?[0] {
+        let embeddings = match u8_of(&mut r)? {
             0 => None,
             _ => {
                 let rows = u32_of(&mut r)? as usize;
@@ -514,7 +452,7 @@ impl Engine {
                 Some(Tensor::from_vec(data, Shape::d2(rows, dim)))
             }
         };
-        let index = match take(&mut r, 1)?[0] {
+        let index = match u8_of(&mut r)? {
             0 => None,
             _ => {
                 let len = u32_of(&mut r)? as usize;
@@ -525,91 +463,41 @@ impl Engine {
                 )
             }
         };
-        // Optional quantization tail: absent in pre-SQ8 engine files.
-        let (quantization, rescore_factor) = if r.is_empty() {
-            (
-                index
-                    .as_ref()
-                    .map_or(Quantization::None, IvfIndex::quantization),
-                index
-                    .as_ref()
-                    .map_or(DEFAULT_RESCORE_FACTOR, IvfIndex::rescore_factor),
-            )
-        } else {
-            let tag = take(&mut r, 1)?[0];
-            let rescore = (u32_of(&mut r)? as usize).max(1);
-            let quant = match tag {
-                0 => Quantization::None,
-                1 => Quantization::Sq8,
-                2 => {
-                    let m = u32_of(&mut r)? as usize;
-                    let nbits = take(&mut r, 1)?[0];
-                    if m == 0 || nbits == 0 || nbits > 8 {
-                        return Err(EngineError::CorruptEngineFile("pq geometry"));
-                    }
-                    Quantization::Pq { m, nbits }
-                }
-                _ => return Err(EngineError::CorruptEngineFile("quantization")),
-            };
-            (quant, rescore)
-        };
-        // Optional scan-mode tail: pre-symmetric files end at the
-        // quantization tail and keep the asymmetric kernel; a restored
-        // symmetric index also restores the mode (its IVF4 section
-        // carries it) even when the engine tail predates the byte.
-        let scan = if r.is_empty() {
-            index
-                .as_ref()
-                .map_or(ScanMode::Asymmetric, IvfIndex::scan_mode)
-        } else {
-            match take(&mut r, 1)?[0] {
-                0 => ScanMode::Asymmetric,
-                1 => ScanMode::Symmetric,
-                _ => return Err(EngineError::CorruptEngineFile("scan mode")),
-            }
-        };
-        // Optional shard-count tail: pre-sharding files end at the scan
-        // byte and serve unsharded.
-        let shards = if r.is_empty() {
-            1
-        } else {
-            let shards = u32_of(&mut r)? as usize;
-            if shards == 0 || shards > MAX_SHARDS {
-                return Err(EngineError::CorruptEngineFile("shard count"));
-            }
-            shards
-        };
-        // Optional durability tail: pre-WAL files end at the shard count
-        // and serve ephemerally.
-        let durability = if r.is_empty() {
-            Durability::Ephemeral
-        } else {
-            let durability = match take(&mut r, 1)?[0] {
-                0 => Durability::Ephemeral,
-                1 => Durability::Buffered,
-                2 => Durability::Fsync,
-                _ => return Err(EngineError::CorruptEngineFile("durability")),
-            };
-            // The tail is the final field: anything after it is corruption.
-            if !r.is_empty() {
-                return Err(EngineError::CorruptEngineFile("trailing bytes"));
-            }
-            durability
-        };
+        let tag = u8_of(&mut r)?;
+        let rescore_factor = (u32_of(&mut r)? as usize).max(1);
+        let quantization = Quantization::from_wire(tag, || {
+            Some((u32_of(&mut r).ok()? as usize, u8_of(&mut r).ok()?))
+        })
+        .ok_or(EngineError::CorruptEngineFile("quantization"))?;
+        let scan = ScanMode::from_wire(u8_of(&mut r)?)
+            .ok_or(EngineError::CorruptEngineFile("scan mode"))?;
+        let shards = u32_of(&mut r)? as usize;
+        if shards == 0 || shards > MAX_SHARDS {
+            return Err(EngineError::CorruptEngineFile("shard count"));
+        }
+        let durability = Durability::from_wire(u8_of(&mut r)?)
+            .ok_or(EngineError::CorruptEngineFile("durability"))?;
+        // The durability byte is the final field: anything after it is
+        // corruption.
+        if !r.is_empty() {
+            return Err(EngineError::CorruptEngineFile("trailing bytes"));
+        }
         Ok(Engine {
             backend: Box::new(TrajClBackend::new(model, featurizer)),
             database: Vec::new(),
             embeddings,
             index,
-            nlist: (nlist_raw > 0).then_some(nlist_raw),
+            index_options: IndexOptions {
+                nlist: (nlist_raw > 0).then_some(nlist_raw),
+                seed,
+                quantization,
+                rescore_factor,
+                scan,
+            },
             nprobe,
-            quantization,
-            rescore_factor,
-            scan,
             shards,
             durability,
             batch_size: batch_size.max(1),
-            seed,
             train_report: None,
         })
     }
@@ -620,15 +508,11 @@ impl Engine {
 pub struct EngineBuilder {
     backend: Option<Box<dyn SimilarityBackend>>,
     database: Vec<Trajectory>,
-    nlist: Option<usize>,
+    index_options: IndexOptions,
     nprobe: usize,
-    quantization: Quantization,
-    rescore_factor: usize,
-    scan: ScanMode,
     shards: usize,
     durability: Durability,
     batch_size: usize,
-    seed: u64,
     train_report: Option<TrainReport>,
 }
 
@@ -644,15 +528,11 @@ impl EngineBuilder {
         EngineBuilder {
             backend: None,
             database: Vec::new(),
-            nlist: None,
+            index_options: IndexOptions::default(),
             nprobe: 4,
-            quantization: Quantization::None,
-            rescore_factor: DEFAULT_RESCORE_FACTOR,
-            scan: ScanMode::Asymmetric,
             shards: 1,
             durability: Durability::Ephemeral,
             batch_size: DEFAULT_BATCH,
-            seed: 0,
             train_report: None,
         }
     }
@@ -730,51 +610,24 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds an IVF index with `nlist` Voronoi cells over the database
-    /// embeddings (ignored for heuristic backends).
-    pub fn ivf_index(mut self, nlist: usize) -> Self {
-        self.nlist = Some(nlist);
-        self
-    }
-
-    /// Like [`EngineBuilder::ivf_index`] but optional (plumbing helper).
-    pub fn maybe_ivf_index(mut self, nlist: Option<usize>) -> Self {
-        self.nlist = nlist;
+    /// How the IVF index over the database embeddings is trained and
+    /// stored (default: no index, exact f32, asymmetric scan; ignored for
+    /// heuristic backends). `nlist: Some(_)` builds the index;
+    /// [`Quantization::Sq8`] stores database vectors as per-dimension
+    /// int8 codes (4× smaller), [`Quantization::Pq`] as `m`-byte
+    /// product-quantized codes. Both rescore the top `rescore_factor · k`
+    /// quantized candidates against the exact cached embedding table at
+    /// query time, so indexed engine kNN returns exact distances —
+    /// also under [`ScanMode::Symmetric`], which quantizes the query
+    /// with the SQ8 codebook too and scans in integer arithmetic.
+    pub fn index_options(mut self, index_options: IndexOptions) -> Self {
+        self.index_options = index_options;
         self
     }
 
     /// Number of Voronoi cells probed per indexed query (default 4).
     pub fn nprobe(mut self, nprobe: usize) -> Self {
         self.nprobe = nprobe.max(1);
-        self
-    }
-
-    /// Storage quantization of the IVF index (default exact f32).
-    /// [`Quantization::Sq8`] stores database vectors as per-dimension
-    /// int8 codes (4× smaller); [`Quantization::Pq`] as `m`-byte
-    /// product-quantized codes (sub-byte per dimension). Both rescore
-    /// quantized candidates against the exact cached embedding table at
-    /// query time, so indexed engine kNN returns exact distances.
-    pub fn quantization(mut self, quantization: Quantization) -> Self {
-        self.quantization = quantization;
-        self
-    }
-
-    /// SQ8 rescoring over-fetch multiplier (default
-    /// [`DEFAULT_RESCORE_FACTOR`]): indexed queries re-rank the top
-    /// `rescore_factor · k` quantized candidates exactly.
-    pub fn rescore_factor(mut self, rescore_factor: usize) -> Self {
-        self.rescore_factor = rescore_factor.max(1);
-        self
-    }
-
-    /// Scan kernel for quantized index scans (default asymmetric).
-    /// [`ScanMode::Symmetric`] quantizes the query with the index's SQ8
-    /// codebook too and scans codes against codes in integer arithmetic
-    /// (runtime-dispatched SIMD); rescoring still returns exact
-    /// distances.
-    pub fn scan_mode(mut self, scan: ScanMode) -> Self {
-        self.scan = scan;
         self
     }
 
@@ -802,12 +655,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Seed for index construction (k-means initialisation).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Assembles the engine: embeds the database (embedding backends) and
     /// builds the IVF index when requested.
     ///
@@ -823,33 +670,14 @@ impl EngineBuilder {
             database: self.database,
             embeddings: None,
             index: None,
-            nlist: self.nlist,
+            index_options: self.index_options,
             nprobe: self.nprobe,
-            quantization: self.quantization,
-            rescore_factor: self.rescore_factor,
-            scan: self.scan,
             shards: self.shards,
             durability: self.durability,
             batch_size: self.batch_size,
-            seed: self.seed,
             train_report: self.train_report,
         };
-        if engine.backend.supports_embedding() && !engine.database.is_empty() {
-            let emb = engine.embed_all(&engine.database)?;
-            if let Some(nlist) = engine.nlist {
-                let mut rng = StdRng::seed_from_u64(engine.seed);
-                engine.index = Some(IvfIndex::build_with_scan(
-                    &emb,
-                    nlist,
-                    Metric::L1,
-                    engine.quantization,
-                    engine.rescore_factor,
-                    engine.scan,
-                    &mut rng,
-                ));
-            }
-            engine.embeddings = Some(emb);
-        }
+        engine.index_database()?;
         Ok(engine)
     }
 }

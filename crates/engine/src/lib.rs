@@ -41,4 +41,4 @@ pub use backend::{
 };
 pub use engine::{Engine, EngineBuilder, DEFAULT_BATCH, MAX_SHARDS};
 pub use error::EngineError;
-pub use trajcl_index::{Durability, Quantization, ScanMode};
+pub use trajcl_index::{Durability, IndexOptions, Quantization, ScanMode};

@@ -1,9 +1,9 @@
 //! Property tests for the `TCE1` engine decoder, focused on the
-//! quantization tail (the trailing `tag | rescore | [pq geometry] |
-//! scan | shards` section whose absence means "legacy file"): corrupted
-//! or truncated tails must be rejected or decode to a consistent engine
-//! — never panic. Deterministic sibling of the `trajcl audit` engine
-//! fuzz target.
+//! mandatory tail (the trailing `tag | rescore | [pq geometry] | scan |
+//! shards | durability` section): a corrupted tail must be rejected or
+//! decode to a consistent engine, a truncated one must be rejected —
+//! never panic. Deterministic sibling of the `trajcl audit` engine fuzz
+//! target.
 
 use std::sync::OnceLock;
 
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
-use trajcl_engine::{Engine, Quantization};
+use trajcl_engine::{Engine, IndexOptions, Quantization};
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_tensor::{Shape, Tensor};
 
@@ -38,8 +38,11 @@ fn corpus() -> &'static (Vec<u8>, Vec<u8>) {
             Engine::builder()
                 .trajcl(model, feat)
                 .database(trajs)
-                .ivf_index(3)
-                .quantization(quant)
+                .index_options(IndexOptions {
+                    nlist: Some(3),
+                    quantization: quant,
+                    ..IndexOptions::default()
+                })
                 .build()
                 .expect("build corpus engine")
                 .to_bytes()
@@ -72,9 +75,9 @@ proptest! {
         if let Ok(engine) = Engine::from_bytes(&bytes) {
             // An accepted tail must carry a sane rescore factor, a sane
             // shard count and a recognised quantization mode.
-            prop_assert!(engine.rescore_factor() >= 1);
+            prop_assert!(engine.index_options().rescore_factor >= 1);
             prop_assert!((1..=trajcl_engine::MAX_SHARDS).contains(&engine.shards()));
-            match engine.quantization() {
+            match engine.index_options().quantization {
                 Quantization::None | Quantization::Sq8 => {}
                 Quantization::Pq { m, nbits } => {
                     prop_assert!(m >= 1 && (1..=8).contains(&nbits));
@@ -83,30 +86,21 @@ proptest! {
         }
     }
 
-    // Truncating anywhere inside the tail (or further into the file)
-    // must fail cleanly — except at the backward-compatibility
-    // boundaries: the full file, the pre-durability file (durability
-    // byte cut), the pre-sharding file (shards u32 also cut), the
-    // pre-scan-mode file (scan byte also cut), and the legacy
-    // pre-quantization prefix (whole tail cut).
+    // The tail is mandatory: only the full file loads; truncating
+    // anywhere inside the tail (or further into the file) fails cleanly
+    // instead of defaulting the fields that were cut.
     #[test]
-    fn truncated_tail_is_legacy_or_rejected(cut_back in 0usize..28, pq in 0u32..2) {
+    fn truncated_tail_is_rejected(cut_back in 0usize..28, pq in 0u32..2) {
         let (sq8, pq_bytes) = corpus();
         let base = if pq == 1 { pq_bytes } else { sq8 };
-        // tag + rescore + [m + nbits for PQ] + scan byte + shards u32 +
-        // durability byte.
-        let tail_len = if pq == 1 { 16 } else { 11 };
-        let legacy = [0, 1, 5, 6, tail_len];
         let bytes = &base[..base.len() - cut_back.min(base.len())];
         match Engine::from_bytes(bytes) {
             Ok(engine) => {
-                prop_assert!(legacy.contains(&cut_back));
-                prop_assert!(engine.rescore_factor() >= 1);
+                prop_assert_eq!(cut_back, 0);
+                prop_assert!(engine.index_options().rescore_factor >= 1);
                 prop_assert!(engine.shards() >= 1);
             }
-            Err(_) => {
-                prop_assert!(!legacy.contains(&cut_back));
-            }
+            Err(_) => prop_assert!(cut_back != 0),
         }
     }
 

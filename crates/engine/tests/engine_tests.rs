@@ -8,8 +8,8 @@ use trajcl_core::{
 };
 use trajcl_data::{Dataset, DatasetProfile};
 use trajcl_engine::{
-    Durability, Engine, EngineBuilder, EngineError, HeuristicBackend, Quantization,
-    SimilarityBackend,
+    Durability, Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization,
+    ScanMode, SimilarityBackend,
 };
 use trajcl_geo::{Grid, SpatialNorm, Trajectory};
 use trajcl_measures::HeuristicMeasure;
@@ -31,6 +31,14 @@ fn untrained_trajcl(dataset: &Dataset) -> (TrajClModel, Featurizer) {
     );
     let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
     (model, feat)
+}
+
+/// An index description with `nlist` cells and defaults elsewhere.
+fn ivf(nlist: usize) -> IndexOptions {
+    IndexOptions {
+        nlist: Some(nlist),
+        ..IndexOptions::default()
+    }
 }
 
 fn dataset(n: usize, seed: u64) -> Dataset {
@@ -101,7 +109,7 @@ fn indexed_and_brute_force_routes_agree_at_full_probe() {
     let indexed = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories.clone())
-        .ivf_index(8)
+        .index_options(ivf(8))
         .nprobe(8) // full probe -> exact
         .build()
         .unwrap();
@@ -132,26 +140,26 @@ fn quantized_index_route_matches_brute_force_and_persists() {
     let quantized = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories.clone())
-        .ivf_index(8)
+        .index_options(IndexOptions {
+            seed: 3,
+            quantization: Quantization::Sq8,
+            rescore_factor: 4,
+            ..ivf(8)
+        })
         .nprobe(8) // full probe
-        .quantization(Quantization::Sq8)
-        .rescore_factor(4)
-        .seed(3)
         .build()
         .unwrap();
     let index = quantized.index().expect("index built");
     assert_eq!(index.quantization(), Quantization::Sq8);
-    assert_eq!(quantized.quantization(), Quantization::Sq8);
     for qi in [0usize, 17, 42] {
         let a = brute.knn(&ds.trajectories[qi], 5).unwrap();
         let b = quantized.knn(&ds.trajectories[qi], 5).unwrap();
         assert_eq!(a, b, "quantized route diverged on query {qi}");
     }
 
-    // Persistence carries the IVF2 section and the quantization config.
+    // Persistence carries the index section and the index description.
     let restored = Engine::from_bytes(&quantized.to_bytes().unwrap()).unwrap();
-    assert_eq!(restored.quantization(), Quantization::Sq8);
-    assert_eq!(restored.rescore_factor(), 4);
+    assert_eq!(restored.index_options(), quantized.index_options());
     assert_eq!(
         restored.index().expect("index persisted").quantization(),
         Quantization::Sq8
@@ -181,26 +189,26 @@ fn pq_index_route_matches_brute_force_and_persists() {
     let pq = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories.clone())
-        .ivf_index(8)
+        .index_options(IndexOptions {
+            seed: 3,
+            quantization: quant,
+            rescore_factor: 16,
+            ..ivf(8)
+        })
         .nprobe(8) // full probe
-        .quantization(quant)
-        .rescore_factor(16)
-        .seed(3)
         .build()
         .unwrap();
     let index = pq.index().expect("index built");
     assert_eq!(index.quantization(), quant);
-    assert_eq!(pq.quantization(), quant);
     for qi in [0usize, 17, 42] {
         let a = brute.knn(&ds.trajectories[qi], 5).unwrap();
         let b = pq.knn(&ds.trajectories[qi], 5).unwrap();
         assert_eq!(a, b, "pq route diverged on query {qi}");
     }
 
-    // Persistence carries the IVF3 section and the PQ configuration tail.
+    // Persistence carries the index section and the PQ configuration tail.
     let restored = Engine::from_bytes(&pq.to_bytes().unwrap()).unwrap();
-    assert_eq!(restored.quantization(), quant);
-    assert_eq!(restored.rescore_factor(), 16);
+    assert_eq!(restored.index_options(), pq.index_options());
     assert_eq!(
         restored.index().expect("index persisted").quantization(),
         quant
@@ -290,9 +298,8 @@ fn persistence_round_trip_is_bit_exact() {
     let engine = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories.clone())
-        .ivf_index(6)
+        .index_options(IndexOptions { seed: 11, ..ivf(6) })
         .nprobe(3)
-        .seed(11)
         .build()
         .unwrap();
     let bytes = engine.to_bytes().unwrap();
@@ -322,7 +329,7 @@ fn persistence_round_trip_is_bit_exact() {
 }
 
 #[test]
-fn shard_count_round_trips_and_legacy_files_default_to_one() {
+fn shard_count_round_trips_and_bad_counts_are_corruption() {
     let ds = dataset(12, 9);
     let (model, feat) = untrained_trajcl(&ds);
     let engine = Engine::builder()
@@ -335,22 +342,54 @@ fn shard_count_round_trips_and_legacy_files_default_to_one() {
     let bytes = engine.to_bytes().unwrap();
     assert_eq!(Engine::from_bytes(&bytes).unwrap().shards(), 4);
 
-    // A pre-durability file ends at the shard count: loads ephemeral.
-    let legacy = &bytes[..bytes.len() - 1];
-    let restored = Engine::from_bytes(legacy).unwrap();
-    assert_eq!(restored.shards(), 4);
-    assert_eq!(restored.durability(), Durability::Ephemeral);
-
-    // A pre-sharding file ends at the scan byte: loads with one shard.
-    let legacy = &bytes[..bytes.len() - 5];
-    assert_eq!(Engine::from_bytes(legacy).unwrap().shards(), 1);
-
     // Zero or absurd shard counts in the tail are corruption.
     for bad in [0u32, (trajcl_engine::MAX_SHARDS + 1) as u32] {
         let mut bytes = bytes.clone();
         let len = bytes.len();
         bytes[len - 5..len - 1].copy_from_slice(&bad.to_le_bytes());
         assert!(Engine::from_bytes(&bytes).is_err(), "shards={bad} accepted");
+    }
+}
+
+// The index description travels as one value: every storage × scan
+// configuration (PQ geometry included) survives the engine file, with
+// and without a built index section beside it.
+#[test]
+fn index_options_survive_persistence_for_every_storage() {
+    let ds = dataset(40, 17);
+    for (quantization, scan) in [
+        (Quantization::None, ScanMode::Asymmetric),
+        (Quantization::Sq8, ScanMode::Asymmetric),
+        (Quantization::Sq8, ScanMode::Symmetric),
+        (Quantization::Pq { m: 4, nbits: 4 }, ScanMode::Asymmetric),
+        (Quantization::Pq { m: 3, nbits: 8 }, ScanMode::Asymmetric),
+    ] {
+        for nlist in [None, Some(5)] {
+            let opts = IndexOptions {
+                nlist,
+                seed: 21,
+                quantization,
+                rescore_factor: 6,
+                scan,
+            };
+            let (model, feat) = untrained_trajcl(&ds);
+            let engine = Engine::builder()
+                .trajcl(model, feat)
+                .database(ds.trajectories.clone())
+                .index_options(opts)
+                .build()
+                .unwrap();
+            assert_eq!(engine.index().is_some(), nlist.is_some());
+            let bytes = engine.to_bytes().unwrap();
+            let restored = Engine::from_bytes(&bytes).unwrap();
+            assert_eq!(restored.index_options(), &opts, "{opts:?}");
+            assert_eq!(restored.to_bytes().unwrap(), bytes, "{opts:?}");
+            assert_eq!(
+                restored.knn(&ds.trajectories[3], 4).unwrap(),
+                engine.knn(&ds.trajectories[3], 4).unwrap(),
+                "{opts:?}"
+            );
+        }
     }
 }
 
@@ -422,6 +461,11 @@ fn approximate_measure_produces_a_serving_engine() {
     let engine = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories.clone())
+        .index_options(IndexOptions {
+            quantization: Quantization::Sq8,
+            scan: ScanMode::Symmetric,
+            ..ivf(3)
+        })
         .build()
         .unwrap();
     let cfg = FinetuneConfig {
@@ -442,6 +486,9 @@ fn approximate_measure_produces_a_serving_engine() {
         .unwrap();
     assert!(approx.backend().name().contains("Hausdorff"));
     assert_eq!(approx.database().len(), engine.database().len());
+    // The index description travels whole, scan mode included.
+    assert_eq!(approx.index_options(), engine.index_options());
+    assert_eq!(approx.index_options().scan, ScanMode::Symmetric);
     let hits = approx.knn(&ds.trajectories[0], 3).unwrap();
     assert_eq!(hits.len(), 3);
 
@@ -468,7 +515,7 @@ fn trained_engine_end_to_end_via_builder() {
         .train_trajcl(&ds, &cfg, &mut rng)
         .unwrap()
         .database(ds.trajectories.clone())
-        .ivf_index(5)
+        .index_options(ivf(5))
         .nprobe(5)
         .build()
         .unwrap();

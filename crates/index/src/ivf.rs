@@ -80,11 +80,61 @@ pub enum ScanMode {
     /// Quantize the query with the index's codebook too and scan codes
     /// against codes in pure integer arithmetic (no per-element decode;
     /// SIMD `psadbw`-class kernels via [`crate::kernels::dispatch`]).
-    /// Requires a uniform-scale SQ8 codebook — [`IvfIndex::build_with_scan`]
+    /// Requires a uniform-scale SQ8 codebook — [`IvfIndex::build_with`]
     /// trains one — and adds at most twice the asymmetric error, which the
     /// over-fetch + exact rescore path absorbs. Ignored (falls back to
     /// asymmetric) for f32 and PQ storage.
     Symmetric,
+}
+
+impl ScanMode {
+    /// The scan byte of the `IVF4` section and the TCE1 tail.
+    pub fn to_wire(self) -> u8 {
+        match self {
+            ScanMode::Asymmetric => 0,
+            ScanMode::Symmetric => 1,
+        }
+    }
+
+    /// Inverse of [`ScanMode::to_wire`]; `None` for an unknown byte.
+    pub fn from_wire(byte: u8) -> Option<ScanMode> {
+        match byte {
+            0 => Some(ScanMode::Asymmetric),
+            1 => Some(ScanMode::Symmetric),
+            _ => None,
+        }
+    }
+}
+
+impl Quantization {
+    /// The storage tag of the `IVF4` section and the TCE1 tail. A PQ tag
+    /// is followed on the wire (not necessarily directly) by the
+    /// `m u32 | nbits u8` geometry.
+    pub fn wire_tag(self) -> u8 {
+        match self {
+            Quantization::None => 0,
+            Quantization::Sq8 => 1,
+            Quantization::Pq { .. } => 2,
+        }
+    }
+
+    /// Inverse of [`Quantization::wire_tag`]. `geometry` reads the PQ
+    /// `(m, nbits)` pair and is only called for the PQ tag; `None` for an
+    /// unknown tag or a geometry outside `m ≥ 1`, `nbits ∈ 1..=8`.
+    pub fn from_wire(
+        tag: u8,
+        geometry: impl FnOnce() -> Option<(usize, u8)>,
+    ) -> Option<Quantization> {
+        match tag {
+            0 => Some(Quantization::None),
+            1 => Some(Quantization::Sq8),
+            2 => {
+                let (m, nbits) = geometry()?;
+                (m >= 1 && (1..=8).contains(&nbits)).then_some(Quantization::Pq { m, nbits })
+            }
+            _ => None,
+        }
+    }
 }
 
 impl std::str::FromStr for ScanMode {
@@ -143,6 +193,47 @@ pub const DEFAULT_RESCORE_FACTOR: usize = 4;
 /// Default PQ subspace count (`--quantize pq` without an explicit `:m`).
 pub const DEFAULT_PQ_M: usize = 8;
 
+/// How an index part is trained and stored — the one description every
+/// layer (engine, serving config, CLI flags) holds or passes on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexOptions {
+    /// IVF cells to train (`None` = one list for [`IvfIndex::build_with`];
+    /// a [`crate::MutableIndex`] then keeps unquantized parts as a flat
+    /// table instead).
+    pub nlist: Option<usize>,
+    /// Seed for deterministic k-means training. Holders of the options
+    /// turn it into the `rng` they hand to [`IvfIndex::build_with`].
+    pub seed: u64,
+    /// Storage quantization. [`Quantization::Sq8`] stores rows as int8
+    /// codes (4× smaller); [`Quantization::Pq`] as `m`-byte
+    /// product-quantized codes. A [`crate::MutableIndex`] write buffer
+    /// always stays exact f32 until the next compaction.
+    pub quantization: Quantization,
+    /// Over-fetch multiplier for callers that rescore quantized hits
+    /// against an exact table ([`IvfIndex::search_rescored`],
+    /// [`crate::IndexSnapshot::search_rescored`]); at least 1.
+    pub rescore_factor: usize,
+    /// Scan kernel ([`ScanMode::Symmetric`] trains a uniform-scale SQ8
+    /// codebook and scans in integer arithmetic; ignored by f32/PQ
+    /// storage).
+    pub scan: ScanMode,
+}
+
+impl Default for IndexOptions {
+    fn default() -> Self {
+        IndexOptions {
+            nlist: None,
+            seed: 0,
+            quantization: Quantization::None,
+            rescore_factor: DEFAULT_RESCORE_FACTOR,
+            scan: ScanMode::Asymmetric,
+        }
+    }
+}
+
+/// Magic of the one serialised section layout ([`IvfIndex::to_bytes`]).
+const SECTION_MAGIC: &[u8; 4] = b"IVF4";
+
 /// The vector payload of an index: exact rows, SQ8 codes or PQ codes.
 enum Storage {
     F32(Vec<f32>),
@@ -184,61 +275,35 @@ impl IvfIndex {
     /// Builds an exact-storage index over the `(N, d)` embedding table
     /// with `nlist` Voronoi cells (clamped to `N`).
     pub fn build(embeddings: &Tensor, nlist: usize, metric: Metric, rng: &mut impl Rng) -> Self {
-        Self::build_with(
-            embeddings,
-            nlist,
-            metric,
-            Quantization::None,
-            DEFAULT_RESCORE_FACTOR,
-            rng,
-        )
+        let opts = IndexOptions {
+            nlist: Some(nlist),
+            ..IndexOptions::default()
+        };
+        Self::build_with(embeddings, metric, &opts, rng)
     }
 
-    /// Builds an index with explicit storage quantization. With
-    /// [`Quantization::Sq8`] the table is stored as int8 codes (4× smaller)
-    /// and searches over-fetch `rescore_factor · k` candidates for exact
-    /// rescoring when a caller supplies the exact table
-    /// ([`IvfIndex::search_rescored`]).
-    pub fn build_with(
-        embeddings: &Tensor,
-        nlist: usize,
-        metric: Metric,
-        quant: Quantization,
-        rescore_factor: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self::build_with_scan(
-            embeddings,
-            nlist,
-            metric,
-            quant,
-            rescore_factor,
-            ScanMode::Asymmetric,
-            rng,
-        )
-    }
-
-    /// [`IvfIndex::build_with`] with an explicit scan mode. With
-    /// [`ScanMode::Symmetric`] and [`Quantization::Sq8`] the codebook is
-    /// trained with one *uniform* scale across dimensions
+    /// Builds an index as `opts` describes it: `nlist` cells (clamped to
+    /// `1..=N`; `None` is one list, an exhaustive scan), rows stored
+    /// under `opts.quantization`, and searches over-fetching
+    /// `opts.rescore_factor · k` candidates for exact rescoring when a
+    /// caller supplies the exact table ([`IvfIndex::search_rescored`]).
+    /// With [`ScanMode::Symmetric`] and [`Quantization::Sq8`] the
+    /// codebook is trained with one *uniform* scale across dimensions
     /// ([`crate::kernels::Sq8Codebook::train_uniform`]) so list scans
     /// reduce to integer sum-of-absolute/squared-differences over code
     /// bytes; other storages ignore the mode (normalised back to
-    /// asymmetric).
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_scan(
+    /// asymmetric). All randomness comes from `rng` (`opts.seed` is the
+    /// caller's to seed it with).
+    pub fn build_with(
         embeddings: &Tensor,
-        nlist: usize,
         metric: Metric,
-        quant: Quantization,
-        rescore_factor: usize,
-        scan: ScanMode,
+        opts: &IndexOptions,
         rng: &mut impl Rng,
     ) -> Self {
         let d = embeddings.shape().last();
         let n = embeddings.shape().rows();
         assert!(n > 0, "cannot index an empty table");
-        let nlist = nlist.clamp(1, n);
+        let nlist = opts.nlist.unwrap_or(1).clamp(1, n);
         let data = embeddings.data();
 
         // k-means++-lite init: distinct random rows.
@@ -282,11 +347,11 @@ impl IvfIndex {
             lists[c as usize].push(i as u32);
         }
         // Symmetric scanning only exists for SQ8 storage.
-        let scan = match quant {
-            Quantization::Sq8 => scan,
+        let scan = match opts.quantization {
+            Quantization::Sq8 => opts.scan,
             _ => ScanMode::Asymmetric,
         };
-        let storage = match quant {
+        let storage = match opts.quantization {
             Quantization::None => Storage::F32(data.to_vec()),
             Quantization::Sq8 => {
                 let cb = match scan {
@@ -312,7 +377,7 @@ impl IvfIndex {
             n,
             d,
             metric,
-            rescore_factor: rescore_factor.max(1),
+            rescore_factor: opts.rescore_factor.max(1),
             scan,
         }
     }
@@ -471,13 +536,17 @@ impl IvfIndex {
     /// ```
     /// use rand::rngs::StdRng;
     /// use rand::SeedableRng;
-    /// use trajcl_index::{IvfIndex, Metric, Quantization};
+    /// use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization};
     /// use trajcl_tensor::{Shape, Tensor};
     ///
     /// let mut rng = StdRng::seed_from_u64(0);
     /// let table = Tensor::randn(Shape::d2(64, 8), 0.0, 1.0, &mut rng);
-    /// let index =
-    ///     IvfIndex::build_with(&table, 4, Metric::L1, Quantization::Sq8, 4, &mut rng);
+    /// let opts = IndexOptions {
+    ///     nlist: Some(4),
+    ///     quantization: Quantization::Sq8,
+    ///     ..IndexOptions::default()
+    /// };
+    /// let index = IvfIndex::build_with(&table, Metric::L1, &opts, &mut rng);
     ///
     /// // Without the exact table: asymmetric (quantized) distances.
     /// let raw = index.search(table.row(3), 3, 4);
@@ -639,56 +708,28 @@ impl IvfIndex {
         }
     }
 
-    /// True when this index needs the `IVF4` section: a symmetric-scan
-    /// SQ8 build (the scan mode must round-trip) or nibble-packed PQ
-    /// codes (the packed layout must round-trip). Everything else keeps
-    /// its legacy section so pre-existing readers still load it.
-    fn uses_ivf4(&self) -> bool {
-        match &self.storage {
-            Storage::F32(_) => false,
-            Storage::Sq8 { .. } => self.scan == ScanMode::Symmetric,
-            Storage::Pq { cb, .. } => cb.packed(),
-        }
-    }
-
-    /// Serialises the index. Exact-storage indexes keep the original
-    /// `IVF1` layout (metric, dims, centroids, inverted lists, f32 rows;
-    /// little-endian) so pre-quantization readers still load them; SQ8
-    /// indexes write the `IVF2` section (adds the rescore factor, the
-    /// per-dimension codebook and int8 codes); unpacked PQ indexes write
-    /// `IVF3` (rescore factor, PQ geometry, sub-centroid tables, the
-    /// trained error bound and `n·m` code bytes). Symmetric-scan SQ8 and
-    /// nibble-packed PQ (`nbits ≤ 4`) write `IVF4`, which inserts a scan
-    /// byte (0 = asymmetric, 1 = symmetric) and a storage tag (1 = SQ8,
-    /// 2 = PQ) between the list count and the rescore factor, and stores
-    /// PQ rows at `ceil(m / 2)` bytes — see DESIGN.md §10/§12 for the
-    /// byte diagrams. The output buffer is preallocated to its exact
-    /// final size.
+    /// Serialises the index as one `IVF4` section (little-endian):
+    /// `"IVF4" | metric u8 | n | d | nlist | scan u8 | rescore u32 |
+    /// storage tag u8 | [PQ: m u32, nbits u8, ksub u32] | centroids |
+    /// lists | payload`, where the payload is the f32 rows (tag 0), the
+    /// per-dimension SQ8 codebook and int8 codes (tag 1), or the PQ
+    /// sub-centroid tables, the trained error bound and the code rows
+    /// (tag 2; `ceil(m / 2)` bytes per row when `nbits ≤ 4`, `m`
+    /// otherwise) — DESIGN.md §10.2 has the byte diagram. The output
+    /// buffer is preallocated to its exact final size.
     pub fn to_bytes(&self) -> Vec<u8> {
         let list_bytes: usize = self.lists.iter().map(|l| 4 + l.len() * 4).sum();
-        let header = 4 + 1 + 4 + 4 + 4;
-        let ivf4 = self.uses_ivf4();
+        let header = 4 + 1 + 4 + 4 + 4 + 1 + 4 + 1;
         let expected = header
-            + if ivf4 { 2 } else { 0 }
             + self.centroids.len() * 4
             + list_bytes
             + match &self.storage {
                 Storage::F32(vectors) => vectors.len() * 4,
-                Storage::Sq8 { codes, .. } => 4 + self.d * 8 + codes.len(),
-                Storage::Pq { codes, cb } => {
-                    4 + 4 + 1 + 4 + cb.centroids().len() * 4 + 4 + codes.len()
-                }
+                Storage::Sq8 { codes, .. } => self.d * 8 + codes.len(),
+                Storage::Pq { codes, cb } => 4 + 1 + 4 + cb.centroids().len() * 4 + 4 + codes.len(),
             };
         let mut out = Vec::with_capacity(expected);
-        out.extend_from_slice(if ivf4 {
-            b"IVF4"
-        } else {
-            match &self.storage {
-                Storage::F32(_) => b"IVF1",
-                Storage::Sq8 { .. } => b"IVF2",
-                Storage::Pq { .. } => b"IVF3",
-            }
-        });
+        out.extend_from_slice(SECTION_MAGIC);
         out.push(match self.metric {
             Metric::L1 => 0u8,
             Metric::L2 => 1u8,
@@ -696,29 +737,13 @@ impl IvfIndex {
         out.extend_from_slice(&(self.n as u32).to_le_bytes());
         out.extend_from_slice(&(self.d as u32).to_le_bytes());
         out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
-        if ivf4 {
-            out.push(match self.scan {
-                ScanMode::Asymmetric => 0u8,
-                ScanMode::Symmetric => 1u8,
-            });
-        }
-        match &self.storage {
-            Storage::F32(_) => {}
-            Storage::Sq8 { .. } => {
-                out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-                if ivf4 {
-                    out.push(1u8);
-                }
-            }
-            Storage::Pq { cb, .. } => {
-                out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-                if ivf4 {
-                    out.push(2u8);
-                }
-                out.extend_from_slice(&(cb.m() as u32).to_le_bytes());
-                out.push(cb.nbits());
-                out.extend_from_slice(&(cb.ksub() as u32).to_le_bytes());
-            }
+        out.push(self.scan.to_wire());
+        out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
+        out.push(self.quantization().wire_tag());
+        if let Storage::Pq { cb, .. } = &self.storage {
+            out.extend_from_slice(&(cb.m() as u32).to_le_bytes());
+            out.push(cb.nbits());
+            out.extend_from_slice(&(cb.ksub() as u32).to_le_bytes());
         }
         for &c in &self.centroids {
             out.extend_from_slice(&c.to_le_bytes());
@@ -753,21 +778,15 @@ impl IvfIndex {
         out
     }
 
-    /// Restores an index from [`IvfIndex::to_bytes`] output (the legacy
-    /// `IVF1`, the SQ8 `IVF2`, the PQ `IVF3` and the scan-mode/packed-PQ
-    /// `IVF4` sections); `None` when the buffer is malformed. Parsing is
+    /// Restores an index from [`IvfIndex::to_bytes`] output; `None` when
+    /// the buffer is malformed or carries any other magic. Parsing is
     /// zero-copy over the input slice — fields decode straight out of
     /// `bytes` with no intermediate buffer.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader(bytes);
-        let section = r.bytes(4)?;
-        let version = match section {
-            b"IVF1" => 1u8,
-            b"IVF2" => 2,
-            b"IVF3" => 3,
-            b"IVF4" => 4,
-            _ => return None,
-        };
+        if r.bytes(4)? != SECTION_MAGIC {
+            return None;
+        }
         let metric = match r.u8()? {
             0 => Metric::L1,
             1 => Metric::L2,
@@ -783,40 +802,13 @@ impl IvfIndex {
         if n == 0 || d == 0 || nlist == 0 {
             return None;
         }
-        let scan = if version == 4 {
-            match r.u8()? {
-                0 => ScanMode::Asymmetric,
-                1 => ScanMode::Symmetric,
-                _ => return None,
-            }
-        } else {
-            ScanMode::Asymmetric
-        };
-        let rescore_factor = if version >= 2 {
-            (r.u32()? as usize).max(1)
-        } else {
-            DEFAULT_RESCORE_FACTOR
-        };
-        // (is_sq8, Some(packed)) — IVF4 reads an explicit storage tag,
-        // the legacy sections imply one. IVF4 PQ rows are always packed,
-        // which from_parts bounds to nbits ≤ 4.
-        let (is_sq8, pq_packed) = match version {
-            1 => (false, None),
-            2 => (true, None),
-            3 => (false, Some(false)),
-            _ => match r.u8()? {
-                1 => (true, None),
-                2 => (false, Some(true)),
-                _ => return None,
-            },
-        };
-        let pq_geom = if let Some(packed) = pq_packed {
-            let m = r.u32()? as usize;
-            let nbits = r.u8()?;
-            let ksub = r.u32()? as usize;
-            Some((m, nbits, ksub, packed))
-        } else {
-            None
+        let scan = ScanMode::from_wire(r.u8()?)?;
+        let rescore_factor = (r.u32()? as usize).max(1);
+        let tag = r.u8()?;
+        let quant = Quantization::from_wire(tag, || Some((r.u32()? as usize, r.u8()?)))?;
+        let ksub = match quant {
+            Quantization::Pq { .. } => r.u32()? as usize,
+            _ => 0,
         };
         let centroids = r.f32_vec(nlist.checked_mul(d)?)?;
         let mut lists = Vec::with_capacity(nlist);
@@ -832,40 +824,44 @@ impl IvfIndex {
         if total_ids != n || lists.iter().flatten().any(|&id| id as usize >= n) {
             return None;
         }
-        let storage = if let Some((m, nbits, ksub, packed)) = pq_geom {
-            let pq_centroids = r.f32_vec(ksub.checked_mul(d)?)?;
-            let l1_bound = r.f32()?;
-            let cb = PqCodebook::from_parts(d, m, nbits, ksub, pq_centroids, l1_bound, packed)?;
-            let codes = r.bytes(n.checked_mul(cb.code_stride())?)?.to_vec();
-            // Every code indexes a ksub-entry table; an out-of-range code
-            // in a corrupt buffer must fail HERE, not as an out-of-bounds
-            // panic in the first LUT scan or decode. Packed rows also
-            // reject a non-zero trailing nibble (odd m), which encode
-            // never produces — so round trips stay bit-exact.
-            if packed {
-                let stride = cb.code_stride();
-                for row in codes.chunks_exact(stride) {
-                    if (0..m).any(|s| cb.code_at(row, s) >= ksub) {
-                        return None;
-                    }
-                    if m % 2 == 1 && row[stride - 1] >> 4 != 0 {
-                        return None;
-                    }
+        let storage = match quant {
+            Quantization::None => Storage::F32(r.f32_vec(n.checked_mul(d)?)?),
+            Quantization::Sq8 => {
+                let bias = r.f32_vec(d)?;
+                let scale = r.f32_vec(d)?;
+                let codes = r.bytes(n.checked_mul(d)?)?.to_vec();
+                Storage::Sq8 {
+                    codes,
+                    cb: Sq8Codebook { bias, scale },
                 }
-            } else if codes.iter().any(|&c| c as usize >= ksub) {
-                return None;
             }
-            Storage::Pq { codes, cb }
-        } else if is_sq8 {
-            let bias = r.f32_vec(d)?;
-            let scale = r.f32_vec(d)?;
-            let codes = r.bytes(n.checked_mul(d)?)?.to_vec();
-            Storage::Sq8 {
-                codes,
-                cb: Sq8Codebook { bias, scale },
+            Quantization::Pq { m, nbits } => {
+                let pq_centroids = r.f32_vec(ksub.checked_mul(d)?)?;
+                let l1_bound = r.f32()?;
+                let packed = nbits <= 4;
+                let cb = PqCodebook::from_parts(d, m, nbits, ksub, pq_centroids, l1_bound, packed)?;
+                let codes = r.bytes(n.checked_mul(cb.code_stride())?)?.to_vec();
+                // Every code indexes a ksub-entry table; an out-of-range
+                // code in a corrupt buffer must fail HERE, not as an
+                // out-of-bounds panic in the first LUT scan or decode.
+                // Packed rows also reject a non-zero trailing nibble (odd
+                // m), which encode never produces — so round trips stay
+                // bit-exact.
+                if packed {
+                    let stride = cb.code_stride();
+                    for row in codes.chunks_exact(stride) {
+                        if (0..m).any(|s| cb.code_at(row, s) >= ksub) {
+                            return None;
+                        }
+                        if m % 2 == 1 && row[stride - 1] >> 4 != 0 {
+                            return None;
+                        }
+                    }
+                } else if codes.iter().any(|&c| c as usize >= ksub) {
+                    return None;
+                }
+                Storage::Pq { codes, cb }
             }
-        } else {
-            Storage::F32(r.f32_vec(n.checked_mul(d)?)?)
         };
         if !r.0.is_empty() {
             return None;
@@ -1019,6 +1015,24 @@ mod tests {
         Tensor::randn(Shape::d2(n, d), 0.0, 1.0, &mut rng)
     }
 
+    fn quantized(
+        emb: &Tensor,
+        nlist: usize,
+        quantization: Quantization,
+        rescore_factor: usize,
+        scan: ScanMode,
+        rng: &mut StdRng,
+    ) -> IvfIndex {
+        let opts = IndexOptions {
+            nlist: Some(nlist),
+            quantization,
+            rescore_factor,
+            scan,
+            ..IndexOptions::default()
+        };
+        IvfIndex::build_with(emb, Metric::L1, &opts, rng)
+    }
+
     #[test]
     fn full_probe_equals_brute_force() {
         let emb = table(200, 8, 0);
@@ -1095,28 +1109,9 @@ mod tests {
     }
 
     #[test]
-    fn serialization_round_trip_preserves_search() {
-        let emb = table(120, 6, 11);
-        let mut rng = StdRng::seed_from_u64(12);
-        let index = IvfIndex::build(&emb, 10, Metric::L1, &mut rng);
-        let bytes = index.to_bytes();
-        assert_eq!(&bytes[..4], b"IVF1", "f32 storage keeps the IVF1 layout");
-        let restored = IvfIndex::from_bytes(&bytes).expect("round trip");
-        assert_eq!(restored.len(), index.len());
-        assert_eq!(restored.nlist(), index.nlist());
-        for qi in [0usize, 33, 77] {
-            assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3),
-                "restored index diverged on query {qi}"
-            );
-        }
-    }
-
-    #[test]
     fn from_bytes_rejects_garbage() {
         assert!(IvfIndex::from_bytes(b"nope").is_none());
-        assert!(IvfIndex::from_bytes(b"IVF1").is_none());
+        assert!(IvfIndex::from_bytes(b"IVF4").is_none());
         let emb = table(30, 4, 13);
         let index = IvfIndex::build(&emb, 4, Metric::L2, &mut StdRng::seed_from_u64(0));
         let mut bytes = index.to_bytes();
@@ -1132,14 +1127,16 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_zero_counts() {
-        // Fuzz regression: an all-zero IVF1 header (n = d = nlist = 0) is
-        // self-consistent — zero lists summing to zero ids over an empty
-        // table — so it used to decode; the first `search` then panicked
-        // at `nprobe.clamp(1, 0)`. Zero counts must fail to decode.
+        // Fuzz regression: an all-zero header (n = d = nlist = 0, f32
+        // storage) is self-consistent — zero lists summing to zero ids
+        // over an empty table — so it used to decode; the first `search`
+        // then panicked at `nprobe.clamp(1, 0)`. Zero counts must fail to
+        // decode.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"IVF1");
+        bytes.extend_from_slice(b"IVF4");
         bytes.push(0); // metric: L1
         bytes.extend_from_slice(&[0u8; 12]); // n = d = nlist = 0
+        bytes.extend_from_slice(&[0, 4, 0, 0, 0, 0]); // scan, rescore, tag
         assert!(IvfIndex::from_bytes(&bytes).is_none());
     }
 
@@ -1157,7 +1154,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let f32_index = IvfIndex::build(&emb, 16, Metric::L1, &mut rng);
         let mut rng = StdRng::seed_from_u64(21);
-        let sq8 = IvfIndex::build_with(&emb, 16, Metric::L1, Quantization::Sq8, 4, &mut rng);
+        let sq8 = quantized(
+            &emb,
+            16,
+            Quantization::Sq8,
+            4,
+            ScanMode::Asymmetric,
+            &mut rng,
+        );
         assert!(
             (sq8.memory_bytes() as f64) < 0.30 * f32_index.memory_bytes() as f64,
             "sq8 {} vs f32 {}",
@@ -1172,7 +1176,14 @@ mod tests {
     fn sq8_full_probe_distances_stay_within_quantization_bound() {
         let emb = table(200, 16, 22);
         let mut rng = StdRng::seed_from_u64(23);
-        let index = IvfIndex::build_with(&emb, 8, Metric::L1, Quantization::Sq8, 4, &mut rng);
+        let index = quantized(
+            &emb,
+            8,
+            Quantization::Sq8,
+            4,
+            ScanMode::Asymmetric,
+            &mut rng,
+        );
         let bound = index.codebook().expect("sq8").l1_error_bound();
         for qi in [3usize, 77, 140] {
             let q = emb.row(qi);
@@ -1190,7 +1201,14 @@ mod tests {
     fn sq8_rescoring_returns_exact_distances() {
         let emb = table(300, 12, 24);
         let mut rng = StdRng::seed_from_u64(25);
-        let index = IvfIndex::build_with(&emb, 8, Metric::L1, Quantization::Sq8, 4, &mut rng);
+        let index = quantized(
+            &emb,
+            8,
+            Quantization::Sq8,
+            4,
+            ScanMode::Asymmetric,
+            &mut rng,
+        );
         let q = emb.row(9);
         let rescored = index.search_rescored(q, 5, index.nlist(), Some(&emb));
         assert_eq!(rescored[0], (9, 0.0), "self-query must rescore to zero");
@@ -1210,24 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn sq8_serialization_round_trip() {
-        let emb = table(90, 10, 30);
-        let mut rng = StdRng::seed_from_u64(31);
-        let index = IvfIndex::build_with(&emb, 6, Metric::L2, Quantization::Sq8, 7, &mut rng);
-        let bytes = index.to_bytes();
-        assert_eq!(&bytes[..4], b"IVF2");
-        let restored = IvfIndex::from_bytes(&bytes).expect("round trip");
-        assert_eq!(restored.rescore_factor(), 7);
-        assert_eq!(restored.to_bytes(), bytes, "bit-exact round trip");
-        for qi in [0usize, 44, 89] {
-            assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3)
-            );
-        }
-    }
-
-    #[test]
     fn decode_vector_matches_storage() {
         let emb = table(40, 6, 33);
         let mut rng = StdRng::seed_from_u64(34);
@@ -1236,7 +1236,14 @@ mod tests {
         f32_index.decode_vector_into(7, &mut out);
         assert_eq!(out.as_slice(), f32_index.vector(7));
         let mut rng = StdRng::seed_from_u64(34);
-        let sq8 = IvfIndex::build_with(&emb, 4, Metric::L1, Quantization::Sq8, 4, &mut rng);
+        let sq8 = quantized(
+            &emb,
+            4,
+            Quantization::Sq8,
+            4,
+            ScanMode::Asymmetric,
+            &mut rng,
+        );
         let bound = sq8.codebook().unwrap();
         let mut decoded = Vec::new();
         sq8.decode_vector_into(7, &mut decoded);
@@ -1254,12 +1261,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let f32_index = IvfIndex::build(&emb, 16, Metric::L1, &mut rng);
         let mut rng = StdRng::seed_from_u64(51);
-        let pq = IvfIndex::build_with(
+        let pq = quantized(
             &emb,
             16,
-            Metric::L1,
             Quantization::Pq { m: 8, nbits: 6 },
             8,
+            ScanMode::Asymmetric,
             &mut rng,
         );
         assert!(
@@ -1276,12 +1283,12 @@ mod tests {
     fn pq_full_probe_distances_stay_within_trained_bound() {
         let emb = table(400, 16, 52);
         let mut rng = StdRng::seed_from_u64(53);
-        let index = IvfIndex::build_with(
+        let index = quantized(
             &emb,
             8,
-            Metric::L1,
             Quantization::Pq { m: 4, nbits: 8 },
             8,
+            ScanMode::Asymmetric,
             &mut rng,
         );
         let bound = index.pq_codebook().expect("pq").l1_error_bound();
@@ -1301,12 +1308,12 @@ mod tests {
     fn pq_rescoring_returns_exact_distances() {
         let emb = table(300, 12, 54);
         let mut rng = StdRng::seed_from_u64(55);
-        let index = IvfIndex::build_with(
+        let index = quantized(
             &emb,
             8,
-            Metric::L1,
             Quantization::Pq { m: 3, nbits: 8 },
             8,
+            ScanMode::Asymmetric,
             &mut rng,
         );
         let q = emb.row(9);
@@ -1327,56 +1334,23 @@ mod tests {
     }
 
     #[test]
-    fn pq_serialization_round_trip() {
-        let emb = table(90, 10, 57);
-        let mut rng = StdRng::seed_from_u64(58);
-        let index = IvfIndex::build_with(
-            &emb,
-            6,
-            Metric::L2,
-            Quantization::Pq { m: 3, nbits: 8 },
-            5,
-            &mut rng,
-        );
-        let bytes = index.to_bytes();
-        assert_eq!(&bytes[..4], b"IVF3");
-        let restored = IvfIndex::from_bytes(&bytes).expect("round trip");
-        assert_eq!(restored.rescore_factor(), 5);
-        assert_eq!(restored.quantization(), index.quantization());
-        assert_eq!(restored.to_bytes(), bytes, "bit-exact round trip");
-        for qi in [0usize, 44, 89] {
-            assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3)
-            );
-        }
-        // Truncation and trailing garbage are rejected like IVF1/IVF2.
-        let mut bad = index.to_bytes();
-        bad.truncate(bad.len() - 3);
-        assert!(IvfIndex::from_bytes(&bad).is_none());
-        let mut bad = index.to_bytes();
-        bad.push(7);
-        assert!(IvfIndex::from_bytes(&bad).is_none());
-    }
-
-    #[test]
     fn from_bytes_rejects_out_of_range_pq_codes() {
         // A code must index the ksub-entry centroid table; with 6-bit
         // codes (ksub = 64) a corrupt byte of 200 has to fail in
         // from_bytes, not panic in the first scan or decode.
         let emb = table(60, 8, 59);
         let mut rng = StdRng::seed_from_u64(60);
-        let index = IvfIndex::build_with(
+        let index = quantized(
             &emb,
             4,
-            Metric::L1,
             Quantization::Pq { m: 2, nbits: 6 },
             4,
+            ScanMode::Asymmetric,
             &mut rng,
         );
         let mut bytes = index.to_bytes();
         assert!(IvfIndex::from_bytes(&bytes).is_some(), "sanity");
-        // Codes are the final n·m bytes of the IVF3 section.
+        // Codes are the final n·m bytes of the section.
         let last = bytes.len() - 1;
         bytes[last] = 200;
         assert!(IvfIndex::from_bytes(&bytes).is_none());
@@ -1390,15 +1364,17 @@ mod tests {
         // encode, so it can only be corruption).
         let emb = table(60, 9, 61);
         let mut rng = StdRng::seed_from_u64(62);
-        let index = IvfIndex::build_with(
+        let index = quantized(
             &emb,
             4,
-            Metric::L1,
             Quantization::Pq { m: 3, nbits: 3 },
             4,
+            ScanMode::Asymmetric,
             &mut rng,
         );
-        assert_eq!(index.pq_codebook().expect("pq").code_stride(), 2);
+        let cb = index.pq_codebook().expect("pq");
+        assert!(cb.packed());
+        assert_eq!(cb.code_stride(), 2, "ceil(3 / 2) bytes per row");
         let bytes = index.to_bytes();
         assert!(IvfIndex::from_bytes(&bytes).is_some(), "sanity");
         // Codes are the final n·stride bytes; corrupt the last row.
@@ -1413,80 +1389,10 @@ mod tests {
     }
 
     #[test]
-    fn pq4_serialization_round_trip_is_packed() {
-        let emb = table(90, 10, 63);
-        let mut rng = StdRng::seed_from_u64(64);
-        let index = IvfIndex::build_with(
-            &emb,
-            6,
-            Metric::L1,
-            Quantization::Pq { m: 5, nbits: 4 },
-            5,
-            &mut rng,
-        );
-        let cb = index.pq_codebook().expect("pq");
-        assert!(cb.packed());
-        assert_eq!(cb.code_stride(), 3, "ceil(5 / 2) bytes per row");
-        let bytes = index.to_bytes();
-        assert_eq!(&bytes[..4], b"IVF4");
-        let restored = IvfIndex::from_bytes(&bytes).expect("round trip");
-        assert_eq!(restored.quantization(), index.quantization());
-        assert!(restored.pq_codebook().expect("pq").packed());
-        assert_eq!(restored.to_bytes(), bytes, "bit-exact round trip");
-        for qi in [0usize, 44, 89] {
-            assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3)
-            );
-        }
-    }
-
-    #[test]
-    fn symmetric_serialization_round_trips_scan_mode() {
-        let emb = table(120, 12, 65);
-        let mut rng = StdRng::seed_from_u64(66);
-        let index = IvfIndex::build_with_scan(
-            &emb,
-            8,
-            Metric::L1,
-            Quantization::Sq8,
-            6,
-            ScanMode::Symmetric,
-            &mut rng,
-        );
-        assert_eq!(index.scan_mode(), ScanMode::Symmetric);
-        assert!(index.codebook().expect("sq8").uniform_scale().is_some());
-        let bytes = index.to_bytes();
-        assert_eq!(&bytes[..4], b"IVF4");
-        let restored = IvfIndex::from_bytes(&bytes).expect("round trip");
-        assert_eq!(restored.scan_mode(), ScanMode::Symmetric);
-        assert_eq!(restored.rescore_factor(), 6);
-        assert_eq!(restored.to_bytes(), bytes, "bit-exact round trip");
-        for qi in [0usize, 44, 119] {
-            assert_eq!(
-                restored.search(emb.row(qi), 5, 4),
-                index.search(emb.row(qi), 5, 4)
-            );
-        }
-        // Asymmetric SQ8 builds still write the legacy IVF2 section.
-        let mut rng = StdRng::seed_from_u64(66);
-        let asym = IvfIndex::build_with(&emb, 8, Metric::L1, Quantization::Sq8, 6, &mut rng);
-        assert_eq!(&asym.to_bytes()[..4], b"IVF2");
-    }
-
-    #[test]
     fn symmetric_search_stays_within_error_bound_and_rescores_exactly() {
         let emb = table(300, 16, 67);
         let mut rng = StdRng::seed_from_u64(68);
-        let index = IvfIndex::build_with_scan(
-            &emb,
-            8,
-            Metric::L1,
-            Quantization::Sq8,
-            4,
-            ScanMode::Symmetric,
-            &mut rng,
-        );
+        let index = quantized(&emb, 8, Quantization::Sq8, 4, ScanMode::Symmetric, &mut rng);
         // Symmetric distances quantize both sides, so they deviate from
         // exact by at most twice the codebook bound (queries drawn from
         // the table are inside the trained box).
@@ -1523,22 +1429,19 @@ mod tests {
     fn symmetric_mode_normalises_to_asymmetric_off_sq8() {
         let emb = table(50, 6, 70);
         let mut rng = StdRng::seed_from_u64(71);
-        let f32_index = IvfIndex::build_with_scan(
+        let f32_index = quantized(
             &emb,
             4,
-            Metric::L1,
             Quantization::None,
             4,
             ScanMode::Symmetric,
             &mut rng,
         );
         assert_eq!(f32_index.scan_mode(), ScanMode::Asymmetric);
-        assert_eq!(&f32_index.to_bytes()[..4], b"IVF1");
         let mut rng = StdRng::seed_from_u64(71);
-        let pq = IvfIndex::build_with_scan(
+        let pq = quantized(
             &emb,
             4,
-            Metric::L1,
             Quantization::Pq { m: 2, nbits: 8 },
             4,
             ScanMode::Symmetric,

@@ -40,11 +40,11 @@ pub mod wal;
 
 pub use hausdorff_index::SegmentHausdorffIndex;
 pub use ivf::{
-    brute_force_batch_knn, brute_force_knn, IvfIndex, Metric, Quantization, ScanMode,
+    brute_force_batch_knn, brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization, ScanMode,
     SearchScratch, DEFAULT_PQ_M, DEFAULT_RESCORE_FACTOR,
 };
 pub use kernels::{PqCodebook, Sq8Codebook, TopK};
-pub use mutable::{ExactRescorer, IndexOptions, IndexSnapshot, MutableIndex};
+pub use mutable::{ExactRescorer, IndexSnapshot, MutableIndex};
 pub use sharded::{merge_partials, shard_for, ShardedIndex, ShardedSnapshot};
 pub use wal::{
     atomic_write, CheckpointData, CheckpointEntry, CrashPointFs, Durability, RealFs, Wal, WalFs,

@@ -43,54 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajcl_tensor::{Shape, Tensor};
 
-use crate::ivf::{
-    brute_force_knn, IvfIndex, Metric, Quantization, ScanMode, DEFAULT_RESCORE_FACTOR,
-};
-use crate::wal::Durability;
-
-/// Construction options for a [`MutableIndex`]: how the sealed part is
-/// trained and stored.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexOptions {
-    /// IVF cells to train at every compaction (`None` = flat scan, unless
-    /// quantization forces an IVF container).
-    pub nlist: Option<usize>,
-    /// Seed for deterministic k-means retraining.
-    pub seed: u64,
-    /// Storage quantization of the sealed part. [`Quantization::Sq8`]
-    /// stores sealed rows as int8 codes (4× smaller);
-    /// [`Quantization::Pq`] as `m`-byte product-quantized codes
-    /// (retrained sub-quantizers at every compaction). The write buffer
-    /// always stays exact f32 until the next compaction.
-    pub quantization: Quantization,
-    /// Over-fetch multiplier carried into the sealed [`IvfIndex`] for
-    /// callers that rescore against an exact table
-    /// ([`IndexSnapshot::search_rescored`]).
-    pub rescore_factor: usize,
-    /// Scan kernel of the sealed part ([`ScanMode::Symmetric`] trains a
-    /// uniform-scale SQ8 codebook and scans in integer arithmetic;
-    /// ignored by f32/PQ storage).
-    pub scan: ScanMode,
-    /// Durability expectation for mutations (see [`crate::wal`]). The
-    /// index itself is always in-memory; this knob is carried by the
-    /// engine snapshot and honoured by the serving layer, which pairs
-    /// each shard with a write-ahead log when it is not
-    /// [`Durability::Ephemeral`].
-    pub durability: Durability,
-}
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        IndexOptions {
-            nlist: None,
-            seed: 0,
-            quantization: Quantization::None,
-            rescore_factor: DEFAULT_RESCORE_FACTOR,
-            scan: ScanMode::Asymmetric,
-            durability: Durability::Ephemeral,
-        }
-    }
-}
+use crate::ivf::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization};
 
 /// Where an external id currently lives (writer-side bookkeeping).
 #[derive(Clone, Copy, Debug)]
@@ -471,6 +424,11 @@ impl MutableIndex {
         self.dim
     }
 
+    /// The options every sealed part of this index is built with.
+    pub fn options(&self) -> &IndexOptions {
+        &self.opts
+    }
+
     /// Number of live vectors (via the current snapshot).
     pub fn len(&self) -> usize {
         self.snapshot().len()
@@ -614,29 +572,22 @@ impl MutableIndex {
         } else {
             let table = Tensor::from_vec(data, Shape::d2(n, self.dim));
             // Quantized storage always lives in an IVF container; without
-            // configured cells a single list keeps the scan exhaustive
-            // (every search probes at least one cell).
-            let nlist = match (self.opts.nlist, self.opts.quantization) {
-                (Some(nlist), _) => Some(nlist),
-                (None, Quantization::None) => None,
-                (None, Quantization::Sq8 | Quantization::Pq { .. }) => Some(1),
-            };
-            Some(Arc::new(match nlist {
-                Some(nlist) => {
-                    // Deterministic retrain: seed varies with generation so
-                    // repeated compactions don't re-use degenerate inits.
-                    let mut rng = StdRng::seed_from_u64(self.opts.seed ^ w.generation);
-                    Sealed::Ivf(IvfIndex::build_with_scan(
-                        &table,
-                        nlist,
-                        self.metric,
-                        self.opts.quantization,
-                        self.opts.rescore_factor,
-                        self.opts.scan,
-                        &mut rng,
-                    ))
-                }
-                None => Sealed::Flat(table),
+            // configured cells `build_with` trains a single list, which
+            // keeps the scan exhaustive (every search probes at least one
+            // cell).
+            let flat = self.opts.nlist.is_none() && self.opts.quantization == Quantization::None;
+            Some(Arc::new(if flat {
+                Sealed::Flat(table)
+            } else {
+                // Deterministic retrain: seed varies with generation so
+                // repeated compactions don't re-use degenerate inits.
+                let mut rng = StdRng::seed_from_u64(self.opts.seed ^ w.generation);
+                Sealed::Ivf(IvfIndex::build_with(
+                    &table,
+                    self.metric,
+                    &self.opts,
+                    &mut rng,
+                ))
             }))
         };
         w.id_loc = ids

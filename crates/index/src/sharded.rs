@@ -23,9 +23,9 @@ use std::sync::Arc;
 
 use trajcl_tensor::{pool, Shape, Tensor};
 
-use crate::ivf::Metric;
+use crate::ivf::{IndexOptions, Metric};
 use crate::kernels::TopK;
-use crate::mutable::{ExactRescorer, IndexOptions, IndexSnapshot, MutableIndex};
+use crate::mutable::{ExactRescorer, IndexSnapshot, MutableIndex};
 
 /// The finalizer of splitmix64 — a fixed, well-mixing `u64 -> u64`
 /// permutation. Sequential ids (the common external-id pattern) land on

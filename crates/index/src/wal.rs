@@ -60,6 +60,27 @@ pub enum Durability {
     Fsync,
 }
 
+impl Durability {
+    /// The durability byte of the TCE1 engine tail.
+    pub fn to_wire(self) -> u8 {
+        match self {
+            Durability::Ephemeral => 0,
+            Durability::Buffered => 1,
+            Durability::Fsync => 2,
+        }
+    }
+
+    /// Inverse of [`Durability::to_wire`]; `None` for an unknown byte.
+    pub fn from_wire(byte: u8) -> Option<Durability> {
+        match byte {
+            0 => Some(Durability::Ephemeral),
+            1 => Some(Durability::Buffered),
+            2 => Some(Durability::Fsync),
+            _ => None,
+        }
+    }
+}
+
 /// One logged mutation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalOp {

@@ -1,5 +1,5 @@
-//! Property tests for decoder robustness: arbitrarily corrupted `IVF2`
-//! (SQ8) and `IVF3` (PQ) blobs must either be rejected (`None`) or decode
+//! Property tests for decoder robustness: arbitrarily corrupted SQ8 and
+//! PQ `IVF4` blobs must either be rejected (`None`) or decode
 //! to an index that answers a search — never panic, never index out of
 //! bounds. This is the checked-in distillation of the `trajcl audit`
 //! fuzzer's IVF target (which runs ~100k mutations per CI run); these
@@ -8,14 +8,19 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use trajcl_index::{IvfIndex, Metric, Quantization};
+use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization};
 use trajcl_tensor::{Shape, Tensor};
 
 /// A valid quantized blob to corrupt (geometry varies with the seed).
 fn valid_blob(quant: Quantization, n: usize, d: usize, nlist: usize, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let emb = Tensor::randn(Shape::d2(n, d), 0.0, 1.0, &mut rng);
-    IvfIndex::build_with(&emb, nlist, Metric::L1, quant, 4, &mut rng).to_bytes()
+    let opts = IndexOptions {
+        nlist: Some(nlist),
+        quantization: quant,
+        ..IndexOptions::default()
+    };
+    IvfIndex::build_with(&emb, Metric::L1, &opts, &mut rng).to_bytes()
 }
 
 /// The decode-or-reject contract: whatever `from_bytes` accepts must be

@@ -1,12 +1,13 @@
-//! Quantization acceptance suite (SQ8 + PQ): bit-exact serialization
-//! round trips (property-tested, `IVF2` and `IVF3`), the recall@10 gates
-//! against exact f32 brute force (SQ8 ≥ 0.95, PQ rescored ≥ 0.90), and
-//! `IVF1` backward compatibility.
+//! Quantization acceptance suite (f32 + SQ8 + PQ): the `IVF4` section
+//! contract — every storage × scan configuration serialises to the one
+//! layout and round-trips bit-exactly (property-tested), retired magics
+//! are rejected — and the recall@10 gates against exact f32 brute force
+//! (SQ8 ≥ 0.95, PQ rescored ≥ 0.90).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trajcl_index::{brute_force_knn, IvfIndex, Metric, Quantization, ScanMode};
+use trajcl_index::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization, ScanMode};
 use trajcl_tensor::{Shape, Tensor};
 
 /// Clustered table: rows scattered around `centers` Gaussian centers (the
@@ -26,96 +27,107 @@ fn mixture(n: usize, d: usize, centers: usize, seed: u64) -> Tensor {
     Tensor::from_vec(data, Shape::d2(n, d))
 }
 
+fn opts(
+    nlist: usize,
+    quantization: Quantization,
+    rescore_factor: usize,
+    scan: ScanMode,
+) -> IndexOptions {
+    IndexOptions {
+        nlist: Some(nlist),
+        quantization,
+        rescore_factor,
+        scan,
+        ..IndexOptions::default()
+    }
+}
+
+/// Every storage × scan configuration the builder can produce: f32, SQ8
+/// under either scan kernel, PQ nibble-packed (`packed_bits ≤ 4`) and PQ
+/// one byte per code (`wide_bits > 4`).
+fn storage_grid(m: usize, packed_bits: u8, wide_bits: u8) -> [(Quantization, ScanMode); 5] {
+    [
+        (Quantization::None, ScanMode::Asymmetric),
+        (Quantization::Sq8, ScanMode::Asymmetric),
+        (Quantization::Sq8, ScanMode::Symmetric),
+        (
+            Quantization::Pq {
+                m,
+                nbits: packed_bits,
+            },
+            ScanMode::Asymmetric,
+        ),
+        (
+            Quantization::Pq {
+                m,
+                nbits: wide_bits,
+            },
+            ScanMode::Asymmetric,
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The satellite acceptance property: an SQ8 index must survive
-    // `to_bytes` -> `from_bytes` -> `to_bytes` BIT-EXACTLY, and the
-    // restored index must answer searches identically.
+    // The format contract: whatever the storage, scan kernel and metric,
+    // an index serialises to the one `IVF4` section, survives `to_bytes`
+    // -> `from_bytes` -> `to_bytes` BIT-EXACTLY (codebooks, trained error
+    // bound, codes, scan mode and rescore factor included), and the
+    // restored index answers plain and rescored searches identically.
     #[test]
-    fn sq8_round_trips_bit_exactly(
-        n in 10usize..150,
-        d in 2usize..24,
-        nlist in 1usize..12,
-        rescore in 1usize..9,
-        metric_l2 in 0u32..2,
-        seed in 0u64..1000,
-    ) {
-        let metric = if metric_l2 == 1 { Metric::L2 } else { Metric::L1 };
-        let emb = mixture(n, d, 8, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let index =
-            IvfIndex::build_with(&emb, nlist, metric, Quantization::Sq8, rescore, &mut rng);
-        let bytes = index.to_bytes();
-        prop_assert_eq!(&bytes[..4], b"IVF2");
-        let restored = IvfIndex::from_bytes(&bytes).expect("valid bytes must deserialize");
-        prop_assert_eq!(restored.to_bytes(), bytes, "round trip must be bit-exact");
-        prop_assert_eq!(restored.len(), index.len());
-        prop_assert_eq!(restored.rescore_factor(), index.rescore_factor());
-        prop_assert_eq!(restored.quantization(), Quantization::Sq8);
-        for qi in [0, n / 2, n - 1] {
-            prop_assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3),
-                "restored index diverged on query {}", qi
-            );
-            prop_assert_eq!(
-                restored.search_rescored(emb.row(qi), 5, 3, Some(&emb)),
-                index.search_rescored(emb.row(qi), 5, 3, Some(&emb))
-            );
-        }
-    }
-
-    // The PQ acceptance property: an IVF3 index must survive
-    // `to_bytes` -> `from_bytes` -> `to_bytes` BIT-EXACTLY (codebook
-    // centroids, trained error bound and codes included), and the
-    // restored index must answer plain and rescored searches identically.
-    #[test]
-    fn pq_round_trips_bit_exactly(
+    fn every_storage_round_trips_bit_exactly_as_ivf4(
         n in 10usize..150,
         d in 2usize..24,
         m in 1usize..6,
-        nbits in 4u8..9,
+        packed_bits in 1u8..5,
+        wide_bits in 5u8..9,
         nlist in 1usize..12,
         rescore in 1usize..9,
-        metric_l2 in 0u32..2,
         seed in 0u64..1000,
     ) {
-        let metric = if metric_l2 == 1 { Metric::L2 } else { Metric::L1 };
         let emb = mixture(n, d, 8, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x90);
-        let index = IvfIndex::build_with(
-            &emb,
-            nlist,
-            metric,
-            Quantization::Pq { m, nbits },
-            rescore,
-            &mut rng,
-        );
-        let bytes = index.to_bytes();
-        // nbits ≤ 4 packs two codes per byte, which needs the IVF4
-        // section; wider codes keep the legacy IVF3 layout.
-        prop_assert_eq!(&bytes[..4], if nbits <= 4 { &b"IVF4"[..] } else { &b"IVF3"[..] });
-        let restored = IvfIndex::from_bytes(&bytes).expect("valid bytes must deserialize");
-        prop_assert_eq!(restored.to_bytes(), bytes, "round trip must be bit-exact");
-        prop_assert_eq!(restored.len(), index.len());
-        prop_assert_eq!(restored.rescore_factor(), index.rescore_factor());
-        // The effective geometry survives (m clamps to d at build time).
-        prop_assert_eq!(restored.quantization(), index.quantization());
-        prop_assert_eq!(
-            restored.pq_codebook().map(|cb| (cb.m(), cb.nbits(), cb.ksub())),
-            index.pq_codebook().map(|cb| (cb.m(), cb.nbits(), cb.ksub()))
-        );
-        for qi in [0, n / 2, n - 1] {
-            prop_assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3),
-                "restored index diverged on query {}", qi
-            );
-            prop_assert_eq!(
-                restored.search_rescored(emb.row(qi), 5, 3, Some(&emb)),
-                index.search_rescored(emb.row(qi), 5, 3, Some(&emb))
-            );
+        for metric in [Metric::L1, Metric::L2] {
+            for (quant, scan) in storage_grid(m, packed_bits, wide_bits) {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                let index =
+                    IvfIndex::build_with(&emb, metric, &opts(nlist, quant, rescore, scan), &mut rng);
+                let bytes = index.to_bytes();
+                prop_assert_eq!(&bytes[..4], b"IVF4", "{:?} {:?}", quant, scan);
+                let restored = IvfIndex::from_bytes(&bytes).expect("valid bytes must deserialize");
+                prop_assert_eq!(restored.to_bytes(), &bytes[..], "round trip must be bit-exact");
+                prop_assert_eq!(restored.len(), index.len());
+                prop_assert_eq!(restored.nlist(), index.nlist());
+                prop_assert_eq!(restored.rescore_factor(), rescore);
+                prop_assert_eq!(restored.scan_mode(), scan);
+                // The effective geometry survives (m clamps to d at build
+                // time); rows pack two codes per byte exactly when they fit.
+                prop_assert_eq!(restored.quantization(), index.quantization());
+                let geometry = |i: &IvfIndex| {
+                    i.pq_codebook().map(|cb| (cb.m(), cb.nbits(), cb.ksub(), cb.packed()))
+                };
+                prop_assert_eq!(geometry(&restored), geometry(&index));
+                if let Some((_, nbits, _, packed)) = geometry(&restored) {
+                    prop_assert_eq!(packed, nbits <= 4);
+                }
+                for qi in [0, n / 2, n - 1] {
+                    prop_assert_eq!(
+                        restored.search(emb.row(qi), 5, 3),
+                        index.search(emb.row(qi), 5, 3),
+                        "restored {:?} index diverged on query {}", quant, qi
+                    );
+                    prop_assert_eq!(
+                        restored.search_rescored(emb.row(qi), 5, 3, Some(&emb)),
+                        index.search_rescored(emb.row(qi), 5, 3, Some(&emb))
+                    );
+                }
+                // The section is self-delimiting: a strict prefix and an
+                // extension are both rejected.
+                prop_assert!(IvfIndex::from_bytes(&bytes[..bytes.len() - 3]).is_none());
+                let mut extended = bytes;
+                extended.push(7);
+                prop_assert!(IvfIndex::from_bytes(&extended).is_none());
+            }
         }
     }
 
@@ -138,8 +150,8 @@ proptest! {
         let metric = if metric_l2 == 1 { Metric::L2 } else { Metric::L1 };
         let emb = mixture(n, d, 8, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
-        let sym = IvfIndex::build_with_scan(
-            &emb, nlist, metric, Quantization::Sq8, 4, ScanMode::Symmetric, &mut rng,
+        let sym = IvfIndex::build_with(
+            &emb, metric, &opts(nlist, Quantization::Sq8, 4, ScanMode::Symmetric), &mut rng,
         );
         let cb = sym.codebook().expect("sq8 storage");
         let scale = cb.uniform_scale().expect("symmetric build trains uniform");
@@ -182,62 +194,36 @@ proptest! {
             }
         }
     }
+}
 
-    // Symmetric SQ8 indexes round-trip through IVF4 bit-exactly with the
-    // scan mode preserved, and restored indexes search identically.
-    #[test]
-    fn symmetric_sq8_round_trips_bit_exactly(
-        n in 10usize..150,
-        d in 2usize..24,
-        nlist in 1usize..12,
-        rescore in 1usize..9,
-        metric_l2 in 0u32..2,
-        seed in 0u64..1000,
-    ) {
-        let metric = if metric_l2 == 1 { Metric::L2 } else { Metric::L1 };
-        let emb = mixture(n, d, 8, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-        let index = IvfIndex::build_with_scan(
-            &emb, nlist, metric, Quantization::Sq8, rescore, ScanMode::Symmetric, &mut rng,
-        );
-        let bytes = index.to_bytes();
-        prop_assert_eq!(&bytes[..4], b"IVF4");
-        let restored = IvfIndex::from_bytes(&bytes).expect("valid bytes must deserialize");
-        prop_assert_eq!(restored.to_bytes(), bytes, "round trip must be bit-exact");
-        prop_assert_eq!(restored.scan_mode(), ScanMode::Symmetric);
-        for qi in [0, n / 2, n - 1] {
-            prop_assert_eq!(
-                restored.search(emb.row(qi), 5, 3),
-                index.search(emb.row(qi), 5, 3),
-                "restored index diverged on query {}", qi
-            );
-            prop_assert_eq!(
-                restored.search_rescored(emb.row(qi), 5, 3, Some(&emb)),
-                index.search_rescored(emb.row(qi), 5, 3, Some(&emb))
-            );
+// The retired section layouts are gone: a faithful `IVF1` (f32: no scan
+// byte, rescore factor or storage tag), `IVF2` (SQ8) or `IVF3` (PQ: the
+// rescore factor kept, scan byte and tag absent) blob — and the current
+// body under a retired magic — is rejected like any unknown magic.
+#[test]
+fn retired_section_magics_are_rejected() {
+    let emb = mixture(60, 8, 4, 5);
+    for (magic, quant) in [
+        (b"IVF1", Quantization::None),
+        (b"IVF2", Quantization::Sq8),
+        (b"IVF3", Quantization::Pq { m: 2, nbits: 8 }),
+    ] {
+        let mut rng = StdRng::seed_from_u64(6);
+        let o = opts(4, quant, 4, ScanMode::Asymmetric);
+        let current = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng).to_bytes();
+        assert!(IvfIndex::from_bytes(&current).is_some(), "sanity");
+        // magic | metric n d nlist | scan | rescore | tag | rest
+        let (header, rescore, rest) = (&current[4..17], &current[18..22], &current[23..]);
+        let mut legacy = magic.to_vec();
+        legacy.extend_from_slice(header);
+        if quant != Quantization::None {
+            legacy.extend_from_slice(rescore);
         }
-    }
-
-    // f32 indexes keep the pre-quantization IVF1 layout and still load —
-    // new readers accept old blobs, old readers accept new f32 blobs.
-    #[test]
-    fn f32_round_trip_stays_ivf1(
-        n in 5usize..80,
-        d in 2usize..12,
-        nlist in 1usize..8,
-        seed in 0u64..1000,
-    ) {
-        let emb = mixture(n, d, 4, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let index = IvfIndex::build(&emb, nlist, Metric::L1, &mut rng);
-        let bytes = index.to_bytes();
-        prop_assert_eq!(&bytes[..4], b"IVF1");
-        let restored = IvfIndex::from_bytes(&bytes).expect("IVF1 must still deserialize");
-        prop_assert_eq!(restored.to_bytes(), bytes);
-        prop_assert_eq!(
-            restored.search(emb.row(0), 4, nlist),
-            index.search(emb.row(0), 4, nlist)
-        );
+        legacy.extend_from_slice(rest);
+        assert!(IvfIndex::from_bytes(&legacy).is_none(), "{quant:?} legacy");
+        let mut relabelled = current;
+        relabelled[..4].copy_from_slice(magic);
+        assert!(IvfIndex::from_bytes(&relabelled).is_none(), "{quant:?}");
     }
 }
 
@@ -267,7 +253,8 @@ fn sq8_recall_gate_at_partial_probe() {
     let (n, d, nlist, nprobe, k) = (4000, 32, 32, 8, 10);
     let emb = mixture(n, d, 16, 77);
     let mut rng = StdRng::seed_from_u64(78);
-    let sq8 = IvfIndex::build_with(&emb, nlist, Metric::L1, Quantization::Sq8, 4, &mut rng);
+    let o = opts(nlist, Quantization::Sq8, 4, ScanMode::Asymmetric);
+    let sq8 = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng);
 
     let rescored = measured_recall(&sq8, &emb, nprobe, k, true);
     assert!(
@@ -301,14 +288,13 @@ fn pq_recall_gate_at_partial_probe() {
     let (n, d, nlist, nprobe, k) = (4000, 32, 32, 8, 10);
     let emb = mixture(n, d, 16, 77);
     let mut rng = StdRng::seed_from_u64(78);
-    let pq = IvfIndex::build_with(
-        &emb,
+    let o = opts(
         nlist,
-        Metric::L1,
         Quantization::Pq { m: 4, nbits: 8 },
         32,
-        &mut rng,
+        ScanMode::Asymmetric,
     );
+    let pq = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng);
 
     let rescored = measured_recall(&pq, &emb, nprobe, k, true);
     assert!(
@@ -332,15 +318,8 @@ fn symmetric_recall_gate_at_partial_probe() {
     let (n, d, nlist, nprobe, k) = (4000, 32, 32, 8, 10);
     let emb = mixture(n, d, 16, 77);
     let mut rng = StdRng::seed_from_u64(78);
-    let sym = IvfIndex::build_with_scan(
-        &emb,
-        nlist,
-        Metric::L1,
-        Quantization::Sq8,
-        4,
-        ScanMode::Symmetric,
-        &mut rng,
-    );
+    let o = opts(nlist, Quantization::Sq8, 4, ScanMode::Symmetric);
+    let sym = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng);
     let rescored = measured_recall(&sym, &emb, nprobe, k, true);
     assert!(
         rescored >= 0.90,
@@ -355,14 +334,13 @@ fn pq4_recall_gate_at_partial_probe() {
     let (n, d, nlist, nprobe, k) = (4000, 32, 32, 8, 10);
     let emb = mixture(n, d, 16, 77);
     let mut rng = StdRng::seed_from_u64(78);
-    let pq4 = IvfIndex::build_with(
-        &emb,
+    let o = opts(
         nlist,
-        Metric::L1,
         Quantization::Pq { m: 8, nbits: 4 },
         32,
-        &mut rng,
+        ScanMode::Asymmetric,
     );
+    let pq4 = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng);
     assert!(pq4.pq_codebook().expect("pq").packed());
     let rescored = measured_recall(&pq4, &emb, nprobe, k, true);
     assert!(
@@ -378,7 +356,8 @@ fn pq4_recall_gate_at_partial_probe() {
 fn rescored_distances_equal_brute_force_distances() {
     let emb = mixture(600, 16, 8, 91);
     let mut rng = StdRng::seed_from_u64(92);
-    let sq8 = IvfIndex::build_with(&emb, 8, Metric::L1, Quantization::Sq8, 4, &mut rng);
+    let o = opts(8, Quantization::Sq8, 4, ScanMode::Asymmetric);
+    let sq8 = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng);
     for qi in [3usize, 299, 599] {
         let q = emb.row(qi);
         let got = sq8.search_rescored(q, 5, 8, Some(&emb));

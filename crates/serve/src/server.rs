@@ -20,9 +20,7 @@ use std::time::Duration;
 
 use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::{validate_batch, Trajectory};
-use trajcl_index::{
-    Durability, IndexOptions, Metric, Quantization, RealFs, ScanMode, ShardedIndex, Wal, WalFs,
-};
+use trajcl_index::{Durability, IndexOptions, Metric, RealFs, ShardedIndex, Wal, WalFs};
 
 use crate::batcher::{BatchPolicy, BatchStats, Batcher, EmbedJob};
 use crate::cache::{content_hash, LruCache};
@@ -109,23 +107,16 @@ pub struct ServeConfig {
     /// IVF cells for the server's mutable index; `None` inherits the
     /// engine's configuration. Setting it here (instead of building an
     /// engine-side index the server would never consult) avoids training
-    /// k-means twice over the same table.
+    /// k-means twice over the same table. Everything else about the
+    /// index — seed, storage quantization, rescore factor, scan kernel —
+    /// is the engine's [`Engine::index_options`], taken whole. A
+    /// quantized sealed part ([`trajcl_index::Quantization`]) keeps no
+    /// exact copy to rescore against (by design: that copy would forfeit
+    /// the compression), so served quantized distances are asymmetric
+    /// (exact query vs quantized rows) within the codebook's error bound
+    /// — except where [`ServeConfig::rescore_sealed`] recovers exact
+    /// values.
     pub ivf_nlist: Option<usize>,
-    /// Storage quantization of the index's sealed part; `None` inherits
-    /// the engine's configuration. [`Quantization::Sq8`] shrinks sealed
-    /// vectors to one byte per dimension, [`Quantization::Pq`] to `m`
-    /// bytes per *vector*; the sealed part keeps no exact copy to rescore
-    /// against (by design: that copy would forfeit the compression), so
-    /// served quantized distances are asymmetric (exact query vs
-    /// quantized rows) within the codebook's error bound — except where
-    /// [`ServeConfig::rescore_sealed`] recovers exact values.
-    pub quantization: Option<Quantization>,
-    /// Scan kernel for the sealed quantized part; `None` inherits the
-    /// engine's configuration. [`ScanMode::Symmetric`] quantizes queries
-    /// with the sealed SQ8 codebook too and scans in integer arithmetic
-    /// (runtime-dispatched SIMD kernels); exactness of served distances
-    /// is unchanged wherever [`ServeConfig::rescore_sealed`] applies.
-    pub scan: Option<ScanMode>,
     /// Rescore sealed quantized hits against the engine's cached exact
     /// embedding table (default `true`). Ids seeded from the engine's
     /// database and never re-upserted since still match that table, so
@@ -169,8 +160,6 @@ impl Default for ServeConfig {
             queue_cap: 1024,
             cache_cap: 4096,
             ivf_nlist: None,
-            quantization: None,
-            scan: None,
             rescore_sealed: true,
             shards: None,
             idle_timeout: SessionOptions::default().idle_timeout,
@@ -314,15 +303,8 @@ impl Server {
         }
         let dim = engine.backend().dim();
         let opts = IndexOptions {
-            nlist: cfg.ivf_nlist.or(engine.nlist()),
-            seed: engine.seed(),
-            quantization: cfg.quantization.unwrap_or(engine.quantization()),
-            rescore_factor: engine.rescore_factor(),
-            scan: cfg.scan.unwrap_or(engine.scan_mode()),
-            durability: cfg
-                .wal
-                .as_ref()
-                .map_or(engine.durability(), |w| w.durability),
+            nlist: cfg.ivf_nlist.or(engine.index_options().nlist),
+            ..*engine.index_options()
         };
         let nshards = cfg.shards.unwrap_or(engine.shards()).max(1);
         let index = match engine.embeddings() {

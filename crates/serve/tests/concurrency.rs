@@ -18,6 +18,12 @@ use trajcl_tensor::{Shape, Tensor};
 
 /// A tiny deterministic TrajCL engine (no pre-loaded database).
 fn tiny_engine() -> Engine {
+    tiny_engine_storing(Quantization::None)
+}
+
+/// [`tiny_engine`] whose index description — which the server takes
+/// whole — stores sealed rows under `quantization`.
+fn tiny_engine_storing(quantization: Quantization) -> Engine {
     let mut rng = StdRng::seed_from_u64(0);
     let cfg = TrajClConfig::test_default();
     let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
@@ -27,6 +33,10 @@ fn tiny_engine() -> Engine {
     let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
     Engine::builder()
         .trajcl(model, feat)
+        .index_options(IndexOptions {
+            quantization,
+            ..IndexOptions::default()
+        })
         .build()
         .expect("engine")
 }
@@ -149,11 +159,8 @@ fn quantized_server_mixed_ops_match_oracle_within_quant_error() {
     // (true kth distance + 2·bound) of the exact ordering.
     let server = Arc::new(
         Server::new(
-            Arc::new(tiny_engine()),
-            ServeConfig {
-                quantization: Some(Quantization::Sq8),
-                ..ServeConfig::default()
-            },
+            Arc::new(tiny_engine_storing(Quantization::Sq8)),
+            ServeConfig::default(),
         )
         .expect("server"),
     );
@@ -245,9 +252,8 @@ fn pq_server_mixed_ops_match_oracle_near_exactly() {
     // being served.
     let server = Arc::new(
         Server::new(
-            Arc::new(tiny_engine()),
+            Arc::new(tiny_engine_storing(Quantization::Pq { m: 4, nbits: 8 })),
             ServeConfig {
-                quantization: Some(Quantization::Pq { m: 4, nbits: 8 }),
                 rescore_sealed: false,
                 ..ServeConfig::default()
             },
@@ -353,6 +359,10 @@ fn sealed_rescoring_serves_exact_distances_for_clean_ids() {
                 },
             )
             .database(db.clone())
+            .index_options(IndexOptions {
+                quantization: Quantization::Sq8,
+                ..IndexOptions::default()
+            })
             .build()
             .expect("engine"),
     );
@@ -361,14 +371,8 @@ fn sealed_rescoring_serves_exact_distances_for_clean_ids() {
         (0..t.shape().rows()).map(|i| t.row(i).to_vec()).collect()
     };
     let metric = trajcl_index::Metric::L1;
-    let server = Server::new(
-        Arc::clone(&engine),
-        ServeConfig {
-            quantization: Some(Quantization::Sq8),
-            ..ServeConfig::default() // rescore_sealed: true
-        },
-    )
-    .expect("server");
+    // ServeConfig::default() rescores sealed hits.
+    let server = Server::new(Arc::clone(&engine), ServeConfig::default()).expect("server");
 
     // Every seeded id is clean: served distances are bit-identical to
     // exact distances against the engine's cached table.

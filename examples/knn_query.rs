@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 use trajcl::core::TrajClConfig;
 use trajcl::data::{Dataset, DatasetProfile};
-use trajcl::engine::Engine;
+use trajcl::engine::{Engine, IndexOptions};
 use trajcl::index::SegmentHausdorffIndex;
 use trajcl::measures::HeuristicMeasure;
 
@@ -54,7 +54,10 @@ fn main() {
         .train_trajcl_on(&dataset, &splits.train, &cfg, &mut rng)
         .expect("training")
         .database(db.clone())
-        .ivf_index(16)
+        .index_options(IndexOptions {
+            nlist: Some(16),
+            ..IndexOptions::default()
+        })
         .nprobe(4)
         .build()
         .expect("trajcl engine");
