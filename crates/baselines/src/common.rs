@@ -4,7 +4,7 @@
 use rand::Rng;
 use trajcl_geo::{validate_batch, Bbox, FeaturizeError, Grid, Trajectory};
 use trajcl_nn::Fwd;
-use trajcl_tensor::{Shape, Tape, Tensor, Var};
+use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
 
 /// Featurises trajectories into grid-cell token sequences plus normalised
 /// coordinates — the input representation shared by t2vec, CSTRM, T3S and
@@ -102,7 +102,7 @@ pub trait TrajectoryEncoder {
     /// Encodes a batch on an existing tape, returning `(B, dim)`.
     ///
     /// The `Fwd` context must be bound to this model's store.
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var;
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var;
 
     /// Inference batch size.
     fn batch_size(&self) -> usize {
@@ -118,10 +118,11 @@ pub trait TrajectoryEncoder {
         let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
         let mut row = 0usize;
         for chunk in trajs.chunks(self.batch_size().max(1)) {
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, self.store(), rng, false);
+            let mut exec = TapeExec::new(rng, false);
+            let mut f = Fwd::new(&mut exec, self.store());
             let h = self.encode_on_tape(&mut f, chunk);
-            out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(tape.value(h).data());
+            out.data_mut()[row * d..(row + chunk.len()) * d]
+                .copy_from_slice(exec.tape.value(h).data());
             row += chunk.len();
         }
         out

@@ -12,9 +12,9 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_data::{AugmentParams, Augmentation};
 use trajcl_geo::Trajectory;
-use trajcl_nn::attention::{add_positional, attention_mask_bias, sinusoidal_pe};
+use trajcl_nn::attention::sinusoidal_pe;
 use trajcl_nn::{Adam, Embedding, Fwd, ParamStore, TransformerEncoderLayer};
-use trajcl_tensor::{Tape, Var};
+use trajcl_tensor::{Exec, TapeExec, Var};
 
 /// CSTRM model.
 pub struct Cstrm {
@@ -23,7 +23,6 @@ pub struct Cstrm {
     layers: Vec<TransformerEncoderLayer>,
     featurizer: TokenFeaturizer,
     dim: usize,
-    heads: usize,
 }
 
 /// CSTRM training configuration.
@@ -85,7 +84,6 @@ impl Cstrm {
             layers,
             featurizer,
             dim: cfg.dim,
-            heads: cfg.heads,
         }
     }
 
@@ -94,19 +92,17 @@ impl Cstrm {
         self.store.num_scalars()
     }
 
-    fn encode_batch(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_batch(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let emb = self
             .cell_emb
             .forward_seq(f, &batch.cells, batch.lens.len(), batch.seq_len);
         let pe = sinusoidal_pe(batch.seq_len, self.dim);
-        let mut x = add_positional(f, emb, &pe);
-        let mask = f.input(attention_mask_bias(&batch.lens, batch.seq_len, self.heads));
+        let mut x = f.exec.add_positional(emb, &pe);
         for layer in &self.layers {
-            let (xn, _) = layer.forward(f, x, Some(mask));
-            x = xn;
+            (x, _) = layer.forward(f, &x, &batch.lens, false);
         }
-        f.tape.mean_pool_masked(x, &batch.lens)
+        f.exec.tape.mean_pool_masked(x, &batch.lens)
     }
 
     /// One contrastive step over two views (shift + mask, CSTRM's
@@ -127,22 +123,22 @@ impl Cstrm {
             .iter()
             .map(|t| Augmentation::PointMask.apply(t, &params, rng))
             .collect();
-        let mut tape = Tape::new();
+        let mut exec = TapeExec::new(rng, true);
         let loss_val;
         {
-            let mut f = Fwd::new(&mut tape, &self.store, rng, true);
+            let mut f = Fwd::new(&mut exec, &self.store);
             let z1 = self.encode_batch(&mut f, &v1);
-            let z1 = f.tape.l2_normalize_rows(z1);
+            let z1 = f.exec.tape.l2_normalize_rows(z1);
             let z2 = self.encode_batch(&mut f, &v2);
-            let z2 = f.tape.l2_normalize_rows(z2);
+            let z2 = f.exec.tape.l2_normalize_rows(z2);
             // In-batch InfoNCE: logits[i][j] = z1_i · z2_j, target = diagonal.
-            let logits = f.tape.matmul(z1, z2, false, true);
-            let scaled = f.tape.scale(logits, 1.0 / cfg.temperature);
+            let logits = f.exec.tape.matmul(z1, z2, false, true);
+            let scaled = f.exec.tape.scale(logits, 1.0 / cfg.temperature);
             let targets: Vec<usize> = (0..trajs.len()).collect();
-            let loss = f.tape.cross_entropy(scaled, &targets);
-            loss_val = f.tape.value(loss).data()[0];
-            let grads = f.tape.backward(loss);
-            self.store.accumulate(grads.into_param_grads(f.tape));
+            let loss = f.exec.tape.cross_entropy(scaled, &targets);
+            loss_val = f.exec.tape.value(loss).data()[0];
+            let grads = f.exec.tape.backward(loss);
+            self.store.accumulate(grads.into_param_grads(&f.exec.tape));
         }
         self.store.clip_grad_norm(5.0);
         opt.step(&mut self.store);
@@ -191,7 +187,7 @@ impl TrajectoryEncoder for Cstrm {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         self.encode_batch(f, trajs)
     }
 }

@@ -15,7 +15,7 @@ use crate::t2vec::{T2Vec, T2VecConfig};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{Adam, Fwd, ParamStore};
-use trajcl_tensor::{Shape, Tape, Tensor, Var};
+use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
 
 /// E2DTC: t2vec backbone + clustering self-training.
 pub struct E2dtc {
@@ -150,19 +150,19 @@ impl E2dtc {
             let c = nearest(&centers, emb.row(r));
             assigned.data_mut()[r * d..(r + 1) * d].copy_from_slice(&centers[c]);
         }
-        let mut tape = Tape::new();
+        let mut exec = TapeExec::new(rng, true);
         let loss_val;
         let pairs = {
-            let mut f = Fwd::new(&mut tape, self.backbone.store(), rng, true);
+            let mut f = Fwd::new(&mut exec, self.backbone.store());
             let z = self.backbone.encode_on_tape(&mut f, trajs);
-            let target = f.input(assigned);
-            let diff = f.tape.sub(z, target);
-            let sq = f.tape.mul(diff, diff);
-            let mse = f.tape.mean_all(sq);
-            let loss = f.tape.scale(mse, weight);
-            loss_val = f.tape.value(loss).data()[0];
-            let grads = f.tape.backward(loss);
-            grads.into_param_grads(f.tape)
+            let target = f.exec.tape.input(assigned);
+            let diff = f.exec.tape.sub(z, target);
+            let sq = f.exec.tape.mul(diff, diff);
+            let mse = f.exec.tape.mean_all(sq);
+            let loss = f.exec.tape.scale(mse, weight);
+            loss_val = f.exec.tape.value(loss).data()[0];
+            let grads = f.exec.tape.backward(loss);
+            grads.into_param_grads(&f.exec.tape)
         };
         self.backbone.store_mut().accumulate(pairs);
         self.backbone.store_mut().clip_grad_norm(5.0);
@@ -201,7 +201,7 @@ impl TrajectoryEncoder for E2dtc {
         self.backbone.store_mut()
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         self.backbone.encode_on_tape(f, trajs)
     }
 }

@@ -12,7 +12,7 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{run_lstm, Embedding, Fwd, Linear, LstmCell, ParamStore};
-use trajcl_tensor::Var;
+use trajcl_tensor::{TapeExec, Var};
 
 pub use crate::supervised::SupervisedConfig as NeutrajConfig;
 
@@ -72,15 +72,15 @@ impl TrajectoryEncoder for Neutraj {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let (b, l) = (batch.lens.len(), batch.seq_len);
-        let coords = f.input(batch.coords.clone());
-        let coord_emb = self.coord_proj.forward(f, coords);
+        let coords = f.exec.tape.input(batch.coords.clone());
+        let coord_emb = self.coord_proj.forward(f, &coords);
         // Spatial memory read: one gathered vector per point, summed into
         // the coordinate projection.
         let mem = self.memory.forward_seq(f, &batch.cells, b, l);
-        let enriched = f.tape.add(coord_emb, mem);
+        let enriched = f.exec.tape.add(coord_emb, mem);
         let (_, state) = run_lstm(f, &self.lstm, enriched, &batch.lens);
         state
     }

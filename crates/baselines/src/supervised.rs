@@ -11,7 +11,7 @@ use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_measures::HeuristicMeasure;
 use trajcl_nn::{Adam, Fwd};
-use trajcl_tensor::{Shape, Tape, Tensor};
+use trajcl_tensor::{Shape, TapeExec, Tensor};
 
 /// Supervised pair-regression hyper-parameters.
 #[derive(Debug, Clone)]
@@ -82,23 +82,23 @@ pub fn train_pair_regression<E: TrajectoryEncoder>(
                 rights.push(pool[j].clone());
                 labels.push((measure.distance(&pool[i], &pool[j]) / sigma) as f32);
             }
-            let mut tape = Tape::new();
+            let mut exec = TapeExec::new(rng, true);
             let pairs = {
-                let mut f = Fwd::new(&mut tape, model.store(), rng, true);
+                let mut f = Fwd::new(&mut exec, model.store());
                 let ea = model.encode_on_tape(&mut f, &lefts);
                 let eb = model.encode_on_tape(&mut f, &rights);
-                let diff = f.tape.sub(ea, eb);
-                let absd = f.tape.abs_op(diff);
-                let ones = f.input(Tensor::ones(Shape::d2(d, 1)));
-                let l1 = f.tape.matmul(absd, ones, false, false);
-                let target = f.input(Tensor::from_vec(labels, Shape::d2(n, 1)));
-                let err = f.tape.sub(l1, target);
-                let sq = f.tape.mul(err, err);
-                let loss = f.tape.mean_all(sq);
-                total += f.tape.value(loss).data()[0];
+                let diff = f.exec.tape.sub(ea, eb);
+                let absd = f.exec.tape.abs_op(diff);
+                let ones = f.exec.tape.input(Tensor::ones(Shape::d2(d, 1)));
+                let l1 = f.exec.tape.matmul(absd, ones, false, false);
+                let target = f.exec.tape.input(Tensor::from_vec(labels, Shape::d2(n, 1)));
+                let err = f.exec.tape.sub(l1, target);
+                let sq = f.exec.tape.mul(err, err);
+                let loss = f.exec.tape.mean_all(sq);
+                total += f.exec.tape.value(loss).data()[0];
                 steps += 1;
-                let grads = f.tape.backward(loss);
-                grads.into_param_grads(f.tape)
+                let grads = f.exec.tape.backward(loss);
+                grads.into_param_grads(&f.exec.tape)
             };
             model.store_mut().accumulate(pairs);
             model.store_mut().clip_grad_norm(5.0);

@@ -13,7 +13,7 @@ use rand::Rng;
 use trajcl_data::{downsample, point_shift};
 use trajcl_geo::Trajectory;
 use trajcl_nn::{run_gru, Adam, Embedding, Fwd, GruCell, Linear, ParamStore};
-use trajcl_tensor::{Shape, Tape, Var};
+use trajcl_tensor::{Shape, TapeExec, Var};
 
 /// t2vec model: token embedding + encoder/decoder GRUs.
 pub struct T2Vec {
@@ -81,7 +81,7 @@ impl T2Vec {
         &self.featurizer
     }
 
-    fn embed_tokens(&self, f: &mut Fwd, batch: &TokenBatch) -> Var {
+    fn embed_tokens(&self, f: &mut Fwd<TapeExec>, batch: &TokenBatch) -> Var {
         self.cell_emb
             .forward_seq(f, &batch.cells, batch.lens.len(), batch.seq_len)
     }
@@ -127,10 +127,10 @@ impl T2Vec {
             }
             negatives.push(cand_ids);
         }
-        let mut tape = Tape::new();
+        let mut exec = TapeExec::new(rng, true);
         let loss_val;
         {
-            let mut f = Fwd::new(&mut tape, &self.store, rng, true);
+            let mut f = Fwd::new(&mut exec, &self.store);
             let src_emb = self.embed_tokens(&mut f, &src);
             let (_, state) = run_gru(&mut f, &self.encoder, src_emb, &src.lens);
 
@@ -142,31 +142,32 @@ impl T2Vec {
             // long teacher-forced chains dominate runtime without changing
             // the learned encoder much.
             for (t, cand_ids) in negatives.iter().enumerate() {
-                let x_t = f.tape.select_time(dst_emb, t);
+                let x_t = f.exec.tape.select_time(dst_emb, t);
                 h = self.decoder.step(&mut f, x_t, h);
-                let logits_src = self.out_proj.forward(&mut f, h); // (B, dim)
+                let logits_src = self.out_proj.forward(&mut f, &h); // (B, dim)
 
                 // Sampled softmax: score = h · E[cell] for candidates
                 // {true, negatives...}; cross-entropy with target index 0.
-                let table = f.p(self.cell_emb_table_id());
-                let cand = f.tape.embedding(table, cand_ids); // (B*(k+1), dim)
+                let table = f.exec.bind(f.p(self.cell_emb_table_id()));
+                let cand = f.exec.tape.embedding(table, cand_ids); // (B*(k+1), dim)
                 let cand3 = f
+                    .exec
                     .tape
                     .reshape(cand, Shape::d3(b, cfg.neg_cells + 1, self.dim));
-                let h3 = f.tape.reshape(logits_src, Shape::d3(b, 1, self.dim));
-                let scores = f.tape.matmul(h3, cand3, false, true); // (B, 1, k+1)
-                let scores2 = f.tape.reshape(scores, Shape::d2(b, cfg.neg_cells + 1));
+                let h3 = f.exec.tape.reshape(logits_src, Shape::d3(b, 1, self.dim));
+                let scores = f.exec.tape.matmul(h3, cand3, false, true); // (B, 1, k+1)
+                let scores2 = f.exec.tape.reshape(scores, Shape::d2(b, cfg.neg_cells + 1));
                 let targets = vec![0usize; b];
-                step_losses.push(f.tape.cross_entropy(scores2, &targets));
+                step_losses.push(f.exec.tape.cross_entropy(scores2, &targets));
             }
             let total = step_losses
                 .iter()
                 .skip(1)
-                .fold(step_losses[0], |acc, &l| f.tape.add(acc, l));
-            let loss = f.tape.scale(total, 1.0 / step_losses.len() as f32);
-            loss_val = f.tape.value(loss).data()[0];
-            let grads = f.tape.backward(loss);
-            self.store.accumulate(grads.into_param_grads(f.tape));
+                .fold(step_losses[0], |acc, &l| f.exec.tape.add(acc, l));
+            let loss = f.exec.tape.scale(total, 1.0 / step_losses.len() as f32);
+            loss_val = f.exec.tape.value(loss).data()[0];
+            let grads = f.exec.tape.backward(loss);
+            self.store.accumulate(grads.into_param_grads(&f.exec.tape));
         }
         self.store.clip_grad_norm(5.0);
         opt.step(&mut self.store);
@@ -224,7 +225,7 @@ impl TrajectoryEncoder for T2Vec {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let emb = self.embed_tokens(f, &batch);
         let (_, state) = run_gru(f, &self.encoder, emb, &batch.lens);

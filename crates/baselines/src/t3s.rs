@@ -8,11 +8,11 @@
 use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
-use trajcl_nn::attention::{add_positional, attention_mask_bias, sinusoidal_pe};
+use trajcl_nn::attention::sinusoidal_pe;
 use trajcl_nn::{
     run_lstm, Adam, Embedding, Fwd, Linear, LstmCell, ParamStore, TransformerEncoderLayer,
 };
-use trajcl_tensor::{Tensor, Var};
+use trajcl_tensor::{Exec, TapeExec, Tensor, Var};
 
 pub use crate::supervised::SupervisedConfig as T3sConfig;
 
@@ -26,7 +26,6 @@ pub struct T3s {
     lambda: trajcl_nn::ParamId,
     featurizer: TokenFeaturizer,
     dim: usize,
-    heads: usize,
 }
 
 impl T3s {
@@ -48,7 +47,6 @@ impl T3s {
             lambda,
             featurizer,
             dim,
-            heads,
         }
     }
 
@@ -86,26 +84,25 @@ impl TrajectoryEncoder for T3s {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let (b, l) = (batch.lens.len(), batch.seq_len);
         // Attention view over cell tokens.
         let emb = self.cell_emb.forward_seq(f, &batch.cells, b, l);
         let pe = sinusoidal_pe(l, self.dim);
-        let x = add_positional(f, emb, &pe);
-        let mask = f.input(attention_mask_bias(&batch.lens, l, self.heads));
-        let (attended, _) = self.attn.forward(f, x, Some(mask));
-        let attn_pooled = f.tape.mean_pool_masked(attended, &batch.lens);
+        let x = f.exec.add_positional(emb, &pe);
+        let (attended, _) = self.attn.forward(f, &x, &batch.lens, false);
+        let attn_pooled = f.exec.tape.mean_pool_masked(attended, &batch.lens);
         // LSTM view over raw coordinates.
-        let coords = f.input(batch.coords.clone());
-        let coord_emb = self.coord_proj.forward(f, coords);
+        let coords = f.exec.tape.input(batch.coords.clone());
+        let coord_emb = self.coord_proj.forward(f, &coords);
         let (_, lstm_state) = run_lstm(f, &self.lstm, coord_emb, &batch.lens);
         // Blend: λ·attention + (1-λ)·LSTM.
-        let lam = f.p(self.lambda);
-        let a_part = f.tape.mul_scalar_var(attn_pooled, lam);
-        let l_scaled = f.tape.mul_scalar_var(lstm_state, lam);
-        let l_part = f.tape.sub(lstm_state, l_scaled); // (1-λ)·state
-        f.tape.add(a_part, l_part)
+        let lam = f.exec.bind(f.p(self.lambda));
+        let a_part = f.exec.tape.mul_scalar_var(attn_pooled, lam);
+        let l_scaled = f.exec.tape.mul_scalar_var(lstm_state, lam);
+        let l_part = f.exec.tape.sub(lstm_state, l_scaled); // (1-λ)·state
+        f.exec.tape.add(a_part, l_part)
     }
 }
 

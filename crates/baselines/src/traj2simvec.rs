@@ -11,7 +11,7 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{run_lstm, Fwd, Linear, LstmCell, ParamStore};
-use trajcl_tensor::Var;
+use trajcl_tensor::{TapeExec, Var};
 
 pub use crate::supervised::SupervisedConfig as Traj2SimVecConfig;
 
@@ -68,10 +68,10 @@ impl TrajectoryEncoder for Traj2SimVec {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
-        let coords = f.input(batch.coords.clone());
-        let emb = self.coord_proj.forward(f, coords);
+        let coords = f.exec.tape.input(batch.coords.clone());
+        let emb = self.coord_proj.forward(f, &coords);
         let (_, state) = run_lstm(f, &self.lstm, emb, &batch.lens);
         state
     }

@@ -14,9 +14,10 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_graph::{node2vec_cell_embeddings, SgnsConfig, WalkConfig};
-use trajcl_nn::attention::{add_positional, attention_mask_bias, sinusoidal_pe, MASK_NEG};
+use trajcl_nn::attention::{project_heads, sinusoidal_pe};
 use trajcl_nn::{Embedding, Fwd, ParamStore, TransformerEncoderLayer};
-use trajcl_tensor::{Tensor, Var};
+use trajcl_tensor::exec::{attention_mask_bias, MASK_NEG};
+use trajcl_tensor::{Exec, TapeExec, Tensor, Var};
 
 pub use crate::supervised::SupervisedConfig as TrajGatConfig;
 
@@ -137,27 +138,49 @@ impl TrajectoryEncoder for TrajGat {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let (b, l) = (batch.lens.len(), batch.seq_len);
         let emb = self.cell_emb.forward_seq(f, &batch.cells, b, l);
         let pe = sinusoidal_pe(l, self.dim);
-        let mut x = add_positional(f, emb, &pe);
+        let mut x = f.exec.add_positional(emb, &pe);
         // Padding mask + learnable-scaled adjacency bonus.
         let raw_bias = self.graph_bias(&batch.cells, &batch.lens, l);
         let mask_only = raw_bias.map(|v| if v <= MASK_NEG / 2.0 { v } else { 0.0 });
         let adj_only = raw_bias.map(|v| if v > MASK_NEG / 2.0 { v } else { 0.0 });
-        let mask_var = f.input(mask_only);
-        let adj_var = f.input(adj_only);
-        let w = f.p(self.adj_weight);
-        let scaled_adj = f.tape.mul_scalar_var(adj_var, w);
-        let bias = f.tape.add(mask_var, scaled_adj);
+        let mask_var = f.exec.tape.input(mask_only);
+        let adj_var = f.exec.tape.input(adj_only);
+        let w = f.exec.bind(f.p(self.adj_weight));
+        let scaled_adj = f.exec.tape.mul_scalar_var(adj_var, w);
+        let bias = f.exec.tape.add(mask_var, scaled_adj);
         for layer in &self.layers {
-            let (xn, _) = layer.forward(f, x, Some(bias));
-            x = xn;
+            x = biased_layer(f, layer, x, bias);
         }
-        f.tape.mean_pool_masked(x, &batch.lens)
+        f.exec.tape.mean_pool_masked(x, &batch.lens)
     }
+}
+
+/// One encoder layer whose attention scores carry the learned pre-softmax
+/// `bias` (padding mask + scaled adjacency). No other model feeds attention
+/// an arbitrary bias tensor, so it is composed here from tape primitives
+/// instead of widening the shared attention op for one tape-only caller.
+fn biased_layer(f: &mut Fwd<TapeExec>, layer: &TransformerEncoderLayer, x: Var, bias: Var) -> Var {
+    let heads = layer.attn.heads;
+    let [wq, wk, wv, wo] = layer.attn.params();
+    let q = project_heads(f, &x, wq, heads);
+    let k = project_heads(f, &x, wk, heads);
+    let v = project_heads(f, &x, wv, heads);
+    let wo = f.exec.bind(f.p(wo));
+    let tape = &mut f.exec.tape;
+    let dh = tape.shape(q).last();
+    let scores = tape.matmul(q, k, false, true);
+    let scaled = tape.scale(scores, 1.0 / (dh as f32).sqrt());
+    let biased = tape.add(scaled, bias);
+    let attn = tape.softmax(biased);
+    let ctx = tape.matmul(attn, v, false, false);
+    let merged = tape.merge_heads(ctx, heads);
+    let out = tape.matmul(merged, wo, false, false);
+    layer.post.forward(f, &x, out)
 }
 
 #[cfg(test)]

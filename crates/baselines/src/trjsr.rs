@@ -14,7 +14,7 @@ use rand::Rng;
 use trajcl_data::downsample;
 use trajcl_geo::{Bbox, Trajectory};
 use trajcl_nn::{Adam, Conv2d, Fwd, Linear, ParamStore};
-use trajcl_tensor::{Shape, Tape, Tensor, Var};
+use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
 
 /// Rasterises trajectories into single-channel `res × res` images over a
 /// fixed region.
@@ -145,14 +145,14 @@ impl TrjSr {
         &self.raster
     }
 
-    fn features(&self, f: &mut Fwd, images: Tensor) -> Var {
-        let x = f.input(images);
+    fn features(&self, f: &mut Fwd<TapeExec>, images: Tensor) -> Var {
+        let x = f.exec.tape.input(images);
         let c1 = self.conv1.forward(f, x);
-        let c1 = f.tape.relu(c1);
+        let c1 = f.exec.tape.relu(c1);
         let c2 = self.conv2.forward(f, c1);
-        let c2 = f.tape.relu(c2);
+        let c2 = f.exec.tape.relu(c2);
         let c3 = self.conv3.forward(f, c2);
-        f.tape.relu(c3)
+        f.exec.tape.relu(c3)
     }
 
     /// One SR-style training step; returns the reconstruction MSE.
@@ -169,19 +169,19 @@ impl TrjSr {
             .collect();
         let input = self.raster.render_batch(&degraded);
         let target = self.raster.render_batch(trajs);
-        let mut tape = Tape::new();
+        let mut exec = TapeExec::new(rng, true);
         let loss_val;
         {
-            let mut f = Fwd::new(&mut tape, &self.store, rng, true);
+            let mut f = Fwd::new(&mut exec, &self.store);
             let feats = self.features(&mut f, input);
             let pred = self.recon.forward(&mut f, feats);
-            let tgt = f.input(target);
-            let diff = f.tape.sub(pred, tgt);
-            let sq = f.tape.mul(diff, diff);
-            let loss = f.tape.mean_all(sq);
-            loss_val = f.tape.value(loss).data()[0];
-            let grads = f.tape.backward(loss);
-            self.store.accumulate(grads.into_param_grads(f.tape));
+            let tgt = f.exec.tape.input(target);
+            let diff = f.exec.tape.sub(pred, tgt);
+            let sq = f.exec.tape.mul(diff, diff);
+            let loss = f.exec.tape.mean_all(sq);
+            loss_val = f.exec.tape.value(loss).data()[0];
+            let grads = f.exec.tape.backward(loss);
+            self.store.accumulate(grads.into_param_grads(&f.exec.tape));
         }
         self.store.clip_grad_norm(5.0);
         opt.step(&mut self.store);
@@ -234,12 +234,12 @@ impl TrajectoryEncoder for TrjSr {
         16
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd, trajs: &[Trajectory]) -> Var {
+    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
         let images = self.raster.render_batch(trajs);
         let feats = self.features(f, images);
-        let pooled = f.tape.avg_pool2d_global(feats); // (B, ch)
-        debug_assert_eq!(f.tape.shape(pooled).last(), self.channels);
-        self.emb_proj.forward(f, pooled)
+        let pooled = f.exec.tape.avg_pool2d_global(feats); // (B, ch)
+        debug_assert_eq!(f.exec.tape.shape(pooled).last(), self.channels);
+        self.emb_proj.forward(f, &pooled)
     }
 }
 

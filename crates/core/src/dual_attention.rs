@@ -7,33 +7,25 @@
 //! 2. the **structural branch** computes its own attention coefficients
 //!    `A_t` from the structural features (Eq. 12);
 //! 3. the two are fused per head with the learnable weight γ:
-//!    `C_ts = (A_t + γ·A_s)·V_t` (Eq. 15), concatenated across heads and
-//!    linearly transformed;
+//!    `C_ts = (A_t + γ·A_s)·V_t` (Eq. 15, one [`Exec::attention`] op),
+//!    concatenated across heads and linearly transformed;
 //! 4. the result goes through the residual + layer-norm + MLP post-block of
 //!    Eqs. 10–11.
 
 use rand::Rng;
-use trajcl_nn::attention::{
-    infer_project_heads, project_heads, scaled_scores, TransformerEncoderLayer,
-};
-use trajcl_nn::{Fwd, InferFwd, LayerNorm, Mlp, ParamId, ParamStore};
-use trajcl_tensor::{InferCtx, Tensor, Var};
+use trajcl_nn::attention::{MultiHeadSelfAttention, PostBlock, TransformerEncoderLayer};
+use trajcl_nn::{Fwd, ParamId, ParamStore};
+use trajcl_tensor::{Exec, Tensor};
 
 /// One DualSTB encoder layer built around DualMSM.
 #[derive(Debug, Clone)]
 pub struct DualMsmLayer {
-    wq_t: ParamId,
-    wk_t: ParamId,
-    wv_t: ParamId,
-    wo_t: ParamId,
+    /// The structural attention (`wq_t`, `wk_t`, `wv_t`, `wo_t`).
+    structural: MultiHeadSelfAttention,
     /// The learnable fusion weight γ of Eq. 15.
     pub gamma: ParamId,
     spatial: TransformerEncoderLayer,
-    ln1: LayerNorm,
-    mlp: Mlp,
-    ln2: LayerNorm,
-    dropout: f32,
-    heads: usize,
+    post: PostBlock,
 }
 
 impl DualMsmLayer {
@@ -48,133 +40,59 @@ impl DualMsmLayer {
         dropout: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        assert_eq!(dim % heads, 0, "dim {dim} not divisible by heads {heads}");
-        let mut w = |suffix: &str, rng: &mut dyn rand::RngCore| {
-            store.add(
-                format!("{name}.{suffix}"),
-                trajcl_nn::init::xavier_uniform(dim, dim, &mut &mut *rng),
-            )
-        };
-        let wq_t = w("wq_t", rng);
-        let wk_t = w("wk_t", rng);
-        let wv_t = w("wv_t", rng);
-        let wo_t = w("wo_t", rng);
+        let suffixes = ["wq_t", "wk_t", "wv_t", "wo_t"];
+        let structural =
+            MultiHeadSelfAttention::with_suffixes(store, name, suffixes, dim, heads, rng);
         // γ starts at 1 so both attention families contribute from step one.
         let gamma = store.add(format!("{name}.gamma"), Tensor::scalar(1.0));
+        let spatial = format!("{name}.spatial");
+        let spatial =
+            TransformerEncoderLayer::new(store, &spatial, dim, heads, ffn_hidden, dropout, rng);
         DualMsmLayer {
-            wq_t,
-            wk_t,
-            wv_t,
-            wo_t,
+            structural,
             gamma,
-            spatial: TransformerEncoderLayer::new(
-                store,
-                &format!("{name}.spatial"),
-                dim,
-                heads,
-                ffn_hidden,
-                dropout,
-                rng,
-            ),
-            ln1: LayerNorm::new(store, &format!("{name}.ln1"), dim),
-            mlp: Mlp::new(
-                store,
-                &format!("{name}.mlp"),
-                dim,
-                ffn_hidden,
-                dim,
-                dropout,
-                rng,
-            ),
-            ln2: LayerNorm::new(store, &format!("{name}.ln2"), dim),
-            dropout,
-            heads,
+            spatial,
+            post: PostBlock::new(store, name, dim, ffn_hidden, dropout, rng),
         }
     }
 
     /// Applies the layer to structural states `t` and spatial states `s`
-    /// (both `(B, L, dim)`); returns the updated pair.
-    pub fn forward(&self, f: &mut Fwd, t: Var, s: Var, mask: Option<Var>) -> (Var, Var) {
-        // Spatial branch: vanilla encoder sub-layer; its attention matrix is
-        // the A_s of the (stacked) spatial MSM.
-        let (s_out, a_s) = self.spatial.forward(f, s, mask);
-
-        // Structural attention A_t (Eq. 12).
-        let q = project_heads(f, t, self.wq_t, self.heads);
-        let k = project_heads(f, t, self.wk_t, self.heads);
-        let v = project_heads(f, t, self.wv_t, self.heads);
-        let a_t = scaled_scores(f, q, k, mask);
-
-        // Fusion: C_ts = (A_t + γ A_s) V_t per head (Eq. 15).
-        let gamma = f.p(self.gamma);
-        let gated = f.tape.mul_scalar_var(a_s, gamma);
-        let combined = f.tape.add(a_t, gated);
-        let ctx = f.tape.matmul(combined, v, false, false);
-        let merged = f.tape.merge_heads(ctx, self.heads);
-        let wo = f.p(self.wo_t);
-        let cts = f.tape.matmul(merged, wo, false, false);
-
-        // Post-block (Eqs. 10–11).
-        let cts = f.dropout(cts, self.dropout);
-        let res = f.tape.add(t, cts);
-        let h = self.ln1.forward(f, res);
-        let m = self.mlp.forward(f, h);
-        let m = f.dropout(m, self.dropout);
-        let res2 = f.tape.add(h, m);
-        let t_out = self.ln2.forward(f, res2);
-        (t_out, s_out)
-    }
-
-    /// Tape-free forward (dropout elided), mirroring [`DualMsmLayer::forward`]
-    /// with lengths in place of an additive mask tensor. The γ-fusion
-    /// `A_t + γ·A_s` is computed in place on the structural coefficients,
-    /// never materialising the scaled copy.
+    /// (both `(B, L, dim)`, valid lengths `lens`); returns the updated
+    /// pair.
     ///
     /// When `need_spatial_out` is false (the encoder's last layer, whose
     /// spatial output feeds nothing — only `A_s` enters the fusion, Eq.
     /// 15), the spatial branch computes just its attention coefficients
     /// and the whole spatial value path (V/output projections, residual
     /// MLP block) is skipped; `None` is returned in its place.
-    pub fn infer_forward(
+    pub fn forward<E: Exec>(
         &self,
-        f: &mut InferFwd,
-        t: &Tensor,
-        s: &Tensor,
+        f: &mut Fwd<E>,
+        t: &E::Act,
+        s: &E::Act,
         lens: &[usize],
         need_spatial_out: bool,
-    ) -> (Tensor, Option<Tensor>) {
-        // Spatial branch (coefficients A_s are needed for the fusion).
+    ) -> (E::Act, Option<E::Act>) {
+        // Spatial branch: vanilla encoder sub-layer; its attention matrix is
+        // the A_s of the (stacked) spatial MSM.
         let (s_out, a_s) = if need_spatial_out {
-            let (s_out, a_s) = self.spatial.infer_forward(f, s, lens, true);
+            let (s_out, a_s) = self.spatial.forward(f, s, lens, true);
             (
                 Some(s_out),
                 a_s.expect("spatial branch computes coefficients"),
             )
         } else {
-            (None, self.spatial.attn.infer_attention_probs(f, s, lens))
+            (None, self.spatial.attn.attention_probs(f, s, lens))
         };
 
-        // Structural attention A_t fused with γ·A_s and the value multiply
-        // in one kernel pass (Eq. 12 + Eq. 15) — A_t is never materialised.
-        let q = infer_project_heads(f, t, self.wq_t, self.heads);
-        let k = infer_project_heads(f, t, self.wk_t, self.heads);
-        let v = infer_project_heads(f, t, self.wv_t, self.heads);
-        let gamma = f.p(self.gamma).data()[0];
-        let ctx_heads = f.ctx.fused_attention_bias(&q, &k, &v, &a_s, gamma, lens);
-        let merged = f.ctx.merge_heads(&ctx_heads, self.heads);
-        let mut h = f.ctx.matmul(&merged, f.p(self.wo_t), false, false);
-        for tmp in [a_s, q, k, v, ctx_heads, merged] {
-            f.ctx.recycle(tmp);
-        }
+        // Structural attention A_t (Eq. 12), its fusion with γ·A_s and the
+        // value multiply, C_ts = (A_t + γ A_s) V_t per head (Eq. 15), as
+        // one executor op — serving never materialises A_t.
+        let cts = self.structural.fused(f, t, lens, Some((&a_s, self.gamma)));
+        f.exec.release(a_s);
 
         // Post-block (Eqs. 10–11).
-        InferCtx::add_inplace(&mut h, t);
-        self.ln1.infer_forward_inplace(f, &mut h);
-        let mut t_out = self.mlp.infer_forward(f, &h);
-        InferCtx::add_inplace(&mut t_out, &h);
-        self.ln2.infer_forward_inplace(f, &mut t_out);
-        f.ctx.recycle(h);
-        (t_out, s_out)
+        (self.post.forward(f, t, cts), s_out)
     }
 }
 
@@ -182,8 +100,7 @@ impl DualMsmLayer {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use trajcl_nn::attention::attention_mask_bias;
-    use trajcl_tensor::{Shape, Tape};
+    use trajcl_tensor::{Shape, TapeExec};
 
     fn layer_and_store(dim: usize, heads: usize) -> (DualMsmLayer, ParamStore, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -192,71 +109,73 @@ mod tests {
         (layer, store, rng)
     }
 
+    fn randn(shape: Shape, seed: u64) -> Tensor {
+        Tensor::randn(shape, 0.0, 1.0, &mut StdRng::seed_from_u64(seed))
+    }
+
     #[test]
     fn forward_shapes() {
         let (layer, store, mut rng) = layer_and_store(8, 2);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
-        let t = f.input(Tensor::randn(
-            Shape::d3(2, 5, 8),
-            0.0,
-            1.0,
-            &mut StdRng::seed_from_u64(1),
-        ));
-        let s = f.input(Tensor::randn(
-            Shape::d3(2, 5, 8),
-            0.0,
-            1.0,
-            &mut StdRng::seed_from_u64(2),
-        ));
-        let (t2, s2) = layer.forward(&mut f, t, s, None);
-        assert_eq!(tape.shape(t2), Shape::d3(2, 5, 8));
-        assert_eq!(tape.shape(s2), Shape::d3(2, 5, 8));
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let t = f.exec.tape.input(randn(Shape::d3(2, 5, 8), 1));
+        let s = f.exec.tape.input(randn(Shape::d3(2, 5, 8), 2));
+        let (t2, s2) = layer.forward(&mut f, &t, &s, &[5, 5], true);
+        assert_eq!(exec.tape.shape(t2), Shape::d3(2, 5, 8));
+        assert_eq!(exec.tape.shape(s2.expect("asked for")), Shape::d3(2, 5, 8));
     }
 
     #[test]
     fn gamma_receives_gradient() {
         let (layer, mut store, mut rng) = layer_and_store(8, 2);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, true);
-        let t = f.input(Tensor::randn(
-            Shape::d3(2, 4, 8),
-            0.0,
-            1.0,
-            &mut StdRng::seed_from_u64(3),
-        ));
-        let s = f.input(Tensor::randn(
-            Shape::d3(2, 4, 8),
-            0.0,
-            1.0,
-            &mut StdRng::seed_from_u64(4),
-        ));
-        let (t2, _) = layer.forward(&mut f, t, s, None);
-        let loss = tape.mean_all(t2);
-        let grads = tape.backward(loss);
-        store.accumulate(grads.into_param_grads(&tape));
+        let mut exec = TapeExec::new(&mut rng, true);
+        let mut f = Fwd::new(&mut exec, &store);
+        let t = f.exec.tape.input(randn(Shape::d3(2, 4, 8), 3));
+        let s = f.exec.tape.input(randn(Shape::d3(2, 4, 8), 4));
+        let (t2, _) = layer.forward(&mut f, &t, &s, &[4, 4], true);
+        let loss = exec.tape.mean_all(t2);
+        let grads = exec.tape.backward(loss);
+        store.accumulate(grads.into_param_grads(&exec.tape));
         let g = store.grad(layer.gamma);
         assert!(g.data()[0].abs() > 0.0, "γ must be trained");
+    }
+
+    /// Structural output of the layer on the tape executor.
+    fn run(
+        layer: &DualMsmLayer,
+        store: &ParamStore,
+        (tv, sv): (&Tensor, &Tensor),
+        lens: &[usize],
+        need_spatial_out: bool,
+    ) -> Tensor {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, store);
+        let (t, s) = (f.exec.tape.input(tv.clone()), f.exec.tape.input(sv.clone()));
+        let (t2, _) = layer.forward(&mut f, &t, &s, lens, need_spatial_out);
+        exec.tape.value(t2).clone()
     }
 
     #[test]
     fn spatial_features_change_the_output() {
         // With different spatial inputs (same structural), outputs differ:
         // proof that A_s enters the fusion.
-        let (layer, store, mut rng) = layer_and_store(8, 2);
-        let t_val = Tensor::randn(Shape::d3(1, 4, 8), 0.0, 1.0, &mut StdRng::seed_from_u64(5));
-        let s1 = Tensor::randn(Shape::d3(1, 4, 8), 0.0, 1.0, &mut StdRng::seed_from_u64(6));
-        let s2 = Tensor::randn(Shape::d3(1, 4, 8), 0.0, 1.0, &mut StdRng::seed_from_u64(7));
-        let run = |s_val: &Tensor, rng: &mut StdRng| -> Tensor {
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, &store, rng, false);
-            let t = f.input(t_val.clone());
-            let s = f.input(s_val.clone());
-            let (t2, _) = layer.forward(&mut f, t, s, None);
-            tape.value(t2).clone()
-        };
-        let o1 = run(&s1, &mut rng);
-        let o2 = run(&s2, &mut rng);
+        let (layer, store, _) = layer_and_store(8, 2);
+        let t_val = randn(Shape::d3(1, 4, 8), 5);
+        let o1 = run(
+            &layer,
+            &store,
+            (&t_val, &randn(Shape::d3(1, 4, 8), 6)),
+            &[4],
+            true,
+        );
+        let o2 = run(
+            &layer,
+            &store,
+            (&t_val, &randn(Shape::d3(1, 4, 8), 7)),
+            &[4],
+            true,
+        );
         assert!(
             !o1.approx_eq(&o2, 1e-5),
             "spatial branch must influence output"
@@ -264,12 +183,28 @@ mod tests {
     }
 
     #[test]
+    fn skipping_the_spatial_value_path_leaves_the_structural_output_alone() {
+        let (layer, store, _) = layer_and_store(8, 2);
+        let (tv, sv) = (randn(Shape::d3(2, 4, 8), 10), randn(Shape::d3(2, 4, 8), 11));
+        let lens = [2usize, 4];
+        let full = run(&layer, &store, (&tv, &sv), &lens, true);
+        let elided = run(&layer, &store, (&tv, &sv), &lens, false);
+        assert!(full.approx_eq(&elided, 0.0), "tape executor");
+
+        let mut ctx = trajcl_tensor::InferCtx::new();
+        let mut f = Fwd::new(&mut ctx, &store);
+        let (full, s_out) = layer.forward(&mut f, &tv, &sv, &lens, true);
+        let (elided, none) = layer.forward(&mut f, &tv, &sv, &lens, false);
+        assert!(s_out.is_some() && none.is_none());
+        assert!(full.approx_eq(&elided, 0.0), "serving executor");
+    }
+
+    #[test]
     fn masked_positions_do_not_influence_valid_ones() {
         // Change padding content; valid outputs must stay identical.
-        let (layer, store, mut rng) = layer_and_store(8, 2);
-        let mask = attention_mask_bias(&[2], 4, 2);
-        let base_t = Tensor::randn(Shape::d3(1, 4, 8), 0.0, 1.0, &mut StdRng::seed_from_u64(8));
-        let base_s = Tensor::randn(Shape::d3(1, 4, 8), 0.0, 1.0, &mut StdRng::seed_from_u64(9));
+        let (layer, store, _) = layer_and_store(8, 2);
+        let base_t = randn(Shape::d3(1, 4, 8), 8);
+        let base_s = randn(Shape::d3(1, 4, 8), 9);
         let mut poisoned_t = base_t.clone();
         let mut poisoned_s = base_s.clone();
         for t in 2..4 {
@@ -278,17 +213,8 @@ mod tests {
                 poisoned_s.data_mut()[(t) * 8 + k] = -55.0;
             }
         }
-        let run = |tv: &Tensor, sv: &Tensor, rng: &mut StdRng| -> Tensor {
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, &store, rng, false);
-            let t = f.input(tv.clone());
-            let s = f.input(sv.clone());
-            let m = f.input(mask.clone());
-            let (t2, _) = layer.forward(&mut f, t, s, Some(m));
-            tape.value(t2).clone()
-        };
-        let clean = run(&base_t, &base_s, &mut rng);
-        let dirty = run(&poisoned_t, &poisoned_s, &mut rng);
+        let clean = run(&layer, &store, (&base_t, &base_s), &[2], true);
+        let dirty = run(&layer, &store, (&poisoned_t, &poisoned_s), &[2], true);
         for t in 0..2 {
             for k in 0..8 {
                 let (a, b) = (clean.at3(0, t, k), dirty.at3(0, t, k));

@@ -5,11 +5,9 @@ use crate::dual_attention::DualMsmLayer;
 use crate::featurizer::BatchInputs;
 use rand::Rng;
 use trajcl_geo::SPATIAL_DIM;
-use trajcl_nn::attention::{
-    add_positional, attention_mask_bias, sinusoidal_pe, TransformerEncoderLayer,
-};
-use trajcl_nn::{Fwd, InferFwd, Linear, ParamStore};
-use trajcl_tensor::{InferCtx, Tensor, Var};
+use trajcl_nn::attention::{sinusoidal_pe, TransformerEncoderLayer};
+use trajcl_nn::{Fwd, Linear, ParamStore};
+use trajcl_tensor::Exec;
 
 /// Encoder architecture variant (Fig. 7 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +47,6 @@ pub struct DualStbEncoder {
     dual_layers: Vec<DualMsmLayer>,
     vanilla_layers: Vec<TransformerEncoderLayer>,
     dim: usize,
-    heads: usize,
 }
 
 impl DualStbEncoder {
@@ -109,7 +106,6 @@ impl DualStbEncoder {
             dual_layers,
             vanilla_layers,
             dim,
-            heads,
         }
     }
 
@@ -129,112 +125,58 @@ impl DualStbEncoder {
     }
 
     /// Encodes a featurised batch into `(B, d)` trajectory embeddings
-    /// (average-pooled over valid positions).
-    pub fn forward(&self, f: &mut Fwd, batch: &BatchInputs) -> Var {
-        let l = batch.seq_len();
-        let pe = sinusoidal_pe(l, self.dim);
-        let mask_t = attention_mask_bias(&batch.lens, l, self.heads);
-        let t_raw = f.input(batch.structural.clone());
-        let t0 = add_positional(f, t_raw, &pe);
-        let mask = f.input(mask_t);
-
-        let pooled = match self.variant {
+    /// (average-pooled over valid positions) on executor `E`: a tape to
+    /// train, an [`InferCtx`](trajcl_tensor::InferCtx) to serve.
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, batch: &BatchInputs) -> E::Act {
+        let pe = sinusoidal_pe(batch.seq_len(), self.dim);
+        let lens = &batch.lens;
+        let t = f.exec.input(&batch.structural);
+        let mut t = f.exec.add_positional(t, &pe);
+        match self.variant {
             EncoderVariant::Dual => {
-                let s_raw = f.input(batch.spatial.clone());
-                let s_lift = self.spatial_proj.forward(f, s_raw);
-                let mut s = add_positional(f, s_lift, &pe);
-                let mut t = t0;
-                for layer in &self.dual_layers {
-                    let (tn, sn) = layer.forward(f, t, s, Some(mask));
-                    t = tn;
-                    s = sn;
+                let s = self.lift_spatial(f, batch);
+                let mut s = f.exec.add_positional(s, &pe);
+                // The last layer's spatial output feeds nothing.
+                let last = self.dual_layers.len().saturating_sub(1);
+                for (li, layer) in self.dual_layers.iter().enumerate() {
+                    let (tn, sn) = layer.forward(f, &t, &s, lens, li < last);
+                    f.exec.release(std::mem::replace(&mut t, tn));
+                    if let Some(sn) = sn {
+                        f.exec.release(std::mem::replace(&mut s, sn));
+                    }
                 }
-                t
+                f.exec.release(s);
             }
-            EncoderVariant::VanillaMsm => {
-                let mut x = t0;
-                for layer in &self.vanilla_layers {
-                    let (xn, _) = layer.forward(f, x, Some(mask));
-                    x = xn;
-                }
-                x
-            }
+            EncoderVariant::VanillaMsm => {}
             EncoderVariant::Concat => {
-                let s_raw = f.input(batch.spatial.clone());
-                let s_lift = self.spatial_proj.forward(f, s_raw);
-                let cat = f.tape.concat(&[t0, s_lift]);
+                let s = self.lift_spatial(f, batch);
+                let cat = f.exec.concat(&t, &s);
                 let proj = self
                     .concat_proj
                     .as_ref()
                     .expect("concat variant has a projection")
-                    .forward(f, cat);
-                let mut x = add_positional(f, proj, &pe);
-                for layer in &self.vanilla_layers {
-                    let (xn, _) = layer.forward(f, x, Some(mask));
-                    x = xn;
+                    .forward(f, &cat);
+                for tmp in [std::mem::replace(&mut t, proj), s, cat] {
+                    f.exec.release(tmp);
                 }
-                x
+                t = f.exec.add_positional(t, &pe);
             }
-        };
-        f.tape.mean_pool_masked(pooled, &batch.lens)
+        }
+        for layer in &self.vanilla_layers {
+            let (tn, _) = layer.forward(f, &t, lens, false);
+            f.exec.release(std::mem::replace(&mut t, tn));
+        }
+        let out = f.exec.mean_pool_masked(&t, lens);
+        f.exec.release(t);
+        out
     }
 
-    /// Tape-free forward: the serving-path twin of
-    /// [`DualStbEncoder::forward`]. No autograd bookkeeping, no additive
-    /// mask tensor (lengths are passed straight to the fused attention
-    /// kernels), dropout statically elided, and every intermediate drawn
-    /// from the [`InferCtx`] scratch arena.
-    pub fn infer_forward(&self, f: &mut InferFwd, batch: &BatchInputs) -> Tensor {
-        let l = batch.seq_len();
-        let pe = sinusoidal_pe(l, self.dim);
-        let lens = &batch.lens;
-        let mut t = f.ctx.alloc_copy(&batch.structural);
-        InferCtx::add_pe_inplace(&mut t, &pe);
-
-        let pooled = match self.variant {
-            EncoderVariant::Dual => {
-                let mut s = self.spatial_proj.infer_forward(f, &batch.spatial);
-                InferCtx::add_pe_inplace(&mut s, &pe);
-                let last = self.dual_layers.len().saturating_sub(1);
-                for (li, layer) in self.dual_layers.iter().enumerate() {
-                    let (tn, sn) = layer.infer_forward(f, &t, &s, lens, li < last);
-                    f.ctx.recycle(std::mem::replace(&mut t, tn));
-                    if let Some(sn) = sn {
-                        f.ctx.recycle(std::mem::replace(&mut s, sn));
-                    }
-                }
-                f.ctx.recycle(s);
-                t
-            }
-            EncoderVariant::VanillaMsm => {
-                for layer in &self.vanilla_layers {
-                    let (tn, _) = layer.infer_forward(f, &t, lens, false);
-                    f.ctx.recycle(std::mem::replace(&mut t, tn));
-                }
-                t
-            }
-            EncoderVariant::Concat => {
-                let s_lift = self.spatial_proj.infer_forward(f, &batch.spatial);
-                let cat = f.ctx.concat2(&t, &s_lift);
-                let mut x = self
-                    .concat_proj
-                    .as_ref()
-                    .expect("concat variant has a projection")
-                    .infer_forward(f, &cat);
-                InferCtx::add_pe_inplace(&mut x, &pe);
-                for tmp in [t, s_lift, cat] {
-                    f.ctx.recycle(tmp);
-                }
-                for layer in &self.vanilla_layers {
-                    let (xn, _) = layer.infer_forward(f, &x, lens, false);
-                    f.ctx.recycle(std::mem::replace(&mut x, xn));
-                }
-                x
-            }
-        };
-        let out = f.ctx.mean_pool_masked(&pooled, lens);
-        f.ctx.recycle(pooled);
-        out
+    /// The spatial four-tuples lifted to the model width.
+    fn lift_spatial<E: Exec>(&self, f: &mut Fwd<E>, batch: &BatchInputs) -> E::Act {
+        let s_raw = f.exec.input(&batch.spatial);
+        let s = self.spatial_proj.forward(f, &s_raw);
+        f.exec.release(s_raw);
+        s
     }
 }
 
@@ -244,7 +186,7 @@ mod tests {
     use crate::featurizer::Featurizer;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
-    use trajcl_tensor::{Shape, Tape, Tensor};
+    use trajcl_tensor::{Shape, TapeExec, Tensor};
 
     fn setup(variant: EncoderVariant) -> (DualStbEncoder, ParamStore, Featurizer, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -274,16 +216,16 @@ mod tests {
             let batch = feat
                 .featurize(&[traj(5, 100.0), traj(9, 700.0)])
                 .expect("featurize");
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
+            let mut exec = TapeExec::new(&mut rng, false);
+            let mut f = Fwd::new(&mut exec, &store);
             let h = enc.forward(&mut f, &batch);
             assert_eq!(
-                tape.shape(h),
+                exec.tape.shape(h),
                 Shape::d2(2, 16),
                 "variant {}",
                 variant.name()
             );
-            assert!(tape.value(h).all_finite());
+            assert!(exec.tape.value(h).all_finite());
         }
     }
 
@@ -297,10 +239,10 @@ mod tests {
         let solo = feat.featurize(std::slice::from_ref(&a)).expect("featurize");
         let padded = feat.featurize(&[a.clone(), long]).expect("featurize");
         let embed = |batch: &crate::featurizer::BatchInputs, rng: &mut StdRng| -> Vec<f32> {
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, &store, rng, false);
+            let mut exec = TapeExec::new(rng, false);
+            let mut f = Fwd::new(&mut exec, &store);
             let h = enc.forward(&mut f, batch);
-            tape.value(h).row(0).to_vec()
+            exec.tape.value(h).row(0).to_vec()
         };
         let e1 = embed(&solo, &mut rng);
         let e2 = embed(&padded, &mut rng);
@@ -318,12 +260,12 @@ mod tests {
         let batch = feat
             .featurize(&[traj(6, 300.0), traj(7, 600.0)])
             .expect("featurize");
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, true);
+        let mut exec = TapeExec::new(&mut rng, true);
+        let mut f = Fwd::new(&mut exec, &store);
         let h = enc.forward(&mut f, &batch);
-        let loss = tape.mean_all(h);
-        let grads = tape.backward(loss);
-        store.accumulate(grads.into_param_grads(&tape));
+        let loss = exec.tape.mean_all(h);
+        let grads = exec.tape.backward(loss);
+        store.accumulate(grads.into_param_grads(&exec.tape));
         // The LAST layer's spatial value path (wv/wo/ln/mlp) is
         // architecturally unused: only its attention coefficients A_s feed
         // the fusion (Eq. 15), and its s-output goes nowhere. Everything
@@ -355,10 +297,10 @@ mod tests {
         let batch = feat
             .featurize(&[traj(8, 100.0), traj(8, 900.0)])
             .expect("featurize");
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
         let h = enc.forward(&mut f, &batch);
-        let v = tape.value(h);
+        let v = exec.tape.value(h);
         let d: f32 = (0..16).map(|k| (v.at2(0, k) - v.at2(1, k)).abs()).sum();
         assert!(d > 1e-3, "distinct trajectories collapsed to one embedding");
     }

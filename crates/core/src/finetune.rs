@@ -12,13 +12,13 @@
 //! `ŝ = exp(-‖g(h_a) − g(h_b)‖₁)`, so ranking by predicted similarity is
 //! ranking by L1 distance in the refined embedding space.
 
-use crate::featurizer::Featurizer;
-use crate::model::TrajClModel;
+use crate::featurizer::{BatchInputs, Featurizer};
+use crate::model::{embed_chunks, TrajClModel};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_measures::HeuristicMeasure;
-use trajcl_nn::{Adam, Fwd, InferFwd, Mlp, ParamStore};
-use trajcl_tensor::{InferCtx, Shape, Tape, Tensor};
+use trajcl_nn::{Adam, Fwd, Mlp, ParamStore};
+use trajcl_tensor::{Exec, InferCtx, Shape, TapeExec, Tensor};
 
 /// Which encoder parameters stay trainable during fine-tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,24 +70,14 @@ pub struct FinetunedEstimator {
 
 impl FinetunedEstimator {
     /// Refined embeddings `g(h)` for a set of trajectories `(N, d)`,
-    /// computed through the tape-free serving path.
+    /// computed on a fresh serving executor.
     pub fn embed(&self, featurizer: &Featurizer, trajs: &[Trajectory]) -> Tensor {
-        self.embed_chunked(featurizer, trajs, self.model.cfg.batch_size)
+        let batch = self.model.cfg.batch_size;
+        self.embed_chunked_with(&mut InferCtx::new(), featurizer, trajs, batch)
     }
 
-    /// Like [`FinetunedEstimator::embed`] with an explicit chunk size.
-    pub fn embed_chunked(
-        &self,
-        featurizer: &Featurizer,
-        trajs: &[Trajectory],
-        batch: usize,
-    ) -> Tensor {
-        let mut ctx = InferCtx::new();
-        self.embed_chunked_with(&mut ctx, featurizer, trajs, batch)
-    }
-
-    /// Like [`FinetunedEstimator::embed_chunked`] but reusing a
-    /// caller-owned [`InferCtx`] (scratch buffers persist across calls).
+    /// Like [`FinetunedEstimator::embed`] with an explicit chunk size and
+    /// a caller-owned [`InferCtx`] (scratch buffers persist across calls).
     pub fn embed_chunked_with(
         &self,
         ctx: &mut InferCtx,
@@ -96,19 +86,10 @@ impl FinetunedEstimator {
         batch: usize,
     ) -> Tensor {
         let d = self.model.cfg.dim;
-        let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-        let mut row = 0usize;
-        for chunk in trajs.chunks(batch.max(1)) {
-            let inputs = featurizer.featurize(chunk).expect("embed: non-empty chunk");
-            let mut f = InferFwd::new(ctx, &self.store);
-            let h = self.model.encoder.infer_forward(&mut f, &inputs);
-            let g = self.head.infer_forward(&mut f, &h);
-            out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(g.data());
-            ctx.recycle(h);
-            ctx.recycle(g);
-            row += chunk.len();
-        }
-        out
+        embed_chunks(ctx, featurizer, trajs, batch, d, |ctx, inputs| {
+            let mut f = Fwd::new(ctx, &self.store);
+            refined(&self.model, &self.head, &mut f, inputs)
+        })
     }
 
     /// Predicted similarity for one refined-embedding pair (monotone in
@@ -196,32 +177,27 @@ pub fn finetune(
                 .featurize(&rights)
                 .expect("sampled pairs are non-empty");
 
-            let mut tape = Tape::new();
+            let mut exec = TapeExec::new(rng, true);
             {
-                let mut f = Fwd::new(&mut tape, &store, rng, true);
-                let ha = {
-                    let h = pretrained.model_forward_h(&mut f, &lb);
-                    head.forward(&mut f, h)
-                };
-                let hb = {
-                    let h = pretrained.model_forward_h(&mut f, &rb);
-                    head.forward(&mut f, h)
-                };
+                let mut f = Fwd::new(&mut exec, &store);
+                let ha = refined(pretrained, &head, &mut f, &lb);
+                let hb = refined(pretrained, &head, &mut f, &rb);
                 // Regress in log-similarity space: ŝ = exp(-‖ga-gb‖₁) and
                 // s = exp(-d/σ) are matched by regressing the L1 embedding
                 // distance against the σ-normalised heuristic distance,
                 // which avoids needing an exp op on the tape and weights
                 // near and far pairs evenly in distance space.
-                let diff = f.tape.sub(ha, hb);
-                let absd = f.tape.abs_op(diff);
-                let ones = f.input(Tensor::ones(Shape::d2(d, 1)));
-                let l1 = f.tape.matmul(absd, ones, false, false); // (B,1)
-                let target = f.input(Tensor::from_vec(labels.clone(), Shape::d2(n_pairs, 1)));
-                let err = f.tape.sub(l1, target);
-                let sq = f.tape.mul(err, err);
-                let loss = f.tape.mean_all(sq);
-                let grads = f.tape.backward(loss);
-                store.accumulate(grads.into_param_grads(f.tape));
+                let tape = &mut exec.tape;
+                let diff = tape.sub(ha, hb);
+                let absd = tape.abs_op(diff);
+                let ones = tape.input(Tensor::ones(Shape::d2(d, 1)));
+                let l1 = tape.matmul(absd, ones, false, false); // (B,1)
+                let target = tape.input(Tensor::from_vec(labels.clone(), Shape::d2(n_pairs, 1)));
+                let err = tape.sub(l1, target);
+                let sq = tape.mul(err, err);
+                let loss = tape.mean_all(sq);
+                let grads = tape.backward(loss);
+                store.accumulate(grads.into_param_grads(tape));
             }
             store.zero_grads_where_not(|name| keep(name, scope));
             store.clip_grad_norm(5.0);
@@ -236,17 +212,18 @@ pub fn finetune(
     }
 }
 
-impl TrajClModel {
-    /// Forward helper used by the fine-tuner (same as
-    /// [`TrajClModel::forward_h`], named separately for clarity at the
-    /// call site where the store differs from `self.store`).
-    pub fn model_forward_h(
-        &self,
-        f: &mut Fwd,
-        batch: &crate::featurizer::BatchInputs,
-    ) -> trajcl_tensor::Var {
-        self.forward_h(f, batch)
-    }
+/// The encoder's embedding refined by the regression `head`, with the
+/// parameters `f` carries (the fine-tuned copy, not `model.store`).
+fn refined<E: Exec>(
+    model: &TrajClModel,
+    head: &Mlp,
+    f: &mut Fwd<E>,
+    batch: &BatchInputs,
+) -> E::Act {
+    let h = model.encoder.forward(f, batch);
+    let g = head.forward(f, &h);
+    f.exec.release(h);
+    g
 }
 
 #[cfg(test)]

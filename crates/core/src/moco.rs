@@ -14,13 +14,15 @@ use std::collections::VecDeque;
 use trajcl_data::Augmentation;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{Adam, Fwd, ParamStore};
-use trajcl_tensor::{Shape, Tape, Tensor};
+use trajcl_tensor::{InferCtx, Shape, TapeExec, Tensor};
 
 /// Online model, momentum (target) parameters and the negative queue.
 pub struct MocoState {
     /// The online branch (the model that is ultimately kept).
     pub online: TrajClModel,
     target_store: ParamStore,
+    /// Scratch the gradient-free target branch runs on.
+    target_ctx: InferCtx,
     queue: VecDeque<Vec<f32>>,
     /// Augmentation for view 1 (overridable for the Fig. 8 grid).
     pub aug1: Augmentation,
@@ -44,6 +46,7 @@ impl MocoState {
         MocoState {
             online,
             target_store,
+            target_ctx: InferCtx::new(),
             queue,
             aug1: cfg.aug1,
             aug2: cfg.aug2,
@@ -100,32 +103,28 @@ impl MocoState {
             .featurize(&view2)
             .expect("augmented views stay non-empty");
 
-        // Target branch: no gradients, eval-mode dropout, momentum params.
-        let z2: Tensor = {
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, &self.target_store, rng, false);
-            let z = self.online.forward_z(&mut f, &batch2);
-            tape.value(z).clone()
-        };
+        // Target branch: momentum params on the serving executor — no
+        // gradients, no dropout, nothing recorded.
+        let mut f = Fwd::new(&mut self.target_ctx, &self.target_store);
+        let z2 = self.online.forward_z(&mut f, &batch2);
 
         // Online branch with InfoNCE.
-        let mut tape = Tape::new();
-        let loss_value;
-        {
-            let mut f = Fwd::new(&mut tape, &self.online.store, rng, true);
-            let z1 = self.online.forward_z(&mut f, &batch1);
-            let z2_const = f.input(z2.clone());
-            let l_pos = f.tape.row_dot(z1, z2_const);
-            let queue_mat = f.input(self.queue_matrix(cfg.proj_dim));
-            let l_neg = f.tape.matmul(z1, queue_mat, false, true);
-            let logits = f.tape.concat(&[l_pos, l_neg]);
-            let scaled = f.tape.scale(logits, 1.0 / cfg.temperature);
-            let targets = vec![0usize; trajs.len()];
-            let loss = f.tape.cross_entropy(scaled, &targets);
-            loss_value = f.tape.value(loss).data()[0];
-            let grads = f.tape.backward(loss);
-            self.online.store.accumulate(grads.into_param_grads(f.tape));
-        }
+        let mut exec = TapeExec::new(rng, true);
+        let z1 = self
+            .online
+            .forward_z(&mut Fwd::new(&mut exec, &self.online.store), &batch1);
+        let tape = &mut exec.tape;
+        let z2_const = tape.input(z2.clone());
+        let l_pos = tape.row_dot(z1, z2_const);
+        let queue_mat = tape.input(self.queue_matrix(cfg.proj_dim));
+        let l_neg = tape.matmul(z1, queue_mat, false, true);
+        let logits = tape.concat(&[l_pos, l_neg]);
+        let scaled = tape.scale(logits, 1.0 / cfg.temperature);
+        let targets = vec![0usize; trajs.len()];
+        let loss = tape.cross_entropy(scaled, &targets);
+        let loss_value = tape.value(loss).data()[0];
+        let grads = tape.backward(loss);
+        self.online.store.accumulate(grads.into_param_grads(tape));
         self.online.store.clip_grad_norm(5.0);
         opt.step(&mut self.online.store);
 
@@ -138,6 +137,7 @@ impl MocoState {
             }
             self.queue.push_back(z2.row(r).to_vec());
         }
+        self.target_ctx.recycle(z2);
         loss_value
     }
 }
@@ -261,15 +261,14 @@ mod tests {
             .iter()
             .map(|t| moco.aug2.apply(t, &params, &mut rng))
             .collect();
-        let z = |views: &[Trajectory], rng: &mut StdRng| -> Tensor {
+        let z = |views: &[Trajectory]| -> Tensor {
             let batch = feat.featurize(views).expect("featurize");
-            let mut tape = Tape::new();
-            let mut f = Fwd::new(&mut tape, &moco.online.store, rng, false);
-            let zv = moco.online.forward_z(&mut f, &batch);
-            tape.value(zv).clone()
+            let mut ctx = InferCtx::new();
+            moco.online
+                .forward_z(&mut Fwd::new(&mut ctx, &moco.online.store), &batch)
         };
-        let z1 = z(&v1, &mut rng);
-        let z2 = z(&v2, &mut rng);
+        let z1 = z(&v1);
+        let z2 = z(&v2);
         let dot = |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
         let mut pos = 0.0;
         let mut neg = 0.0;

@@ -3,11 +3,11 @@
 
 use crate::config::TrajClConfig;
 use crate::encoder::{DualStbEncoder, EncoderVariant};
-use crate::featurizer::Featurizer;
+use crate::featurizer::{BatchInputs, Featurizer};
 use rand::Rng;
 use trajcl_geo::Trajectory;
-use trajcl_nn::{Fwd, InferFwd, Mlp, ParamStore};
-use trajcl_tensor::{pool, InferCtx, Shape, Tensor, Var};
+use trajcl_nn::{Fwd, Mlp, ParamStore};
+use trajcl_tensor::{pool, Exec, InferCtx, Shape, Tensor};
 
 /// Encoder `F` plus projection head `P` (Eq. 1) and their parameters.
 #[derive(Clone)]
@@ -45,49 +45,33 @@ impl TrajClModel {
         }
     }
 
-    /// Forward to the backbone embedding `h` `(B, d)` on an existing tape.
-    pub fn forward_h(&self, f: &mut Fwd, batch: &crate::featurizer::BatchInputs) -> Var {
-        self.encoder.forward(f, batch)
-    }
-
     /// Forward to the L2-normalised projection `z` `(B, proj_dim)` used by
-    /// the InfoNCE loss.
-    pub fn forward_z(&self, f: &mut Fwd, batch: &crate::featurizer::BatchInputs) -> Var {
-        let h = self.forward_h(f, batch);
-        let z = self.proj.forward(f, h);
-        f.tape.l2_normalize_rows(z)
+    /// the InfoNCE loss. `f` names the parameters to run with — the
+    /// model's own, or the momentum branch's copy.
+    pub fn forward_z<E: Exec>(&self, f: &mut Fwd<E>, batch: &BatchInputs) -> E::Act {
+        let h = self.encoder.forward(f, batch);
+        let z = self.proj.forward(f, &h);
+        f.exec.release(h);
+        f.exec.l2_normalize_rows(z)
     }
 
-    /// Tape-free backbone forward on an [`InferCtx`]: the serving-path
-    /// counterpart of [`TrajClModel::forward_h`].
-    pub fn infer_h(&self, ctx: &mut InferCtx, batch: &crate::featurizer::BatchInputs) -> Tensor {
-        let mut f = InferFwd::new(ctx, &self.store);
-        self.encoder.infer_forward(&mut f, batch)
+    /// The backbone embedding `h` `(B, d)` on the serving executor.
+    pub fn infer_h(&self, ctx: &mut InferCtx, batch: &BatchInputs) -> Tensor {
+        self.encoder.forward(&mut Fwd::new(ctx, &self.store), batch)
     }
 
     /// Inference: embeds trajectories into `(N, d)` backbone embeddings,
-    /// processing `cfg.batch_size` at a time through the tape-free serving
-    /// path (dropout statically elided — no RNG involved).
+    /// `cfg.batch_size` at a time on a fresh serving executor (no dropout,
+    /// no RNG).
     pub fn embed(&self, featurizer: &Featurizer, trajs: &[Trajectory]) -> Tensor {
-        self.embed_chunked(featurizer, trajs, self.cfg.batch_size)
+        self.embed_chunked_with(&mut InferCtx::new(), featurizer, trajs, self.cfg.batch_size)
     }
 
     /// Like [`TrajClModel::embed`] with an explicit chunk size — callers
     /// that already batch (the engine) pass their own chunk through as one
-    /// forward pass.
-    pub fn embed_chunked(
-        &self,
-        featurizer: &Featurizer,
-        trajs: &[Trajectory],
-        batch: usize,
-    ) -> Tensor {
-        let mut ctx = InferCtx::new();
-        self.embed_chunked_with(&mut ctx, featurizer, trajs, batch)
-    }
-
-    /// Like [`TrajClModel::embed_chunked`] but reusing a caller-owned
-    /// [`InferCtx`], so scratch buffers persist across calls (the engine
-    /// backends hold one per serving path).
+    /// forward pass — and a caller-owned [`InferCtx`], so scratch buffers
+    /// persist across calls (the engine backends hold one per serving
+    /// path).
     pub fn embed_chunked_with(
         &self,
         ctx: &mut InferCtx,
@@ -95,18 +79,37 @@ impl TrajClModel {
         trajs: &[Trajectory],
         batch: usize,
     ) -> Tensor {
-        let d = self.cfg.dim;
-        let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-        let mut row = 0usize;
-        for chunk in trajs.chunks(batch.max(1)) {
-            let inputs = featurizer.featurize(chunk).expect("embed: non-empty chunk");
-            let h = self.infer_h(ctx, &inputs);
-            out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(h.data());
-            ctx.recycle(h);
-            row += chunk.len();
-        }
-        out
+        embed_chunks(
+            ctx,
+            featurizer,
+            trajs,
+            batch,
+            self.cfg.dim,
+            |ctx, inputs| self.infer_h(ctx, inputs),
+        )
     }
+}
+
+/// `(N, d)` embeddings of `trajs`, `batch` at a time: each chunk is
+/// featurised, run through `forward` on `ctx`, and its rows copied out.
+pub(crate) fn embed_chunks(
+    ctx: &mut InferCtx,
+    featurizer: &Featurizer,
+    trajs: &[Trajectory],
+    batch: usize,
+    d: usize,
+    forward: impl Fn(&mut InferCtx, &BatchInputs) -> Tensor,
+) -> Tensor {
+    let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
+    let mut row = 0usize;
+    for chunk in trajs.chunks(batch.max(1)) {
+        let inputs = featurizer.featurize(chunk).expect("embed: non-empty chunk");
+        let h = forward(ctx, &inputs);
+        out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(h.data());
+        ctx.recycle(h);
+        row += chunk.len();
+    }
+    out
 }
 
 /// Row-wise L1 distance matrix between `(Q, d)` and `(N, d)` embedding
@@ -143,7 +146,7 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_geo::{Bbox, Grid, Point, SpatialNorm};
-    use trajcl_tensor::Tape;
+    use trajcl_tensor::TapeExec;
 
     fn setup() -> (TrajClModel, Featurizer, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -201,11 +204,11 @@ mod tests {
             .collect();
         let infer = model.embed(&feat, &trajs);
         let batch = feat.featurize(&trajs).expect("featurize");
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &model.store, &mut rng, false);
-        let h = model.forward_h(&mut f, &batch);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &model.store);
+        let h = model.encoder.forward(&mut f, &batch);
         assert!(
-            infer.approx_eq(tape.value(h), 1e-5),
+            infer.approx_eq(exec.tape.value(h), 1e-5),
             "serving path drifted from the tape forward"
         );
     }
@@ -216,11 +219,11 @@ mod tests {
         let batch = feat
             .featurize(&[traj(6, 100.0), traj(8, 400.0)])
             .expect("featurize");
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &model.store, &mut rng, false);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &model.store);
         let z = model.forward_z(&mut f, &batch);
         for r in 0..2 {
-            let row = tape.value(z).row(r);
+            let row = exec.tape.value(z).row(r);
             let norm: f32 = row.iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((norm - 1.0).abs() < 1e-5, "z row norm {norm}");
         }

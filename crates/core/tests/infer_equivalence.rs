@@ -1,6 +1,7 @@
-//! Serving-path equivalence: the tape-free infer forward must reproduce
-//! the tape forward for every encoder variant, and the `InferCtx` scratch
-//! arena must never leak state between batches.
+//! Executor equivalence: the one encoder `forward` must compute the same
+//! embeddings on the tape executor and on the serving executor for every
+//! encoder variant, and the `InferCtx` scratch arena must never leak state
+//! between batches.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,7 +10,7 @@ use std::sync::OnceLock;
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_nn::Fwd;
-use trajcl_tensor::{InferCtx, Shape, Tape, Tensor};
+use trajcl_tensor::{InferCtx, Shape, TapeExec, Tensor};
 
 const VARIANTS: [EncoderVariant; 3] = [
     EncoderVariant::Dual,
@@ -55,7 +56,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn infer_forward_matches_tape_forward_all_variants(
+    fn executors_agree_on_all_variants(
         lens in prop::collection::vec(2usize..14, 1..5),
         y0 in 50.0f64..800.0,
     ) {
@@ -63,17 +64,18 @@ proptest! {
         for (model, feat) in models() {
             let batch = feat.featurize(&trajs).expect("featurize");
 
-            let mut tape = Tape::new();
             let mut rng = StdRng::seed_from_u64(0);
-            let mut f = Fwd::new(&mut tape, &model.store, &mut rng, false);
-            let h_tape = model.forward_h(&mut f, &batch);
+            let mut exec = TapeExec::new(&mut rng, false);
+            let h_tape = model
+                .encoder
+                .forward(&mut Fwd::new(&mut exec, &model.store), &batch);
 
             let mut ctx = InferCtx::new();
             let h_infer = model.infer_h(&mut ctx, &batch);
 
             prop_assert!(
-                h_infer.approx_eq(tape.value(h_tape), 1e-5),
-                "{}: infer forward diverged from tape forward (lens {lens:?})",
+                h_infer.approx_eq(exec.tape.value(h_tape), 1e-5),
+                "{}: serving executor diverged from tape executor (lens {lens:?})",
                 model.encoder.variant().name()
             );
         }

@@ -17,7 +17,7 @@ use trajcl_core::{Featurizer, FinetunedEstimator, TrajClModel};
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_measures::HeuristicMeasure;
 use trajcl_nn::Fwd;
-use trajcl_tensor::{InferCtx, Tape, Tensor};
+use trajcl_tensor::{InferCtx, TapeExec, Tensor};
 
 /// Seed for the throwaway RNGs of eval-mode forward passes (only the
 /// baseline adapter still records a tape at inference). Dropout is
@@ -193,10 +193,10 @@ impl<E: TrajectoryEncoder + Send + Sync> SimilarityBackend for EncoderBackend<E>
         let mut rng = StdRng::seed_from_u64(EVAL_SEED);
         // Single tape over the whole chunk (TrajectoryEncoder::embed would
         // re-chunk by its own batch_size and cap the engine's knob).
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, self.encoder.store(), &mut rng, false);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, self.encoder.store());
         let h = self.encoder.encode_on_tape(&mut f, trajs);
-        Ok(tape.value(h).clone())
+        Ok(exec.tape.value(h).clone())
     }
 
     fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {

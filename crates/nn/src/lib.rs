@@ -3,9 +3,15 @@
 //! Neural-network building blocks on top of [`trajcl_tensor`]: a persistent
 //! [`ParamStore`] with optimizer state and serialisation, standard layers
 //! (linear, layer norm, MLP, embedding, conv), vanilla multi-head
-//! self-attention with padding masks and sinusoidal positional encodings,
-//! GRU/LSTM cells for the recurrent baselines, and SGD/Adam optimizers with
-//! the paper's step-decay schedule.
+//! self-attention with sinusoidal positional encodings, GRU/LSTM cells for
+//! the recurrent baselines, and SGD/Adam optimizers with the paper's
+//! step-decay schedule.
+//!
+//! Each layer the TrajCL encoder uses has one `forward`, generic over the
+//! [`trajcl_tensor::Exec`] it runs on: a [`Fwd`] over a
+//! [`trajcl_tensor::TapeExec`] trains it, a [`Fwd`] over a
+//! [`trajcl_tensor::InferCtx`] serves it. The tape-only layers (embedding,
+//! conv, the recurrent cells) take a `Fwd<TapeExec>`.
 //!
 //! The TrajCL-specific DualMSM/DualSTB modules live in `trajcl-core` and are
 //! composed from the primitives exported here.
@@ -18,10 +24,9 @@ pub mod rnn;
 pub mod store;
 
 pub use attention::{
-    add_positional, attention_mask_bias, infer_project_heads, project_heads, scaled_scores,
-    sinusoidal_pe, MultiHeadSelfAttention, TransformerEncoderLayer, MASK_NEG,
+    project_heads, sinusoidal_pe, MultiHeadSelfAttention, PostBlock, TransformerEncoderLayer,
 };
-pub use modules::{Conv2d, Embedding, Fwd, InferFwd, LayerNorm, Linear, Mlp};
+pub use modules::{Conv2d, Embedding, Fwd, LayerNorm, Linear, Mlp};
 pub use optim::{Adam, Sgd, StepDecay};
-pub use rnn::{run_gru, run_gru_infer, run_lstm, GruCell, LstmCell};
+pub use rnn::{run_gru, run_lstm, GruCell, LstmCell};
 pub use store::{ParamId, ParamStore};

@@ -2,76 +2,30 @@
 
 use crate::init;
 use crate::store::{ParamId, ParamStore};
-use rand::{Rng, RngCore};
-use trajcl_tensor::{InferCtx, Shape, Tape, Tensor, Var};
+use rand::Rng;
+use trajcl_tensor::{Exec, Param, Shape, TapeExec, Tensor, Var};
 
-/// Per-step forward context: the current tape, the parameter store, an RNG
-/// (for dropout) and the training flag.
-pub struct Fwd<'a> {
-    pub tape: &'a mut Tape,
-    pub store: &'a ParamStore,
-    pub rng: &'a mut dyn RngCore,
-    pub training: bool,
-}
-
-impl<'a> Fwd<'a> {
-    /// Convenience constructor.
-    pub fn new(
-        tape: &'a mut Tape,
-        store: &'a ParamStore,
-        rng: &'a mut dyn RngCore,
-        training: bool,
-    ) -> Self {
-        Fwd {
-            tape,
-            store,
-            rng,
-            training,
-        }
-    }
-
-    /// Binds parameter `id` into the current tape.
-    #[inline]
-    pub fn p(&mut self, id: ParamId) -> Var {
-        self.store.bind(self.tape, id)
-    }
-
-    /// Records a constant input.
-    #[inline]
-    pub fn input(&mut self, t: Tensor) -> Var {
-        self.tape.input(t)
-    }
-
-    /// Dropout respecting the context's training flag.
-    pub fn dropout(&mut self, x: Var, p: f32) -> Var {
-        let training = self.training;
-        self.tape.dropout(x, p, training, &mut self.rng)
-    }
-}
-
-/// Tape-free forward context: the serving-path counterpart of [`Fwd`].
-///
-/// No tape, no RNG, no training flag — dropout is statically elided and
-/// parameters are read straight from the store instead of being cloned
-/// onto a tape. All intermediates come from the [`InferCtx`] scratch
-/// arena, so steady-state inference allocates nothing.
-pub struct InferFwd<'a> {
-    /// Scratch arena + tape-free kernels.
-    pub ctx: &'a mut InferCtx,
+/// Forward context: the executor a pass runs on plus the parameters it
+/// reads. Every layer takes one, generic over the executor, so the same
+/// `forward` trains on a [`TapeExec`] and serves on an
+/// [`InferCtx`](trajcl_tensor::InferCtx).
+pub struct Fwd<'a, E> {
+    /// Where the ops run.
+    pub exec: &'a mut E,
     /// The model parameters (read-only).
     pub store: &'a ParamStore,
 }
 
-impl<'a> InferFwd<'a> {
+impl<'a, E> Fwd<'a, E> {
     /// Convenience constructor.
-    pub fn new(ctx: &'a mut InferCtx, store: &'a ParamStore) -> Self {
-        InferFwd { ctx, store }
+    pub fn new(exec: &'a mut E, store: &'a ParamStore) -> Self {
+        Fwd { exec, store }
     }
 
-    /// The current value of parameter `id`.
+    /// Parameter `id` as the executor ops take it.
     #[inline]
-    pub fn p(&self, id: ParamId) -> &'a Tensor {
-        self.store.value(id)
+    pub fn p(&self, id: ParamId) -> Param<'a> {
+        self.store.p(id)
     }
 }
 
@@ -109,18 +63,8 @@ impl Linear {
     }
 
     /// Applies the layer to `(.., in_dim)` input.
-    pub fn forward(&self, f: &mut Fwd, x: Var) -> Var {
-        let w = f.p(self.w);
-        let b = f.p(self.b);
-        let y = f.tape.matmul(x, w, false, false);
-        f.tape.add_bias(y, b)
-    }
-
-    /// Tape-free forward: `x·W + b` with the bias fused into the matmul
-    /// output pass.
-    pub fn infer_forward(&self, f: &mut InferFwd, x: &Tensor) -> Tensor {
-        let (w, b) = (f.p(self.w), f.p(self.b));
-        f.ctx.linear(x, w, b)
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, x: &E::Act) -> E::Act {
+        f.exec.linear(x, f.p(self.w), Some(f.p(self.b)))
     }
 
     /// Parameter ids `(weight, bias)` — exposed for fine-tuning selectors.
@@ -150,15 +94,9 @@ impl LayerNorm {
     }
 
     /// Normalises the last dimension of `x`.
-    pub fn forward(&self, f: &mut Fwd, x: Var) -> Var {
-        let g = f.p(self.gamma);
-        let b = f.p(self.beta);
-        f.tape.layer_norm(x, g, b, self.eps)
-    }
-
-    /// Tape-free forward, normalising `x` in place.
-    pub fn infer_forward_inplace(&self, f: &InferFwd, x: &mut Tensor) {
-        InferCtx::layer_norm_inplace(x, f.p(self.gamma), f.p(self.beta), self.eps);
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, x: E::Act) -> E::Act {
+        f.exec
+            .layer_norm(x, f.p(self.gamma), f.p(self.beta), self.eps)
     }
 }
 
@@ -190,25 +128,13 @@ impl Mlp {
     }
 
     /// `fc2(dropout(relu(fc1(x))))`.
-    pub fn forward(&self, f: &mut Fwd, x: Var) -> Var {
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, x: &E::Act) -> E::Act {
         let h = self.fc1.forward(f, x);
-        let h = f.tape.relu(h);
-        let h = f.dropout(h, self.dropout);
-        self.fc2.forward(f, h)
-    }
-
-    /// Tape-free forward: `fc2(relu(fc1(x)))`, dropout statically elided.
-    pub fn infer_forward(&self, f: &mut InferFwd, x: &Tensor) -> Tensor {
-        let mut h = self.fc1.infer_forward(f, x);
-        InferCtx::relu_inplace(&mut h);
-        let out = self.fc2.infer_forward(f, &h);
-        f.ctx.recycle(h);
+        let h = f.exec.relu(h);
+        let h = f.exec.dropout(h, self.dropout);
+        let out = self.fc2.forward(f, &h);
+        f.exec.release(h);
         out
-    }
-
-    /// The final linear sub-layer (for partial fine-tuning).
-    pub fn last_layer(&self) -> &Linear {
-        &self.fc2
     }
 }
 
@@ -249,11 +175,11 @@ impl Embedding {
     }
 
     /// Looks up `ids`, reshaping the result to `(batch, seq, dim)`.
-    pub fn forward_seq(&self, f: &mut Fwd, ids: &[u32], batch: usize, seq: usize) -> Var {
+    pub fn forward_seq(&self, f: &mut Fwd<TapeExec>, ids: &[u32], batch: usize, seq: usize) -> Var {
         assert_eq!(ids.len(), batch * seq, "ids length mismatch");
-        let t = f.p(self.table);
-        let flat = f.tape.embedding(t, ids);
-        f.tape.reshape(flat, Shape::d3(batch, seq, self.dim))
+        let t = f.exec.bind(f.p(self.table));
+        let flat = f.exec.tape.embedding(t, ids);
+        f.exec.tape.reshape(flat, Shape::d3(batch, seq, self.dim))
     }
 }
 
@@ -288,10 +214,10 @@ impl Conv2d {
     }
 
     /// Applies the convolution to `(B, C, H, W)` input.
-    pub fn forward(&self, f: &mut Fwd, x: Var) -> Var {
-        let w = f.p(self.w);
-        let b = f.p(self.b);
-        f.tape.conv2d(x, w, b, self.stride, self.pad)
+    pub fn forward(&self, f: &mut Fwd<TapeExec>, x: Var) -> Var {
+        let w = f.exec.bind(f.p(self.w));
+        let b = f.exec.bind(f.p(self.b));
+        f.exec.tape.conv2d(x, w, b, self.stride, self.pad)
     }
 }
 
@@ -299,10 +225,6 @@ impl Conv2d {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-
-    fn ctx<'a>(tape: &'a mut Tape, store: &'a ParamStore, rng: &'a mut StdRng) -> Fwd<'a> {
-        Fwd::new(tape, store, rng, false)
-    }
 
     #[test]
     fn linear_shapes_and_bias() {
@@ -315,12 +237,12 @@ mod tests {
             .value_mut(lin.params().1)
             .data_mut()
             .copy_from_slice(&[1.0, 2.0, 3.0]);
-        let mut tape = Tape::new();
-        let mut f = ctx(&mut tape, &store, &mut rng);
-        let x = f.input(Tensor::ones(Shape::d2(2, 4)));
-        let y = lin.forward(&mut f, x);
-        assert_eq!(tape.shape(y), Shape::d2(2, 3));
-        assert_eq!(tape.value(y).row(0), &[1.0, 2.0, 3.0]);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::ones(Shape::d2(2, 4)));
+        let y = lin.forward(&mut f, &x);
+        assert_eq!(exec.tape.shape(y), Shape::d2(2, 3));
+        assert_eq!(exec.tape.value(y).row(0), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -328,11 +250,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut store = ParamStore::new();
         let lin = Linear::new(&mut store, "l", 4, 5, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = ctx(&mut tape, &store, &mut rng);
-        let x = f.input(Tensor::ones(Shape::d3(2, 3, 4)));
-        let y = lin.forward(&mut f, x);
-        assert_eq!(tape.shape(y), Shape::d3(2, 3, 5));
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::ones(Shape::d3(2, 3, 4)));
+        let y = lin.forward(&mut f, &x);
+        assert_eq!(exec.tape.shape(y), Shape::d3(2, 3, 5));
     }
 
     #[test]
@@ -340,9 +262,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, "ln", 8);
-        let mut tape = Tape::new();
-        let mut f = ctx(&mut tape, &store, &mut rng);
-        let x = f.input(Tensor::randn(
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::randn(
             Shape::d2(4, 8),
             5.0,
             3.0,
@@ -350,7 +272,7 @@ mod tests {
         ));
         let y = ln.forward(&mut f, x);
         for r in 0..4 {
-            let row = tape.value(y).row(r);
+            let row = exec.tape.value(y).row(r);
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
             let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 8.0;
             assert!(mean.abs() < 1e-4, "row mean {mean}");
@@ -363,13 +285,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "m", 4, 8, 2, 0.0, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, true);
-        let x = f.input(Tensor::ones(Shape::d2(3, 4)));
-        let y = mlp.forward(&mut f, x);
-        let loss = tape.mean_all(y);
-        let grads = tape.backward(loss);
-        let pairs = grads.into_param_grads(&tape);
+        let mut exec = TapeExec::new(&mut rng, true);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::ones(Shape::d2(3, 4)));
+        let y = mlp.forward(&mut f, &x);
+        let loss = exec.tape.mean_all(y);
+        let grads = exec.tape.backward(loss);
+        let pairs = grads.into_param_grads(&exec.tape);
         assert!(!pairs.is_empty(), "MLP params should receive gradients");
         store.accumulate(pairs);
         assert!(store.grad_norm() > 0.0);
@@ -381,12 +303,11 @@ mod tests {
         let mut store = ParamStore::new();
         let table = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0], Shape::d2(3, 2));
         let emb = Embedding::from_pretrained(&mut store, "e", table);
-        let mut tape = Tape::new();
-        let mut f = ctx(&mut tape, &store, &mut rng);
-        let y = emb.forward_seq(&mut f, &[2, 0, 1, 1], 2, 2);
-        assert_eq!(tape.shape(y), Shape::d3(2, 2, 2));
-        assert_eq!(tape.value(y).at3(0, 0, 0), 2.0);
-        assert_eq!(tape.value(y).at3(1, 0, 1), 1.0);
+        let mut exec = TapeExec::new(&mut rng, false);
+        let y = emb.forward_seq(&mut Fwd::new(&mut exec, &store), &[2, 0, 1, 1], 2, 2);
+        assert_eq!(exec.tape.shape(y), Shape::d3(2, 2, 2));
+        assert_eq!(exec.tape.value(y).at3(0, 0, 0), 2.0);
+        assert_eq!(exec.tape.value(y).at3(1, 0, 1), 1.0);
     }
 
     #[test]
@@ -394,10 +315,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut store = ParamStore::new();
         let conv = Conv2d::new(&mut store, "c", 1, 4, 3, 2, 1, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = ctx(&mut tape, &store, &mut rng);
-        let x = f.input(Tensor::ones(Shape::d4(2, 1, 8, 8)));
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::ones(Shape::d4(2, 1, 8, 8)));
         let y = conv.forward(&mut f, x);
-        assert_eq!(tape.shape(y), Shape::d4(2, 4, 4, 4));
+        assert_eq!(exec.tape.shape(y), Shape::d4(2, 4, 4, 4));
     }
 }

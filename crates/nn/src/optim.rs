@@ -121,7 +121,7 @@ mod tests {
         let target = Tensor::from_vec(vec![1.0, 2.0], Shape::d1(2));
         for _ in 0..400 {
             let mut tape = Tape::new();
-            let w = store.bind(&mut tape, id);
+            let w = tape.param(store.value(id).clone(), 0);
             let t = tape.input(target.clone());
             let diff = tape.sub(w, t);
             let sq = tape.mul(diff, diff);
@@ -155,7 +155,7 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.add("w", Tensor::scalar(1.0));
         let mut tape = Tape::new();
-        let w = store.bind(&mut tape, id);
+        let w = tape.param(store.value(id).clone(), 0);
         let loss = tape.sum_all(w);
         let grads = tape.backward(loss);
         store.accumulate(grads.into_param_grads(&tape));

@@ -7,23 +7,55 @@
 //! packed sequences behave in the original PyTorch baselines).
 
 use crate::init;
-use crate::modules::{Fwd, InferFwd};
+use crate::modules::Fwd;
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
-use trajcl_tensor::{InferCtx, Shape, Tensor, Var};
+use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
+
+/// One gate's parameters `[W, U, b]`.
+type Gate = [ParamId; 3];
+
+/// Registers the parameters of `N` gates given as `(suffix, bias init)`:
+/// `w{g}`, `u{g}` gate by gate, then `b{g}` gate by gate.
+fn register_gates<const N: usize>(
+    store: &mut ParamStore,
+    name: &str,
+    in_dim: usize,
+    hidden: usize,
+    gates: [(&str, f32); N],
+    rng: &mut impl Rng,
+) -> [Gate; N] {
+    let wu = gates.map(|(g, _)| {
+        let w = init::xavier_uniform(in_dim, hidden, &mut *rng);
+        let u = init::xavier_uniform(hidden, hidden, &mut *rng);
+        [
+            store.add(format!("{name}.w{g}"), w),
+            store.add(format!("{name}.u{g}"), u),
+        ]
+    });
+    let b = gates.map(|(g, init)| {
+        let bias = Tensor::full(Shape::d1(hidden), init);
+        store.add(format!("{name}.b{g}"), bias)
+    });
+    std::array::from_fn(|i| [wu[i][0], wu[i][1], b[i]])
+}
+
+/// The pre-activation every gate shares: `x·W + h·U + b`.
+fn gate(f: &mut Fwd<TapeExec>, [w, u, b]: Gate, x: Var, h: Var) -> Var {
+    let [w, u, b] = [w, u, b].map(|id| f.exec.bind(f.p(id)));
+    let tape = &mut f.exec.tape;
+    let xs = tape.matmul(x, w, false, false);
+    let hs = tape.matmul(h, u, false, false);
+    let s = tape.add(xs, hs);
+    tape.add_bias(s, b)
+}
 
 /// A gated recurrent unit cell.
 #[derive(Debug, Clone)]
 pub struct GruCell {
-    wz: ParamId,
-    uz: ParamId,
-    bz: ParamId,
-    wr: ParamId,
-    ur: ParamId,
-    br: ParamId,
-    wh: ParamId,
-    uh: ParamId,
-    bh: ParamId,
+    z: Gate,
+    r: Gate,
+    h: Gate,
     /// Input dimension.
     pub in_dim: usize,
     /// Hidden dimension.
@@ -39,101 +71,42 @@ impl GruCell {
         hidden: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        let mut w = |s: &str, a: usize, b: usize, mut rng: &mut dyn rand::RngCore| {
-            store.add(format!("{name}.{s}"), init::xavier_uniform(a, b, &mut rng))
-        };
-        let wz = w("wz", in_dim, hidden, rng);
-        let uz = w("uz", hidden, hidden, rng);
-        let wr = w("wr", in_dim, hidden, rng);
-        let ur = w("ur", hidden, hidden, rng);
-        let wh = w("wh", in_dim, hidden, rng);
-        let uh = w("uh", hidden, hidden, rng);
-        let bz = store.add(format!("{name}.bz"), Tensor::zeros(Shape::d1(hidden)));
-        let br = store.add(format!("{name}.br"), Tensor::zeros(Shape::d1(hidden)));
-        let bh = store.add(format!("{name}.bh"), Tensor::zeros(Shape::d1(hidden)));
+        let gates = [("z", 0.0), ("r", 0.0), ("h", 0.0)];
+        let [z, r, h] = register_gates(store, name, in_dim, hidden, gates, rng);
         GruCell {
-            wz,
-            uz,
-            bz,
-            wr,
-            ur,
-            br,
-            wh,
-            uh,
-            bh,
+            z,
+            r,
+            h,
             in_dim,
             hidden,
         }
     }
 
     /// One step: `(x_t (B, in), h (B, hidden)) -> h' (B, hidden)`.
-    pub fn step(&self, f: &mut Fwd, x: Var, h: Var) -> Var {
-        let gate = |f: &mut Fwd, w, u, b, x, h| {
-            let (wv, uv, bv) = (f.p(w), f.p(u), f.p(b));
-            let xs = f.tape.matmul(x, wv, false, false);
-            let hs = f.tape.matmul(h, uv, false, false);
-            let s = f.tape.add(xs, hs);
-            f.tape.add_bias(s, bv)
-        };
-        let z_pre = gate(f, self.wz, self.uz, self.bz, x, h);
-        let z = f.tape.sigmoid(z_pre);
-        let r_pre = gate(f, self.wr, self.ur, self.br, x, h);
-        let r = f.tape.sigmoid(r_pre);
-        let rh = f.tape.mul(r, h);
-        let n_pre = gate(f, self.wh, self.uh, self.bh, x, rh);
-        let n = f.tape.tanh_op(n_pre);
+    pub fn step(&self, f: &mut Fwd<TapeExec>, x: Var, h: Var) -> Var {
+        let z_pre = gate(f, self.z, x, h);
+        let z = f.exec.tape.sigmoid(z_pre);
+        let r_pre = gate(f, self.r, x, h);
+        let r = f.exec.tape.sigmoid(r_pre);
+        let rh = f.exec.tape.mul(r, h);
+        let n_pre = gate(f, self.h, x, rh);
+        let tape = &mut f.exec.tape;
+        let n = tape.tanh_op(n_pre);
         // h' = (1 - z) ⊙ n + z ⊙ h
-        let zh = f.tape.mul(z, h);
-        let zn = f.tape.mul(z, n);
-        let n_minus_zn = f.tape.sub(n, zn);
-        f.tape.add(n_minus_zn, zh)
-    }
-
-    /// Tape-free step, mirroring [`GruCell::step`] op-for-op.
-    pub fn infer_step(&self, f: &mut InferFwd, x: &Tensor, h: &Tensor) -> Tensor {
-        let gate = |f: &mut InferFwd, w, u, b, x: &Tensor, h: &Tensor| {
-            let mut xs = f.ctx.matmul(x, f.p(w), false, false);
-            let hs = f.ctx.matmul(h, f.p(u), false, false);
-            InferCtx::add_inplace(&mut xs, &hs);
-            f.ctx.recycle(hs);
-            InferCtx::add_bias_inplace(&mut xs, f.p(b));
-            xs
-        };
-        let sigmoid = |t: &mut Tensor| InferCtx::map_inplace(t, |v| 1.0 / (1.0 + (-v).exp()));
-        let mut z = gate(f, self.wz, self.uz, self.bz, x, h);
-        sigmoid(&mut z);
-        let mut r = gate(f, self.wr, self.ur, self.br, x, h);
-        sigmoid(&mut r);
-        let rh = f.ctx.zip(&r, h, |a, b| a * b);
-        let mut n = gate(f, self.wh, self.uh, self.bh, x, &rh);
-        InferCtx::map_inplace(&mut n, f32::tanh);
-        // h' = (1 - z) ⊙ n + z ⊙ h, composed exactly as the tape does.
-        let zh = f.ctx.zip(&z, h, |a, b| a * b);
-        let zn = f.ctx.zip(&z, &n, |a, b| a * b);
-        let mut out = f.ctx.zip(&n, &zn, |a, b| a - b);
-        InferCtx::add_inplace(&mut out, &zh);
-        for t in [z, r, rh, n, zh, zn] {
-            f.ctx.recycle(t);
-        }
-        out
+        let zh = tape.mul(z, h);
+        let zn = tape.mul(z, n);
+        let n_minus_zn = tape.sub(n, zn);
+        tape.add(n_minus_zn, zh)
     }
 }
 
 /// An LSTM cell.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
-    wi: ParamId,
-    ui: ParamId,
-    bi: ParamId,
-    wf: ParamId,
-    uf: ParamId,
-    bf: ParamId,
-    wo: ParamId,
-    uo: ParamId,
-    bo: ParamId,
-    wg: ParamId,
-    ug: ParamId,
-    bg: ParamId,
+    i: Gate,
+    f: Gate,
+    o: Gate,
+    g: Gate,
     /// Input dimension.
     pub in_dim: usize,
     /// Hidden dimension.
@@ -149,61 +122,34 @@ impl LstmCell {
         hidden: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        let mut w = |s: &str, a: usize, b: usize, mut rng: &mut dyn rand::RngCore| {
-            store.add(format!("{name}.{s}"), init::xavier_uniform(a, b, &mut rng))
-        };
-        let wi = w("wi", in_dim, hidden, rng);
-        let ui = w("ui", hidden, hidden, rng);
-        let wf = w("wf", in_dim, hidden, rng);
-        let uf = w("uf", hidden, hidden, rng);
-        let wo = w("wo", in_dim, hidden, rng);
-        let uo = w("uo", hidden, hidden, rng);
-        let wg = w("wg", in_dim, hidden, rng);
-        let ug = w("ug", hidden, hidden, rng);
-        let bi = store.add(format!("{name}.bi"), Tensor::zeros(Shape::d1(hidden)));
-        let bf = store.add(format!("{name}.bf"), Tensor::ones(Shape::d1(hidden)));
-        let bo = store.add(format!("{name}.bo"), Tensor::zeros(Shape::d1(hidden)));
-        let bg = store.add(format!("{name}.bg"), Tensor::zeros(Shape::d1(hidden)));
+        let gates = [("i", 0.0), ("f", 1.0), ("o", 0.0), ("g", 0.0)];
+        let [i, f, o, g] = register_gates(store, name, in_dim, hidden, gates, rng);
         LstmCell {
-            wi,
-            ui,
-            bi,
-            wf,
-            uf,
-            bf,
-            wo,
-            uo,
-            bo,
-            wg,
-            ug,
-            bg,
+            i,
+            f,
+            o,
+            g,
             in_dim,
             hidden,
         }
     }
 
     /// One step: returns `(h', c')`.
-    pub fn step(&self, f: &mut Fwd, x: Var, h: Var, c: Var) -> (Var, Var) {
-        let gate = |f: &mut Fwd, w, u, b, x, h| {
-            let (wv, uv, bv) = (f.p(w), f.p(u), f.p(b));
-            let xs = f.tape.matmul(x, wv, false, false);
-            let hs = f.tape.matmul(h, uv, false, false);
-            let s = f.tape.add(xs, hs);
-            f.tape.add_bias(s, bv)
-        };
-        let i_pre = gate(f, self.wi, self.ui, self.bi, x, h);
-        let i = f.tape.sigmoid(i_pre);
-        let fg_pre = gate(f, self.wf, self.uf, self.bf, x, h);
-        let fg = f.tape.sigmoid(fg_pre);
-        let o_pre = gate(f, self.wo, self.uo, self.bo, x, h);
-        let o = f.tape.sigmoid(o_pre);
-        let g_pre = gate(f, self.wg, self.ug, self.bg, x, h);
-        let g = f.tape.tanh_op(g_pre);
-        let fc = f.tape.mul(fg, c);
-        let ig = f.tape.mul(i, g);
-        let c_new = f.tape.add(fc, ig);
-        let tc = f.tape.tanh_op(c_new);
-        let h_new = f.tape.mul(o, tc);
+    pub fn step(&self, f: &mut Fwd<TapeExec>, x: Var, h: Var, c: Var) -> (Var, Var) {
+        let i_pre = gate(f, self.i, x, h);
+        let i = f.exec.tape.sigmoid(i_pre);
+        let fg_pre = gate(f, self.f, x, h);
+        let fg = f.exec.tape.sigmoid(fg_pre);
+        let o_pre = gate(f, self.o, x, h);
+        let o = f.exec.tape.sigmoid(o_pre);
+        let g_pre = gate(f, self.g, x, h);
+        let tape = &mut f.exec.tape;
+        let g = tape.tanh_op(g_pre);
+        let fc = tape.mul(fg, c);
+        let ig = tape.mul(i, g);
+        let c_new = tape.add(fc, ig);
+        let tc = tape.tanh_op(c_new);
+        let h_new = tape.mul(o, tc);
         (h_new, c_new)
     }
 }
@@ -212,85 +158,47 @@ impl LstmCell {
 /// lengths, freezing each element's state once its sequence ends.
 ///
 /// Returns `(all_states (B, L, hidden), final_state (B, hidden))`.
-pub fn run_gru(f: &mut Fwd, cell: &GruCell, xs: Var, lens: &[usize]) -> (Var, Var) {
-    let shape = f.tape.shape(xs);
+pub fn run_gru(f: &mut Fwd<TapeExec>, cell: &GruCell, xs: Var, lens: &[usize]) -> (Var, Var) {
+    let shape = f.exec.tape.shape(xs);
     assert_eq!(shape.rank(), 3, "run_gru expects (B, L, D)");
     let (b, l, _) = (shape[0], shape[1], shape[2]);
     assert_eq!(lens.len(), b);
-    let mut h = f.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
+    let mut h = f.exec.tape.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
     let mut states = Vec::with_capacity(l);
     for t in 0..l {
-        let x_t = f.tape.select_time(xs, t);
+        let x_t = f.exec.tape.select_time(xs, t);
         let h_new = cell.step(f, x_t, h);
         h = freeze_finished(f, h_new, h, lens, t, cell.hidden);
         states.push(h);
     }
-    let all = f.tape.stack_time(&states);
-    (all, h)
-}
-
-/// Tape-free [`run_gru`]: runs a GRU over `(B, L, in_dim)` with per-element
-/// valid lengths, returning `(all_states (B, L, hidden), final (B, hidden))`.
-pub fn run_gru_infer(
-    f: &mut InferFwd,
-    cell: &GruCell,
-    xs: &Tensor,
-    lens: &[usize],
-) -> (Tensor, Tensor) {
-    let shape = xs.shape();
-    assert_eq!(shape.rank(), 3, "run_gru_infer expects (B, L, D)");
-    let (b, l) = (shape[0], shape[1]);
-    assert_eq!(lens.len(), b);
-    let mut h = f.ctx.alloc(Shape::d2(b, cell.hidden));
-    h.data_mut().fill(0.0);
-    let mut states: Vec<Tensor> = Vec::with_capacity(l);
-    for t in 0..l {
-        let x_t = f.ctx.select_time(xs, t);
-        let mut h_new = cell.infer_step(f, &x_t, &h);
-        f.ctx.recycle(x_t);
-        // Freeze finished sequences at their last valid state.
-        for (bi, &len) in lens.iter().enumerate() {
-            if t >= len {
-                let src = &h.data()[bi * cell.hidden..(bi + 1) * cell.hidden];
-                h_new.data_mut()[bi * cell.hidden..(bi + 1) * cell.hidden].copy_from_slice(src);
-            }
-        }
-        let h_next = f.ctx.alloc_copy(&h_new);
-        f.ctx.recycle(std::mem::replace(&mut h, h_next));
-        states.push(h_new);
-    }
-    let refs: Vec<&Tensor> = states.iter().collect();
-    let all = f.ctx.stack_time(&refs);
-    for s in states {
-        f.ctx.recycle(s);
-    }
+    let all = f.exec.tape.stack_time(&states);
     (all, h)
 }
 
 /// Runs an LSTM over a sequence the same way as [`run_gru`].
-pub fn run_lstm(f: &mut Fwd, cell: &LstmCell, xs: Var, lens: &[usize]) -> (Var, Var) {
-    let shape = f.tape.shape(xs);
+pub fn run_lstm(f: &mut Fwd<TapeExec>, cell: &LstmCell, xs: Var, lens: &[usize]) -> (Var, Var) {
+    let shape = f.exec.tape.shape(xs);
     assert_eq!(shape.rank(), 3, "run_lstm expects (B, L, D)");
     let (b, l, _) = (shape[0], shape[1], shape[2]);
     assert_eq!(lens.len(), b);
-    let mut h = f.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
-    let mut c = f.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
+    let mut h = f.exec.tape.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
+    let mut c = f.exec.tape.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
     let mut states = Vec::with_capacity(l);
     for t in 0..l {
-        let x_t = f.tape.select_time(xs, t);
+        let x_t = f.exec.tape.select_time(xs, t);
         let (h_new, c_new) = cell.step(f, x_t, h, c);
         h = freeze_finished(f, h_new, h, lens, t, cell.hidden);
         c = freeze_finished(f, c_new, c, lens, t, cell.hidden);
         states.push(h);
     }
-    let all = f.tape.stack_time(&states);
+    let all = f.exec.tape.stack_time(&states);
     (all, h)
 }
 
 /// `new` where `t < len[b]`, otherwise `old` (keeps finished sequences
 /// frozen at their last valid state).
 fn freeze_finished(
-    f: &mut Fwd,
+    f: &mut Fwd<TapeExec>,
     new: Var,
     old: Var,
     lens: &[usize],
@@ -308,37 +216,56 @@ fn freeze_finished(
         }
     }
     let inv_mask = mask.map(|v| 1.0 - v);
-    let m = f.input(mask);
-    let im = f.input(inv_mask);
-    let keep_new = f.tape.mul(new, m);
-    let keep_old = f.tape.mul(old, im);
-    f.tape.add(keep_new, keep_old)
+    let m = f.exec.tape.input(mask);
+    let im = f.exec.tape.input(inv_mask);
+    let keep_new = f.exec.tape.mul(new, m);
+    let keep_old = f.exec.tape.mul(old, im);
+    f.exec.tape.add(keep_new, keep_old)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use trajcl_tensor::Tape;
 
     #[test]
     fn gru_step_shape_and_bounded() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let cell = GruCell::new(&mut store, "gru", 4, 6, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
-        let x = f.input(Tensor::randn(
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::randn(
             Shape::d2(3, 4),
             0.0,
             1.0,
             &mut StdRng::seed_from_u64(1),
         ));
-        let h = f.input(Tensor::zeros(Shape::d2(3, 6)));
+        let h = f.exec.tape.input(Tensor::zeros(Shape::d2(3, 6)));
         let h2 = cell.step(&mut f, x, h);
-        assert_eq!(tape.shape(h2), Shape::d2(3, 6));
+        assert_eq!(exec.tape.shape(h2), Shape::d2(3, 6));
         // GRU state from zero init is a convex-ish mix of tanh outputs: bounded.
-        assert!(tape.value(h2).max_abs() <= 1.0 + 1e-5);
+        assert!(exec.tape.value(h2).max_abs() <= 1.0 + 1e-5);
+    }
+
+    #[test]
+    fn gate_parameters_keep_their_names_and_registration_order() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut store = ParamStore::new();
+        GruCell::new(&mut store, "g", 2, 3, &mut rng);
+        LstmCell::new(&mut store, "l", 2, 3, &mut rng);
+        let names: Vec<&str> = store.ids().map(|id| store.name(id)).collect();
+        let want = "g.wz g.uz g.wr g.ur g.wh g.uh g.bz g.br g.bh \
+                    l.wi l.ui l.wf l.uf l.wo l.uo l.wg l.ug l.bi l.bf l.bo l.bg";
+        assert_eq!(names, want.split_whitespace().collect::<Vec<_>>());
+        // Only the LSTM forget gate starts open.
+        for id in store
+            .ids()
+            .filter(|&id| store.name(id)[2..].starts_with('b'))
+        {
+            let init = if store.name(id) == "l.bf" { 1.0 } else { 0.0 };
+            assert!(store.value(id).data().iter().all(|&v| v == init));
+        }
     }
 
     #[test]
@@ -346,19 +273,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut store = ParamStore::new();
         let cell = LstmCell::new(&mut store, "lstm", 4, 5, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
-        let x = f.input(Tensor::randn(
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let x = f.exec.tape.input(Tensor::randn(
             Shape::d2(2, 4),
             0.0,
             1.0,
             &mut StdRng::seed_from_u64(3),
         ));
-        let h = f.input(Tensor::zeros(Shape::d2(2, 5)));
-        let c = f.input(Tensor::zeros(Shape::d2(2, 5)));
+        let h = f.exec.tape.input(Tensor::zeros(Shape::d2(2, 5)));
+        let c = f.exec.tape.input(Tensor::zeros(Shape::d2(2, 5)));
         let (h2, c2) = cell.step(&mut f, x, h, c);
-        assert_eq!(tape.shape(h2), Shape::d2(2, 5));
-        assert_eq!(tape.shape(c2), Shape::d2(2, 5));
+        assert_eq!(exec.tape.shape(h2), Shape::d2(2, 5));
+        assert_eq!(exec.tape.shape(c2), Shape::d2(2, 5));
     }
 
     #[test]
@@ -366,19 +293,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut store = ParamStore::new();
         let cell = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
-        let xs = f.input(Tensor::randn(
+        let mut exec = TapeExec::new(&mut rng, false);
+        let mut f = Fwd::new(&mut exec, &store);
+        let xs = f.exec.tape.input(Tensor::randn(
             Shape::d3(2, 5, 3),
             0.0,
             1.0,
             &mut StdRng::seed_from_u64(5),
         ));
         let (all, fin) = run_gru(&mut f, &cell, xs, &[2, 5]);
-        assert_eq!(tape.shape(all), Shape::d3(2, 5, 4));
-        assert_eq!(tape.shape(fin), Shape::d2(2, 4));
+        assert_eq!(exec.tape.shape(all), Shape::d3(2, 5, 4));
+        assert_eq!(exec.tape.shape(fin), Shape::d2(2, 4));
         // Element 0 (len 2): states at t >= 1 must all equal the state at t=1.
-        let a = tape.value(all);
+        let a = exec.tape.value(all);
         for t in 2..5 {
             for d in 0..4 {
                 assert!(
@@ -388,7 +315,7 @@ mod tests {
             }
         }
         // Final state equals last row of all-states.
-        let fv = tape.value(fin);
+        let fv = exec.tape.value(fin);
         for d in 0..4 {
             assert!((fv.at2(0, d) - a.at3(0, 1, d)).abs() < 1e-6);
             assert!((fv.at2(1, d) - a.at3(1, 4, d)).abs() < 1e-6);
@@ -396,49 +323,22 @@ mod tests {
     }
 
     #[test]
-    fn gru_infer_matches_tape() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut store = ParamStore::new();
-        let cell = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
-        let xs_val = Tensor::randn(Shape::d3(2, 5, 3), 0.0, 1.0, &mut StdRng::seed_from_u64(9));
-        let lens = [3usize, 5];
-
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, false);
-        let xs = f.input(xs_val.clone());
-        let (all_tape, fin_tape) = run_gru(&mut f, &cell, xs, &lens);
-
-        let mut ctx = InferCtx::new();
-        let mut inf = InferFwd::new(&mut ctx, &store);
-        let (all_infer, fin_infer) = run_gru_infer(&mut inf, &cell, &xs_val, &lens);
-
-        assert!(
-            all_infer.approx_eq(tape.value(all_tape), 1e-5),
-            "GRU states diverged"
-        );
-        assert!(
-            fin_infer.approx_eq(tape.value(fin_tape), 1e-5),
-            "GRU final state diverged"
-        );
-    }
-
-    #[test]
     fn rnn_gradients_flow_through_time() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut store = ParamStore::new();
         let cell = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
-        let mut tape = Tape::new();
-        let mut f = Fwd::new(&mut tape, &store, &mut rng, true);
-        let xs = f.input(Tensor::randn(
+        let mut exec = TapeExec::new(&mut rng, true);
+        let mut f = Fwd::new(&mut exec, &store);
+        let xs = f.exec.tape.input(Tensor::randn(
             Shape::d3(2, 4, 3),
             0.0,
             1.0,
             &mut StdRng::seed_from_u64(7),
         ));
         let (_, fin) = run_gru(&mut f, &cell, xs, &[4, 4]);
-        let loss = tape.mean_all(fin);
-        let grads = tape.backward(loss);
-        store.accumulate(grads.into_param_grads(&tape));
+        let loss = exec.tape.mean_all(fin);
+        let grads = exec.tape.backward(loss);
+        store.accumulate(grads.into_param_grads(&exec.tape));
         assert!(store.grad_norm() > 0.0);
     }
 }

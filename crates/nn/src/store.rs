@@ -2,12 +2,12 @@
 //!
 //! A [`ParamStore`] owns the model weights plus per-parameter optimizer
 //! state. Tapes are rebuilt every step; modules *bind* their parameters into
-//! the current tape with [`ParamStore::bind`], and after the backward pass
+//! the current tape through [`ParamStore::p`], and after the backward pass
 //! gradients are routed back by parameter id with
 //! [`ParamStore::accumulate`].
 
 use bytes::{Buf, BufMut, BytesMut};
-use trajcl_tensor::{Shape, Tape, Tensor, Var};
+use trajcl_tensor::{Param, Shape, Tensor};
 
 /// Opaque handle to a parameter slot in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,9 +52,13 @@ impl ParamStore {
         ParamId(self.slots.len() - 1)
     }
 
-    /// Binds parameter `id` into `tape` as a differentiable leaf.
-    pub fn bind(&self, tape: &mut Tape, id: ParamId) -> Var {
-        tape.param(self.slots[id.0].value.clone(), id.0)
+    /// Parameter `id` as executors take it (a tape executor binds it as a
+    /// differentiable leaf, once per tape; the serving one just reads it).
+    pub fn p(&self, id: ParamId) -> Param<'_> {
+        Param {
+            id: id.0,
+            value: &self.slots[id.0].value,
+        }
     }
 
     /// Current value of a parameter.
@@ -275,20 +279,27 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trajcl_tensor::{Tape, Var};
+
+    /// A fresh tape with parameter `id` bound on it.
+    fn bound(store: &ParamStore, id: ParamId) -> (Tape, Var) {
+        let mut tape = Tape::new();
+        let p = store.p(id);
+        let w = tape.param(p.value.clone(), p.id);
+        (tape, w)
+    }
 
     #[test]
     fn add_bind_and_accumulate() {
         let mut store = ParamStore::new();
         let id = store.add("w", Tensor::from_vec(vec![1.0, 2.0], Shape::d1(2)));
-        let mut tape = Tape::new();
-        let w = store.bind(&mut tape, id);
+        let (mut tape, w) = bound(&store, id);
         let loss = tape.sum_all(w);
         let grads = tape.backward(loss);
         store.accumulate(grads.into_param_grads(&tape));
         assert_eq!(store.grad(id).data(), &[1.0, 1.0]);
         // Accumulation is additive until cleared.
-        let mut tape = Tape::new();
-        let w = store.bind(&mut tape, id);
+        let (mut tape, w) = bound(&store, id);
         let loss = tape.sum_all(w);
         let grads = tape.backward(loss);
         store.accumulate(grads.into_param_grads(&tape));
@@ -301,9 +312,8 @@ mod tests {
     fn double_binding_sums_gradients() {
         let mut store = ParamStore::new();
         let id = store.add("w", Tensor::scalar(3.0));
-        let mut tape = Tape::new();
-        let w1 = store.bind(&mut tape, id);
-        let w2 = store.bind(&mut tape, id);
+        let (mut tape, w1) = bound(&store, id);
+        let w2 = tape.param(store.value(id).clone(), id.0);
         let prod = tape.mul(w1, w2); // w^2 -> d/dw = 2w = 6
         let loss = tape.sum_all(prod);
         let grads = tape.backward(loss);

@@ -3,70 +3,73 @@
 //! The autograd [`Tape`](crate::Tape) records every op, clones parameter
 //! tensors into the graph and keeps all intermediate activations alive for
 //! the backward sweep — pure overhead when no gradient will ever be asked
-//! for. [`InferCtx`] is the serving-path counterpart: a bag of reusable
+//! for. [`InferCtx`] is the serving-side [`Exec`]: a bag of reusable
 //! scratch buffers (an arena of `Vec<f32>` keyed by power-of-two size
-//! class) plus forward-only kernels that write into recycled memory:
+//! class) whose ops write into recycled memory:
 //!
-//! * blocked/tiled [`InferCtx::matmul`] / [`InferCtx::linear`];
-//! * [`InferCtx::fused_attention`] — `Q·Kᵀ → scale → mask → softmax → ·V`
+//! * `linear` runs the blocked/tiled matmul with the bias added in the
+//!   same output pass;
+//! * `attention` computes `Q·Kᵀ → scale → mask → softmax → [+ γ·A] → ·V`
 //!   in one pass per (head, query) row, never materialising the `(B·H, L,
-//!   L)` coefficient tensor or the additive mask;
-//! * [`InferCtx::attention_probs`] for callers that need the coefficients
+//!   L)` coefficient tensor or an additive mask;
+//! * `attention_probs` serves callers that need the coefficients
 //!   themselves (TrajCL's DualMSM fusion), still fusing scale + mask +
 //!   softmax into the score pass;
-//! * in-place elementwise/normalisation helpers.
+//! * elementwise and normalisation ops overwrite their operand.
 //!
-//! Numerics match the tape kernels operation-for-operation (same
-//! accumulation order, same softmax formulation), so a tape forward and an
-//! infer forward agree to within float-associativity noise (≪ 1e-5); the
-//! padding mask is applied by *skipping* masked keys, which is exact
-//! because the tape's additive `-1e9` bias underflows `exp` to 0.0 in f32.
+//! Numerics match the tape executor operation-for-operation (the matmul,
+//! softmax, layer-norm and pooling bodies are the same functions in
+//! [`kernels`]), so the two executors agree to within float-associativity
+//! noise (≪ 1e-5); the padding mask is applied by *skipping* masked keys,
+//! which is exact because the tape's additive `-1e9` bias drives
+//! [`kernels::exp_fast`] to exactly `0.0`.
 //!
-//! All allocation goes through the arena; callers hand buffers back with
-//! [`InferCtx::recycle`], so steady-state serving does no allocation at
-//! all. Kernels fully overwrite their outputs — recycled buffers never
-//! leak stale values into results.
+//! All allocation goes through the arena; [`Exec::release`] hands buffers
+//! back, so steady-state serving does no allocation at all. Kernels fully
+//! overwrite their outputs — recycled buffers never leak stale values
+//! into results.
 
-use crate::kernels::{self, mat_dims};
+use crate::exec::{Exec, Param};
+use crate::kernels;
 use crate::pool;
 use crate::shape::Shape;
-use crate::tape::split_heads_copy;
+use crate::tape::regroup_heads;
 use crate::tensor::Tensor;
 
-/// Row-block size of the tiled matmul (each streamed row of `b` is reused
-/// for this many output rows from L1).
-const MR: usize = 4;
-
-/// Arena of reusable `Vec<f32>` scratch buffers, keyed by power-of-two
-/// size class.
+/// Reusable inference context: the scratch arena behind the serving-side
+/// [`Exec`] — free `Vec<f32>` buffers keyed by power-of-two size class.
+///
+/// Not `Sync`: one `InferCtx` per serving thread (kernels themselves fan
+/// out over the shared [`pool`] internally).
 #[derive(Default)]
-struct ScratchArena {
+pub struct InferCtx {
     /// `classes[c]` holds free buffers of capacity ≈ `2^c`.
     classes: Vec<Vec<Vec<f32>>>,
 }
 
-impl ScratchArena {
-    /// A buffer of exactly `len` elements with **unspecified contents**
-    /// (possibly stale values from a previous use — callers must fully
-    /// overwrite).
-    fn take(&mut self, len: usize) -> Vec<f32> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let class = len.next_power_of_two().trailing_zeros() as usize;
-        if let Some(free) = self.classes.get_mut(class) {
-            if let Some(mut buf) = free.pop() {
-                buf.resize(len, 0.0);
-                return buf;
-            }
-        }
-        let mut buf = Vec::with_capacity(1usize << class);
-        buf.resize(len, 0.0);
-        buf
+impl InferCtx {
+    /// An empty context (buffers are grown on first use and reused after).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Returns a buffer to the arena for reuse.
-    fn give(&mut self, buf: Vec<f32>) {
+    /// An arena-backed tensor with **unspecified contents** (possibly
+    /// stale values from a previous use); every op fully overwrites its
+    /// output, so this never leaks them.
+    pub fn alloc(&mut self, shape: Shape) -> Tensor {
+        let len = shape.numel();
+        let class = len.next_power_of_two().trailing_zeros() as usize;
+        let mut buf = match self.classes.get_mut(class).and_then(Vec::pop) {
+            Some(buf) => buf,
+            None => Vec::with_capacity(1usize << class),
+        };
+        buf.resize(len, 0.0);
+        Tensor::from_vec(buf, shape)
+    }
+
+    /// Hands a tensor's backing buffer to the arena for reuse.
+    pub fn recycle(&mut self, t: Tensor) {
+        let buf = t.into_vec();
         let cap = buf.capacity();
         if cap == 0 {
             return;
@@ -83,151 +86,77 @@ impl ScratchArena {
     }
 }
 
-/// Reusable inference context: scratch arena + tape-free kernels.
-///
-/// Not `Sync`: one `InferCtx` per serving thread (kernels themselves fan
-/// out over the shared [`pool`] internally).
-#[derive(Default)]
-pub struct InferCtx {
-    arena: ScratchArena,
-}
+impl Exec for InferCtx {
+    type Act = Tensor;
 
-impl InferCtx {
-    /// An empty context (buffers are grown on first use and reused after).
-    pub fn new() -> Self {
-        Self::default()
+    fn input(&mut self, value: &Tensor) -> Tensor {
+        let mut out = self.alloc(value.shape());
+        out.data_mut().copy_from_slice(value.data());
+        out
     }
 
-    /// An arena-backed tensor with **unspecified contents**; every kernel
-    /// in this module fully overwrites its output, so this never leaks
-    /// stale values.
-    pub fn alloc(&mut self, shape: Shape) -> Tensor {
-        Tensor::from_vec(self.arena.take(shape.numel()), shape)
+    fn linear(&mut self, x: &Tensor, w: Param, bias: Option<Param>) -> Tensor {
+        let bias = bias.map(|b| b.value.data());
+        kernels::matmul_with(x, w.value, false, false, bias, |s| self.alloc(s))
     }
 
-    /// An arena-backed copy of `src`.
-    pub fn alloc_copy(&mut self, src: &Tensor) -> Tensor {
-        let mut buf = self.arena.take(src.numel());
-        buf.copy_from_slice(src.data());
-        Tensor::from_vec(buf, src.shape())
+    fn add(&mut self, mut a: Tensor, b: &Tensor) -> Tensor {
+        a.add_assign_scaled(b, 1.0);
+        a
     }
 
-    /// Hands a tensor's backing buffer to the arena for reuse.
-    pub fn recycle(&mut self, t: Tensor) {
-        self.arena.give(t.into_vec());
-    }
-
-    // ----- matmul ---------------------------------------------------------
-
-    /// (Batched / transposed) matrix product into an arena buffer; shape
-    /// semantics identical to [`kernels::matmul`].
-    pub fn matmul(&mut self, a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
-        self.matmul_bias(a, b, ta, tb, None)
-    }
-
-    /// Fully-connected layer `x·w + bias` with the bias added in the same
-    /// output pass.
-    pub fn linear(&mut self, x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
-        debug_assert_eq!(bias.shape().rank(), 1, "linear bias must be rank 1");
-        self.matmul_bias(x, w, false, false, Some(bias.data()))
-    }
-
-    fn matmul_bias(
-        &mut self,
-        a: &Tensor,
-        b: &Tensor,
-        ta: bool,
-        tb: bool,
-        bias: Option<&[f32]>,
-    ) -> Tensor {
-        let da = mat_dims(a.shape(), ta);
-        let db = mat_dims(b.shape(), tb);
+    fn add_positional(&mut self, mut x: Tensor, pe: &Tensor) -> Tensor {
+        let xs = x.shape();
+        assert_eq!(xs.rank(), 3, "positional encoding expects (B, L, D)");
         assert_eq!(
-            da.cols,
-            db.rows,
-            "matmul inner dims mismatch: {} x {}",
-            a.shape(),
-            b.shape()
+            pe.shape(),
+            Shape::d2(xs[1], xs[2]),
+            "PE table shape mismatch"
         );
-        let batch = match (da.batch, db.batch) {
-            (x, y) if x == y => x,
-            (x, 1) => x,
-            (1, y) => y,
-            (x, y) => panic!("matmul batch mismatch: {x} vs {y}"),
-        };
-        let (m, k, n) = (da.rows, da.cols, db.cols);
-        let out_shape = if batch == 1 && a.shape().rank() == 2 && b.shape().rank() == 2 {
-            Shape::d2(m, n)
-        } else {
-            Shape::d3(batch, m, n)
-        };
-        let mut out = self.alloc(out_shape);
-        if !ta && !tb && db.batch == 1 {
-            // Shared right operand (weights): the batched product collapses
-            // to one (batch·m, k) x (k, n) multiply — run it tiled.
-            matmul2d_tiled(a.data(), b.data(), batch * m, k, n, bias, out.data_mut());
-            return out;
+        kernels::add_bias_rows(x.data_mut(), pe.data());
+        x
+    }
+
+    fn layer_norm(&mut self, mut x: Tensor, gamma: Param, beta: Param, eps: f32) -> Tensor {
+        let d = Shape::d1(x.shape().last());
+        assert_eq!(gamma.value.shape(), d, "layer_norm gamma shape");
+        assert_eq!(beta.value.shape(), d, "layer_norm beta shape");
+        let (g, b) = (gamma.value.data(), beta.value.data());
+        kernels::layer_norm_rows(x.data_mut(), g, b, eps, |_, _, _| {});
+        x
+    }
+
+    fn relu(&mut self, mut x: Tensor) -> Tensor {
+        for v in x.data_mut() {
+            *v = v.max(0.0);
         }
-        let a_stride = if da.batch == 1 { 0 } else { m * k };
-        let b_stride = if db.batch == 1 { 0 } else { k * n };
-        let (ad, bd) = (a.data(), b.data());
-        kernels::for_each_row(out.data_mut(), n, k * n, |r, out_row| {
-            let (bi, i) = (r / m, r % m);
-            out_row.fill(0.0);
-            kernels::matmul_row_into(
-                &ad[bi * a_stride..bi * a_stride + m * k],
-                &bd[bi * b_stride..bi * b_stride + k * n],
-                i,
-                m,
-                k,
-                n,
-                ta,
-                tb,
-                out_row,
-            );
-            if let Some(bias) = bias {
-                for (o, &bv) in out_row.iter_mut().zip(bias) {
-                    *o += bv;
-                }
-            }
-        });
+        x
+    }
+
+    fn dropout(&mut self, x: Tensor, _p: f32) -> Tensor {
+        x
+    }
+
+    fn l2_normalize_rows(&mut self, mut x: Tensor) -> Tensor {
+        let d = x.shape().last();
+        kernels::l2_normalize_rows(x.data_mut(), d, |_, _| {});
+        x
+    }
+
+    fn split_heads(&mut self, x: Tensor, heads: usize) -> Tensor {
+        let out = regroup_heads(&x, heads, false, |s| self.alloc(s));
+        self.recycle(x);
         out
     }
 
-    // ----- attention ------------------------------------------------------
-
-    /// Splits `(B, L, H·Dh)` into `(B·H, L, Dh)`.
-    pub fn split_heads(&mut self, x: &Tensor, heads: usize) -> Tensor {
-        let xs = x.shape();
-        assert_eq!(xs.rank(), 3, "split_heads expects rank 3, got {xs}");
-        let (b, l, d) = (xs[0], xs[1], xs[2]);
-        assert_eq!(d % heads, 0, "model dim {d} not divisible by {heads} heads");
-        let dh = d / heads;
-        let mut out = self.alloc(Shape::d3(b * heads, l, dh));
-        split_heads_copy(x.data(), out.data_mut(), b, l, heads, dh, false);
+    fn merge_heads(&mut self, x: Tensor, heads: usize) -> Tensor {
+        let out = regroup_heads(&x, heads, true, |s| self.alloc(s));
+        self.recycle(x);
         out
     }
 
-    /// Merges `(B·H, L, Dh)` back into `(B, L, H·Dh)`.
-    pub fn merge_heads(&mut self, x: &Tensor, heads: usize) -> Tensor {
-        let xs = x.shape();
-        assert_eq!(xs.rank(), 3, "merge_heads expects rank 3, got {xs}");
-        let (bh, l, dh) = (xs[0], xs[1], xs[2]);
-        assert_eq!(bh % heads, 0, "batch*heads {bh} not divisible by {heads}");
-        let b = bh / heads;
-        let mut out = self.alloc(Shape::d3(b, l, heads * dh));
-        split_heads_copy(x.data(), out.data_mut(), b, l, heads, dh, true);
-        out
-    }
-
-    /// Masked, scaled attention coefficients
-    /// `softmax(Q·Kᵀ/√dh + mask)` of shape `(B·H, L, L)`, with scale, mask
-    /// and softmax fused into the score pass. Key positions `≥ lens[b]`
-    /// get exactly-zero weight (the tape's `-1e9` bias underflows to the
-    /// same zeros).
-    ///
-    /// `q`/`k` are `(B·H, L, Dh)` with `B = lens.len()`.
-    pub fn attention_probs(&mut self, q: &Tensor, k: &Tensor, lens: &[usize]) -> Tensor {
+    /// Scale, mask and softmax are fused into the score pass.
+    fn attention_probs(&mut self, q: &Tensor, k: &Tensor, lens: &[usize]) -> Tensor {
         let (bh, l, dh) = attn_dims(q, k, lens);
         let heads = bh / lens.len();
         let scale = 1.0 / (dh as f32).sqrt();
@@ -246,7 +175,7 @@ impl InferCtx {
                     let row = &mut block[i * l..(i + 1) * l];
                     let q_row = &qd[(bhi * l + i) * dh..(bhi * l + i + 1) * dh];
                     scores_into(q_row, &kt, len, scale, &mut row[..len]);
-                    softmax_inplace(&mut row[..len]);
+                    kernels::softmax_inplace(&mut row[..len]);
                     row[len..].fill(0.0);
                 }
             }
@@ -254,18 +183,24 @@ impl InferCtx {
         out
     }
 
-    /// Fused attention: `softmax(Q·Kᵀ/√dh + mask)·V` computed in one pass
-    /// per (head, query) row without materialising the `(B·H, L, L)`
-    /// coefficient tensor. Inputs are `(B·H, L, Dh)`; output likewise.
-    pub fn fused_attention(
+    /// One pass per (head, query) row; neither the `(B·H, L, L)`
+    /// coefficients nor the blended `softmax + γ·A` rows are materialised.
+    /// Masked keys carry zero weight on both sides (`A`'s rows are already
+    /// zero there), so the blended row still skips them exactly.
+    fn attention(
         &mut self,
         q: &Tensor,
         k: &Tensor,
         v: &Tensor,
         lens: &[usize],
+        fuse: Option<(&Tensor, Param)>,
     ) -> Tensor {
         let (bh, l, dh) = attn_dims(q, k, lens);
-        assert_eq!(v.shape(), q.shape(), "fused_attention v shape");
+        assert_eq!(v.shape(), q.shape(), "attention v shape");
+        let fuse = fuse.map(|(a, gamma)| {
+            assert_eq!(a.shape(), Shape::d3(bh, l, l), "attention fuse shape");
+            (a.data(), gamma.value.data()[0])
+        });
         let heads = bh / lens.len();
         let scale = 1.0 / (dh as f32).sqrt();
         let mut out = self.alloc(q.shape());
@@ -287,62 +222,12 @@ impl InferCtx {
                 for i in 0..l {
                     let q_row = &qd[base + i * dh..base + (i + 1) * dh];
                     scores_into(q_row, &kt, len, scale, &mut scores[..len]);
-                    softmax_inplace(&mut scores[..len]);
-                    let out_row = &mut block[i * dh..(i + 1) * dh];
-                    for (d, o) in out_row.iter_mut().enumerate() {
-                        *o = kernels::dot(&scores[..len], &vt[d * len..(d + 1) * len]);
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// DualMSM fusion in one pass: `(softmax(Q·Kᵀ/√dh + mask) + γ·A)·V`
-    /// per (head, query) row, where `a` holds precomputed coefficients
-    /// `(B·H, L, L)` (TrajCL Eq. 15 with `A = A_s`). The structural
-    /// coefficient matrix `A_t` is never materialised.
-    ///
-    /// Masked keys carry zero weight on both sides (`a` rows are already
-    /// zero there), so the blended row still skips them exactly.
-    pub fn fused_attention_bias(
-        &mut self,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        a: &Tensor,
-        gamma: f32,
-        lens: &[usize],
-    ) -> Tensor {
-        let (bh, l, dh) = attn_dims(q, k, lens);
-        assert_eq!(v.shape(), q.shape(), "fused_attention_bias v shape");
-        assert_eq!(
-            a.shape(),
-            Shape::d3(bh, l, l),
-            "fused_attention_bias a shape"
-        );
-        let heads = bh / lens.len();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut out = self.alloc(q.shape());
-        let (qd, kd, vd, ad) = (q.data(), k.data(), v.data(), a.data());
-        let per = pool::rows_per_lane(bh);
-        pool::par_chunks_mut(out.data_mut(), per * l * dh, |c, chunk| {
-            let mut kt = vec![0.0f32; l * dh];
-            let mut vt = vec![0.0f32; l * dh];
-            let mut scores = vec![0.0f32; l];
-            for (b_off, block) in chunk.chunks_mut(l * dh).enumerate() {
-                let bhi = c * per + b_off;
-                let len = lens[bhi / heads].min(l);
-                let base = bhi * l * dh;
-                transpose_block(&kd[base..base + l * dh], dh, len, &mut kt);
-                transpose_block(&vd[base..base + l * dh], dh, len, &mut vt);
-                for i in 0..l {
-                    let q_row = &qd[base + i * dh..base + (i + 1) * dh];
-                    scores_into(q_row, &kt, len, scale, &mut scores[..len]);
-                    softmax_inplace(&mut scores[..len]);
-                    let a_row = &ad[(bhi * l + i) * l..(bhi * l + i) * l + len];
-                    for (s, &av) in scores[..len].iter_mut().zip(a_row) {
-                        *s += gamma * av;
+                    kernels::softmax_inplace(&mut scores[..len]);
+                    if let Some((ad, gamma)) = fuse {
+                        let a_row = &ad[(bhi * l + i) * l..(bhi * l + i) * l + len];
+                        for (s, &av) in scores[..len].iter_mut().zip(a_row) {
+                            *s += gamma * av;
+                        }
                     }
                     let out_row = &mut block[i * dh..(i + 1) * dh];
                     for (d, o) in out_row.iter_mut().enumerate() {
@@ -354,183 +239,20 @@ impl InferCtx {
         out
     }
 
-    // ----- pooling / shape plumbing ---------------------------------------
-
-    /// Masked mean over time: `(B, L, D) -> (B, D)` averaging the first
-    /// `lens[b]` positions.
-    pub fn mean_pool_masked(&mut self, x: &Tensor, lens: &[usize]) -> Tensor {
-        let xs = x.shape();
-        assert_eq!(xs.rank(), 3, "mean_pool_masked expects rank 3");
-        let (b, l, d) = (xs[0], xs[1], xs[2]);
-        assert_eq!(lens.len(), b, "lens length must equal batch");
-        let mut out = self.alloc(Shape::d2(b, d));
-        let xd = x.data();
-        for (bi, &len) in lens.iter().enumerate() {
-            assert!(len >= 1 && len <= l, "invalid length {len} for L={l}");
-            let inv = 1.0 / len as f32;
-            let orow = &mut out.data_mut()[bi * d..(bi + 1) * d];
-            orow.fill(0.0);
-            for t in 0..len {
-                let src = &xd[(bi * l + t) * d..(bi * l + t + 1) * d];
-                for (o, &v) in orow.iter_mut().zip(src) {
-                    *o += v * inv;
-                }
-            }
-        }
-        out
+    fn attend(&mut self, probs: &Tensor, v: &Tensor) -> Tensor {
+        kernels::matmul_with(probs, v, false, false, None, |s| self.alloc(s))
     }
 
-    /// Concatenates two tensors along the last dimension.
-    pub fn concat2(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        let rows = a.shape().rows();
-        assert_eq!(b.shape().rows(), rows, "concat2 leading dims mismatch");
-        let (wa, wb) = (a.shape().last(), b.shape().last());
-        let total = wa + wb;
-        let mut dims = a.shape().dims().to_vec();
-        *dims.last_mut().unwrap() = total;
-        let mut out = self.alloc(Shape::from_slice(&dims));
-        let od = out.data_mut();
-        for i in 0..rows {
-            od[i * total..i * total + wa].copy_from_slice(&a.data()[i * wa..(i + 1) * wa]);
-            od[i * total + wa..(i + 1) * total].copy_from_slice(&b.data()[i * wb..(i + 1) * wb]);
-        }
-        out
+    fn concat(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        kernels::concat(&[a, b], |s| self.alloc(s))
     }
 
-    /// `(B, L, D)` slice at time step `t`, producing `(B, D)`.
-    pub fn select_time(&mut self, x: &Tensor, t: usize) -> Tensor {
-        let xs = x.shape();
-        assert_eq!(xs.rank(), 3, "select_time expects rank 3");
-        let (b, l, d) = (xs[0], xs[1], xs[2]);
-        assert!(t < l, "time index {t} out of range {l}");
-        let mut out = self.alloc(Shape::d2(b, d));
-        for bi in 0..b {
-            out.data_mut()[bi * d..(bi + 1) * d]
-                .copy_from_slice(&x.data()[(bi * l + t) * d..(bi * l + t + 1) * d]);
-        }
-        out
+    fn mean_pool_masked(&mut self, x: &Tensor, lens: &[usize]) -> Tensor {
+        kernels::mean_pool_masked(x, lens, |s| self.alloc(s))
     }
 
-    /// Stacks `L` tensors of shape `(B, D)` into `(B, L, D)`.
-    pub fn stack_time(&mut self, parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "stack_time of zero parts");
-        let s0 = parts[0].shape();
-        assert_eq!(s0.rank(), 2, "stack_time parts must be rank 2");
-        let (b, d) = (s0[0], s0[1]);
-        let l = parts.len();
-        let mut out = self.alloc(Shape::d3(b, l, d));
-        for (t, p) in parts.iter().enumerate() {
-            assert_eq!(p.shape(), s0, "stack_time shape mismatch at {t}");
-            for bi in 0..b {
-                out.data_mut()[(bi * l + t) * d..(bi * l + t + 1) * d]
-                    .copy_from_slice(&p.data()[bi * d..(bi + 1) * d]);
-            }
-        }
-        out
-    }
-
-    // ----- in-place elementwise / normalisation ---------------------------
-
-    /// `a += b` (shapes must match).
-    pub fn add_inplace(a: &mut Tensor, b: &Tensor) {
-        assert_eq!(a.shape(), b.shape(), "add_inplace shape mismatch");
-        for (x, &y) in a.data_mut().iter_mut().zip(b.data()) {
-            *x += y;
-        }
-    }
-
-    /// `dst += alpha · src` (shapes must match) — the DualMSM fusion
-    /// `A_t + γ·A_s` without materialising the scaled copy.
-    pub fn add_scaled_inplace(dst: &mut Tensor, src: &Tensor, alpha: f32) {
-        assert_eq!(
-            dst.shape(),
-            src.shape(),
-            "add_scaled_inplace shape mismatch"
-        );
-        for (x, &y) in dst.data_mut().iter_mut().zip(src.data()) {
-            *x += alpha * y;
-        }
-    }
-
-    /// Adds a rank-1 bias over the last dimension of `x`.
-    pub fn add_bias_inplace(x: &mut Tensor, bias: &Tensor) {
-        let w = bias.shape().numel();
-        assert_eq!(x.shape().last(), w, "add_bias_inplace dim mismatch");
-        let bd = bias.data();
-        for row in x.data_mut().chunks_mut(w) {
-            for (o, &b) in row.iter_mut().zip(bd) {
-                *o += b;
-            }
-        }
-    }
-
-    /// Adds a `(L, D)` positional table to every batch of a `(B, L, D)`
-    /// tensor.
-    pub fn add_pe_inplace(x: &mut Tensor, pe: &Tensor) {
-        let xs = x.shape();
-        assert_eq!(xs.rank(), 3, "add_pe_inplace expects (B, L, D)");
-        assert_eq!(
-            pe.shape(),
-            Shape::d2(xs[1], xs[2]),
-            "PE table shape mismatch"
-        );
-        let pd = pe.data();
-        for batch in x.data_mut().chunks_mut(pd.len()) {
-            for (o, &p) in batch.iter_mut().zip(pd) {
-                *o += p;
-            }
-        }
-    }
-
-    /// Elementwise map in place.
-    pub fn map_inplace(x: &mut Tensor, f: impl Fn(f32) -> f32) {
-        for v in x.data_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// ReLU in place.
-    pub fn relu_inplace(x: &mut Tensor) {
-        Self::map_inplace(x, |v| v.max(0.0));
-    }
-
-    /// Elementwise combine into a fresh arena tensor.
-    pub fn zip(&mut self, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(a.shape(), b.shape(), "zip shape mismatch");
-        let mut out = self.alloc(a.shape());
-        for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
-            *o = f(x, y);
-        }
-        out
-    }
-
-    /// Layer normalisation over the last dimension, in place (same formula
-    /// as the tape kernel).
-    pub fn layer_norm_inplace(x: &mut Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) {
-        let d = x.shape().last();
-        assert_eq!(gamma.shape(), Shape::d1(d), "layer_norm gamma shape");
-        assert_eq!(beta.shape(), Shape::d1(d), "layer_norm beta shape");
-        let (g, b) = (gamma.data(), beta.data());
-        for row in x.data_mut().chunks_mut(d) {
-            let mu: f32 = row.iter().sum::<f32>() / d as f32;
-            let var: f32 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-            let rs = 1.0 / (var + eps).sqrt();
-            for (j, o) in row.iter_mut().enumerate() {
-                *o = (*o - mu) * rs * g[j] + b[j];
-            }
-        }
-    }
-
-    /// Scales each row to unit L2 norm, in place.
-    pub fn l2_normalize_rows_inplace(x: &mut Tensor) {
-        let d = x.shape().last();
-        for row in x.data_mut().chunks_mut(d) {
-            let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-12);
-            let inv = 1.0 / n;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-        }
+    fn release(&mut self, a: Tensor) {
+        self.recycle(a);
     }
 }
 
@@ -546,15 +268,6 @@ fn attn_dims(q: &Tensor, k: &Tensor, lens: &[usize]) -> (usize, usize, usize) {
         lens.len()
     );
     (bh, l, dh)
-}
-
-/// In-place softmax — the single shared implementation in
-/// [`kernels::softmax_inplace`], so tape and infer can never drift.
-fn softmax_inplace(row: &mut [f32]) {
-    if row.is_empty() {
-        return;
-    }
-    kernels::softmax_inplace(row);
 }
 
 /// Copies the first `len` rows of a `(L, dh)` block into `(dh, len)`
@@ -662,54 +375,6 @@ impl Drop for PooledCtx<'_> {
     }
 }
 
-/// Tiled 2-D multiply `out = a·b (+ bias)`: rows of `a` are processed in
-/// blocks of [`MR`] so each streamed row of `b` is reused from cache, with
-/// per-element accumulation order identical to the row-wise kernel.
-fn matmul2d_tiled(
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let block = |row0: usize, chunk: &mut [f32]| {
-        for (blk, out_blk) in chunk.chunks_mut(MR * n).enumerate() {
-            let r0 = row0 + blk * MR;
-            let mr = out_blk.len() / n;
-            out_blk.fill(0.0);
-            for kk in 0..k {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for r in 0..mr {
-                    let av = a[(r0 + r) * k + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let o_row = &mut out_blk[r * n..(r + 1) * n];
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            if let Some(bias) = bias {
-                for r in 0..mr {
-                    for (o, &bv) in out_blk[r * n..(r + 1) * n].iter_mut().zip(bias) {
-                        *o += bv;
-                    }
-                }
-            }
-        }
-    };
-    if pool::threads() <= 1 || rows * k * n < kernels::PAR_THRESHOLD {
-        block(0, out);
-        return;
-    }
-    // Chunk on MR-aligned row boundaries so blocks never straddle chunks.
-    let rows_per = pool::rows_per_lane(rows).next_multiple_of(MR);
-    pool::par_chunks_mut(out, rows_per * n, |c, chunk| block(c * rows_per, chunk));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,58 +386,21 @@ mod tests {
         Tensor::randn(shape, 0.0, 1.0, &mut StdRng::seed_from_u64(seed))
     }
 
-    #[test]
-    fn matmul_matches_tape_kernel_all_flag_combos() {
-        let mut ctx = InferCtx::new();
-        let a = randn(Shape::d2(5, 7), 0);
-        let b = randn(Shape::d2(7, 3), 1);
-        let got = ctx.matmul(&a, &b, false, false);
-        assert!(got.approx_eq(&matmul(&a, &b, false, false), 0.0));
-        // Transposed combos (square to keep dims valid).
-        let sa = randn(Shape::d2(6, 6), 2);
-        let sb = randn(Shape::d2(6, 6), 3);
-        for (ta, tb) in [(false, true), (true, false), (true, true)] {
-            let got = ctx.matmul(&sa, &sb, ta, tb);
-            assert!(
-                got.approx_eq(&matmul(&sa, &sb, ta, tb), 1e-6),
-                "flags ({ta}, {tb})"
-            );
-        }
+    fn param(value: &Tensor) -> Param<'_> {
+        Param { id: 0, value }
     }
 
     #[test]
-    fn matmul_batched_and_shared_weights() {
+    fn linear_is_the_shared_matmul_plus_bias() {
         let mut ctx = InferCtx::new();
-        let a = randn(Shape::d3(3, 4, 5), 4);
-        let b = randn(Shape::d3(3, 5, 2), 5);
-        let got = ctx.matmul(&a, &b, false, false);
-        assert!(got.approx_eq(&matmul(&a, &b, false, false), 0.0));
-        let w = randn(Shape::d2(5, 6), 6);
-        let got = ctx.matmul(&a, &w, false, false);
-        assert!(got.approx_eq(&matmul(&a, &w, false, false), 1e-6));
-    }
-
-    #[test]
-    fn tiled_matmul_covers_non_multiple_of_block_rows() {
-        let mut ctx = InferCtx::new();
-        for rows in [1usize, 2, 3, 4, 5, 7, 9] {
-            let a = randn(Shape::d2(rows, 8), rows as u64);
-            let b = randn(Shape::d2(8, 6), 100 + rows as u64);
-            let got = ctx.matmul(&a, &b, false, false);
-            assert!(
-                got.approx_eq(&matmul(&a, &b, false, false), 1e-6),
-                "rows={rows}"
-            );
-        }
-    }
-
-    #[test]
-    fn linear_adds_bias() {
-        let mut ctx = InferCtx::new();
-        let x = randn(Shape::d2(3, 4), 7);
+        // Rank-3 input against shared weights, rows not a multiple of the
+        // tile height.
+        let x = randn(Shape::d3(3, 3, 4), 7);
         let w = randn(Shape::d2(4, 2), 8);
         let bias = Tensor::from_vec(vec![0.5, -1.5], Shape::d1(2));
-        let got = ctx.linear(&x, &w, &bias);
+        let got = ctx.linear(&x, param(&w), None);
+        assert!(got.approx_eq(&matmul(&x, &w, false, false), 0.0));
+        let got = ctx.linear(&x, param(&w), Some(param(&bias)));
         let mut want = matmul(&x, &w, false, false);
         for row in want.data_mut().chunks_mut(2) {
             row[0] += 0.5;
@@ -811,10 +439,13 @@ mod tests {
         let k = randn(Shape::d3(6, 7, 4), 12);
         let v = randn(Shape::d3(6, 7, 4), 13);
         let lens = [2usize, 7, 4];
-        let fused = ctx.fused_attention(&q, &k, &v, &lens);
+        let fused = ctx.attention(&q, &k, &v, &lens, None);
         let probs = ctx.attention_probs(&q, &k, &lens);
-        let want = matmul(&probs, &v, false, false);
-        assert!(fused.approx_eq(&want, 1e-6));
+        assert!(fused.approx_eq(&ctx.attend(&probs, &v), 1e-6));
+        // With the γ·A term: (P + γ·P)·V = (1 + γ)·P·V.
+        let gamma = Tensor::scalar(0.5);
+        let blended = ctx.attention(&q, &k, &v, &lens, Some((&probs, param(&gamma))));
+        assert!(blended.approx_eq(&fused.map(|x| 1.5 * x), 1e-5));
     }
 
     #[test]
@@ -822,34 +453,20 @@ mod tests {
         let mut ctx = InferCtx::new();
         let a = randn(Shape::d2(9, 9), 14);
         let b = randn(Shape::d2(9, 9), 15);
-        let first = ctx.matmul(&a, &b, false, false);
+        let first = ctx.linear(&a, param(&b), None);
         let baseline = first.clone();
         ctx.recycle(first);
         // Poison the arena with a same-class buffer full of garbage.
         let poison = Tensor::full(Shape::d2(9, 9), f32::MAX);
         ctx.recycle(poison);
         for _ in 0..4 {
-            let again = ctx.matmul(&a, &b, false, false);
+            let again = ctx.linear(&a, param(&b), None);
             assert!(
                 again.approx_eq(&baseline, 0.0),
                 "recycled buffer leaked state"
             );
             ctx.recycle(again);
         }
-    }
-
-    #[test]
-    fn layer_norm_inplace_matches_tape() {
-        let mut x = randn(Shape::d2(4, 8), 16);
-        let gamma = randn(Shape::d1(8), 17);
-        let beta = randn(Shape::d1(8), 18);
-        let mut tape = crate::Tape::new();
-        let xv = tape.input(x.clone());
-        let gv = tape.input(gamma.clone());
-        let bv = tape.input(beta.clone());
-        let want = tape.layer_norm(xv, gv, bv, 1e-5);
-        InferCtx::layer_norm_inplace(&mut x, &gamma, &beta, 1e-5);
-        assert!(x.approx_eq(tape.value(want), 0.0));
     }
 }
 

@@ -11,7 +11,7 @@ use crate::tensor::Tensor;
 /// Even with the persistent pool a parallel region costs queue traffic and
 /// a latch; this keeps small ops cheap while letting attention-sized
 /// matmuls use all cores.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 17;
+const PAR_THRESHOLD: usize = 1 << 17;
 
 /// Runs `f(row_index, row)` over contiguous rows of `out`, in parallel on
 /// the shared [`pool`] when the total work estimate is large enough.
@@ -42,26 +42,57 @@ pub fn for_each_row(
     });
 }
 
-/// Dimensions of one side of a (possibly batched) matmul after resolving the
-/// transpose flag.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MatDims {
-    pub batch: usize,
-    pub rows: usize,
-    pub cols: usize,
+/// Validated geometry of one (optionally batched / transposed) matmul.
+struct MatmulPlan {
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    /// Per-batch element strides; `0` for an operand shared across batches.
+    a_stride: usize,
+    b_stride: usize,
+    out: Shape,
 }
 
-pub(crate) fn mat_dims(shape: Shape, transposed: bool) -> MatDims {
-    let r = shape.rank();
-    assert!(r >= 2, "matmul operand must have rank >= 2, got {shape}");
-    let (mut rows, mut cols) = (shape[r - 2], shape[r - 1]);
-    if transposed {
-        std::mem::swap(&mut rows, &mut cols);
-    }
-    MatDims {
-        batch: shape.numel() / (rows * cols),
-        rows,
-        cols,
+fn matmul_plan(a: Shape, b: Shape, ta: bool, tb: bool) -> MatmulPlan {
+    // `(batch, rows, cols)` of one operand after resolving its transpose flag.
+    let dims = |shape: Shape, transposed: bool| {
+        let r = shape.rank();
+        assert!(r >= 2, "matmul operand must have rank >= 2, got {shape}");
+        let (rows, cols) = (shape[r - 2], shape[r - 1]);
+        let batch = shape.numel() / (rows * cols);
+        if transposed {
+            (batch, cols, rows)
+        } else {
+            (batch, rows, cols)
+        }
+    };
+    let ((a_batch, m, k), (b_batch, b_rows, n)) = (dims(a, ta), dims(b, tb));
+    assert_eq!(
+        k,
+        b_rows,
+        "matmul inner dims mismatch: {a}{} x {b}{}",
+        if ta { "^T" } else { "" },
+        if tb { "^T" } else { "" }
+    );
+    let batch = match (a_batch, b_batch) {
+        (x, y) if x == y => x,
+        (x, 1) => x,
+        (1, y) => y,
+        (x, y) => panic!("matmul batch mismatch: {x} vs {y}"),
+    };
+    MatmulPlan {
+        batch,
+        m,
+        k,
+        n,
+        a_stride: if a_batch == 1 { 0 } else { m * k },
+        b_stride: if b_batch == 1 { 0 } else { k * n },
+        out: if batch == 1 && a.rank() == 2 && b.rank() == 2 {
+            Shape::d2(m, n)
+        } else {
+            Shape::d3(batch, m, n)
+        },
     }
 }
 
@@ -77,43 +108,101 @@ pub(crate) fn mat_dims(shape: Shape, transposed: bool) -> MatDims {
 /// # Panics
 /// Panics on inner-dimension or batch mismatch.
 pub fn matmul(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
-    let da = mat_dims(a.shape(), ta);
-    let db = mat_dims(b.shape(), tb);
-    assert_eq!(
-        da.cols,
-        db.rows,
-        "matmul inner dims mismatch: {}{} x {}{}",
-        a.shape(),
-        if ta { "^T" } else { "" },
-        b.shape(),
-        if tb { "^T" } else { "" }
-    );
-    let batch = match (da.batch, db.batch) {
-        (x, y) if x == y => x,
-        (x, 1) => x,
-        (1, y) => y,
-        (x, y) => panic!("matmul batch mismatch: {x} vs {y}"),
-    };
-    let (m, k, n) = (da.rows, da.cols, db.cols);
-    let out_shape = if batch == 1 && a.shape().rank() == 2 && b.shape().rank() == 2 {
-        Shape::d2(m, n)
-    } else {
-        Shape::d3(batch, m, n)
-    };
-    let mut out = Tensor::zeros(out_shape);
+    matmul_with(a, b, ta, tb, None, Tensor::zeros)
+}
 
-    let a_stride = if da.batch == 1 { 0 } else { m * k };
-    let b_stride = if db.batch == 1 { 0 } else { k * n };
-    let ad = a.data();
-    let bd = b.data();
+/// [`matmul`] with an optional rank-1 `bias` over the last dimension added
+/// in the same output pass, into a tensor from `alloc` — `Tensor::zeros`
+/// on the tape, the scratch arena when serving. Like every op taking an
+/// `alloc`, it overwrites the whole output, so a recycled buffer's stale
+/// contents never leak. The one forward matmul of both executors.
+pub fn matmul_with(
+    a: &Tensor,
+    b: &Tensor,
+    ta: bool,
+    tb: bool,
+    bias: Option<&[f32]>,
+    alloc: impl FnOnce(Shape) -> Tensor,
+) -> Tensor {
+    let p = matmul_plan(a.shape(), b.shape(), ta, tb);
+    let mut out = alloc(p.out);
+    let (ad, bd) = (a.data(), b.data());
+    if !ta && !tb && p.b_stride == 0 {
+        // Shared right operand (weights): the batched product collapses
+        // to one (batch·m, k) x (k, n) multiply — run it tiled.
+        matmul2d_tiled(ad, bd, p.batch * p.m, p.k, p.n, bias, out.data_mut());
+        return out;
+    }
     // Parallelise over all (batch, row) pairs: each output row is independent.
-    for_each_row(out.data_mut(), n, k * n, |r, out_row| {
-        let (bi, i) = (r / m, r % m);
-        let a_mat = &ad[bi * a_stride..bi * a_stride + m * k];
-        let b_mat = &bd[bi * b_stride..bi * b_stride + k * n];
-        matmul_row_into(a_mat, b_mat, i, m, k, n, ta, tb, out_row);
+    for_each_row(out.data_mut(), p.n, p.k * p.n, |r, out_row| {
+        let (bi, i) = (r / p.m, r % p.m);
+        let a_mat = &ad[bi * p.a_stride..bi * p.a_stride + p.m * p.k];
+        let b_mat = &bd[bi * p.b_stride..bi * p.b_stride + p.k * p.n];
+        out_row.fill(0.0);
+        matmul_row_into(a_mat, b_mat, i, p.m, p.k, p.n, ta, tb, out_row);
+        if let Some(bias) = bias {
+            add_bias_rows(out_row, bias);
+        }
     });
     out
+}
+
+/// Row-block size of the tiled matmul (each streamed row of `b` is reused
+/// for this many output rows from L1).
+const MR: usize = 4;
+
+/// Tiled 2-D multiply `out = a·b (+ bias)`: rows of `a` are processed in
+/// blocks of [`MR`] so each streamed row of `b` is reused from cache, with
+/// per-element accumulation order identical to the row-wise kernel.
+fn matmul2d_tiled(
+    a: &[f32],
+    b: &[f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let block = |row0: usize, chunk: &mut [f32]| {
+        for (blk, out_blk) in chunk.chunks_mut(MR * n).enumerate() {
+            let r0 = row0 + blk * MR;
+            let mr = out_blk.len() / n;
+            out_blk.fill(0.0);
+            for kk in 0..k {
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for r in 0..mr {
+                    let av = a[(r0 + r) * k + kk];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let o_row = &mut out_blk[r * n..(r + 1) * n];
+                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
+                }
+            }
+            if let Some(bias) = bias {
+                add_bias_rows(out_blk, bias);
+            }
+        }
+    };
+    if pool::threads() <= 1 || rows * k * n < PAR_THRESHOLD {
+        block(0, out);
+        return;
+    }
+    // Chunk on MR-aligned row boundaries so blocks never straddle chunks.
+    let rows_per = pool::rows_per_lane(rows).next_multiple_of(MR);
+    pool::par_chunks_mut(out, rows_per * n, |c, chunk| block(c * rows_per, chunk));
+}
+
+/// `x[r, :] += bias` for every `bias.len()`-wide row of `x` (a bias over
+/// the last dimension, or a flattened `(L, D)` table over every batch).
+pub fn add_bias_rows(x: &mut [f32], bias: &[f32]) {
+    for row in x.chunks_mut(bias.len()) {
+        for (o, &b) in row.iter_mut().zip(bias) {
+            *o += b;
+        }
+    }
 }
 
 /// Accumulating variant: `acc += a_eff · b_eff` where `acc` already has the
@@ -142,10 +231,9 @@ pub fn matmul_acc_into(acc: &mut Tensor, a: &Tensor, b: &Tensor, ta: bool, tb: b
     }
 }
 
-/// Accumulates one output row `out_row += a_eff[i, :] · b_eff` (also used
-/// by the tape-free kernels in [`crate::infer`]).
+/// Accumulates one output row `out_row += a_eff[i, :] · b_eff`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn matmul_row_into(
+fn matmul_row_into(
     a: &[f32],
     b: &[f32],
     i: usize,
@@ -337,18 +425,99 @@ pub(crate) fn max_unrolled(xs: &[f32]) -> f32 {
     m
 }
 
+/// Layer normalisation of every `g.len()`-wide row of `x`, in place:
+/// `(x − μ)·rstd·g + b`. `stat(row, μ, rstd)` sees each row's statistics
+/// (the tape keeps them for the backward pass; serving ignores them).
+pub fn layer_norm_rows(
+    x: &mut [f32],
+    g: &[f32],
+    b: &[f32],
+    eps: f32,
+    mut stat: impl FnMut(usize, f32, f32),
+) {
+    let d = g.len();
+    for (i, row) in x.chunks_mut(d).enumerate() {
+        let mu: f32 = row.iter().sum::<f32>() / d as f32;
+        let var: f32 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+        let rs = 1.0 / (var + eps).sqrt();
+        stat(i, mu, rs);
+        for (j, o) in row.iter_mut().enumerate() {
+            *o = (*o - mu) * rs * g[j] + b[j];
+        }
+    }
+}
+
+/// Scales every `d`-wide row of `x` to unit L2 norm, in place;
+/// `inv_norm(row, 1/‖row‖)` sees each scale factor.
+pub fn l2_normalize_rows(x: &mut [f32], d: usize, mut inv_norm: impl FnMut(usize, f32)) {
+    for (i, row) in x.chunks_mut(d).enumerate() {
+        let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-12);
+        let inv = 1.0 / n;
+        inv_norm(i, inv);
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
+}
+
+/// Concatenates `parts` (equal leading dimensions) along the last one,
+/// into a tensor from `alloc`.
+pub fn concat(parts: &[&Tensor], alloc: impl FnOnce(Shape) -> Tensor) -> Tensor {
+    let lead = parts.first().expect("concat of zero parts").shape();
+    let total: usize = parts.iter().map(|p| p.shape().last()).sum();
+    let mut dims = lead.dims().to_vec();
+    dims[lead.rank() - 1] = total;
+    let mut out = alloc(Shape::from_slice(&dims));
+    let mut off = 0;
+    for p in parts {
+        assert_eq!(
+            p.shape().rows(),
+            lead.rows(),
+            "concat leading dims mismatch"
+        );
+        let w = p.shape().last();
+        for (orow, prow) in out.data_mut().chunks_mut(total).zip(p.data().chunks(w)) {
+            orow[off..off + w].copy_from_slice(prow);
+        }
+        off += w;
+    }
+    out
+}
+
+/// Masked mean over time: averages the first `lens[b]` positions of each
+/// sequence of a `(B, L, D)` tensor into `(B, D)` from `alloc`.
+pub fn mean_pool_masked(x: &Tensor, lens: &[usize], alloc: impl FnOnce(Shape) -> Tensor) -> Tensor {
+    let xs = x.shape();
+    assert_eq!(xs.rank(), 3, "mean_pool_masked expects rank 3");
+    let (b, l, d) = (xs[0], xs[1], xs[2]);
+    assert_eq!(lens.len(), b, "lens length must equal batch");
+    let mut out = alloc(Shape::d2(b, d));
+    let rows = out.data_mut().chunks_mut(d);
+    for ((seq, orow), &len) in x.data().chunks(l * d).zip(rows).zip(lens) {
+        assert!(len >= 1 && len <= l, "invalid length {len} for L={l}");
+        let inv = 1.0 / len as f32;
+        orow.fill(0.0);
+        for src in seq.chunks(d).take(len) {
+            for (o, &v) in orow.iter_mut().zip(src) {
+                *o += v * inv;
+            }
+        }
+    }
+    out
+}
+
 /// Fast branchless `exp` (Cephes-style argument reduction + degree-6
 /// polynomial, ~2e-7 relative error). `libm`'s `expf` dominates softmax
 /// cost at attention sizes; this version auto-vectorises inside the row
-/// loops. Inputs are clamped to the finite range, so very negative masked
-/// scores come out as ~1e-38 instead of exactly 0 — indistinguishable
-/// after normalisation.
+/// loops. Inputs are clamped to `[-88, 88]`; at the lower bound the
+/// exponent field is zero, so deeply negative (masked) scores come out as
+/// exactly `0.0` — a padded key gets no weight at all, never a subnormal.
 #[inline]
 pub fn exp_fast(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     const LN2_HI: f32 = 0.693_359_4;
     const LN2_LO: f32 = -2.121_944_4e-4;
-    let x = x.clamp(-87.3, 88.0);
+    let x = x.clamp(-88.0, 88.0);
     // Round-to-nearest-even via the 1.5·2²³ magic constant: plain add/sub,
     // so the loop vectorises on the baseline target (no SSE4.1 `roundps`).
     const MAGIC: f32 = 12_582_912.0;
@@ -361,7 +530,8 @@ pub fn exp_fast(x: f32) -> f32 {
     p = p * r + 1.666_666_5e-1;
     p = p * r + 5.000_000_3e-1;
     let e = p * (r * r) + r + 1.0;
-    // Scale by 2^n through the exponent bits (n ∈ [-126, 127] after clamp).
+    // Scale by 2^n through the exponent bits (n ∈ [-127, 127] after clamp;
+    // n = -127 is the all-zero pattern, i.e. a factor of exactly 0.0).
     f32::from_bits(((n as i32 + 127) << 23) as u32) * e
 }
 
@@ -449,6 +619,29 @@ mod tests {
     }
 
     #[test]
+    fn tiled_matmul_matches_row_wise_for_every_row_count() {
+        // Shared weights take the tiled path; the same product with the
+        // weights repeated per batch takes the row-wise one.
+        let mut seed = 1u64;
+        let mut next = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((seed >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+        };
+        let bias = [0.5f32, -1.5, 0.25, 2.0, -0.75, 1.0];
+        for rows in [1usize, 2, 3, 4, 5, 7, 9] {
+            let a = t2((0..rows * 8).map(|_| next()).collect(), rows, 8);
+            let w = t2((0..8 * 6).map(|_| next()).collect(), 8, 6);
+            let stale = |s: Shape| Tensor::full(s, f32::MAX);
+            let tiled = matmul_with(&a, &w, false, false, Some(&bias), stale);
+            let a2 = Tensor::from_vec(a.data().repeat(2), Shape::d3(2, rows, 8));
+            let w2 = Tensor::from_vec(w.data().repeat(2), Shape::d3(2, 8, 6));
+            let row_wise = matmul_with(&a2, &w2, false, false, Some(&bias), stale);
+            assert_eq!(tiled.data(), &row_wise.data()[..rows * 6], "rows={rows}");
+            assert_eq!(tiled.data(), &row_wise.data()[rows * 6..], "rows={rows}");
+        }
+    }
+
+    #[test]
     fn matmul_batched_with_shared_weights() {
         let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), Shape::d3(2, 2, 3));
         let w = t2(vec![1., 0., 0., 1., 1., 1.], 3, 2);
@@ -514,8 +707,10 @@ mod tests {
             assert!(rel < 1e-6, "exp_fast({x}) = {got}, want {want} (rel {rel})");
             x += 0.0137;
         }
-        // Deeply-masked scores underflow to a negligible weight.
-        assert!(exp_fast(-1e9) < 1.3e-38);
+        // Deeply-masked scores get exactly no weight.
+        assert_eq!(exp_fast(-1e9), 0.0);
+        assert_eq!(exp_fast(-88.0), 0.0);
+        assert!(exp_fast(-87.3) > 0.0);
         assert_eq!(exp_fast(0.0), 1.0);
     }
 

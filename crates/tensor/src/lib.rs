@@ -17,9 +17,10 @@
 //!   [`pool`] (no runtime dependency, `TRAJCL_THREADS` override), which
 //!   is what lets the non-recurrent TrajCL encoder exploit hardware
 //!   parallelism the way the paper's GPU runs do.
-//! * [`InferCtx`] is the tape-free serving path: fused attention and
-//!   scratch-buffer reuse for gradient-free forward passes (see
-//!   [`infer`]).
+//! * [`Exec`] is the seam every layer is written against, once: the
+//!   [`TapeExec`] executor records the ops on a [`Tape`] for training,
+//!   [`InferCtx`] runs them gradient-free with fused attention and
+//!   scratch-buffer reuse for serving (see [`exec`], [`infer`]).
 //!
 //! ## Example
 //! ```
@@ -36,6 +37,7 @@
 //! ```
 
 pub mod backward;
+pub mod exec;
 pub mod infer;
 pub mod kernels;
 mod op;
@@ -45,6 +47,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use backward::Grads;
+pub use exec::{Exec, Param, TapeExec};
 pub use infer::{CtxPool, InferCtx, PooledCtx};
 pub use shape::Shape;
 pub use tape::{Tape, Var};

@@ -112,13 +112,8 @@ impl Tape {
         let bs = self.shape(bias);
         assert_eq!(bs.rank(), 1, "bias must be rank 1, got {bs}");
         assert_eq!(bs[0], xs.last(), "bias dim {bs} != last dim of {xs}");
-        let bd = self.value(bias).data().to_vec();
         let mut out = self.value(x).clone();
-        for row in out.data_mut().chunks_mut(bd.len()) {
-            for (o, &b) in row.iter_mut().zip(&bd) {
-                *o += b;
-            }
-        }
+        kernels::add_bias_rows(out.data_mut(), self.value(bias).data());
         let r = self.req(x) || self.req(bias);
         self.push(out, Op::AddBias(x, bias), r)
     }
@@ -225,18 +220,15 @@ impl Tape {
     }
 
     /// Inverted dropout: keeps elements with probability `1-p` and scales
-    /// them by `1/(1-p)`. Identity when `training` is false or `p == 0`.
+    /// them by `1/(1-p)`. The identity — `x` itself, no node recorded —
+    /// when `training` is false or `p == 0`.
     pub fn dropout(&mut self, x: Var, p: f32, training: bool, rng: &mut impl Rng) -> Var {
         assert!(
             (0.0..1.0).contains(&p),
             "dropout p must be in [0,1), got {p}"
         );
         if !training || p == 0.0 {
-            // Record a no-op pass-through so graph structure is stable.
-            let out = self.value(x).clone();
-            let mask = Tensor::ones(out.shape());
-            let r = self.req(x);
-            return self.push(out, Op::Dropout { x, mask }, r);
+            return x;
         }
         let keep = 1.0 - p;
         let inv = 1.0 / keep;
@@ -264,24 +256,12 @@ impl Tape {
         let rows = xs.rows();
         let mut mean = Tensor::zeros(Shape::d1(rows));
         let mut rstd = Tensor::zeros(Shape::d1(rows));
-        let mut out = Tensor::zeros(xs);
-        {
-            let xv = self.value(x).data();
-            let g = self.value(gamma).data();
-            let b = self.value(beta).data();
-            for i in 0..rows {
-                let row = &xv[i * d..(i + 1) * d];
-                let mu: f32 = row.iter().sum::<f32>() / d as f32;
-                let var: f32 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-                let rs = 1.0 / (var + eps).sqrt();
-                mean.data_mut()[i] = mu;
-                rstd.data_mut()[i] = rs;
-                let orow = &mut out.data_mut()[i * d..(i + 1) * d];
-                for j in 0..d {
-                    orow[j] = (row[j] - mu) * rs * g[j] + b[j];
-                }
-            }
-        }
+        let mut out = self.value(x).clone();
+        let (g, b) = (self.value(gamma).data(), self.value(beta).data());
+        kernels::layer_norm_rows(out.data_mut(), g, b, eps, |i, mu, rs| {
+            mean.data_mut()[i] = mu;
+            rstd.data_mut()[i] = rs;
+        });
         let r = self.req(x) || self.req(gamma) || self.req(beta);
         self.push(
             out,
@@ -303,15 +283,7 @@ impl Tape {
         let rows = xv.shape().rows();
         let mut inv_norms = Tensor::zeros(Shape::d1(rows));
         let mut out = xv.clone();
-        for i in 0..rows {
-            let row = &mut out.data_mut()[i * d..(i + 1) * d];
-            let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-12);
-            let inv = 1.0 / n;
-            inv_norms.data_mut()[i] = inv;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-        }
+        kernels::l2_normalize_rows(out.data_mut(), d, |i, inv| inv_norms.data_mut()[i] = inv);
         let r = self.req(x);
         self.push(out, Op::L2NormalizeRows { x, inv_norms }, r)
     }
@@ -320,30 +292,8 @@ impl Tape {
 
     /// Concatenates along the last dimension; leading dimensions must match.
     pub fn concat(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat of zero parts");
-        let rows = self.shape(parts[0]).rows();
-        let mut widths = Vec::with_capacity(parts.len());
-        for &p in parts {
-            assert_eq!(self.shape(p).rows(), rows, "concat leading dims mismatch");
-            widths.push(self.shape(p).last());
-        }
-        let total: usize = widths.iter().sum();
-        let lead = self.shape(parts[0]);
-        let mut dims = lead.dims().to_vec();
-        *dims.last_mut().unwrap() = total;
-        let mut out = Tensor::zeros(Shape::from_slice(&dims));
-        {
-            let od = out.data_mut();
-            let mut off = 0;
-            for (&p, &w) in parts.iter().zip(&widths) {
-                let pd = self.values[p.0].data();
-                for i in 0..rows {
-                    od[i * total + off..i * total + off + w]
-                        .copy_from_slice(&pd[i * w..(i + 1) * w]);
-                }
-                off += w;
-            }
-        }
+        let values: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
+        let out = kernels::concat(&values, Tensor::zeros);
         let r = parts.iter().any(|&p| self.req(p));
         self.push(
             out,
@@ -356,26 +306,14 @@ impl Tape {
 
     /// `(B, L, H*Dh) -> (B*H, L, Dh)` for multi-head attention.
     pub fn split_heads(&mut self, x: Var, heads: usize) -> Var {
-        let xs = self.shape(x);
-        assert_eq!(xs.rank(), 3, "split_heads expects rank 3, got {xs}");
-        let (b, l, d) = (xs[0], xs[1], xs[2]);
-        assert_eq!(d % heads, 0, "model dim {d} not divisible by {heads} heads");
-        let dh = d / heads;
-        let mut out = Tensor::zeros(Shape::d3(b * heads, l, dh));
-        split_heads_copy(self.value(x).data(), out.data_mut(), b, l, heads, dh, false);
+        let out = regroup_heads(self.value(x), heads, false, Tensor::zeros);
         let r = self.req(x);
         self.push(out, Op::SplitHeads { x, heads }, r)
     }
 
     /// `(B*H, L, Dh) -> (B, L, H*Dh)`, inverse of [`Tape::split_heads`].
     pub fn merge_heads(&mut self, x: Var, heads: usize) -> Var {
-        let xs = self.shape(x);
-        assert_eq!(xs.rank(), 3, "merge_heads expects rank 3, got {xs}");
-        let (bh, l, dh) = (xs[0], xs[1], xs[2]);
-        assert_eq!(bh % heads, 0, "batch*heads {bh} not divisible by {heads}");
-        let b = bh / heads;
-        let mut out = Tensor::zeros(Shape::d3(b, l, heads * dh));
-        split_heads_copy(self.value(x).data(), out.data_mut(), b, l, heads, dh, true);
+        let out = regroup_heads(self.value(x), heads, true, Tensor::zeros);
         let r = self.req(x);
         self.push(out, Op::MergeHeads { x, heads }, r)
     }
@@ -433,22 +371,7 @@ impl Tape {
     /// Masked mean over time: averages the first `lens[b]` positions of each
     /// sequence in a `(B, L, D)` tensor, producing `(B, D)`.
     pub fn mean_pool_masked(&mut self, x: Var, lens: &[usize]) -> Var {
-        let xs = self.shape(x);
-        assert_eq!(xs.rank(), 3, "mean_pool_masked expects rank 3");
-        let (b, l, d) = (xs[0], xs[1], xs[2]);
-        assert_eq!(lens.len(), b, "lens length must equal batch");
-        let mut out = Tensor::zeros(Shape::d2(b, d));
-        for (bi, &len) in lens.iter().enumerate() {
-            assert!(len >= 1 && len <= l, "invalid length {len} for L={l}");
-            let inv = 1.0 / len as f32;
-            let orow = &mut out.data_mut()[bi * d..(bi + 1) * d];
-            for t in 0..len {
-                let src = &self.values[x.0].data()[(bi * l + t) * d..(bi * l + t + 1) * d];
-                for (o, &v) in orow.iter_mut().zip(src) {
-                    *o += v * inv;
-                }
-            }
-        }
+        let out = kernels::mean_pool_masked(self.value(x), lens, Tensor::zeros);
         let r = self.req(x);
         self.push(
             out,
@@ -634,6 +557,33 @@ impl Tape {
         let r = self.req(x);
         self.push(out, Op::AvgPool2dGlobal(x), r)
     }
+}
+
+/// `(B, L, H·Dh) -> (B·H, L, Dh)` — or, with `merge`, its inverse — into a
+/// tensor from `alloc`.
+pub(crate) fn regroup_heads(
+    x: &Tensor,
+    heads: usize,
+    merge: bool,
+    alloc: impl FnOnce(Shape) -> Tensor,
+) -> Tensor {
+    let xs = x.shape();
+    assert_eq!(xs.rank(), 3, "head split/merge expects rank 3, got {xs}");
+    let (grouped, l, d) = (xs[0], xs[1], xs[2]);
+    let (b, dh, out) = if merge {
+        assert_eq!(
+            grouped % heads,
+            0,
+            "batch*heads {grouped} not divisible by {heads}"
+        );
+        (grouped / heads, d, Shape::d3(grouped / heads, l, heads * d))
+    } else {
+        assert_eq!(d % heads, 0, "model dim {d} not divisible by {heads} heads");
+        (grouped, d / heads, Shape::d3(grouped * heads, l, d / heads))
+    };
+    let mut out = alloc(out);
+    split_heads_copy(x.data(), out.data_mut(), b, l, heads, dh, merge);
+    out
 }
 
 /// Shared index shuffle for head split/merge.
