@@ -18,7 +18,7 @@
 //! * `tcp_write_sN` — 8 client connections stream upsert frames over a
 //!   working set of [`WRITE_IDS`] ids (trajectory pool small enough that
 //!   the LRU embedding cache absorbs the encoder — the cell measures the
-//!   index write path, which is what sharding changes);
+//!   index write path: per-shard writer locks, chunk copy, publish);
 //! * `tcp_knn_sN` — the same connections issue kNN frames against the
 //!   hot pool after a compact (the sealed scatter-gather read path).
 //!
@@ -40,8 +40,11 @@
 //! the same in-process 8-client upsert cell runs twice — once on a plain
 //! server (`wal_off_write`) and once with a write-ahead log configured
 //! (`wal_on_write`, every ack preceded by a group-commit fsync) — and
-//! the within-run ratio `wal_write_qps_ratio` is gated against
-//! [`WAL_WRITE_FLOOR`].
+//! the within-run ratio `wal_write_qps_ratio` is recorded, not gated:
+//! an ephemeral write is a few microseconds, so the ratio is the disk's
+//! fsync latency, not the code's. What the code owes — fsyncs shared
+//! across concurrent appends — is a count asserted in `trajcl-index`'s
+//! `wal` tests.
 //!
 //! Usage:
 //!   load_gen [--quick] [--label NAME] [--transport inproc|tcp|fleet|wal]
@@ -54,8 +57,10 @@
 //!   compared against the last entry in FILE with a 30% budget — ratios,
 //!   not raw numbers, so the committed baseline is portable across
 //!   machines. Over TCP the shard gate is within-run and absolute
-//!   (4-shard write throughput >= 1.5x 1-shard, 4-shard read p99 no
+//!   (4-shard write throughput >= 0.75x 1-shard — sharding must not
+//!   cost writes; it no longer has to buy them — and 4-shard read p99 no
 //!   worse than the tail-noise band), so FILE is not consulted.
+//!   `--transport wal` has no gate.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -97,22 +102,23 @@ const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
 const TCP_CLIENTS: usize = 8;
 /// Distinct ids the write cell cycles through — the steady-state write
 /// buffer size, prewarmed in-process before the cell so every measured
-/// upsert pays the full O(buffer / shards) publish clone. Sized so that
-/// clone dominates the per-request fixed cost (frame parse, cache
-/// lookup, socket round trip) even on a single-core runner.
+/// upsert is a replace into a buffer of `WRITE_IDS / shards` rows (one
+/// chunk copy plus a publish of that many rows' worth of chunk
+/// pointers).
 const WRITE_IDS: usize = 16384;
 /// Distinct trajectories behind those ids: small enough that the LRU
 /// embedding cache absorbs the encoder after warmup, so the cell
-/// measures the index write path (buffer publish + dirty tracking) that
-/// sharding actually changes.
+/// measures the index write path (buffer publish + dirty tracking).
 const WRITE_POOL: usize = 64;
 /// Id offset for write-cell ids, clear of the seeded database rows.
 const WRITE_BASE: u64 = 1 << 20;
-/// CI floor on 4-shard / 1-shard write throughput. Each upsert publishes
-/// a copy-on-write clone of its shard's buffer, an O(per-shard buffer)
-/// cost — four shards cut it ~4x even on a single-core runner, so 1.5x
-/// leaves wide headroom.
-const SHARD_WRITE_FLOOR: f64 = 1.5;
+/// CI floor on 4-shard / 1-shard write throughput: no harm. A write
+/// costs one chunk copy whatever the buffer holds, so a single shard
+/// already writes at wire speed and four shards have nothing left to
+/// win here (they win under writer contention and by bounding a
+/// compaction stall to one shard, which this cell does not measure);
+/// the floor only catches sharding making writes *slower*.
+const SHARD_WRITE_FLOOR: f64 = 0.75;
 /// CI ceiling on 4-shard / 1-shard read p99: "does not regress", with
 /// the same quick-window tail-noise allowance philosophy as
 /// [`TAIL_REGRESSION`] (p99 over a short window rests on a handful of
@@ -129,15 +135,6 @@ const FLEET_DB: usize = 256;
 /// qps should sit near parity — 0.5 catches "every request burns a
 /// retry budget against the corpse" regressions without flaking.
 const FLEET_DEGRADED_FLOOR: f64 = 0.5;
-
-/// CI floor on wal-on / wal-off write throughput at the [`WRITE_IDS`]
-/// steady state: group commit batches all concurrent appends into one
-/// fsync (~1/8th of an fsync per op under 8 closed-loop clients), and at
-/// a 16k-id buffer the publish clone both sides pay dominates that
-/// share, so durable writes should stay within ~2x of ephemeral ones;
-/// 0.5 catches "every ack pays a private fsync" (or worse, a checkpoint
-/// stampede) regressions without flaking on storage-speed noise.
-const WAL_WRITE_FLOOR: f64 = 0.5;
 
 fn engine_with(database: Option<Vec<Trajectory>>) -> Engine {
     let mut rng = StdRng::seed_from_u64(0);
@@ -305,8 +302,8 @@ impl Snapshot {
         if let Some(ratio) = self.fleet_degraded_ratio() {
             s.push_str(&format!(",\"fleet_degraded_qps_ratio\":{ratio:.3}"));
         }
-        // Durable-over-ephemeral write throughput (wal runs): what the
-        // durability gate reads.
+        // Durable-over-ephemeral write throughput (wal runs): recorded
+        // for the artifact, not gated.
         if let Some(ratio) = self.wal_write_ratio() {
             s.push_str(&format!(",\"wal_write_qps_ratio\":{ratio:.3}"));
         }
@@ -851,6 +848,12 @@ fn main() {
         i += 1;
     }
 
+    if transport == "wal" && check.is_some() {
+        // Recorded, never gated (see the module docs).
+        eprintln!("--transport wal has no --check gate");
+        std::process::exit(2);
+    }
+
     let snap = match transport.as_str() {
         "tcp" => measure_tcp(quick, &label),
         "fleet" => measure_fleet(quick, &label),
@@ -859,25 +862,9 @@ fn main() {
     };
 
     if transport == "wal" {
-        // Both sides of the durability gate come from this run on this
-        // machine (ephemeral vs. durable server, same engine, same load),
-        // so the floor is absolute; `--check FILE` keeps the CLI shape of
-        // the other transports and FILE is not consulted.
-        let ratio = snap.wal_write_ratio().expect("both wal cells measured");
-        if check.is_some() {
-            eprintln!("check wal_write_qps_ratio: {ratio:.3} (floor {WAL_WRITE_FLOOR:.3})");
-            if ratio < WAL_WRITE_FLOOR {
-                eprintln!(
-                    "FAIL: durable write throughput below {WAL_WRITE_FLOOR}x the ephemeral run"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("OK: group commit keeps durable writes within budget");
-        } else {
-            let entry = snap.to_json();
-            append_run(&out, &entry);
-            eprintln!("recorded run '{}' ({}) -> {out}", snap.label, snap.commit);
-        }
+        let entry = snap.to_json();
+        append_run(&out, &entry);
+        eprintln!("recorded run '{}' ({}) -> {out}", snap.label, snap.commit);
         return;
     }
 

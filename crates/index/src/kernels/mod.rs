@@ -206,16 +206,20 @@ pub fn argmin_row(metric: Metric, query: &[f32], rows: &[f32], d: usize) -> usiz
 /// accepted ones. The backing storage is retained across [`TopK::reset`]
 /// calls, so one scratch heap serves any number of queries without
 /// reallocating.
+///
+/// The id type `I` is whatever the caller ranks ties by: row positions
+/// (`u32`, the default — every scan kernel) or external ids (`u64` — the
+/// write-buffer scan and [`crate::merge_partials`]).
 #[derive(Default)]
-pub struct TopK {
+pub struct TopK<I = u32> {
     k: usize,
     /// Max-heap: `heap[0]` is the worst retained candidate.
-    heap: Vec<(f64, u32)>,
+    heap: Vec<(f64, I)>,
 }
 
-impl TopK {
+impl<I: Copy + Ord> TopK<I> {
     /// An empty selector for `k` results.
-    pub fn new(k: usize) -> TopK {
+    pub fn new(k: usize) -> Self {
         TopK {
             k,
             heap: Vec::with_capacity(k.min(1 << 20)),
@@ -256,7 +260,7 @@ impl TopK {
 
     /// Offers a candidate; rejects in O(1) when it cannot rank.
     #[inline]
-    pub fn offer(&mut self, id: u32, dist: f64) {
+    pub fn offer(&mut self, id: I, dist: f64) {
         if self.heap.len() < self.k {
             self.heap.push((dist, id));
             self.sift_up(self.heap.len() - 1);
@@ -268,7 +272,7 @@ impl TopK {
 
     /// `(dist, id)` lexicographic order (total over f64 via `total_cmp`).
     #[inline]
-    fn less(a: (f64, u32), b: (f64, u32)) -> bool {
+    fn less(a: (f64, I), b: (f64, I)) -> bool {
         match a.0.total_cmp(&b.0) {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Greater => false,
@@ -309,7 +313,7 @@ impl TopK {
     /// Drains the retained candidates into `out` as `(id, dist)` sorted
     /// ascending by `(dist, id)`, leaving the selector empty (storage
     /// kept). `out` is cleared first.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<(u32, f64)>) {
+    pub fn drain_sorted_into(&mut self, out: &mut Vec<(I, f64)>) {
         out.clear();
         out.extend(self.heap.iter().map(|&(d, id)| (id, d)));
         self.heap.clear();
@@ -317,7 +321,7 @@ impl TopK {
     }
 
     /// Convenience: drain into a fresh vector.
-    pub fn into_sorted(mut self) -> Vec<(u32, f64)> {
+    pub fn into_sorted(mut self) -> Vec<(I, f64)> {
         let mut out = Vec::new();
         self.drain_sorted_into(&mut out);
         out
@@ -1110,6 +1114,22 @@ mod tests {
         let mut topk = TopK::new(0);
         topk.offer(1, 0.0);
         assert!(topk.is_empty());
+    }
+
+    #[test]
+    fn topk_over_external_ids_breaks_ties_by_id() {
+        // Ids past u32 and out of arrival order: equal distances must come
+        // back ordered by the id itself, whatever was offered first.
+        let big = u64::from(u32::MAX);
+        let mut topk: TopK<u64> = TopK::new(3);
+        for id in [big + 9, 4, big + 2, 11, big + 5] {
+            topk.offer(id, 1.0);
+        }
+        topk.offer(big + 1, 0.5);
+        assert_eq!(
+            topk.into_sorted(),
+            vec![(big + 1, 0.5), (4, 1.0), (11, 1.0)]
+        );
     }
 
     #[test]

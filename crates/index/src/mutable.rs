@@ -31,10 +31,16 @@
 //! the same reason). Sealed quantized searches return asymmetric
 //! distances; [`IndexSnapshot::search_rescored`] lets a caller holding
 //! exact vectors (the serving engine's cached table) re-rank them
-//! exactly. Buffer-only writes republish in O(buffer)
-//! pointer copies (vectors and the tombstone bitmap are `Arc`-shared
-//! with snapshots); a write that tombstones a sealed position
-//! additionally pays one bitmap copy-on-write.
+//! exactly.
+//!
+//! What a write costs: the buffer is a spine of fixed-capacity chunks
+//! (ids beside contiguous row-major rows) and the tombstones a spine of
+//! fixed-size bit blocks, both shared structurally between the writer and
+//! every snapshot. A write copies the one or two chunks (and the one
+//! block) it touches and republishes the two spines, one pointer per
+//! chunk and per block — never the buffer. A read streams each chunk
+//! through the f32 kernels of the sealed scan into a fused top-k, so only
+//! the buffer's own best `k` reach the final merge.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -44,6 +50,146 @@ use rand::SeedableRng;
 use trajcl_tensor::{Shape, Tensor};
 
 use crate::ivf::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization};
+use crate::kernels::{l1_f32, l2_f32, TopK};
+
+/// Row data per write-buffer chunk (`CHUNK_BYTES / (4 · dim)` rows, at
+/// least 8): a write copies at most this much, and a publish clones one
+/// pointer per this much.
+const CHUNK_BYTES: usize = 16 << 10;
+
+/// Sealed positions per tombstone block (4 KiB of bits).
+const TOMBSTONE_BLOCK_BITS: usize = 1 << 15;
+
+/// One block of the write buffer: external ids beside their vectors,
+/// contiguous and row-major. Every chunk of a [`Buffer`] but the last is
+/// full.
+struct Chunk {
+    ids: Vec<u64>,
+    rows: Vec<f32>,
+}
+
+impl Clone for Chunk {
+    /// The copy a write makes of a shared chunk keeps the full-chunk
+    /// capacity, so appending to it never reallocates.
+    fn clone(&self) -> Self {
+        let mut ids = Vec::with_capacity(self.ids.capacity());
+        ids.extend_from_slice(&self.ids);
+        let mut rows = Vec::with_capacity(self.rows.capacity());
+        rows.extend_from_slice(&self.rows);
+        Chunk { ids, rows }
+    }
+}
+
+/// The write buffer: rows in slot order, stored as a spine of
+/// copy-on-write chunks. Cloning it (what a publish does) copies the
+/// spine only; a mutation `Arc::make_mut`s the chunks it touches, so a
+/// snapshot holding the previous spine never sees it.
+#[derive(Clone)]
+struct Buffer {
+    chunks: Vec<Arc<Chunk>>,
+    dim: usize,
+}
+
+impl Buffer {
+    fn new(dim: usize) -> Self {
+        let chunks = Vec::new();
+        Buffer { chunks, dim }
+    }
+
+    /// Rows per chunk.
+    fn cap(&self) -> usize {
+        (CHUNK_BYTES / (4 * self.dim)).max(8)
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.last().map_or(0, |tail| {
+            (self.chunks.len() - 1) * self.cap() + tail.ids.len()
+        })
+    }
+
+    /// Appends a row as the last slot.
+    fn push(&mut self, id: u64, row: &[f32]) {
+        let cap = self.cap();
+        if self.len().is_multiple_of(cap) {
+            self.chunks.push(Arc::new(Chunk {
+                ids: Vec::with_capacity(cap),
+                rows: Vec::with_capacity(cap * self.dim),
+            }));
+        }
+        let tail = self.chunks.len() - 1;
+        let tail = Arc::make_mut(&mut self.chunks[tail]);
+        tail.ids.push(id);
+        tail.rows.extend_from_slice(row);
+    }
+
+    /// Overwrites slot `i`.
+    fn set(&mut self, i: usize, id: u64, row: &[f32]) {
+        let (chunk, at) = (i / self.cap(), i % self.cap());
+        let chunk = Arc::make_mut(&mut self.chunks[chunk]);
+        chunk.ids[at] = id;
+        chunk.rows[at * self.dim..(at + 1) * self.dim].copy_from_slice(row);
+    }
+
+    /// Removes slot `i` by moving the last row into it (`Vec::swap_remove`
+    /// order); returns the id that moved, if any did.
+    fn swap_remove(&mut self, i: usize) -> Option<u64> {
+        let last = self.len().checked_sub(1)?;
+        let tail = Arc::make_mut(self.chunks.last_mut()?);
+        let id = tail.ids.pop()?;
+        let row = tail.rows.split_off(tail.rows.len() - self.dim);
+        if tail.ids.is_empty() {
+            self.chunks.pop();
+        }
+        (i != last).then(|| {
+            self.set(i, id, &row);
+            id
+        })
+    }
+
+    /// Offers every row to `topk` under its external id: per-row distance
+    /// is the f32 kernel widened to `f64`, exactly [`Metric::dist`].
+    fn scan(&self, metric: Metric, query: &[f32], topk: &mut TopK<u64>) {
+        // Re-sliced so the compiler sees `query` as long as every row: the
+        // kernels' zipped lane loops then vectorise as in `scan_block`.
+        let query = &query[..self.dim];
+        for chunk in &self.chunks {
+            let rows = chunk.ids.iter().zip(chunk.rows.chunks_exact(self.dim));
+            match metric {
+                Metric::L1 => rows.for_each(|(&id, row)| topk.offer(id, l1_f32(query, row) as f64)),
+                Metric::L2 => rows.for_each(|(&id, row)| topk.offer(id, l2_f32(query, row) as f64)),
+            }
+        }
+    }
+}
+
+/// Deleted sealed positions: a bitmap in [`TOMBSTONE_BLOCK_BITS`]-sized
+/// copy-on-write blocks, shared with snapshots the way [`Buffer`] chunks
+/// are — setting a bit copies one block, not a byte per sealed row.
+#[derive(Clone)]
+struct Tombstones {
+    blocks: Vec<Arc<[u64; TOMBSTONE_BLOCK_BITS / 64]>>,
+}
+
+impl Tombstones {
+    /// An all-live bitmap over `n` sealed positions (every block starts
+    /// out as the same shared zero block).
+    fn new(n: usize) -> Self {
+        let zero = Arc::new([0u64; TOMBSTONE_BLOCK_BITS / 64]);
+        Tombstones {
+            blocks: vec![zero; n.div_ceil(TOMBSTONE_BLOCK_BITS)],
+        }
+    }
+
+    fn set(&mut self, pos: usize) {
+        let block = Arc::make_mut(&mut self.blocks[pos / TOMBSTONE_BLOCK_BITS]);
+        block[pos % TOMBSTONE_BLOCK_BITS / 64] |= 1 << (pos % 64);
+    }
+
+    fn get(&self, pos: usize) -> bool {
+        let block = &self.blocks[pos / TOMBSTONE_BLOCK_BITS];
+        block[pos % TOMBSTONE_BLOCK_BITS / 64] >> (pos % 64) & 1 == 1
+    }
+}
 
 /// Where an external id currently lives (writer-side bookkeeping).
 #[derive(Clone, Copy, Debug)]
@@ -98,11 +244,11 @@ pub struct IndexSnapshot {
     sealed_ids: Arc<Vec<u64>>,
     /// Sealed positions deleted (or replaced into the buffer) since the
     /// last compaction.
-    tombstones: Arc<Vec<bool>>,
-    /// Number of `true` entries in `tombstones` (precomputed).
+    tombstones: Tombstones,
+    /// Number of set bits in `tombstones` (precomputed).
     dead: usize,
     /// Vectors upserted since the last compaction.
-    buffer: Arc<Vec<(u64, Arc<Vec<f32>>)>>,
+    buffer: Buffer,
     /// Monotonically increasing publication counter.
     generation: u64,
     dim: usize,
@@ -134,11 +280,15 @@ impl IndexSnapshot {
 
     /// Approximate resident bytes of this snapshot's index state: the
     /// sealed part (quantized when SQ8 is configured) plus the exact-f32
-    /// write buffer and tombstone bitmap.
+    /// write buffer and tombstone bitmap. Per buffered row: the vector,
+    /// the 8-byte id, and 8 bytes' allowance for chunk headers, spine and
+    /// the last chunk's unfilled tail. The tombstone term stays one byte
+    /// per sealed row (the bitmap is an eighth of that), so what `stats`
+    /// prints depends only on what the index holds.
     pub fn memory_bytes(&self) -> usize {
         self.sealed.as_ref().map_or(0, |s| s.memory_bytes())
             + self.buffer.len() * (16 + self.dim * 4)
-            + self.tombstones.len()
+            + self.sealed_ids.len()
             + self.sealed_ids.len() * 8
     }
 
@@ -148,10 +298,12 @@ impl IndexSnapshot {
             .sealed_ids
             .iter()
             .enumerate()
-            .filter(|(pos, _)| !self.tombstones[*pos])
+            .filter(|(pos, _)| !self.tombstones.get(*pos))
             .map(|(_, &id)| id)
             .collect();
-        ids.extend(self.buffer.iter().map(|(id, _)| *id));
+        for chunk in &self.buffer.chunks {
+            ids.extend_from_slice(&chunk.ids);
+        }
         ids.sort_unstable();
         ids
     }
@@ -164,25 +316,26 @@ impl IndexSnapshot {
         let mut out = Vec::with_capacity(self.len());
         if let Some(sealed) = &self.sealed {
             for pos in 0..sealed.len() {
-                if !self.tombstones[pos] {
+                if !self.tombstones.get(pos) {
                     let mut v = Vec::with_capacity(self.dim);
                     sealed.append_vector(pos as u32, &mut v);
                     out.push((self.sealed_ids[pos], v));
                 }
             }
         }
-        for (id, v) in self.buffer.iter() {
-            out.push((*id, v.as_slice().to_vec()));
+        for chunk in &self.buffer.chunks {
+            let rows = chunk.rows.chunks_exact(self.dim);
+            out.extend(chunk.ids.iter().zip(rows).map(|(&id, v)| (id, v.to_vec())));
         }
         out
     }
 
     /// kNN over this snapshot: probes the sealed part (IVF with `nprobe`
     /// cells, or exact flat scan), filters tombstones, brute-force-scans
-    /// the write buffer, and merges. Returns `(external id, distance)`
-    /// ascending, at most `k` entries. Quantized sealed hits carry
-    /// asymmetric distances — see [`IndexSnapshot::search_rescored`] for
-    /// the exact-rescoring variant.
+    /// the write buffer for its own top `k`, and merges. Returns
+    /// `(external id, distance)` ascending, at most `k` entries. Quantized
+    /// sealed hits carry asymmetric distances — see
+    /// [`IndexSnapshot::search_rescored`] for the exact-rescoring variant.
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(u64, f64)> {
         self.search_rescored(query, k, nprobe, None)
     }
@@ -217,7 +370,7 @@ impl IndexSnapshot {
         // straight off the wire in the serve protocol — an absurd k must
         // not turn into an absurd allocation.
         let k = k.min(self.len());
-        let mut hits: Vec<(u64, f64)> = Vec::with_capacity(k + self.buffer.len());
+        let mut hits: Vec<(u64, f64)> = Vec::with_capacity(k + k.min(self.buffer.len()));
         if let Some(sealed) = &self.sealed {
             // Over-fetch by the tombstone count so filtering cannot starve
             // the result below k while live candidates were probed; when a
@@ -237,7 +390,7 @@ impl IndexSnapshot {
             hits.extend(
                 sealed_hits
                     .into_iter()
-                    .filter(|(pos, _)| !self.tombstones[*pos as usize])
+                    .filter(|(pos, _)| !self.tombstones.get(*pos as usize))
                     .map(|(pos, d)| {
                         let id = self.sealed_ids[pos as usize];
                         let d = if rescoring {
@@ -251,8 +404,14 @@ impl IndexSnapshot {
                     }),
             );
         }
-        for (id, v) in self.buffer.iter() {
-            hits.push((*id, self.metric.dist(query, v.as_slice())));
+        // The buffer contributes its own best k (ties on the external id,
+        // as in the final order), so the sort below sees 2k + dead
+        // candidates at most. The sealed hits stay out of the heap: they
+        // arrive sorted, and re-sorting them costs less than k sift-ups.
+        if self.buffer.len() > 0 {
+            let mut topk = TopK::new(k);
+            self.buffer.scan(self.metric, query, &mut topk);
+            hits.extend(topk.into_sorted());
         }
         hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         hits.truncate(k);
@@ -271,17 +430,17 @@ pub trait ExactRescorer {
 
 /// Writer-side state (everything needed to build the next snapshot).
 ///
-/// `tombstones` lives behind an `Arc` shared with the published snapshot:
-/// buffer-only writes republish it for free, and `Arc::make_mut` pays the
-/// bitmap copy only on writes that actually touch the sealed part.
-/// Buffer vectors are `Arc`'d too, so republishing the buffer is a
-/// shallow O(buffer) pointer copy, never a deep float copy.
+/// `buffer` and `tombstones` share their chunks and blocks with the
+/// published snapshot (and any older one a reader still holds): a write
+/// `Arc::make_mut`s only the chunk or block it lands in, and publishing
+/// clones the two spines. Slot order is a plain `Vec`'s: `push` appends,
+/// a replace writes in place, a remove swaps the last row in.
 struct Writer {
     id_loc: HashMap<u64, Loc>,
-    tombstones: Arc<Vec<bool>>,
-    /// Count of `true` entries in `tombstones` (kept incrementally).
+    tombstones: Tombstones,
+    /// Number of set bits in `tombstones` (kept incrementally).
     dead: usize,
-    buffer: Vec<(u64, Arc<Vec<f32>>)>,
+    buffer: Buffer,
     generation: u64,
 }
 
@@ -344,9 +503,9 @@ impl MutableIndex {
         let snapshot = IndexSnapshot {
             sealed: None,
             sealed_ids: Arc::new(Vec::new()),
-            tombstones: Arc::new(Vec::new()),
+            tombstones: Tombstones::new(0),
             dead: 0,
-            buffer: Arc::new(Vec::new()),
+            buffer: Buffer::new(dim),
             generation: 0,
             dim,
             metric,
@@ -355,9 +514,9 @@ impl MutableIndex {
             snapshot: RwLock::new(Arc::new(snapshot)),
             writer: Mutex::new(Writer {
                 id_loc: HashMap::new(),
-                tombstones: Arc::new(Vec::new()),
+                tombstones: Tombstones::new(0),
                 dead: 0,
-                buffer: Vec::new(),
+                buffer: Buffer::new(dim),
                 generation: 0,
             }),
             dim,
@@ -408,12 +567,8 @@ impl MutableIndex {
                     w.id_loc.insert(id, Loc::Buffer(i)).is_none(),
                     "duplicate id {id} in from_table"
                 );
+                w.buffer.push(id, embeddings.row(i));
             }
-            w.buffer = ids
-                .iter()
-                .zip(0..)
-                .map(|(&id, i)| (id, Arc::new(embeddings.row(i).to_vec())))
-                .collect();
             index.seal(&mut w);
         }
         index
@@ -458,22 +613,21 @@ impl MutableIndex {
     pub fn upsert(&self, id: u64, vector: Vec<f32>) -> bool {
         assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let vector = Arc::new(vector);
         let existed = match w.id_loc.get(&id).copied() {
             Some(Loc::Buffer(i)) => {
-                w.buffer[i].1 = vector;
+                w.buffer.set(i, id, &vector);
                 true
             }
             Some(Loc::Sealed(pos)) => {
-                Arc::make_mut(&mut w.tombstones)[pos as usize] = true;
+                w.tombstones.set(pos as usize);
                 w.dead += 1;
-                w.buffer.push((id, vector));
+                w.buffer.push(id, &vector);
                 let slot = Loc::Buffer(w.buffer.len() - 1);
                 w.id_loc.insert(id, slot);
                 true
             }
             None => {
-                w.buffer.push((id, vector));
+                w.buffer.push(id, &vector);
                 let slot = Loc::Buffer(w.buffer.len() - 1);
                 w.id_loc.insert(id, slot);
                 false
@@ -488,13 +642,12 @@ impl MutableIndex {
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let removed = match w.id_loc.remove(&id) {
             Some(Loc::Sealed(pos)) => {
-                Arc::make_mut(&mut w.tombstones)[pos as usize] = true;
+                w.tombstones.set(pos as usize);
                 w.dead += 1;
                 true
             }
             Some(Loc::Buffer(i)) => {
-                w.buffer.swap_remove(i);
-                if let Some(&(moved, _)) = w.buffer.get(i) {
+                if let Some(moved) = w.buffer.swap_remove(i) {
                     w.id_loc.insert(moved, Loc::Buffer(i));
                 }
                 true
@@ -515,16 +668,16 @@ impl MutableIndex {
     pub fn clear(&self) {
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         w.id_loc = HashMap::new();
-        w.tombstones = Arc::new(Vec::new());
+        w.tombstones = Tombstones::new(0);
         w.dead = 0;
-        w.buffer = Vec::new();
+        w.buffer = Buffer::new(self.dim);
         w.generation += 1;
         let published = IndexSnapshot {
             sealed: None,
             sealed_ids: Arc::new(Vec::new()),
             tombstones: w.tombstones.clone(),
             dead: 0,
-            buffer: Arc::new(Vec::new()),
+            buffer: w.buffer.clone(),
             generation: w.generation,
             dim: self.dim,
             metric: self.metric,
@@ -535,7 +688,7 @@ impl MutableIndex {
     /// Vectors currently sitting in the write buffer (0 right after a
     /// compaction; grows with every insert until the next one).
     pub fn buffer_len(&self) -> usize {
-        self.snapshot().buffer.len()
+        self.snapshot().buffer_len()
     }
 
     /// Folds tombstones and the write buffer into a freshly trained sealed
@@ -556,15 +709,15 @@ impl MutableIndex {
         let mut data: Vec<f32> = Vec::with_capacity(snap.len() * self.dim);
         if let Some(sealed) = &snap.sealed {
             for pos in 0..sealed.len() {
-                if !w.tombstones[pos] {
+                if !w.tombstones.get(pos) {
                     ids.push(snap.sealed_ids[pos]);
                     sealed.append_vector(pos as u32, &mut data);
                 }
             }
         }
-        for (id, v) in w.buffer.iter() {
-            ids.push(*id);
-            data.extend_from_slice(v);
+        for chunk in &w.buffer.chunks {
+            ids.extend_from_slice(&chunk.ids);
+            data.extend_from_slice(&chunk.rows);
         }
         let n = ids.len();
         let sealed = if n == 0 {
@@ -595,16 +748,16 @@ impl MutableIndex {
             .enumerate()
             .map(|(pos, &id)| (id, Loc::Sealed(pos as u32)))
             .collect();
-        w.tombstones = Arc::new(vec![false; n]);
+        w.tombstones = Tombstones::new(n);
         w.dead = 0;
-        w.buffer = Vec::new();
+        w.buffer = Buffer::new(self.dim);
         w.generation += 1;
         let published = IndexSnapshot {
             sealed,
             sealed_ids: Arc::new(ids),
             tombstones: w.tombstones.clone(),
             dead: 0,
-            buffer: Arc::new(Vec::new()),
+            buffer: w.buffer.clone(),
             generation: w.generation,
             dim: self.dim,
             metric: self.metric,
@@ -622,7 +775,7 @@ impl MutableIndex {
             sealed_ids: snap.sealed_ids.clone(),
             tombstones: w.tombstones.clone(),
             dead: w.dead,
-            buffer: Arc::new(w.buffer.clone()),
+            buffer: w.buffer.clone(),
             generation: w.generation,
             dim: self.dim,
             metric: self.metric,
@@ -768,6 +921,139 @@ mod tests {
         assert_eq!(new.search(&[-1.0, 0.0], 1, usize::MAX)[0].0, 99);
         assert_eq!(new.len(), 8);
         assert!(!new.live_ids().contains(&0));
+    }
+
+    /// Vectors wide enough that a chunk holds its minimum of 8 rows.
+    const WIDE: usize = 520;
+
+    fn wide_row(x: f32) -> Vec<f32> {
+        (0..WIDE).map(|j| x + j as f32 * 1e-3).collect()
+    }
+
+    /// Bit patterns of `search` and `live_entries` (as text): what "the
+    /// snapshot did not change" means.
+    fn bits(snap: &IndexSnapshot, query: &[f32]) -> String {
+        let hits = snap.search(query, 6, usize::MAX);
+        let hits: Vec<(u64, u64)> = hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect();
+        let entries: Vec<(u64, Vec<u32>)> = snap
+            .live_entries()
+            .into_iter()
+            .map(|(id, v)| (id, v.iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        format!("{hits:?} {entries:?}")
+    }
+
+    /// Which buffer chunks two snapshots share.
+    fn shared_chunks(a: &IndexSnapshot, b: &IndexSnapshot) -> Vec<bool> {
+        let (a, b) = (&a.buffer.chunks, &b.buffer.chunks);
+        a.iter().zip(b).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+    }
+
+    #[test]
+    fn a_write_copies_only_the_chunks_it_touches() {
+        let index = MutableIndex::new(WIDE, Metric::L1, None, 0);
+        for id in 0..20u64 {
+            index.upsert(id, wide_row(id as f32)); // chunks of 8, 8 and 4 rows
+        }
+        let query = wide_row(9.2);
+        let held = index.snapshot();
+        let before = bits(&held, &query);
+        assert_eq!(held.buffer.chunks.len(), 3);
+
+        index.upsert(9, wide_row(-3.0)); // replace in the middle chunk
+        let replaced = index.snapshot();
+        assert_eq!(shared_chunks(&held, &replaced), [true, false, true]);
+
+        index.upsert(77, wide_row(9.25)); // append into the last chunk
+        let appended = index.snapshot();
+        assert_eq!(shared_chunks(&replaced, &appended), [true, true, false]);
+
+        index.remove(2); // the last row (id 77) moves into the first chunk
+        let removed = index.snapshot();
+        assert_eq!(shared_chunks(&appended, &removed), [false, true, false]);
+        assert_eq!(removed.live_entries()[2].0, 77);
+
+        // Every write above landed in a chunk `held` shares; none of them
+        // may show through it.
+        assert_eq!(bits(&held, &query), before);
+        assert_eq!(held.search(&query, 1, usize::MAX)[0].0, 9);
+        assert_eq!(removed.search(&query, 1, usize::MAX)[0].0, 77);
+    }
+
+    #[test]
+    fn swap_remove_keeps_vec_slot_order_at_chunk_edges() {
+        let index = MutableIndex::new(WIDE, Metric::L2, None, 0);
+        let mut model: Vec<u64> = Vec::new();
+        let slots = |index: &MutableIndex| -> Vec<u64> {
+            let entries = index.snapshot().live_entries();
+            entries.into_iter().map(|(id, _)| id).collect()
+        };
+        let remove = |model: &mut Vec<u64>, id: u64| {
+            assert!(index.remove(id));
+            let at = model.iter().position(|&m| m == id).expect("id in model");
+            model.swap_remove(at);
+        };
+        // The only row.
+        index.upsert(1, wide_row(1.0));
+        assert!(index.remove(1));
+        assert_eq!(index.snapshot().buffer.chunks.len(), 0);
+        assert_eq!(slots(&index), model);
+        for id in 0..9u64 {
+            index.upsert(id, wide_row(id as f32));
+            model.push(id);
+        }
+        // A row while the last chunk holds one row: that chunk is dropped
+        // and the next push re-creates it.
+        assert_eq!(index.snapshot().buffer.chunks.len(), 2);
+        remove(&mut model, 3);
+        assert_eq!(index.snapshot().buffer.chunks.len(), 1);
+        assert_eq!(slots(&index), model);
+        index.upsert(20, wide_row(20.0));
+        model.push(20);
+        assert_eq!(index.snapshot().buffer.chunks.len(), 2);
+        assert_eq!(slots(&index), model);
+        // The last row, twice: across the chunk edge and inside a chunk.
+        remove(&mut model, 20);
+        remove(&mut model, 7);
+        assert_eq!(slots(&index), model);
+        // Every vector followed its id.
+        for (id, v) in index.snapshot().live_entries() {
+            assert_eq!(v, wide_row(id as f32), "id {id}");
+        }
+        assert_eq!(index.len(), 7);
+    }
+
+    #[test]
+    fn a_sealed_id_write_copies_one_tombstone_block() {
+        let n = 100_000usize;
+        let flat: Vec<f32> = (0..n).flat_map(|i| [i as f32, 0.0]).collect();
+        let table = Tensor::from_vec(flat, Shape::d2(n, 2));
+        let index = MutableIndex::from_table((0..n as u64).collect(), &table, Metric::L1, None, 0);
+        let target = 70_000u64;
+        let query = [target as f32, 0.0];
+        let shared_blocks = |a: &IndexSnapshot, b: &IndexSnapshot| -> Vec<bool> {
+            let (a, b) = (&a.tombstones.blocks, &b.tombstones.blocks);
+            a.iter().zip(b).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+        };
+        let mut want = vec![true; n.div_ceil(TOMBSTONE_BLOCK_BITS)];
+        want[target as usize / TOMBSTONE_BLOCK_BITS] = false;
+        assert!(want.len() > 2);
+
+        let sealed = index.snapshot();
+        assert!(index.remove(target));
+        let removed = index.snapshot();
+        assert_eq!(shared_blocks(&sealed, &removed), want);
+        assert_eq!(sealed.search(&query, 1, 1)[0], (target, 0.0));
+        assert_ne!(removed.search(&query, 1, 1)[0].0, target);
+        assert_eq!((sealed.len(), removed.len()), (n, n - 1));
+
+        // A replace of a sealed id takes the same path.
+        assert!(index.upsert(target + 1, vec![-5.0, 0.0]));
+        let replaced = index.snapshot();
+        assert_eq!(shared_blocks(&removed, &replaced), want);
+        assert_eq!(removed.search(&query, 2, 1)[1], (target + 1, 1.0));
+        assert_eq!(replaced.search(&query, 2, 1)[1], (target - 2, 2.0));
+        assert_eq!(replaced.live_ids().len(), n - 1);
     }
 
     #[test]

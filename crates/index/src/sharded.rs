@@ -75,10 +75,8 @@ pub fn shard_for(id: u64, nshards: usize) -> usize {
 /// evicted inside its own shard by a vector from another shard, the
 /// union of per-shard top-k sets contains the true global top-k; this
 /// merge re-ranks that superset through the same fused [`TopK`] heap
-/// the scan kernels use, preserving the unsharded `(distance, id)`
-/// order bit-exactly (candidates are ordered by external id first and
-/// offered by position, so the heap's internal tie-break coincides with
-/// the external order).
+/// the scan kernels use, keyed on the external id, so the unsharded
+/// `(distance, id)` order is preserved bit-exactly.
 ///
 /// # Examples
 ///
@@ -92,19 +90,11 @@ pub fn shard_for(id: u64, nshards: usize) -> usize {
 /// assert_eq!(merged, vec![(10, 0.5), (3, 1.0), (7, 2.0)]);
 /// ```
 pub fn merge_partials(partials: Vec<Vec<(u64, f64)>>, k: usize) -> Vec<(u64, f64)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut candidates: Vec<(u64, f64)> = partials.into_iter().flatten().collect();
-    candidates.sort_unstable_by_key(|&(id, _)| id);
     let mut topk = TopK::new(k);
-    for (pos, &(_, d)) in candidates.iter().enumerate() {
-        topk.offer(pos as u32, d);
+    for (id, d) in partials.into_iter().flatten() {
+        topk.offer(id, d);
     }
     topk.into_sorted()
-        .into_iter()
-        .map(|(pos, d)| (candidates[pos as usize].0, d))
-        .collect()
 }
 
 /// A group of hash-partitioned [`MutableIndex`] shards searched by

@@ -1062,16 +1062,55 @@ mod tests {
         assert!(same_op(&rec.ops[0], &WalOp::Remove { id: 1 }));
     }
 
+    /// [`RealFs`] behind a disk whose every fsync takes 2 ms, counting
+    /// them — slow enough that concurrent appenders pile up behind a
+    /// group-commit leader on any host.
+    #[derive(Default)]
+    struct SlowSyncFs {
+        fsyncs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl WalFs for SlowSyncFs {
+        fn create(&self, path: &Path) -> io::Result<File> {
+            RealFs.create(path)
+        }
+        fn append(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+            RealFs.append(file, bytes)
+        }
+        fn fsync(&self, file: &File) -> io::Result<()> {
+            self.fsyncs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            RealFs.fsync(file)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealFs.rename(from, to)
+        }
+        fn truncate(&self, file: &File, len: u64) -> io::Result<()> {
+            RealFs.truncate(file, len)
+        }
+        fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+            RealFs.fsync_dir(dir)
+        }
+    }
+
+    // What durability may cost, as a count that repeats on any disk: under
+    // 8 closed-loop appenders an fsync must cover the appends that queued
+    // behind the previous one, so there are at most half as many fsyncs as
+    // acknowledged records. "Every ack pays a private fsync" reads 400.
     #[test]
     fn group_commit_serves_concurrent_appenders() {
+        const THREADS: u64 = 8;
+        const APPENDS: u64 = 50;
         let tmp = TempDir::new("group");
-        let (wal, _) = Wal::open(&tmp.0, "s0", Durability::Fsync, Arc::new(RealFs)).expect("open");
+        let fs = Arc::new(SlowSyncFs::default());
+        let (wal, _) = Wal::open(&tmp.0, "s0", Durability::Fsync, fs.clone()).expect("open");
         let wal = Arc::new(wal);
         let mut handles = Vec::new();
-        for t in 0..4u64 {
+        for t in 0..THREADS {
             let wal = wal.clone();
             handles.push(std::thread::spawn(move || {
-                for i in 0..16u64 {
+                for i in 0..APPENDS {
                     wal.append_durable(&WalOp::Remove { id: t * 100 + i })
                         .expect("append");
                 }
@@ -1081,9 +1120,28 @@ mod tests {
             h.join().expect("join");
         }
         drop(wal);
+        let fsyncs = fs.fsyncs.load(std::sync::atomic::Ordering::Relaxed) as u64;
+        assert!(
+            fsyncs * 2 <= THREADS * APPENDS,
+            "{fsyncs} fsyncs for {} appends: group commit is not sharing them",
+            THREADS * APPENDS
+        );
         let (_, rec) =
             Wal::open(&tmp.0, "s0", Durability::Fsync, Arc::new(RealFs)).expect("reopen");
-        assert_eq!(rec.ops.len(), 64);
+        assert_eq!(rec.ops.len() as u64, THREADS * APPENDS);
+        let mut ids: Vec<u64> = rec
+            .ops
+            .iter()
+            .map(|op| match op {
+                WalOp::Remove { id } => *id,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        ids.sort_unstable();
+        let want: Vec<u64> = (0..THREADS)
+            .flat_map(|t| (0..APPENDS).map(move |i| t * 100 + i))
+            .collect();
+        assert_eq!(ids, want, "every acknowledged record replays");
     }
 
     #[test]

@@ -171,10 +171,19 @@ impl ShardRouter {
     /// a fresh upsert may briefly skip rescoring, never rescore against
     /// a stale row).
     fn mark_dirty(&self, id: u64) {
-        let mut dirty = self.dirty.write().unwrap_or_else(|p| p.into_inner());
         // Re-upserts of an already-dirty id (the replace-heavy workload)
-        // skip the copy-on-write entirely; only a first-time id pays the
-        // set clone, and only while a concurrent search holds the Arc.
+        // stay under the shared lock, beside every concurrent search's
+        // own `dirty.read()`; the set only grows, so "already dirty" can
+        // never go stale.
+        let dirty = self.dirty.read().unwrap_or_else(|p| p.into_inner());
+        if dirty.contains(&id) {
+            return;
+        }
+        drop(dirty);
+        // A first-time id takes the exclusive lock and looks again (a
+        // racing writer may have inserted it); it pays the set clone only
+        // while a concurrent search holds the Arc.
+        let mut dirty = self.dirty.write().unwrap_or_else(|p| p.into_inner());
         if !dirty.contains(&id) {
             Arc::make_mut(&mut dirty).insert(id);
         }
@@ -198,10 +207,13 @@ impl ShardRouter {
         let shard = &log.shards[s];
         let existed = {
             let _gate = shard.gate.read().unwrap_or_else(|p| p.into_inner());
-            shard.wal.append_durable(&WalOp::Upsert {
-                id,
-                vector: vector.clone(),
-            })?;
+            // The record borrows the vector for the append and hands it
+            // back to the index: no copy on the durable path.
+            let op = WalOp::Upsert { id, vector };
+            shard.wal.append_durable(&op)?;
+            let WalOp::Upsert { vector, .. } = op else {
+                unreachable!("`op` was built as an upsert just above")
+            };
             self.mark_dirty(id);
             self.index.upsert(id, vector)
         };

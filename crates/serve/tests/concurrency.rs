@@ -554,6 +554,68 @@ fn snapshot_readers_never_observe_torn_state() {
     assert_eq!(ids, (0..16u64).collect::<Vec<_>>());
 }
 
+#[test]
+fn replaces_with_identical_vectors_never_change_an_answer() {
+    // The benchmark's mixed read/write workload rests on this: an upsert
+    // stream that rewrites ids with the vectors they already hold leaves
+    // the index content constant, so every kNN reply — bytes, not just
+    // ids — must equal the one taken before the first write. Many ids
+    // share few trajectories, so the reply is decided by tie order, and
+    // the writes land in write-buffer chunks the readers' snapshots share.
+    let server =
+        Arc::new(Server::new(Arc::new(tiny_engine()), ServeConfig::default()).expect("server"));
+    const IDS: u64 = 96;
+    const SHAPES: u64 = 6;
+    for id in 0..IDS {
+        server.upsert(id, &traj_for(id % SHAPES)).expect("seed");
+    }
+    let points: Vec<String> = traj_for(2)
+        .points()
+        .iter()
+        .map(|p| format!("[{},{}]", p.x, p.y))
+        .collect();
+    let request = format!(
+        "{{\"op\":\"knn\",\"traj\":[{}],\"k\":20}}",
+        points.join(",")
+    );
+    let baseline = trajcl_serve::proto::handle(&server, &request);
+    assert!(baseline.contains("\"ok\":true"), "{baseline}");
+
+    const READERS: usize = 3;
+    let barrier = Arc::new(Barrier::new(READERS + 1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (server, barrier, stop) =
+                (Arc::clone(&server), Arc::clone(&barrier), Arc::clone(&stop));
+            let (request, baseline) = (request.clone(), baseline.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                let mut replies = 0usize;
+                // At least a few replies after the writer is done, too.
+                while !stop.load(Ordering::Acquire) || replies < 8 {
+                    assert_eq!(trajcl_serve::proto::handle(&server, &request), baseline);
+                    replies += 1;
+                }
+            })
+        })
+        .collect();
+    barrier.wait();
+    for round in 0..6u64 {
+        for id in 0..IDS {
+            // A different visiting order each round, the same vector always.
+            let id = (id * 7 + round) % IDS;
+            assert!(server.upsert(id, &traj_for(id % SHAPES)).expect("replace"));
+        }
+    }
+    stop.store(true, Ordering::Release);
+    for r in readers {
+        r.join().expect("reader");
+    }
+    assert_eq!(trajcl_serve::proto::handle(&server, &request), baseline);
+    server.shutdown();
+}
+
 /// Random vectors as flat f32 rows.
 fn random_rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
