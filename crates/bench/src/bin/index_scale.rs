@@ -1,7 +1,8 @@
 //! Million-scale kNN benchmark: exact brute force vs IVF vs IVF+SQ8 vs
-//! IVF+PQ over synthetic embedding tables, recorded commit-tagged into
-//! `BENCH_index.json` — the index counterpart of `perf_snapshot` /
-//! `load_gen`.
+//! IVF+PQ over synthetic embedding tables. Every other timing in the
+//! repo is the ladder's (`crates/bench/src/bin/ladder/`); this bin stays
+//! because its quantized-vs-exact floors at 20k–100k rows have no rung
+//! there yet.
 //!
 //! The table is a Gaussian-mixture synthetic (clustered, like real
 //! trajectory embeddings) of `--n` rows × `--dim` dimensions; queries are
@@ -27,10 +28,9 @@
 //! from different machines stay comparable.
 //!
 //! Usage:
-//!   index_scale [--quick] [--n N] [--dim D] [--label NAME]
-//!               [--out BENCH_index.json] [--check]
+//!   index_scale [--quick] [--n N] [--dim D] [--check]
 //!
-//! * default: measure and append a run entry to `--out`;
+//! * default: measure and print the run's JSON record to stdout;
 //! * `--check`: measure and gate on ABSOLUTE floors — recall@10 ≥ 0.95
 //!   for IVF and IVF+SQ8 and ≥ 0.90 for symmetric SQ8, IVF+PQ and pq4
 //!   (all rescored), SQ8 memory ≤ 32%, PQ memory ≤ 10% and pq4 memory
@@ -39,16 +39,15 @@
 //!   qps ratio ≥ 1.0× (quick) / 1.5× (full). Absolute rather than
 //!   baseline-relative because the ratios depend on the run's own
 //!   `n`/`nlist` geometry, which both sides of each ratio share.
-//!   Nothing is written.
+//!   No record is printed.
 //!
-//! Scales to 1M rows (`--n 1000000`); the committed baseline entry is a
-//! 100k full run.
+//! Scales to 1M rows (`--n 1000000`); DESIGN.md §12.4 quotes a 100k full
+//! run.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trajcl_bench::snapfile::{append_run, git_commit};
 use trajcl_index::kernels::dispatch;
 use trajcl_index::{brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, ScanMode};
 use trajcl_tensor::{Shape, Tensor};
@@ -192,16 +191,15 @@ impl Run {
         self.pq4_bytes as f64 / self.f32_bytes as f64
     }
 
-    fn to_json(&self, label: &str, quick: bool) -> String {
+    fn to_json(&self, quick: bool) -> String {
         format!(
-            "{{\"commit\":\"{}\",\"label\":\"{label}\",\"quick\":{quick},\"cpu\":\"{}\",\"force_scalar\":{},\
+            "{{\"quick\":{quick},\"cpu\":\"{}\",\"force_scalar\":{},\
 \"n\":{},\"d\":{},\"nlist\":{},\"nprobe\":{},\"k\":{K},\
 \"exact_qps\":{:.1},\"ivf_qps\":{:.1},\"sq8_qps\":{:.1},\"sym_qps\":{:.1},\"pq_qps\":{:.1},\"pq4_qps\":{:.1},\
 \"ivf_recall10\":{:.4},\"sq8_recall10\":{:.4},\"sym_recall10\":{:.4},\"pq_recall10\":{:.4},\"pq4_recall10\":{:.4},\"pq_m\":{},\
 \"f32_index_bytes\":{},\"sq8_index_bytes\":{},\"pq_index_bytes\":{},\"pq4_index_bytes\":{},\"table_bytes\":{},\
 \"speedup_ivf\":{:.2},\"speedup_sq8\":{:.2},\"speedup_sym_vs_asym\":{:.2},\"speedup_pq\":{:.2},\
 \"mem_ratio\":{:.3},\"pq_mem_ratio\":{:.3},\"pq4_mem_ratio\":{:.3}}}",
-            git_commit(),
             dispatch::description(),
             dispatch::forced_scalar(),
             self.n,
@@ -356,8 +354,6 @@ fn main() {
     let mut check = false;
     let mut n: Option<usize> = None;
     let mut d: Option<usize> = None;
-    let mut out = "BENCH_index.json".to_string();
-    let mut label = "snapshot".to_string();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -370,14 +366,6 @@ fn main() {
             "--dim" => {
                 i += 1;
                 d = Some(args[i].parse().expect("--dim D"));
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--label" => {
-                i += 1;
-                label = args[i].clone();
             }
             other => {
                 eprintln!("unknown argument: {other}");
@@ -454,7 +442,6 @@ fn main() {
         }
         eprintln!("OK: index-scale gates passed");
     } else {
-        append_run(&out, &run.to_json(&label, quick));
-        eprintln!("recorded run '{label}' -> {out}");
+        println!("{}", run.to_json(quick));
     }
 }

@@ -28,10 +28,14 @@
 //! towards the paper's sizes. Criterion benches (`benches/`) cover the
 //! microbenchmark-shaped artifacts (per-pair times, encoder cost model,
 //! index probes, kernels).
+//!
+//! Serving-stack timing is not here: the ladder (`src/bin/ladder/`, a
+//! package of its own, declared in `BENCHMARK.json`) is the one
+//! instrument. `index_scale` holds the quantized-vs-exact floors the
+//! ladder has no rung for yet.
 
 pub mod harness;
 pub mod report;
-pub mod snapfile;
 
 pub use harness::{
     cstrm_table_feasible, heuristic_set, mean_rank_heuristic, train_all, ExperimentEnv, Scale,

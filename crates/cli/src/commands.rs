@@ -13,6 +13,7 @@ use trajcl_data::{hit_ratio, load_trajectory_file, save_trajectory_file, Dataset
 use trajcl_engine::{Engine, EngineError, IndexOptions, Quantization, ScanMode};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
+use trajcl_serve::proto::traj_json;
 use trajcl_serve::{ServeConfig, Server};
 
 /// Runs a parsed command; returns the process exit code. (`Send` because
@@ -361,16 +362,6 @@ fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> 
         )?;
     }
     Ok(())
-}
-
-/// A trajectory as the wire protocol's `[[x,y],...]` point array.
-fn traj_json(t: &Trajectory) -> String {
-    let pts: Vec<String> = t
-        .points()
-        .iter()
-        .map(|p| format!("[{},{}]", p.x, p.y))
-        .collect();
-    format!("[{}]", pts.join(","))
 }
 
 /// Parses a response frame, turning the in-band `{"ok":false,...}` error

@@ -1255,8 +1255,8 @@ mod tests {
     #[test]
     fn pq_memory_is_under_a_tenth_of_f32() {
         // 6-bit codes keep the codebook small enough that the 10% bound
-        // already holds at 2000 rows (at bench scale, 8-bit PQ lands
-        // around 5% — see BENCH_index.json).
+        // already holds at 2000 rows (at 100k rows 8-bit PQ with m = 16
+        // lands at 8.4% — `index_scale`, DESIGN.md §12.4).
         let emb = table(2000, 64, 50);
         let mut rng = StdRng::seed_from_u64(51);
         let f32_index = IvfIndex::build(&emb, 16, Metric::L1, &mut rng);

@@ -45,7 +45,7 @@ pub use ivf::{
 };
 pub use kernels::{PqCodebook, Sq8Codebook, TopK};
 pub use mutable::{ExactRescorer, IndexSnapshot, MutableIndex};
-pub use sharded::{merge_partials, shard_for, ShardedIndex, ShardedSnapshot};
+pub use sharded::{merge_partials, shard_for, splitmix64, ShardedIndex, ShardedSnapshot};
 pub use wal::{
     atomic_write, CheckpointData, CheckpointEntry, CrashPointFs, Durability, RealFs, Wal, WalFs,
     WalOp, WalRecovery,

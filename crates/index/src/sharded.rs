@@ -29,9 +29,10 @@ use crate::mutable::{ExactRescorer, IndexSnapshot, MutableIndex};
 
 /// The finalizer of splitmix64 — a fixed, well-mixing `u64 -> u64`
 /// permutation. Sequential ids (the common external-id pattern) land on
-/// different shards instead of striping through `id % n` hotspots.
+/// different shards instead of striping through `id % n` hotspots. Also
+/// the mixer behind the serving layer's seeded jitter and fault streams.
 #[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -452,7 +453,8 @@ mod tests {
     // The tentpole equivalence property: for exact (f32) storage, a
     // sharded index over the same live set returns bit-identical kNN —
     // ids, distances AND tie order — to a single unsharded index, for
-    // any shard count, with and without IVF sealing (full probe).
+    // any shard count, with and without IVF sealing (full probe),
+    // whether the rows arrived by upsert or as one sealed table.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -497,6 +499,26 @@ mod tests {
                 // Bit-identical distances, not merely approximately equal.
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert!(g.1.to_bits() == w.1.to_bits());
+                }
+            }
+
+            // The same property for the index a server starts from: one
+            // table sealed by `from_table_with` (never upserted), cut 1, 4
+            // and 16 ways — 16 leaves shards empty or smaller than `nlist`.
+            let table = Tensor::from_vec(data.concat(), Shape::d2(n, d));
+            let ids: Vec<u64> = (0..n as u64).collect();
+            let sealed =
+                |cut| ShardedIndex::from_table_with(ids.clone(), &table, Metric::L1, opts, cut);
+            let one = sealed(1);
+            for cut in [4, 16] {
+                let many = sealed(cut);
+                prop_assert_eq!(many.snapshot().buffer_len(), 0);
+                for q in data.iter().step_by(5) {
+                    let bits = |index: &ShardedIndex| -> Vec<(u64, u64)> {
+                        let hits = index.search(q, k, usize::MAX);
+                        hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(&many), bits(&one), "{} sealed shards != 1", cut);
                 }
             }
         }

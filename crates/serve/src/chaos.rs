@@ -25,8 +25,7 @@
 //!
 //! The proxy is test infrastructure — TCP only, one listener, no
 //! backpressure games — but it lives in the library (not `#[cfg(test)]`)
-//! so the chaos suite, doc examples and `load_gen` share one
-//! implementation.
+//! so the chaos suite and doc examples share one implementation.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -34,6 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use trajcl_index::splitmix64;
 
 use crate::proto::{encode_frame, read_frame};
 
@@ -112,14 +113,6 @@ impl ChaosPlan {
         }
         None
     }
-}
-
-/// The splitmix64 mixer driving the fault stream.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A running fault-injecting TCP proxy created by [`ChaosProxy::start`].

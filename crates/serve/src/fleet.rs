@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use trajcl_index::{merge_partials, shard_for};
+use trajcl_index::{merge_partials, shard_for, splitmix64};
 
 use crate::json::{parse, Json};
 use crate::net::{Client, ClientOptions, FrameHandler};
@@ -216,15 +216,6 @@ enum Leg<'a> {
 /// Floor of a re-armed read deadline (std rejects 0): a reply already in the
 /// socket buffer is still read after a slower sibling spent the budget.
 const READ_FLOOR: Duration = Duration::from_millis(1);
-
-/// The splitmix64 mixer (same constants as the placement hash) — drives
-/// the deterministic backoff-jitter stream.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The fleet front-end router (module docs have the architecture).
 ///

@@ -35,8 +35,8 @@
 //!   when shards die;
 //! * **fault injection** ([`chaos`]) — a deterministic seeded
 //!   frame-corrupting proxy (drop/delay/truncate/garble/kill) that the
-//!   chaos test suite and `load_gen` use to prove the failure modes in
-//!   DESIGN.md §14 actually hold;
+//!   chaos test suite uses to prove the failure modes in DESIGN.md §14
+//!   actually hold;
 //! * **durability** ([`server::WalConfig`], over
 //!   [`trajcl_index::Wal`]) — an optional per-shard write-ahead log:
 //!   every mutation is appended and group-fsync'd *before* it is

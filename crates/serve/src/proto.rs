@@ -186,6 +186,18 @@ fn parse_traj(value: &Json) -> Result<Trajectory, String> {
     Ok(Trajectory::new(out))
 }
 
+/// Prints a trajectory as the `[[x,y],...]` array [`handle`] decodes: every
+/// finite coordinate in its shortest round-trip decimal, so the bits survive
+/// the wire.
+pub fn traj_json(t: &Trajectory) -> String {
+    let pts: Vec<String> = t
+        .points()
+        .iter()
+        .map(|p| format!("[{},{}]", p.x, p.y))
+        .collect();
+    format!("[{}]", pts.join(","))
+}
+
 fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
     obj.get(key)
         .ok_or_else(|| format!("missing field \"{key}\""))
@@ -431,5 +443,25 @@ mod tests {
         assert!(parse_traj(&parse("[[1,2],[3]]").unwrap()).is_err());
         assert!(parse_traj(&parse("[1,2]").unwrap()).is_err());
         assert!(parse_traj(&parse("\"x\"").unwrap()).is_err());
+
+        // What `traj_json` prints, `parse_traj` reads back bit for bit:
+        // edge values, then random bit patterns (the finite ones).
+        let mut coords = vec![0.0, -0.0, 0.1 + 0.2, 1.0 / 3.0, 1234.56, -9_999.99];
+        coords.extend([f64::MAX, f64::MIN_POSITIVE, 5e-324, -1e-300, 1e21]);
+        coords.extend(
+            (0..256u64)
+                .map(|n| f64::from_bits(trajcl_index::splitmix64(n)))
+                .filter(|c| c.is_finite()),
+        );
+        let t: Trajectory = coords.windows(2).map(|w| Point::new(w[0], w[1])).collect();
+        let back = parse_traj(&parse(&traj_json(&t)).unwrap()).unwrap();
+        assert_eq!(back.len(), t.len());
+        for (a, b) in t.points().iter().zip(back.points()) {
+            assert_eq!(
+                (a.x.to_bits(), a.y.to_bits()),
+                (b.x.to_bits(), b.y.to_bits())
+            );
+        }
+        assert_eq!(traj_json(&Trajectory::new(Vec::new())), "[]");
     }
 }

@@ -22,7 +22,7 @@ use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_index::shard_for;
 use trajcl_serve::net::listen_with;
-use trajcl_serve::proto::{read_frame, write_frame};
+use trajcl_serve::proto::{read_frame, traj_json, write_frame};
 use trajcl_serve::{
     listen, ChaosPlan, ChaosProxy, Client, ClientOptions, Fleet, FleetConfig, FrameHandler,
     NetServer, ServeConfig, Server, SessionOptions, ShardHealth,
@@ -61,15 +61,6 @@ fn traj_for(id: u64) -> Trajectory {
     (0..6)
         .map(|t| Point::new(40.0 + t as f64 * 120.0, y0 + t as f64 * 3.0))
         .collect()
-}
-
-fn traj_json(t: &Trajectory) -> String {
-    let pts: Vec<String> = t
-        .points()
-        .iter()
-        .map(|p| format!("[{},{}]", p.x, p.y))
-        .collect();
-    format!("[{}]", pts.join(","))
 }
 
 fn upsert_payload(id: u64) -> String {
@@ -705,6 +696,74 @@ fn fail_closed_refuses_partial_answers() {
 
     fleet.shutdown();
     real.kill();
+}
+
+/// The retry-storm regression, as a count: a scatter must not touch a
+/// shard whose breaker is open — no dial, no retry, no budget spent on
+/// the corpse — so degraded reads cost what healthy ones do.
+#[test]
+fn down_shard_is_never_dialled_by_reads() {
+    const NSHARDS: usize = 4;
+    // Shard 0 accepts and drops every connection, counting accepts: any
+    // touch (probe, dial, retry) is one more.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let corpse_addr = listener.local_addr().expect("addr").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let corpse = {
+        let (stop, accepts) = (Arc::clone(&stop), Arc::clone(&accepts));
+        std::thread::spawn(move || {
+            while let Ok((conn, _)) = listener.accept() {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                accepts.fetch_add(1, Ordering::AcqRel);
+                drop(conn);
+            }
+        })
+    };
+    let live: Vec<ShardServer> = (1..NSHARDS).map(|_| ShardServer::spawn()).collect();
+    let mut addrs = vec![corpse_addr.clone()];
+    addrs.extend(live.iter().map(ShardServer::addr));
+
+    // The start-up probe is the failure that opens the breaker (`connect`
+    // leaves the shard at `down_after` strikes); the prober, the only
+    // thing allowed to talk to a Down shard, sleeps past the test's end.
+    let mut cfg = fleet_cfg();
+    cfg.probe_interval = Duration::from_secs(3600);
+    let fleet = Fleet::connect(&addrs, cfg).expect("three live shards suffice");
+    assert_eq!(fleet.health()[0], ShardHealth::Down);
+    assert_eq!(accepts.load(Ordering::Acquire), 1, "the start-up probe");
+
+    let ids: Vec<u64> = (0..48).filter(|&id| shard_for(id, NSHARDS) != 0).collect();
+    for &id in &ids {
+        let r = fleet.handle_frame(&upsert_payload(id));
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+    for i in 0..50 {
+        let r = fleet.handle_frame(&knn_payload(ids[i % ids.len()], 5));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert!(
+            r.contains("\"partial\":true,\"shards_ok\":3,\"shards_total\":4"),
+            "{r}"
+        );
+    }
+
+    // The wake-up connection queues behind any dial the reads made, so
+    // once the thread is joined the count is final.
+    stop.store(true, Ordering::Release);
+    let _ = std::net::TcpStream::connect(&corpse_addr);
+    corpse.join().expect("corpse thread");
+    assert_eq!(
+        accepts.load(Ordering::Acquire),
+        1,
+        "a read touched the Down shard"
+    );
+
+    fleet.shutdown();
+    for s in live {
+        s.kill();
+    }
 }
 
 /// `kill_after_frames`: the proxy severs the connection after its frame

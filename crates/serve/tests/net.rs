@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
+use trajcl_serve::proto::traj_json;
 use trajcl_serve::{listen, Client, ServeConfig, Server};
 use trajcl_tensor::{Shape, Tensor};
 
@@ -36,16 +37,6 @@ fn traj_for(id: u64) -> Trajectory {
     (0..6)
         .map(|t| Point::new(40.0 + t as f64 * 120.0, y0 + t as f64 * 3.0))
         .collect()
-}
-
-/// The trajectory as the protocol's `[[x,y],...]` array.
-fn traj_json(t: &Trajectory) -> String {
-    let pts: Vec<String> = t
-        .points()
-        .iter()
-        .map(|p| format!("[{},{}]", p.x, p.y))
-        .collect();
-    format!("[{}]", pts.join(","))
 }
 
 fn sharded_server(shards: usize) -> Arc<Server> {
