@@ -127,8 +127,23 @@ pub fn run_all(opts: &FuzzOptions) -> FuzzReport {
                     // Accepted indexes must be searchable: a decode that
                     // passes validation but indexes out of bounds here is
                     // exactly the bug class this target exists to catch.
+                    // A full probe must serve every row exactly once, and
+                    // every row must read back (the compaction path).
                     let query = vec![0.25f32; idx.dim()];
                     let _ = idx.search(&query, 3, 2);
+                    let mut ids: Vec<u32> = idx
+                        .search(&query, idx.len(), idx.nlist())
+                        .iter()
+                        .map(|&(id, _)| id)
+                        .collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    assert_eq!(ids.len(), idx.len(), "full probe returned repeated ids");
+                    let mut row = Vec::new();
+                    for id in 0..idx.len() as u32 {
+                        row.clear();
+                        idx.decode_vector_into(id, &mut row);
+                    }
                     Outcome::Accepted
                 }
                 None => Outcome::Rejected,

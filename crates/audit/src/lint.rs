@@ -29,6 +29,7 @@ const CODEC_MODULES: &[&str] = &[
     "crates/core/src/persist.rs",
     "crates/nn/src/store.rs",
     "crates/index/src/ivf.rs",
+    "crates/index/src/storage.rs",
     "crates/engine/src/engine.rs",
     "crates/serve/src/proto.rs",
     "crates/serve/src/json.rs",

@@ -409,14 +409,14 @@ impl Engine {
     /// silently defaulted settings.
     pub fn from_bytes(bytes: &[u8]) -> Result<Engine, EngineError> {
         let mut r = bytes;
-        let take = |r: &mut &[u8], n: usize| -> Result<Vec<u8>, EngineError> {
+        fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], EngineError> {
             if r.len() < n {
                 return Err(EngineError::CorruptEngineFile("truncated"));
             }
             let (head, rest) = r.split_at(n);
             *r = rest;
-            Ok(head.to_vec())
-        };
+            Ok(head)
+        }
         let u32_of = |r: &mut &[u8]| -> Result<u32, EngineError> {
             take(r, 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         };
@@ -426,7 +426,7 @@ impl Engine {
         }
         let model_len = u32_of(&mut r)? as usize;
         let model_bytes = take(&mut r, model_len)?;
-        let (model, featurizer) = load_model(&model_bytes)?;
+        let (model, featurizer) = load_model(model_bytes)?;
         let nprobe = u32_of(&mut r)? as usize;
         let batch_size = u32_of(&mut r)? as usize;
         let nlist_raw = u32_of(&mut r)? as usize;
@@ -457,10 +457,7 @@ impl Engine {
             _ => {
                 let len = u32_of(&mut r)? as usize;
                 let raw = take(&mut r, len)?;
-                Some(
-                    IvfIndex::from_bytes(&raw)
-                        .ok_or(EngineError::CorruptEngineFile("ivf index"))?,
-                )
+                Some(IvfIndex::from_bytes(raw).ok_or(EngineError::CorruptEngineFile("ivf index"))?)
             }
         };
         let tag = u8_of(&mut r)?;

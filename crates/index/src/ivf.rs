@@ -20,13 +20,14 @@
 //! re-ranked against a caller-supplied exact f32 table (the engine keeps
 //! its embedding table for precisely this). All scans run through the
 //! blocked f32 kernels and the fused bounded top-k selector, never a
-//! full sort.
+//! full sort. Whatever depends on *how* rows are stored sits behind
+//! `Storage` (`storage.rs`); this file is the IVF half.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use trajcl_tensor::{pool, Tensor};
 
 use crate::kernels::{self, PqCodebook, Sq8Codebook, TopK};
+use crate::storage::{self, ScanScratch, Storage};
 
 /// Distance metric for index search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,32 +235,21 @@ impl Default for IndexOptions {
 /// Magic of the one serialised section layout ([`IvfIndex::to_bytes`]).
 const SECTION_MAGIC: &[u8; 4] = b"IVF4";
 
-/// The vector payload of an index: exact rows, SQ8 codes or PQ codes.
-enum Storage {
-    F32(Vec<f32>),
-    Sq8 { codes: Vec<u8>, cb: Sq8Codebook },
-    Pq { codes: Vec<u8>, cb: PqCodebook },
-}
-
-/// Reusable per-thread search state: centroid ranking buffer, fused
-/// top-k heap and candidate list. One scratch serves any number of
-/// queries — batch search allocates one per pool lane, not per query.
+/// Reusable per-thread search state: centroid ranking buffer, the
+/// storage scan's heap and per-query tables, and the candidate list. One
+/// scratch serves any number of queries — batch search allocates one per
+/// pool lane, not per query.
 #[derive(Default)]
 pub struct SearchScratch {
     /// `(centroid distance, centroid)` ranking buffer.
     order: Vec<(f32, u32)>,
-    topk: TopK,
+    scan: ScanScratch,
     /// Quantized-candidate buffer between scan and rescore.
     cand: Vec<(u32, f64)>,
-    /// PQ ADC lookup table (`m × ksub`), rebuilt per query, allocation
-    /// reused across the batch.
-    lut: Vec<f32>,
-    /// Quantized query codes for the symmetric SQ8 scan, rebuilt per
-    /// query, allocation reused across the batch.
-    qcodes: Vec<u8>,
 }
 
-/// An IVF index over fixed-dimension vectors (exact f32 or SQ8-quantized).
+/// An IVF index over fixed-dimension vectors, stored as exact f32 rows,
+/// SQ8 codes or PQ codes.
 pub struct IvfIndex {
     centroids: Vec<f32>,
     lists: Vec<Vec<u32>>,
@@ -305,71 +295,13 @@ impl IvfIndex {
         assert!(n > 0, "cannot index an empty table");
         let nlist = opts.nlist.unwrap_or(1).clamp(1, n);
         let data = embeddings.data();
-
-        // k-means++-lite init: distinct random rows.
-        let mut ids: Vec<usize> = (0..n).collect();
-        ids.shuffle(rng);
-        let mut centroids: Vec<f32> = Vec::with_capacity(nlist * d);
-        for &i in ids.iter().take(nlist) {
-            centroids.extend_from_slice(&data[i * d..(i + 1) * d]);
-        }
-        // Lloyd iterations: blocked-kernel assignment fanned across the
-        // shared pool (the O(n · nlist · d) inner loop), serial means.
-        let mut assign = vec![0u32; n];
-        for _ in 0..10 {
-            let per = pool::rows_per_lane(n);
-            let centroids_ref = &centroids;
-            pool::par_chunks_mut(&mut assign, per, |c, chunk| {
-                let start = c * per;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let row = &data[(start + i) * d..(start + i + 1) * d];
-                    *slot = kernels::argmin_row(metric, row, centroids_ref, d) as u32;
-                }
-            });
-            let mut sums = vec![0.0f64; nlist * d];
-            let mut counts = vec![0usize; nlist];
-            for (i, &c) in assign.iter().enumerate() {
-                counts[c as usize] += 1;
-                for k in 0..d {
-                    sums[c as usize * d + k] += data[i * d + k] as f64;
-                }
-            }
-            for c in 0..nlist {
-                if counts[c] > 0 {
-                    for k in 0..d {
-                        centroids[c * d + k] = (sums[c * d + k] / counts[c] as f64) as f32;
-                    }
-                }
-            }
-        }
+        let (centroids, assign) = kernels::kmeans(metric, data, d, nlist, rng);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
             lists[c as usize].push(i as u32);
         }
-        // Symmetric scanning only exists for SQ8 storage.
-        let scan = match opts.quantization {
-            Quantization::Sq8 => opts.scan,
-            _ => ScanMode::Asymmetric,
-        };
-        let storage = match opts.quantization {
-            Quantization::None => Storage::F32(data.to_vec()),
-            Quantization::Sq8 => {
-                let cb = match scan {
-                    ScanMode::Symmetric => Sq8Codebook::train_uniform(data, d),
-                    ScanMode::Asymmetric => Sq8Codebook::train(data, d),
-                };
-                let mut codes = Vec::with_capacity(n * d);
-                for row in data.chunks_exact(d) {
-                    cb.encode_into(row, &mut codes);
-                }
-                Storage::Sq8 { codes, cb }
-            }
-            Quantization::Pq { m, nbits } => {
-                let mut cb = PqCodebook::train(data, d, m, nbits, rng);
-                let codes = cb.encode_table(data);
-                Storage::Pq { codes, cb }
-            }
-        };
+        let storage = storage::encode(opts.quantization, opts.scan, data, d, rng);
+        let scan = storage.scan_mode(opts.scan);
         IvfIndex {
             centroids,
             lists,
@@ -405,14 +337,7 @@ impl IvfIndex {
     /// The storage quantization of this index (for PQ, the *effective*
     /// parameters after build-time clamping).
     pub fn quantization(&self) -> Quantization {
-        match &self.storage {
-            Storage::F32(_) => Quantization::None,
-            Storage::Sq8 { .. } => Quantization::Sq8,
-            Storage::Pq { cb, .. } => Quantization::Pq {
-                m: cb.m(),
-                nbits: cb.nbits(),
-            },
-        }
+        self.storage.quantization()
     }
 
     /// Over-fetch multiplier used by quantized (SQ8/PQ) rescoring.
@@ -429,67 +354,24 @@ impl IvfIndex {
     /// The SQ8 codebook, when the index uses SQ8 storage (the worst-case
     /// distance error bound quantization-aware tests reason about).
     pub fn codebook(&self) -> Option<&Sq8Codebook> {
-        match &self.storage {
-            Storage::Sq8 { cb, .. } => Some(cb),
-            _ => None,
-        }
+        self.storage.sq8_codebook()
     }
 
     /// The PQ codebook, when the index uses PQ storage.
     pub fn pq_codebook(&self) -> Option<&PqCodebook> {
-        match &self.storage {
-            Storage::Pq { cb, .. } => Some(cb),
-            _ => None,
-        }
-    }
-
-    /// The exact indexed vector at position `id`.
-    ///
-    /// # Panics
-    /// On quantized (SQ8/PQ) storage, which holds no exact rows — use
-    /// [`IvfIndex::decode_vector_into`] there.
-    pub fn vector(&self, id: u32) -> &[f32] {
-        match &self.storage {
-            Storage::F32(vectors) => &vectors[id as usize * self.d..(id as usize + 1) * self.d],
-            Storage::Sq8 { .. } | Storage::Pq { .. } => {
-                panic!("IvfIndex::vector on quantized storage; use decode_vector_into")
-            }
-        }
+        self.storage.pq_codebook()
     }
 
     /// Appends row `id` to `out`: the exact row for f32 storage, the
     /// decoded (quantized) row for SQ8/PQ — the read-back path compaction
     /// uses, which works for any storage.
     pub fn decode_vector_into(&self, id: u32, out: &mut Vec<f32>) {
-        match &self.storage {
-            Storage::F32(vectors) => {
-                let at = id as usize * self.d;
-                out.extend_from_slice(&vectors[at..at + self.d]);
-            }
-            Storage::Sq8 { codes, cb } => {
-                let at = id as usize * self.d;
-                let start = out.len();
-                out.resize(start + self.d, 0.0);
-                cb.decode_into(&codes[at..at + self.d], &mut out[start..]);
-            }
-            Storage::Pq { codes, cb } => {
-                let stride = cb.code_stride();
-                let at = id as usize * stride;
-                let start = out.len();
-                out.resize(start + self.d, 0.0);
-                cb.decode_into(&codes[at..at + stride], &mut out[start..]);
-            }
-        }
+        self.storage.decode_row_into(id, self.d, out);
     }
 
     /// Approximate resident memory of the index in bytes (Table IX).
     pub fn memory_bytes(&self) -> usize {
-        let payload = match &self.storage {
-            Storage::F32(vectors) => vectors.len() * 4,
-            Storage::Sq8 { codes, cb } => codes.len() + cb.memory_bytes(),
-            Storage::Pq { codes, cb } => codes.len() + cb.memory_bytes(),
-        };
-        payload
+        self.storage.memory_bytes()
             + self.centroids.len() * 4
             + self.lists.iter().map(|l| l.len() * 4 + 24).sum::<usize>()
     }
@@ -586,126 +468,33 @@ impl IvfIndex {
         }
         let nprobe = nprobe.clamp(1, self.lists.len());
         self.probe_prefix(query, nprobe, scratch);
-        match &self.storage {
-            Storage::F32(vectors) => {
-                scratch.topk.reset(k);
-                for &(_, c) in &scratch.order[..nprobe] {
-                    kernels::scan_ids(
-                        self.metric,
-                        query,
-                        vectors,
-                        self.d,
-                        &self.lists[c as usize],
-                        &mut scratch.topk,
-                    );
-                }
-                scratch.topk.drain_sorted_into(out);
-            }
-            Storage::Sq8 { codes, cb } => {
-                scratch.topk.reset(self.quantized_fetch(k, exact));
-                // Symmetric scanning needs the uniform scale the codebook
-                // was trained with; a non-uniform codebook (deserialised
-                // from an asymmetric build) silently falls back.
-                let sym_scale = match self.scan {
-                    ScanMode::Symmetric => cb.uniform_scale(),
-                    ScanMode::Asymmetric => None,
-                };
-                if let Some(scale) = sym_scale {
-                    scratch.qcodes.clear();
-                    cb.encode_into(query, &mut scratch.qcodes);
-                    for &(_, c) in &scratch.order[..nprobe] {
-                        kernels::sq8_sym_scan_ids(
-                            self.metric,
-                            &scratch.qcodes,
-                            codes,
-                            self.d,
-                            scale,
-                            &self.lists[c as usize],
-                            &mut scratch.topk,
-                        );
-                    }
-                } else {
-                    for &(_, c) in &scratch.order[..nprobe] {
-                        kernels::sq8_scan_ids(
-                            self.metric,
-                            query,
-                            codes,
-                            self.d,
-                            cb,
-                            &self.lists[c as usize],
-                            &mut scratch.topk,
-                        );
-                    }
-                }
-                self.finish_quantized(scratch, query, k, exact, out);
-            }
-            Storage::Pq { codes, cb } => {
-                // One ADC lookup table per query (m × ksub exact
-                // subvector distances); every scanned row is then m table
-                // lookups, no decode.
-                cb.build_lut_into(self.metric, query, &mut scratch.lut);
-                scratch.topk.reset(self.quantized_fetch(k, exact));
-                for &(_, c) in &scratch.order[..nprobe] {
-                    if cb.packed() {
-                        kernels::pq_packed_scan_ids(
-                            &scratch.lut,
-                            codes,
-                            cb.code_stride(),
-                            cb.m(),
-                            cb.ksub(),
-                            &self.lists[c as usize],
-                            &mut scratch.topk,
-                        );
-                    } else {
-                        kernels::pq_scan_ids(
-                            &scratch.lut,
-                            codes,
-                            cb.m(),
-                            cb.ksub(),
-                            &self.lists[c as usize],
-                            &mut scratch.topk,
-                        );
-                    }
-                }
-                self.finish_quantized(scratch, query, k, exact, out);
+        // With an exact table to re-rank against, a quantized scan
+        // over-fetches; f32 distances are exact already and ignore it.
+        let rescore = exact.zip(self.rescore_fetch(k));
+        let (metric, state) = (self.metric, &mut scratch.scan);
+        state.topk.reset(rescore.map_or(k, |(_, fetch)| fetch));
+        let probed = scratch.order[..nprobe]
+            .iter()
+            .map(|&(_, c)| self.lists[c as usize].as_slice());
+        self.storage
+            .scan(metric, self.scan, self.d, query, probed, state);
+        if let Some((table, _)) = rescore {
+            state.topk.drain_sorted_into(&mut scratch.cand);
+            state.topk.reset(k);
+            for &(id, _) in scratch.cand.iter() {
+                let row = table.row(id as usize);
+                state.topk.offer(id, kernels::dist(metric, query, row));
             }
         }
+        state.topk.drain_sorted_into(out);
     }
 
-    /// Candidate count of a quantized scan: `rescore_factor · k` when an
-    /// exact table will re-rank, plain `k` otherwise.
-    fn quantized_fetch(&self, k: usize, exact: Option<&Tensor>) -> usize {
-        if exact.is_some() {
-            k.saturating_mul(self.rescore_factor).max(k)
-        } else {
-            k
-        }
-    }
-
-    /// Drains a quantized scan's candidates into `out`, re-ranking the
-    /// over-fetched set against the exact table when one was supplied.
-    fn finish_quantized(
-        &self,
-        scratch: &mut SearchScratch,
-        query: &[f32],
-        k: usize,
-        exact: Option<&Tensor>,
-        out: &mut Vec<(u32, f64)>,
-    ) {
-        match exact {
-            Some(table) => {
-                scratch.topk.drain_sorted_into(&mut scratch.cand);
-                scratch.topk.reset(k);
-                for &(id, _) in scratch.cand.iter() {
-                    let row = table.row(id as usize);
-                    scratch
-                        .topk
-                        .offer(id, kernels::dist(self.metric, query, row));
-                }
-                scratch.topk.drain_sorted_into(out);
-            }
-            None => scratch.topk.drain_sorted_into(out),
-        }
+    /// Candidates to fetch for `k` results that will be re-ranked
+    /// exactly: `rescore_factor · k` on quantized (SQ8/PQ) storage, `None`
+    /// on f32 storage, whose distances need no rescoring.
+    pub(crate) fn rescore_fetch(&self, k: usize) -> Option<usize> {
+        (self.quantization() != Quantization::None)
+            .then(|| k.saturating_mul(self.rescore_factor).max(k))
     }
 
     /// Serialises the index as one `IVF4` section (little-endian):
@@ -719,15 +508,8 @@ impl IvfIndex {
     /// buffer is preallocated to its exact final size.
     pub fn to_bytes(&self) -> Vec<u8> {
         let list_bytes: usize = self.lists.iter().map(|l| 4 + l.len() * 4).sum();
-        let header = 4 + 1 + 4 + 4 + 4 + 1 + 4 + 1;
-        let expected = header
-            + self.centroids.len() * 4
-            + list_bytes
-            + match &self.storage {
-                Storage::F32(vectors) => vectors.len() * 4,
-                Storage::Sq8 { codes, .. } => self.d * 8 + codes.len(),
-                Storage::Pq { codes, cb } => 4 + 1 + 4 + cb.centroids().len() * 4 + 4 + codes.len(),
-            };
+        let header = 4 + 1 + 4 + 4 + 4 + 1 + 4;
+        let expected = header + self.centroids.len() * 4 + list_bytes + self.storage.wire_len();
         let mut out = Vec::with_capacity(expected);
         out.extend_from_slice(SECTION_MAGIC);
         out.push(match self.metric {
@@ -739,12 +521,7 @@ impl IvfIndex {
         out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
         out.push(self.scan.to_wire());
         out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-        out.push(self.quantization().wire_tag());
-        if let Storage::Pq { cb, .. } = &self.storage {
-            out.extend_from_slice(&(cb.m() as u32).to_le_bytes());
-            out.push(cb.nbits());
-            out.extend_from_slice(&(cb.ksub() as u32).to_le_bytes());
-        }
+        self.storage.write_tag(&mut out);
         for &c in &self.centroids {
             out.extend_from_slice(&c.to_le_bytes());
         }
@@ -754,26 +531,7 @@ impl IvfIndex {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
-        match &self.storage {
-            Storage::F32(vectors) => {
-                for &v in vectors {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Storage::Sq8 { codes, cb } => {
-                for &v in cb.bias.iter().chain(&cb.scale) {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out.extend_from_slice(codes);
-            }
-            Storage::Pq { codes, cb } => {
-                for &v in cb.centroids() {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out.extend_from_slice(&cb.l1_bound_raw().to_le_bytes());
-                out.extend_from_slice(codes);
-            }
-        }
+        self.storage.write_payload(&mut out);
         debug_assert_eq!(out.len(), expected, "to_bytes size accounting drifted");
         out
     }
@@ -804,14 +562,16 @@ impl IvfIndex {
         }
         let scan = ScanMode::from_wire(r.u8()?)?;
         let rescore_factor = (r.u32()? as usize).max(1);
-        let tag = r.u8()?;
-        let quant = Quantization::from_wire(tag, || Some((r.u32()? as usize, r.u8()?)))?;
-        let ksub = match quant {
-            Quantization::Pq { .. } => r.u32()? as usize,
-            _ => 0,
-        };
+        let geometry = storage::read_tag(&mut r)?;
         let centroids = r.f32_vec(nlist.checked_mul(d)?)?;
+        // The lists must partition the positions `0..n` — a repeated id
+        // would be served twice and leave another row unreachable — so
+        // they take 4n bytes; an `n` the buffer cannot hold allocates nothing.
+        if n > r.0.len() / 4 {
+            return None;
+        }
         let mut lists = Vec::with_capacity(nlist);
+        let mut seen = vec![false; n];
         let mut total_ids = 0usize;
         for _ in 0..nlist {
             let len = r.u32()? as usize;
@@ -819,50 +579,18 @@ impl IvfIndex {
             if total_ids > n {
                 return None;
             }
-            lists.push(r.u32_vec(len)?);
-        }
-        if total_ids != n || lists.iter().flatten().any(|&id| id as usize >= n) {
-            return None;
-        }
-        let storage = match quant {
-            Quantization::None => Storage::F32(r.f32_vec(n.checked_mul(d)?)?),
-            Quantization::Sq8 => {
-                let bias = r.f32_vec(d)?;
-                let scale = r.f32_vec(d)?;
-                let codes = r.bytes(n.checked_mul(d)?)?.to_vec();
-                Storage::Sq8 {
-                    codes,
-                    cb: Sq8Codebook { bias, scale },
-                }
-            }
-            Quantization::Pq { m, nbits } => {
-                let pq_centroids = r.f32_vec(ksub.checked_mul(d)?)?;
-                let l1_bound = r.f32()?;
-                let packed = nbits <= 4;
-                let cb = PqCodebook::from_parts(d, m, nbits, ksub, pq_centroids, l1_bound, packed)?;
-                let codes = r.bytes(n.checked_mul(cb.code_stride())?)?.to_vec();
-                // Every code indexes a ksub-entry table; an out-of-range
-                // code in a corrupt buffer must fail HERE, not as an
-                // out-of-bounds panic in the first LUT scan or decode.
-                // Packed rows also reject a non-zero trailing nibble (odd
-                // m), which encode never produces — so round trips stay
-                // bit-exact.
-                if packed {
-                    let stride = cb.code_stride();
-                    for row in codes.chunks_exact(stride) {
-                        if (0..m).any(|s| cb.code_at(row, s) >= ksub) {
-                            return None;
-                        }
-                        if m % 2 == 1 && row[stride - 1] >> 4 != 0 {
-                            return None;
-                        }
-                    }
-                } else if codes.iter().any(|&c| c as usize >= ksub) {
+            let list = r.u32_vec(len)?;
+            for &id in &list {
+                if std::mem::replace(seen.get_mut(id as usize)?, true) {
                     return None;
                 }
-                Storage::Pq { codes, cb }
             }
-        };
+            lists.push(list);
+        }
+        if total_ids != n {
+            return None;
+        }
+        let storage = storage::read_payload(&mut r, geometry, n, d)?;
         if !r.0.is_empty() {
             return None;
         }
@@ -915,10 +643,10 @@ impl IvfIndex {
 }
 
 /// Zero-copy little-endian field reader over a borrowed byte slice.
-struct Reader<'a>(&'a [u8]);
+pub(crate) struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.0.len() < n {
             return None;
         }
@@ -927,21 +655,21 @@ impl<'a> Reader<'a> {
         Some(head)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         self.bytes(1).map(|b| b[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         self.bytes(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn f32(&mut self) -> Option<f32> {
+    pub(crate) fn f32(&mut self) -> Option<f32> {
         self.bytes(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn f32_vec(&mut self, count: usize) -> Option<Vec<f32>> {
+    pub(crate) fn f32_vec(&mut self, count: usize) -> Option<Vec<f32>> {
         let raw = self.bytes(count.checked_mul(4)?)?;
         Some(
             raw.chunks_exact(4)
@@ -1009,6 +737,14 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_tensor::Shape;
+
+    impl IvfIndex {
+        /// The payload, for the seam test in `storage.rs`, where the
+        /// variants (and so the stored codes) are visible.
+        pub(crate) fn storage(&self) -> &crate::storage::Storage {
+            &self.storage
+        }
+    }
 
     fn table(n: usize, d: usize, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1234,7 +970,7 @@ mod tests {
         let f32_index = IvfIndex::build(&emb, 4, Metric::L1, &mut rng);
         let mut out = Vec::new();
         f32_index.decode_vector_into(7, &mut out);
-        assert_eq!(out.as_slice(), f32_index.vector(7));
+        assert_eq!(out.as_slice(), emb.row(7));
         let mut rng = StdRng::seed_from_u64(34);
         let sq8 = quantized(
             &emb,

@@ -1,6 +1,7 @@
 //! Runtime CPU dispatch for the integer scan kernels.
 //!
-//! The symmetric SQ8 scan ([`crate::kernels::sq8_sym_scan_ids`]) works in
+//! The symmetric SQ8 scan (`Storage::scan` under
+//! [`crate::ScanMode::Symmetric`]) works in
 //! the byte domain: sum of absolute (or squared) differences between two
 //! `u8` code rows, widened into integer accumulators. That shape maps
 //! onto dedicated x86 instructions — `vpsadbw` sums 32 absolute byte

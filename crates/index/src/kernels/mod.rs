@@ -28,11 +28,11 @@
 //!   computation): one `m × ksub` lookup table of exact
 //!   query-subvector-to-centroid distances is built per query
 //!   ([`PqCodebook::build_lut_into`]), after which scanning a row is `m`
-//!   table lookups and adds ([`pq_scan_ids`]) — no decode in the loop.
-//!   With `nbits ≤ 4` codes are **packed two per byte** (low nibble =
-//!   even subspace) and the whole LUT is `m × 16` floats — small enough
-//!   to live in L1 for any realistic `m` ([`pq_packed_scan_ids`]).
-//! * **Symmetric SQ8** ([`sq8_sym_scan_ids`]) quantizes the *query* with
+//!   table lookups and adds ([`PqCodebook::lut_distance`]) — no decode in
+//!   the loop. With `nbits ≤ 4` codes are **packed two per byte** (low
+//!   nibble = even subspace) and the whole LUT is `m × 16` floats — small
+//!   enough to live in L1 for any realistic `m`.
+//! * **Symmetric SQ8** ([`sq8_sym_dist`]) quantizes the *query* with
 //!   the same uniform-scale codebook ([`Sq8Codebook::train_uniform`]) and
 //!   scans in the byte domain: `Σ scale·|q_j − c_j|` factors into one
 //!   integer sum-of-absolute-differences times a constant, which the
@@ -40,9 +40,12 @@
 //!   runtime. Distances deviate from asymmetric ones by at most the
 //!   codebook's encode error bound; the over-fetch rescore restores
 //!   exact results.
-//! * Every `*_scan_ids` variant funnels through one generic seam,
-//!   [`scan_ids_by`]: gather loop + per-row distance closure + the
-//!   `TopK::offer` early abandon — the scan logic exists once.
+//! * Every inverted-list scan is one loop, [`scan_ids_by`]: gather +
+//!   per-row distance closure + the `TopK::offer` early abandon. Which
+//!   closure a stored row needs is the storage's decision
+//!   (`Storage::scan` in `storage.rs`), not a kernel per codec.
+//! * **`kmeans`** is the one Lloyd loop: the IVF coarse quantizer and
+//!   every PQ sub-quantizer train through it.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -130,41 +133,18 @@ pub fn scan_block(
     }
 }
 
-/// The one gather-scan loop every `*_scan_ids` variant shares: walk the
-/// inverted list, compute a per-row distance through `dist_of`, offer it
-/// to the fused selector (whose `offer` is the O(1) early abandon).
+/// The one gather-scan loop of every inverted-list scan: walk the list,
+/// compute a per-row distance through `dist_of`, offer it to the fused
+/// selector (whose `offer` is the O(1) early abandon).
 ///
-/// Storage-specific scans differ only in how a row id becomes a
-/// distance, so they pass a closure here instead of re-rolling the loop
-/// — see [`scan_ids`] (f32), [`sq8_scan_ids`] (asymmetric int8),
-/// [`sq8_sym_scan_ids`] (symmetric int8), [`pq_scan_ids`] /
-/// [`pq_packed_scan_ids`] (ADC).
+/// Storages differ only in how a row id becomes a distance, so
+/// `Storage::scan` (`storage.rs`) picks that closure once per query and
+/// every list runs through here.
 #[inline]
 pub fn scan_ids_by(ids: &[u32], topk: &mut TopK, mut dist_of: impl FnMut(u32) -> f64) {
     for &id in ids {
         let d = dist_of(id);
         topk.offer(id, d);
-    }
-}
-
-/// Like [`scan_block`] but over a gather list of row ids into `rows`
-/// (the inverted-list scan: ids index the full SoA table).
-#[inline]
-pub fn scan_ids(
-    metric: Metric,
-    query: &[f32],
-    rows: &[f32],
-    d: usize,
-    ids: &[u32],
-    topk: &mut TopK,
-) {
-    match metric {
-        Metric::L1 => scan_ids_by(ids, topk, |id| {
-            l1_f32(query, &rows[id as usize * d..(id as usize + 1) * d]) as f64
-        }),
-        Metric::L2 => scan_ids_by(ids, topk, |id| {
-            l2_f32(query, &rows[id as usize * d..(id as usize + 1) * d]) as f64
-        }),
     }
 }
 
@@ -195,6 +175,60 @@ pub fn argmin_row(metric: Metric, query: &[f32], rows: &[f32], d: usize) -> usiz
         }
     }
     best
+}
+
+/// Lloyd iterations of [`kmeans`].
+const KMEANS_ITERS: usize = 10;
+
+/// Plain Lloyd k-means of the contiguous `(n, d)` table `rows` into `k`
+/// centroids (`k ≤ n`): distinct-random-row init, assignment through
+/// [`argmin_row`] under `metric` fanned across the shared pool (the
+/// O(n · k · d) inner loop), serial f64 means; an empty cluster keeps its
+/// previous centroid. Returns the `(k, d)` centroid table and each row's
+/// cell as of the last assignment step.
+pub(crate) fn kmeans(
+    metric: Metric,
+    rows: &[f32],
+    d: usize,
+    k: usize,
+    rng: &mut impl Rng,
+) -> (Vec<f32>, Vec<u32>) {
+    let n = rows.len() / d;
+    debug_assert!(k <= n);
+    let mut ids: Vec<usize> = (0..n).collect();
+    ids.shuffle(rng);
+    let mut centroids: Vec<f32> = Vec::with_capacity(k * d);
+    for &i in ids.iter().take(k) {
+        centroids.extend_from_slice(&rows[i * d..(i + 1) * d]);
+    }
+    let mut assign = vec![0u32; n];
+    for _ in 0..KMEANS_ITERS {
+        let per = pool::rows_per_lane(n);
+        let centroids_ref = &centroids;
+        pool::par_chunks_mut(&mut assign, per, |c, chunk| {
+            let start = c * per;
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                let row = &rows[(start + i) * d..(start + i + 1) * d];
+                *slot = argmin_row(metric, row, centroids_ref, d) as u32;
+            }
+        });
+        let mut sums = vec![0.0f64; k * d];
+        let mut counts = vec![0usize; k];
+        for (i, &c) in assign.iter().enumerate() {
+            counts[c as usize] += 1;
+            for j in 0..d {
+                sums[c as usize * d + j] += rows[i * d + j] as f64;
+            }
+        }
+        for c in 0..k {
+            if counts[c] > 0 {
+                for j in 0..d {
+                    centroids[c * d + j] = (sums[c * d + j] / counts[c] as f64) as f32;
+                }
+            }
+        }
+    }
+    (centroids, assign)
 }
 
 /// A bounded top-k selector: binary max-heap over `(distance, id)` with
@@ -401,7 +435,7 @@ impl Sq8Codebook {
     /// what a uniform scale buys is the symmetric integer scan, where
     /// `Σ_j scale_j · |q_j − c_j|` factors into
     /// `scale · Σ_j |q_j − c_j|` — one byte-domain SAD and a single
-    /// multiply ([`sq8_sym_scan_ids`]). Narrow dimensions pay a slightly
+    /// multiply ([`sq8_sym_dist`]). Narrow dimensions pay a slightly
     /// coarser step (reflected honestly in
     /// [`Sq8Codebook::l1_error_bound`]), which the over-fetch rescore
     /// absorbs.
@@ -544,28 +578,6 @@ pub fn sq8_dist(metric: Metric, query: &[f32], codes: &[u8], cb: &Sq8Codebook) -
     }
 }
 
-/// Scans quantized rows by gather list, offering to `topk` (the SQ8
-/// inverted-list scan; `codes` is the full `(n, d)` code table).
-#[inline]
-pub fn sq8_scan_ids(
-    metric: Metric,
-    query: &[f32],
-    codes: &[u8],
-    d: usize,
-    cb: &Sq8Codebook,
-    ids: &[u32],
-    topk: &mut TopK,
-) {
-    scan_ids_by(ids, topk, |id| {
-        sq8_dist(
-            metric,
-            query,
-            &codes[id as usize * d..(id as usize + 1) * d],
-            cb,
-        )
-    });
-}
-
 /// Symmetric SQ8 distance between two code rows of a **uniform-scale**
 /// codebook (`scale` = [`Sq8Codebook::uniform_scale`]): the metric
 /// distance between the two *decoded* rows, computed without decoding —
@@ -580,41 +592,6 @@ pub fn sq8_sym_dist(metric: Metric, qcodes: &[u8], codes: &[u8], scale: f32) -> 
     }
 }
 
-/// Scans quantized rows against a quantized query (the symmetric SQ8
-/// inverted-list scan): byte-domain integer kernels resolved through
-/// [`dispatch`] once per call, no per-element decode. `qcodes` is the
-/// query encoded with the index's codebook, `scale` the codebook's
-/// uniform scale. Offered distances equal [`sq8_sym_dist`] for every
-/// dispatch level (the integer sums are bit-identical across scalar and
-/// SIMD paths).
-#[inline]
-pub fn sq8_sym_scan_ids(
-    metric: Metric,
-    qcodes: &[u8],
-    codes: &[u8],
-    d: usize,
-    scale: f32,
-    ids: &[u32],
-    topk: &mut TopK,
-) {
-    match metric {
-        Metric::L1 => {
-            let sad = dispatch::sad_fn();
-            let s = scale as f64;
-            scan_ids_by(ids, topk, |id| {
-                sad(qcodes, &codes[id as usize * d..(id as usize + 1) * d]) as f64 * s
-            });
-        }
-        Metric::L2 => {
-            let ssd = dispatch::ssd_fn();
-            let s2 = scale as f64 * scale as f64;
-            scan_ids_by(ids, topk, |id| {
-                ssd(qcodes, &codes[id as usize * d..(id as usize + 1) * d]) as f64 * s2
-            });
-        }
-    }
-}
-
 /// Product quantizer: the vector is split into `m` contiguous subspaces
 /// and each subvector is stored as the index of its nearest sub-centroid
 /// (k-means-trained per subspace) — `m` bytes per vector, i.e. sub-byte
@@ -624,7 +601,7 @@ pub fn sq8_sym_scan_ids(
 /// over (a sample of) the indexed table, encoding by nearest-centroid
 /// assignment. Search never decodes rows: a per-query lookup table of
 /// exact query-subvector-to-centroid distances turns each row scan into
-/// `m` table lookups ([`pq_scan_ids`]).
+/// `m` table lookups ([`PqCodebook::lut_distance`]).
 ///
 /// When `d` is not a multiple of `m`, the first `d mod m` subspaces are
 /// one dimension wider — any `1 ≤ m ≤ d` works.
@@ -675,8 +652,6 @@ pub struct PqCodebook {
     packed: bool,
 }
 
-/// Lloyd iterations used by PQ sub-quantizer training.
-const PQ_KMEANS_ITERS: usize = 10;
 /// Training-sample cap per sub-quantizer, as a multiple of `ksub`
 /// (k-means quality saturates long before the full table is needed).
 const PQ_TRAIN_POINTS_PER_CENTROID: usize = 128;
@@ -692,33 +667,6 @@ fn subspace_offsets(d: usize, m: usize) -> Vec<usize> {
         offsets.push(offsets[s] + d / m + usize::from(s < d % m));
     }
     offsets
-}
-
-/// The ADC accumulation shared by [`pq_scan_ids`] and
-/// [`PqCodebook::lut_distance`]: sum of one LUT entry per code byte.
-#[inline]
-fn adc_sum(lut: &[f32], codes: &[u8], ksub: usize) -> f32 {
-    let mut acc = 0.0f32;
-    for (s, &c) in codes.iter().enumerate() {
-        acc += lut[s * ksub + c as usize];
-    }
-    acc
-}
-
-/// The packed-row ADC accumulation ([`pq_packed_scan_ids`],
-/// [`PqCodebook::lut_distance`]): two 4-bit codes per byte, low nibble =
-/// even subspace. The trailing high nibble of an odd `m` is skipped.
-#[inline]
-fn adc_sum_packed(lut: &[f32], row: &[u8], m: usize, ksub: usize) -> f32 {
-    let mut acc = 0.0f32;
-    for (i, &b) in row.iter().enumerate() {
-        let s = 2 * i;
-        acc += lut[s * ksub + (b & 0x0F) as usize];
-        if s + 1 < m {
-            acc += lut[(s + 1) * ksub + (b >> 4) as usize];
-        }
-    }
-    acc
 }
 
 impl PqCodebook {
@@ -747,7 +695,8 @@ impl PqCodebook {
             ids.truncate(cap);
             ids
         };
-        let mut centroids = vec![0.0f32; ksub * d];
+        // Subspace tables are stored back to back in subspace order.
+        let mut centroids = Vec::with_capacity(ksub * d);
         for s in 0..m {
             let dsub = offsets[s + 1] - offsets[s];
             let off = offsets[s];
@@ -755,8 +704,7 @@ impl PqCodebook {
                 .iter()
                 .flat_map(|&i| data[i * d + off..i * d + off + dsub].iter().copied())
                 .collect();
-            let table = &mut centroids[ksub * off..ksub * off + ksub * dsub];
-            kmeans_subspace(&sub, dsub, ksub, table, rng);
+            centroids.extend(kmeans(Metric::L2, &sub, dsub, ksub, rng).0);
         }
         PqCodebook {
             m,
@@ -770,7 +718,7 @@ impl PqCodebook {
         }
     }
 
-    /// Rebuilds a codebook from serialised parts (`IVF3`/`IVF4` readers);
+    /// Rebuilds a codebook from serialised parts (the `IVF4` reader);
     /// `None` when the field sizes are inconsistent. `packed` must only
     /// be set for `nbits ≤ 4` (two codes per byte need 4-bit codes).
     pub fn from_parts(
@@ -966,11 +914,23 @@ impl PqCodebook {
     pub fn lut_distance(&self, lut: &[f32], codes: &[u8]) -> f64 {
         debug_assert_eq!(lut.len(), self.m * self.ksub);
         debug_assert_eq!(codes.len(), self.code_stride());
+        let mut acc = 0.0f32;
         if self.packed {
-            adc_sum_packed(lut, codes, self.m, self.ksub) as f64
+            // Two 4-bit codes per byte, low nibble = even subspace; the
+            // trailing high nibble of an odd `m` is skipped.
+            for (i, &b) in codes.iter().enumerate() {
+                let s = 2 * i;
+                acc += lut[s * self.ksub + (b & 0x0F) as usize];
+                if s + 1 < self.m {
+                    acc += lut[(s + 1) * self.ksub + (b >> 4) as usize];
+                }
+            }
         } else {
-            adc_sum(lut, codes, self.ksub) as f64
+            for (s, &c) in codes.iter().enumerate() {
+                acc += lut[s * self.ksub + c as usize];
+            }
         }
+        acc as f64
     }
 
     /// Worst-case L1 distance error of any row encoded by the last
@@ -990,82 +950,6 @@ impl PqCodebook {
     pub fn memory_bytes(&self) -> usize {
         self.centroids.len() * 4 + self.offsets.len() * 8
     }
-}
-
-/// Plain Lloyd k-means over `(n, dsub)` subvectors into `out`
-/// (`ksub * dsub`, pre-zeroed): distinct-random-row init, pooled
-/// assignment through [`argmin_row`], f64 mean accumulation; empty
-/// clusters keep their previous centroid.
-fn kmeans_subspace(sub: &[f32], dsub: usize, ksub: usize, out: &mut [f32], rng: &mut impl Rng) {
-    let n = sub.len() / dsub;
-    debug_assert!(ksub <= n);
-    let mut ids: Vec<usize> = (0..n).collect();
-    ids.shuffle(rng);
-    for (c, &i) in ids.iter().take(ksub).enumerate() {
-        out[c * dsub..(c + 1) * dsub].copy_from_slice(&sub[i * dsub..(i + 1) * dsub]);
-    }
-    let mut assign = vec![0u32; n];
-    for _ in 0..PQ_KMEANS_ITERS {
-        let per = pool::rows_per_lane(n);
-        let centroids_ref = &*out;
-        pool::par_chunks_mut(&mut assign, per, |c, chunk| {
-            let start = c * per;
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let row = &sub[(start + i) * dsub..(start + i + 1) * dsub];
-                *slot = argmin_row(Metric::L2, row, centroids_ref, dsub) as u32;
-            }
-        });
-        let mut sums = vec![0.0f64; ksub * dsub];
-        let mut counts = vec![0usize; ksub];
-        for (i, &c) in assign.iter().enumerate() {
-            counts[c as usize] += 1;
-            for j in 0..dsub {
-                sums[c as usize * dsub + j] += sub[i * dsub + j] as f64;
-            }
-        }
-        for c in 0..ksub {
-            if counts[c] > 0 {
-                for j in 0..dsub {
-                    out[c * dsub + j] = (sums[c * dsub + j] / counts[c] as f64) as f32;
-                }
-            }
-        }
-    }
-}
-
-/// Scans PQ code rows by gather list, offering ADC distances to `topk`
-/// (the PQ inverted-list scan; `codes` is the full `(n, m)` code table,
-/// `lut` the current query's `m × ksub` ADC table).
-#[inline]
-pub fn pq_scan_ids(lut: &[f32], codes: &[u8], m: usize, ksub: usize, ids: &[u32], topk: &mut TopK) {
-    scan_ids_by(ids, topk, |id| {
-        adc_sum(lut, &codes[id as usize * m..(id as usize + 1) * m], ksub) as f64
-    });
-}
-
-/// Scans nibble-packed PQ code rows by gather list (the `nbits ≤ 4`
-/// inverted-list scan): `codes` is the full `(n, stride)` packed table
-/// with `stride = ceil(m / 2)`, `lut` the current query's `m × ksub`
-/// ADC table — at `ksub ≤ 16` each subspace's LUT slice fits in one or
-/// two cache lines, so the whole table stays L1-resident.
-#[inline]
-pub fn pq_packed_scan_ids(
-    lut: &[f32],
-    codes: &[u8],
-    stride: usize,
-    m: usize,
-    ksub: usize,
-    ids: &[u32],
-    topk: &mut TopK,
-) {
-    scan_ids_by(ids, topk, |id| {
-        adc_sum_packed(
-            lut,
-            &codes[id as usize * stride..(id as usize + 1) * stride],
-            m,
-            ksub,
-        ) as f64
-    });
 }
 
 #[cfg(test)]
@@ -1217,29 +1101,32 @@ mod tests {
     #[test]
     fn pq_lut_distance_equals_decoded_distance() {
         // ADC must be *exactly* the metric distance to the decoded row
-        // (up to f32 association noise) — for both metrics, including an
-        // uneven subspace split (d = 10, m = 3 → widths 4, 3, 3).
+        // (up to f32 association noise) — for both metrics, an uneven
+        // subspace split (d = 10, m = 3 → widths 4, 3, 3) and packed
+        // 4-bit rows with an odd m.
         let d = 10;
         let data = randv(120 * d, 21);
         let mut rng = StdRng::seed_from_u64(22);
-        let mut cb = PqCodebook::train(&data, d, 3, 8, &mut rng);
-        let codes = cb.encode_table(&data);
-        let q = randv(d, 777);
-        let mut lut = Vec::new();
-        let mut decoded = vec![0.0f32; d];
-        for metric in [Metric::L1, Metric::L2] {
-            cb.build_lut_into(metric, &q, &mut lut);
-            for crow in codes.chunks_exact(3).take(40) {
-                cb.decode_into(crow, &mut decoded);
-                let want = dist(metric, &q, &decoded);
-                let got = cb.lut_distance(&lut, crow);
-                assert!((want - got).abs() < 1e-4, "{metric:?}: {want} vs {got}");
+        for (m, nbits) in [(3, 8), (5, 4)] {
+            let mut cb = PqCodebook::train(&data, d, m, nbits, &mut rng);
+            let codes = cb.encode_table(&data);
+            let q = randv(d, 777);
+            let mut lut = Vec::new();
+            let mut decoded = vec![0.0f32; d];
+            for metric in [Metric::L1, Metric::L2] {
+                cb.build_lut_into(metric, &q, &mut lut);
+                for crow in codes.chunks_exact(cb.code_stride()).take(40) {
+                    cb.decode_into(crow, &mut decoded);
+                    let want = dist(metric, &q, &decoded);
+                    let got = cb.lut_distance(&lut, crow);
+                    assert!((want - got).abs() < 1e-4, "{metric:?}: {want} vs {got}");
+                }
             }
         }
     }
 
     #[test]
-    fn pq_scan_matches_lut_distance_and_parameters_clamp() {
+    fn pq_parameters_clamp() {
         let d = 8;
         let n = 64;
         let data = randv(n * d, 31);
@@ -1249,27 +1136,35 @@ mod tests {
         assert_eq!(cb.m(), d);
         assert_eq!(cb.nbits(), 8);
         assert_eq!(cb.ksub(), n, "ksub clamps to the table size");
-        let codes = cb.encode_table(&data);
+        cb.encode_table(&data);
         // With ksub == n and distinct rows, encoding is (near-)lossless.
         assert!(cb.l1_error_bound() < 1e-4);
-        let q = randv(d, 33);
-        let mut lut = Vec::new();
-        cb.build_lut_into(Metric::L1, &q, &mut lut);
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let mut topk = TopK::new(5);
-        pq_scan_ids(&lut, &codes, cb.m(), cb.ksub(), &ids, &mut topk);
-        let got = topk.into_sorted();
-        let mut want: Vec<(u32, f64)> = (0..n)
-            .map(|i| {
-                (
-                    i as u32,
-                    cb.lut_distance(&lut, &codes[i * cb.m()..(i + 1) * cb.m()]),
-                )
-            })
-            .collect();
-        want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        want.truncate(5);
-        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn kmeans_keeps_every_row_at_k_equals_n_and_empty_clusters_in_place() {
+        // k == n over distinct rows: every row is its own centroid, its
+        // cell holds exactly itself, and the single-member f64 mean gives
+        // the row back bit for bit.
+        let (n, d) = (9, 3);
+        let rows = randv(n * d, 61);
+        let mut rng = StdRng::seed_from_u64(62);
+        let (centroids, assign) = kmeans(Metric::L2, &rows, d, n, &mut rng);
+        for (i, &c) in assign.iter().enumerate() {
+            let c = c as usize;
+            assert_eq!(centroids[c * d..(c + 1) * d], rows[i * d..(i + 1) * d]);
+        }
+        let mut cells = assign.clone();
+        cells.sort_unstable();
+        assert_eq!(cells, (0..n as u32).collect::<Vec<_>>());
+        // Duplicate rows: both copies land in the first of the two equal
+        // centroids (`argmin_row` keeps the earliest minimum), so the other
+        // cluster is empty and must keep the row it was initialised with.
+        let rows = [1.0f32, 2.0, 1.0, 2.0, 5.0, 6.0];
+        let (centroids, assign) = kmeans(Metric::L1, &rows, 2, 3, &mut rng);
+        let empty: Vec<usize> = (0..3).filter(|c| !assign.contains(&(*c as u32))).collect();
+        assert_eq!(empty.len(), 1);
+        assert_eq!(centroids[empty[0] * 2..empty[0] * 2 + 2], [1.0, 2.0]);
     }
 
     #[test]
@@ -1316,45 +1211,6 @@ mod tests {
             twin.encode_into(row, &mut tcodes);
             twin.decode_into(&tcodes, &mut tdec);
             assert_eq!(dec, tdec);
-        }
-    }
-
-    #[test]
-    fn pq4_packed_scan_matches_lut_distance() {
-        let d = 12;
-        let n = 96;
-        let data = randv(n * d, 43);
-        let mut rng = StdRng::seed_from_u64(44);
-        let mut cb = PqCodebook::train(&data, d, 5, 4, &mut rng);
-        let codes = cb.encode_table(&data);
-        let stride = cb.code_stride();
-        let q = randv(d, 45);
-        let mut lut = Vec::new();
-        let mut decoded = vec![0.0f32; d];
-        for metric in [Metric::L1, Metric::L2] {
-            cb.build_lut_into(metric, &q, &mut lut);
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let mut topk = TopK::new(7);
-            pq_packed_scan_ids(&lut, &codes, stride, cb.m(), cb.ksub(), &ids, &mut topk);
-            let got = topk.into_sorted();
-            let mut want: Vec<(u32, f64)> = (0..n)
-                .map(|i| {
-                    (
-                        i as u32,
-                        cb.lut_distance(&lut, &codes[i * stride..(i + 1) * stride]),
-                    )
-                })
-                .collect();
-            want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            want.truncate(7);
-            assert_eq!(got, want);
-            // And the ADC value is the decoded-row distance.
-            for (i, crow) in codes.chunks_exact(stride).take(20).enumerate() {
-                cb.decode_into(crow, &mut decoded);
-                let exact = dist(metric, &q, &decoded);
-                let adc = cb.lut_distance(&lut, crow);
-                assert!((exact - adc).abs() < 1e-4, "row {i}: {exact} vs {adc}");
-            }
         }
     }
 
@@ -1412,39 +1268,6 @@ mod tests {
                     "{metric:?} row {i}: {want} vs {got}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn symmetric_scan_matches_symmetric_distance() {
-        let d = 16;
-        let n = 128;
-        let data = randv(n * d, 55);
-        let cb = Sq8Codebook::train_uniform(&data, d);
-        let s = cb.uniform_scale().expect("uniform");
-        let q = randv(d, 56);
-        let mut qcodes = Vec::new();
-        cb.encode_into(&q, &mut qcodes);
-        let mut codes = Vec::new();
-        for row in data.chunks_exact(d) {
-            cb.encode_into(row, &mut codes);
-        }
-        let ids: Vec<u32> = (0..n as u32).collect();
-        for metric in [Metric::L1, Metric::L2] {
-            let mut topk = TopK::new(9);
-            sq8_sym_scan_ids(metric, &qcodes, &codes, d, s, &ids, &mut topk);
-            let got = topk.into_sorted();
-            let mut want: Vec<(u32, f64)> = (0..n)
-                .map(|i| {
-                    (
-                        i as u32,
-                        sq8_sym_dist(metric, &qcodes, &codes[i * d..(i + 1) * d], s),
-                    )
-                })
-                .collect();
-            want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            want.truncate(9);
-            assert_eq!(got, want);
         }
     }
 

@@ -25,9 +25,12 @@
 //! ([`PqCodebook`], ADC lookup-table scans) behind [`Quantization::Pq`].
 //! Integer scan kernels (symmetric SQ8 under [`ScanMode::Symmetric`])
 //! pick AVX-512/AVX2/scalar implementations at runtime through
-//! [`kernels::dispatch`]. DESIGN.md §10 documents the storage layouts
-//! and the over-fetch / rescore recall math shared by both quantizers;
-//! §12 covers the integer kernels and CPU dispatch.
+//! [`kernels::dispatch`]. Which of those a stored row is scanned,
+//! decoded and serialised with is decided in one private module
+//! (`storage`, the codec seam); [`ivf`] holds only what is IVF. DESIGN.md
+//! §10 documents the seam, the storage layouts and the over-fetch /
+//! rescore recall math shared by both quantizers; §12 covers the integer
+//! kernels and CPU dispatch.
 
 #![warn(missing_docs)]
 
@@ -36,6 +39,7 @@ pub mod ivf;
 pub mod kernels;
 pub mod mutable;
 pub mod sharded;
+mod storage;
 pub mod wal;
 
 pub use hausdorff_index::SegmentHausdorffIndex;

@@ -279,7 +279,7 @@ impl IndexSnapshot {
     }
 
     /// Approximate resident bytes of this snapshot's index state: the
-    /// sealed part (quantized when SQ8 is configured) plus the exact-f32
+    /// sealed part (quantized when SQ8 or PQ is configured) plus the exact-f32
     /// write buffer and tombstone bitmap. Per buffered row: the vector,
     /// the 8-byte id, and 8 bytes' allowance for chunk headers, spine and
     /// the last chunk's unfilled tail. The tombstone term stays one byte
@@ -377,12 +377,11 @@ impl IndexSnapshot {
             // rescorer is in play, additionally over-fetch the sealed
             // IvfIndex's rescore factor so re-ranking has candidates to
             // promote.
-            let (fetch, rescoring) = match (sealed.as_ref(), rescorer) {
-                (Sealed::Ivf(ivf), Some(_)) if ivf.quantization() != Quantization::None => {
-                    (k.saturating_mul(ivf.rescore_factor()).max(k), true)
-                }
-                _ => (k, false),
+            let rescore_fetch = match (sealed.as_ref(), rescorer) {
+                (Sealed::Ivf(ivf), Some(_)) => ivf.rescore_fetch(k),
+                _ => None,
             };
+            let (fetch, rescoring) = (rescore_fetch.unwrap_or(k), rescore_fetch.is_some());
             let sealed_hits = match sealed.as_ref() {
                 Sealed::Ivf(ivf) => ivf.search(query, fetch + self.dead, nprobe),
                 Sealed::Flat(t) => brute_force_knn(t, query, fetch + self.dead, self.metric),

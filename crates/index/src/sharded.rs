@@ -39,6 +39,16 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Shard `s`'s build options: `opts` with the seed decorrelated per shard
+/// (`seed ^ splitmix64(s)`), so shards' k-means inits differ without
+/// giving up determinism.
+fn shard_options(opts: IndexOptions, s: usize) -> IndexOptions {
+    IndexOptions {
+        seed: opts.seed ^ splitmix64(s as u64),
+        ..opts
+    }
+}
+
 /// The shard owning external id `id` in any `nshards`-way trajcl
 /// partition: `splitmix64(id) % nshards`.
 ///
@@ -138,15 +148,7 @@ impl ShardedIndex {
     /// independently). `nshards` is clamped to at least 1.
     pub fn with_options(dim: usize, metric: Metric, opts: IndexOptions, nshards: usize) -> Self {
         let shards = (0..nshards.max(1))
-            .map(|s| {
-                // Decorrelate per-shard k-means inits without giving up
-                // determinism: shard s trains with seed ^ hash(s).
-                let opts = IndexOptions {
-                    seed: opts.seed ^ splitmix64(s as u64),
-                    ..opts
-                };
-                MutableIndex::with_options(dim, metric, opts)
-            })
+            .map(|s| MutableIndex::with_options(dim, metric, shard_options(opts, s)))
             .collect();
         ShardedIndex { shards }
     }
@@ -180,10 +182,7 @@ impl ShardedIndex {
             .zip(part_data)
             .enumerate()
             .map(|(s, (ids, data))| {
-                let opts = IndexOptions {
-                    seed: opts.seed ^ splitmix64(s as u64),
-                    ..opts
-                };
+                let opts = shard_options(opts, s);
                 if ids.is_empty() {
                     MutableIndex::with_options(dim, metric, opts)
                 } else {

@@ -1,0 +1,382 @@
+//! The vector payload of an [`IvfIndex`](crate::IvfIndex) and every
+//! decision that depends on how it is stored — the codec seam.
+//!
+//! [`Storage`] owns, for each variant: training and encoding
+//! ([`encode`]), the per-row distance an inverted-list scan
+//! offers ([`Storage::scan`]), row read-back
+//! ([`Storage::decode_row_into`]), memory accounting and the storage half
+//! of the `IVF4` section. `ivf.rs` keeps what is IVF — centroids, lists,
+//! probing, the section header, over-fetch and rescore — and never looks
+//! at the variant. A fourth codec is one more variant here, one more
+//! [`Quantization`] value and, if it needs per-query state, one more field
+//! of [`ScanScratch`].
+
+use rand::Rng;
+
+use crate::ivf::{Metric, Quantization, Reader, ScanMode};
+use crate::kernels::{self, dispatch, PqCodebook, Sq8Codebook, TopK};
+
+/// Exact rows, SQ8 codes or PQ codes, row-major by position.
+pub(crate) enum Storage {
+    F32(Vec<f32>),
+    Sq8 { codes: Vec<u8>, cb: Sq8Codebook },
+    Pq { codes: Vec<u8>, cb: PqCodebook },
+}
+
+/// What a scan writes: the fused top-k heap it offers into and the
+/// per-query tables a codec builds first, allocations reused across a
+/// batch.
+#[derive(Default)]
+pub(crate) struct ScanScratch {
+    pub(crate) topk: TopK,
+    /// PQ ADC lookup table (`m × ksub`).
+    lut: Vec<f32>,
+    /// Quantized query codes of the symmetric SQ8 scan.
+    qcodes: Vec<u8>,
+}
+
+/// Trains the codec `quantization` names over the `(n, d)` table
+/// `data` and encodes every row. SQ8 under [`ScanMode::Symmetric`]
+/// trains one uniform scale ([`Sq8Codebook::train_uniform`]); only PQ
+/// training draws from `rng`.
+pub(crate) fn encode(
+    quantization: Quantization,
+    mode: ScanMode,
+    data: &[f32],
+    d: usize,
+    rng: &mut impl Rng,
+) -> Storage {
+    match quantization {
+        Quantization::None => Storage::F32(data.to_vec()),
+        Quantization::Sq8 => {
+            let cb = match mode {
+                ScanMode::Symmetric => Sq8Codebook::train_uniform(data, d),
+                ScanMode::Asymmetric => Sq8Codebook::train(data, d),
+            };
+            let mut codes = Vec::with_capacity(data.len());
+            for row in data.chunks_exact(d) {
+                cb.encode_into(row, &mut codes);
+            }
+            Storage::Sq8 { codes, cb }
+        }
+        Quantization::Pq { m, nbits } => {
+            let mut cb = PqCodebook::train(data, d, m, nbits, rng);
+            let codes = cb.encode_table(data);
+            Storage::Pq { codes, cb }
+        }
+    }
+}
+
+impl Storage {
+    /// The scan mode searches over this storage run in when `requested`
+    /// was asked for: symmetric scanning only exists for SQ8.
+    pub(crate) fn scan_mode(&self, requested: ScanMode) -> ScanMode {
+        match self {
+            Storage::Sq8 { .. } => requested,
+            Storage::F32(_) | Storage::Pq { .. } => ScanMode::Asymmetric,
+        }
+    }
+
+    /// The quantization stored (for PQ, the *effective* parameters after
+    /// build-time clamping).
+    pub(crate) fn quantization(&self) -> Quantization {
+        match self {
+            Storage::F32(_) => Quantization::None,
+            Storage::Sq8 { .. } => Quantization::Sq8,
+            Storage::Pq { cb, .. } => Quantization::Pq {
+                m: cb.m(),
+                nbits: cb.nbits(),
+            },
+        }
+    }
+
+    pub(crate) fn sq8_codebook(&self) -> Option<&Sq8Codebook> {
+        match self {
+            Storage::Sq8 { cb, .. } => Some(cb),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn pq_codebook(&self) -> Option<&PqCodebook> {
+        match self {
+            Storage::Pq { cb, .. } => Some(cb),
+            _ => None,
+        }
+    }
+
+    /// Appends row `id` to `out`: the exact row for f32 storage, the
+    /// decoded (quantized) row for SQ8/PQ.
+    pub(crate) fn decode_row_into(&self, id: u32, d: usize, out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + d, 0.0);
+        let dst = &mut out[start..];
+        match self {
+            Storage::F32(rows) => dst.copy_from_slice(row(rows, d, id)),
+            Storage::Sq8 { codes, cb } => cb.decode_into(row(codes, d, id), dst),
+            Storage::Pq { codes, cb } => cb.decode_into(row(codes, cb.code_stride(), id), dst),
+        }
+    }
+
+    /// Approximate resident bytes of the rows and their codebook.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        match self {
+            Storage::F32(rows) => rows.len() * 4,
+            Storage::Sq8 { codes, cb } => codes.len() + cb.memory_bytes(),
+            Storage::Pq { codes, cb } => codes.len() + cb.memory_bytes(),
+        }
+    }
+
+    /// Scans the rows `lists` name against `query` into `scratch.topk`
+    /// (armed by the caller): every list goes through
+    /// [`kernels::scan_ids_by`] with the per-row distance picked once, here.
+    pub(crate) fn scan<'a>(
+        &self,
+        metric: Metric,
+        mode: ScanMode,
+        d: usize,
+        query: &[f32],
+        lists: impl Iterator<Item = &'a [u32]>,
+        scratch: &mut ScanScratch,
+    ) {
+        // Re-slice so `query.len() == d` is a fact inside this function:
+        // the caller's length assert is out of sight once `scan` is not
+        // inlined under it, and without it the f32 kernels keep their
+        // per-row length reconciliation (measured: f32 search +25 %).
+        let query = &query[..d];
+        let ScanScratch { topk, lut, qcodes } = scratch;
+        match self {
+            Storage::F32(rows) => scan_lists(lists, topk, |id| {
+                kernels::dist(metric, query, row(rows, d, id))
+            }),
+            Storage::Sq8 { codes, cb } => {
+                // Symmetric scanning needs the uniform scale the codebook
+                // was trained with; a non-uniform codebook (deserialised
+                // from an asymmetric build) silently falls back.
+                let sym_scale = match mode {
+                    ScanMode::Symmetric => cb.uniform_scale(),
+                    ScanMode::Asymmetric => None,
+                };
+                let Some(scale) = sym_scale else {
+                    return scan_lists(lists, topk, |id| {
+                        kernels::sq8_dist(metric, query, row(codes, d, id), cb)
+                    });
+                };
+                // Codes against codes in the byte domain, no decode: the
+                // dispatched integer sums are bit-identical across levels,
+                // so this is `sq8_sym_dist` exactly.
+                qcodes.clear();
+                cb.encode_into(query, qcodes);
+                let scale = scale as f64;
+                let (kernel, unit) = match metric {
+                    Metric::L1 => (dispatch::sad_fn(), scale),
+                    Metric::L2 => (dispatch::ssd_fn(), scale * scale),
+                };
+                scan_lists(lists, topk, |id| {
+                    kernel(qcodes, row(codes, d, id)) as f64 * unit
+                });
+            }
+            Storage::Pq { codes, cb } => {
+                // One ADC lookup table per query (m × ksub exact subvector
+                // distances); every scanned row is then m table lookups,
+                // no decode.
+                cb.build_lut_into(metric, query, lut);
+                let (lut, stride) = (&lut[..], cb.code_stride());
+                scan_lists(lists, topk, |id| {
+                    cb.lut_distance(lut, row(codes, stride, id))
+                });
+            }
+        }
+    }
+
+    /// Bytes [`Storage::write_tag`] and [`Storage::write_payload`] emit.
+    pub(crate) fn wire_len(&self) -> usize {
+        1 + match self {
+            Storage::F32(rows) => rows.len() * 4,
+            Storage::Sq8 { codes, cb } => cb.dim() * 8 + codes.len(),
+            Storage::Pq { codes, cb } => 4 + 1 + 4 + cb.centroids().len() * 4 + 4 + codes.len(),
+        }
+    }
+
+    /// The storage fields of the section header:
+    /// `tag u8 | [PQ: m u32, nbits u8, ksub u32]`.
+    pub(crate) fn write_tag(&self, out: &mut Vec<u8>) {
+        out.push(self.quantization().wire_tag());
+        if let Storage::Pq { cb, .. } = self {
+            out.extend_from_slice(&(cb.m() as u32).to_le_bytes());
+            out.push(cb.nbits());
+            out.extend_from_slice(&(cb.ksub() as u32).to_le_bytes());
+        }
+    }
+
+    /// The section's trailing payload: `[codebook] | rows`.
+    pub(crate) fn write_payload(&self, out: &mut Vec<u8>) {
+        let floats = |out: &mut Vec<u8>, vs: &[f32]| {
+            for v in vs {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        match self {
+            Storage::F32(rows) => floats(out, rows),
+            Storage::Sq8 { codes, cb } => {
+                floats(out, &cb.bias);
+                floats(out, &cb.scale);
+                out.extend_from_slice(codes);
+            }
+            Storage::Pq { codes, cb } => {
+                floats(out, cb.centroids());
+                out.extend_from_slice(&cb.l1_bound_raw().to_le_bytes());
+                out.extend_from_slice(codes);
+            }
+        }
+    }
+}
+
+/// Inverse of [`Storage::write_tag`]: the quantization and, for PQ,
+/// the stored `ksub` (0 otherwise). `None` for an unknown tag or an
+/// impossible PQ geometry.
+pub(crate) fn read_tag(r: &mut Reader<'_>) -> Option<(Quantization, usize)> {
+    let tag = r.u8()?;
+    let quant = Quantization::from_wire(tag, || Some((r.u32()? as usize, r.u8()?)))?;
+    let ksub = match quant {
+        Quantization::Pq { .. } => r.u32()? as usize,
+        _ => 0,
+    };
+    Some((quant, ksub))
+}
+
+/// Inverse of [`Storage::write_payload`] for `n` rows of `d`
+/// dimensions under the geometry [`read_tag`] returned.
+pub(crate) fn read_payload(
+    r: &mut Reader<'_>,
+    (quant, ksub): (Quantization, usize),
+    n: usize,
+    d: usize,
+) -> Option<Storage> {
+    Some(match quant {
+        Quantization::None => Storage::F32(r.f32_vec(n.checked_mul(d)?)?),
+        Quantization::Sq8 => {
+            let bias = r.f32_vec(d)?;
+            let scale = r.f32_vec(d)?;
+            let codes = r.bytes(n.checked_mul(d)?)?.to_vec();
+            Storage::Sq8 {
+                codes,
+                cb: Sq8Codebook { bias, scale },
+            }
+        }
+        Quantization::Pq { m, nbits } => {
+            let centroids = r.f32_vec(ksub.checked_mul(d)?)?;
+            let l1_bound = r.f32()?;
+            let packed = nbits <= 4;
+            let cb = PqCodebook::from_parts(d, m, nbits, ksub, centroids, l1_bound, packed)?;
+            let stride = cb.code_stride();
+            let codes = r.bytes(n.checked_mul(stride)?)?.to_vec();
+            // Every code indexes a ksub-entry table; an out-of-range
+            // code in a corrupt buffer must fail HERE, not as an
+            // out-of-bounds panic in the first LUT scan or decode.
+            // Packed rows also reject a non-zero trailing nibble (odd
+            // m), which encode never produces — so round trips stay
+            // bit-exact.
+            let stray_nibble = packed && m % 2 == 1;
+            for row in codes.chunks_exact(stride) {
+                if (0..m).any(|s| cb.code_at(row, s) >= ksub)
+                    || (stray_nibble && row[stride - 1] >> 4 != 0)
+                {
+                    return None;
+                }
+            }
+            Storage::Pq { codes, cb }
+        }
+    })
+}
+
+/// Row `id` of a row-major table of `stride`-wide rows.
+#[inline]
+fn row<T>(table: &[T], stride: usize, id: u32) -> &[T] {
+    &table[id as usize * stride..(id as usize + 1) * stride]
+}
+
+/// Every list through the one gather loop, sharing one distance closure.
+fn scan_lists<'a>(
+    lists: impl Iterator<Item = &'a [u32]>,
+    topk: &mut TopK,
+    mut dist_of: impl FnMut(u32) -> f64,
+) {
+    for ids in lists {
+        kernels::scan_ids_by(ids, topk, &mut dist_of);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{IndexOptions, IvfIndex};
+    use rand::{rngs::StdRng, SeedableRng};
+    use trajcl_tensor::{Shape, Tensor};
+
+    /// The distance a scan must offer for row `id`, through the public
+    /// per-row functions over the storage's own rows. The symmetric arm
+    /// is `sq8_sym_dist`'s scalar integer sums, whatever the scan
+    /// dispatched to.
+    fn row_distance(s: &Storage, metric: Metric, mode: ScanMode, q: &[f32], id: u32) -> f64 {
+        let d = q.len();
+        match s {
+            Storage::F32(rows) => metric.dist(q, row(rows, d, id)),
+            Storage::Sq8 { codes, cb } => match mode {
+                ScanMode::Asymmetric => kernels::sq8_dist(metric, q, row(codes, d, id), cb),
+                ScanMode::Symmetric => {
+                    let mut qcodes = Vec::new();
+                    cb.encode_into(q, &mut qcodes);
+                    let scale = cb.uniform_scale().expect("symmetric builds train uniform");
+                    kernels::sq8_sym_dist(metric, &qcodes, row(codes, d, id), scale)
+                }
+            },
+            Storage::Pq { codes, cb } => {
+                let mut lut = Vec::new();
+                cb.build_lut_into(metric, q, &mut lut);
+                cb.lut_distance(&lut, row(codes, cb.code_stride(), id))
+            }
+        }
+    }
+
+    #[test]
+    fn full_probe_search_is_the_sort_of_the_per_row_distance() {
+        let (n, d, k) = (160, 12, 9);
+        let mut rng = StdRng::seed_from_u64(90);
+        let table = Tensor::randn(Shape::d2(n, d), 0.0, 1.0, &mut rng);
+        let queries = Tensor::randn(Shape::d2(3, d), 0.0, 1.0, &mut rng);
+        let storages = [
+            (Quantization::None, ScanMode::Asymmetric),
+            (Quantization::Sq8, ScanMode::Asymmetric),
+            (Quantization::Sq8, ScanMode::Symmetric),
+            (Quantization::Pq { m: 4, nbits: 8 }, ScanMode::Asymmetric),
+            (Quantization::Pq { m: 5, nbits: 4 }, ScanMode::Asymmetric),
+        ];
+        for (quantization, scan) in storages {
+            for metric in [Metric::L1, Metric::L2] {
+                for nlist in [None, Some(6)] {
+                    let opts = IndexOptions {
+                        nlist,
+                        quantization,
+                        scan,
+                        ..IndexOptions::default()
+                    };
+                    let index = IvfIndex::build_with(&table, metric, &opts, &mut rng);
+                    assert_eq!(index.scan_mode(), scan);
+                    for qi in 0..queries.shape().rows() {
+                        let q = queries.row(qi);
+                        let mut want: Vec<(u32, f64)> = (0..n as u32)
+                            .map(|id| (id, row_distance(index.storage(), metric, scan, q, id)))
+                            .collect();
+                        want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                        want.truncate(k);
+                        assert_eq!(
+                            index.search(q, k, index.nlist()),
+                            want,
+                            "{quantization:?} {scan:?} {metric:?} nlist {nlist:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

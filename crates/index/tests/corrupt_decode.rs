@@ -1,7 +1,7 @@
 //! Property tests for decoder robustness: arbitrarily corrupted SQ8 and
 //! PQ `IVF4` blobs must either be rejected (`None`) or decode
-//! to an index that answers a search — never panic, never index out of
-//! bounds. This is the checked-in distillation of the `trajcl audit`
+//! to an index that answers a search and reads every row back — never
+//! panic, never index out of bounds, never serve a row twice. This is the checked-in distillation of the `trajcl audit`
 //! fuzzer's IVF target (which runs ~100k mutations per CI run); these
 //! cases replay the attack shapes deterministically under `cargo test`.
 
@@ -24,13 +24,48 @@ fn valid_blob(quant: Quantization, n: usize, d: usize, nlist: usize, seed: u64) 
 }
 
 /// The decode-or-reject contract: whatever `from_bytes` accepts must be
-/// searchable end to end.
+/// searchable end to end, serve every row exactly once under a full
+/// probe, and read every row back (the compaction path).
 fn assert_decode_contract(bytes: &[u8]) {
     if let Some(idx) = IvfIndex::from_bytes(bytes) {
         let query = vec![0.5f32; idx.dim()];
         let hits = idx.search(&query, 3, 2);
         assert!(hits.len() <= idx.len());
+        let mut ids: Vec<u32> = idx
+            .search(&query, idx.len(), idx.nlist())
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), idx.len(), "full probe must return distinct ids");
+        let mut row = Vec::new();
+        for id in 0..idx.len() as u32 {
+            row.clear();
+            idx.decode_vector_into(id, &mut row);
+            assert_eq!(row.len(), idx.dim());
+        }
     }
+}
+
+/// Inverted lists must be a permutation of the positions: a section whose
+/// one list reads `[0, 0, 2, 3]` used to decode and serve row 0 twice and
+/// row 1 never.
+#[test]
+fn duplicate_list_ids_are_rejected() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let emb = Tensor::randn(Shape::d2(4, 2), 0.0, 1.0, &mut rng);
+    let index = IvfIndex::build_with(&emb, Metric::L1, &IndexOptions::default(), &mut rng);
+    let mut blob = index.to_bytes();
+    // 23 header bytes, one 2-d centroid, the list length, then the ids.
+    let ids_at = 23 + 2 * 4 + 4;
+    assert_eq!(
+        blob[ids_at..ids_at + 16],
+        [0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]
+    );
+    blob[ids_at + 4] = 0;
+    assert_decode_contract(&blob);
+    assert!(IvfIndex::from_bytes(&blob).is_none());
 }
 
 proptest! {

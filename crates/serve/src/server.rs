@@ -192,7 +192,7 @@ pub struct ServerStats {
     /// Index snapshot generation.
     pub generation: u64,
     /// Approximate resident bytes of the served index (sealed part —
-    /// quantized when SQ8 is configured — plus write buffer).
+    /// quantized when SQ8 or PQ is configured — plus write buffer).
     pub index_memory_bytes: usize,
     /// Number of index shards the server scatter-gathers across.
     pub shards: usize,
