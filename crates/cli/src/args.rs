@@ -153,8 +153,9 @@ USAGE:
 
 FILES:
   *.traj   one trajectory per line: `x,y x,y ...` (meters)
-  *.tcl    persisted engine: encoder weights + featurizer (grid + cell
-           table) + serving configuration; legacy model-only files load too
+  *.tcl    persisted engine (TCE1): encoder weights + featurizer (grid +
+           cell table) + query settings (nprobe, batch size, index
+           description); how it is served is `serve`'s flags alone
 
 All commands run through the unified trajcl-engine API; `--json` emits one
 machine-readable JSON object per line instead of the human-readable report.
@@ -181,9 +182,9 @@ stdin/stdout (logs go to stderr; stdout carries only frames). With
 `--listen HOST:PORT` (or `--listen unix:PATH`) the server instead
 accepts any number of TCP / unix-socket connections and runs until
 stdin closes. `--shards N` partitions the mutable index into N
-hash-on-id shards so writes on different shards never contend (the
-count persists in the engine file; the flag overrides it). Responses
-may arrive out of order; pass a numeric \"req\" field to match them up.
+hash-on-id shards so writes on different shards never contend
+(default 1). Responses may arrive out of order; pass a numeric
+\"req\" field to match them up.
 `--idle-timeout-ms N` reaps sessions quiet for N ms (0 disables).
 `--wal DIR` makes writes durable: every upsert/remove/compact is
 appended to a per-shard write-ahead log under DIR and fsync'd before it

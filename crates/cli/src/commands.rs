@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write as _;
 use std::path::Path;
-use trajcl_core::{load_model, FinetuneConfig, FinetuneScope, TrajClConfig};
+use trajcl_core::{FinetuneConfig, FinetuneScope, TrajClConfig};
 use trajcl_data::{hit_ratio, load_trajectory_file, save_trajectory_file, Dataset, DatasetProfile};
 use trajcl_engine::{Engine, EngineError, IndexOptions, Quantization, ScanMode};
 use trajcl_geo::Trajectory;
@@ -154,18 +154,9 @@ fn parse_measure(name: &str) -> Result<HeuristicMeasure, EngineError> {
     }
 }
 
-/// Loads a persisted engine, accepting both the engine format (`TCE1`) and
-/// legacy model-only files (`TCL1`) for backwards compatibility.
+/// Loads a persisted engine (the `TCE1` file `trajcl train` writes).
 fn load_engine(path: &str) -> Result<Engine, EngineError> {
-    let bytes = std::fs::read(path)?;
-    match Engine::from_bytes(&bytes) {
-        Ok(engine) => Ok(engine),
-        Err(EngineError::CorruptEngineFile("bad magic")) => {
-            let (model, featurizer) = load_model(&bytes)?;
-            Engine::builder().trajcl(model, featurizer).build()
-        }
-        Err(e) => Err(e),
-    }
+    Engine::from_bytes(&std::fs::read(path)?)
 }
 
 fn generate(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
@@ -505,11 +496,14 @@ fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
     let engine = load_engine(req(args, "model")?)?;
     // The server only ever consults its own MutableIndex, so k-means must
     // train there and nowhere else: the engine carries the index
-    // description, minus the cells, so with_database skips the
+    // description minus the cells, so with_database skips the
     // engine-side build (which would otherwise duplicate both the
     // training time and the vector table); the cells go to the server.
     let opts = index_flags(args, *engine.index_options())?;
-    let engine = engine.with_index_options(opts).without_ivf_index();
+    let engine = engine.with_index_options(IndexOptions {
+        nlist: None,
+        ..opts
+    });
     let db = load_trajectory_file(Path::new(req(args, "db")?))?;
     let engine = engine.with_database(db)?;
     let mut cfg = ServeConfig {
@@ -518,33 +512,25 @@ fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
     };
     cfg.workers = num(args, "workers", cfg.workers)?;
     cfg.max_batch = num(args, "max-batch", cfg.max_batch)?;
-    cfg.max_wait = std::time::Duration::from_micros(num(args, "max-wait-us", 2000u64)?);
+    let max_wait_us = num(args, "max-wait-us", cfg.max_wait.as_micros() as u64)?;
+    cfg.max_wait = std::time::Duration::from_micros(max_wait_us);
     cfg.cache_cap = num(args, "cache", cfg.cache_cap)?;
     cfg.queue_cap = num(args, "queue", cfg.queue_cap)?;
     if args.options.contains_key("shards") {
         cfg.shards = Some(num::<usize>(args, "shards", 1)?.max(1));
     }
     cfg.idle_timeout = idle_timeout_opt(args, cfg.idle_timeout)?;
-    if let Some(dir) = args.options.get("wal") {
-        let mut wal = trajcl_serve::WalConfig::new(dir.as_str());
-        // An engine saved with a Buffered preference keeps it; any other
-        // preference (including the Ephemeral default) serves at full
-        // fsync durability — asking for --wal means asking for the
-        // ack-implies-durable contract.
-        if engine.durability() == trajcl_engine::Durability::Buffered {
-            wal.durability = trajcl_engine::Durability::Buffered;
-        }
-        cfg.wal = Some(wal);
-    }
+    // Asking for --wal means asking for the ack-implies-durable
+    // contract: WalConfig::new is full fsync durability.
+    cfg.wal = args.options.get("wal").map(trajcl_serve::WalConfig::new);
     let handlers = cfg.workers.max(1);
     Ok((Server::new(std::sync::Arc::new(engine), cfg)?, handlers))
 }
 
 /// Builds the serving runtime from CLI options, then serves protocol
-/// frames: on a TCP / unix-socket listener with `--listen`, or between
-/// stdin and `out` until end-of-stream otherwise. With `--fleet` the
-/// process is instead the front-end router over downstream shard
-/// servers — no model or database of its own.
+/// frames (see [`serve_frames`]). With `--fleet` the process is instead
+/// the front-end router over downstream shard servers — no model or
+/// database of its own.
 fn serve(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), EngineError> {
     if args.options.contains_key("fleet") {
         return serve_fleet(args, out);
@@ -557,31 +543,14 @@ fn serve(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), Engi
             rec.checkpoint_rows, rec.replayed_ops, rec.truncated_bytes
         );
     }
-    if let Some(addr) = args.options.get("listen") {
-        let server = std::sync::Arc::new(server);
-        let net = trajcl_serve::net::listen(std::sync::Arc::clone(&server), addr, handlers)?;
-        let stats = server.stats();
-        eprintln!(
-            "trajcl serve: {} vectors indexed across {} shard(s), {} workers; listening on {}",
-            stats.index_len,
-            stats.shards,
-            handlers,
-            net.local_addr()
-        );
-        // The listener runs until stdin closes (Ctrl-D interactively, or
-        // the parent process closing the pipe / sending SIGTERM).
-        std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink())?;
-        net.shutdown();
-        server.shutdown();
-        return Ok(());
-    }
     let stats = server.stats();
-    eprintln!(
-        "trajcl serve: {} vectors indexed across {} shard(s), {} workers; reading frames from stdin",
-        stats.index_len, stats.shards, handlers
+    let what = format!(
+        "{} vectors indexed across {} shard(s), {handlers} workers",
+        stats.index_len, stats.shards
     );
-    let stdin = std::io::stdin();
-    serve_session(&server, &mut stdin.lock(), out, handlers)?;
+    let server = std::sync::Arc::new(server);
+    let session = server.session_options();
+    serve_frames(args, out, &server, handlers, session, &what)?;
     server.shutdown();
     Ok(())
 }
@@ -601,9 +570,11 @@ fn serve_fleet(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<()
         fail_closed: args.flag("fail-closed"),
         ..trajcl_serve::FleetConfig::default()
     };
-    cfg.op_deadline = std::time::Duration::from_millis(num(args, "op-deadline-ms", 10_000u64)?);
+    let deadline_ms = num(args, "op-deadline-ms", cfg.op_deadline.as_millis() as u64)?;
+    cfg.op_deadline = std::time::Duration::from_millis(deadline_ms);
     cfg.retries = num(args, "retries", cfg.retries)?;
-    cfg.probe_interval = std::time::Duration::from_millis(num(args, "probe-ms", 500u64)?.max(1));
+    let probe_ms = num(args, "probe-ms", cfg.probe_interval.as_millis() as u64)?;
+    cfg.probe_interval = std::time::Duration::from_millis(probe_ms.max(1));
     let fleet = std::sync::Arc::new(trajcl_serve::Fleet::connect(&addrs, cfg)?);
     let up = fleet
         .health()
@@ -615,40 +586,40 @@ fn serve_fleet(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<()
         idle_timeout: idle_timeout_opt(args, trajcl_serve::SessionOptions::default().idle_timeout)?,
         ..trajcl_serve::SessionOptions::default()
     };
-    if let Some(addr) = args.options.get("listen") {
-        let net =
-            trajcl_serve::listen_with(std::sync::Arc::clone(&fleet), addr, handlers, session)?;
-        eprintln!(
-            "trajcl serve: fleet front-end over {} shard(s) ({up} up); listening on {}",
-            fleet.shards_total(),
-            net.local_addr()
-        );
-        // Like shard mode: run until stdin closes.
-        std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink())?;
-        net.shutdown();
-        fleet.shutdown();
-        return Ok(());
-    }
-    eprintln!(
-        "trajcl serve: fleet front-end over {} shard(s) ({up} up); reading frames from stdin",
+    let what = format!(
+        "fleet front-end over {} shard(s) ({up} up)",
         fleet.shards_total()
     );
-    let stdin = std::io::stdin();
-    trajcl_serve::net::pump_frames(&*fleet, &mut stdin.lock(), out, handlers)?;
+    serve_frames(args, out, &fleet, handlers, session, &what)?;
     fleet.shutdown();
     Ok(())
 }
 
-/// Pumps frames between `input` and `out` — the stdin/stdout transport
-/// is [`trajcl_serve::net::pump_frames`] over standard streams, exactly
-/// the loop every TCP / unix-socket connection runs.
-fn serve_session(
-    server: &Server,
-    input: &mut impl std::io::BufRead,
+/// Serves protocol frames from `handler` (a shard server or a fleet
+/// front-end — both announce themselves as `what`): on a TCP /
+/// unix-socket listener with `--listen`, which runs until stdin closes
+/// (Ctrl-D interactively, or the parent process closing the pipe /
+/// sending SIGTERM); otherwise between stdin and `out` until
+/// end-of-stream — [`trajcl_serve::net::pump_frames`] over standard
+/// streams, exactly the loop every connection runs.
+fn serve_frames<H: trajcl_serve::FrameHandler + 'static>(
+    args: &Args,
     out: &mut (impl std::io::Write + Send),
+    handler: &std::sync::Arc<H>,
     handlers: usize,
+    session: trajcl_serve::SessionOptions,
+    what: &str,
 ) -> Result<(), EngineError> {
-    trajcl_serve::net::pump_frames(server, input, out, handlers)?;
+    let stdin = std::io::stdin();
+    let Some(addr) = args.options.get("listen") else {
+        eprintln!("trajcl serve: {what}; reading frames from stdin");
+        trajcl_serve::net::pump_frames(&**handler, &mut stdin.lock(), out, handlers)?;
+        return Ok(());
+    };
+    let net = trajcl_serve::listen_with(std::sync::Arc::clone(handler), addr, handlers, session)?;
+    eprintln!("trajcl serve: {what}; listening on {}", net.local_addr());
+    std::io::copy(&mut stdin.lock(), &mut std::io::sink())?;
+    net.shutdown();
     Ok(())
 }
 
@@ -956,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_session_answers_frames() {
+    fn pumped_session_answers_frames() {
         use trajcl_serve::proto::{read_frame, write_frame};
 
         let data = tmp("serve.traj");
@@ -994,7 +965,7 @@ mod tests {
         let mut output = Vec::new();
         // One handler: the upsert/remove pair on id 1000 is order-dependent
         // (a pipelined client would await the upsert ack before removing).
-        serve_session(&server, &mut &input[..], &mut output, 1).unwrap();
+        trajcl_serve::net::pump_frames(&server, &mut &input[..], &mut output, 1).unwrap();
         server.shutdown();
 
         let mut reader = &output[..];
@@ -1044,7 +1015,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_session_recovers_from_wal_across_restart() {
+    fn pumped_session_recovers_from_wal_across_restart() {
         use trajcl_serve::proto::{read_frame, write_frame};
 
         let data = tmp("walserve.traj");
@@ -1090,7 +1061,7 @@ mod tests {
             .unwrap();
             write_frame(&mut input, "{\"req\":2,\"op\":\"stats\"}").unwrap();
             let mut output = Vec::new();
-            serve_session(&server, &mut &input[..], &mut output, 1).unwrap();
+            trajcl_serve::net::pump_frames(&server, &mut &input[..], &mut output, 1).unwrap();
             server.shutdown();
             let text = String::from_utf8(output).unwrap();
             assert!(text.contains("\"replaced\":false"), "{text}");
@@ -1105,7 +1076,7 @@ mod tests {
         write_frame(&mut input, "{\"req\":1,\"op\":\"stats\"}").unwrap();
         write_frame(&mut input, "{\"req\":2,\"op\":\"remove\",\"id\":1000}").unwrap();
         let mut output = Vec::new();
-        serve_session(&server, &mut &input[..], &mut output, 1).unwrap();
+        trajcl_serve::net::pump_frames(&server, &mut &input[..], &mut output, 1).unwrap();
         server.shutdown();
         let mut reader = &output[..];
         let mut responses = Vec::new();

@@ -11,26 +11,18 @@
 use crate::error::EngineError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 use trajcl_baselines::TrajectoryEncoder;
 use trajcl_core::{Featurizer, FinetunedEstimator, TrajClModel};
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_measures::HeuristicMeasure;
 use trajcl_nn::Fwd;
-use trajcl_tensor::{InferCtx, TapeExec, Tensor};
+use trajcl_tensor::{CtxPool, TapeExec, Tensor};
 
 /// Seed for the throwaway RNGs of eval-mode forward passes (only the
 /// baseline adapter still records a tape at inference). Dropout is
 /// disabled at inference, so the stream is never consumed — a fixed seed
 /// keeps `&self` receivers and bit-for-bit reproducibility.
 const EVAL_SEED: u64 = 0;
-
-/// Locks a backend's serving [`InferCtx`], recovering from poison (a
-/// panicked embed left only scratch buffers behind, which are safe to
-/// reuse — every kernel fully overwrites its output).
-fn lock_ctx(ctx: &Mutex<InferCtx>) -> std::sync::MutexGuard<'_, InferCtx> {
-    ctx.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// One similarity method behind a uniform, object-safe interface.
 ///
@@ -39,7 +31,9 @@ fn lock_ctx(ctx: &Mutex<InferCtx>) -> std::sync::MutexGuard<'_, InferCtx> {
 /// identical bytes (the engine's persistence tests rely on it).
 ///
 /// The trait requires `Send + Sync` so an [`crate::Engine`] can be shared
-/// across serving threads (`trajcl-serve` holds one behind an `Arc`).
+/// across serving threads (`trajcl-serve` holds one behind an `Arc`), and
+/// [`SimilarityBackend::embed_batch`] is the one embed path: any thread
+/// may call it, and concurrent calls do not wait on each other.
 pub trait SimilarityBackend: Send + Sync {
     /// Human-readable name (paper table spelling).
     fn name(&self) -> &str;
@@ -49,20 +43,6 @@ pub trait SimilarityBackend: Send + Sync {
 
     /// Embeds a non-empty batch into `(B, dim)`.
     fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError>;
-
-    /// Like [`SimilarityBackend::embed_batch`] but running through a
-    /// caller-owned [`InferCtx`] instead of the backend's internal serving
-    /// context. This is the concurrency seam: a serving runtime with a
-    /// pool of per-worker contexts embeds without ever contending on the
-    /// backend's internal `Mutex`. Backends without a tape-free path fall
-    /// back to [`SimilarityBackend::embed_batch`].
-    fn embed_batch_with(
-        &self,
-        _ctx: &mut InferCtx,
-        trajs: &[Trajectory],
-    ) -> Result<Tensor, EngineError> {
-        self.embed_batch(trajs)
-    }
 
     /// Distance between two trajectories under this method (lower = more
     /// similar). Embedding backends use L1 in embedding space; heuristic
@@ -89,13 +69,15 @@ fn l1(a: &[f32], b: &[f32]) -> f64 {
 
 /// The paper's model as a backend: DualSTB encoder + featurizer.
 ///
-/// Serving goes through the tape-free [`InferCtx`] path — no autograd
-/// bookkeeping, fused attention, and scratch buffers that persist across
-/// `embed_batch` calls (the engine's chunk loop reuses them).
+/// Serving goes through the tape-free [`trajcl_tensor::InferCtx`] path —
+/// no autograd bookkeeping, fused attention, and scratch buffers that
+/// persist across `embed_batch` calls: each call takes a context from the
+/// backend's free list for the length of its forward, so callers on
+/// different threads never share one and never hold a lock across it.
 pub struct TrajClBackend {
     model: TrajClModel,
     featurizer: Featurizer,
-    infer: Mutex<InferCtx>,
+    infer: CtxPool,
 }
 
 impl TrajClBackend {
@@ -104,7 +86,7 @@ impl TrajClBackend {
         TrajClBackend {
             model,
             featurizer,
-            infer: Mutex::new(InferCtx::new()),
+            infer: CtxPool::new(),
         }
     }
 
@@ -133,21 +115,10 @@ impl SimilarityBackend for TrajClBackend {
         // One tape-free forward pass per call: the engine's `embed_all`
         // owns the chunking, so the batch-size knob is not silently
         // re-capped here; scratch buffers persist across calls.
-        let mut ctx = lock_ctx(&self.infer);
+        let mut ctx = self.infer.checkout();
         Ok(self
             .model
             .embed_chunked_with(&mut ctx, &self.featurizer, trajs, trajs.len()))
-    }
-
-    fn embed_batch_with(
-        &self,
-        ctx: &mut InferCtx,
-        trajs: &[Trajectory],
-    ) -> Result<Tensor, EngineError> {
-        validate_batch(trajs)?;
-        Ok(self
-            .model
-            .embed_chunked_with(ctx, &self.featurizer, trajs, trajs.len()))
     }
 
     fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
@@ -257,7 +228,7 @@ pub struct FinetunedBackend {
     featurizer: Featurizer,
     name: String,
     dim: usize,
-    infer: Mutex<InferCtx>,
+    infer: CtxPool,
 }
 
 impl FinetunedBackend {
@@ -274,7 +245,7 @@ impl FinetunedBackend {
             featurizer,
             name: format!("TrajCL~{target}"),
             dim,
-            infer: Mutex::new(InferCtx::new()),
+            infer: CtxPool::new(),
         }
     }
 
@@ -295,21 +266,10 @@ impl SimilarityBackend for FinetunedBackend {
 
     fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;
-        let mut ctx = lock_ctx(&self.infer);
+        let mut ctx = self.infer.checkout();
         Ok(self
             .estimator
             .embed_chunked_with(&mut ctx, &self.featurizer, trajs, trajs.len()))
-    }
-
-    fn embed_batch_with(
-        &self,
-        ctx: &mut InferCtx,
-        trajs: &[Trajectory],
-    ) -> Result<Tensor, EngineError> {
-        validate_batch(trajs)?;
-        Ok(self
-            .estimator
-            .embed_chunked_with(ctx, &self.featurizer, trajs, trajs.len()))
     }
 
     fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
@@ -386,22 +346,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn embed_batch_with_matches_internal_context() {
-        let backend = trajcl_backend();
-        let batch = [traj(6, 100.0), traj(9, 500.0)];
-        let internal = backend.embed_batch(&batch).unwrap();
-        let mut ctx = InferCtx::new();
-        let external = backend.embed_batch_with(&mut ctx, &batch).unwrap();
+    /// A backend the test keeps a handle on while an engine owns it, so
+    /// it can read the free list the engine's callers went through.
+    struct Shared<B>(std::sync::Arc<B>);
+
+    impl<B: SimilarityBackend> SimilarityBackend for Shared<B> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
+            self.0.embed_batch(trajs)
+        }
+        fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
+            self.0.distance(a, b)
+        }
+    }
+
+    /// 8 threads x 20 `embed_all` calls over mixed batch sizes, started
+    /// together: every row must carry the bits of a serial run, and the
+    /// free list (read through `idle`) must end no longer than the 8
+    /// forwards that can be in flight at once.
+    fn assert_concurrent_embeds_match_serial<B: SimilarityBackend + 'static>(
+        backend: B,
+        idle: impl Fn(&B) -> usize,
+    ) {
+        const THREADS: usize = 8;
+        let backend = std::sync::Arc::new(backend);
+        let engine = crate::Engine::builder()
+            .backend(Box::new(Shared(backend.clone())))
+            .batch_size(4) // sizes above 4 take several forwards per call
+            .build()
+            .unwrap();
+        let pool: Vec<Trajectory> = (0..11)
+            .map(|i| traj(4 + i, 60.0 + 80.0 * i as f64))
+            .collect();
+        let serial = engine.embed_all(&pool).unwrap();
+        assert_eq!(idle(&backend), 1, "a serial caller reuses one context");
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (engine, pool, serial, start) = (&engine, &pool, &serial, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for call in 0..20 {
+                        let (from, len) = ((t + call) % pool.len(), [1, 2, 5, 9][call % 4]);
+                        let picks: Vec<usize> = (0..len).map(|i| (from + i) % pool.len()).collect();
+                        let batch: Vec<Trajectory> =
+                            picks.iter().map(|&i| pool[i].clone()).collect();
+                        let got = engine.embed_all(&batch).unwrap();
+                        for (row, &i) in picks.iter().enumerate() {
+                            let same = got.row(row).iter().zip(serial.row(i));
+                            assert!(
+                                same.clone().all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "thread {t} call {call}: row {row} differs from the serial run"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let idle = idle(&backend);
         assert!(
-            internal.approx_eq(&external, 0.0),
-            "caller-owned context must serve identical bytes"
+            (1..=THREADS).contains(&idle),
+            "{idle} contexts for {THREADS} threads"
         );
-        // And the default-impl fallback still validates inputs.
-        assert!(matches!(
-            backend.embed_batch_with(&mut ctx, &[]),
-            Err(EngineError::EmptyBatch)
-        ));
+    }
+
+    #[test]
+    fn concurrent_embed_all_is_bit_identical_to_serial_and_reuses_contexts() {
+        assert_concurrent_embeds_match_serial(trajcl_backend(), |b| b.infer.idle());
+        let base = trajcl_backend();
+        let pool: Vec<Trajectory> = (0..6)
+            .map(|i| traj(5 + i, 100.0 + 150.0 * i as f64))
+            .collect();
+        let cfg = trajcl_core::FinetuneConfig {
+            pairs_per_epoch: 8,
+            batch_pairs: 4,
+            epochs: 1,
+            ..trajcl_core::FinetuneConfig::default()
+        };
+        let estimator = trajcl_core::finetune(
+            base.model(),
+            base.featurizer(),
+            &pool,
+            HeuristicMeasure::Hausdorff,
+            &cfg,
+            &mut StdRng::seed_from_u64(4),
+        );
+        let dim = base.dim();
+        let finetuned =
+            FinetunedBackend::new(estimator, base.featurizer().clone(), "Hausdorff", dim);
+        assert_concurrent_embeds_match_serial(finetuned, |b| b.infer.idle());
     }
 
     #[test]

@@ -18,20 +18,16 @@ use trajcl_core::{
 use trajcl_data::Dataset;
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_index::{
-    atomic_write, brute_force_batch_knn, Durability, IndexOptions, IvfIndex, Metric, Quantization,
-    RealFs, ScanMode,
+    atomic_write, brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, RealFs,
+    ScanMode,
 };
 use trajcl_measures::HeuristicMeasure;
-use trajcl_tensor::{InferCtx, Shape, Tensor};
+use trajcl_tensor::{Shape, Tensor};
 
 const ENGINE_MAGIC: &[u8; 4] = b"TCE1";
 
 /// Default inference mini-batch size for [`Engine::embed_all`].
 pub const DEFAULT_BATCH: usize = 64;
-
-/// Upper bound on the serving shard count carried in the engine file —
-/// a sanity cap on the TCE1 tail, far above any sensible deployment.
-pub const MAX_SHARDS: usize = 4096;
 
 /// A similarity-serving engine: backend + database + optional IVF index.
 pub struct Engine {
@@ -41,8 +37,6 @@ pub struct Engine {
     index: Option<IvfIndex>,
     index_options: IndexOptions,
     nprobe: usize,
-    shards: usize,
-    durability: Durability,
     batch_size: usize,
     train_report: Option<TrainReport>,
 }
@@ -95,51 +89,16 @@ impl Engine {
         self.nprobe
     }
 
-    /// Serving shard count: how many hash-on-id index shards
-    /// `trajcl-serve` partitions this engine's vectors into (1 = the
-    /// unsharded degenerate case). Carried in the TCE1 tail so a
-    /// reloaded engine serves with the shard layout it was saved with.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Write durability expectation for serving this engine (default
-    /// [`Durability::Ephemeral`]): when not ephemeral, `trajcl serve
-    /// --wal DIR` pairs each index shard with a write-ahead log and only
-    /// acknowledges a write once its record is durable under this
-    /// policy. Carried in the TCE1 tail.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
     /// Inference mini-batch size used by [`Engine::embed_all`].
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
 
     /// Embeds trajectories in chunks of the configured batch size,
-    /// returning `(N, dim)`.
+    /// returning `(N, dim)`. Callable from any thread at once (the
+    /// serving layer's batcher workers do): see
+    /// [`SimilarityBackend::embed_batch`].
     pub fn embed_all(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
-        self.embed_chunks(trajs, |chunk| self.backend.embed_batch(chunk))
-    }
-
-    /// Like [`Engine::embed_all`] but running every forward through a
-    /// caller-owned [`InferCtx`] (the serving runtime's per-worker
-    /// contexts) instead of the backend's internal one.
-    pub fn embed_all_with(
-        &self,
-        ctx: &mut InferCtx,
-        trajs: &[Trajectory],
-    ) -> Result<Tensor, EngineError> {
-        self.embed_chunks(trajs, |chunk| self.backend.embed_batch_with(ctx, chunk))
-    }
-
-    /// The shared validate → chunk → scatter loop behind both embed paths.
-    fn embed_chunks(
-        &self,
-        trajs: &[Trajectory],
-        mut embed: impl FnMut(&[Trajectory]) -> Result<Tensor, EngineError>,
-    ) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;
         if !self.backend.supports_embedding() {
             return Err(EngineError::NoEmbedding {
@@ -150,7 +109,7 @@ impl Engine {
         let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
         let mut row = 0usize;
         for chunk in trajs.chunks(self.batch_size.max(1)) {
-            let e = embed(chunk)?;
+            let e = self.backend.embed_batch(chunk)?;
             out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(e.data());
             row += chunk.len();
         }
@@ -178,9 +137,7 @@ impl Engine {
     ///
     /// All queries share a single fused embedding forward (chunked at the
     /// engine batch size) before fanning out to the index or brute-force
-    /// scan — the entry point the serving layer's micro-batcher drives, and
-    /// what keeps N concurrent `knn` callers from paying N separate
-    /// forwards.
+    /// scan, so a caller holding N queries pays one forward, not N.
     pub fn knn_batch(
         &self,
         queries: &[Trajectory],
@@ -275,23 +232,6 @@ impl Engine {
         self
     }
 
-    /// Sets the serving shard count (clamped to `1..=`[`MAX_SHARDS`]);
-    /// persisted in the TCE1 tail and picked up by `trajcl-serve`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, MAX_SHARDS);
-        self
-    }
-
-    /// Drops the IVF configuration (and any built index): subsequent
-    /// [`Engine::with_database`] calls cache embeddings but skip k-means.
-    /// The serving layer uses this so index training happens once, in its
-    /// own [`trajcl_index::MutableIndex`], not twice.
-    pub fn without_ivf_index(mut self) -> Self {
-        self.index_options.nlist = None;
-        self.index = None;
-        self
-    }
-
     /// Fine-tunes the engine's TrajCL model into a fast estimator of
     /// `measure` (wrapping [`trajcl_core::finetune()`]) and returns a new
     /// engine serving the same database through the refined embeddings.
@@ -327,16 +267,16 @@ impl Engine {
             .database(self.database.clone())
             .index_options(self.index_options)
             .nprobe(self.nprobe)
-            .shards(self.shards)
-            .durability(self.durability)
             .batch_size(self.batch_size)
             .build()
     }
 
     /// Serialises the whole engine: model + featurizer (via
-    /// [`trajcl_core::persist`]), cached embeddings, IVF index and serving
-    /// configuration. Database geometry is not persisted — a reloaded
-    /// engine answers kNN by id from its index/embeddings.
+    /// [`trajcl_core::persist`]), cached embeddings, IVF index and the
+    /// query settings (`nprobe`, batch size, index description). Database
+    /// geometry is not persisted — a reloaded engine answers kNN by id
+    /// from its index/embeddings — and neither is anything about serving
+    /// (shards, write-ahead log): that is `trajcl_serve::ServeConfig`.
     ///
     /// # Errors
     /// [`EngineError::Unsupported`] unless the active backend is TrajCL.
@@ -377,8 +317,8 @@ impl Engine {
             }
             None => out.push(0),
         }
-        // The tail: `tag | rescore | [PQ: m, nbits] | scan | shards |
-        // durability`, each enum through its one wire codec.
+        // The tail: `tag | rescore | [PQ: m, nbits] | scan`, each enum
+        // through its one wire codec.
         out.push(opts.quantization.wire_tag());
         out.extend_from_slice(&(opts.rescore_factor as u32).to_le_bytes());
         if let Quantization::Pq { m, nbits } = opts.quantization {
@@ -386,8 +326,6 @@ impl Engine {
             out.push(nbits);
         }
         out.push(opts.scan.to_wire());
-        out.extend_from_slice(&(self.shards as u32).to_le_bytes());
-        out.push(self.durability.to_wire());
         Ok(out)
     }
 
@@ -468,13 +406,7 @@ impl Engine {
         .ok_or(EngineError::CorruptEngineFile("quantization"))?;
         let scan = ScanMode::from_wire(u8_of(&mut r)?)
             .ok_or(EngineError::CorruptEngineFile("scan mode"))?;
-        let shards = u32_of(&mut r)? as usize;
-        if shards == 0 || shards > MAX_SHARDS {
-            return Err(EngineError::CorruptEngineFile("shard count"));
-        }
-        let durability = Durability::from_wire(u8_of(&mut r)?)
-            .ok_or(EngineError::CorruptEngineFile("durability"))?;
-        // The durability byte is the final field: anything after it is
+        // The scan byte is the final field: anything after it is
         // corruption.
         if !r.is_empty() {
             return Err(EngineError::CorruptEngineFile("trailing bytes"));
@@ -492,8 +424,6 @@ impl Engine {
                 scan,
             },
             nprobe,
-            shards,
-            durability,
             batch_size: batch_size.max(1),
             train_report: None,
         })
@@ -507,8 +437,6 @@ pub struct EngineBuilder {
     database: Vec<Trajectory>,
     index_options: IndexOptions,
     nprobe: usize,
-    shards: usize,
-    durability: Durability,
     batch_size: usize,
     train_report: Option<TrainReport>,
 }
@@ -527,8 +455,6 @@ impl EngineBuilder {
             database: Vec::new(),
             index_options: IndexOptions::default(),
             nprobe: 4,
-            shards: 1,
-            durability: Durability::Ephemeral,
             batch_size: DEFAULT_BATCH,
             train_report: None,
         }
@@ -628,24 +554,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Serving shard count (default 1, clamped to `1..=`[`MAX_SHARDS`]):
-    /// how many hash-on-id index shards `trajcl-serve` partitions the
-    /// engine's vectors into. Persisted with the engine.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, MAX_SHARDS);
-        self
-    }
-
-    /// Write durability expectation for serving (default
-    /// [`Durability::Ephemeral`]): persisted in the TCE1 tail so an
-    /// operator-chosen policy travels with the engine file; honoured by
-    /// `trajcl serve --wal DIR`, which pairs every index shard with a
-    /// write-ahead log under this policy.
-    pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
-        self
-    }
-
     /// Inference mini-batch size (default [`DEFAULT_BATCH`]).
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
@@ -669,8 +577,6 @@ impl EngineBuilder {
             index: None,
             index_options: self.index_options,
             nprobe: self.nprobe,
-            shards: self.shards,
-            durability: self.durability,
             batch_size: self.batch_size,
             train_report: self.train_report,
         };

@@ -39,6 +39,6 @@ pub mod error;
 pub use backend::{
     EncoderBackend, FinetunedBackend, HeuristicBackend, SimilarityBackend, TrajClBackend,
 };
-pub use engine::{Engine, EngineBuilder, DEFAULT_BATCH, MAX_SHARDS};
+pub use engine::{Engine, EngineBuilder, DEFAULT_BATCH};
 pub use error::EngineError;
 pub use trajcl_index::{Durability, IndexOptions, Quantization, ScanMode};

@@ -1,6 +1,6 @@
 //! Property tests for the `TCE1` engine decoder, focused on the
-//! mandatory tail (the trailing `tag | rescore | [pq geometry] | scan |
-//! shards | durability` section): a corrupted tail must be rejected or
+//! mandatory tail (the trailing `tag | rescore | [pq geometry] | scan`
+//! section): a corrupted tail must be rejected or
 //! decode to a consistent engine, a truncated one must be rejected —
 //! never panic. Deterministic sibling of the `trajcl audit` engine fuzz
 //! target.
@@ -59,8 +59,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Random bytes over the whole tail region (SQ8 tail: tag + rescore +
-    // scan + shards; PQ additionally m + nbits). Any tag/geometry/count
-    // combination must be rejected or produce a consistent engine.
+    // scan, 6 bytes; PQ additionally m + nbits, 11) and the end of the
+    // index section before it. Any tag/geometry combination must be
+    // rejected or produce a consistent engine.
     #[test]
     fn corrupted_quantization_tail_never_panics(
         offset_back in 1usize..16,
@@ -73,10 +74,9 @@ proptest! {
         let len = bytes.len();
         bytes[len - offset_back.min(len)] = byte as u8;
         if let Ok(engine) = Engine::from_bytes(&bytes) {
-            // An accepted tail must carry a sane rescore factor, a sane
-            // shard count and a recognised quantization mode.
+            // An accepted tail must carry a sane rescore factor and a
+            // recognised quantization mode.
             prop_assert!(engine.index_options().rescore_factor >= 1);
-            prop_assert!((1..=trajcl_engine::MAX_SHARDS).contains(&engine.shards()));
             match engine.index_options().quantization {
                 Quantization::None | Quantization::Sq8 => {}
                 Quantization::Pq { m, nbits } => {
@@ -98,7 +98,6 @@ proptest! {
             Ok(engine) => {
                 prop_assert_eq!(cut_back, 0);
                 prop_assert!(engine.index_options().rescore_factor >= 1);
-                prop_assert!(engine.shards() >= 1);
             }
             Err(_) => prop_assert!(cut_back != 0),
         }

@@ -8,8 +8,8 @@ use trajcl_core::{
 };
 use trajcl_data::{Dataset, DatasetProfile};
 use trajcl_engine::{
-    Durability, Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization,
-    ScanMode, SimilarityBackend,
+    Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization, ScanMode,
+    SimilarityBackend,
 };
 use trajcl_geo::{Grid, SpatialNorm, Trajectory};
 use trajcl_measures::HeuristicMeasure;
@@ -328,27 +328,44 @@ fn persistence_round_trip_is_bit_exact() {
     }
 }
 
+// TCE1 ends at the scan byte: nothing about serving (shard count, WAL
+// durability) is in the file, and a file that still carries those five
+// bytes — what the previous format wrote — is corrupt, not silently
+// accepted with its tail ignored.
 #[test]
-fn shard_count_round_trips_and_bad_counts_are_corruption() {
+fn engine_file_ends_at_the_scan_byte() {
     let ds = dataset(12, 9);
     let (model, feat) = untrained_trajcl(&ds);
+    let opts = IndexOptions {
+        scan: ScanMode::Symmetric,
+        quantization: Quantization::Sq8,
+        ..ivf(3)
+    };
     let engine = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories)
-        .shards(4)
+        .index_options(opts)
         .build()
         .unwrap();
-    assert_eq!(engine.shards(), 4);
     let bytes = engine.to_bytes().unwrap();
-    assert_eq!(Engine::from_bytes(&bytes).unwrap().shards(), 4);
+    assert_eq!(bytes.last(), Some(&ScanMode::Symmetric.to_wire()));
+    let restored = Engine::from_bytes(&bytes).unwrap();
+    assert_eq!(restored.to_bytes().unwrap(), bytes, "bit-exact round trip");
 
-    // Zero or absurd shard counts in the tail are corruption.
-    for bad in [0u32, (trajcl_engine::MAX_SHARDS + 1) as u32] {
-        let mut bytes = bytes.clone();
-        let len = bytes.len();
-        bytes[len - 5..len - 1].copy_from_slice(&bad.to_le_bytes());
-        assert!(Engine::from_bytes(&bytes).is_err(), "shards={bad} accepted");
-    }
+    let mut parent_format = bytes.clone();
+    parent_format.extend_from_slice(&4u32.to_le_bytes()); // shards
+    parent_format.push(2); // durability: fsync
+    assert!(matches!(
+        Engine::from_bytes(&parent_format),
+        Err(EngineError::CorruptEngineFile("trailing bytes"))
+    ));
+    // An unknown scan byte in the final position is corruption too.
+    let mut bad = bytes.clone();
+    *bad.last_mut().unwrap() = 9;
+    assert!(matches!(
+        Engine::from_bytes(&bad),
+        Err(EngineError::CorruptEngineFile("scan mode"))
+    ));
 }
 
 // The index description travels as one value: every storage × scan
@@ -391,35 +408,6 @@ fn index_options_survive_persistence_for_every_storage() {
             );
         }
     }
-}
-
-#[test]
-fn durability_round_trips_and_bad_tail_bytes_are_corruption() {
-    let ds = dataset(12, 9);
-    let (model, feat) = untrained_trajcl(&ds);
-    let engine = Engine::builder()
-        .trajcl(model, feat)
-        .database(ds.trajectories)
-        .durability(Durability::Fsync)
-        .build()
-        .unwrap();
-    assert_eq!(engine.durability(), Durability::Fsync);
-    let bytes = engine.to_bytes().unwrap();
-    assert_eq!(
-        Engine::from_bytes(&bytes).unwrap().durability(),
-        Durability::Fsync
-    );
-
-    // An unknown durability tag is corruption.
-    let mut bad = bytes.clone();
-    let len = bad.len();
-    bad[len - 1] = 9;
-    assert!(Engine::from_bytes(&bad).is_err());
-
-    // Trailing garbage after the durability byte is corruption.
-    let mut extended = bytes.clone();
-    extended.push(0);
-    assert!(Engine::from_bytes(&extended).is_err());
 }
 
 #[test]

@@ -643,7 +643,7 @@ impl IvfIndex {
 }
 
 /// Zero-copy little-endian field reader over a borrowed byte slice.
-pub(crate) struct Reader<'a>(&'a [u8]);
+pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Reader<'a> {
     pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
@@ -662,6 +662,10 @@ impl<'a> Reader<'a> {
     pub(crate) fn u32(&mut self) -> Option<u32> {
         self.bytes(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        self.bytes(8)?.try_into().ok().map(u64::from_le_bytes)
     }
 
     pub(crate) fn f32(&mut self) -> Option<f32> {
@@ -842,6 +846,37 @@ mod tests {
             &mut StdRng::seed_from_u64(0),
         );
         assert!(large.memory_bytes() > small.memory_bytes() * 5);
+    }
+
+    // The `IVF4` section as written before `Reader` grew `u64` for the
+    // WAL decoders (captured at commit 03adfee): same bytes out of the
+    // same build, and the old bytes load and re-serialise to themselves.
+    #[test]
+    fn ivf4_section_bytes_are_pinned() {
+        const GOLDEN: &str = "4956463400060000000200000002000000000400000001abaaaa3eabaaaa3e\
+            5555254155552541030000000000000001000000020000000300000003000000040000000500000000\
+            00000000000000b1b0303db1b0303d000000171700e8e8e8ffffe8";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let rows = vec![
+            0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 10.0, 10.0, 10.0, 11.0, 11.0, 10.0,
+        ];
+        let opts = IndexOptions {
+            nlist: Some(2),
+            quantization: Quantization::Sq8,
+            ..IndexOptions::default()
+        };
+        let index = IvfIndex::build_with(
+            &Tensor::from_vec(rows, Shape::d2(6, 2)),
+            Metric::L1,
+            &opts,
+            &mut StdRng::seed_from_u64(3),
+        );
+        assert_eq!(index.to_bytes(), golden);
+        let restored = IvfIndex::from_bytes(&golden).expect("parent-written section loads");
+        assert_eq!(restored.to_bytes(), golden);
     }
 
     #[test]

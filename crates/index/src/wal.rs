@@ -41,16 +41,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::ivf::Reader;
 use crate::mutable::MutableIndex;
 
-/// When a write is acknowledged relative to stable storage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// When a logged write is acknowledged relative to stable storage.
+/// There is no "no log" variant: a caller that wants none opens no [`Wal`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Durability {
-    /// No write-ahead log: mutations live in memory only (the seed
-    /// behaviour — a crash loses everything since the last explicit
-    /// snapshot save).
-    #[default]
-    Ephemeral,
     /// Mutations are appended to the log before acknowledgement but not
     /// fsync'd per write; an OS crash may lose the buffered tail, a
     /// process crash does not.
@@ -58,27 +55,6 @@ pub enum Durability {
     /// A write is acknowledged only after its log record is covered by a
     /// completed `fsync` (group-committed across concurrent writers).
     Fsync,
-}
-
-impl Durability {
-    /// The durability byte of the TCE1 engine tail.
-    pub fn to_wire(self) -> u8 {
-        match self {
-            Durability::Ephemeral => 0,
-            Durability::Buffered => 1,
-            Durability::Fsync => 2,
-        }
-    }
-
-    /// Inverse of [`Durability::to_wire`]; `None` for an unknown byte.
-    pub fn from_wire(byte: u8) -> Option<Durability> {
-        match byte {
-            0 => Some(Durability::Ephemeral),
-            1 => Some(Durability::Buffered),
-            2 => Some(Durability::Fsync),
-            _ => None,
-        }
-    }
 }
 
 /// One logged mutation.
@@ -215,59 +191,35 @@ pub fn encode_record(op: &WalOp) -> Vec<u8> {
 /// its tag's geometry is [`WalError::BadPayload`]. Never panics, never
 /// allocates beyond [`MAX_RECORD_LEN`].
 pub fn decode_record(bytes: &[u8]) -> Result<(WalOp, usize), WalError> {
-    if bytes.len() < 8 {
+    let mut r = Reader(bytes);
+    let (Some(len), Some(crc)) = (r.u32(), r.u32()) else {
         return Err(WalError::Truncated);
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    };
     if len == 0 || len > MAX_RECORD_LEN {
         return Err(WalError::BadLength(len));
     }
     let len = len as usize;
-    let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    let rest = &bytes[8..];
-    if rest.len() < len {
-        return Err(WalError::Truncated);
-    }
-    let payload = &rest[..len];
+    let payload = r.bytes(len).ok_or(WalError::Truncated)?;
     if crc32(payload) != crc {
         return Err(WalError::BadChecksum);
     }
+    let mut p = Reader(&payload[1..]);
     let op = match payload[0] {
         TAG_UPSERT => {
-            if payload.len() < 13 {
+            let (Some(id), Some(dim)) = (p.u64(), p.u32()) else {
                 return Err(WalError::BadPayload("upsert header"));
+            };
+            match p.f32_vec(dim as usize) {
+                Some(vector) if p.0.is_empty() => WalOp::Upsert { id, vector },
+                _ => return Err(WalError::BadPayload("upsert vector length")),
             }
-            let id = u64::from_le_bytes([
-                payload[1], payload[2], payload[3], payload[4], payload[5], payload[6], payload[7],
-                payload[8],
-            ]);
-            let dim =
-                u32::from_le_bytes([payload[9], payload[10], payload[11], payload[12]]) as usize;
-            if payload.len() != 13 + dim * 4 {
-                return Err(WalError::BadPayload("upsert vector length"));
-            }
-            let vector = payload[13..]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            WalOp::Upsert { id, vector }
         }
-        TAG_REMOVE => {
-            if payload.len() != 9 {
-                return Err(WalError::BadPayload("remove length"));
-            }
-            let id = u64::from_le_bytes([
-                payload[1], payload[2], payload[3], payload[4], payload[5], payload[6], payload[7],
-                payload[8],
-            ]);
-            WalOp::Remove { id }
-        }
-        TAG_COMPACT => {
-            if payload.len() != 1 {
-                return Err(WalError::BadPayload("compact length"));
-            }
-            WalOp::Compact
-        }
+        TAG_REMOVE => match p.u64() {
+            Some(id) if p.0.is_empty() => WalOp::Remove { id },
+            _ => return Err(WalError::BadPayload("remove length")),
+        },
+        TAG_COMPACT if p.0.is_empty() => WalOp::Compact,
+        TAG_COMPACT => return Err(WalError::BadPayload("compact length")),
         t => return Err(WalError::BadTag(t)),
     };
     Ok((op, 8 + len))
@@ -339,61 +291,39 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(usize, Vec<CheckpointEntry>), 
     if bytes.len() < 20 {
         return Err(WalError::Truncated);
     }
-    if &bytes[..4] != CKPT_MAGIC {
+    let (body, crc) = bytes.split_at(bytes.len() - 4);
+    let mut r = Reader(body);
+    let (Some(magic), Some(dim), Some(count)) = (r.bytes(4), r.u32(), r.u64()) else {
+        return Err(WalError::Truncated);
+    };
+    if magic != CKPT_MAGIC {
         return Err(WalError::BadPayload("checkpoint magic"));
     }
-    let dim = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
     if dim > MAX_RECORD_LEN / 4 {
         return Err(WalError::BadLength(dim));
     }
     let dim = dim as usize;
-    let count = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]);
     let entry_bytes = 9u64 + 4 * dim as u64;
-    let Some(body) = count.checked_mul(entry_bytes) else {
-        return Err(WalError::BadPayload("checkpoint count overflow"));
-    };
-    let Some(expected) = body.checked_add(20) else {
-        return Err(WalError::BadPayload("checkpoint count overflow"));
-    };
+    let expected = count
+        .checked_mul(entry_bytes)
+        .and_then(|entries| entries.checked_add(20))
+        .ok_or(WalError::BadPayload("checkpoint count overflow"))?;
     if expected != bytes.len() as u64 {
         return Err(WalError::BadPayload("checkpoint length"));
     }
-    let crc_at = bytes.len() - 4;
-    let crc = u32::from_le_bytes([
-        bytes[crc_at],
-        bytes[crc_at + 1],
-        bytes[crc_at + 2],
-        bytes[crc_at + 3],
-    ]);
-    if crc32(&bytes[..crc_at]) != crc {
+    if Reader(crc).u32() != Some(crc32(body)) {
         return Err(WalError::BadChecksum);
     }
     let mut entries = Vec::with_capacity(count as usize);
-    let mut at = 16;
     for _ in 0..count {
-        let id = u64::from_le_bytes([
-            bytes[at],
-            bytes[at + 1],
-            bytes[at + 2],
-            bytes[at + 3],
-            bytes[at + 4],
-            bytes[at + 5],
-            bytes[at + 6],
-            bytes[at + 7],
-        ]);
-        let dirty = match bytes[at + 8] {
+        let (Some(id), Some(flag), Some(vector)) = (r.u64(), r.u8(), r.f32_vec(dim)) else {
+            return Err(WalError::Truncated);
+        };
+        let dirty = match flag {
             0 => false,
             1 => true,
             _ => return Err(WalError::BadPayload("checkpoint dirty flag")),
         };
-        at += 9;
-        let vector = bytes[at..at + dim * 4]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        at += dim * 4;
         entries.push(CheckpointEntry { id, dirty, vector });
     }
     Ok((dim, entries))
@@ -663,9 +593,7 @@ impl Wal {
     /// Opens (creating if absent) the log named `name` under `dir` and
     /// recovers its durable state: loads the last checkpoint, replays
     /// every complete log record, truncates any torn tail. `durability`
-    /// controls [`Wal::append_durable`]'s acknowledgement point
-    /// ([`Durability::Ephemeral`] is treated as [`Durability::Buffered`]
-    /// — callers who want no log simply don't open one).
+    /// controls [`Wal::append_durable`]'s acknowledgement point.
     ///
     /// A leftover `.ckpt.tmp` (crash mid-checkpoint-write, before the
     /// rename) is deleted: it is never data-bearing, because the log is
@@ -901,6 +829,126 @@ mod tests {
             assert!(same_op(&dec, &op));
             assert_eq!(encode_record(&dec), enc, "canonical re-encode");
         }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    // The bytes on disk before the decoders moved onto `ivf::Reader`
+    // (captured at commit 03adfee): a log or checkpoint written then
+    // must decode now, and re-encode to itself.
+    #[test]
+    fn record_and_checkpoint_bytes_are_pinned() {
+        let record = unhex("1500000084a380e0010700000000000000020000000000803f000020c0");
+        let op = WalOp::Upsert {
+            id: 7,
+            vector: vec![1.0, -2.5],
+        };
+        assert_eq!(encode_record(&op), record);
+        assert_eq!(decode_record(&record), Ok((op, record.len())));
+
+        let ckpt = unhex(
+            "544357310200000002000000000000000100000000000000000000003f000000bf\
+             0200000000000000010000404000008040c2d26447",
+        );
+        let entries = vec![
+            CheckpointEntry {
+                id: 1,
+                dirty: false,
+                vector: vec![0.5, -0.5],
+            },
+            CheckpointEntry {
+                id: 2,
+                dirty: true,
+                vector: vec![3.0, 4.0],
+            },
+        ];
+        assert_eq!(encode_checkpoint(2, &entries), ckpt);
+        assert_eq!(decode_checkpoint(&ckpt), Ok((2, entries)));
+    }
+
+    // Which error each malformed input gets is part of the contract
+    // (`replay` only needs "an error", operators read the message).
+    #[test]
+    fn every_failure_keeps_its_error() {
+        let record = |payload: &[u8]| {
+            let mut rec = (payload.len() as u32).to_le_bytes().to_vec();
+            rec.extend_from_slice(&crc32(payload).to_le_bytes());
+            rec.extend_from_slice(payload);
+            rec
+        };
+        let bad = WalError::BadPayload;
+        // A short header is truncation even when its length field is absurd.
+        assert_eq!(decode_record(&[0xff; 7]), Err(WalError::Truncated));
+        assert_eq!(decode_record(&record(&[1; 12])), Err(bad("upsert header")));
+        let mut upsert = vec![TAG_UPSERT];
+        upsert.extend_from_slice(&9u64.to_le_bytes());
+        upsert.extend_from_slice(&2u32.to_le_bytes());
+        upsert.extend_from_slice(&[0; 4]); // one float short of dim 2
+        assert_eq!(
+            decode_record(&record(&upsert)),
+            Err(bad("upsert vector length"))
+        );
+        upsert.extend_from_slice(&[0; 8]); // and now one too many
+        assert_eq!(
+            decode_record(&record(&upsert)),
+            Err(bad("upsert vector length"))
+        );
+        assert_eq!(
+            decode_record(&record(&[TAG_REMOVE; 8])),
+            Err(bad("remove length"))
+        );
+        assert_eq!(
+            decode_record(&record(&[TAG_REMOVE; 10])),
+            Err(bad("remove length"))
+        );
+        assert_eq!(
+            decode_record(&record(&[TAG_COMPACT; 2])),
+            Err(bad("compact length"))
+        );
+        let mut torn = record(&[TAG_COMPACT]);
+        torn[4] ^= 1;
+        assert_eq!(decode_record(&torn), Err(WalError::BadChecksum));
+
+        let blob = encode_checkpoint(1, &[]);
+        assert_eq!(decode_checkpoint(&blob[..19]), Err(WalError::Truncated));
+        let with = |at: usize, bytes: &[u8]| {
+            let mut b = blob.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            decode_checkpoint(&b)
+        };
+        assert_eq!(with(0, b"X"), Err(bad("checkpoint magic")));
+        let huge = (MAX_RECORD_LEN / 4 + 1).to_le_bytes();
+        assert_eq!(
+            with(4, &huge),
+            Err(WalError::BadLength(MAX_RECORD_LEN / 4 + 1))
+        );
+        assert_eq!(
+            with(8, &u64::MAX.to_le_bytes()),
+            Err(bad("checkpoint count overflow"))
+        );
+        assert_eq!(with(8, &1u64.to_le_bytes()), Err(bad("checkpoint length")));
+        assert_eq!(with(19, &[blob[19] ^ 1]), Err(WalError::BadChecksum));
+        let mut flagged = encode_checkpoint(
+            0,
+            &[CheckpointEntry {
+                id: 1,
+                dirty: true,
+                vector: vec![],
+            }],
+        );
+        flagged[24] = 2;
+        let body = flagged.len() - 4;
+        let crc = crc32(&flagged[..body]).to_le_bytes();
+        flagged[body..].copy_from_slice(&crc);
+        assert_eq!(
+            decode_checkpoint(&flagged),
+            Err(bad("checkpoint dirty flag"))
+        );
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! gradients are routed back by parameter id with
 //! [`ParamStore::accumulate`].
 
-use bytes::{Buf, BufMut, BytesMut};
 use trajcl_tensor::{Param, Shape, Tensor};
 
 /// Opaque handle to a parameter slot in a [`ParamStore`].
@@ -212,65 +211,61 @@ impl ParamStore {
     /// Optimizer state is not saved; a deserialized store is ready for
     /// inference or fresh fine-tuning.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(self.slots.len() as u32);
+        fn put_len(out: &mut Vec<u8>, n: usize) {
+            out.extend_from_slice(&(n as u32).to_le_bytes());
+        }
+        let mut out = Vec::new();
+        put_len(&mut out, self.slots.len());
         for s in &self.slots {
-            buf.put_u32_le(s.name.len() as u32);
-            buf.put_slice(s.name.as_bytes());
+            put_len(&mut out, s.name.len());
+            out.extend_from_slice(s.name.as_bytes());
             let shape = s.value.shape();
-            let dims = shape.dims();
-            buf.put_u8(dims.len() as u8);
-            for &d in dims {
-                buf.put_u32_le(d as u32);
+            out.push(shape.dims().len() as u8);
+            for &d in shape.dims() {
+                put_len(&mut out, d);
             }
             for &v in s.value.data() {
-                buf.put_f32_le(v);
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        buf.to_vec()
+        out
     }
 
     /// Restores a store from [`ParamStore::to_bytes`] output.
     ///
     /// Returns `None` if the buffer is malformed.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut buf = bytes;
-        if buf.remaining() < 4 {
-            return None;
+        /// The next `n` bytes, or `None` when fewer remain — every
+        /// length below is checked against the buffer before anything
+        /// is allocated for it.
+        fn take<'a>(r: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+            let (head, rest) = r.split_at_checked(n)?;
+            *r = rest;
+            Some(head)
         }
-        let count = buf.get_u32_le() as usize;
+        fn len_of(r: &mut &[u8]) -> Option<usize> {
+            Some(u32::from_le_bytes(take(r, 4)?.try_into().ok()?) as usize)
+        }
+        let mut r = bytes;
+        let count = len_of(&mut r)?;
         let mut store = ParamStore::new();
         for _ in 0..count {
-            if buf.remaining() < 4 {
+            let name_len = len_of(&mut r)?;
+            let name = String::from_utf8(take(&mut r, name_len)?.to_vec()).ok()?;
+            let rank = take(&mut r, 1)?[0] as usize;
+            if rank == 0 || rank > 4 {
                 return None;
             }
-            let name_len = buf.get_u32_le() as usize;
-            if buf.remaining() < name_len + 1 {
-                return None;
-            }
-            let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec()).ok()?;
-            let rank = buf.get_u8() as usize;
-            if rank == 0 || rank > 4 || buf.remaining() < rank * 4 {
-                return None;
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(buf.get_u32_le() as usize);
-            }
+            let dims: Vec<usize> = (0..rank).map(|_| len_of(&mut r)).collect::<Option<_>>()?;
             // Element count and byte length with explicit overflow checks:
             // four u32 dims can overflow `usize` multiplication, which in a
             // hostile buffer would fake a tiny length past the size check.
             let n = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))?;
-            match n.checked_mul(4) {
-                Some(nb) if buf.remaining() >= nb => {}
-                _ => return None,
-            }
-            let shape = Shape::from_slice(&dims);
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(buf.get_f32_le());
-            }
-            store.add(name, Tensor::from_vec(data, shape));
+            let data = take(&mut r, n.checked_mul(4)?)?
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect();
+            store.add(name, Tensor::from_vec(data, Shape::from_slice(&dims)));
         }
         Some(store)
     }
@@ -359,6 +354,36 @@ mod tests {
             store.value(ParamId(0)).data()
         );
         assert_eq!(restored.value(ParamId(1)).shape(), Shape::d1(1));
+    }
+
+    // The bytes `to_bytes` wrote before the codec moved onto plain
+    // `Vec<u8>` / `&[u8]` (captured at commit 03adfee): the TCL1 model
+    // section of every saved engine is made of these.
+    #[test]
+    fn byte_layout_is_pinned() {
+        const GOLDEN: &str = "020000000c0000006c617965722e776569676874020200000002000000\
+            0000c03f000000c00000803e00001041010000006201010000000000003f";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let mut store = ParamStore::new();
+        store.add(
+            "layer.weight",
+            Tensor::from_vec(vec![1.5, -2.0, 0.25, 9.0], Shape::d2(2, 2)),
+        );
+        store.add("b", Tensor::from_vec(vec![0.5], Shape::d1(1)));
+        assert_eq!(store.to_bytes(), golden);
+        let restored = ParamStore::from_bytes(&golden).unwrap();
+        assert!(restored.layout_matches(&store));
+        assert_eq!(restored.to_bytes(), golden);
+        // Every strict prefix is short somewhere and rejected.
+        for cut in 0..golden.len() {
+            assert!(
+                ParamStore::from_bytes(&golden[..cut]).is_none(),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! pending job, then keeps harvesting — instantly while the queue is
 //! non-empty, and for at most `max_wait` while it is — until the fused
 //! batch reaches `max_batch` trajectories. The whole batch runs as ONE
-//! tape-free forward through the worker's own
-//! [`InferCtx`](trajcl_tensor::InferCtx) (checked out of a shared
-//! [`CtxPool`]), so concurrent callers share a forward instead of
-//! serialising on the backend's internal mutex.
+//! tape-free forward ([`Engine::embed_all`], which workers call side by
+//! side), so concurrent callers share a forward instead of paying one
+//! each.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
@@ -19,7 +18,6 @@ use std::time::{Duration, Instant};
 
 use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::Trajectory;
-use trajcl_tensor::CtxPool;
 
 /// One embed request: a few trajectories plus the channel carrying their
 /// embedding rows back to the blocked caller.
@@ -75,16 +73,14 @@ impl Batcher {
         let workers = workers.max(1);
         let (tx, rx) = mpsc::sync_channel::<EmbedJob>(queue_cap.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        let ctx_pool = Arc::new(CtxPool::with_contexts(workers));
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let engine = Arc::clone(&engine);
             let rx = Arc::clone(&rx);
-            let ctx_pool = Arc::clone(&ctx_pool);
             let stats = Arc::clone(&stats);
             let spawned = std::thread::Builder::new()
                 .name(format!("trajcl-serve-{i}"))
-                .spawn(move || worker_loop(&engine, &rx, &ctx_pool, policy, &stats));
+                .spawn(move || worker_loop(&engine, &rx, policy, &stats));
             match spawned {
                 Ok(h) => handles.push(h),
                 Err(e) => {
@@ -167,11 +163,9 @@ fn collect_batch(
 fn worker_loop(
     engine: &Engine,
     rx: &Mutex<Receiver<EmbedJob>>,
-    ctx_pool: &CtxPool,
     policy: BatchPolicy,
     stats: &BatchStats,
 ) {
-    let mut ctx = ctx_pool.checkout();
     loop {
         // Hold the receiver lock across the whole collection window: a
         // second idle worker grabbing stragglers would only shrink the
@@ -185,7 +179,7 @@ fn worker_loop(
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.jobs.fetch_add(jobs.len() as u64, Ordering::Relaxed);
         stats.trajs.fetch_add(all.len() as u64, Ordering::Relaxed);
-        match engine.embed_all_with(&mut ctx, &all) {
+        match engine.embed_all(&all) {
             Ok(emb) => {
                 let d = emb.shape().last();
                 let mut row = 0usize;

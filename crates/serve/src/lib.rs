@@ -7,9 +7,8 @@
 //! * **dynamic micro-batcher** ([`batcher`]) — callers block on a bounded
 //!   MPSC queue; worker threads drain up to `max_batch` trajectories (or
 //!   wait at most `max_wait` for stragglers) and run ONE fused tape-free
-//!   forward per batch through per-worker [`trajcl_tensor::InferCtx`]s
-//!   checked out of a shared [`trajcl_tensor::CtxPool`], replacing the
-//!   engine backends' single serving mutex;
+//!   forward per batch through [`trajcl_engine::Engine::embed_all`] — the
+//!   one embed path, which any number of workers may be inside at once;
 //! * **sharded, snapshot-readable index** ([`router`], over
 //!   [`trajcl_index::ShardedIndex`]) — vectors partition across N
 //!   hash-on-id [`trajcl_index::MutableIndex`] shards, each with its own
@@ -37,7 +36,7 @@
 //!   frame-corrupting proxy (drop/delay/truncate/garble/kill) that the
 //!   chaos test suite uses to prove the failure modes in DESIGN.md §14
 //!   actually hold;
-//! * **durability** ([`server::WalConfig`], over
+//! * **durability** ([`router::WalConfig`], over
 //!   [`trajcl_index::Wal`]) — an optional per-shard write-ahead log:
 //!   every mutation is appended and group-fsync'd *before* it is
 //!   applied or acknowledged, recovery replays last checkpoint + log
@@ -94,5 +93,5 @@ pub use fleet::{Fleet, FleetConfig, ShardHealth};
 pub use net::{
     listen, listen_with, Client, ClientOptions, FrameHandler, NetServer, SessionOptions,
 };
-pub use router::ShardRouter;
-pub use server::{ServeConfig, Server, ServerStats, WalConfig, WalRecoveryStats};
+pub use router::{ShardRouter, WalConfig, WalRecoveryStats};
+pub use server::{ServeConfig, Server, ServerStats};

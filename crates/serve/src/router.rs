@@ -14,10 +14,79 @@
 
 use std::collections::HashSet;
 use std::io;
+use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-use trajcl_index::{CheckpointEntry, ExactRescorer, ShardedIndex, ShardedSnapshot, Wal, WalOp};
+use trajcl_engine::EngineError;
+use trajcl_index::wal::apply_op;
+use trajcl_index::{
+    atomic_write, CheckpointEntry, Durability, ExactRescorer, RealFs, ShardedIndex,
+    ShardedSnapshot, Wal, WalFs, WalOp,
+};
 use trajcl_tensor::Tensor;
+
+/// Durability configuration for [`ServeConfig::wal`](crate::ServeConfig::wal):
+/// where the per-shard write-ahead logs live and how they sync. See
+/// DESIGN.md §15 for the on-disk format and the checkpoint/truncate
+/// protocol.
+#[derive(Clone)]
+pub struct WalConfig {
+    /// Directory holding the per-shard logs and checkpoints
+    /// (`shardN.log` / `shardN.ckpt`) plus the `wal.meta` layout guard.
+    /// Created if absent; a directory written under a different shard
+    /// count or dimensionality is rejected at startup (shard placement
+    /// is id-hash, so the logs only replay under the layout that wrote
+    /// them).
+    pub dir: PathBuf,
+    /// Sync policy. [`Durability::Fsync`] (the default) group-fsyncs
+    /// every record before the write acks — ack implies durable.
+    /// [`Durability::Buffered`] appends without syncing: writes survive
+    /// a process crash (the OS holds the pages) but not power loss.
+    pub durability: Durability,
+    /// Per-shard log size that triggers an automatic checkpoint
+    /// (snapshot + log truncate, no index compaction). Default 64 MiB.
+    pub checkpoint_bytes: u64,
+    /// Filesystem seam the logs go through — [`RealFs`] in production,
+    /// a [`trajcl_index::CrashPointFs`] injector in durability tests.
+    pub fs: Arc<dyn WalFs>,
+}
+
+impl WalConfig {
+    /// A WAL under `dir`: full fsync durability, 64 MiB auto-checkpoint
+    /// threshold, the real filesystem.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        WalConfig {
+            dir: dir.into(),
+            durability: Durability::Fsync,
+            checkpoint_bytes: 64 << 20,
+            fs: Arc::new(RealFs),
+        }
+    }
+}
+
+impl std::fmt::Debug for WalConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalConfig")
+            .field("dir", &self.dir)
+            .field("durability", &self.durability)
+            .field("checkpoint_bytes", &self.checkpoint_bytes)
+            .finish_non_exhaustive()
+    }
+}
+
+/// What [`ShardRouter::recover`] replayed (summed over shards) —
+/// surfaced so operators can log a recovery transcript.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WalRecoveryStats {
+    /// Rows restored from shard checkpoints.
+    pub checkpoint_rows: usize,
+    /// Log records replayed on top of the checkpoints.
+    pub replayed_ops: usize,
+    /// Torn trailing bytes discarded from the logs (a crash mid-append;
+    /// by the ack-implies-durable contract these were never
+    /// acknowledged).
+    pub truncated_bytes: u64,
+}
 
 /// [`ExactRescorer`] over the engine's cached embedding table: ids are
 /// table row positions (how the server seeds the index), valid only
@@ -57,7 +126,7 @@ struct DurableLog {
 /// Routes index reads and writes across the shards of a
 /// [`ShardedIndex`] (see the module docs).
 ///
-/// With a WAL attached ([`ShardRouter::attach_wal`]), every mutation is
+/// With a WAL attached ([`ShardRouter::recover`]), every mutation is
 /// appended to the owning shard's log and group-fsync'd **before** it
 /// touches the index — `Ok` from [`ShardRouter::upsert`] /
 /// [`ShardRouter::remove`] / [`ShardRouter::compact`] means the op is
@@ -119,27 +188,78 @@ impl ShardRouter {
         }
     }
 
-    /// Attaches one write-ahead log per shard (`wals[s]` persists shard
-    /// `s`) and arms auto-checkpointing at `checkpoint_bytes` of log per
-    /// shard. Called once at startup, **after** recovery has been
-    /// replayed through [`ShardRouter::reset_shard_from_checkpoint`] and
-    /// [`ShardRouter::replay_op`] — from here on every mutation goes
-    /// through the logs.
+    /// Makes the router durable under `cfg`: opens (or validates) the WAL
+    /// directory, resets each shard to its last checkpoint — a
+    /// checkpoint is the shard's *complete* live state, so whatever the
+    /// shard was seeded with goes, and every entry comes back with its
+    /// dirty bit — replays the shard's log tail on top (an upsert marks
+    /// its id dirty, exactly as the original wire write did), and only
+    /// then attaches the logs: from here on every mutation goes through
+    /// them. Called once, before the router is shared. The `wal.meta`
+    /// guard pins the directory to one `(shards, dim)` layout: id-hash
+    /// placement means a log written under a different shard count
+    /// would replay ids into the wrong shards.
     ///
-    /// # Panics
-    /// When `wals.len()` differs from the shard count.
-    pub fn attach_wal(&mut self, wals: Vec<Wal>, checkpoint_bytes: u64) {
-        assert_eq!(wals.len(), self.index.shards(), "one WAL per shard");
+    /// # Errors
+    /// [`EngineError::InvalidInput`] for a directory written under
+    /// another layout, [`EngineError::Io`] for filesystem failures and
+    /// corrupt checkpoints; the router is left without a WAL.
+    pub fn recover(&mut self, cfg: &WalConfig) -> Result<WalRecoveryStats, EngineError> {
+        std::fs::create_dir_all(&cfg.dir)?;
+        let meta_path = cfg.dir.join("wal.meta");
+        let meta = format!(
+            "trajcl-wal shards {} dim {}\n",
+            self.index.shards(),
+            self.index.dim()
+        );
+        match std::fs::read_to_string(&meta_path) {
+            Ok(existing) if existing == meta => {}
+            Ok(existing) => {
+                return Err(EngineError::InvalidInput(format!(
+                    "WAL dir {} has layout {:?}, this server needs {:?} — \
+                     shard count and dimension are part of the log contract",
+                    cfg.dir.display(),
+                    existing.trim(),
+                    meta.trim(),
+                )));
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                atomic_write(cfg.fs.as_ref(), &meta_path, meta.as_bytes())?;
+            }
+            Err(e) => return Err(EngineError::Io(e)),
+        }
+        let mut stats = WalRecoveryStats::default();
+        let mut shards = Vec::with_capacity(self.index.shards());
+        for s in 0..self.index.shards() {
+            let name = format!("shard{s}");
+            let (wal, recovery) = Wal::open(&cfg.dir, &name, cfg.durability, Arc::clone(&cfg.fs))?;
+            let shard = self.index.shard(s);
+            if let Some(ckpt) = recovery.checkpoint {
+                stats.checkpoint_rows += ckpt.entries.len();
+                shard.clear();
+                for e in ckpt.entries {
+                    if e.dirty {
+                        self.mark_dirty(e.id);
+                    }
+                    shard.upsert(e.id, e.vector);
+                }
+            }
+            stats.replayed_ops += recovery.ops.len();
+            stats.truncated_bytes += recovery.truncated_tail_bytes;
+            for op in &recovery.ops {
+                if let WalOp::Upsert { id, .. } = op {
+                    self.mark_dirty(*id);
+                }
+                apply_op(shard, op);
+            }
+            let gate = RwLock::new(());
+            shards.push(WalShard { wal, gate });
+        }
         self.wal = Some(DurableLog {
-            shards: wals
-                .into_iter()
-                .map(|wal| WalShard {
-                    wal,
-                    gate: RwLock::new(()),
-                })
-                .collect(),
-            checkpoint_bytes,
+            shards,
+            checkpoint_bytes: cfg.checkpoint_bytes,
         });
+        Ok(stats)
     }
 
     /// Whether a WAL is attached (writes are durable before they ack).
@@ -300,41 +420,6 @@ impl ShardRouter {
         shard.wal.checkpoint(self.index.dim(), &entries)
     }
 
-    /// Recovery step 1: resets shard `s` to a recovered checkpoint —
-    /// clears whatever the shard was seeded with (a checkpoint is the
-    /// *complete* live state, including seeded ids that survived) and
-    /// re-inserts every entry, restoring each entry's dirty bit so
-    /// wire-upserted ids stay excluded from exact-table rescoring across
-    /// the restart. Called before [`ShardRouter::attach_wal`].
-    pub fn reset_shard_from_checkpoint(&self, s: usize, entries: &[CheckpointEntry]) {
-        self.index.shard(s).clear();
-        for e in entries {
-            if e.dirty {
-                self.mark_dirty(e.id);
-            }
-            self.index.shard(s).upsert(e.id, e.vector.clone());
-        }
-    }
-
-    /// Recovery step 2: replays one recovered log record into shard `s`
-    /// (upserts mark the id dirty, exactly as the original wire write
-    /// did). Called after [`ShardRouter::reset_shard_from_checkpoint`],
-    /// before [`ShardRouter::attach_wal`].
-    pub fn replay_op(&self, s: usize, op: &WalOp) {
-        match op {
-            WalOp::Upsert { id, vector } => {
-                self.mark_dirty(*id);
-                self.index.shard(s).upsert(*id, vector.clone());
-            }
-            WalOp::Remove { id } => {
-                self.index.shard(s).remove(*id);
-            }
-            WalOp::Compact => {
-                self.index.compact_shard(s);
-            }
-        }
-    }
-
     /// A consistent-per-shard read view (see
     /// [`ShardedIndex::snapshot`]).
     pub fn snapshot(&self) -> ShardedSnapshot {
@@ -449,29 +534,19 @@ mod tests {
         }
     }
 
-    fn open_wals(dir: &std::path::Path, n: usize) -> Vec<(Wal, trajcl_index::WalRecovery)> {
-        (0..n)
-            .map(|s| {
-                Wal::open(
-                    dir,
-                    &format!("shard{s}"),
-                    trajcl_index::Durability::Fsync,
-                    Arc::new(trajcl_index::RealFs),
-                )
-                .expect("open wal")
-            })
-            .collect()
-    }
-
     #[test]
     fn durable_router_recovers_writes_dirty_bits_and_checkpoints() {
         let tmp = TempDir::new("roundtrip");
         let nshards = 2;
+        let cfg = |checkpoint_bytes| WalConfig {
+            checkpoint_bytes,
+            ..WalConfig::new(&tmp.0)
+        };
         // First life: durable writes, then drop (simulated restart).
         {
             let mut r = router(nshards);
-            let wals = open_wals(&tmp.0, nshards).into_iter().map(|(w, _)| w);
-            r.attach_wal(wals.collect(), 1 << 20);
+            let stats = r.recover(&cfg(1 << 20)).unwrap();
+            assert_eq!((stats.checkpoint_rows, stats.replayed_ops), (0, 0));
             assert!(r.is_durable());
             for id in 0..12u64 {
                 r.upsert(id, vec![id as f32, 1.0]).unwrap();
@@ -483,20 +558,13 @@ mod tests {
             r.upsert(20, vec![20.0, 1.0]).unwrap(); // lives only in the log
             assert!(r.wal_log_bytes() > 0);
         }
-        // Second life: recover from checkpoint + log tail.
-        let r2 = router(nshards);
-        let mut wals = Vec::new();
-        for (s, (wal, recovery)) in open_wals(&tmp.0, nshards).into_iter().enumerate() {
-            if let Some(ckpt) = &recovery.checkpoint {
-                r2.reset_shard_from_checkpoint(s, &ckpt.entries);
-            }
-            for op in &recovery.ops {
-                r2.replay_op(s, op);
-            }
-            wals.push(wal);
-        }
-        let mut r2 = r2;
-        r2.attach_wal(wals, 1 << 20);
+        // Second life: a router seeded with a row the checkpoint does not
+        // hold recovers to checkpoint + log tail, the seed row gone.
+        let mut r2 = router(nshards);
+        r2.index().upsert(77, vec![77.0, 1.0]);
+        let stats = r2.recover(&cfg(1 << 20)).unwrap();
+        assert_eq!((stats.checkpoint_rows, stats.replayed_ops), (11, 1));
+        assert_eq!(stats.truncated_bytes, 0);
         let mut ids = r2.snapshot().live_ids();
         ids.sort_unstable();
         let want: Vec<u64> = (0..12).filter(|&id| id != 3).chain([20]).collect();
@@ -506,17 +574,12 @@ mod tests {
         let table = Tensor::from_vec(vec![99.0, 99.0], Shape::d2(1, 2));
         let hits = r2.search(Some(&table), &[5.0, 1.0], 1, usize::MAX);
         assert_eq!(hits[0], (5, 0.0));
-        // A tiny threshold forces an auto-checkpoint on the next write.
-        let log_before = r2.wal_log_bytes();
-        assert!(log_before > 0);
-        let r3 = {
-            let mut r = r2;
-            // Re-attach with a 1-byte threshold (drop + reopen the wals).
-            drop(r.wal.take());
-            let wals = open_wals(&tmp.0, nshards).into_iter().map(|(w, _)| w);
-            r.attach_wal(wals.collect(), 1);
-            r
-        };
+        assert!(r2.wal_log_bytes() > 0);
+        drop(r2);
+        // Third life under a 1-byte threshold: the next write
+        // auto-checkpoints its shard.
+        let mut r3 = router(nshards);
+        r3.recover(&cfg(1)).unwrap();
         r3.upsert(40, vec![40.0, 1.0]).unwrap();
         let s40 = r3.index().shard_of(40);
         // Shard s40's log was checkpointed and truncated past threshold.
@@ -527,32 +590,49 @@ mod tests {
     }
 
     #[test]
+    fn recover_rejects_a_wal_dir_written_under_another_layout() {
+        let tmp = TempDir::new("layout");
+        let cfg = WalConfig::new(&tmp.0);
+        let mut first = router(2);
+        first.recover(&cfg).unwrap();
+        first.upsert(1, vec![1.0, 0.0]).unwrap();
+        drop(first);
+        // Another shard count, and another dimension, under the same dir.
+        let wrong_dim = ShardedIndex::with_options(3, Metric::L1, IndexOptions::default(), 2);
+        for mut wrong in [router(3), ShardRouter::new(wrong_dim, true)] {
+            let err = wrong.recover(&cfg).expect_err("layout mismatch");
+            assert!(matches!(err, EngineError::InvalidInput(_)), "{err}");
+            assert!(err.to_string().contains("shards 2 dim 2"), "{err}");
+            assert!(!wrong.is_durable(), "a refused router stays without a WAL");
+            assert_eq!(wrong.index().len(), 0, "and replayed nothing");
+        }
+        // The layout that wrote it still recovers its one record.
+        let mut again = router(2);
+        assert_eq!(again.recover(&cfg).unwrap().replayed_ops, 1);
+    }
+
+    #[test]
     fn durable_upsert_fails_before_touching_the_index() {
         let tmp = TempDir::new("failfast");
+        let cfg = |fs: Arc<dyn WalFs>| WalConfig {
+            fs,
+            ..WalConfig::new(&tmp.0)
+        };
         let mut r = router(1);
-        // A crash injector that dies on the very first filesystem op:
-        // the append fails, so the index must stay untouched.
-        let fs = Arc::new(trajcl_index::CrashPointFs::unlimited());
-        let (wal, _) = Wal::open(
-            &tmp.0,
-            "shard0",
-            trajcl_index::Durability::Fsync,
-            fs.clone(),
-        )
-        .expect("open wal");
-        r.attach_wal(vec![wal], 1 << 20);
+        r.recover(&cfg(Arc::new(trajcl_index::CrashPointFs::unlimited())))
+            .unwrap();
         r.upsert(1, vec![1.0, 0.0]).unwrap();
-        let dead = Arc::new(trajcl_index::CrashPointFs::new(0, false));
-        // Swap in a dead filesystem by reopening the WAL over it.
-        drop(r.wal.take());
-        // The injector may already kill the open itself — equally fine:
-        // no write path ever existed.
-        if let Ok((wal, _)) = Wal::open(&tmp.0, "shard0", trajcl_index::Durability::Fsync, dead) {
-            r.attach_wal(vec![wal], 1 << 20);
-            assert!(r.upsert(2, vec![2.0, 0.0]).is_err());
-            assert!(r.remove(1).is_err());
-            assert!(r.compact().is_err());
-        }
+        drop(r);
+        // Restart over a filesystem that dies on its very first
+        // operation: the appends fail, so the index must stay as
+        // recovered. (The log was clean, so recovery itself — reads only —
+        // never touches the dead seam.)
+        let mut r = router(1);
+        r.recover(&cfg(Arc::new(trajcl_index::CrashPointFs::new(0, false))))
+            .unwrap();
+        assert!(r.upsert(2, vec![2.0, 0.0]).is_err());
+        assert!(r.remove(1).is_err());
+        assert!(r.compact().is_err());
         assert_eq!(r.index().len(), 1, "failed writes must not apply");
     }
 }

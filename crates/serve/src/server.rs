@@ -3,98 +3,33 @@
 //! Request flow for an embedding-backed query:
 //!
 //! ```text
-//! caller ──► LRU cache ──miss──► micro-batcher ──► fused InferCtx forward
-//!    │           │ hit                                   (worker pool)
+//! caller ──► LRU cache ──miss──► micro-batcher ──► fused forward
+//!    │           │ hit            (worker pool)     (Engine::embed_all)
 //!    │           ▼
 //!    └──► MutableIndex snapshot ──► (id, distance) hits
 //! ```
 //!
 //! Everything is `&self`: the server is shared across any number of
-//! threads (the CLI's stdin dispatcher, the load generator's clients, the
-//! concurrency tests).
+//! threads (the CLI's stdin dispatcher, the listener's connection
+//! handlers, the concurrency tests).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::{validate_batch, Trajectory};
-use trajcl_index::{Durability, IndexOptions, Metric, RealFs, ShardedIndex, Wal, WalFs};
+use trajcl_index::{IndexOptions, Metric, ShardedIndex};
 
 use crate::batcher::{BatchPolicy, BatchStats, Batcher, EmbedJob};
 use crate::cache::{content_hash, LruCache};
 use crate::net::SessionOptions;
-use crate::router::ShardRouter;
-
-/// Durability configuration for [`ServeConfig::wal`]: where the
-/// per-shard write-ahead logs live and how they sync. See DESIGN.md §15
-/// for the on-disk format and the checkpoint/truncate protocol.
-#[derive(Clone)]
-pub struct WalConfig {
-    /// Directory holding the per-shard logs and checkpoints
-    /// (`shardN.log` / `shardN.ckpt`) plus the `wal.meta` layout guard.
-    /// Created if absent; a directory written under a different shard
-    /// count or dimensionality is rejected at startup (shard placement
-    /// is id-hash, so the logs only replay under the layout that wrote
-    /// them).
-    pub dir: PathBuf,
-    /// Sync policy. [`Durability::Fsync`] (the default) group-fsyncs
-    /// every record before the write acks — ack implies durable.
-    /// [`Durability::Buffered`] appends without syncing: writes survive
-    /// a process crash (the OS holds the pages) but not power loss.
-    /// [`Durability::Ephemeral`] here behaves like `Buffered` — callers
-    /// wanting no log at all leave [`ServeConfig::wal`] unset.
-    pub durability: Durability,
-    /// Per-shard log size that triggers an automatic checkpoint
-    /// (snapshot + log truncate, no index compaction). Default 64 MiB.
-    pub checkpoint_bytes: u64,
-    /// Filesystem seam the logs go through — [`RealFs`] in production,
-    /// a [`trajcl_index::CrashPointFs`] injector in durability tests.
-    pub fs: Arc<dyn WalFs>,
-}
-
-impl WalConfig {
-    /// A WAL under `dir`: full fsync durability, 64 MiB auto-checkpoint
-    /// threshold, the real filesystem.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        WalConfig {
-            dir: dir.into(),
-            durability: Durability::Fsync,
-            checkpoint_bytes: 64 << 20,
-            fs: Arc::new(RealFs),
-        }
-    }
-}
-
-impl std::fmt::Debug for WalConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalConfig")
-            .field("dir", &self.dir)
-            .field("durability", &self.durability)
-            .field("checkpoint_bytes", &self.checkpoint_bytes)
-            .finish_non_exhaustive()
-    }
-}
-
-/// What WAL recovery replayed while a [`Server`] started up (summed
-/// over shards) — surfaced so operators can log a recovery transcript.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WalRecoveryStats {
-    /// Rows restored from shard checkpoints.
-    pub checkpoint_rows: usize,
-    /// Log records replayed on top of the checkpoints.
-    pub replayed_ops: usize,
-    /// Torn trailing bytes discarded from the logs (a crash mid-append;
-    /// by the ack-implies-durable contract these were never
-    /// acknowledged).
-    pub truncated_bytes: u64,
-}
+use crate::router::{ShardRouter, WalConfig, WalRecoveryStats};
 
 /// Tuning knobs for [`Server::new`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Batcher worker threads (each owns an `InferCtx` from the pool).
+    /// Batcher worker threads (one fused forward in flight each).
     pub workers: usize,
     /// Maximum trajectories fused into one forward pass.
     pub max_batch: usize,
@@ -127,9 +62,8 @@ pub struct ServeConfig {
     /// unquantized indexes or engines without cached embeddings.
     pub rescore_sealed: bool,
     /// How many hash-on-id index shards to partition the served vectors
-    /// into; `None` inherits the engine's configuration
-    /// ([`trajcl_engine::Engine`] shards, 1 unless saved otherwise).
-    /// Each shard has its own write lock, snapshot and compaction; kNN
+    /// into; `None` means 1, the unsharded degenerate case. Each shard
+    /// has its own write lock, snapshot and compaction; kNN
     /// scatter-gathers across all of them (see DESIGN.md §13).
     pub shards: Option<usize>,
     /// Network sessions quiet for this long are reaped (socket shut
@@ -141,10 +75,11 @@ pub struct ServeConfig {
     /// draining its socket is dropped instead of wedging a handler
     /// thread. `None` disables it.
     pub session_write_timeout: Option<Duration>,
-    /// Write-ahead logging (`None` disables durability — the seed-era
-    /// behaviour). With a WAL, [`Server::new`] first *recovers*: each
-    /// shard reloads its last checkpoint (or the engine-seeded table on
-    /// first boot) and replays its log tail; afterwards every
+    /// Write-ahead logging (`None`: no log, writes live in memory
+    /// only). With a WAL, [`Server::new`] first *recovers*
+    /// ([`ShardRouter::recover`]): each shard reloads its last
+    /// checkpoint (or keeps the engine-seeded table on first boot) and
+    /// replays its log tail; afterwards every
     /// upsert/remove/compact is appended and made durable per
     /// [`WalConfig::durability`] **before** it is applied or
     /// acknowledged.
@@ -223,63 +158,6 @@ pub struct Server {
     wal_recovery: Option<WalRecoveryStats>,
 }
 
-/// Opens (or validates) the WAL directory, replays each shard's
-/// checkpoint + log tail into `router`, and attaches the logs — after
-/// this, the router's write path is durable. The `wal.meta` guard pins
-/// the directory to one `(shards, dim)` layout: id-hash placement means
-/// a log written under a different shard count would replay ids into
-/// the wrong shards.
-fn recover_wal(
-    router: &mut ShardRouter,
-    cfg: &WalConfig,
-    nshards: usize,
-    dim: usize,
-) -> Result<WalRecoveryStats, EngineError> {
-    std::fs::create_dir_all(&cfg.dir).map_err(EngineError::Io)?;
-    let meta_path = cfg.dir.join("wal.meta");
-    let meta = format!("trajcl-wal shards {nshards} dim {dim}\n");
-    match std::fs::read_to_string(&meta_path) {
-        Ok(existing) if existing == meta => {}
-        Ok(existing) => {
-            return Err(EngineError::InvalidInput(format!(
-                "WAL dir {} has layout {:?}, this server needs {:?} — \
-                 shard count and dimension are part of the log contract",
-                cfg.dir.display(),
-                existing.trim(),
-                meta.trim(),
-            )));
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            trajcl_index::atomic_write(cfg.fs.as_ref(), &meta_path, meta.as_bytes())
-                .map_err(EngineError::Io)?;
-        }
-        Err(e) => return Err(EngineError::Io(e)),
-    }
-    let mut stats = WalRecoveryStats::default();
-    let mut wals = Vec::with_capacity(nshards);
-    for s in 0..nshards {
-        let (wal, recovery) = Wal::open(
-            &cfg.dir,
-            &format!("shard{s}"),
-            cfg.durability,
-            Arc::clone(&cfg.fs),
-        )
-        .map_err(EngineError::Io)?;
-        if let Some(ckpt) = &recovery.checkpoint {
-            stats.checkpoint_rows += ckpt.entries.len();
-            router.reset_shard_from_checkpoint(s, &ckpt.entries);
-        }
-        stats.replayed_ops += recovery.ops.len();
-        stats.truncated_bytes += recovery.truncated_tail_bytes;
-        for op in &recovery.ops {
-            router.replay_op(s, op);
-        }
-        wals.push(wal);
-    }
-    router.attach_wal(wals, cfg.checkpoint_bytes);
-    Ok(stats)
-}
-
 /// The error a caller sees when the batcher hands back a different row
 /// count than the job submitted — a worker-side invariant break surfaced
 /// as a per-request failure instead of a served-thread panic.
@@ -306,7 +184,7 @@ impl Server {
             nlist: cfg.ivf_nlist.or(engine.index_options().nlist),
             ..*engine.index_options()
         };
-        let nshards = cfg.shards.unwrap_or(engine.shards()).max(1);
+        let nshards = cfg.shards.unwrap_or(1).max(1);
         let index = match engine.embeddings() {
             Some(table) => ShardedIndex::from_table_with(
                 (0..table.shape().rows() as u64).collect(),
@@ -319,7 +197,7 @@ impl Server {
         };
         let mut router = ShardRouter::new(index, cfg.rescore_sealed);
         let wal_recovery = match &cfg.wal {
-            Some(wal_cfg) => Some(recover_wal(&mut router, wal_cfg, nshards, dim)?),
+            Some(wal_cfg) => Some(router.recover(wal_cfg)?),
             None => None,
         };
         let batch_stats = Arc::new(BatchStats::default());
