@@ -5,7 +5,7 @@ use crate::dual_attention::DualMsmLayer;
 use crate::featurizer::BatchInputs;
 use rand::Rng;
 use trajcl_geo::SPATIAL_DIM;
-use trajcl_nn::attention::{sinusoidal_pe, TransformerEncoderLayer};
+use trajcl_nn::attention::{PeTable, TransformerEncoderLayer};
 use trajcl_nn::{Fwd, Linear, ParamStore};
 use trajcl_tensor::Exec;
 
@@ -47,6 +47,8 @@ pub struct DualStbEncoder {
     dual_layers: Vec<DualMsmLayer>,
     vanilla_layers: Vec<TransformerEncoderLayer>,
     dim: usize,
+    /// The positional table (Eq. 9), built once and added as a prefix.
+    pe: PeTable,
 }
 
 impl DualStbEncoder {
@@ -106,6 +108,7 @@ impl DualStbEncoder {
             dual_layers,
             vanilla_layers,
             dim,
+            pe: PeTable::new(dim),
         }
     }
 
@@ -128,7 +131,7 @@ impl DualStbEncoder {
     /// (average-pooled over valid positions) on executor `E`: a tape to
     /// train, an [`InferCtx`](trajcl_tensor::InferCtx) to serve.
     pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, batch: &BatchInputs) -> E::Act {
-        let pe = sinusoidal_pe(batch.seq_len(), self.dim);
+        let pe = self.pe.rows(batch.seq_len());
         let lens = &batch.lens;
         let t = f.exec.input(&batch.structural);
         let mut t = f.exec.add_positional(t, &pe);

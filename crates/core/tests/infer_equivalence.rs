@@ -1,7 +1,9 @@
 //! Executor equivalence: the one encoder `forward` must compute the same
 //! embeddings on the tape executor and on the serving executor for every
 //! encoder variant, and the `InferCtx` scratch arena must never leak state
-//! between batches.
+//! between batches. On the serving executor the agreement is exact: an
+//! embedding's bits depend neither on what the trajectory was batched
+//! with nor on the CPU dispatch level the kernels ran at.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,6 +12,7 @@ use std::sync::OnceLock;
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_nn::Fwd;
+use trajcl_tensor::cpu::select;
 use trajcl_tensor::{InferCtx, Shape, TapeExec, Tensor};
 
 const VARIANTS: [EncoderVariant; 3] = [
@@ -50,6 +53,54 @@ fn batch_of(lens: &[usize], y0: f64) -> Vec<Trajectory> {
         .enumerate()
         .map(|(i, &n)| traj(n, y0 + i as f64 * 70.0))
         .collect()
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn embedding_bits_do_not_depend_on_the_batch() {
+    // The property the ladder's byte-exact oracle relies on: a query
+    // embedded alone (how it is served) equals its row in a padded batch
+    // (how the oracle embeds its pool).
+    let trajs = batch_of(&[5, 13, 2, 9, 13, 7, 11], 90.0);
+    for (model, feat) in models() {
+        let mut ctx = InferCtx::new();
+        let batch = feat.featurize(&trajs).expect("featurize");
+        let together = model.infer_h(&mut ctx, &batch);
+        for (i, traj) in trajs.iter().enumerate() {
+            let solo = feat
+                .featurize(std::slice::from_ref(traj))
+                .expect("featurize");
+            let alone = model.infer_h(&mut ctx, &solo);
+            assert_eq!(
+                bits(alone.row(0)),
+                bits(together.row(i)),
+                "{}: trajectory {i} embeds differently alone and in a batch",
+                model.encoder.variant().name()
+            );
+        }
+    }
+}
+
+#[test]
+fn embedding_bits_do_not_depend_on_the_dispatch_level() {
+    // Both dispatch outcomes of this host in one process: the forced
+    // scalar level and whatever the CPU supports.
+    let trajs = batch_of(&[5, 13, 2, 9, 13, 7, 11], 240.0);
+    for (model, feat) in models() {
+        let batch = feat.featurize(&trajs).expect("featurize");
+        let scalar = model.infer_h(&mut InferCtx::with_level(select(true)), &batch);
+        let native = model.infer_h(&mut InferCtx::with_level(select(false)), &batch);
+        assert_eq!(
+            bits(scalar.data()),
+            bits(native.data()),
+            "{}: scalar and {:?} kernels disagree",
+            model.encoder.variant().name(),
+            select(false)
+        );
+    }
 }
 
 proptest! {

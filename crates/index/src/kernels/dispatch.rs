@@ -5,21 +5,19 @@
 //! the byte domain: sum of absolute (or squared) differences between two
 //! `u8` code rows, widened into integer accumulators. That shape maps
 //! onto dedicated x86 instructions — `vpsadbw` sums 32 absolute byte
-//! differences per instruction — so this module selects, **once per
-//! process**, the widest implementation the running CPU supports:
+//! differences per instruction — so this module runs the widest
+//! implementation the process-wide dispatch level allows:
 //!
-//! | level | selected when | SAD / SSD width |
-//! |---|---|---|
-//! | `Avx512` | `avx512bw` detected | 64 bytes per iteration |
-//! | `Avx2` | `avx2` detected | 32 bytes per iteration |
-//! | `Scalar` | fallback / forced | portable Rust, auto-vectorized |
+//! | level | SAD / SSD width |
+//! |---|---|
+//! | `Avx512` | 64 bytes per iteration |
+//! | `Avx2` | 32 bytes per iteration |
+//! | `Scalar` | portable Rust, auto-vectorized |
 //!
-//! Detection uses [`std::arch::is_x86_feature_detected!`]; on non-x86_64
-//! targets only the scalar path exists. Setting the environment variable
-//! `TRAJCL_FORCE_SCALAR` (to anything but `0` or the empty string) pins
-//! the scalar path regardless of CPU features — CI runs the test suite
-//! once natively and once forced, so both sides of every dispatch stay
-//! exercised.
+//! The level itself — feature detection, the `TRAJCL_FORCE_SCALAR`
+//! override, one decision per process — lives in [`trajcl_tensor::cpu`],
+//! shared with the encoder's f32 kernels, and is re-exported here so
+//! `kernels::dispatch::{level, select, description, …}` keep resolving.
 //!
 //! Every implementation returns **bit-identical integer results**: the
 //! sums are exact (no floating-point reassociation), so a search executed
@@ -34,73 +32,11 @@
 //! `d ≈ 2^24` — far above any embedding width this crate handles
 //! (debug-asserted at the entry points).
 
-use std::sync::OnceLock;
-
-/// Which kernel implementation the process dispatched to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchLevel {
-    /// Portable Rust (also the `TRAJCL_FORCE_SCALAR` path).
-    Scalar,
-    /// 256-bit `std::arch` intrinsics (`vpsadbw` / `vpmaddwd`).
-    Avx2,
-    /// 512-bit `std::arch` intrinsics (requires `avx512bw`).
-    Avx512,
-}
+pub use trajcl_tensor::cpu::{description, forced_scalar, level, select, DispatchLevel};
 
 /// Sum-of-absolute-differences / sum-of-squared-differences function
 /// over two equal-length byte slices.
 pub type ByteDistFn = fn(&[u8], &[u8]) -> u64;
-
-/// `TRAJCL_FORCE_SCALAR` is honoured when set to anything but `"0"` or
-/// the empty string.
-fn env_force_scalar() -> bool {
-    std::env::var_os("TRAJCL_FORCE_SCALAR")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-/// The dispatch decision for a given override state: widest detected
-/// feature set unless the scalar path is forced. Factored out of the
-/// cached [`level`] so tests can probe both outcomes in one process.
-pub fn select(force_scalar: bool) -> DispatchLevel {
-    if force_scalar {
-        return DispatchLevel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            return DispatchLevel::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return DispatchLevel::Avx2;
-        }
-    }
-    DispatchLevel::Scalar
-}
-
-/// The process-wide dispatch level (feature detection + the
-/// `TRAJCL_FORCE_SCALAR` override, evaluated once and cached).
-pub fn level() -> DispatchLevel {
-    static LEVEL: OnceLock<DispatchLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| select(env_force_scalar()))
-}
-
-/// True when `TRAJCL_FORCE_SCALAR` pinned the scalar path (recorded in
-/// bench reports so rows are comparable across boxes).
-pub fn forced_scalar() -> bool {
-    level() == DispatchLevel::Scalar && env_force_scalar()
-}
-
-/// Human-readable dispatch description for logs and bench JSON:
-/// `"avx512"`, `"avx2"`, `"scalar"` or `"scalar(forced)"`.
-pub fn description() -> &'static str {
-    match (level(), forced_scalar()) {
-        (_, true) => "scalar(forced)",
-        (DispatchLevel::Avx512, _) => "avx512",
-        (DispatchLevel::Avx2, _) => "avx2",
-        (DispatchLevel::Scalar, _) => "scalar",
-    }
-}
 
 /// The sum-of-absolute-differences kernel for the current dispatch level.
 /// Resolve once per scan, not per row.
@@ -416,20 +352,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn select_honours_force_scalar_for_both_outcomes() {
-        // `select(true)` is the TRAJCL_FORCE_SCALAR outcome; the forced
-        // path must be scalar on every box. `select(false)` is the
-        // native outcome — on x86_64 with SIMD it differs, elsewhere it
-        // is scalar too. Both are valid dispatch results by construction.
-        assert_eq!(select(true), DispatchLevel::Scalar);
-        let native = select(false);
-        #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(native, DispatchLevel::Scalar);
-        #[cfg(target_arch = "x86_64")]
-        let _ = native; // any level is legitimate, equivalence is tested above
-        assert!(!description().is_empty());
     }
 }

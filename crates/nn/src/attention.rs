@@ -11,6 +11,7 @@ use crate::modules::{Fwd, Mlp};
 use crate::store::{ParamId, ParamStore};
 use crate::{init, LayerNorm};
 use rand::Rng;
+use std::sync::{Arc, Mutex};
 use trajcl_tensor::{Exec, Shape, Tensor};
 
 /// Sinusoidal position table of shape `(l, d)` following Vaswani et al. /
@@ -25,6 +26,46 @@ pub fn sinusoidal_pe(l: usize, d: usize) -> Tensor {
         }
     }
     pe
+}
+
+/// A [`sinusoidal_pe`] table kept between forward passes. Row `i` of the
+/// table does not depend on how many rows there are, so one table built
+/// for the longest sequence seen so far serves every shorter batch as a
+/// prefix ([`Exec::add_positional`] adds the first `L` rows) — the
+/// `L·d` `powf` + `sin`/`cos` calls leave the per-request path.
+#[derive(Debug)]
+pub struct PeTable {
+    dim: usize,
+    table: Mutex<Arc<Tensor>>,
+}
+
+impl PeTable {
+    /// An empty table of width `dim`; rows are computed on first use.
+    pub fn new(dim: usize) -> Self {
+        PeTable {
+            dim,
+            table: Mutex::new(Arc::new(sinusoidal_pe(0, dim))),
+        }
+    }
+
+    /// A table with at least `l` rows (regrown, with headroom, only when
+    /// `l` exceeds every length seen before).
+    pub fn rows(&self, l: usize) -> Arc<Tensor> {
+        let mut table = self.table.lock().unwrap_or_else(|p| p.into_inner());
+        if table.shape()[0] < l {
+            *table = Arc::new(sinusoidal_pe(l.next_power_of_two(), self.dim));
+        }
+        Arc::clone(&table)
+    }
+}
+
+impl Clone for PeTable {
+    fn clone(&self) -> Self {
+        PeTable {
+            dim: self.dim,
+            table: Mutex::new(self.rows(0)),
+        }
+    }
 }
 
 /// Projects `(B, L, D)` through weight `w` and splits into
@@ -267,6 +308,19 @@ mod tests {
         assert!(pe.data().iter().all(|v| v.abs() <= 1.0 + 1e-6));
         // Different positions differ.
         assert!(pe.row(1) != pe.row(2));
+    }
+
+    #[test]
+    fn cached_pe_table_is_a_prefix_of_every_longer_one() {
+        let cache = PeTable::new(6);
+        let short = cache.rows(5);
+        assert!(short.shape()[0] >= 5);
+        assert_eq!(&short.data()[..5 * 6], sinusoidal_pe(5, 6).data());
+        // Growing keeps every earlier row, bit for bit; shrinking never happens.
+        let long = cache.rows(40);
+        assert_eq!(&long.data()[..40 * 6], sinusoidal_pe(40, 6).data());
+        assert!(Arc::ptr_eq(&long, &cache.rows(7)));
+        assert!(Arc::ptr_eq(&long, &cache.clone().rows(7)));
     }
 
     #[test]

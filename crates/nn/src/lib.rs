@@ -24,7 +24,8 @@ pub mod rnn;
 pub mod store;
 
 pub use attention::{
-    project_heads, sinusoidal_pe, MultiHeadSelfAttention, PostBlock, TransformerEncoderLayer,
+    project_heads, sinusoidal_pe, MultiHeadSelfAttention, PeTable, PostBlock,
+    TransformerEncoderLayer,
 };
 pub use modules::{Conv2d, Embedding, Fwd, LayerNorm, Linear, Mlp};
 pub use optim::{Adam, Sgd, StepDecay};

@@ -9,6 +9,13 @@
 //! tape-free forward ([`Engine::embed_all`], which workers call side by
 //! side), so concurrent callers share a forward instead of paying one
 //! each.
+//!
+//! A lone request has nobody to share with, and the queue would only
+//! charge it a channel hop and a worker wake-up. So a caller first asks
+//! `BatchStats::try_inline`: when nothing is queued and fewer than
+//! `workers` forwards are running it takes one of those forward slots
+//! and calls [`Engine::embed_all`] on its own thread; otherwise — a
+//! burst — it enqueues as above and fuses.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
@@ -36,18 +43,65 @@ pub(crate) struct BatchPolicy {
 /// Shared batching counters (exported through `Server::stats`).
 #[derive(Default)]
 pub(crate) struct BatchStats {
-    /// Fused forward passes run.
+    /// Forward passes run for cache misses, on a worker or on the caller.
     pub batches: AtomicU64,
     /// Jobs served across all batches.
     pub jobs: AtomicU64,
     /// Trajectories embedded across all batches.
     pub trajs: AtomicU64,
+    /// Forward passes running right now: every worker holds one slot
+    /// while it embeds, and so does every caller embedding inline.
+    in_flight: AtomicUsize,
     /// Jobs submitted but not yet claimed by a worker's batch. When this
     /// hits zero mid-collection there is no straggler to wait for — every
     /// client is blocked on a response — so the worker dispatches
     /// immediately instead of idling out `max_wait` (which would stall
     /// closed-loop callers for nothing).
     pub pending: AtomicUsize,
+}
+
+impl BatchStats {
+    /// Claims a forward slot for a caller that wants to embed `trajs`
+    /// trajectories on its own thread, counted as a batch of that size:
+    /// granted only when no submission is waiting to be fused with and
+    /// fewer than `workers` forwards are running — the load at which the
+    /// batcher would have run this job alone anyway. The slot is given
+    /// back when the returned guard drops.
+    pub fn try_inline(&self, workers: usize, trajs: usize) -> Option<ForwardSlot<'_>> {
+        if self.pending.load(Ordering::Acquire) != 0 {
+            return None;
+        }
+        // The counter publishes no data (every forward reads only the
+        // immutable engine), so Relaxed is enough for the claim itself.
+        let claim = |n| (n < workers).then_some(n + 1);
+        self.in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
+            .ok()?;
+        Some(self.count_forward(1, trajs))
+    }
+
+    /// A worker's slot for one fused forward over `jobs` jobs; workers
+    /// are `workers` many, so theirs is never refused.
+    fn begin_forward(&self, jobs: usize, trajs: usize) -> ForwardSlot<'_> {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.count_forward(jobs, trajs)
+    }
+
+    fn count_forward(&self, jobs: usize, trajs: usize) -> ForwardSlot<'_> {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.jobs.fetch_add(jobs as u64, Ordering::Relaxed);
+        self.trajs.fetch_add(trajs as u64, Ordering::Relaxed);
+        ForwardSlot(self)
+    }
+}
+
+/// One running forward pass, counted in [`BatchStats`] until dropped.
+pub(crate) struct ForwardSlot<'a>(&'a BatchStats);
+
+impl Drop for ForwardSlot<'_> {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Worker threads draining a shared receiver into fused forwards.
@@ -176,10 +230,10 @@ fn worker_loop(
         };
         let Some(jobs) = jobs else { return };
         let all: Vec<Trajectory> = jobs.iter().flat_map(|j| j.trajs.iter().cloned()).collect();
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.jobs.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        stats.trajs.fetch_add(all.len() as u64, Ordering::Relaxed);
-        match engine.embed_all(&all) {
+        let slot = stats.begin_forward(jobs.len(), all.len());
+        let embedded = engine.embed_all(&all);
+        drop(slot);
+        match embedded {
             Ok(emb) => {
                 let d = emb.shape().last();
                 let mut row = 0usize;

@@ -9,6 +9,10 @@
 //!    └──► MutableIndex snapshot ──► (id, distance) hits
 //! ```
 //!
+//! A miss that arrives alone — nothing queued, a forward slot free —
+//! skips the batcher and runs `Engine::embed_all` on the calling thread
+//! (see [`crate::batcher`]); bursts queue and fuse.
+//!
 //! Everything is `&self`: the server is shared across any number of
 //! threads (the CLI's stdin dispatcher, the listener's connection
 //! handlers, the concurrency tests).
@@ -110,11 +114,12 @@ pub struct ServerStats {
     /// Query and mutation requests answered (embed/knn/distance/upsert/
     /// remove/compact; `stats` reads themselves are not counted).
     pub requests: u64,
-    /// Fused forward passes run by the batcher.
+    /// Forward passes run for cache misses — fused by a batcher worker,
+    /// or run by the calling thread for a miss that arrived alone.
     pub batches: u64,
-    /// Embed jobs served through the batcher.
+    /// Embed jobs those forward passes served.
     pub batched_jobs: u64,
-    /// Trajectories embedded through the batcher.
+    /// Trajectories those forward passes embedded.
     pub batched_trajs: u64,
     /// Embedding-cache hits.
     pub cache_hits: u64,
@@ -148,6 +153,9 @@ pub struct Server {
     /// actually closes (the batcher's own sender is not the last one).
     tx: Mutex<Option<mpsc::SyncSender<EmbedJob>>>,
     cache: Option<Mutex<LruCache>>,
+    /// Batcher worker count: the cap on forwards in flight that the
+    /// inline path shares with the workers.
+    workers: usize,
     session: SessionOptions,
     nprobe: usize,
     batch_stats: Arc<BatchStats>,
@@ -201,9 +209,10 @@ impl Server {
             None => None,
         };
         let batch_stats = Arc::new(BatchStats::default());
+        let workers = cfg.workers.max(1);
         let batcher = Batcher::spawn(
             Arc::clone(&engine),
-            cfg.workers,
+            workers,
             cfg.queue_cap,
             BatchPolicy {
                 max_batch: cfg.max_batch.max(1),
@@ -219,6 +228,7 @@ impl Server {
             batcher: Mutex::new(Some(batcher)),
             tx: Mutex::new(Some(tx)),
             cache: (cfg.cache_cap > 0).then(|| Mutex::new(LruCache::new(cfg.cache_cap))),
+            workers,
             session: SessionOptions {
                 idle_timeout: cfg.idle_timeout,
                 write_timeout: cfg.session_write_timeout,
@@ -251,15 +261,21 @@ impl Server {
         self.session
     }
 
-    /// Embeds trajectories through the batcher, no cache consulted.
+    /// Embeds trajectories, no cache consulted: on this thread when the
+    /// request is alone, through the batcher when there is company.
     fn embed_uncached(&self, trajs: Vec<Trajectory>) -> Result<Vec<Vec<f32>>, EngineError> {
         validate_batch(&trajs)?;
-        let (resp, rx) = mpsc::sync_channel(1);
         let tx = {
             let guard = self.tx.lock().unwrap_or_else(|p| p.into_inner());
             guard.clone()
         };
         let tx = tx.ok_or_else(|| EngineError::InvalidInput("server is shutting down".into()))?;
+        if let Some(slot) = self.batch_stats.try_inline(self.workers, trajs.len()) {
+            let emb = self.engine.embed_all(&trajs)?;
+            drop(slot);
+            return Ok((0..trajs.len()).map(|i| emb.row(i).to_vec()).collect());
+        }
+        let (resp, rx) = mpsc::sync_channel(1);
         // Advertise the in-flight submission BEFORE the (possibly blocking)
         // send, so a collecting worker knows a straggler is coming.
         self.batch_stats.pending.fetch_add(1, Ordering::AcqRel);

@@ -477,6 +477,85 @@ fn concurrent_embeds_fuse_into_batches_and_stay_correct() {
 }
 
 #[test]
+fn a_lone_miss_is_one_forward_pass_with_the_engines_own_bits() {
+    // One caller at a time never has company to fuse with: every miss
+    // runs as a forward pass of its own (on the calling thread, though
+    // the counters cannot and need not tell), and what it returns is
+    // bit for bit the engine's embedding of that trajectory alone.
+    let engine = Arc::new(tiny_engine());
+    let config = ServeConfig {
+        workers: 2,
+        cache_cap: 0,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(Arc::clone(&engine), config).expect("server");
+    const N: u64 = 12;
+    for id in 0..N {
+        let traj = traj_for(id);
+        let served = server.embed(&traj).expect("embed");
+        let direct = engine
+            .embed_all(std::slice::from_ref(&traj))
+            .expect("embed");
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served), bits(direct.row(0)), "trajectory {id}");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.batches, N);
+    assert_eq!(stats.batched_jobs, N);
+    assert_eq!(stats.batched_trajs, N);
+    server.shutdown();
+}
+
+#[test]
+fn a_caller_racing_shutdown_gets_an_answer_or_an_error_never_a_hang() {
+    let engine = Arc::new(tiny_engine());
+    let config = ServeConfig {
+        workers: 2,
+        cache_cap: 0,
+        ..ServeConfig::default()
+    };
+    let server = Arc::new(Server::new(engine, config).expect("server"));
+    const CALLERS: usize = 4;
+    let answered = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handles: Vec<_> = (0..CALLERS)
+        .map(|t| {
+            let server = Arc::clone(&server);
+            let answered = Arc::clone(&answered);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                // Keep asking until shutdown turns the answers into
+                // errors; both the inline and the queued path are live
+                // while it lands (four callers, two forward slots).
+                for i in 0.. {
+                    match server.embed(&traj_for((t * 100 + i % 100) as u64)) {
+                        Ok(row) => {
+                            assert_eq!(row.len(), server.engine().backend().dim());
+                            answered.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(_) => break,
+                    }
+                }
+                done_tx.send(()).expect("report");
+            })
+        })
+        .collect();
+    // Shut down only once the callers are demonstrably mid-stream.
+    while answered.load(Ordering::Relaxed) < 4 * CALLERS {
+        std::thread::yield_now();
+    }
+    server.shutdown();
+    for _ in 0..CALLERS {
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a caller hung across shutdown");
+    }
+    for h in handles {
+        h.join().expect("caller thread");
+    }
+}
+
+#[test]
 fn snapshot_readers_never_observe_torn_state() {
     // Writer churns upserts/removes/compactions; readers grab snapshots
     // behind a start barrier and assert (a) internal consistency, (b)

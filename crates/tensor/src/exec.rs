@@ -51,8 +51,9 @@ pub trait Exec {
     /// `a + b` (same shapes).
     fn add(&mut self, a: Self::Act, b: &Self::Act) -> Self::Act;
 
-    /// Adds an `(L, D)` positional table to every batch of a `(B, L, D)`
-    /// activation.
+    /// Adds the first `L` rows of a `(≥ L, D)` positional table to every
+    /// batch of a `(B, L, D)` activation (row `i` of a sinusoidal table
+    /// does not depend on `L`, so one table serves every length).
     fn add_positional(&mut self, x: Self::Act, pe: &Tensor) -> Self::Act;
 
     /// Layer normalisation over the last dimension.
@@ -116,6 +117,19 @@ pub fn attention_mask_bias(lens: &[usize], l: usize, heads: usize) -> Tensor {
     mask
 }
 
+/// The first `l` rows of a `(≥ l, d)` positional table, flattened.
+///
+/// # Panics
+/// Panics when the table is narrower or shorter than the activation.
+pub(crate) fn pe_prefix(pe: &Tensor, l: usize, d: usize) -> &[f32] {
+    let ps = pe.shape();
+    assert!(
+        ps.rank() == 2 && ps[0] >= l && ps[1] == d,
+        "PE table {ps} does not cover ({l}, {d})"
+    );
+    &pe.data()[..l * d]
+}
+
 /// The training-side executor: a [`Tape`] it records on, the RNG and mode
 /// dropout needs, and the parameters already bound to that tape.
 pub struct TapeExec<'r> {
@@ -169,12 +183,8 @@ impl Exec for TapeExec<'_> {
     fn add_positional(&mut self, x: Var, pe: &Tensor) -> Var {
         let xs = self.tape.shape(x);
         assert_eq!(xs.rank(), 3, "positional encoding expects (B, L, D)");
-        assert_eq!(
-            pe.shape(),
-            Shape::d2(xs[1], xs[2]),
-            "PE table shape mismatch"
-        );
-        let tiled = Tensor::from_vec(pe.data().repeat(xs[0]), xs);
+        let table = pe_prefix(pe, xs[1], xs[2]);
+        let tiled = Tensor::from_vec(table.repeat(xs[0]), xs);
         let pe_var = self.tape.input(tiled);
         self.tape.add(x, pe_var)
     }

@@ -7,14 +7,15 @@
 //! scratch buffers (an arena of `Vec<f32>` keyed by power-of-two size
 //! class) whose ops write into recycled memory:
 //!
-//! * `linear` runs the blocked/tiled matmul with the bias added in the
-//!   same output pass;
-//! * `attention` computes `Q·Kᵀ → scale → mask → softmax → [+ γ·A] → ·V`
-//!   in one pass per (head, query) row, never materialising the `(B·H, L,
-//!   L)` coefficient tensor or an additive mask;
+//! * `linear` is one [`kernels::gemm`] with the bias added in the same
+//!   output pass;
+//! * `attention` is, per (batch, head): `gemm(Q, Kᵀ)` into an `L × len`
+//!   scratch block → scale + softmax over the `len` valid keys
+//!   `[+ γ·A]` → `gemm(P, V)` — the `(B·H, L, L)` coefficient tensor and
+//!   the additive mask never exist;
 //! * `attention_probs` serves callers that need the coefficients
-//!   themselves (TrajCL's DualMSM fusion), still fusing scale + mask +
-//!   softmax into the score pass;
+//!   themselves (TrajCL's DualMSM fusion): the same first two steps,
+//!   written straight into the output;
 //! * elementwise and normalisation ops overwrite their operand.
 //!
 //! Numerics match the tape executor operation-for-operation (the matmul,
@@ -22,13 +23,17 @@
 //! [`kernels`]), so the two executors agree to within float-associativity
 //! noise (≪ 1e-5); the padding mask is applied by *skipping* masked keys,
 //! which is exact because the tape's additive `-1e9` bias drives
-//! [`kernels::exp_fast`] to exactly `0.0`.
+//! [`kernels::exp_fast`] to exactly `0.0`. Padded *query* rows are still
+//! computed (their values feed nothing: pooling skips them), which keeps
+//! executor agreement a whole-tensor property.
 //!
-//! All allocation goes through the arena; [`Exec::release`] hands buffers
-//! back, so steady-state serving does no allocation at all. Kernels fully
+//! All allocation — outputs and per-op scratch alike — goes through the
+//! arena; [`Exec::release`] hands buffers back, so steady-state serving
+//! does no allocation at all (`tests/no_alloc.rs` counts). Kernels fully
 //! overwrite their outputs — recycled buffers never leak stale values
 //! into results.
 
+use crate::cpu::{self, DispatchLevel};
 use crate::exec::{Exec, Param};
 use crate::kernels;
 use crate::pool;
@@ -42,16 +47,34 @@ use crate::tensor::Tensor;
 /// Not `Sync`: one `InferCtx` per forward pass in flight, handed out by
 /// a [`CtxPool`] (kernels themselves fan out over the shared [`pool`]
 /// internally).
-#[derive(Default)]
 pub struct InferCtx {
     /// `classes[c]` holds free buffers of capacity ≈ `2^c`.
     classes: Vec<Vec<Vec<f32>>>,
+    /// Which compiled copy of the f32 kernels this context's ops run.
+    level: DispatchLevel,
+}
+
+impl Default for InferCtx {
+    fn default() -> Self {
+        Self::with_level(cpu::level())
+    }
 }
 
 impl InferCtx {
-    /// An empty context (buffers are grown on first use and reused after).
+    /// An empty context (buffers are grown on first use and reused after)
+    /// at the process-wide dispatch level.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty context whose kernels run at `level` instead of the
+    /// process-wide one — every level computes the same bits, which is
+    /// what the equivalence tests use this for.
+    pub fn with_level(level: DispatchLevel) -> Self {
+        InferCtx {
+            classes: Vec::new(),
+            level,
+        }
     }
 
     /// An arena-backed tensor with **unspecified contents** (possibly
@@ -98,7 +121,9 @@ impl Exec for InferCtx {
 
     fn linear(&mut self, x: &Tensor, w: Param, bias: Option<Param>) -> Tensor {
         let bias = bias.map(|b| b.value.data());
-        kernels::matmul_with(x, w.value, false, false, bias, |s| self.alloc(s))
+        kernels::matmul_at(self.level, x, w.value, false, false, bias, |s| {
+            self.alloc(s)
+        })
     }
 
     fn add(&mut self, mut a: Tensor, b: &Tensor) -> Tensor {
@@ -109,12 +134,8 @@ impl Exec for InferCtx {
     fn add_positional(&mut self, mut x: Tensor, pe: &Tensor) -> Tensor {
         let xs = x.shape();
         assert_eq!(xs.rank(), 3, "positional encoding expects (B, L, D)");
-        assert_eq!(
-            pe.shape(),
-            Shape::d2(xs[1], xs[2]),
-            "PE table shape mismatch"
-        );
-        kernels::add_bias_rows(x.data_mut(), pe.data());
+        let table = crate::exec::pe_prefix(pe, xs[1], xs[2]);
+        kernels::add_bias_rows(x.data_mut(), table);
         x
     }
 
@@ -156,38 +177,42 @@ impl Exec for InferCtx {
         out
     }
 
-    /// Scale, mask and softmax are fused into the score pass.
+    /// Scores land straight in the output; scale, mask and softmax run
+    /// over them in place.
     fn attention_probs(&mut self, q: &Tensor, k: &Tensor, lens: &[usize]) -> Tensor {
         let (bh, l, dh) = attn_dims(q, k, lens);
         let heads = bh / lens.len();
         let scale = 1.0 / (dh as f32).sqrt();
+        let level = self.level;
         let mut out = self.alloc(Shape::d3(bh, l, l));
+        let per = attn_blocks_per_lane(bh);
+        // One transposed-K slab per lane.
+        let mut scratch = self.alloc(Shape::d2(bh.div_ceil(per), l * dh));
         let (qd, kd) = (q.data(), k.data());
-        let per = pool::rows_per_lane(bh);
-        pool::par_chunks_mut(out.data_mut(), per * l * l, |c, chunk| {
-            // K is transposed once per (batch, head) so the score loop
-            // streams keys contiguously instead of issuing L short dots.
-            let mut kt = vec![0.0f32; l * dh];
+        let run = |c: usize, chunk: &mut [f32], kt: &mut [f32]| {
             for (b_off, block) in chunk.chunks_mut(l * l).enumerate() {
                 let bhi = c * per + b_off;
                 let len = lens[bhi / heads].min(l);
-                transpose_block(&kd[bhi * l * dh..(bhi + 1) * l * dh], dh, len, &mut kt);
-                for i in 0..l {
-                    let row = &mut block[i * l..(i + 1) * l];
-                    let q_row = &qd[(bhi * l + i) * dh..(bhi * l + i + 1) * dh];
-                    scores_into(q_row, &kt, len, scale, &mut row[..len]);
-                    kernels::softmax_inplace(&mut row[..len]);
+                let base = bhi * l * dh;
+                transpose_block(&kd[base..base + l * dh], dh, len, kt);
+                let q_blk = &qd[base..base + l * dh];
+                kernels::gemm(level, q_blk, dh, kt, len, block, l, l, dh, len, None);
+                kernels::softmax_rows_inplace(level, block, l, len, scale);
+                for row in block.chunks_mut(l) {
                     row[len..].fill(0.0);
                 }
             }
-        });
+        };
+        pool::par_zip_chunks_mut(out.data_mut(), per * l * l, scratch.data_mut(), l * dh, run);
+        self.recycle(scratch);
         out
     }
 
-    /// One pass per (head, query) row; neither the `(B·H, L, L)`
-    /// coefficients nor the blended `softmax + γ·A` rows are materialised.
+    /// Neither the `(B·H, L, L)` coefficients nor an additive mask are
+    /// materialised: each (batch, head) keeps its `L × len` block of
+    /// blended `softmax + γ·A` rows in scratch between the two products.
     /// Masked keys carry zero weight on both sides (`A`'s rows are already
-    /// zero there), so the blended row still skips them exactly.
+    /// zero there), so leaving them out of both products is exact.
     fn attention(
         &mut self,
         q: &Tensor,
@@ -204,44 +229,44 @@ impl Exec for InferCtx {
         });
         let heads = bh / lens.len();
         let scale = 1.0 / (dh as f32).sqrt();
+        let level = self.level;
         let mut out = self.alloc(q.shape());
+        let per = attn_blocks_per_lane(bh);
+        // Per lane: transposed K, then the score block — the only live
+        // state of the whole attention, reused across the lane's heads.
+        let mut scratch = self.alloc(Shape::d2(bh.div_ceil(per), l * dh + l * l));
         let (qd, kd, vd) = (q.data(), k.data(), v.data());
-        let per = pool::rows_per_lane(bh);
-        pool::par_chunks_mut(out.data_mut(), per * l * dh, |c, chunk| {
-            // Per-(batch, head) scratch: transposed K and V plus one score
-            // row — the only live state of the whole attention, reused
-            // across all L queries.
-            let mut kt = vec![0.0f32; l * dh];
-            let mut vt = vec![0.0f32; l * dh];
-            let mut scores = vec![0.0f32; l];
+        let run = |c: usize, chunk: &mut [f32], scratch: &mut [f32]| {
+            let (kt, scores) = scratch.split_at_mut(l * dh);
             for (b_off, block) in chunk.chunks_mut(l * dh).enumerate() {
                 let bhi = c * per + b_off;
                 let len = lens[bhi / heads].min(l);
                 let base = bhi * l * dh;
-                transpose_block(&kd[base..base + l * dh], dh, len, &mut kt);
-                transpose_block(&vd[base..base + l * dh], dh, len, &mut vt);
-                for i in 0..l {
-                    let q_row = &qd[base + i * dh..base + (i + 1) * dh];
-                    scores_into(q_row, &kt, len, scale, &mut scores[..len]);
-                    kernels::softmax_inplace(&mut scores[..len]);
-                    if let Some((ad, gamma)) = fuse {
-                        let a_row = &ad[(bhi * l + i) * l..(bhi * l + i) * l + len];
-                        for (s, &av) in scores[..len].iter_mut().zip(a_row) {
+                transpose_block(&kd[base..base + l * dh], dh, len, kt);
+                let q_blk = &qd[base..base + l * dh];
+                let scores = &mut scores[..l * len];
+                kernels::gemm(level, q_blk, dh, kt, len, scores, len, l, dh, len, None);
+                kernels::softmax_rows_inplace(level, scores, len, len, scale);
+                if let Some((ad, gamma)) = fuse {
+                    let a_blk = &ad[bhi * l * l..(bhi + 1) * l * l];
+                    for (row, a_row) in scores.chunks_mut(len).zip(a_blk.chunks(l)) {
+                        for (s, &av) in row.iter_mut().zip(a_row) {
                             *s += gamma * av;
                         }
                     }
-                    let out_row = &mut block[i * dh..(i + 1) * dh];
-                    for (d, o) in out_row.iter_mut().enumerate() {
-                        *o = kernels::dot(&scores[..len], &vt[d * len..(d + 1) * len]);
-                    }
                 }
+                let v_blk = &vd[base..base + l * dh];
+                kernels::gemm(level, scores, len, v_blk, dh, block, dh, l, len, dh, None);
             }
-        });
+        };
+        let slab = l * dh + l * l;
+        pool::par_zip_chunks_mut(out.data_mut(), per * l * dh, scratch.data_mut(), slab, run);
+        self.recycle(scratch);
         out
     }
 
     fn attend(&mut self, probs: &Tensor, v: &Tensor) -> Tensor {
-        kernels::matmul_with(probs, v, false, false, None, |s| self.alloc(s))
+        kernels::matmul_at(self.level, probs, v, false, false, None, |s| self.alloc(s))
     }
 
     fn concat(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
@@ -282,19 +307,11 @@ fn transpose_block(src: &[f32], dh: usize, len: usize, dst: &mut [f32]) {
     }
 }
 
-/// `out[j] = (q_row · K[j]) * scale` over the first `len` keys, streaming
-/// the transposed key block.
-fn scores_into(q_row: &[f32], kt: &[f32], len: usize, scale: f32, out: &mut [f32]) {
-    out.fill(0.0);
-    for (d, &qv) in q_row.iter().enumerate() {
-        let k_row = &kt[d * len..(d + 1) * len];
-        for (o, &kv) in out.iter_mut().zip(k_row) {
-            *o += qv * kv;
-        }
-    }
-    for o in out.iter_mut() {
-        *o *= scale;
-    }
+/// How many (batch, head) blocks each lane of an attention region takes:
+/// an even split across the pool, coarse enough for
+/// [`pool::par_zip_chunks_mut`].
+fn attn_blocks_per_lane(bh: usize) -> usize {
+    pool::rows_per_lane(bh).max(bh.div_ceil(pool::MAX_ZIP_CHUNKS))
 }
 
 /// A free list of [`InferCtx`]s: one warm context per *in-flight forward

@@ -3,6 +3,7 @@
 //! Everything here operates on plain slices; the tape layer handles shapes,
 //! broadcasting decisions and gradient bookkeeping.
 
+use crate::cpu::{self, DispatchLevel};
 use crate::pool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -115,8 +116,24 @@ pub fn matmul(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// in the same output pass, into a tensor from `alloc` — `Tensor::zeros`
 /// on the tape, the scratch arena when serving. Like every op taking an
 /// `alloc`, it overwrites the whole output, so a recycled buffer's stale
-/// contents never leak. The one forward matmul of both executors.
+/// contents never leak. The one forward matmul of both executors: the
+/// untransposed product (every `linear`, `probs·V`) runs on [`gemm`], the
+/// transposed ones exist for the tape alone.
 pub fn matmul_with(
+    a: &Tensor,
+    b: &Tensor,
+    ta: bool,
+    tb: bool,
+    bias: Option<&[f32]>,
+    alloc: impl FnOnce(Shape) -> Tensor,
+) -> Tensor {
+    matmul_at(cpu::level(), a, b, ta, tb, bias, alloc)
+}
+
+/// [`matmul_with`] at an explicit dispatch level instead of the
+/// process-wide one (an [`InferCtx`](crate::InferCtx) carries its own).
+pub fn matmul_at(
+    level: DispatchLevel,
     a: &Tensor,
     b: &Tensor,
     ta: bool,
@@ -127,72 +144,241 @@ pub fn matmul_with(
     let p = matmul_plan(a.shape(), b.shape(), ta, tb);
     let mut out = alloc(p.out);
     let (ad, bd) = (a.data(), b.data());
-    if !ta && !tb && p.b_stride == 0 {
-        // Shared right operand (weights): the batched product collapses
-        // to one (batch·m, k) x (k, n) multiply — run it tiled.
-        matmul2d_tiled(ad, bd, p.batch * p.m, p.k, p.n, bias, out.data_mut());
+    if ta || tb {
+        // Parallelise over all (batch, row) pairs: each output row is independent.
+        for_each_row(out.data_mut(), p.n, p.k * p.n, |r, out_row| {
+            let (bi, i) = (r / p.m, r % p.m);
+            let a_mat = &ad[bi * p.a_stride..bi * p.a_stride + p.m * p.k];
+            let b_mat = &bd[bi * p.b_stride..bi * p.b_stride + p.k * p.n];
+            out_row.fill(0.0);
+            matmul_row_into(a_mat, b_mat, i, p.m, p.k, p.n, ta, tb, out_row);
+            if let Some(bias) = bias {
+                add_bias_rows(out_row, bias);
+            }
+        });
         return out;
     }
-    // Parallelise over all (batch, row) pairs: each output row is independent.
-    for_each_row(out.data_mut(), p.n, p.k * p.n, |r, out_row| {
-        let (bi, i) = (r / p.m, r % p.m);
-        let a_mat = &ad[bi * p.a_stride..bi * p.a_stride + p.m * p.k];
-        let b_mat = &bd[bi * p.b_stride..bi * p.b_stride + p.k * p.n];
-        out_row.fill(0.0);
-        matmul_row_into(a_mat, b_mat, i, p.m, p.k, p.n, ta, tb, out_row);
-        if let Some(bias) = bias {
-            add_bias_rows(out_row, bias);
-        }
-    });
-    out
-}
-
-/// Row-block size of the tiled matmul (each streamed row of `b` is reused
-/// for this many output rows from L1).
-const MR: usize = 4;
-
-/// Tiled 2-D multiply `out = a·b (+ bias)`: rows of `a` are processed in
-/// blocks of [`MR`] so each streamed row of `b` is reused from cache, with
-/// per-element accumulation order identical to the row-wise kernel.
-fn matmul2d_tiled(
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let block = |row0: usize, chunk: &mut [f32]| {
-        for (blk, out_blk) in chunk.chunks_mut(MR * n).enumerate() {
-            let r0 = row0 + blk * MR;
-            let mr = out_blk.len() / n;
-            out_blk.fill(0.0);
-            for kk in 0..k {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for r in 0..mr {
-                    let av = a[(r0 + r) * k + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let o_row = &mut out_blk[r * n..(r + 1) * n];
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            if let Some(bias) = bias {
-                add_bias_rows(out_blk, bias);
-            }
+    // A shared right operand (weights) collapses the batch into one
+    // (batch·m, k) x (k, n) product.
+    let (m, k, n) = (if p.b_stride == 0 { p.batch * p.m } else { p.m }, p.k, p.n);
+    let rows = p.batch * p.m;
+    // Output rows `row0..` of the stacked product, one `gemm` per batch
+    // element the chunk touches.
+    let run = |row0: usize, chunk: &mut [f32]| {
+        let end = row0 + chunk.len() / n;
+        let mut r = row0;
+        while r < end {
+            let (bi, i) = (r / m, r % m);
+            let take = (m - i).min(end - r);
+            let a_blk = &ad[bi * p.a_stride + i * k..];
+            let c_blk = &mut chunk[(r - row0) * n..];
+            gemm(
+                level,
+                a_blk,
+                k,
+                &bd[bi * p.b_stride..],
+                n,
+                c_blk,
+                n,
+                take,
+                k,
+                n,
+                bias,
+            );
+            r += take;
         }
     };
     if pool::threads() <= 1 || rows * k * n < PAR_THRESHOLD {
-        block(0, out);
+        run(0, out.data_mut());
+    } else {
+        // Tile-aligned chunks keep every lane on full-height tiles.
+        let rows_per = pool::rows_per_lane(rows).next_multiple_of(TILE_ROWS);
+        pool::par_chunks_mut(out.data_mut(), rows_per * n, |c, chunk| {
+            run(c * rows_per, chunk)
+        });
+    }
+    out
+}
+
+/// Rows of one register-resident accumulator tile.
+const TILE_ROWS: usize = 4;
+
+/// `C = A·B (+ bias)` for row-major operands with leading dimensions:
+/// `a` is `m × k` (row stride `lda`), `b` is `k × n` (`ldb`), `c` is
+/// `m × n` (`ldc`), `bias` one value per output column. The one f32
+/// multiply kernel of the workspace — under every `linear` and both
+/// attention products, training and serving.
+///
+/// The output is walked in tiles of 4 rows by 16 (then 8)
+/// columns whose accumulators stay in registers across the whole `k`
+/// loop; a ragged right edge is a tile with its spare lanes fed zeros,
+/// leftover rows are one-row tiles. Whatever the tile, **each output
+/// element is the sum `((0 + a₀b₀) + a₁b₁) + …` in `kk` order, one
+/// rounded multiply and one rounded add per term, then `+ bias`** — so
+/// the result does not depend on the tile an element falls in, the rows
+/// it is batched with, or `level` (which only picks how wide the
+/// registers are; no level fuses the multiply-add).
+///
+/// # Panics
+/// Panics when a slice is too short for its `(rows, ld, cols)` or a
+/// leading dimension is smaller than the row it strides.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    level: DispatchLevel,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+) {
+    if m == 0 || n == 0 {
         return;
     }
-    // Chunk on MR-aligned row boundaries so blocks never straddle chunks.
-    let rows_per = pool::rows_per_lane(rows).next_multiple_of(MR);
-    pool::par_chunks_mut(out, rows_per * n, |c, chunk| block(c * rows_per, chunk));
+    assert!(lda >= k && ldb >= n && ldc >= n, "gemm leading dimension");
+    assert!(a.len() >= (m - 1) * lda + k, "gemm: a too short");
+    assert!(k == 0 || b.len() >= (k - 1) * ldb + n, "gemm: b too short");
+    assert!(c.len() >= (m - 1) * ldc + n, "gemm: c too short");
+    assert!(bias.is_none_or(|bias| bias.len() == n), "gemm: bias width");
+    if level.runs_avx2() {
+        // SAFETY: `runs_avx2` returned true, which includes
+        // `is_x86_feature_detected!("avx2")` on the running CPU.
+        unsafe { gemm_avx2(a, lda, b, ldb, c, ldc, m, k, n, bias) }
+    } else {
+        gemm_body(a, lda, b, ldb, c, ldc, m, k, n, bias)
+    }
+}
+
+/// [`gemm_body`] compiled with 256-bit registers available (off x86-64,
+/// where [`DispatchLevel::runs_avx2`] is never true, just the body).
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_avx2(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+) {
+    gemm_body(a, lda, b, ldb, c, ldc, m, k, n, bias);
+}
+
+/// The tile walk of [`gemm`], written once over lane arrays and compiled
+/// per dispatch level.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_body(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+) {
+    let mut i = 0;
+    while i < m {
+        let full = m - i >= TILE_ROWS;
+        let (a_rows, c_rows) = (&a[i * lda..], &mut c[i * ldc..]);
+        let mut j = 0;
+        while j < n {
+            let wide = n - j >= 16;
+            let cols = if wide { 16 } else { (n - j).min(8) };
+            match (full, wide) {
+                (true, true) => {
+                    gemm_tile::<TILE_ROWS, 16>(a_rows, lda, b, ldb, c_rows, ldc, k, j, cols, bias)
+                }
+                (true, false) => {
+                    gemm_tile::<TILE_ROWS, 8>(a_rows, lda, b, ldb, c_rows, ldc, k, j, cols, bias)
+                }
+                (false, true) => {
+                    gemm_tile::<1, 16>(a_rows, lda, b, ldb, c_rows, ldc, k, j, cols, bias)
+                }
+                (false, false) => {
+                    gemm_tile::<1, 8>(a_rows, lda, b, ldb, c_rows, ldc, k, j, cols, bias)
+                }
+            }
+            j += cols;
+        }
+        i += if full { TILE_ROWS } else { 1 };
+    }
+}
+
+/// One `kk` step of a tile: `acc[r] += a[r][kk] · bv`, lane by lane, the
+/// multiply and the add rounded separately.
+#[inline(always)]
+fn tile_step<const R: usize, const W: usize>(
+    acc: &mut [[f32; W]; R],
+    a_rows: &[&[f32]; R],
+    kk: usize,
+    bv: &[f32; W],
+) {
+    for r in 0..R {
+        let av = a_rows[r][kk];
+        for w in 0..W {
+            acc[r][w] += av * bv[w];
+        }
+    }
+}
+
+/// One `R × W` accumulator tile at column `j`: `c[r][j..j + cols] =
+/// Σ_kk a[r][kk]·b[kk][j..j + cols] (+ bias)` for `cols ≤ W` (spare lanes
+/// multiply zeros and are dropped).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    k: usize,
+    j: usize,
+    cols: usize,
+    bias: Option<&[f32]>,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
+    let mut acc = [[0.0f32; W]; R];
+    // Two loops, so the full-width one reads `b` in place.
+    if cols == W {
+        for kk in 0..k {
+            let b_row = &b[kk * ldb + j..kk * ldb + j + W];
+            tile_step(&mut acc, &a_rows, kk, b_row.try_into().expect("W lanes"));
+        }
+    } else {
+        for kk in 0..k {
+            let mut bv = [0.0f32; W];
+            bv[..cols].copy_from_slice(&b[kk * ldb + j..kk * ldb + j + cols]);
+            tile_step(&mut acc, &a_rows, kk, &bv);
+        }
+    }
+    for r in 0..R {
+        let out = &mut c[r * ldc + j..r * ldc + j + cols];
+        match bias {
+            Some(bias) => {
+                for ((o, &v), &bj) in out.iter_mut().zip(&acc[r]).zip(&bias[j..]) {
+                    *o = v + bj;
+                }
+            }
+            None => out.copy_from_slice(&acc[r][..cols]),
+        }
+    }
 }
 
 /// `x[r, :] += bias` for every `bias.len()`-wide row of `x` (a bias over
@@ -246,19 +432,7 @@ fn matmul_row_into(
 ) {
     debug_assert_eq!(out_row.len(), n);
     match (ta, tb) {
-        (false, false) => {
-            // Row of a is contiguous; iterate k outer for streaming access to b.
-            let a_row = &a[i * k..(i + 1) * k];
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
+        (false, false) => unreachable!("the untransposed product runs on gemm"),
         (false, true) => {
             // b_eff[kk, j] = b[j, kk]; rows of both operands are contiguous.
             let a_row = &a[i * k..(i + 1) * k];
@@ -338,91 +512,126 @@ const COL_TILE: usize = 256;
 /// attention-sized.
 pub fn softmax_rows(x: &[f32], row_len: usize, out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
+    out.copy_from_slice(x);
+    let level = cpu::level();
     let n_rows = x.len() / row_len.max(1);
     // ~4 flops per element (max, sub, exp≈amortised, scale).
     if pool::threads() <= 1 || n_rows <= 1 || x.len() * 4 < PAR_THRESHOLD {
-        for (xr, or) in x.chunks(row_len).zip(out.chunks_mut(row_len)) {
-            softmax_row(xr, or);
-        }
+        softmax_rows_inplace(level, out, row_len, row_len, 1.0);
         return;
     }
     let rows_per = pool::rows_per_lane(n_rows);
-    pool::par_chunks_mut(out, rows_per * row_len, |c, chunk| {
-        let start = c * rows_per * row_len;
-        let xs = &x[start..start + chunk.len()];
-        for (xr, or) in xs.chunks(row_len).zip(chunk.chunks_mut(row_len)) {
-            softmax_row(xr, or);
-        }
+    pool::par_chunks_mut(out, rows_per * row_len, |_, chunk| {
+        softmax_rows_inplace(level, chunk, row_len, row_len, 1.0);
     });
 }
 
-/// One softmax row into a separate output buffer (the tape-side wrapper
-/// around [`softmax_inplace`]).
-#[inline]
-pub(crate) fn softmax_row(xr: &[f32], or: &mut [f32]) {
-    or.copy_from_slice(xr);
-    softmax_inplace(or);
-}
-
-/// The one softmax implementation: max-shift, exp pass (vectorisable — no
-/// reduction in the loop), unrolled sum, normalise. Shared by the tape's
-/// [`softmax_rows`] and every fused kernel in [`crate::infer`] so the two
-/// paths can never drift numerically.
-#[inline]
-pub(crate) fn softmax_inplace(row: &mut [f32]) {
-    let max = max_unrolled(row);
-    if !max.is_finite() {
-        // Entire row masked out: define softmax as uniform to avoid NaNs.
-        let u = 1.0 / row.len() as f32;
-        row.fill(u);
-        return;
-    }
-    for v in row.iter_mut() {
-        *v = exp_fast(*v - max);
-    }
-    let inv = 1.0 / sum_unrolled(row);
-    for v in row.iter_mut() {
-        *v *= inv;
+/// The one softmax implementation: `row[..len] ← softmax(scale · row[..len])`
+/// for every `ld`-strided row of `x`, in place (entries past `len` are
+/// left alone). Shared by the tape's [`softmax_rows`] (`scale = 1`) and
+/// the attention of [`crate::infer`], so the two executors can never
+/// drift numerically; a row whose maximum is `-∞` (everything masked)
+/// becomes uniform instead of NaN.
+pub(crate) fn softmax_rows_inplace(
+    level: DispatchLevel,
+    x: &mut [f32],
+    ld: usize,
+    len: usize,
+    scale: f32,
+) {
+    debug_assert!(len <= ld);
+    if level.runs_avx2() {
+        // SAFETY: `runs_avx2` returned true, which includes
+        // `is_x86_feature_detected!("avx2")` on the running CPU.
+        unsafe { softmax_rows_avx2(x, ld, len, scale) }
+    } else {
+        softmax_rows_body(x, ld, len, scale)
     }
 }
 
-/// 4-lane unrolled sum (breaks the serial float-add dependency chain the
-/// same way [`dot`] does).
-#[inline]
-pub(crate) fn sum_unrolled(xs: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let chunks = xs.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] += xs[i];
-        acc[1] += xs[i + 1];
-        acc[2] += xs[i + 2];
-        acc[3] += xs[i + 3];
-    }
-    let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-    for &v in &xs[chunks * 4..] {
-        total += v;
-    }
-    total
+/// [`softmax_rows_body`] compiled with 256-bit registers available (see
+/// [`gemm_avx2`]).
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn softmax_rows_avx2(x: &mut [f32], ld: usize, len: usize, scale: f32) {
+    softmax_rows_body(x, ld, len, scale);
 }
 
-/// 4-lane unrolled max (float max is associative, so lanes are exact).
-#[inline]
-pub(crate) fn max_unrolled(xs: &[f32]) -> f32 {
-    let mut acc = [f32::NEG_INFINITY; 4];
-    let chunks = xs.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] = acc[0].max(xs[i]);
-        acc[1] = acc[1].max(xs[i + 1]);
-        acc[2] = acc[2].max(xs[i + 2]);
-        acc[3] = acc[3].max(xs[i + 3]);
+/// Lanes of the softmax body: one 256-bit register of f32 (two 128-bit
+/// ones at the baseline level — same lanes, same sums).
+const LANES: usize = 8;
+
+/// Max-shift, exp, sum and normalise over [`LANES`]-wide lane arrays,
+/// written once and compiled per dispatch level. Nothing here depends on
+/// the register width: the reductions keep one partial per lane and fold
+/// them in a fixed order, so every level returns the same bits.
+#[inline(always)]
+fn softmax_rows_body(x: &mut [f32], ld: usize, len: usize, scale: f32) {
+    // `a > b` selects instead of `f32::max`: one `maxps`, no NaN fix-up.
+    let max2 = |a: f32, b: f32| if a > b { a } else { b };
+    for row in x.chunks_mut(ld.max(1)) {
+        let row = &mut row[..len];
+        let mut max = [f32::NEG_INFINITY; LANES];
+        let mut chunks = row.chunks_exact_mut(LANES);
+        for chunk in chunks.by_ref() {
+            for (m, v) in max.iter_mut().zip(chunk) {
+                *v *= scale;
+                *m = max2(*v, *m);
+            }
+        }
+        for (m, v) in max.iter_mut().zip(chunks.into_remainder()) {
+            *v *= scale;
+            *m = max2(*v, *m);
+        }
+        let max = fold_lanes(max, max2);
+        if !max.is_finite() {
+            // Entire row masked out: define softmax as uniform to avoid NaNs.
+            row.fill(1.0 / len as f32);
+            continue;
+        }
+        let mut sum = [0.0f32; LANES];
+        let mut chunks = row.chunks_exact_mut(LANES);
+        for chunk in chunks.by_ref() {
+            for (s, v) in sum.iter_mut().zip(chunk) {
+                *v = exp_fast(*v - max);
+                *s += *v;
+            }
+        }
+        for (s, v) in sum.iter_mut().zip(chunks.into_remainder()) {
+            *v = exp_fast(*v - max);
+            *s += *v;
+        }
+        let inv = 1.0 / fold_lanes(sum, |a, b| a + b);
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
     }
-    let mut m = acc[0].max(acc[1]).max(acc[2]).max(acc[3]);
-    for &v in &xs[chunks * 4..] {
-        m = m.max(v);
+}
+
+/// Folds the lane partials pairwise, `((0,4),(2,6)) , ((1,5),(3,7))`.
+#[inline(always)]
+fn fold_lanes(v: [f32; LANES], f: impl Fn(f32, f32) -> f32) -> f32 {
+    let h4 = [f(v[0], v[4]), f(v[1], v[5]), f(v[2], v[6]), f(v[3], v[7])];
+    f(f(h4[0], h4[2]), f(h4[1], h4[3]))
+}
+
+/// `Σ f(x)` with one partial per lane, folded as [`fold_lanes`] does — a
+/// row-wide reduction without one serial chain of dependent adds.
+#[inline(always)]
+fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let mut sum = [0.0f32; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        for (s, &v) in sum.iter_mut().zip(chunk) {
+            *s += f(v);
+        }
     }
-    m
+    for (s, &v) in sum.iter_mut().zip(chunks.remainder()) {
+        *s += f(v);
+    }
+    fold_lanes(sum, |a, b| a + b)
 }
 
 /// Layer normalisation of every `g.len()`-wide row of `x`, in place:
@@ -437,8 +646,8 @@ pub fn layer_norm_rows(
 ) {
     let d = g.len();
     for (i, row) in x.chunks_mut(d).enumerate() {
-        let mu: f32 = row.iter().sum::<f32>() / d as f32;
-        let var: f32 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+        let mu = lane_sum(row, |v| v) / d as f32;
+        let var = lane_sum(row, |v| (v - mu) * (v - mu)) / d as f32;
         let rs = 1.0 / (var + eps).sqrt();
         stat(i, mu, rs);
         for (j, o) in row.iter_mut().enumerate() {
@@ -508,21 +717,26 @@ pub fn mean_pool_masked(x: &Tensor, lens: &[usize], alloc: impl FnOnce(Shape) ->
 
 /// Fast branchless `exp` (Cephes-style argument reduction + degree-6
 /// polynomial, ~2e-7 relative error). `libm`'s `expf` dominates softmax
-/// cost at attention sizes; this version auto-vectorises inside the row
-/// loops. Inputs are clamped to `[-88, 88]`; at the lower bound the
-/// exponent field is zero, so deeply negative (masked) scores come out as
-/// exactly `0.0` — a padded key gets no weight at all, never a subnormal.
+/// cost at attention sizes; this version vectorises inside the softmax
+/// lane loops. Inputs are clamped to `[-88, 88]`; at the lower bound the
+/// exponent field is zero, so deeply negative (masked) scores come out
+/// as exactly `0.0` — a padded key gets no weight at all, never a
+/// subnormal. NaN stays NaN.
 #[inline]
 pub fn exp_fast(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     const LN2_HI: f32 = 0.693_359_4;
     const LN2_LO: f32 = -2.121_944_4e-4;
-    let x = x.clamp(-88.0, 88.0);
+    // `max` then `min`, not `clamp` (which passes NaN through): both
+    // return the non-NaN operand, so `c` is a number in [-88, 88]
+    // whatever came in.
+    #[allow(clippy::manual_clamp)]
+    let c = x.max(-88.0).min(88.0);
     // Round-to-nearest-even via the 1.5·2²³ magic constant: plain add/sub,
     // so the loop vectorises on the baseline target (no SSE4.1 `roundps`).
     const MAGIC: f32 = 12_582_912.0;
-    let n = (x * LOG2E + MAGIC) - MAGIC;
-    let r = x - n * LN2_HI - n * LN2_LO;
+    let n = (c * LOG2E + MAGIC) - MAGIC;
+    let r = c - n * LN2_HI - n * LN2_LO;
     let mut p = 1.987_569_1e-4f32;
     p = p * r + 1.398_199_9e-3;
     p = p * r + 8.333_452e-3;
@@ -530,9 +744,19 @@ pub fn exp_fast(x: f32) -> f32 {
     p = p * r + 1.666_666_5e-1;
     p = p * r + 5.000_000_3e-1;
     let e = p * (r * r) + r + 1.0;
-    // Scale by 2^n through the exponent bits (n ∈ [-127, 127] after clamp;
-    // n = -127 is the all-zero pattern, i.e. a factor of exactly 0.0).
-    f32::from_bits(((n as i32 + 127) << 23) as u32) * e
+    // SAFETY: `c` was clamped to [-88, 88] above, so `n` is an integer
+    // with |n| ≤ 127 (88·log₂e ≈ 126.96) — finite and far inside `i32`.
+    // (The checked `as` cast saturates, which is what kept this loop
+    // scalar.)
+    let n: i32 = unsafe { n.to_int_unchecked() };
+    // Scale by 2^n through the exponent bits (n = -127 is the all-zero
+    // pattern, i.e. a factor of exactly 0.0).
+    let y = f32::from_bits(((n + 127) << 23) as u32) * e;
+    if x.is_nan() {
+        x
+    } else {
+        y
+    }
 }
 
 #[cfg(test)]
@@ -697,6 +921,123 @@ mod tests {
         assert!(out.iter().all(|&v| (v - 0.25).abs() < 1e-6));
     }
 
+    /// A cheap deterministic stream of values in `[-0.5, 0.5)`.
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+        }
+    }
+
+    /// Both dispatch outcomes of this host, in one process.
+    fn levels() -> [DispatchLevel; 2] {
+        [cpu::select(true), cpu::select(false)]
+    }
+
+    #[test]
+    fn gemm_equals_the_naive_triple_loop_exactly_at_both_levels() {
+        let small = (1..=20usize)
+            .flat_map(|m| (1..=20usize).flat_map(move |k| (1..=20usize).map(move |n| (m, k, n))));
+        let mut next = lcg(3);
+        for (m, k, n) in small.chain([(64, 32, 32), (96, 8, 96), (96, 96, 8)]) {
+            // Leading dimensions equal to, then larger than, the widths.
+            for pad in [0usize, 3] {
+                let (lda, ldb, ldc) = (k + pad, n + pad, n + 2 * pad);
+                let a: Vec<f32> = (0..m * lda).map(|_| next()).collect();
+                let b: Vec<f32> = (0..k * ldb).map(|_| next()).collect();
+                let bias: Vec<f32> = (0..n).map(|_| next()).collect();
+                for bias in [None, Some(&bias[..])] {
+                    let mut want = vec![f32::MAX; m * ldc];
+                    for i in 0..m {
+                        for j in 0..n {
+                            let mut acc = 0.0f32;
+                            for kk in 0..k {
+                                acc += a[i * lda + kk] * b[kk * ldb + j];
+                            }
+                            want[i * ldc + j] = acc + bias.map_or(0.0, |bias| bias[j]);
+                        }
+                    }
+                    for level in levels() {
+                        // Stale contents everywhere: the tile must
+                        // overwrite its columns and nothing past them.
+                        let mut got = vec![f32::MAX; m * ldc];
+                        gemm(level, &a, lda, &b, ldb, &mut got, ldc, m, k, n, bias);
+                        let same = got
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(
+                            same,
+                            "({m},{k},{n}) pad {pad} bias {} {level:?}",
+                            bias.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_rows_are_distributions_that_track_libm_at_both_levels() {
+        let mut next = lcg(5);
+        let scale = 0.35f32;
+        for len in [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
+            let ld = len + 2;
+            let x: Vec<f32> = (0..3 * ld).map(|_| next() * 24.0).collect();
+            let mut per_level = Vec::new();
+            for level in levels() {
+                let mut got = x.clone();
+                softmax_rows_inplace(level, &mut got, ld, len, scale);
+                for (row, src) in got.chunks(ld).zip(x.chunks(ld)) {
+                    assert_eq!(&row[len..], &src[len..], "entries past len are not ours");
+                    let sum: f64 = row[..len].iter().map(|&p| p as f64).sum();
+                    assert!((sum - 1.0).abs() < 1e-6, "len {len}: row sums to {sum}");
+                    // The reference sees the f32 arguments the kernel saw.
+                    let max = src[..len].iter().fold(f32::MIN, |m, &v| m.max(v * scale));
+                    let exps: Vec<f64> = src[..len]
+                        .iter()
+                        .map(|&v| ((v * scale - max) as f64).exp())
+                        .collect();
+                    let total: f64 = exps.iter().sum();
+                    for (&p, e) in row.iter().zip(&exps) {
+                        let want = e / total;
+                        assert!(
+                            (p as f64 - want).abs() <= 1e-6 * want,
+                            "len {len}: {p} vs {want}"
+                        );
+                    }
+                }
+                per_level.push(got);
+            }
+            let same = per_level[0]
+                .iter()
+                .zip(&per_level[1])
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "len {len}: dispatch levels disagree");
+        }
+    }
+
+    #[test]
+    fn softmax_gives_masked_entries_exactly_zero_and_accepts_width_zero() {
+        for level in levels() {
+            // The tape's additive mask: keys 3.. carry -1e9.
+            let mut row: Vec<f32> = (0..11)
+                .map(|j| if j < 3 { j as f32 } else { -1e9 })
+                .collect();
+            softmax_rows_inplace(level, &mut row, 11, 11, 1.0);
+            assert!(row[..3].iter().all(|&p| p > 0.0));
+            assert!(
+                row[3..].iter().all(|&p| p.to_bits() == 0),
+                "masked key got weight"
+            );
+            // Width zero: nothing to normalise, nothing touched.
+            let mut rows = vec![7.0f32; 6];
+            softmax_rows_inplace(level, &mut rows, 3, 0, 1.0);
+            assert_eq!(rows, vec![7.0; 6]);
+        }
+    }
+
     #[test]
     fn exp_fast_accurate_over_softmax_range() {
         // Softmax arguments are always <= 0; sweep a wide range anyway.
@@ -712,6 +1053,10 @@ mod tests {
         assert_eq!(exp_fast(-88.0), 0.0);
         assert!(exp_fast(-87.3) > 0.0);
         assert_eq!(exp_fast(0.0), 1.0);
+        // The clamp that bounds the unchecked cast holds for every input.
+        assert!(exp_fast(f32::NAN).is_nan());
+        assert_eq!(exp_fast(f32::NEG_INFINITY), 0.0);
+        assert!(exp_fast(f32::INFINITY).is_finite());
     }
 
     #[test]

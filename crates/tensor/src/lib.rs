@@ -17,6 +17,12 @@
 //!   [`pool`] (no runtime dependency, `TRAJCL_THREADS` override), which
 //!   is what lets the non-recurrent TrajCL encoder exploit hardware
 //!   parallelism the way the paper's GPU runs do.
+//! * The f32 hot loops ([`kernels::gemm`] under every linear layer and
+//!   both attention products, the softmax rows) are written once over
+//!   lane arrays and compiled for baseline x86-64 and for AVX2; [`cpu`]
+//!   holds the process-wide dispatch level that picks between them
+//!   (`TRAJCL_FORCE_SCALAR` override), and both copies return the same
+//!   bits.
 //! * [`Exec`] is the seam every layer is written against, once: the
 //!   [`TapeExec`] executor records the ops on a [`Tape`] for training,
 //!   [`InferCtx`] runs them gradient-free with fused attention and
@@ -37,6 +43,7 @@
 //! ```
 
 pub mod backward;
+pub mod cpu;
 pub mod exec;
 pub mod infer;
 pub mod kernels;

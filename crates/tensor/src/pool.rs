@@ -274,6 +274,44 @@ where
     });
 }
 
+/// Most chunk pairs one [`par_zip_chunks_mut`] region splits into.
+pub(crate) const MAX_ZIP_CHUNKS: usize = 64;
+
+/// [`par_chunks_mut`] over two buffers in lockstep: `f(i, a_i, b_i)` for
+/// the `i`-th `a_chunk`-long chunk of `a` and `b_chunk`-long chunk of `b`
+/// — an output split across lanes with one private scratch slab per
+/// lane. The pairs sit in a fixed array, so the region allocates nothing.
+///
+/// # Panics
+/// Panics when the buffers do not split into the same number of chunks,
+/// or into more than [`MAX_ZIP_CHUNKS`].
+pub(crate) fn par_zip_chunks_mut<T, F>(
+    a: &mut [T],
+    a_chunk: usize,
+    b: &mut [T],
+    b_chunk: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T], &mut [T]) + Sync,
+{
+    let n = a.len().div_ceil(a_chunk.max(1));
+    assert_eq!(n, b.len().div_ceil(b_chunk.max(1)), "zip chunk counts");
+    assert!(n <= MAX_ZIP_CHUNKS, "zip region of {n} chunks");
+    let mut pairs: [Option<(&mut [T], &mut [T])>; MAX_ZIP_CHUNKS] =
+        [const { None }; MAX_ZIP_CHUNKS];
+    let chunks = a
+        .chunks_mut(a_chunk.max(1))
+        .zip(b.chunks_mut(b_chunk.max(1)));
+    for (slot, pair) in pairs.iter_mut().zip(chunks) {
+        *slot = Some(pair);
+    }
+    par_chunks_mut(&mut pairs[..n], 1, |i, slot| {
+        let (a_i, b_i) = slot[0].take().expect("each pair is taken once");
+        f(i, a_i, b_i);
+    });
+}
+
 /// Number of rows each parallel chunk should carry so that `rows` rows
 /// split evenly across the pool (at least 1).
 pub fn rows_per_lane(rows: usize) -> usize {
@@ -292,6 +330,20 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn zip_chunks_pair_up_by_index() {
+        // Seven output chunks of 3 (the last short) beside seven slabs of 2.
+        let mut out = vec![0usize; 20];
+        let mut slabs = vec![0usize; 14];
+        par_zip_chunks_mut(&mut out, 3, &mut slabs, 2, |i, o, s| {
+            o.fill(i + 1);
+            s.fill(o.len());
+        });
+        let want: Vec<usize> = (0..20).map(|j| j / 3 + 1).collect();
+        assert_eq!(out, want);
+        assert_eq!(slabs, [3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2]);
     }
 
     #[test]
