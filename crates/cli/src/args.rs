@@ -139,15 +139,16 @@ USAGE:
                   [--rescore-factor N] [--json]
   trajcl query    --connect ADDR --db FILE --query IDX [--k N] [--json]
   trajcl upsert   --connect ADDR --input FILE [--start-id N] [--json]
-  trajcl approx   --model MODEL --input FILE --measure <hausdorff|frechet|edr|edwp|dtw> [--json]
+  trajcl approx   --model MODEL --input FILE --measure <hausdorff|frechet|edr|edwp|dtw>
+                  [--pairs N] [--epochs N] [--json]
   trajcl serve    --model MODEL --db FILE [--listen ADDR] [--shards N]
                   [--index NLIST] [--wal DIR]
                   [--quantize sq8|pq4[:M]|pq[:M]] [--scan symmetric|asym]
-                  [--rescore-factor N] [--workers N] [--max-batch N] [--max-wait-us N]
-                  [--cache N] [--queue N] [--idle-timeout-ms N]
+                  [--rescore-factor N] [--workers N] [--cache N]
+                  [--idle-timeout-ms N]
   trajcl serve    --fleet ADDR1,ADDR2,... [--listen ADDR] [--fail-closed]
                   [--op-deadline-ms N] [--retries N] [--probe-ms N]
-                  [--idle-timeout-ms N]
+                  [--workers N] [--idle-timeout-ms N]
   trajcl audit    [--lint] [--fuzz | --fuzz-quick] [--cases N]
                   [--root DIR] [--repro-dir DIR]
 
@@ -159,6 +160,7 @@ FILES:
 
 All commands run through the unified trajcl-engine API; `--json` emits one
 machine-readable JSON object per line instead of the human-readable report.
+A command rejects any option it does not list above.
 
 `--quantize sq8` stores indexed vectors as per-dimension int8 codes (4x
 smaller); `--quantize pq[:M]` as M-byte product-quantized codes (default
@@ -185,6 +187,10 @@ stdin closes. `--shards N` partitions the mutable index into N
 hash-on-id shards so writes on different shards never contend
 (default 1). Responses may arrive out of order; pass a numeric
 \"req\" field to match them up.
+`--workers N` caps the forward passes running at once (each cache miss
+runs its own on the connection's handler thread) and sizes each
+connection's handler pool; `--cache N` sets the embedding-cache entries
+(0 disables it).
 `--idle-timeout-ms N` reaps sessions quiet for N ms (0 disables).
 `--wal DIR` makes writes durable: every upsert/remove/compact is
 appended to a per-shard write-ahead log under DIR and fsync'd before it

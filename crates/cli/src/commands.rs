@@ -31,6 +31,7 @@ pub fn run(args: &Args, out: &mut (impl std::io::Write + Send)) -> i32 {
 fn execute(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), EngineError> {
     match args.command().map_err(EngineError::InvalidInput)? {
         ParsedCommand::Help => {
+            only(args, "help", &[])?;
             writeln!(out, "{USAGE}")?;
             Ok(())
         }
@@ -53,6 +54,11 @@ fn execute(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), En
 /// and `--cases N` overrides the depth explicitly. Reproducers for fuzz
 /// failures land in `--repro-dir` (default `target/audit-repros`).
 fn audit_cmd(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(
+        args,
+        "audit",
+        &["lint fuzz fuzz-quick cases root repro-dir"],
+    )?;
     let want_lint = args.flag("lint");
     let want_deep = args.flag("fuzz");
     let want_quick = args.flag("fuzz-quick");
@@ -133,6 +139,19 @@ fn num<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> Result<T, En
     args.num(key, default).map_err(invalid)
 }
 
+/// Rejects every option `command` does not read, so a typo (`--shard 4`)
+/// or a retired flag fails instead of being silently ignored. `known` is
+/// exactly what the command's code reads, as space-separated names.
+fn only(args: &Args, command: &str, known: &[&str]) -> Result<(), EngineError> {
+    let read = |k: &String| known.iter().flat_map(|g| g.split(' ')).any(|o| o == k);
+    match args.options.keys().find(|k| !read(k)) {
+        Some(k) => Err(invalid(format!(
+            "unknown option --{k} for {command} (see trajcl help)"
+        ))),
+        None => Ok(()),
+    }
+}
+
 fn parse_profile(name: &str) -> Result<DatasetProfile, EngineError> {
     match name.to_lowercase().as_str() {
         "porto" => Ok(DatasetProfile::Porto),
@@ -160,6 +179,7 @@ fn load_engine(path: &str) -> Result<Engine, EngineError> {
 }
 
 fn generate(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "generate", &["profile count seed out"])?;
     let profile = parse_profile(req(args, "profile")?)?;
     let count: usize = num(args, "count", 1000)?;
     let seed: u64 = num(args, "seed", 0)?;
@@ -176,6 +196,7 @@ fn generate(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineErro
 }
 
 fn stats(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "stats", &["input"])?;
     let trajs = load_trajectory_file(Path::new(req(args, "input")?))?;
     if trajs.is_empty() {
         return Err(EngineError::EmptyBatch);
@@ -211,6 +232,7 @@ fn dataset_from(trajs: Vec<Trajectory>) -> Dataset {
 }
 
 fn train_cmd(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "train", &["input out dim epochs batch seed"])?;
     let trajs = load_trajectory_file(Path::new(req(args, "input")?))?;
     if trajs.len() < 8 {
         return Err(EngineError::TooFewTrajectories {
@@ -253,6 +275,7 @@ fn train_cmd(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineErr
 }
 
 fn embed(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "embed", &["model input out"])?;
     let engine = load_engine(req(args, "model")?)?;
     let trajs = load_trajectory_file(Path::new(req(args, "input")?))?;
     let emb = engine.embed_all(&trajs)?;
@@ -285,6 +308,9 @@ fn json_approx_line(measure: &str, k: usize, hr: f64, queries: usize, database: 
         "{{\"measure\":\"{measure}\",\"k\":{k},\"hr\":{hr:.4},\"queries\":{queries},\"database\":{database}}}"
     )
 }
+
+/// The options [`index_flags`] reads.
+const INDEX_FLAGS: &str = "index quantize scan rescore-factor";
 
 /// The index description `query` and `serve` build with: `base` (the
 /// loaded engine's) overridden by `--index NLIST`, `--quantize` (`sq8` |
@@ -321,6 +347,7 @@ fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> 
     if args.options.contains_key("connect") {
         return query_remote(args, out);
     }
+    only(args, "query", &[INDEX_FLAGS, "model db query k json"])?;
     let engine = load_engine(req(args, "model")?)?;
     let opts = index_flags(args, *engine.index_options())?;
     let engine = engine.with_index_options(opts);
@@ -374,6 +401,7 @@ fn parse_response(reply: &str) -> Result<trajcl_serve::json::Json, EngineError> 
 /// over the wire protocol (`PROTOCOL.md`) — no local model needed; the
 /// `--db` file only supplies the query trajectory.
 fn query_remote(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "query --connect", &["connect db query k json"])?;
     let addr = req(args, "connect")?;
     let db = load_trajectory_file(Path::new(req(args, "db")?))?;
     let qi: usize = num(args, "query", 0)?;
@@ -444,6 +472,7 @@ fn query_remote(args: &Args, out: &mut impl std::io::Write) -> Result<(), Engine
 /// into a listening server as upsert frames with ids `--start-id..`,
 /// awaiting each ack (writes are acknowledged, never fire-and-forget).
 fn upsert_remote(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "upsert", &["connect input start-id json"])?;
     let addr = req(args, "connect")?;
     let trajs = load_trajectory_file(Path::new(req(args, "input")?))?;
     let start: u64 = num(args, "start-id", 0)?;
@@ -493,6 +522,8 @@ fn idle_timeout_opt(
 /// Builds the serving runtime `trajcl serve` runs from CLI options;
 /// returns it with the handler-thread count.
 fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
+    let serve_flags = "model db listen shards wal workers cache idle-timeout-ms";
+    only(args, "serve", &[INDEX_FLAGS, serve_flags])?;
     let engine = load_engine(req(args, "model")?)?;
     // The server only ever consults its own MutableIndex, so k-means must
     // train there and nowhere else: the engine carries the index
@@ -511,11 +542,7 @@ fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
         ..ServeConfig::default()
     };
     cfg.workers = num(args, "workers", cfg.workers)?;
-    cfg.max_batch = num(args, "max-batch", cfg.max_batch)?;
-    let max_wait_us = num(args, "max-wait-us", cfg.max_wait.as_micros() as u64)?;
-    cfg.max_wait = std::time::Duration::from_micros(max_wait_us);
     cfg.cache_cap = num(args, "cache", cfg.cache_cap)?;
-    cfg.queue_cap = num(args, "queue", cfg.queue_cap)?;
     if args.options.contains_key("shards") {
         cfg.shards = Some(num::<usize>(args, "shards", 1)?.max(1));
     }
@@ -561,6 +588,12 @@ fn serve(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), Engi
 /// degrading to `"partial":true` answers when shards are down (or
 /// erroring under `--fail-closed`). See DESIGN.md §14.
 fn serve_fleet(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), EngineError> {
+    let fleet_flags = "fleet listen fail-closed op-deadline-ms retries probe-ms";
+    only(
+        args,
+        "serve --fleet",
+        &[fleet_flags, "workers idle-timeout-ms"],
+    )?;
     let addrs: Vec<String> = req(args, "fleet")?
         .split(',')
         .map(|s| s.trim().to_string())
@@ -624,6 +657,7 @@ fn serve_frames<H: trajcl_serve::FrameHandler + 'static>(
 }
 
 fn approx(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
+    only(args, "approx", &["model input measure pairs epochs json"])?;
     let engine = load_engine(req(args, "model")?)?;
     let trajs = load_trajectory_file(Path::new(req(args, "input")?))?;
     if trajs.len() < 20 {
@@ -728,6 +762,38 @@ mod tests {
         let (code, out) = run_cmd("bogus --x 1");
         assert_eq!(code, 1);
         assert!(out.contains("unknown command"));
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_rejected() {
+        // A retired serving knob and a typo of `--epochs` fail before any
+        // file is opened, naming the option.
+        for (line, option, command) in [
+            (
+                "serve --model m.tcl --db d.traj --max-batch 64",
+                "--max-batch",
+                "serve",
+            ),
+            (
+                "train --input d.traj --out m.tcl --epoch 3",
+                "--epoch",
+                "train",
+            ),
+            (
+                "serve --fleet 127.0.0.1:1 --cache 8",
+                "--cache",
+                "serve --fleet",
+            ),
+        ] {
+            let (code, out) = run_cmd(line);
+            assert_eq!(code, 1, "{line}: {out}");
+            assert!(
+                out.contains(&format!(
+                    "unknown option {option} for {command} (see trajcl help)"
+                )),
+                "{line}: {out}"
+            );
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn variant_from(code: u32) -> Result<EncoderVariant, PersistError> {
         0 => Ok(EncoderVariant::Dual),
         1 => Ok(EncoderVariant::VanillaMsm),
         2 => Ok(EncoderVariant::Concat),
-        _ => Err(PersistError::Truncated),
+        _ => Err(PersistError::Invalid("encoder variant")),
     }
 }
 
@@ -386,7 +386,13 @@ mod tests {
         assert_rejects(&bytes, 12, (1u32 << 20).to_le_bytes()); // layers vs store
         assert_rejects(&bytes, 84, 0u32.to_le_bytes()); // cols = 0
         assert_rejects(&bytes, 84, u32::MAX.to_le_bytes()); // grid too big
-                                                            // A negative cell side would trip Grid::new's assert.
+        let mut corrupt = bytes.clone();
+        corrupt[56..60].copy_from_slice(&7u32.to_le_bytes()); // no such variant
+        assert_eq!(
+            load_model(&corrupt).err(),
+            Some(PersistError::Invalid("encoder variant"))
+        );
+        // A negative cell side would trip Grid::new's assert.
         let mut corrupt = bytes.clone();
         corrupt[76..84].copy_from_slice(&(-100.0f64).to_le_bytes());
         assert!(load_model(&corrupt).is_err());

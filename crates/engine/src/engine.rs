@@ -96,7 +96,7 @@ impl Engine {
 
     /// Embeds trajectories in chunks of the configured batch size,
     /// returning `(N, dim)`. Callable from any thread at once (the
-    /// serving layer's batcher workers do): see
+    /// serving layer's cache misses do, up to `workers` at a time): see
     /// [`SimilarityBackend::embed_batch`].
     pub fn embed_all(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;

@@ -7,8 +7,8 @@
 //! under the configured [`Durability`] policy: [`Durability::Fsync`]
 //! group-commits — the first writer to reach the fsync boundary syncs on
 //! behalf of every record appended so far, latecomers wait on a condvar —
-//! so a burst of concurrent writes (the micro-batcher's natural cadence)
-//! shares one `fsync` instead of paying one each.
+//! so a burst of concurrent writes (one per connection handler, all
+//! upserting at once) shares one `fsync` instead of paying one each.
 //!
 //! Recovery is *checkpoint + log tail*: [`Wal::open`] loads the last
 //! checkpoint (a full snapshot of the shard's live vectors, written with

@@ -1,6 +1,6 @@
 //! An LRU cache from trajectory content hashes to embeddings.
 //!
-//! Consulted *before* the micro-batcher: a hot query (same geometry, any
+//! Consulted *before* any forward pass: a hot query (same geometry, any
 //! caller) costs one hash + one map lookup instead of a model forward.
 //! The map is a classic O(1) LRU — a `HashMap` into a slab of
 //! doubly-linked nodes — so steady-state hits do no allocation.

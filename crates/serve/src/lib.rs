@@ -1,14 +1,12 @@
 //! # trajcl-serve
 //!
-//! A concurrent, micro-batching serving runtime over a
-//! [`trajcl_engine::Engine`] — the layer that turns the library into a
-//! server:
+//! A concurrent serving runtime over a [`trajcl_engine::Engine`] — the
+//! layer that turns the library into a server:
 //!
-//! * **dynamic micro-batcher** ([`batcher`]) — callers block on a bounded
-//!   MPSC queue; worker threads drain up to `max_batch` trajectories (or
-//!   wait at most `max_wait` for stragglers) and run ONE fused tape-free
-//!   forward per batch through [`trajcl_engine::Engine::embed_all`] — the
-//!   one embed path, which any number of workers may be inside at once;
+//! * **gated inline forwards** ([`server`]) — a cache miss runs its own
+//!   tape-free forward through [`trajcl_engine::Engine::embed_all`] on
+//!   the thread that asked, at most [`ServeConfig::workers`] of them at
+//!   once; no queue, no worker threads;
 //! * **sharded, snapshot-readable index** ([`router`], over
 //!   [`trajcl_index::ShardedIndex`]) — vectors partition across N
 //!   hash-on-id [`trajcl_index::MutableIndex`] shards, each with its own
@@ -17,8 +15,8 @@
 //!   merges exactly, so readers never block on writers and writers on
 //!   different shards never block each other;
 //! * **LRU embedding cache** ([`cache`]) — keyed by trajectory content
-//!   hash and consulted before the batcher, so hot queries skip the model
-//!   entirely;
+//!   hash and consulted before any forward pass, so hot queries skip the
+//!   model entirely;
 //! * **wire protocol** ([`proto`]) — length-prefixed JSON frames over any
 //!   byte stream (normative spec: `PROTOCOL.md` at the repo root);
 //! * **transport** ([`net`]) — a TCP / unix-socket listener and client
@@ -77,7 +75,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod cache;
 pub mod chaos;
 pub mod fleet;

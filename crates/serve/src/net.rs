@@ -7,7 +7,7 @@
 //!
 //! * [`pump_frames`] — the transport-agnostic session loop: reads
 //!   frames, fans them out to handler threads (so pipelined requests
-//!   micro-batch and complete out of order), writes responses as they
+//!   run side by side and complete out of order), writes responses as they
 //!   finish. The CLI's stdin/stdout mode is this function over standard
 //!   streams — the degenerate 1-connection transport.
 //! * [`NetServer`] / [`listen`] — a background acceptor over a TCP or
@@ -197,7 +197,7 @@ impl Write for Stream {
 
 /// Pumps protocol frames between `input` and `out` until end-of-stream
 /// or a framing error: requests are dispatched to `handlers` threads so
-/// independent queries micro-batch; responses are written as they finish
+/// independent queries run side by side; responses are written as they finish
 /// (out of order — the protocol's `req` echo matches them up, see
 /// `PROTOCOL.md`).
 ///

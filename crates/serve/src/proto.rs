@@ -31,11 +31,11 @@
 //! | `upsert`   | `id`, `traj`      | `replaced` (bool) |
 //! | `remove`   | `id`              | `removed` (bool) |
 //! | `compact`  | —                 | `sealed` (live vectors re-sealed) |
-//! | `stats`    | —                 | `size`, `buffer`, `generation`, `memory_bytes`, `shards`, `requests`, `batches`, `batched_jobs`, `cache_hits`, `cache_misses` |
+//! | `stats`    | —                 | `size`, `buffer`, `generation`, `memory_bytes`, `shards`, `requests`, `batches`, `cache_hits`, `cache_misses`, `wal_log_bytes` |
 //!
 //! `ping` is the health probe: constant cost, answered without touching
-//! the engine, the index, or any lock — a wedged compaction or a full
-//! batcher queue cannot delay it. Fleet front-ends probe downstream
+//! the engine, the index, or any lock — a wedged compaction or every
+//! forward permit taken cannot delay it. Fleet front-ends probe downstream
 //! shard health with it (DESIGN.md §14); load balancers can too.
 //!
 //! `knn` distances are exact f32 L1 for unquantized indexes and for
@@ -291,7 +291,7 @@ fn dispatch(server: &Server, obj: &Json) -> Result<String, String> {
         "stats" => {
             let s = server.stats();
             Ok(format!(
-                "\"size\":{},\"buffer\":{},\"generation\":{},\"memory_bytes\":{},\"shards\":{},\"requests\":{},\"batches\":{},\"batched_jobs\":{},\"cache_hits\":{},\"cache_misses\":{},\"wal_log_bytes\":{}",
+                "\"size\":{},\"buffer\":{},\"generation\":{},\"memory_bytes\":{},\"shards\":{},\"requests\":{},\"batches\":{},\"cache_hits\":{},\"cache_misses\":{},\"wal_log_bytes\":{}",
                 s.index_len,
                 s.buffer_len,
                 s.generation,
@@ -299,7 +299,6 @@ fn dispatch(server: &Server, obj: &Json) -> Result<String, String> {
                 s.shards,
                 s.requests,
                 s.batches,
-                s.batched_jobs,
                 s.cache_hits,
                 s.cache_misses,
                 s.wal_log_bytes,

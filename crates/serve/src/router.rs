@@ -7,7 +7,7 @@
 //! case) plus the copy-on-write set of ids whose vectors were upserted
 //! over the wire and therefore no longer match the engine's cached
 //! embedding table. [`Server`](crate::Server) delegates every index
-//! operation here; the batcher/cache half of serving stays in the
+//! operation here; the forward-gate/cache half of serving stays in the
 //! server. See `PROTOCOL.md` for how shard routing surfaces (spoiler:
 //! it doesn't — clients address ids, never shards) and DESIGN.md §13
 //! for the architecture.

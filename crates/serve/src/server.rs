@@ -3,29 +3,29 @@
 //! Request flow for an embedding-backed query:
 //!
 //! ```text
-//! caller ──► LRU cache ──miss──► micro-batcher ──► fused forward
-//!    │           │ hit            (worker pool)     (Engine::embed_all)
-//!    │           ▼
+//! caller ──► LRU cache ──miss──► forward gate ──► Engine::embed_all
+//!    │           │ hit            (`workers`       (on the calling
+//!    │           ▼                 permits)          thread)
 //!    └──► MutableIndex snapshot ──► (id, distance) hits
 //! ```
 //!
-//! A miss that arrives alone — nothing queued, a forward slot free —
-//! skips the batcher and runs `Engine::embed_all` on the calling thread
-//! (see [`crate::batcher`]); bursts queue and fuse.
+//! A cache miss runs its own forward pass on the thread that asked, once
+//! it holds one of `workers` permits; callers beyond that wait for a
+//! permit. Nothing is queued and no thread is spawned.
 //!
 //! Everything is `&self`: the server is shared across any number of
 //! threads (the CLI's stdin dispatcher, the listener's connection
 //! handlers, the concurrency tests).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_index::{IndexOptions, Metric, ShardedIndex};
+use trajcl_tensor::Tensor;
 
-use crate::batcher::{BatchPolicy, BatchStats, Batcher, EmbedJob};
 use crate::cache::{content_hash, LruCache};
 use crate::net::SessionOptions;
 use crate::router::{ShardRouter, WalConfig, WalRecoveryStats};
@@ -33,14 +33,9 @@ use crate::router::{ShardRouter, WalConfig, WalRecoveryStats};
 /// Tuning knobs for [`Server::new`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Batcher worker threads (one fused forward in flight each).
+    /// Forward passes that may run at once: each cache miss runs its own
+    /// on the calling thread, and misses beyond this many wait.
     pub workers: usize,
-    /// Maximum trajectories fused into one forward pass.
-    pub max_batch: usize,
-    /// How long a worker holds a non-full batch open for stragglers.
-    pub max_wait: Duration,
-    /// Bounded request-queue capacity (submitters block when full).
-    pub queue_cap: usize,
     /// LRU embedding-cache entries; `0` disables the cache.
     pub cache_cap: usize,
     /// IVF cells for the server's mutable index; `None` inherits the
@@ -94,9 +89,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
-            max_batch: 128,
-            max_wait: Duration::from_millis(2),
-            queue_cap: 1024,
             cache_cap: 4096,
             ivf_nlist: None,
             rescore_sealed: true,
@@ -114,11 +106,8 @@ pub struct ServerStats {
     /// Query and mutation requests answered (embed/knn/distance/upsert/
     /// remove/compact; `stats` reads themselves are not counted).
     pub requests: u64,
-    /// Forward passes run for cache misses — fused by a batcher worker,
-    /// or run by the calling thread for a miss that arrived alone.
+    /// Forward passes run for cache misses, one per request that missed.
     pub batches: u64,
-    /// Embed jobs those forward passes served.
-    pub batched_jobs: u64,
     /// Trajectories those forward passes embedded.
     pub batched_trajs: u64,
     /// Embedding-cache hits.
@@ -141,36 +130,69 @@ pub struct ServerStats {
     pub wal_log_bytes: u64,
 }
 
-/// The concurrent micro-batching query server (see module docs).
+/// The concurrent query server (see module docs).
 pub struct Server {
     engine: Arc<Engine>,
     /// Index reads/writes all go through the router: id-hash shard
     /// placement, scatter-gather kNN, and sealed-hit rescoring with
     /// dirty-id tracking live there.
     router: ShardRouter,
-    batcher: Mutex<Option<Batcher>>,
-    /// `None` after shutdown; dropped before joining workers so the queue
-    /// actually closes (the batcher's own sender is not the last one).
-    tx: Mutex<Option<mpsc::SyncSender<EmbedJob>>>,
     cache: Option<Mutex<LruCache>>,
-    /// Batcher worker count: the cap on forwards in flight that the
-    /// inline path shares with the workers.
-    workers: usize,
+    gate: ForwardGate,
     session: SessionOptions,
     nprobe: usize,
-    batch_stats: Arc<BatchStats>,
     requests: AtomicU64,
+    /// Forward passes run for cache misses ([`ServerStats::batches`]).
+    forwards: AtomicU64,
+    /// Trajectories they embedded ([`ServerStats::batched_trajs`]).
+    forward_trajs: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     /// What WAL recovery replayed at startup; `None` without a WAL.
     wal_recovery: Option<WalRecoveryStats>,
 }
 
-/// The error a caller sees when the batcher hands back a different row
-/// count than the job submitted — a worker-side invariant break surfaced
-/// as a per-request failure instead of a served-thread panic.
-fn row_count_mismatch() -> EngineError {
-    EngineError::InvalidInput("batcher returned a mismatched row count".into())
+/// At most `permits` forward passes at once: a miss takes a permit
+/// before it calls [`Engine::embed_all`] and waits while none is free.
+/// [`ForwardGate::close`] turns every waiter and every later caller away.
+struct ForwardGate {
+    permits: usize,
+    /// `(running, closed)`.
+    state: Mutex<(usize, bool)>,
+    freed: Condvar,
+}
+
+/// One running forward pass; dropping it (panics included) frees the
+/// permit.
+struct Permit<'a>(&'a ForwardGate);
+
+impl ForwardGate {
+    fn enter(&self) -> Result<Permit<'_>, EngineError> {
+        let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = self
+            .freed
+            .wait_while(state, |(running, closed)| {
+                !*closed && *running >= self.permits
+            })
+            .unwrap_or_else(|p| p.into_inner());
+        if state.1 {
+            return Err(EngineError::InvalidInput("server is shutting down".into()));
+        }
+        state.0 += 1;
+        Ok(Permit(self))
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(|p| p.into_inner()).1 = true;
+        self.freed.notify_all();
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap_or_else(|p| p.into_inner()).0 -= 1;
+        self.0.freed.notify_one();
+    }
 }
 
 impl Server {
@@ -208,34 +230,24 @@ impl Server {
             Some(wal_cfg) => Some(router.recover(wal_cfg)?),
             None => None,
         };
-        let batch_stats = Arc::new(BatchStats::default());
-        let workers = cfg.workers.max(1);
-        let batcher = Batcher::spawn(
-            Arc::clone(&engine),
-            workers,
-            cfg.queue_cap,
-            BatchPolicy {
-                max_batch: cfg.max_batch.max(1),
-                max_wait: cfg.max_wait,
-            },
-            Arc::clone(&batch_stats),
-        )?;
-        let tx = batcher.sender();
         let nprobe = engine.nprobe();
         Ok(Server {
             engine,
             router,
-            batcher: Mutex::new(Some(batcher)),
-            tx: Mutex::new(Some(tx)),
             cache: (cfg.cache_cap > 0).then(|| Mutex::new(LruCache::new(cfg.cache_cap))),
-            workers,
+            gate: ForwardGate {
+                permits: cfg.workers.max(1),
+                state: Mutex::new((0, false)),
+                freed: Condvar::new(),
+            },
             session: SessionOptions {
                 idle_timeout: cfg.idle_timeout,
                 write_timeout: cfg.session_write_timeout,
             },
             nprobe,
-            batch_stats,
             requests: AtomicU64::new(0),
+            forwards: AtomicU64::new(0),
+            forward_trajs: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             wal_recovery,
@@ -261,79 +273,67 @@ impl Server {
         self.session
     }
 
-    /// Embeds trajectories, no cache consulted: on this thread when the
-    /// request is alone, through the batcher when there is company.
-    fn embed_uncached(&self, trajs: Vec<Trajectory>) -> Result<Vec<Vec<f32>>, EngineError> {
-        validate_batch(&trajs)?;
-        let tx = {
-            let guard = self.tx.lock().unwrap_or_else(|p| p.into_inner());
-            guard.clone()
-        };
-        let tx = tx.ok_or_else(|| EngineError::InvalidInput("server is shutting down".into()))?;
-        if let Some(slot) = self.batch_stats.try_inline(self.workers, trajs.len()) {
-            let emb = self.engine.embed_all(&trajs)?;
-            drop(slot);
-            return Ok((0..trajs.len()).map(|i| emb.row(i).to_vec()).collect());
-        }
-        let (resp, rx) = mpsc::sync_channel(1);
-        // Advertise the in-flight submission BEFORE the (possibly blocking)
-        // send, so a collecting worker knows a straggler is coming.
-        self.batch_stats.pending.fetch_add(1, Ordering::AcqRel);
-        tx.send(EmbedJob { trajs, resp }).map_err(|_| {
-            self.batch_stats.pending.fetch_sub(1, Ordering::AcqRel);
-            EngineError::InvalidInput("server is shutting down".into())
-        })?;
-        rx.recv()
-            .map_err(|_| EngineError::InvalidInput("serve worker dropped the response".into()))?
+    /// Embeds trajectories, no cache consulted: one forward pass on this
+    /// thread, once a forward permit is free.
+    fn embed_uncached(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
+        // Checked before the gate: bad input neither waits for a permit
+        // nor counts as a forward pass.
+        validate_batch(trajs)?;
+        let _permit = self.gate.enter()?;
+        self.forwards.fetch_add(1, Ordering::Relaxed);
+        self.forward_trajs
+            .fetch_add(trajs.len() as u64, Ordering::Relaxed);
+        self.engine.embed_all(trajs)
     }
 
-    /// Embeds one trajectory: LRU cache first, micro-batcher on a miss.
+    /// Embeds one trajectory: LRU cache first, a forward pass on a miss.
     pub fn embed(&self, traj: &Trajectory) -> Result<Vec<f32>, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.embed_inner(traj)
     }
 
     fn embed_inner(&self, traj: &Trajectory) -> Result<Vec<f32>, EngineError> {
-        let mut rows = self.embed_many(std::slice::from_ref(traj))?;
-        rows.pop().ok_or_else(row_count_mismatch)
+        Ok(self.embed_many(std::slice::from_ref(traj))?.swap_remove(0))
     }
 
-    /// Embeds several trajectories: the cache is consulted per trajectory
-    /// and ALL misses go to the batcher as one job (one queue round-trip,
-    /// one straggler window — `distance` pays this once, not twice).
+    /// Embeds several trajectories, one row each: the cache is consulted
+    /// per trajectory and ALL misses share one forward pass (`distance`
+    /// pays for one, not two).
     fn embed_many(&self, trajs: &[Trajectory]) -> Result<Vec<Vec<f32>>, EngineError> {
         let keys: Vec<u64> = trajs.iter().map(content_hash).collect();
-        let mut rows: Vec<Option<Vec<f32>>> = vec![None; trajs.len()];
-        if let Some(cache) = &self.cache {
-            let mut cache = cache.lock().unwrap_or_else(|p| p.into_inner());
-            for ((row, traj), &key) in rows.iter_mut().zip(trajs).zip(&keys) {
-                if let Some(hit) = cache.get(key, traj) {
-                    *row = Some(hit.to_vec());
+        let mut rows = vec![Vec::new(); trajs.len()];
+        let mut missing = Vec::new();
+        {
+            let mut cache = self
+                .cache
+                .as_ref()
+                .map(|c| c.lock().unwrap_or_else(|p| p.into_inner()));
+            for (i, traj) in trajs.iter().enumerate() {
+                match cache.as_mut().and_then(|c| c.get(keys[i], traj)) {
+                    Some(hit) => rows[i] = hit.to_vec(),
+                    None => missing.push(i),
                 }
             }
         }
-        let missing: Vec<usize> = (0..trajs.len()).filter(|&i| rows[i].is_none()).collect();
         self.cache_hits
             .fetch_add((trajs.len() - missing.len()) as u64, Ordering::Relaxed);
         self.cache_misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
         if !missing.is_empty() {
             let submit: Vec<Trajectory> = missing.iter().map(|&i| trajs[i].clone()).collect();
-            let fresh = self.embed_uncached(submit)?;
+            let fresh = self.embed_uncached(&submit)?;
             let mut cache = self
                 .cache
                 .as_ref()
                 .map(|c| c.lock().unwrap_or_else(|p| p.into_inner()));
-            for (&i, row) in missing.iter().zip(fresh) {
+            for (r, &i) in missing.iter().enumerate() {
+                rows[i] = fresh.row(r).to_vec();
                 if let Some(cache) = cache.as_mut() {
-                    cache.put(keys[i], trajs[i].clone(), row.clone());
+                    cache.put(keys[i], trajs[i].clone(), rows[i].clone());
                 }
-                rows[i] = Some(row);
             }
         }
-        rows.into_iter()
-            .map(|r| r.ok_or_else(row_count_mismatch))
-            .collect()
+        Ok(rows)
     }
 
     /// k nearest indexed trajectories to `query`: `(id, distance)`
@@ -350,15 +350,15 @@ impl Server {
     }
 
     /// L1 distance between two trajectories in embedding space (both
-    /// trajectories share one cache pass and one batcher submission).
+    /// trajectories share one cache pass and one forward pass).
     pub fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let mut rows = self.embed_many(&[a.clone(), b.clone()])?;
-        let (ea, eb) = match (rows.pop(), rows.pop()) {
-            (Some(eb), Some(ea)) => (ea, eb),
-            _ => return Err(row_count_mismatch()),
-        };
-        Ok(ea.iter().zip(&eb).map(|(x, y)| (x - y).abs() as f64).sum())
+        let rows = self.embed_many(&[a.clone(), b.clone()])?;
+        Ok(rows[0]
+            .iter()
+            .zip(&rows[1])
+            .map(|(x, y)| (x - y).abs() as f64)
+            .sum())
     }
 
     /// Inserts or replaces trajectory `id` in the served index (embedding
@@ -411,9 +411,8 @@ impl Server {
         let snap = self.router.snapshot();
         ServerStats {
             requests: self.requests.load(Ordering::Relaxed),
-            batches: self.batch_stats.batches.load(Ordering::Relaxed),
-            batched_jobs: self.batch_stats.jobs.load(Ordering::Relaxed),
-            batched_trajs: self.batch_stats.trajs.load(Ordering::Relaxed),
+            batches: self.forwards.load(Ordering::Relaxed),
+            batched_trajs: self.forward_trajs.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             index_len: snap.len(),
@@ -425,23 +424,10 @@ impl Server {
         }
     }
 
-    /// Stops the batcher workers (served requests drain first). Called by
-    /// `Drop`; explicit for tests and the CLI's clean-exit path.
+    /// Closes the forward gate: misses waiting for a permit, and every
+    /// later miss, fail with `server is shutting down`; forwards already
+    /// running finish. Cache hits and index operations still answer.
     pub fn shutdown(&self) {
-        // Drop our sender first: workers exit once every sender is gone.
-        drop(self.tx.lock().unwrap_or_else(|p| p.into_inner()).take());
-        let batcher = {
-            let mut guard = self.batcher.lock().unwrap_or_else(|p| p.into_inner());
-            guard.take()
-        };
-        if let Some(batcher) = batcher {
-            batcher.shutdown();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.gate.close();
     }
 }

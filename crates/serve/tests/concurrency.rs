@@ -3,18 +3,30 @@
 //! barrier-based snapshot-consistency (no torn reads).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
-use trajcl_engine::Engine;
+use trajcl_engine::{Engine, EngineError, SimilarityBackend, TrajClBackend};
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_index::{IndexOptions, Metric, MutableIndex, Quantization};
 use trajcl_serve::{ServeConfig, Server};
 use trajcl_tensor::{Shape, Tensor};
+
+/// The model and featurizer of [`tiny_engine`].
+fn tiny_parts() -> (TrajClModel, Featurizer) {
+    let mut rng = StdRng::seed_from_u64(0);
+    let cfg = TrajClConfig::test_default();
+    let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
+    let grid = Grid::new(region, 100.0);
+    let table = Tensor::randn(Shape::d2(grid.num_cells(), cfg.dim), 0.0, 0.5, &mut rng);
+    let feat = Featurizer::new(grid, table, SpatialNorm::new(region, 100.0), cfg.max_len);
+    let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
+    (model, feat)
+}
 
 /// A tiny deterministic TrajCL engine (no pre-loaded database).
 fn tiny_engine() -> Engine {
@@ -24,13 +36,7 @@ fn tiny_engine() -> Engine {
 /// [`tiny_engine`] whose index description — which the server takes
 /// whole — stores sealed rows under `quantization`.
 fn tiny_engine_storing(quantization: Quantization) -> Engine {
-    let mut rng = StdRng::seed_from_u64(0);
-    let cfg = TrajClConfig::test_default();
-    let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
-    let grid = Grid::new(region, 100.0);
-    let table = Tensor::randn(Shape::d2(grid.num_cells(), cfg.dim), 0.0, 0.5, &mut rng);
-    let feat = Featurizer::new(grid, table, SpatialNorm::new(region, 100.0), cfg.max_len);
-    let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
+    let (model, feat) = tiny_parts();
     Engine::builder()
         .trajcl(model, feat)
         .index_options(IndexOptions {
@@ -418,18 +424,56 @@ fn sealed_rescoring_serves_exact_distances_for_clean_ids() {
     }
 }
 
+/// The TrajCL backend, recording the most `embed_batch` calls that ever
+/// ran at once; each call is held ~1 ms so that callers let through
+/// together really overlap.
+struct PeakCounting {
+    inner: TrajClBackend,
+    running: AtomicUsize,
+    peak: Arc<AtomicUsize>,
+}
+
+impl SimilarityBackend for PeakCounting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
+        let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let out = self.inner.embed_batch(trajs);
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        out
+    }
+    fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
+        self.inner.distance(a, b)
+    }
+}
+
 #[test]
-fn concurrent_embeds_fuse_into_batches_and_stay_correct() {
-    let engine = Arc::new(tiny_engine());
+fn a_burst_never_runs_more_than_workers_forwards_and_keeps_the_engines_bits() {
+    let peak = Arc::new(AtomicUsize::new(0));
+    let (model, feat) = tiny_parts();
+    let backend = PeakCounting {
+        inner: TrajClBackend::new(model, feat),
+        running: AtomicUsize::new(0),
+        peak: Arc::clone(&peak),
+    };
+    let engine = Arc::new(
+        Engine::builder()
+            .backend(Box::new(backend))
+            .build()
+            .expect("engine"),
+    );
     let server = Arc::new(
         Server::new(
             Arc::clone(&engine),
             ServeConfig {
                 workers: 2,
-                max_batch: 64,
-                max_wait: std::time::Duration::from_millis(20),
-                queue_cap: 256,
-                cache_cap: 0, // force every request through the batcher
+                cache_cap: 0, // every request is a miss
                 ..ServeConfig::default()
             },
         )
@@ -457,21 +501,20 @@ fn concurrent_embeds_fuse_into_batches_and_stay_correct() {
     for h in handles {
         results.extend(h.join().expect("client thread"));
     }
+    // At most `workers` at once is the cap; exactly that many shows the
+    // misses still run side by side.
+    assert_eq!(peak.load(Ordering::SeqCst), 2, "forwards running at once");
     let stats = server.stats();
-    assert_eq!(stats.batched_trajs as usize, THREADS * PER);
-    assert!(
-        stats.batches < (THREADS * PER) as u64,
-        "no fusion happened: {} batches for {} jobs",
-        stats.batches,
-        stats.batched_jobs
-    );
-    // Batched results must match a direct single-trajectory forward.
+    assert_eq!(stats.batches, (THREADS * PER) as u64);
+    assert_eq!(stats.batched_trajs, (THREADS * PER) as u64);
+    // Every served row is the engine's own embedding of that trajectory
+    // alone, bit for bit.
+    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (traj, served) in results {
         let direct = engine
             .embed_all(std::slice::from_ref(&traj))
             .expect("embed");
-        let diff = l1(&served, direct.row(0));
-        assert!(diff < 1e-4, "batched embedding diverged by {diff}");
+        assert_eq!(bits(&served), bits(direct.row(0)));
     }
     server.shutdown();
 }
@@ -501,57 +544,63 @@ fn a_lone_miss_is_one_forward_pass_with_the_engines_own_bits() {
     }
     let stats = server.stats();
     assert_eq!(stats.batches, N);
-    assert_eq!(stats.batched_jobs, N);
     assert_eq!(stats.batched_trajs, N);
     server.shutdown();
 }
 
 #[test]
 fn a_caller_racing_shutdown_gets_an_answer_or_an_error_never_a_hang() {
-    let engine = Arc::new(tiny_engine());
-    let config = ServeConfig {
-        workers: 2,
-        cache_cap: 0,
-        ..ServeConfig::default()
-    };
-    let server = Arc::new(Server::new(engine, config).expect("server"));
-    const CALLERS: usize = 4;
-    let answered = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handles: Vec<_> = (0..CALLERS)
-        .map(|t| {
-            let server = Arc::clone(&server);
-            let answered = Arc::clone(&answered);
-            let done_tx = done_tx.clone();
-            std::thread::spawn(move || {
-                // Keep asking until shutdown turns the answers into
-                // errors; both the inline and the queued path are live
-                // while it lands (four callers, two forward slots).
-                for i in 0.. {
-                    match server.embed(&traj_for((t * 100 + i % 100) as u64)) {
-                        Ok(row) => {
-                            assert_eq!(row.len(), server.engine().backend().dim());
-                            answered.fetch_add(1, Ordering::Relaxed);
+    // Four callers over two forward permits, then over one: with one,
+    // three callers are waiting at the gate when shutdown lands.
+    for workers in [2, 1] {
+        let engine = Arc::new(tiny_engine());
+        let config = ServeConfig {
+            workers,
+            cache_cap: 0,
+            ..ServeConfig::default()
+        };
+        let server = Arc::new(Server::new(engine, config).expect("server"));
+        const CALLERS: usize = 4;
+        let answered = Arc::new(AtomicUsize::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handles: Vec<_> = (0..CALLERS)
+            .map(|t| {
+                let server = Arc::clone(&server);
+                let answered = Arc::clone(&answered);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    // Keep asking until shutdown turns the answers into
+                    // errors; running and waiting misses are both live
+                    // while it lands.
+                    for i in 0.. {
+                        match server.embed(&traj_for((t * 100 + i % 100) as u64)) {
+                            Ok(row) => {
+                                assert_eq!(row.len(), server.engine().backend().dim());
+                                answered.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => {
+                                assert!(e.to_string().contains("server is shutting down"), "{e}");
+                                break;
+                            }
                         }
-                        Err(_) => break,
                     }
-                }
-                done_tx.send(()).expect("report");
+                    done_tx.send(()).expect("report");
+                })
             })
-        })
-        .collect();
-    // Shut down only once the callers are demonstrably mid-stream.
-    while answered.load(Ordering::Relaxed) < 4 * CALLERS {
-        std::thread::yield_now();
-    }
-    server.shutdown();
-    for _ in 0..CALLERS {
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("a caller hung across shutdown");
-    }
-    for h in handles {
-        h.join().expect("caller thread");
+            .collect();
+        // Shut down only once the callers are demonstrably mid-stream.
+        while answered.load(Ordering::Relaxed) < 4 * CALLERS {
+            std::thread::yield_now();
+        }
+        server.shutdown();
+        for _ in 0..CALLERS {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("a caller hung across shutdown ({workers} workers)"));
+        }
+        for h in handles {
+            h.join().expect("caller thread");
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 //! * [`engine`] — the unified similarity API: one object-safe
 //!   `SimilarityBackend` over TrajCL, baselines and heuristic measures,
 //!   served by `Engine`/`EngineBuilder` with kNN routing and persistence;
-//! * [`serve`] — the concurrent serving runtime: micro-batched embedding,
+//! * [`serve`] — the concurrent serving runtime: gated inline embedding,
 //!   a mutable snapshot-readable index, an LRU embedding cache and the
 //!   `trajcl serve` wire protocol.
 //!
