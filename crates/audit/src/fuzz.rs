@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
-use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization, ScanMode};
+use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization};
 use trajcl_tensor::{Shape, Tensor};
 
 /// Base seed of the whole fuzz run (xor-folded with target and case ids).
@@ -388,25 +388,21 @@ fn corpus_proto() -> Vec<Vec<u8>> {
     vec![single, multi, blanks]
 }
 
-/// Valid `IVF4` blobs, one per storage tag × scan mode the builder can
-/// produce: f32, SQ8 under either scan kernel, and PQ both nibble-packed
-/// (`nbits ≤ 4`) and one byte per code.
+/// Valid `IVF5` blobs, one per storage the builder can produce: f32,
+/// SQ8, and PQ with an odd `m` (so every row ends in a zero nibble).
 fn corpus_ivf() -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED);
     let emb = Tensor::randn(Shape::d2(64, 8), 0.0, 1.0, &mut rng);
     [
-        (Quantization::None, ScanMode::Asymmetric),
-        (Quantization::Sq8, ScanMode::Asymmetric),
-        (Quantization::Sq8, ScanMode::Symmetric),
-        (Quantization::Pq { m: 2, nbits: 4 }, ScanMode::Asymmetric),
-        (Quantization::Pq { m: 2, nbits: 8 }, ScanMode::Asymmetric),
+        Quantization::None,
+        Quantization::Sq8,
+        Quantization::Pq { m: 3 },
     ]
     .into_iter()
-    .map(|(quantization, scan)| {
+    .map(|quantization| {
         let opts = IndexOptions {
             nlist: Some(4),
             quantization,
-            scan,
             ..IndexOptions::default()
         };
         IvfIndex::build_with(&emb, Metric::L1, &opts, &mut rng).to_bytes()
@@ -443,7 +439,7 @@ fn corpus_engine() -> Vec<Vec<u8>> {
         .build()
         .expect("bare engine");
     let mut blobs = vec![bare.to_bytes().expect("serialize bare engine")];
-    for quantization in [Quantization::Sq8, Quantization::Pq { m: 4, nbits: 4 }] {
+    for quantization in [Quantization::Sq8, Quantization::Pq { m: 4 }] {
         let (model, feat, _) = tiny_model();
         let engine = Engine::builder()
             .trajcl(model, feat)

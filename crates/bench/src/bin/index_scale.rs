@@ -6,22 +6,19 @@
 //!
 //! The table is a Gaussian-mixture synthetic (clustered, like real
 //! trajectory embeddings) of `--n` rows × `--dim` dimensions; queries are
-//! perturbed database rows. Six contenders answer the same k=10 batch:
+//! perturbed database rows. Four contenders answer the same k=10 batch:
 //!
 //! * `exact` — `brute_force_batch_knn` over the f32 table (ground truth);
 //! * `ivf` — f32-storage `IvfIndex`, `nprobe` of `nlist` cells;
-//! * `sq8` — SQ8-quantized `IvfIndex` (1 byte/dim), asymmetric scan plus
-//!   exact rescoring of the top `rescore_factor · k` candidates against
-//!   the f32 table (the engine's serving configuration);
-//! * `sym` — the same SQ8 storage under `ScanMode::Symmetric`: the query
-//!   is quantized too and lists are scanned with the runtime-dispatched
-//!   integer SAD/SSD kernels (AVX-512/AVX2/scalar), same exact rescore;
-//! * `pq` — PQ-quantized `IvfIndex` (`d/4` subspaces ⇒ a quarter byte
-//!   per dimension), ADC lookup-table scan plus exact rescoring with a
-//!   deep (64×) over-fetch;
-//! * `pq4` — packed 4-bit PQ (`d/4` subspaces, two codes per byte ⇒ an
-//!   eighth of a byte per dimension, 16-entry LUTs), deeper (128×)
-//!   over-fetch to claim the coarser codes' recall back.
+//! * `sq8` — SQ8-quantized `IvfIndex` (1 byte/dim): the query is quantized
+//!   too and lists are scanned with the runtime-dispatched integer SAD
+//!   kernels (AVX-512/AVX2/scalar), plus exact rescoring of the top
+//!   `rescore_factor · k` candidates against the f32 table (the engine's
+//!   serving configuration);
+//! * `pq` — PQ-quantized `IvfIndex` (`d/4` subspaces of 4-bit codes, two
+//!   per byte ⇒ an eighth of a byte per dimension, 16-entry LUTs), ADC
+//!   lookup-table scan plus exact rescoring with a deep (128×) over-fetch
+//!   to claim the coarse codes' recall back.
 //!
 //! Every JSON record also captures the dispatch decision (`cpu`) and
 //! whether `TRAJCL_FORCE_SCALAR` pinned the portable kernels, so rows
@@ -32,13 +29,11 @@
 //!
 //! * default: measure and print the run's JSON record to stdout;
 //! * `--check`: measure and gate on ABSOLUTE floors — recall@10 ≥ 0.95
-//!   for IVF and IVF+SQ8 and ≥ 0.90 for symmetric SQ8, IVF+PQ and pq4
-//!   (all rescored), SQ8 memory ≤ 32%, PQ memory ≤ 10% and pq4 memory
-//!   ≤ 6% of the f32 index, quantized-vs-exact qps ratio ≥ 2× (quick) /
-//!   4× (full) for SQ8 and ≥ 1× for PQ, and symmetric-vs-asymmetric SQ8
-//!   qps ratio ≥ 1.0× (quick) / 1.5× (full). Absolute rather than
-//!   baseline-relative because the ratios depend on the run's own
-//!   `n`/`nlist` geometry, which both sides of each ratio share.
+//!   for IVF and ≥ 0.90 for IVF+SQ8 and IVF+PQ (both rescored), SQ8
+//!   memory ≤ 32% and PQ memory ≤ 6% of the f32 index, quantized-vs-exact
+//!   qps ratio ≥ 2× (quick) / 4× (full) for SQ8 and ≥ 1× for PQ. Absolute
+//!   rather than baseline-relative because the ratios depend on the run's
+//!   own `n`/`nlist` geometry, which both sides of each ratio share.
 //!   No record is printed.
 //!
 //! Scales to 1M rows (`--n 1000000`); DESIGN.md §12.4 quotes a 100k full
@@ -49,7 +44,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajcl_index::kernels::dispatch;
-use trajcl_index::{brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, ScanMode};
+use trajcl_index::{brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization};
 use trajcl_tensor::{Shape, Tensor};
 
 const K: usize = 10;
@@ -59,31 +54,21 @@ const MIN_RECALL: f64 = 0.95;
 const MIN_SQ8_SPEEDUP_QUICK: f64 = 2.0;
 const MIN_SQ8_SPEEDUP_FULL: f64 = 4.0;
 const MAX_MEM_RATIO: f64 = 0.32;
-/// PQ floors: coarser codes pay a small recall tax (claimed back by the
-/// deeper rescore), must stay under a tenth of the f32 footprint, and
-/// must at least match exact brute force on speed.
-const MIN_PQ_RECALL: f64 = 0.90;
+/// Quantized-recall floor: the one SQ8 scale is coarse on narrow
+/// dimensions and 16-entry PQ codebooks rank within-cluster neighbours
+/// coarsely; the exact rescore claims the recall back to this floor.
+const MIN_QUANT_RECALL: f64 = 0.90;
+/// PQ floors: under 6% of the f32 footprint, and at least as fast as
+/// exact brute force.
 const MIN_PQ_SPEEDUP: f64 = 1.0;
-const MAX_PQ_MEM_RATIO: f64 = 0.10;
-/// Symmetric-SQ8 floors: the integer scan must beat the asymmetric
-/// decode-and-subtract scan end-to-end (quick runs scan so few rows per
-/// query that fixed per-query costs flatten the ratio), and the uniform
-/// codebook's coarser per-dimension scale pays a small recall tax that
-/// the exact rescore claims back down to the PQ floor.
-const MIN_SYM_SPEEDUP_QUICK: f64 = 1.0;
-const MIN_SYM_SPEEDUP_FULL: f64 = 1.5;
-/// Packed 4-bit PQ: half a PQ byte per code pair and a 128× over-fetch
-/// (16-entry codebooks rank within-cluster neighbours coarsely; the
-/// rescore is what holds recall@10 at the floor).
-const MAX_PQ4_MEM_RATIO: f64 = 0.06;
-const PQ4_RESCORE_FACTOR: usize = 128;
-/// PQ geometry: 4 dims per subspace (m = d/4), 8-bit codes, and a 64×
-/// rescore over-fetch. PQ codes are coarse enough that within-cluster
-/// ADC order is noisy; at 100k a cluster holds ~1.5k rows, so recall
-/// needs both the finer subspaces AND a few hundred exact re-ranks per
-/// query — which stay cheap next to the scan.
+const MAX_PQ_MEM_RATIO: f64 = 0.06;
+/// PQ geometry: 4 dims per subspace (m = d/4) and a 128× rescore
+/// over-fetch. PQ codes are coarse enough that within-cluster ADC order
+/// is noisy; at 100k a cluster holds ~1.5k rows, so recall needs both the
+/// finer subspaces AND about a thousand exact re-ranks per query — which
+/// stay cheap next to the scan.
 const PQ_DIMS_PER_SUBSPACE: usize = 4;
-const PQ_RESCORE_FACTOR: usize = 64;
+const PQ_RESCORE_FACTOR: usize = 128;
 
 /// Clustered synthetic table: `n` rows scattered around `CLUSTERS`
 /// Gaussian centers (IVF behaves like it does on real embeddings, not on
@@ -147,17 +132,12 @@ struct Run {
     ivf_recall: f64,
     sq8_qps: f64,
     sq8_recall: f64,
-    sym_qps: f64,
-    sym_recall: f64,
     pq_m: usize,
     pq_qps: f64,
     pq_recall: f64,
-    pq4_qps: f64,
-    pq4_recall: f64,
     f32_bytes: usize,
     sq8_bytes: usize,
     pq_bytes: usize,
-    pq4_bytes: usize,
 }
 
 impl Run {
@@ -173,12 +153,6 @@ impl Run {
         self.pq_qps / self.exact_qps
     }
 
-    /// Symmetric-vs-asymmetric SQ8 qps — same storage, same rescore,
-    /// only the scan kernel differs, so this isolates the kernel win.
-    fn speedup_sym_vs_asym(&self) -> f64 {
-        self.sym_qps / self.sq8_qps
-    }
-
     fn mem_ratio(&self) -> f64 {
         self.sq8_bytes as f64 / self.f32_bytes as f64
     }
@@ -187,19 +161,15 @@ impl Run {
         self.pq_bytes as f64 / self.f32_bytes as f64
     }
 
-    fn pq4_mem_ratio(&self) -> f64 {
-        self.pq4_bytes as f64 / self.f32_bytes as f64
-    }
-
     fn to_json(&self, quick: bool) -> String {
         format!(
             "{{\"quick\":{quick},\"cpu\":\"{}\",\"force_scalar\":{},\
 \"n\":{},\"d\":{},\"nlist\":{},\"nprobe\":{},\"k\":{K},\
-\"exact_qps\":{:.1},\"ivf_qps\":{:.1},\"sq8_qps\":{:.1},\"sym_qps\":{:.1},\"pq_qps\":{:.1},\"pq4_qps\":{:.1},\
-\"ivf_recall10\":{:.4},\"sq8_recall10\":{:.4},\"sym_recall10\":{:.4},\"pq_recall10\":{:.4},\"pq4_recall10\":{:.4},\"pq_m\":{},\
-\"f32_index_bytes\":{},\"sq8_index_bytes\":{},\"pq_index_bytes\":{},\"pq4_index_bytes\":{},\"table_bytes\":{},\
-\"speedup_ivf\":{:.2},\"speedup_sq8\":{:.2},\"speedup_sym_vs_asym\":{:.2},\"speedup_pq\":{:.2},\
-\"mem_ratio\":{:.3},\"pq_mem_ratio\":{:.3},\"pq4_mem_ratio\":{:.3}}}",
+\"exact_qps\":{:.1},\"ivf_qps\":{:.1},\"sq8_qps\":{:.1},\"pq_qps\":{:.1},\
+\"ivf_recall10\":{:.4},\"sq8_recall10\":{:.4},\"pq_recall10\":{:.4},\"pq_m\":{},\
+\"f32_index_bytes\":{},\"sq8_index_bytes\":{},\"pq_index_bytes\":{},\"table_bytes\":{},\
+\"speedup_ivf\":{:.2},\"speedup_sq8\":{:.2},\"speedup_pq\":{:.2},\
+\"mem_ratio\":{:.3},\"pq_mem_ratio\":{:.3}}}",
             dispatch::description(),
             dispatch::forced_scalar(),
             self.n,
@@ -209,27 +179,20 @@ impl Run {
             self.exact_qps,
             self.ivf_qps,
             self.sq8_qps,
-            self.sym_qps,
             self.pq_qps,
-            self.pq4_qps,
             self.ivf_recall,
             self.sq8_recall,
-            self.sym_recall,
             self.pq_recall,
-            self.pq4_recall,
             self.pq_m,
             self.f32_bytes,
             self.sq8_bytes,
             self.pq_bytes,
-            self.pq4_bytes,
             self.n * self.d * 4,
             self.speedup_ivf(),
             self.speedup_sq8(),
-            self.speedup_sym_vs_asym(),
             self.speedup_pq(),
             self.mem_ratio(),
             self.pq_mem_ratio(),
-            self.pq4_mem_ratio(),
         )
     }
 }
@@ -255,49 +218,32 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     );
 
     // Every quantized cell: same cells, same seed, one field varied.
-    let quantized = |quantization, rescore_factor, scan| {
+    let quantized = |quantization, rescore_factor| {
         let opts = IndexOptions {
             nlist: Some(nlist),
             quantization,
             rescore_factor,
-            scan,
             ..IndexOptions::default()
         };
         IvfIndex::build_with(&table, Metric::L1, &opts, &mut StdRng::seed_from_u64(7))
     };
 
     let t0 = Instant::now();
-    let sq8 = quantized(Quantization::Sq8, 4, ScanMode::Asymmetric);
+    let sq8 = quantized(Quantization::Sq8, 4);
     let sq8_build_s = t0.elapsed().as_secs_f64();
     let (sq8_hits, sq8_qps) = timed(nq, || {
         sq8.batch_search_rescored(&queries, K, nprobe, Some(&table))
     });
     let sq8_recall = recall_at_k(&sq8_hits, &truth, K);
     eprintln!(
-        "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s)",
-        sq8.memory_bytes() as f64 / 1e6
-    );
-
-    let t0 = Instant::now();
-    let sym = quantized(Quantization::Sq8, 4, ScanMode::Symmetric);
-    let sym_build_s = t0.elapsed().as_secs_f64();
-    let (sym_hits, sym_qps) = timed(nq, || {
-        sym.batch_search_rescored(&queries, K, nprobe, Some(&table))
-    });
-    let sym_recall = recall_at_k(&sym_hits, &truth, K);
-    eprintln!(
-        "ivf+sym  {sym_qps:>9.1} qps  recall@10 {sym_recall:.4}  ({:.1} MB, built in {sym_build_s:.1}s, {} kernels)",
-        sym.memory_bytes() as f64 / 1e6,
+        "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s, {} kernels)",
+        sq8.memory_bytes() as f64 / 1e6,
         dispatch::description()
     );
 
     let pq_m = (d / PQ_DIMS_PER_SUBSPACE).max(1);
     let t0 = Instant::now();
-    let pq = quantized(
-        Quantization::Pq { m: pq_m, nbits: 8 },
-        PQ_RESCORE_FACTOR,
-        ScanMode::Asymmetric,
-    );
+    let pq = quantized(Quantization::Pq { m: pq_m }, PQ_RESCORE_FACTOR);
     let pq_build_s = t0.elapsed().as_secs_f64();
     let (pq_hits, pq_qps) = timed(nq, || {
         pq.batch_search_rescored(&queries, K, nprobe, Some(&table))
@@ -306,22 +252,6 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     eprintln!(
         "ivf+pq   {pq_qps:>9.1} qps  recall@10 {pq_recall:.4}  ({:.1} MB, m={pq_m}, built in {pq_build_s:.1}s)",
         pq.memory_bytes() as f64 / 1e6
-    );
-
-    let t0 = Instant::now();
-    let pq4 = quantized(
-        Quantization::Pq { m: pq_m, nbits: 4 },
-        PQ4_RESCORE_FACTOR,
-        ScanMode::Asymmetric,
-    );
-    let pq4_build_s = t0.elapsed().as_secs_f64();
-    let (pq4_hits, pq4_qps) = timed(nq, || {
-        pq4.batch_search_rescored(&queries, K, nprobe, Some(&table))
-    });
-    let pq4_recall = recall_at_k(&pq4_hits, &truth, K);
-    eprintln!(
-        "ivf+pq4  {pq4_qps:>9.1} qps  recall@10 {pq4_recall:.4}  ({:.1} MB, m={pq_m} packed, built in {pq4_build_s:.1}s)",
-        pq4.memory_bytes() as f64 / 1e6
     );
 
     Run {
@@ -334,17 +264,12 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
         ivf_recall,
         sq8_qps,
         sq8_recall,
-        sym_qps,
-        sym_recall,
         pq_m,
         pq_qps,
         pq_recall,
-        pq4_qps,
-        pq4_recall,
         f32_bytes: ivf.memory_bytes(),
         sq8_bytes: sq8.memory_bytes(),
         pq_bytes: pq.memory_bytes(),
-        pq4_bytes: pq4.memory_bytes(),
     }
 }
 
@@ -395,33 +320,14 @@ fn main() {
         } else {
             MIN_SQ8_SPEEDUP_FULL
         };
-        let min_sym_speedup = if quick {
-            MIN_SYM_SPEEDUP_QUICK
-        } else {
-            MIN_SYM_SPEEDUP_FULL
-        };
         let gates = [
             ("ivf_recall10", run.ivf_recall, MIN_RECALL, true),
-            ("sq8_recall10", run.sq8_recall, MIN_RECALL, true),
-            ("sym_recall10", run.sym_recall, MIN_PQ_RECALL, true),
-            ("pq_recall10", run.pq_recall, MIN_PQ_RECALL, true),
-            ("pq4_recall10", run.pq4_recall, MIN_PQ_RECALL, true),
+            ("sq8_recall10", run.sq8_recall, MIN_QUANT_RECALL, true),
+            ("pq_recall10", run.pq_recall, MIN_QUANT_RECALL, true),
             ("speedup_sq8", run.speedup_sq8(), min_speedup, true),
-            (
-                "speedup_sym_vs_asym",
-                run.speedup_sym_vs_asym(),
-                min_sym_speedup,
-                true,
-            ),
             ("speedup_pq", run.speedup_pq(), MIN_PQ_SPEEDUP, true),
             ("mem_ratio", run.mem_ratio(), MAX_MEM_RATIO, false),
             ("pq_mem_ratio", run.pq_mem_ratio(), MAX_PQ_MEM_RATIO, false),
-            (
-                "pq4_mem_ratio",
-                run.pq4_mem_ratio(),
-                MAX_PQ4_MEM_RATIO,
-                false,
-            ),
         ];
         let mut failed = false;
         for (key, measured, bound, at_least) in gates {

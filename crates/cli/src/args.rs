@@ -135,17 +135,15 @@ USAGE:
   trajcl train    --input FILE --out MODEL [--dim N] [--epochs N] [--batch N] [--seed N]
   trajcl embed    --model MODEL --input FILE --out CSV
   trajcl query    --model MODEL --db FILE --query IDX [--k N] [--index NLIST]
-                  [--quantize sq8|pq4[:M]|pq[:M]] [--scan symmetric|asym]
-                  [--rescore-factor N] [--json]
+                  [--quantize sq8|pq[:M]] [--rescore-factor N] [--json]
   trajcl query    --connect ADDR --db FILE --query IDX [--k N] [--json]
   trajcl upsert   --connect ADDR --input FILE [--start-id N] [--json]
   trajcl approx   --model MODEL --input FILE --measure <hausdorff|frechet|edr|edwp|dtw>
                   [--pairs N] [--epochs N] [--json]
   trajcl serve    --model MODEL --db FILE [--listen ADDR] [--shards N]
                   [--index NLIST] [--wal DIR]
-                  [--quantize sq8|pq4[:M]|pq[:M]] [--scan symmetric|asym]
-                  [--rescore-factor N] [--workers N] [--cache N]
-                  [--idle-timeout-ms N]
+                  [--quantize sq8|pq[:M]] [--rescore-factor N]
+                  [--workers N] [--cache N] [--idle-timeout-ms N]
   trajcl serve    --fleet ADDR1,ADDR2,... [--listen ADDR] [--fail-closed]
                   [--op-deadline-ms N] [--retries N] [--probe-ms N]
                   [--workers N] [--idle-timeout-ms N]
@@ -162,20 +160,18 @@ All commands run through the unified trajcl-engine API; `--json` emits one
 machine-readable JSON object per line instead of the human-readable report.
 A command rejects any option it does not list above.
 
-`--quantize sq8` stores indexed vectors as per-dimension int8 codes (4x
-smaller); `--quantize pq[:M]` as M-byte product-quantized codes (default
-M=8 — sub-byte per dimension); `--quantize pq4[:M]` packs two 4-bit PQ
-codes per byte for half the PQ footprint. `--scan symmetric` quantizes
-the query too and scans SQ8 codes with integer SIMD kernels
+`--quantize sq8` stores indexed vectors as int8 codes (4x smaller) and
+quantizes the query too, scanning codes with integer SIMD kernels
 (AVX-512/AVX2/scalar picked at runtime; set TRAJCL_FORCE_SCALAR=1 to pin
-the portable path). `query` and `serve` read these four flags the same
-way: `--quantize` and `--scan symmetric` need `--index NLIST` (they
-describe the IVF index). `query` rescores the top `--rescore-factor` x k
-quantized candidates against the engine's exact f32 embeddings, so its
+the portable path); `--quantize pq[:M]` stores M 4-bit product-quantized
+codes per vector, two per byte (default M=8). `query` and `serve` read
+these three flags the same way: `--quantize` needs `--index NLIST` (it
+describes the IVF index). `query` rescores the top `--rescore-factor` x
+k quantized candidates against the engine's exact f32 embeddings, so its
 distances stay exact; `serve`'s mutable index keeps no exact copy of
 sealed rows, but over-fetches by the same factor and rescores hits that
 still match the engine's cached table (ids upserted through the server
-keep asymmetric, error-bounded distances).
+keep quantized, error-bounded distances).
 
 `serve` speaks length-prefixed JSON frames (`LEN\\n{...}\\n`): ops ping,
 embed, knn, distance, upsert, remove, compact, stats (PROTOCOL.md at

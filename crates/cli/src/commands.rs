@@ -10,7 +10,7 @@ use std::io::Write as _;
 use std::path::Path;
 use trajcl_core::{FinetuneConfig, FinetuneScope, TrajClConfig};
 use trajcl_data::{hit_ratio, load_trajectory_file, save_trajectory_file, Dataset, DatasetProfile};
-use trajcl_engine::{Engine, EngineError, IndexOptions, Quantization, ScanMode};
+use trajcl_engine::{Engine, EngineError, IndexOptions, Quantization};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
 use trajcl_serve::proto::traj_json;
@@ -310,37 +310,36 @@ fn json_approx_line(measure: &str, k: usize, hr: f64, queries: usize, database: 
 }
 
 /// The options [`index_flags`] reads.
-const INDEX_FLAGS: &str = "index quantize scan rescore-factor";
+const INDEX_FLAGS: &str = "index quantize rescore-factor";
 
-/// The index description `query` and `serve` build with: `base` (the
-/// loaded engine's) overridden by `--index NLIST`, `--quantize` (`sq8` |
-/// `pq4[:M]` | `pq[:M]` | `none`), `--scan` (`symmetric` | `asym`) and
-/// `--rescore-factor N`. Quantization and the symmetric scan are
-/// properties of the IVF index: asked for without cells they would
-/// silently do nothing, so those combinations are rejected.
-fn index_flags(args: &Args, base: IndexOptions) -> Result<IndexOptions, EngineError> {
-    let mut opts = base;
+/// The `--model` engine and the index description `query` and `serve`
+/// build with: the engine's own overridden by `--index NLIST`,
+/// `--quantize` (`sq8` | `pq[:M]` | `none`) and `--rescore-factor N`. A
+/// `--quantize` value is checked before any file is opened. Quantization
+/// is a property of the IVF index: asked for without cells it would
+/// silently do nothing, so that combination is rejected.
+fn index_flags(args: &Args) -> Result<(Engine, IndexOptions), EngineError> {
+    let quantization = args
+        .options
+        .get("quantize")
+        .map(|v| v.parse::<Quantization>())
+        .transpose()
+        .map_err(invalid)?;
+    let engine = load_engine(req(args, "model")?)?;
+    let mut opts = *engine.index_options();
     if args.options.contains_key("index") {
         opts.nlist = Some(num::<usize>(args, "index", 16)?.max(1));
     }
-    if let Some(v) = args.options.get("quantize") {
-        opts.quantization = v.parse().map_err(invalid)?;
-        if opts.quantization != Quantization::None && opts.nlist.is_none() {
+    if let Some(quantization) = quantization {
+        opts.quantization = quantization;
+        if quantization != Quantization::None && opts.nlist.is_none() {
             return Err(invalid(
                 "--quantize needs --index NLIST (quantization applies to the IVF index)",
             ));
         }
     }
-    if let Some(v) = args.options.get("scan") {
-        opts.scan = v.parse().map_err(invalid)?;
-        if opts.scan == ScanMode::Symmetric && opts.nlist.is_none() {
-            return Err(invalid(
-                "--scan symmetric needs --index NLIST and --quantize sq8 (it selects the SQ8 scan kernel)",
-            ));
-        }
-    }
     opts.rescore_factor = num(args, "rescore-factor", opts.rescore_factor)?;
-    Ok(opts)
+    Ok((engine, opts))
 }
 
 fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
@@ -348,8 +347,7 @@ fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> 
         return query_remote(args, out);
     }
     only(args, "query", &[INDEX_FLAGS, "model db query k json"])?;
-    let engine = load_engine(req(args, "model")?)?;
-    let opts = index_flags(args, *engine.index_options())?;
+    let (engine, opts) = index_flags(args)?;
     let engine = engine.with_index_options(opts);
     let db = load_trajectory_file(Path::new(req(args, "db")?))?;
     let engine = engine.with_database(db)?;
@@ -524,13 +522,12 @@ fn idle_timeout_opt(
 fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
     let serve_flags = "model db listen shards wal workers cache idle-timeout-ms";
     only(args, "serve", &[INDEX_FLAGS, serve_flags])?;
-    let engine = load_engine(req(args, "model")?)?;
     // The server only ever consults its own MutableIndex, so k-means must
     // train there and nowhere else: the engine carries the index
     // description minus the cells, so with_database skips the
     // engine-side build (which would otherwise duplicate both the
     // training time and the vector table); the cells go to the server.
-    let opts = index_flags(args, *engine.index_options())?;
+    let (engine, opts) = index_flags(args)?;
     let engine = engine.with_index_options(IndexOptions {
         nlist: None,
         ..opts
@@ -766,33 +763,37 @@ mod tests {
 
     #[test]
     fn options_a_command_does_not_read_are_rejected() {
-        // A retired serving knob and a typo of `--epochs` fail before any
-        // file is opened, naming the option.
-        for (line, option, command) in [
+        // Retired serving and index knobs, a retired quantization
+        // spelling and a typo of `--epochs` fail before any file is
+        // opened, naming what was wrong.
+        let unknown = |option: &str, command: &str| {
+            format!("unknown option {option} for {command} (see trajcl help)")
+        };
+        for (line, want) in [
             (
                 "serve --model m.tcl --db d.traj --max-batch 64",
-                "--max-batch",
-                "serve",
+                unknown("--max-batch", "serve"),
             ),
             (
                 "train --input d.traj --out m.tcl --epoch 3",
-                "--epoch",
-                "train",
+                unknown("--epoch", "train"),
             ),
             (
                 "serve --fleet 127.0.0.1:1 --cache 8",
-                "--cache",
-                "serve --fleet",
+                unknown("--cache", "serve --fleet"),
+            ),
+            (
+                "query --model m.tcl --db d.traj --query 0 --index 4 --scan symmetric",
+                unknown("--scan", "query"),
+            ),
+            (
+                "query --model m.tcl --db d.traj --query 0 --index 4 --quantize pq4",
+                "unknown quantization \"pq4\" (try sq8, pq or pq:M)".to_string(),
             ),
         ] {
             let (code, out) = run_cmd(line);
             assert_eq!(code, 1, "{line}: {out}");
-            assert!(
-                out.contains(&format!(
-                    "unknown option {option} for {command} (see trajcl help)"
-                )),
-                "{line}: {out}"
-            );
+            assert!(out.contains(&want), "{line}: {out}");
         }
     }
 
@@ -900,27 +901,6 @@ mod tests {
         assert_json_lines(&out, &["rank", "index", "distance", "points", "km"]);
         assert_eq!(out.lines().count(), 3);
 
-        // And through packed 4-bit PQ with a symmetric-capable scan flag
-        // (the engine falls back to asymmetric scanning off SQ8).
-        let (code, out) = run_cmd(&format!(
-            "query --model {} --db {} --query 0 --k 3 --index 4 --quantize pq4:4 --rescore-factor 8 --json",
-            model.display(),
-            data.display()
-        ));
-        assert_eq!(code, 0, "{out}");
-        assert_json_lines(&out, &["rank", "index", "distance", "points", "km"]);
-        assert_eq!(out.lines().count(), 3);
-
-        // Symmetric SQ8 scanning through the integer kernels.
-        let (code, out) = run_cmd(&format!(
-            "query --model {} --db {} --query 0 --k 3 --index 4 --quantize sq8 --scan symmetric --rescore-factor 8 --json",
-            model.display(),
-            data.display()
-        ));
-        assert_eq!(code, 0, "{out}");
-        assert_json_lines(&out, &["rank", "index", "distance", "points", "km"]);
-        assert_eq!(out.lines().count(), 3);
-
         // Unknown quantization is rejected with a parse error.
         let (code, out) = run_cmd(&format!(
             "query --model {} --db {} --query 0 --quantize pq9",
@@ -929,24 +909,6 @@ mod tests {
         ));
         assert_eq!(code, 1);
         assert!(out.contains("unknown quantization"));
-
-        // Unknown scan mode likewise.
-        let (code, out) = run_cmd(&format!(
-            "query --model {} --db {} --query 0 --index 4 --scan diagonal",
-            model.display(),
-            data.display()
-        ));
-        assert_eq!(code, 1);
-        assert!(out.contains("unknown scan mode"));
-
-        // --scan symmetric without an index would be a silent no-op.
-        let (code, out) = run_cmd(&format!(
-            "query --model {} --db {} --query 0 --scan symmetric",
-            model.display(),
-            data.display()
-        ));
-        assert_eq!(code, 1);
-        assert!(out.contains("--index"));
 
         // A malformed PQ subspace count is rejected too.
         let (code, out) = run_cmd(&format!(

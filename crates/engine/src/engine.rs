@@ -19,7 +19,6 @@ use trajcl_data::Dataset;
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_index::{
     atomic_write, brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, RealFs,
-    ScanMode,
 };
 use trajcl_measures::HeuristicMeasure;
 use trajcl_tensor::{Shape, Tensor};
@@ -76,10 +75,10 @@ impl Engine {
 
     /// How the IVF index is trained and stored: cells (`nlist: None` =
     /// brute force over the cached table), k-means seed, storage
-    /// quantization, the over-fetch multiplier of exact rescoring
+    /// quantization and the over-fetch multiplier of exact rescoring
     /// (indexed queries re-rank the top `rescore_factor · k` quantized
-    /// candidates against the cached embedding table) and the scan
-    /// kernel. `trajcl-serve` builds its shards from the same value.
+    /// candidates against the cached embedding table). `trajcl-serve`
+    /// builds its shards from the same value.
     pub fn index_options(&self) -> &IndexOptions {
         &self.index_options
     }
@@ -163,7 +162,7 @@ impl Engine {
         }
         let q = self.embed_all(queries)?;
         if let Some(index) = &self.index {
-            // Quantized indexes rescore their top rescore_factor·k SQ8
+            // Quantized indexes rescore their top rescore_factor·k
             // candidates against the engine's exact embedding table, so
             // served distances stay exact f32.
             return Ok(index.batch_search_rescored(&q, k, self.nprobe, self.embeddings.as_ref()));
@@ -317,15 +316,13 @@ impl Engine {
             }
             None => out.push(0),
         }
-        // The tail: `tag | rescore | [PQ: m, nbits] | scan`, each enum
-        // through its one wire codec.
+        // The tail: `tag | rescore | [PQ: m]`, the tag through the one
+        // wire codec of `Quantization`.
         out.push(opts.quantization.wire_tag());
         out.extend_from_slice(&(opts.rescore_factor as u32).to_le_bytes());
-        if let Quantization::Pq { m, nbits } = opts.quantization {
+        if let Quantization::Pq { m } = opts.quantization {
             out.extend_from_slice(&(m as u32).to_le_bytes());
-            out.push(nbits);
         }
-        out.push(opts.scan.to_wire());
         Ok(out)
     }
 
@@ -400,14 +397,9 @@ impl Engine {
         };
         let tag = u8_of(&mut r)?;
         let rescore_factor = (u32_of(&mut r)? as usize).max(1);
-        let quantization = Quantization::from_wire(tag, || {
-            Some((u32_of(&mut r).ok()? as usize, u8_of(&mut r).ok()?))
-        })
-        .ok_or(EngineError::CorruptEngineFile("quantization"))?;
-        let scan = ScanMode::from_wire(u8_of(&mut r)?)
-            .ok_or(EngineError::CorruptEngineFile("scan mode"))?;
-        // The scan byte is the final field: anything after it is
-        // corruption.
+        let quantization = Quantization::from_wire(tag, || Some(u32_of(&mut r).ok()? as usize))
+            .ok_or(EngineError::CorruptEngineFile("quantization"))?;
+        // The tail is the final field: anything after it is corruption.
         if !r.is_empty() {
             return Err(EngineError::CorruptEngineFile("trailing bytes"));
         }
@@ -421,7 +413,6 @@ impl Engine {
                 seed,
                 quantization,
                 rescore_factor,
-                scan,
             },
             nprobe,
             batch_size: batch_size.max(1),
@@ -534,15 +525,13 @@ impl EngineBuilder {
     }
 
     /// How the IVF index over the database embeddings is trained and
-    /// stored (default: no index, exact f32, asymmetric scan; ignored for
-    /// heuristic backends). `nlist: Some(_)` builds the index;
-    /// [`Quantization::Sq8`] stores database vectors as per-dimension
-    /// int8 codes (4× smaller), [`Quantization::Pq`] as `m`-byte
+    /// stored (default: no index, exact f32; ignored for heuristic
+    /// backends). `nlist: Some(_)` builds the index; [`Quantization::Sq8`]
+    /// stores database vectors as int8 codes (4× smaller) scanned in
+    /// integer arithmetic, [`Quantization::Pq`] as `⌈m/2⌉`-byte
     /// product-quantized codes. Both rescore the top `rescore_factor · k`
     /// quantized candidates against the exact cached embedding table at
-    /// query time, so indexed engine kNN returns exact distances —
-    /// also under [`ScanMode::Symmetric`], which quantizes the query
-    /// with the SQ8 codebook too and scans in integer arithmetic.
+    /// query time, so indexed engine kNN returns exact distances.
     pub fn index_options(mut self, index_options: IndexOptions) -> Self {
         self.index_options = index_options;
         self

@@ -41,4 +41,4 @@ pub use backend::{
 };
 pub use engine::{Engine, EngineBuilder, DEFAULT_BATCH};
 pub use error::EngineError;
-pub use trajcl_index::{Durability, IndexOptions, Quantization, ScanMode};
+pub use trajcl_index::{Durability, IndexOptions, Quantization};

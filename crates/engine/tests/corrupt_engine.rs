@@ -1,6 +1,5 @@
 //! Property tests for the `TCE1` engine decoder, focused on the
-//! mandatory tail (the trailing `tag | rescore | [pq geometry] | scan`
-//! section): a corrupted tail must be rejected or
+//! mandatory tail (the trailing `tag | rescore | [PQ: m]` section): a corrupted tail must be rejected or
 //! decode to a consistent engine, a truncated one must be rejected —
 //! never panic. Deterministic sibling of the `trajcl audit` engine fuzz
 //! target.
@@ -48,19 +47,16 @@ fn corpus() -> &'static (Vec<u8>, Vec<u8>) {
                 .to_bytes()
                 .expect("serialize corpus engine")
         };
-        (
-            build(Quantization::Sq8),
-            build(Quantization::Pq { m: 4, nbits: 4 }),
-        )
+        (build(Quantization::Sq8), build(Quantization::Pq { m: 4 }))
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Random bytes over the whole tail region (SQ8 tail: tag + rescore +
-    // scan, 6 bytes; PQ additionally m + nbits, 11) and the end of the
-    // index section before it. Any tag/geometry combination must be
+    // Random bytes over the whole tail region (SQ8 tail: tag + rescore,
+    // 5 bytes; PQ additionally m, 9) and the end of the index section
+    // before it. Any tag/geometry combination must be
     // rejected or produce a consistent engine.
     #[test]
     fn corrupted_quantization_tail_never_panics(
@@ -79,9 +75,7 @@ proptest! {
             prop_assert!(engine.index_options().rescore_factor >= 1);
             match engine.index_options().quantization {
                 Quantization::None | Quantization::Sq8 => {}
-                Quantization::Pq { m, nbits } => {
-                    prop_assert!(m >= 1 && (1..=8).contains(&nbits));
-                }
+                Quantization::Pq { m } => prop_assert!(m >= 1),
             }
         }
     }

@@ -6,12 +6,13 @@ use rand::SeedableRng;
 use trajcl_core::{
     EncoderVariant, Featurizer, FinetuneConfig, FinetuneScope, TrajClConfig, TrajClModel,
 };
-use trajcl_data::{Dataset, DatasetProfile};
+use trajcl_data::{distort, downsample, Dataset, DatasetProfile};
 use trajcl_engine::{
-    Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization, ScanMode,
+    Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization,
     SimilarityBackend,
 };
 use trajcl_geo::{Grid, SpatialNorm, Trajectory};
+use trajcl_index::{IvfIndex, Metric};
 use trajcl_measures::HeuristicMeasure;
 use trajcl_tensor::{Shape, Tensor};
 
@@ -185,7 +186,7 @@ fn pq_index_route_matches_brute_force_and_persists() {
         .database(ds.trajectories.clone())
         .build()
         .unwrap();
-    let quant = Quantization::Pq { m: 4, nbits: 8 };
+    let quant = Quantization::Pq { m: 4 };
     let pq = Engine::builder()
         .trajcl(model, feat)
         .database(ds.trajectories.clone())
@@ -218,6 +219,73 @@ fn pq_index_route_matches_brute_force_and_persists() {
             pq.knn(&ds.trajectories[qi], 5).unwrap(),
             restored.knn(&ds.trajectories[qi], 5).unwrap(),
             "kNN diverged after reload on query {qi}"
+        );
+    }
+}
+
+// The safety net under the three storages: over an engine's own table —
+// the unnormalised backbone `h` of the tiny test model, where one shared
+// SQ8 scale is coarsest on low-range dimensions — SQ8 (r = 4) and 4-bit
+// PQ (m = d/4, r = 128) keep recall@10 against the same engine's f32 IVF
+// route. The quantized indexes are built exactly as the engine builds its
+// own (same cells, same seed) and searched as `Engine::knn_batch` does.
+// Queries: half distorted or down-sampled database rows, half held out.
+#[test]
+fn quantized_routes_keep_the_recall_of_the_engines_f32_route() {
+    let ds = dataset(5200, 18);
+    let (db, held_out) = ds.trajectories.split_at(5000);
+    let (model, feat) = untrained_trajcl(&ds);
+    // Half the cells probed: ~2500 rows scanned per query, about twice
+    // PQ's 1280-candidate over-fetch, so its codes really rank.
+    let (nlist, nprobe, k) = (16, 8, 10);
+    let f32_opts = IndexOptions {
+        seed: 5,
+        ..ivf(nlist)
+    };
+    let engine = Engine::builder()
+        .trajcl(model, feat)
+        .database(db.to_vec())
+        .index_options(f32_opts)
+        .nprobe(nprobe)
+        .build()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut queries = held_out.to_vec();
+    for (i, t) in db.iter().step_by(25).enumerate() {
+        queries.push(match i % 2 {
+            0 => distort(t, 0.3, 100.0, 0.5, &mut rng),
+            _ => downsample(t, 0.3, &mut rng),
+        });
+    }
+    let truth = engine.knn_batch(&queries, k).unwrap();
+    let (table, q) = (
+        engine.embeddings().unwrap(),
+        engine.embed_all(&queries).unwrap(),
+    );
+    let pq_m = table.shape().last() / 4;
+    // Measured at 5000 rows: SQ8 1.000, PQ 1.000 (without over-fetch,
+    // r = 1: SQ8 0.940, PQ 0.198).
+    for (quantization, rescore_factor, floor) in [
+        (Quantization::Sq8, 4, 0.99),
+        (Quantization::Pq { m: pq_m }, 128, 0.95),
+    ] {
+        let opts = IndexOptions {
+            quantization,
+            rescore_factor,
+            ..f32_opts
+        };
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let index = IvfIndex::build_with(table, Metric::L1, &opts, &mut rng);
+        let got = index.batch_search_rescored(&q, k, nprobe, Some(table));
+        let hits: usize = got
+            .iter()
+            .zip(&truth)
+            .map(|(g, t)| g.iter().filter(|h| t.iter().any(|x| x.0 == h.0)).count())
+            .sum();
+        let recall = hits as f64 / (k * queries.len()) as f64;
+        assert!(
+            recall >= floor,
+            "{quantization:?}: recall@10 {recall:.4} < {floor}"
         );
     }
 }
@@ -328,58 +396,63 @@ fn persistence_round_trip_is_bit_exact() {
     }
 }
 
-// TCE1 ends at the scan byte: nothing about serving (shard count, WAL
-// durability) is in the file, and a file that still carries those five
-// bytes — what the previous format wrote — is corrupt, not silently
-// accepted with its tail ignored.
+// TCE1 ends at the quantization tail, `tag | rescore | [PQ: m]`:
+// nothing about serving (shard count, WAL durability) is in the file.
+// Earlier layouts are corrupt, never loaded with defaulted settings: the
+// one that carried the `shards u32 | durability u8` serving bytes, and
+// the one with a scan byte after the tail (and PQ's code-width byte before
+// it).
 #[test]
-fn engine_file_ends_at_the_scan_byte() {
+fn engine_file_ends_at_the_quantization_tail() {
     let ds = dataset(12, 9);
-    let (model, feat) = untrained_trajcl(&ds);
-    let opts = IndexOptions {
-        scan: ScanMode::Symmetric,
-        quantization: Quantization::Sq8,
-        ..ivf(3)
-    };
-    let engine = Engine::builder()
-        .trajcl(model, feat)
-        .database(ds.trajectories)
-        .index_options(opts)
-        .build()
-        .unwrap();
-    let bytes = engine.to_bytes().unwrap();
-    assert_eq!(bytes.last(), Some(&ScanMode::Symmetric.to_wire()));
-    let restored = Engine::from_bytes(&bytes).unwrap();
-    assert_eq!(restored.to_bytes().unwrap(), bytes, "bit-exact round trip");
+    for quantization in [Quantization::Sq8, Quantization::Pq { m: 3 }] {
+        let (model, feat) = untrained_trajcl(&ds);
+        let engine = Engine::builder()
+            .trajcl(model, feat)
+            .database(ds.trajectories.clone())
+            .index_options(IndexOptions {
+                quantization,
+                rescore_factor: 5,
+                ..ivf(3)
+            })
+            .build()
+            .unwrap();
+        let bytes = engine.to_bytes().unwrap();
+        let tail: &[u8] = match quantization {
+            Quantization::Pq { m } => &[2, 5, 0, 0, 0, m as u8, 0, 0, 0],
+            _ => &[1, 5, 0, 0, 0],
+        };
+        assert!(bytes.ends_with(tail), "{quantization:?}");
+        let restored = Engine::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_bytes().unwrap(), bytes, "bit-exact round trip");
 
-    let mut parent_format = bytes.clone();
-    parent_format.extend_from_slice(&4u32.to_le_bytes()); // shards
-    parent_format.push(2); // durability: fsync
-    assert!(matches!(
-        Engine::from_bytes(&parent_format),
-        Err(EngineError::CorruptEngineFile("trailing bytes"))
-    ));
-    // An unknown scan byte in the final position is corruption too.
-    let mut bad = bytes.clone();
-    *bad.last_mut().unwrap() = 9;
-    assert!(matches!(
-        Engine::from_bytes(&bad),
-        Err(EngineError::CorruptEngineFile("scan mode"))
-    ));
+        let mut serving_format = bytes.clone();
+        serving_format.extend_from_slice(&4u32.to_le_bytes()); // shards
+        serving_format.push(2); // durability: fsync
+        let mut scan_format = bytes.clone();
+        if let Quantization::Pq { .. } = quantization {
+            scan_format.push(4); // PQ code width: 4 bits
+        }
+        scan_format.push(1); // scan: symmetric
+        for parent in [serving_format, scan_format] {
+            assert!(matches!(
+                Engine::from_bytes(&parent),
+                Err(EngineError::CorruptEngineFile("trailing bytes"))
+            ));
+        }
+    }
 }
 
-// The index description travels as one value: every storage × scan
-// configuration (PQ geometry included) survives the engine file, with
-// and without a built index section beside it.
+// The index description travels as one value: every storage (PQ
+// geometry included) survives the engine file, with and without a built
+// index section beside it.
 #[test]
 fn index_options_survive_persistence_for_every_storage() {
     let ds = dataset(40, 17);
-    for (quantization, scan) in [
-        (Quantization::None, ScanMode::Asymmetric),
-        (Quantization::Sq8, ScanMode::Asymmetric),
-        (Quantization::Sq8, ScanMode::Symmetric),
-        (Quantization::Pq { m: 4, nbits: 4 }, ScanMode::Asymmetric),
-        (Quantization::Pq { m: 3, nbits: 8 }, ScanMode::Asymmetric),
+    for quantization in [
+        Quantization::None,
+        Quantization::Sq8,
+        Quantization::Pq { m: 3 },
     ] {
         for nlist in [None, Some(5)] {
             let opts = IndexOptions {
@@ -387,7 +460,6 @@ fn index_options_survive_persistence_for_every_storage() {
                 seed: 21,
                 quantization,
                 rescore_factor: 6,
-                scan,
             };
             let (model, feat) = untrained_trajcl(&ds);
             let engine = Engine::builder()
@@ -451,7 +523,6 @@ fn approximate_measure_produces_a_serving_engine() {
         .database(ds.trajectories.clone())
         .index_options(IndexOptions {
             quantization: Quantization::Sq8,
-            scan: ScanMode::Symmetric,
             ..ivf(3)
         })
         .build()
@@ -474,9 +545,8 @@ fn approximate_measure_produces_a_serving_engine() {
         .unwrap();
     assert!(approx.backend().name().contains("Hausdorff"));
     assert_eq!(approx.database().len(), engine.database().len());
-    // The index description travels whole, scan mode included.
+    // The index description travels whole.
     assert_eq!(approx.index_options(), engine.index_options());
-    assert_eq!(approx.index_options().scan, ScanMode::Symmetric);
     let hits = approx.knn(&ds.trajectories[0], 3).unwrap();
     assert_eq!(hits.len(), 3);
 

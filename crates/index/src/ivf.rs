@@ -7,15 +7,12 @@
 //! the tests exploit to validate recall.
 //!
 //! Storage is exact f32 rows, SQ8 scalar-quantized codes
-//! ([`Quantization::Sq8`]: one byte per dimension with per-dimension
-//! affine decode, scanned by the asymmetric f32-query × int8-database
-//! kernels in [`crate::kernels`]) or PQ product-quantized codes
-//! ([`Quantization::Pq`]: `m` codes per *vector* — one byte each, or two
-//! per byte when `nbits ≤ 4` — scanned via a per-query ADC lookup table).
-//! SQ8 indexes built with [`ScanMode::Symmetric`] additionally quantize
-//! the *query* at search time and scan in pure integer arithmetic
-//! through the runtime-dispatched SIMD kernels
-//! ([`crate::kernels::dispatch`]). Quantized searches are optionally
+//! ([`Quantization::Sq8`]: one byte per dimension; the query is quantized
+//! too and lists are scanned in pure integer arithmetic through the
+//! runtime-dispatched SIMD kernels of [`crate::kernels::dispatch`]) or PQ
+//! product-quantized codes ([`Quantization::Pq`]: `m` 4-bit codes per
+//! *vector*, two per byte, scanned via a per-query ADC lookup table).
+//! Quantized searches are optionally
 //! **rescored** exactly — the top `rescore_factor · k` candidates
 //! re-ranked against a caller-supplied exact f32 table (the engine keeps
 //! its embedding table for precisely this). All scans run through the
@@ -53,64 +50,31 @@ pub enum Quantization {
     /// Exact f32 rows (4 bytes per dimension).
     #[default]
     None,
-    /// Per-dimension int8 scalar quantization (1 byte per dimension,
-    /// asymmetric search, optional exact rescoring).
+    /// Int8 scalar quantization (1 byte per dimension, one scale shared
+    /// by every dimension): the query is quantized with the same codebook
+    /// and scanned against the codes in integer arithmetic, then
+    /// optionally rescored exactly. An L1 scan distance is within
+    /// `2 × l1_error_bound` ([`crate::Sq8Codebook::l1_error_bound`]) of
+    /// exact for any query. A squared-L2 one keeps its bound,
+    /// `|√scan − √exact| ≤ √d · scale`, only for queries inside the box
+    /// the codebook was trained on: outside it the error grows with the
+    /// distance to the box.
     Sq8,
-    /// Product quantization: `m` k-means sub-quantizers with
-    /// `2^nbits`-entry codebooks each — `m` bytes per vector, searched by
-    /// per-query ADC lookup tables ([`crate::kernels::PqCodebook`]).
-    /// Recall is recovered through the same over-fetch + exact-rescore
-    /// path SQ8 uses.
+    /// Product quantization: `m` k-means sub-quantizers with at most 16
+    /// centroids each — `m` 4-bit codes per vector, two per byte,
+    /// searched by per-query ADC lookup tables
+    /// ([`crate::kernels::PqCodebook`]). Recall is recovered through the
+    /// same over-fetch + exact-rescore path SQ8 uses.
     Pq {
         /// Subspace count (= codes per vector); clamped to `1..=d` at
-        /// build time. With `nbits ≤ 4` two codes pack into each byte.
+        /// build time.
         m: usize,
-        /// Code width in bits (clamped to `1..=8`; 8 ⇒ 256 centroids per
-        /// subspace, `≤ 4` ⇒ nibble-packed rows).
-        nbits: u8,
     },
 }
 
-/// Which kernel quantized SQ8 scans use before rescoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Exact f32 query against quantized rows (the default): per-element
-    /// decode in the scan, distances exact up to row quantization error.
-    #[default]
-    Asymmetric,
-    /// Quantize the query with the index's codebook too and scan codes
-    /// against codes in pure integer arithmetic (no per-element decode;
-    /// SIMD `psadbw`-class kernels via [`crate::kernels::dispatch`]).
-    /// Requires a uniform-scale SQ8 codebook — [`IvfIndex::build_with`]
-    /// trains one — and adds at most twice the asymmetric error, which the
-    /// over-fetch + exact rescore path absorbs. Ignored (falls back to
-    /// asymmetric) for f32 and PQ storage.
-    Symmetric,
-}
-
-impl ScanMode {
-    /// The scan byte of the `IVF4` section and the TCE1 tail.
-    pub fn to_wire(self) -> u8 {
-        match self {
-            ScanMode::Asymmetric => 0,
-            ScanMode::Symmetric => 1,
-        }
-    }
-
-    /// Inverse of [`ScanMode::to_wire`]; `None` for an unknown byte.
-    pub fn from_wire(byte: u8) -> Option<ScanMode> {
-        match byte {
-            0 => Some(ScanMode::Asymmetric),
-            1 => Some(ScanMode::Symmetric),
-            _ => None,
-        }
-    }
-}
-
 impl Quantization {
-    /// The storage tag of the `IVF4` section and the TCE1 tail. A PQ tag
-    /// is followed on the wire (not necessarily directly) by the
-    /// `m u32 | nbits u8` geometry.
+    /// The storage tag of the `IVF5` section and the TCE1 tail. A PQ tag
+    /// is followed on the wire (not necessarily directly) by `m u32`.
     pub fn wire_tag(self) -> u8 {
         match self {
             Quantization::None => 0,
@@ -119,33 +83,15 @@ impl Quantization {
         }
     }
 
-    /// Inverse of [`Quantization::wire_tag`]. `geometry` reads the PQ
-    /// `(m, nbits)` pair and is only called for the PQ tag; `None` for an
-    /// unknown tag or a geometry outside `m ≥ 1`, `nbits ∈ 1..=8`.
-    pub fn from_wire(
-        tag: u8,
-        geometry: impl FnOnce() -> Option<(usize, u8)>,
-    ) -> Option<Quantization> {
+    /// Inverse of [`Quantization::wire_tag`]. `m` reads the PQ subspace
+    /// count and is only called for the PQ tag; `None` for an unknown tag
+    /// or `m = 0`.
+    pub fn from_wire(tag: u8, m: impl FnOnce() -> Option<usize>) -> Option<Quantization> {
         match tag {
             0 => Some(Quantization::None),
             1 => Some(Quantization::Sq8),
-            2 => {
-                let (m, nbits) = geometry()?;
-                (m >= 1 && (1..=8).contains(&nbits)).then_some(Quantization::Pq { m, nbits })
-            }
+            2 => m().filter(|&m| m >= 1).map(|m| Quantization::Pq { m }),
             _ => None,
-        }
-    }
-}
-
-impl std::str::FromStr for ScanMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ScanMode, String> {
-        match s.to_lowercase().as_str() {
-            "asym" | "asymmetric" => Ok(ScanMode::Asymmetric),
-            "sym" | "symmetric" => Ok(ScanMode::Symmetric),
-            _ => Err(format!("unknown scan mode {s:?} (try symmetric or asym)")),
         }
     }
 }
@@ -158,33 +104,18 @@ impl std::str::FromStr for Quantization {
         match lower.as_str() {
             "none" | "f32" => return Ok(Quantization::None),
             "sq8" | "int8" => return Ok(Quantization::Sq8),
-            "pq" => {
-                return Ok(Quantization::Pq {
-                    m: DEFAULT_PQ_M,
-                    nbits: 8,
-                })
-            }
-            "pq4" => {
-                return Ok(Quantization::Pq {
-                    m: DEFAULT_PQ_M,
-                    nbits: 4,
-                })
-            }
+            "pq" => return Ok(Quantization::Pq { m: DEFAULT_PQ_M }),
             _ => {}
         }
-        for (prefix, nbits) in [("pq:", 8u8), ("pq4:", 4u8)] {
-            if let Some(m) = lower.strip_prefix(prefix) {
-                let m: usize = m
-                    .parse()
-                    .ok()
-                    .filter(|&m| m >= 1)
-                    .ok_or_else(|| format!("bad PQ subspace count in {s:?} (try {prefix}8)"))?;
-                return Ok(Quantization::Pq { m, nbits });
-            }
+        if let Some(m) = lower.strip_prefix("pq:") {
+            let m: usize = m
+                .parse()
+                .ok()
+                .filter(|&m| m >= 1)
+                .ok_or_else(|| format!("bad PQ subspace count in {s:?} (try pq:8)"))?;
+            return Ok(Quantization::Pq { m });
         }
-        Err(format!(
-            "unknown quantization {s:?} (try sq8, pq, pq4, pq:M or pq4:M)"
-        ))
+        Err(format!("unknown quantization {s:?} (try sq8, pq or pq:M)"))
     }
 }
 
@@ -206,7 +137,7 @@ pub struct IndexOptions {
     /// turn it into the `rng` they hand to [`IvfIndex::build_with`].
     pub seed: u64,
     /// Storage quantization. [`Quantization::Sq8`] stores rows as int8
-    /// codes (4× smaller); [`Quantization::Pq`] as `m`-byte
+    /// codes (4× smaller); [`Quantization::Pq`] as `⌈m/2⌉`-byte
     /// product-quantized codes. A [`crate::MutableIndex`] write buffer
     /// always stays exact f32 until the next compaction.
     pub quantization: Quantization,
@@ -214,10 +145,6 @@ pub struct IndexOptions {
     /// against an exact table ([`IvfIndex::search_rescored`],
     /// [`crate::IndexSnapshot::search_rescored`]); at least 1.
     pub rescore_factor: usize,
-    /// Scan kernel ([`ScanMode::Symmetric`] trains a uniform-scale SQ8
-    /// codebook and scans in integer arithmetic; ignored by f32/PQ
-    /// storage).
-    pub scan: ScanMode,
 }
 
 impl Default for IndexOptions {
@@ -227,13 +154,12 @@ impl Default for IndexOptions {
             seed: 0,
             quantization: Quantization::None,
             rescore_factor: DEFAULT_RESCORE_FACTOR,
-            scan: ScanMode::Asymmetric,
         }
     }
 }
 
 /// Magic of the one serialised section layout ([`IvfIndex::to_bytes`]).
-const SECTION_MAGIC: &[u8; 4] = b"IVF4";
+const SECTION_MAGIC: &[u8; 4] = b"IVF5";
 
 /// Reusable per-thread search state: centroid ranking buffer, the
 /// storage scan's heap and per-query tables, and the candidate list. One
@@ -258,7 +184,6 @@ pub struct IvfIndex {
     d: usize,
     metric: Metric,
     rescore_factor: usize,
-    scan: ScanMode,
 }
 
 impl IvfIndex {
@@ -277,13 +202,8 @@ impl IvfIndex {
     /// under `opts.quantization`, and searches over-fetching
     /// `opts.rescore_factor · k` candidates for exact rescoring when a
     /// caller supplies the exact table ([`IvfIndex::search_rescored`]).
-    /// With [`ScanMode::Symmetric`] and [`Quantization::Sq8`] the
-    /// codebook is trained with one *uniform* scale across dimensions
-    /// ([`crate::kernels::Sq8Codebook::train_uniform`]) so list scans
-    /// reduce to integer sum-of-absolute/squared-differences over code
-    /// bytes; other storages ignore the mode (normalised back to
-    /// asymmetric). All randomness comes from `rng` (`opts.seed` is the
-    /// caller's to seed it with).
+    /// All randomness comes from `rng` (`opts.seed` is the caller's to
+    /// seed it with).
     pub fn build_with(
         embeddings: &Tensor,
         metric: Metric,
@@ -300,8 +220,7 @@ impl IvfIndex {
         for (i, &c) in assign.iter().enumerate() {
             lists[c as usize].push(i as u32);
         }
-        let storage = storage::encode(opts.quantization, opts.scan, data, d, rng);
-        let scan = storage.scan_mode(opts.scan);
+        let storage = storage::encode(opts.quantization, data, d, rng);
         IvfIndex {
             centroids,
             lists,
@@ -310,7 +229,6 @@ impl IvfIndex {
             d,
             metric,
             rescore_factor: opts.rescore_factor.max(1),
-            scan,
         }
     }
 
@@ -343,12 +261,6 @@ impl IvfIndex {
     /// Over-fetch multiplier used by quantized (SQ8/PQ) rescoring.
     pub fn rescore_factor(&self) -> usize {
         self.rescore_factor
-    }
-
-    /// The scan mode this index was built with (always
-    /// [`ScanMode::Asymmetric`] for f32/PQ storage).
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan
     }
 
     /// The SQ8 codebook, when the index uses SQ8 storage (the worst-case
@@ -400,9 +312,9 @@ impl IvfIndex {
     /// kNN search probing the `nprobe` nearest Voronoi cells. Returns
     /// `(id, distance)` sorted ascending; fewer than `k` results only when
     /// the probed lists hold fewer vectors. Quantized (SQ8/PQ) distances
-    /// are approximate — asymmetric (exact query vs quantized rows), or
-    /// fully quantized under [`ScanMode::Symmetric`] — supply the exact
-    /// table via [`IvfIndex::search_rescored`] for exact top-k distances.
+    /// are approximate (error-bounded, see [`Quantization`]) — supply the
+    /// exact table via [`IvfIndex::search_rescored`] for exact top-k
+    /// distances.
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(u32, f64)> {
         self.search_rescored(query, k, nprobe, None)
     }
@@ -410,7 +322,7 @@ impl IvfIndex {
     /// [`IvfIndex::search`] with optional exact rescoring: when `exact`
     /// carries the original `(N, d)` f32 table, quantized (SQ8/PQ)
     /// searches over-fetch the top `rescore_factor · k` candidates by
-    /// asymmetric distance and re-rank them with exact f32 distances
+    /// quantized distance and re-rank them with exact f32 distances
     /// (f32-storage searches are already exact and ignore `exact`).
     ///
     /// # Examples
@@ -430,7 +342,7 @@ impl IvfIndex {
     /// };
     /// let index = IvfIndex::build_with(&table, Metric::L1, &opts, &mut rng);
     ///
-    /// // Without the exact table: asymmetric (quantized) distances.
+    /// // Without the exact table: quantized distances.
     /// let raw = index.search(table.row(3), 3, 4);
     /// // With it: the same over-fetched candidates, re-ranked exactly —
     /// // the self-query comes back at distance exactly 0.
@@ -476,8 +388,7 @@ impl IvfIndex {
         let probed = scratch.order[..nprobe]
             .iter()
             .map(|&(_, c)| self.lists[c as usize].as_slice());
-        self.storage
-            .scan(metric, self.scan, self.d, query, probed, state);
+        self.storage.scan(metric, self.d, query, probed, state);
         if let Some((table, _)) = rescore {
             state.topk.drain_sorted_into(&mut scratch.cand);
             state.topk.reset(k);
@@ -497,18 +408,17 @@ impl IvfIndex {
             .then(|| k.saturating_mul(self.rescore_factor).max(k))
     }
 
-    /// Serialises the index as one `IVF4` section (little-endian):
-    /// `"IVF4" | metric u8 | n | d | nlist | scan u8 | rescore u32 |
-    /// storage tag u8 | [PQ: m u32, nbits u8, ksub u32] | centroids |
-    /// lists | payload`, where the payload is the f32 rows (tag 0), the
-    /// per-dimension SQ8 codebook and int8 codes (tag 1), or the PQ
-    /// sub-centroid tables, the trained error bound and the code rows
-    /// (tag 2; `ceil(m / 2)` bytes per row when `nbits ≤ 4`, `m`
-    /// otherwise) — DESIGN.md §10.2 has the byte diagram. The output
-    /// buffer is preallocated to its exact final size.
+    /// Serialises the index as one `IVF5` section (little-endian):
+    /// `"IVF5" | metric u8 | n | d | nlist | rescore u32 | storage tag u8
+    /// | [PQ: m u32, ksub u32] | centroids | lists | payload`, where the
+    /// payload is the f32 rows (tag 0), the SQ8 codebook (`d` biases, one
+    /// scale) and int8 codes (tag 1), or the PQ sub-centroid tables, the
+    /// trained error bound and the `⌈m/2⌉`-byte code rows (tag 2) —
+    /// DESIGN.md §10.2 has the byte diagram. The output buffer is
+    /// preallocated to its exact final size.
     pub fn to_bytes(&self) -> Vec<u8> {
         let list_bytes: usize = self.lists.iter().map(|l| 4 + l.len() * 4).sum();
-        let header = 4 + 1 + 4 + 4 + 4 + 1 + 4;
+        let header = 4 + 1 + 4 + 4 + 4 + 4;
         let expected = header + self.centroids.len() * 4 + list_bytes + self.storage.wire_len();
         let mut out = Vec::with_capacity(expected);
         out.extend_from_slice(SECTION_MAGIC);
@@ -519,7 +429,6 @@ impl IvfIndex {
         out.extend_from_slice(&(self.n as u32).to_le_bytes());
         out.extend_from_slice(&(self.d as u32).to_le_bytes());
         out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
-        out.push(self.scan.to_wire());
         out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
         self.storage.write_tag(&mut out);
         for &c in &self.centroids {
@@ -560,7 +469,6 @@ impl IvfIndex {
         if n == 0 || d == 0 || nlist == 0 {
             return None;
         }
-        let scan = ScanMode::from_wire(r.u8()?)?;
         let rescore_factor = (r.u32()? as usize).max(1);
         let geometry = storage::read_tag(&mut r)?;
         let centroids = r.f32_vec(nlist.checked_mul(d)?)?;
@@ -602,7 +510,6 @@ impl IvfIndex {
             d,
             metric,
             rescore_factor,
-            scan,
         })
     }
 
@@ -760,14 +667,12 @@ mod tests {
         nlist: usize,
         quantization: Quantization,
         rescore_factor: usize,
-        scan: ScanMode,
         rng: &mut StdRng,
     ) -> IvfIndex {
         let opts = IndexOptions {
             nlist: Some(nlist),
             quantization,
             rescore_factor,
-            scan,
             ..IndexOptions::default()
         };
         IvfIndex::build_with(emb, Metric::L1, &opts, rng)
@@ -848,41 +753,48 @@ mod tests {
         assert!(large.memory_bytes() > small.memory_bytes() * 5);
     }
 
-    // The `IVF4` section as written before `Reader` grew `u64` for the
-    // WAL decoders (captured at commit 03adfee): same bytes out of the
-    // same build, and the old bytes load and re-serialise to themselves.
+    // The one `IVF5` layout, pinned byte for byte: an SQ8 build (`d`
+    // biases, then the one scale) and a PQ build with an odd m, whose
+    // every row ends in a zero high nibble. Each golden loads and
+    // re-serialises to itself.
     #[test]
-    fn ivf4_section_bytes_are_pinned() {
-        const GOLDEN: &str = "4956463400060000000200000002000000000400000001abaaaa3eabaaaa3e\
-            5555254155552541030000000000000001000000020000000300000003000000040000000500000000\
-            00000000000000b1b0303db1b0303d000000171700e8e8e8ffffe8";
-        let golden: Vec<u8> = (0..GOLDEN.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
-            .collect();
+    fn ivf5_section_bytes_are_pinned() {
+        const SQ8: &str = "49564635000600000002000000020000000400000001abaaaa3eabaaaa3e55\
+            552541555525410300000000000000010000000200000003000000030000000400000005000000000000\
+            0000000000b1b0303d000000171700e8e8e8ffffe8";
+        const PQ: &str = "49564635000400000003000000020000000400000002030000000400000000\
+            00284100002841000020410000003f0000003f0000000002000000020000000300000002000000000000\
+            000100000000003041000000000000803f00002041000030410000803f00002041000000000000204100\
+            0000000000204100000000000000003101120123000000";
         let rows = vec![
             0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 10.0, 10.0, 10.0, 11.0, 11.0, 10.0,
         ];
-        let opts = IndexOptions {
-            nlist: Some(2),
-            quantization: Quantization::Sq8,
-            ..IndexOptions::default()
-        };
-        let index = IvfIndex::build_with(
-            &Tensor::from_vec(rows, Shape::d2(6, 2)),
-            Metric::L1,
-            &opts,
-            &mut StdRng::seed_from_u64(3),
-        );
-        assert_eq!(index.to_bytes(), golden);
-        let restored = IvfIndex::from_bytes(&golden).expect("parent-written section loads");
-        assert_eq!(restored.to_bytes(), golden);
+        for (golden, d, quantization) in [
+            (SQ8, 2, Quantization::Sq8),
+            (PQ, 3, Quantization::Pq { m: 3 }),
+        ] {
+            let golden: Vec<u8> = (0..golden.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
+                .collect();
+            let opts = IndexOptions {
+                nlist: Some(2),
+                quantization,
+                ..IndexOptions::default()
+            };
+            let table = Tensor::from_vec(rows.clone(), Shape::d2(12 / d, d));
+            let index =
+                IvfIndex::build_with(&table, Metric::L1, &opts, &mut StdRng::seed_from_u64(3));
+            assert_eq!(index.to_bytes(), golden, "{quantization:?}");
+            let restored = IvfIndex::from_bytes(&golden).expect("pinned section loads");
+            assert_eq!(restored.to_bytes(), golden, "{quantization:?}");
+        }
     }
 
     #[test]
     fn from_bytes_rejects_garbage() {
         assert!(IvfIndex::from_bytes(b"nope").is_none());
-        assert!(IvfIndex::from_bytes(b"IVF4").is_none());
+        assert!(IvfIndex::from_bytes(b"IVF5").is_none());
         let emb = table(30, 4, 13);
         let index = IvfIndex::build(&emb, 4, Metric::L2, &mut StdRng::seed_from_u64(0));
         let mut bytes = index.to_bytes();
@@ -904,10 +816,10 @@ mod tests {
         // then panicked at `nprobe.clamp(1, 0)`. Zero counts must fail to
         // decode.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"IVF4");
+        bytes.extend_from_slice(b"IVF5");
         bytes.push(0); // metric: L1
         bytes.extend_from_slice(&[0u8; 12]); // n = d = nlist = 0
-        bytes.extend_from_slice(&[0, 4, 0, 0, 0, 0]); // scan, rescore, tag
+        bytes.extend_from_slice(&[4, 0, 0, 0, 0]); // rescore, tag
         assert!(IvfIndex::from_bytes(&bytes).is_none());
     }
 
@@ -925,14 +837,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let f32_index = IvfIndex::build(&emb, 16, Metric::L1, &mut rng);
         let mut rng = StdRng::seed_from_u64(21);
-        let sq8 = quantized(
-            &emb,
-            16,
-            Quantization::Sq8,
-            4,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
+        let sq8 = quantized(&emb, 16, Quantization::Sq8, 4, &mut rng);
         assert!(
             (sq8.memory_bytes() as f64) < 0.30 * f32_index.memory_bytes() as f64,
             "sq8 {} vs f32 {}",
@@ -947,15 +852,10 @@ mod tests {
     fn sq8_full_probe_distances_stay_within_quantization_bound() {
         let emb = table(200, 16, 22);
         let mut rng = StdRng::seed_from_u64(23);
-        let index = quantized(
-            &emb,
-            8,
-            Quantization::Sq8,
-            4,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
-        let bound = index.codebook().expect("sq8").l1_error_bound();
+        let index = quantized(&emb, 8, Quantization::Sq8, 4, &mut rng);
+        // The query is quantized too, so a distance deviates from exact
+        // by at most twice the codebook bound.
+        let bound = 2.0 * index.codebook().expect("sq8").l1_error_bound();
         for qi in [3usize, 77, 140] {
             let q = emb.row(qi);
             for (id, d) in index.search(q, 10, index.nlist()) {
@@ -972,14 +872,7 @@ mod tests {
     fn sq8_rescoring_returns_exact_distances() {
         let emb = table(300, 12, 24);
         let mut rng = StdRng::seed_from_u64(25);
-        let index = quantized(
-            &emb,
-            8,
-            Quantization::Sq8,
-            4,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
+        let index = quantized(&emb, 8, Quantization::Sq8, 4, &mut rng);
         let q = emb.row(9);
         let rescored = index.search_rescored(q, 5, index.nlist(), Some(&emb));
         assert_eq!(rescored[0], (9, 0.0), "self-query must rescore to zero");
@@ -1007,46 +900,32 @@ mod tests {
         f32_index.decode_vector_into(7, &mut out);
         assert_eq!(out.as_slice(), emb.row(7));
         let mut rng = StdRng::seed_from_u64(34);
-        let sq8 = quantized(
-            &emb,
-            4,
-            Quantization::Sq8,
-            4,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
-        let bound = sq8.codebook().unwrap();
+        let sq8 = quantized(&emb, 4, Quantization::Sq8, 4, &mut rng);
+        let half_step = sq8.codebook().unwrap().scale * 0.5;
         let mut decoded = Vec::new();
         sq8.decode_vector_into(7, &mut decoded);
-        for (j, (&v, &w)) in emb.row(7).iter().zip(&decoded).enumerate() {
-            assert!((v - w).abs() <= bound.step_error(j) + 1e-6);
+        for (&v, &w) in emb.row(7).iter().zip(&decoded) {
+            assert!((v - w).abs() <= half_step + 1e-6);
         }
     }
 
     #[test]
-    fn pq_memory_is_under_a_tenth_of_f32() {
-        // 6-bit codes keep the codebook small enough that the 10% bound
-        // already holds at 2000 rows (at 100k rows 8-bit PQ with m = 16
-        // lands at 8.4% — `index_scale`, DESIGN.md §12.4).
+    fn pq_memory_is_under_six_percent_of_f32() {
+        // 16-entry codebooks are small enough that the bound already holds
+        // at 2000 rows (at 100k rows m = 16 lands at 5.2% — `index_scale`,
+        // DESIGN.md §12.4).
         let emb = table(2000, 64, 50);
         let mut rng = StdRng::seed_from_u64(51);
         let f32_index = IvfIndex::build(&emb, 16, Metric::L1, &mut rng);
         let mut rng = StdRng::seed_from_u64(51);
-        let pq = quantized(
-            &emb,
-            16,
-            Quantization::Pq { m: 8, nbits: 6 },
-            8,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
+        let pq = quantized(&emb, 16, Quantization::Pq { m: 8 }, 8, &mut rng);
         assert!(
-            (pq.memory_bytes() as f64) < 0.10 * f32_index.memory_bytes() as f64,
+            (pq.memory_bytes() as f64) < 0.06 * f32_index.memory_bytes() as f64,
             "pq {} vs f32 {}",
             pq.memory_bytes(),
             f32_index.memory_bytes()
         );
-        assert_eq!(pq.quantization(), Quantization::Pq { m: 8, nbits: 6 });
+        assert_eq!(pq.quantization(), Quantization::Pq { m: 8 });
         assert!(pq.pq_codebook().is_some() && pq.codebook().is_none());
     }
 
@@ -1054,14 +933,7 @@ mod tests {
     fn pq_full_probe_distances_stay_within_trained_bound() {
         let emb = table(400, 16, 52);
         let mut rng = StdRng::seed_from_u64(53);
-        let index = quantized(
-            &emb,
-            8,
-            Quantization::Pq { m: 4, nbits: 8 },
-            8,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
+        let index = quantized(&emb, 8, Quantization::Pq { m: 4 }, 8, &mut rng);
         let bound = index.pq_codebook().expect("pq").l1_error_bound();
         for qi in [3usize, 177, 340] {
             let q = emb.row(qi);
@@ -1079,14 +951,7 @@ mod tests {
     fn pq_rescoring_returns_exact_distances() {
         let emb = table(300, 12, 54);
         let mut rng = StdRng::seed_from_u64(55);
-        let index = quantized(
-            &emb,
-            8,
-            Quantization::Pq { m: 3, nbits: 8 },
-            8,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
+        let index = quantized(&emb, 8, Quantization::Pq { m: 3 }, 8, &mut rng);
         let q = emb.row(9);
         let rescored = index.search_rescored(q, 5, index.nlist(), Some(&emb));
         assert_eq!(rescored[0], (9, 0.0), "self-query must rescore to zero");
@@ -1105,53 +970,27 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_rejects_out_of_range_pq_codes() {
-        // A code must index the ksub-entry centroid table; with 6-bit
-        // codes (ksub = 64) a corrupt byte of 200 has to fail in
-        // from_bytes, not panic in the first scan or decode.
-        let emb = table(60, 8, 59);
-        let mut rng = StdRng::seed_from_u64(60);
-        let index = quantized(
-            &emb,
-            4,
-            Quantization::Pq { m: 2, nbits: 6 },
-            4,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
-        let mut bytes = index.to_bytes();
-        assert!(IvfIndex::from_bytes(&bytes).is_some(), "sanity");
-        // Codes are the final n·m bytes of the section.
-        let last = bytes.len() - 1;
-        bytes[last] = 200;
-        assert!(IvfIndex::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn from_bytes_rejects_corrupt_packed_pq_nibbles() {
-        // Packed rows fail on two corruptions the byte check can't see:
-        // a nibble ≥ ksub (3-bit codes → ksub 8, nibble 9 is garbage) and
-        // a non-zero trailing nibble on an odd m (never produced by
-        // encode, so it can only be corruption).
-        let emb = table(60, 9, 61);
+    fn from_bytes_rejects_corrupt_pq_nibbles() {
+        // Two corruptions must fail in from_bytes, not panic in the first
+        // scan or decode: a nibble ≥ ksub (12 rows train ksub = 12, so
+        // nibble 13 indexes past the table) and a non-zero trailing nibble
+        // on an odd m (never produced by encode, so it can only be
+        // corruption).
+        let emb = table(12, 9, 61);
         let mut rng = StdRng::seed_from_u64(62);
-        let index = quantized(
-            &emb,
-            4,
-            Quantization::Pq { m: 3, nbits: 3 },
-            4,
-            ScanMode::Asymmetric,
-            &mut rng,
-        );
+        let index = quantized(&emb, 4, Quantization::Pq { m: 3 }, 4, &mut rng);
         let cb = index.pq_codebook().expect("pq");
-        assert!(cb.packed());
-        assert_eq!(cb.code_stride(), 2, "ceil(3 / 2) bytes per row");
+        assert_eq!(
+            (cb.ksub(), cb.code_stride()),
+            (12, 2),
+            "ceil(3 / 2) bytes per row"
+        );
         let bytes = index.to_bytes();
         assert!(IvfIndex::from_bytes(&bytes).is_some(), "sanity");
         // Codes are the final n·stride bytes; corrupt the last row.
         let mut bad = bytes.clone();
         let first_of_last_row = bad.len() - 2;
-        bad[first_of_last_row] = 0x99; // nibbles 9, 9 ≥ ksub = 8
+        bad[first_of_last_row] = 0xDD; // nibbles 13, 13 ≥ ksub = 12
         assert!(IvfIndex::from_bytes(&bad).is_none());
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
@@ -1160,90 +999,23 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_search_stays_within_error_bound_and_rescores_exactly() {
-        let emb = table(300, 16, 67);
-        let mut rng = StdRng::seed_from_u64(68);
-        let index = quantized(&emb, 8, Quantization::Sq8, 4, ScanMode::Symmetric, &mut rng);
-        // Symmetric distances quantize both sides, so they deviate from
-        // exact by at most twice the codebook bound (queries drawn from
-        // the table are inside the trained box).
-        let bound = 2.0 * index.codebook().expect("sq8").l1_error_bound();
-        for qi in [3usize, 111, 280] {
-            let q = emb.row(qi);
-            for (id, dq) in index.search(q, 10, index.nlist()) {
-                let exact = Metric::L1.dist(q, emb.row(id as usize));
-                assert!(
-                    (dq - exact).abs() <= bound + 1e-5,
-                    "id {id}: sym {dq} vs exact {exact} (bound {bound})"
-                );
-            }
+    fn quantization_parses_from_str() {
+        for (s, want) in [
+            ("f32", Quantization::None),
+            ("none", Quantization::None),
+            ("SQ8", Quantization::Sq8),
+            ("int8", Quantization::Sq8),
+            ("pq", Quantization::Pq { m: DEFAULT_PQ_M }),
+            ("pq:16", Quantization::Pq { m: 16 }),
+        ] {
+            assert_eq!(s.parse::<Quantization>(), Ok(want), "{s}");
         }
-        // Rescoring returns exact distances, identical to batch.
-        let q = emb.row(9);
-        let rescored = index.search_rescored(q, 5, index.nlist(), Some(&emb));
-        assert_eq!(rescored[0], (9, 0.0), "self-query must rescore to zero");
-        for &(id, dq) in &rescored {
-            let exact = Metric::L1.dist(q, emb.row(id as usize));
-            assert!((dq - exact).abs() < 1e-9);
-        }
-        let queries = table(5, 16, 69);
-        let batch = index.batch_search_rescored(&queries, 4, 8, Some(&emb));
-        for (i, hits) in batch.iter().enumerate() {
-            assert_eq!(
-                hits,
-                &index.search_rescored(queries.row(i), 4, 8, Some(&emb))
-            );
-        }
-    }
-
-    #[test]
-    fn symmetric_mode_normalises_to_asymmetric_off_sq8() {
-        let emb = table(50, 6, 70);
-        let mut rng = StdRng::seed_from_u64(71);
-        let f32_index = quantized(
-            &emb,
-            4,
-            Quantization::None,
-            4,
-            ScanMode::Symmetric,
-            &mut rng,
-        );
-        assert_eq!(f32_index.scan_mode(), ScanMode::Asymmetric);
-        let mut rng = StdRng::seed_from_u64(71);
-        let pq = quantized(
-            &emb,
-            4,
-            Quantization::Pq { m: 2, nbits: 8 },
-            4,
-            ScanMode::Symmetric,
-            &mut rng,
-        );
-        assert_eq!(pq.scan_mode(), ScanMode::Asymmetric);
-    }
-
-    #[test]
-    fn scan_mode_and_pq4_parse_from_str() {
-        assert_eq!("symmetric".parse::<ScanMode>(), Ok(ScanMode::Symmetric));
-        assert_eq!("SYM".parse::<ScanMode>(), Ok(ScanMode::Symmetric));
-        assert_eq!("asym".parse::<ScanMode>(), Ok(ScanMode::Asymmetric));
-        assert!("fast".parse::<ScanMode>().is_err());
         assert_eq!(
             "pq4".parse::<Quantization>(),
-            Ok(Quantization::Pq {
-                m: DEFAULT_PQ_M,
-                nbits: 4
-            })
+            Err("unknown quantization \"pq4\" (try sq8, pq or pq:M)".into())
         );
-        assert_eq!(
-            "pq4:16".parse::<Quantization>(),
-            Ok(Quantization::Pq { m: 16, nbits: 4 })
-        );
-        assert_eq!(
-            "pq:16".parse::<Quantization>(),
-            Ok(Quantization::Pq { m: 16, nbits: 8 })
-        );
-        assert!("pq4:0".parse::<Quantization>().is_err());
-        assert!("pq5".parse::<Quantization>().is_err());
+        assert!("pq4:16".parse::<Quantization>().is_err());
+        assert!("pq:0".parse::<Quantization>().is_err());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Runtime CPU dispatch for the integer scan kernels.
 //!
-//! The symmetric SQ8 scan (`Storage::scan` under
-//! [`crate::ScanMode::Symmetric`]) works in
-//! the byte domain: sum of absolute (or squared) differences between two
-//! `u8` code rows, widened into integer accumulators. That shape maps
+//! The SQ8 scan (`Storage::scan`) works in the byte domain: sum of
+//! absolute (or squared) differences between two `u8` code rows, widened
+//! into integer accumulators. That shape maps
 //! onto dedicated x86 instructions — `vpsadbw` sums 32 absolute byte
 //! differences per instruction — so this module runs the widest
 //! implementation the process-wide dispatch level allows:

@@ -15,31 +15,24 @@
 //!   candidate set ever happens, and the heap storage is reusable across
 //!   queries (see [`crate::ivf::SearchScratch`]) — no per-candidate-list
 //!   allocation.
-//! * **[`Sq8Codebook`]** quantizes each dimension independently to int8
-//!   codes (`v ≈ bias_j + scale_j · code_j`, code ∈ 0..=255). The
-//!   asymmetric kernels compare an exact `f32` query against quantized
-//!   database rows by decoding inline — two fused multiply-adds per
-//!   element, still auto-vectorizable — so the database shrinks 4× while
-//!   queries lose no precision.
+//! * **[`Sq8Codebook`]** quantizes every dimension to one byte
+//!   (`v ≈ bias_j + scale · code_j`, code ∈ 0..=255) with a per-dimension
+//!   bias and **one** scale, so the database shrinks 4×. The scan quantizes
+//!   the *query* with the same codebook and works in the byte domain:
+//!   `Σ scale·|q_j − c_j|` factors into one integer
+//!   sum-of-absolute-differences times a constant, which the [`dispatch`]
+//!   module maps onto `vpsadbw`-style SIMD chosen at runtime. The
+//!   over-fetch rescore restores exact results.
 //! * **[`PqCodebook`]** goes below one byte per dimension: the vector is
 //!   split into `m` subspaces and each subvector is replaced by the index
-//!   of its nearest k-means-trained sub-centroid — `m` code bytes per
-//!   vector regardless of `d`. Search is ADC (asymmetric distance
-//!   computation): one `m × ksub` lookup table of exact
-//!   query-subvector-to-centroid distances is built per query
-//!   ([`PqCodebook::build_lut_into`]), after which scanning a row is `m`
-//!   table lookups and adds ([`PqCodebook::lut_distance`]) — no decode in
-//!   the loop. With `nbits ≤ 4` codes are **packed two per byte** (low
-//!   nibble = even subspace) and the whole LUT is `m × 16` floats — small
-//!   enough to live in L1 for any realistic `m`.
-//! * **Symmetric SQ8** ([`sq8_sym_dist`]) quantizes the *query* with
-//!   the same uniform-scale codebook ([`Sq8Codebook::train_uniform`]) and
-//!   scans in the byte domain: `Σ scale·|q_j − c_j|` factors into one
-//!   integer sum-of-absolute-differences times a constant, which the
-//!   [`dispatch`] module maps onto `vpsadbw`-style SIMD chosen at
-//!   runtime. Distances deviate from asymmetric ones by at most the
-//!   codebook's encode error bound; the over-fetch rescore restores
-//!   exact results.
+//!   of its nearest k-means-trained sub-centroid (at most 16 per
+//!   subspace), two codes **packed per byte** (low nibble = even
+//!   subspace). Search is ADC (asymmetric distance computation): one
+//!   `m × ksub` lookup table of exact query-subvector-to-centroid
+//!   distances is built per query ([`PqCodebook::build_lut_into`]) — small
+//!   enough to live in L1 for any realistic `m` — after which scanning a
+//!   row is `m` table lookups and adds ([`PqCodebook::lut_distance`]), no
+//!   decode in the loop.
 //! * Every inverted-list scan is one loop, [`scan_ids_by`]: gather +
 //!   per-row distance closure + the `TopK::offer` early abandon. Which
 //!   closure a stored row needs is the storage's decision
@@ -362,16 +355,21 @@ impl<I: Copy + Ord> TopK<I> {
     }
 }
 
-/// Per-dimension affine scalar quantizer: `v_j ≈ bias_j + scale_j · c_j`
-/// with `c_j ∈ 0..=255` (one byte per dimension, 4× smaller than f32).
+/// Scalar quantizer with one step for every dimension:
+/// `v_j ≈ bias_j + scale · c_j` with `c_j ∈ 0..=255` (one byte per
+/// dimension, 4× smaller than f32). A per-dimension bias keeps each
+/// dimension's range; the one shared `scale` — the widest span over 255 —
+/// is what lets two code rows be compared without decoding: the biases
+/// cancel, so L1 is `scale · Σ|q_j − c_j|` and squared L2
+/// `scale² · Σ(q_j − c_j)²`, exact integer sums through [`dispatch`].
 ///
 /// # Examples
 ///
 /// ```
 /// use trajcl_index::Sq8Codebook;
 ///
-/// // Train per-dimension ranges over a (3, 2) table, then round-trip a
-/// // row: the decode error is at most half a quantization step per dim.
+/// // Train over a (3, 2) table, then round-trip a row: the decode error
+/// // is at most half a quantization step per dimension.
 /// let table = [0.0f32, 10.0, 1.0, 20.0, 2.0, 30.0];
 /// let cb = Sq8Codebook::train(&table, 2);
 /// let mut codes = Vec::new();
@@ -381,19 +379,23 @@ impl<I: Copy + Ord> TopK<I> {
 /// let mut decoded = [0.0f32; 2];
 /// cb.decode_into(&codes, &mut decoded);
 /// for j in 0..2 {
-///     assert!((decoded[j] - table[2 + j]).abs() <= cb.step_error(j) + 1e-6);
+///     assert!((decoded[j] - table[2 + j]).abs() <= cb.scale / 2.0 + 1e-6);
 /// }
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sq8Codebook {
     /// Per-dimension minimum (the value of code 0).
     pub bias: Vec<f32>,
-    /// Per-dimension step (the value span of one code increment).
-    pub scale: Vec<f32>,
+    /// The step of one code increment, shared by every dimension.
+    pub scale: f32,
 }
 
 impl Sq8Codebook {
-    /// Trains the per-dimension ranges over a contiguous `(n, d)` table.
+    /// Trains the per-dimension minima and the one scale (the widest
+    /// per-dimension span over 255) over a contiguous `(n, d)` table.
+    /// Narrow dimensions pay a coarser step than their own span needs
+    /// (reflected in [`Sq8Codebook::l1_error_bound`]), which the over-fetch
+    /// rescore absorbs.
     pub fn train(data: &[f32], d: usize) -> Sq8Codebook {
         assert!(
             d > 0 && data.len().is_multiple_of(d),
@@ -407,20 +409,20 @@ impl Sq8Codebook {
                 hi[j] = hi[j].max(v);
             }
         }
+        // A degenerate table (every dimension constant, or none at all)
+        // gets a zero scale: every code is 0 and decodes exactly to bias.
         let scale = lo
             .iter()
             .zip(&hi)
             .map(|(&l, &h)| {
                 let span = h - l;
-                // Degenerate dimension (constant, or empty table): a zero
-                // scale keeps every code at 0 and decodes exactly to bias.
                 if span.is_finite() && span > 0.0 {
                     span / 255.0
                 } else {
                     0.0
                 }
             })
-            .collect();
+            .fold(0.0f32, f32::max);
         let bias = lo
             .into_iter()
             .map(|l| if l.is_finite() { l } else { 0.0 })
@@ -428,174 +430,64 @@ impl Sq8Codebook {
         Sq8Codebook { bias, scale }
     }
 
-    /// Like [`Sq8Codebook::train`] but with **one shared scale** across
-    /// all dimensions: the widest per-dimension span divided by 255
-    /// (per-dimension bias is kept — it cancels out of code-to-code
-    /// differences). Encode, decode and serialization are unchanged;
-    /// what a uniform scale buys is the symmetric integer scan, where
-    /// `Σ_j scale_j · |q_j − c_j|` factors into
-    /// `scale · Σ_j |q_j − c_j|` — one byte-domain SAD and a single
-    /// multiply ([`sq8_sym_dist`]). Narrow dimensions pay a slightly
-    /// coarser step (reflected honestly in
-    /// [`Sq8Codebook::l1_error_bound`]), which the over-fetch rescore
-    /// absorbs.
-    pub fn train_uniform(data: &[f32], d: usize) -> Sq8Codebook {
-        let mut cb = Sq8Codebook::train(data, d);
-        let widest = cb.scale.iter().fold(0.0f32, |a, &s| a.max(s));
-        cb.scale.fill(widest);
-        cb
-    }
-
-    /// The shared scale when every dimension uses the same one — `Some`
-    /// for [`Sq8Codebook::train_uniform`] codebooks (a bit-exact
-    /// property, preserved by serialization round trips), `None` for
-    /// per-dimension codebooks. Symmetric scans require `Some`; callers
-    /// fall back to the asymmetric kernels otherwise.
-    pub fn uniform_scale(&self) -> Option<f32> {
-        let s = *self.scale.first()?;
-        self.scale.iter().all(|&x| x == s).then_some(s)
-    }
-
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.bias.len()
     }
 
-    /// Encodes one `d`-vector, appending `d` codes to `out`.
+    /// Encodes one `d`-vector, appending `d` codes to `out`. Values
+    /// outside the trained box clamp to code 0 or 255.
     pub fn encode_into(&self, v: &[f32], out: &mut Vec<u8>) {
         debug_assert_eq!(v.len(), self.dim());
-        out.extend(
-            v.iter()
-                .zip(&self.bias)
-                .zip(&self.scale)
-                .map(|((&x, &b), &s)| {
-                    if s > 0.0 {
-                        ((x - b) / s).round().clamp(0.0, 255.0) as u8
-                    } else {
-                        0u8
-                    }
-                }),
-        );
+        let s = self.scale;
+        out.extend(v.iter().zip(&self.bias).map(|(&x, &b)| {
+            if s > 0.0 {
+                ((x - b) / s).round().clamp(0.0, 255.0) as u8
+            } else {
+                0u8
+            }
+        }));
     }
 
     /// Decodes `codes` (one row) into `out[..d]`.
     pub fn decode_into(&self, codes: &[u8], out: &mut [f32]) {
         debug_assert_eq!(codes.len(), self.dim());
-        for ((o, &c), (&b, &s)) in out
-            .iter_mut()
-            .zip(codes)
-            .zip(self.bias.iter().zip(&self.scale))
-        {
-            *o = b + s * c as f32;
+        for ((o, &c), &b) in out.iter_mut().zip(codes).zip(&self.bias) {
+            *o = b + self.scale * c as f32;
         }
     }
 
-    /// Worst-case absolute error of one decoded coordinate in dimension
-    /// `j` (half a quantization step).
-    pub fn step_error(&self, j: usize) -> f32 {
-        self.scale[j] * 0.5
+    /// L1 distance from `q` to the box the codes span,
+    /// `Σ_j dist(q_j, [bias_j, bias_j + 255·scale])`: what
+    /// [`Sq8Codebook::encode_into`]'s clamp cuts off a query outside it
+    /// (0 inside). Every encoded row lies in the box, so per dimension
+    /// `|q − x| = |q − clamp(q)| + |clamp(q) − x|`, and the L1 scan adds
+    /// this once per query to stay within `d · scale` of exact.
+    pub(crate) fn l1_to_box(&self, q: &[f32]) -> f64 {
+        let top = 255.0 * self.scale;
+        q.iter()
+            .zip(&self.bias)
+            .map(|(&x, &b)| f64::from((b - x).max(x - (b + top)).max(0.0)))
+            .sum()
     }
 
-    /// Worst-case L1 distance error of one quantized row (the sum of all
-    /// per-dimension half-steps) — the bound quantization-aware tests and
-    /// the rescoring margin reason about.
+    /// Worst-case L1 distance error of one quantized row (`d` half-steps)
+    /// — the bound quantization-aware tests and the rescoring margin
+    /// reason about.
     pub fn l1_error_bound(&self) -> f64 {
-        self.scale.iter().map(|&s| s as f64 * 0.5).sum()
+        self.dim() as f64 * f64::from(self.scale) * 0.5
     }
 
     /// Approximate resident bytes of the codebook itself.
     pub fn memory_bytes(&self) -> usize {
-        (self.bias.len() + self.scale.len()) * 4
-    }
-}
-
-/// Asymmetric L1: exact f32 `query` vs one quantized row, decoding inline
-/// (`chunks_exact` zips keep the loop bounds-check-free so it vectorizes
-/// like the pure-f32 kernels).
-#[inline]
-pub fn sq8_l1_asym(query: &[f32], codes: &[u8], bias: &[f32], scale: &[f32]) -> f32 {
-    debug_assert_eq!(query.len(), codes.len());
-    let mut acc = [0.0f32; LANES];
-    let mut cq = query.chunks_exact(LANES);
-    let mut cc = codes.chunks_exact(LANES);
-    let mut cb = bias.chunks_exact(LANES);
-    let mut cs = scale.chunks_exact(LANES);
-    for (((xq, xc), xb), xs) in (&mut cq).zip(&mut cc).zip(&mut cb).zip(&mut cs) {
-        for j in 0..LANES {
-            let v = xb[j] + xs[j] * xc[j] as f32;
-            acc[j] += (xq[j] - v).abs();
-        }
-    }
-    let mut tail = 0.0f32;
-    for (((&q, &c), &b), &s) in cq
-        .remainder()
-        .iter()
-        .zip(cc.remainder())
-        .zip(cb.remainder())
-        .zip(cs.remainder())
-    {
-        tail += (q - (b + s * c as f32)).abs();
-    }
-    acc.iter().sum::<f32>() + tail
-}
-
-/// Asymmetric squared L2: exact f32 `query` vs one quantized row.
-#[inline]
-pub fn sq8_l2_asym(query: &[f32], codes: &[u8], bias: &[f32], scale: &[f32]) -> f32 {
-    debug_assert_eq!(query.len(), codes.len());
-    let mut acc = [0.0f32; LANES];
-    let mut cq = query.chunks_exact(LANES);
-    let mut cc = codes.chunks_exact(LANES);
-    let mut cb = bias.chunks_exact(LANES);
-    let mut cs = scale.chunks_exact(LANES);
-    for (((xq, xc), xb), xs) in (&mut cq).zip(&mut cc).zip(&mut cb).zip(&mut cs) {
-        for j in 0..LANES {
-            let v = xb[j] + xs[j] * xc[j] as f32;
-            let d = xq[j] - v;
-            acc[j] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (((&q, &c), &b), &s) in cq
-        .remainder()
-        .iter()
-        .zip(cc.remainder())
-        .zip(cb.remainder())
-        .zip(cs.remainder())
-    {
-        let d = q - (b + s * c as f32);
-        tail += d * d;
-    }
-    acc.iter().sum::<f32>() + tail
-}
-
-/// Asymmetric distance under `metric` (f64 at the boundary).
-#[inline]
-pub fn sq8_dist(metric: Metric, query: &[f32], codes: &[u8], cb: &Sq8Codebook) -> f64 {
-    match metric {
-        Metric::L1 => sq8_l1_asym(query, codes, &cb.bias, &cb.scale) as f64,
-        Metric::L2 => sq8_l2_asym(query, codes, &cb.bias, &cb.scale) as f64,
-    }
-}
-
-/// Symmetric SQ8 distance between two code rows of a **uniform-scale**
-/// codebook (`scale` = [`Sq8Codebook::uniform_scale`]): the metric
-/// distance between the two *decoded* rows, computed without decoding —
-/// per-dimension bias cancels, so L1 is `scale · Σ|q_j − c_j|` and
-/// squared L2 is `scale² · Σ(q_j − c_j)²`, both exact integer sums
-/// scaled once at the end.
-#[inline]
-pub fn sq8_sym_dist(metric: Metric, qcodes: &[u8], codes: &[u8], scale: f32) -> f64 {
-    match metric {
-        Metric::L1 => dispatch::sad_scalar(qcodes, codes) as f64 * scale as f64,
-        Metric::L2 => dispatch::ssd_scalar(qcodes, codes) as f64 * scale as f64 * scale as f64,
+        (self.bias.len() + 1) * 4
     }
 }
 
 /// Product quantizer: the vector is split into `m` contiguous subspaces
-/// and each subvector is stored as the index of its nearest sub-centroid
-/// (k-means-trained per subspace) — `m` bytes per vector, i.e. sub-byte
-/// cost *per dimension* once `m < d`.
+/// and each subvector is stored as the 4-bit index of its nearest
+/// sub-centroid (k-means-trained per subspace, at most 16 each), two
+/// codes per byte — `⌈m/2⌉` bytes per vector.
 ///
 /// Training follows standard practice: plain k-means (L2) per subspace
 /// over (a sample of) the indexed table, encoding by nearest-centroid
@@ -614,10 +506,10 @@ pub fn sq8_sym_dist(metric: Metric, qcodes: &[u8], codes: &[u8], scale: f32) -> 
 /// use trajcl_index::{Metric, PqCodebook};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
-/// // A tiny (32, 8) table; 2 subspaces of 4 dims, 8-bit codes.
+/// // A tiny (32, 8) table; 3 subspaces (3, 3 and 2 dims), 4-bit codes.
 /// let table: Vec<f32> = (0..32 * 8).map(|i| (i % 13) as f32 * 0.1).collect();
-/// let mut cb = PqCodebook::train(&table, 8, 2, 8, &mut rng);
-/// let codes = cb.encode_table(&table); // 2 bytes per row
+/// let mut cb = PqCodebook::train(&table, 8, 3, &mut rng);
+/// let codes = cb.encode_table(&table); // ceil(3 / 2) = 2 bytes per row
 /// assert_eq!(codes.len(), 32 * 2);
 ///
 /// // ADC: build the per-query LUT once, then row distances are m lookups.
@@ -630,8 +522,7 @@ pub fn sq8_sym_dist(metric: Metric, qcodes: &[u8], codes: &[u8], scale: f32) -> 
 #[derive(Clone, Debug, PartialEq)]
 pub struct PqCodebook {
     m: usize,
-    nbits: u8,
-    /// Centroids per subspace (`min(2^nbits, n)` at training time).
+    /// Centroids per subspace (`min(16, n)` at training time).
     ksub: usize,
     d: usize,
     /// Subspace boundaries, `m + 1` entries; subspace `s` covers
@@ -645,12 +536,10 @@ pub struct PqCodebook {
     /// Max per-row L1 reconstruction error observed over the encoded
     /// table ([`PqCodebook::encode_table`]); 0 until a table is encoded.
     l1_bound: f32,
-    /// Whether stored rows pack two 4-bit codes per byte (`nbits ≤ 4`):
-    /// subspace `2i` in the low nibble of byte `i`, `2i + 1` in the high
-    /// nibble, trailing nibble of an odd `m` always zero. Row stride is
-    /// [`PqCodebook::code_stride`] bytes either way.
-    packed: bool,
 }
+
+/// Most centroids a sub-quantizer trains: one 4-bit code, two per byte.
+const PQ_KSUB: usize = 16;
 
 /// Training-sample cap per sub-quantizer, as a multiple of `ksub`
 /// (k-means quality saturates long before the full table is needed).
@@ -670,20 +559,18 @@ fn subspace_offsets(d: usize, m: usize) -> Vec<usize> {
 }
 
 impl PqCodebook {
-    /// Trains `m` sub-quantizers (8-bit by default ⇒ `ksub = 256`
-    /// centroids each, clamped to the table size) over a contiguous
-    /// `(n, d)` table. Tables larger than `ksub ·` 128 rows are
-    /// subsampled for training; encoding always covers every row.
-    /// `m` is clamped to `1..=d`, `nbits` to `1..=8`.
-    pub fn train(data: &[f32], d: usize, m: usize, nbits: u8, rng: &mut impl Rng) -> PqCodebook {
+    /// Trains `m` sub-quantizers (`ksub = 16` centroids each, clamped to
+    /// the table size) over a contiguous `(n, d)` table. Tables larger
+    /// than `ksub ·` 128 rows are subsampled for training; encoding always
+    /// covers every row. `m` is clamped to `1..=d`.
+    pub fn train(data: &[f32], d: usize, m: usize, rng: &mut impl Rng) -> PqCodebook {
         assert!(
             d > 0 && data.len().is_multiple_of(d) && !data.is_empty(),
             "table must be a non-empty (n, d)"
         );
         let n = data.len() / d;
         let m = m.clamp(1, d);
-        let nbits = nbits.clamp(1, 8);
-        let ksub = (1usize << nbits).min(n);
+        let ksub = PQ_KSUB.min(n);
         let offsets = subspace_offsets(d, m);
         // Sample training rows once, shared by every subspace.
         let cap = ksub * PQ_TRAIN_POINTS_PER_CENTROID;
@@ -708,95 +595,68 @@ impl PqCodebook {
         }
         PqCodebook {
             m,
-            nbits,
             ksub,
             d,
             offsets,
             centroids,
             l1_bound: 0.0,
-            packed: nbits <= 4,
         }
     }
 
-    /// Rebuilds a codebook from serialised parts (the `IVF4` reader);
-    /// `None` when the field sizes are inconsistent. `packed` must only
-    /// be set for `nbits ≤ 4` (two codes per byte need 4-bit codes).
+    /// Rebuilds a codebook from serialised parts (the `IVF5` reader);
+    /// `None` when the field sizes are inconsistent.
     pub fn from_parts(
         d: usize,
         m: usize,
-        nbits: u8,
         ksub: usize,
         centroids: Vec<f32>,
         l1_bound: f32,
-        packed: bool,
     ) -> Option<PqCodebook> {
         if d == 0
             || m == 0
             || m > d
-            || nbits == 0
-            || nbits > 8
-            || (packed && nbits > 4)
             || ksub == 0
-            || ksub > (1usize << nbits)
+            || ksub > PQ_KSUB
             || centroids.len() != ksub.checked_mul(d)?
         {
             return None;
         }
         Some(PqCodebook {
             m,
-            nbits,
             ksub,
             d,
             offsets: subspace_offsets(d, m),
             centroids,
             l1_bound,
-            packed,
         })
     }
 
-    /// Number of subspaces (= code bytes per vector).
+    /// Number of subspaces (= codes per vector).
     pub fn m(&self) -> usize {
         self.m
     }
 
-    /// Code width in bits (8 ⇒ up to 256 centroids per subspace).
-    pub fn nbits(&self) -> u8 {
-        self.nbits
-    }
-
-    /// Centroids per subspace (`min(2^nbits, n)` at training time).
+    /// Centroids per subspace (`min(16, n)` at training time).
     pub fn ksub(&self) -> usize {
         self.ksub
     }
 
-    /// Whether stored rows pack two 4-bit codes per byte.
-    pub fn packed(&self) -> bool {
-        self.packed
-    }
-
-    /// Bytes per stored code row: `ceil(m / 2)` when packed, `m` otherwise.
+    /// Bytes per stored code row: `ceil(m / 2)`. Subspace `2i` sits in
+    /// the low nibble of byte `i`, `2i + 1` in the high nibble; the
+    /// trailing nibble of an odd `m` is always zero.
     pub fn code_stride(&self) -> usize {
-        if self.packed {
-            self.m.div_ceil(2)
-        } else {
-            self.m
-        }
+        self.m.div_ceil(2)
     }
 
-    /// Code index of subspace `s` in a stored row (nibble extraction for
-    /// packed rows, plain byte otherwise).
+    /// Code index of subspace `s` in a stored row.
     #[inline]
     pub fn code_at(&self, row: &[u8], s: usize) -> usize {
-        if self.packed {
-            let b = row[s / 2];
-            (if s.is_multiple_of(2) {
-                b & 0x0F
-            } else {
-                b >> 4
-            }) as usize
+        let b = row[s / 2];
+        (if s.is_multiple_of(2) {
+            b & 0x0F
         } else {
-            row[s] as usize
-        }
+            b >> 4
+        }) as usize
     }
 
     /// Vector dimensionality.
@@ -816,26 +676,18 @@ impl PqCodebook {
         &self.centroids[at..at + self.ksub * dsub]
     }
 
-    /// Encodes one `d`-vector, appending one stored code row
-    /// ([`PqCodebook::code_stride`] bytes) to `out` — nibble-packed when
-    /// the codebook is packed, one byte per subspace otherwise. The
-    /// trailing nibble of an odd packed `m` is always zero.
+    /// Encodes one `d`-vector, appending one nibble-packed code row
+    /// ([`PqCodebook::code_stride`] bytes) to `out`.
     pub fn encode_into(&self, v: &[f32], out: &mut Vec<u8>) {
         debug_assert_eq!(v.len(), self.d);
         let start = out.len();
-        if self.packed {
-            out.resize(start + self.code_stride(), 0);
-        }
+        out.resize(start + self.code_stride(), 0);
         for s in 0..self.m {
             let sub = &v[self.offsets[s]..self.offsets[s + 1]];
             let dsub = sub.len();
             let c = argmin_row(Metric::L2, sub, self.sub_centroids(s), dsub) as u8;
-            if self.packed {
-                // ksub ≤ 16, so `c` always fits in the nibble.
-                out[start + s / 2] |= if s % 2 == 0 { c } else { c << 4 };
-            } else {
-                out.push(c);
-            }
+            // ksub ≤ 16, so `c` always fits in the nibble.
+            out[start + s / 2] |= if s % 2 == 0 { c } else { c << 4 };
         }
     }
 
@@ -915,19 +767,13 @@ impl PqCodebook {
         debug_assert_eq!(lut.len(), self.m * self.ksub);
         debug_assert_eq!(codes.len(), self.code_stride());
         let mut acc = 0.0f32;
-        if self.packed {
-            // Two 4-bit codes per byte, low nibble = even subspace; the
-            // trailing high nibble of an odd `m` is skipped.
-            for (i, &b) in codes.iter().enumerate() {
-                let s = 2 * i;
-                acc += lut[s * self.ksub + (b & 0x0F) as usize];
-                if s + 1 < self.m {
-                    acc += lut[(s + 1) * self.ksub + (b >> 4) as usize];
-                }
-            }
-        } else {
-            for (s, &c) in codes.iter().enumerate() {
-                acc += lut[s * self.ksub + c as usize];
+        // Low nibble = even subspace; the trailing high nibble of an odd
+        // `m` is skipped.
+        for (i, &b) in codes.iter().enumerate() {
+            let s = 2 * i;
+            acc += lut[s * self.ksub + (b & 0x0F) as usize];
+            if s + 1 < self.m {
+                acc += lut[(s + 1) * self.ksub + (b >> 4) as usize];
             }
         }
         acc as f64
@@ -1053,6 +899,15 @@ mod tests {
         let d = 24;
         let data = randv(96 * d, 5);
         let cb = Sq8Codebook::train(&data, d);
+        // The one scale is the widest per-dimension span over 255.
+        let widest = (0..d)
+            .map(|j| {
+                let col = data.iter().skip(j).step_by(d);
+                let (lo, hi) = col.fold((f32::MAX, f32::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+                (hi - lo) / 255.0
+            })
+            .fold(0.0f32, f32::max);
+        assert_eq!(cb.scale, widest);
         let mut codes = Vec::new();
         let mut decoded = vec![0.0f32; d];
         for row in data.chunks_exact(d) {
@@ -1061,7 +916,7 @@ mod tests {
             cb.decode_into(&codes, &mut decoded);
             for (j, (&v, &w)) in row.iter().zip(&decoded).enumerate() {
                 assert!(
-                    (v - w).abs() <= cb.step_error(j) + 1e-6,
+                    (v - w).abs() <= cb.scale * 0.5 + 1e-6,
                     "dim {j}: {v} vs {w}"
                 );
             }
@@ -1086,13 +941,13 @@ mod tests {
         let d = 24;
         let data = randv(300 * d, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        let mut cb = PqCodebook::train(&data, d, 3, 8, &mut rng);
+        let mut cb = PqCodebook::train(&data, d, 3, &mut rng);
         let codes = cb.encode_table(&data);
-        assert_eq!(codes.len(), 300 * 3, "3 bytes per row");
+        assert_eq!(codes.len(), 300 * 2, "ceil(3 / 2) bytes per row");
         let bound = cb.l1_error_bound();
         assert!(bound > 0.0, "real data cannot encode losslessly");
         let mut decoded = vec![0.0f32; d];
-        for (row, crow) in data.chunks_exact(d).zip(codes.chunks_exact(3)) {
+        for (row, crow) in data.chunks_exact(d).zip(codes.chunks_exact(2)) {
             cb.decode_into(crow, &mut decoded);
             assert!(l1_f32(row, &decoded) as f64 <= bound + 1e-5);
         }
@@ -1102,13 +957,13 @@ mod tests {
     fn pq_lut_distance_equals_decoded_distance() {
         // ADC must be *exactly* the metric distance to the decoded row
         // (up to f32 association noise) — for both metrics, an uneven
-        // subspace split (d = 10, m = 3 → widths 4, 3, 3) and packed
-        // 4-bit rows with an odd m.
+        // subspace split (d = 10, m = 3 → widths 4, 3, 3) and odd and
+        // even m.
         let d = 10;
         let data = randv(120 * d, 21);
         let mut rng = StdRng::seed_from_u64(22);
-        for (m, nbits) in [(3, 8), (5, 4)] {
-            let mut cb = PqCodebook::train(&data, d, m, nbits, &mut rng);
+        for m in [3, 4, 5] {
+            let mut cb = PqCodebook::train(&data, d, m, &mut rng);
             let codes = cb.encode_table(&data);
             let q = randv(d, 777);
             let mut lut = Vec::new();
@@ -1128,14 +983,15 @@ mod tests {
     #[test]
     fn pq_parameters_clamp() {
         let d = 8;
-        let n = 64;
+        let n = 12;
         let data = randv(n * d, 31);
         let mut rng = StdRng::seed_from_u64(32);
-        // m and nbits out of range clamp rather than panic.
-        let mut cb = PqCodebook::train(&data, d, 99, 12, &mut rng);
+        // An m out of range clamps rather than panics.
+        let mut cb = PqCodebook::train(&data, d, 99, &mut rng);
         assert_eq!(cb.m(), d);
-        assert_eq!(cb.nbits(), 8);
         assert_eq!(cb.ksub(), n, "ksub clamps to the table size");
+        let wide = randv(40 * d, 33);
+        assert_eq!(PqCodebook::train(&wide, d, 2, &mut rng).ksub(), 16);
         cb.encode_table(&data);
         // With ksub == n and distinct rows, encoding is (near-)lossless.
         assert!(cb.l1_error_bound() < 1e-4);
@@ -1168,84 +1024,45 @@ mod tests {
     }
 
     #[test]
-    fn pq4_pack_roundtrip_is_bit_exact_with_odd_m() {
-        // Packed rows must hold exactly the codes an unpacked twin
-        // produces — low nibble = even subspace — and the trailing
-        // nibble of an odd m must stay zero.
+    fn pq_rows_pack_nearest_centroids_two_per_byte_with_odd_m() {
+        // Each nibble holds its subspace's nearest centroid — low nibble =
+        // even subspace — the trailing nibble of an odd m stays zero, and
+        // decode gathers exactly those centroids.
         let d = 10;
         let n = 80;
         let data = randv(n * d, 41);
         let mut rng = StdRng::seed_from_u64(42);
-        let mut cb = PqCodebook::train(&data, d, 3, 4, &mut rng);
-        assert!(cb.packed());
+        let mut cb = PqCodebook::train(&data, d, 3, &mut rng);
         assert_eq!(cb.code_stride(), 2, "ceil(3 / 2) bytes per row");
         let codes = cb.encode_table(&data);
         assert_eq!(codes.len(), n * 2);
-        // Unpacked twin over the same centroids.
-        let twin = PqCodebook::from_parts(
-            d,
-            cb.m(),
-            cb.nbits(),
-            cb.ksub(),
-            cb.centroids().to_vec(),
-            cb.l1_bound_raw(),
-            false,
-        )
-        .expect("twin parts are consistent");
-        let mut want = Vec::new();
-        for (row, crow) in data.chunks_exact(d).zip(codes.chunks_exact(2)) {
-            want.clear();
-            twin.encode_into(row, &mut want);
-            for (s, &w) in want.iter().enumerate().take(cb.m()) {
-                assert_eq!(cb.code_at(crow, s), w as usize);
-            }
-            assert_eq!(crow[1] >> 4, 0, "trailing nibble of odd m is zero");
-        }
-        // Packed decode gathers the same centroids as the twin's.
         let mut dec = vec![0.0f32; d];
-        let mut tdec = vec![0.0f32; d];
-        let mut tcodes = Vec::new();
         for (row, crow) in data.chunks_exact(d).zip(codes.chunks_exact(2)) {
             cb.decode_into(crow, &mut dec);
-            tcodes.clear();
-            twin.encode_into(row, &mut tcodes);
-            twin.decode_into(&tcodes, &mut tdec);
-            assert_eq!(dec, tdec);
-        }
-    }
-
-    #[test]
-    fn uniform_codebook_has_one_scale_and_bounded_roundtrip() {
-        let d = 16;
-        let data = randv(200 * d, 51);
-        let cb = Sq8Codebook::train_uniform(&data, d);
-        let s = cb.uniform_scale().expect("trained uniform");
-        assert!(s > 0.0);
-        // Per-dim training on the same data is NOT uniform (distinct spans).
-        assert_eq!(Sq8Codebook::train(&data, d).uniform_scale(), None);
-        // The shared scale is the widest span, so every value still
-        // round-trips within half a step.
-        let mut codes = Vec::new();
-        let mut dec = vec![0.0f32; d];
-        for row in data.chunks_exact(d).take(50) {
-            codes.clear();
-            cb.encode_into(row, &mut codes);
-            cb.decode_into(&codes, &mut dec);
-            for (&v, &w) in row.iter().zip(&dec) {
-                assert!((v - w).abs() <= s / 2.0 + 1e-6);
+            for s in 0..cb.m() {
+                let (lo, hi) = (cb.offsets[s], cb.offsets[s + 1]);
+                let want = argmin_row(Metric::L2, &row[lo..hi], cb.sub_centroids(s), hi - lo);
+                let c = cb.code_at(crow, s);
+                assert_eq!(c, want);
+                assert_eq!(
+                    dec[lo..hi],
+                    cb.sub_centroids(s)[c * (hi - lo)..(c + 1) * (hi - lo)]
+                );
             }
+            assert_eq!(crow[1] >> 4, 0, "trailing nibble of odd m is zero");
         }
     }
 
     #[test]
     fn symmetric_distance_equals_decoded_distance() {
-        // sym(q, row) must be *exactly* the metric distance between the
-        // two decoded vectors: biases cancel, scale factors out.
+        // The scaled byte sums must be *exactly* the metric distance
+        // between the two decoded vectors: biases cancel, scale factors
+        // out.
         let d = 24;
         let n = 64;
         let data = randv(n * d, 53);
-        let cb = Sq8Codebook::train_uniform(&data, d);
-        let s = cb.uniform_scale().expect("uniform");
+        let cb = Sq8Codebook::train(&data, d);
+        let s = f64::from(cb.scale);
         let q = randv(d, 54);
         let mut qcodes = Vec::new();
         cb.encode_into(&q, &mut qcodes);
@@ -1261,7 +1078,10 @@ mod tests {
                 let crow = &codes[i * d..(i + 1) * d];
                 cb.decode_into(crow, &mut rdec);
                 let want = dist(metric, &qdec, &rdec);
-                let got = sq8_sym_dist(metric, &qcodes, crow, s);
+                let got = match metric {
+                    Metric::L1 => dispatch::sad_scalar(&qcodes, crow) as f64 * s,
+                    Metric::L2 => dispatch::ssd_scalar(&qcodes, crow) as f64 * s * s,
+                };
                 let tol = want.abs().max(1.0) * 1e-5;
                 assert!(
                     (want - got).abs() <= tol,
@@ -1272,25 +1092,35 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_distance_close_to_exact() {
+    fn box_offset_keeps_out_of_box_l1_within_d_steps_of_exact() {
+        // Queries drawn three times wider than the table clamp on most
+        // dimensions; with the box offset added the integer L1 is still
+        // within d · scale of exact, and without it, it falls short.
         let d = 32;
         let n = 64;
-        let data = randv(n * d, 9);
+        let data: Vec<f32> = randv(n * d, 9).iter().map(|v| v / 3.0).collect();
         let cb = Sq8Codebook::train(&data, d);
         let mut codes = Vec::new();
         for row in data.chunks_exact(d) {
             cb.encode_into(row, &mut codes);
         }
         let q = randv(d, 1234);
+        let mut qcodes = Vec::new();
+        cb.encode_into(&q, &mut qcodes);
+        let offset = cb.l1_to_box(&q);
+        assert!(
+            offset > 2.0 * cb.l1_error_bound(),
+            "the query is far out of the box"
+        );
         for i in 0..n {
-            let row = &data[i * d..(i + 1) * d];
-            let crow = &codes[i * d..(i + 1) * d];
-            let exact = l1_f32(&q, row) as f64;
-            let approx = sq8_dist(Metric::L1, &q, crow, &cb);
+            let exact = l1_f32(&q, &data[i * d..(i + 1) * d]) as f64;
+            let sad = dispatch::sad_scalar(&qcodes, &codes[i * d..(i + 1) * d]);
+            let scanned = sad as f64 * f64::from(cb.scale) + offset;
             assert!(
-                (exact - approx).abs() <= cb.l1_error_bound() + 1e-5,
-                "row {i}: exact {exact} vs sq8 {approx}"
+                (exact - scanned).abs() <= 2.0 * cb.l1_error_bound() + 1e-4,
+                "row {i}: exact {exact} vs scanned {scanned}"
             );
+            assert!(exact - (scanned - offset) > 2.0 * cb.l1_error_bound());
         }
     }
 }

@@ -23,9 +23,8 @@
 //! scalar quantizer ([`Sq8Codebook`]) behind
 //! [`Quantization::Sq8`]-configured indexes, and the product quantizer
 //! ([`PqCodebook`], ADC lookup-table scans) behind [`Quantization::Pq`].
-//! Integer scan kernels (symmetric SQ8 under [`ScanMode::Symmetric`])
-//! pick AVX-512/AVX2/scalar implementations at runtime through
-//! [`kernels::dispatch`]. Which of those a stored row is scanned,
+//! SQ8's integer scan kernels pick AVX-512/AVX2/scalar implementations
+//! at runtime through [`kernels::dispatch`]. Which of those a stored row is scanned,
 //! decoded and serialised with is decided in one private module
 //! (`storage`, the codec seam); [`ivf`] holds only what is IVF. DESIGN.md
 //! §10 documents the seam, the storage layouts and the over-fetch /
@@ -44,7 +43,7 @@ pub mod wal;
 
 pub use hausdorff_index::SegmentHausdorffIndex;
 pub use ivf::{
-    brute_force_batch_knn, brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization, ScanMode,
+    brute_force_batch_knn, brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization,
     SearchScratch, DEFAULT_PQ_M, DEFAULT_RESCORE_FACTOR,
 };
 pub use kernels::{PqCodebook, Sq8Codebook, TopK};

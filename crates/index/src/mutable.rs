@@ -28,7 +28,7 @@
 //! values that already sit on the code lattice — the error does not
 //! compound beyond the codebook's per-step bound (PQ re-seals re-train
 //! centroids on the decoded rows, which reproduce them near-exactly for
-//! the same reason). Sealed quantized searches return asymmetric
+//! the same reason). Sealed quantized searches return quantized
 //! distances; [`IndexSnapshot::search_rescored`] lets a caller holding
 //! exact vectors (the serving engine's cached table) re-rank them
 //! exactly.
@@ -334,7 +334,7 @@ impl IndexSnapshot {
     /// cells, or exact flat scan), filters tombstones, brute-force-scans
     /// the write buffer for its own top `k`, and merges. Returns
     /// `(external id, distance)` ascending, at most `k` entries. Quantized
-    /// sealed hits carry asymmetric distances — see
+    /// sealed hits carry quantized distances — see
     /// [`IndexSnapshot::search_rescored`] for the exact-rescoring variant.
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(u64, f64)> {
         self.search_rescored(query, k, nprobe, None)
@@ -343,8 +343,8 @@ impl IndexSnapshot {
     /// [`IndexSnapshot::search`] with optional sealed-part rescoring.
     ///
     /// A quantized (SQ8/PQ) sealed part keeps no exact copy of its rows,
-    /// so plain searches return *asymmetric* distances (exact query vs
-    /// quantized rows), correct within the codebook's error bound. When
+    /// so plain searches return *quantized* distances, correct within the
+    /// codebook's error bound ([`crate::Quantization`]). When
     /// the caller can supply exact vectors for (some) external ids — the
     /// serving layer's engine keeps its cached embedding table for
     /// exactly this — passing a [`ExactRescorer`] makes the sealed scan
@@ -352,10 +352,10 @@ impl IndexSnapshot {
     /// the rescorer covers with exact distances.
     ///
     /// **Caveat:** ids the rescorer returns `None` for (vectors upserted
-    /// or replaced after the exact table was built) keep their asymmetric
+    /// or replaced after the exact table was built) keep their quantized
     /// distances and compete in the merged ranking as-is; each individual
     /// distance stays within the quantization error bound, but the final
-    /// ordering mixes exact and asymmetric values. Buffer hits are always
+    /// ordering mixes exact and quantized values. Buffer hits are always
     /// exact. With an f32 (unquantized) sealed part the rescorer is
     /// ignored — distances are exact already.
     pub fn search_rescored(
@@ -421,7 +421,7 @@ impl IndexSnapshot {
 /// A source of exact vectors for sealed-part rescoring
 /// ([`IndexSnapshot::search_rescored`]): maps an external id to its exact
 /// f32 vector when one is known to match what the index holds for that
-/// id, `None` otherwise (in which case the asymmetric distance is kept).
+/// id, `None` otherwise (in which case the quantized distance is kept).
 pub trait ExactRescorer {
     /// The exact vector for `id`, when available and current.
     fn exact_vector(&self, id: u64) -> Option<&[f32]>;

@@ -5,7 +5,7 @@
 //! ([`encode`]), the per-row distance an inverted-list scan
 //! offers ([`Storage::scan`]), row read-back
 //! ([`Storage::decode_row_into`]), memory accounting and the storage half
-//! of the `IVF4` section. `ivf.rs` keeps what is IVF — centroids, lists,
+//! of the `IVF5` section. `ivf.rs` keeps what is IVF — centroids, lists,
 //! probing, the section header, over-fetch and rescore — and never looks
 //! at the variant. A fourth codec is one more variant here, one more
 //! [`Quantization`] value and, if it needs per-query state, one more field
@@ -13,7 +13,7 @@
 
 use rand::Rng;
 
-use crate::ivf::{Metric, Quantization, Reader, ScanMode};
+use crate::ivf::{Metric, Quantization, Reader};
 use crate::kernels::{self, dispatch, PqCodebook, Sq8Codebook, TopK};
 
 /// Exact rows, SQ8 codes or PQ codes, row-major by position.
@@ -31,17 +31,14 @@ pub(crate) struct ScanScratch {
     pub(crate) topk: TopK,
     /// PQ ADC lookup table (`m × ksub`).
     lut: Vec<f32>,
-    /// Quantized query codes of the symmetric SQ8 scan.
+    /// Quantized query codes of the SQ8 scan.
     qcodes: Vec<u8>,
 }
 
 /// Trains the codec `quantization` names over the `(n, d)` table
-/// `data` and encodes every row. SQ8 under [`ScanMode::Symmetric`]
-/// trains one uniform scale ([`Sq8Codebook::train_uniform`]); only PQ
-/// training draws from `rng`.
+/// `data` and encodes every row; only PQ training draws from `rng`.
 pub(crate) fn encode(
     quantization: Quantization,
-    mode: ScanMode,
     data: &[f32],
     d: usize,
     rng: &mut impl Rng,
@@ -49,18 +46,15 @@ pub(crate) fn encode(
     match quantization {
         Quantization::None => Storage::F32(data.to_vec()),
         Quantization::Sq8 => {
-            let cb = match mode {
-                ScanMode::Symmetric => Sq8Codebook::train_uniform(data, d),
-                ScanMode::Asymmetric => Sq8Codebook::train(data, d),
-            };
+            let cb = Sq8Codebook::train(data, d);
             let mut codes = Vec::with_capacity(data.len());
             for row in data.chunks_exact(d) {
                 cb.encode_into(row, &mut codes);
             }
             Storage::Sq8 { codes, cb }
         }
-        Quantization::Pq { m, nbits } => {
-            let mut cb = PqCodebook::train(data, d, m, nbits, rng);
+        Quantization::Pq { m } => {
+            let mut cb = PqCodebook::train(data, d, m, rng);
             let codes = cb.encode_table(data);
             Storage::Pq { codes, cb }
         }
@@ -68,25 +62,13 @@ pub(crate) fn encode(
 }
 
 impl Storage {
-    /// The scan mode searches over this storage run in when `requested`
-    /// was asked for: symmetric scanning only exists for SQ8.
-    pub(crate) fn scan_mode(&self, requested: ScanMode) -> ScanMode {
-        match self {
-            Storage::Sq8 { .. } => requested,
-            Storage::F32(_) | Storage::Pq { .. } => ScanMode::Asymmetric,
-        }
-    }
-
     /// The quantization stored (for PQ, the *effective* parameters after
     /// build-time clamping).
     pub(crate) fn quantization(&self) -> Quantization {
         match self {
             Storage::F32(_) => Quantization::None,
             Storage::Sq8 { .. } => Quantization::Sq8,
-            Storage::Pq { cb, .. } => Quantization::Pq {
-                m: cb.m(),
-                nbits: cb.nbits(),
-            },
+            Storage::Pq { cb, .. } => Quantization::Pq { m: cb.m() },
         }
     }
 
@@ -132,7 +114,6 @@ impl Storage {
     pub(crate) fn scan<'a>(
         &self,
         metric: Metric,
-        mode: ScanMode,
         d: usize,
         query: &[f32],
         lists: impl Iterator<Item = &'a [u32]>,
@@ -149,30 +130,21 @@ impl Storage {
                 kernels::dist(metric, query, row(rows, d, id))
             }),
             Storage::Sq8 { codes, cb } => {
-                // Symmetric scanning needs the uniform scale the codebook
-                // was trained with; a non-uniform codebook (deserialised
-                // from an asymmetric build) silently falls back.
-                let sym_scale = match mode {
-                    ScanMode::Symmetric => cb.uniform_scale(),
-                    ScanMode::Asymmetric => None,
-                };
-                let Some(scale) = sym_scale else {
-                    return scan_lists(lists, topk, |id| {
-                        kernels::sq8_dist(metric, query, row(codes, d, id), cb)
-                    });
-                };
-                // Codes against codes in the byte domain, no decode: the
-                // dispatched integer sums are bit-identical across levels,
-                // so this is `sq8_sym_dist` exactly.
+                // Codes against codes in the byte domain, no decode; the
+                // dispatched integer sums are bit-identical across levels.
+                // Encoding clamps a query outside the codebook's box, so
+                // an L1 scan adds back the distance the clamp removed, the
+                // same for every row. Squared L2 has no such constant (its
+                // cross term depends on the row).
                 qcodes.clear();
                 cb.encode_into(query, qcodes);
-                let scale = scale as f64;
-                let (kernel, unit) = match metric {
-                    Metric::L1 => (dispatch::sad_fn(), scale),
-                    Metric::L2 => (dispatch::ssd_fn(), scale * scale),
+                let scale = f64::from(cb.scale);
+                let (kernel, unit, offset) = match metric {
+                    Metric::L1 => (dispatch::sad_fn(), scale, cb.l1_to_box(query)),
+                    Metric::L2 => (dispatch::ssd_fn(), scale * scale, 0.0),
                 };
                 scan_lists(lists, topk, |id| {
-                    kernel(qcodes, row(codes, d, id)) as f64 * unit
+                    kernel(qcodes, row(codes, d, id)) as f64 * unit + offset
                 });
             }
             Storage::Pq { codes, cb } => {
@@ -192,18 +164,17 @@ impl Storage {
     pub(crate) fn wire_len(&self) -> usize {
         1 + match self {
             Storage::F32(rows) => rows.len() * 4,
-            Storage::Sq8 { codes, cb } => cb.dim() * 8 + codes.len(),
-            Storage::Pq { codes, cb } => 4 + 1 + 4 + cb.centroids().len() * 4 + 4 + codes.len(),
+            Storage::Sq8 { codes, cb } => (cb.dim() + 1) * 4 + codes.len(),
+            Storage::Pq { codes, cb } => 4 + 4 + cb.centroids().len() * 4 + 4 + codes.len(),
         }
     }
 
     /// The storage fields of the section header:
-    /// `tag u8 | [PQ: m u32, nbits u8, ksub u32]`.
+    /// `tag u8 | [PQ: m u32, ksub u32]`.
     pub(crate) fn write_tag(&self, out: &mut Vec<u8>) {
         out.push(self.quantization().wire_tag());
         if let Storage::Pq { cb, .. } = self {
             out.extend_from_slice(&(cb.m() as u32).to_le_bytes());
-            out.push(cb.nbits());
             out.extend_from_slice(&(cb.ksub() as u32).to_le_bytes());
         }
     }
@@ -219,7 +190,7 @@ impl Storage {
             Storage::F32(rows) => floats(out, rows),
             Storage::Sq8 { codes, cb } => {
                 floats(out, &cb.bias);
-                floats(out, &cb.scale);
+                floats(out, &[cb.scale]);
                 out.extend_from_slice(codes);
             }
             Storage::Pq { codes, cb } => {
@@ -236,7 +207,7 @@ impl Storage {
 /// impossible PQ geometry.
 pub(crate) fn read_tag(r: &mut Reader<'_>) -> Option<(Quantization, usize)> {
     let tag = r.u8()?;
-    let quant = Quantization::from_wire(tag, || Some((r.u32()? as usize, r.u8()?)))?;
+    let quant = Quantization::from_wire(tag, || Some(r.u32()? as usize))?;
     let ksub = match quant {
         Quantization::Pq { .. } => r.u32()? as usize,
         _ => 0,
@@ -256,27 +227,25 @@ pub(crate) fn read_payload(
         Quantization::None => Storage::F32(r.f32_vec(n.checked_mul(d)?)?),
         Quantization::Sq8 => {
             let bias = r.f32_vec(d)?;
-            let scale = r.f32_vec(d)?;
+            let scale = r.f32()?;
             let codes = r.bytes(n.checked_mul(d)?)?.to_vec();
             Storage::Sq8 {
                 codes,
                 cb: Sq8Codebook { bias, scale },
             }
         }
-        Quantization::Pq { m, nbits } => {
+        Quantization::Pq { m } => {
             let centroids = r.f32_vec(ksub.checked_mul(d)?)?;
             let l1_bound = r.f32()?;
-            let packed = nbits <= 4;
-            let cb = PqCodebook::from_parts(d, m, nbits, ksub, centroids, l1_bound, packed)?;
+            let cb = PqCodebook::from_parts(d, m, ksub, centroids, l1_bound)?;
             let stride = cb.code_stride();
             let codes = r.bytes(n.checked_mul(stride)?)?.to_vec();
             // Every code indexes a ksub-entry table; an out-of-range
             // code in a corrupt buffer must fail HERE, not as an
-            // out-of-bounds panic in the first LUT scan or decode.
-            // Packed rows also reject a non-zero trailing nibble (odd
-            // m), which encode never produces — so round trips stay
-            // bit-exact.
-            let stray_nibble = packed && m % 2 == 1;
+            // out-of-bounds panic in the first LUT scan or decode. A
+            // non-zero trailing nibble (odd m), which encode never
+            // produces, is rejected too — so round trips stay bit-exact.
+            let stray_nibble = m % 2 == 1;
             for row in codes.chunks_exact(stride) {
                 if (0..m).any(|s| cb.code_at(row, s) >= ksub)
                     || (stray_nibble && row[stride - 1] >> 4 != 0)
@@ -314,22 +283,23 @@ mod tests {
     use trajcl_tensor::{Shape, Tensor};
 
     /// The distance a scan must offer for row `id`, through the public
-    /// per-row functions over the storage's own rows. The symmetric arm
-    /// is `sq8_sym_dist`'s scalar integer sums, whatever the scan
-    /// dispatched to.
-    fn row_distance(s: &Storage, metric: Metric, mode: ScanMode, q: &[f32], id: u32) -> f64 {
+    /// per-row functions over the storage's own rows. The SQ8 arm is the
+    /// scalar integer sums, whatever the scan dispatched to.
+    fn row_distance(s: &Storage, metric: Metric, q: &[f32], id: u32) -> f64 {
         let d = q.len();
         match s {
             Storage::F32(rows) => metric.dist(q, row(rows, d, id)),
-            Storage::Sq8 { codes, cb } => match mode {
-                ScanMode::Asymmetric => kernels::sq8_dist(metric, q, row(codes, d, id), cb),
-                ScanMode::Symmetric => {
-                    let mut qcodes = Vec::new();
-                    cb.encode_into(q, &mut qcodes);
-                    let scale = cb.uniform_scale().expect("symmetric builds train uniform");
-                    kernels::sq8_sym_dist(metric, &qcodes, row(codes, d, id), scale)
+            Storage::Sq8 { codes, cb } => {
+                let mut qcodes = Vec::new();
+                cb.encode_into(q, &mut qcodes);
+                let (scale, codes) = (f64::from(cb.scale), row(codes, d, id));
+                match metric {
+                    Metric::L1 => {
+                        dispatch::sad_scalar(&qcodes, codes) as f64 * scale + cb.l1_to_box(q)
+                    }
+                    Metric::L2 => dispatch::ssd_scalar(&qcodes, codes) as f64 * (scale * scale),
                 }
-            },
+            }
             Storage::Pq { codes, cb } => {
                 let mut lut = Vec::new();
                 cb.build_lut_into(metric, q, &mut lut);
@@ -345,34 +315,31 @@ mod tests {
         let table = Tensor::randn(Shape::d2(n, d), 0.0, 1.0, &mut rng);
         let queries = Tensor::randn(Shape::d2(3, d), 0.0, 1.0, &mut rng);
         let storages = [
-            (Quantization::None, ScanMode::Asymmetric),
-            (Quantization::Sq8, ScanMode::Asymmetric),
-            (Quantization::Sq8, ScanMode::Symmetric),
-            (Quantization::Pq { m: 4, nbits: 8 }, ScanMode::Asymmetric),
-            (Quantization::Pq { m: 5, nbits: 4 }, ScanMode::Asymmetric),
+            Quantization::None,
+            Quantization::Sq8,
+            Quantization::Pq { m: 4 },
+            Quantization::Pq { m: 5 },
         ];
-        for (quantization, scan) in storages {
+        for quantization in storages {
             for metric in [Metric::L1, Metric::L2] {
                 for nlist in [None, Some(6)] {
                     let opts = IndexOptions {
                         nlist,
                         quantization,
-                        scan,
                         ..IndexOptions::default()
                     };
                     let index = IvfIndex::build_with(&table, metric, &opts, &mut rng);
-                    assert_eq!(index.scan_mode(), scan);
                     for qi in 0..queries.shape().rows() {
                         let q = queries.row(qi);
                         let mut want: Vec<(u32, f64)> = (0..n as u32)
-                            .map(|id| (id, row_distance(index.storage(), metric, scan, q, id)))
+                            .map(|id| (id, row_distance(index.storage(), metric, q, id)))
                             .collect();
                         want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                         want.truncate(k);
                         assert_eq!(
                             index.search(q, k, index.nlist()),
                             want,
-                            "{quantization:?} {scan:?} {metric:?} nlist {nlist:?}"
+                            "{quantization:?} {metric:?} nlist {nlist:?}"
                         );
                     }
                 }

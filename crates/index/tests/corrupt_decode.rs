@@ -1,5 +1,5 @@
-//! Property tests for decoder robustness: arbitrarily corrupted SQ8 and
-//! PQ `IVF4` blobs must either be rejected (`None`) or decode
+//! Property tests for decoder robustness: arbitrarily corrupted f32, SQ8
+//! and PQ `IVF5` blobs must either be rejected (`None`) or decode
 //! to an index that answers a search and reads every row back — never
 //! panic, never index out of bounds, never serve a row twice. This is the checked-in distillation of the `trajcl audit`
 //! fuzzer's IVF target (which runs ~100k mutations per CI run); these
@@ -11,7 +11,15 @@ use rand::SeedableRng;
 use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization};
 use trajcl_tensor::{Shape, Tensor};
 
-/// A valid quantized blob to corrupt (geometry varies with the seed).
+/// The three storages, by index: f32, SQ8, and PQ with an odd `m` (so a
+/// stray trailing nibble is one of the corruptions in reach).
+const STORAGES: [Quantization; 3] = [
+    Quantization::None,
+    Quantization::Sq8,
+    Quantization::Pq { m: 3 },
+];
+
+/// A valid blob to corrupt (geometry varies with the seed).
 fn valid_blob(quant: Quantization, n: usize, d: usize, nlist: usize, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let emb = Tensor::randn(Shape::d2(n, d), 0.0, 1.0, &mut rng);
@@ -57,8 +65,8 @@ fn duplicate_list_ids_are_rejected() {
     let emb = Tensor::randn(Shape::d2(4, 2), 0.0, 1.0, &mut rng);
     let index = IvfIndex::build_with(&emb, Metric::L1, &IndexOptions::default(), &mut rng);
     let mut blob = index.to_bytes();
-    // 23 header bytes, one 2-d centroid, the list length, then the ids.
-    let ids_at = 23 + 2 * 4 + 4;
+    // 22 header bytes, one 2-d centroid, the list length, then the ids.
+    let ids_at = 22 + 2 * 4 + 4;
     assert_eq!(
         blob[ids_at..ids_at + 16],
         [0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]
@@ -74,17 +82,12 @@ proptest! {
     // Truncation at every kind of boundary: header, centroid table,
     // inverted lists, codebook, code matrix.
     #[test]
-    fn truncated_sq8_and_pq_blobs_never_panic(
+    fn truncated_blobs_never_panic(
         cut_frac in 0.0f64..1.0,
-        sq8 in 0u32..2,
+        storage in 0usize..3,
         seed in 0u64..500,
     ) {
-        let quant = if sq8 == 1 {
-            Quantization::Sq8
-        } else {
-            Quantization::Pq { m: 2, nbits: 4 }
-        };
-        let blob = valid_blob(quant, 48, 8, 4, seed);
+        let blob = valid_blob(STORAGES[storage], 48, 8, 4, seed);
         let cut = ((blob.len() as f64) * cut_frac) as usize;
         let truncated = &blob[..cut.min(blob.len())];
         // A strict prefix can never be a valid blob (the trailing-bytes
@@ -101,15 +104,10 @@ proptest! {
     #[test]
     fn bitflipped_blobs_decode_or_reject(
         flips in prop::collection::vec((0usize..4096, 0u32..8), 1..8),
-        sq8 in 0u32..2,
+        storage in 0usize..3,
         seed in 0u64..500,
     ) {
-        let quant = if sq8 == 1 {
-            Quantization::Sq8
-        } else {
-            Quantization::Pq { m: 4, nbits: 4 }
-        };
-        let mut blob = valid_blob(quant, 40, 8, 3, seed);
+        let mut blob = valid_blob(STORAGES[storage], 40, 8, 3, seed);
         for (pos, bit) in flips {
             let at = pos % blob.len();
             blob[at] ^= 1 << bit;
@@ -123,18 +121,13 @@ proptest! {
     fn spliced_length_fields_decode_or_reject(
         at_frac in 0.0f64..1.0,
         value_idx in 0usize..9,
-        sq8 in 0u32..2,
+        storage in 0usize..3,
         seed in 0u64..500,
     ) {
         const INTERESTING: [u32; 9] =
             [0, 1, 2, 0xff, 0x100, 0xffff, 0x00ff_ffff, 0x7fff_ffff, u32::MAX];
         let value = INTERESTING[value_idx];
-        let quant = if sq8 == 1 {
-            Quantization::Sq8
-        } else {
-            Quantization::Pq { m: 2, nbits: 8 }
-        };
-        let mut blob = valid_blob(quant, 64, 6, 5, seed);
+        let mut blob = valid_blob(STORAGES[storage], 64, 6, 5, seed);
         let at = ((blob.len() - 4) as f64 * at_frac) as usize;
         blob[at..at + 4].copy_from_slice(&value.to_le_bytes());
         assert_decode_contract(&blob);

@@ -40,7 +40,7 @@
 //!
 //! `knn` distances are exact f32 L1 for unquantized indexes and for
 //! quantized hits the server can rescore against the engine's cached
-//! table; ids upserted over the wire keep asymmetric (error-bounded)
+//! table; ids upserted over the wire keep quantized (error-bounded)
 //! distances — see `ServeConfig::rescore_sealed`.
 
 use std::io::{BufRead, Write};

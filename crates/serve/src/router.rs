@@ -495,7 +495,7 @@ mod tests {
     fn dirty_ids_are_never_rescored() {
         // A quantized sealed part plus a lying exact table: clean ids
         // must be rescored against the table, wire-upserted (dirty) ids
-        // must keep their own (asymmetric, error-bounded) distances.
+        // must keep their own (quantized, error-bounded) distances.
         let opts = IndexOptions {
             quantization: trajcl_index::Quantization::Sq8,
             ..IndexOptions::default()

@@ -42,20 +42,19 @@ pub struct ServeConfig {
     /// engine's configuration. Setting it here (instead of building an
     /// engine-side index the server would never consult) avoids training
     /// k-means twice over the same table. Everything else about the
-    /// index — seed, storage quantization, rescore factor, scan kernel —
-    /// is the engine's [`Engine::index_options`], taken whole. A
-    /// quantized sealed part ([`trajcl_index::Quantization`]) keeps no
-    /// exact copy to rescore against (by design: that copy would forfeit
-    /// the compression), so served quantized distances are asymmetric
-    /// (exact query vs quantized rows) within the codebook's error bound
-    /// — except where [`ServeConfig::rescore_sealed`] recovers exact
-    /// values.
+    /// index — seed, storage quantization, rescore factor — is the
+    /// engine's [`Engine::index_options`], taken whole. A quantized sealed
+    /// part ([`trajcl_index::Quantization`]) keeps no exact copy to
+    /// rescore against (by design: that copy would forfeit the
+    /// compression), so served quantized distances are approximate,
+    /// within the codebook's error bound — except where
+    /// [`ServeConfig::rescore_sealed`] recovers exact values.
     pub ivf_nlist: Option<usize>,
     /// Rescore sealed quantized hits against the engine's cached exact
     /// embedding table (default `true`). Ids seeded from the engine's
     /// database and never re-upserted since still match that table, so
     /// their served distances come back exact; ids upserted through the
-    /// server have no exact counterpart and keep asymmetric distances
+    /// server have no exact counterpart and keep quantized distances
     /// (the mixed-ordering caveat documented on
     /// [`trajcl_index::IndexSnapshot::search_rescored`]). No effect on
     /// unquantized indexes or engines without cached embeddings.
