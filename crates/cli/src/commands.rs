@@ -643,7 +643,8 @@ fn serve_frames<H: trajcl_serve::FrameHandler + 'static>(
     let stdin = std::io::stdin();
     let Some(addr) = args.options.get("listen") else {
         eprintln!("trajcl serve: {what}; reading frames from stdin");
-        trajcl_serve::net::pump_frames(&**handler, &mut stdin.lock(), out, handlers)?;
+        let mut input = std::io::BufReader::new(stdin); // `StdinLock` is not `Send`
+        trajcl_serve::net::pump_frames(&**handler, &mut input, out, handlers)?;
         return Ok(());
     };
     let net = trajcl_serve::listen_with(std::sync::Arc::clone(handler), addr, handlers, session)?;

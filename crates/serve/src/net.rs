@@ -5,11 +5,12 @@
 //! stdin/stdout session to a listener changes *where* bytes come from,
 //! never what they mean. Three pieces:
 //!
-//! * [`pump_frames`] — the transport-agnostic session loop: reads
-//!   frames, fans them out to handler threads (so pipelined requests
-//!   run side by side and complete out of order), writes responses as they
-//!   finish. The CLI's stdin/stdout mode is this function over standard
-//!   streams — the degenerate 1-connection transport.
+//! * [`pump_frames`] — the transport-agnostic session loop: `handlers`
+//!   threads, the session's own among them, take turns reading frames,
+//!   and each answers the frame it read (so pipelined requests run side
+//!   by side and complete out of order). The CLI's stdin/stdout mode is
+//!   this function over standard streams — the degenerate 1-connection
+//!   transport.
 //! * [`NetServer`] / [`listen`] — a background acceptor over a TCP or
 //!   unix-socket address; every connection gets its own [`pump_frames`]
 //!   session over the shared [`Server`].
@@ -196,10 +197,12 @@ impl Write for Stream {
 }
 
 /// Pumps protocol frames between `input` and `out` until end-of-stream
-/// or a framing error: requests are dispatched to `handlers` threads so
-/// independent queries run side by side; responses are written as they finish
-/// (out of order — the protocol's `req` echo matches them up, see
-/// `PROTOCOL.md`).
+/// or a framing error. `handlers` threads take turns reading, the
+/// calling thread among them (so `handlers = 1` spawns none): the thread
+/// that read a frame passes the reader on, then answers the frame itself
+/// and writes the response. Frames are read in order, up to `handlers`
+/// run side by side, and responses go out as they finish (out of order —
+/// the protocol's `req` echo matches them up, see `PROTOCOL.md`).
 ///
 /// This is the whole per-connection (and stdin/stdout) session loop;
 /// both the CLI's `serve` subcommand and [`listen`]'s connection threads
@@ -208,62 +211,55 @@ impl Write for Stream {
 ///
 /// When the input stream carries a read deadline (sessions accepted
 /// under [`SessionOptions::idle_timeout`]), a timed-out read ends the
-/// session cleanly (`Ok`) — that is the idle reaper, not an error.
+/// session cleanly (`Ok`) — that is the idle reaper, not an error. A
+/// framing error is returned once the frames read before it are answered.
 pub fn pump_frames<H: FrameHandler + ?Sized>(
     handler: &H,
-    input: &mut impl BufRead,
+    input: &mut (impl BufRead + Send),
     out: &mut (impl Write + Send),
     handlers: usize,
 ) -> std::io::Result<()> {
+    // The reader, and how the session ended once some turn saw it end.
+    let reader = Mutex::new((input, None::<std::io::Result<()>>));
     let out = Mutex::new(out);
-    let (tx, rx) = std::sync::mpsc::sync_channel::<String>(handlers.max(1) * 2);
-    let rx = Mutex::new(rx);
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        for _ in 0..handlers.max(1) {
-            let rx = &rx;
-            let out = &out;
-            scope.spawn(move || loop {
-                let payload = {
-                    let rx = rx.lock().unwrap_or_else(|p| p.into_inner());
-                    rx.recv()
-                };
-                let Ok(payload) = payload else { return };
-                let response = handler.handle_frame(&payload);
-                let mut out = out.lock().unwrap_or_else(|p| p.into_inner());
-                // A vanished peer is this connection's problem only; the
-                // reader will hit the same condition and wind down.
-                let _ = write_frame(&mut **out, &response);
-            });
-        }
-        loop {
-            match read_frame(input) {
-                Ok(Some(payload)) => {
-                    // Handler threads outlive the reader (they only exit
-                    // once tx drops below), so a failed send means the
-                    // scope is already unwinding — stop reading rather
-                    // than panic twice.
-                    if tx.send(payload).is_err() {
-                        break;
-                    }
-                }
-                Ok(None) => break,
-                // The session's idle deadline elapsed: reap it cleanly.
-                Err(ref e) if is_timeout(e) => break,
-                Err(e) => {
-                    drop(tx);
-                    return Err(e);
-                }
+    let take_turns = || loop {
+        let payload = {
+            let mut reader = reader.lock().unwrap_or_else(|p| p.into_inner());
+            let (input, ended) = &mut *reader;
+            if ended.is_some() {
+                return;
             }
+            match read_frame(&mut **input) {
+                Ok(Some(payload)) => payload,
+                Err(e) if !is_timeout(&e) => return *ended = Some(Err(e)),
+                // End of stream, or the idle deadline elapsed (the reaper).
+                _ => return *ended = Some(Ok(())),
+            }
+        }; // The reader is free: the next turn reads while this one answers.
+        let response = handler.handle_frame(&payload);
+        let mut out = out.lock().unwrap_or_else(|p| p.into_inner());
+        // A vanished peer is this connection's problem only; the next
+        // read hits the same condition and ends the session.
+        let _ = write_frame(&mut **out, &response);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..handlers {
+            scope.spawn(take_turns);
         }
-        drop(tx);
-        Ok(())
-    })
+        take_turns();
+    });
+    let (_, ended) = reader.into_inner().unwrap_or_else(|p| p.into_inner());
+    ended.unwrap_or(Ok(()))
 }
 
 /// The acceptor's registry of live sessions: each entry keeps a handle
 /// on the connection's stream (so shutdown can sever it) and its
-/// session thread (so shutdown can join it).
+/// session thread (so shutdown can join it). Each accept drops the
+/// entries of sessions that have ended.
 type ConnRegistry = Arc<Mutex<Vec<(Stream, JoinHandle<()>)>>>;
+
+/// How long the acceptor waits after a failed `accept` before retrying.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// A running listener created by [`listen`]: accepts connections in a
 /// background thread until [`NetServer::shutdown`].
@@ -276,8 +272,9 @@ pub struct NetServer {
 
 /// Serves `server` on `addr` (`host:port`, or `unix:PATH`) in background
 /// threads: one acceptor plus, per connection, one [`pump_frames`]
-/// session with `handlers` handler threads (1 is right for lock-step
-/// clients; pipelining clients gain from more).
+/// session of `handlers` threads, which answers that many requests at
+/// once (1 is right for lock-step clients; pipelining clients gain from
+/// more).
 ///
 /// TCP port 0 binds a free port; read it back from
 /// [`NetServer::local_addr`]. A pre-existing socket file at a unix PATH
@@ -396,10 +393,13 @@ fn spawn_acceptor<H: FrameHandler + 'static>(
 ) -> JoinHandle<()> {
     let mut accept = accept;
     std::thread::spawn(move || loop {
-        let stream = match accept() {
-            Ok(s) => s,
-            Err(_) if stop.load(Ordering::Acquire) => return,
-            Err(_) => continue,
+        let Ok(stream) = accept() else {
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            // Out of fds (`EMFILE`) fails every accept at once: back off.
+            std::thread::sleep(ACCEPT_RETRY);
+            continue;
         };
         if stop.load(Ordering::Acquire) {
             return;
@@ -423,14 +423,13 @@ fn spawn_acceptor<H: FrameHandler + 'static>(
             // Framing errors and disconnects end this session only.
             let _ = pump_frames(&*handler, &mut input, &mut output, handlers);
             // Sever the socket now: the acceptor keeps its own duplicate
-            // of the fd until shutdown, so without this the peer of a
-            // dead session would never see EOF.
+            // of the fd until a later accept prunes it, so without this
+            // the peer of a dead session would not see EOF.
             input.get_ref().shutdown();
         });
-        conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((stream, session));
+        let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
+        conns.retain(|(_, session)| !session.is_finished());
+        conns.push((stream, session));
     })
 }
 

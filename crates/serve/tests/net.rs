@@ -1,18 +1,23 @@
 //! Transport suite for `trajcl-serve`: mixed mutation/query traffic over
 //! real TCP connections against the in-process view, pipelined
 //! out-of-order response matching, torn-frame / mid-frame-disconnect
-//! rejection, and a unix-socket smoke test.
+//! rejection, how a session loop shares frames among its threads and
+//! how it ends, fd hygiene across many connections, and a unix-socket
+//! smoke test.
 
+use std::collections::HashSet;
 use std::io::{Read as _, Write as _};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
-use trajcl_serve::proto::traj_json;
-use trajcl_serve::{listen, Client, ServeConfig, Server};
+use trajcl_serve::net::pump_frames;
+use trajcl_serve::proto::{read_frame, traj_json, write_frame};
+use trajcl_serve::{listen, Client, FrameHandler, ServeConfig, Server};
 use trajcl_tensor::{Shape, Tensor};
 
 /// A tiny deterministic TrajCL engine (no pre-loaded database).
@@ -145,7 +150,7 @@ fn tcp_mixed_ops_match_the_in_process_view() {
 #[test]
 fn pipelined_responses_match_by_req_echo() {
     let server = sharded_server(2);
-    // 4 handler threads per connection: responses genuinely race.
+    // 4 threads per connection: responses genuinely race.
     let net = listen(Arc::clone(&server), "127.0.0.1:0", 4).expect("listen");
     let mut client = Client::connect(net.local_addr()).expect("connect");
 
@@ -253,8 +258,151 @@ fn ping_answers_with_echo() {
     server.shutdown();
 }
 
+/// Answers every frame with its own payload, after waiting at `barrier`
+/// and noting which thread answered.
+struct Rendezvous {
+    barrier: Barrier,
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl FrameHandler for Rendezvous {
+    fn handle_frame(&self, payload: &str) -> String {
+        self.threads
+            .lock()
+            .expect("threads")
+            .push(std::thread::current().id());
+        self.barrier.wait();
+        payload.to_string()
+    }
+}
+
+/// `count` frames `{"req":i}` back to back, as one pipelining client
+/// would send them.
+fn pipelined(count: usize) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for req in 0..count {
+        write_frame(&mut bytes, &format!("{{\"req\":{req}}}")).expect("encode");
+    }
+    bytes
+}
+
+/// Every frame in `bytes`, in order.
+fn frames(mut bytes: &[u8]) -> Vec<String> {
+    std::iter::from_fn(|| read_frame(&mut bytes).expect("response frame")).collect()
+}
+
+/// Runs `pump_frames` over `input` with a [`Rendezvous`] of `parties`
+/// on another thread, failing the test if the session has not ended
+/// within 10 s (a barrier nobody else reaches would block forever).
+/// Returns the session's result, its output, the answering threads and
+/// the thread that called `pump_frames`.
+fn pump_with_deadline(
+    input: Vec<u8>,
+    handlers: usize,
+    parties: usize,
+) -> (std::io::Result<()>, Vec<u8>, Vec<ThreadId>, ThreadId) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let handler = Rendezvous {
+            barrier: Barrier::new(parties),
+            threads: Mutex::new(Vec::new()),
+        };
+        let mut out = Vec::new();
+        let result = pump_frames(&handler, &mut &input[..], &mut out, handlers);
+        let threads = handler.threads.into_inner().expect("threads");
+        let _ = tx.send((result, out, threads, std::thread::current().id()));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the session hung: frames were not answered side by side")
+}
+
+#[test]
+fn a_session_answers_up_to_handlers_frames_at_once_on_the_threads_that_read_them() {
+    // Four handlers, eight pipelined frames, a barrier of four: each
+    // round of four frames passes only if all four are in `handle_frame`
+    // together, which a loop that answers one frame at a time never does.
+    let (result, out, threads, caller) = pump_with_deadline(pipelined(8), 4, 4);
+    result.expect("clean end of stream");
+    let mut answered = frames(&out);
+    answered.sort();
+    let mut sent = frames(&pipelined(8));
+    sent.sort();
+    assert_eq!(answered, sent, "one response per frame");
+    let distinct: HashSet<_> = threads.iter().collect();
+    assert_eq!(distinct.len(), 4, "four threads answered: {threads:?}");
+    assert!(threads.contains(&caller), "the calling thread takes turns");
+
+    // One handler spawns nothing: every frame is answered, in order, on
+    // the thread that called `pump_frames`.
+    let (result, out, threads, caller) = pump_with_deadline(pipelined(3), 1, 1);
+    result.expect("clean end of stream");
+    assert_eq!(frames(&out), frames(&pipelined(3)));
+    assert_eq!(threads, vec![caller; 3]);
+}
+
+#[test]
+fn a_framing_error_ends_the_session_after_the_frames_before_it_are_answered() {
+    for handlers in [1, 4] {
+        let mut input = pipelined(2);
+        input.extend_from_slice(b"not a length\n{}\n");
+        let (result, out, _, _) = pump_with_deadline(input, handlers, 1);
+        let err = result.expect_err("a garbage header is a framing error");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let mut answered = frames(&out);
+        answered.sort();
+        assert_eq!(answered, frames(&pipelined(2)), "handlers {handlers}");
+
+        // A clean end of stream is a clean end of session.
+        let (result, out, _, _) = pump_with_deadline(pipelined(2), handlers, 1);
+        result.expect("clean end of stream");
+        assert_eq!(frames(&out).len(), 2, "handlers {handlers}");
+    }
+}
+
+/// Open file descriptors of this process.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("/proc/self/fd")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn ended_sessions_release_their_fds_before_shutdown() {
+    let server = sharded_server(1);
+    let net = listen(Arc::clone(&server), "127.0.0.1:0", 1).expect("listen");
+    let before = open_fds();
+    for _ in 0..300 {
+        let mut client = Client::connect(net.local_addr()).expect("connect");
+        let reply = client.call("{\"op\":\"ping\"}").expect("ping");
+        assert!(reply.contains("\"pong\":true"), "{reply}");
+    }
+    // Sessions wind down after their client hangs up; give the last few
+    // a moment. Other tests in this binary open sockets too, hence the
+    // slack — a listener that keeps every fd is 300 over.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while open_fds() > before + 32 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let after = open_fds();
+    assert!(
+        after <= before + 32,
+        "{before} fds before 300 connections, {after} after"
+    );
+    net.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn idle_sessions_are_reaped_but_active_ones_survive() {
+    // With four handlers, every thread of the reaped session must exit.
+    for handlers in [1, 4] {
+        reap_idle_session(handlers);
+    }
+}
+
+fn reap_idle_session(handlers: usize) {
     let engine = Arc::new(tiny_engine());
     let server = Arc::new(
         Server::new(
@@ -267,7 +415,7 @@ fn idle_sessions_are_reaped_but_active_ones_survive() {
         )
         .expect("server"),
     );
-    let net = listen(Arc::clone(&server), "127.0.0.1:0", 1).expect("listen");
+    let net = listen(Arc::clone(&server), "127.0.0.1:0", handlers).expect("listen");
     let addr = net.local_addr().to_string();
 
     // An active session outlives several idle deadlines as long as its
