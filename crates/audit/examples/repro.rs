@@ -15,7 +15,6 @@ fn main() {
                 e.embed_all(std::slice::from_ref(&probe))
                     .map(|t| t.shape().dims().to_vec())
             );
-            println!("knn: {:?}", e.knn(&probe, 2).map(|h| h.len()));
         }
         Err(e) => println!("rejected: {e}"),
     }

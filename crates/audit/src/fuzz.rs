@@ -1,7 +1,6 @@
 //! Deterministic structure-aware mutation fuzzing for every decoder that
 //! parses untrusted bytes: the serve frame reader, the JSON parser, the
-//! IVF index loader (all three sections), the TCE1 engine loader and the
-//! write-ahead-log record/checkpoint decoders.
+//! TCE1 engine loader and the write-ahead-log record/checkpoint decoders.
 //!
 //! The harness is a classic corpus mutator, not coverage-guided: each
 //! target starts from a small set of *valid* encodings (so mutations land
@@ -11,7 +10,8 @@
 //!
 //! 1. the decoder returns `Ok`/`Some` or `Err`/`None` — it never panics;
 //! 2. a decode that *succeeds* yields a value that survives a probe
-//!    (search/embed), i.e. accepted data is internally consistent.
+//!    (an embed, a re-encode), i.e. accepted data is internally
+//!    consistent.
 //!
 //! Determinism: case `i` of target `t` derives its RNG from
 //! `seed_from_u64(FUZZ_SEED ^ (t << 32) ^ i)`, so a CI failure replays
@@ -24,9 +24,8 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
-use trajcl_engine::Engine;
+use trajcl_engine::{Engine, IndexOptions, Quantization};
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
-use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization};
 use trajcl_tensor::{Shape, Tensor};
 
 /// Base seed of the whole fuzz run (xor-folded with target and case ids).
@@ -44,7 +43,7 @@ pub struct FuzzOptions {
 /// Per-target outcome counts.
 #[derive(Debug)]
 pub struct TargetReport {
-    /// Target name (`json`, `proto`, `ivf`, `engine`, `wal`).
+    /// Target name (`json`, `proto`, `engine`, `wal`).
     pub name: &'static str,
     /// Inputs executed (corpus entries + mutations).
     pub cases: usize,
@@ -121,45 +120,16 @@ pub fn run_all(opts: &FuzzOptions) -> FuzzReport {
                 Outcome::Rejected
             }
         }),
-        run_target(2, "ivf", &corpus_ivf(), opts, |bytes| {
-            match IvfIndex::from_bytes(bytes) {
-                Some(idx) => {
-                    // Accepted indexes must be searchable: a decode that
-                    // passes validation but indexes out of bounds here is
-                    // exactly the bug class this target exists to catch.
-                    // A full probe must serve every row exactly once, and
-                    // every row must read back (the compaction path).
-                    let query = vec![0.25f32; idx.dim()];
-                    let _ = idx.search(&query, 3, 2);
-                    let mut ids: Vec<u32> = idx
-                        .search(&query, idx.len(), idx.nlist())
-                        .iter()
-                        .map(|&(id, _)| id)
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    assert_eq!(ids.len(), idx.len(), "full probe returned repeated ids");
-                    let mut row = Vec::new();
-                    for id in 0..idx.len() as u32 {
-                        row.clear();
-                        idx.decode_vector_into(id, &mut row);
-                    }
-                    Outcome::Accepted
-                }
-                None => Outcome::Rejected,
-            }
-        }),
         run_target(3, "engine", &corpus_engine(), opts, |bytes| {
             match Engine::from_bytes(bytes) {
                 Ok(engine) => {
                     // Probe the loaded model end-to-end: mutated weights
                     // may be garbage (NaNs are fine) but the forward pass
-                    // must not panic, and neither must an indexed query.
+                    // must not panic.
                     let probe: Trajectory = (0..4)
                         .map(|i| Point::new(100.0 + 50.0 * i as f64, 200.0))
                         .collect();
                     let _ = engine.embed_all(std::slice::from_ref(&probe));
-                    let _ = engine.knn(&probe, 2);
                     Outcome::Accepted
                 }
                 Err(_) => Outcome::Rejected,
@@ -388,32 +358,10 @@ fn corpus_proto() -> Vec<Vec<u8>> {
     vec![single, multi, blanks]
 }
 
-/// Valid `IVF5` blobs, one per storage the builder can produce: f32,
-/// SQ8, and PQ with an odd `m` (so every row ends in a zero nibble).
-fn corpus_ivf() -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(FUZZ_SEED);
-    let emb = Tensor::randn(Shape::d2(64, 8), 0.0, 1.0, &mut rng);
-    [
-        Quantization::None,
-        Quantization::Sq8,
-        Quantization::Pq { m: 3 },
-    ]
-    .into_iter()
-    .map(|quantization| {
-        let opts = IndexOptions {
-            nlist: Some(4),
-            quantization,
-            ..IndexOptions::default()
-        };
-        IvfIndex::build_with(&emb, Metric::L1, &opts, &mut rng).to_bytes()
-    })
-    .collect()
-}
-
 /// A small trained-shape (but untrained) model + featurizer, mirroring
 /// the persistence tests: cheap to build, structurally identical to a
 /// real checkpoint.
-fn tiny_model() -> (TrajClModel, Featurizer, Vec<Trajectory>) {
+fn tiny_model() -> (TrajClModel, Featurizer) {
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED);
     let cfg = TrajClConfig::test_default();
     let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 800.0));
@@ -421,39 +369,37 @@ fn tiny_model() -> (TrajClModel, Featurizer, Vec<Trajectory>) {
     let table = Tensor::randn(Shape::d2(grid.num_cells(), cfg.dim), 0.0, 0.5, &mut rng);
     let feat = Featurizer::new(grid, table, SpatialNorm::new(region, 100.0), cfg.max_len);
     let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
-    let trajs: Vec<Trajectory> = (0..40)
-        .map(|i| {
-            (0..10)
-                .map(|j| Point::new(50.0 + j as f64 * 80.0, 20.0 + (i % 8) as f64 * 90.0))
-                .collect()
-        })
-        .collect();
-    (model, feat, trajs)
+    (model, feat)
 }
 
-/// Valid TCE1 blobs: bare model, SQ8-indexed and PQ-indexed.
+/// Valid TCE1 blobs — model-only files, as every engine file is — one per
+/// tail shape: no index described, an SQ8 and a PQ index described.
 fn corpus_engine() -> Vec<Vec<u8>> {
-    let (model, feat, trajs) = tiny_model();
-    let bare = Engine::builder()
-        .trajcl(model, feat)
-        .build()
-        .expect("bare engine");
-    let mut blobs = vec![bare.to_bytes().expect("serialize bare engine")];
-    for quantization in [Quantization::Sq8, Quantization::Pq { m: 4 }] {
-        let (model, feat, _) = tiny_model();
-        let engine = Engine::builder()
+    [
+        IndexOptions::default(),
+        IndexOptions {
+            nlist: Some(3),
+            quantization: Quantization::Sq8,
+            ..IndexOptions::default()
+        },
+        IndexOptions {
+            nlist: Some(3),
+            quantization: Quantization::Pq { m: 4 },
+            ..IndexOptions::default()
+        },
+    ]
+    .into_iter()
+    .map(|opts| {
+        let (model, feat) = tiny_model();
+        Engine::builder()
             .trajcl(model, feat)
-            .database(trajs.clone())
-            .index_options(IndexOptions {
-                nlist: Some(3),
-                quantization,
-                ..IndexOptions::default()
-            })
+            .index_options(opts)
             .build()
-            .expect("indexed engine");
-        blobs.push(engine.to_bytes().expect("serialize indexed engine"));
-    }
-    blobs
+            .expect("engine")
+            .to_bytes()
+            .expect("serialize engine")
+    })
+    .collect()
 }
 
 /// Valid WAL inputs: single records of every op tag, a multi-record log
@@ -510,7 +456,7 @@ mod tests {
             cases_per_target: 2_000,
             repro_dir: None,
         });
-        assert_eq!(report.targets.len(), 5);
+        assert_eq!(report.targets.len(), 4);
         for t in &report.targets {
             assert_eq!(t.panics, 0, "target {} panicked", t.name);
             assert_eq!(t.cases, 2_000, "target {} case count", t.name);
@@ -533,11 +479,6 @@ mod tests {
 
     #[test]
     fn truncated_corpora_are_rejected_not_panicking() {
-        for blob in corpus_ivf() {
-            for cut in [0, 1, 4, blob.len() / 2, blob.len() - 1] {
-                assert!(IvfIndex::from_bytes(&blob[..cut]).is_none());
-            }
-        }
         for blob in corpus_engine() {
             for cut in [0, 3, 8, blob.len() / 2] {
                 assert!(Engine::from_bytes(&blob[..cut]).is_err());

@@ -12,7 +12,7 @@ use trajcl_bench::{train_all, ExperimentEnv, Scale, Table};
 use trajcl_core::TrajClConfig;
 use trajcl_data::{distort, DatasetProfile};
 use trajcl_geo::Trajectory;
-use trajcl_index::SegmentHausdorffIndex;
+use trajcl_index::{IvfIndex, Metric, SegmentHausdorffIndex};
 
 fn main() {
     let scale = Scale::from_args();
@@ -55,17 +55,20 @@ fn main() {
         let _ = seg.batch_knn(&queries, k);
         let seg_time = t0.elapsed().as_secs_f64();
 
-        // The learned route through the unified engine: database embedding
-        // + IVF build at construction, then encode/search per query batch.
+        // The learned route: the engine embeds the database at
+        // construction, an IVF index is built over its table, then
+        // encode/search per query batch.
         let engine = models
-            .trajcl_engine(&env.featurizer, db, Some((n / 32).max(4)), 4)
+            .trajcl_engine(&env.featurizer, db, 4)
             .expect("engine build");
+        let db_emb = engine.embeddings().expect("database embeddings");
+        let mut rng = StdRng::seed_from_u64(0);
+        let index = IvfIndex::build(db_emb, (n / 32).max(4), Metric::L1, &mut rng);
         let t0 = Instant::now();
         let q_emb = engine.embed_all(&queries).expect("encode queries");
         let encode_time = t0.elapsed().as_secs_f64();
-        let index = engine.index().expect("ivf index built");
         let t0 = Instant::now();
-        let _ = index.batch_search(&q_emb, k, 4);
+        let _ = index.batch_search(&q_emb, k, engine.nprobe());
         let search_time = t0.elapsed().as_secs_f64();
 
         table.row(

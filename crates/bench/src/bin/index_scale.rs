@@ -13,8 +13,8 @@
 //! * `sq8` — SQ8-quantized `IvfIndex` (1 byte/dim): the query is quantized
 //!   too and lists are scanned with the runtime-dispatched integer SAD
 //!   kernels (AVX-512/AVX2/scalar), plus exact rescoring of the top
-//!   `rescore_factor · k` candidates against the f32 table (the engine's
-//!   serving configuration);
+//!   `rescore_factor · k` candidates against the f32 table (what a
+//!   server's `IndexSnapshot::search_rescored` does);
 //! * `pq` — PQ-quantized `IvfIndex` (`d/4` subspaces of 4-bit codes, two
 //!   per byte ⇒ an eighth of a byte per dimension, 16-entry LUTs), ADC
 //!   lookup-table scan plus exact rescoring with a deep (128×) over-fetch
@@ -44,8 +44,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajcl_index::kernels::dispatch;
-use trajcl_index::{brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization};
-use trajcl_tensor::{Shape, Tensor};
+use trajcl_index::{brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, TopK};
+use trajcl_tensor::{pool, Shape, Tensor};
 
 const K: usize = 10;
 const CLUSTERS: usize = 64;
@@ -111,6 +111,32 @@ fn recall_at_k(got: &[Vec<(u32, f64)>], truth: &[Vec<(u32, f64)>], k: usize) -> 
         sum += hits as f64 / k.min(t.len()).max(1) as f64;
     }
     sum / got.len().max(1) as f64
+}
+
+/// A quantized index's answer as a rescoring caller serves it: the top
+/// `rescore_factor · K` candidates by quantized distance, re-ranked by
+/// exact distance against `table` (in candidate order, through the same
+/// fused top-k), `K` kept per query.
+fn rescored_search(
+    index: &IvfIndex,
+    table: &Tensor,
+    queries: &Tensor,
+    nprobe: usize,
+) -> Vec<Vec<(u32, f64)>> {
+    let mut out = index.batch_search(queries, K * index.rescore_factor(), nprobe);
+    let per = pool::rows_per_lane(out.len());
+    pool::par_chunks_mut(&mut out, per, |c, chunk| {
+        let mut topk = TopK::new(K);
+        for (i, hits) in chunk.iter_mut().enumerate() {
+            let query = queries.row(c * per + i);
+            topk.reset(K);
+            for &(id, _) in hits.iter() {
+                topk.offer(id, Metric::L1.dist(query, table.row(id as usize)));
+            }
+            topk.drain_sorted_into(hits);
+        }
+    });
+    out
 }
 
 /// Times `f` (one warmup call, one measured call), returning
@@ -231,9 +257,7 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     let t0 = Instant::now();
     let sq8 = quantized(Quantization::Sq8, 4);
     let sq8_build_s = t0.elapsed().as_secs_f64();
-    let (sq8_hits, sq8_qps) = timed(nq, || {
-        sq8.batch_search_rescored(&queries, K, nprobe, Some(&table))
-    });
+    let (sq8_hits, sq8_qps) = timed(nq, || rescored_search(&sq8, &table, &queries, nprobe));
     let sq8_recall = recall_at_k(&sq8_hits, &truth, K);
     eprintln!(
         "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s, {} kernels)",
@@ -245,9 +269,7 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     let t0 = Instant::now();
     let pq = quantized(Quantization::Pq { m: pq_m }, PQ_RESCORE_FACTOR);
     let pq_build_s = t0.elapsed().as_secs_f64();
-    let (pq_hits, pq_qps) = timed(nq, || {
-        pq.batch_search_rescored(&queries, K, nprobe, Some(&table))
-    });
+    let (pq_hits, pq_qps) = timed(nq, || rescored_search(&pq, &table, &queries, nprobe));
     let pq_recall = recall_at_k(&pq_hits, &truth, K);
     eprintln!(
         "ivf+pq   {pq_qps:>9.1} qps  recall@10 {pq_recall:.4}  ({:.1} MB, m={pq_m}, built in {pq_build_s:.1}s)",

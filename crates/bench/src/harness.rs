@@ -13,7 +13,7 @@ use trajcl_core::{
     build_featurizer, l1_distances, train, EncoderVariant, Featurizer, MocoState, TrajClConfig,
 };
 use trajcl_data::{mean_rank, Dataset, DatasetProfile, QueryProtocol, Splits};
-use trajcl_engine::{Engine, EngineError, IndexOptions};
+use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
 use trajcl_nn::StepDecay;
@@ -295,23 +295,19 @@ impl TrainedModels {
 }
 
 impl TrainedModels {
-    /// Packages the trained TrajCL model as a serving [`Engine`] over
-    /// `database` — the harness entry point for engine-routed experiments
-    /// (kNN costs, index builds, throughput benches).
+    /// Packages the trained TrajCL model as an [`Engine`] over `database`
+    /// (embedded at build; `nprobe` is the probe an index over its table
+    /// uses) — the harness entry point for engine-routed experiments (kNN
+    /// costs, index builds, throughput benches).
     pub fn trajcl_engine(
         &self,
         featurizer: &Featurizer,
         database: Vec<Trajectory>,
-        nlist: Option<usize>,
         nprobe: usize,
     ) -> Result<Engine, EngineError> {
         Engine::builder()
             .trajcl(self.trajcl.online.clone(), featurizer.clone())
             .database(database)
-            .index_options(IndexOptions {
-                nlist,
-                ..IndexOptions::default()
-            })
             .nprobe(nprobe)
             .build()
     }
@@ -503,11 +499,11 @@ mod tests {
             train_seconds: BTreeMap::new(),
         };
         let engine = models
-            .trajcl_engine(&env.featurizer, db.clone(), Some(6), 6)
+            .trajcl_engine(&env.featurizer, db.clone(), 6)
             .expect("trajcl engine");
-        assert!(engine.index().is_some());
+        assert_eq!(engine.nprobe(), 6);
         let hits = engine.knn(&db[5], 3).expect("knn");
-        assert_eq!(hits[0].0, 5, "self-query through the IVF engine");
+        assert_eq!(hits[0].0, 5, "self-query through the TrajCL engine");
     }
 
     #[test]

@@ -164,14 +164,14 @@ A command rejects any option it does not list above.
 quantizes the query too, scanning codes with integer SIMD kernels
 (AVX-512/AVX2/scalar picked at runtime; set TRAJCL_FORCE_SCALAR=1 to pin
 the portable path); `--quantize pq[:M]` stores M 4-bit product-quantized
-codes per vector, two per byte (default M=8). `query` and `serve` read
-these three flags the same way: `--quantize` needs `--index NLIST` (it
-describes the IVF index). `query` rescores the top `--rescore-factor` x
-k quantized candidates against the engine's exact f32 embeddings, so its
-distances stay exact; `serve`'s mutable index keeps no exact copy of
-sealed rows, but over-fetches by the same factor and rescores hits that
-still match the engine's cached table (ids upserted through the server
-keep quantized, error-bounded distances).
+codes per vector, two per byte (default M=8). `--quantize` needs
+`--index NLIST` (it describes the IVF index). `query` and `serve` read
+these three flags the same way and build the same served index, so
+`query` answers what a one-shard `serve` with the same flags answers.
+Quantized hits are rescored: the top `--rescore-factor` x k candidates
+are re-ranked against the engine's exact f32 embeddings, so database
+rows keep exact distances (ids upserted through a server keep
+quantized, error-bounded ones).
 
 `serve` speaks length-prefixed JSON frames (`LEN\\n{...}\\n`): ops ping,
 embed, knn, distance, upsert, remove, compact, stats (PROTOCOL.md at

@@ -10,7 +10,7 @@ use std::io::Write as _;
 use std::path::Path;
 use trajcl_core::{FinetuneConfig, FinetuneScope, TrajClConfig};
 use trajcl_data::{hit_ratio, load_trajectory_file, save_trajectory_file, Dataset, DatasetProfile};
-use trajcl_engine::{Engine, EngineError, IndexOptions, Quantization};
+use trajcl_engine::{Engine, EngineError, Quantization};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
 use trajcl_serve::proto::traj_json;
@@ -295,7 +295,7 @@ fn embed(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> 
 }
 
 /// One kNN hit as a JSON line (schema: rank, index, distance, points, km).
-fn json_hit_line(rank: usize, id: u32, dist: f64, points: usize, km: f64) -> String {
+fn json_hit_line(rank: usize, id: u64, dist: f64, points: usize, km: f64) -> String {
     format!(
         "{{\"rank\":{rank},\"index\":{id},\"distance\":{dist:.6},\"points\":{points},\"km\":{km:.3}}}"
     )
@@ -310,15 +310,16 @@ fn json_approx_line(measure: &str, k: usize, hr: f64, queries: usize, database: 
 }
 
 /// The options [`index_flags`] reads.
-const INDEX_FLAGS: &str = "index quantize rescore-factor";
+const INDEX_FLAGS: &str = "model db index quantize rescore-factor";
 
-/// The `--model` engine and the index description `query` and `serve`
-/// build with: the engine's own overridden by `--index NLIST`,
-/// `--quantize` (`sq8` | `pq[:M]` | `none`) and `--rescore-factor N`. A
-/// `--quantize` value is checked before any file is opened. Quantization
-/// is a property of the IVF index: asked for without cells it would
-/// silently do nothing, so that combination is rejected.
-fn index_flags(args: &Args) -> Result<(Engine, IndexOptions), EngineError> {
+/// The `--model` engine over the `--db` trajectories that `query` and
+/// `serve` build their server from, its index description overridden by
+/// `--index NLIST`, `--quantize` (`sq8` | `pq[:M]` | `none`) and
+/// `--rescore-factor N`. A `--quantize` value is checked before any file
+/// is opened. Quantization is a property of the IVF index: asked for
+/// without cells it would silently do nothing, so that combination is
+/// rejected.
+fn index_flags(args: &Args) -> Result<Engine, EngineError> {
     let quantization = args
         .options
         .get("quantize")
@@ -339,43 +340,51 @@ fn index_flags(args: &Args) -> Result<(Engine, IndexOptions), EngineError> {
         }
     }
     opts.rescore_factor = num(args, "rescore-factor", opts.rescore_factor)?;
-    Ok((engine, opts))
+    let db = load_trajectory_file(Path::new(req(args, "db")?))?;
+    engine.with_index_options(opts).with_database(db)
 }
 
+/// `trajcl query`: database row `--query`'s `k` nearest other rows, from
+/// the index a one-shard `serve` with the same flags would answer from.
 fn query(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
     if args.options.contains_key("connect") {
         return query_remote(args, out);
     }
-    only(args, "query", &[INDEX_FLAGS, "model db query k json"])?;
-    let (engine, opts) = index_flags(args)?;
-    let engine = engine.with_index_options(opts);
-    let db = load_trajectory_file(Path::new(req(args, "db")?))?;
-    let engine = engine.with_database(db)?;
+    only(args, "query", &[INDEX_FLAGS, "query k json"])?;
+    let engine = index_flags(args)?;
     let qi: usize = num(args, "query", 0)?;
     let k: usize = num(args, "k", 5)?;
-    let hits = engine.knn_by_index(qi, k)?;
-    let db = engine.database();
-    if args.flag("json") {
-        for (rank, (id, dist)) in hits.iter().enumerate() {
-            let t = &db[*id as usize];
+    let Some(traj) = engine.database().get(qi).cloned() else {
+        let len = engine.database().len();
+        return Err(EngineError::QueryOutOfRange { index: qi, len });
+    };
+    let cfg = ServeConfig {
+        cache_cap: 0,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(std::sync::Arc::new(engine), cfg)?;
+    // The query row is indexed too: one more hit, then drop it.
+    let hits: Vec<(u64, f64)> = server
+        .knn(&traj, k + 1)?
+        .into_iter()
+        .filter(|&(id, _)| id != qi as u64)
+        .take(k)
+        .collect();
+    let db = server.engine().database();
+    if !args.flag("json") {
+        writeln!(out, "top-{k} similar to trajectory {qi}:")?;
+    }
+    for (rank, (id, dist)) in (1..).zip(hits) {
+        let t = &db[id as usize];
+        let (points, km) = (t.len(), t.length() / 1000.0);
+        if args.flag("json") {
+            writeln!(out, "{}", json_hit_line(rank, id, dist, points, km))?;
+        } else {
             writeln!(
                 out,
-                "{}",
-                json_hit_line(rank + 1, *id, *dist, t.len(), t.length() / 1000.0)
+                "  #{rank} idx={id} L1={dist:.4} ({points} pts, {km:.2} km)"
             )?;
         }
-        return Ok(());
-    }
-    writeln!(out, "top-{k} similar to trajectory {qi}:")?;
-    for (rank, (id, dist)) in hits.iter().enumerate() {
-        let t = &db[*id as usize];
-        writeln!(
-            out,
-            "  #{} idx={id} L1={dist:.4} ({} pts, {:.2} km)",
-            rank + 1,
-            t.len(),
-            t.length() / 1000.0
-        )?;
     }
     Ok(())
 }
@@ -520,24 +529,10 @@ fn idle_timeout_opt(
 /// Builds the serving runtime `trajcl serve` runs from CLI options;
 /// returns it with the handler-thread count.
 fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
-    let serve_flags = "model db listen shards wal workers cache idle-timeout-ms";
+    let serve_flags = "listen shards wal workers cache idle-timeout-ms";
     only(args, "serve", &[INDEX_FLAGS, serve_flags])?;
-    // The server only ever consults its own MutableIndex, so k-means must
-    // train there and nowhere else: the engine carries the index
-    // description minus the cells, so with_database skips the
-    // engine-side build (which would otherwise duplicate both the
-    // training time and the vector table); the cells go to the server.
-    let (engine, opts) = index_flags(args)?;
-    let engine = engine.with_index_options(IndexOptions {
-        nlist: None,
-        ..opts
-    });
-    let db = load_trajectory_file(Path::new(req(args, "db")?))?;
-    let engine = engine.with_database(db)?;
-    let mut cfg = ServeConfig {
-        ivf_nlist: opts.nlist,
-        ..ServeConfig::default()
-    };
+    let engine = index_flags(args)?;
+    let mut cfg = ServeConfig::default();
     cfg.workers = num(args, "workers", cfg.workers)?;
     cfg.cache_cap = num(args, "cache", cfg.cache_cap)?;
     if args.options.contains_key("shards") {
@@ -920,6 +915,24 @@ mod tests {
         assert_eq!(code, 1);
         assert!(out.contains("subspace"));
 
+        // The query row never answers itself, and a row past the end of
+        // the file is an error.
+        let (code, out) = run_cmd(&format!(
+            "query --model {} --db {} --query 7 --k 39 --json",
+            model.display(),
+            data.display()
+        ));
+        assert_eq!(code, 0, "{out}");
+        assert_eq!(out.lines().count(), 39);
+        assert!(!out.contains("\"index\":7,"), "{out}");
+        let (code, out) = run_cmd(&format!(
+            "query --model {} --db {} --query 40",
+            model.display(),
+            data.display()
+        ));
+        assert_eq!(code, 1);
+        assert!(out.contains("query index 40 out of range (40 trajectories)"));
+
         // --quantize without --index would be a silent no-op; reject it.
         let (code, out) = run_cmd(&format!(
             "query --model {} --db {} --query 0 --quantize sq8",
@@ -1015,9 +1028,9 @@ mod tests {
         assert!(find(4).contains("\"size\":24"));
         assert!(find(5).contains("\"ok\":false"));
 
-        // `serve` reads the index flags through the applier `query` uses:
-        // the description reaches every shard, rescore factor included,
-        // and k-means trains in the server only.
+        // `serve` reads the index flags through the helper `query` uses:
+        // the description reaches the engine and every shard, rescore
+        // factor included.
         let (server, _) = build_server(&args_of(&format!(
             "serve --model {} --db {} --index 4 --quantize sq8 --rescore-factor 8 --shards 2",
             model.display(),
@@ -1030,7 +1043,7 @@ mod tests {
             assert_eq!(opts.quantization, Quantization::Sq8);
             assert_eq!(opts.nlist, Some(4));
         }
-        assert!(server.engine().index().is_none());
+        assert_eq!(server.engine().index_options().nlist, Some(4));
         server.shutdown();
         // And the combinations `query` rejects are rejected here too.
         let err = build_server(&args_of(&format!(

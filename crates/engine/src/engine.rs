@@ -1,16 +1,16 @@
 //! [`Engine`] + [`EngineBuilder`]: one front door for training, embedding,
-//! kNN serving, heuristic approximation and persistence.
+//! exact kNN, heuristic approximation and persistence.
 //!
 //! The engine owns a boxed [`SimilarityBackend`], an optional trajectory
-//! database with its cached embedding table, and an optional IVF index.
-//! Queries route automatically: indexed search when an index exists, brute
-//! force over the cached table otherwise, and an exact database scan for
-//! heuristic (no-embedding) backends.
+//! database with its cached embedding table, and the description of the
+//! index a server builds over that table ([`Engine::index_options`],
+//! [`Engine::nprobe`]). The engine embeds; `trajcl_serve::Server` indexes.
+//! [`Engine::knn`] itself is exact: brute force over the cached table, or
+//! a database scan for heuristic (no-embedding) backends.
 
 use crate::backend::{FinetunedBackend, HeuristicBackend, SimilarityBackend, TrajClBackend};
 use crate::error::EngineError;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use trajcl_core::{
     build_featurizer, finetune, load_model, save_model, train, EncoderVariant, FinetuneConfig,
     MocoState, TrainReport, TrajClConfig,
@@ -18,7 +18,7 @@ use trajcl_core::{
 use trajcl_data::Dataset;
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_index::{
-    atomic_write, brute_force_batch_knn, IndexOptions, IvfIndex, Metric, Quantization, RealFs,
+    atomic_write, brute_force_batch_knn, IndexOptions, Metric, Quantization, RealFs,
 };
 use trajcl_measures::HeuristicMeasure;
 use trajcl_tensor::{Shape, Tensor};
@@ -28,12 +28,11 @@ const ENGINE_MAGIC: &[u8; 4] = b"TCE1";
 /// Default inference mini-batch size for [`Engine::embed_all`].
 pub const DEFAULT_BATCH: usize = 64;
 
-/// A similarity-serving engine: backend + database + optional IVF index.
+/// A similarity engine: backend + database + cached embedding table.
 pub struct Engine {
     backend: Box<dyn SimilarityBackend>,
     database: Vec<Trajectory>,
     embeddings: Option<Tensor>,
-    index: Option<IvfIndex>,
     index_options: IndexOptions,
     nprobe: usize,
     batch_size: usize,
@@ -51,8 +50,8 @@ impl Engine {
         self.backend.as_ref()
     }
 
-    /// The served trajectory database (empty for engines reloaded from
-    /// bytes, which carry embeddings but not geometry).
+    /// The trajectory database (empty for engines reloaded from bytes
+    /// until [`Engine::with_database`]).
     pub fn database(&self) -> &[Trajectory] {
         &self.database
     }
@@ -62,28 +61,24 @@ impl Engine {
         self.embeddings.as_ref()
     }
 
-    /// The IVF index, when one was built.
-    pub fn index(&self) -> Option<&IvfIndex> {
-        self.index.as_ref()
-    }
-
     /// Training report from [`EngineBuilder::train_trajcl`], when the
     /// engine's model was trained by the builder.
     pub fn train_report(&self) -> Option<&TrainReport> {
         self.train_report.as_ref()
     }
 
-    /// How the IVF index is trained and stored: cells (`nlist: None` =
-    /// brute force over the cached table), k-means seed, storage
+    /// How the index over the database embeddings is trained and
+    /// stored: cells (`nlist: None` = a flat scan), k-means seed, storage
     /// quantization and the over-fetch multiplier of exact rescoring
-    /// (indexed queries re-rank the top `rescore_factor · k` quantized
-    /// candidates against the cached embedding table). `trajcl-serve`
-    /// builds its shards from the same value.
+    /// (the top `rescore_factor · k` quantized candidates re-ranked
+    /// against the cached embedding table). The engine builds no index:
+    /// `trajcl_serve::Server::new` builds its shards from this value.
     pub fn index_options(&self) -> &IndexOptions {
         &self.index_options
     }
 
-    /// Number of IVF cells probed per indexed query.
+    /// Number of IVF cells a server built from this engine probes per
+    /// query.
     pub fn nprobe(&self) -> usize {
         self.nprobe
     }
@@ -122,10 +117,9 @@ impl Engine {
 
     /// k nearest database entries to `query`, `(id, distance)` ascending.
     ///
-    /// Routing: IVF index (probing the configured `nprobe` lists) when one
-    /// was built, brute force over the cached embedding table otherwise,
-    /// exact measure scan for heuristic backends. A single-query wrapper
-    /// over [`Engine::knn_batch`].
+    /// Exact: brute force over the cached embedding table, or a measure
+    /// scan for heuristic backends. A single-query wrapper over
+    /// [`Engine::knn_batch`].
     pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<(u32, f64)>, EngineError> {
         let mut hits = self.knn_batch(std::slice::from_ref(query), k)?;
         Ok(hits.pop().expect("one result row per query"))
@@ -135,8 +129,8 @@ impl Engine {
     /// distance)` row per query.
     ///
     /// All queries share a single fused embedding forward (chunked at the
-    /// engine batch size) before fanning out to the index or brute-force
-    /// scan, so a caller holding N queries pays one forward, not N.
+    /// engine batch size) before fanning out to the brute-force scan, so a
+    /// caller holding N queries pays one forward, not N.
     pub fn knn_batch(
         &self,
         queries: &[Trajectory],
@@ -161,71 +155,33 @@ impl Engine {
             return Ok(out);
         }
         let q = self.embed_all(queries)?;
-        if let Some(index) = &self.index {
-            // Quantized indexes rescore their top rescore_factor·k
-            // candidates against the engine's exact embedding table, so
-            // served distances stay exact f32.
-            return Ok(index.batch_search_rescored(&q, k, self.nprobe, self.embeddings.as_ref()));
-        }
         match &self.embeddings {
             Some(emb) => Ok(brute_force_batch_knn(emb, &q, k, Metric::L1)),
             None => Err(EngineError::NoDatabase),
         }
     }
 
-    /// kNN by database index (the CLI's `query` command).
-    pub fn knn_by_index(&self, qi: usize, k: usize) -> Result<Vec<(u32, f64)>, EngineError> {
-        if self.database.is_empty() {
-            return Err(EngineError::NoDatabase);
-        }
-        if qi >= self.database.len() {
-            return Err(EngineError::QueryOutOfRange {
-                index: qi,
-                len: self.database.len(),
-            });
-        }
-        // Exclude the query itself from its own result list.
-        let hits = self.knn(&self.database[qi], k + 1)?;
-        Ok(hits
-            .into_iter()
-            .filter(|(id, _)| *id as usize != qi)
-            .take(k)
-            .collect())
-    }
-
-    /// Attaches (or replaces) the served database, re-embedding it and
-    /// rebuilding the IVF index when one is configured. This is how a
-    /// persisted engine (which carries no geometry) resumes serving.
+    /// Attaches (or replaces) the database, re-embedding it into the
+    /// cached table. This is how a persisted engine (which carries
+    /// neither geometry nor table) resumes serving.
     pub fn with_database(mut self, trajs: Vec<Trajectory>) -> Result<Engine, EngineError> {
         self.database = trajs;
-        self.index_database()?;
+        self.embed_database()?;
         Ok(self)
     }
 
-    /// Embeds the database into the cached table and, when cells are
-    /// configured, trains the IVF index over it (embedding backends
-    /// only; replaces whatever table and index were there).
-    fn index_database(&mut self) -> Result<(), EngineError> {
+    /// Embeds the database into the cached table (embedding backends
+    /// only; replaces whatever table was there).
+    fn embed_database(&mut self) -> Result<(), EngineError> {
         self.embeddings = None;
-        self.index = None;
         if self.backend.supports_embedding() && !self.database.is_empty() {
-            let emb = self.embed_all(&self.database)?;
-            if self.index_options.nlist.is_some() {
-                let mut rng = StdRng::seed_from_u64(self.index_options.seed);
-                self.index = Some(IvfIndex::build_with(
-                    &emb,
-                    Metric::L1,
-                    &self.index_options,
-                    &mut rng,
-                ));
-            }
-            self.embeddings = Some(emb);
+            self.embeddings = Some(self.embed_all(&self.database)?);
         }
         Ok(())
     }
 
-    /// Replaces the index description; takes effect at the next
-    /// [`Engine::with_database`] call.
+    /// Replaces the index description a server built from this engine
+    /// reads ([`Engine::index_options`]).
     pub fn with_index_options(mut self, index_options: IndexOptions) -> Self {
         self.index_options = index_options;
         self
@@ -270,12 +226,14 @@ impl Engine {
             .build()
     }
 
-    /// Serialises the whole engine: model + featurizer (via
-    /// [`trajcl_core::persist`]), cached embeddings, IVF index and the
-    /// query settings (`nprobe`, batch size, index description). Database
-    /// geometry is not persisted — a reloaded engine answers kNN by id
-    /// from its index/embeddings — and neither is anything about serving
-    /// (shards, write-ahead log): that is `trajcl_serve::ServeConfig`.
+    /// Serialises the engine: model + featurizer (via
+    /// [`trajcl_core::persist`]) and the query settings (`nprobe`, batch
+    /// size, index description), as `"TCE1" | model_len | model | nprobe
+    /// | batch | nlist | seed | tag | rescore | [PQ: m]`. The database,
+    /// its embedding table and any index built over it are not persisted
+    /// — [`Engine::with_database`] rebuilds the table — and neither is
+    /// anything about serving (shards, write-ahead log): that is
+    /// `trajcl_serve::ServeConfig`.
     ///
     /// # Errors
     /// [`EngineError::Unsupported`] unless the active backend is TrajCL.
@@ -296,26 +254,6 @@ impl Engine {
         let opts = &self.index_options;
         out.extend_from_slice(&(opts.nlist.unwrap_or(0) as u32).to_le_bytes());
         out.extend_from_slice(&opts.seed.to_le_bytes());
-        match &self.embeddings {
-            Some(emb) => {
-                out.push(1);
-                out.extend_from_slice(&(emb.shape().rows() as u32).to_le_bytes());
-                out.extend_from_slice(&(emb.shape().last() as u32).to_le_bytes());
-                for &v in emb.data() {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            None => out.push(0),
-        }
-        match &self.index {
-            Some(index) => {
-                let bytes = index.to_bytes();
-                out.push(1);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(&bytes);
-            }
-            None => out.push(0),
-        }
         // The tail: `tag | rescore | [PQ: m]`, the tag through the one
         // wire codec of `Quantization`.
         out.push(opts.quantization.wire_tag());
@@ -355,7 +293,6 @@ impl Engine {
         let u32_of = |r: &mut &[u8]| -> Result<u32, EngineError> {
             take(r, 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         };
-        let u8_of = |r: &mut &[u8]| -> Result<u8, EngineError> { take(r, 1).map(|b| b[0]) };
         if take(&mut r, 4)? != ENGINE_MAGIC {
             return Err(EngineError::CorruptEngineFile("bad magic"));
         }
@@ -370,32 +307,7 @@ impl Engine {
                 .try_into()
                 .map_err(|_| EngineError::CorruptEngineFile("seed"))?,
         );
-        let embeddings = match u8_of(&mut r)? {
-            0 => None,
-            _ => {
-                let rows = u32_of(&mut r)? as usize;
-                let dim = u32_of(&mut r)? as usize;
-                let n_bytes = rows
-                    .checked_mul(dim)
-                    .and_then(|n| n.checked_mul(4))
-                    .ok_or(EngineError::CorruptEngineFile("embedding table size"))?;
-                let raw = take(&mut r, n_bytes)?;
-                let data: Vec<f32> = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect();
-                Some(Tensor::from_vec(data, Shape::d2(rows, dim)))
-            }
-        };
-        let index = match u8_of(&mut r)? {
-            0 => None,
-            _ => {
-                let len = u32_of(&mut r)? as usize;
-                let raw = take(&mut r, len)?;
-                Some(IvfIndex::from_bytes(raw).ok_or(EngineError::CorruptEngineFile("ivf index"))?)
-            }
-        };
-        let tag = u8_of(&mut r)?;
+        let tag = take(&mut r, 1)?[0];
         let rescore_factor = (u32_of(&mut r)? as usize).max(1);
         let quantization = Quantization::from_wire(tag, || Some(u32_of(&mut r).ok()? as usize))
             .ok_or(EngineError::CorruptEngineFile("quantization"))?;
@@ -406,8 +318,7 @@ impl Engine {
         Ok(Engine {
             backend: Box::new(TrajClBackend::new(model, featurizer)),
             database: Vec::new(),
-            embeddings,
-            index,
+            embeddings: None,
             index_options: IndexOptions {
                 nlist: (nlist_raw > 0).then_some(nlist_raw),
                 seed,
@@ -422,7 +333,7 @@ impl Engine {
 }
 
 /// Builder-pattern construction of an [`Engine`]:
-/// dataset → featurizer → backend → optional IVF index.
+/// dataset → featurizer → backend → embedded database.
 pub struct EngineBuilder {
     backend: Option<Box<dyn SimilarityBackend>>,
     database: Vec<Trajectory>,
@@ -439,7 +350,7 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with no backend, no database and no index.
+    /// A builder with no backend and no database.
     pub fn new() -> Self {
         EngineBuilder {
             backend: None,
@@ -524,20 +435,18 @@ impl EngineBuilder {
         self
     }
 
-    /// How the IVF index over the database embeddings is trained and
-    /// stored (default: no index, exact f32; ignored for heuristic
-    /// backends). `nlist: Some(_)` builds the index; [`Quantization::Sq8`]
-    /// stores database vectors as int8 codes (4× smaller) scanned in
-    /// integer arithmetic, [`Quantization::Pq`] as `⌈m/2⌉`-byte
-    /// product-quantized codes. Both rescore the top `rescore_factor · k`
-    /// quantized candidates against the exact cached embedding table at
-    /// query time, so indexed engine kNN returns exact distances.
+    /// How a server built from this engine indexes the database
+    /// embeddings ([`Engine::index_options`]; default: a flat exact f32
+    /// scan). `nlist: Some(_)` trains IVF cells; [`Quantization::Sq8`]
+    /// stores vectors as int8 codes (4× smaller) scanned in integer
+    /// arithmetic, [`Quantization::Pq`] as `⌈m/2⌉`-byte product-quantized
+    /// codes, both rescored against the cached embedding table.
     pub fn index_options(mut self, index_options: IndexOptions) -> Self {
         self.index_options = index_options;
         self
     }
 
-    /// Number of Voronoi cells probed per indexed query (default 4).
+    /// Number of Voronoi cells a server probes per query (default 4).
     pub fn nprobe(mut self, nprobe: usize) -> Self {
         self.nprobe = nprobe.max(1);
         self
@@ -549,8 +458,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Assembles the engine: embeds the database (embedding backends) and
-    /// builds the IVF index when requested.
+    /// Assembles the engine: embeds the database (embedding backends).
     ///
     /// # Errors
     /// [`EngineError::InvalidInput`] when no backend was configured;
@@ -563,13 +471,12 @@ impl EngineBuilder {
             backend,
             database: self.database,
             embeddings: None,
-            index: None,
             index_options: self.index_options,
             nprobe: self.nprobe,
             batch_size: self.batch_size,
             train_report: self.train_report,
         };
-        engine.index_database()?;
+        engine.embed_database()?;
         Ok(engine)
     }
 }

@@ -49,7 +49,7 @@ pub enum EngineError {
     InvalidInput(String),
     /// Model/engine (de)serialisation failure.
     Persist(PersistError),
-    /// An engine file or index section failed to decode.
+    /// An engine file failed to decode.
     CorruptEngineFile(&'static str),
     /// A trajectory text file failed to parse.
     Parse(ParseError),

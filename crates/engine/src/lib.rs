@@ -8,13 +8,17 @@
 //!   [`EncoderBackend`]), exact heuristic measures ([`HeuristicBackend`])
 //!   and fine-tuned estimators ([`FinetunedBackend`]);
 //! * [`Engine`] / [`EngineBuilder`] — builder-pattern construction
-//!   (dataset → featurizer → backend → optional IVF index), chunked
-//!   [`Engine::embed_all`], [`Engine::knn`] that routes to the index or
-//!   brute force automatically, [`Engine::approximate_measure`] wrapping
-//!   fine-tuning, and whole-engine persistence
-//!   ([`Engine::to_bytes`] / [`Engine::from_bytes`]);
+//!   (dataset → featurizer → backend → embedded database), chunked
+//!   [`Engine::embed_all`], exact [`Engine::knn`] over the cached
+//!   embedding table (or the database geometry, for heuristic backends),
+//!   [`Engine::approximate_measure`] wrapping fine-tuning, and model
+//!   persistence ([`Engine::to_bytes`] / [`Engine::from_bytes`]);
 //! * [`EngineError`] — one typed error for the whole stack, converted from
 //!   the featurisation and persistence errors of the crates below.
+//!
+//! The engine embeds; it builds no vector index. [`Engine::index_options`]
+//! and [`Engine::nprobe`] describe the index `trajcl_serve::Server` trains
+//! over the engine's table, which is where every indexed kNN runs.
 //!
 //! ```
 //! use trajcl_data::{Dataset, DatasetProfile};

@@ -11,11 +11,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::{Engine, IndexOptions, Quantization};
-use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
+use trajcl_geo::{Bbox, Grid, Point, SpatialNorm};
 use trajcl_tensor::{Shape, Tensor};
 
-/// Serialized SQ8- and PQ-indexed engines (built once: engine
-/// construction embeds a database, which dominates the test's runtime).
+/// Serialized engines describing an SQ8 and a PQ index (model-only files,
+/// as every TCE1 file is; built once).
 fn corpus() -> &'static (Vec<u8>, Vec<u8>) {
     static CORPUS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -27,16 +27,8 @@ fn corpus() -> &'static (Vec<u8>, Vec<u8>) {
             let table = Tensor::randn(Shape::d2(grid.num_cells(), cfg.dim), 0.0, 0.5, &mut rng);
             let feat = Featurizer::new(grid, table, SpatialNorm::new(region, 100.0), cfg.max_len);
             let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
-            let trajs: Vec<Trajectory> = (0..40)
-                .map(|i| {
-                    (0..10)
-                        .map(|j| Point::new(50.0 + j as f64 * 80.0, 20.0 + (i % 8) as f64 * 90.0))
-                        .collect()
-                })
-                .collect();
             Engine::builder()
                 .trajcl(model, feat)
-                .database(trajs)
                 .index_options(IndexOptions {
                     nlist: Some(3),
                     quantization: quant,
@@ -55,8 +47,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Random bytes over the whole tail region (SQ8 tail: tag + rescore,
-    // 5 bytes; PQ additionally m, 9) and the end of the index section
-    // before it. Any tag/geometry combination must be
+    // 5 bytes; PQ additionally m, 9) and the end of the settings before
+    // it. Any tag/geometry combination must be
     // rejected or produce a consistent engine.
     #[test]
     fn corrupted_quantization_tail_never_panics(

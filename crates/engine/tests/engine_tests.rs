@@ -1,18 +1,18 @@
-//! Integration tests for the unified engine: builder flows, kNN routing,
-//! heuristic fallback, fine-tuning, and whole-engine persistence.
+//! Integration tests for the unified engine: builder flows, exact kNN,
+//! heuristic fallback, fine-tuning, and engine persistence. The indexed
+//! kNN a server builds from an engine is tested in `trajcl-serve`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajcl_core::{
     EncoderVariant, Featurizer, FinetuneConfig, FinetuneScope, TrajClConfig, TrajClModel,
 };
-use trajcl_data::{distort, downsample, Dataset, DatasetProfile};
+use trajcl_data::{Dataset, DatasetProfile};
 use trajcl_engine::{
     Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization,
     SimilarityBackend,
 };
 use trajcl_geo::{Grid, SpatialNorm, Trajectory};
-use trajcl_index::{IvfIndex, Metric};
 use trajcl_measures::HeuristicMeasure;
 use trajcl_tensor::{Shape, Tensor};
 
@@ -99,198 +99,6 @@ fn heuristic_engine_matches_direct_measure_ranking() {
 }
 
 #[test]
-fn indexed_and_brute_force_routes_agree_at_full_probe() {
-    let ds = dataset(60, 3);
-    let (model, feat) = untrained_trajcl(&ds);
-    let brute = Engine::builder()
-        .trajcl(model.clone(), feat.clone())
-        .database(ds.trajectories.clone())
-        .build()
-        .unwrap();
-    let indexed = Engine::builder()
-        .trajcl(model, feat)
-        .database(ds.trajectories.clone())
-        .index_options(ivf(8))
-        .nprobe(8) // full probe -> exact
-        .build()
-        .unwrap();
-    assert!(brute.index().is_none() && indexed.index().is_some());
-    for qi in [0usize, 17, 42] {
-        let a = brute.knn(&ds.trajectories[qi], 5).unwrap();
-        let b = indexed.knn(&ds.trajectories[qi], 5).unwrap();
-        assert_eq!(
-            a.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            b.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            "routes disagree on query {qi}"
-        );
-    }
-}
-
-#[test]
-fn quantized_index_route_matches_brute_force_and_persists() {
-    // SQ8 storage with exact rescoring: at full probe the quantized route
-    // must return the same ids AND the same (exact, rescored) distances
-    // as the brute-force route, in a 4x-smaller index.
-    let ds = dataset(60, 15);
-    let (model, feat) = untrained_trajcl(&ds);
-    let brute = Engine::builder()
-        .trajcl(model.clone(), feat.clone())
-        .database(ds.trajectories.clone())
-        .build()
-        .unwrap();
-    let quantized = Engine::builder()
-        .trajcl(model, feat)
-        .database(ds.trajectories.clone())
-        .index_options(IndexOptions {
-            seed: 3,
-            quantization: Quantization::Sq8,
-            rescore_factor: 4,
-            ..ivf(8)
-        })
-        .nprobe(8) // full probe
-        .build()
-        .unwrap();
-    let index = quantized.index().expect("index built");
-    assert_eq!(index.quantization(), Quantization::Sq8);
-    for qi in [0usize, 17, 42] {
-        let a = brute.knn(&ds.trajectories[qi], 5).unwrap();
-        let b = quantized.knn(&ds.trajectories[qi], 5).unwrap();
-        assert_eq!(a, b, "quantized route diverged on query {qi}");
-    }
-
-    // Persistence carries the index section and the index description.
-    let restored = Engine::from_bytes(&quantized.to_bytes().unwrap()).unwrap();
-    assert_eq!(restored.index_options(), quantized.index_options());
-    assert_eq!(
-        restored.index().expect("index persisted").quantization(),
-        Quantization::Sq8
-    );
-    for qi in [0usize, 17, 42] {
-        assert_eq!(
-            quantized.knn(&ds.trajectories[qi], 5).unwrap(),
-            restored.knn(&ds.trajectories[qi], 5).unwrap(),
-            "kNN diverged after reload on query {qi}"
-        );
-    }
-}
-
-#[test]
-fn pq_index_route_matches_brute_force_and_persists() {
-    // PQ storage with exact rescoring: at full probe with a generous
-    // over-fetch the product-quantized route must return the same ids AND
-    // the same (exact, rescored) distances as the brute-force route.
-    let ds = dataset(60, 16);
-    let (model, feat) = untrained_trajcl(&ds);
-    let brute = Engine::builder()
-        .trajcl(model.clone(), feat.clone())
-        .database(ds.trajectories.clone())
-        .build()
-        .unwrap();
-    let quant = Quantization::Pq { m: 4 };
-    let pq = Engine::builder()
-        .trajcl(model, feat)
-        .database(ds.trajectories.clone())
-        .index_options(IndexOptions {
-            seed: 3,
-            quantization: quant,
-            rescore_factor: 16,
-            ..ivf(8)
-        })
-        .nprobe(8) // full probe
-        .build()
-        .unwrap();
-    let index = pq.index().expect("index built");
-    assert_eq!(index.quantization(), quant);
-    for qi in [0usize, 17, 42] {
-        let a = brute.knn(&ds.trajectories[qi], 5).unwrap();
-        let b = pq.knn(&ds.trajectories[qi], 5).unwrap();
-        assert_eq!(a, b, "pq route diverged on query {qi}");
-    }
-
-    // Persistence carries the index section and the PQ configuration tail.
-    let restored = Engine::from_bytes(&pq.to_bytes().unwrap()).unwrap();
-    assert_eq!(restored.index_options(), pq.index_options());
-    assert_eq!(
-        restored.index().expect("index persisted").quantization(),
-        quant
-    );
-    for qi in [0usize, 17, 42] {
-        assert_eq!(
-            pq.knn(&ds.trajectories[qi], 5).unwrap(),
-            restored.knn(&ds.trajectories[qi], 5).unwrap(),
-            "kNN diverged after reload on query {qi}"
-        );
-    }
-}
-
-// The safety net under the three storages: over an engine's own table —
-// the unnormalised backbone `h` of the tiny test model, where one shared
-// SQ8 scale is coarsest on low-range dimensions — SQ8 (r = 4) and 4-bit
-// PQ (m = d/4, r = 128) keep recall@10 against the same engine's f32 IVF
-// route. The quantized indexes are built exactly as the engine builds its
-// own (same cells, same seed) and searched as `Engine::knn_batch` does.
-// Queries: half distorted or down-sampled database rows, half held out.
-#[test]
-fn quantized_routes_keep_the_recall_of_the_engines_f32_route() {
-    let ds = dataset(5200, 18);
-    let (db, held_out) = ds.trajectories.split_at(5000);
-    let (model, feat) = untrained_trajcl(&ds);
-    // Half the cells probed: ~2500 rows scanned per query, about twice
-    // PQ's 1280-candidate over-fetch, so its codes really rank.
-    let (nlist, nprobe, k) = (16, 8, 10);
-    let f32_opts = IndexOptions {
-        seed: 5,
-        ..ivf(nlist)
-    };
-    let engine = Engine::builder()
-        .trajcl(model, feat)
-        .database(db.to_vec())
-        .index_options(f32_opts)
-        .nprobe(nprobe)
-        .build()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(19);
-    let mut queries = held_out.to_vec();
-    for (i, t) in db.iter().step_by(25).enumerate() {
-        queries.push(match i % 2 {
-            0 => distort(t, 0.3, 100.0, 0.5, &mut rng),
-            _ => downsample(t, 0.3, &mut rng),
-        });
-    }
-    let truth = engine.knn_batch(&queries, k).unwrap();
-    let (table, q) = (
-        engine.embeddings().unwrap(),
-        engine.embed_all(&queries).unwrap(),
-    );
-    let pq_m = table.shape().last() / 4;
-    // Measured at 5000 rows: SQ8 1.000, PQ 1.000 (without over-fetch,
-    // r = 1: SQ8 0.940, PQ 0.198).
-    for (quantization, rescore_factor, floor) in [
-        (Quantization::Sq8, 4, 0.99),
-        (Quantization::Pq { m: pq_m }, 128, 0.95),
-    ] {
-        let opts = IndexOptions {
-            quantization,
-            rescore_factor,
-            ..f32_opts
-        };
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let index = IvfIndex::build_with(table, Metric::L1, &opts, &mut rng);
-        let got = index.batch_search_rescored(&q, k, nprobe, Some(table));
-        let hits: usize = got
-            .iter()
-            .zip(&truth)
-            .map(|(g, t)| g.iter().filter(|h| t.iter().any(|x| x.0 == h.0)).count())
-            .sum();
-        let recall = hits as f64 / (k * queries.len()) as f64;
-        assert!(
-            recall >= floor,
-            "{quantization:?}: recall@10 {recall:.4} < {floor}"
-        );
-    }
-}
-
-#[test]
 fn embed_all_chunking_is_invisible() {
     let ds = dataset(30, 4);
     let (model, feat) = untrained_trajcl(&ds);
@@ -339,28 +147,10 @@ fn empty_and_degenerate_batches_error_cleanly() {
 }
 
 #[test]
-fn knn_by_index_validates_and_excludes_self() {
-    let ds = dataset(15, 6);
-    let (model, feat) = untrained_trajcl(&ds);
-    let engine = Engine::builder()
-        .trajcl(model, feat)
-        .database(ds.trajectories.clone())
-        .build()
-        .unwrap();
-    assert!(matches!(
-        engine.knn_by_index(99, 3),
-        Err(EngineError::QueryOutOfRange { index: 99, len: 15 })
-    ));
-    let hits = engine.knn_by_index(4, 3).unwrap();
-    assert_eq!(hits.len(), 3);
-    assert!(hits.iter().all(|(id, _)| *id != 4), "self must be excluded");
-}
-
-#[test]
 fn persistence_round_trip_is_bit_exact() {
-    // The satellite acceptance test: save an Engine (model + featurizer +
-    // IVF index), reload it, and require identical kNN results and
-    // bit-for-bit embeddings.
+    // Save an Engine (model + featurizer + query settings), reload it,
+    // and require bit-for-bit embeddings and, once the database is
+    // re-attached, identical kNN results.
     let ds = dataset(50, 8);
     let (model, feat) = untrained_trajcl(&ds);
     let engine = Engine::builder()
@@ -380,15 +170,15 @@ fn persistence_round_trip_is_bit_exact() {
         before.approx_eq(&after, 0.0),
         "embeddings changed across persistence"
     );
-    let cached = restored.embeddings().expect("embedding table persisted");
+    assert!(restored.embeddings().is_none(), "no table is persisted");
+    let restored = restored.with_database(ds.trajectories.clone()).unwrap();
     assert_eq!(
-        cached.data(),
-        before.data(),
-        "cached table differs from recompute"
+        restored.embeddings().unwrap().data(),
+        engine.embeddings().unwrap().data(),
+        "re-embedded table differs"
     );
 
-    // kNN: identical ids AND distances through the persisted index.
-    assert!(restored.index().is_some(), "index must survive persistence");
+    // kNN: identical ids AND distances.
     for qi in [0usize, 13, 37] {
         let a = engine.knn(&ds.trajectories[qi], 5).unwrap();
         let b = restored.knn(&ds.trajectories[qi], 5).unwrap();
@@ -399,9 +189,10 @@ fn persistence_round_trip_is_bit_exact() {
 // TCE1 ends at the quantization tail, `tag | rescore | [PQ: m]`:
 // nothing about serving (shard count, WAL durability) is in the file.
 // Earlier layouts are corrupt, never loaded with defaulted settings: the
-// one that carried the `shards u32 | durability u8` serving bytes, and
-// the one with a scan byte after the tail (and PQ's code-width byte before
-// it).
+// one that carried the `shards u32 | durability u8` serving bytes, the
+// one with a scan byte after the tail (and PQ's code-width byte before
+// it), and the one with `has_table u8 | [table] | has_index u8 |
+// [section]` before the tail.
 #[test]
 fn engine_file_ends_at_the_quantization_tail() {
     let ds = dataset(12, 9);
@@ -434,7 +225,21 @@ fn engine_file_ends_at_the_quantization_tail() {
             scan_format.push(4); // PQ code width: 4 bits
         }
         scan_format.push(1); // scan: symmetric
-        for parent in [serving_format, scan_format] {
+        let tail_at = bytes.len() - tail.len();
+        let data_format = |sections: &[u8]| {
+            let mut file = bytes[..tail_at].to_vec();
+            file.extend_from_slice(sections);
+            file.extend_from_slice(tail);
+            file
+        };
+        let no_sections = data_format(&[0, 0]); // has_table, has_index
+        let mut one_row = vec![1]; // has_table
+        one_row.extend_from_slice(&1u32.to_le_bytes()); // rows
+        one_row.extend_from_slice(&1u32.to_le_bytes()); // dim
+        one_row.extend_from_slice(&0.5f32.to_le_bytes());
+        one_row.push(0); // has_index
+        let table_format = data_format(&one_row);
+        for parent in [serving_format, scan_format, no_sections, table_format] {
             assert!(matches!(
                 Engine::from_bytes(&parent),
                 Err(EngineError::CorruptEngineFile("trailing bytes"))
@@ -444,8 +249,7 @@ fn engine_file_ends_at_the_quantization_tail() {
 }
 
 // The index description travels as one value: every storage (PQ
-// geometry included) survives the engine file, with and without a built
-// index section beside it.
+// geometry included), with and without cells, survives the engine file.
 #[test]
 fn index_options_survive_persistence_for_every_storage() {
     let ds = dataset(40, 17);
@@ -468,18 +272,40 @@ fn index_options_survive_persistence_for_every_storage() {
                 .index_options(opts)
                 .build()
                 .unwrap();
-            assert_eq!(engine.index().is_some(), nlist.is_some());
             let bytes = engine.to_bytes().unwrap();
             let restored = Engine::from_bytes(&bytes).unwrap();
             assert_eq!(restored.index_options(), &opts, "{opts:?}");
             assert_eq!(restored.to_bytes().unwrap(), bytes, "{opts:?}");
-            assert_eq!(
-                restored.knn(&ds.trajectories[3], 4).unwrap(),
-                engine.knn(&ds.trajectories[3], 4).unwrap(),
-                "{opts:?}"
-            );
         }
     }
+}
+
+// The file is the model and the query settings only: an engine with a
+// database serialises to the same bytes as the same engine without one.
+#[test]
+fn engine_file_holds_no_database_state() {
+    let ds = dataset(30, 19);
+    let opts = IndexOptions {
+        seed: 4,
+        quantization: Quantization::Pq { m: 4 },
+        ..ivf(4)
+    };
+    let build = |database: Vec<Trajectory>| {
+        let (model, feat) = untrained_trajcl(&ds);
+        Engine::builder()
+            .trajcl(model, feat)
+            .database(database)
+            .index_options(opts)
+            .nprobe(2)
+            .build()
+            .unwrap()
+    };
+    let with_db = build(ds.trajectories.clone());
+    assert!(with_db.embeddings().is_some());
+    assert_eq!(
+        with_db.to_bytes().unwrap(),
+        build(Vec::new()).to_bytes().unwrap()
+    );
 }
 
 #[test]
@@ -564,7 +390,7 @@ fn approximate_measure_produces_a_serving_engine() {
 #[test]
 fn trained_engine_end_to_end_via_builder() {
     // The full builder flow: dataset -> featurizer -> trained backend ->
-    // IVF index, then self-queries hit themselves.
+    // embedded database, then self-queries hit themselves.
     let ds = dataset(40, 13);
     let mut rng = StdRng::seed_from_u64(14);
     let mut cfg = TrajClConfig::test_default();

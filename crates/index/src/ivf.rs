@@ -12,10 +12,10 @@
 //! runtime-dispatched SIMD kernels of [`crate::kernels::dispatch`]) or PQ
 //! product-quantized codes ([`Quantization::Pq`]: `m` 4-bit codes per
 //! *vector*, two per byte, scanned via a per-query ADC lookup table).
-//! Quantized searches are optionally
-//! **rescored** exactly — the top `rescore_factor · k` candidates
-//! re-ranked against a caller-supplied exact f32 table (the engine keeps
-//! its embedding table for precisely this). All scans run through the
+//! Quantized distances are approximate; re-ranking them against exact
+//! vectors is [`crate::IndexSnapshot::search_rescored`]'s job, which
+//! over-fetches [`IvfIndex::rescore_factor`]` · k` candidates from here.
+//! All scans run through the
 //! blocked f32 kernels and the fused bounded top-k selector, never a
 //! full sort. Whatever depends on *how* rows are stored sits behind
 //! `Storage` (`storage.rs`); this file is the IVF half.
@@ -73,8 +73,8 @@ pub enum Quantization {
 }
 
 impl Quantization {
-    /// The storage tag of the `IVF5` section and the TCE1 tail. A PQ tag
-    /// is followed on the wire (not necessarily directly) by `m u32`.
+    /// The storage tag of the TCE1 tail. A PQ tag is followed on the wire
+    /// (not necessarily directly) by `m u32`.
     pub fn wire_tag(self) -> u8 {
         match self {
             Quantization::None => 0,
@@ -142,8 +142,8 @@ pub struct IndexOptions {
     /// always stays exact f32 until the next compaction.
     pub quantization: Quantization,
     /// Over-fetch multiplier for callers that rescore quantized hits
-    /// against an exact table ([`IvfIndex::search_rescored`],
-    /// [`crate::IndexSnapshot::search_rescored`]); at least 1.
+    /// against exact vectors ([`crate::IndexSnapshot::search_rescored`]);
+    /// at least 1.
     pub rescore_factor: usize,
 }
 
@@ -158,11 +158,8 @@ impl Default for IndexOptions {
     }
 }
 
-/// Magic of the one serialised section layout ([`IvfIndex::to_bytes`]).
-const SECTION_MAGIC: &[u8; 4] = b"IVF5";
-
-/// Reusable per-thread search state: centroid ranking buffer, the
-/// storage scan's heap and per-query tables, and the candidate list. One
+/// Reusable per-thread search state: centroid ranking buffer and the
+/// storage scan's heap and per-query tables. One
 /// scratch serves any number of queries — batch search allocates one per
 /// pool lane, not per query.
 #[derive(Default)]
@@ -170,8 +167,6 @@ pub struct SearchScratch {
     /// `(centroid distance, centroid)` ranking buffer.
     order: Vec<(f32, u32)>,
     scan: ScanScratch,
-    /// Quantized-candidate buffer between scan and rescore.
-    cand: Vec<(u32, f64)>,
 }
 
 /// An IVF index over fixed-dimension vectors, stored as exact f32 rows,
@@ -199,11 +194,10 @@ impl IvfIndex {
 
     /// Builds an index as `opts` describes it: `nlist` cells (clamped to
     /// `1..=N`; `None` is one list, an exhaustive scan), rows stored
-    /// under `opts.quantization`, and searches over-fetching
-    /// `opts.rescore_factor · k` candidates for exact rescoring when a
-    /// caller supplies the exact table ([`IvfIndex::search_rescored`]).
-    /// All randomness comes from `rng` (`opts.seed` is the caller's to
-    /// seed it with).
+    /// under `opts.quantization`, and `opts.rescore_factor` kept for
+    /// callers that rescore ([`IvfIndex::rescore_factor`]). All
+    /// randomness comes from `rng` (`opts.seed` is the caller's to seed
+    /// it with).
     pub fn build_with(
         embeddings: &Tensor,
         metric: Metric,
@@ -312,54 +306,11 @@ impl IvfIndex {
     /// kNN search probing the `nprobe` nearest Voronoi cells. Returns
     /// `(id, distance)` sorted ascending; fewer than `k` results only when
     /// the probed lists hold fewer vectors. Quantized (SQ8/PQ) distances
-    /// are approximate (error-bounded, see [`Quantization`]) — supply the
-    /// exact table via [`IvfIndex::search_rescored`] for exact top-k
-    /// distances.
+    /// are approximate (error-bounded, see [`Quantization`]).
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(u32, f64)> {
-        self.search_rescored(query, k, nprobe, None)
-    }
-
-    /// [`IvfIndex::search`] with optional exact rescoring: when `exact`
-    /// carries the original `(N, d)` f32 table, quantized (SQ8/PQ)
-    /// searches over-fetch the top `rescore_factor · k` candidates by
-    /// quantized distance and re-rank them with exact f32 distances
-    /// (f32-storage searches are already exact and ignore `exact`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rand::rngs::StdRng;
-    /// use rand::SeedableRng;
-    /// use trajcl_index::{IndexOptions, IvfIndex, Metric, Quantization};
-    /// use trajcl_tensor::{Shape, Tensor};
-    ///
-    /// let mut rng = StdRng::seed_from_u64(0);
-    /// let table = Tensor::randn(Shape::d2(64, 8), 0.0, 1.0, &mut rng);
-    /// let opts = IndexOptions {
-    ///     nlist: Some(4),
-    ///     quantization: Quantization::Sq8,
-    ///     ..IndexOptions::default()
-    /// };
-    /// let index = IvfIndex::build_with(&table, Metric::L1, &opts, &mut rng);
-    ///
-    /// // Without the exact table: quantized distances.
-    /// let raw = index.search(table.row(3), 3, 4);
-    /// // With it: the same over-fetched candidates, re-ranked exactly —
-    /// // the self-query comes back at distance exactly 0.
-    /// let hits = index.search_rescored(table.row(3), 3, 4, Some(&table));
-    /// assert_eq!(hits[0], (3, 0.0));
-    /// assert!(raw[0].1 >= 0.0);
-    /// ```
-    pub fn search_rescored(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        exact: Option<&Tensor>,
-    ) -> Vec<(u32, f64)> {
         let mut scratch = SearchScratch::default();
         let mut out = Vec::new();
-        self.search_into(&mut scratch, query, k, nprobe, exact, &mut out);
+        self.search_into(&mut scratch, query, k, nprobe, &mut out);
         out
     }
 
@@ -370,33 +321,17 @@ impl IvfIndex {
         query: &[f32],
         k: usize,
         nprobe: usize,
-        exact: Option<&Tensor>,
         out: &mut Vec<(u32, f64)>,
     ) {
         assert_eq!(query.len(), self.d, "query dimensionality mismatch");
-        if let Some(t) = exact {
-            assert_eq!(t.shape().rows(), self.n, "exact table row mismatch");
-            assert_eq!(t.shape().last(), self.d, "exact table dim mismatch");
-        }
         let nprobe = nprobe.clamp(1, self.lists.len());
         self.probe_prefix(query, nprobe, scratch);
-        // With an exact table to re-rank against, a quantized scan
-        // over-fetches; f32 distances are exact already and ignore it.
-        let rescore = exact.zip(self.rescore_fetch(k));
         let (metric, state) = (self.metric, &mut scratch.scan);
-        state.topk.reset(rescore.map_or(k, |(_, fetch)| fetch));
+        state.topk.reset(k);
         let probed = scratch.order[..nprobe]
             .iter()
             .map(|&(_, c)| self.lists[c as usize].as_slice());
         self.storage.scan(metric, self.d, query, probed, state);
-        if let Some((table, _)) = rescore {
-            state.topk.drain_sorted_into(&mut scratch.cand);
-            state.topk.reset(k);
-            for &(id, _) in scratch.cand.iter() {
-                let row = table.row(id as usize);
-                state.topk.offer(id, kernels::dist(metric, query, row));
-            }
-        }
         state.topk.drain_sorted_into(out);
     }
 
@@ -408,126 +343,9 @@ impl IvfIndex {
             .then(|| k.saturating_mul(self.rescore_factor).max(k))
     }
 
-    /// Serialises the index as one `IVF5` section (little-endian):
-    /// `"IVF5" | metric u8 | n | d | nlist | rescore u32 | storage tag u8
-    /// | [PQ: m u32, ksub u32] | centroids | lists | payload`, where the
-    /// payload is the f32 rows (tag 0), the SQ8 codebook (`d` biases, one
-    /// scale) and int8 codes (tag 1), or the PQ sub-centroid tables, the
-    /// trained error bound and the `⌈m/2⌉`-byte code rows (tag 2) —
-    /// DESIGN.md §10.2 has the byte diagram. The output buffer is
-    /// preallocated to its exact final size.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let list_bytes: usize = self.lists.iter().map(|l| 4 + l.len() * 4).sum();
-        let header = 4 + 1 + 4 + 4 + 4 + 4;
-        let expected = header + self.centroids.len() * 4 + list_bytes + self.storage.wire_len();
-        let mut out = Vec::with_capacity(expected);
-        out.extend_from_slice(SECTION_MAGIC);
-        out.push(match self.metric {
-            Metric::L1 => 0u8,
-            Metric::L2 => 1u8,
-        });
-        out.extend_from_slice(&(self.n as u32).to_le_bytes());
-        out.extend_from_slice(&(self.d as u32).to_le_bytes());
-        out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.rescore_factor as u32).to_le_bytes());
-        self.storage.write_tag(&mut out);
-        for &c in &self.centroids {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        for list in &self.lists {
-            out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for &id in list {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-        self.storage.write_payload(&mut out);
-        debug_assert_eq!(out.len(), expected, "to_bytes size accounting drifted");
-        out
-    }
-
-    /// Restores an index from [`IvfIndex::to_bytes`] output; `None` when
-    /// the buffer is malformed or carries any other magic. Parsing is
-    /// zero-copy over the input slice — fields decode straight out of
-    /// `bytes` with no intermediate buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader(bytes);
-        if r.bytes(4)? != SECTION_MAGIC {
-            return None;
-        }
-        let metric = match r.u8()? {
-            0 => Metric::L1,
-            1 => Metric::L2,
-            _ => return None,
-        };
-        let n = r.u32()? as usize;
-        let d = r.u32()? as usize;
-        let nlist = r.u32()? as usize;
-        // `build` never produces an empty index (it asserts `n > 0` and
-        // clamps `nlist` into `1..=n`), so zero counts only appear in
-        // corrupt buffers — and an accepted zero-list index would panic
-        // later in `search`'s `nprobe.clamp(1, nlist)`.
-        if n == 0 || d == 0 || nlist == 0 {
-            return None;
-        }
-        let rescore_factor = (r.u32()? as usize).max(1);
-        let geometry = storage::read_tag(&mut r)?;
-        let centroids = r.f32_vec(nlist.checked_mul(d)?)?;
-        // The lists must partition the positions `0..n` — a repeated id
-        // would be served twice and leave another row unreachable — so
-        // they take 4n bytes; an `n` the buffer cannot hold allocates nothing.
-        if n > r.0.len() / 4 {
-            return None;
-        }
-        let mut lists = Vec::with_capacity(nlist);
-        let mut seen = vec![false; n];
-        let mut total_ids = 0usize;
-        for _ in 0..nlist {
-            let len = r.u32()? as usize;
-            total_ids += len;
-            if total_ids > n {
-                return None;
-            }
-            let list = r.u32_vec(len)?;
-            for &id in &list {
-                if std::mem::replace(seen.get_mut(id as usize)?, true) {
-                    return None;
-                }
-            }
-            lists.push(list);
-        }
-        if total_ids != n {
-            return None;
-        }
-        let storage = storage::read_payload(&mut r, geometry, n, d)?;
-        if !r.0.is_empty() {
-            return None;
-        }
-        Some(IvfIndex {
-            centroids,
-            lists,
-            storage,
-            n,
-            d,
-            metric,
-            rescore_factor,
-        })
-    }
-
     /// Batched parallel search (one reusable [`SearchScratch`] per pool
     /// lane, not per query).
     pub fn batch_search(&self, queries: &Tensor, k: usize, nprobe: usize) -> Vec<Vec<(u32, f64)>> {
-        self.batch_search_rescored(queries, k, nprobe, None)
-    }
-
-    /// [`IvfIndex::batch_search`] with optional exact rescoring (see
-    /// [`IvfIndex::search_rescored`]).
-    pub fn batch_search_rescored(
-        &self,
-        queries: &Tensor,
-        k: usize,
-        nprobe: usize,
-        exact: Option<&Tensor>,
-    ) -> Vec<Vec<(u32, f64)>> {
         let q = queries.shape().rows();
         assert_eq!(
             queries.shape().last(),
@@ -542,60 +360,10 @@ impl IvfIndex {
             let start = c * per;
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let row = &qd[(start + i) * self.d..(start + i + 1) * self.d];
-                self.search_into(&mut scratch, row, k, nprobe, exact, slot);
+                self.search_into(&mut scratch, row, k, nprobe, slot);
             }
         });
         out
-    }
-}
-
-/// Zero-copy little-endian field reader over a borrowed byte slice.
-pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
-
-impl<'a> Reader<'a> {
-    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() < n {
-            return None;
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Some(head)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.bytes(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.bytes(8)?.try_into().ok().map(u64::from_le_bytes)
-    }
-
-    pub(crate) fn f32(&mut self) -> Option<f32> {
-        self.bytes(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn f32_vec(&mut self, count: usize) -> Option<Vec<f32>> {
-        let raw = self.bytes(count.checked_mul(4)?)?;
-        Some(
-            raw.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-        )
-    }
-
-    fn u32_vec(&mut self, count: usize) -> Option<Vec<u32>> {
-        let raw = self.bytes(count.checked_mul(4)?)?;
-        Some(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-        )
     }
 }
 
@@ -615,7 +383,7 @@ pub fn brute_force_knn(
 }
 
 /// Parallel batched brute-force kNN: one result row per query row,
-/// splitting queries across the shared pool (the engine's no-IVF route).
+/// splitting queries across the shared pool (the engine's kNN route).
 /// Each lane reuses one fused top-k heap across all its queries.
 pub fn brute_force_batch_knn(
     embeddings: &Tensor,
@@ -753,76 +521,6 @@ mod tests {
         assert!(large.memory_bytes() > small.memory_bytes() * 5);
     }
 
-    // The one `IVF5` layout, pinned byte for byte: an SQ8 build (`d`
-    // biases, then the one scale) and a PQ build with an odd m, whose
-    // every row ends in a zero high nibble. Each golden loads and
-    // re-serialises to itself.
-    #[test]
-    fn ivf5_section_bytes_are_pinned() {
-        const SQ8: &str = "49564635000600000002000000020000000400000001abaaaa3eabaaaa3e55\
-            552541555525410300000000000000010000000200000003000000030000000400000005000000000000\
-            0000000000b1b0303d000000171700e8e8e8ffffe8";
-        const PQ: &str = "49564635000400000003000000020000000400000002030000000400000000\
-            00284100002841000020410000003f0000003f0000000002000000020000000300000002000000000000\
-            000100000000003041000000000000803f00002041000030410000803f00002041000000000000204100\
-            0000000000204100000000000000003101120123000000";
-        let rows = vec![
-            0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 10.0, 10.0, 10.0, 11.0, 11.0, 10.0,
-        ];
-        for (golden, d, quantization) in [
-            (SQ8, 2, Quantization::Sq8),
-            (PQ, 3, Quantization::Pq { m: 3 }),
-        ] {
-            let golden: Vec<u8> = (0..golden.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
-                .collect();
-            let opts = IndexOptions {
-                nlist: Some(2),
-                quantization,
-                ..IndexOptions::default()
-            };
-            let table = Tensor::from_vec(rows.clone(), Shape::d2(12 / d, d));
-            let index =
-                IvfIndex::build_with(&table, Metric::L1, &opts, &mut StdRng::seed_from_u64(3));
-            assert_eq!(index.to_bytes(), golden, "{quantization:?}");
-            let restored = IvfIndex::from_bytes(&golden).expect("pinned section loads");
-            assert_eq!(restored.to_bytes(), golden, "{quantization:?}");
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_garbage() {
-        assert!(IvfIndex::from_bytes(b"nope").is_none());
-        assert!(IvfIndex::from_bytes(b"IVF5").is_none());
-        let emb = table(30, 4, 13);
-        let index = IvfIndex::build(&emb, 4, Metric::L2, &mut StdRng::seed_from_u64(0));
-        let mut bytes = index.to_bytes();
-        bytes.truncate(bytes.len() - 7);
-        assert!(IvfIndex::from_bytes(&bytes).is_none());
-        bytes.clear();
-        assert!(IvfIndex::from_bytes(&bytes).is_none());
-        // Trailing garbage after a valid payload is rejected too.
-        let mut bytes = index.to_bytes();
-        bytes.push(0);
-        assert!(IvfIndex::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn from_bytes_rejects_zero_counts() {
-        // Fuzz regression: an all-zero header (n = d = nlist = 0, f32
-        // storage) is self-consistent — zero lists summing to zero ids
-        // over an empty table — so it used to decode; the first `search`
-        // then panicked at `nprobe.clamp(1, 0)`. Zero counts must fail to
-        // decode.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"IVF5");
-        bytes.push(0); // metric: L1
-        bytes.extend_from_slice(&[0u8; 12]); // n = d = nlist = 0
-        bytes.extend_from_slice(&[4, 0, 0, 0, 0]); // rescore, tag
-        assert!(IvfIndex::from_bytes(&bytes).is_none());
-    }
-
     #[test]
     fn nlist_clamps_to_population() {
         let emb = table(3, 4, 10);
@@ -865,29 +563,6 @@ mod tests {
                     "id {id}: sq8 {d} vs exact {exact} (bound {bound})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sq8_rescoring_returns_exact_distances() {
-        let emb = table(300, 12, 24);
-        let mut rng = StdRng::seed_from_u64(25);
-        let index = quantized(&emb, 8, Quantization::Sq8, 4, &mut rng);
-        let q = emb.row(9);
-        let rescored = index.search_rescored(q, 5, index.nlist(), Some(&emb));
-        assert_eq!(rescored[0], (9, 0.0), "self-query must rescore to zero");
-        for &(id, d) in &rescored {
-            let exact = Metric::L1.dist(q, emb.row(id as usize));
-            assert!((d - exact).abs() < 1e-9, "rescored distance must be exact");
-        }
-        // Batch rescoring agrees with the single-query path.
-        let queries = table(5, 12, 26);
-        let batch = index.batch_search_rescored(&queries, 4, 8, Some(&emb));
-        for (i, hits) in batch.iter().enumerate() {
-            assert_eq!(
-                hits,
-                &index.search_rescored(queries.row(i), 4, 8, Some(&emb))
-            );
         }
     }
 
@@ -945,57 +620,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pq_rescoring_returns_exact_distances() {
-        let emb = table(300, 12, 54);
-        let mut rng = StdRng::seed_from_u64(55);
-        let index = quantized(&emb, 8, Quantization::Pq { m: 3 }, 8, &mut rng);
-        let q = emb.row(9);
-        let rescored = index.search_rescored(q, 5, index.nlist(), Some(&emb));
-        assert_eq!(rescored[0], (9, 0.0), "self-query must rescore to zero");
-        for &(id, d) in &rescored {
-            let exact = Metric::L1.dist(q, emb.row(id as usize));
-            assert!((d - exact).abs() < 1e-9, "rescored distance must be exact");
-        }
-        let queries = table(5, 12, 56);
-        let batch = index.batch_search_rescored(&queries, 4, 8, Some(&emb));
-        for (i, hits) in batch.iter().enumerate() {
-            assert_eq!(
-                hits,
-                &index.search_rescored(queries.row(i), 4, 8, Some(&emb))
-            );
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_corrupt_pq_nibbles() {
-        // Two corruptions must fail in from_bytes, not panic in the first
-        // scan or decode: a nibble ≥ ksub (12 rows train ksub = 12, so
-        // nibble 13 indexes past the table) and a non-zero trailing nibble
-        // on an odd m (never produced by encode, so it can only be
-        // corruption).
-        let emb = table(12, 9, 61);
-        let mut rng = StdRng::seed_from_u64(62);
-        let index = quantized(&emb, 4, Quantization::Pq { m: 3 }, 4, &mut rng);
-        let cb = index.pq_codebook().expect("pq");
-        assert_eq!(
-            (cb.ksub(), cb.code_stride()),
-            (12, 2),
-            "ceil(3 / 2) bytes per row"
-        );
-        let bytes = index.to_bytes();
-        assert!(IvfIndex::from_bytes(&bytes).is_some(), "sanity");
-        // Codes are the final n·stride bytes; corrupt the last row.
-        let mut bad = bytes.clone();
-        let first_of_last_row = bad.len() - 2;
-        bad[first_of_last_row] = 0xDD; // nibbles 13, 13 ≥ ksub = 12
-        assert!(IvfIndex::from_bytes(&bad).is_none());
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] |= 0xF0; // trailing nibble of odd m must stay zero
-        assert!(IvfIndex::from_bytes(&bad).is_none());
     }
 
     #[test]

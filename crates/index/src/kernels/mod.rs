@@ -526,8 +526,7 @@ pub struct PqCodebook {
     ksub: usize,
     d: usize,
     /// Subspace boundaries, `m + 1` entries; subspace `s` covers
-    /// dimensions `offsets[s]..offsets[s+1]`. Recomputed from `(d, m)`,
-    /// never serialised.
+    /// dimensions `offsets[s]..offsets[s+1]`. Derived from `(d, m)`.
     offsets: Vec<usize>,
     /// Concatenated per-subspace centroid tables (`ksub * d` floats):
     /// subspace `s` occupies `ksub * dsub_s` floats starting at
@@ -547,8 +546,8 @@ const PQ_TRAIN_POINTS_PER_CENTROID: usize = 128;
 
 /// Subspace boundaries for a `(d, m)` split: `m + 1` offsets, the first
 /// `d mod m` subspaces one dimension wider. The single source of truth —
-/// training and deserialization must agree on the split or codes decode
-/// against the wrong centroids.
+/// encoding and decoding must agree on the split or codes decode against
+/// the wrong centroids.
 fn subspace_offsets(d: usize, m: usize) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(m + 1);
     offsets.push(0usize);
@@ -603,34 +602,6 @@ impl PqCodebook {
         }
     }
 
-    /// Rebuilds a codebook from serialised parts (the `IVF5` reader);
-    /// `None` when the field sizes are inconsistent.
-    pub fn from_parts(
-        d: usize,
-        m: usize,
-        ksub: usize,
-        centroids: Vec<f32>,
-        l1_bound: f32,
-    ) -> Option<PqCodebook> {
-        if d == 0
-            || m == 0
-            || m > d
-            || ksub == 0
-            || ksub > PQ_KSUB
-            || centroids.len() != ksub.checked_mul(d)?
-        {
-            return None;
-        }
-        Some(PqCodebook {
-            m,
-            ksub,
-            d,
-            offsets: subspace_offsets(d, m),
-            centroids,
-            l1_bound,
-        })
-    }
-
     /// Number of subspaces (= codes per vector).
     pub fn m(&self) -> usize {
         self.m
@@ -662,11 +633,6 @@ impl PqCodebook {
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.d
-    }
-
-    /// The flat centroid table (serialisation).
-    pub fn centroids(&self) -> &[f32] {
-        &self.centroids
     }
 
     /// The centroid table of subspace `s` (`ksub` rows of `dsub_s`).
@@ -785,11 +751,6 @@ impl PqCodebook {
     /// row's L1 reconstruction error).
     pub fn l1_error_bound(&self) -> f64 {
         self.l1_bound as f64
-    }
-
-    /// The serialised bound field (exact f32, for bit-exact round trips).
-    pub fn l1_bound_raw(&self) -> f32 {
-        self.l1_bound
     }
 
     /// Approximate resident bytes of the codebook itself.

@@ -24,12 +24,13 @@
 //! [`Quantization::Sq8`]-configured indexes, and the product quantizer
 //! ([`PqCodebook`], ADC lookup-table scans) behind [`Quantization::Pq`].
 //! SQ8's integer scan kernels pick AVX-512/AVX2/scalar implementations
-//! at runtime through [`kernels::dispatch`]. Which of those a stored row is scanned,
-//! decoded and serialised with is decided in one private module
-//! (`storage`, the codec seam); [`ivf`] holds only what is IVF. DESIGN.md
-//! §10 documents the seam, the storage layouts and the over-fetch /
-//! rescore recall math shared by both quantizers; §12 covers the integer
-//! kernels and CPU dispatch.
+//! at runtime through [`kernels::dispatch`]. Which of those a stored row
+//! is scanned and decoded with is decided in one private module
+//! (`storage`, the codec seam); [`ivf`] holds only what is IVF. Quantized
+//! hits are re-ranked exactly in one place,
+//! [`IndexSnapshot::search_rescored`]. DESIGN.md §10 documents the seam,
+//! the storage layouts and the over-fetch / rescore recall math shared by
+//! both quantizers; §12 covers the integer kernels and CPU dispatch.
 
 #![warn(missing_docs)]
 

@@ -4,16 +4,15 @@
 //! [`Storage`] owns, for each variant: training and encoding
 //! ([`encode`]), the per-row distance an inverted-list scan
 //! offers ([`Storage::scan`]), row read-back
-//! ([`Storage::decode_row_into`]), memory accounting and the storage half
-//! of the `IVF5` section. `ivf.rs` keeps what is IVF — centroids, lists,
-//! probing, the section header, over-fetch and rescore — and never looks
-//! at the variant. A fourth codec is one more variant here, one more
-//! [`Quantization`] value and, if it needs per-query state, one more field
-//! of [`ScanScratch`].
+//! ([`Storage::decode_row_into`]) and memory accounting. `ivf.rs` keeps
+//! what is IVF — centroids, lists, probing and the over-fetch a rescoring
+//! caller asks for — and never looks at the variant. A fourth codec is
+//! one more variant here, one more [`Quantization`] value and, if it
+//! needs per-query state, one more field of [`ScanScratch`].
 
 use rand::Rng;
 
-use crate::ivf::{Metric, Quantization, Reader};
+use crate::ivf::{Metric, Quantization};
 use crate::kernels::{self, dispatch, PqCodebook, Sq8Codebook, TopK};
 
 /// Exact rows, SQ8 codes or PQ codes, row-major by position.
@@ -159,103 +158,6 @@ impl Storage {
             }
         }
     }
-
-    /// Bytes [`Storage::write_tag`] and [`Storage::write_payload`] emit.
-    pub(crate) fn wire_len(&self) -> usize {
-        1 + match self {
-            Storage::F32(rows) => rows.len() * 4,
-            Storage::Sq8 { codes, cb } => (cb.dim() + 1) * 4 + codes.len(),
-            Storage::Pq { codes, cb } => 4 + 4 + cb.centroids().len() * 4 + 4 + codes.len(),
-        }
-    }
-
-    /// The storage fields of the section header:
-    /// `tag u8 | [PQ: m u32, ksub u32]`.
-    pub(crate) fn write_tag(&self, out: &mut Vec<u8>) {
-        out.push(self.quantization().wire_tag());
-        if let Storage::Pq { cb, .. } = self {
-            out.extend_from_slice(&(cb.m() as u32).to_le_bytes());
-            out.extend_from_slice(&(cb.ksub() as u32).to_le_bytes());
-        }
-    }
-
-    /// The section's trailing payload: `[codebook] | rows`.
-    pub(crate) fn write_payload(&self, out: &mut Vec<u8>) {
-        let floats = |out: &mut Vec<u8>, vs: &[f32]| {
-            for v in vs {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        };
-        match self {
-            Storage::F32(rows) => floats(out, rows),
-            Storage::Sq8 { codes, cb } => {
-                floats(out, &cb.bias);
-                floats(out, &[cb.scale]);
-                out.extend_from_slice(codes);
-            }
-            Storage::Pq { codes, cb } => {
-                floats(out, cb.centroids());
-                out.extend_from_slice(&cb.l1_bound_raw().to_le_bytes());
-                out.extend_from_slice(codes);
-            }
-        }
-    }
-}
-
-/// Inverse of [`Storage::write_tag`]: the quantization and, for PQ,
-/// the stored `ksub` (0 otherwise). `None` for an unknown tag or an
-/// impossible PQ geometry.
-pub(crate) fn read_tag(r: &mut Reader<'_>) -> Option<(Quantization, usize)> {
-    let tag = r.u8()?;
-    let quant = Quantization::from_wire(tag, || Some(r.u32()? as usize))?;
-    let ksub = match quant {
-        Quantization::Pq { .. } => r.u32()? as usize,
-        _ => 0,
-    };
-    Some((quant, ksub))
-}
-
-/// Inverse of [`Storage::write_payload`] for `n` rows of `d`
-/// dimensions under the geometry [`read_tag`] returned.
-pub(crate) fn read_payload(
-    r: &mut Reader<'_>,
-    (quant, ksub): (Quantization, usize),
-    n: usize,
-    d: usize,
-) -> Option<Storage> {
-    Some(match quant {
-        Quantization::None => Storage::F32(r.f32_vec(n.checked_mul(d)?)?),
-        Quantization::Sq8 => {
-            let bias = r.f32_vec(d)?;
-            let scale = r.f32()?;
-            let codes = r.bytes(n.checked_mul(d)?)?.to_vec();
-            Storage::Sq8 {
-                codes,
-                cb: Sq8Codebook { bias, scale },
-            }
-        }
-        Quantization::Pq { m } => {
-            let centroids = r.f32_vec(ksub.checked_mul(d)?)?;
-            let l1_bound = r.f32()?;
-            let cb = PqCodebook::from_parts(d, m, ksub, centroids, l1_bound)?;
-            let stride = cb.code_stride();
-            let codes = r.bytes(n.checked_mul(stride)?)?.to_vec();
-            // Every code indexes a ksub-entry table; an out-of-range
-            // code in a corrupt buffer must fail HERE, not as an
-            // out-of-bounds panic in the first LUT scan or decode. A
-            // non-zero trailing nibble (odd m), which encode never
-            // produces, is rejected too — so round trips stay bit-exact.
-            let stray_nibble = m % 2 == 1;
-            for row in codes.chunks_exact(stride) {
-                if (0..m).any(|s| cb.code_at(row, s) >= ksub)
-                    || (stray_nibble && row[stride - 1] >> 4 != 0)
-                {
-                    return None;
-                }
-            }
-            Storage::Pq { codes, cb }
-        }
-    })
 }
 
 /// Row `id` of a row-major table of `stride`-wide rows.

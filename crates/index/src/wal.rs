@@ -41,7 +41,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::ivf::Reader;
 use crate::mutable::MutableIndex;
 
 /// When a logged write is acknowledged relative to stable storage.
@@ -181,6 +180,41 @@ pub fn encode_record(op: &WalOp) -> Vec<u8> {
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
+}
+
+/// Zero-copy little-endian field reader over a borrowed byte slice.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.0.len() < n {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.bytes(1).map(|b| b[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.bytes(4)?.try_into().ok().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.bytes(8)?.try_into().ok().map(u64::from_le_bytes)
+    }
+
+    fn f32_vec(&mut self, count: usize) -> Option<Vec<f32>> {
+        let raw = self.bytes(count.checked_mul(4)?)?;
+        Some(
+            raw.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect(),
+        )
+    }
 }
 
 /// Strictly decodes the record at the head of `bytes`, returning the op
@@ -838,7 +872,7 @@ mod tests {
             .collect()
     }
 
-    // The bytes on disk before the decoders moved onto `ivf::Reader`
+    // The bytes on disk before the decoders moved onto `Reader`
     // (captured at commit 03adfee): a log or checkpoint written then
     // must decode now, and re-encode to itself.
     #[test]

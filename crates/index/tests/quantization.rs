@@ -1,13 +1,16 @@
-//! Quantization acceptance suite (f32 + SQ8 + PQ): the `IVF5` section
-//! contract — every storage serialises to the one layout and round-trips
-//! bit-exactly (property-tested), retired magics are rejected — the SQ8
-//! scan's distance bound against exact distances, and the recall@10
-//! gates against exact f32 brute force (SQ8 ≥ 0.95, PQ rescored ≥ 0.90).
+//! Quantization acceptance suite (f32 + SQ8 + PQ): the SQ8 scan's
+//! distance bound against exact distances, and the recall@10 gates
+//! against exact f32 brute force (SQ8 ≥ 0.95, PQ rescored ≥ 0.90).
+//! Rescoring is the one path that does it,
+//! [`IndexSnapshot::search_rescored`], over a sealed part built from the
+//! table with ids `0..n` and a test-side rescorer reading that table.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trajcl_index::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization};
+use trajcl_index::{
+    brute_force_knn, ExactRescorer, IndexOptions, IvfIndex, Metric, MutableIndex, Quantization,
+};
 use trajcl_tensor::{Shape, Tensor};
 
 /// Clustered table: rows scattered around `centers` Gaussian centers (the
@@ -36,74 +39,36 @@ fn opts(nlist: usize, quantization: Quantization, rescore_factor: usize) -> Inde
     }
 }
 
-/// Every storage the builder can produce: f32, SQ8 and PQ with `m`
-/// subspaces.
-fn storage_grid(m: usize) -> [Quantization; 3] {
-    [
-        Quantization::None,
-        Quantization::Sq8,
-        Quantization::Pq { m },
-    ]
+/// Exact vectors by id for [`IndexSnapshot::search_rescored`]: id `i` is
+/// row `i` of the table the index was sealed from.
+struct TableRescorer<'a>(&'a Tensor);
+
+impl ExactRescorer for TableRescorer<'_> {
+    fn exact_vector(&self, id: u64) -> Option<&[f32]> {
+        Some(self.0.row(id as usize))
+    }
+}
+
+/// `emb` sealed as ids `0..n` under `opts(nlist, quantization, rescore)`
+/// with k-means seed `seed`: the first seal trains with `seed` itself, so
+/// its `IvfIndex` is the one `build_with` makes from `StdRng(seed)`.
+fn sealed(
+    emb: &Tensor,
+    nlist: usize,
+    quantization: Quantization,
+    rescore: usize,
+    seed: u64,
+) -> MutableIndex {
+    let ids = (0..emb.shape().rows() as u64).collect();
+    let opts = IndexOptions {
+        seed,
+        ..opts(nlist, quantization, rescore)
+    };
+    MutableIndex::from_table_with(ids, emb, Metric::L1, opts)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // The format contract: whatever the storage and metric, an index
-    // serialises to the one `IVF5` section, survives `to_bytes` ->
-    // `from_bytes` -> `to_bytes` BIT-EXACTLY (codebooks, trained error
-    // bound, codes and rescore factor included), and the restored index
-    // answers plain and rescored searches identically.
-    #[test]
-    fn every_storage_round_trips_bit_exactly_as_ivf5(
-        n in 10usize..150,
-        d in 2usize..24,
-        m in 1usize..6,
-        nlist in 1usize..12,
-        rescore in 1usize..9,
-        seed in 0u64..1000,
-    ) {
-        let emb = mixture(n, d, 8, seed);
-        for metric in [Metric::L1, Metric::L2] {
-            for quant in storage_grid(m) {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-                let index = IvfIndex::build_with(&emb, metric, &opts(nlist, quant, rescore), &mut rng);
-                let bytes = index.to_bytes();
-                prop_assert_eq!(&bytes[..4], b"IVF5", "{:?}", quant);
-                let restored = IvfIndex::from_bytes(&bytes).expect("valid bytes must deserialize");
-                prop_assert_eq!(restored.to_bytes(), &bytes[..], "round trip must be bit-exact");
-                prop_assert_eq!(restored.len(), index.len());
-                prop_assert_eq!(restored.nlist(), index.nlist());
-                prop_assert_eq!(restored.rescore_factor(), rescore);
-                // The effective geometry survives (m clamps to d at build
-                // time, ksub to n), two codes per byte.
-                prop_assert_eq!(restored.quantization(), index.quantization());
-                let geometry =
-                    |i: &IvfIndex| i.pq_codebook().map(|cb| (cb.m(), cb.ksub(), cb.code_stride()));
-                prop_assert_eq!(geometry(&restored), geometry(&index));
-                if let Some((m, ksub, stride)) = geometry(&restored) {
-                    prop_assert_eq!((ksub, stride), (n.min(16), m.div_ceil(2)));
-                }
-                for qi in [0, n / 2, n - 1] {
-                    prop_assert_eq!(
-                        restored.search(emb.row(qi), 5, 3),
-                        index.search(emb.row(qi), 5, 3),
-                        "restored {:?} index diverged on query {}", quant, qi
-                    );
-                    prop_assert_eq!(
-                        restored.search_rescored(emb.row(qi), 5, 3, Some(&emb)),
-                        index.search_rescored(emb.row(qi), 5, 3, Some(&emb))
-                    );
-                }
-                // The section is self-delimiting: a strict prefix and an
-                // extension are both rejected.
-                prop_assert!(IvfIndex::from_bytes(&bytes[..bytes.len() - 3]).is_none());
-                let mut extended = bytes;
-                extended.push(7);
-                prop_assert!(IvfIndex::from_bytes(&extended).is_none());
-            }
-        }
-    }
 
     // The SQ8 scan's distance contract: the query is quantized too, so a
     // scan distance deviates from exact by at most twice the codebook's
@@ -173,63 +138,28 @@ proptest! {
     }
 }
 
-// The retired section layouts are gone: a faithful `IVF1` (f32: no scan
-// byte, rescore factor or storage tag), `IVF2` (SQ8) or `IVF3` (PQ: the
-// rescore factor kept, scan byte and tag absent) or `IVF4` (f32: a scan
-// byte before the rescore factor) blob — and the current body under a
-// retired magic — is rejected like any unknown magic.
-#[test]
-fn retired_section_magics_are_rejected() {
-    let emb = mixture(60, 8, 4, 5);
-    for (magic, quant) in [
-        (b"IVF1", Quantization::None),
-        (b"IVF2", Quantization::Sq8),
-        (b"IVF3", Quantization::Pq { m: 2 }),
-        (b"IVF4", Quantization::None),
-    ] {
-        let mut rng = StdRng::seed_from_u64(6);
-        let current =
-            IvfIndex::build_with(&emb, Metric::L1, &opts(4, quant, 4), &mut rng).to_bytes();
-        assert!(IvfIndex::from_bytes(&current).is_some(), "sanity");
-        // magic | metric n d nlist | rescore | tag | rest
-        let (header, rescore, tag, rest) = (
-            &current[4..17],
-            &current[17..21],
-            &current[21..22],
-            &current[22..],
-        );
-        let mut legacy = magic.to_vec();
-        legacy.extend_from_slice(header);
-        match magic {
-            b"IVF1" => {}
-            b"IVF4" => {
-                legacy.push(0); // scan: asymmetric
-                legacy.extend_from_slice(rescore);
-                legacy.extend_from_slice(tag);
-            }
-            _ => legacy.extend_from_slice(rescore),
-        }
-        legacy.extend_from_slice(rest);
-        assert!(IvfIndex::from_bytes(&legacy).is_none(), "{quant:?} legacy");
-        let mut relabelled = current;
-        relabelled[..4].copy_from_slice(magic);
-        assert!(IvfIndex::from_bytes(&relabelled).is_none(), "{quant:?}");
-    }
-}
-
-/// Mean recall@k of an index configuration against exact brute force.
-fn measured_recall(index: &IvfIndex, emb: &Tensor, nprobe: usize, k: usize, rescore: bool) -> f64 {
+/// Mean recall@k of a sealed index against exact brute force, with or
+/// without rescoring against the table.
+fn measured_recall(
+    index: &MutableIndex,
+    emb: &Tensor,
+    nprobe: usize,
+    k: usize,
+    rescore: bool,
+) -> f64 {
     let n = emb.shape().rows();
     let trials = 50;
+    let snap = index.snapshot();
+    let table = TableRescorer(emb);
     let mut recall_sum = 0.0;
     for t in 0..trials {
         let q = emb.row((t * (n / trials)) % n);
-        let exact: Vec<u32> = brute_force_knn(emb, q, k, Metric::L1)
+        let exact: Vec<u64> = brute_force_knn(emb, q, k, Metric::L1)
             .into_iter()
-            .map(|(id, _)| id)
+            .map(|(id, _)| u64::from(id))
             .collect();
-        let table = rescore.then_some(emb);
-        let got = index.search_rescored(q, k, nprobe, table);
+        let rescorer = rescore.then_some(&table as &dyn ExactRescorer);
+        let got = snap.search_rescored(q, k, nprobe, rescorer);
         let hits = got.iter().filter(|(id, _)| exact.contains(id)).count();
         recall_sum += hits as f64 / k as f64;
     }
@@ -242,13 +172,7 @@ fn measured_recall(index: &IvfIndex, emb: &Tensor, nprobe: usize, k: usize, resc
 fn sq8_recall_gate_at_partial_probe() {
     let (n, d, nlist, nprobe, k) = (4000, 32, 32, 8, 10);
     let emb = mixture(n, d, 16, 77);
-    let mut rng = StdRng::seed_from_u64(78);
-    let sq8 = IvfIndex::build_with(
-        &emb,
-        Metric::L1,
-        &opts(nlist, Quantization::Sq8, 4),
-        &mut rng,
-    );
+    let sq8 = sealed(&emb, nlist, Quantization::Sq8, 4, 78);
 
     let rescored = measured_recall(&sq8, &emb, nprobe, k, true);
     assert!(
@@ -266,8 +190,7 @@ fn sq8_recall_gate_at_partial_probe() {
 
     // And the f32 IVF control at the same probe: SQ8 must not trail it by
     // more than a whisker.
-    let mut rng = StdRng::seed_from_u64(78);
-    let f32_index = IvfIndex::build(&emb, nlist, Metric::L1, &mut rng);
+    let f32_index = sealed(&emb, nlist, Quantization::None, 4, 78);
     let control = measured_recall(&f32_index, &emb, nprobe, k, false);
     assert!(
         rescored >= control - 0.02,
@@ -282,9 +205,7 @@ fn sq8_recall_gate_at_partial_probe() {
 fn pq_recall_gate_at_partial_probe() {
     let (n, d, nlist, nprobe, k) = (4000, 32, 32, 8, 10);
     let emb = mixture(n, d, 16, 77);
-    let mut rng = StdRng::seed_from_u64(78);
-    let o = opts(nlist, Quantization::Pq { m: 8 }, 32);
-    let pq = IvfIndex::build_with(&emb, Metric::L1, &o, &mut rng);
+    let pq = sealed(&emb, nlist, Quantization::Pq { m: 8 }, 32, 78);
 
     let rescored = measured_recall(&pq, &emb, nprobe, k, true);
     assert!(
@@ -295,7 +216,10 @@ fn pq_recall_gate_at_partial_probe() {
     // And rescored PQ distances are exact (the whole point of the
     // over-fetch): every reported hit matches its brute-force distance.
     let q = emb.row(123);
-    for (id, dist) in pq.search_rescored(q, k, nprobe, Some(&emb)) {
+    let hits = pq
+        .snapshot()
+        .search_rescored(q, k, nprobe, Some(&TableRescorer(&emb)));
+    for (id, dist) in hits {
         assert_eq!(dist, Metric::L1.dist(q, emb.row(id as usize)));
     }
 }
@@ -306,14 +230,36 @@ fn pq_recall_gate_at_partial_probe() {
 #[test]
 fn rescored_distances_equal_brute_force_distances() {
     let emb = mixture(600, 16, 8, 91);
-    let mut rng = StdRng::seed_from_u64(92);
-    let sq8 = IvfIndex::build_with(&emb, Metric::L1, &opts(8, Quantization::Sq8, 4), &mut rng);
+    let sq8 = sealed(&emb, 8, Quantization::Sq8, 4, 92);
+    let snap = sq8.snapshot();
     for qi in [3usize, 299, 599] {
         let q = emb.row(qi);
-        let got = sq8.search_rescored(q, 5, 8, Some(&emb));
+        let got = snap.search_rescored(q, 5, 8, Some(&TableRescorer(&emb)));
         for (id, dist) in got {
             let exact = Metric::L1.dist(q, emb.row(id as usize));
             assert_eq!(dist, exact, "id {id}: rescored distance not exact");
+        }
+    }
+}
+
+// On unclustered rows at a full probe, both quantizers rescore a
+// self-query to exactly 0, first, and every hit to its exact distance.
+#[test]
+fn rescoring_returns_exact_distances_for_both_quantizers() {
+    for (quantization, rescore, seed) in [
+        (Quantization::Sq8, 4, 24),
+        (Quantization::Pq { m: 3 }, 8, 54),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let emb = Tensor::randn(Shape::d2(300, 12), 0.0, 1.0, &mut rng);
+        let index = sealed(&emb, 8, quantization, rescore, seed + 1);
+        let q = emb.row(9);
+        let hits = index
+            .snapshot()
+            .search_rescored(q, 5, 8, Some(&TableRescorer(&emb)));
+        assert_eq!(hits[0], (9, 0.0), "{quantization:?}: self-query first");
+        for (id, dist) in hits {
+            assert_eq!(dist, Metric::L1.dist(q, emb.row(id as usize)));
         }
     }
 }

@@ -39,9 +39,10 @@
 //! shard health with it (DESIGN.md §14); load balancers can too.
 //!
 //! `knn` distances are exact f32 L1 for unquantized indexes and for
-//! quantized hits the server can rescore against the engine's cached
-//! table; ids upserted over the wire keep quantized (error-bounded)
-//! distances — see `ServeConfig::rescore_sealed`.
+//! quantized hits the server rescores against the engine's cached table
+//! (every id seeded from it and not re-upserted since); ids upserted over
+//! the wire keep quantized (error-bounded) distances — see
+//! `ShardRouter::search`.
 
 use std::io::{BufRead, Write};
 

@@ -158,9 +158,9 @@ struct DurableLog {
 pub struct ShardRouter {
     index: ShardedIndex,
     /// Whether sealed quantized hits are rescored against the exact
-    /// table handed to [`ShardRouter::search`]
-    /// ([`ServeConfig::rescore_sealed`](crate::ServeConfig::rescore_sealed)).
-    rescore_sealed: bool,
+    /// table handed to [`ShardRouter::search`] (always, from
+    /// [`Server::new`](crate::Server::new)).
+    rescore: bool,
     /// Ids whose vectors may disagree with the exact table (everything
     /// ever upserted through the router). Sealed hits on these ids are
     /// never rescored — the table row would be stale. Copy-on-write
@@ -176,13 +176,13 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Wraps a sharded index. `rescore_sealed` gates whether
+    /// Wraps a sharded index. `rescore` gates whether
     /// [`ShardRouter::search`] rescores sealed quantized hits against
     /// the exact table it is given.
-    pub fn new(index: ShardedIndex, rescore_sealed: bool) -> Self {
+    pub fn new(index: ShardedIndex, rescore: bool) -> Self {
         ShardRouter {
             index,
-            rescore_sealed,
+            rescore,
             dirty: RwLock::new(Arc::new(HashSet::new())),
             wal: None,
         }
@@ -439,7 +439,7 @@ impl ShardRouter {
         nprobe: usize,
     ) -> Vec<(u64, f64)> {
         let snap = self.index.snapshot();
-        if self.rescore_sealed {
+        if self.rescore {
             if let Some(table) = exact_table {
                 // One pointer clone under the lock; the search itself
                 // runs against the snapshot, never blocking upserts.

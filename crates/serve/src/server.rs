@@ -39,26 +39,18 @@ pub struct ServeConfig {
     /// LRU embedding-cache entries; `0` disables the cache.
     pub cache_cap: usize,
     /// IVF cells for the server's mutable index; `None` inherits the
-    /// engine's configuration. Setting it here (instead of building an
-    /// engine-side index the server would never consult) avoids training
-    /// k-means twice over the same table. Everything else about the
-    /// index — seed, storage quantization, rescore factor — is the
-    /// engine's [`Engine::index_options`], taken whole. A quantized sealed
+    /// engine's `nlist`. Everything else about the index — seed, storage
+    /// quantization, rescore factor — is the engine's
+    /// [`Engine::index_options`], taken whole. A quantized sealed
     /// part ([`trajcl_index::Quantization`]) keeps no exact copy to
     /// rescore against (by design: that copy would forfeit the
-    /// compression), so served quantized distances are approximate,
-    /// within the codebook's error bound — except where
-    /// [`ServeConfig::rescore_sealed`] recovers exact values.
+    /// compression), so a sealed quantized hit is rescored against the
+    /// engine's cached embedding table when its id still matches that
+    /// table (seeded from the engine's database, never re-upserted since)
+    /// and keeps its quantized, error-bounded distance otherwise (the
+    /// mixed-ordering caveat documented on
+    /// [`trajcl_index::IndexSnapshot::search_rescored`]).
     pub ivf_nlist: Option<usize>,
-    /// Rescore sealed quantized hits against the engine's cached exact
-    /// embedding table (default `true`). Ids seeded from the engine's
-    /// database and never re-upserted since still match that table, so
-    /// their served distances come back exact; ids upserted through the
-    /// server have no exact counterpart and keep quantized distances
-    /// (the mixed-ordering caveat documented on
-    /// [`trajcl_index::IndexSnapshot::search_rescored`]). No effect on
-    /// unquantized indexes or engines without cached embeddings.
-    pub rescore_sealed: bool,
     /// How many hash-on-id index shards to partition the served vectors
     /// into; `None` means 1, the unsharded degenerate case. Each shard
     /// has its own write lock, snapshot and compaction; kNN
@@ -90,7 +82,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             cache_cap: 4096,
             ivf_nlist: None,
-            rescore_sealed: true,
             shards: None,
             idle_timeout: SessionOptions::default().idle_timeout,
             session_write_timeout: SessionOptions::default().write_timeout,
@@ -224,7 +215,7 @@ impl Server {
             ),
             None => ShardedIndex::with_options(dim, Metric::L1, opts, nshards),
         };
-        let mut router = ShardRouter::new(index, cfg.rescore_sealed);
+        let mut router = ShardRouter::new(index, true);
         let wal_recovery = match &cfg.wal {
             Some(wal_cfg) => Some(router.recover(wal_cfg)?),
             None => None,
@@ -336,8 +327,7 @@ impl Server {
     }
 
     /// k nearest indexed trajectories to `query`: `(id, distance)`
-    /// ascending, against one consistent index snapshot. When
-    /// [`ServeConfig::rescore_sealed`] is on (the default) and the engine
+    /// ascending, against one consistent index snapshot. When the engine
     /// carries its cached embedding table, sealed quantized hits whose
     /// ids still match that table are rescored to exact distances.
     pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<(u64, f64)>, EngineError> {

@@ -256,15 +256,12 @@ fn pq_server_mixed_ops_match_oracle_near_exactly() {
     // each training subvector as its own centroid: sealed PQ rows decode
     // (near-)exactly and reported distances must match the oracle to f32
     // noise — which is precisely the property that makes repeated PQ
-    // re-compactions drift-free. Sealed rescoring is off so the raw ADC
-    // path is what is being served.
+    // re-compactions drift-free. The engine has no database, so there is
+    // no table to rescore against: the raw ADC path is what is served.
     let server = Arc::new(
         Server::new(
             Arc::new(tiny_engine_storing(Quantization::Pq { m: 4 })),
-            ServeConfig {
-                rescore_sealed: false,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         )
         .expect("server"),
     );
@@ -343,9 +340,8 @@ fn pq_server_mixed_ops_match_oracle_near_exactly() {
 fn sealed_rescoring_serves_exact_distances_for_clean_ids() {
     // The ROADMAP fix: a quantized sealed part returns quantized
     // distances, but ids seeded from the engine's database still match
-    // its cached embedding table — with rescore_sealed on (the default),
-    // the server re-ranks those hits against the table and serves EXACT
-    // distances. Ids upserted through the server are tracked as dirty
+    // its cached embedding table, so the server re-ranks those hits
+    // against the table and serves EXACT distances. Ids upserted through the server are tracked as dirty
     // and keep their (error-bounded) asymmetric distances.
     let db: Vec<Trajectory> = (0..20).map(traj_for).collect();
     let engine = Arc::new(
@@ -379,7 +375,6 @@ fn sealed_rescoring_serves_exact_distances_for_clean_ids() {
         (0..t.shape().rows()).map(|i| t.row(i).to_vec()).collect()
     };
     let metric = trajcl_index::Metric::L1;
-    // ServeConfig::default() rescores sealed hits.
     let server = Server::new(Arc::clone(&engine), ServeConfig::default()).expect("server");
 
     // Every seeded id is clean: served distances are bit-identical to

@@ -1,7 +1,8 @@
 //! The Fig. 1 scenario: k-nearest-neighbour trajectory queries, comparing
-//! the heuristic Hausdorff measure with learned TrajCL embeddings — both
-//! served through the unified engine API, with the segment-based Hausdorff
-//! index as the exact-route accelerator reference.
+//! the heuristic Hausdorff measure (through the unified engine API, with
+//! the segment-based Hausdorff index as the exact-route accelerator
+//! reference) with learned TrajCL embeddings served from an IVF index by
+//! `trajcl::serve::Server`.
 //!
 //! ```sh
 //! cargo run --release --example knn_query
@@ -9,12 +10,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Instant;
 use trajcl::core::TrajClConfig;
 use trajcl::data::{Dataset, DatasetProfile};
 use trajcl::engine::{Engine, IndexOptions};
 use trajcl::index::SegmentHausdorffIndex;
 use trajcl::measures::HeuristicMeasure;
+use trajcl::serve::{ServeConfig, Server};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -47,8 +50,9 @@ fn main() {
     let seg_knn = seg_index.knn(query, k);
     let seg_query = t0.elapsed();
 
-    // Learned route: train TrajCL, embed the database once, serve kNN from
-    // an IVF index — one builder chain.
+    // Learned route: train TrajCL and embed the database once (one
+    // builder chain), then serve kNN from the IVF index the server builds
+    // from the engine's description.
     let t0 = Instant::now();
     let trajcl_engine = Engine::builder()
         .train_trajcl_on(&dataset, &splits.train, &cfg, &mut rng)
@@ -61,9 +65,10 @@ fn main() {
         .nprobe(4)
         .build()
         .expect("trajcl engine");
+    let server = Server::new(Arc::new(trajcl_engine), ServeConfig::default()).expect("server");
     let ivf_build = t0.elapsed();
     let t0 = Instant::now();
-    let trajcl_knn = trajcl_engine.knn(query, k).expect("trajcl knn");
+    let trajcl_knn = server.knn(query, k).expect("trajcl knn");
     let ivf_query = t0.elapsed();
 
     println!(
@@ -100,7 +105,7 @@ fn main() {
     }
     let overlap = trajcl_knn
         .iter()
-        .filter(|(i, _)| hausdorff_knn.iter().any(|(j, _)| i == j))
+        .filter(|(i, _)| hausdorff_knn.iter().any(|(j, _)| *i == u64::from(*j)))
         .count();
     println!("\nresult overlap between the two measures: {overlap}/{k}");
     println!("(embedding kNN answers from the compact index; Hausdorff re-reads full geometry)");

@@ -15,10 +15,11 @@
 //! * [`index`] — IVF embedding index + segment Hausdorff index;
 //! * [`engine`] — the unified similarity API: one object-safe
 //!   `SimilarityBackend` over TrajCL, baselines and heuristic measures,
-//!   served by `Engine`/`EngineBuilder` with kNN routing and persistence;
+//!   served by `Engine`/`EngineBuilder` with exact kNN and persistence;
 //! * [`serve`] — the concurrent serving runtime: gated inline embedding,
-//!   a mutable snapshot-readable index, an LRU embedding cache and the
-//!   `trajcl serve` wire protocol.
+//!   the one indexed kNN (a mutable snapshot-readable index over the
+//!   engine's table), an LRU embedding cache and the `trajcl serve` wire
+//!   protocol.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour and DESIGN.md for
 //! the architecture (crate graph, engine trait diagram, error-handling
