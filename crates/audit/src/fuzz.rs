@@ -1,6 +1,7 @@
 //! Deterministic structure-aware mutation fuzzing for every decoder that
 //! parses untrusted bytes: the serve frame reader, the JSON parser, the
-//! TCE1 engine loader and the write-ahead-log record/checkpoint decoders.
+//! typed request and shard-reply decoders the servers run, the TCE1
+//! engine loader and the write-ahead-log record/checkpoint decoders.
 //!
 //! The harness is a classic corpus mutator, not coverage-guided: each
 //! target starts from a small set of *valid* encodings (so mutations land
@@ -99,16 +100,27 @@ pub fn run_all(opts: &FuzzOptions) -> FuzzReport {
             }
         }),
         run_target(1, "proto", &corpus_proto(), opts, |bytes| {
-            // Drain the mutated stream frame by frame, parsing every
-            // payload that frames correctly (capped so a mutation cannot
-            // manufacture an unbounded number of tiny frames).
+            // Drain the mutated stream frame by frame, decoding every
+            // payload that frames correctly as the servers do (capped so a
+            // mutation cannot manufacture an unbounded number of tiny
+            // frames). The typed decoders share the tree parser's grammar,
+            // so each payload is malformed for all three or for none.
             let mut reader = std::io::Cursor::new(bytes);
             let mut any = false;
             for _ in 0..64 {
                 match trajcl_serve::proto::read_frame(&mut reader) {
                     Ok(Some(payload)) => {
                         any = true;
-                        let _ = trajcl_serve::json::parse(&payload);
+                        let tree = trajcl_serve::json::parse(&payload).err();
+                        let request = trajcl_serve::proto::Request::decode(&payload).err();
+                        assert_eq!(request, tree, "request decoder vs json::parse");
+                        let hits = trajcl_serve::fleet::parse_hits(&payload)
+                            .err()
+                            .and_then(|e| {
+                                e.strip_prefix("malformed shard response: ")
+                                    .map(str::to_string)
+                            });
+                        assert_eq!(hits, tree, "hits decoder vs json::parse");
                     }
                     Ok(None) => break,
                     Err(_) => return Outcome::Rejected,
@@ -324,7 +336,8 @@ pub fn mutate(base: &[u8], corpus: &[Vec<u8>], rng: &mut StdRng) -> Vec<u8> {
     out
 }
 
-/// Valid protocol JSON payloads (one per op, plus edge shapes).
+/// Valid protocol JSON payloads (one per op, edge shapes, and the shard
+/// replies a fleet front-end reads).
 fn corpus_json() -> Vec<Vec<u8>> {
     [
         r#"{"op":"knn","traj":[[1.5,-2.0],[3,4]],"k":5}"#,
@@ -335,6 +348,8 @@ fn corpus_json() -> Vec<Vec<u8>> {
         r#"{"op":"stats"}"#,
         r#"{"s":"a\"b\\c\ndA","deep":[[[[1]]]],"neg":-1.25e2}"#,
         r#"[1e308,-1e-308,0.5,123456789,null,true,false,""]"#,
+        r#"{"req":9,"ok":true,"hits":[{"rank":1,"index":7,"distance":0.125000},{"rank":2,"index":18446744073709551615,"distance":2.5}]}"#,
+        r#"{"ok":false,"error":"point 0: x is not a number"}"#,
     ]
     .iter()
     .map(|s| s.as_bytes().to_vec())

@@ -52,9 +52,9 @@ use std::time::{Duration, Instant};
 
 use trajcl_index::{merge_partials, shard_for, splitmix64};
 
-use crate::json::{parse, Json};
+use crate::json::{parse, Item, Json, Reader};
 use crate::net::{Client, ClientOptions, FrameHandler};
-use crate::proto::{encode_frame, err_response, req_echo, MAX_K};
+use crate::proto::{encode_frame, err_response, required, Request, Slot};
 
 /// Tuning knobs for [`Fleet::connect`].
 #[derive(Clone, Copy, Debug)]
@@ -458,22 +458,17 @@ impl Fleet {
         )
     }
 
-    fn route(&self, obj: &Json, payload: &str) -> Result<String, String> {
-        let echo = req_echo(obj);
-        let op = obj
-            .get("op")
-            .ok_or("missing field \"op\"")?
-            .as_str()
-            .ok_or("\"op\" must be a string")?;
-        match op {
+    /// Routes on the decoded `request`; shards get the `payload` verbatim.
+    fn route(&self, request: Request<'_>, echo: &str, payload: &str) -> Result<String, String> {
+        match &*required(request.op, "op")? {
             // Answered locally: the front-end's own liveness, not the
             // shards' (probe those via `stats` health).
             "ping" => Ok(format!("{{{echo}\"ok\":true,\"pong\":true}}")),
-            "knn" => self.route_knn(obj, &echo, payload),
-            "upsert" | "remove" => self.route_write(obj, payload),
+            "knn" => self.route_knn(required(request.k, "k")?, echo, payload),
+            "upsert" | "remove" => self.route_write(required(request.id, "id")?, payload),
             "embed" | "distance" => self.route_any_shard(payload),
-            "compact" => self.route_compact(&echo, payload),
-            "stats" => self.route_stats(&echo, payload),
+            "compact" => self.route_compact(echo, payload),
+            "stats" => self.route_stats(echo, payload),
             other => Err(format!("unknown op {other:?}")),
         }
     }
@@ -482,14 +477,7 @@ impl Fleet {
     /// through the exact path. Shards hold disjoint ids, so the union
     /// of per-shard top-k contains the global top-k and the merge is
     /// bit-exact vs an unsharded server (DESIGN.md §13.3).
-    fn route_knn(&self, obj: &Json, echo: &str, payload: &str) -> Result<String, String> {
-        let k = obj
-            .get("k")
-            .ok_or("missing field \"k\"")?
-            .as_u64()
-            .filter(|&k| k <= MAX_K as u64)
-            .ok_or_else(|| format!("\"k\" must be an integer in 0..={MAX_K}"))?
-            as usize;
+    fn route_knn(&self, k: usize, echo: &str, payload: &str) -> Result<String, String> {
         let replies = self.scatter(payload)?;
         let ok = replies.len();
         if self.cfg.fail_closed && ok < self.shards.len() {
@@ -524,12 +512,7 @@ impl Fleet {
     /// Route a write to its owning shard by the placement hash. A Down
     /// owner errors in-band immediately — writes never hang and never
     /// silently land on the wrong shard.
-    fn route_write(&self, obj: &Json, payload: &str) -> Result<String, String> {
-        let id = obj
-            .get("id")
-            .ok_or("missing field \"id\"")?
-            .as_u64()
-            .ok_or("\"id\" must be a non-negative integer")?;
+    fn route_write(&self, id: u64, payload: &str) -> Result<String, String> {
         let shard = &self.shards[shard_for(id, self.shards.len())];
         if shard.health() == ShardHealth::Down {
             return Err(format!("shard {} is down; write refused", shard.addr));
@@ -606,12 +589,12 @@ impl Fleet {
 
 impl FrameHandler for Fleet {
     fn handle_frame(&self, payload: &str) -> String {
-        let obj = match parse(payload) {
-            Ok(v) => v,
+        let request = match Request::decode(payload) {
+            Ok(request) => request,
             Err(e) => return err_response("", &format!("malformed JSON: {e}")),
         };
-        let echo = req_echo(&obj);
-        match self.route(&obj, payload) {
+        let echo = request.echo();
+        match self.route(request, &echo, payload) {
             Ok(resp) => resp,
             Err(msg) => err_response(&echo, &msg),
         }
@@ -673,29 +656,62 @@ fn spawn_prober(
     })
 }
 
-/// Extracts `(id, distance)` pairs from a downstream `knn` response.
-/// An in-band downstream error propagates as this fleet request's error
-/// (the shard answered — the request itself was bad).
-fn parse_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
-    let obj = parse(resp).map_err(|e| format!("malformed shard response: {e}"))?;
-    check_ok(&obj)?;
-    let hits = obj
-        .get("hits")
-        .and_then(Json::as_arr)
-        .ok_or("shard response missing \"hits\"")?;
-    hits.iter()
-        .map(|h| {
-            let id = h
-                .get("index")
-                .and_then(Json::as_u64)
-                .ok_or("shard hit missing \"index\"")?;
-            let dist = h
-                .get("distance")
-                .and_then(Json::as_f64)
-                .ok_or("shard hit missing \"distance\"")?;
-            Ok((id, dist))
-        })
-        .collect()
+/// Reads a downstream `knn` response straight into its `(id, distance)`
+/// pairs, ids exact. An in-band downstream error propagates as this fleet
+/// request's error (the shard answered — the request itself was bad).
+pub fn parse_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
+    let (mut ok, mut error, mut hits) = (false, None, None);
+    let mut r = Reader::new(resp);
+    r.members(0, |r, key| {
+        match &*key {
+            "ok" => ok = matches!(r.scalar(1)?, Item::Bool(true)),
+            "error" => {
+                error = match r.scalar(1)? {
+                    Item::Str(e) => Some(e.into_owned()),
+                    _ => None,
+                }
+            }
+            "hits" => hits = hit_list(r)?,
+            _ => r.skip_value(1)?,
+        }
+        Ok(())
+    })
+    .and_then(|()| r.finish())
+    .map_err(|e| format!("malformed shard response: {e}"))?;
+    if !ok {
+        return Err(error.unwrap_or_else(|| "shard reported an error".into()));
+    }
+    hits.unwrap_or_else(|| Err("shard response missing \"hits\"".into()))
+}
+
+/// A reply's `hits` member: `None` unless it is an array, else its pairs
+/// or the first hit's error.
+fn hit_list(r: &mut Reader<'_>) -> Result<Slot<Vec<(u64, f64)>>, String> {
+    let mut hits = Vec::new();
+    let mut bad = None;
+    let is_array = r.elements(1, |r| {
+        let (mut id, mut dist) = (None, None);
+        r.members(2, |r, key| {
+            match &*key {
+                "index" => id = r.scalar(3)?.as_u64(),
+                "distance" => dist = r.scalar(3)?.as_f64(),
+                _ => r.skip_value(3)?,
+            }
+            Ok(())
+        })?;
+        let hit = match (id, dist) {
+            (None, _) => Err("shard hit missing \"index\""),
+            (_, None) => Err("shard hit missing \"distance\""),
+            (Some(id), Some(dist)) => Ok((id, dist)),
+        };
+        match hit {
+            Ok(hit) if bad.is_none() => hits.push(hit),
+            Err(e) if bad.is_none() => bad = Some(e.to_string()),
+            _ => {}
+        }
+        Ok(())
+    })?;
+    Ok(is_array.then(|| bad.map_or(Ok(hits), Err)))
 }
 
 /// Extracts one non-negative integer field from an ok downstream

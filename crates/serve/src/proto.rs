@@ -22,6 +22,12 @@
 //! responses to requests regardless of completion order. Errors are
 //! in-band: `{"ok":false,"error":"..."}` with the request's echo.
 //!
+//! Each payload is decoded once, by [`Request::decode`], straight into its
+//! types: trajectories into points, `k`/`id`/`req` into exact integers. No
+//! JSON tree is built. A grammar error anywhere answers `malformed JSON`;
+//! a field of the wrong shape is answered in-band only when the op reads
+//! it, in the order [`handle`] checks fields.
+//!
 //! | op | request fields | response fields |
 //! |----|----------------|-----------------|
 //! | `ping`     | —                 | `pong` (always `true`) |
@@ -44,11 +50,12 @@
 //! the wire keep quantized (error-bounded) distances — see
 //! `ShardRouter::search`.
 
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 
 use trajcl_geo::{Point, Trajectory};
 
-use crate::json::{escape, parse, Json};
+use crate::json::{escape, Item, Reader};
 use crate::server::Server;
 
 /// Largest accepted frame payload (a ~100k-point trajectory is ~2 MB of
@@ -165,26 +172,133 @@ pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Decodes `[[x,y],...]` into a trajectory.
-fn parse_traj(value: &Json) -> Result<Trajectory, String> {
-    let pts = value
-        .as_arr()
-        .ok_or("\"traj\" must be an array of [x,y] pairs")?;
-    let mut out = Vec::with_capacity(pts.len());
-    for (i, p) in pts.iter().enumerate() {
-        let pair = p
-            .as_arr()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| format!("point {i} must be a two-element [x,y] array"))?;
-        let x = pair[0]
-            .as_f64()
-            .ok_or_else(|| format!("point {i}: x is not a number"))?;
-        let y = pair[1]
-            .as_f64()
-            .ok_or_else(|| format!("point {i}: y is not a number"))?;
-        out.push(Point::new(x, y));
+/// A field of a [`Request`]: `None` when the payload lacks it, else its
+/// value or the in-band error its shape earns.
+pub(crate) type Slot<T> = Option<Result<T, String>>;
+
+/// One request payload, decoded in a single pass (PROTOCOL.md §2). Each
+/// field the protocol reads has a `Slot`; a duplicate key overwrites
+/// its slot, so the last one wins, and unknown keys are read past.
+#[derive(Debug, Default)]
+pub struct Request<'a> {
+    /// The echo key: only an integer `req` has one (PROTOCOL.md §3.1).
+    pub(crate) req: Option<u64>,
+    /// Borrowed from the payload unless it is escaped.
+    pub(crate) op: Slot<Cow<'a, str>>,
+    pub(crate) traj: Slot<Trajectory>,
+    pub(crate) a: Slot<Trajectory>,
+    pub(crate) b: Slot<Trajectory>,
+    /// Already bounded by [`MAX_K`].
+    pub(crate) k: Slot<usize>,
+    pub(crate) id: Slot<u64>,
+}
+
+impl<'a> Request<'a> {
+    /// Decodes `payload`. `Err` is its first JSON grammar error, the
+    /// same text `json::parse` gives; a field of the wrong shape is not
+    /// an error here but its slot's value.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use trajcl_serve::proto::Request;
+    ///
+    /// assert!(Request::decode(r#"{"op":"knn","traj":[[0,0]],"k":3}"#).is_ok());
+    /// assert!(Request::decode(r#"{"op":"knn","traj":[[0,0,0]],"k":-3}"#).is_ok());
+    /// assert_eq!(
+    ///     Request::decode(r#"{"op":"knn","k":01}"#).unwrap_err(),
+    ///     "invalid number at byte 16"
+    /// );
+    /// ```
+    pub fn decode(payload: &'a str) -> Result<Request<'a>, String> {
+        let mut request = Request::default();
+        let mut r = Reader::new(payload);
+        r.members(0, |r, key| {
+            match &*key {
+                "req" => request.req = r.scalar(1)?.as_u64(),
+                "op" => {
+                    request.op = Some(match r.scalar(1)? {
+                        Item::Str(op) => Ok(op),
+                        _ => Err("\"op\" must be a string".into()),
+                    })
+                }
+                "traj" => request.traj = Some(points(r)?),
+                "a" => request.a = Some(points(r)?),
+                "b" => request.b = Some(points(r)?),
+                "k" => {
+                    let k = r.scalar(1)?.as_u64().and_then(|k| usize::try_from(k).ok());
+                    request.k = Some(
+                        k.filter(|&k| k <= MAX_K)
+                            .ok_or_else(|| format!("\"k\" must be an integer in 0..={MAX_K}")),
+                    );
+                }
+                "id" => {
+                    request.id = Some(
+                        r.scalar(1)?
+                            .as_u64()
+                            .ok_or_else(|| "\"id\" must be a non-negative integer".into()),
+                    );
+                }
+                _ => r.skip_value(1)?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        Ok(request)
     }
-    Ok(Trajectory::new(out))
+
+    /// The `"req":N,` echo prefix (empty when the request carried no `req`).
+    pub(crate) fn echo(&self) -> String {
+        self.req
+            .map_or_else(String::new, |n| format!("\"req\":{n},"))
+    }
+}
+
+/// The value in `slot`, or the error a missing `key` answers.
+pub(crate) fn required<T>(slot: Slot<T>, key: &str) -> Result<T, String> {
+    slot.unwrap_or_else(|| Err(format!("missing field \"{key}\"")))
+}
+
+/// Reads a member's `[[x,y],...]` into a trajectory. A wrong shape is the
+/// slot's error — the first one in the text — and the rest of the value
+/// is still read, so a later grammar error is still found.
+fn points(r: &mut Reader<'_>) -> Result<Result<Trajectory, String>, String> {
+    let mut points = Vec::new();
+    let mut shape = None;
+    let mut i = 0usize;
+    let is_array = r.elements(1, |r| {
+        match point(r, i)? {
+            Ok(p) if shape.is_none() => points.push(p),
+            Err(e) if shape.is_none() => shape = Some(e),
+            _ => {}
+        }
+        i += 1;
+        Ok(())
+    })?;
+    if !is_array {
+        return Ok(Err("\"traj\" must be an array of [x,y] pairs".into()));
+    }
+    Ok(shape.map_or_else(|| Ok(Trajectory::new(points)), Err))
+}
+
+/// Point `i` of a trajectory: an `[x,y]` array of two numbers.
+fn point(r: &mut Reader<'_>, i: usize) -> Result<Result<Point, String>, String> {
+    let mut xy = [None; 2];
+    let mut len = 0usize;
+    r.elements(2, |r| {
+        let c = r.scalar(3)?.as_f64();
+        if let Some(slot) = xy.get_mut(len) {
+            *slot = c;
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok(match (len, xy) {
+        (2, [Some(x), Some(y)]) => Ok(Point::new(x, y)),
+        (2, [None, _]) => Err(format!("point {i}: x is not a number")),
+        (2, _) => Err(format!("point {i}: y is not a number")),
+        _ => Err(format!("point {i} must be a two-element [x,y] array")),
+    })
 }
 
 /// Prints a trajectory as the `[[x,y],...]` array [`handle`] decodes: every
@@ -199,19 +313,6 @@ pub fn traj_json(t: &Trajectory) -> String {
     format!("[{}]", pts.join(","))
 }
 
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("missing field \"{key}\""))
-}
-
-/// The `"req":N,` echo prefix (empty when the request carried no `req`).
-pub(crate) fn req_echo(obj: &Json) -> String {
-    match obj.get("req").and_then(Json::as_u64) {
-        Some(n) => format!("\"req\":{n},"),
-        None => String::new(),
-    }
-}
-
 pub(crate) fn err_response(echo: &str, msg: &str) -> String {
     format!("{{{echo}\"ok\":false,\"error\":\"{}\"}}", escape(msg))
 }
@@ -219,39 +320,33 @@ pub(crate) fn err_response(echo: &str, msg: &str) -> String {
 /// Executes one request payload against `server`, returning the response
 /// payload (errors are in-band: `{"ok":false,"error":...}`).
 pub fn handle(server: &Server, payload: &str) -> String {
-    let obj = match parse(payload) {
-        Ok(v) => v,
+    let request = match Request::decode(payload) {
+        Ok(request) => request,
         Err(e) => return err_response("", &format!("malformed JSON: {e}")),
     };
-    let echo = req_echo(&obj);
-    match dispatch(server, &obj) {
+    let echo = request.echo();
+    match dispatch(server, request) {
         Ok(body) => format!("{{{echo}\"ok\":true,{body}}}"),
         Err(msg) => err_response(&echo, &msg),
     }
 }
 
-fn dispatch(server: &Server, obj: &Json) -> Result<String, String> {
-    let op = field(obj, "op")?
-        .as_str()
-        .ok_or("\"op\" must be a string")?;
-    match op {
+fn dispatch(server: &Server, request: Request<'_>) -> Result<String, String> {
+    match &*required(request.op, "op")? {
         // The health probe: answered from this match arm alone — no
         // engine call, no index snapshot, no lock, no counters — so it
         // stays honest about liveness even when the data path is wedged.
         "ping" => Ok("\"pong\":true".to_string()),
         "embed" => {
-            let traj = parse_traj(field(obj, "traj")?)?;
+            let traj = required(request.traj, "traj")?;
             let e = server.embed(&traj).map_err(|e| e.to_string())?;
             let vals: Vec<String> = e.iter().map(|v| format!("{v:.6}")).collect();
             Ok(format!("\"embedding\":[{}]", vals.join(",")))
         }
         "knn" => {
-            let traj = parse_traj(field(obj, "traj")?)?;
-            let k = field(obj, "k")?
-                .as_u64()
-                .filter(|&k| k <= MAX_K as u64)
-                .ok_or_else(|| format!("\"k\" must be an integer in 0..={MAX_K}"))?;
-            let hits = server.knn(&traj, k as usize).map_err(|e| e.to_string())?;
+            let traj = required(request.traj, "traj")?;
+            let k = required(request.k, "k")?;
+            let hits = server.knn(&traj, k).map_err(|e| e.to_string())?;
             let rows: Vec<String> = hits
                 .iter()
                 .enumerate()
@@ -265,23 +360,19 @@ fn dispatch(server: &Server, obj: &Json) -> Result<String, String> {
             Ok(format!("\"hits\":[{}]", rows.join(",")))
         }
         "distance" => {
-            let a = parse_traj(field(obj, "a")?)?;
-            let b = parse_traj(field(obj, "b")?)?;
+            let a = required(request.a, "a")?;
+            let b = required(request.b, "b")?;
             let d = server.distance(&a, &b).map_err(|e| e.to_string())?;
             Ok(format!("\"distance\":{d:.6}"))
         }
         "upsert" => {
-            let id = field(obj, "id")?
-                .as_u64()
-                .ok_or("\"id\" must be a non-negative integer")?;
-            let traj = parse_traj(field(obj, "traj")?)?;
+            let id = required(request.id, "id")?;
+            let traj = required(request.traj, "traj")?;
             let replaced = server.upsert(id, &traj).map_err(|e| e.to_string())?;
             Ok(format!("\"replaced\":{replaced}"))
         }
         "remove" => {
-            let id = field(obj, "id")?
-                .as_u64()
-                .ok_or("\"id\" must be a non-negative integer")?;
+            let id = required(request.id, "id")?;
             let removed = server.remove(id).map_err(|e| e.to_string())?;
             Ok(format!("\"removed\":{removed}"))
         }
@@ -437,14 +528,38 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), "{}");
     }
 
-    #[test]
-    fn parse_traj_validates_shape() {
-        assert!(parse_traj(&parse("[[1,2],[3,4]]").unwrap()).is_ok());
-        assert!(parse_traj(&parse("[[1,2],[3]]").unwrap()).is_err());
-        assert!(parse_traj(&parse("[1,2]").unwrap()).is_err());
-        assert!(parse_traj(&parse("\"x\"").unwrap()).is_err());
+    /// The `traj` slot of a payload holding only `traj`.
+    fn traj_slot(traj: &str) -> Result<Trajectory, String> {
+        let payload = format!("{{\"traj\":{traj}}}");
+        required(Request::decode(&payload).unwrap().traj, "traj")
+    }
 
-        // What `traj_json` prints, `parse_traj` reads back bit for bit:
+    #[test]
+    fn decode_validates_traj_shape() {
+        assert_eq!(traj_slot("[[1,2],[3,4]]").unwrap().len(), 2);
+        assert_eq!(traj_slot("[]").unwrap().len(), 0);
+        for (traj, err) in [
+            ("[[1,2],[3]]", "point 1 must be a two-element [x,y] array"),
+            ("[[1,2,3]]", "point 0 must be a two-element [x,y] array"),
+            ("[1,2]", "point 0 must be a two-element [x,y] array"),
+            ("[[\"a\",2]]", "point 0: x is not a number"),
+            ("[[1,null],[\"a\",2]]", "point 0: y is not a number"),
+            (
+                "[[1,2],{\"x\":1}]",
+                "point 1 must be a two-element [x,y] array",
+            ),
+            ("\"x\"", "\"traj\" must be an array of [x,y] pairs"),
+            ("{}", "\"traj\" must be an array of [x,y] pairs"),
+        ] {
+            assert_eq!(traj_slot(traj).unwrap_err(), err, "{traj}");
+        }
+        // A shape error does not stop the read: a later grammar error wins.
+        assert_eq!(
+            Request::decode(r#"{"traj":[[1],[2,x]]}"#).unwrap_err(),
+            "invalid number at byte 16"
+        );
+
+        // What `traj_json` prints, the decoder reads back bit for bit:
         // edge values, then random bit patterns (the finite ones).
         let mut coords = vec![0.0, -0.0, 0.1 + 0.2, 1.0 / 3.0, 1234.56, -9_999.99];
         coords.extend([f64::MAX, f64::MIN_POSITIVE, 5e-324, -1e-300, 1e21]);
@@ -454,7 +569,7 @@ mod tests {
                 .filter(|c| c.is_finite()),
         );
         let t: Trajectory = coords.windows(2).map(|w| Point::new(w[0], w[1])).collect();
-        let back = parse_traj(&parse(&traj_json(&t)).unwrap()).unwrap();
+        let back = traj_slot(&traj_json(&t)).unwrap();
         assert_eq!(back.len(), t.len());
         for (a, b) in t.points().iter().zip(back.points()) {
             assert_eq!(
@@ -463,5 +578,51 @@ mod tests {
             );
         }
         assert_eq!(traj_json(&Trajectory::new(Vec::new())), "[]");
+    }
+
+    fn decode(payload: &str) -> Request<'_> {
+        Request::decode(payload).unwrap()
+    }
+
+    #[test]
+    fn integer_fields_are_exact() {
+        // The echo is the request's own digits, past 2^53 and up to u64::MAX.
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let payload = format!("{{\"req\":{n},\"op\":\"ping\"}}");
+            assert_eq!(decode(&payload).echo(), format!("\"req\":{n},"));
+        }
+        assert_eq!(decode(r#"{"req":18446744073709551616}"#).echo(), "");
+        assert_eq!(decode(r#"{"req":"7"}"#).echo(), "");
+        // Two ids an f64 cannot tell apart stay two ids.
+        assert_eq!(decode(r#"{"id":9007199254740992}"#).id, Some(Ok(1 << 53)));
+        assert_eq!(
+            decode(r#"{"id":9007199254740993}"#).id,
+            Some(Ok((1 << 53) + 1))
+        );
+        // 2^64 does not saturate to u64::MAX.
+        assert_eq!(
+            decode(r#"{"id":18446744073709551616}"#).id,
+            Some(Err("\"id\" must be a non-negative integer".into()))
+        );
+        assert_eq!(
+            decode(r#"{"k":18446744073709551616}"#).k,
+            Some(Err(format!("\"k\" must be an integer in 0..={MAX_K}")))
+        );
+        // Other number forms keep the integral-value rule below 2^53.
+        assert_eq!(decode(r#"{"k":1e1,"id":-0}"#).k, Some(Ok(10)));
+        assert_eq!(decode(r#"{"id":-0}"#).id, Some(Ok(0)));
+        assert!(decode(r#"{"id":9007199254740993e0}"#).id.unwrap().is_err());
+        assert!(decode(r#"{"id":1.5}"#).id.unwrap().is_err());
+    }
+
+    #[test]
+    fn the_last_duplicate_key_wins_and_escaped_keys_count() {
+        let request = decode(r#"{"k":"x","k":3,"id":1,"id":[],"op":1,"\u006fp":"knn"}"#);
+        assert_eq!(request.k, Some(Ok(3)));
+        assert!(request.id.unwrap().is_err());
+        assert_eq!(request.op.unwrap().unwrap(), "knn");
+        // A document that is not an object has no fields.
+        let request = decode("[1,{\"op\":\"ping\"}]");
+        assert!(request.op.is_none() && request.req.is_none());
     }
 }

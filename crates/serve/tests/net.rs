@@ -2,8 +2,8 @@
 //! real TCP connections against the in-process view, pipelined
 //! out-of-order response matching, torn-frame / mid-frame-disconnect
 //! rejection, how a session loop shares frames among its threads and
-//! how it ends, fd hygiene across many connections, and a unix-socket
-//! smoke test.
+//! how it ends, fd hygiene across many connections, exact integer fields
+//! (directly and through a fleet), and a unix-socket smoke test.
 
 use std::collections::HashSet;
 use std::io::{Read as _, Write as _};
@@ -17,7 +17,9 @@ use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_serve::net::pump_frames;
 use trajcl_serve::proto::{read_frame, traj_json, write_frame};
-use trajcl_serve::{listen, Client, FrameHandler, ServeConfig, Server};
+use trajcl_serve::{
+    listen, Client, Fleet, FleetConfig, FrameHandler, NetServer, ServeConfig, Server,
+};
 use trajcl_tensor::{Shape, Tensor};
 
 /// A tiny deterministic TrajCL engine (no pre-loaded database).
@@ -256,6 +258,103 @@ fn ping_answers_with_echo() {
 
     net.shutdown();
     server.shutdown();
+}
+
+#[test]
+fn echoes_req_exactly_up_to_u64_max() {
+    let server = sharded_server(1);
+    let net = listen(Arc::clone(&server), "127.0.0.1:0", 1).expect("listen");
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    for req in ["9007199254740993", "18446744073709551615"] {
+        let reply = client
+            .call(&format!("{{\"req\":{req},\"op\":\"ping\"}}"))
+            .expect("ping");
+        assert_eq!(
+            reply,
+            format!("{{\"req\":{req},\"ok\":true,\"pong\":true}}")
+        );
+    }
+    // 2^64 is no u64: no echo, as for any other non-integer `req`.
+    let reply = client
+        .call("{\"req\":18446744073709551616,\"op\":\"ping\"}")
+        .expect("ping");
+    assert_eq!(reply, "{\"ok\":true,\"pong\":true}");
+    net.shutdown();
+    server.shutdown();
+}
+
+/// Upserts ids 2^53 and 2^53 + 1 (one `f64`) through `call`, then checks
+/// both are live and distinct, and that 2^64 is refused.
+fn ids_past_2_pow_53_stay_distinct(mut call: impl FnMut(&str) -> String) {
+    const LOW: u64 = 1 << 53;
+    let traj = |id: u64| traj_json(&traj_for(10 + 50 * (id - LOW)));
+    for id in [LOW, LOW + 1] {
+        let reply = call(&format!(
+            "{{\"op\":\"upsert\",\"id\":{id},\"traj\":{}}}",
+            traj(id)
+        ));
+        assert!(reply.contains("\"replaced\":false"), "id {id}: {reply}");
+    }
+    for id in [LOW, LOW + 1] {
+        let reply = call(&format!(
+            "{{\"req\":{id},\"op\":\"knn\",\"traj\":{},\"k\":1}}",
+            traj(id)
+        ));
+        assert!(
+            reply.starts_with(&format!("{{\"req\":{id},\"ok\":true")),
+            "{reply}"
+        );
+        assert!(
+            reply.contains(&format!("\"index\":{id},")),
+            "id {id}: {reply}"
+        );
+    }
+    let reply = call(&format!(
+        "{{\"op\":\"upsert\",\"id\":18446744073709551616,\"traj\":{}}}",
+        traj(LOW)
+    ));
+    assert_eq!(
+        reply,
+        "{\"ok\":false,\"error\":\"\\\"id\\\" must be a non-negative integer\"}"
+    );
+}
+
+#[test]
+fn ids_past_2_pow_53_stay_distinct_direct_and_through_a_fleet() {
+    let direct = sharded_server(2);
+    let net = listen(Arc::clone(&direct), "127.0.0.1:0", 1).expect("listen");
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    ids_past_2_pow_53_stay_distinct(|p| client.call(p).expect("direct call"));
+
+    let shards: Vec<(Arc<Server>, NetServer)> = (0..2)
+        .map(|_| {
+            let server = sharded_server(1);
+            let net = listen(Arc::clone(&server), "127.0.0.1:0", 1).expect("listen");
+            (server, net)
+        })
+        .collect();
+    let addrs: Vec<String> = shards
+        .iter()
+        .map(|(_, net)| net.local_addr().to_string())
+        .collect();
+    let fleet = Fleet::connect(&addrs, FleetConfig::default()).expect("fleet");
+    ids_past_2_pow_53_stay_distinct(|p| fleet.handle_frame(p));
+
+    // A bad `traj` gets the unsharded server's reply, byte for byte.
+    for traj in ["[[1,2,3]]", "[[\"a\",2]]", "[1,2]", "\"x\""] {
+        let payload = format!("{{\"req\":3,\"op\":\"knn\",\"traj\":{traj},\"k\":2}}");
+        let want = client.call(&payload).expect("direct call");
+        assert!(want.contains("\"ok\":false"), "{want}");
+        assert_eq!(fleet.handle_frame(&payload), want, "{payload}");
+    }
+
+    fleet.shutdown();
+    for (server, net) in shards {
+        net.shutdown();
+        server.shutdown();
+    }
+    net.shutdown();
+    direct.shutdown();
 }
 
 /// Answers every frame with its own payload, after waiting at `barrier`
