@@ -11,18 +11,19 @@
 //! * `exact` — `brute_force_batch_knn` over the f32 table (ground truth);
 //! * `ivf` — f32-storage `IvfIndex`, `nprobe` of `nlist` cells;
 //! * `sq8` — SQ8-quantized `IvfIndex` (1 byte/dim): the query is quantized
-//!   too and lists are scanned with the runtime-dispatched integer SAD
-//!   kernels (AVX-512/AVX2/scalar), plus exact rescoring of the top
-//!   `rescore_factor · k` candidates against the f32 table (what a
-//!   server's `IndexSnapshot::search_rescored` does);
+//!   too and lists are scanned with the one portable integer SAD
+//!   (`kernels::dispatch::sad`, the same body on every CPU), plus exact
+//!   rescoring of the top `rescore_factor · k` candidates against the f32
+//!   table (what a server's `IndexSnapshot::search_rescored` does);
 //! * `pq` — PQ-quantized `IvfIndex` (`d/4` subspaces of 4-bit codes, two
 //!   per byte ⇒ an eighth of a byte per dimension, 16-entry LUTs), ADC
 //!   lookup-table scan plus exact rescoring with a deep (128×) over-fetch
 //!   to claim the coarse codes' recall back.
 //!
-//! Every JSON record also captures the dispatch decision (`cpu`) and
-//! whether `TRAJCL_FORCE_SCALAR` pinned the portable kernels, so rows
-//! from different machines stay comparable.
+//! Every JSON record also captures the host's dispatch level (`cpu`) and
+//! whether `TRAJCL_FORCE_SCALAR` pinned it to scalar, so rows from
+//! different machines stay comparable; none of the index kernels timed
+//! here differ by level.
 //!
 //! Usage:
 //!   index_scale [--quick] [--n N] [--dim D] [--check]
@@ -260,9 +261,8 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     let (sq8_hits, sq8_qps) = timed(nq, || rescored_search(&sq8, &table, &queries, nprobe));
     let sq8_recall = recall_at_k(&sq8_hits, &truth, K);
     eprintln!(
-        "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s, {} kernels)",
-        sq8.memory_bytes() as f64 / 1e6,
-        dispatch::description()
+        "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s)",
+        sq8.memory_bytes() as f64 / 1e6
     );
 
     let pq_m = (d / PQ_DIMS_PER_SUBSPACE).max(1);

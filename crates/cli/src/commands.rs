@@ -538,7 +538,7 @@ fn build_server(args: &Args) -> Result<(Server, usize), EngineError> {
     if args.options.contains_key("shards") {
         cfg.shards = Some(num::<usize>(args, "shards", 1)?.max(1));
     }
-    cfg.idle_timeout = idle_timeout_opt(args, cfg.idle_timeout)?;
+    cfg.session.idle_timeout = idle_timeout_opt(args, cfg.session.idle_timeout)?;
     // Asking for --wal means asking for the ack-implies-durable
     // contract: WalConfig::new is full fsync durability.
     cfg.wal = args.options.get("wal").map(trajcl_serve::WalConfig::new);
@@ -1198,6 +1198,51 @@ mod tests {
         ));
         assert_eq!(code, 1);
         assert!(out.contains("out of range"));
+
+        net.shutdown();
+        server.shutdown();
+    }
+
+    #[test]
+    fn query_connect_prints_an_id_past_2_pow_53_exactly() {
+        let data = tmp("bigid.traj");
+        let model = tmp("bigid.tcl");
+        let (code, out) = run_cmd(&format!(
+            "generate --profile porto --count 12 --out {}",
+            data.display()
+        ));
+        assert_eq!(code, 0, "{out}");
+        let (code, out) = run_cmd(&format!(
+            "train --input {} --out {} --dim 16 --epochs 1 --batch 8",
+            data.display(),
+            model.display()
+        ));
+        assert_eq!(code, 0, "{out}");
+        let engine = load_engine(&model.display().to_string())
+            .unwrap()
+            .with_database(trajcl_data::load_trajectory_file(std::path::Path::new(&data)).unwrap())
+            .unwrap();
+        let server = std::sync::Arc::new(
+            Server::new(std::sync::Arc::new(engine), ServeConfig::default()).unwrap(),
+        );
+        let net =
+            trajcl_serve::net::listen(std::sync::Arc::clone(&server), "127.0.0.1:0", 1).unwrap();
+        let addr = net.local_addr().to_string();
+
+        // Row 0 again as id 2^53 + 1, the first integer an f64 rounds: the
+        // query for row 0 ties it with row 0 at distance 0.
+        let big = (1u64 << 53) + 1;
+        let (code, out) = run_cmd(&format!(
+            "upsert --connect {addr} --input {} --start-id {big}",
+            data.display()
+        ));
+        assert_eq!(code, 0, "{out}");
+        let (code, out) = run_cmd(&format!(
+            "query --connect {addr} --db {} --query 0 --k 2 --json",
+            data.display()
+        ));
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains(&format!("\"index\":{big},")), "{out}");
 
         net.shutdown();
         server.shutdown();

@@ -6,12 +6,13 @@
 //! them exactly. `nprobe = nlist` degenerates to exact brute force, which
 //! the tests exploit to validate recall.
 //!
-//! Storage is exact f32 rows, SQ8 scalar-quantized codes
+//! Every search ranks by L1, the distance TrajCL compares embeddings
+//! with. Storage is exact f32 rows, SQ8 scalar-quantized codes
 //! ([`Quantization::Sq8`]: one byte per dimension; the query is quantized
-//! too and lists are scanned in pure integer arithmetic through the
-//! runtime-dispatched SIMD kernels of [`crate::kernels::dispatch`]) or PQ
-//! product-quantized codes ([`Quantization::Pq`]: `m` 4-bit codes per
-//! *vector*, two per byte, scanned via a per-query ADC lookup table).
+//! too and lists are scanned in pure integer arithmetic through
+//! [`crate::kernels::dispatch::sad`]) or PQ product-quantized codes
+//! ([`Quantization::Pq`]: `m` 4-bit codes per *vector*, two per byte,
+//! scanned via a per-query ADC lookup table).
 //! Quantized distances are approximate; re-ranking them against exact
 //! vectors is [`crate::IndexSnapshot::search_rescored`]'s job, which
 //! over-fetches [`IvfIndex::rescore_factor`]` · k` candidates from here.
@@ -26,21 +27,22 @@ use trajcl_tensor::{pool, Tensor};
 use crate::kernels::{self, PqCodebook, Sq8Codebook, TopK};
 use crate::storage::{self, ScanScratch, Storage};
 
-/// Distance metric for index search.
+/// The distance every index searches under. It has one value, L1: the
+/// constructors that take a `Metric` keep the parameter so callers name
+/// the distance they rank by, and no index stores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Manhattan distance (TrajCL compares embeddings with L1).
     L1,
-    /// Squared Euclidean distance.
-    L2,
 }
 
 impl Metric {
-    /// Distance between two equal-length vectors under this metric
-    /// (blocked f32 kernel, widened to `f64` at the boundary).
+    /// L1 distance between two equal-length vectors (blocked f32 kernel,
+    /// widened to `f64` at the boundary) — the distance every search
+    /// reports.
     #[inline]
     pub fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        kernels::dist(*self, a, b)
+        kernels::l1_f32(a, b) as f64
     }
 }
 
@@ -53,12 +55,9 @@ pub enum Quantization {
     /// Int8 scalar quantization (1 byte per dimension, one scale shared
     /// by every dimension): the query is quantized with the same codebook
     /// and scanned against the codes in integer arithmetic, then
-    /// optionally rescored exactly. An L1 scan distance is within
+    /// optionally rescored exactly. A scan distance is within
     /// `2 × l1_error_bound` ([`crate::Sq8Codebook::l1_error_bound`]) of
-    /// exact for any query. A squared-L2 one keeps its bound,
-    /// `|√scan − √exact| ≤ √d · scale`, only for queries inside the box
-    /// the codebook was trained on: outside it the error grows with the
-    /// distance to the box.
+    /// exact for any query.
     Sq8,
     /// Product quantization: `m` k-means sub-quantizers with at most 16
     /// centroids each — `m` 4-bit codes per vector, two per byte,
@@ -177,7 +176,6 @@ pub struct IvfIndex {
     storage: Storage,
     n: usize,
     d: usize,
-    metric: Metric,
     rescore_factor: usize,
 }
 
@@ -200,7 +198,7 @@ impl IvfIndex {
     /// it with).
     pub fn build_with(
         embeddings: &Tensor,
-        metric: Metric,
+        _: Metric,
         opts: &IndexOptions,
         rng: &mut impl Rng,
     ) -> Self {
@@ -209,7 +207,7 @@ impl IvfIndex {
         assert!(n > 0, "cannot index an empty table");
         let nlist = opts.nlist.unwrap_or(1).clamp(1, n);
         let data = embeddings.data();
-        let (centroids, assign) = kernels::kmeans(metric, data, d, nlist, rng);
+        let (centroids, assign) = kernels::kmeans(kernels::l1_f32, data, d, nlist, rng);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
             lists[c as usize].push(i as u32);
@@ -221,7 +219,6 @@ impl IvfIndex {
             storage,
             n,
             d,
-            metric,
             rescore_factor: opts.rescore_factor.max(1),
         }
     }
@@ -282,27 +279,6 @@ impl IvfIndex {
             + self.lists.iter().map(|l| l.len() * 4 + 24).sum::<usize>()
     }
 
-    /// Ranks centroids and leaves the `nprobe` nearest in
-    /// `scratch.order[..nprobe]` (unordered within the prefix — every
-    /// probed list is scanned anyway, so a partial selection via
-    /// `select_nth_unstable` replaces the former full sort).
-    fn probe_prefix(&self, query: &[f32], nprobe: usize, scratch: &mut SearchScratch) {
-        scratch.order.clear();
-        scratch.order.extend((0..self.lists.len() as u32).map(|c| {
-            let row = &self.centroids[c as usize * self.d..(c as usize + 1) * self.d];
-            let cd = match self.metric {
-                Metric::L1 => kernels::l1_f32(query, row),
-                Metric::L2 => kernels::l2_f32(query, row),
-            };
-            (cd, c)
-        }));
-        if nprobe < scratch.order.len() {
-            scratch
-                .order
-                .select_nth_unstable_by(nprobe - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
-    }
-
     /// kNN search probing the `nprobe` nearest Voronoi cells. Returns
     /// `(id, distance)` sorted ascending; fewer than `k` results only when
     /// the probed lists hold fewer vectors. Quantized (SQ8/PQ) distances
@@ -325,14 +301,26 @@ impl IvfIndex {
     ) {
         assert_eq!(query.len(), self.d, "query dimensionality mismatch");
         let nprobe = nprobe.clamp(1, self.lists.len());
-        self.probe_prefix(query, nprobe, scratch);
-        let (metric, state) = (self.metric, &mut scratch.scan);
-        state.topk.reset(k);
-        let probed = scratch.order[..nprobe]
+        // The `nprobe` nearest centroids, unordered within the prefix:
+        // every probed list is scanned anyway, so a partial selection is
+        // all the ranking a search needs.
+        let SearchScratch { order, scan } = scratch;
+        order.clear();
+        let rows = self.centroids.chunks_exact(self.d);
+        order.extend(
+            rows.zip(0u32..)
+                .map(|(row, c)| (kernels::l1_f32(query, row), c)),
+        );
+        if nprobe < order.len() {
+            order
+                .select_nth_unstable_by(nprobe - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+        scan.topk.reset(k);
+        let probed = order[..nprobe]
             .iter()
             .map(|&(_, c)| self.lists[c as usize].as_slice());
-        self.storage.scan(metric, self.d, query, probed, state);
-        state.topk.drain_sorted_into(out);
+        self.storage.scan(self.d, query, probed, scan);
+        scan.topk.drain_sorted_into(out);
     }
 
     /// Candidates to fetch for `k` results that will be re-ranked
@@ -369,17 +357,21 @@ impl IvfIndex {
 
 /// Exact brute-force kNN over an embedding table (baseline for recall
 /// measurements): a fused blocked scan, no candidate materialisation.
-pub fn brute_force_knn(
-    embeddings: &Tensor,
-    query: &[f32],
-    k: usize,
-    metric: Metric,
-) -> Vec<(u32, f64)> {
+pub fn brute_force_knn(embeddings: &Tensor, query: &[f32], k: usize, _: Metric) -> Vec<(u32, f64)> {
     let d = embeddings.shape().last();
     assert_eq!(query.len(), d, "query dimensionality mismatch");
     let mut topk = TopK::new(k);
-    kernels::scan_block(metric, query, embeddings.data(), d, 0, &mut topk);
+    scan_table(query, embeddings.data(), d, &mut topk);
     topk.into_sorted()
+}
+
+/// Offers every row of the contiguous `(n, d)` table to `topk` under its
+/// row position.
+#[inline]
+fn scan_table(query: &[f32], table: &[f32], d: usize, topk: &mut TopK) {
+    for (i, row) in table.chunks_exact(d).enumerate() {
+        topk.offer(i as u32, kernels::l1_f32(query, row) as f64);
+    }
 }
 
 /// Parallel batched brute-force kNN: one result row per query row,
@@ -389,7 +381,7 @@ pub fn brute_force_batch_knn(
     embeddings: &Tensor,
     queries: &Tensor,
     k: usize,
-    metric: Metric,
+    _: Metric,
 ) -> Vec<Vec<(u32, f64)>> {
     let d = embeddings.shape().last();
     let q = queries.shape().rows();
@@ -404,7 +396,7 @@ pub fn brute_force_batch_knn(
         for (i, slot) in chunk.iter_mut().enumerate() {
             let row = &qd[(start + i) * d..(start + i + 1) * d];
             topk.reset(k);
-            kernels::scan_block(metric, row, table, d, 0, &mut topk);
+            scan_table(row, table, d, &mut topk);
             topk.drain_sorted_into(slot);
         }
     });
@@ -466,7 +458,7 @@ mod tests {
     fn self_query_returns_self_first() {
         let emb = table(100, 6, 2);
         let mut rng = StdRng::seed_from_u64(3);
-        let index = IvfIndex::build(&emb, 8, Metric::L2, &mut rng);
+        let index = IvfIndex::build(&emb, 8, Metric::L1, &mut rng);
         let hits = index.search(emb.row(42), 1, 4);
         assert_eq!(hits[0].0, 42);
         assert_eq!(hits[0].1, 0.0);
@@ -524,7 +516,7 @@ mod tests {
     #[test]
     fn nlist_clamps_to_population() {
         let emb = table(3, 4, 10);
-        let index = IvfIndex::build(&emb, 100, Metric::L2, &mut StdRng::seed_from_u64(0));
+        let index = IvfIndex::build(&emb, 100, Metric::L1, &mut StdRng::seed_from_u64(0));
         assert_eq!(index.nlist(), 3);
         assert_eq!(index.search(emb.row(0), 3, 100).len(), 3);
     }
@@ -642,13 +634,67 @@ mod tests {
         assert!("pq:0".parse::<Quantization>().is_err());
     }
 
+    /// FNV-1a over a stream of 32-bit words.
+    fn fnv(words: impl IntoIterator<Item = u32>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn bits(xs: &[f32]) -> impl Iterator<Item = u32> + '_ {
+        xs.iter().map(|x| x.to_bits())
+    }
+
+    #[test]
+    fn every_storage_trains_the_pinned_bytes() {
+        // Digests of what one seeded build trains and stores, per storage:
+        // the IVF centroids and lists (trained under L1), then the SQ8
+        // codebook and codes, or the PQ sub-centroids and codes (trained
+        // and encoded under squared L2). A change to either k-means
+        // distance, to the Lloyd loop or to a codec moves a digest.
+        use crate::storage::Storage;
+        let emb = table(96, 8, 70);
+        let mut got = Vec::new();
+        for quantization in [
+            Quantization::None,
+            Quantization::Sq8,
+            Quantization::Pq { m: 4 },
+        ] {
+            let index = quantized(&emb, 4, quantization, 4, &mut StdRng::seed_from_u64(71));
+            let lists = index
+                .lists
+                .iter()
+                .flat_map(|l| std::iter::once(l.len() as u32).chain(l.iter().copied()));
+            let ivf = fnv(bits(&index.centroids).chain(lists));
+            let stored = match index.storage() {
+                Storage::F32(rows) => fnv(bits(rows)),
+                Storage::Sq8 { codes, cb } => fnv(bits(&cb.bias)
+                    .chain([cb.scale.to_bits()])
+                    .chain(codes.iter().map(|&c| u32::from(c)))),
+                Storage::Pq { codes, cb } => {
+                    fnv(bits(cb.centroid_tables()).chain(codes.iter().map(|&c| u32::from(c))))
+                }
+            };
+            got.push((ivf, stored));
+        }
+        const IVF: u64 = 9171944634584674375;
+        assert_eq!(
+            got,
+            [
+                (IVF, 3529568495958286375),
+                (IVF, 18203030351744344694),
+                (IVF, 18188995424305867340),
+            ]
+        );
+    }
+
     #[test]
     fn brute_force_batch_matches_single() {
         let emb = table(120, 8, 40);
         let queries = table(7, 8, 41);
-        let batch = brute_force_batch_knn(&emb, &queries, 6, Metric::L2);
+        let batch = brute_force_batch_knn(&emb, &queries, 6, Metric::L1);
         for (i, hits) in batch.iter().enumerate() {
-            assert_eq!(hits, &brute_force_knn(&emb, queries.row(i), 6, Metric::L2));
+            assert_eq!(hits, &brute_force_knn(&emb, queries.row(i), 6, Metric::L1));
         }
     }
 }

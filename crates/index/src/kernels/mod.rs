@@ -20,9 +20,9 @@
 //!   bias and **one** scale, so the database shrinks 4×. The scan quantizes
 //!   the *query* with the same codebook and works in the byte domain:
 //!   `Σ scale·|q_j − c_j|` factors into one integer
-//!   sum-of-absolute-differences times a constant, which the [`dispatch`]
-//!   module maps onto `vpsadbw`-style SIMD chosen at runtime. The
-//!   over-fetch rescore restores exact results.
+//!   sum-of-absolute-differences times a constant ([`dispatch::sad`], one
+//!   portable body the compiler lowers to `psadbw`). The over-fetch
+//!   rescore restores exact results.
 //! * **[`PqCodebook`]** goes below one byte per dimension: the vector is
 //!   split into `m` subspaces and each subvector is replaced by the index
 //!   of its nearest k-means-trained sub-centroid (at most 16 per
@@ -37,14 +37,14 @@
 //!   per-row distance closure + the `TopK::offer` early abandon. Which
 //!   closure a stored row needs is the storage's decision
 //!   (`Storage::scan` in `storage.rs`), not a kernel per codec.
-//! * **`kmeans`** is the one Lloyd loop: the IVF coarse quantizer and
-//!   every PQ sub-quantizer train through it.
+//! * **`kmeans`** is the one Lloyd loop: the IVF coarse quantizer trains
+//!   through it under L1, every PQ sub-quantizer under squared L2 — the
+//!   one place that distance exists, because Lloyd's mean update
+//!   minimises it.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use trajcl_tensor::pool;
-
-use crate::ivf::Metric;
 
 pub mod dispatch;
 
@@ -70,9 +70,10 @@ pub fn l1_f32(a: &[f32], b: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// Squared L2 distance, f32 accumulation, 8-wide unrolled.
+/// Squared L2 distance, f32 accumulation, 8-wide unrolled: what PQ
+/// trains and encodes under, nothing else.
 #[inline]
-pub fn l2_f32(a: &[f32], b: &[f32]) -> f32 {
+fn l2_f32(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; LANES];
     let mut ca = a.chunks_exact(LANES);
@@ -91,41 +92,6 @@ pub fn l2_f32(a: &[f32], b: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// Distance under `metric` (f32 kernel, widened to `f64` at the boundary).
-#[inline]
-pub fn dist(metric: Metric, a: &[f32], b: &[f32]) -> f64 {
-    match metric {
-        Metric::L1 => l1_f32(a, b) as f64,
-        Metric::L2 => l2_f32(a, b) as f64,
-    }
-}
-
-/// Streams `query` against the contiguous `(rows.len()/d, d)` block `rows`,
-/// offering every row to `topk` as id `base + row_index`.
-#[inline]
-pub fn scan_block(
-    metric: Metric,
-    query: &[f32],
-    rows: &[f32],
-    d: usize,
-    base: u32,
-    topk: &mut TopK,
-) {
-    debug_assert_eq!(rows.len() % d, 0);
-    match metric {
-        Metric::L1 => {
-            for (i, row) in rows.chunks_exact(d).enumerate() {
-                topk.offer(base + i as u32, l1_f32(query, row) as f64);
-            }
-        }
-        Metric::L2 => {
-            for (i, row) in rows.chunks_exact(d).enumerate() {
-                topk.offer(base + i as u32, l2_f32(query, row) as f64);
-            }
-        }
-    }
-}
-
 /// The one gather-scan loop of every inverted-list scan: walk the list,
 /// compute a per-row distance through `dist_of`, offer it to the fused
 /// selector (whose `offer` is the O(1) early abandon).
@@ -141,30 +107,23 @@ pub fn scan_ids_by(ids: &[u32], topk: &mut TopK, mut dist_of: impl FnMut(u32) ->
     }
 }
 
-/// Index of the nearest row of `rows` to `query` (k-means assignment
-/// inner step); `rows` is contiguous `(n, d)`.
+/// Index of the nearest row of `rows` to `query` under `dist` (k-means
+/// assignment inner step; the earliest of equal minima); `rows` is
+/// contiguous `(n, d)`.
 #[inline]
-pub fn argmin_row(metric: Metric, query: &[f32], rows: &[f32], d: usize) -> usize {
+fn argmin_row(
+    dist: impl Fn(&[f32], &[f32]) -> f32,
+    query: &[f32],
+    rows: &[f32],
+    d: usize,
+) -> usize {
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
-    match metric {
-        Metric::L1 => {
-            for (i, row) in rows.chunks_exact(d).enumerate() {
-                let dd = l1_f32(query, row);
-                if dd < best_d {
-                    best_d = dd;
-                    best = i;
-                }
-            }
-        }
-        Metric::L2 => {
-            for (i, row) in rows.chunks_exact(d).enumerate() {
-                let dd = l2_f32(query, row);
-                if dd < best_d {
-                    best_d = dd;
-                    best = i;
-                }
-            }
+    for (i, row) in rows.chunks_exact(d).enumerate() {
+        let dd = dist(query, row);
+        if dd < best_d {
+            best_d = dd;
+            best = i;
         }
     }
     best
@@ -175,12 +134,14 @@ const KMEANS_ITERS: usize = 10;
 
 /// Plain Lloyd k-means of the contiguous `(n, d)` table `rows` into `k`
 /// centroids (`k ≤ n`): distinct-random-row init, assignment through
-/// [`argmin_row`] under `metric` fanned across the shared pool (the
+/// [`argmin_row`] under `dist` fanned across the shared pool (the
 /// O(n · k · d) inner loop), serial f64 means; an empty cluster keeps its
 /// previous centroid. Returns the `(k, d)` centroid table and each row's
-/// cell as of the last assignment step.
+/// cell as of the last assignment step. `dist` is a kernel passed by
+/// value (`Copy`), so the assignment loop calls it directly and inlines
+/// it; called through a reference it stays an out-of-line call per row.
 pub(crate) fn kmeans(
-    metric: Metric,
+    dist: impl Fn(&[f32], &[f32]) -> f32 + Copy + Sync,
     rows: &[f32],
     d: usize,
     k: usize,
@@ -202,7 +163,7 @@ pub(crate) fn kmeans(
             let start = c * per;
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let row = &rows[(start + i) * d..(start + i + 1) * d];
-                *slot = argmin_row(metric, row, centroids_ref, d) as u32;
+                *slot = argmin_row(dist, row, centroids_ref, d) as u32;
             }
         });
         let mut sums = vec![0.0f64; k * d];
@@ -360,8 +321,8 @@ impl<I: Copy + Ord> TopK<I> {
 /// dimension, 4× smaller than f32). A per-dimension bias keeps each
 /// dimension's range; the one shared `scale` — the widest span over 255 —
 /// is what lets two code rows be compared without decoding: the biases
-/// cancel, so L1 is `scale · Σ|q_j − c_j|` and squared L2
-/// `scale² · Σ(q_j − c_j)²`, exact integer sums through [`dispatch`].
+/// cancel, so L1 is `scale · Σ|q_j − c_j|`, an exact integer sum
+/// ([`dispatch::sad`]).
 ///
 /// # Examples
 ///
@@ -503,7 +464,7 @@ impl Sq8Codebook {
 /// ```
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
-/// use trajcl_index::{Metric, PqCodebook};
+/// use trajcl_index::PqCodebook;
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
 /// // A tiny (32, 8) table; 3 subspaces (3, 3 and 2 dims), 4-bit codes.
@@ -515,7 +476,7 @@ impl Sq8Codebook {
 /// // ADC: build the per-query LUT once, then row distances are m lookups.
 /// let query = &table[..8];
 /// let mut lut = Vec::new();
-/// cb.build_lut_into(Metric::L1, query, &mut lut);
+/// cb.build_lut_into(query, &mut lut);
 /// let d0 = cb.lut_distance(&lut, &codes[..2]);
 /// assert!(d0 <= cb.l1_error_bound() + 1e-5); // self-row ≈ 0 within the bound
 /// ```
@@ -590,7 +551,7 @@ impl PqCodebook {
                 .iter()
                 .flat_map(|&i| data[i * d + off..i * d + off + dsub].iter().copied())
                 .collect();
-            centroids.extend(kmeans(Metric::L2, &sub, dsub, ksub, rng).0);
+            centroids.extend(kmeans(l2_f32, &sub, dsub, ksub, rng).0);
         }
         PqCodebook {
             m,
@@ -651,7 +612,7 @@ impl PqCodebook {
         for s in 0..self.m {
             let sub = &v[self.offsets[s]..self.offsets[s + 1]];
             let dsub = sub.len();
-            let c = argmin_row(Metric::L2, sub, self.sub_centroids(s), dsub) as u8;
+            let c = argmin_row(l2_f32, sub, self.sub_centroids(s), dsub) as u8;
             // ksub ≤ 16, so `c` always fits in the nibble.
             out[start + s / 2] |= if s % 2 == 0 { c } else { c << 4 };
         }
@@ -704,10 +665,10 @@ impl PqCodebook {
     }
 
     /// Fills `lut` with the `m × ksub` ADC table for `query`:
-    /// `lut[s * ksub + c]` is the exact `metric` distance between the
-    /// query's subvector `s` and centroid `c` of that subspace. Built
-    /// once per query, reused for every scanned row.
-    pub fn build_lut_into(&self, metric: Metric, query: &[f32], lut: &mut Vec<f32>) {
+    /// `lut[s * ksub + c]` is the exact L1 distance between the query's
+    /// subvector `s` and centroid `c` of that subspace. Built once per
+    /// query, reused for every scanned row.
+    pub fn build_lut_into(&self, query: &[f32], lut: &mut Vec<f32>) {
         debug_assert_eq!(query.len(), self.d);
         lut.clear();
         lut.reserve(self.m * self.ksub);
@@ -715,19 +676,15 @@ impl PqCodebook {
             let qs = &query[self.offsets[s]..self.offsets[s + 1]];
             let dsub = qs.len();
             for cen in self.sub_centroids(s).chunks_exact(dsub) {
-                lut.push(match metric {
-                    Metric::L1 => l1_f32(qs, cen),
-                    Metric::L2 => l2_f32(qs, cen),
-                });
+                lut.push(l1_f32(qs, cen));
             }
         }
     }
 
     /// ADC distance of one code row under a LUT from
-    /// [`PqCodebook::build_lut_into`] — identical to the metric distance
-    /// between the query and the *decoded* row. (For squared L2 this holds
-    /// because subspaces partition the dimensions, so per-subspace squared
-    /// distances sum exactly.)
+    /// [`PqCodebook::build_lut_into`] — identical to the L1 distance
+    /// between the query and the *decoded* row, because subspaces
+    /// partition the dimensions.
     #[inline]
     pub fn lut_distance(&self, lut: &[f32], codes: &[u8]) -> f64 {
         debug_assert_eq!(lut.len(), self.m * self.ksub);
@@ -768,6 +725,14 @@ mod tests {
     fn randv(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(-3.0f32..3.0)).collect()
+    }
+
+    impl PqCodebook {
+        /// Every subspace's centroid table, back to back — for the
+        /// pinned-bytes test in `ivf.rs`.
+        pub(crate) fn centroid_tables(&self) -> &[f32] {
+            &self.centroids
+        }
     }
 
     #[test]
@@ -916,10 +881,9 @@ mod tests {
 
     #[test]
     fn pq_lut_distance_equals_decoded_distance() {
-        // ADC must be *exactly* the metric distance to the decoded row
-        // (up to f32 association noise) — for both metrics, an uneven
-        // subspace split (d = 10, m = 3 → widths 4, 3, 3) and odd and
-        // even m.
+        // ADC must be *exactly* the L1 distance to the decoded row (up to
+        // f32 association noise) — for an uneven subspace split (d = 10,
+        // m = 3 → widths 4, 3, 3) and odd and even m.
         let d = 10;
         let data = randv(120 * d, 21);
         let mut rng = StdRng::seed_from_u64(22);
@@ -929,14 +893,12 @@ mod tests {
             let q = randv(d, 777);
             let mut lut = Vec::new();
             let mut decoded = vec![0.0f32; d];
-            for metric in [Metric::L1, Metric::L2] {
-                cb.build_lut_into(metric, &q, &mut lut);
-                for crow in codes.chunks_exact(cb.code_stride()).take(40) {
-                    cb.decode_into(crow, &mut decoded);
-                    let want = dist(metric, &q, &decoded);
-                    let got = cb.lut_distance(&lut, crow);
-                    assert!((want - got).abs() < 1e-4, "{metric:?}: {want} vs {got}");
-                }
+            cb.build_lut_into(&q, &mut lut);
+            for crow in codes.chunks_exact(cb.code_stride()).take(40) {
+                cb.decode_into(crow, &mut decoded);
+                let want = l1_f32(&q, &decoded) as f64;
+                let got = cb.lut_distance(&lut, crow);
+                assert!((want - got).abs() < 1e-4, "{want} vs {got}");
             }
         }
     }
@@ -966,7 +928,7 @@ mod tests {
         let (n, d) = (9, 3);
         let rows = randv(n * d, 61);
         let mut rng = StdRng::seed_from_u64(62);
-        let (centroids, assign) = kmeans(Metric::L2, &rows, d, n, &mut rng);
+        let (centroids, assign) = kmeans(l2_f32, &rows, d, n, &mut rng);
         for (i, &c) in assign.iter().enumerate() {
             let c = c as usize;
             assert_eq!(centroids[c * d..(c + 1) * d], rows[i * d..(i + 1) * d]);
@@ -978,7 +940,7 @@ mod tests {
         // centroids (`argmin_row` keeps the earliest minimum), so the other
         // cluster is empty and must keep the row it was initialised with.
         let rows = [1.0f32, 2.0, 1.0, 2.0, 5.0, 6.0];
-        let (centroids, assign) = kmeans(Metric::L1, &rows, 2, 3, &mut rng);
+        let (centroids, assign) = kmeans(l1_f32, &rows, 2, 3, &mut rng);
         let empty: Vec<usize> = (0..3).filter(|c| !assign.contains(&(*c as u32))).collect();
         assert_eq!(empty.len(), 1);
         assert_eq!(centroids[empty[0] * 2..empty[0] * 2 + 2], [1.0, 2.0]);
@@ -1002,7 +964,7 @@ mod tests {
             cb.decode_into(crow, &mut dec);
             for s in 0..cb.m() {
                 let (lo, hi) = (cb.offsets[s], cb.offsets[s + 1]);
-                let want = argmin_row(Metric::L2, &row[lo..hi], cb.sub_centroids(s), hi - lo);
+                let want = argmin_row(l2_f32, &row[lo..hi], cb.sub_centroids(s), hi - lo);
                 let c = cb.code_at(crow, s);
                 assert_eq!(c, want);
                 assert_eq!(
@@ -1016,9 +978,8 @@ mod tests {
 
     #[test]
     fn symmetric_distance_equals_decoded_distance() {
-        // The scaled byte sums must be *exactly* the metric distance
-        // between the two decoded vectors: biases cancel, scale factors
-        // out.
+        // The scaled byte sum must be *exactly* the L1 distance between
+        // the two decoded vectors: biases cancel, scale factors out.
         let d = 24;
         let n = 64;
         let data = randv(n * d, 53);
@@ -1034,21 +995,13 @@ mod tests {
         let mut qdec = vec![0.0f32; d];
         let mut rdec = vec![0.0f32; d];
         cb.decode_into(&qcodes, &mut qdec);
-        for metric in [Metric::L1, Metric::L2] {
-            for i in 0..n {
-                let crow = &codes[i * d..(i + 1) * d];
-                cb.decode_into(crow, &mut rdec);
-                let want = dist(metric, &qdec, &rdec);
-                let got = match metric {
-                    Metric::L1 => dispatch::sad_scalar(&qcodes, crow) as f64 * s,
-                    Metric::L2 => dispatch::ssd_scalar(&qcodes, crow) as f64 * s * s,
-                };
-                let tol = want.abs().max(1.0) * 1e-5;
-                assert!(
-                    (want - got).abs() <= tol,
-                    "{metric:?} row {i}: {want} vs {got}"
-                );
-            }
+        for i in 0..n {
+            let crow = &codes[i * d..(i + 1) * d];
+            cb.decode_into(crow, &mut rdec);
+            let want = l1_f32(&qdec, &rdec) as f64;
+            let got = dispatch::sad_scalar(&qcodes, crow) as f64 * s;
+            let tol = want.abs().max(1.0) * 1e-5;
+            assert!((want - got).abs() <= tol, "row {i}: {want} vs {got}");
         }
     }
 

@@ -18,19 +18,20 @@
 //! injector ([`CrashPointFs`]) behind the crash-recovery test matrix
 //! (DESIGN.md §15).
 //!
-//! All hot paths run through [`kernels`]: blocked SIMD-friendly f32
-//! distance kernels, a fused bounded top-k selector ([`TopK`]), the SQ8
-//! scalar quantizer ([`Sq8Codebook`]) behind
-//! [`Quantization::Sq8`]-configured indexes, and the product quantizer
-//! ([`PqCodebook`], ADC lookup-table scans) behind [`Quantization::Pq`].
-//! SQ8's integer scan kernels pick AVX-512/AVX2/scalar implementations
-//! at runtime through [`kernels::dispatch`]. Which of those a stored row
-//! is scanned and decoded with is decided in one private module
-//! (`storage`, the codec seam); [`ivf`] holds only what is IVF. Quantized
-//! hits are re-ranked exactly in one place,
-//! [`IndexSnapshot::search_rescored`]. DESIGN.md §10 documents the seam,
-//! the storage layouts and the over-fetch / rescore recall math shared by
-//! both quantizers; §12 covers the integer kernels and CPU dispatch.
+//! Every index ranks by one distance, L1 ([`Metric`]). All hot paths run
+//! through [`kernels`]: blocked SIMD-friendly f32 distance kernels, a
+//! fused bounded top-k selector ([`TopK`]), the SQ8 scalar quantizer
+//! ([`Sq8Codebook`]) behind [`Quantization::Sq8`]-configured indexes, and
+//! the product quantizer ([`PqCodebook`], ADC lookup-table scans) behind
+//! [`Quantization::Pq`]. SQ8's integer scan is one portable
+//! sum-of-absolute-differences, [`kernels::dispatch::sad`], for every
+//! CPU. Which of those a stored row is scanned and decoded with is
+//! decided in one private module (`storage`, the codec seam); [`ivf`]
+//! holds only what is IVF. Quantized hits are re-ranked exactly in one
+//! place, [`IndexSnapshot::search_rescored`]. DESIGN.md §10 documents the
+//! seam, the storage layouts and the over-fetch / rescore recall math
+//! shared by both quantizers; §12 covers the integer kernels and CPU
+//! dispatch.
 
 #![warn(missing_docs)]
 

@@ -50,7 +50,7 @@ use rand::SeedableRng;
 use trajcl_tensor::{Shape, Tensor};
 
 use crate::ivf::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization};
-use crate::kernels::{l1_f32, l2_f32, TopK};
+use crate::kernels::{l1_f32, TopK};
 
 /// Row data per write-buffer chunk (`CHUNK_BYTES / (4 · dim)` rows, at
 /// least 8): a write copies at most this much, and a publish clones one
@@ -148,16 +148,13 @@ impl Buffer {
 
     /// Offers every row to `topk` under its external id: per-row distance
     /// is the f32 kernel widened to `f64`, exactly [`Metric::dist`].
-    fn scan(&self, metric: Metric, query: &[f32], topk: &mut TopK<u64>) {
+    fn scan(&self, query: &[f32], topk: &mut TopK<u64>) {
         // Re-sliced so the compiler sees `query` as long as every row: the
-        // kernels' zipped lane loops then vectorise as in `scan_block`.
+        // kernels' zipped lane loops then vectorise.
         let query = &query[..self.dim];
         for chunk in &self.chunks {
             let rows = chunk.ids.iter().zip(chunk.rows.chunks_exact(self.dim));
-            match metric {
-                Metric::L1 => rows.for_each(|(&id, row)| topk.offer(id, l1_f32(query, row) as f64)),
-                Metric::L2 => rows.for_each(|(&id, row)| topk.offer(id, l2_f32(query, row) as f64)),
-            }
+            rows.for_each(|(&id, row)| topk.offer(id, l1_f32(query, row) as f64));
         }
     }
 }
@@ -252,7 +249,6 @@ pub struct IndexSnapshot {
     /// Monotonically increasing publication counter.
     generation: u64,
     dim: usize,
-    metric: Metric,
 }
 
 impl IndexSnapshot {
@@ -384,7 +380,7 @@ impl IndexSnapshot {
             let (fetch, rescoring) = (rescore_fetch.unwrap_or(k), rescore_fetch.is_some());
             let sealed_hits = match sealed.as_ref() {
                 Sealed::Ivf(ivf) => ivf.search(query, fetch + self.dead, nprobe),
-                Sealed::Flat(t) => brute_force_knn(t, query, fetch + self.dead, self.metric),
+                Sealed::Flat(t) => brute_force_knn(t, query, fetch + self.dead, Metric::L1),
             };
             hits.extend(
                 sealed_hits
@@ -395,7 +391,7 @@ impl IndexSnapshot {
                         let d = if rescoring {
                             rescorer
                                 .and_then(|r| r.exact_vector(id))
-                                .map_or(d, |v| self.metric.dist(query, v))
+                                .map_or(d, |v| Metric::L1.dist(query, v))
                         } else {
                             d
                         };
@@ -409,7 +405,7 @@ impl IndexSnapshot {
         // arrive sorted, and re-sorting them costs less than k sift-ups.
         if self.buffer.len() > 0 {
             let mut topk = TopK::new(k);
-            self.buffer.scan(self.metric, query, &mut topk);
+            self.buffer.scan(query, &mut topk);
             hits.extend(topk.into_sorted());
         }
         hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -475,7 +471,6 @@ pub struct MutableIndex {
     snapshot: RwLock<Arc<IndexSnapshot>>,
     writer: Mutex<Writer>,
     dim: usize,
-    metric: Metric,
     opts: IndexOptions,
 }
 
@@ -497,7 +492,7 @@ impl MutableIndex {
 
     /// An empty index with full construction options (quantized sealed
     /// storage, rescore factor).
-    pub fn with_options(dim: usize, metric: Metric, opts: IndexOptions) -> Self {
+    pub fn with_options(dim: usize, _: Metric, opts: IndexOptions) -> Self {
         assert!(dim > 0, "vector dimensionality must be positive");
         let snapshot = IndexSnapshot {
             sealed: None,
@@ -507,7 +502,6 @@ impl MutableIndex {
             buffer: Buffer::new(dim),
             generation: 0,
             dim,
-            metric,
         };
         MutableIndex {
             snapshot: RwLock::new(Arc::new(snapshot)),
@@ -519,7 +513,6 @@ impl MutableIndex {
                 generation: 0,
             }),
             dim,
-            metric,
             opts,
         }
     }
@@ -679,7 +672,6 @@ impl MutableIndex {
             buffer: w.buffer.clone(),
             generation: w.generation,
             dim: self.dim,
-            metric: self.metric,
         };
         *self.snapshot.write().unwrap_or_else(|p| p.into_inner()) = Arc::new(published);
     }
@@ -736,7 +728,7 @@ impl MutableIndex {
                 let mut rng = StdRng::seed_from_u64(self.opts.seed ^ w.generation);
                 Sealed::Ivf(IvfIndex::build_with(
                     &table,
-                    self.metric,
+                    Metric::L1,
                     &self.opts,
                     &mut rng,
                 ))
@@ -759,7 +751,6 @@ impl MutableIndex {
             buffer: w.buffer.clone(),
             generation: w.generation,
             dim: self.dim,
-            metric: self.metric,
         };
         *self.snapshot.write().unwrap_or_else(|p| p.into_inner()) = Arc::new(published);
         n
@@ -777,7 +768,6 @@ impl MutableIndex {
             buffer: w.buffer.clone(),
             generation: w.generation,
             dim: self.dim,
-            metric: self.metric,
         };
         *self.snapshot.write().unwrap_or_else(|p| p.into_inner()) = Arc::new(published);
     }
@@ -832,7 +822,7 @@ mod tests {
 
     #[test]
     fn upsert_replaces_in_place() {
-        let index = MutableIndex::new(2, Metric::L2, None, 0);
+        let index = MutableIndex::new(2, Metric::L1, None, 0);
         assert!(!index.upsert(7, vec![0.0, 0.0]));
         assert!(index.upsert(7, vec![5.0, 5.0]));
         assert_eq!(index.len(), 1);
@@ -981,7 +971,7 @@ mod tests {
 
     #[test]
     fn swap_remove_keeps_vec_slot_order_at_chunk_edges() {
-        let index = MutableIndex::new(WIDE, Metric::L2, None, 0);
+        let index = MutableIndex::new(WIDE, Metric::L1, None, 0);
         let mut model: Vec<u64> = Vec::new();
         let slots = |index: &MutableIndex| -> Vec<u64> {
             let entries = index.snapshot().live_entries();
@@ -1061,7 +1051,7 @@ mod tests {
         let data = vecs(20, 2, 5);
         let flat: Vec<f32> = data.iter().flatten().copied().collect();
         let table = Tensor::from_vec(flat, Shape::d2(20, 2));
-        let index = MutableIndex::from_table((0..20).collect(), &table, Metric::L2, None, 0);
+        let index = MutableIndex::from_table((0..20).collect(), &table, Metric::L1, None, 0);
         for id in 0..15u64 {
             index.remove(id);
         }

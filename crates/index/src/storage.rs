@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use crate::ivf::{Metric, Quantization};
+use crate::ivf::Quantization;
 use crate::kernels::{self, dispatch, PqCodebook, Sq8Codebook, TopK};
 
 /// Exact rows, SQ8 codes or PQ codes, row-major by position.
@@ -109,10 +109,10 @@ impl Storage {
 
     /// Scans the rows `lists` name against `query` into `scratch.topk`
     /// (armed by the caller): every list goes through
-    /// [`kernels::scan_ids_by`] with the per-row distance picked once, here.
+    /// [`kernels::scan_ids_by`] with the per-row L1 distance picked once,
+    /// here.
     pub(crate) fn scan<'a>(
         &self,
-        metric: Metric,
         d: usize,
         query: &[f32],
         lists: impl Iterator<Item = &'a [u32]>,
@@ -126,31 +126,25 @@ impl Storage {
         let ScanScratch { topk, lut, qcodes } = scratch;
         match self {
             Storage::F32(rows) => scan_lists(lists, topk, |id| {
-                kernels::dist(metric, query, row(rows, d, id))
+                kernels::l1_f32(query, row(rows, d, id)) as f64
             }),
             Storage::Sq8 { codes, cb } => {
-                // Codes against codes in the byte domain, no decode; the
-                // dispatched integer sums are bit-identical across levels.
-                // Encoding clamps a query outside the codebook's box, so
-                // an L1 scan adds back the distance the clamp removed, the
-                // same for every row. Squared L2 has no such constant (its
-                // cross term depends on the row).
+                // Codes against codes in the byte domain, no decode, exact
+                // integer sums. Encoding clamps a query outside the
+                // codebook's box, so the scan adds back the distance the
+                // clamp removed, the same for every row.
                 qcodes.clear();
                 cb.encode_into(query, qcodes);
-                let scale = f64::from(cb.scale);
-                let (kernel, unit, offset) = match metric {
-                    Metric::L1 => (dispatch::sad_fn(), scale, cb.l1_to_box(query)),
-                    Metric::L2 => (dispatch::ssd_fn(), scale * scale, 0.0),
-                };
+                let (scale, offset) = (f64::from(cb.scale), cb.l1_to_box(query));
                 scan_lists(lists, topk, |id| {
-                    kernel(qcodes, row(codes, d, id)) as f64 * unit + offset
+                    dispatch::sad(qcodes, row(codes, d, id)) as f64 * scale + offset
                 });
             }
             Storage::Pq { codes, cb } => {
                 // One ADC lookup table per query (m × ksub exact subvector
                 // distances); every scanned row is then m table lookups,
                 // no decode.
-                cb.build_lut_into(metric, query, lut);
+                cb.build_lut_into(query, lut);
                 let (lut, stride) = (&lut[..], cb.code_stride());
                 scan_lists(lists, topk, |id| {
                     cb.lut_distance(lut, row(codes, stride, id))
@@ -180,31 +174,26 @@ fn scan_lists<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexOptions, IvfIndex};
+    use crate::{IndexOptions, IvfIndex, Metric};
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_tensor::{Shape, Tensor};
 
     /// The distance a scan must offer for row `id`, through the public
     /// per-row functions over the storage's own rows. The SQ8 arm is the
-    /// scalar integer sums, whatever the scan dispatched to.
-    fn row_distance(s: &Storage, metric: Metric, q: &[f32], id: u32) -> f64 {
+    /// element-at-a-time reference sum, not the blocked one the scan runs.
+    fn row_distance(s: &Storage, q: &[f32], id: u32) -> f64 {
         let d = q.len();
         match s {
-            Storage::F32(rows) => metric.dist(q, row(rows, d, id)),
+            Storage::F32(rows) => Metric::L1.dist(q, row(rows, d, id)),
             Storage::Sq8 { codes, cb } => {
                 let mut qcodes = Vec::new();
                 cb.encode_into(q, &mut qcodes);
                 let (scale, codes) = (f64::from(cb.scale), row(codes, d, id));
-                match metric {
-                    Metric::L1 => {
-                        dispatch::sad_scalar(&qcodes, codes) as f64 * scale + cb.l1_to_box(q)
-                    }
-                    Metric::L2 => dispatch::ssd_scalar(&qcodes, codes) as f64 * (scale * scale),
-                }
+                dispatch::sad_scalar(&qcodes, codes) as f64 * scale + cb.l1_to_box(q)
             }
             Storage::Pq { codes, cb } => {
                 let mut lut = Vec::new();
-                cb.build_lut_into(metric, q, &mut lut);
+                cb.build_lut_into(q, &mut lut);
                 cb.lut_distance(&lut, row(codes, cb.code_stride(), id))
             }
         }
@@ -223,27 +212,25 @@ mod tests {
             Quantization::Pq { m: 5 },
         ];
         for quantization in storages {
-            for metric in [Metric::L1, Metric::L2] {
-                for nlist in [None, Some(6)] {
-                    let opts = IndexOptions {
-                        nlist,
-                        quantization,
-                        ..IndexOptions::default()
-                    };
-                    let index = IvfIndex::build_with(&table, metric, &opts, &mut rng);
-                    for qi in 0..queries.shape().rows() {
-                        let q = queries.row(qi);
-                        let mut want: Vec<(u32, f64)> = (0..n as u32)
-                            .map(|id| (id, row_distance(index.storage(), metric, q, id)))
-                            .collect();
-                        want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                        want.truncate(k);
-                        assert_eq!(
-                            index.search(q, k, index.nlist()),
-                            want,
-                            "{quantization:?} {metric:?} nlist {nlist:?}"
-                        );
-                    }
+            for nlist in [None, Some(6)] {
+                let opts = IndexOptions {
+                    nlist,
+                    quantization,
+                    ..IndexOptions::default()
+                };
+                let index = IvfIndex::build_with(&table, Metric::L1, &opts, &mut rng);
+                for qi in 0..queries.shape().rows() {
+                    let q = queries.row(qi);
+                    let mut want: Vec<(u32, f64)> = (0..n as u32)
+                        .map(|id| (id, row_distance(index.storage(), q, id)))
+                        .collect();
+                    want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                    want.truncate(k);
+                    assert_eq!(
+                        index.search(q, k, index.nlist()),
+                        want,
+                        "{quantization:?} nlist {nlist:?}"
+                    );
                 }
             }
         }

@@ -162,7 +162,6 @@ proptest! {
     #[test]
     fn search_and_slot_order_match_the_reference(
         seed in 0u64..1_000_000,
-        l2 in 0u8..2,
         ragged in 0u8..2,
         nlist_raw in 0usize..4,
         sharded in 0u8..2,
@@ -171,7 +170,7 @@ proptest! {
         // 4096 / dim < 8 on both: a chunk holds 8 rows. 523 is not a
         // multiple of the kernels' 8 lanes.
         let dim = if ragged == 1 { 523 } else { 520 };
-        let metric = if l2 == 1 { Metric::L2 } else { Metric::L1 };
+        let metric = Metric::L1;
         let nshards = if sharded == 1 { 3 } else { 1 };
         let opts = IndexOptions {
             nlist: (nlist_raw > 0).then_some(nlist_raw),

@@ -72,29 +72,24 @@ proptest! {
 
     // The SQ8 scan's distance contract: the query is quantized too, so a
     // scan distance deviates from exact by at most twice the codebook's
-    // bound (`d · scale`, one half-step per dimension on each side). For
-    // L1 that holds for ANY query: encoding clamps a query outside the
-    // trained box, and the scan adds back the L1 distance the clamp cut
-    // off (rows lie inside the box, so per dimension
-    // `|q − x| = |q − clamp(q)| + |clamp(q) − x|`). Squared L2 has no
-    // such constant, so its bound — `|√scan − √exact| ≤ √d · scale` — is
-    // claimed for queries inside the box only. Queries are convex
-    // combinations of table rows (inside), and for L1 the same query
-    // shoved `shove` box-widths outward on every dimension.
+    // bound (`d · scale`, one half-step per dimension on each side), for
+    // ANY query: encoding clamps a query outside the trained box, and the
+    // scan adds back the L1 distance the clamp cut off (rows lie inside
+    // the box, so per dimension `|q − x| = |q − clamp(q)| + |clamp(q) − x|`).
+    // Queries are convex combinations of table rows (inside), and the
+    // same query shoved `shove` box-widths outward on every dimension.
     #[test]
     fn sq8_scan_stays_within_twice_the_codebook_bound_of_exact(
         n in 10usize..150,
         d in 2usize..24,
         nlist in 1usize..12,
-        metric_l2 in 0u32..2,
         qa in 0.0f64..1.0,
         shove in 0.0f32..3.0,
         seed in 0u64..1000,
     ) {
-        let metric = if metric_l2 == 1 { Metric::L2 } else { Metric::L1 };
         let emb = mixture(n, d, 8, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
-        let index = IvfIndex::build_with(&emb, metric, &opts(nlist, Quantization::Sq8, 4), &mut rng);
+        let index = IvfIndex::build_with(&emb, Metric::L1, &opts(nlist, Quantization::Sq8, 4), &mut rng);
         let cb = index.codebook().expect("sq8 storage");
         let (r0, r1) = (emb.row(0), emb.row(n / 2));
         let inside: Vec<f32> = r0
@@ -108,31 +103,15 @@ proptest! {
             .enumerate()
             .map(|(j, &v)| if j % 2 == 0 { v - shove * width } else { v + shove * width })
             .collect();
-        let queries = match metric {
-            Metric::L1 => vec![inside, outside],
-            Metric::L2 => vec![inside],
-        };
-        for q in &queries {
+        for q in &[inside, outside] {
             for (id, scanned) in index.search(q, n, index.nlist()) {
-                let exact = metric.dist(q, emb.row(id as usize));
+                let exact = Metric::L1.dist(q, emb.row(id as usize));
                 let tol = 1e-4 * exact.max(1.0);
-                match metric {
-                    Metric::L1 => {
-                        let bound = 2.0 * cb.l1_error_bound();
-                        prop_assert!(
-                            (scanned - exact).abs() <= bound + tol,
-                            "row {}: scanned {} vs exact {} (bound {})", id, scanned, exact, bound
-                        );
-                    }
-                    Metric::L2 => {
-                        let bound = (d as f64).sqrt() * f64::from(cb.scale);
-                        prop_assert!(
-                            (scanned.sqrt() - exact.sqrt()).abs() <= bound + tol,
-                            "row {}: √scanned {} vs √exact {} (bound {})",
-                            id, scanned.sqrt(), exact.sqrt(), bound
-                        );
-                    }
-                }
+                let bound = 2.0 * cb.l1_error_bound();
+                prop_assert!(
+                    (scanned - exact).abs() <= bound + tol,
+                    "row {}: scanned {} vs exact {} (bound {})", id, scanned, exact, bound
+                );
             }
         }
     }

@@ -24,8 +24,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as f64).
-    Num(f64),
+    /// Any JSON number: its value, and the unsigned integer it reads as
+    /// (see [`Json::as_u64`]), read from its text at parse time.
+    Num(f64, Option<u64>),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
@@ -46,17 +47,18 @@ impl Json {
     /// The value as a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(n, _) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as an unsigned integer (rejects fractions and negatives).
+    /// The value as an unsigned integer, by the rule the typed decoders
+    /// read with: a plain digit run is exact (`None` past `u64::MAX`),
+    /// any other form (`1e3`, `1.0`, `-0`) counts when its value is an
+    /// integer below 2^53.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(_, int) => *int,
             _ => None,
         }
     }
@@ -96,7 +98,7 @@ fn tree(r: &mut Reader<'_>, depth: usize) -> Result<Json, String> {
     Ok(match r.value(depth)? {
         Item::Null => Json::Null,
         Item::Bool(b) => Json::Bool(b),
-        Item::Num(n, _) => Json::Num(n),
+        item @ Item::Num(n, _) => Json::Num(n, item.as_u64()),
         Item::Str(s) => Json::Str(s.into_owned()),
         Item::Arr => {
             let mut items = Vec::new();
@@ -139,9 +141,8 @@ pub(crate) enum Item<'a> {
 }
 
 impl Item<'_> {
-    /// A number as an unsigned integer. A plain digit run is read exactly
-    /// (`None` past `u64::MAX`); any other form (`1e3`, `1.0`, `-0`)
-    /// counts when its value is an integer below 2^53.
+    /// A number as an unsigned integer: the one rule behind
+    /// [`Json::as_u64`] and every typed decoder.
     pub(crate) fn as_u64(&self) -> Option<u64> {
         match *self {
             Item::Num(_, text) if text.bytes().all(|c| c.is_ascii_digit()) => text.parse().ok(),
@@ -489,7 +490,7 @@ mod tests {
     fn parses_scalars_and_nesting() {
         assert_eq!(parse("null").unwrap(), Json::Null);
         assert_eq!(parse(" true ").unwrap(), Json::Bool(true));
-        assert_eq!(parse("-1.25e2").unwrap(), Json::Num(-125.0));
+        assert_eq!(parse("-1.25e2").unwrap(), Json::Num(-125.0, None));
         assert_eq!(
             parse(r#""a\"b\n""#).unwrap(),
             Json::Str("a\"b\n".to_string())
@@ -505,7 +506,7 @@ mod tests {
             ("1e5", 1e5),
             ("0.5e-1", 0.05),
         ] {
-            assert_eq!(parse(text).unwrap(), Json::Num(n), "{text}");
+            assert_eq!(parse(text).unwrap().as_f64(), Some(n), "{text}");
         }
         assert_eq!(
             parse(r#""été \/ café""#).unwrap(),
@@ -568,6 +569,16 @@ mod tests {
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn the_tree_reads_integers_by_the_reader_rule() {
+        let tree_u64 = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(tree_u64("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(tree_u64("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(tree_u64("18446744073709551616"), None);
+        assert_eq!(tree_u64("9007199254740993e0"), None);
+        assert_eq!(tree_u64("1e3"), Some(1000));
     }
 
     /// What a typed decoder reads from one number's text.

@@ -19,7 +19,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::{validate_batch, Trajectory};
@@ -56,15 +55,10 @@ pub struct ServeConfig {
     /// has its own write lock, snapshot and compaction; kNN
     /// scatter-gathers across all of them (see DESIGN.md §13).
     pub shards: Option<usize>,
-    /// Network sessions quiet for this long are reaped (socket shut
-    /// down, threads wound down) — `--idle-timeout-ms` on the CLI,
-    /// `None` disables reaping. Applies to [`crate::net::listen`]
-    /// sessions, not the stdin/stdout pipe.
-    pub idle_timeout: Option<Duration>,
-    /// Per-write deadline on network sessions: a client that stops
-    /// draining its socket is dropped instead of wedging a handler
-    /// thread. `None` disables it.
-    pub session_write_timeout: Option<Duration>,
+    /// Deadlines of [`crate::net::listen`] sessions (not the
+    /// stdin/stdout pipe): idle reaping — `--idle-timeout-ms` on the
+    /// CLI — and the per-write deadline.
+    pub session: SessionOptions,
     /// Write-ahead logging (`None`: no log, writes live in memory
     /// only). With a WAL, [`Server::new`] first *recovers*
     /// ([`ShardRouter::recover`]): each shard reloads its last
@@ -83,8 +77,7 @@ impl Default for ServeConfig {
             cache_cap: 4096,
             ivf_nlist: None,
             shards: None,
-            idle_timeout: SessionOptions::default().idle_timeout,
-            session_write_timeout: SessionOptions::default().write_timeout,
+            session: SessionOptions::default(),
             wal: None,
         }
     }
@@ -230,10 +223,7 @@ impl Server {
                 state: Mutex::new((0, false)),
                 freed: Condvar::new(),
             },
-            session: SessionOptions {
-                idle_timeout: cfg.idle_timeout,
-                write_timeout: cfg.session_write_timeout,
-            },
+            session: cfg.session,
             nprobe,
             requests: AtomicU64::new(0),
             forwards: AtomicU64::new(0),
@@ -256,9 +246,8 @@ impl Server {
     }
 
     /// The per-session network deadlines this server was configured
-    /// with ([`ServeConfig::idle_timeout`] /
-    /// [`ServeConfig::session_write_timeout`]); [`crate::net::listen`]
-    /// applies them to every accepted connection.
+    /// with ([`ServeConfig::session`]); [`crate::net::listen`] applies
+    /// them to every accepted connection.
     pub fn session_options(&self) -> SessionOptions {
         self.session
     }

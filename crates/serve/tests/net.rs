@@ -503,17 +503,12 @@ fn idle_sessions_are_reaped_but_active_ones_survive() {
 
 fn reap_idle_session(handlers: usize) {
     let engine = Arc::new(tiny_engine());
-    let server = Arc::new(
-        Server::new(
-            Arc::clone(&engine),
-            ServeConfig {
-                shards: Some(2),
-                idle_timeout: Some(std::time::Duration::from_millis(250)),
-                ..ServeConfig::default()
-            },
-        )
-        .expect("server"),
-    );
+    let mut cfg = ServeConfig {
+        shards: Some(2),
+        ..ServeConfig::default()
+    };
+    cfg.session.idle_timeout = Some(std::time::Duration::from_millis(250));
+    let server = Arc::new(Server::new(Arc::clone(&engine), cfg).expect("server"));
     let net = listen(Arc::clone(&server), "127.0.0.1:0", handlers).expect("listen");
     let addr = net.local_addr().to_string();
 

@@ -1,17 +1,17 @@
 //! The process-wide CPU dispatch decision, shared by every kernel family
 //! in the workspace.
 //!
-//! Two kernel families pick an implementation at run time: the f32
-//! kernels of this crate ([`crate::kernels`]: GEMM, softmax) and the byte
-//! SAD/SSD scan kernels of `trajcl_index::kernels::dispatch` (which
-//! re-exports everything here). Both read one decision, made **once per
-//! process**:
+//! The f32 kernels of this crate ([`crate::kernels`]: GEMM, softmax) pick
+//! an implementation at run time from one decision, made **once per
+//! process**; `trajcl_index::kernels::dispatch` re-exports it so the
+//! benchmarks can report it (the index's own byte kernel has one body at
+//! every level):
 //!
-//! | level | selected when | f32 kernels | byte kernels |
-//! |---|---|---|---|
-//! | `Avx512` | `avx512bw` detected | the AVX2 copy | 64 bytes per iteration |
-//! | `Avx2` | `avx2` detected | the AVX2 copy | 32 bytes per iteration |
-//! | `Scalar` | fallback / forced | baseline copy | portable Rust |
+//! | level | selected when | f32 kernels |
+//! |---|---|---|
+//! | `Avx512` | `avx512bw` detected | the AVX2 copy |
+//! | `Avx2` | `avx2` detected | the AVX2 copy |
+//! | `Scalar` | fallback / forced | baseline copy |
 //!
 //! Detection uses [`std::arch::is_x86_feature_detected!`]; on non-x86_64
 //! targets only the scalar level exists. Setting the environment variable
@@ -31,8 +31,7 @@ pub enum DispatchLevel {
     Scalar,
     /// 256-bit vectors.
     Avx2,
-    /// 512-bit byte kernels (requires `avx512bw`); the f32 kernels run
-    /// their AVX2 copy.
+    /// `avx512bw` detected; the f32 kernels run their AVX2 copy.
     Avx512,
 }
 
