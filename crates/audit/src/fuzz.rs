@@ -114,7 +114,7 @@ pub fn run_all(opts: &FuzzOptions) -> FuzzReport {
                         let tree = trajcl_serve::json::parse(&payload).err();
                         let request = trajcl_serve::proto::Request::decode(&payload).err();
                         assert_eq!(request, tree, "request decoder vs json::parse");
-                        let hits = trajcl_serve::fleet::parse_hits(&payload)
+                        let hits = trajcl_serve::fleet::read_hits(&payload)
                             .err()
                             .and_then(|e| {
                                 e.strip_prefix("malformed shard response: ")
@@ -336,10 +336,34 @@ pub fn mutate(base: &[u8], corpus: &[Vec<u8>], rng: &mut StdRng) -> Vec<u8> {
     out
 }
 
-/// Valid protocol JSON payloads (one per op, edge shapes, and the shard
-/// replies a fleet front-end reads).
+/// Valid protocol JSON payloads (one per op, edge shapes, the exact
+/// `traj_bits`/`hits_bits` forms with bad lengths, uppercase digits and
+/// NaN/∞ bit patterns, and the shard replies a fleet front-end reads).
 fn corpus_json() -> Vec<Vec<u8>> {
-    [
+    let word = |x: f64| format!("{:016x}", x.to_bits());
+    let (one, two) = (word(1.0), word(2.5));
+    let bits = [
+        format!(r#"{{"op":"knn","k":3,"traj_bits":"{one}{two}{two}{one}"}}"#),
+        format!(
+            r#"{{"req":5,"ok":true,"hits_bits":"{:016x}{two}{:016x}{one}"}}"#,
+            7,
+            u64::MAX
+        ),
+        format!(r#"{{"op":"knn","k":3,"traj_bits":"{one}{two}0"}}"#),
+        format!(
+            r#"{{"op":"knn","k":3,"traj_bits":"{}"}}"#,
+            format!("{one}{two}").to_uppercase()
+        ),
+        format!(
+            r#"{{"op":"knn","k":3,"traj_bits":"{one}{}"}}"#,
+            word(f64::NAN)
+        ),
+        format!(
+            r#"{{"ok":true,"hits_bits":"{one}{}"}}"#,
+            word(f64::INFINITY)
+        ),
+    ];
+    bits.iter().map(String::as_str).chain([
         r#"{"op":"knn","traj":[[1.5,-2.0],[3,4]],"k":5}"#,
         r#"{"op":"embed","traj":[[0,0],[100.25,50.5],[200,100]],"req":7}"#,
         r#"{"op":"distance","a":[[0,0],[1,1]],"b":[[2,2],[3,3]]}"#,
@@ -350,8 +374,7 @@ fn corpus_json() -> Vec<Vec<u8>> {
         r#"[1e308,-1e-308,0.5,123456789,null,true,false,""]"#,
         r#"{"req":9,"ok":true,"hits":[{"rank":1,"index":7,"distance":0.125000},{"rank":2,"index":18446744073709551615,"distance":2.5}]}"#,
         r#"{"ok":false,"error":"point 0: x is not a number"}"#,
-    ]
-    .iter()
+    ])
     .map(|s| s.as_bytes().to_vec())
     .collect()
 }

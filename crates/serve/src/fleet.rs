@@ -11,12 +11,15 @@
 //! Placement and merging reuse the in-process sharding machinery
 //! verbatim: `upsert`/`remove` route by
 //! [`trajcl_index::shard_for`]`(id, n)` — the same splitmix64 hash the
-//! in-process [`trajcl_index::ShardedIndex`] uses — and `knn` forwards
-//! the query to every shard and merges the per-shard top-k lists
-//! through [`trajcl_index::merge_partials`], the exact fused-top-k
-//! path. Because shards hold disjoint id sets and each returns its
-//! local top-k, the merged answer is bit-identical to an unsharded
-//! server over the same data (DESIGN.md §13.3; §14 for the fleet).
+//! in-process [`trajcl_index::ShardedIndex`] uses — and `knn` sends every
+//! shard the query the front-end already decoded, as exact f64 bits
+//! (`traj_bits`), and merges the per-shard top-k lists they answer with
+//! (`hits_bits`: ids and distance bits, read by [`read_hits`]) through
+//! [`trajcl_index::merge_partials`], the exact fused-top-k path. Because
+//! shards hold disjoint id sets and each returns its local top-k, the
+//! merged answer is bit-identical to an unsharded server over the same
+//! data, not just equal to 6 printed decimals (DESIGN.md §13.3; §14 for
+//! the fleet). No shard reply is read into a JSON tree.
 //!
 //! Robustness is the point (DESIGN.md §14):
 //!
@@ -52,9 +55,14 @@ use std::time::{Duration, Instant};
 
 use trajcl_index::{merge_partials, shard_for, splitmix64};
 
-use crate::json::{parse, Item, Json, Reader};
+use trajcl_geo::Trajectory;
+
+use crate::json::{Item, Reader};
 use crate::net::{Client, ClientOptions, FrameHandler};
-use crate::proto::{encode_frame, err_response, required, Request, Slot};
+use crate::proto::{
+    encode_frame, err_response, hits_field, hits_from_bits, knn_query, required, traj_bits,
+    Request, MAX_FRAME_LEN,
+};
 
 /// Tuning knobs for [`Fleet::connect`].
 #[derive(Clone, Copy, Debug)]
@@ -458,13 +466,19 @@ impl Fleet {
         )
     }
 
-    /// Routes on the decoded `request`; shards get the `payload` verbatim.
+    /// Routes on the decoded `request`: a `knn` is re-encoded once for the
+    /// shards, other ops forward the `payload` verbatim.
     fn route(&self, request: Request<'_>, echo: &str, payload: &str) -> Result<String, String> {
         match &*required(request.op, "op")? {
             // Answered locally: the front-end's own liveness, not the
             // shards' (probe those via `stats` health).
             "ping" => Ok(format!("{{{echo}\"ok\":true,\"pong\":true}}")),
-            "knn" => self.route_knn(required(request.k, "k")?, echo, payload),
+            "knn" => {
+                // `proto::dispatch`'s order, so a bad request gets a server's error.
+                let (traj, bits) = knn_query(request.traj, request.traj_bits)?;
+                let k = required(request.k, "k")?;
+                self.route_knn(&traj, k, bits, echo)
+            }
             "upsert" | "remove" => self.route_write(required(request.id, "id")?, payload),
             "embed" | "distance" => self.route_any_shard(payload),
             "compact" => self.route_compact(echo, payload),
@@ -473,12 +487,35 @@ impl Fleet {
         }
     }
 
-    /// Scatter the query to every live shard, merge local top-k lists
-    /// through the exact path. Shards hold disjoint ids, so the union
-    /// of per-shard top-k contains the global top-k and the merge is
-    /// bit-exact vs an unsharded server (DESIGN.md §13.3).
-    fn route_knn(&self, k: usize, echo: &str, payload: &str) -> Result<String, String> {
-        let replies = self.scatter(payload)?;
+    /// Scatter the query to every live shard as exact bits (`traj_bits`),
+    /// merge their exact local top-k lists (`hits_bits`). Shards hold
+    /// disjoint ids, so the union of per-shard top-k contains the global
+    /// top-k and the merge is bit-exact vs an unsharded server (DESIGN.md
+    /// §13.3). The client gets the form it asked in.
+    ///
+    /// The bits form takes 32 bytes a point, more than `traj`'s text, so a
+    /// query that fits a client's frame may not fit a shard's: that one is
+    /// refused here, before a shard could read the oversized header as a
+    /// transport failure and be marked down for it.
+    fn route_knn(
+        &self,
+        traj: &Trajectory,
+        k: usize,
+        bits: bool,
+        echo: &str,
+    ) -> Result<String, String> {
+        let payload = format!(
+            "{{\"op\":\"knn\",\"k\":{k},\"traj_bits\":\"{}\"}}",
+            traj_bits(traj)
+        );
+        if payload.len() > MAX_FRAME_LEN {
+            return Err(format!(
+                "query of {} points too large for a shard frame ({} bytes, max {MAX_FRAME_LEN})",
+                traj.len(),
+                payload.len()
+            ));
+        }
+        let replies = self.scatter(&payload)?;
         let ok = replies.len();
         if self.cfg.fail_closed && ok < self.shards.len() {
             return Err(format!(
@@ -487,25 +524,15 @@ impl Fleet {
                 self.shards.len()
             ));
         }
-        let mut partials = Vec::with_capacity(ok);
-        for resp in &replies {
-            partials.push(parse_hits(resp)?);
-        }
-        let merged = merge_partials(partials, k);
-        let rows: Vec<String> = merged
+        let partials = replies
             .iter()
-            .enumerate()
-            .map(|(rank, (id, dist))| {
-                format!(
-                    "{{\"rank\":{},\"index\":{id},\"distance\":{dist:.6}}}",
-                    rank + 1
-                )
-            })
-            .collect();
+            .map(|resp| read_hits(resp))
+            .collect::<Result<Vec<_>, _>>()?;
+        let merged = merge_partials(partials, k);
         Ok(format!(
-            "{{{echo}\"ok\":true,{},\"hits\":[{}]}}",
+            "{{{echo}\"ok\":true,{},{}}}",
             self.degradation_fields(ok),
-            rows.join(",")
+            hits_field(&merged, bits)
         ))
     }
 
@@ -547,7 +574,8 @@ impl Fleet {
         let replies = self.scatter(payload)?;
         let mut sealed: u64 = 0;
         for resp in &replies {
-            sealed += parse_ok_field(resp, "sealed")?;
+            let [n] = read_counts(resp, ["sealed"])?;
+            sealed += n;
         }
         Ok(format!(
             "{{{echo}\"ok\":true,{},\"sealed\":{sealed}}}",
@@ -561,13 +589,11 @@ impl Fleet {
     /// the sums — `shards_ok` says how many contributed.
     fn route_stats(&self, echo: &str, payload: &str) -> Result<String, String> {
         let replies = self.scatter(payload)?;
-        let mut sums: [u64; 4] = [0; 4]; // size, buffer, memory_bytes, shards
+        let mut sums: [u64; 4] = [0; 4];
         for resp in &replies {
-            for (slot, key) in sums
-                .iter_mut()
-                .zip(["size", "buffer", "memory_bytes", "shards"])
-            {
-                *slot += parse_ok_field(resp, key)?;
+            let counts = read_counts(resp, ["size", "buffer", "memory_bytes", "shards"])?;
+            for (sum, n) in sums.iter_mut().zip(counts) {
+                *sum += n;
             }
         }
         let health: Vec<String> = self
@@ -656,11 +682,16 @@ fn spawn_prober(
     })
 }
 
-/// Reads a downstream `knn` response straight into its `(id, distance)`
-/// pairs, ids exact. An in-band downstream error propagates as this fleet
-/// request's error (the shard answered — the request itself was bad).
-pub fn parse_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
-    let (mut ok, mut error, mut hits) = (false, None, None);
+/// Reads a shard's reply, handing each member but `ok` and `error` to
+/// `member`, which must read its value. `Err` is the first grammar error
+/// (`malformed shard response: ` and `json::parse`'s text) or, when `ok`
+/// is not `true`, the shard's in-band error: the shard answered, so the
+/// request itself was bad.
+fn shard_reply<'a>(
+    resp: &'a str,
+    mut member: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let (mut ok, mut error) = (false, None);
     let mut r = Reader::new(resp);
     r.members(0, |r, key| {
         match &*key {
@@ -671,67 +702,54 @@ pub fn parse_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
                     _ => None,
                 }
             }
-            "hits" => hits = hit_list(r)?,
-            _ => r.skip_value(1)?,
+            key => member(r, key)?,
         }
         Ok(())
     })
     .and_then(|()| r.finish())
     .map_err(|e| format!("malformed shard response: {e}"))?;
-    if !ok {
-        return Err(error.unwrap_or_else(|| "shard reported an error".into()));
+    if ok {
+        Ok(())
+    } else {
+        Err(error.unwrap_or_else(|| "shard reported an error".into()))
     }
-    hits.unwrap_or_else(|| Err("shard response missing \"hits\"".into()))
 }
 
-/// A reply's `hits` member: `None` unless it is an array, else its pairs
-/// or the first hit's error.
-fn hit_list(r: &mut Reader<'_>) -> Result<Slot<Vec<(u64, f64)>>, String> {
-    let mut hits = Vec::new();
-    let mut bad = None;
-    let is_array = r.elements(1, |r| {
-        let (mut id, mut dist) = (None, None);
-        r.members(2, |r, key| {
-            match &*key {
-                "index" => id = r.scalar(3)?.as_u64(),
-                "distance" => dist = r.scalar(3)?.as_f64(),
-                _ => r.skip_value(3)?,
+/// Reads a shard's `knn` reply (the `hits_bits` a `traj_bits` query gets)
+/// into its exact `(id, distance)` pairs.
+pub fn read_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
+    let mut hits = None;
+    shard_reply(resp, |r, key| {
+        match key {
+            "hits_bits" => {
+                hits = Some(match r.scalar(1)? {
+                    Item::Str(hex) => hits_from_bits(&hex),
+                    _ => Err("\"hits_bits\" must be a string of hex digits".into()),
+                })
             }
-            Ok(())
-        })?;
-        let hit = match (id, dist) {
-            (None, _) => Err("shard hit missing \"index\""),
-            (_, None) => Err("shard hit missing \"distance\""),
-            (Some(id), Some(dist)) => Ok((id, dist)),
-        };
-        match hit {
-            Ok(hit) if bad.is_none() => hits.push(hit),
-            Err(e) if bad.is_none() => bad = Some(e.to_string()),
-            _ => {}
+            _ => r.skip_value(1)?,
         }
         Ok(())
     })?;
-    Ok(is_array.then(|| bad.map_or(Ok(hits), Err)))
+    hits.unwrap_or_else(|| Err("missing \"hits_bits\"".into()))
+        .map_err(|e| format!("shard response {e}"))
 }
 
-/// Extracts one non-negative integer field from an ok downstream
-/// response.
-fn parse_ok_field(resp: &str, key: &str) -> Result<u64, String> {
-    let obj = parse(resp).map_err(|e| format!("malformed shard response: {e}"))?;
-    check_ok(&obj)?;
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("shard response missing \"{key}\""))
-}
-
-fn check_ok(obj: &Json) -> Result<(), String> {
-    match obj.get("ok") {
-        Some(Json::Bool(true)) => Ok(()),
-        _ => Err(obj
-            .get("error")
-            .and_then(Json::as_str)
-            .map_or_else(|| "shard reported an error".into(), str::to_string)),
+/// Reads the non-negative integers `keys` from an ok shard reply.
+fn read_counts<const N: usize>(resp: &str, keys: [&str; N]) -> Result<[u64; N], String> {
+    let mut found = [None; N];
+    shard_reply(resp, |r, key| {
+        match keys.iter().position(|&k| k == key) {
+            Some(i) => found[i] = r.scalar(1)?.as_u64(),
+            None => r.skip_value(1)?,
+        }
+        Ok(())
+    })?;
+    let mut counts = [0; N];
+    for ((count, n), key) in counts.iter_mut().zip(found).zip(keys) {
+        *count = n.ok_or_else(|| format!("shard response missing \"{key}\""))?;
     }
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -814,17 +832,45 @@ mod tests {
     }
 
     #[test]
-    fn downstream_response_parsers() {
-        let hits = parse_hits(
-            "{\"ok\":true,\"hits\":[{\"rank\":1,\"index\":7,\"distance\":0.125000},{\"rank\":2,\"index\":3,\"distance\":2.500000}]}",
-        )
+    fn downstream_response_readers() {
+        let hits = read_hits(&format!(
+            "{{\"ok\":true,\"hits_bits\":\"{:016x}{:016x}{:016x}{:016x}\"}}",
+            7u64,
+            0.125f64.to_bits(),
+            u64::MAX,
+            2.5f64.to_bits()
+        ))
         .unwrap();
-        assert_eq!(hits, vec![(7, 0.125), (3, 2.5)]);
+        assert_eq!(hits, vec![(7, 0.125), (u64::MAX, 2.5)]);
         assert_eq!(
-            parse_ok_field("{\"ok\":true,\"sealed\":42}", "sealed"),
-            Ok(42)
+            read_counts("{\"ok\":true,\"sealed\":42}", ["sealed"]),
+            Ok([42])
         );
-        let err = parse_hits("{\"ok\":false,\"error\":\"boom\"}").unwrap_err();
-        assert_eq!(err, "boom");
+        assert_eq!(
+            read_counts("{\"ok\":true,\"size\":1}", ["size", "buffer"]),
+            Err("shard response missing \"buffer\"".into())
+        );
+        for (resp, err) in [
+            ("{\"ok\":false,\"error\":\"boom\"}", "boom"),
+            ("{\"ok\":1,\"hits_bits\":\"\"}", "shard reported an error"),
+            (
+                "{\"ok\":true,\"hits\":[]}",
+                "shard response missing \"hits_bits\"",
+            ),
+            (
+                "{\"ok\":true,\"hits_bits\":\"0\"}",
+                "shard response \"hits_bits\" length must be a multiple of 32",
+            ),
+            (
+                "{\"ok\":true,\"hits_bits\":[]}",
+                "shard response \"hits_bits\" must be a string of hex digits",
+            ),
+            (
+                "{\"ok\":true,\"hits_bits\":\"\"",
+                "malformed shard response: expected ',' or '}' at byte 25",
+            ),
+        ] {
+            assert_eq!(read_hits(resp).unwrap_err(), err, "{resp}");
+        }
     }
 }

@@ -2,14 +2,18 @@
 //! `Reader` holds the grammar (RFC 8259: objects, arrays, numbers,
 //! strings, booleans, null), and two decoders sit on it.
 //!
-//! * [`parse`] builds a [`Json`] tree. The CLI client, the fleet's
-//!   `stats`/`compact` merge and the ladder read replies with it.
+//! * [`parse`] builds a [`Json`] tree. The CLI client and the ladder read
+//!   replies with it; no serving path does.
 //! * The typed decoders read straight into their types and build no
 //!   tree: `proto::Request::decode` for every served request payload,
-//!   `fleet::parse_hits` for every shard `knn` reply.
+//!   the fleet's shard-reply reader for every reply a front-end reads
+//!   (`fleet::read_hits` for `knn`, the same reader's counts for
+//!   `stats` and `compact`).
 //!
 //! Both see the same grammar and the same error texts, so a payload is
-//! malformed for one exactly when it is for the other.
+//! malformed for one exactly when it is for the other. A string's plain
+//! run up to the next `"` or `\` is found with one slice search, which
+//! keeps the long hex strings of `traj_bits`/`hits_bits` cheap.
 //!
 //! Writing stays hand-rolled `format!` strings, matching the CLI's
 //! existing `--json` output style.
@@ -370,51 +374,50 @@ impl<'a> Reader<'a> {
         // ASCII `"` or `\`, which is always a char boundary of the text.
         let mut run = self.pos;
         loop {
-            match b.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    let tail = &self.text[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match decoded {
-                        None => Cow::Borrowed(tail),
-                        Some(mut out) => {
-                            out.push_str(tail);
-                            Cow::Owned(out)
-                        }
-                    });
-                }
-                Some(b'\\') => {
-                    let out = decoded.get_or_insert_with(String::new);
-                    out.push_str(&self.text[run..self.pos]);
-                    self.pos += 1;
-                    let esc = *b.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogates are unsupported (the protocol is ASCII).
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape \\{}", char::from(other))),
+            let rest = b.get(self.pos..).unwrap_or_default();
+            let stop = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .ok_or("unterminated string")?;
+            self.pos += stop;
+            if rest[stop] == b'"' {
+                let tail = &self.text[run..self.pos];
+                self.pos += 1;
+                return Ok(match decoded {
+                    None => Cow::Borrowed(tail),
+                    Some(mut out) => {
+                        out.push_str(tail);
+                        Cow::Owned(out)
                     }
-                    run = self.pos;
-                }
-                Some(_) => self.pos += 1,
+                });
             }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(&self.text[run..self.pos]);
+            self.pos += 1;
+            let esc = *b.get(self.pos).ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = b
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogates are unsupported (the protocol is ASCII).
+                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                }
+                other => return Err(format!("unknown escape \\{}", char::from(other))),
+            }
+            run = self.pos;
         }
     }
 }

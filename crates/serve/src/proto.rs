@@ -28,11 +28,17 @@
 //! a field of the wrong shape is answered in-band only when the op reads
 //! it, in the order [`handle`] checks fields.
 //!
+//! A `knn` may carry its query as `traj_bits` instead of `traj`: each
+//! coordinate's IEEE-754 bits as 16 lowercase hex digits ([`traj_bits`]).
+//! It is answered with `hits_bits`, each hit's id and distance bits the
+//! same way. This is the form a fleet front-end sends its shards, so a
+//! query is decoded once per fleet and merged on exact distances.
+//!
 //! | op | request fields | response fields |
 //! |----|----------------|-----------------|
 //! | `ping`     | —                 | `pong` (always `true`) |
 //! | `embed`    | `traj`            | `embedding` (f32 array) |
-//! | `knn`      | `traj`, `k`       | `hits`: `[{rank,index,distance}]` |
+//! | `knn`      | `traj` or `traj_bits`, `k` | `hits`: `[{rank,index,distance}]`, or `hits_bits` |
 //! | `distance` | `a`, `b`          | `distance` |
 //! | `upsert`   | `id`, `traj`      | `replaced` (bool) |
 //! | `remove`   | `id`              | `removed` (bool) |
@@ -51,6 +57,7 @@
 //! `ShardRouter::search`.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use trajcl_geo::{Point, Trajectory};
@@ -186,6 +193,8 @@ pub struct Request<'a> {
     /// Borrowed from the payload unless it is escaped.
     pub(crate) op: Slot<Cow<'a, str>>,
     pub(crate) traj: Slot<Trajectory>,
+    /// A `knn` query in its exact form ([`traj_bits`]).
+    pub(crate) traj_bits: Slot<Trajectory>,
     pub(crate) a: Slot<Trajectory>,
     pub(crate) b: Slot<Trajectory>,
     /// Already bounded by [`MAX_K`].
@@ -223,6 +232,12 @@ impl<'a> Request<'a> {
                     })
                 }
                 "traj" => request.traj = Some(points(r)?),
+                "traj_bits" => {
+                    request.traj_bits = Some(match r.scalar(1)? {
+                        Item::Str(hex) => traj_from_bits(&hex),
+                        _ => Err("\"traj_bits\" must be a string of hex digits".into()),
+                    })
+                }
                 "a" => request.a = Some(points(r)?),
                 "b" => request.b = Some(points(r)?),
                 "k" => {
@@ -257,6 +272,19 @@ impl<'a> Request<'a> {
 /// The value in `slot`, or the error a missing `key` answers.
 pub(crate) fn required<T>(slot: Slot<T>, key: &str) -> Result<T, String> {
     slot.unwrap_or_else(|| Err(format!("missing field \"{key}\"")))
+}
+
+/// A `knn`'s query, read where `traj` is in the field order, and whether it
+/// came as `traj_bits` (so it is answered with `hits_bits`).
+pub(crate) fn knn_query(
+    traj: Slot<Trajectory>,
+    traj_bits: Slot<Trajectory>,
+) -> Result<(Trajectory, bool), String> {
+    match (traj, traj_bits) {
+        (Some(_), Some(_)) => Err("\"knn\" takes \"traj\" or \"traj_bits\", not both".into()),
+        (None, Some(bits)) => Ok((bits?, true)),
+        (traj, None) => Ok((required(traj, "traj")?, false)),
+    }
 }
 
 /// Reads a member's `[[x,y],...]` into a trajectory. A wrong shape is the
@@ -313,6 +341,115 @@ pub fn traj_json(t: &Trajectory) -> String {
     format!("[{}]", pts.join(","))
 }
 
+/// Prints a trajectory as the `traj_bits` string [`handle`] decodes: per
+/// point x then y, each the 16 lowercase hex digits of its IEEE-754 bits,
+/// most significant first (`format!("{:016x}", x.to_bits())`).
+pub fn traj_bits(t: &Trajectory) -> String {
+    let words = t.points().iter().flat_map(|p| [p.x, p.y].map(f64::to_bits));
+    hex_words(2 * t.len(), words)
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's value as a lowercase hex digit; `0xff` for any other byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d: u8 = 0;
+    while d < 16 {
+        table[HEX_DIGITS[d as usize] as usize] = d;
+        d += 1;
+    }
+    table
+};
+
+/// `len` words as 16 hex digits each, most significant first.
+fn hex_words(len: usize, words: impl Iterator<Item = u64>) -> String {
+    let mut hex = String::with_capacity(16 * len);
+    for word in words {
+        let _ = write!(hex, "{word:016x}"); // writing into a String cannot fail
+    }
+    hex
+}
+
+/// The word 16 lowercase hex digits spell, most significant first.
+fn hex_word(digits: &[u8]) -> Option<u64> {
+    let mut word = 0u64;
+    let mut bad = 0u8;
+    for &c in digits {
+        let d = HEX_VALUES[usize::from(c)];
+        bad |= d;
+        word = word << 4 | u64::from(d);
+    }
+    (bad < 16).then_some(word)
+}
+
+/// `hex` as pairs of words, 32 digits a pair: `Err` for a length that is not
+/// a multiple of 32, then per pair for one that is not 32 hex digits.
+fn hex_pairs<'h>(
+    hex: &'h str,
+    field: &'static str,
+    item: &'static str,
+) -> Result<impl Iterator<Item = Result<(u64, u64), String>> + 'h, String> {
+    let bytes = hex.as_bytes();
+    if !bytes.len().is_multiple_of(32) {
+        return Err(format!("\"{field}\" length must be a multiple of 32"));
+    }
+    Ok(bytes.chunks_exact(32).enumerate().map(move |(i, pair)| {
+        let (a, b) = pair.split_at(16);
+        hex_word(a)
+            .zip(hex_word(b))
+            .ok_or_else(|| format!("\"{field}\" {item} {i}: not 32 lowercase hex digits"))
+    }))
+}
+
+fn traj_from_bits(hex: &str) -> Result<Trajectory, String> {
+    let mut points = Vec::with_capacity(hex.len() / 32);
+    for (i, pair) in hex_pairs(hex, "traj_bits", "point")?.enumerate() {
+        let (x, y) = pair?;
+        let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+        match (x.is_finite(), y.is_finite()) {
+            (true, true) => points.push(Point::new(x, y)),
+            (false, _) => return Err(format!("\"traj_bits\" point {i}: x is not finite")),
+            (true, false) => return Err(format!("\"traj_bits\" point {i}: y is not finite")),
+        }
+    }
+    Ok(Trajectory::new(points))
+}
+
+/// A `knn` reply's hits: the text `hits` array, or with `bits` the
+/// `hits_bits` string, per hit the id's u64 then the distance's f64 bits.
+pub(crate) fn hits_field(hits: &[(u64, f64)], bits: bool) -> String {
+    if bits {
+        let words = hits.iter().flat_map(|&(id, dist)| [id, dist.to_bits()]);
+        return format!("\"hits_bits\":\"{}\"", hex_words(2 * hits.len(), words));
+    }
+    let rows: Vec<String> = hits
+        .iter()
+        .enumerate()
+        .map(|(rank, (id, dist))| {
+            format!(
+                "{{\"rank\":{},\"index\":{id},\"distance\":{dist:.6}}}",
+                rank + 1
+            )
+        })
+        .collect();
+    format!("\"hits\":[{}]", rows.join(","))
+}
+
+/// Reads a `hits_bits` string back into `(id, distance)` pairs.
+pub(crate) fn hits_from_bits(hex: &str) -> Result<Vec<(u64, f64)>, String> {
+    let mut hits = Vec::with_capacity(hex.len() / 32);
+    for (i, pair) in hex_pairs(hex, "hits_bits", "hit")?.enumerate() {
+        let (id, dist) = pair?;
+        let dist = f64::from_bits(dist);
+        if !dist.is_finite() {
+            return Err(format!("\"hits_bits\" hit {i}: distance is not finite"));
+        }
+        hits.push((id, dist));
+    }
+    Ok(hits)
+}
+
 pub(crate) fn err_response(echo: &str, msg: &str) -> String {
     format!("{{{echo}\"ok\":false,\"error\":\"{}\"}}", escape(msg))
 }
@@ -344,20 +481,10 @@ fn dispatch(server: &Server, request: Request<'_>) -> Result<String, String> {
             Ok(format!("\"embedding\":[{}]", vals.join(",")))
         }
         "knn" => {
-            let traj = required(request.traj, "traj")?;
+            let (traj, bits) = knn_query(request.traj, request.traj_bits)?;
             let k = required(request.k, "k")?;
             let hits = server.knn(&traj, k).map_err(|e| e.to_string())?;
-            let rows: Vec<String> = hits
-                .iter()
-                .enumerate()
-                .map(|(rank, (id, dist))| {
-                    format!(
-                        "{{\"rank\":{},\"index\":{id},\"distance\":{dist:.6}}}",
-                        rank + 1
-                    )
-                })
-                .collect();
-            Ok(format!("\"hits\":[{}]", rows.join(",")))
+            Ok(hits_field(&hits, bits))
         }
         "distance" => {
             let a = required(request.a, "a")?;
@@ -582,6 +709,125 @@ mod tests {
 
     fn decode(payload: &str) -> Request<'_> {
         Request::decode(payload).unwrap()
+    }
+
+    /// The `traj_bits` slot of a payload holding only `traj_bits`.
+    fn bits_slot(hex: &str) -> Result<Trajectory, String> {
+        let payload = format!("{{\"traj_bits\":\"{hex}\"}}");
+        required(decode(&payload).traj_bits, "traj_bits")
+    }
+
+    #[test]
+    fn traj_bits_errors_name_the_first_bad_point() {
+        let word = |x: f64| format!("{:016x}", x.to_bits());
+        let (one, two) = (word(1.0), word(2.0));
+        let t = bits_slot(&format!("{one}{two}{two}{one}")).unwrap();
+        assert_eq!(t.points(), [Point::new(1.0, 2.0), Point::new(2.0, 1.0)]);
+        assert_eq!(bits_slot("").unwrap().len(), 0);
+        for (hex, err) in [
+            (
+                format!("{one}{two}0"),
+                "\"traj_bits\" length must be a multiple of 32",
+            ),
+            (one.clone(), "\"traj_bits\" length must be a multiple of 32"),
+            (
+                format!("{one}{two}{one}{}", two.replace('4', "A")),
+                "\"traj_bits\" point 1: not 32 lowercase hex digits",
+            ),
+            (
+                format!("{one}{}", two.replace('0', "g")),
+                "\"traj_bits\" point 0: not 32 lowercase hex digits",
+            ),
+            (
+                format!("{one}{two}{}{one}", word(f64::NAN)),
+                "\"traj_bits\" point 1: x is not finite",
+            ),
+            (
+                format!("{one}{}", word(f64::NEG_INFINITY)),
+                "\"traj_bits\" point 0: y is not finite",
+            ),
+        ] {
+            assert_eq!(bits_slot(&hex).unwrap_err(), err, "{hex}");
+        }
+        assert_eq!(
+            decode(r#"{"traj_bits":[]}"#).traj_bits,
+            Some(Err("\"traj_bits\" must be a string of hex digits".into()))
+        );
+        assert_eq!(
+            knn_query(Some(Ok(t.clone())), Some(Ok(t))).unwrap_err(),
+            "\"knn\" takes \"traj\" or \"traj_bits\", not both"
+        );
+    }
+
+    /// A finite coordinate: an edge value (`traj_json`'s list, subnormals,
+    /// both extremes), or random bits with an all-ones exponent cleared.
+    fn coordinate(pick: usize, bits: u64) -> f64 {
+        let edges = [
+            0.0,
+            -0.0,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            1234.56,
+            -9_999.99,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -1e-300,
+            1e21,
+        ];
+        let x = edges.get(pick).copied().unwrap_or(f64::from_bits(bits));
+        if x.is_finite() {
+            x
+        } else {
+            f64::from_bits(bits ^ 1 << 62)
+        }
+    }
+
+    fn coordinate_bits(t: &Trajectory) -> Vec<(u64, u64)> {
+        t.points()
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn traj_bits_round_trip_every_finite_coordinate(
+            raw in prop::collection::vec((0usize..26, 0u64..u64::MAX), 0..64)
+        ) {
+            let t: Trajectory = raw
+                .chunks_exact(2)
+                .map(|c| Point::new(coordinate(c[0].0, c[0].1), coordinate(c[1].0, c[1].1)))
+                .collect();
+            let back = bits_slot(&traj_bits(&t)).unwrap();
+            prop_assert_eq!(coordinate_bits(&back), coordinate_bits(&t));
+            prop_assert_eq!(
+                crate::cache::content_hash(&back),
+                crate::cache::content_hash(&t)
+            );
+        }
+
+        #[test]
+        fn hits_bits_round_trip(
+            raw in prop::collection::vec((0u64..u64::MAX, 0usize..26, 0u64..u64::MAX), 0..24)
+        ) {
+            let hits: Vec<(u64, f64)> = raw
+                .iter()
+                .map(|&(id, pick, bits)| (id, coordinate(pick, bits)))
+                .collect();
+            let reply = format!("{{\"ok\":true,{}}}", hits_field(&hits, true));
+            let back = crate::fleet::read_hits(&reply).unwrap();
+            let exact = |hits: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+            };
+            prop_assert_eq!(exact(&back), exact(&hits));
+        }
     }
 
     #[test]

@@ -559,7 +559,7 @@ fn fleet_survives_frame_faults_and_converges() {
 /// A listener that accepts, reads, answers `ping` — and silently
 /// swallows everything else (see
 /// `stalled_shard_hits_read_deadline_and_degrades`), after answering its
-/// first `answers` data frames like a shard that holds nothing.
+/// first `answers` data frames like a shard that holds `hits`.
 struct Staller {
     addr: String,
     /// Frames swallowed so far.
@@ -568,17 +568,48 @@ struct Staller {
     thread: std::thread::JoinHandle<()>,
 }
 
+/// A `knn` reply holding `hits`, in the form `query` asked for: `hits_bits`
+/// (PROTOCOL.md §2.2, written here from the spec) for a `traj_bits` query,
+/// else the text `hits`.
+fn crafted_reply(query: &str, hits: &[(u64, f64)]) -> String {
+    if query.contains("\"traj_bits\"") {
+        let hex: String = hits
+            .iter()
+            .map(|(id, d)| format!("{id:016x}{:016x}", d.to_bits()))
+            .collect();
+        return format!("{{\"ok\":true,\"hits_bits\":\"{hex}\"}}");
+    }
+    let rows: Vec<String> = hits
+        .iter()
+        .enumerate()
+        .map(|(rank, (id, d))| {
+            format!(
+                "{{\"rank\":{},\"index\":{id},\"distance\":{d:.6}}}",
+                rank + 1
+            )
+        })
+        .collect();
+    format!("{{\"ok\":true,\"hits\":[{}]}}", rows.join(","))
+}
+
 impl Staller {
     fn spawn() -> Staller {
         Staller::spawn_after(0)
     }
 
     fn spawn_after(answers: usize) -> Staller {
+        Staller::answering(Vec::new(), answers)
+    }
+
+    /// A fake shard that answers its first `answers` data frames with
+    /// `hits`, whatever the query, then stalls.
+    fn answering(hits: Vec<(u64, f64)>, answers: usize) -> Staller {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let swallowed = Arc::new(AtomicUsize::new(0));
         let answered = Arc::new(AtomicUsize::new(0));
+        let hits = Arc::new(hits);
         let thread = {
             let (stop, swallowed) = (Arc::clone(&stop), Arc::clone(&swallowed));
             std::thread::spawn(move || {
@@ -588,20 +619,21 @@ impl Staller {
                         break;
                     };
                     let (swallowed, answered) = (Arc::clone(&swallowed), Arc::clone(&answered));
+                    let hits = Arc::clone(&hits);
                     std::thread::spawn(move || {
                         let mut reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
                         let mut writer = conn;
                         while let Ok(Some(payload)) = read_frame(&mut reader) {
                             let reply = if payload.contains("\"op\":\"ping\"") {
-                                "{\"ok\":true,\"pong\":true}"
+                                "{\"ok\":true,\"pong\":true}".to_string()
                             } else if answered.fetch_add(1, Ordering::AcqRel) < answers {
-                                "{\"ok\":true,\"hits\":[]}"
+                                crafted_reply(&payload, &hits)
                             } else {
                                 // Swallowed. The caller waits.
                                 swallowed.fetch_add(1, Ordering::AcqRel);
                                 continue;
                             };
-                            if write_frame(&mut writer, reply).is_err() {
+                            if write_frame(&mut writer, &reply).is_err() {
                                 return;
                             }
                         }
@@ -667,6 +699,26 @@ fn stalled_shard_hits_read_deadline_and_degrades() {
     fleet.shutdown();
     staller.stop();
     real.kill();
+}
+
+/// The fleet merges on exact distances: two hits 3e-7 apart, on two
+/// shards, keep their order, although both print as `1.000000`. Merged on
+/// the printed text they would tie, and the tie would go to the lower id.
+#[test]
+fn the_fleet_merges_on_exact_distances() {
+    let a = Staller::answering(vec![(9, 1.000_000_1)], usize::MAX);
+    let b = Staller::answering(vec![(3, 1.000_000_4)], usize::MAX);
+    let fleet = Fleet::connect(&[a.addr.clone(), b.addr.clone()], fleet_cfg()).expect("fleet");
+    let reply = fleet.handle_frame(&knn_payload(0, 2));
+    assert_eq!(
+        hits_of(&reply),
+        "\"hits\":[{\"rank\":1,\"index\":9,\"distance\":1.000000},\
+         {\"rank\":2,\"index\":3,\"distance\":1.000000}]",
+        "{reply}"
+    );
+    fleet.shutdown();
+    a.stop();
+    b.stop();
 }
 
 /// Fail-closed fleets refuse degraded reads instead of answering

@@ -3,7 +3,9 @@
 //! out-of-order response matching, torn-frame / mid-frame-disconnect
 //! rejection, how a session loop shares frames among its threads and
 //! how it ends, fd hygiene across many connections, exact integer fields
-//! (directly and through a fleet), and a unix-socket smoke test.
+//! (directly and through a fleet), a fleet's `knn` replies against a
+//! server's (bad requests and the exact `traj_bits` form), and a
+//! unix-socket smoke test.
 
 use std::collections::HashSet;
 use std::io::{Read as _, Write as _};
@@ -16,9 +18,9 @@ use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_serve::net::pump_frames;
-use trajcl_serve::proto::{read_frame, traj_json, write_frame};
+use trajcl_serve::proto::{handle, read_frame, traj_bits, traj_json, write_frame, MAX_FRAME_LEN};
 use trajcl_serve::{
-    listen, Client, Fleet, FleetConfig, FrameHandler, NetServer, ServeConfig, Server,
+    listen, Client, Fleet, FleetConfig, FrameHandler, NetServer, ServeConfig, Server, ShardHealth,
 };
 use trajcl_tensor::{Shape, Tensor};
 
@@ -326,7 +328,25 @@ fn ids_past_2_pow_53_stay_distinct_direct_and_through_a_fleet() {
     let mut client = Client::connect(net.local_addr()).expect("connect");
     ids_past_2_pow_53_stay_distinct(|p| client.call(p).expect("direct call"));
 
-    let shards: Vec<(Arc<Server>, NetServer)> = (0..2)
+    let (fleet, shards) = fleet_of(2);
+    ids_past_2_pow_53_stay_distinct(|p| fleet.handle_frame(p));
+
+    // A bad `traj` gets the unsharded server's reply, byte for byte.
+    for traj in ["[[1,2,3]]", "[[\"a\",2]]", "[1,2]", "\"x\""] {
+        let payload = format!("{{\"req\":3,\"op\":\"knn\",\"traj\":{traj},\"k\":2}}");
+        let want = client.call(&payload).expect("direct call");
+        assert!(want.contains("\"ok\":false"), "{want}");
+        assert_eq!(fleet.handle_frame(&payload), want, "{payload}");
+    }
+
+    shut_down(fleet, shards);
+    net.shutdown();
+    direct.shutdown();
+}
+
+/// A fleet over `n` single-shard servers on their own listeners.
+fn fleet_of(n: usize) -> (Fleet, Vec<(Arc<Server>, NetServer)>) {
+    let shards: Vec<(Arc<Server>, NetServer)> = (0..n)
         .map(|_| {
             let server = sharded_server(1);
             let net = listen(Arc::clone(&server), "127.0.0.1:0", 1).expect("listen");
@@ -338,23 +358,132 @@ fn ids_past_2_pow_53_stay_distinct_direct_and_through_a_fleet() {
         .map(|(_, net)| net.local_addr().to_string())
         .collect();
     let fleet = Fleet::connect(&addrs, FleetConfig::default()).expect("fleet");
-    ids_past_2_pow_53_stay_distinct(|p| fleet.handle_frame(p));
+    (fleet, shards)
+}
 
-    // A bad `traj` gets the unsharded server's reply, byte for byte.
-    for traj in ["[[1,2,3]]", "[[\"a\",2]]", "[1,2]", "\"x\""] {
-        let payload = format!("{{\"req\":3,\"op\":\"knn\",\"traj\":{traj},\"k\":2}}");
-        let want = client.call(&payload).expect("direct call");
-        assert!(want.contains("\"ok\":false"), "{want}");
-        assert_eq!(fleet.handle_frame(&payload), want, "{payload}");
-    }
-
+fn shut_down(fleet: Fleet, shards: Vec<(Arc<Server>, NetServer)>) {
     fleet.shutdown();
     for (server, net) in shards {
         net.shutdown();
         server.shutdown();
     }
-    net.shutdown();
-    direct.shutdown();
+}
+
+/// A bad `knn` gets the same reply from a fleet as from a server: the
+/// front-end checks `traj` (or `traj_bits`) before `k`, as a server does.
+#[test]
+fn a_fleet_answers_a_bad_knn_with_the_servers_error() {
+    let server = sharded_server(1);
+    let (fleet, shards) = fleet_of(2);
+    let traj = traj_json(&traj_for(3));
+    let bits = traj_bits(&traj_for(3));
+    let word = |x: f64| format!("{:016x}", x.to_bits());
+    let with_bits =
+        |hex: &str| format!("{{\"req\":4,\"op\":\"knn\",\"traj_bits\":\"{hex}\",\"k\":2}}");
+    let table = [
+        "{\"req\":4,\"op\":\"knn\"}".to_string(),
+        "{\"op\":\"knn\",\"k\":2}".to_string(),
+        "{\"op\":\"knn\",\"k\":-2}".to_string(),
+        format!("{{\"op\":\"knn\",\"traj\":{traj}}}"),
+        format!("{{\"op\":\"knn\",\"traj\":{traj},\"k\":16385}}"),
+        "{\"op\":\"knn\",\"traj\":\"x\",\"k\":\"2\"}".to_string(),
+        "{\"op\":\"knn\",\"traj\":[[1,2,3]],\"k\":-1}".to_string(),
+        "{\"op\":\"knn\",\"traj\":[[1,2,3]]}".to_string(),
+        "{\"op\":\"knn\",\"traj\":[],\"k\":2}".to_string(),
+        with_bits(""),
+        with_bits(&bits[..31]),
+        with_bits(&bits[..bits.len() - 16]),
+        with_bits(&bits.to_uppercase()),
+        with_bits(&format!("{}g", &bits[..31])),
+        with_bits(&format!("{}{}", word(f64::NAN), word(1.0))),
+        with_bits(&format!("{}{}", word(1.0), word(f64::NEG_INFINITY))),
+        "{\"op\":\"knn\",\"traj_bits\":[1],\"k\":2}".to_string(),
+        "{\"op\":\"knn\",\"traj_bits\":\"0\",\"k\":-1}".to_string(),
+        format!("{{\"op\":\"knn\",\"traj_bits\":\"{bits}\"}}"),
+        format!("{{\"op\":\"knn\",\"traj\":{traj},\"traj_bits\":\"{bits}\",\"k\":2}}"),
+    ];
+    for payload in &table {
+        let want = handle(&server, payload);
+        assert!(want.contains("\"ok\":false"), "{payload}: {want}");
+        assert_eq!(fleet.handle_frame(payload), want, "{payload}");
+    }
+    shut_down(fleet, shards);
+    server.shutdown();
+}
+
+/// A `traj_bits` query gets `hits_bits` from a server and from a fleet,
+/// with the same bits; a `traj` query keeps its text `hits`.
+#[test]
+fn a_fleet_answers_traj_bits_with_the_servers_exact_hits() {
+    let server = sharded_server(1);
+    let (fleet, shards) = fleet_of(2);
+    for id in 0..24u64 {
+        let upsert = format!(
+            "{{\"op\":\"upsert\",\"id\":{id},\"traj\":{}}}",
+            traj_json(&traj_for(id))
+        );
+        assert_eq!(handle(&server, &upsert), fleet.handle_frame(&upsert));
+    }
+    let tail = |reply: &str, key: &str| {
+        let at = reply
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in {reply}"));
+        reply[at..].to_string()
+    };
+    for qid in [0u64, 5, 23, 40] {
+        for (query, key) in [
+            (
+                format!("\"traj_bits\":\"{}\"", traj_bits(&traj_for(qid))),
+                "\"hits_bits\":",
+            ),
+            (
+                format!("\"traj\":{}", traj_json(&traj_for(qid))),
+                "\"hits\":",
+            ),
+        ] {
+            let payload = format!("{{\"req\":{qid},\"op\":\"knn\",{query},\"k\":7}}");
+            let want = handle(&server, &payload);
+            assert!(
+                want.starts_with(&format!("{{\"req\":{qid},\"ok\":true,{key}")),
+                "{want}"
+            );
+            let got = fleet.handle_frame(&payload);
+            assert!(
+                got.starts_with(&format!("{{\"req\":{qid},\"ok\":true,\"partial\":false,")),
+                "{got}"
+            );
+            assert_eq!(tail(&got, key), tail(&want, key), "{payload}");
+        }
+    }
+    shut_down(fleet, shards);
+    server.shutdown();
+}
+
+/// A query whose `traj` fits a frame but whose `traj_bits` (32 bytes a
+/// point) would not is refused in-band by the front-end: no shard reads an
+/// oversized header, so none is charged a failure for it.
+#[test]
+fn a_knn_too_large_for_a_shard_frame_leaves_every_shard_up() {
+    let (fleet, shards) = fleet_of(2);
+    let points = MAX_FRAME_LEN / 32 + 1000;
+    let traj = vec!["[1,2]"; points].join(",");
+    let payload = format!("{{\"req\":5,\"op\":\"knn\",\"traj\":[{traj}],\"k\":2}}");
+    assert!(payload.len() < MAX_FRAME_LEN);
+    let reply = fleet.handle_frame(&payload);
+    let refused =
+        format!("{{\"req\":5,\"ok\":false,\"error\":\"query of {points} points too large");
+    assert!(reply.starts_with(&refused), "{reply}");
+    assert_eq!(fleet.health(), vec![ShardHealth::Up; 2]);
+    let small = format!(
+        "{{\"req\":6,\"op\":\"knn\",\"traj\":{},\"k\":2}}",
+        traj_json(&traj_for(1))
+    );
+    let reply = fleet.handle_frame(&small);
+    assert!(
+        reply.starts_with("{\"req\":6,\"ok\":true,\"partial\":false,"),
+        "{reply}"
+    );
+    shut_down(fleet, shards);
 }
 
 /// Answers every frame with its own payload, after waiting at `barrier`
