@@ -1,8 +1,8 @@
 //! The fleet front-end: a router process that scatters the serve
 //! protocol across N independent downstream shard servers.
 //!
-//! [`Fleet`] owns one [`Client`] connection per downstream shard
-//! (`trajcl serve --listen` processes) and implements
+//! [`Fleet`] keeps a pool of idle [`Client`] connections per downstream
+//! shard (`trajcl serve --listen` processes) and implements
 //! [`FrameHandler`], so [`crate::net::listen_with`] serves it on the
 //! wire exactly like a local [`crate::Server`] — clients speak the same
 //! PROTOCOL.md frames to a front-end and cannot tell (except for the
@@ -28,6 +28,9 @@
 //!   blocks unboundedly on a dead shard;
 //! * failures retry with exponential backoff and deterministic seeded
 //!   jitter, within the op budget;
+//! * an idle connection the shard closed (its idle reaper, or a restart)
+//!   is no failure: the call finds it closed before the reply begins and
+//!   dials a fresh one in the same attempt;
 //! * each shard runs a health state machine — [`ShardHealth::Up`] →
 //!   [`ShardHealth::Degraded`] → [`ShardHealth::Down`] on consecutive
 //!   failures, with a background `ping` prober re-admitting recovered
@@ -49,7 +52,7 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,7 +61,7 @@ use trajcl_index::{merge_partials, shard_for, splitmix64};
 use trajcl_geo::Trajectory;
 
 use crate::json::{Item, Reader};
-use crate::net::{Client, ClientOptions, FrameHandler};
+use crate::net::{peer_closed, Client, ClientOptions, FrameHandler};
 use crate::proto::{
     encode_frame, err_response, hits_field, hits_from_bits, knn_query, required, traj_bits,
     Request, MAX_FRAME_LEN,
@@ -72,10 +75,10 @@ pub struct FleetConfig {
     /// to the remaining [`FleetConfig::op_deadline`] budget.
     pub client: ClientOptions,
     /// Total budget of one routed operation including reconnects, retries
-    /// and backoff sleeps, from when it first holds the connection(s) it
-    /// asked for (it may queue behind a scatter stuck on a stalled shard).
-    /// A scatter has ONE, shared by its pipelined attempt and every shard's
-    /// retries: however many shards fail, it answers (possibly partial) by then.
+    /// and backoff sleeps, from when the operation starts (no call waits
+    /// for another's connection). A scatter has ONE, shared by its
+    /// pipelined attempt and every shard's retries: however many shards
+    /// fail, it answers (possibly partial) by then.
     pub op_deadline: Duration,
     /// Extra attempts after the first failed one.
     pub retries: u32,
@@ -149,34 +152,58 @@ struct HealthState {
     consecutive_fails: u32,
 }
 
-/// One downstream shard: its address, the (lock-step) live connection,
-/// and its health state.
+/// One downstream shard: its address, its idle connections, and its
+/// health state.
 struct Shard {
     addr: String,
-    /// The persistent connection, dialled lazily and dropped on any
-    /// transport error (a failed call may leave the stream mid-frame;
-    /// resynchronisation is reconnection). Held from a request's write
-    /// until its reply is read, so a connection never carries two
-    /// requests; [`Fleet::scatter`] has the lock order.
-    conn: Mutex<Option<Client>>,
+    /// Idle connections, most recently used on top. A call pops one (or
+    /// dials when there is none) and owns it until the reply is read, so a
+    /// connection never carries two requests and no call waits for
+    /// another's; it goes back only after a clean reply. Any transport
+    /// error drops it: a failed call may leave the stream mid-frame, and
+    /// resynchronisation is reconnection. The stack never outgrows the
+    /// most calls that were in flight to this shard at once (DESIGN §14.1
+    /// has what bounds that).
+    idle: Mutex<Vec<Client>>,
     state: Mutex<HealthState>,
 }
 
 impl Shard {
+    fn new(addr: &str) -> Shard {
+        Shard {
+            addr: addr.to_string(),
+            idle: Mutex::new(Vec::new()),
+            state: Mutex::new(HealthState {
+                health: ShardHealth::Up,
+                consecutive_fails: 0,
+            }),
+        }
+    }
+
     fn health(&self) -> ShardHealth {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).health
     }
 
-    /// A scatter's send: `frame` onto the live connection, if the breaker is closed and there is one.
-    fn send(&self, frame: &[u8]) -> Leg<'_> {
-        if self.health() == ShardHealth::Down {
-            return Leg::Skipped;
+    /// The most recently used idle connection, if there is one.
+    fn pop(&self) -> Option<Client> {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop()
+    }
+
+    /// Returns a connection that read a clean reply to the idle stack;
+    /// once `stop` is set it is dropped instead. `stop` is read under the
+    /// stack's lock, which [`Fleet::shutdown`] takes after setting it, so a
+    /// connection checked in during shutdown cannot outlive it.
+    fn checkin(&self, client: Client, stop: &AtomicBool) {
+        let mut idle = self.idle.lock().unwrap_or_else(|p| p.into_inner());
+        if !stop.load(Ordering::Acquire) {
+            idle.push(client);
         }
-        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        match conn.as_mut().map(|client| client.send_encoded(frame)) {
-            Some(sent) => Leg::Sent(conn, sent),
-            None => Leg::Tried(None),
-        }
+    }
+
+    /// Drops every idle connection, closing them once the lock is released.
+    fn close_idle(&self) {
+        let idle = std::mem::take(&mut *self.idle.lock().unwrap_or_else(|p| p.into_inner()));
+        drop(idle);
     }
 
     /// A live call or probe succeeded: Degraded/Up → Up; Down → the
@@ -212,13 +239,46 @@ impl Shard {
 type Attempt = Option<io::Result<String>>;
 
 /// One shard's leg of a [`Fleet::scatter`].
-enum Leg<'a> {
+enum Leg {
     /// Breaker open: not tried (the prober owns re-admission).
     Skipped,
-    /// Request handed to the live connection; lock held until the reply is read.
-    Sent(MutexGuard<'a, Option<Client>>, io::Result<()>),
-    /// Attempt 0's outcome (`None`: no live connection).
+    /// Request written on this idle connection, which the leg owns until the reply is read.
+    Sent(Client),
+    /// Attempt 0's outcome; `None` when it was not made (no idle connection,
+    /// or the shard had closed the one popped), so [`Fleet::call_shard`] makes it.
     Tried(Attempt),
+}
+
+/// What is left of the budget ending at `deadline`; `None` once it is spent.
+fn budget_left(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+}
+
+/// Writes `frame` on `client`; `Ok(false)` when the shard had closed the
+/// connection (the write met a reset or a broken pipe).
+fn send(client: &mut Client, frame: &[u8]) -> io::Result<bool> {
+    match client.send_encoded(frame) {
+        Ok(()) => Ok(true),
+        Err(e) if peer_closed(&e) => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// A scatter leg's write on `client`: [`Leg::Sent`], or attempt 0's outcome
+/// when the write failed — not made (`None`) when the shard had closed the
+/// connection, which is no failure of the shard's: the rest of its idle
+/// stack is older still, so it goes too.
+fn send_leg(shard: &Shard, mut client: Client, frame: &[u8]) -> Leg {
+    match send(&mut client, frame) {
+        Ok(true) => Leg::Sent(client),
+        Ok(false) => {
+            shard.close_idle();
+            Leg::Tried(None)
+        }
+        Err(e) => Leg::Tried(Some(Err(e))),
+    }
 }
 
 /// Floor of a re-armed read deadline (std rejects 0): a reply already in the
@@ -260,14 +320,7 @@ impl Fleet {
         let mut reachable = 0usize;
         let mut last_err = None;
         for addr in addrs {
-            let shard = Arc::new(Shard {
-                addr: addr.clone(),
-                conn: Mutex::new(None),
-                state: Mutex::new(HealthState {
-                    health: ShardHealth::Up,
-                    consecutive_fails: 0,
-                }),
-            });
+            let shard = Arc::new(Shard::new(addr));
             // One eager probe so startup state is honest: operators see
             // dead addresses immediately instead of on first traffic.
             match probe_once(&shard.addr, &cfg.client) {
@@ -307,7 +360,8 @@ impl Fleet {
         self.shards.iter().map(|s| s.health()).collect()
     }
 
-    /// Stops the prober and drops every downstream connection. Called
+    /// Stops the prober and drops every idle downstream connection; a
+    /// connection a call still holds is dropped when that call ends. Called
     /// by `Drop`; explicit for tests and the CLI's clean-exit path.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
@@ -316,7 +370,7 @@ impl Fleet {
             let _ = prober.join();
         }
         for shard in &self.shards {
-            shard.conn.lock().unwrap_or_else(|p| p.into_inner()).take();
+            shard.close_idle();
         }
     }
 
@@ -327,21 +381,26 @@ impl Fleet {
         (splitmix64(self.cfg.jitter_seed ^ n) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// One downstream call with the full robustness envelope: one budget,
-    /// bounded retries, backoff+jitter, health recording. A scatter passes
-    /// its `deadline` and its pipelined attempt 0 (`first`); a single-shard
-    /// operation passes neither: [`Fleet::call_once`] mints one, makes the other.
+    /// The budget of an operation that starts now.
+    fn budget(&self) -> Instant {
+        Instant::now() + self.cfg.op_deadline
+    }
+
+    /// One downstream call of `frame` with the full robustness envelope:
+    /// one budget (`deadline`), bounded retries, backoff+jitter, health
+    /// recording. A scatter passes its pipelined attempt 0 as `first`; a
+    /// single-shard operation passes `None` and [`Fleet::call_once`] makes it.
     /// Transport errors surface as `Err`; in-band downstream errors are
     /// `Ok` (the shard is healthy — the request was bad).
     fn call_shard(
         &self,
         shard: &Shard,
-        payload: &str,
-        mut deadline: Option<Instant>,
+        frame: &[u8],
+        deadline: Instant,
         first: Attempt,
     ) -> io::Result<String> {
         let cfg = &self.cfg;
-        let mut outcome = first.or_else(|| self.call_once(shard, payload, &mut deadline));
+        let mut outcome = first.or_else(|| self.call_once(shard, frame, deadline));
         let mut attempt: u32 = 0;
         loop {
             let e = match outcome {
@@ -363,91 +422,140 @@ impl Fleet {
             let exp = cfg.backoff_base.saturating_mul(1 << (attempt - 1).min(16));
             let capped = exp.min(cfg.backoff_max);
             let sleep = capped.mul_f64(0.5 + 0.5 * self.jitter());
-            let left = deadline.map_or(sleep, |d| d.saturating_duration_since(Instant::now()));
-            if sleep >= left {
+            if sleep >= deadline.saturating_duration_since(Instant::now()) {
                 return Err(e); // budget exhausted: fail now, not late
             }
             std::thread::sleep(sleep);
-            outcome = self.call_once(shard, payload, &mut deadline);
+            outcome = self.call_once(shard, frame, deadline);
         }
     }
 
-    /// One lock-step attempt: (re)dial if needed, send, read the reply. The
-    /// wait for the lock may be for a scatter stuck on a stalled SIBLING, so
-    /// it is not this shard's: a budget not minted yet starts once the lock is
-    /// ours, and one spent by then returns `None` — nothing sent or recorded.
-    fn call_once(&self, shard: &Shard, payload: &str, deadline: &mut Option<Instant>) -> Attempt {
-        let mut conn = shard.conn.lock().unwrap_or_else(|p| p.into_inner());
-        let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.op_deadline);
-        let left = deadline
-            .checked_duration_since(Instant::now())
-            .filter(|l| !l.is_zero())?;
-        let sent = match conn.as_mut() {
-            Some(client) => client.send(payload),
-            None => {
-                let cap = |t: Option<Duration>| Some(t.map_or(left, |t| t.min(left)));
-                let opts = ClientOptions {
-                    connect_timeout: cap(self.cfg.client.connect_timeout),
-                    read_timeout: cap(self.cfg.client.read_timeout),
-                    write_timeout: cap(self.cfg.client.write_timeout),
-                };
-                Client::connect_with(&shard.addr, &opts).and_then(|c| conn.insert(c).send(payload))
-            }
+    /// A connection to `shard` dialled within what is left of `deadline`;
+    /// `None` when the budget is spent (a scatter's slower siblings used it
+    /// up): nothing dialled.
+    fn dial(&self, shard: &Shard, deadline: Instant) -> Option<io::Result<Client>> {
+        let left = budget_left(deadline)?;
+        let cap = |t: Option<Duration>| Some(t.map_or(left, |t| t.min(left)));
+        let opts = ClientOptions {
+            connect_timeout: cap(self.cfg.client.connect_timeout),
+            read_timeout: cap(self.cfg.client.read_timeout),
+            write_timeout: cap(self.cfg.client.write_timeout),
         };
-        Some(self.read_reply(&mut conn, sent, deadline))
+        Some(Client::connect_with(&shard.addr, &opts))
     }
 
-    /// Second half of an exchange on `conn`, given how the send went: reads
-    /// the reply, the read deadline tightened to what is left of `deadline`.
-    /// Any error drops the connection — a half-written or half-read frame
-    /// leaves the stream unsynchronisable: reconnection IS the resync protocol.
+    /// One attempt on a connection of its own: an idle one of `shard`'s, or
+    /// one dialled within what is left of `deadline`. An idle connection the
+    /// shard had closed (it reaped it, or restarted) is not the shard's
+    /// failure: the attempt drops the rest of the stack, which is older
+    /// still, and dials. `None` when the budget was spent before the attempt
+    /// began: nothing dialled, sent or recorded.
+    fn call_once(&self, shard: &Shard, frame: &[u8], deadline: Instant) -> Attempt {
+        budget_left(deadline)?;
+        if let Some(client) = shard.pop() {
+            let attempt = self.exchange(shard, client, frame, deadline).transpose();
+            if attempt.is_some() {
+                return attempt;
+            }
+            shard.close_idle();
+        }
+        let client = self.dial(shard, deadline)?;
+        Some(client.and_then(|client| {
+            self.exchange(shard, client, frame, deadline)?
+                .ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::UnexpectedEof, "shard closed the connection")
+                })
+        }))
+    }
+
+    /// Writes `frame` on `client` and reads the reply; `Ok(None)` when the
+    /// shard had closed the connection before the reply began.
+    fn exchange(
+        &self,
+        shard: &Shard,
+        mut client: Client,
+        frame: &[u8],
+        deadline: Instant,
+    ) -> io::Result<Option<String>> {
+        if !send(&mut client, frame)? {
+            return Ok(None);
+        }
+        self.read_reply(shard, client, deadline)
+    }
+
+    /// Second half of an exchange on `client`: reads the reply, the read
+    /// deadline tightened to what is left of `deadline`; `Ok(None)` when the
+    /// shard had closed the connection before the reply began. A clean reply
+    /// checks the connection back in; anything else drops it — a half-read
+    /// frame leaves the stream unsynchronisable: reconnection IS the resync protocol.
     fn read_reply(
         &self,
-        conn: &mut Option<Client>,
-        sent: io::Result<()>,
+        shard: &Shard,
+        mut client: Client,
         deadline: Instant,
-    ) -> io::Result<String> {
-        let reply = sent.and_then(|()| {
-            let client = conn.as_mut().ok_or(io::ErrorKind::NotConnected)?;
-            let left = deadline.saturating_duration_since(Instant::now());
-            let wait = self.cfg.client.read_timeout.map_or(left, |c| c.min(left));
-            client.set_read_timeout(Some(wait.max(READ_FLOOR)))?;
-            client.reply()
-        });
-        if reply.is_err() {
-            *conn = None;
+    ) -> io::Result<Option<String>> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let wait = self.cfg.client.read_timeout.map_or(left, |c| c.min(left));
+        client.set_read_timeout(Some(wait.max(READ_FLOOR)))?;
+        let reply = client.reply_unless_closed()?;
+        if reply.is_some() {
+            shard.checkin(client, &self.stop);
         }
-        reply
+        Ok(reply)
     }
 
     /// Scatters `payload` to every non-Down shard and returns the replies
     /// that came back, in shard order (`Err` when none did).
-    /// Send-all-then-receive-all on the calling thread: the frame, encoded
-    /// once, is written on each live connection; then ONE budget starts (the
-    /// wait for the locks is not on it) and the replies are read in the same
-    /// order, each lock released as its reply comes in. That is attempt 0 of
-    /// [`Fleet::call_shard`]'s envelope; a shard it failed on, or that had no
-    /// live connection, then runs the rest of it on what is left of the budget.
-    ///
-    /// Lock order: only this function holds several `conn` locks, and it
-    /// takes them in ascending shard index; `call_once` and `shutdown` hold
-    /// one and take no second — no cycle, no deadlock. A stalled shard
-    /// keeps the locks after it for at most its read deadline.
+    /// Send-all-then-receive-all on the calling thread, under ONE budget: the
+    /// frame, encoded once, is written first on each shard's idle connection,
+    /// then on a connection dialled for each Up shard that had none; then the
+    /// replies are read in shard order. That is attempt 0 of
+    /// [`Fleet::call_shard`]'s envelope; a shard it failed on, or did not
+    /// make (a Degraded shard with no idle connection is not dialled until
+    /// the replies are in), then runs the rest of it on what is left of the
+    /// budget. The dials come after every idle write, so a host that stopped
+    /// answering SYNs spends the budget while its siblings' replies arrive.
+    /// Every leg owns its connection, so no lock is held across socket I/O
+    /// and a stalled shard holds up no other call.
     fn scatter(&self, payload: &str) -> Result<Vec<String>, String> {
+        let deadline = self.budget();
         let frame = encode_frame(payload.as_bytes());
-        let legs: Vec<Leg<'_>> = self.shards.iter().map(|s| s.send(&frame)).collect();
-        let deadline = Instant::now() + self.cfg.op_deadline;
-        let receive = |leg| match leg {
-            Leg::Sent(mut conn, sent) => {
-                Leg::Tried(Some(self.read_reply(&mut conn, sent, deadline)))
+        let mut legs: Vec<Leg> = (self.shards.iter())
+            .map(|shard| {
+                if shard.health() == ShardHealth::Down {
+                    return Leg::Skipped;
+                }
+                match shard.pop() {
+                    Some(client) => send_leg(shard, client, &frame),
+                    None => Leg::Tried(None),
+                }
+            })
+            .collect();
+        for (shard, leg) in self.shards.iter().zip(&mut legs) {
+            if matches!(leg, Leg::Tried(None)) && shard.health() == ShardHealth::Up {
+                *leg = match self.dial(shard, deadline) {
+                    Some(Ok(client)) => send_leg(shard, client, &frame),
+                    Some(Err(e)) => Leg::Tried(Some(Err(e))),
+                    None => Leg::Tried(None),
+                };
             }
-            unsent => unsent,
-        };
-        let legs: Vec<Leg<'_>> = legs.into_iter().map(receive).collect();
+        }
+        let legs: Vec<Leg> = (self.shards.iter().zip(legs))
+            .map(|(shard, leg)| match leg {
+                Leg::Sent(client) => {
+                    let first = self.read_reply(shard, client, deadline).transpose();
+                    if first.is_none() {
+                        shard.close_idle();
+                    }
+                    Leg::Tried(first)
+                }
+                unsent => unsent,
+            })
+            .collect();
         let mut replies = Vec::with_capacity(legs.len());
         for (shard, leg) in self.shards.iter().zip(legs) {
             if let Leg::Tried(first) = leg {
-                replies.extend(self.call_shard(shard, payload, Some(deadline), first).ok());
+                replies.extend(self.call_shard(shard, &frame, deadline, first).ok());
             }
         }
         if replies.is_empty() {
@@ -546,8 +654,13 @@ impl Fleet {
         }
         // The downstream response already carries the req echo and the
         // op's fields — forward it verbatim.
-        self.call_shard(shard, payload, None, None)
-            .map_err(|e| format!("shard {}: {e}", shard.addr))
+        self.call_shard(
+            shard,
+            &encode_frame(payload.as_bytes()),
+            self.budget(),
+            None,
+        )
+        .map_err(|e| format!("shard {}: {e}", shard.addr))
     }
 
     /// Ops any one shard can answer (every shard holds the full model):
@@ -555,13 +668,14 @@ impl Fleet {
     fn route_any_shard(&self, payload: &str) -> Result<String, String> {
         let n = self.shards.len();
         let start = (self.jitter() * n as f64) as usize % n;
+        let frame = encode_frame(payload.as_bytes());
         let mut last_err = None;
         for i in 0..n {
             let shard = &self.shards[(start + i) % n];
             if shard.health() == ShardHealth::Down {
                 continue;
             }
-            match self.call_shard(shard, payload, None, None) {
+            match self.call_shard(shard, &frame, self.budget(), None) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => last_err = Some(format!("shard {}: {e}", shard.addr)),
             }
@@ -634,19 +748,12 @@ impl Drop for Fleet {
 }
 
 /// One fresh-connection `ping` round trip (the probe primitive: never
-/// touches the persistent per-shard connection, so probing cannot
-/// interfere with live traffic).
+/// touches the shard's pooled connections, so probing cannot interfere
+/// with live traffic). A reply [`read_pong`] refuses is a failed probe.
 fn probe_once(addr: &str, opts: &ClientOptions) -> io::Result<()> {
     let mut client = Client::connect_with(addr, opts)?;
     let resp = client.call("{\"op\":\"ping\"}")?;
-    if resp.contains("\"pong\":true") {
-        Ok(())
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected ping response: {resp}"),
-        ))
-    }
+    read_pong(&resp).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// The background health prober: every `probe_interval`, ping each
@@ -735,6 +842,23 @@ pub fn read_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
         .map_err(|e| format!("shard response {e}"))
 }
 
+/// Reads a shard's `ping` reply: ok, with `"pong":true`.
+fn read_pong(resp: &str) -> Result<(), String> {
+    let mut pong = false;
+    shard_reply(resp, |r, key| {
+        match key {
+            "pong" => pong = matches!(r.scalar(1)?, Item::Bool(true)),
+            _ => r.skip_value(1)?,
+        }
+        Ok(())
+    })?;
+    if pong {
+        Ok(())
+    } else {
+        Err("shard response missing \"pong\":true".into())
+    }
+}
+
 /// Reads the non-negative integers `keys` from an ok shard reply.
 fn read_counts<const N: usize>(resp: &str, keys: [&str; N]) -> Result<[u64; N], String> {
     let mut found = [None; N];
@@ -758,14 +882,7 @@ mod tests {
 
     #[test]
     fn health_machine_walks_down_and_back_up() {
-        let shard = Shard {
-            addr: "test".into(),
-            conn: Mutex::new(None),
-            state: Mutex::new(HealthState {
-                health: ShardHealth::Up,
-                consecutive_fails: 0,
-            }),
-        };
+        let shard = Shard::new("test");
         shard.record_failure(3);
         assert_eq!(shard.health(), ShardHealth::Degraded);
         shard.record_failure(3);
@@ -784,21 +901,15 @@ mod tests {
         assert_eq!(shard.health(), ShardHealth::Up);
     }
 
-    /// A budget already spent when the lock is ours (the wait was for a
-    /// scatter stuck on a sibling): nothing dialled or sent, no failure
-    /// charged — with `down_after` 1 a charge would trip the breaker.
+    /// A spent budget dials nothing and charges nothing (a scatter's slower
+    /// siblings used it up before this shard's turn): nothing dialled or
+    /// sent, no failure charged — with `down_after` 1 a charge would trip
+    /// the breaker.
     #[test]
     fn a_budget_spent_waiting_for_the_lock_is_not_charged_to_the_shard() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
-        let shard = Arc::new(Shard {
-            addr: listener.local_addr().unwrap().to_string(),
-            conn: Mutex::new(None),
-            state: Mutex::new(HealthState {
-                health: ShardHealth::Up,
-                consecutive_fails: 0,
-            }),
-        });
+        let shard = Arc::new(Shard::new(&listener.local_addr().unwrap().to_string()));
         let fleet = Fleet {
             shards: vec![Arc::clone(&shard)],
             cfg: FleetConfig {
@@ -811,11 +922,11 @@ mod tests {
         };
         let spent = Instant::now();
         let e = fleet
-            .call_shard(&shard, "{\"op\":\"ping\"}", Some(spent), None)
+            .call_shard(&shard, &encode_frame(b"{\"op\":\"ping\"}"), spent, None)
             .unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::TimedOut);
         assert_eq!(shard.health(), ShardHealth::Up);
-        assert!(shard.conn.lock().unwrap().is_none());
+        assert!(shard.idle.lock().unwrap().is_empty());
         let dialled = listener.accept();
         assert!(dialled.is_err(), "{dialled:?}");
     }
@@ -871,6 +982,30 @@ mod tests {
             ),
         ] {
             assert_eq!(read_hits(resp).unwrap_err(), err, "{resp}");
+        }
+        // The prober's `ping` reply goes through the same reader.
+        assert_eq!(read_pong("{\"req\":1,\"ok\":true,\"pong\":true}"), Ok(()));
+        for (resp, err) in [
+            ("{\"ok\":false,\"error\":\"draining\"}", "draining"),
+            ("{\"ok\":true}", "shard response missing \"pong\":true"),
+            (
+                "{\"ok\":true,\"pong\":false}",
+                "shard response missing \"pong\":true",
+            ),
+            (
+                "{\"ok\":true,\"pong\":1}",
+                "shard response missing \"pong\":true",
+            ),
+            (
+                "{\"ok\":true,\"pong\":true",
+                "malformed shard response: expected ',' or '}' at byte 22",
+            ),
+            (
+                "{\"ok\":true,\"pong\":true}}",
+                "malformed shard response: trailing characters at byte 23",
+            ),
+        ] {
+            assert_eq!(read_pong(resp).unwrap_err(), err, "{resp}");
         }
     }
 }

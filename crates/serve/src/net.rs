@@ -132,6 +132,17 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Whether a transport error says the peer had closed or reset the connection.
+pub(crate) fn peer_closed(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::BrokenPipe
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::ConnectionAborted
+            | std::io::ErrorKind::NotConnected
+    )
+}
+
 /// One accepted or dialled connection, TCP or unix (a unified handle so
 /// every transport path is written once).
 enum Stream {
@@ -578,6 +589,21 @@ impl Client {
     /// [`Client::send`] of a frame already encoded (`proto::encode_frame`).
     pub(crate) fn send_encoded(&mut self, frame: &[u8]) -> std::io::Result<()> {
         self.output.write_all(frame)
+    }
+
+    /// [`Client::reply`], except that a connection found closed before the
+    /// reply's first byte (end-of-stream or a reset, see [`peer_closed`]) is
+    /// `Ok(None)`: the fleet tells a shard that reaped an idle connection
+    /// apart from one that failed a request.
+    pub(crate) fn reply_unless_closed(&mut self) -> std::io::Result<Option<String>> {
+        // Lock-step: nothing is buffered yet, so this is the reply's first read.
+        match self.input.fill_buf() {
+            Ok([]) => return Ok(None),
+            Err(e) if peer_closed(&e) => return Ok(None),
+            Err(e) => return Err(e),
+            Ok(_) => {}
+        }
+        self.reply().map(Some)
     }
 
     /// [`Client::recv`] of a reply that is owed: a closed connection is an error.

@@ -21,8 +21,9 @@ use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_index::shard_for;
+use trajcl_serve::fleet::read_hits;
 use trajcl_serve::net::listen_with;
-use trajcl_serve::proto::{read_frame, traj_json, write_frame};
+use trajcl_serve::proto::{read_frame, traj_bits, traj_json, write_frame};
 use trajcl_serve::{
     listen, ChaosPlan, ChaosProxy, Client, ClientOptions, Fleet, FleetConfig, FrameHandler,
     NetServer, ServeConfig, Server, SessionOptions, ShardHealth,
@@ -70,10 +71,12 @@ fn upsert_payload(id: u64) -> String {
     )
 }
 
+/// A `knn` in the exact form (`traj_bits`), so the reply is `hits_bits`:
+/// ids, distance bits and tie order, for [`hits_of`] to compare.
 fn knn_payload(qid: u64, k: usize) -> String {
     format!(
-        "{{\"op\":\"knn\",\"traj\":{},\"k\":{k}}}",
-        traj_json(&traj_for(qid))
+        "{{\"op\":\"knn\",\"traj_bits\":\"{}\",\"k\":{k}}}",
+        traj_bits(&traj_for(qid))
     )
 }
 
@@ -135,12 +138,13 @@ fn fleet_cfg() -> FleetConfig {
     }
 }
 
-/// The `"hits":[...]` tail of a knn response — the part that must be
-/// bit-identical between the fleet and the unsharded oracle.
+/// The `"hits_bits":"…"` tail of a knn response — the part that must be
+/// bit-identical between the fleet and the unsharded oracle: ids, the
+/// distances' f64 bits, and their order.
 fn hits_of(resp: &str) -> &str {
     let at = resp
-        .find("\"hits\":")
-        .unwrap_or_else(|| panic!("no hits in {resp}"));
+        .find("\"hits_bits\":")
+        .unwrap_or_else(|| panic!("no hits_bits in {resp}"));
     resp[at..].trim_end_matches('}')
 }
 
@@ -149,6 +153,45 @@ fn wait_for<F: FnMut() -> bool>(mut cond: F, budget: Duration, what: &str) {
     while !cond() {
         assert!(start.elapsed() < budget, "timed out waiting for {what}");
         std::thread::sleep(ms(25));
+    }
+}
+
+/// Samples one shard's health every millisecond, from `start` until
+/// `seen`, and keeps each state it changes to.
+struct HealthWatch {
+    done: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<Vec<ShardHealth>>,
+}
+
+impl HealthWatch {
+    fn start(fleet: &Arc<Fleet>, shard: usize) -> HealthWatch {
+        let done = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let (fleet, done) = (Arc::clone(fleet), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                loop {
+                    // Read the flag first: the last sample is then taken
+                    // after the calls watched are over.
+                    let last = done.load(Ordering::Acquire);
+                    let h = fleet.health()[shard];
+                    if seen.last() != Some(&h) {
+                        seen.push(h);
+                    }
+                    if last {
+                        return seen;
+                    }
+                    std::thread::sleep(ms(1));
+                }
+            })
+        };
+        HealthWatch { done, thread }
+    }
+
+    /// The states seen, in order.
+    fn seen(self) -> Vec<ShardHealth> {
+        self.done.store(true, Ordering::Release);
+        self.thread.join().expect("health watcher")
     }
 }
 
@@ -429,8 +472,9 @@ fn shard_restart_with_wal_recovers_acked_writes() {
     );
     for &id in acked.iter().chain(seeded_on_0.iter().take(3)) {
         let f = client.call(&knn_payload(id, 1)).expect("recovered knn");
-        assert!(
-            f.contains(&format!("\"index\":{id}")) && f.contains("\"distance\":0.000000"),
+        assert_eq!(
+            read_hits(&f),
+            Ok(vec![(id, 0.0)]),
             "acked write {id} lost after restart: {f}"
         );
     }
@@ -687,7 +731,10 @@ fn stalled_shard_hits_read_deadline_and_degrades() {
         f.contains("\"partial\":true,\"shards_ok\":1,\"shards_total\":2"),
         "{f}"
     );
-    assert!(f.contains(&format!("\"index\":{}", mine[0])), "{f}");
+    assert!(
+        hits_of(&f).starts_with(&format!("\"hits_bits\":\"{:016x}", mine[0])),
+        "{f}"
+    );
     assert!(
         elapsed < Duration::from_secs(4),
         "stalled-shard knn took {elapsed:?}"
@@ -709,11 +756,16 @@ fn the_fleet_merges_on_exact_distances() {
     let a = Staller::answering(vec![(9, 1.000_000_1)], usize::MAX);
     let b = Staller::answering(vec![(3, 1.000_000_4)], usize::MAX);
     let fleet = Fleet::connect(&[a.addr.clone(), b.addr.clone()], fleet_cfg()).expect("fleet");
-    let reply = fleet.handle_frame(&knn_payload(0, 2));
-    assert_eq!(
-        hits_of(&reply),
-        "\"hits\":[{\"rank\":1,\"index\":9,\"distance\":1.000000},\
-         {\"rank\":2,\"index\":3,\"distance\":1.000000}]",
+    let query = format!(
+        "{{\"op\":\"knn\",\"traj\":{},\"k\":2}}",
+        traj_json(&traj_for(0))
+    );
+    let reply = fleet.handle_frame(&query);
+    assert!(
+        reply.ends_with(
+            "\"hits\":[{\"rank\":1,\"index\":9,\"distance\":1.000000},\
+             {\"rank\":2,\"index\":3,\"distance\":1.000000}]}"
+        ),
         "{reply}"
     );
     fleet.shutdown();
@@ -875,17 +927,15 @@ fn seed_with_oracle(fleet: &Fleet, ids: &[u64]) -> (ShardServer, Client) {
 
 /// The scatter's envelope with one shard stalled PAST the op budget
 /// (its read deadline is longer than `op_deadline`) on a LIVE connection
-/// — so the stall happens in the pipelined attempt, with the locks of
-/// shards 1–3 held — while the healthy shards sit behind 40 ms round
-/// trips (slower than the 1 ms read floor). The answer takes one budget,
-/// not one per shard; the three shards that answered are all in it (a
-/// reply already in the socket buffer is read even though the slow
-/// sibling spent the budget); and a write to a healthy shard issued
-/// while the scatter waits on shard 0 waits for that shard's lock until
-/// shard 0's read deadline fires, then SUCCEEDS on a budget of its own:
-/// the wait is the scatter's doing, not the healthy shard's. The same
-/// goes for a second scatter queued behind the first: its budget starts
-/// once it holds its connections, so it too answers 3 of 4.
+/// — so the stall happens in the pipelined attempt, while the scatter owns
+/// connections to shards 1–3 — and the healthy shards sit behind 40 ms
+/// round trips (slower than the 1 ms read floor). The answer takes one
+/// budget, not one per shard; the three shards that answered are all in it
+/// (a reply already in the socket buffer is read even though the slow
+/// sibling spent the budget). A stalled shard holds up nobody else: a write
+/// to a healthy shard issued while the scatter waits on shard 0 takes one
+/// round trip on a connection of its own, and a second scatter issued then
+/// answers 3 of 4 within its own budget.
 #[test]
 fn scatter_with_a_stalled_shard_takes_one_budget_and_keeps_the_healthy_replies() {
     const NSHARDS: usize = 4;
@@ -933,7 +983,8 @@ fn scatter_with_a_stalled_shard_takes_one_budget_and_keeps_the_healthy_replies()
     };
     let first = scatter();
     // Once shard 0 has swallowed the query, the scatter is under way: it
-    // has written to every shard, holds every lock and waits on shard 0.
+    // has written to every shard, owns a connection to each and waits on
+    // shard 0.
     wait_for(
         || staller.swallowed.load(Ordering::Acquire) > 0,
         budget,
@@ -949,23 +1000,19 @@ fn scatter_with_a_stalled_shard_takes_one_budget_and_keeps_the_healthy_replies()
     let write_took = write_started.elapsed();
     assert!(w.contains("\"replaced\":true"), "{w}");
     assert!(
-        write_took > cfg.op_deadline / 2,
-        "the write took {write_took:?}: the scatter was not holding shard 1's lock"
-    );
-    assert!(
-        write_took < budget,
+        write_took < cfg.op_deadline / 2,
         "a write to a healthy shard waited {write_took:?} behind the stalled scatter"
     );
 
-    // The queued scatter waits out the first one's hold on shard 0 (up
-    // to one `op_deadline`), then runs on its own budget.
-    for (scatter, limit) in [(first, budget), (queued, budget + cfg.op_deadline)] {
+    // The second scatter waits for nothing the first one holds: it dials
+    // connections of its own and answers within its own budget.
+    for scatter in [first, queued] {
         let (f, took) = scatter.join().expect("scatter thread");
         assert!(
             f.contains("\"partial\":true,\"shards_ok\":3,\"shards_total\":4"),
             "{f}"
         );
-        assert!(took < limit, "stalled-shard knn took {took:?}");
+        assert!(took < budget, "stalled-shard knn took {took:?}");
         assert_eq!(hits_of(&f), hits_of(&o));
     }
     // Only the shard that stalled pays for it.
@@ -984,11 +1031,11 @@ fn scatter_with_a_stalled_shard_takes_one_budget_and_keeps_the_healthy_replies()
 }
 
 /// A shard connection severed BETWEEN two requests: the scatter's
-/// pipelined write lands on a dead connection, which costs exactly one
-/// recorded failure (Up → Degraded, never Down with `down_after` 2) and
-/// then the retry path re-dials and completes the answer bit-exactly.
+/// pipelined write lands on a dead connection, which the read finds closed
+/// before the reply begins. That costs the shard nothing (it never leaves
+/// Up), and the same attempt dials again and completes the answer bit-exactly.
 #[test]
-fn severed_connection_costs_one_failure_and_the_retry_completes_the_answer() {
+fn severed_connection_costs_no_failure_and_a_fresh_dial_completes_the_answer() {
     const NSHARDS: usize = 2;
     let shards = [ShardServer::spawn(), ShardServer::spawn()];
     let ids: Vec<u64> = (0..24).collect();
@@ -1003,32 +1050,11 @@ fn severed_connection_costs_one_failure_and_the_retry_completes_the_answer() {
         ..ChaosPlan::none(11)
     };
     let proxy = ChaosProxy::start(&shards[0].addr(), plan).expect("proxy");
-    let mut cfg = fleet_cfg();
-    cfg.backoff_base = ms(40); // a backoff long enough to be seen Degraded in
     let addrs = [proxy.local_addr().to_string(), shards[1].addr()];
-    let fleet = Arc::new(Fleet::connect(&addrs, cfg).expect("fleet"));
+    let fleet = Arc::new(Fleet::connect(&addrs, fleet_cfg()).expect("fleet"));
     let (oracle, mut oracle_client) = seed_with_oracle(&fleet, &ids);
 
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = {
-        let (fleet, done) = (Arc::clone(&fleet), Arc::clone(&done));
-        std::thread::spawn(move || {
-            let mut seen = Vec::new();
-            loop {
-                // Read the flag first: the last sample is then taken
-                // after the queries are over.
-                let last = done.load(Ordering::Acquire);
-                let h = fleet.health()[0];
-                if seen.last() != Some(&h) {
-                    seen.push(h);
-                }
-                if last {
-                    return seen;
-                }
-                std::thread::sleep(ms(1));
-            }
-        })
-    };
+    let watch = HealthWatch::start(&fleet, 0);
     for qid in [3u64, 9] {
         let f = fleet.handle_frame(&knn_payload(qid, 5));
         assert!(
@@ -1040,12 +1066,10 @@ fn severed_connection_costs_one_failure_and_the_retry_completes_the_answer() {
             .expect("oracle knn");
         assert_eq!(hits_of(&f), hits_of(&o), "query {qid}");
     }
-    done.store(true, Ordering::Release);
-    let seen = watcher.join().expect("watcher");
     assert_eq!(
-        seen,
-        [ShardHealth::Up, ShardHealth::Degraded, ShardHealth::Up],
-        "the severed attempt must record exactly one failure"
+        watch.seen(),
+        [ShardHealth::Up],
+        "a connection found closed before the reply is no failure"
     );
     assert_eq!(proxy.faults_injected(), 1, "the kill budget never fired");
 
@@ -1057,10 +1081,158 @@ fn severed_connection_costs_one_failure_and_the_retry_completes_the_answer() {
     oracle.kill();
 }
 
-/// Two handler threads scattering at once for two seconds: the lock
-/// order (ascending shard index) means neither can deadlock the other,
-/// and a connection never carries two requests, so neither can read
-/// the other's reply — every answer is its own query's oracle answer.
+/// A shard that closed every idle connection the fleet holds to it (its
+/// idle reaper, or a restart behind a stable address) is charged nothing.
+/// Three writes at once, with `down_after` 2, each pop a closed connection,
+/// find it closed before the reply begins and dial a fresh one in the same
+/// attempt: the shard never leaves Up and every write lands.
+#[test]
+fn idle_connections_the_shard_closed_cost_it_no_failure() {
+    const CALLS: u64 = 3;
+    let shard = ShardServer::spawn();
+    // Every frame waits 100 ms each way, so calls started together are all
+    // in flight at once and each holds a connection of its own.
+    let slow = ChaosPlan {
+        delay_per_mille: 1000,
+        delay: ms(100),
+        ..ChaosPlan::none(13)
+    };
+    let proxy = ChaosProxy::start(&shard.addr(), slow).expect("proxy");
+    let fleet =
+        Arc::new(Fleet::connect(&[proxy.local_addr().to_string()], fleet_cfg()).expect("fleet"));
+    let burst = |payload: fn(u64) -> String| {
+        let start = Arc::new(std::sync::Barrier::new(CALLS as usize));
+        let calls: Vec<_> = (0..CALLS)
+            .map(|id| {
+                let (fleet, start) = (Arc::clone(&fleet), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    fleet.handle_frame(&payload(id))
+                })
+            })
+            .collect();
+        calls.into_iter().map(|call| call.join().expect("call"))
+    };
+    for r in burst(|id| knn_payload(id, 1)) {
+        assert!(r.contains("\"partial\":false"), "{r}");
+    }
+    assert_eq!(
+        proxy.frames_forwarded(),
+        2 + 2 * CALLS,
+        "the start-up probe and the calls, with no retry"
+    );
+
+    proxy.sever_all();
+    let watch = HealthWatch::start(&fleet, 0);
+    for r in burst(upsert_payload) {
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+    assert_eq!(watch.seen(), [ShardHealth::Up]);
+    for id in 0..CALLS {
+        let r = fleet.handle_frame(&knn_payload(id, 1));
+        assert_eq!(read_hits(&r), Ok(vec![(id, 0.0)]), "{r}");
+    }
+
+    drop(fleet);
+    proxy.shutdown();
+    shard.kill();
+}
+
+/// A shard whose host stops completing TCP handshakes while it is still Up
+/// (its accept queue is full, so the kernel drops every SYN), under an op
+/// budget shorter than the connect deadline: the scatter's dial to it
+/// spends the whole budget, but the dials come after every write on an
+/// idle connection, so the three healthy shards' replies — 40 ms round
+/// trips, far slower than the 1 ms read floor — are all in the answer.
+/// Degraded, the dark shard is dialled only after the reads.
+#[test]
+fn a_shard_whose_dial_never_completes_keeps_its_siblings_replies() {
+    const NSHARDS: usize = 4;
+    // Shard 0 answers the start-up probe, then never accepts again.
+    let dark = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let dark_addr = dark.local_addr().expect("addr");
+    let probe = {
+        let dark = dark.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let (mut conn, _) = dark.accept().expect("probe");
+            let mut reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
+            let ping = read_frame(&mut reader).expect("ping").expect("ping frame");
+            assert!(ping.contains("\"op\":\"ping\""), "{ping}");
+            write_frame(&mut conn, "{\"ok\":true,\"pong\":true}").expect("pong");
+        })
+    };
+    let real: Vec<ShardServer> = (1..NSHARDS).map(|_| ShardServer::spawn()).collect();
+    let slow = ChaosPlan {
+        delay_per_mille: 1000,
+        delay: ms(20),
+        ..ChaosPlan::none(17)
+    };
+    let proxies: Vec<ChaosProxy> = real
+        .iter()
+        .map(|s| ChaosProxy::start(&s.addr(), slow).expect("proxy"))
+        .collect();
+    let mut cfg = fleet_cfg();
+    cfg.client.connect_timeout = Some(ms(1000));
+    cfg.op_deadline = ms(400);
+    let mut addrs = vec![dark_addr.to_string()];
+    addrs.extend(proxies.iter().map(|p| p.local_addr().to_string()));
+    let fleet = Fleet::connect(&addrs, cfg).expect("fleet");
+    probe.join().expect("probe thread");
+    // Seeding leaves an idle connection to each healthy shard.
+    let mine: Vec<u64> = (0..32).filter(|&id| shard_for(id, NSHARDS) != 0).collect();
+    let (oracle, mut oracle_client) = seed_with_oracle(&fleet, &mine);
+    let o = oracle_client
+        .call(&knn_payload(mine[0], 5))
+        .expect("oracle knn");
+    let mut backlog = Vec::new();
+    loop {
+        match std::net::TcpStream::connect_timeout(&dark_addr, ms(100)) {
+            Ok(conn) => backlog.push(conn),
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::TimedOut, "{e}");
+                break;
+            }
+        }
+        assert!(
+            backlog.len() < 10_000,
+            "shard 0's accept queue never filled"
+        );
+    }
+    assert_eq!(fleet.health(), vec![ShardHealth::Up; NSHARDS]);
+
+    // Up, then Degraded (or Down, once the prober's ping failed too).
+    for scatter in 0..2 {
+        let started = Instant::now();
+        let f = fleet.handle_frame(&knn_payload(mine[0], 5));
+        let took = started.elapsed();
+        assert!(
+            f.contains("\"partial\":true,\"shards_ok\":3,\"shards_total\":4"),
+            "scatter {scatter}: {f}"
+        );
+        assert_eq!(hits_of(&f), hits_of(&o), "scatter {scatter}");
+        assert!(
+            took < cfg.op_deadline * 2,
+            "scatter {scatter} took {took:?}"
+        );
+    }
+    assert_eq!(fleet.health()[0], ShardHealth::Down);
+    assert_eq!(fleet.health()[1..], [ShardHealth::Up; NSHARDS - 1]);
+
+    fleet.shutdown();
+    drop(backlog);
+    for p in proxies {
+        p.shutdown();
+    }
+    for s in real {
+        s.kill();
+    }
+    oracle.kill();
+}
+
+/// Two handler threads scattering at once for two seconds: each call owns
+/// the connections it uses, so neither waits on the other, and a
+/// connection never carries two requests, so neither can read the other's
+/// reply — every answer is its own query's oracle answer.
 #[test]
 fn concurrent_scatters_neither_deadlock_nor_cross_replies() {
     const NSHARDS: usize = 4;
@@ -1111,6 +1283,187 @@ fn concurrent_scatters_neither_deadlock_nor_cross_replies() {
     assert_eq!(fleet.health(), vec![ShardHealth::Up; NSHARDS]);
 
     fleet.shutdown();
+    for s in shards {
+        s.kill();
+    }
+    oracle.kill();
+}
+
+/// A frame relay in front of one shard server that counts the data
+/// connections dialled through it (those whose first frame is not a
+/// `ping`, so the start-up probe is not one) and how many of those the
+/// dialler has since closed. While `hold` is set it keeps replies back.
+struct CountingRelay {
+    addr: String,
+    opened: Arc<AtomicUsize>,
+    closed: Arc<AtomicUsize>,
+    /// Replies being kept back right now.
+    held: Arc<AtomicUsize>,
+    hold: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl CountingRelay {
+    fn start(upstream: String) -> CountingRelay {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let [opened, closed, held] = [(); 3].map(|()| Arc::new(AtomicUsize::new(0)));
+        let [hold, stop] = [(); 2].map(|()| Arc::new(AtomicBool::new(false)));
+        let thread = {
+            let (opened, closed, held) =
+                (Arc::clone(&opened), Arc::clone(&closed), Arc::clone(&held));
+            let (hold, stop) = (Arc::clone(&hold), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while let Ok((conn, _)) = listener.accept() {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let server = std::net::TcpStream::connect(&upstream).expect("upstream");
+                    let mut replies = std::io::BufReader::new(server.try_clone().expect("clone"));
+                    let mut to_client = conn.try_clone().expect("clone");
+                    let (hold, held) = (Arc::clone(&hold), Arc::clone(&held));
+                    std::thread::spawn(move || {
+                        while let Ok(Some(reply)) = read_frame(&mut replies) {
+                            if hold.load(Ordering::Acquire) {
+                                held.fetch_add(1, Ordering::AcqRel);
+                                while hold.load(Ordering::Acquire) {
+                                    std::thread::sleep(ms(1));
+                                }
+                                held.fetch_sub(1, Ordering::AcqRel);
+                            }
+                            if write_frame(&mut to_client, &reply).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                    let (opened, closed) = (Arc::clone(&opened), Arc::clone(&closed));
+                    std::thread::spawn(move || {
+                        let (mut requests, mut to_server) = (std::io::BufReader::new(conn), server);
+                        let mut data = None;
+                        while let Ok(Some(request)) = read_frame(&mut requests) {
+                            if data.is_none() {
+                                let first_is_data = !request.contains("\"op\":\"ping\"");
+                                if first_is_data {
+                                    opened.fetch_add(1, Ordering::AcqRel);
+                                }
+                                data = Some(first_is_data);
+                            }
+                            if write_frame(&mut to_server, &request).is_err() {
+                                break;
+                            }
+                        }
+                        if data == Some(true) {
+                            closed.fetch_add(1, Ordering::AcqRel);
+                        }
+                        let _ = to_server.shutdown(std::net::Shutdown::Both);
+                    });
+                }
+            })
+        };
+        CountingRelay {
+            addr,
+            opened,
+            closed,
+            held,
+            hold,
+            stop,
+            thread,
+        }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, Ordering::Release);
+        let _ = std::net::TcpStream::connect(&self.addr); // wake accept()
+        let _ = self.thread.join();
+    }
+}
+
+/// The per-shard pools: four threads sending 24 `knn` each reuse
+/// connections — each shard sees at most four data connections over the
+/// whole run, where dialling per request would be 96 — and every reply is
+/// its oracle's. After `Fleet::shutdown` every one of those connections is
+/// closed while the fleet itself is still alive, including the ones a call
+/// held when shutdown ran: they are dropped as that call checks them in.
+#[test]
+fn the_pool_reuses_connections_and_closes_every_one_at_shutdown() {
+    const NSHARDS: usize = 3;
+    const THREADS: u64 = 4;
+    const QUERIES: u64 = 24;
+    const QIDS: u64 = 16;
+    let shards: Vec<ShardServer> = (0..NSHARDS).map(|_| ShardServer::spawn()).collect();
+    let relays: Vec<CountingRelay> = shards
+        .iter()
+        .map(|s| CountingRelay::start(s.addr()))
+        .collect();
+    let addrs: Vec<String> = relays.iter().map(|r| r.addr.clone()).collect();
+    let fleet = Arc::new(Fleet::connect(&addrs, fleet_cfg()).expect("fleet"));
+    let ids: Vec<u64> = (0..40).collect();
+    let (oracle, mut oracle_client) = seed_with_oracle(&fleet, &ids);
+    let expected: Arc<Vec<String>> = Arc::new(
+        (0..QIDS)
+            .map(|qid| {
+                let o = oracle_client
+                    .call(&knn_payload(qid, 5))
+                    .expect("oracle knn");
+                hits_of(&o).to_string()
+            })
+            .collect(),
+    );
+
+    let lanes: Vec<_> = (0..THREADS)
+        .map(|lane| {
+            let (fleet, expected) = (Arc::clone(&fleet), Arc::clone(&expected));
+            std::thread::spawn(move || {
+                for i in 0..QUERIES {
+                    let qid = (lane + i * THREADS) % QIDS;
+                    let f = fleet.handle_frame(&knn_payload(qid, 5));
+                    assert!(f.contains("\"partial\":false,\"shards_ok\":3"), "{f}");
+                    assert_eq!(hits_of(&f), expected[qid as usize], "query {qid}");
+                }
+            })
+        })
+        .collect();
+    for lane in lanes {
+        lane.join().expect("query lane");
+    }
+    for (i, relay) in relays.iter().enumerate() {
+        let opened = relay.opened.load(Ordering::Acquire);
+        assert!(
+            (1..=THREADS as usize).contains(&opened),
+            "shard {i} saw {opened} data connections"
+        );
+        assert_eq!(relay.closed.load(Ordering::Acquire), 0, "shard {i}");
+    }
+
+    // A call in flight when shutdown runs: shard 0 keeps its reply back
+    // until shutdown has returned.
+    relays[0].hold.store(true, Ordering::Release);
+    let in_flight = {
+        let fleet = Arc::clone(&fleet);
+        std::thread::spawn(move || fleet.handle_frame(&knn_payload(3, 5)))
+    };
+    wait_for(
+        || relays[0].held.load(Ordering::Acquire) > 0,
+        Duration::from_secs(5),
+        "shard 0's reply to be held",
+    );
+    fleet.shutdown();
+    relays[0].hold.store(false, Ordering::Release);
+    let f = in_flight.join().expect("in-flight call");
+    assert_eq!(hits_of(&f), expected[3], "{f}");
+    for (i, relay) in relays.iter().enumerate() {
+        wait_for(
+            || relay.closed.load(Ordering::Acquire) == relay.opened.load(Ordering::Acquire),
+            Duration::from_secs(5),
+            &format!("every data connection to shard {i} to close"),
+        );
+    }
+
+    drop(fleet);
+    for relay in relays {
+        relay.stop();
+    }
     for s in shards {
         s.kill();
     }

@@ -4,16 +4,18 @@
 //! rejection, how a session loop shares frames among its threads and
 //! how it ends, fd hygiene across many connections, exact integer fields
 //! (directly and through a fleet), a fleet's `knn` replies against a
-//! server's (bad requests and the exact `traj_bits` form), and a
-//! unix-socket smoke test.
+//! server's (bad requests, the exact `traj_bits` form, and a bit-exact
+//! property over random rows and shard counts), and a unix-socket smoke
+//! test.
 
 use std::collections::HashSet;
 use std::io::{Read as _, Write as _};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::ThreadId;
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
@@ -457,6 +459,49 @@ fn a_fleet_answers_traj_bits_with_the_servers_exact_hits() {
     }
     shut_down(fleet, shards);
     server.shutdown();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // A fleet of 1–4 shards answers a `traj_bits` query with the
+    // `hits_bits` of one server holding the same rows: the same ids, the
+    // same distance bits, in the same order. Rows share a few trajectories,
+    // so many distances tie exactly; neither side is compacted, so both
+    // answer from exact buffer scans.
+    #[test]
+    fn a_fleet_answers_bit_exact_against_one_server(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let server = sharded_server(1);
+        let (fleet, shards) = fleet_of(rng.gen_range(1..=4usize));
+        let shapes = rng.gen_range(1..=6u64);
+        let rows = rng.gen_range(1..=24usize);
+        for _ in 0..rows {
+            let upsert = format!(
+                "{{\"op\":\"upsert\",\"id\":{},\"traj\":{}}}",
+                rng.gen::<u64>(),
+                traj_json(&traj_for(rng.gen_range(0..shapes)))
+            );
+            prop_assert_eq!(fleet.handle_frame(&upsert), handle(&server, &upsert));
+        }
+        for _ in 0..6 {
+            let payload = format!(
+                "{{\"op\":\"knn\",\"traj_bits\":\"{}\",\"k\":{}}}",
+                traj_bits(&traj_for(rng.gen_range(0..shapes + 2))),
+                rng.gen_range(1..=rows + 2)
+            );
+            let want = handle(&server, &payload);
+            let want = want.strip_prefix("{\"ok\":true,").expect(&want);
+            let got = fleet.handle_frame(&payload);
+            let got = got
+                .strip_prefix("{\"ok\":true,\"partial\":false,")
+                .and_then(|tail| tail.split_once(",\"hits_bits\""))
+                .map(|(_, hits)| format!("\"hits_bits\"{hits}"));
+            prop_assert_eq!(got.as_deref(), Some(want), "{}", payload);
+        }
+        shut_down(fleet, shards);
+        server.shutdown();
+    }
 }
 
 /// A query whose `traj` fits a frame but whose `traj_bits` (32 bytes a
