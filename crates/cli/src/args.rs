@@ -184,8 +184,9 @@ hash-on-id shards so writes on different shards never contend
 (default 1). Responses may arrive out of order; pass a numeric
 \"req\" field to match them up.
 `--workers N` caps the forward passes running at once (each cache miss
-runs its own on the thread that read its request) and the requests
-each connection runs at once; `--cache N` sets the embedding-cache entries
+runs its own on the thread that read its request) and the pipelined
+requests each connection runs at once (a lock-step connection is
+answered on one thread); `--cache N` sets the embedding-cache entries
 (0 disables it).
 `--idle-timeout-ms N` reaps sessions quiet for N ms (0 disables).
 `--wal DIR` makes writes durable: every upsert/remove/compact is

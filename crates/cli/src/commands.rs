@@ -1007,7 +1007,13 @@ mod tests {
         let mut output = Vec::new();
         // One handler: the upsert/remove pair on id 1000 is order-dependent
         // (a pipelined client would await the upsert ack before removing).
-        trajcl_serve::net::pump_frames(&server, &mut &input[..], &mut output, 1).unwrap();
+        trajcl_serve::net::pump_frames(
+            &server,
+            &mut std::io::BufReader::new(&input[..]),
+            &mut output,
+            1,
+        )
+        .unwrap();
         server.shutdown();
 
         let mut reader = &output[..];
@@ -1103,7 +1109,13 @@ mod tests {
             .unwrap();
             write_frame(&mut input, "{\"req\":2,\"op\":\"stats\"}").unwrap();
             let mut output = Vec::new();
-            trajcl_serve::net::pump_frames(&server, &mut &input[..], &mut output, 1).unwrap();
+            trajcl_serve::net::pump_frames(
+                &server,
+                &mut std::io::BufReader::new(&input[..]),
+                &mut output,
+                1,
+            )
+            .unwrap();
             server.shutdown();
             let text = String::from_utf8(output).unwrap();
             assert!(text.contains("\"replaced\":false"), "{text}");
@@ -1118,7 +1130,13 @@ mod tests {
         write_frame(&mut input, "{\"req\":1,\"op\":\"stats\"}").unwrap();
         write_frame(&mut input, "{\"req\":2,\"op\":\"remove\",\"id\":1000}").unwrap();
         let mut output = Vec::new();
-        trajcl_serve::net::pump_frames(&server, &mut &input[..], &mut output, 1).unwrap();
+        trajcl_serve::net::pump_frames(
+            &server,
+            &mut std::io::BufReader::new(&input[..]),
+            &mut output,
+            1,
+        )
+        .unwrap();
         server.shutdown();
         let mut reader = &output[..];
         let mut responses = Vec::new();

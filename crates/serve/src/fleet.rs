@@ -575,9 +575,20 @@ impl Fleet {
     }
 
     /// Routes on the decoded `request`: a `knn` is re-encoded once for the
-    /// shards, other ops forward the `payload` verbatim.
-    fn route(&self, request: Request<'_>, echo: &str, payload: &str) -> Result<String, String> {
-        match &*required(request.op, "op")? {
+    /// shards, other ops forward the `payload` verbatim. Every op but
+    /// `ping` waits on the shards, so it calls `pass` first.
+    fn route(
+        &self,
+        request: Request<'_>,
+        echo: &str,
+        payload: &str,
+        pass: &dyn Fn(),
+    ) -> Result<String, String> {
+        let op = required(request.op, "op")?;
+        if op != "ping" {
+            pass();
+        }
+        match &*op {
             // Answered locally: the front-end's own liveness, not the
             // shards' (probe those via `stats` health).
             "ping" => Ok(format!("{{{echo}\"ok\":true,\"pong\":true}}")),
@@ -729,12 +740,16 @@ impl Fleet {
 
 impl FrameHandler for Fleet {
     fn handle_frame(&self, payload: &str) -> String {
+        self.handle_session_frame(payload, &|| {})
+    }
+
+    fn handle_session_frame(&self, payload: &str, pass: &dyn Fn()) -> String {
         let request = match Request::decode(payload) {
             Ok(request) => request,
             Err(e) => return err_response("", &format!("malformed JSON: {e}")),
         };
         let echo = request.echo();
-        match self.route(request, &echo, payload) {
+        match self.route(request, &echo, payload, pass) {
             Ok(resp) => resp,
             Err(msg) => err_response(&echo, &msg),
         }

@@ -7,8 +7,10 @@
 //!
 //! * [`pump_frames`] — the transport-agnostic session loop: `handlers`
 //!   threads, the session's own among them, take turns reading frames,
-//!   and each answers the frame it read (so pipelined requests run side
-//!   by side and complete out of order). The CLI's stdin/stdout mode is
+//!   and each answers the frame it read. A thread keeps the reader
+//!   through a request that does not wait, and hands it on for a
+//!   pipelined burst or before a wait (so pipelined requests run side by
+//!   side and complete out of order). The CLI's stdin/stdout mode is
 //!   this function over standard streams — the degenerate 1-connection
 //!   transport.
 //! * [`NetServer`] / [`listen`] — a background acceptor over a TCP or
@@ -37,6 +39,7 @@
 //! any [`FrameHandler`] (a local [`Server`] or a
 //! [`Fleet`](crate::fleet::Fleet) front-end) with explicit deadlines.
 
+use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -45,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::proto::{handle, read_frame, write_frame};
+use crate::proto::{handle, handle_passing, read_frame, write_frame};
 use crate::server::Server;
 
 /// Anything that can answer one protocol request payload with one
@@ -57,11 +60,29 @@ pub trait FrameHandler: Send + Sync {
     /// Executes one request payload, returning the response payload
     /// (errors are in-band — this never fails at the transport level).
     fn handle_frame(&self, payload: &str) -> String;
+
+    /// [`FrameHandler::handle_frame`] inside a [`pump_frames`] session,
+    /// whose thread still holds the connection's reader. `pass` hands
+    /// the reader to another of the session's threads, so the next frame
+    /// is read and answered while this one waits. Call it before
+    /// anything that may wait (a forward permit, a writer lock, an
+    /// fsync, a downstream server); calling it again does nothing. A
+    /// frame answered without calling it keeps the reader, so the next
+    /// frame of a lock-step client is read on this thread and wakes
+    /// nobody. The default never passes.
+    fn handle_session_frame(&self, payload: &str, pass: &dyn Fn()) -> String {
+        let _ = pass;
+        self.handle_frame(payload)
+    }
 }
 
 impl FrameHandler for Server {
     fn handle_frame(&self, payload: &str) -> String {
         handle(self, payload)
+    }
+
+    fn handle_session_frame(&self, payload: &str, pass: &dyn Fn()) -> String {
+        handle_passing(self, payload, pass)
     }
 }
 
@@ -208,12 +229,18 @@ impl Write for Stream {
 }
 
 /// Pumps protocol frames between `input` and `out` until end-of-stream
-/// or a framing error. `handlers` threads take turns reading, the
-/// calling thread among them (so `handlers = 1` spawns none): the thread
-/// that read a frame passes the reader on, then answers the frame itself
-/// and writes the response. Frames are read in order, up to `handlers`
-/// run side by side, and responses go out as they finish (out of order —
-/// the protocol's `req` echo matches them up, see `PROTOCOL.md`).
+/// or a framing error. `handlers` threads take turns holding the reader,
+/// the calling thread among them (so `handlers = 1` spawns none). The
+/// thread that reads a frame answers it and writes the response, then
+/// reads the next frame itself: a lock-step client is served by one
+/// thread that wakes nobody. It hands the reader to a follower only
+/// when the next frame's bytes are already buffered (a pipelined burst)
+/// or when the handler passes it before a wait
+/// ([`FrameHandler::handle_session_frame`]). So pipelined frames run
+/// side by side, up to `handlers` at once, and a request that waits
+/// never holds up the frames behind it. Frames are read in order and
+/// responses go out as they finish (out of order — the protocol's `req`
+/// echo matches them up, see `PROTOCOL.md`).
 ///
 /// This is the whole per-connection (and stdin/stdout) session loop;
 /// both the CLI's `serve` subcommand and [`listen`]'s connection threads
@@ -226,32 +253,42 @@ impl Write for Stream {
 /// framing error is returned once the frames read before it are answered.
 pub fn pump_frames<H: FrameHandler + ?Sized>(
     handler: &H,
-    input: &mut (impl BufRead + Send),
+    input: &mut BufReader<impl Read + Send>,
     out: &mut (impl Write + Send),
     handlers: usize,
 ) -> std::io::Result<()> {
     // The reader, and how the session ended once some turn saw it end.
     let reader = Mutex::new((input, None::<std::io::Result<()>>));
     let out = Mutex::new(out);
-    let take_turns = || loop {
-        let payload = {
-            let mut reader = reader.lock().unwrap_or_else(|p| p.into_inner());
-            let (input, ended) = &mut *reader;
+    let take_turns = || {
+        // The reader while this thread keeps it from one frame to the next.
+        let mut kept = None;
+        loop {
+            let mut turn = kept
+                .take()
+                .unwrap_or_else(|| reader.lock().unwrap_or_else(|p| p.into_inner()));
+            let (input, ended) = &mut *turn;
             if ended.is_some() {
                 return;
             }
-            match read_frame(&mut **input) {
+            let payload = match read_frame(&mut **input) {
                 Ok(Some(payload)) => payload,
                 Err(e) if !is_timeout(&e) => return *ended = Some(Err(e)),
                 // End of stream, or the idle deadline elapsed (the reaper).
                 _ => return *ended = Some(Ok(())),
-            }
-        }; // The reader is free: the next turn reads while this one answers.
-        let response = handler.handle_frame(&payload);
-        let mut out = out.lock().unwrap_or_else(|p| p.into_inner());
-        // A vanished peer is this connection's problem only; the next
-        // read hits the same condition and ends the session.
-        let _ = write_frame(&mut **out, &response);
+            };
+            // A burst: the next frame is already here, so a follower
+            // reads it while this thread answers.
+            let burst = !input.buffer().is_empty();
+            let turn = RefCell::new((!burst).then_some(turn));
+            let pass = || drop(turn.borrow_mut().take());
+            let response = handler.handle_session_frame(&payload, &pass);
+            let mut out = out.lock().unwrap_or_else(|p| p.into_inner());
+            // A vanished peer is this connection's problem only; the next
+            // read hits the same condition and ends the session.
+            let _ = write_frame(&mut **out, &response);
+            kept = turn.into_inner();
+        }
     };
     std::thread::scope(|scope| {
         for _ in 1..handlers {
@@ -283,9 +320,10 @@ pub struct NetServer {
 
 /// Serves `server` on `addr` (`host:port`, or `unix:PATH`) in background
 /// threads: one acceptor plus, per connection, one [`pump_frames`]
-/// session of `handlers` threads, which answers that many requests at
-/// once (1 is right for lock-step clients; pipelining clients gain from
-/// more).
+/// session of `handlers` threads, which answers up to that many
+/// pipelined requests at once. A lock-step client is answered on one of
+/// them whatever `handlers` is, so more costs a lock-step connection
+/// only the parked threads.
 ///
 /// TCP port 0 binds a free port; read it back from
 /// [`NetServer::local_addr`]. A pre-existing socket file at a unix PATH
@@ -338,7 +376,8 @@ pub fn listen(server: Arc<Server>, addr: &str, handlers: usize) -> std::io::Resu
 /// deadlines — the entry point the fleet front-end uses to serve
 /// [`crate::fleet::Fleet`] on the wire; [`listen`] is this function
 /// specialised to a local [`Server`] and its configured
-/// [`SessionOptions`].
+/// [`SessionOptions`]. `handlers` is [`listen`]'s: the most requests a
+/// connection runs at once, which only a pipelining client reaches.
 ///
 /// # Errors
 /// Address parse and bind failures surface as [`std::io::Error`].

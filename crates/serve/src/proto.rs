@@ -457,18 +457,27 @@ pub(crate) fn err_response(echo: &str, msg: &str) -> String {
 /// Executes one request payload against `server`, returning the response
 /// payload (errors are in-band: `{"ok":false,"error":...}`).
 pub fn handle(server: &Server, payload: &str) -> String {
+    handle_passing(server, payload, &|| {})
+}
+
+/// [`handle`] inside a session: `pass` runs before the request may wait —
+/// once before a cache miss's forward, and before every `upsert`,
+/// `remove` and `compact` (a writer lock, a k-means, an fsync). A
+/// cache hit, `ping` and `stats` never call it
+/// ([`crate::net::FrameHandler::handle_session_frame`]).
+pub(crate) fn handle_passing(server: &Server, payload: &str, pass: &dyn Fn()) -> String {
     let request = match Request::decode(payload) {
         Ok(request) => request,
         Err(e) => return err_response("", &format!("malformed JSON: {e}")),
     };
     let echo = request.echo();
-    match dispatch(server, request) {
+    match dispatch(server, request, pass) {
         Ok(body) => format!("{{{echo}\"ok\":true,{body}}}"),
         Err(msg) => err_response(&echo, &msg),
     }
 }
 
-fn dispatch(server: &Server, request: Request<'_>) -> Result<String, String> {
+fn dispatch(server: &Server, request: Request<'_>, pass: &dyn Fn()) -> Result<String, String> {
     match &*required(request.op, "op")? {
         // The health probe: answered from this match arm alone — no
         // engine call, no index snapshot, no lock, no counters — so it
@@ -476,34 +485,43 @@ fn dispatch(server: &Server, request: Request<'_>) -> Result<String, String> {
         "ping" => Ok("\"pong\":true".to_string()),
         "embed" => {
             let traj = required(request.traj, "traj")?;
-            let e = server.embed(&traj).map_err(|e| e.to_string())?;
+            let e = server
+                .embed_passing(&traj, pass)
+                .map_err(|e| e.to_string())?;
             let vals: Vec<String> = e.iter().map(|v| format!("{v:.6}")).collect();
             Ok(format!("\"embedding\":[{}]", vals.join(",")))
         }
         "knn" => {
             let (traj, bits) = knn_query(request.traj, request.traj_bits)?;
             let k = required(request.k, "k")?;
-            let hits = server.knn(&traj, k).map_err(|e| e.to_string())?;
+            let hits = server
+                .knn_passing(&traj, k, pass)
+                .map_err(|e| e.to_string())?;
             Ok(hits_field(&hits, bits))
         }
         "distance" => {
             let a = required(request.a, "a")?;
             let b = required(request.b, "b")?;
-            let d = server.distance(&a, &b).map_err(|e| e.to_string())?;
+            let d = server
+                .distance_passing(&a, &b, pass)
+                .map_err(|e| e.to_string())?;
             Ok(format!("\"distance\":{d:.6}"))
         }
         "upsert" => {
             let id = required(request.id, "id")?;
             let traj = required(request.traj, "traj")?;
+            pass();
             let replaced = server.upsert(id, &traj).map_err(|e| e.to_string())?;
             Ok(format!("\"replaced\":{replaced}"))
         }
         "remove" => {
             let id = required(request.id, "id")?;
+            pass();
             let removed = server.remove(id).map_err(|e| e.to_string())?;
             Ok(format!("\"removed\":{removed}"))
         }
         "compact" => {
+            pass();
             let sealed = server.compact().map_err(|e| e.to_string())?;
             Ok(format!("\"sealed\":{sealed}"))
         }

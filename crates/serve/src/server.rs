@@ -33,7 +33,10 @@ use crate::router::{ShardRouter, WalConfig, WalRecoveryStats};
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Forward passes that may run at once: each cache miss runs its own
-    /// on the calling thread, and misses beyond this many wait.
+    /// on the calling thread, and misses beyond this many wait. The CLI's
+    /// `--workers` also sets the handler threads of each connection
+    /// ([`crate::net::listen`]): the most pipelined requests it runs at
+    /// once, while a lock-step connection is answered on one of them.
     pub workers: usize,
     /// LRU embedding-cache entries; `0` disables the cache.
     pub cache_cap: usize,
@@ -267,18 +270,34 @@ impl Server {
 
     /// Embeds one trajectory: LRU cache first, a forward pass on a miss.
     pub fn embed(&self, traj: &Trajectory) -> Result<Vec<f32>, EngineError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.embed_inner(traj)
+        self.embed_passing(traj, &|| {})
     }
 
-    fn embed_inner(&self, traj: &Trajectory) -> Result<Vec<f32>, EngineError> {
-        Ok(self.embed_many(std::slice::from_ref(traj))?.swap_remove(0))
+    /// [`Server::embed`], calling `pass` before a miss waits for the
+    /// forward gate (a session hands its reader on there).
+    pub(crate) fn embed_passing(
+        &self,
+        traj: &Trajectory,
+        pass: &dyn Fn(),
+    ) -> Result<Vec<f32>, EngineError> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.embed_inner(traj, pass)
+    }
+
+    fn embed_inner(&self, traj: &Trajectory, pass: &dyn Fn()) -> Result<Vec<f32>, EngineError> {
+        Ok(self
+            .embed_many(std::slice::from_ref(traj), pass)?
+            .swap_remove(0))
     }
 
     /// Embeds several trajectories, one row each: the cache is consulted
     /// per trajectory and ALL misses share one forward pass (`distance`
-    /// pays for one, not two).
-    fn embed_many(&self, trajs: &[Trajectory]) -> Result<Vec<Vec<f32>>, EngineError> {
+    /// pays for one, not two), which `pass` runs before.
+    fn embed_many(
+        &self,
+        trajs: &[Trajectory],
+        pass: &dyn Fn(),
+    ) -> Result<Vec<Vec<f32>>, EngineError> {
         let keys: Vec<u64> = trajs.iter().map(content_hash).collect();
         let mut rows = vec![Vec::new(); trajs.len()];
         let mut missing = Vec::new();
@@ -299,6 +318,7 @@ impl Server {
         self.cache_misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
         if !missing.is_empty() {
+            pass();
             let submit: Vec<Trajectory> = missing.iter().map(|&i| trajs[i].clone()).collect();
             let fresh = self.embed_uncached(&submit)?;
             let mut cache = self
@@ -320,8 +340,18 @@ impl Server {
     /// carries its cached embedding table, sealed quantized hits whose
     /// ids still match that table are rescored to exact distances.
     pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<(u64, f64)>, EngineError> {
+        self.knn_passing(query, k, &|| {})
+    }
+
+    /// [`Server::knn`], calling `pass` before a miss's forward.
+    pub(crate) fn knn_passing(
+        &self,
+        query: &Trajectory,
+        k: usize,
+        pass: &dyn Fn(),
+    ) -> Result<Vec<(u64, f64)>, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let q = self.embed_inner(query)?;
+        let q = self.embed_inner(query, pass)?;
         Ok(self
             .router
             .search(self.engine.embeddings(), &q, k, self.nprobe))
@@ -330,8 +360,18 @@ impl Server {
     /// L1 distance between two trajectories in embedding space (both
     /// trajectories share one cache pass and one forward pass).
     pub fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
+        self.distance_passing(a, b, &|| {})
+    }
+
+    /// [`Server::distance`], calling `pass` before a miss's forward.
+    pub(crate) fn distance_passing(
+        &self,
+        a: &Trajectory,
+        b: &Trajectory,
+        pass: &dyn Fn(),
+    ) -> Result<f64, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let rows = self.embed_many(&[a.clone(), b.clone()])?;
+        let rows = self.embed_many(&[a.clone(), b.clone()], pass)?;
         Ok(rows[0]
             .iter()
             .zip(&rows[1])
@@ -345,7 +385,7 @@ impl Server {
     /// [`WalConfig::durability`] — an `Err` write was never applied.
     pub fn upsert(&self, id: u64, traj: &Trajectory) -> Result<bool, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let v = self.embed_inner(traj)?;
+        let v = self.embed_inner(traj, &|| {})?;
         self.router.upsert(id, v).map_err(EngineError::Io)
     }
 

@@ -1,17 +1,20 @@
 //! Transport suite for `trajcl-serve`: mixed mutation/query traffic over
 //! real TCP connections against the in-process view, pipelined
 //! out-of-order response matching, torn-frame / mid-frame-disconnect
-//! rejection, how a session loop shares frames among its threads and
-//! how it ends, fd hygiene across many connections, exact integer fields
+//! rejection, how a session loop shares frames among its threads (and
+//! where a request hands its reader on) and how it ends, fd hygiene across many connections, exact integer fields
 //! (directly and through a fleet), a fleet's `knn` replies against a
 //! server's (bad requests, the exact `traj_bits` form, and a bit-exact
 //! property over random rows and shard counts), and a unix-socket smoke
 //! test.
 
+use std::cell::Cell;
 use std::collections::HashSet;
-use std::io::{Read as _, Write as _};
+use std::io::{BufReader, Read as _, Write as _};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::ThreadId;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,7 +25,8 @@ use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_serve::net::pump_frames;
 use trajcl_serve::proto::{handle, read_frame, traj_bits, traj_json, write_frame, MAX_FRAME_LEN};
 use trajcl_serve::{
-    listen, Client, Fleet, FleetConfig, FrameHandler, NetServer, ServeConfig, Server, ShardHealth,
+    listen, listen_with, Client, Fleet, FleetConfig, FrameHandler, NetServer, ServeConfig, Server,
+    SessionOptions, ShardHealth,
 };
 use trajcl_tensor::{Shape, Tensor};
 
@@ -581,7 +585,12 @@ fn pump_with_deadline(
             threads: Mutex::new(Vec::new()),
         };
         let mut out = Vec::new();
-        let result = pump_frames(&handler, &mut &input[..], &mut out, handlers);
+        let result = pump_frames(
+            &handler,
+            &mut BufReader::new(&input[..]),
+            &mut out,
+            handlers,
+        );
         let threads = handler.threads.into_inner().expect("threads");
         let _ = tx.send((result, out, threads, std::thread::current().id()));
     });
@@ -630,6 +639,163 @@ fn a_framing_error_ends_the_session_after_the_frames_before_it_are_answered() {
         result.expect("clean end of stream");
         assert_eq!(frames(&out).len(), 2, "handlers {handlers}");
     }
+}
+
+#[test]
+fn a_lock_step_connection_is_answered_on_one_thread() {
+    // Four handlers, one request in flight at a time: the thread that
+    // answers a frame keeps the reader and reads the next one itself.
+    let recorder = Arc::new(Rendezvous {
+        barrier: Barrier::new(1),
+        threads: Mutex::new(Vec::new()),
+    });
+    let net = listen_with(
+        Arc::clone(&recorder),
+        "127.0.0.1:0",
+        4,
+        SessionOptions::default(),
+    )
+    .expect("listen");
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    for req in 0..64 {
+        let frame = format!("{{\"req\":{req}}}");
+        assert_eq!(client.call(&frame).expect("reply"), frame);
+    }
+    drop(client);
+    net.shutdown();
+    let threads = recorder.threads.lock().expect("threads").clone();
+    assert_eq!(threads.len(), 64);
+    let distinct: HashSet<_> = threads.iter().collect();
+    assert_eq!(distinct.len(), 1, "the reader changed hands: {threads:?}");
+}
+
+/// Passes the reader, says so on `passed`, then waits at a barrier with
+/// every other frame.
+struct PassThenWait {
+    passed: std::sync::mpsc::Sender<()>,
+    barrier: Barrier,
+}
+
+impl FrameHandler for PassThenWait {
+    fn handle_frame(&self, payload: &str) -> String {
+        self.handle_session_frame(payload, &|| {})
+    }
+
+    fn handle_session_frame(&self, payload: &str, pass: &dyn Fn()) -> String {
+        pass();
+        let _ = self.passed.send(());
+        self.barrier.wait();
+        payload.to_string()
+    }
+}
+
+#[test]
+fn a_request_that_waits_passes_the_reader() {
+    // Two handlers and a barrier of two. The first frame passes the
+    // reader and waits. The second is sent only once the first is being
+    // answered, so it was not buffered with it, and only a follower that
+    // took the reader can read it and bring it to the barrier. Without
+    // the pass the session hangs and the client's read deadline fails
+    // the test.
+    let (mut client, session_end) = UnixStream::pair().expect("socket pair");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("deadline");
+    let (passed, first_passed) = std::sync::mpsc::channel();
+    let session = std::thread::spawn(move || {
+        let handler = PassThenWait {
+            passed,
+            barrier: Barrier::new(2),
+        };
+        let mut input = BufReader::new(session_end.try_clone().expect("clone"));
+        let mut out = session_end;
+        pump_frames(&handler, &mut input, &mut out, 2)
+    });
+    write_frame(&mut client, "{\"req\":0}").expect("send");
+    first_passed
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the first frame is being answered");
+    write_frame(&mut client, "{\"req\":1}").expect("send");
+    let mut replies = BufReader::new(client.try_clone().expect("clone"));
+    let mut answered: Vec<String> = (0..2)
+        .map(|_| {
+            read_frame(&mut replies)
+                .expect("the second frame reached the barrier")
+                .expect("a reply")
+        })
+        .collect();
+    answered.sort();
+    assert_eq!(answered, ["{\"req\":0}", "{\"req\":1}"]);
+    client.shutdown(std::net::Shutdown::Both).expect("close");
+    session.join().expect("session").expect("clean end");
+}
+
+#[test]
+fn a_request_passes_the_reader_only_before_it_may_wait() {
+    let server = sharded_server(1);
+    // How many times `payload` called the hook, checking that each call
+    // came before the request's forward and before its write.
+    let passes = |handler: &dyn FrameHandler, payload: &str| {
+        let stamp = || {
+            let s = server.stats();
+            (s.batches, s.generation)
+        };
+        let before = stamp();
+        let count = Cell::new(0);
+        let reply = handler.handle_session_frame(payload, &|| {
+            assert_eq!(stamp(), before, "{payload} passed late");
+            count.set(count.get() + 1);
+        });
+        assert!(reply.contains("\"ok\":true"), "{payload}: {reply}");
+        count.get()
+    };
+    let traj = |id| traj_json(&traj_for(id));
+    let knn = |id| format!("{{\"op\":\"knn\",\"k\":3,\"traj\":{}}}", traj(id));
+    let embed = |id| format!("{{\"op\":\"embed\",\"traj\":{}}}", traj(id));
+    let distance = |a, b| {
+        format!(
+            "{{\"op\":\"distance\",\"a\":{},\"b\":{}}}",
+            traj(a),
+            traj(b)
+        )
+    };
+    let upsert = |id| format!("{{\"op\":\"upsert\",\"id\":{id},\"traj\":{}}}", traj(id));
+    let remove = |id| format!("{{\"op\":\"remove\",\"id\":{id}}}");
+    let (compact, ping, stats) = (
+        "{\"op\":\"compact\"}",
+        "{\"op\":\"ping\"}",
+        "{\"op\":\"stats\"}",
+    );
+
+    // A miss passes once, before the forward gate.
+    let forwards = || server.stats().batches;
+    for payload in [knn(1), embed(2), distance(1, 3)] {
+        let ran = forwards();
+        assert_eq!(passes(&*server, &payload), 1, "{payload}");
+        assert_eq!(forwards(), ran + 1, "{payload} missed");
+    }
+    // A hit never does.
+    for payload in [knn(2), embed(3), distance(2, 1)] {
+        let ran = forwards();
+        assert_eq!(passes(&*server, &payload), 0, "{payload}");
+        assert_eq!(forwards(), ran, "{payload} hit");
+    }
+    // A write passes once, before it embeds or writes: cached or not.
+    for payload in [upsert(1), upsert(4), remove(1), compact.to_string()] {
+        assert_eq!(passes(&*server, &payload), 1, "{payload}");
+    }
+    assert_eq!(passes(&*server, ping), 0);
+    assert_eq!(passes(&*server, stats), 0);
+
+    // A fleet passes before every op it routes; it answers `ping` itself.
+    let (fleet, shards) = fleet_of(2);
+    let routed = [knn(5), embed(5), distance(5, 6), upsert(7), remove(7)];
+    for payload in routed.iter().map(String::as_str).chain([compact, stats]) {
+        assert_eq!(passes(&fleet, payload), 1, "{payload}");
+    }
+    assert_eq!(passes(&fleet, ping), 0);
+    shut_down(fleet, shards);
+    server.shutdown();
 }
 
 /// Open file descriptors of this process.
