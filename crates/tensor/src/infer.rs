@@ -20,10 +20,11 @@
 //!
 //! Numerics match the tape executor operation-for-operation (the matmul,
 //! softmax, layer-norm and pooling bodies are the same functions in
-//! [`kernels`]), so the two executors agree to within float-associativity
-//! noise (≪ 1e-5); the padding mask is applied by *skipping* masked keys,
-//! which is exact because the tape's additive `-1e9` bias drives
-//! [`kernels::exp_fast`] to exactly `0.0`. Padded *query* rows are still
+//! [`kernels`], and the tape's `Q·Kᵀ` is the same [`kernels::gemm`] over
+//! the same transposed K), so the two executors agree bit for bit. The
+//! padding mask is applied by *skipping* masked keys, which is exact
+//! because the tape's additive `-1e9` bias drives [`kernels::exp_fast`]
+//! to exactly `0.0`. Padded *query* rows are still
 //! computed (their values feed nothing: pooling skips them), which keeps
 //! executor agreement a whole-tensor property.
 //!
@@ -194,7 +195,7 @@ impl Exec for InferCtx {
                 let bhi = c * per + b_off;
                 let len = lens[bhi / heads].min(l);
                 let base = bhi * l * dh;
-                transpose_block(&kd[base..base + l * dh], dh, len, kt);
+                kernels::transpose_into(&kd[base..base + len * dh], len, dh, kt);
                 let q_blk = &qd[base..base + l * dh];
                 kernels::gemm(level, q_blk, dh, kt, len, block, l, l, dh, len, None);
                 kernels::softmax_rows_inplace(level, block, l, len, scale);
@@ -242,7 +243,7 @@ impl Exec for InferCtx {
                 let bhi = c * per + b_off;
                 let len = lens[bhi / heads].min(l);
                 let base = bhi * l * dh;
-                transpose_block(&kd[base..base + l * dh], dh, len, kt);
+                kernels::transpose_into(&kd[base..base + len * dh], len, dh, kt);
                 let q_blk = &qd[base..base + l * dh];
                 let scores = &mut scores[..l * len];
                 kernels::gemm(level, q_blk, dh, kt, len, scores, len, l, dh, len, None);
@@ -294,17 +295,6 @@ fn attn_dims(q: &Tensor, k: &Tensor, lens: &[usize]) -> (usize, usize, usize) {
         lens.len()
     );
     (bh, l, dh)
-}
-
-/// Copies the first `len` rows of a `(L, dh)` block into `(dh, len)`
-/// transposed layout.
-fn transpose_block(src: &[f32], dh: usize, len: usize, dst: &mut [f32]) {
-    for d in 0..dh {
-        let out = &mut dst[d * len..(d + 1) * len];
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = src[j * dh + d];
-        }
-    }
 }
 
 /// How many (batch, head) blocks each lane of an attention region takes:

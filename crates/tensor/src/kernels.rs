@@ -43,7 +43,7 @@ pub fn for_each_row(
     });
 }
 
-/// Validated geometry of one (optionally batched / transposed) matmul.
+/// Validated geometry of one (optionally batched) untransposed matmul.
 struct MatmulPlan {
     batch: usize,
     m: usize,
@@ -55,27 +55,16 @@ struct MatmulPlan {
     out: Shape,
 }
 
-fn matmul_plan(a: Shape, b: Shape, ta: bool, tb: bool) -> MatmulPlan {
-    // `(batch, rows, cols)` of one operand after resolving its transpose flag.
-    let dims = |shape: Shape, transposed: bool| {
+fn matmul_plan(a: Shape, b: Shape) -> MatmulPlan {
+    // `(batch, rows, cols)` of one operand.
+    let dims = |shape: Shape| {
         let r = shape.rank();
         assert!(r >= 2, "matmul operand must have rank >= 2, got {shape}");
         let (rows, cols) = (shape[r - 2], shape[r - 1]);
-        let batch = shape.numel() / (rows * cols);
-        if transposed {
-            (batch, cols, rows)
-        } else {
-            (batch, rows, cols)
-        }
+        (shape.numel() / (rows * cols), rows, cols)
     };
-    let ((a_batch, m, k), (b_batch, b_rows, n)) = (dims(a, ta), dims(b, tb));
-    assert_eq!(
-        k,
-        b_rows,
-        "matmul inner dims mismatch: {a}{} x {b}{}",
-        if ta { "^T" } else { "" },
-        if tb { "^T" } else { "" }
-    );
+    let ((a_batch, m, k), (b_batch, b_rows, n)) = (dims(a), dims(b));
+    assert_eq!(k, b_rows, "matmul inner dims mismatch: {a} x {b}");
     let batch = match (a_batch, b_batch) {
         (x, y) if x == y => x,
         (x, 1) => x,
@@ -116,9 +105,8 @@ pub fn matmul(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// in the same output pass, into a tensor from `alloc` — `Tensor::zeros`
 /// on the tape, the scratch arena when serving. Like every op taking an
 /// `alloc`, it overwrites the whole output, so a recycled buffer's stale
-/// contents never leak. The one forward matmul of both executors: the
-/// untransposed product (every `linear`, `probs·V`) runs on [`gemm`], the
-/// transposed ones exist for the tape alone.
+/// contents never leak. The one matmul of both executors, forward and
+/// backward: every product runs on [`gemm`].
 pub fn matmul_with(
     a: &Tensor,
     b: &Tensor,
@@ -132,6 +120,11 @@ pub fn matmul_with(
 
 /// [`matmul_with`] at an explicit dispatch level instead of the
 /// process-wide one (an [`InferCtx`](crate::InferCtx) carries its own).
+///
+/// A flagged operand is transposed once, whole, into a plain tensor (a
+/// shared batch-1 operand once, not per batch element), and the product
+/// runs untransposed — so a transposed product has the bits of the same
+/// product over materialised operands.
 pub fn matmul_at(
     level: DispatchLevel,
     a: &Tensor,
@@ -141,23 +134,15 @@ pub fn matmul_at(
     bias: Option<&[f32]>,
     alloc: impl FnOnce(Shape) -> Tensor,
 ) -> Tensor {
-    let p = matmul_plan(a.shape(), b.shape(), ta, tb);
+    if ta || tb {
+        let at = ta.then(|| a.transpose_last2());
+        let bt = tb.then(|| b.transpose_last2());
+        let (a, b) = (at.as_ref().unwrap_or(a), bt.as_ref().unwrap_or(b));
+        return matmul_at(level, a, b, false, false, bias, alloc);
+    }
+    let p = matmul_plan(a.shape(), b.shape());
     let mut out = alloc(p.out);
     let (ad, bd) = (a.data(), b.data());
-    if ta || tb {
-        // Parallelise over all (batch, row) pairs: each output row is independent.
-        for_each_row(out.data_mut(), p.n, p.k * p.n, |r, out_row| {
-            let (bi, i) = (r / p.m, r % p.m);
-            let a_mat = &ad[bi * p.a_stride..bi * p.a_stride + p.m * p.k];
-            let b_mat = &bd[bi * p.b_stride..bi * p.b_stride + p.k * p.n];
-            out_row.fill(0.0);
-            matmul_row_into(a_mat, b_mat, i, p.m, p.k, p.n, ta, tb, out_row);
-            if let Some(bias) = bias {
-                add_bias_rows(out_row, bias);
-            }
-        });
-        return out;
-    }
     // A shared right operand (weights) collapses the batch into one
     // (batch·m, k) x (k, n) product.
     let (m, k, n) = (if p.b_stride == 0 { p.batch * p.m } else { p.m }, p.k, p.n);
@@ -206,8 +191,8 @@ const TILE_ROWS: usize = 4;
 /// `C = A·B (+ bias)` for row-major operands with leading dimensions:
 /// `a` is `m × k` (row stride `lda`), `b` is `k × n` (`ldb`), `c` is
 /// `m × n` (`ldc`), `bias` one value per output column. The one f32
-/// multiply kernel of the workspace — under every `linear` and both
-/// attention products, training and serving.
+/// multiply kernel of the workspace — under every `linear`, both
+/// attention products and every gradient product, training and serving.
 ///
 /// The output is walked in tiles of 4 rows by 16 (then 8)
 /// columns whose accumulators stay in registers across the whole `k`
@@ -391,6 +376,17 @@ pub fn add_bias_rows(x: &mut [f32], bias: &[f32]) {
     }
 }
 
+/// `dst ← srcᵀ` for a row-major `rows × cols` `src`: `dst` is `cols ×
+/// rows`, each of its rows one strided gather of a `src` column, written
+/// contiguously.
+pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for c in 0..cols {
+        for (r, o) in dst[c * rows..(c + 1) * rows].iter_mut().enumerate() {
+            *o = src[r * cols + c];
+        }
+    }
+}
+
 /// Accumulating variant: `acc += a_eff · b_eff` where `acc` already has the
 /// right shape. Used by backward passes that sum gradient contributions over
 /// the batch dimension (e.g. shared weight matrices).
@@ -417,72 +413,6 @@ pub fn matmul_acc_into(acc: &mut Tensor, a: &Tensor, b: &Tensor, ta: bool, tb: b
     }
 }
 
-/// Accumulates one output row `out_row += a_eff[i, :] · b_eff`.
-#[allow(clippy::too_many_arguments)]
-fn matmul_row_into(
-    a: &[f32],
-    b: &[f32],
-    i: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    ta: bool,
-    tb: bool,
-    out_row: &mut [f32],
-) {
-    debug_assert_eq!(out_row.len(), n);
-    match (ta, tb) {
-        (false, false) => unreachable!("the untransposed product runs on gemm"),
-        (false, true) => {
-            // b_eff[kk, j] = b[j, kk]; rows of both operands are contiguous.
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                *o += dot(a_row, b_row);
-            }
-        }
-        (true, false) => {
-            // a_eff[i, kk] = a[kk, i]: strided reads of a, streaming b.
-            for kk in 0..k {
-                let av = a[kk * m + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-        (true, true) => {
-            // a_eff[i, kk] = a[kk*m + i] (a stored (k, m));
-            // b_eff[kk, j] = b[j*k + kk] (b stored (n, k)).
-            // Gather a's column once (k strided reads) instead of repeating
-            // the strided walk for every j (n*k strided reads); the dots
-            // against b's rows then stream both operands.
-            let mut a_col = [0.0f32; COL_TILE];
-            let mut col_heap;
-            let col: &mut [f32] = if k <= COL_TILE {
-                &mut a_col[..k]
-            } else {
-                col_heap = vec![0.0f32; k];
-                &mut col_heap
-            };
-            for (kk, c) in col.iter_mut().enumerate() {
-                *c = a[kk * m + i];
-            }
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&av, &bv) in col.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o += acc;
-            }
-        }
-    }
-}
-
 /// Plain dot product.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -503,9 +433,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     }
     total
 }
-
-/// Stack-buffer size for the `(true, true)` matmul column gather.
-const COL_TILE: usize = 256;
 
 /// Numerically-stable softmax over the last dimension, written into `out`;
 /// rows are processed in parallel on the shared pool when the input is
@@ -786,43 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_flags_agree_with_materialized() {
-        let a = t2(vec![1., 2., 3., 4., 5., 6.], 2, 3);
-        let b = t2(vec![1., -1., 2., 0.5, 3., -2.], 2, 3);
-        // a (2,3) x b^T (3,2)
-        let via_flag = matmul(&a, &b, false, true);
-        let via_mat = matmul(&a, &b.transpose_last2(), false, false);
-        assert!(via_flag.approx_eq(&via_mat, 1e-6));
-        // a^T (3,2) x b (2,3)
-        let via_flag = matmul(&a, &b, true, false);
-        let via_mat = matmul(&a.transpose_last2(), &b, false, false);
-        assert!(via_flag.approx_eq(&via_mat, 1e-6));
-        // a^T x b^T (3,3)... inner dims: a^T is (3,2), b^T is (3,2) -> mismatch;
-        // use square operands instead.
-        let sa = t2(vec![1., 2., 3., 4.], 2, 2);
-        let sb = t2(vec![5., 6., 7., 8.], 2, 2);
-        let via_flag = matmul(&sa, &sb, true, true);
-        let via_mat = matmul(&sa.transpose_last2(), &sb.transpose_last2(), false, false);
-        assert!(via_flag.approx_eq(&via_mat, 1e-6));
-    }
-
-    #[test]
-    fn matmul_double_transpose_large_k_heap_path() {
-        // k > COL_TILE exercises the heap-allocated column gather.
-        let k = COL_TILE + 37;
-        let mut rng_state = 1u64;
-        let mut next = || {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((rng_state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-        };
-        let a = t2((0..k * 3).map(|_| next()).collect(), k, 3);
-        let b = t2((0..2 * k).map(|_| next()).collect(), 2, k);
-        let via_flag = matmul(&a, &b, true, true);
-        let via_mat = matmul(&a.transpose_last2(), &b.transpose_last2(), false, false);
-        assert!(via_flag.approx_eq(&via_mat, 1e-4));
-    }
-
-    #[test]
     fn matmul_batched_matches_loop() {
         let a = Tensor::from_vec(
             (0..12).map(|x| x as f32 * 0.5).collect(),
@@ -844,8 +734,8 @@ mod tests {
 
     #[test]
     fn tiled_matmul_matches_row_wise_for_every_row_count() {
-        // Shared weights take the tiled path; the same product with the
-        // weights repeated per batch takes the row-wise one.
+        // Shared weights collapse the batch into one product; the same
+        // product with the weights repeated per batch runs per element.
         let mut seed = 1u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -972,6 +862,56 @@ mod tests {
                             "({m},{k},{n}) pad {pad} bias {} {level:?}",
                             bias.is_some()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_products_equal_the_naive_triple_loop_exactly_at_both_levels() {
+        let mut next = lcg(11);
+        let (m, n) = (9, 19);
+        // A shared operand is rank 2, like a weight matrix.
+        let shape = |batch: usize, (r, c): (usize, usize)| match batch {
+            1 => Shape::d2(r, c),
+            _ => Shape::d3(batch, r, c),
+        };
+        // (batch of a, batch of b): per element, shared right, shared left.
+        for (ba, bb) in [(2usize, 2usize), (3, 1), (1, 3)] {
+            for k in [3usize, 17, 293] {
+                for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let a_shape = shape(ba, if ta { (k, m) } else { (m, k) });
+                    let b_shape = shape(bb, if tb { (n, k) } else { (k, n) });
+                    let a = Tensor::from_vec((0..ba * m * k).map(|_| next()).collect(), a_shape);
+                    let b = Tensor::from_vec((0..bb * k * n).map(|_| next()).collect(), b_shape);
+                    let batch = ba.max(bb);
+                    let (ad, bd) = (a.data(), b.data());
+                    let mut want = Vec::with_capacity(batch * m * n);
+                    for bi in 0..batch {
+                        let (a0, b0) = ((bi % ba) * m * k, (bi % bb) * k * n);
+                        for i in 0..m {
+                            for j in 0..n {
+                                let mut acc = 0.0f32;
+                                for kk in 0..k {
+                                    let av = ad[a0 + if ta { kk * m + i } else { i * k + kk }];
+                                    let bv = bd[b0 + if tb { j * k + kk } else { kk * n + j }];
+                                    acc += av * bv;
+                                }
+                                want.push(acc);
+                            }
+                        }
+                    }
+                    for level in levels() {
+                        let stale = |s: Shape| Tensor::full(s, f32::MAX);
+                        let got = matmul_at(level, &a, &b, ta, tb, None, stale);
+                        assert_eq!(got.shape(), Shape::d3(batch, m, n));
+                        let same = got
+                            .data()
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "ta {ta} tb {tb} k {k} batches ({ba},{bb}) {level:?}");
                     }
                 }
             }

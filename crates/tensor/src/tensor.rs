@@ -1,5 +1,6 @@
 //! Dense row-major f32 tensors.
 
+use crate::kernels;
 use crate::shape::Shape;
 use rand::Rng;
 use rand_distr_normal::sample_standard_normal;
@@ -183,16 +184,13 @@ impl Tensor {
         let s = self.shape;
         assert!(s.rank() >= 2, "transpose needs rank >= 2");
         let (m, n) = (s[s.rank() - 2], s[s.rank() - 1]);
-        let batch = s.numel() / (m * n);
         let mut out = vec![0.0f32; s.numel()];
-        for b in 0..batch {
-            let src = &self.data[b * m * n..(b + 1) * m * n];
-            let dst = &mut out[b * m * n..(b + 1) * m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    dst[j * m + i] = src[i * n + j];
-                }
-            }
+        for (src, dst) in self
+            .data
+            .chunks_exact(m * n)
+            .zip(out.chunks_exact_mut(m * n))
+        {
+            kernels::transpose_into(src, m, n, dst);
         }
         Tensor {
             data: out,
