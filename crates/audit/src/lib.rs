@@ -1,25 +1,19 @@
-//! `trajcl-audit`: the workspace's self-auditing toolkit, wired into CI
-//! as `trajcl audit`.
+//! `trajcl-audit`: the decoder fuzzer, wired into CI as `trajcl audit`.
 //!
-//! Two halves, both dependency-free beyond the workspace itself:
+//! [`fuzz`] is a deterministic structure-aware mutation fuzzer for the
+//! decoders that read untrusted bytes, four targets: `json` (the JSON
+//! parser), `proto` (serve frames and the typed request and shard-reply
+//! decoders), `engine` (TCE1 engine files) and `wal` (write-ahead-log
+//! records and checkpoints). It asserts "reject cleanly or decode to
+//! something probe-able, never panic".
 //!
-//! - [`lint`] — a lexer-level static-analysis pass enforcing the serving
-//!   stack's panic-safety contract (no `unwrap`/`expect`/`panic!` in
-//!   serve+index non-test code, `// SAFETY:` above every unsafe site,
-//!   no lossy `as` casts in codec modules, no `todo!`/`dbg!`), with a
-//!   count-ratcheted allowlist for grandfathered sites.
-//! - [`fuzz`] — a deterministic structure-aware mutation fuzzer for the
-//!   four untrusted decoders (serve frames, the JSON parser, IVF index
-//!   blobs, TCE1 engine files), asserting "reject cleanly or decode to
-//!   something probe-able, never panic".
-//!
-//! Trust boundaries and the rationale for each rule are documented in
+//! The serving stack's static rules (no panics on the request path,
+//! `// SAFETY:` on every unsafe block, no lossy casts in codec modules)
+//! are clippy lints; trust boundaries and the rules are documented in
 //! DESIGN.md §11.
 
 #![warn(missing_docs)]
 
 pub mod fuzz;
-pub mod lint;
 
 pub use fuzz::{FuzzOptions, FuzzReport};
-pub use lint::{LintReport, Violation};

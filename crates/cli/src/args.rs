@@ -30,14 +30,14 @@ pub enum ParsedCommand {
     Approx,
     /// Run the concurrent query server over stdin/stdout frames.
     Serve,
-    /// Run the workspace lint pass and decoder fuzzer.
+    /// Run the decoder fuzzer.
     Audit,
     /// Print usage.
     Help,
 }
 
 /// Options that are boolean flags: `--json` takes no value.
-const BOOL_FLAGS: &[&str] = &["json", "lint", "fuzz", "fuzz-quick", "fail-closed"];
+const BOOL_FLAGS: &[&str] = &["json", "fuzz", "fuzz-quick", "fail-closed"];
 
 impl Args {
     /// Parses an argv-style list (excluding the program name).
@@ -147,8 +147,7 @@ USAGE:
   trajcl serve    --fleet ADDR1,ADDR2,... [--listen ADDR] [--fail-closed]
                   [--op-deadline-ms N] [--retries N] [--probe-ms N]
                   [--workers N] [--idle-timeout-ms N]
-  trajcl audit    [--lint] [--fuzz | --fuzz-quick] [--cases N]
-                  [--root DIR] [--repro-dir DIR]
+  trajcl audit    [--fuzz | --fuzz-quick] [--cases N] [--repro-dir DIR]
 
 FILES:
   *.traj   one trajectory per line: `x,y x,y ...` (meters)
@@ -161,13 +160,14 @@ machine-readable JSON object per line instead of the human-readable report.
 A command rejects any option it does not list above.
 
 `--quantize sq8` stores indexed vectors as int8 codes (4x smaller) and
-quantizes the query too, scanning codes with integer SIMD kernels
-(AVX-512/AVX2/scalar picked at runtime; set TRAJCL_FORCE_SCALAR=1 to pin
-the portable path); `--quantize pq[:M]` stores M 4-bit product-quantized
-codes per vector, two per byte (default M=8). `--quantize` needs
-`--index NLIST` (it describes the IVF index). `query` and `serve` read
-these three flags the same way and build the same served index, so
-`query` answers what a one-shard `serve` with the same flags answers.
+quantizes the query too, scanning codes with one portable integer
+kernel, the same on every CPU (TRAJCL_FORCE_SCALAR=1 pins only the
+encoder's f32 kernels to their portable copy); `--quantize pq[:M]`
+stores M 4-bit product-quantized codes per vector, two per byte
+(default M=8). `--quantize` needs `--index NLIST` (it describes the IVF
+index). `query` and `serve` read these three flags the same way and
+build the same served index, so `query` answers what a one-shard
+`serve` with the same flags answers.
 Quantized hits are rescored: the top `--rescore-factor` x k candidates
 are re-ranked against the engine's exact f32 embeddings, so database
 rows keep exact distances (ids upserted through a server keep

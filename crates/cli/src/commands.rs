@@ -47,84 +47,37 @@ fn execute(args: &Args, out: &mut (impl std::io::Write + Send)) -> Result<(), En
     }
 }
 
-/// `trajcl audit`: the workspace lint pass and/or decoder fuzzer.
+/// `trajcl audit`: the decoder fuzzer.
 ///
-/// Bare `trajcl audit` runs both at CI depth; `--lint`, `--fuzz-quick`
-/// (100k cases/target) and `--fuzz` (400k cases/target) select subsets,
-/// and `--cases N` overrides the depth explicitly. Reproducers for fuzz
-/// failures land in `--repro-dir` (default `target/audit-repros`).
+/// `--fuzz-quick` (100k cases/target, also the default) and `--fuzz`
+/// (400k cases/target) set the depth, and `--cases N` overrides it.
+/// Reproducers for fuzz failures land in `--repro-dir` (default
+/// `target/audit-repros`).
 fn audit_cmd(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> {
-    only(
-        args,
-        "audit",
-        &["lint fuzz fuzz-quick cases root repro-dir"],
-    )?;
-    let want_lint = args.flag("lint");
-    let want_deep = args.flag("fuzz");
-    let want_quick = args.flag("fuzz-quick");
-    let everything = !(want_lint || want_deep || want_quick);
-    let root = std::path::PathBuf::from(args.opt("root", "."));
-    let mut failures: Vec<String> = Vec::new();
-
-    if want_lint || everything {
-        let report = trajcl_audit::lint::run_lint(&root)?;
+    only(args, "audit", &["fuzz fuzz-quick cases repro-dir"])?;
+    let default_cases = if args.flag("fuzz") { 400_000 } else { 100_000 };
+    let report = trajcl_audit::fuzz::run_all(&trajcl_audit::FuzzOptions {
+        cases_per_target: num(args, "cases", default_cases)?,
+        repro_dir: Some(args.opt("repro-dir", "target/audit-repros").into()),
+    });
+    for t in &report.targets {
         writeln!(
             out,
-            "lint: {} files, {} grandfathered site(s), {} new violation(s)",
-            report.files,
-            report.grandfathered,
-            report.new_violations.len()
+            "fuzz {}: {} cases ({} accepted, {} rejected), {} panic(s)",
+            t.name, t.cases, t.accepted, t.rejected, t.panics
         )?;
-        for v in &report.new_violations {
-            writeln!(out, "  {v}")?;
-        }
-        for stale in &report.stale_allowances {
-            writeln!(out, "  stale allowance {stale}")?;
-        }
-        if !report.passed() {
-            failures.push(format!(
-                "{} lint violation(s) beyond crates/audit/allowlist.txt, {} stale allowance(s) in it",
-                report.new_violations.len(),
-                report.stale_allowances.len()
-            ));
+        for path in &t.repro_paths {
+            writeln!(out, "  reproducer: {}", path.display())?;
         }
     }
-
-    if want_deep || want_quick || everything {
-        let default_cases = if want_deep { 400_000 } else { 100_000 };
-        let cases = num(args, "cases", default_cases)?;
-        let repro_dir = std::path::PathBuf::from(
-            args.opt(
-                "repro-dir",
-                &root.join("target/audit-repros").to_string_lossy(),
-            )
-            .to_string(),
-        );
-        let report = trajcl_audit::fuzz::run_all(&trajcl_audit::FuzzOptions {
-            cases_per_target: cases,
-            repro_dir: Some(repro_dir),
-        });
-        for t in &report.targets {
-            writeln!(
-                out,
-                "fuzz {}: {} cases ({} accepted, {} rejected), {} panic(s)",
-                t.name, t.cases, t.accepted, t.rejected, t.panics
-            )?;
-            for path in &t.repro_paths {
-                writeln!(out, "  reproducer: {}", path.display())?;
-            }
-        }
-        if !report.passed() {
-            failures.push(format!("{} fuzz panic(s)", report.total_panics()));
-        }
+    if !report.passed() {
+        return Err(invalid(format!(
+            "audit failed: {} fuzz panic(s)",
+            report.total_panics()
+        )));
     }
-
-    if failures.is_empty() {
-        writeln!(out, "audit: PASS")?;
-        Ok(())
-    } else {
-        Err(invalid(format!("audit failed: {}", failures.join("; "))))
-    }
+    writeln!(out, "audit: PASS")?;
+    Ok(())
 }
 
 fn invalid(msg: impl Into<String>) -> EngineError {

@@ -7,6 +7,18 @@
 //!  ParamStore bytes` — everything needed to rebuild
 //! `(TrajClModel, Featurizer)` exactly.
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use crate::config::TrajClConfig;
 use crate::encoder::EncoderVariant;
 use crate::featurizer::Featurizer;
@@ -122,6 +134,7 @@ pub fn save_model(model: &TrajClModel, featurizer: &Featurizer, cell_side: f64) 
         c.max_epochs,
         c.patience,
     ] {
+        #[expect(clippy::cast_possible_truncation, reason = "config fields are small")]
         w.u32(v as u32);
     }
     w.f32(c.dropout);
@@ -136,18 +149,24 @@ pub fn save_model(model: &TrajClModel, featurizer: &Featurizer, cell_side: f64) 
     w.f64(min.x);
     w.f64(min.y);
     w.f64(cell_side);
+    #[expect(clippy::cast_possible_truncation, reason = "a grid side fits u32")]
     w.u32(grid.cols() as u32);
+    #[expect(clippy::cast_possible_truncation, reason = "a grid side fits u32")]
     w.u32(grid.rows() as u32);
+    #[expect(clippy::cast_possible_truncation, reason = "a config field is small")]
     w.u32(featurizer.max_len() as u32);
     // Cell-embedding table.
     let table = featurizer.cell_table();
+    #[expect(clippy::cast_possible_truncation, reason = "one row per grid cell")]
     w.u32(table.shape()[0] as u32);
+    #[expect(clippy::cast_possible_truncation, reason = "the width is the dim")]
     w.u32(table.shape()[1] as u32);
     for &v in table.data() {
         w.f32(v);
     }
     // Parameters.
     let store_bytes = model.store.to_bytes();
+    #[expect(clippy::cast_possible_truncation, reason = "a store is < 4 GiB")]
     w.u32(store_bytes.len() as u32);
     w.0.extend_from_slice(&store_bytes);
     w.0
@@ -231,8 +250,8 @@ pub fn load_model(bytes: &[u8]) -> Result<(TrajClModel, Featurizer), PersistErro
     let min_x = r.f64()?;
     let min_y = r.f64()?;
     let cell_side = r.f64()?;
-    let cols = r.u32()? as usize;
-    let rows = r.u32()? as usize;
+    let cols = r.u32()?;
+    let rows = r.u32()?;
     let max_len = r.u32()? as usize;
     // Grid geometry: `Grid::new` asserts on non-positive cell sides and
     // unbounded boxes, so reject those here instead of panicking.
@@ -242,14 +261,14 @@ pub fn load_model(bytes: &[u8]) -> Result<(TrajClModel, Featurizer), PersistErro
     if !(min_x.is_finite() && min_y.is_finite()) {
         return Err(PersistError::Invalid("grid origin"));
     }
-    let cells = cols
-        .checked_mul(rows)
+    let cells = (cols as usize)
+        .checked_mul(rows as usize)
         .ok_or(PersistError::Invalid("grid dims"))?;
     if cols == 0 || rows == 0 || cells > MAX_GRID_CELLS || max_len > MAX_CFG_FIELD {
         return Err(PersistError::Invalid("grid dims"));
     }
-    let extent_x = cols as f64 * cell_side;
-    let extent_y = rows as f64 * cell_side;
+    let extent_x = f64::from(cols) * cell_side;
+    let extent_y = f64::from(rows) * cell_side;
     if !((min_x + extent_x).is_finite() && (min_y + extent_y).is_finite()) {
         return Err(PersistError::Invalid("grid extent"));
     }

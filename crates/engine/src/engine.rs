@@ -8,6 +8,18 @@
 //! [`Engine::knn`] itself is exact: brute force over the cached table, or
 //! a database scan for heuristic (no-embedding) backends.
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use crate::backend::{FinetunedBackend, HeuristicBackend, SimilarityBackend, TrajClBackend};
 use crate::error::EngineError;
 use rand::Rng;
@@ -146,6 +158,7 @@ impl Engine {
             for query in queries {
                 let mut hits: Vec<(u32, f64)> = Vec::with_capacity(self.database.len());
                 for (i, t) in self.database.iter().enumerate() {
+                    #[expect(clippy::cast_possible_truncation, reason = "row ids are u32")]
                     hits.push((i as u32, self.backend.distance(query, t)?));
                 }
                 hits.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -247,18 +260,24 @@ impl Engine {
         let mut out = Vec::new();
         out.extend_from_slice(ENGINE_MAGIC);
         let model_bytes = save_model(model, featurizer, featurizer.grid().cell_side());
+        #[expect(clippy::cast_possible_truncation, reason = "a model is < 4 GiB")]
         out.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(&model_bytes);
+        #[expect(clippy::cast_possible_truncation, reason = "nprobe is at most nlist")]
         out.extend_from_slice(&(self.nprobe as u32).to_le_bytes());
+        #[expect(clippy::cast_possible_truncation, reason = "a batch size fits u32")]
         out.extend_from_slice(&(self.batch_size as u32).to_le_bytes());
         let opts = &self.index_options;
+        #[expect(clippy::cast_possible_truncation, reason = "nlist is at most n rows")]
         out.extend_from_slice(&(opts.nlist.unwrap_or(0) as u32).to_le_bytes());
         out.extend_from_slice(&opts.seed.to_le_bytes());
         // The tail: `tag | rescore | [PQ: m]`, the tag through the one
         // wire codec of `Quantization`.
         out.push(opts.quantization.wire_tag());
+        #[expect(clippy::cast_possible_truncation, reason = "rescore factor fits u32")]
         out.extend_from_slice(&(opts.rescore_factor as u32).to_le_bytes());
         if let Quantization::Pq { m } = opts.quantization {
+            #[expect(clippy::cast_possible_truncation, reason = "m is at most the dim")]
             out.extend_from_slice(&(m as u32).to_le_bytes());
         }
         Ok(out)

@@ -21,6 +21,18 @@
 //! full sort. Whatever depends on *how* rows are stored sits behind
 //! `Storage` (`storage.rs`); this file is the IVF half.
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use rand::Rng;
 use trajcl_tensor::{pool, Tensor};
 
@@ -210,6 +222,7 @@ impl IvfIndex {
         let (centroids, assign) = kernels::kmeans(kernels::l1_f32, data, d, nlist, rng);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
+            #[expect(clippy::cast_possible_truncation, reason = "row ids are u32")]
             lists[c as usize].push(i as u32);
         }
         let storage = storage::encode(opts.quantization, data, d, rng);
@@ -370,6 +383,7 @@ pub fn brute_force_knn(embeddings: &Tensor, query: &[f32], k: usize, _: Metric) 
 #[inline]
 fn scan_table(query: &[f32], table: &[f32], d: usize, topk: &mut TopK) {
     for (i, row) in table.chunks_exact(d).enumerate() {
+        #[expect(clippy::cast_possible_truncation, reason = "row ids are u32")]
         topk.offer(i as u32, kernels::l1_f32(query, row) as f64);
     }
 }

@@ -34,6 +34,12 @@
 //! dispatch.
 
 #![warn(missing_docs)]
+// The request path (DESIGN.md §11.2): a panic here kills a request
+// mid-flight, so non-test code returns errors instead.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod hausdorff_index;
 pub mod ivf;

@@ -10,6 +10,18 @@
 //! one more variant here, one more [`Quantization`] value and, if it
 //! needs per-query state, one more field of [`ScanScratch`].
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use rand::Rng;
 
 use crate::ivf::Quantization;
@@ -136,6 +148,7 @@ impl Storage {
                 qcodes.clear();
                 cb.encode_into(query, qcodes);
                 let (scale, offset) = (f64::from(cb.scale), cb.l1_to_box(query));
+                #[expect(clippy::cast_precision_loss, reason = "a byte SAD is exact in f64")]
                 scan_lists(lists, topk, |id| {
                     dispatch::sad(qcodes, row(codes, d, id)) as f64 * scale + offset
                 });

@@ -34,6 +34,18 @@
 //! assert that no acknowledged write was lost and no torn write was
 //! half-applied, at *every* append/fsync/rename/truncate boundary.
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -125,6 +137,7 @@ const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
+        #[expect(clippy::cast_possible_truncation, reason = "i < 256 in a const fn")]
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
@@ -164,6 +177,7 @@ pub fn encode_record(op: &WalOp) -> Vec<u8> {
         WalOp::Upsert { id, vector } => {
             payload.push(TAG_UPSERT);
             payload.extend_from_slice(&id.to_le_bytes());
+            #[expect(clippy::cast_possible_truncation, reason = "a dim fits u32")]
             payload.extend_from_slice(&(vector.len() as u32).to_le_bytes());
             for v in vector {
                 payload.extend_from_slice(&v.to_le_bytes());
@@ -176,6 +190,7 @@ pub fn encode_record(op: &WalOp) -> Vec<u8> {
         WalOp::Compact => payload.push(TAG_COMPACT),
     }
     let mut out = Vec::with_capacity(8 + payload.len());
+    #[expect(clippy::cast_possible_truncation, reason = "payload = 13 + 4 x dim")]
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
@@ -303,6 +318,7 @@ pub struct CheckpointEntry {
 pub fn encode_checkpoint(dim: usize, entries: &[CheckpointEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + entries.len() * (9 + dim * 4) + 4);
     out.extend_from_slice(CKPT_MAGIC);
+    #[expect(clippy::cast_possible_truncation, reason = "a dim fits u32")]
     out.extend_from_slice(&(dim as u32).to_le_bytes());
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
@@ -348,7 +364,10 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(usize, Vec<CheckpointEntry>), 
     if Reader(crc).u32() != Some(crc32(body)) {
         return Err(WalError::BadChecksum);
     }
-    let mut entries = Vec::with_capacity(count as usize);
+    // `count` fits: `count × entry_bytes` equals the blob length.
+    let count =
+        usize::try_from(count).map_err(|_| WalError::BadPayload("checkpoint count overflow"))?;
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let (Some(id), Some(flag), Some(vector)) = (r.u64(), r.u8(), r.f32_vec(dim)) else {
             return Err(WalError::Truncated);

@@ -6,6 +6,18 @@
 //! gradients are routed back by parameter id with
 //! [`ParamStore::accumulate`].
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use trajcl_tensor::{Param, Shape, Tensor};
 
 /// Opaque handle to a parameter slot in a [`ParamStore`].
@@ -212,6 +224,7 @@ impl ParamStore {
     /// inference or fresh fine-tuning.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn put_len(out: &mut Vec<u8>, n: usize) {
+            #[expect(clippy::cast_possible_truncation, reason = "counts and dims fit u32")]
             out.extend_from_slice(&(n as u32).to_le_bytes());
         }
         let mut out = Vec::new();
@@ -220,6 +233,7 @@ impl ParamStore {
             put_len(&mut out, s.name.len());
             out.extend_from_slice(s.name.as_bytes());
             let shape = s.value.shape();
+            #[expect(clippy::cast_possible_truncation, reason = "a rank is a handful")]
             out.push(shape.dims().len() as u8);
             for &d in shape.dims() {
                 put_len(&mut out, d);

@@ -18,6 +18,18 @@
 //! Writing stays hand-rolled `format!` strings, matching the CLI's
 //! existing `--json` output style.
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -150,6 +162,11 @@ impl Item<'_> {
     pub(crate) fn as_u64(&self) -> Option<u64> {
         match *self {
             Item::Num(_, text) if text.bytes().all(|c| c.is_ascii_digit()) => text.parse().ok(),
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "guarded: n is a whole number in [0, 2^53), exact in u64"
+            )]
             Item::Num(n, _) => {
                 (n >= 0.0 && n.fract() == 0.0 && n < F64_EXACT_INTS).then_some(n as u64)
             }

@@ -74,6 +74,12 @@
 //! ```
 
 #![warn(missing_docs)]
+// The request path (DESIGN.md §11.2): a panic here kills a request
+// mid-flight, so non-test code returns errors instead.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cache;
 pub mod chaos;

@@ -56,6 +56,18 @@
 //! the wire keep quantized (error-bounded) distances — see
 //! `ShardRouter::search`.
 
+// A codec module (DESIGN.md §11.2): no cast in its non-test code may
+// truncate, wrap, drop a sign or round.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
