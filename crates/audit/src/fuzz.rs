@@ -121,6 +121,11 @@ pub fn run_all(opts: &FuzzOptions) -> FuzzReport {
                                     .map(str::to_string)
                             });
                         assert_eq!(hits, tree, "hits decoder vs json::parse");
+                        let vec = trajcl_serve::fleet::read_vec(&payload).err().and_then(|e| {
+                            e.strip_prefix("malformed shard response: ")
+                                .map(str::to_string)
+                        });
+                        assert_eq!(vec, tree, "vec decoder vs json::parse");
                     }
                     Ok(None) => break,
                     Err(_) => return Outcome::Rejected,
@@ -337,12 +342,31 @@ pub fn mutate(base: &[u8], corpus: &[Vec<u8>], rng: &mut StdRng) -> Vec<u8> {
 }
 
 /// Valid protocol JSON payloads (one per op, edge shapes, the exact
-/// `traj_bits`/`hits_bits` forms with bad lengths, uppercase digits and
-/// NaN/∞ bit patterns, and the shard replies a fleet front-end reads).
+/// `traj_bits`/`vec_bits`/`hits_bits` forms with bad lengths, uppercase
+/// digits and NaN/∞ bit patterns, and the shard replies a fleet front-end
+/// reads).
 fn corpus_json() -> Vec<Vec<u8>> {
     let word = |x: f64| format!("{:016x}", x.to_bits());
     let (one, two) = (word(1.0), word(2.5));
+    let word32 = |x: f32| format!("{:08x}", x.to_bits());
+    let (half, three) = (word32(0.5), word32(-3.0));
     let bits = [
+        format!(r#"{{"op":"embed","traj_bits":"{one}{two}{two}{one}","req":8}}"#),
+        format!(r#"{{"req":8,"ok":true,"vec_bits":"{half}{three}{half}{three}"}}"#),
+        format!(r#"{{"op":"knn","k":3,"vec_bits":"{half}{three}{half}{three}"}}"#),
+        format!(r#"{{"op":"knn","k":3,"vec_bits":"{half}{three}0"}}"#),
+        format!(
+            r#"{{"op":"knn","k":3,"vec_bits":"{}"}}"#,
+            format!("{half}{three}").to_uppercase()
+        ),
+        format!(
+            r#"{{"op":"knn","k":3,"vec_bits":"{half}{}"}}"#,
+            word32(f32::NAN)
+        ),
+        format!(
+            r#"{{"ok":true,"vec_bits":"{half}{}"}}"#,
+            word32(f32::INFINITY)
+        ),
         format!(r#"{{"op":"knn","k":3,"traj_bits":"{one}{two}{two}{one}"}}"#),
         format!(
             r#"{{"req":5,"ok":true,"hits_bits":"{:016x}{two}{:016x}{one}"}}"#,

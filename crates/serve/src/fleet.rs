@@ -11,10 +11,15 @@
 //! Placement and merging reuse the in-process sharding machinery
 //! verbatim: `upsert`/`remove` route by
 //! [`trajcl_index::shard_for`]`(id, n)` — the same splitmix64 hash the
-//! in-process [`trajcl_index::ShardedIndex`] uses — and `knn` sends every
-//! shard the query the front-end already decoded, as exact f64 bits
-//! (`traj_bits`), and merges the per-shard top-k lists they answer with
-//! (`hits_bits`: ids and distance bits, read by [`read_hits`]) through
+//! in-process [`trajcl_index::ShardedIndex`] uses. A `knn` is embedded
+//! once: the front-end looks the query up in its own LRU cache
+//! ([`crate::cache`], keyed by [`content_hash`]); on a miss it asks ONE
+//! shard — `content_hash % n` first, so a repeat after eviction still
+//! hits that shard's cache — to `embed` the query's exact f64 bits
+//! (`traj_bits`), and reads back the exact f32 bits (`vec_bits`, read by
+//! [`read_vec`]). It then sends every shard only that vector and merges
+//! the per-shard top-k lists they answer with (`hits_bits`: ids and
+//! distance bits, read by [`read_hits`]) through
 //! [`trajcl_index::merge_partials`], the exact fused-top-k path. Because
 //! shards hold disjoint id sets and each returns its local top-k, the
 //! merged answer is bit-identical to an unsharded server over the same
@@ -60,12 +65,14 @@ use trajcl_index::{merge_partials, shard_for, splitmix64};
 
 use trajcl_geo::Trajectory;
 
+use crate::cache::{content_hash, LruCache};
 use crate::json::{Item, Reader};
 use crate::net::{peer_closed, Client, ClientOptions, FrameHandler};
 use crate::proto::{
     encode_frame, err_response, hits_field, hits_from_bits, knn_query, required, traj_bits,
-    Request, MAX_FRAME_LEN,
+    vec_bits, vec_from_bits, KnnQuery, Request, MAX_FRAME_LEN,
 };
+use crate::server::DEFAULT_CACHE_CAP;
 
 /// Tuning knobs for [`Fleet::connect`].
 #[derive(Clone, Copy, Debug)]
@@ -76,9 +83,10 @@ pub struct FleetConfig {
     pub client: ClientOptions,
     /// Total budget of one routed operation including reconnects, retries
     /// and backoff sleeps, from when the operation starts (no call waits
-    /// for another's connection). A scatter has ONE, shared by its
-    /// pipelined attempt and every shard's retries: however many shards
-    /// fail, it answers (possibly partial) by then.
+    /// for another's connection). An operation has ONE, shared by every
+    /// shard it tries in turn, a scatter's pipelined attempt and every
+    /// shard's retries, and a `knn` miss's `embed` and scatter: however
+    /// many shards fail, it answers (possibly partial) by then.
     pub op_deadline: Duration,
     /// Extra attempts after the first failed one.
     pub retries: u32,
@@ -297,6 +305,11 @@ pub struct Fleet {
     prober: Mutex<Option<JoinHandle<()>>>,
     /// Counter behind the jitter stream and single-shard round-robin.
     ticket: AtomicU64,
+    /// Query embeddings a shard made, by [`content_hash`]: a hit sends
+    /// the shards its vector with no `embed` leg.
+    cache: Mutex<LruCache>,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
 }
 
 impl Fleet {
@@ -347,6 +360,9 @@ impl Fleet {
             stop,
             prober: Mutex::new(Some(prober)),
             ticket: AtomicU64::new(0),
+            cache: Mutex::new(LruCache::new(DEFAULT_CACHE_CAP)),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
         })
     }
 
@@ -506,7 +522,8 @@ impl Fleet {
 
     /// Scatters `payload` to every non-Down shard and returns the replies
     /// that came back, in shard order (`Err` when none did).
-    /// Send-all-then-receive-all on the calling thread, under ONE budget: the
+    /// Send-all-then-receive-all on the calling thread, under the op's
+    /// budget, which ends at `deadline`: the
     /// frame, encoded once, is written first on each shard's idle connection,
     /// then on a connection dialled for each Up shard that had none; then the
     /// replies are read in shard order. That is attempt 0 of
@@ -517,8 +534,7 @@ impl Fleet {
     /// answering SYNs spends the budget while its siblings' replies arrive.
     /// Every leg owns its connection, so no lock is held across socket I/O
     /// and a stalled shard holds up no other call.
-    fn scatter(&self, payload: &str) -> Result<Vec<String>, String> {
-        let deadline = self.budget();
+    fn scatter(&self, payload: &str, deadline: Instant) -> Result<Vec<String>, String> {
         let frame = encode_frame(payload.as_bytes());
         let mut legs: Vec<Leg> = (self.shards.iter())
             .map(|shard| {
@@ -574,9 +590,9 @@ impl Fleet {
         )
     }
 
-    /// Routes on the decoded `request`: a `knn` is re-encoded once for the
-    /// shards, other ops forward the `payload` verbatim. Every op but
-    /// `ping` waits on the shards, so it calls `pass` first.
+    /// Routes on the decoded `request`: a `knn` is sent to the shards as
+    /// its embedding, other ops forward the `payload` verbatim. Every op
+    /// but `ping` waits on the shards, so it calls `pass` first.
     fn route(
         &self,
         request: Request<'_>,
@@ -594,47 +610,41 @@ impl Fleet {
             "ping" => Ok(format!("{{{echo}\"ok\":true,\"pong\":true}}")),
             "knn" => {
                 // `proto::dispatch`'s order, so a bad request gets a server's error.
-                let (traj, bits) = knn_query(request.traj, request.traj_bits)?;
+                let query = knn_query(request.traj, request.traj_bits, request.vec_bits)?;
                 let k = required(request.k, "k")?;
-                self.route_knn(&traj, k, bits, echo)
+                self.route_knn(query, k, echo)
             }
             "upsert" | "remove" => self.route_write(required(request.id, "id")?, payload),
-            "embed" | "distance" => self.route_any_shard(payload),
+            "embed" | "distance" => {
+                let start = (self.jitter() * self.shards.len() as f64) as usize;
+                self.route_any_shard(start, payload, self.budget())
+            }
             "compact" => self.route_compact(echo, payload),
             "stats" => self.route_stats(echo, payload),
             other => Err(format!("unknown op {other:?}")),
         }
     }
 
-    /// Scatter the query to every live shard as exact bits (`traj_bits`),
-    /// merge their exact local top-k lists (`hits_bits`). Shards hold
-    /// disjoint ids, so the union of per-shard top-k contains the global
-    /// top-k and the merge is bit-exact vs an unsharded server (DESIGN.md
-    /// §13.3). The client gets the form it asked in.
-    ///
-    /// The bits form takes 32 bytes a point, more than `traj`'s text, so a
-    /// query that fits a client's frame may not fit a shard's: that one is
-    /// refused here, before a shard could read the oversized header as a
-    /// transport failure and be marked down for it.
-    fn route_knn(
-        &self,
-        traj: &Trajectory,
-        k: usize,
-        bits: bool,
-        echo: &str,
-    ) -> Result<String, String> {
+    /// Scatter the query's embedding to every live shard as exact bits
+    /// (`vec_bits`), merge their exact local top-k lists (`hits_bits`).
+    /// Shards hold disjoint ids, so the union of per-shard top-k contains
+    /// the global top-k and the merge is bit-exact vs an unsharded server
+    /// (DESIGN.md §13.3). The client gets the form it asked in. A
+    /// trajectory is embedded first ([`Fleet::embed_once`]), under the
+    /// same budget as the scatter; a client's own `vec_bits` is sent as it
+    /// came.
+    fn route_knn(&self, query: KnnQuery, k: usize, echo: &str) -> Result<String, String> {
+        let deadline = self.budget();
+        let bits = query.bits();
+        let vec = match query {
+            KnnQuery::Traj(traj, _) => self.embed_once(&traj, deadline)?,
+            KnnQuery::Vec(vec) => vec,
+        };
         let payload = format!(
-            "{{\"op\":\"knn\",\"k\":{k},\"traj_bits\":\"{}\"}}",
-            traj_bits(traj)
+            "{{\"op\":\"knn\",\"k\":{k},\"vec_bits\":\"{}\"}}",
+            vec_bits(&vec)
         );
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(format!(
-                "query of {} points too large for a shard frame ({} bytes, max {MAX_FRAME_LEN})",
-                traj.len(),
-                payload.len()
-            ));
-        }
-        let replies = self.scatter(&payload)?;
+        let replies = self.scatter(&payload, deadline)?;
         let ok = replies.len();
         if self.cfg.fail_closed && ok < self.shards.len() {
             return Err(format!(
@@ -653,6 +663,45 @@ impl Fleet {
             self.degradation_fields(ok),
             hits_field(&merged, bits)
         ))
+    }
+
+    /// The embedding of `traj`: from the front-end's cache, or on a miss
+    /// from ONE shard's `embed` (`traj_bits` in, exact `vec_bits` out),
+    /// which is then cached. The miss goes to shard `content_hash % n`
+    /// first, failing over in shard order, so a query evicted here still
+    /// hits that shard's cache. A shard's in-band error (an empty
+    /// trajectory) is the client's, in a server's words.
+    ///
+    /// The bits form takes 32 bytes a point, more than `traj`'s text, so a
+    /// query that fits a client's frame may not fit a shard's: that one is
+    /// refused here, before a shard could read the oversized header as a
+    /// transport failure and be marked down for it.
+    fn embed_once(&self, traj: &Trajectory, deadline: Instant) -> Result<Vec<f32>, String> {
+        let key = content_hash(traj);
+        let hit = self.cached().get(key, traj).map(<[f32]>::to_vec);
+        if let Some(vec) = hit {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(vec);
+        }
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let payload = format!("{{\"op\":\"embed\",\"traj_bits\":\"{}\"}}", traj_bits(traj));
+        if payload.len() > MAX_FRAME_LEN {
+            return Err(format!(
+                "query of {} points too large for a shard frame ({} bytes, max {MAX_FRAME_LEN})",
+                traj.len(),
+                payload.len()
+            ));
+        }
+        let n = self.shards.len() as u64;
+        let start = usize::try_from(key % n).unwrap_or(0);
+        let vec = read_vec(&self.route_any_shard(start, &payload, deadline)?)?;
+        self.cached().put(key, traj.clone(), vec.clone());
+        Ok(vec)
+    }
+
+    /// The front-end's embedding cache, locked.
+    fn cached(&self) -> std::sync::MutexGuard<'_, LruCache> {
+        self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Route a write to its owning shard by the placement hash. A Down
@@ -675,10 +724,15 @@ impl Fleet {
     }
 
     /// Ops any one shard can answer (every shard holds the full model):
-    /// round-robin over live shards, failing over to the next.
-    fn route_any_shard(&self, payload: &str) -> Result<String, String> {
+    /// shard `start` first, failing over to the next live one in shard
+    /// order, all under ONE budget, ending at `deadline`.
+    fn route_any_shard(
+        &self,
+        start: usize,
+        payload: &str,
+        deadline: Instant,
+    ) -> Result<String, String> {
         let n = self.shards.len();
-        let start = (self.jitter() * n as f64) as usize % n;
         let frame = encode_frame(payload.as_bytes());
         let mut last_err = None;
         for i in 0..n {
@@ -686,7 +740,7 @@ impl Fleet {
             if shard.health() == ShardHealth::Down {
                 continue;
             }
-            match self.call_shard(shard, &frame, self.budget(), None) {
+            match self.call_shard(shard, &frame, deadline, None) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => last_err = Some(format!("shard {}: {e}", shard.addr)),
             }
@@ -696,7 +750,7 @@ impl Fleet {
 
     /// Scatter `compact`, sum the per-shard sealed counts.
     fn route_compact(&self, echo: &str, payload: &str) -> Result<String, String> {
-        let replies = self.scatter(payload)?;
+        let replies = self.scatter(payload, self.budget())?;
         let mut sealed: u64 = 0;
         for resp in &replies {
             let [n] = read_counts(resp, ["sealed"])?;
@@ -708,12 +762,13 @@ impl Fleet {
         ))
     }
 
-    /// Scatter `stats`, sum the additive index fields, and report
-    /// fleet-level health (`"health":["up","down",...]` in shard
-    /// order). Counters of unreachable shards are simply missing from
-    /// the sums — `shards_ok` says how many contributed.
+    /// Scatter `stats`, sum the additive index fields, and report the
+    /// front-end's own embedding-cache counters and fleet-level health
+    /// (`"health":["up","down",...]` in shard order). Counters of
+    /// unreachable shards are simply missing from the sums — `shards_ok`
+    /// says how many contributed.
     fn route_stats(&self, echo: &str, payload: &str) -> Result<String, String> {
-        let replies = self.scatter(payload)?;
+        let replies = self.scatter(payload, self.budget())?;
         let mut sums: [u64; 4] = [0; 4];
         for resp in &replies {
             let counts = read_counts(resp, ["size", "buffer", "memory_bytes", "shards"])?;
@@ -727,12 +782,14 @@ impl Fleet {
             .map(|s| format!("\"{}\"", s.health().as_str()))
             .collect();
         Ok(format!(
-            "{{{echo}\"ok\":true,{},\"size\":{},\"buffer\":{},\"memory_bytes\":{},\"shards\":{},\"health\":[{}]}}",
+            "{{{echo}\"ok\":true,{},\"size\":{},\"buffer\":{},\"memory_bytes\":{},\"shards\":{},\"cache_hits\":{},\"cache_misses\":{},\"health\":[{}]}}",
             self.degradation_fields(replies.len()),
             sums[0],
             sums[1],
             sums[2],
             sums[3],
+            self.cache_hits.load(Ordering::Relaxed),
+            self.cache_misses.load(Ordering::Relaxed),
             health.join(",")
         ))
     }
@@ -837,23 +894,37 @@ fn shard_reply<'a>(
     }
 }
 
-/// Reads a shard's `knn` reply (the `hits_bits` a `traj_bits` query gets)
+/// Reads a shard's `knn` reply (the `hits_bits` a `vec_bits` query gets)
 /// into its exact `(id, distance)` pairs.
 pub fn read_hits(resp: &str) -> Result<Vec<(u64, f64)>, String> {
-    let mut hits = None;
+    read_bits(resp, "hits_bits", hits_from_bits)
+}
+
+/// Reads a shard's `embed` reply (the `vec_bits` a `traj_bits` query
+/// gets) into the query's exact embedding.
+pub fn read_vec(resp: &str) -> Result<Vec<f32>, String> {
+    read_bits(resp, "vec_bits", vec_from_bits)
+}
+
+/// Reads the hex string member `field` of an ok shard reply with `decode`.
+fn read_bits<T>(
+    resp: &str,
+    field: &str,
+    decode: fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut value = None;
     shard_reply(resp, |r, key| {
-        match key {
-            "hits_bits" => {
-                hits = Some(match r.scalar(1)? {
-                    Item::Str(hex) => hits_from_bits(&hex),
-                    _ => Err("\"hits_bits\" must be a string of hex digits".into()),
-                })
-            }
-            _ => r.skip_value(1)?,
+        if key != field {
+            return r.skip_value(1);
         }
+        value = Some(match r.scalar(1)? {
+            Item::Str(hex) => decode(&hex),
+            _ => Err(format!("\"{field}\" must be a string of hex digits")),
+        });
         Ok(())
     })?;
-    hits.unwrap_or_else(|| Err("missing \"hits_bits\"".into()))
+    value
+        .unwrap_or_else(|| Err(format!("missing \"{field}\"")))
         .map_err(|e| format!("shard response {e}"))
 }
 
@@ -934,6 +1005,9 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
             prober: Mutex::new(None),
             ticket: AtomicU64::new(0),
+            cache: Mutex::new(LruCache::new(1)),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
         };
         let spent = Instant::now();
         let e = fleet
@@ -997,6 +1071,28 @@ mod tests {
             ),
         ] {
             assert_eq!(read_hits(resp).unwrap_err(), err, "{resp}");
+        }
+        // An `embed` leg's reply: the exact embedding, or the shard's error.
+        assert_eq!(
+            read_vec("{\"ok\":true,\"vec_bits\":\"3f80000040200000\"}"),
+            Ok(vec![1.0, 2.5])
+        );
+        for (resp, err) in [
+            ("{\"ok\":false,\"error\":\"no points\"}", "no points"),
+            (
+                "{\"ok\":true,\"embedding\":[1]}",
+                "shard response missing \"vec_bits\"",
+            ),
+            (
+                "{\"ok\":true,\"vec_bits\":\"3f80\"}",
+                "shard response \"vec_bits\" length must be a multiple of 8",
+            ),
+            (
+                "{\"ok\":true,\"vec_bits\":null}",
+                "shard response \"vec_bits\" must be a string of hex digits",
+            ),
+        ] {
+            assert_eq!(read_vec(resp).unwrap_err(), err, "{resp}");
         }
         // The prober's `ping` reply goes through the same reader.
         assert_eq!(read_pong("{\"req\":1,\"ok\":true,\"pong\":true}"), Ok(()));

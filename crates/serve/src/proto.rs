@@ -31,14 +31,18 @@
 //! A `knn` may carry its query as `traj_bits` instead of `traj`: each
 //! coordinate's IEEE-754 bits as 16 lowercase hex digits ([`traj_bits`]).
 //! It is answered with `hits_bits`, each hit's id and distance bits the
-//! same way. This is the form a fleet front-end sends its shards, so a
-//! query is decoded once per fleet and merged on exact distances.
+//! same way. Or it may carry the query's embedding as `vec_bits`, each
+//! f32's bits as 8 lowercase hex digits ([`vec_bits`]): searched as it
+//! is, with no cache lookup and no forward pass, and answered with
+//! `hits_bits`. An `embed` sent `traj_bits` answers with the exact
+//! `vec_bits`. A fleet front-end embeds a query once that way, then sends
+//! every shard its `vec_bits` and merges on exact distances.
 //!
 //! | op | request fields | response fields |
 //! |----|----------------|-----------------|
 //! | `ping`     | —                 | `pong` (always `true`) |
-//! | `embed`    | `traj`            | `embedding` (f32 array) |
-//! | `knn`      | `traj` or `traj_bits`, `k` | `hits`: `[{rank,index,distance}]`, or `hits_bits` |
+//! | `embed`    | `traj` or `traj_bits` | `embedding` (f32 array), or `vec_bits` |
+//! | `knn`      | `traj`, `traj_bits` or `vec_bits`, `k` | `hits`: `[{rank,index,distance}]`, or `hits_bits` |
 //! | `distance` | `a`, `b`          | `distance` |
 //! | `upsert`   | `id`, `traj`      | `replaced` (bool) |
 //! | `remove`   | `id`              | `removed` (bool) |
@@ -205,8 +209,10 @@ pub struct Request<'a> {
     /// Borrowed from the payload unless it is escaped.
     pub(crate) op: Slot<Cow<'a, str>>,
     pub(crate) traj: Slot<Trajectory>,
-    /// A `knn` query in its exact form ([`traj_bits`]).
+    /// A `knn` or `embed` query in its exact form ([`traj_bits`]).
     pub(crate) traj_bits: Slot<Trajectory>,
+    /// A `knn` query already embedded ([`vec_bits`]).
+    pub(crate) vec_bits: Slot<Vec<f32>>,
     pub(crate) a: Slot<Trajectory>,
     pub(crate) b: Slot<Trajectory>,
     /// Already bounded by [`MAX_K`].
@@ -250,6 +256,12 @@ impl<'a> Request<'a> {
                         _ => Err("\"traj_bits\" must be a string of hex digits".into()),
                     })
                 }
+                "vec_bits" => {
+                    request.vec_bits = Some(match r.scalar(1)? {
+                        Item::Str(hex) => vec_from_bits(&hex),
+                        _ => Err("\"vec_bits\" must be a string of hex digits".into()),
+                    })
+                }
                 "a" => request.a = Some(points(r)?),
                 "b" => request.b = Some(points(r)?),
                 "k" => {
@@ -286,16 +298,51 @@ pub(crate) fn required<T>(slot: Slot<T>, key: &str) -> Result<T, String> {
     slot.unwrap_or_else(|| Err(format!("missing field \"{key}\"")))
 }
 
-/// A `knn`'s query, read where `traj` is in the field order, and whether it
-/// came as `traj_bits` (so it is answered with `hits_bits`).
-pub(crate) fn knn_query(
+/// A query trajectory, read where `traj` is in the field order, and
+/// whether it came as `traj_bits` (so it is answered in the exact form).
+pub(crate) fn traj_query(
+    op: &str,
     traj: Slot<Trajectory>,
     traj_bits: Slot<Trajectory>,
 ) -> Result<(Trajectory, bool), String> {
     match (traj, traj_bits) {
-        (Some(_), Some(_)) => Err("\"knn\" takes \"traj\" or \"traj_bits\", not both".into()),
+        (Some(_), Some(_)) => Err(format!(
+            "\"{op}\" takes \"traj\" or \"traj_bits\", not both"
+        )),
         (None, Some(bits)) => Ok((bits?, true)),
         (traj, None) => Ok((required(traj, "traj")?, false)),
+    }
+}
+
+/// What a `knn` searches for.
+#[derive(Debug)]
+pub(crate) enum KnnQuery {
+    /// A trajectory to embed, and whether it came as `traj_bits`.
+    Traj(Trajectory, bool),
+    /// An embedding (`vec_bits`), searched as it is.
+    Vec(Vec<f32>),
+}
+
+impl KnnQuery {
+    /// Whether the reply takes the exact form (`hits_bits`).
+    pub(crate) fn bits(&self) -> bool {
+        !matches!(self, KnnQuery::Traj(_, false))
+    }
+}
+
+/// A `knn`'s query, read where `traj` is in the field order: one of
+/// `traj`, `traj_bits` and `vec_bits`.
+pub(crate) fn knn_query(
+    traj: Slot<Trajectory>,
+    traj_bits: Slot<Trajectory>,
+    vec_bits: Slot<Vec<f32>>,
+) -> Result<KnnQuery, String> {
+    match vec_bits {
+        Some(_) if traj.is_some() || traj_bits.is_some() => {
+            Err("\"knn\" takes \"vec_bits\" or a trajectory, not both".into())
+        }
+        Some(vec) => Ok(KnnQuery::Vec(vec?)),
+        None => traj_query("knn", traj, traj_bits).map(|(traj, bits)| KnnQuery::Traj(traj, bits)),
     }
 }
 
@@ -358,7 +405,14 @@ pub fn traj_json(t: &Trajectory) -> String {
 /// most significant first (`format!("{:016x}", x.to_bits())`).
 pub fn traj_bits(t: &Trajectory) -> String {
     let words = t.points().iter().flat_map(|p| [p.x, p.y].map(f64::to_bits));
-    hex_words(2 * t.len(), words)
+    hex_words(2 * t.len(), 16, words)
+}
+
+/// Prints an embedding as the `vec_bits` string [`handle`] decodes: per
+/// value the 8 lowercase hex digits of its IEEE-754 binary32 bits, most
+/// significant first (`format!("{:08x}", v.to_bits())`).
+pub fn vec_bits(v: &[f32]) -> String {
+    hex_words(v.len(), 8, v.iter().map(|x| u64::from(x.to_bits())))
 }
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -374,11 +428,11 @@ const HEX_VALUES: [u8; 256] = {
     table
 };
 
-/// `len` words as 16 hex digits each, most significant first.
-fn hex_words(len: usize, words: impl Iterator<Item = u64>) -> String {
-    let mut hex = String::with_capacity(16 * len);
+/// `len` words as `width` hex digits each, most significant first.
+fn hex_words(len: usize, width: usize, words: impl Iterator<Item = u64>) -> String {
+    let mut hex = String::with_capacity(width * len);
     for word in words {
-        let _ = write!(hex, "{word:016x}"); // writing into a String cannot fail
+        let _ = write!(hex, "{word:0width$x}"); // writing into a String cannot fail
     }
     hex
 }
@@ -428,12 +482,34 @@ fn traj_from_bits(hex: &str) -> Result<Trajectory, String> {
     Ok(Trajectory::new(points))
 }
 
+/// Reads a `vec_bits` string back into its values: `Err` for a length
+/// that is not a multiple of 8, then for the first value that is not 8
+/// hex digits or not finite.
+pub(crate) fn vec_from_bits(hex: &str) -> Result<Vec<f32>, String> {
+    let bytes = hex.as_bytes();
+    if !bytes.len().is_multiple_of(8) {
+        return Err("\"vec_bits\" length must be a multiple of 8".into());
+    }
+    let value = |(i, digits): (usize, &[u8])| {
+        let x = hex_word(digits)
+            .and_then(|word| u32::try_from(word).ok())
+            .map(f32::from_bits)
+            .ok_or_else(|| format!("\"vec_bits\" value {i}: not 8 lowercase hex digits"))?;
+        if x.is_finite() {
+            Ok(x)
+        } else {
+            Err(format!("\"vec_bits\" value {i}: not finite"))
+        }
+    };
+    bytes.chunks_exact(8).enumerate().map(value).collect()
+}
+
 /// A `knn` reply's hits: the text `hits` array, or with `bits` the
 /// `hits_bits` string, per hit the id's u64 then the distance's f64 bits.
 pub(crate) fn hits_field(hits: &[(u64, f64)], bits: bool) -> String {
     if bits {
         let words = hits.iter().flat_map(|&(id, dist)| [id, dist.to_bits()]);
-        return format!("\"hits_bits\":\"{}\"", hex_words(2 * hits.len(), words));
+        return format!("\"hits_bits\":\"{}\"", hex_words(2 * hits.len(), 16, words));
     }
     let rows: Vec<String> = hits
         .iter()
@@ -496,20 +572,25 @@ fn dispatch(server: &Server, request: Request<'_>, pass: &dyn Fn()) -> Result<St
         // stays honest about liveness even when the data path is wedged.
         "ping" => Ok("\"pong\":true".to_string()),
         "embed" => {
-            let traj = required(request.traj, "traj")?;
+            let (traj, bits) = traj_query("embed", request.traj, request.traj_bits)?;
             let e = server
                 .embed_passing(&traj, pass)
                 .map_err(|e| e.to_string())?;
+            if bits {
+                return Ok(format!("\"vec_bits\":\"{}\"", vec_bits(&e)));
+            }
             let vals: Vec<String> = e.iter().map(|v| format!("{v:.6}")).collect();
             Ok(format!("\"embedding\":[{}]", vals.join(",")))
         }
         "knn" => {
-            let (traj, bits) = knn_query(request.traj, request.traj_bits)?;
+            let query = knn_query(request.traj, request.traj_bits, request.vec_bits)?;
             let k = required(request.k, "k")?;
-            let hits = server
-                .knn_passing(&traj, k, pass)
-                .map_err(|e| e.to_string())?;
-            Ok(hits_field(&hits, bits))
+            let bits = query.bits();
+            let hits = match query {
+                KnnQuery::Traj(traj, _) => server.knn_passing(&traj, k, pass),
+                KnnQuery::Vec(vec) => server.knn_vec(&vec, k),
+            };
+            Ok(hits_field(&hits.map_err(|e| e.to_string())?, bits))
         }
         "distance" => {
             let a = required(request.a, "a")?;
@@ -784,8 +865,58 @@ mod tests {
             Some(Err("\"traj_bits\" must be a string of hex digits".into()))
         );
         assert_eq!(
-            knn_query(Some(Ok(t.clone())), Some(Ok(t))).unwrap_err(),
+            knn_query(Some(Ok(t.clone())), Some(Ok(t)), None).unwrap_err(),
             "\"knn\" takes \"traj\" or \"traj_bits\", not both"
+        );
+    }
+
+    /// The `vec_bits` slot of a payload holding only `vec_bits`.
+    fn vec_slot(hex: &str) -> Result<Vec<f32>, String> {
+        let payload = format!("{{\"vec_bits\":\"{hex}\"}}");
+        required(decode(&payload).vec_bits, "vec_bits")
+    }
+
+    #[test]
+    fn vec_bits_errors_name_the_first_bad_value() {
+        let word = |x: f32| format!("{:08x}", x.to_bits());
+        assert_eq!(word(1.0), "3f800000");
+        assert_eq!(vec_slot(&vec_bits(&[1.0, -2.5])).unwrap(), [1.0, -2.5]);
+        assert_eq!(vec_slot("").unwrap(), []);
+        for (hex, err) in [
+            (
+                "3f80000".to_string(),
+                "\"vec_bits\" length must be a multiple of 8",
+            ),
+            (
+                format!("{}3F800000", word(1.0)),
+                "\"vec_bits\" value 1: not 8 lowercase hex digits",
+            ),
+            (
+                "3f80000g".to_string(),
+                "\"vec_bits\" value 0: not 8 lowercase hex digits",
+            ),
+            (
+                format!("{}{}", word(1.0), word(f32::NAN)),
+                "\"vec_bits\" value 1: not finite",
+            ),
+            (word(f32::NEG_INFINITY), "\"vec_bits\" value 0: not finite"),
+        ] {
+            assert_eq!(vec_slot(&hex).unwrap_err(), err, "{hex}");
+        }
+        assert_eq!(
+            decode(r#"{"vec_bits":1}"#).vec_bits,
+            Some(Err("\"vec_bits\" must be a string of hex digits".into()))
+        );
+        let t = Trajectory::new(vec![Point::new(1.0, 2.0)]);
+        for (traj, traj_bits) in [(Some(Ok(t.clone())), None), (None, Some(Ok(t.clone())))] {
+            assert_eq!(
+                knn_query(traj, traj_bits, Some(Ok(vec![1.0]))).unwrap_err(),
+                "\"knn\" takes \"vec_bits\" or a trajectory, not both"
+            );
+        }
+        assert_eq!(
+            traj_query("embed", Some(Ok(t.clone())), Some(Ok(t))).unwrap_err(),
+            "\"embed\" takes \"traj\" or \"traj_bits\", not both"
         );
     }
 
@@ -841,6 +972,23 @@ mod tests {
                 crate::cache::content_hash(&back),
                 crate::cache::content_hash(&t)
             );
+        }
+
+        #[test]
+        fn vec_bits_round_trip_every_finite_value(
+            raw in prop::collection::vec((0usize..26, 0u64..u64::MAX), 0..64)
+        ) {
+            let v: Vec<f32> = raw
+                .iter()
+                .map(|&(pick, bits)| match coordinate(pick, bits) as f32 {
+                    x if x.is_finite() => x,
+                    _ => f32::MIN_POSITIVE,
+                })
+                .collect();
+            let reply = format!("{{\"ok\":true,\"vec_bits\":\"{}\"}}", vec_bits(&v));
+            let back = crate::fleet::read_vec(&reply).unwrap();
+            let exact = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+            prop_assert_eq!(exact(&back), exact(&v));
         }
 
         #[test]

@@ -29,6 +29,10 @@ use crate::cache::{content_hash, LruCache};
 use crate::net::SessionOptions;
 use crate::router::{ShardRouter, WalConfig, WalRecoveryStats};
 
+/// [`ServeConfig::cache_cap`]'s default, and the capacity of a fleet
+/// front-end's own embedding cache.
+pub const DEFAULT_CACHE_CAP: usize = 4096;
+
 /// Tuning knobs for [`Server::new`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -77,7 +81,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
-            cache_cap: 4096,
+            cache_cap: DEFAULT_CACHE_CAP,
             ivf_nlist: None,
             shards: None,
             session: SessionOptions::default(),
@@ -352,9 +356,29 @@ impl Server {
     ) -> Result<Vec<(u64, f64)>, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let q = self.embed_inner(query, pass)?;
-        Ok(self
-            .router
-            .search(self.engine.embeddings(), &q, k, self.nprobe))
+        Ok(self.search(&q, k))
+    }
+
+    /// k nearest indexed trajectories to an embedding already made, as
+    /// [`Server::knn`] answers them: no cache lookup, no forward pass.
+    ///
+    /// # Errors
+    /// [`EngineError::InvalidInput`] when `query` is not the model's width.
+    pub fn knn_vec(&self, query: &[f32], k: usize) -> Result<Vec<(u64, f64)>, EngineError> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let dim = self.engine.backend().dim();
+        if query.len() != dim {
+            return Err(EngineError::InvalidInput(format!(
+                "query vector holds {} values, the model embeds {dim}",
+                query.len()
+            )));
+        }
+        Ok(self.search(query, k))
+    }
+
+    fn search(&self, query: &[f32], k: usize) -> Vec<(u64, f64)> {
+        self.router
+            .search(self.engine.embeddings(), query, k, self.nprobe)
     }
 
     /// L1 distance between two trajectories in embedding space (both

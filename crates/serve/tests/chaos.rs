@@ -612,11 +612,15 @@ struct Staller {
     thread: std::thread::JoinHandle<()>,
 }
 
-/// A `knn` reply holding `hits`, in the form `query` asked for: `hits_bits`
-/// (PROTOCOL.md §2.2, written here from the spec) for a `traj_bits` query,
-/// else the text `hits`.
+/// A shard's reply to `query`, written here from the spec (PROTOCOL.md
+/// §2.2): an `embed` gets the fixed embedding `[1.0, 2.5]` as `vec_bits`;
+/// a `knn` gets `hits` as `hits_bits` when it came in an exact form
+/// (`traj_bits` or `vec_bits`), else as the text `hits`.
 fn crafted_reply(query: &str, hits: &[(u64, f64)]) -> String {
-    if query.contains("\"traj_bits\"") {
+    if query.contains("\"op\":\"embed\"") {
+        return "{\"ok\":true,\"vec_bits\":\"3f80000040200000\"}".to_string();
+    }
+    if query.contains("\"traj_bits\"") || query.contains("\"vec_bits\"") {
         let hex: String = hits
             .iter()
             .map(|(id, d)| format!("{id:016x}{:016x}", d.to_bits()))
@@ -745,6 +749,56 @@ fn stalled_shard_hits_read_deadline_and_degrades() {
 
     fleet.shutdown();
     staller.stop();
+    real.kill();
+}
+
+/// One budget per routed op: an `embed` tries shards in turn, and shards
+/// that stall past `op_deadline` share that one budget rather than take
+/// one each. Three stallers and one real shard, last: whatever shard an
+/// `embed` starts at, its reply arrives within the budget (plus slack).
+/// It is the embedding, or an in-band error once the stallers spent the
+/// budget. Both kinds turn up, so the embeds did start at different shards.
+#[test]
+fn an_op_failing_over_past_stalled_shards_answers_within_one_budget() {
+    let stallers: Vec<Staller> = (0..3).map(|_| Staller::spawn()).collect();
+    let real = ShardServer::spawn();
+    let mut cfg = fleet_cfg();
+    cfg.client.read_timeout = Some(ms(3000));
+    cfg.op_deadline = ms(500);
+    let budget = cfg.op_deadline.mul_f64(1.5);
+    let mut addrs: Vec<String> = stallers.iter().map(|s| s.addr.clone()).collect();
+    addrs.push(real.addr());
+    let fleet = Fleet::connect(&addrs, cfg).expect("fleet");
+
+    let (mut embedded, mut refused) = (0, 0);
+    for id in 0..10u64 {
+        let payload = format!(
+            "{{\"req\":{id},\"op\":\"embed\",\"traj\":{}}}",
+            traj_json(&traj_for(id))
+        );
+        let started = Instant::now();
+        let reply = fleet.handle_frame(&payload);
+        let took = started.elapsed();
+        assert!(took < budget, "embed {id} took {took:?}: {reply}");
+        if reply.starts_with(&format!("{{\"req\":{id},\"ok\":true,\"embedding\":[")) {
+            embedded += 1;
+        } else {
+            assert!(
+                reply.starts_with(&format!("{{\"req\":{id},\"ok\":false,\"error\":\"shard ")),
+                "{reply}"
+            );
+            refused += 1;
+        }
+    }
+    assert!(
+        embedded > 0 && refused > 0,
+        "{embedded} embedded, {refused} refused"
+    );
+
+    fleet.shutdown();
+    for s in stallers {
+        s.stop();
+    }
     real.kill();
 }
 
@@ -1116,9 +1170,13 @@ fn idle_connections_the_shard_closed_cost_it_no_failure() {
     for r in burst(|id| knn_payload(id, 1)) {
         assert!(r.contains("\"partial\":false"), "{r}");
     }
+    // Frames through the proxy, one request and one reply each: the
+    // start-up probe's `ping` (2), then per call (all three queries are
+    // new to the front-end's cache) its `embed` leg (2) and its one-shard
+    // scatter (2).
     assert_eq!(
         proxy.frames_forwarded(),
-        2 + 2 * CALLS,
+        2 + 4 * CALLS,
         "the start-up probe and the calls, with no retry"
     );
 

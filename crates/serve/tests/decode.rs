@@ -2,7 +2,8 @@
 //!
 //! `tree_handle` below is the reference: `json::parse`, then the
 //! trajectory conversion and the field order `proto::handle` used before
-//! it decoded requests straight into their types. Two identical servers take
+//! it decoded requests straight into their types, plus `knn`'s `vec_bits`
+//! form, written from PROTOCOL.md §2.2. Two identical servers take
 //! the same payloads in the same order, one through each path, and every
 //! reply must match byte for byte. Only the integer fields past 2^53 read
 //! differently (the reference goes through `f64`); those inputs are left
@@ -91,6 +92,41 @@ fn tree_traj(value: &Json) -> Result<Trajectory, String> {
     Ok(Trajectory::new(out))
 }
 
+/// A `vec_bits` value, as PROTOCOL.md §2.2 words it: a string of 8
+/// lowercase hex digits per value, each a finite f32's bits.
+fn tree_vec(value: &Json) -> Result<Vec<f32>, String> {
+    let hex = value
+        .as_str()
+        .ok_or("\"vec_bits\" must be a string of hex digits")?;
+    if hex.len() % 8 != 0 {
+        return Err("\"vec_bits\" length must be a multiple of 8".into());
+    }
+    let mut out = Vec::with_capacity(hex.len() / 8);
+    for (i, word) in hex.as_bytes().chunks(8).enumerate() {
+        let lowercase = word.iter().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f'));
+        let bits = std::str::from_utf8(word)
+            .ok()
+            .filter(|_| lowercase)
+            .and_then(|word| u32::from_str_radix(word, 16).ok())
+            .ok_or_else(|| format!("\"vec_bits\" value {i}: not 8 lowercase hex digits"))?;
+        let x = f32::from_bits(bits);
+        if !x.is_finite() {
+            return Err(format!("\"vec_bits\" value {i}: not finite"));
+        }
+        out.push(x);
+    }
+    Ok(out)
+}
+
+/// `hits_bits`: per hit 16 hex digits of the id, then 16 of the distance's bits.
+fn hits_bits_json(hits: &[(u64, f64)]) -> String {
+    let hex: String = hits
+        .iter()
+        .map(|(id, d)| format!("{id:016x}{:016x}", d.to_bits()))
+        .collect();
+    format!("\"hits_bits\":\"{hex}\"")
+}
+
 fn hits_json(hits: &[(u64, f64)]) -> String {
     let rows: Vec<String> = hits
         .iter()
@@ -123,13 +159,28 @@ fn tree_dispatch(server: &Server, obj: &Json) -> Result<String, String> {
             Ok(format!("\"embedding\":[{}]", vals.join(",")))
         }
         "knn" => {
-            let traj = tree_traj(tree_field(obj, "traj")?)?;
-            let k = tree_field(obj, "k")?
-                .as_u64()
-                .filter(|&k| k <= MAX_K as u64)
-                .ok_or_else(|| format!("\"k\" must be an integer in 0..={MAX_K}"))?;
-            let hits = server.knn(&traj, k as usize).map_err(|e| e.to_string())?;
-            Ok(hits_json(&hits))
+            let k = |obj: &Json| {
+                tree_field(obj, "k")?
+                    .as_u64()
+                    .filter(|&k| k <= MAX_K as u64)
+                    .map(|k| k as usize)
+                    .ok_or_else(|| format!("\"k\" must be an integer in 0..={MAX_K}"))
+            };
+            match obj.get("vec_bits") {
+                Some(_) if obj.get("traj").is_some() || obj.get("traj_bits").is_some() => {
+                    Err("\"knn\" takes \"vec_bits\" or a trajectory, not both".into())
+                }
+                Some(vec) => {
+                    let vec = tree_vec(vec)?;
+                    let hits = server.knn_vec(&vec, k(obj)?).map_err(|e| e.to_string())?;
+                    Ok(hits_bits_json(&hits))
+                }
+                None => {
+                    let traj = tree_traj(tree_field(obj, "traj")?)?;
+                    let hits = server.knn(&traj, k(obj)?).map_err(|e| e.to_string())?;
+                    Ok(hits_json(&hits))
+                }
+            }
         }
         "distance" => {
             let a = tree_traj(tree_field(obj, "a")?)?;
@@ -246,6 +297,37 @@ fn traj(rng: &mut StdRng) -> String {
     format!("[{}]", points.join(","))
 }
 
+/// A `vec_bits` value: mostly the model's width of finite values, else
+/// another width or a malformed form.
+fn vec_bits(rng: &mut StdRng) -> String {
+    if rng.gen_range(0..6) == 0 {
+        return pick(
+            rng,
+            &[
+                "null",
+                "[1]",
+                "\"\"",
+                "\"3f80000\"",
+                "\"3F800000\"",
+                "\"3f80000g\"",
+                "\"7fc00000\"",
+                "\"ff800000\"",
+            ],
+        )
+        .to_string();
+    }
+    let dim = TrajClConfig::test_default().dim;
+    let n = if rng.gen_range(0..6) == 0 {
+        rng.gen_range(0..dim + 2)
+    } else {
+        dim
+    };
+    let hex: String = (0..n)
+        .map(|_| format!("{:08x}", rng.gen_range(-2.0f32..2.0).to_bits()))
+        .collect();
+    format!("\"{hex}\"")
+}
+
 /// An integer field (`k`, `id`, `req`) at most `max` when well-formed;
 /// never 2^53 or more.
 fn integer(rng: &mut StdRng, max: u64) -> String {
@@ -310,6 +392,7 @@ fn payload(rng: &mut StdRng) -> String {
         ],
     );
     let needs: &[&str] = match op {
+        "knn" if rng.gen_range(0..3) == 0 => &["vec_bits", "k"],
         "knn" => &["traj", "k"],
         "upsert" => &["id", "traj"],
         "remove" => &["id"],
@@ -324,7 +407,7 @@ fn payload(rng: &mut StdRng) -> String {
         2 => fields.push(("op".into(), "\"kn\\u006e\"".into())),
         _ => fields.push(("op".into(), format!("\"{op}\""))),
     }
-    for name in ["traj", "a", "b", "k", "id", "req", "extra"] {
+    for name in ["traj", "vec_bits", "a", "b", "k", "id", "req", "extra"] {
         let wanted = if needs.contains(&name) {
             rng.gen_range(0..10) != 0
         } else {
@@ -338,6 +421,7 @@ fn payload(rng: &mut StdRng) -> String {
         for _ in 0..copies {
             let value = match name {
                 "traj" | "a" | "b" => traj(rng),
+                "vec_bits" => vec_bits(rng),
                 "k" => integer(rng, 12),
                 "id" => integer(rng, 40),
                 "req" => integer(rng, 1000),

@@ -4,8 +4,9 @@
 //! rejection, how a session loop shares frames among its threads (and
 //! where a request hands its reader on) and how it ends, fd hygiene across many connections, exact integer fields
 //! (directly and through a fleet), a fleet's `knn` replies against a
-//! server's (bad requests, the exact `traj_bits` form, and a bit-exact
-//! property over random rows and shard counts), and a unix-socket smoke
+//! server's (bad requests, the exact `traj_bits` and `vec_bits` forms,
+//! and a bit-exact property over random rows and shard counts), the one
+//! forward pass a fleet runs per fresh query, and a unix-socket smoke
 //! test.
 
 use std::cell::Cell;
@@ -417,6 +418,14 @@ fn a_fleet_answers_a_bad_knn_with_the_servers_error() {
     server.shutdown();
 }
 
+/// The tail of `reply` from `key` on.
+fn tail<'r>(reply: &'r str, key: &str) -> &'r str {
+    let at = reply
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in {reply}"));
+    &reply[at..]
+}
+
 /// A `traj_bits` query gets `hits_bits` from a server and from a fleet,
 /// with the same bits; a `traj` query keeps its text `hits`.
 #[test]
@@ -430,12 +439,6 @@ fn a_fleet_answers_traj_bits_with_the_servers_exact_hits() {
         );
         assert_eq!(handle(&server, &upsert), fleet.handle_frame(&upsert));
     }
-    let tail = |reply: &str, key: &str| {
-        let at = reply
-            .find(key)
-            .unwrap_or_else(|| panic!("no {key} in {reply}"));
-        reply[at..].to_string()
-    };
     for qid in [0u64, 5, 23, 40] {
         for (query, key) in [
             (
@@ -506,6 +509,168 @@ proptest! {
         shut_down(fleet, shards);
         server.shutdown();
     }
+}
+
+/// A fleet embeds a query once: a fresh `knn` runs exactly one forward
+/// pass across all its shards (the `embed` leg's, at one shard), and a
+/// repeat runs none and looks nothing up in any shard's cache: the
+/// front-end's own cache answers it, and the shards search by vector.
+#[test]
+fn a_fleet_knn_miss_is_one_forward_across_the_fleet_and_a_repeat_none() {
+    let (fleet, shards) = fleet_of(4);
+    for id in 0..16u64 {
+        let upsert = format!(
+            "{{\"op\":\"upsert\",\"id\":{id},\"traj\":{}}}",
+            traj_json(&traj_for(id))
+        );
+        assert!(fleet.handle_frame(&upsert).contains("\"ok\":true"));
+    }
+    // Forward passes and cache lookups, summed over the shards.
+    let work = || {
+        shards
+            .iter()
+            .fold((0, 0), |(forwards, lookups), (server, _)| {
+                let s = server.stats();
+                (
+                    forwards + s.batches,
+                    lookups + s.cache_hits + s.cache_misses,
+                )
+            })
+    };
+    let knn = format!(
+        "{{\"op\":\"knn\",\"traj\":{},\"k\":3}}",
+        traj_json(&traj_for(40))
+    );
+    let (forwards, lookups) = work();
+    let fresh = fleet.handle_frame(&knn);
+    assert!(
+        fresh.contains("\"partial\":false,\"shards_ok\":4"),
+        "{fresh}"
+    );
+    assert_eq!(work(), (forwards + 1, lookups + 1), "a fresh query");
+    let repeat = fleet.handle_frame(&knn);
+    assert_eq!(repeat, fresh);
+    assert_eq!(work(), (forwards + 1, lookups + 1), "a repeat");
+    // The front-end counts its own lookups in `stats`.
+    let stats = fleet.handle_frame("{\"op\":\"stats\"}");
+    assert!(
+        stats.contains("\"shards\":4,\"cache_hits\":1,\"cache_misses\":1,\"health\":["),
+        "{stats}"
+    );
+    shut_down(fleet, shards);
+}
+
+/// An `embed` sent `traj_bits` answers the exact `vec_bits`, and a `knn`
+/// sent those `vec_bits` gets the same `hits_bits` from a server and from
+/// a fleet, and the same as the trajectory's own `traj_bits` query.
+#[test]
+fn a_fleet_answers_vec_bits_with_the_servers_exact_hits() {
+    let server = sharded_server(1);
+    let (fleet, shards) = fleet_of(3);
+    for id in 0..24u64 {
+        let upsert = format!(
+            "{{\"op\":\"upsert\",\"id\":{id},\"traj\":{}}}",
+            traj_json(&traj_for(id))
+        );
+        assert_eq!(handle(&server, &upsert), fleet.handle_frame(&upsert));
+    }
+    for qid in [0u64, 7, 23, 40] {
+        let bits = traj_bits(&traj_for(qid));
+        let embed = format!("{{\"op\":\"embed\",\"traj_bits\":\"{bits}\"}}");
+        let vec = handle(&server, &embed);
+        let hex = vec
+            .strip_prefix("{\"ok\":true,\"vec_bits\":\"")
+            .and_then(|rest| rest.strip_suffix("\"}"))
+            .unwrap_or_else(|| panic!("{vec}"));
+        assert_eq!(fleet.handle_frame(&embed), vec);
+        let by_vec = format!("{{\"req\":{qid},\"op\":\"knn\",\"vec_bits\":\"{hex}\",\"k\":7}}");
+        let want = handle(&server, &by_vec);
+        assert!(
+            want.starts_with(&format!("{{\"req\":{qid},\"ok\":true,\"hits_bits\":")),
+            "{want}"
+        );
+        let got = fleet.handle_frame(&by_vec);
+        assert!(
+            got.starts_with(&format!("{{\"req\":{qid},\"ok\":true,\"partial\":false,")),
+            "{got}"
+        );
+        assert_eq!(tail(&got, "\"hits_bits\":"), tail(&want, "\"hits_bits\":"));
+        let by_traj = format!("{{\"op\":\"knn\",\"traj_bits\":\"{bits}\",\"k\":7}}");
+        let by_traj = handle(&server, &by_traj);
+        assert_eq!(
+            tail(&by_traj, "\"hits_bits\":"),
+            tail(&want, "\"hits_bits\":")
+        );
+    }
+    shut_down(fleet, shards);
+    server.shutdown();
+}
+
+/// A bad `vec_bits` `knn` gets an in-band error, the same from a fleet as
+/// from a server; a shard checks the width, so a fleet's is a shard's.
+#[test]
+fn a_fleet_answers_a_bad_vec_bits_knn_with_the_servers_error() {
+    let server = sharded_server(1);
+    let (fleet, shards) = fleet_of(2);
+    let dim = server.embed(&traj_for(1)).expect("embed").len();
+    let word = |x: f32| format!("{:08x}", x.to_bits());
+    let good = word(0.5).repeat(dim);
+    let with = |hex: &str| format!("{{\"req\":4,\"op\":\"knn\",\"vec_bits\":\"{hex}\",\"k\":2}}");
+    let traj = traj_json(&traj_for(3));
+    let table = [
+        (
+            with(&good[1..]),
+            "\"vec_bits\" length must be a multiple of 8".to_string(),
+        ),
+        (
+            with(&format!("{}{}", word(1.5).to_uppercase(), &good[8..])),
+            "\"vec_bits\" value 0: not 8 lowercase hex digits".into(),
+        ),
+        (
+            with(&format!("{}{}{}", word(1.0), word(f32::NAN), &good[16..])),
+            "\"vec_bits\" value 1: not finite".into(),
+        ),
+        (
+            with(&format!("{}{}", &good, word(f32::INFINITY))),
+            format!("\"vec_bits\" value {dim}: not finite"),
+        ),
+        (
+            with(&good[8..]),
+            format!(
+                "query vector holds {} values, the model embeds {dim}",
+                dim - 1
+            ),
+        ),
+        (
+            with(""),
+            format!("query vector holds 0 values, the model embeds {dim}"),
+        ),
+        (
+            "{\"req\":4,\"op\":\"knn\",\"vec_bits\":[0.5],\"k\":2}".into(),
+            "\"vec_bits\" must be a string of hex digits".into(),
+        ),
+        (
+            format!("{{\"req\":4,\"op\":\"knn\",\"traj\":{traj},\"vec_bits\":\"{good}\",\"k\":2}}"),
+            "\"knn\" takes \"vec_bits\" or a trajectory, not both".into(),
+        ),
+        (
+            format!("{{\"req\":4,\"op\":\"knn\",\"vec_bits\":\"{good}\"}}"),
+            "missing field \"k\"".into(),
+        ),
+    ];
+    for (payload, error) in &table {
+        let want = handle(&server, payload);
+        let escaped = error.replace('"', "\\\"");
+        assert_eq!(
+            want,
+            format!("{{\"req\":4,\"ok\":false,\"error\":\"{escaped}\"}}"),
+            "{payload}"
+        );
+        assert_eq!(fleet.handle_frame(payload), want, "{payload}");
+    }
+    assert_eq!(fleet.health(), vec![ShardHealth::Up; 2]);
+    shut_down(fleet, shards);
+    server.shutdown();
 }
 
 /// A query whose `traj` fits a frame but whose `traj_bits` (32 bytes a
