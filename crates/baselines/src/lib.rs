@@ -35,7 +35,7 @@ pub use common::{TokenBatch, TokenFeaturizer, TrajectoryEncoder};
 pub use cstrm::{Cstrm, CstrmConfig};
 pub use e2dtc::{E2dtc, E2dtcConfig};
 pub use neutraj::Neutraj;
-pub use supervised::{train_pair_regression, SupervisedConfig};
+pub use supervised::train_pair_regression;
 pub use t2vec::{T2Vec, T2VecConfig};
 pub use t3s::T3s;
 pub use traj2simvec::Traj2SimVec;

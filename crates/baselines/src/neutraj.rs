@@ -14,8 +14,6 @@ use trajcl_geo::Trajectory;
 use trajcl_nn::{run_lstm, Embedding, Fwd, Linear, LstmCell, ParamStore};
 use trajcl_tensor::{TapeExec, Var};
 
-pub use crate::supervised::SupervisedConfig as NeutrajConfig;
-
 /// NEUTRAJ model.
 pub struct Neutraj {
     store: ParamStore,
@@ -41,17 +39,6 @@ impl Neutraj {
             featurizer,
             dim,
         }
-    }
-
-    /// Supervised training via pair regression.
-    pub fn train(
-        &mut self,
-        pool: &[Trajectory],
-        measure: trajcl_measures::HeuristicMeasure,
-        cfg: &NeutrajConfig,
-        rng: &mut impl Rng,
-    ) -> Vec<f32> {
-        crate::supervised::train_pair_regression(self, pool, measure, cfg, rng)
     }
 }
 
@@ -89,9 +76,11 @@ impl TrajectoryEncoder for Neutraj {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervised::train_pair_regression;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_geo::{Bbox, Point};
     use trajcl_measures::HeuristicMeasure;
+    use trajcl_nn::PairRegression;
     use trajcl_tensor::Shape;
 
     fn setup() -> (Neutraj, Vec<Trajectory>, StdRng) {
@@ -120,13 +109,19 @@ mod tests {
     #[test]
     fn memory_table_receives_gradients() {
         let (mut model, pool, mut rng) = setup();
-        let cfg = NeutrajConfig {
+        let cfg = PairRegression {
             pairs_per_epoch: 16,
             batch_pairs: 8,
             epochs: 1,
             lr: 2e-3,
         };
-        model.train(&pool, HeuristicMeasure::Hausdorff, &cfg, &mut rng);
+        train_pair_regression(
+            &mut model,
+            &pool,
+            HeuristicMeasure::Hausdorff,
+            &cfg,
+            &mut rng,
+        );
         // After one epoch the memory table must have moved from init.
         let id = model.store.ids_where(|n| n == "neutraj.memory.table")[0];
         let mut fresh_rng = StdRng::seed_from_u64(8);
@@ -145,13 +140,19 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let (mut model, pool, mut rng) = setup();
-        let cfg = NeutrajConfig {
+        let cfg = PairRegression {
             pairs_per_epoch: 48,
             batch_pairs: 8,
             epochs: 3,
             lr: 2e-3,
         };
-        let losses = model.train(&pool, HeuristicMeasure::Hausdorff, &cfg, &mut rng);
+        let losses = train_pair_regression(
+            &mut model,
+            &pool,
+            HeuristicMeasure::Hausdorff,
+            &cfg,
+            &mut rng,
+        );
         assert!(losses[2] < losses[0], "loss should drop: {losses:?}");
     }
 }

@@ -9,12 +9,8 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::attention::sinusoidal_pe;
-use trajcl_nn::{
-    run_lstm, Adam, Embedding, Fwd, Linear, LstmCell, ParamStore, TransformerEncoderLayer,
-};
+use trajcl_nn::{run_lstm, Embedding, Fwd, Linear, LstmCell, ParamStore, TransformerEncoderLayer};
 use trajcl_tensor::{Exec, TapeExec, Tensor, Var};
-
-pub use crate::supervised::SupervisedConfig as T3sConfig;
 
 /// T3S model.
 pub struct T3s {
@@ -48,22 +44,6 @@ impl T3s {
             featurizer,
             dim,
         }
-    }
-
-    /// Supervised training via pair regression.
-    pub fn train(
-        &mut self,
-        pool: &[Trajectory],
-        measure: trajcl_measures::HeuristicMeasure,
-        cfg: &T3sConfig,
-        rng: &mut impl Rng,
-    ) -> Vec<f32> {
-        crate::supervised::train_pair_regression(self, pool, measure, cfg, rng)
-    }
-
-    /// Convenience trainer with a fresh Adam (used by harness smoke paths).
-    pub fn quick_opt(&self, lr: f32) -> Adam {
-        Adam::new(lr)
     }
 }
 
@@ -109,9 +89,11 @@ impl TrajectoryEncoder for T3s {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervised::train_pair_regression;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_geo::{Bbox, Point};
     use trajcl_measures::HeuristicMeasure;
+    use trajcl_nn::PairRegression;
     use trajcl_tensor::Shape;
 
     fn setup() -> (T3s, Vec<Trajectory>, StdRng) {
@@ -140,13 +122,19 @@ mod tests {
     #[test]
     fn supervised_training_reduces_loss() {
         let (mut model, pool, mut rng) = setup();
-        let cfg = T3sConfig {
+        let cfg = PairRegression {
             pairs_per_epoch: 48,
             batch_pairs: 8,
             epochs: 3,
             lr: 2e-3,
         };
-        let losses = model.train(&pool, HeuristicMeasure::Hausdorff, &cfg, &mut rng);
+        let losses = train_pair_regression(
+            &mut model,
+            &pool,
+            HeuristicMeasure::Hausdorff,
+            &cfg,
+            &mut rng,
+        );
         assert_eq!(losses.len(), 3);
         assert!(losses.iter().all(|l| l.is_finite()));
         assert!(
@@ -159,13 +147,13 @@ mod tests {
     fn lambda_is_trainable() {
         let (mut model, pool, mut rng) = setup();
         let before = model.store.value(model.lambda).data()[0];
-        let cfg = T3sConfig {
+        let cfg = PairRegression {
             pairs_per_epoch: 32,
             batch_pairs: 8,
             epochs: 2,
             lr: 5e-3,
         };
-        model.train(&pool, HeuristicMeasure::Frechet, &cfg, &mut rng);
+        train_pair_regression(&mut model, &pool, HeuristicMeasure::Frechet, &cfg, &mut rng);
         let after = model.store.value(model.lambda).data()[0];
         assert_ne!(before, after, "λ should receive updates");
     }

@@ -13,8 +13,6 @@ use trajcl_geo::Trajectory;
 use trajcl_nn::{run_lstm, Fwd, Linear, LstmCell, ParamStore};
 use trajcl_tensor::{TapeExec, Var};
 
-pub use crate::supervised::SupervisedConfig as Traj2SimVecConfig;
-
 /// Traj2SimVec model: coordinate LSTM encoder.
 pub struct Traj2SimVec {
     store: ParamStore,
@@ -37,17 +35,6 @@ impl Traj2SimVec {
             featurizer,
             dim,
         }
-    }
-
-    /// Supervised training via pair regression.
-    pub fn train(
-        &mut self,
-        pool: &[Trajectory],
-        measure: trajcl_measures::HeuristicMeasure,
-        cfg: &Traj2SimVecConfig,
-        rng: &mut impl Rng,
-    ) -> Vec<f32> {
-        crate::supervised::train_pair_regression(self, pool, measure, cfg, rng)
     }
 }
 
@@ -80,9 +67,11 @@ impl TrajectoryEncoder for Traj2SimVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervised::train_pair_regression;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_geo::{Bbox, Point};
     use trajcl_measures::HeuristicMeasure;
+    use trajcl_nn::PairRegression;
     use trajcl_tensor::Shape;
 
     fn setup() -> (Traj2SimVec, Vec<Trajectory>, StdRng) {
@@ -110,13 +99,19 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let (mut model, pool, mut rng) = setup();
-        let cfg = Traj2SimVecConfig {
+        let cfg = PairRegression {
             pairs_per_epoch: 48,
             batch_pairs: 8,
             epochs: 3,
             lr: 2e-3,
         };
-        let losses = model.train(&pool, HeuristicMeasure::Hausdorff, &cfg, &mut rng);
+        let losses = train_pair_regression(
+            &mut model,
+            &pool,
+            HeuristicMeasure::Hausdorff,
+            &cfg,
+            &mut rng,
+        );
         assert!(losses[2] < losses[0], "loss should drop: {losses:?}");
     }
 }

@@ -19,8 +19,6 @@ use trajcl_nn::{Embedding, Fwd, ParamStore, TransformerEncoderLayer};
 use trajcl_tensor::exec::{attention_mask_bias, MASK_NEG};
 use trajcl_tensor::{Exec, TapeExec, Tensor, Var};
 
-pub use crate::supervised::SupervisedConfig as TrajGatConfig;
-
 /// TrajGAT model.
 pub struct TrajGat {
     store: ParamStore,
@@ -108,17 +106,6 @@ impl TrajGat {
         }
         bias
     }
-
-    /// Supervised training via pair regression.
-    pub fn train(
-        &mut self,
-        pool: &[Trajectory],
-        measure: trajcl_measures::HeuristicMeasure,
-        cfg: &TrajGatConfig,
-        rng: &mut impl Rng,
-    ) -> Vec<f32> {
-        crate::supervised::train_pair_regression(self, pool, measure, cfg, rng)
-    }
 }
 
 impl TrajectoryEncoder for TrajGat {
@@ -186,9 +173,11 @@ fn biased_layer(f: &mut Fwd<TapeExec>, layer: &TransformerEncoderLayer, x: Var, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervised::train_pair_regression;
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_geo::{Bbox, Point};
     use trajcl_measures::HeuristicMeasure;
+    use trajcl_nn::PairRegression;
     use trajcl_tensor::Shape;
 
     fn setup() -> (TrajGat, Vec<Trajectory>, StdRng) {
@@ -226,13 +215,19 @@ mod tests {
         let (mut model, pool, mut rng) = setup();
         let e = model.embed(&pool[..3], &mut rng);
         assert_eq!(e.shape(), Shape::d2(3, 16));
-        let cfg = TrajGatConfig {
+        let cfg = PairRegression {
             pairs_per_epoch: 32,
             batch_pairs: 8,
             epochs: 2,
             lr: 2e-3,
         };
-        let losses = model.train(&pool, HeuristicMeasure::Hausdorff, &cfg, &mut rng);
+        let losses = train_pair_regression(
+            &mut model,
+            &pool,
+            HeuristicMeasure::Hausdorff,
+            &cfg,
+            &mut rng,
+        );
         assert!(losses.iter().all(|l| l.is_finite()));
         assert!(losses[1] <= losses[0] * 1.5, "loss exploded: {losses:?}");
     }

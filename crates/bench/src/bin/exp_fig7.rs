@@ -15,6 +15,7 @@ use trajcl_core::{
 };
 use trajcl_data::{hit_ratio, DatasetProfile};
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
+use trajcl_nn::PairRegression;
 
 fn main() {
     let scale = Scale::from_args();
@@ -51,10 +52,12 @@ fn main() {
         let split = pool.len() * 7 / 10;
         let ft_cfg = FinetuneConfig {
             scope: FinetuneScope::AllLayers,
-            pairs_per_epoch: 128,
-            batch_pairs: 16,
-            epochs: 2,
-            lr: 2e-3,
+            train: PairRegression {
+                pairs_per_epoch: 128,
+                batch_pairs: 16,
+                epochs: 2,
+                lr: 2e-3,
+            },
         };
         let est = finetune(
             &moco.online,

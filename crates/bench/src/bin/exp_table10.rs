@@ -5,21 +5,21 @@
 //! plus fine-tuned beats the supervised methods in most cells; Hausdorff
 //! and Fréchet are the easiest targets (R5@20 near 0.9+ for TrajCL*).
 //!
-//! Fine-tuning protocol per §V-F: the downstream pool is split 7:1:2; the
-//! self-supervised baselines are fine-tuned with the shared pair-regression
-//! objective, TrajCL with its last encoder layer + MLP head (TrajCL* with
-//! all layers).
+//! Fine-tuning protocol per §V-F: the downstream pool is split 7:1:2. Every
+//! row trains with one recipe through one trainer, `trajcl_nn::train_pairs`:
+//! the self-supervised baselines are fine-tuned and the supervised ones
+//! trained from scratch on all their parameters, TrajCL on its last encoder
+//! layer + MLP head (TrajCL* on all layers).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use trajcl_baselines::{
-    train_pair_regression, SupervisedConfig, T3s, Traj2SimVec, TrajGat, TrajectoryEncoder,
-};
+use trajcl_baselines::{train_pair_regression, T3s, Traj2SimVec, TrajGat, TrajectoryEncoder};
 use trajcl_bench::{heuristic_set, train_all, ExperimentEnv, Scale, Table};
 use trajcl_core::{finetune, l1_distances, FinetuneConfig, FinetuneScope, TrajClConfig};
 use trajcl_data::{hit_ratio, recall_k_at_m, DatasetProfile};
 use trajcl_geo::Trajectory;
 use trajcl_measures::pairwise_distances;
+use trajcl_nn::PairRegression;
 use trajcl_tensor::Tensor;
 
 /// Evaluates HR@5 / HR@20 / R5@20 of predicted vs true distance matrices.
@@ -64,14 +64,7 @@ fn main() {
         db
     );
 
-    let sup_cfg = SupervisedConfig {
-        pairs_per_epoch: 128,
-        batch_pairs: 16,
-        epochs: 2,
-        lr: 2e-3,
-    };
-    let ft_cfg = FinetuneConfig {
-        scope: FinetuneScope::LastLayer,
+    let recipe = PairRegression {
         pairs_per_epoch: 128,
         batch_pairs: 16,
         epochs: 2,
@@ -105,14 +98,14 @@ fn main() {
             );
         };
 
-        // Self-supervised baselines + shared fine-tuning.
-        macro_rules! finetune_baseline {
+        // One baseline row: pair regression on every parameter of `$model`.
+        macro_rules! baseline_row {
             ($name:expr, $model:expr) => {{
                 let mut m = $model;
-                train_pair_regression(&mut m, ft_train, measure, &sup_cfg, &mut rng);
+                train_pair_regression(&mut m, ft_train, measure, &recipe, &mut rng);
                 let q = m.embed(&queries, &mut rng);
                 let d = m.embed(&database, &mut rng);
-                add(format!("{} (ft)", $name), q, d);
+                add($name.into(), q, d);
             }};
         }
         eprintln!("[{}] fine-tuning baselines...", measure.name());
@@ -122,7 +115,7 @@ fn main() {
             let mut t2v =
                 trajcl_baselines::T2Vec::new(env.token_featurizer.clone(), cfg.dim, &mut rng);
             t2v.store_mut().copy_values_from(models.t2vec.store());
-            finetune_baseline!("t2vec", t2v);
+            baseline_row!("t2vec (ft)", t2v);
         }
         if let Some(cstrm_ref) = models.cstrm.as_ref() {
             let cstrm_cfg = trajcl_baselines::CstrmConfig {
@@ -134,69 +127,46 @@ fn main() {
             let mut c =
                 trajcl_baselines::Cstrm::new(env.token_featurizer.clone(), &cstrm_cfg, &mut rng);
             c.store_mut().copy_values_from(cstrm_ref.store());
-            finetune_baseline!("CSTRM", c);
+            baseline_row!("CSTRM (ft)", c);
         }
 
         // TrajCL (last layer) and TrajCL* (all layers).
         eprintln!("[{}] fine-tuning TrajCL...", measure.name());
-        let est = finetune(
-            &models.trajcl.online,
-            &env.featurizer,
-            ft_train,
-            measure,
-            &ft_cfg,
-            &mut rng,
-        );
-        add(
-            "TrajCL (ft)".into(),
-            est.embed(&env.featurizer, &queries),
-            est.embed(&env.featurizer, &database),
-        );
-        let mut all_cfg = ft_cfg.clone();
-        all_cfg.scope = FinetuneScope::AllLayers;
-        let est = finetune(
-            &models.trajcl.online,
-            &env.featurizer,
-            ft_train,
-            measure,
-            &all_cfg,
-            &mut rng,
-        );
-        add(
-            "TrajCL* (ft)".into(),
-            est.embed(&env.featurizer, &queries),
-            est.embed(&env.featurizer, &database),
-        );
+        for (name, scope) in [
+            ("TrajCL (ft)", FinetuneScope::LastLayer),
+            ("TrajCL* (ft)", FinetuneScope::AllLayers),
+        ] {
+            let ft_cfg = FinetuneConfig {
+                scope,
+                train: recipe.clone(),
+            };
+            let est = finetune(
+                &models.trajcl.online,
+                &env.featurizer,
+                ft_train,
+                measure,
+                &ft_cfg,
+                &mut rng,
+            );
+            add(
+                name.into(),
+                est.embed(&env.featurizer, &queries),
+                est.embed(&env.featurizer, &database),
+            );
+        }
 
         // Supervised methods trained from scratch on the same pairs.
         eprintln!("[{}] training supervised baselines...", measure.name());
-        {
-            let mut m = Traj2SimVec::new(env.token_featurizer.clone(), cfg.dim, &mut rng);
-            m.train(ft_train, measure, &sup_cfg, &mut rng);
-            let q = m.embed(&queries, &mut rng);
-            let d = m.embed(&database, &mut rng);
-            add("Traj2SimVec".into(), q, d);
-        }
-        {
-            let mut m = TrajGat::new(
-                env.token_featurizer.clone(),
-                cfg.dim,
-                cfg.heads,
-                1,
-                &mut rng,
-            );
-            m.train(ft_train, measure, &sup_cfg, &mut rng);
-            let q = m.embed(&queries, &mut rng);
-            let d = m.embed(&database, &mut rng);
-            add("TrajGAT".into(), q, d);
-        }
-        {
-            let mut m = T3s::new(env.token_featurizer.clone(), cfg.dim, cfg.heads, &mut rng);
-            m.train(ft_train, measure, &sup_cfg, &mut rng);
-            let q = m.embed(&queries, &mut rng);
-            let d = m.embed(&database, &mut rng);
-            add("T3S".into(), q, d);
-        }
+        let tf = &env.token_featurizer;
+        baseline_row!(
+            "Traj2SimVec",
+            Traj2SimVec::new(tf.clone(), cfg.dim, &mut rng)
+        );
+        baseline_row!(
+            "TrajGAT",
+            TrajGat::new(tf.clone(), cfg.dim, cfg.heads, 1, &mut rng)
+        );
+        baseline_row!("T3S", T3s::new(tf.clone(), cfg.dim, cfg.heads, &mut rng));
     }
     table.print();
     table.save_json("table10");

@@ -13,6 +13,7 @@ use trajcl_data::{hit_ratio, load_trajectory_file, save_trajectory_file, Dataset
 use trajcl_engine::{Engine, EngineError, Quantization};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
+use trajcl_nn::PairRegression;
 use trajcl_serve::proto::traj_json;
 use trajcl_serve::{ServeConfig, Server};
 
@@ -269,9 +270,8 @@ const INDEX_FLAGS: &str = "model db index quantize rescore-factor";
 /// `serve` build their server from, its index description overridden by
 /// `--index NLIST`, `--quantize` (`sq8` | `pq[:M]` | `none`) and
 /// `--rescore-factor N`. A `--quantize` value is checked before any file
-/// is opened. Quantization is a property of the IVF index: asked for
-/// without cells it would silently do nothing, so that combination is
-/// rejected.
+/// is opened. Without `--index` (or cells in the engine file), quantized
+/// storage lives in a one-list IVF, so the scan stays exhaustive.
 fn index_flags(args: &Args) -> Result<Engine, EngineError> {
     let quantization = args
         .options
@@ -286,11 +286,6 @@ fn index_flags(args: &Args) -> Result<Engine, EngineError> {
     }
     if let Some(quantization) = quantization {
         opts.quantization = quantization;
-        if quantization != Quantization::None && opts.nlist.is_none() {
-            return Err(invalid(
-                "--quantize needs --index NLIST (quantization applies to the IVF index)",
-            ));
-        }
     }
     opts.rescore_factor = num(args, "rescore-factor", opts.rescore_factor)?;
     let db = load_trajectory_file(Path::new(req(args, "db")?))?;
@@ -625,10 +620,12 @@ fn approx(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError>
     }
     let cfg = FinetuneConfig {
         scope: FinetuneScope::LastLayer,
-        pairs_per_epoch: num(args, "pairs", 128)?,
-        batch_pairs: 16,
-        epochs: num(args, "epochs", 2)?,
-        lr: 2e-3,
+        train: PairRegression {
+            pairs_per_epoch: num(args, "pairs", 128)?,
+            batch_pairs: 16,
+            epochs: num(args, "epochs", 2)?,
+            lr: 2e-3,
+        },
     };
     let estimator = engine.approximate_measure(measure, &trajs[..split], &cfg, &mut rng)?;
     // Evaluate HR@5 on the held-out tail.
@@ -886,14 +883,15 @@ mod tests {
         assert_eq!(code, 1);
         assert!(out.contains("query index 40 out of range (40 trajectories)"));
 
-        // --quantize without --index would be a silent no-op; reject it.
+        // --quantize without --index quantizes a one-list IVF.
         let (code, out) = run_cmd(&format!(
-            "query --model {} --db {} --query 0 --quantize sq8",
+            "query --model {} --db {} --query 0 --k 4 --quantize sq8 --json",
             model.display(),
             data.display()
         ));
-        assert_eq!(code, 1);
-        assert!(out.contains("--index"));
+        assert_eq!(code, 0, "{out}");
+        assert_json_lines(&out, &["rank", "index", "distance", "points", "km"]);
+        assert_eq!(out.lines().count(), 4);
     }
 
     #[test]
@@ -1004,15 +1002,17 @@ mod tests {
         }
         assert_eq!(server.engine().index_options().nlist, Some(4));
         server.shutdown();
-        // And the combinations `query` rejects are rejected here too.
-        let err = build_server(&args_of(&format!(
+        // `--quantize` without `--index` reaches every shard too.
+        let (server, _) = build_server(&args_of(&format!(
             "serve --model {} --db {} --quantize sq8",
             model.display(),
             data.display()
         )))
-        .err()
-        .expect("--quantize without --index must fail");
-        assert!(err.to_string().contains("--index"), "{err}");
+        .unwrap();
+        let opts = server.index().shard(0).options();
+        assert_eq!(opts.quantization, Quantization::Sq8);
+        assert_eq!(opts.nlist, None);
+        server.shutdown();
     }
 
     #[test]

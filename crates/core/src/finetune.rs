@@ -6,9 +6,9 @@
 //! an MSE loss. `TrajCL` fine-tunes the MLP plus the *last* encoder layer;
 //! `TrajCL*` fine-tunes all layers.
 //!
-//! Similarity targets follow the NeuTraj-family convention the supervised
-//! baselines use: `s = exp(-d_heuristic / σ)` with `σ` the mean heuristic
-//! distance over the training pairs; the model predicts
+//! The objective is [`trajcl_nn::regress`]'s pair regression, the one the
+//! supervised baselines train too: `s = exp(-d_heuristic / σ)` with `σ` the
+//! mean heuristic distance over sampled pairs, predicted as
 //! `ŝ = exp(-‖g(h_a) − g(h_b)‖₁)`, so ranking by predicted similarity is
 //! ranking by L1 distance in the refined embedding space.
 
@@ -17,8 +17,8 @@ use crate::model::{embed_chunks, TrajClModel};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_measures::HeuristicMeasure;
-use trajcl_nn::{Adam, Fwd, Mlp, ParamStore};
-use trajcl_tensor::{Exec, InferCtx, Shape, TapeExec, Tensor};
+use trajcl_nn::{train_pairs, Fwd, Mlp, PairRegression, ParamStore};
+use trajcl_tensor::{Exec, InferCtx, Tensor};
 
 /// Which encoder parameters stay trainable during fine-tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,24 +37,15 @@ pub enum FinetuneScope {
 pub struct FinetuneConfig {
     /// Trainable-parameter scope.
     pub scope: FinetuneScope,
-    /// Number of (anchor, other) training pairs sampled per epoch.
-    pub pairs_per_epoch: usize,
-    /// Pairs per optimisation step.
-    pub batch_pairs: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
+    /// The pair-regression recipe.
+    pub train: PairRegression,
 }
 
 impl Default for FinetuneConfig {
     fn default() -> Self {
         FinetuneConfig {
             scope: FinetuneScope::LastLayer,
-            pairs_per_epoch: 512,
-            batch_pairs: 32,
-            epochs: 5,
-            lr: 1e-3,
+            train: PairRegression::default(),
         }
     }
 }
@@ -92,13 +83,6 @@ impl FinetunedEstimator {
         })
     }
 
-    /// Predicted similarity for one refined-embedding pair (monotone in
-    /// the L1 distance).
-    pub fn similarity_from_embeddings(&self, a: &[f32], b: &[f32]) -> f64 {
-        let l1: f32 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum();
-        (-l1 as f64).exp()
-    }
-
     /// The distance-normalisation constant learned from the training pairs.
     pub fn sigma(&self) -> f64 {
         self.sigma
@@ -108,6 +92,9 @@ impl FinetunedEstimator {
 /// Fine-tunes a pre-trained model towards `measure` on the `pool` of
 /// downstream trajectories. The input model is cloned; the pre-trained
 /// weights are not modified.
+///
+/// # Panics
+/// If `pool` has fewer than two trajectories.
 pub fn finetune(
     pretrained: &TrajClModel,
     featurizer: &Featurizer,
@@ -116,94 +103,30 @@ pub fn finetune(
     cfg: &FinetuneConfig,
     rng: &mut impl Rng,
 ) -> FinetunedEstimator {
-    assert!(
-        pool.len() >= 2,
-        "need at least two trajectories to form pairs"
-    );
     let d = pretrained.cfg.dim;
     let mut store = pretrained.store.clone();
     let head = Mlp::new(&mut store, "ft_head", d, d, d, 0.0, rng);
-
-    // Trainable-name predicate per scope.
     let last_layer = pretrained.encoder.num_layers().saturating_sub(1);
     let last_prefix = format!("enc.layer{last_layer}");
-    let keep = move |name: &str, scope: FinetuneScope| -> bool {
-        match scope {
-            FinetuneScope::HeadOnly => name.starts_with("ft_head"),
-            FinetuneScope::LastLayer => {
-                name.starts_with("ft_head") || name.starts_with(&last_prefix)
-            }
-            FinetuneScope::AllLayers => !name.starts_with("proj"),
-        }
+    let trainable = |name: &str| match cfg.scope {
+        FinetuneScope::HeadOnly => name.starts_with("ft_head"),
+        FinetuneScope::LastLayer => name.starts_with("ft_head") || name.starts_with(&last_prefix),
+        FinetuneScope::AllLayers => !name.starts_with("proj"),
     };
-
-    // Calibrate σ on a sample of pairs.
-    let mut sample_dists = Vec::new();
-    for _ in 0..64.min(pool.len() * (pool.len() - 1) / 2) {
-        let i = rng.gen_range(0..pool.len());
-        let mut j = rng.gen_range(0..pool.len());
-        if i == j {
-            j = (j + 1) % pool.len();
-        }
-        sample_dists.push(measure.distance(&pool[i], &pool[j]));
-    }
-    let sigma = (sample_dists.iter().sum::<f64>() / sample_dists.len().max(1) as f64).max(1e-9);
-
-    let mut opt = Adam::new(cfg.lr);
-    let scope = cfg.scope;
-    for _epoch in 0..cfg.epochs {
-        let mut remaining = cfg.pairs_per_epoch;
-        while remaining > 0 {
-            let n_pairs = cfg.batch_pairs.min(remaining);
-            remaining -= n_pairs;
-            // Sample pairs and labels.
-            let mut lefts = Vec::with_capacity(n_pairs);
-            let mut rights = Vec::with_capacity(n_pairs);
-            let mut labels = Vec::with_capacity(n_pairs);
-            for _ in 0..n_pairs {
-                let i = rng.gen_range(0..pool.len());
-                let mut j = rng.gen_range(0..pool.len());
-                if i == j {
-                    j = (j + 1) % pool.len();
-                }
-                lefts.push(pool[i].clone());
-                rights.push(pool[j].clone());
-                labels.push((measure.distance(&pool[i], &pool[j]) / sigma) as f32);
-            }
-            let lb = featurizer
-                .featurize(&lefts)
+    let (sigma, _) = train_pairs(
+        &mut store,
+        pool,
+        |a, b| measure.distance(a, b),
+        |f, batch| {
+            let inputs = featurizer
+                .featurize(batch)
                 .expect("sampled pairs are non-empty");
-            let rb = featurizer
-                .featurize(&rights)
-                .expect("sampled pairs are non-empty");
-
-            let mut exec = TapeExec::new(rng, true);
-            {
-                let mut f = Fwd::new(&mut exec, &store);
-                let ha = refined(pretrained, &head, &mut f, &lb);
-                let hb = refined(pretrained, &head, &mut f, &rb);
-                // Regress in log-similarity space: ŝ = exp(-‖ga-gb‖₁) and
-                // s = exp(-d/σ) are matched by regressing the L1 embedding
-                // distance against the σ-normalised heuristic distance,
-                // which avoids needing an exp op on the tape and weights
-                // near and far pairs evenly in distance space.
-                let tape = &mut exec.tape;
-                let diff = tape.sub(ha, hb);
-                let absd = tape.abs_op(diff);
-                let ones = tape.input(Tensor::ones(Shape::d2(d, 1)));
-                let l1 = tape.matmul(absd, ones, false, false); // (B,1)
-                let target = tape.input(Tensor::from_vec(labels.clone(), Shape::d2(n_pairs, 1)));
-                let err = tape.sub(l1, target);
-                let sq = tape.mul(err, err);
-                let loss = tape.mean_all(sq);
-                let grads = tape.backward(loss);
-                store.accumulate(grads.into_param_grads(tape));
-            }
-            store.zero_grads_where_not(|name| keep(name, scope));
-            store.clip_grad_norm(5.0);
-            opt.step(&mut store);
-        }
-    }
+            refined(pretrained, &head, f, &inputs)
+        },
+        trainable,
+        &cfg.train,
+        rng,
+    );
     FinetunedEstimator {
         store,
         model: pretrained.clone(),
@@ -235,6 +158,7 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use trajcl_data::{hit_ratio, recall_k_at_m};
     use trajcl_geo::{Bbox, Grid, Point, SpatialNorm};
+    use trajcl_tensor::Shape;
 
     fn setup() -> (TrajClModel, Featurizer, Vec<Trajectory>, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -262,10 +186,12 @@ mod tests {
         let (model, feat, pool, mut rng) = setup();
         let cfg = FinetuneConfig {
             scope: FinetuneScope::AllLayers,
-            pairs_per_epoch: 96,
-            batch_pairs: 16,
-            epochs: 4,
-            lr: 2e-3,
+            train: PairRegression {
+                pairs_per_epoch: 96,
+                batch_pairs: 16,
+                epochs: 4,
+                lr: 2e-3,
+            },
         };
         let measure = HeuristicMeasure::Hausdorff;
         let est = finetune(&model, &feat, &pool[..16], measure, &cfg, &mut rng);
@@ -297,10 +223,12 @@ mod tests {
         let (model, feat, pool, mut rng) = setup();
         let cfg = FinetuneConfig {
             scope: FinetuneScope::HeadOnly,
-            pairs_per_epoch: 16,
-            batch_pairs: 8,
-            epochs: 1,
-            lr: 1e-2,
+            train: PairRegression {
+                pairs_per_epoch: 16,
+                batch_pairs: 8,
+                epochs: 1,
+                lr: 1e-2,
+            },
         };
         let est = finetune(
             &model,
@@ -327,10 +255,12 @@ mod tests {
         let (model, feat, pool, mut rng) = setup();
         let cfg = FinetuneConfig {
             scope: FinetuneScope::LastLayer,
-            pairs_per_epoch: 16,
-            batch_pairs: 8,
-            epochs: 1,
-            lr: 1e-2,
+            train: PairRegression {
+                pairs_per_epoch: 16,
+                batch_pairs: 8,
+                epochs: 1,
+                lr: 1e-2,
+            },
         };
         let est = finetune(
             &model,

@@ -162,16 +162,6 @@ impl DatasetProfile {
             _ => 2_000,
         }
     }
-
-    /// Scaled default database size for query experiments (paper: 100k).
-    pub fn default_db_size(&self) -> usize {
-        2_000
-    }
-
-    /// Scaled default query count (paper: 1 000).
-    pub fn default_query_count(&self) -> usize {
-        100
-    }
 }
 
 #[cfg(test)]

@@ -423,9 +423,12 @@ mod tests {
             .map(|i| traj(5 + i, 100.0 + 150.0 * i as f64))
             .collect();
         let cfg = trajcl_core::FinetuneConfig {
-            pairs_per_epoch: 8,
-            batch_pairs: 4,
-            epochs: 1,
+            train: trajcl_nn::PairRegression {
+                pairs_per_epoch: 8,
+                batch_pairs: 4,
+                epochs: 1,
+                ..Default::default()
+            },
             ..trajcl_core::FinetuneConfig::default()
         };
         let estimator = trajcl_core::finetune(

@@ -14,6 +14,7 @@ use trajcl_engine::{
 };
 use trajcl_geo::{Grid, SpatialNorm, Trajectory};
 use trajcl_measures::HeuristicMeasure;
+use trajcl_nn::PairRegression;
 use trajcl_tensor::{Shape, Tensor};
 
 /// An untrained TrajCL backend over the dataset's region — weights are
@@ -355,10 +356,12 @@ fn approximate_measure_produces_a_serving_engine() {
         .unwrap();
     let cfg = FinetuneConfig {
         scope: FinetuneScope::HeadOnly,
-        pairs_per_epoch: 16,
-        batch_pairs: 8,
-        epochs: 1,
-        lr: 1e-3,
+        train: PairRegression {
+            pairs_per_epoch: 16,
+            batch_pairs: 8,
+            epochs: 1,
+            lr: 1e-3,
+        },
     };
     let mut rng = StdRng::seed_from_u64(12);
     let approx = engine

@@ -2,7 +2,7 @@
 //! Fig. 1 (3NN query results) as an inspectable artifact, no external
 //! dependencies.
 
-use crate::trajectory::{Bbox, Trajectory};
+use crate::trajectory::Trajectory;
 use std::fmt::Write;
 
 /// A polyline to draw: trajectory + stroke colour + width.
@@ -90,15 +90,6 @@ pub fn render_knn_figure(query: &Trajectory, neighbors: &[&Trajectory], px: u32)
         });
     }
     render_svg(&layers, px)
-}
-
-/// Bounding box helper re-exported for callers assembling custom figures.
-pub fn layers_bbox(layers: &[SvgLayer]) -> Bbox {
-    let mut bbox = layers[0].traj.bbox();
-    for layer in &layers[1..] {
-        bbox = bbox.union(&layer.traj.bbox());
-    }
-    bbox
 }
 
 #[cfg(test)]

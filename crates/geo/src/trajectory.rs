@@ -104,11 +104,6 @@ impl Trajectory {
         &mut self.points
     }
 
-    /// Consumes the trajectory, returning its points.
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
-
     /// The `i`-th point.
     pub fn point(&self, i: usize) -> Point {
         self.points[i]

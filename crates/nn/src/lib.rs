@@ -4,8 +4,8 @@
 //! [`ParamStore`] with optimizer state and serialisation, standard layers
 //! (linear, layer norm, MLP, embedding, conv), vanilla multi-head
 //! self-attention with sinusoidal positional encodings, GRU/LSTM cells for
-//! the recurrent baselines, and SGD/Adam optimizers with the paper's
-//! step-decay schedule.
+//! the recurrent baselines, SGD/Adam optimizers with the paper's step-decay
+//! schedule, and [`regress`], the pair-regression trainer behind Table X.
 //!
 //! Each layer the TrajCL encoder uses has one `forward`, generic over the
 //! [`trajcl_tensor::Exec`] it runs on: a [`Fwd`] over a
@@ -20,6 +20,7 @@ pub mod attention;
 pub mod init;
 pub mod modules;
 pub mod optim;
+pub mod regress;
 pub mod rnn;
 pub mod store;
 
@@ -29,5 +30,6 @@ pub use attention::{
 };
 pub use modules::{Conv2d, Embedding, Fwd, LayerNorm, Linear, Mlp};
 pub use optim::{Adam, Sgd, StepDecay};
+pub use regress::{train_pairs, PairRegression};
 pub use rnn::{run_gru, run_lstm, GruCell, LstmCell};
 pub use store::{ParamId, ParamStore};

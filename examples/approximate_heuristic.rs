@@ -14,6 +14,7 @@ use trajcl::core::{l1_distances, FinetuneConfig, FinetuneScope, TrajClConfig};
 use trajcl::data::{hit_ratio, Dataset, DatasetProfile};
 use trajcl::engine::Engine;
 use trajcl::measures::{pairwise_distances, HeuristicMeasure};
+use trajcl::nn::PairRegression;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(23);
@@ -39,10 +40,12 @@ fn main() {
     );
     let ft_cfg = FinetuneConfig {
         scope: FinetuneScope::LastLayer,
-        pairs_per_epoch: 96,
-        batch_pairs: 16,
-        epochs: 3,
-        lr: 2e-3,
+        train: PairRegression {
+            pairs_per_epoch: 96,
+            batch_pairs: 16,
+            epochs: 3,
+            lr: 2e-3,
+        },
     };
     let estimator = engine
         .approximate_measure(measure, &pool[..split], &ft_cfg, &mut rng)

@@ -12,7 +12,7 @@ use trajcl::data::{
 };
 use trajcl::index::{IvfIndex, Metric};
 use trajcl::measures::HeuristicMeasure;
-use trajcl::nn::{ParamStore, StepDecay};
+use trajcl::nn::{PairRegression, ParamStore, StepDecay};
 
 struct Pipeline {
     featurizer: Featurizer,
@@ -135,10 +135,12 @@ fn finetuning_tracks_hausdorff_better_than_raw() {
     // very few pairs the comparison degenerates into seed luck.
     let cfg = FinetuneConfig {
         scope: FinetuneScope::AllLayers,
-        pairs_per_epoch: 160,
-        batch_pairs: 16,
-        epochs: 5,
-        lr: 2e-3,
+        train: PairRegression {
+            pairs_per_epoch: 160,
+            batch_pairs: 16,
+            epochs: 5,
+            lr: 2e-3,
+        },
     };
     let measure = HeuristicMeasure::Hausdorff;
     let est = finetune(
