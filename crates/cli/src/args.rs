@@ -161,13 +161,13 @@ A command rejects any option it does not list above.
 
 `--quantize sq8` stores indexed vectors as int8 codes (4x smaller) and
 quantizes the query too, scanning codes with one portable integer
-kernel, the same on every CPU (TRAJCL_FORCE_SCALAR=1 pins only the
-encoder's f32 kernels to their portable copy); `--quantize pq[:M]`
-stores M 4-bit product-quantized codes per vector, two per byte
-(default M=8). `--quantize` needs `--index NLIST` (it describes the IVF
-index). `query` and `serve` read these three flags the same way and
-build the same served index, so `query` answers what a one-shard
-`serve` with the same flags answers.
+kernel, the same on every CPU (TRAJCL_FORCE_SCALAR=1 pins the f32
+kernels, the encoder's and the write buffer's L1 scan, to their portable
+copy); `--quantize pq[:M]` stores M 4-bit product-quantized codes per
+vector, two per byte (default M=8). `--quantize` without `--index`
+quantizes one exhaustive list. `query` and `serve` read these three
+flags the same way and build the same served index, so `query` answers
+what a one-shard `serve` with the same flags answers.
 Quantized hits are rescored: the top `--rescore-factor` x k candidates
 are re-ranked against the engine's exact f32 embeddings, so database
 rows keep exact distances (ids upserted through a server keep

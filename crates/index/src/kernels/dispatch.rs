@@ -10,9 +10,11 @@
 //!
 //! The dispatch level itself — feature detection, the
 //! `TRAJCL_FORCE_SCALAR` override, one decision per process — lives in
-//! [`trajcl_tensor::cpu`] and picks the encoder's f32 kernels. It is
-//! re-exported here so `kernels::dispatch::{level, description, …}` keep
-//! resolving for the callers that report it.
+//! [`trajcl_tensor::cpu`]. It picks the encoder's f32 kernels and, in this
+//! crate, the copy of the write buffer's blocked L1 scan
+//! ([`super::l1_scan_columns`]: AVX2 or baseline). It is re-exported here
+//! so `kernels::dispatch::{level, description, …}` keep resolving for the
+//! callers that report it.
 
 pub use trajcl_tensor::cpu::{description, forced_scalar, level, DispatchLevel};
 

@@ -8,7 +8,11 @@
 //!   inner loop into full-width SIMD without any per-element `f64` upcast.
 //!   Database vectors live in contiguous row-major (SoA) storage; a search
 //!   streams one query against a block of rows, touching each cache line
-//!   exactly once.
+//!   exactly once. The write buffer's chunks are stored dimension-major
+//!   instead, and [`l1_scan_columns`] scores eight of their rows per
+//!   register block, with `l1_f32`'s bits, compiled twice like the
+//!   encoder's GEMM (an AVX2 copy and a baseline copy, picked by
+//!   [`trajcl_tensor::cpu::level`]).
 //! * **[`TopK`]** is a bounded binary max-heap fused into the scan: a
 //!   candidate whose distance is not below the current k-th best is
 //!   rejected with one comparison (early abandon), no full sort of the
@@ -44,6 +48,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use trajcl_tensor::cpu::DispatchLevel;
 use trajcl_tensor::pool;
 
 pub mod dispatch;
@@ -68,6 +73,124 @@ pub fn l1_f32(a: &[f32], b: &[f32]) -> f32 {
         tail += (x - y).abs();
     }
     acc.iter().sum::<f32>() + tail
+}
+
+/// Rows per register block of [`l1_scan_columns`]: a dimension-major
+/// chunk's stride is a multiple of it.
+pub const BLOCK_ROWS: usize = LANES;
+
+/// Offers every row of dimension-major chunks to `topk`, at its L1
+/// distance to `query`, eight rows per register block. The write buffer's
+/// scan (`mutable.rs`).
+///
+/// Each chunk is `(ids, cols)`: row `r` is `ids[r]` and its value in
+/// dimension `x` is `cols[x * stride + r]`. `stride` is a multiple of
+/// [`BLOCK_ROWS`], `cols` holds `query.len() * stride` values and
+/// `ids.len() ≤ stride`; lanes past `ids.len()` are computed but never
+/// offered.
+///
+/// **Same bits as [`l1_f32`].** Per row, lane `j` accumulates dimensions
+/// `j, j + 8, …` in order, the eight lanes are summed 0 → 7, then the
+/// `d mod 8` tail is added: `l1_f32`'s operations in `l1_f32`'s order,
+/// so each offered distance is `l1_f32(query, row) as f64` at every
+/// `level`, which only picks how wide the registers are.
+///
+/// **Exact block filter.** A block skips `offer` only when every live lane
+/// is strictly above [`TopK::bound`] (`+∞` while the heap is short).
+/// Such a lane loses to the heap root under `(total_cmp, id)` whatever
+/// its id, so `offer` would reject it; a tie, a NaN distance or a NaN
+/// bound fails the strict `>` and reaches `offer`'s own rule. The retained
+/// set is therefore exactly the per-row `offer` loop's.
+pub fn l1_scan_columns<'a>(
+    level: DispatchLevel,
+    query: &[f32],
+    stride: usize,
+    chunks: impl Iterator<Item = (&'a [u64], &'a [f32])>,
+    topk: &mut TopK<u64>,
+) {
+    assert!(
+        stride.is_multiple_of(BLOCK_ROWS),
+        "column stride must be a multiple of {BLOCK_ROWS}"
+    );
+    if level.runs_avx2() {
+        // SAFETY: `runs_avx2` returned true, which includes
+        // `is_x86_feature_detected!("avx2")` on the running CPU.
+        unsafe { l1_scan_columns_avx2(query, stride, chunks, topk) }
+    } else {
+        l1_scan_columns_body(query, stride, chunks, topk)
+    }
+}
+
+/// [`l1_scan_columns_body`] compiled with 256-bit registers available (off
+/// x86-64, where [`DispatchLevel::runs_avx2`] is never true, just the
+/// body).
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn l1_scan_columns_avx2<'a>(
+    query: &[f32],
+    stride: usize,
+    chunks: impl Iterator<Item = (&'a [u64], &'a [f32])>,
+    topk: &mut TopK<u64>,
+) {
+    l1_scan_columns_body(query, stride, chunks, topk);
+}
+
+/// The chunk walk, block distances, filter and offers of
+/// [`l1_scan_columns`], written once over lane arrays and compiled per
+/// dispatch level. `acc[j][r]` is row `r`'s lane `j`.
+#[inline(always)]
+fn l1_scan_columns_body<'a>(
+    query: &[f32],
+    stride: usize,
+    chunks: impl Iterator<Item = (&'a [u64], &'a [f32])>,
+    topk: &mut TopK<u64>,
+) {
+    let (d, per_column) = (query.len(), stride / LANES);
+    let (whole, tail_dims) = query.as_chunks::<LANES>();
+    for (ids, cols) in chunks {
+        debug_assert!(ids.len() <= stride);
+        let (units, _) = cols[..d * stride].as_chunks::<LANES>();
+        for (block, ids) in ids.chunks(LANES).enumerate() {
+            // This block's eight lanes of dimension `x`.
+            let lanes = &units[block..];
+            let column = |x: usize| &lanes[x * per_column];
+            let mut acc = [[0.0f32; LANES]; LANES];
+            for (g, q) in whole.iter().enumerate() {
+                for (j, acc) in acc.iter_mut().enumerate() {
+                    let col = column(g * LANES + j);
+                    for r in 0..LANES {
+                        acc[r] += (q[j] - col[r]).abs();
+                    }
+                }
+            }
+            let mut dist = acc[0];
+            for lane in &acc[1..] {
+                for r in 0..LANES {
+                    dist[r] += lane[r];
+                }
+            }
+            let mut tail = [0.0f32; LANES];
+            for (t, &q) in tail_dims.iter().enumerate() {
+                let col = column(whole.len() * LANES + t);
+                for r in 0..LANES {
+                    tail[r] += (q - col[r]).abs();
+                }
+            }
+            let bound = topk.bound();
+            let mut above = true;
+            for (r, slot) in dist.iter_mut().enumerate() {
+                *slot += tail[r];
+                above &= r >= ids.len() || f64::from(*slot) > bound;
+            }
+            if !above {
+                for (&id, &dist) in ids.iter().zip(&dist) {
+                    topk.offer(id, f64::from(dist));
+                }
+            }
+        }
+    }
 }
 
 /// Squared L2 distance, f32 accumulation, 8-wide unrolled: what PQ
@@ -235,14 +358,16 @@ impl<I: Copy + Ord> TopK<I> {
         self.heap.is_empty()
     }
 
-    /// The current k-th best distance — the early-abandon bound. Any
-    /// candidate at or above it cannot enter the result set.
+    /// The current k-th best distance — the early-abandon bound (`+∞`
+    /// while fewer than `k` are retained, `−∞` when `k` is 0). A candidate
+    /// above it under `total_cmp` cannot enter the result set; one equal
+    /// to it enters only on a smaller id.
     #[inline]
     pub fn bound(&self) -> f64 {
         if self.heap.len() < self.k {
             f64::INFINITY
         } else {
-            self.heap[0].0
+            self.heap.first().map_or(f64::NEG_INFINITY, |&(d, _)| d)
         }
     }
 
@@ -735,6 +860,99 @@ mod tests {
         }
     }
 
+    /// One value of a row of `kind`: 0 ordinary, 1 signed zeros and
+    /// subnormals, 2 ordinary with values near `f32::MAX` (two of them in a
+    /// row overflow its sum to +∞), 3 ordinary with a NaN now and then.
+    fn edge_value(kind: usize, rng: &mut StdRng) -> f32 {
+        let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        match (kind, rng.gen_range(0u32..8)) {
+            (1, 0..=2) => sign * 0.0,
+            (1, _) => sign * f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+            (2, 0) => sign * f32::MAX * rng.gen_range(0.5f32..1.0),
+            (3, 0) if rng.gen_bool(0.2) => f32::NAN,
+            _ => rng.gen_range(-3.0f32..3.0),
+        }
+    }
+
+    /// `rows` (row-major `(n, d)`) cut into chunks of `cap` rows, stored
+    /// dimension-major at `stride`, with ids running against slot order
+    /// so the id tie-break and slot order disagree.
+    fn column_chunks(
+        rows: &[f32],
+        d: usize,
+        cap: usize,
+        stride: usize,
+    ) -> Vec<(Vec<u64>, Vec<f32>)> {
+        let n = rows.len() / d;
+        let id = |r: usize| 3 * (n - r) as u64;
+        (0..n)
+            .step_by(cap)
+            .map(|start| {
+                let len = cap.min(n - start);
+                let mut cols = vec![0.0f32; d * stride];
+                for r in 0..len {
+                    for x in 0..d {
+                        cols[x * stride + r] = rows[(start + r) * d + x];
+                    }
+                }
+                ((start..start + len).map(id).collect(), cols)
+            })
+            .collect()
+    }
+
+    /// `(id, distance bits)` in rank order.
+    fn ranked_bits(topk: TopK<u64>) -> Vec<(u64, u64)> {
+        let hits = topk.into_sorted();
+        hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+    }
+
+    #[test]
+    fn column_scan_matches_per_row_l1_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let dims = (1..=70).chain([128, 520, 523]);
+        for d in dims {
+            // 13 rows per chunk leaves a ragged last block in every chunk;
+            // 16 fills its stride exactly.
+            for cap in [13usize, 16] {
+                let stride = cap.next_multiple_of(BLOCK_ROWS);
+                for n in 0..=2 * stride + 5 {
+                    let mut rows: Vec<f32> = (0..n)
+                        .flat_map(|r| (0..d).map(move |x| (r, x)))
+                        .map(|(r, _)| edge_value(r % 4, &mut rng))
+                        .collect();
+                    // Duplicate rows make exact ties on distance.
+                    if n >= 4 {
+                        let (head, rest) = rows.split_at_mut(2 * d);
+                        rest[..d].copy_from_slice(&head[..d]);
+                        rest[d..2 * d].copy_from_slice(&head[d..]);
+                    }
+                    let mut query: Vec<f32> = (0..d).map(|_| edge_value(n % 3, &mut rng)).collect();
+                    if n % 7 == 3 {
+                        query[d / 2] = f32::NAN;
+                    }
+                    let chunks = column_chunks(&rows, d, cap, stride);
+                    for k in [0usize, 1, 3, 9, n, n + 2] {
+                        let mut want = TopK::new(k);
+                        for (r, row) in rows.chunks_exact(d).enumerate() {
+                            want.offer(3 * (n - r) as u64, f64::from(l1_f32(&query, row)));
+                        }
+                        let want = ranked_bits(want);
+                        for level in [DispatchLevel::Scalar, DispatchLevel::Avx2] {
+                            let mut got = TopK::new(k);
+                            let views = chunks.iter().map(|(ids, cols)| (&ids[..], &cols[..]));
+                            l1_scan_columns(level, &query, stride, views, &mut got);
+                            assert_eq!(
+                                ranked_bits(got),
+                                want,
+                                "d={d} cap={cap} n={n} k={k} {level:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn f32_kernels_match_scalar_reference() {
         for d in [1usize, 7, 8, 9, 31, 64, 130] {
@@ -818,6 +1036,7 @@ mod tests {
         assert_eq!(topk.bound(), 5.0);
         topk.offer(2, 1.0);
         assert_eq!(topk.bound(), 3.0);
+        assert_eq!(TopK::<u32>::new(0).bound(), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -34,13 +34,14 @@
 //! exactly.
 //!
 //! What a write costs: the buffer is a spine of fixed-capacity chunks
-//! (ids beside contiguous row-major rows) and the tombstones a spine of
+//! (ids beside dimension-major columns) and the tombstones a spine of
 //! fixed-size bit blocks, both shared structurally between the writer and
 //! every snapshot. A write copies the one or two chunks (and the one
 //! block) it touches and republishes the two spines, one pointer per
-//! chunk and per block — never the buffer. A read streams each chunk
-//! through the f32 kernels of the sealed scan into a fused top-k, so only
-//! the buffer's own best `k` reach the final merge.
+//! chunk and per block — never the buffer. A read scans each chunk eight
+//! rows at a time ([`l1_scan_columns`], the same bits as the per-row
+//! `l1_f32`) into a fused top-k, so only the buffer's own best `k` reach
+//! the final merge.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -50,7 +51,7 @@ use rand::SeedableRng;
 use trajcl_tensor::{Shape, Tensor};
 
 use crate::ivf::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization};
-use crate::kernels::{l1_f32, TopK};
+use crate::kernels::{dispatch, l1_scan_columns, TopK, BLOCK_ROWS};
 
 /// Row data per write-buffer chunk (`CHUNK_BYTES / (4 · dim)` rows, at
 /// least 8): a write copies at most this much, and a publish clones one
@@ -61,11 +62,26 @@ const CHUNK_BYTES: usize = 16 << 10;
 const TOMBSTONE_BLOCK_BITS: usize = 1 << 15;
 
 /// One block of the write buffer: external ids beside their vectors,
-/// contiguous and row-major. Every chunk of a [`Buffer`] but the last is
+/// stored dimension-major for [`l1_scan_columns`] — value `x` of slot `r`
+/// is `cols[x * stride + r]`, with the [`Buffer`]'s stride. Slots past
+/// `ids.len()` hold zeros. Every chunk of a [`Buffer`] but the last is
 /// full.
 struct Chunk {
     ids: Vec<u64>,
-    rows: Vec<f32>,
+    cols: Vec<f32>,
+}
+
+impl Chunk {
+    /// Slot `at`'s vector, dimension by dimension.
+    fn row(&self, at: usize, stride: usize) -> impl Iterator<Item = f32> + '_ {
+        self.cols[at..].iter().step_by(stride).copied()
+    }
+
+    /// Writes `row` into slot `at`.
+    fn write(&mut self, at: usize, stride: usize, row: &[f32]) {
+        let slots = self.cols[at..].iter_mut().step_by(stride);
+        slots.zip(row).for_each(|(slot, &v)| *slot = v);
+    }
 }
 
 impl Clone for Chunk {
@@ -74,9 +90,8 @@ impl Clone for Chunk {
     fn clone(&self) -> Self {
         let mut ids = Vec::with_capacity(self.ids.capacity());
         ids.extend_from_slice(&self.ids);
-        let mut rows = Vec::with_capacity(self.rows.capacity());
-        rows.extend_from_slice(&self.rows);
-        Chunk { ids, rows }
+        let cols = self.cols.clone();
+        Chunk { ids, cols }
     }
 }
 
@@ -101,42 +116,60 @@ impl Buffer {
         (CHUNK_BYTES / (4 * self.dim)).max(8)
     }
 
+    /// Column length of a chunk: [`Buffer::cap`] rounded up to whole
+    /// register blocks.
+    fn stride(&self) -> usize {
+        self.cap().next_multiple_of(BLOCK_ROWS)
+    }
+
     fn len(&self) -> usize {
         self.chunks.last().map_or(0, |tail| {
             (self.chunks.len() - 1) * self.cap() + tail.ids.len()
         })
     }
 
+    /// Every `(id, vector)` in slot order.
+    fn entries(&self) -> impl Iterator<Item = (u64, impl Iterator<Item = f32> + '_)> {
+        let stride = self.stride();
+        self.chunks.iter().flat_map(move |chunk| {
+            let ids = chunk.ids.iter().enumerate();
+            ids.map(move |(at, &id)| (id, chunk.row(at, stride)))
+        })
+    }
+
     /// Appends a row as the last slot.
     fn push(&mut self, id: u64, row: &[f32]) {
-        let cap = self.cap();
+        let (cap, stride) = (self.cap(), self.stride());
         if self.len().is_multiple_of(cap) {
             self.chunks.push(Arc::new(Chunk {
                 ids: Vec::with_capacity(cap),
-                rows: Vec::with_capacity(cap * self.dim),
+                cols: vec![0.0; self.dim * stride],
             }));
         }
         let tail = self.chunks.len() - 1;
         let tail = Arc::make_mut(&mut self.chunks[tail]);
+        tail.write(tail.ids.len(), stride, row);
         tail.ids.push(id);
-        tail.rows.extend_from_slice(row);
     }
 
     /// Overwrites slot `i`.
     fn set(&mut self, i: usize, id: u64, row: &[f32]) {
         let (chunk, at) = (i / self.cap(), i % self.cap());
+        let stride = self.stride();
         let chunk = Arc::make_mut(&mut self.chunks[chunk]);
         chunk.ids[at] = id;
-        chunk.rows[at * self.dim..(at + 1) * self.dim].copy_from_slice(row);
+        chunk.write(at, stride, row);
     }
 
     /// Removes slot `i` by moving the last row into it (`Vec::swap_remove`
     /// order); returns the id that moved, if any did.
     fn swap_remove(&mut self, i: usize) -> Option<u64> {
         let last = self.len().checked_sub(1)?;
+        let stride = self.stride();
         let tail = Arc::make_mut(self.chunks.last_mut()?);
         let id = tail.ids.pop()?;
-        let row = tail.rows.split_off(tail.rows.len() - self.dim);
+        let vacated = tail.cols[tail.ids.len()..].iter_mut().step_by(stride);
+        let row: Vec<f32> = vacated.map(std::mem::take).collect();
         if tail.ids.is_empty() {
             self.chunks.pop();
         }
@@ -149,13 +182,8 @@ impl Buffer {
     /// Offers every row to `topk` under its external id: per-row distance
     /// is the f32 kernel widened to `f64`, exactly [`Metric::dist`].
     fn scan(&self, query: &[f32], topk: &mut TopK<u64>) {
-        // Re-sliced so the compiler sees `query` as long as every row: the
-        // kernels' zipped lane loops then vectorise.
-        let query = &query[..self.dim];
-        for chunk in &self.chunks {
-            let rows = chunk.ids.iter().zip(chunk.rows.chunks_exact(self.dim));
-            rows.for_each(|(&id, row)| topk.offer(id, l1_f32(query, row) as f64));
-        }
+        let chunks = self.chunks.iter().map(|c| (&c.ids[..], &c.cols[..]));
+        l1_scan_columns(dispatch::level(), query, self.stride(), chunks, topk);
     }
 }
 
@@ -319,10 +347,7 @@ impl IndexSnapshot {
                 }
             }
         }
-        for chunk in &self.buffer.chunks {
-            let rows = chunk.rows.chunks_exact(self.dim);
-            out.extend(chunk.ids.iter().zip(rows).map(|(&id, v)| (id, v.to_vec())));
-        }
+        out.extend(self.buffer.entries().map(|(id, v)| (id, v.collect())));
         out
     }
 
@@ -706,9 +731,9 @@ impl MutableIndex {
                 }
             }
         }
-        for chunk in &w.buffer.chunks {
-            ids.extend_from_slice(&chunk.ids);
-            data.extend_from_slice(&chunk.rows);
+        for (id, v) in w.buffer.entries() {
+            ids.push(id);
+            data.extend(v);
         }
         let n = ids.len();
         let sealed = if n == 0 {
@@ -1043,6 +1068,71 @@ mod tests {
         assert_eq!(removed.search(&query, 2, 1)[1], (target + 1, 1.0));
         assert_eq!(replaced.search(&query, 2, 1)[1], (target - 2, 2.0));
         assert_eq!(replaced.live_ids().len(), n - 1);
+    }
+
+    /// The buffer scan as it ran on row-major chunks: every row through
+    /// `l1_f32`, offered one at a time. `(id, distance bits)` in rank order.
+    fn per_row_scan(buffer: &Buffer, query: &[f32], k: usize) -> Vec<(u64, u64)> {
+        let mut topk = TopK::new(k);
+        for (id, row) in buffer.entries() {
+            let row: Vec<f32> = row.collect();
+            topk.offer(id, f64::from(crate::kernels::l1_f32(query, &row)));
+        }
+        let hits = topk.into_sorted();
+        hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+    }
+
+    #[test]
+    fn buffer_scan_answers_as_the_per_row_loop_on_tie_runs_and_nan() {
+        // The mixed workload's shape: few vectors under many ids, so each
+        // distance is shared by a long run of ids and the id tie-break
+        // decides; removes scatter the slot order.
+        let d = 32;
+        let pool = vecs(16, d, 21);
+        let index = MutableIndex::new(d, Metric::L1, None, 0);
+        let mut rng = StdRng::seed_from_u64(22);
+        for id in 0..1500u64 {
+            index.upsert(id * 5 % 4096, pool[rng.gen_range(0..pool.len())].clone());
+        }
+        for _ in 0..200 {
+            index.remove(rng.gen_range(0u64..4096));
+        }
+        let snap = index.snapshot();
+        let len = snap.buffer_len();
+        assert!(len > 3 * snap.buffer.cap(), "several chunks");
+        let mut nan = pool[3].clone();
+        nan[d / 2] = f32::NAN;
+        let queries = [
+            pool[0].clone(),
+            pool[7].clone(),
+            vecs(1, d, 23).remove(0),
+            nan.clone(),
+        ];
+        for query in &queries {
+            // k past the buffer keeps the heap short for the whole scan.
+            for k in [1, 10, 120, len, len + 5] {
+                let mut got = TopK::new(k);
+                snap.buffer.scan(query, &mut got);
+                let got: Vec<(u64, u64)> = got
+                    .into_sorted()
+                    .into_iter()
+                    .map(|(id, d)| (id, d.to_bits()))
+                    .collect();
+                assert_eq!(got, per_row_scan(&snap.buffer, query, k), "k = {k}");
+            }
+        }
+        // Through the library: a NaN query with the heap full (k < len)
+        // and short (k clamped to len, full only at the last row).
+        for k in [10, len + 5] {
+            let hits = snap.search(&nan, k, 1);
+            let hits: Vec<(u64, u64)> = hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect();
+            assert!(hits.iter().all(|&(_, d)| f64::from_bits(d).is_nan()));
+            assert_eq!(
+                hits,
+                per_row_scan(&snap.buffer, &nan, k.min(len)),
+                "k = {k}"
+            );
+        }
     }
 
     #[test]

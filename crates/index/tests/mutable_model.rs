@@ -14,6 +14,11 @@
 //!   vectors wide enough that a chunk holds its minimum of 8 rows, so a
 //!   few dozen rows cross several chunk boundaries, and compares ids,
 //!   distance bits and `live_entries()` order after every op.
+//!   Each step also asks a query from outside the pool, whose distances
+//!   are non-zero and rarely tie.
+//! * `a_ragged_chunk_capacity_matches_the_reference` does the same at
+//!   d = 33, where a chunk's 124 rows are not a whole number of the scan's
+//!   8-row blocks, and grows the buffers past a chunk edge.
 //! * `every_held_snapshot_is_one_prefix_of_the_log` is the first slice of
 //!   the history checker (ROADMAP item 2): one writer, four readers, and
 //!   every snapshot a reader ever held must equal the model at exactly
@@ -181,6 +186,9 @@ proptest! {
         let mut models: Vec<Model> = (0..nshards).map(|_| Model::default()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let pool = vector_pool(pool_size, dim, &mut rng);
+        // Queries from outside the pool draw on a stream of their own, so
+        // the op sequence above stays what it was without them.
+        let mut outside = StdRng::seed_from_u64(!seed);
 
         for step in 0..120 {
             let buffered: Vec<u64> =
@@ -230,7 +238,94 @@ proptest! {
                     "k = {} at step {}", k, step
                 );
             }
+            let query = &vector_pool(1, dim, &mut outside)[0];
+            for k in [1, 5, len] {
+                prop_assert_eq!(
+                    hit_bits(snap.search(query, k, usize::MAX)),
+                    reference_knn(&models, metric, query, k),
+                    "outside query, k = {} at step {}", k, step
+                );
+            }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // d = 33: a chunk holds 124 rows (16 KiB over 132-byte rows), not a
+    // multiple of the scan's 8-row blocks, so its columns are 128 long and
+    // the last block of every full chunk is half empty. Mostly-new ids
+    // push each shard's buffer across that chunk edge, and every step is
+    // checked with a pool query (ties at 0) and one from outside the pool
+    // (non-zero distances).
+    #[test]
+    fn a_ragged_chunk_capacity_matches_the_reference(
+        seed in 0u64..1_000_000,
+        nlist_raw in 0usize..3,
+        sharded in 0u8..2,
+    ) {
+        const DIM: usize = 33;
+        let metric = Metric::L1;
+        let nshards = if sharded == 1 { 2 } else { 1 };
+        let opts = IndexOptions {
+            nlist: (nlist_raw > 0).then_some(nlist_raw),
+            seed,
+            ..IndexOptions::default()
+        };
+        let index = ShardedIndex::with_options(DIM, metric, opts, nshards);
+        let mut models: Vec<Model> = (0..nshards).map(|_| Model::default()).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = vector_pool(12, DIM, &mut rng);
+
+        for step in 0..560u64 {
+            let buffered: Vec<u64> =
+                models.iter().flat_map(|m| m.buffer.iter().map(|(id, _)| *id)).collect();
+            // One compaction early seals a part beside the buffer; after
+            // it, rolls 0 and 1 replace and remove a buffered id and the
+            // rest append a new one.
+            let roll = rng.gen_range(0u32..8);
+            if step == 40 {
+                index.compact();
+                models.iter_mut().for_each(Model::compact);
+            } else if let (1, Some(id)) = (roll, pick(&buffered, &mut rng)) {
+                prop_assert!(index.remove(id));
+                prop_assert!(models[shard_for(id, nshards)].remove(id));
+            } else {
+                let id = match roll {
+                    0 => pick(&buffered, &mut rng).unwrap_or(step),
+                    _ => step,
+                };
+                let v = pool[rng.gen_range(0..pool.len())].clone();
+                index.upsert(id, v.clone());
+                models[shard_for(id, nshards)].upsert(id, v);
+            }
+
+            let snap = index.snapshot();
+            for (view, model) in snap.shard_views().iter().zip(&models) {
+                prop_assert_eq!(
+                    entry_bits(view.live_entries()),
+                    entry_bits(model.live_entries()),
+                    "slot order diverged at step {}", step
+                );
+            }
+            let len = snap.len();
+            let queries = [
+                pool[rng.gen_range(0..pool.len())].clone(),
+                vector_pool(1, DIM, &mut rng).remove(0),
+            ];
+            for query in &queries {
+                for k in [1, 5, 40, len, len + 3] {
+                    prop_assert_eq!(
+                        hit_bits(snap.search(query, k, usize::MAX)),
+                        reference_knn(&models, metric, query, k),
+                        "k = {} at step {}", k, step
+                    );
+                }
+            }
+        }
+        let longest = models.iter().map(|m| m.buffer.len()).max().unwrap_or(0);
+        prop_assert!(longest > 124, "no buffer crossed a chunk edge: {}", longest);
     }
 }
 

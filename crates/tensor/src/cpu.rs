@@ -1,13 +1,14 @@
 //! The process-wide CPU dispatch decision, shared by every kernel family
 //! in the workspace.
 //!
-//! The f32 kernels of this crate ([`crate::kernels`]: GEMM, softmax) pick
-//! an implementation at run time from one decision, made **once per
-//! process**; `trajcl_index::kernels::dispatch` re-exports it so the
-//! benchmarks can report it (the index's own byte kernel has one body at
-//! every level):
+//! The f32 kernels of this crate ([`crate::kernels`]: GEMM, softmax) and
+//! the index's write-buffer L1 scan
+//! (`trajcl_index::kernels::l1_scan_columns`) pick an implementation at
+//! run time from one decision, made **once per process**;
+//! `trajcl_index::kernels::dispatch` re-exports it so the benchmarks can
+//! report it (the index's SQ8 byte kernel has one body at every level):
 //!
-//! | level | selected when | f32 kernels |
+//! | level | selected when | f32 kernels (GEMM, softmax, buffer L1 scan) |
 //! |---|---|---|
 //! | `Avx512` | `avx512bw` detected | the AVX2 copy |
 //! | `Avx2` | `avx2` detected | the AVX2 copy |
