@@ -9,10 +9,11 @@
 //!   Database vectors live in contiguous row-major (SoA) storage; a search
 //!   streams one query against a block of rows, touching each cache line
 //!   exactly once. The write buffer's chunks are stored dimension-major
-//!   instead, and [`l1_scan_columns`] scores eight of their rows per
-//!   register block, with `l1_f32`'s bits, compiled twice like the
-//!   encoder's GEMM (an AVX2 copy and a baseline copy, picked by
-//!   [`trajcl_tensor::cpu::level`]).
+//!   instead, and [`l1_scan_columns`] scores 32 of their rows per query
+//!   broadcast (four register blocks of eight, summed lane by lane, each
+//!   block filtered against the heap bound with one f32 compare), with
+//!   `l1_f32`'s bits, compiled twice like the encoder's GEMM (an AVX2 copy
+//!   and a baseline copy, picked by [`trajcl_tensor::cpu::level`]).
 //! * **[`TopK`]** is a bounded binary max-heap fused into the scan: a
 //!   candidate whose distance is not below the current k-th best is
 //!   rejected with one comparison (early abandon), no full sort of the
@@ -79,26 +80,35 @@ pub fn l1_f32(a: &[f32], b: &[f32]) -> f32 {
 /// chunk's stride is a multiple of it.
 pub const BLOCK_ROWS: usize = LANES;
 
+/// Register blocks one broadcast of a query value feeds in
+/// [`l1_scan_columns`]: 32 rows, four accumulators and four running sums.
+const GROUP_BLOCKS: usize = 4;
+
 /// Offers every row of dimension-major chunks to `topk`, at its L1
-/// distance to `query`, eight rows per register block. The write buffer's
-/// scan (`mutable.rs`).
+/// distance to `query`: one broadcast of a query value feeds four
+/// register blocks of eight rows. The write buffer's scan (`mutable.rs`).
 ///
 /// Each chunk is `(ids, cols)`: row `r` is `ids[r]` and its value in
 /// dimension `x` is `cols[x * stride + r]`. `stride` is a multiple of
-/// [`BLOCK_ROWS`], `cols` holds `query.len() * stride` values and
-/// `ids.len() ≤ stride`; lanes past `ids.len()` are computed but never
-/// offered.
+/// [`BLOCK_ROWS`] (not of 32), `cols` holds `query.len() * stride` values
+/// and `ids.len() ≤ stride`. A chunk is scanned in groups of four live
+/// blocks while they fit, then its last one to three live blocks one at a
+/// time; lanes past `ids.len()` may be computed but are never offered.
 ///
-/// **Same bits as [`l1_f32`].** Per row, lane `j` accumulates dimensions
-/// `j, j + 8, …` in order, the eight lanes are summed 0 → 7, then the
-/// `d mod 8` tail is added: `l1_f32`'s operations in `l1_f32`'s order,
-/// so each offered distance is `l1_f32(query, row) as f64` at every
-/// `level`, which only picks how wide the registers are.
+/// **Same bits as [`l1_f32`], lane-major.** Lane `j` of a row sums
+/// dimensions `j, j + 8, …` in order, as in `l1_f32`. The kernel computes
+/// lane 0 of all four blocks, then lane 1, and so on, and folds each lane
+/// into a running sum that starts at `0`: `0 + l0 + l1 + … + l7`, then
+/// `+ tail`, where the `d mod 8` tail is summed apart from `0`. That is
+/// `l1_f32`'s fold exactly, because `0 + l0 == l0` when `l0` is a sum of
+/// absolute values (never `−0`) or NaN. So each offered distance is
+/// `l1_f32(query, row) as f64` at every `level`, which only picks how wide
+/// the registers are.
 ///
-/// **Exact block filter.** A block skips `offer` only when every live lane
-/// is strictly above [`TopK::bound`] (`+∞` while the heap is short).
-/// Such a lane loses to the heap root under `(total_cmp, id)` whatever
-/// its id, so `offer` would reject it; a tie, a NaN distance or a NaN
+/// **Exact f32 block filter.** Each block of eight is compared once with
+/// [`TopK::bound`] in `f32` (see `offer_block`), and only the rows not
+/// above it reach `offer`. A skipped row loses to the heap root under
+/// `(total_cmp, id)` whatever its id; a tie, a NaN distance or a NaN
 /// bound fails the strict `>` and reaches `offer`'s own rule. The retained
 /// set is therefore exactly the per-row `offer` loop's.
 pub fn l1_scan_columns<'a>(
@@ -137,9 +147,9 @@ unsafe fn l1_scan_columns_avx2<'a>(
     l1_scan_columns_body(query, stride, chunks, topk);
 }
 
-/// The chunk walk, block distances, filter and offers of
-/// [`l1_scan_columns`], written once over lane arrays and compiled per
-/// dispatch level. `acc[j][r]` is row `r`'s lane `j`.
+/// The chunk walk of [`l1_scan_columns`], written once over lane arrays
+/// and compiled per dispatch level: whole groups of [`GROUP_BLOCKS`] live
+/// blocks, then a chunk's last one to three live blocks one at a time.
 #[inline(always)]
 fn l1_scan_columns_body<'a>(
     query: &[f32],
@@ -148,48 +158,103 @@ fn l1_scan_columns_body<'a>(
     topk: &mut TopK<u64>,
 ) {
     let (d, per_column) = (query.len(), stride / LANES);
-    let (whole, tail_dims) = query.as_chunks::<LANES>();
     for (ids, cols) in chunks {
         debug_assert!(ids.len() <= stride);
         let (units, _) = cols[..d * stride].as_chunks::<LANES>();
-        for (block, ids) in ids.chunks(LANES).enumerate() {
-            // This block's eight lanes of dimension `x`.
-            let lanes = &units[block..];
-            let column = |x: usize| &lanes[x * per_column];
-            let mut acc = [[0.0f32; LANES]; LANES];
-            for (g, q) in whole.iter().enumerate() {
-                for (j, acc) in acc.iter_mut().enumerate() {
-                    let col = column(g * LANES + j);
-                    for r in 0..LANES {
-                        acc[r] += (q[j] - col[r]).abs();
-                    }
+        for (group, ids) in ids.chunks(GROUP_BLOCKS * LANES).enumerate() {
+            let first = group * GROUP_BLOCKS;
+            if ids.len() > (GROUP_BLOCKS - 1) * LANES {
+                let dist = block_distances::<GROUP_BLOCKS>(query, &units[first..], per_column);
+                for (ids, dist) in ids.chunks(LANES).zip(&dist) {
+                    offer_block(ids, dist, topk);
                 }
-            }
-            let mut dist = acc[0];
-            for lane in &acc[1..] {
-                for r in 0..LANES {
-                    dist[r] += lane[r];
-                }
-            }
-            let mut tail = [0.0f32; LANES];
-            for (t, &q) in tail_dims.iter().enumerate() {
-                let col = column(whole.len() * LANES + t);
-                for r in 0..LANES {
-                    tail[r] += (q - col[r]).abs();
-                }
-            }
-            let bound = topk.bound();
-            let mut above = true;
-            for (r, slot) in dist.iter_mut().enumerate() {
-                *slot += tail[r];
-                above &= r >= ids.len() || f64::from(*slot) > bound;
-            }
-            if !above {
-                for (&id, &dist) in ids.iter().zip(&dist) {
-                    topk.offer(id, f64::from(dist));
+            } else {
+                for (b, ids) in ids.chunks(LANES).enumerate() {
+                    let [dist] = block_distances::<1>(query, &units[first + b..], per_column);
+                    offer_block(ids, &dist, topk);
                 }
             }
         }
+    }
+}
+
+/// The L1 distances of `B` adjacent register blocks to `query`, lane by
+/// lane: pass `j` sums dimensions `j, j + 8, …` of all `B` blocks, then
+/// adds them to the running sums, and a last pass does the `d mod 8`
+/// tail. `units[x * per_column]` is the first block's eight values of
+/// dimension `x`.
+#[inline(always)]
+fn block_distances<const B: usize>(
+    query: &[f32],
+    units: &[[f32; LANES]],
+    per_column: usize,
+) -> [[f32; LANES]; B] {
+    let (whole, tail_dims) = query.as_chunks::<LANES>();
+    let column = |x: usize| &units[x * per_column..][..B];
+    let mut dist = [[0.0f32; LANES]; B];
+    let mut fold = |acc: [[f32; LANES]; B]| {
+        for (dist, acc) in dist.iter_mut().zip(&acc) {
+            for r in 0..LANES {
+                dist[r] += acc[r];
+            }
+        }
+    };
+    for j in 0..LANES {
+        let mut acc = [[0.0f32; LANES]; B];
+        for (g, q) in whole.iter().enumerate() {
+            add_abs_diffs(&mut acc, q[j], column(g * LANES + j));
+        }
+        fold(acc);
+    }
+    let mut tail = [[0.0f32; LANES]; B];
+    for (t, &q) in tail_dims.iter().enumerate() {
+        add_abs_diffs(&mut tail, q, column(whole.len() * LANES + t));
+    }
+    fold(tail);
+    dist
+}
+
+/// `acc[b][r] += |q − col[b][r]|`: one query value against `B` blocks.
+#[inline(always)]
+fn add_abs_diffs<const B: usize>(acc: &mut [[f32; LANES]; B], q: f32, col: &[[f32; LANES]]) {
+    for (acc, col) in acc.iter_mut().zip(col) {
+        for r in 0..LANES {
+            acc[r] += (q - col[r]).abs();
+        }
+    }
+}
+
+/// Offers the live rows of one block (`ids`, at most eight) whose
+/// distance is not above the heap's bound.
+///
+/// The block filter compares in `f32`: `bound` is the f32 that
+/// [`TopK::bound`] rounds up to, so `x > bound` implies
+/// `f64::from(x) > topk.bound()` and such a row would lose to the heap
+/// root whatever its id. Only this scan feeds the write buffer's heap
+/// (`Buffer::scan` makes it fresh), so its bound is already an `f32`
+/// widened, `±∞` or NaN, and the cast is exact; the round-up keeps the
+/// filter safe should a caller seed the heap with f64 distances (sealed
+/// SQ8 or PQ ones). A tie, a NaN distance or a NaN bound fails the strict
+/// `>` and reaches `offer`'s `(total_cmp, id)` rule.
+#[inline(always)]
+fn offer_block(ids: &[u64], dist: &[f32; LANES], topk: &mut TopK<u64>) {
+    let wide = topk.bound();
+    let mut bound = wide as f32;
+    if f64::from(bound) < wide {
+        bound = bound.next_up();
+    }
+    let mut above = true;
+    for &x in dist {
+        above &= x > bound;
+    }
+    if above {
+        return;
+    }
+    for (&id, &x) in ids.iter().zip(dist) {
+        if x > bound {
+            continue;
+        }
+        topk.offer(id, f64::from(x));
     }
 }
 
@@ -909,44 +974,51 @@ mod tests {
     #[test]
     fn column_scan_matches_per_row_l1_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(41);
-        let dims = (1..=70).chain([128, 520, 523]);
-        for d in dims {
-            // 13 rows per chunk leaves a ragged last block in every chunk;
-            // 16 fills its stride exactly.
-            for cap in [13usize, 16] {
-                let stride = cap.next_multiple_of(BLOCK_ROWS);
-                for n in 0..=2 * stride + 5 {
-                    let mut rows: Vec<f32> = (0..n)
-                        .flat_map(|r| (0..d).map(move |x| (r, x)))
-                        .map(|(r, _)| edge_value(r % 4, &mut rng))
-                        .collect();
-                    // Duplicate rows make exact ties on distance.
-                    if n >= 4 {
-                        let (head, rest) = rows.split_at_mut(2 * d);
-                        rest[..d].copy_from_slice(&head[..d]);
-                        rest[d..2 * d].copy_from_slice(&head[d..]);
+        // `(d, rows per chunk)`. 13 rows leave a ragged last block in every
+        // chunk and 16 fill a stride of two blocks, too short for one
+        // four-block group; 44 rows (stride 48) make one group and two tail
+        // blocks. Then the write buffer's own chunks: d = 20 holds 204 rows
+        // (stride 208: six groups, then two tail blocks), d = 48 holds 85
+        // (stride 88: two groups, then three), and d = 520 and 523 hold 8
+        // (stride 8, narrower than one group). Every row count up to two
+        // chunks and a bit ends a chunk inside each block of a group.
+        let shapes = (1..=70)
+            .chain([128, 520, 523])
+            .flat_map(|d| [(d, 13usize), (d, 16), (d, 44)])
+            .chain([(20, 204), (48, 85), (520, 8), (523, 8)]);
+        for (d, cap) in shapes {
+            let stride = cap.next_multiple_of(BLOCK_ROWS);
+            for n in 0..=2 * stride + 5 {
+                let mut rows: Vec<f32> = (0..n)
+                    .flat_map(|r| (0..d).map(move |x| (r, x)))
+                    .map(|(r, _)| edge_value(r % 4, &mut rng))
+                    .collect();
+                // Duplicate rows make exact ties on distance.
+                if n >= 4 {
+                    let (head, rest) = rows.split_at_mut(2 * d);
+                    rest[..d].copy_from_slice(&head[..d]);
+                    rest[d..2 * d].copy_from_slice(&head[d..]);
+                }
+                let mut query: Vec<f32> = (0..d).map(|_| edge_value(n % 3, &mut rng)).collect();
+                if n % 7 == 3 {
+                    query[d / 2] = f32::NAN;
+                }
+                let chunks = column_chunks(&rows, d, cap, stride);
+                for k in [0usize, 1, 3, 9, n, n + 2] {
+                    let mut want = TopK::new(k);
+                    for (r, row) in rows.chunks_exact(d).enumerate() {
+                        want.offer(3 * (n - r) as u64, f64::from(l1_f32(&query, row)));
                     }
-                    let mut query: Vec<f32> = (0..d).map(|_| edge_value(n % 3, &mut rng)).collect();
-                    if n % 7 == 3 {
-                        query[d / 2] = f32::NAN;
-                    }
-                    let chunks = column_chunks(&rows, d, cap, stride);
-                    for k in [0usize, 1, 3, 9, n, n + 2] {
-                        let mut want = TopK::new(k);
-                        for (r, row) in rows.chunks_exact(d).enumerate() {
-                            want.offer(3 * (n - r) as u64, f64::from(l1_f32(&query, row)));
-                        }
-                        let want = ranked_bits(want);
-                        for level in [DispatchLevel::Scalar, DispatchLevel::Avx2] {
-                            let mut got = TopK::new(k);
-                            let views = chunks.iter().map(|(ids, cols)| (&ids[..], &cols[..]));
-                            l1_scan_columns(level, &query, stride, views, &mut got);
-                            assert_eq!(
-                                ranked_bits(got),
-                                want,
-                                "d={d} cap={cap} n={n} k={k} {level:?}"
-                            );
-                        }
+                    let want = ranked_bits(want);
+                    for level in [DispatchLevel::Scalar, DispatchLevel::Avx2] {
+                        let mut got = TopK::new(k);
+                        let views = chunks.iter().map(|(ids, cols)| (&ids[..], &cols[..]));
+                        l1_scan_columns(level, &query, stride, views, &mut got);
+                        assert_eq!(
+                            ranked_bits(got),
+                            want,
+                            "d={d} cap={cap} n={n} k={k} {level:?}"
+                        );
                     }
                 }
             }

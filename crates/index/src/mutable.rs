@@ -38,10 +38,10 @@
 //! fixed-size bit blocks, both shared structurally between the writer and
 //! every snapshot. A write copies the one or two chunks (and the one
 //! block) it touches and republishes the two spines, one pointer per
-//! chunk and per block — never the buffer. A read scans each chunk eight
-//! rows at a time ([`l1_scan_columns`], the same bits as the per-row
-//! `l1_f32`) into a fused top-k, so only the buffer's own best `k` reach
-//! the final merge.
+//! chunk and per block — never the buffer. A read scans each chunk 32
+//! rows per query broadcast ([`l1_scan_columns`], the same bits as the
+//! per-row `l1_f32`) into a fused top-k, so only the buffer's own best `k`
+//! reach the final merge.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -1035,6 +1035,21 @@ mod tests {
             assert_eq!(v, wide_row(id as f32), "id {id}");
         }
         assert_eq!(index.len(), 7);
+    }
+
+    #[test]
+    fn a_chunk_stride_is_its_capacity_rounded_up_to_one_block() {
+        // The scan groups four blocks per query broadcast, but the stride
+        // stays a whole number of single blocks: rounding it up to a group
+        // would double or quadruple a wide buffer's memory.
+        for (dim, cap, stride) in [(20, 204, 208), (32, 128, 128), (33, 124, 128), (48, 85, 88)]
+            .into_iter()
+            .chain([(256, 16, 16), (520, 8, 8), (523, 8, 8), (4096, 8, 8)])
+        {
+            let buffer = Buffer::new(dim);
+            assert_eq!((buffer.cap(), buffer.stride()), (cap, stride), "dim {dim}");
+            assert_eq!(buffer.stride(), buffer.cap().next_multiple_of(8));
+        }
     }
 
     #[test]

@@ -253,12 +253,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // d = 33: a chunk holds 124 rows (16 KiB over 132-byte rows), not a
-    // multiple of the scan's 8-row blocks, so its columns are 128 long and
-    // the last block of every full chunk is half empty. Mostly-new ids
-    // push each shard's buffer across that chunk edge, and every step is
-    // checked with a pool query (ties at 0) and one from outside the pool
-    // (non-zero distances).
+    /// d = 33: a chunk holds 124 rows (16 KiB over 132-byte rows), not a
+    /// multiple of the scan's 8-row blocks, so its columns are 128 long and
+    /// the last block of every full chunk is half empty. Mostly-new ids
+    /// push each shard's buffer across that chunk edge, and every step is
+    /// checked with a pool query (ties at 0) and one from outside the pool
+    /// (non-zero distances).
     #[test]
     fn a_ragged_chunk_capacity_matches_the_reference(
         seed in 0u64..1_000_000,

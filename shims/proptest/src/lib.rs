@@ -2,8 +2,8 @@
 //!
 //! Supports what the workspace's property tests use: range and tuple
 //! strategies, `prop::collection::vec`, `prop_map`, the `proptest!` macro
-//! with an optional `#![proptest_config(...)]` header, and the
-//! `prop_assert*` macros. Cases are generated from a deterministic
+//! with an optional `#![proptest_config(...)]` header and attributes (doc
+//! comments included) on each property, and the `prop_assert*` macros. Cases are generated from a deterministic
 //! per-test RNG; failing cases are reported with their case index but NOT
 //! shrunk (rerun with the printed seed logic to reproduce — generation is
 //! pure in the test name and case index).
@@ -186,6 +186,8 @@ macro_rules! prop_assert_ne {
 }
 
 /// Defines property tests: each listed function runs `cases` random cases.
+/// A function's attributes — its `#[test]`, and doc comments or any other
+/// attribute written before it — are kept on the generated test.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -199,9 +201,9 @@ macro_rules! proptest {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_impl {
-    ( ($cfg:expr) $( #[test] fn $name:ident ( $($arg:ident in $strat:expr),+ $(,)? ) $body:block )* ) => {
+    ( ($cfg:expr) $( $(#[$meta:meta])* fn $name:ident ( $($arg:ident in $strat:expr),+ $(,)? ) $body:block )* ) => {
         $(
-            #[test]
+            $(#[$meta])*
             fn $name() {
                 let cfg: $crate::ProptestConfig = $cfg;
                 let mut rng = $crate::rng_for(concat!(module_path!(), "::", stringify!($name)));
@@ -256,6 +258,15 @@ mod tests {
         #[test]
         fn exact_size_vec(v in prop::collection::vec(0u32..9, 4)) {
             prop_assert_eq!(v.len(), 4);
+        }
+
+        /// A doc comment and a second attribute before the function. The
+        /// failing body passes only if `should_panic` reached the
+        /// generated test.
+        #[test]
+        #[should_panic(expected = "attributes reach the generated test")]
+        fn documented_property_keeps_its_attributes(n in 0u8..4) {
+            prop_assert!(n > 9, "attributes reach the generated test");
         }
     }
 
