@@ -13,12 +13,12 @@
 //! ranking by L1 distance in the refined embedding space.
 
 use crate::featurizer::{BatchInputs, Featurizer};
-use crate::model::{embed_chunks, TrajClModel};
+use crate::model::{embed_each, TrajClModel};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_measures::HeuristicMeasure;
 use trajcl_nn::{train_pairs, Fwd, Mlp, PairRegression, ParamStore};
-use trajcl_tensor::{Exec, InferCtx, Tensor};
+use trajcl_tensor::{CtxPool, Exec, Tensor};
 
 /// Which encoder parameters stay trainable during fine-tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,23 +61,23 @@ pub struct FinetunedEstimator {
 
 impl FinetunedEstimator {
     /// Refined embeddings `g(h)` for a set of trajectories `(N, d)`,
-    /// computed on a fresh serving executor.
+    /// computed on fresh serving executors.
     pub fn embed(&self, featurizer: &Featurizer, trajs: &[Trajectory]) -> Tensor {
-        let batch = self.model.cfg.batch_size;
-        self.embed_chunked_with(&mut InferCtx::new(), featurizer, trajs, batch)
+        self.embed_with(&CtxPool::new(), featurizer, trajs)
     }
 
-    /// Like [`FinetunedEstimator::embed`] with an explicit chunk size and
-    /// a caller-owned [`InferCtx`] (scratch buffers persist across calls).
-    pub fn embed_chunked_with(
+    /// Like [`FinetunedEstimator::embed`] on contexts from a caller-owned
+    /// [`CtxPool`] (scratch buffers persist across calls): one unpadded
+    /// forward per trajectory, split across the pool lanes, as
+    /// [`TrajClModel::embed_with`].
+    pub fn embed_with(
         &self,
-        ctx: &mut InferCtx,
+        ctxs: &CtxPool,
         featurizer: &Featurizer,
         trajs: &[Trajectory],
-        batch: usize,
     ) -> Tensor {
         let d = self.model.cfg.dim;
-        embed_chunks(ctx, featurizer, trajs, batch, d, |ctx, inputs| {
+        embed_each(ctxs, featurizer, trajs, d, |ctx, inputs| {
             let mut f = Fwd::new(ctx, &self.store);
             refined(&self.model, &self.head, &mut f, inputs)
         })

@@ -7,7 +7,7 @@ use crate::featurizer::{BatchInputs, Featurizer};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{Fwd, Mlp, ParamStore};
-use trajcl_tensor::{pool, Exec, InferCtx, Shape, Tensor};
+use trajcl_tensor::{pool, CtxPool, Exec, InferCtx, Shape, Tensor};
 
 /// Encoder `F` plus projection head `P` (Eq. 1) and their parameters.
 #[derive(Clone)]
@@ -60,18 +60,34 @@ impl TrajClModel {
         self.encoder.forward(&mut Fwd::new(ctx, &self.store), batch)
     }
 
-    /// Inference: embeds trajectories into `(N, d)` backbone embeddings,
-    /// `cfg.batch_size` at a time on a fresh serving executor (no dropout,
-    /// no RNG).
+    /// Inference: embeds trajectories into `(N, d)` backbone embeddings
+    /// on fresh serving executors (no dropout, no RNG), one unpadded
+    /// forward per trajectory — see [`TrajClModel::embed_with`].
     pub fn embed(&self, featurizer: &Featurizer, trajs: &[Trajectory]) -> Tensor {
-        self.embed_chunked_with(&mut InferCtx::new(), featurizer, trajs, self.cfg.batch_size)
+        self.embed_with(&CtxPool::new(), featurizer, trajs)
     }
 
-    /// Like [`TrajClModel::embed`] with an explicit chunk size — callers
-    /// that already batch (the engine) pass their own chunk through as one
-    /// forward pass — and a caller-owned [`InferCtx`], so scratch buffers
-    /// persist across calls (the engine backends hold one per serving
-    /// path).
+    /// Like [`TrajClModel::embed`] on contexts from a caller-owned
+    /// [`CtxPool`], so scratch buffers persist across calls (the engine
+    /// backends hold one). Each trajectory runs its own unpadded forward,
+    /// the rows split across the pool lanes: the bits equal its row in any
+    /// padded batch, at any width.
+    pub fn embed_with(
+        &self,
+        ctxs: &CtxPool,
+        featurizer: &Featurizer,
+        trajs: &[Trajectory],
+    ) -> Tensor {
+        embed_each(ctxs, featurizer, trajs, self.cfg.dim, |ctx, inputs| {
+            self.infer_h(ctx, inputs)
+        })
+    }
+
+    /// `(N, d)` embeddings through padded batches of `batch` trajectories,
+    /// each one forward pass on a caller-owned [`InferCtx`]. The bits equal
+    /// [`TrajClModel::embed`]'s; it stays for callers that time or check
+    /// the padded forward itself (the equivalence tests, the ladder's
+    /// `forward_b32` rung).
     pub fn embed_chunked_with(
         &self,
         ctx: &mut InferCtx,
@@ -79,36 +95,48 @@ impl TrajClModel {
         trajs: &[Trajectory],
         batch: usize,
     ) -> Tensor {
-        embed_chunks(
-            ctx,
-            featurizer,
-            trajs,
-            batch,
-            self.cfg.dim,
-            |ctx, inputs| self.infer_h(ctx, inputs),
-        )
+        let d = self.cfg.dim;
+        let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
+        let mut row = 0usize;
+        for chunk in trajs.chunks(batch.max(1)) {
+            let inputs = featurizer.featurize(chunk).expect("embed: non-empty chunk");
+            let h = self.infer_h(ctx, &inputs);
+            out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(h.data());
+            ctx.recycle(h);
+            row += chunk.len();
+        }
+        out
     }
 }
 
-/// `(N, d)` embeddings of `trajs`, `batch` at a time: each chunk is
-/// featurised, run through `forward` on `ctx`, and its rows copied out.
-pub(crate) fn embed_chunks(
-    ctx: &mut InferCtx,
+/// `(N, d)` embeddings of `trajs`, each from its own unpadded `forward`:
+/// the output rows split across the pool lanes, one `ctxs` context per
+/// lane for the length of its rows — at one lane, a plain loop on one
+/// context. A row's bits depend on its trajectory alone
+/// (`tests/infer_equivalence.rs`), so neither the split nor the width
+/// shows in the output, and no context ever holds a padded batch's
+/// attention scratch.
+pub(crate) fn embed_each(
+    ctxs: &CtxPool,
     featurizer: &Featurizer,
     trajs: &[Trajectory],
-    batch: usize,
     d: usize,
-    forward: impl Fn(&mut InferCtx, &BatchInputs) -> Tensor,
+    forward: impl Fn(&mut InferCtx, &BatchInputs) -> Tensor + Sync,
 ) -> Tensor {
     let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-    let mut row = 0usize;
-    for chunk in trajs.chunks(batch.max(1)) {
-        let inputs = featurizer.featurize(chunk).expect("embed: non-empty chunk");
-        let h = forward(ctx, &inputs);
-        out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(h.data());
-        ctx.recycle(h);
-        row += chunk.len();
-    }
+    let per_lane = pool::rows_per_lane(trajs.len());
+    pool::par_chunks_mut(out.data_mut(), per_lane * d, |lane, rows| {
+        let mut ctx = ctxs.checkout();
+        let lane_trajs = trajs[lane * per_lane..].iter();
+        for (row, traj) in rows.chunks_mut(d).zip(lane_trajs) {
+            let inputs = featurizer
+                .featurize(std::slice::from_ref(traj))
+                .expect("embed: one trajectory");
+            let h = forward(&mut ctx, &inputs);
+            row.copy_from_slice(h.data());
+            ctx.recycle(h);
+        }
+    });
     out
 }
 

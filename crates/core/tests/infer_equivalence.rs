@@ -13,7 +13,7 @@ use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_nn::Fwd;
 use trajcl_tensor::cpu::select;
-use trajcl_tensor::{InferCtx, Shape, TapeExec, Tensor};
+use trajcl_tensor::{CtxPool, InferCtx, Shape, TapeExec, Tensor};
 
 const VARIANTS: [EncoderVariant; 3] = [
     EncoderVariant::Dual,
@@ -78,6 +78,31 @@ fn embedding_bits_do_not_depend_on_the_batch() {
                 bits(alone.row(0)),
                 bits(together.row(i)),
                 "{}: trajectory {i} embeds differently alone and in a batch",
+                model.encoder.variant().name()
+            );
+        }
+    }
+}
+
+#[test]
+fn one_forward_per_trajectory_equals_one_padded_batch() {
+    // The bulk path (`embed_with`: each trajectory's own unpadded
+    // forward, split across the pool lanes) against `infer_h` over all
+    // of them padded together, from one point to past `max_len`, where
+    // both truncate. Twice on one pool: warm contexts leak nothing.
+    let lens = [1, 2, 3, 7, 16, 33, 63, 64, 65, 97, 5, 12];
+    let ctxs = CtxPool::new();
+    for (model, feat) in models() {
+        assert!(lens.iter().any(|&n| n > feat.max_len()));
+        let trajs = batch_of(&lens, 40.0);
+        let batch = feat.featurize(&trajs).expect("featurize");
+        let padded = model.infer_h(&mut InferCtx::new(), &batch);
+        for pass in 0..2 {
+            let each = model.embed_with(&ctxs, feat, &trajs);
+            assert_eq!(
+                bits(each.data()),
+                bits(padded.data()),
+                "{}: pass {pass} differs from the padded batch",
                 model.encoder.variant().name()
             );
         }

@@ -71,9 +71,10 @@ fn l1(a: &[f32], b: &[f32]) -> f64 {
 ///
 /// Serving goes through the tape-free [`trajcl_tensor::InferCtx`] path —
 /// no autograd bookkeeping, fused attention, and scratch buffers that
-/// persist across `embed_batch` calls: each call takes a context from the
-/// backend's free list for the length of its forward, so callers on
-/// different threads never share one and never hold a lock across it.
+/// persist across `embed_batch` calls: each call takes one context per
+/// pool lane from the backend's free list for the length of that lane's
+/// forwards, so callers on different threads never share one and never
+/// hold a lock across a forward.
 pub struct TrajClBackend {
     model: TrajClModel,
     featurizer: Featurizer,
@@ -112,13 +113,12 @@ impl SimilarityBackend for TrajClBackend {
 
     fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;
-        // One tape-free forward pass per call: the engine's `embed_all`
-        // owns the chunking, so the batch-size knob is not silently
-        // re-capped here; scratch buffers persist across calls.
-        let mut ctx = self.infer.checkout();
-        Ok(self
-            .model
-            .embed_chunked_with(&mut ctx, &self.featurizer, trajs, trajs.len()))
+        // One unpadded forward per trajectory, the rows split across the
+        // pool lanes on one context per lane: a padded batch would cost
+        // its longest member's attention for every row and leave that
+        // scratch in the free list for good. The engine's `batch_size`
+        // only sets how many rows one call takes.
+        Ok(self.model.embed_with(&self.infer, &self.featurizer, trajs))
     }
 
     fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
@@ -266,10 +266,9 @@ impl SimilarityBackend for FinetunedBackend {
 
     fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;
-        let mut ctx = self.infer.checkout();
         Ok(self
             .estimator
-            .embed_chunked_with(&mut ctx, &self.featurizer, trajs, trajs.len()))
+            .embed_with(&self.infer, &self.featurizer, trajs))
     }
 
     fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
@@ -367,8 +366,10 @@ mod tests {
 
     /// 8 threads x 20 `embed_all` calls over mixed batch sizes, started
     /// together: every row must carry the bits of a serial run, and the
-    /// free list (read through `idle`) must end no longer than the 8
-    /// forwards that can be in flight at once.
+    /// free list (read through `idle`) must end no longer than the
+    /// forwards that can be in flight at once — one per pool lane a call
+    /// splits over, so at one lane 1 for the serial caller and 8 for the
+    /// eight, and at width `w` at most `w` and `8·w`.
     fn assert_concurrent_embeds_match_serial<B: SimilarityBackend + 'static>(
         backend: B,
         idle: impl Fn(&B) -> usize,
@@ -384,7 +385,16 @@ mod tests {
             .map(|i| traj(4 + i, 60.0 + 80.0 * i as f64))
             .collect();
         let serial = engine.embed_all(&pool).unwrap();
-        assert_eq!(idle(&backend), 1, "a serial caller reuses one context");
+        let lanes = trajcl_tensor::pool::threads();
+        let serial_idle = idle(&backend);
+        if lanes == 1 {
+            assert_eq!(serial_idle, 1, "a serial caller reuses one context");
+        } else {
+            assert!(
+                (1..=lanes).contains(&serial_idle),
+                "{serial_idle} contexts for a serial caller at {lanes} lanes"
+            );
+        }
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -409,10 +419,17 @@ mod tests {
             }
         });
         let idle = idle(&backend);
-        assert!(
-            (1..=THREADS).contains(&idle),
-            "{idle} contexts for {THREADS} threads"
-        );
+        if lanes == 1 {
+            assert!(
+                (1..=THREADS).contains(&idle),
+                "{idle} contexts for {THREADS} threads"
+            );
+        } else {
+            assert!(
+                (1..=THREADS * lanes).contains(&idle),
+                "{idle} contexts for {THREADS} threads at {lanes} lanes"
+            );
+        }
     }
 
     #[test]

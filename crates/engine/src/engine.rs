@@ -37,7 +37,10 @@ use trajcl_tensor::{Shape, Tensor};
 
 const ENGINE_MAGIC: &[u8; 4] = b"TCE1";
 
-/// Default inference mini-batch size for [`Engine::embed_all`].
+/// Default number of trajectories one [`SimilarityBackend::embed_batch`]
+/// call of [`Engine::embed_all`] takes. The TrajCL backends embed each
+/// trajectory in its own forward whatever the chunk, so this sets the
+/// batch of one forward only for the tape baselines.
 pub const DEFAULT_BATCH: usize = 64;
 
 /// A similarity engine: backend + database + cached embedding table.
@@ -95,15 +98,16 @@ impl Engine {
         self.nprobe
     }
 
-    /// Inference mini-batch size used by [`Engine::embed_all`].
+    /// Trajectories per backend call in [`Engine::embed_all`] (see
+    /// [`DEFAULT_BATCH`]).
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
 
-    /// Embeds trajectories in chunks of the configured batch size,
-    /// returning `(N, dim)`. Callable from any thread at once (the
-    /// serving layer's cache misses do, up to `workers` at a time): see
-    /// [`SimilarityBackend::embed_batch`].
+    /// Embeds trajectories, one backend call per chunk of the configured
+    /// batch size, returning `(N, dim)`. Callable from any thread at once
+    /// (the serving layer's cache misses do, up to `workers` at a time):
+    /// see [`SimilarityBackend::embed_batch`].
     pub fn embed_all(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;
         if !self.backend.supports_embedding() {
@@ -140,9 +144,8 @@ impl Engine {
     /// k nearest database entries for a *batch* of queries, one `(id,
     /// distance)` row per query.
     ///
-    /// All queries share a single fused embedding forward (chunked at the
-    /// engine batch size) before fanning out to the brute-force scan, so a
-    /// caller holding N queries pays one forward, not N.
+    /// All queries are embedded by one [`Engine::embed_all`] call before
+    /// fanning out to the brute-force scan.
     pub fn knn_batch(
         &self,
         queries: &[Trajectory],
@@ -471,7 +474,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Inference mini-batch size (default [`DEFAULT_BATCH`]).
+    /// Trajectories per backend call in [`Engine::embed_all`] (default
+    /// [`DEFAULT_BATCH`]): the forward batch of the tape baselines; the
+    /// TrajCL backends run one forward per trajectory at any value.
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
         self

@@ -103,22 +103,77 @@ fn heuristic_engine_matches_direct_measure_ranking() {
 fn embed_all_chunking_is_invisible() {
     let ds = dataset(30, 4);
     let (model, feat) = untrained_trajcl(&ds);
-    let big = Engine::builder()
-        .trajcl(model.clone(), feat.clone())
-        .batch_size(64)
-        .build()
-        .unwrap();
-    let small = Engine::builder()
-        .trajcl(model, feat)
-        .batch_size(3)
-        .build()
-        .unwrap();
-    let e1 = big.embed_all(&ds.trajectories).unwrap();
-    let e2 = small.embed_all(&ds.trajectories).unwrap();
-    assert_eq!(e1.shape(), Shape::d2(30, big.backend().dim()));
+    let tables: Vec<Vec<u32>> = [1, 3, 128]
+        .into_iter()
+        .map(|batch| {
+            let engine = Engine::builder()
+                .trajcl(model.clone(), feat.clone())
+                .batch_size(batch)
+                .build()
+                .unwrap();
+            let e = engine.embed_all(&ds.trajectories).unwrap();
+            assert_eq!(e.shape(), Shape::d2(30, engine.backend().dim()));
+            e.data().iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
     assert!(
-        e1.approx_eq(&e2, 1e-5),
-        "batch size must not change embeddings"
+        tables.iter().all(|t| t == &tables[0]),
+        "batch size must not change one embedding bit"
+    );
+}
+
+/// Where [`embed_all_table_for_the_width_check`] writes its table; unset
+/// in a plain test run, where that test does nothing.
+const WIDTH_CHECK_OUT: &str = "TRAJCL_TEST_EMBED_TABLE_OUT";
+
+/// The child of [`embed_all_bits_do_not_depend_on_the_pool_width`]: embeds
+/// a fixed database (7-row calls, so each splits unevenly across two
+/// lanes) and writes the table's bytes to `$TRAJCL_TEST_EMBED_TABLE_OUT`.
+#[test]
+fn embed_all_table_for_the_width_check() {
+    let Some(out) = std::env::var_os(WIDTH_CHECK_OUT) else {
+        return;
+    };
+    let ds = dataset(40, 6);
+    let (model, feat) = untrained_trajcl(&ds);
+    let engine = Engine::builder()
+        .trajcl(model, feat)
+        .batch_size(7)
+        .build()
+        .unwrap();
+    let e = engine.embed_all(&ds.trajectories).unwrap();
+    let bytes: Vec<u8> = e.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(out, bytes).expect("write the table");
+}
+
+#[test]
+fn embed_all_bits_do_not_depend_on_the_pool_width() {
+    // The pool's width is fixed at its first use in a process, so each
+    // width runs in a child: this test binary, filtered to the test above.
+    let dir = std::env::temp_dir().join(format!("trajcl_width_bits_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let tables: Vec<Vec<u8>> = ["1", "2"]
+        .into_iter()
+        .map(|lanes| {
+            let out = dir.join(format!("lanes{lanes}.bin"));
+            let run = std::process::Command::new(std::env::current_exe().expect("test binary"))
+                .args(["--exact", "embed_all_table_for_the_width_check"])
+                .args(["--test-threads", "1", "-q"])
+                .env("TRAJCL_THREADS", lanes)
+                .env_remove("TRAJCL_FORCE_SCALAR")
+                .env(WIDTH_CHECK_OUT, &out)
+                .output()
+                .expect("run the child");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(run.status.success(), "TRAJCL_THREADS={lanes}: {stderr}");
+            std::fs::read(&out).expect("the child wrote its table")
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(tables[0].len(), 40 * 16 * 4, "40 rows of 16 f32");
+    assert!(
+        tables[0] == tables[1],
+        "embed_all at two pool lanes differs from one lane"
     );
 }
 

@@ -27,6 +27,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,9 +151,20 @@ fn entry_bits(entries: Vec<(u64, Vec<f32>)>) -> Vec<(u64, Vec<u32>)> {
 /// A pool of `n` distinct `dim`-wide vectors. Many ids share few vectors
 /// (the benchmark's 8192-ids-over-64-trajectories shape), so equal
 /// distances — and therefore the id tie-break — decide most answers.
+/// Every third vector from the second on carries one NaN component, so
+/// its distance to any query is NaN: the scan must keep such a row while
+/// the heap is short and rank it after every number, as the reference's
+/// `total_cmp` sort does. The NaN overwrites a drawn value, so the
+/// stream of draws is the same with it as without.
 fn vector_pool(n: usize, dim: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
     (0..n)
-        .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        .map(|i| {
+            let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            if i % 3 == 1 {
+                v[i % dim] = f32::NAN;
+            }
+            v
+        })
         .collect()
 }
 
@@ -370,7 +382,7 @@ fn every_held_snapshot_is_one_prefix_of_the_log() {
     // the writes that follow — no sleeps, no reliance on scheduling luck.
     let seen = Arc::new(AtomicU64::new(0));
 
-    let readers: Vec<_> = (0..READERS)
+    let mut readers: Vec<_> = (0..READERS)
         .map(|_| {
             let (index, barrier, done, seen, query) = (
                 Arc::clone(&index),
@@ -441,6 +453,17 @@ fn every_held_snapshot_is_one_prefix_of_the_log() {
         );
         if step % 8 == 7 {
             while seen.load(Ordering::Acquire) < generation {
+                if let Some(i) = readers.iter().position(JoinHandle::is_finished) {
+                    // A reader returns only after `done`, so this one
+                    // panicked: stop the others and fail with its panic
+                    // instead of waiting for a generation it never reads.
+                    done.store(true, Ordering::Release);
+                    let panic = readers
+                        .swap_remove(i)
+                        .join()
+                        .expect_err("reader ended early");
+                    std::panic::resume_unwind(panic);
+                }
                 std::thread::yield_now();
             }
         }
