@@ -1,9 +1,11 @@
-//! Shared experiment harness: dataset environments, model training
-//! registry, and protocol evaluation used by every `exp_*` binary.
+//! Shared experiment harness: command-line scale, the per-profile training
+//! [`Recipe`], the lazily built [`Zoo`] of environments and trained models,
+//! and the protocol evaluation every `exp` report reads.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use std::time::Instant;
 use trajcl_baselines::{
     Cstrm, CstrmConfig, E2dtc, E2dtcConfig, T2Vec, T2VecConfig, TokenFeaturizer, TrajectoryEncoder,
@@ -12,16 +14,18 @@ use trajcl_baselines::{
 use trajcl_core::{
     build_featurizer, l1_distances, train, EncoderVariant, Featurizer, MocoState, TrajClConfig,
 };
-use trajcl_data::{mean_rank, Dataset, DatasetProfile, QueryProtocol, Splits};
+use trajcl_data::{
+    hit_ratio, mean_rank, recall_k_at_m, Dataset, DatasetProfile, QueryProtocol, Splits,
+};
 use trajcl_engine::{Engine, EngineError};
 use trajcl_geo::Trajectory;
 use trajcl_measures::{pairwise_distances, HeuristicMeasure};
-use trajcl_nn::StepDecay;
+use trajcl_nn::{PairRegression, StepDecay};
 use trajcl_tensor::Tensor;
 
-/// Experiment scale knobs (paper sizes ÷ ~100 by default; every binary
-/// accepts `--train`, `--db`, `--queries`, `--pool` overrides).
-#[derive(Debug, Clone)]
+/// Experiment scale knobs (paper sizes ÷ ~100 by default; `exp` accepts
+/// `--train`, `--db`, `--queries`, `--pool` overrides).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scale {
     /// Trajectories generated per dataset.
     pub dataset_size: usize,
@@ -31,6 +35,16 @@ pub struct Scale {
     pub db_size: usize,
     /// Number of queries.
     pub n_queries: usize,
+}
+
+impl Scale {
+    /// Grows the dataset until the test pool (4/5 of the post-train
+    /// remainder) covers the database.
+    fn fit_pool(mut self) -> Self {
+        let needed = self.train_size + self.train_size / 10 + self.db_size * 5 / 4 + 8;
+        self.dataset_size = self.dataset_size.max(needed);
+        self
+    }
 }
 
 impl Default for Scale {
@@ -44,30 +58,224 @@ impl Default for Scale {
     }
 }
 
-impl Scale {
-    /// Reads overrides from command-line arguments of the form
-    /// `--train 500 --db 1000 --queries 100 --pool 4000`.
-    pub fn from_args() -> Self {
+/// The parsed command line of `exp`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// The artifact to build (`table3`, `fig10`, `all`, ...).
+    pub command: String,
+    /// Scale from `--train N --db N --queries N --pool N`.
+    pub scale: Scale,
+    /// `--profiles all`: Table III covers every profile, not only Porto.
+    pub all_profiles: bool,
+}
+
+impl Args {
+    /// Parses `<command> [--train N] [--db N] [--queries N] [--pool N]
+    /// [--profiles all]` (the arguments after the program name). An
+    /// unknown option, a missing value or a value that is not a count is
+    /// an error, so a mistyped run never falls back to the default scale.
+    pub fn parse(args: &[String]) -> Result<Args, String> {
+        let mut it = args.iter();
+        let command = match it.next() {
+            Some(c) if !c.starts_with('-') => c.clone(),
+            _ => return Err("missing artifact name".into()),
+        };
         let mut scale = Scale::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            let val = || args[i + 1].parse::<usize>().ok();
-            match args[i].as_str() {
-                "--train" => scale.train_size = val().unwrap_or(scale.train_size),
-                "--db" => scale.db_size = val().unwrap_or(scale.db_size),
-                "--queries" => scale.n_queries = val().unwrap_or(scale.n_queries),
-                "--pool" => scale.dataset_size = val().unwrap_or(scale.dataset_size),
-                _ => {}
+        let mut all_profiles = false;
+        while let Some(flag) = it.next() {
+            let field = match flag.as_str() {
+                "--train" => Some(&mut scale.train_size),
+                "--db" => Some(&mut scale.db_size),
+                "--queries" => Some(&mut scale.n_queries),
+                "--pool" => Some(&mut scale.dataset_size),
+                "--profiles" => None,
+                other => return Err(format!("unknown option {other}")),
+            };
+            let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            match field {
+                Some(field) => {
+                    *field = value
+                        .parse()
+                        .map_err(|_| format!("{flag} needs a count, not {value:?}"))?;
+                }
+                None if value == "all" => all_profiles = true,
+                None => return Err(format!("--profiles takes only `all`, not {value:?}")),
             }
-            i += 1;
         }
-        // The test pool (4/5 of the post-train remainder) must cover the DB.
-        let needed = scale.train_size + scale.train_size / 10 + scale.db_size * 5 / 4 + 8;
-        if scale.dataset_size < needed {
-            scale.dataset_size = needed;
+        Ok(Args {
+            command,
+            scale: scale.fit_pool(),
+            all_profiles,
+        })
+    }
+}
+
+/// The one training recipe of a dataset profile. Every table reads the
+/// models it trains; a parameter study changes only its own knob of it.
+#[derive(Debug, Clone)]
+pub struct Recipe {
+    /// TrajCL configuration; the baselines' widths follow it.
+    pub cfg: TrajClConfig,
+    /// Dataset, split and training seed.
+    pub seed: u64,
+    /// Training-set size in tenths of `--train` (10 = all of it).
+    pub train_tenths: usize,
+}
+
+impl Recipe {
+    /// Table III's recipe (dim 32, 3 epochs, seed 3) for every profile.
+    /// Germany trains on 3/10 of the set, as the paper's Germany set is
+    /// the small one (30k against 200k trajectories, Table VII).
+    pub fn for_profile(profile: DatasetProfile) -> Recipe {
+        let mut cfg = TrajClConfig::scaled_default();
+        cfg.dim = 32;
+        cfg.max_epochs = 3;
+        let train_tenths = if profile == DatasetProfile::Germany {
+            3
+        } else {
+            10
+        };
+        Recipe {
+            cfg,
+            seed: 3,
+            train_tenths,
         }
-        scale
+    }
+
+    /// `base` with this recipe's training-set size (a reduced one never
+    /// below 20 trajectories).
+    pub fn scale(&self, base: &Scale) -> Scale {
+        let mut scale = base.clone();
+        if self.train_tenths < 10 {
+            scale.train_size = (scale.train_size * self.train_tenths / 10).max(20);
+        }
+        scale.fit_pool()
+    }
+
+    /// Whether a TrajCL training with these settings is this recipe's.
+    fn is(&self, cfg: &TrajClConfig, variant: EncoderVariant) -> bool {
+        // `TrajClConfig` has no `PartialEq`; its Debug text lists every
+        // field, floats in their round-trip form.
+        variant == EncoderVariant::Dual && format!("{cfg:?}") == format!("{:?}", self.cfg)
+    }
+}
+
+/// What a [`Zoo`] built: the expensive steps a run pays for.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct BuildCounts {
+    /// Dataset environments (data, splits, node2vec featurizer).
+    pub envs: usize,
+    /// [`train_all`] runs (TrajCL plus every self-supervised baseline).
+    pub zoos: usize,
+    /// TrajCL trainings outside [`train_all`] (parameter-study points).
+    pub trajcl: usize,
+}
+
+/// Everything one `exp` run shares, built lazily and once: an
+/// [`ExperimentEnv`] per (profile, dim) and a [`TrainedModels`] per
+/// (profile, recipe).
+pub struct Zoo {
+    /// The run's scale (before each recipe's adjustment).
+    pub scale: Scale,
+    /// `--profiles all` (see [`Args::all_profiles`]).
+    pub all_profiles: bool,
+    /// What this zoo has built so far.
+    pub counts: BuildCounts,
+    recipe: fn(DatasetProfile) -> Recipe,
+    envs: HashMap<(DatasetProfile, usize), Rc<ExperimentEnv>>,
+    models: HashMap<DatasetProfile, Rc<TrainedModels>>,
+}
+
+impl Zoo {
+    /// An empty zoo over [`Recipe::for_profile`].
+    pub fn new(scale: Scale, all_profiles: bool) -> Self {
+        Self::with_recipes(scale, all_profiles, Recipe::for_profile)
+    }
+
+    /// An empty zoo over other recipes (small ones for tests).
+    fn with_recipes(
+        scale: Scale,
+        all_profiles: bool,
+        recipe: fn(DatasetProfile) -> Recipe,
+    ) -> Self {
+        Zoo {
+            scale,
+            all_profiles,
+            counts: BuildCounts::default(),
+            recipe,
+            envs: HashMap::new(),
+            models: HashMap::new(),
+        }
+    }
+
+    /// The recipe of `profile`.
+    pub fn recipe(&self, profile: DatasetProfile) -> Recipe {
+        (self.recipe)(profile)
+    }
+
+    /// The environment of `profile` at embedding width `dim`, at the
+    /// recipe's scale and seed.
+    pub fn env(&mut self, profile: DatasetProfile, dim: usize) -> Rc<ExperimentEnv> {
+        if let Some(env) = self.envs.get(&(profile, dim)) {
+            return Rc::clone(env);
+        }
+        let recipe = self.recipe(profile);
+        eprintln!(
+            "[{}] building dataset and featurizer (d={dim})...",
+            profile.name()
+        );
+        let env = Rc::new(ExperimentEnv::new(
+            profile,
+            &recipe.scale(&self.scale),
+            dim,
+            recipe.cfg.max_len,
+            recipe.seed,
+        ));
+        self.counts.envs += 1;
+        self.envs.insert((profile, dim), Rc::clone(&env));
+        env
+    }
+
+    /// The recipe's environment and trained models of `profile`.
+    pub fn trained(&mut self, profile: DatasetProfile) -> (Rc<ExperimentEnv>, Rc<TrainedModels>) {
+        let recipe = self.recipe(profile);
+        let env = self.env(profile, recipe.cfg.dim);
+        if let Some(models) = self.models.get(&profile) {
+            return (env, Rc::clone(models));
+        }
+        eprintln!(
+            "[{}] training models (train={})...",
+            profile.name(),
+            env.splits.train.len()
+        );
+        let models = Rc::new(train_all(&env, &recipe.cfg, recipe.seed));
+        self.counts.zoos += 1;
+        self.models.insert(profile, Rc::clone(&models));
+        (env, models)
+    }
+
+    /// TrajCL trained with `cfg` and `variant` on the first `n_train`
+    /// trajectories of the shared train split (all of it when larger),
+    /// with the training seeds of the recipe, and its training seconds.
+    /// The recipe's own point is the zoo's model, not a second training.
+    pub fn trajcl(
+        &mut self,
+        profile: DatasetProfile,
+        cfg: &TrajClConfig,
+        variant: EncoderVariant,
+        n_train: usize,
+    ) -> (Rc<MocoState>, f64) {
+        let recipe = self.recipe(profile);
+        let env = self.env(profile, cfg.dim);
+        let train_set = &env.splits.train[..n_train.min(env.splits.train.len())];
+        if recipe.is(cfg, variant) && train_set.len() == env.splits.train.len() {
+            let (_, models) = self.trained(profile);
+            return (Rc::clone(&models.trajcl), models.train_seconds["TrajCL"]);
+        }
+        self.counts.trajcl += 1;
+        let mut rng = StdRng::seed_from_u64(recipe.seed);
+        let (moco, secs) = train_trajcl_only(&env.featurizer, train_set, cfg, variant, &mut rng);
+        (Rc::new(moco), secs)
     }
 }
 
@@ -130,7 +338,7 @@ impl ExperimentEnv {
 /// All trained learned models for one environment.
 pub struct TrainedModels {
     /// TrajCL (MoCo state holding the online model).
-    pub trajcl: MocoState,
+    pub trajcl: Rc<MocoState>,
     /// t2vec baseline.
     pub t2vec: T2Vec,
     /// TrjSR baseline.
@@ -158,18 +366,14 @@ pub fn heuristic_set(profile: DatasetProfile) -> [HeuristicMeasure; 4] {
 pub fn train_all(env: &ExperimentEnv, cfg: &TrajClConfig, seed: u64) -> TrainedModels {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut secs = BTreeMap::new();
-    let schedule = StepDecay::trajcl_default();
-
-    let t0 = Instant::now();
-    let mut trajcl = MocoState::new(cfg, EncoderVariant::Dual, &mut rng);
-    train(
-        &mut trajcl,
+    let (trajcl, trajcl_secs) = train_trajcl_only(
         &env.featurizer,
         &env.splits.train,
-        &schedule,
+        cfg,
+        EncoderVariant::Dual,
         &mut rng,
     );
-    secs.insert("TrajCL", t0.elapsed().as_secs_f64());
+    secs.insert("TrajCL", trajcl_secs);
 
     let t2v_cfg = T2VecConfig {
         dim: cfg.dim,
@@ -229,7 +433,7 @@ pub fn train_all(env: &ExperimentEnv, cfg: &TrajClConfig, seed: u64) -> TrainedM
     };
 
     TrainedModels {
-        trajcl,
+        trajcl: Rc::new(trajcl),
         t2vec,
         trjsr,
         e2dtc,
@@ -245,13 +449,21 @@ pub fn cstrm_table_feasible(tf: &TokenFeaturizer, dim: usize) -> bool {
 }
 
 impl TrainedModels {
-    /// Embeds `trajs` with the named learned method.
+    /// Embeds `trajs` with the named learned method. TrajCL reads
+    /// `featurizer` (the env's, or another one for a transfer) through the
+    /// tape-free serving path; the baselines read `rng`.
     ///
     /// # Panics
     /// Panics on an unknown name or if CSTRM was infeasible.
-    pub fn embed(&self, name: &str, trajs: &[Trajectory], rng: &mut StdRng) -> Tensor {
+    pub fn embed(
+        &self,
+        name: &str,
+        featurizer: &Featurizer,
+        trajs: &[Trajectory],
+        rng: &mut StdRng,
+    ) -> Tensor {
         match name {
-            "TrajCL" => panic!("use embed_trajcl with the env's featurizer"),
+            "TrajCL" => self.trajcl.online.embed(featurizer, trajs),
             "t2vec" => self.t2vec.embed(trajs, rng),
             "TrjSR" => self.trjsr.embed(trajs, rng),
             "E2DTC" => self.e2dtc.embed(trajs, rng),
@@ -264,12 +476,6 @@ impl TrainedModels {
         }
     }
 
-    /// Embeds with TrajCL using an explicit featurizer (the env's),
-    /// through the tape-free serving path (no RNG involved).
-    pub fn embed_trajcl(&self, featurizer: &Featurizer, trajs: &[Trajectory]) -> Tensor {
-        self.trajcl.online.embed(featurizer, trajs)
-    }
-
     /// Mean rank of a learned method on a protocol.
     pub fn mean_rank_learned(
         &self,
@@ -278,23 +484,30 @@ impl TrainedModels {
         protocol: &QueryProtocol,
         rng: &mut StdRng,
     ) -> f64 {
-        let (q, d) = if name == "TrajCL" {
-            (
-                self.embed_trajcl(featurizer, &protocol.queries),
-                self.embed_trajcl(featurizer, &protocol.database),
-            )
-        } else {
-            (
-                self.embed(name, &protocol.queries, rng),
-                self.embed(name, &protocol.database, rng),
-            )
-        };
-        let dists = l1_distances(&q, &d);
-        mean_rank(&dists, protocol.database.len(), &protocol.ground_truth)
+        let full = protocol.database.len();
+        self.learned_rank_sweep(name, featurizer, protocol, &[full], rng)[0]
     }
-}
 
-impl TrainedModels {
+    /// Mean ranks of a learned method for several database sizes, embedding
+    /// the full protocol once.
+    pub fn learned_rank_sweep(
+        &self,
+        name: &str,
+        featurizer: &Featurizer,
+        protocol: &QueryProtocol,
+        sizes: &[usize],
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let q = self.embed(name, featurizer, &protocol.queries, rng);
+        let d = self.embed(name, featurizer, &protocol.database, rng);
+        let full = protocol.database.len();
+        let dists = l1_distances(&q, &d);
+        sizes
+            .iter()
+            .map(|&s| mean_rank_prefix(&dists, full, s.min(full), &protocol.ground_truth))
+            .collect()
+    }
+
     /// Packages the trained TrajCL model as an [`Engine`] over `database`
     /// (embedded at build; `nprobe` is the probe an index over its table
     /// uses) — the harness entry point for engine-routed experiments (kNN
@@ -313,40 +526,27 @@ impl TrainedModels {
     }
 }
 
-impl ExperimentEnv {
-    /// An exact-measure engine over `database` (the heuristic comparison
-    /// arm of the kNN experiments).
-    pub fn heuristic_engine(
-        &self,
-        measure: HeuristicMeasure,
-        database: Vec<Trajectory>,
-    ) -> Result<Engine, EngineError> {
-        Engine::builder()
-            .heuristic(measure)
-            .database(database)
-            .build()
-    }
-}
-
-/// Trains only TrajCL (used by the parameter studies, Figs. 5/7–12).
+/// Trains only TrajCL on `train_set`, drawing from the caller's `rng`
+/// (so [`train_all`] keeps one stream), and its training seconds.
 pub fn train_trajcl_only(
-    env: &ExperimentEnv,
+    featurizer: &Featurizer,
+    train_set: &[Trajectory],
     cfg: &TrajClConfig,
     variant: EncoderVariant,
-    seed: u64,
+    rng: &mut StdRng,
 ) -> (MocoState, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
     let schedule = StepDecay::trajcl_default();
     let t0 = Instant::now();
-    let mut moco = MocoState::new(cfg, variant, &mut rng);
-    train(
-        &mut moco,
-        &env.featurizer,
-        &env.splits.train,
-        &schedule,
-        &mut rng,
-    );
+    let mut moco = MocoState::new(cfg, variant, rng);
+    train(&mut moco, featurizer, train_set, &schedule, rng);
     (moco, t0.elapsed().as_secs_f64())
+}
+
+/// Mean rank of a TrajCL model on a protocol.
+pub fn trajcl_mean_rank(moco: &MocoState, featurizer: &Featurizer, p: &QueryProtocol) -> f64 {
+    let q = moco.online.embed(featurizer, &p.queries);
+    let d = moco.online.embed(featurizer, &p.database);
+    mean_rank(&l1_distances(&q, &d), p.database.len(), &p.ground_truth)
 }
 
 /// Mean rank of a TrajCL model under the three standard settings of the
@@ -362,18 +562,35 @@ pub fn eval_three_settings(
     let mut drng = StdRng::seed_from_u64(seed);
     let down = base.degrade(|t| downsample(t, 0.2, &mut drng));
     let dist = base.degrade(|t| distort(t, 0.2, 100.0, 0.5, &mut drng));
-    let rank = |p: &QueryProtocol| -> f64 {
-        let q = moco.online.embed(featurizer, &p.queries);
-        let d = moco.online.embed(featurizer, &p.database);
-        mean_rank(&l1_distances(&q, &d), p.database.len(), &p.ground_truth)
-    };
-    [rank(base), rank(&down), rank(&dist)]
+    [base, &down, &dist].map(|p| trajcl_mean_rank(moco, featurizer, p))
+}
+
+/// The downstream fine-tuning recipe (§V-F): every pair-regression row of
+/// Table X and Fig. 7's fine-tuned ablation train with it.
+pub const FINETUNE: PairRegression = PairRegression {
+    pairs_per_epoch: 128,
+    batch_pairs: 16,
+    epochs: 2,
+    lr: 2e-3,
+};
+
+/// HR@5, HR@20 and R5@20 of predicted against true `queries × db`
+/// distance matrices, averaged over the queries.
+pub fn hit_ratios(true_d: &[f64], pred_d: &[f64], db: usize, queries: usize) -> [f64; 3] {
+    let mut out = [0.0f64; 3];
+    for q in 0..queries {
+        let t = &true_d[q * db..(q + 1) * db];
+        let p = &pred_d[q * db..(q + 1) * db];
+        out[0] += hit_ratio(t, p, 5);
+        out[1] += hit_ratio(t, p, 20.min(db));
+        out[2] += recall_k_at_m(t, p, 5, 20.min(db));
+    }
+    out.map(|v| v / queries as f64)
 }
 
 /// Mean rank of a heuristic measure on a protocol.
 pub fn mean_rank_heuristic(measure: HeuristicMeasure, protocol: &QueryProtocol) -> f64 {
-    let dists = pairwise_distances(&protocol.queries, &protocol.database, measure);
-    mean_rank(&dists, protocol.database.len(), &protocol.ground_truth)
+    heuristic_rank_sweep(measure, protocol, &[protocol.database.len()])[0]
 }
 
 /// Mean rank from a precomputed full distance matrix restricted to the
@@ -409,37 +626,6 @@ pub fn heuristic_rank_sweep(
         .collect()
 }
 
-impl TrainedModels {
-    /// Mean ranks of a learned method for several database sizes, embedding
-    /// the full protocol once.
-    pub fn learned_rank_sweep(
-        &self,
-        name: &str,
-        featurizer: &Featurizer,
-        protocol: &QueryProtocol,
-        sizes: &[usize],
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        let (q, d) = if name == "TrajCL" {
-            (
-                self.embed_trajcl(featurizer, &protocol.queries),
-                self.embed_trajcl(featurizer, &protocol.database),
-            )
-        } else {
-            (
-                self.embed(name, &protocol.queries, rng),
-                self.embed(name, &protocol.database, rng),
-            )
-        };
-        let full = protocol.database.len();
-        let dists = l1_distances(&q, &d);
-        sizes
-            .iter()
-            .map(|&s| mean_rank_prefix(&dists, full, s.min(full), &protocol.ground_truth))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +637,124 @@ mod tests {
             db_size: 60,
             n_queries: 10,
         }
+    }
+
+    fn args(line: &str) -> Result<Args, String> {
+        let words: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse(&words)
+    }
+
+    #[test]
+    fn args_read_every_scale_flag() {
+        let a = args("table3 --train 60 --db 40 --queries 8 --pool 2000").unwrap();
+        assert_eq!(a.command, "table3");
+        assert!(!a.all_profiles);
+        let want = Scale {
+            dataset_size: 2000,
+            train_size: 60,
+            db_size: 40,
+            n_queries: 8,
+        };
+        assert_eq!(a.scale, want);
+        // A pool too small for the split grows to fit it.
+        let a = args("all --train 300 --db 600 --pool 10").unwrap();
+        assert_eq!(a.scale.dataset_size, 300 + 30 + 750 + 8);
+        assert_eq!(args("fig10").unwrap().scale, Scale::default());
+    }
+
+    #[test]
+    fn args_reject_unknown_options_and_bad_values() {
+        for (line, want) in [
+            ("table3 --trian 60", "unknown option --trian"),
+            ("all --check", "unknown option --check"),
+            ("table3 --db abc", "--db needs a count, not \"abc\""),
+            ("table3 --queries -1", "--queries needs a count"),
+            ("table3 --train", "--train needs a value"),
+            ("--train 60", "missing artifact name"),
+            ("", "missing artifact name"),
+        ] {
+            let err = args(line).expect_err(line);
+            assert!(err.contains(want), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn profiles_all_is_the_one_spelling() {
+        assert!(args("table3 --profiles all").unwrap().all_profiles);
+        assert!(args("all --profiles all --train 60").unwrap().all_profiles);
+        // The artifact `all` is not the profile set.
+        assert!(!args("all").unwrap().all_profiles);
+        for line in ["table3 all", "table3 --profiles porto", "table3 --profiles"] {
+            assert!(args(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn germany_recipe_trains_on_three_tenths() {
+        let base = args("table7 --train 300").unwrap().scale;
+        let porto = Recipe::for_profile(DatasetProfile::porto()).scale(&base);
+        assert_eq!(porto, base);
+        let germany = Recipe::for_profile(DatasetProfile::germany()).scale(&base);
+        assert_eq!(germany.train_size, 90);
+        // A tiny run keeps 20 training trajectories and a pool that holds them.
+        let tiny = args("table7 --train 8 --db 1 --queries 1 --pool 1")
+            .unwrap()
+            .scale;
+        let germany = Recipe::for_profile(DatasetProfile::germany()).scale(&tiny);
+        assert_eq!(germany.train_size, 20);
+        assert!(germany.dataset_size >= 20 + 2 + 8);
+    }
+
+    fn tiny_recipe(_: DatasetProfile) -> Recipe {
+        let mut cfg = TrajClConfig::test_default();
+        cfg.max_epochs = 1;
+        Recipe {
+            cfg,
+            seed: 5,
+            train_tenths: 10,
+        }
+    }
+
+    #[test]
+    fn one_training_per_profile_and_recipe() {
+        let mut zoo = Zoo::with_recipes(tiny_scale(), false, tiny_recipe);
+        let porto = DatasetProfile::porto();
+        let cfg = zoo.recipe(porto).cfg;
+        // Two reports ask for the zoo, a third for the recipe's point.
+        let (env, first) = zoo.trained(porto);
+        let (_, second) = zoo.trained(porto);
+        assert!(Rc::ptr_eq(&first, &second));
+        let (moco, secs) = zoo.trajcl(porto, &cfg, EncoderVariant::Dual, usize::MAX);
+        assert!(Rc::ptr_eq(&moco, &first.trajcl));
+        assert_eq!(secs, first.train_seconds["TrajCL"]);
+        let one = BuildCounts {
+            envs: 1,
+            zoos: 1,
+            trajcl: 0,
+        };
+        assert_eq!(zoo.counts, one);
+
+        // Any other point trains, on the shared env and the recipe's seed,
+        // so the same point trained alone gives the zoo's bits.
+        let half = env.splits.train.len() / 2;
+        let (small, _) = zoo.trajcl(porto, &cfg, EncoderVariant::Dual, half);
+        assert!(!Rc::ptr_eq(&small, &first.trajcl));
+        assert_eq!(zoo.counts.trajcl, 1);
+        assert_eq!(zoo.counts.envs, 1);
+        let mut rng = StdRng::seed_from_u64(5);
+        let (alone, _) = train_trajcl_only(
+            &env.featurizer,
+            &env.splits.train,
+            &cfg,
+            EncoderVariant::Dual,
+            &mut rng,
+        );
+        let some = &env.splits.test[..6];
+        let bits = |m: &MocoState| -> Vec<u32> {
+            let e = m.online.embed(&env.featurizer, some);
+            e.data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&alone), bits(&first.trajcl));
     }
 
     #[test]
@@ -476,22 +780,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_entry_points_serve_knn() {
+    fn trajcl_engine_serves_knn() {
         let scale = tiny_scale();
         let env = ExperimentEnv::new(DatasetProfile::porto(), &scale, 16, 64, 10);
         let db: Vec<Trajectory> = env.splits.test[..40].to_vec();
-
-        let heuristic = env
-            .heuristic_engine(HeuristicMeasure::Hausdorff, db.clone())
-            .expect("heuristic engine");
-        let hits = heuristic.knn(&db[5], 3).expect("knn");
-        assert_eq!(hits[0].0, 5, "exact measure ranks the query itself first");
 
         // A fresh (untrained) TrajCL state is enough to validate routing.
         let mut rng = StdRng::seed_from_u64(11);
         let cfg = TrajClConfig::test_default();
         let models = TrainedModels {
-            trajcl: MocoState::new(&cfg, EncoderVariant::Dual, &mut rng),
+            trajcl: Rc::new(MocoState::new(&cfg, EncoderVariant::Dual, &mut rng)),
             t2vec: T2Vec::new(env.token_featurizer.clone(), 16, &mut rng),
             trjsr: TrjSr::new(env.dataset.region, &TrjSrConfig::default(), &mut rng),
             e2dtc: E2dtc::new(env.token_featurizer.clone(), 16, 4, &mut rng),

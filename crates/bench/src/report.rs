@@ -1,8 +1,7 @@
-//! Table formatting and result persistence for the experiment binaries.
+//! Table formatting and result persistence for the experiment reports.
 //!
-//! Every `exp_*` binary prints a paper-shaped table via [`Table`] and can
-//! dump the raw numbers as JSON next to the binary's output for
-//! EXPERIMENTS.md bookkeeping.
+//! Every `exp` report prints a paper-shaped table via [`Table`] and
+//! writes the raw numbers as JSON to `results/<name>.json`.
 
 use std::fmt::Write as _;
 
@@ -102,18 +101,15 @@ impl Table {
         out
     }
 
-    /// Writes the JSON dump to `results/<name>.json` under the workspace
-    /// root (best effort; failures are reported but not fatal).
-    pub fn save_json(&self, name: &str) {
+    /// Writes the JSON dump to `results/<name>.json` under the working
+    /// directory.
+    pub fn save_json(&self, name: &str) -> std::io::Result<()> {
         let dir = std::path::Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create results dir: {e}");
-            return;
-        }
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.json"));
-        if let Err(e) = std::fs::write(&path, self.to_json()) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
+        std::fs::write(&path, self.to_json()).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+        })
     }
 }
 

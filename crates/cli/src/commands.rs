@@ -236,9 +236,11 @@ fn embed(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> 
     let path = req(args, "out")?;
     let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
     for r in 0..emb.shape().rows() {
-        let row: Vec<String> = emb.row(r).iter().map(|v| format!("{v:.6}")).collect();
+        // `{v}` is the shortest text that parses back to the same f32.
+        let row: Vec<String> = emb.row(r).iter().map(|v| format!("{v}")).collect();
         writeln!(file, "{}", row.join(","))?;
     }
+    file.flush()?;
     writeln!(
         out,
         "wrote {} x {} embeddings to {path}",
@@ -807,7 +809,19 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         let lines = std::fs::read_to_string(&emb).unwrap();
         assert_eq!(lines.lines().count(), 40);
-        assert_eq!(lines.lines().next().unwrap().split(',').count(), 16);
+        // Every CSV value parses back to the bits the engine embeds.
+        let want = load_engine(model.to_str().unwrap())
+            .unwrap()
+            .embed_all(&load_trajectory_file(&data).unwrap())
+            .unwrap();
+        for (r, line) in lines.lines().enumerate() {
+            let got: Vec<u32> = line
+                .split(',')
+                .map(|v| v.parse::<f32>().unwrap().to_bits())
+                .collect();
+            let bits: Vec<u32> = want.row(r).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, bits, "row {r}");
+        }
         let (code, out) = run_cmd(&format!(
             "query --model {} --db {} --query 0 --k 3",
             model.display(),
