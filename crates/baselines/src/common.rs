@@ -1,10 +1,10 @@
-//! Shared infrastructure for the baseline models: token featurisation and
-//! the `TrajectoryEncoder` abstraction every baseline implements.
+//! Shared infrastructure for the baseline models: token featurisation, the
+//! `TrajectoryEncoder` abstraction every baseline implements, and the epoch
+//! loop of the self-supervised ones.
 
-use rand::Rng;
 use trajcl_geo::{validate_batch, Bbox, FeaturizeError, Grid, Trajectory};
-use trajcl_nn::Fwd;
-use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
+use trajcl_nn::{Fwd, ParamStore};
+use trajcl_tensor::{Exec, InferCtx, Shape, Tensor};
 
 /// Featurises trajectories into grid-cell token sequences plus normalised
 /// coordinates — the input representation shared by t2vec, CSTRM, T3S and
@@ -94,39 +94,52 @@ pub trait TrajectoryEncoder {
     fn dim(&self) -> usize;
 
     /// Parameter store (for optimizers / persistence).
-    fn store(&self) -> &trajcl_nn::ParamStore;
+    fn store(&self) -> &ParamStore;
 
     /// Mutable parameter store.
-    fn store_mut(&mut self) -> &mut trajcl_nn::ParamStore;
+    fn store_mut(&mut self) -> &mut ParamStore;
 
-    /// Encodes a batch on an existing tape, returning `(B, dim)`.
+    /// Encodes a batch on either executor, returning `(B, dim)`: a
+    /// [`trajcl_tensor::TapeExec`] to train, an [`InferCtx`] to embed.
     ///
     /// The `Fwd` context must be bound to this model's store.
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var;
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act;
 
     /// Inference batch size.
     fn batch_size(&self) -> usize {
         32
     }
 
-    /// Embeds trajectories in eval mode, `(N, dim)`.
-    fn embed(&self, trajs: &[Trajectory], rng: &mut impl Rng) -> Tensor
-    where
-        Self: Sized,
-    {
-        let d = self.dim();
+    /// Embeds trajectories in eval mode, `(N, dim)`: [`TrajectoryEncoder::encode`]
+    /// on one [`InferCtx`], `batch_size()` trajectories at a time.
+    fn embed(&self, trajs: &[Trajectory]) -> Tensor {
+        let (d, per) = (self.dim(), self.batch_size().max(1));
         let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-        let mut row = 0usize;
-        for chunk in trajs.chunks(self.batch_size().max(1)) {
-            let mut exec = TapeExec::new(rng, false);
-            let mut f = Fwd::new(&mut exec, self.store());
-            let h = self.encode_on_tape(&mut f, chunk);
-            out.data_mut()[row * d..(row + chunk.len()) * d]
-                .copy_from_slice(exec.tape.value(h).data());
-            row += chunk.len();
+        let mut ctx = InferCtx::new();
+        for (rows, chunk) in out.data_mut().chunks_mut(per * d).zip(trajs.chunks(per)) {
+            let h = self.encode(&mut Fwd::new(&mut ctx, self.store()), chunk);
+            rows.copy_from_slice(h.data());
+            ctx.release(h);
         }
         out
     }
+}
+
+/// One training epoch of a self-supervised baseline: the mean of
+/// `step(chunk)` over `pool.chunks(batch)`, in order, skipping chunks
+/// shorter than `min_chunk`.
+pub(crate) fn epoch_mean(
+    pool: &[Trajectory],
+    batch: usize,
+    min_chunk: usize,
+    mut step: impl FnMut(&[Trajectory]) -> f32,
+) -> f32 {
+    let (mut total, mut n) = (0.0, 0);
+    for chunk in pool.chunks(batch).filter(|c| c.len() >= min_chunk) {
+        total += step(chunk);
+        n += 1;
+    }
+    total / n.max(1) as f32
 }
 
 #[cfg(test)]

@@ -8,13 +8,13 @@
 //! is replaced here by InfoNCE over in-batch negatives, the closest
 //! standard objective (DESIGN.md §4).
 
-use crate::common::{TokenFeaturizer, TrajectoryEncoder};
+use crate::common::{epoch_mean, TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_data::{AugmentParams, Augmentation};
 use trajcl_geo::Trajectory;
 use trajcl_nn::attention::sinusoidal_pe;
 use trajcl_nn::{Adam, Embedding, Fwd, ParamStore, TransformerEncoderLayer};
-use trajcl_tensor::{Exec, TapeExec, Var};
+use trajcl_tensor::{Exec, TapeExec};
 
 /// CSTRM model.
 pub struct Cstrm {
@@ -92,19 +92,6 @@ impl Cstrm {
         self.store.num_scalars()
     }
 
-    fn encode_batch(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
-        let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
-        let emb = self
-            .cell_emb
-            .forward_seq(f, &batch.cells, batch.lens.len(), batch.seq_len);
-        let pe = sinusoidal_pe(batch.seq_len, self.dim);
-        let mut x = f.exec.add_positional(emb, &pe);
-        for layer in &self.layers {
-            (x, _) = layer.forward(f, &x, &batch.lens, false);
-        }
-        f.exec.tape.mean_pool_masked(x, &batch.lens)
-    }
-
     /// One contrastive step over two views (shift + mask, CSTRM's
     /// augmentations) with in-batch negatives.
     pub fn train_step(
@@ -127,9 +114,9 @@ impl Cstrm {
         let loss_val;
         {
             let mut f = Fwd::new(&mut exec, &self.store);
-            let z1 = self.encode_batch(&mut f, &v1);
+            let z1 = self.encode(&mut f, &v1);
             let z1 = f.exec.tape.l2_normalize_rows(z1);
-            let z2 = self.encode_batch(&mut f, &v2);
+            let z2 = self.encode(&mut f, &v2);
             let z2 = f.exec.tape.l2_normalize_rows(z2);
             // In-batch InfoNCE: logits[i][j] = z1_i · z2_j, target = diagonal.
             let logits = f.exec.tape.matmul(z1, z2, false, true);
@@ -153,20 +140,13 @@ impl Cstrm {
         rng: &mut impl Rng,
     ) -> Vec<f32> {
         let mut opt = Adam::new(cfg.lr);
-        let mut losses = Vec::new();
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0;
-            let mut n = 0;
-            for chunk in pool.chunks(cfg.batch_size) {
-                if chunk.len() < 2 {
-                    continue;
-                }
-                total += self.train_step(chunk, &mut opt, cfg, rng);
-                n += 1;
-            }
-            losses.push(total / n.max(1) as f32);
-        }
-        losses
+        (0..cfg.epochs)
+            .map(|_| {
+                epoch_mean(pool, cfg.batch_size, 2, |chunk| {
+                    self.train_step(chunk, &mut opt, cfg, rng)
+                })
+            })
+            .collect()
     }
 }
 
@@ -187,8 +167,18 @@ impl TrajectoryEncoder for Cstrm {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
-        self.encode_batch(f, trajs)
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
+        let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
+        let emb = self.cell_emb.forward(f, &batch.cells, batch.lens.len());
+        let pe = sinusoidal_pe(batch.seq_len, self.dim);
+        let mut x = f.exec.add_positional(emb, &pe);
+        for layer in &self.layers {
+            let (y, _) = layer.forward(f, &x, &batch.lens, false);
+            f.exec.release(std::mem::replace(&mut x, y));
+        }
+        let pooled = f.exec.mean_pool_masked(&x, &batch.lens);
+        f.exec.release(x);
+        pooled
     }
 }
 
@@ -238,8 +228,8 @@ mod tests {
 
     #[test]
     fn embedding_shape_and_vocab_scaling() {
-        let (model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..3], &mut rng);
+        let (model, pool, _) = setup();
+        let e = model.embed(&pool[..3]);
         assert_eq!(e.shape(), Shape::d2(3, 16));
         // The trainable cell table dominates parameters for big grids —
         // the Germany-OOM mechanism.

@@ -10,12 +10,12 @@
 //! closely while being slightly worse for pure similarity search (its
 //! objective optimises cluster structure, not ranking).
 
-use crate::common::{TokenFeaturizer, TrajectoryEncoder};
+use crate::common::{epoch_mean, TokenFeaturizer, TrajectoryEncoder};
 use crate::t2vec::{T2Vec, T2VecConfig};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{Adam, Fwd, ParamStore};
-use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
+use trajcl_tensor::{Exec, Shape, TapeExec, Tensor};
 
 /// E2DTC: t2vec backbone + clustering self-training.
 pub struct E2dtc {
@@ -74,31 +74,25 @@ impl E2dtc {
     ) -> Vec<f32> {
         let mut losses = self.backbone.train(pool, &cfg.backbone, rng);
         for _ in 0..cfg.cluster_epochs {
-            self.update_centroids(pool, rng);
+            self.update_centroids(pool);
             let mut opt = Adam::new(cfg.backbone.lr * 0.5);
-            let mut total = 0.0;
-            let mut n = 0;
-            for chunk in pool.chunks(cfg.backbone.batch_size) {
-                if chunk.is_empty() {
-                    continue;
-                }
+            losses.push(epoch_mean(pool, cfg.backbone.batch_size, 1, |chunk| {
                 // Reconstruction step keeps the embedding space anchored...
-                total += self
+                let recon = self
                     .backbone
                     .train_step(chunk, &mut opt, &cfg.backbone, rng);
                 // ...then the compactness step sharpens cluster structure.
-                total += cfg.cluster_weight
-                    * self.compactness_step(chunk, &mut opt, cfg.cluster_weight, rng);
-                n += 1;
-            }
-            losses.push(total / n.max(1) as f32);
+                recon
+                    + cfg.cluster_weight
+                        * self.compactness_step(chunk, &mut opt, cfg.cluster_weight, rng)
+            }));
         }
         losses
     }
 
     /// K-means (Lloyd) re-estimation of centroids from current embeddings.
-    fn update_centroids(&mut self, pool: &[Trajectory], rng: &mut impl Rng) {
-        let emb = self.backbone.embed(pool, rng);
+    fn update_centroids(&mut self, pool: &[Trajectory]) {
+        let emb = self.backbone.embed(pool);
         let d = self.dim();
         let n = emb.shape().rows();
         let k = self.k.min(n);
@@ -141,7 +135,7 @@ impl E2dtc {
     ) -> f32 {
         let d = self.dim();
         // Assignments from the current (constant) embeddings.
-        let emb = self.backbone.embed(trajs, rng);
+        let emb = self.backbone.embed(trajs);
         let centers: Vec<Vec<f32>> = (0..self.centroids.shape().rows())
             .map(|i| self.centroids.row(i).to_vec())
             .collect();
@@ -154,7 +148,7 @@ impl E2dtc {
         let loss_val;
         let pairs = {
             let mut f = Fwd::new(&mut exec, self.backbone.store());
-            let z = self.backbone.encode_on_tape(&mut f, trajs);
+            let z = self.backbone.encode(&mut f, trajs);
             let target = f.exec.tape.input(assigned);
             let diff = f.exec.tape.sub(z, target);
             let sq = f.exec.tape.mul(diff, diff);
@@ -201,8 +195,8 @@ impl TrajectoryEncoder for E2dtc {
         self.backbone.store_mut()
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
-        self.backbone.encode_on_tape(f, trajs)
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
+        self.backbone.encode(f, trajs)
     }
 }
 
@@ -244,7 +238,7 @@ mod tests {
         let losses = model.train(&pool, &cfg, &mut rng);
         assert_eq!(losses.len(), 2);
         assert!(losses.iter().all(|l| l.is_finite()));
-        let e = model.embed(&pool[..4], &mut rng);
+        let e = model.embed(&pool[..4]);
         assert_eq!(e.shape(), Shape::d2(4, 16));
         // Centroids were estimated.
         assert!(model.centroids().frobenius_norm() > 0.0);

@@ -17,7 +17,10 @@
 //! * [`trajgat`] — adjacency-biased attention over cell tokens \[21\].
 //!
 //! All models implement [`TrajectoryEncoder`], so the experiment harness
-//! ranks them with the same embedding-space L1 machinery as TrajCL.
+//! ranks them with the same embedding-space L1 machinery as TrajCL. Each
+//! encoder is written once over [`trajcl_tensor::Exec`]: it trains on the
+//! autograd tape and embeds ([`TrajectoryEncoder::embed`]) on the tape-free
+//! [`trajcl_tensor::InferCtx`], with the same bits.
 //! Simplifications relative to the originals are listed in DESIGN.md §4.
 
 pub mod common;

@@ -12,7 +12,7 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{run_lstm, Embedding, Fwd, Linear, LstmCell, ParamStore};
-use trajcl_tensor::{TapeExec, Var};
+use trajcl_tensor::Exec;
 
 /// NEUTRAJ model.
 pub struct Neutraj {
@@ -59,16 +59,18 @@ impl TrajectoryEncoder for Neutraj {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
-        let (b, l) = (batch.lens.len(), batch.seq_len);
-        let coords = f.exec.tape.input(batch.coords.clone());
+        let coords = f.exec.input(&batch.coords);
         let coord_emb = self.coord_proj.forward(f, &coords);
+        f.exec.release(coords);
         // Spatial memory read: one gathered vector per point, summed into
         // the coordinate projection.
-        let mem = self.memory.forward_seq(f, &batch.cells, b, l);
-        let enriched = f.exec.tape.add(coord_emb, mem);
-        let (_, state) = run_lstm(f, &self.lstm, enriched, &batch.lens);
+        let mem = self.memory.forward(f, &batch.cells, batch.lens.len());
+        let enriched = f.exec.add(coord_emb, &mem);
+        f.exec.release(mem);
+        let state = run_lstm(f, &self.lstm, &enriched, &batch.lens);
+        f.exec.release(enriched);
         state
     }
 }
@@ -100,8 +102,8 @@ mod tests {
 
     #[test]
     fn embeds_with_memory_contribution() {
-        let (model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..3], &mut rng);
+        let (model, pool, _) = setup();
+        let e = model.embed(&pool[..3]);
         assert_eq!(e.shape(), Shape::d2(3, 16));
         assert!(e.all_finite());
     }

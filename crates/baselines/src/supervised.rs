@@ -26,7 +26,7 @@ pub fn train_pair_regression<E: TrajectoryEncoder>(
         &mut store,
         pool,
         |a, b| measure.distance(a, b),
-        |f, batch| model.encode_on_tape(f, batch),
+        |f, batch| model.encode(f, batch),
         |_| true,
         cfg,
         rng,

@@ -8,12 +8,12 @@
 //! sampled-softmax cross-entropy (true cell + `k` random negative cells),
 //! which is also how the original handles its vocabulary.
 
-use crate::common::{TokenBatch, TokenFeaturizer, TrajectoryEncoder};
+use crate::common::{epoch_mean, TokenBatch, TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_data::{downsample, point_shift};
 use trajcl_geo::Trajectory;
 use trajcl_nn::{run_gru, Adam, Embedding, Fwd, GruCell, Linear, ParamStore};
-use trajcl_tensor::{Shape, TapeExec, Var};
+use trajcl_tensor::{Exec, Shape, TapeExec};
 
 /// t2vec model: token embedding + encoder/decoder GRUs.
 pub struct T2Vec {
@@ -81,9 +81,8 @@ impl T2Vec {
         &self.featurizer
     }
 
-    fn embed_tokens(&self, f: &mut Fwd<TapeExec>, batch: &TokenBatch) -> Var {
-        self.cell_emb
-            .forward_seq(f, &batch.cells, batch.lens.len(), batch.seq_len)
+    fn embed_tokens<E: Exec>(&self, f: &mut Fwd<E>, batch: &TokenBatch) -> E::Act {
+        self.cell_emb.forward(f, &batch.cells, batch.lens.len())
     }
 
     /// One denoising-autoencoder training step; returns the batch loss.
@@ -132,7 +131,7 @@ impl T2Vec {
         {
             let mut f = Fwd::new(&mut exec, &self.store);
             let src_emb = self.embed_tokens(&mut f, &src);
-            let (_, state) = run_gru(&mut f, &self.encoder, src_emb, &src.lens);
+            let state = run_gru(&mut f, &self.encoder, &src_emb, &src.lens);
 
             // Teacher-forced decoding of the clean sequence.
             let dst_emb = self.embed_tokens(&mut f, &dst);
@@ -143,7 +142,7 @@ impl T2Vec {
             // the learned encoder much.
             for (t, cand_ids) in negatives.iter().enumerate() {
                 let x_t = f.exec.tape.select_time(dst_emb, t);
-                h = self.decoder.step(&mut f, x_t, h);
+                h = self.decoder.forward(&mut f, &x_t, &h);
                 let logits_src = self.out_proj.forward(&mut f, &h); // (B, dim)
 
                 // Sampled softmax: score = h · E[cell] for candidates
@@ -191,20 +190,13 @@ impl T2Vec {
         rng: &mut impl Rng,
     ) -> Vec<f32> {
         let mut opt = Adam::new(cfg.lr);
-        let mut losses = Vec::new();
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0;
-            let mut n = 0;
-            for chunk in pool.chunks(cfg.batch_size) {
-                if chunk.is_empty() {
-                    continue;
-                }
-                total += self.train_step(chunk, &mut opt, cfg, rng);
-                n += 1;
-            }
-            losses.push(total / n.max(1) as f32);
-        }
-        losses
+        (0..cfg.epochs)
+            .map(|_| {
+                epoch_mean(pool, cfg.batch_size, 1, |chunk| {
+                    self.train_step(chunk, &mut opt, cfg, rng)
+                })
+            })
+            .collect()
     }
 }
 
@@ -225,10 +217,11 @@ impl TrajectoryEncoder for T2Vec {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let emb = self.embed_tokens(f, &batch);
-        let (_, state) = run_gru(f, &self.encoder, emb, &batch.lens);
+        let state = run_gru(f, &self.encoder, &emb, &batch.lens);
+        f.exec.release(emb);
         state
     }
 }
@@ -256,8 +249,8 @@ mod tests {
 
     #[test]
     fn embeds_with_correct_shape() {
-        let (model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..3], &mut rng);
+        let (model, pool, _) = setup();
+        let e = model.embed(&pool[..3]);
         assert_eq!(e.shape(), Shape::d2(3, 16));
         assert!(e.all_finite());
     }
@@ -282,7 +275,7 @@ mod tests {
 
     #[test]
     fn different_trajectories_get_different_embeddings() {
-        let (model, _, mut rng) = setup();
+        let (model, _, _) = setup();
         // Fixed rows several grid cells apart so the token sequences are
         // guaranteed to differ (random rows may share a cell row).
         let a: Trajectory = (0..14)
@@ -291,7 +284,7 @@ mod tests {
         let b: Trajectory = (0..14)
             .map(|i| Point::new(i as f64 * 140.0, 1500.0))
             .collect();
-        let e = model.embed(&[a, b], &mut rng);
+        let e = model.embed(&[a, b]);
         let d: f32 = (0..16).map(|k| (e.at2(0, k) - e.at2(1, k)).abs()).sum();
         assert!(d > 1e-4);
     }

@@ -10,7 +10,7 @@ use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::attention::sinusoidal_pe;
 use trajcl_nn::{run_lstm, Embedding, Fwd, Linear, LstmCell, ParamStore, TransformerEncoderLayer};
-use trajcl_tensor::{Exec, TapeExec, Tensor, Var};
+use trajcl_tensor::{Exec, Tensor};
 
 /// T3S model.
 pub struct T3s {
@@ -64,25 +64,32 @@ impl TrajectoryEncoder for T3s {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
-        let (b, l) = (batch.lens.len(), batch.seq_len);
         // Attention view over cell tokens.
-        let emb = self.cell_emb.forward_seq(f, &batch.cells, b, l);
-        let pe = sinusoidal_pe(l, self.dim);
+        let emb = self.cell_emb.forward(f, &batch.cells, batch.lens.len());
+        let pe = sinusoidal_pe(batch.seq_len, self.dim);
         let x = f.exec.add_positional(emb, &pe);
         let (attended, _) = self.attn.forward(f, &x, &batch.lens, false);
-        let attn_pooled = f.exec.tape.mean_pool_masked(attended, &batch.lens);
+        f.exec.release(x);
+        let attn_pooled = f.exec.mean_pool_masked(&attended, &batch.lens);
+        f.exec.release(attended);
         // LSTM view over raw coordinates.
-        let coords = f.exec.tape.input(batch.coords.clone());
+        let coords = f.exec.input(&batch.coords);
         let coord_emb = self.coord_proj.forward(f, &coords);
-        let (_, lstm_state) = run_lstm(f, &self.lstm, coord_emb, &batch.lens);
+        f.exec.release(coords);
+        let lstm_state = run_lstm(f, &self.lstm, &coord_emb, &batch.lens);
+        f.exec.release(coord_emb);
         // Blend: λ·attention + (1-λ)·LSTM.
-        let lam = f.exec.bind(f.p(self.lambda));
-        let a_part = f.exec.tape.mul_scalar_var(attn_pooled, lam);
-        let l_scaled = f.exec.tape.mul_scalar_var(lstm_state, lam);
-        let l_part = f.exec.tape.sub(lstm_state, l_scaled); // (1-λ)·state
-        f.exec.tape.add(a_part, l_part)
+        let lam = f.p(self.lambda);
+        let a_part = f.exec.mul_param(&attn_pooled, lam);
+        f.exec.release(attn_pooled);
+        let l_scaled = f.exec.mul_param(&lstm_state, lam);
+        let l_part = f.exec.sub(lstm_state, &l_scaled); // (1-λ)·state
+        f.exec.release(l_scaled);
+        let out = f.exec.add(a_part, &l_part);
+        f.exec.release(l_part);
+        out
     }
 }
 
@@ -113,8 +120,8 @@ mod tests {
 
     #[test]
     fn embeds_and_blends_views() {
-        let (model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..3], &mut rng);
+        let (model, pool, _) = setup();
+        let e = model.embed(&pool[..3]);
         assert_eq!(e.shape(), Shape::d2(3, 16));
         assert!(e.all_finite());
     }

@@ -11,7 +11,7 @@ use crate::common::{TokenFeaturizer, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_nn::{run_lstm, Fwd, Linear, LstmCell, ParamStore};
-use trajcl_tensor::{TapeExec, Var};
+use trajcl_tensor::Exec;
 
 /// Traj2SimVec model: coordinate LSTM encoder.
 pub struct Traj2SimVec {
@@ -55,11 +55,13 @@ impl TrajectoryEncoder for Traj2SimVec {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
-        let coords = f.exec.tape.input(batch.coords.clone());
+        let coords = f.exec.input(&batch.coords);
         let emb = self.coord_proj.forward(f, &coords);
-        let (_, state) = run_lstm(f, &self.lstm, emb, &batch.lens);
+        f.exec.release(coords);
+        let state = run_lstm(f, &self.lstm, &emb, &batch.lens);
+        f.exec.release(emb);
         state
     }
 }
@@ -91,8 +93,8 @@ mod tests {
 
     #[test]
     fn embeds_with_shape() {
-        let (model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..4], &mut rng);
+        let (model, pool, _) = setup();
+        let e = model.embed(&pool[..4]);
         assert_eq!(e.shape(), Shape::d2(4, 16));
     }
 

@@ -17,7 +17,7 @@ use trajcl_graph::{node2vec_cell_embeddings, SgnsConfig, WalkConfig};
 use trajcl_nn::attention::{project_heads, sinusoidal_pe};
 use trajcl_nn::{Embedding, Fwd, ParamStore, TransformerEncoderLayer};
 use trajcl_tensor::exec::{attention_mask_bias, MASK_NEG};
-use trajcl_tensor::{Exec, TapeExec, Tensor, Var};
+use trajcl_tensor::{Exec, Tensor};
 
 /// TrajGAT model.
 pub struct TrajGat {
@@ -125,49 +125,59 @@ impl TrajectoryEncoder for TrajGat {
         &mut self.store
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
         let batch = self.featurizer.featurize(trajs).expect("non-empty batch");
         let (b, l) = (batch.lens.len(), batch.seq_len);
-        let emb = self.cell_emb.forward_seq(f, &batch.cells, b, l);
+        let emb = self.cell_emb.forward(f, &batch.cells, b);
         let pe = sinusoidal_pe(l, self.dim);
         let mut x = f.exec.add_positional(emb, &pe);
         // Padding mask + learnable-scaled adjacency bonus.
         let raw_bias = self.graph_bias(&batch.cells, &batch.lens, l);
         let mask_only = raw_bias.map(|v| if v <= MASK_NEG / 2.0 { v } else { 0.0 });
         let adj_only = raw_bias.map(|v| if v > MASK_NEG / 2.0 { v } else { 0.0 });
-        let mask_var = f.exec.tape.input(mask_only);
-        let adj_var = f.exec.tape.input(adj_only);
-        let w = f.exec.bind(f.p(self.adj_weight));
-        let scaled_adj = f.exec.tape.mul_scalar_var(adj_var, w);
-        let bias = f.exec.tape.add(mask_var, scaled_adj);
+        let mask = f.exec.input(&mask_only);
+        let adj = f.exec.input(&adj_only);
+        let scaled_adj = f.exec.mul_param(&adj, f.p(self.adj_weight));
+        let bias = f.exec.add(mask, &scaled_adj);
         for layer in &self.layers {
-            x = biased_layer(f, layer, x, bias);
+            let y = biased_layer(f, layer, &x, &bias);
+            f.exec.release(std::mem::replace(&mut x, y));
         }
-        f.exec.tape.mean_pool_masked(x, &batch.lens)
+        let pooled = f.exec.mean_pool_masked(&x, &batch.lens);
+        for t in [x, adj, scaled_adj, bias] {
+            f.exec.release(t);
+        }
+        pooled
     }
 }
 
 /// One encoder layer whose attention scores carry the learned pre-softmax
-/// `bias` (padding mask + scaled adjacency). No other model feeds attention
-/// an arbitrary bias tensor, so it is composed here from tape primitives
-/// instead of widening the shared attention op for one tape-only caller.
-fn biased_layer(f: &mut Fwd<TapeExec>, layer: &TransformerEncoderLayer, x: Var, bias: Var) -> Var {
+/// `bias` (padding mask + scaled adjacency): `softmax(Q·Kᵀ/√dh + bias)·V`
+/// from general ops, so the fused attention kernels need no branch for an
+/// arbitrary bias that only this model feeds them.
+fn biased_layer<E: Exec>(
+    f: &mut Fwd<E>,
+    layer: &TransformerEncoderLayer,
+    x: &E::Act,
+    bias: &E::Act,
+) -> E::Act {
     let heads = layer.attn.heads;
     let [wq, wk, wv, wo] = layer.attn.params();
-    let q = project_heads(f, &x, wq, heads);
-    let k = project_heads(f, &x, wk, heads);
-    let v = project_heads(f, &x, wv, heads);
-    let wo = f.exec.bind(f.p(wo));
-    let tape = &mut f.exec.tape;
-    let dh = tape.shape(q).last();
-    let scores = tape.matmul(q, k, false, true);
-    let scaled = tape.scale(scores, 1.0 / (dh as f32).sqrt());
-    let biased = tape.add(scaled, bias);
-    let attn = tape.softmax(biased);
-    let ctx = tape.matmul(attn, v, false, false);
-    let merged = tape.merge_heads(ctx, heads);
-    let out = tape.matmul(merged, wo, false, false);
-    layer.post.forward(f, &x, out)
+    let q = project_heads(f, x, wq, heads);
+    let k = project_heads(f, x, wk, heads);
+    let v = project_heads(f, x, wv, heads);
+    let scores = f.exec.matmul(&q, &k, true);
+    let dh = layer.attn.dim / heads;
+    let scaled = f.exec.scale(scores, 1.0 / (dh as f32).sqrt());
+    let biased = f.exec.add(scaled, bias);
+    let attn = f.exec.softmax(biased);
+    let ctx = f.exec.matmul(&attn, &v, false);
+    let merged = f.exec.merge_heads(ctx, heads);
+    let out = f.exec.linear(&merged, f.p(wo), None);
+    for t in [q, k, v, attn, merged] {
+        f.exec.release(t);
+    }
+    layer.post.forward(f, x, out)
 }
 
 #[cfg(test)]
@@ -213,7 +223,7 @@ mod tests {
     #[test]
     fn embeds_and_trains() {
         let (mut model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..3], &mut rng);
+        let e = model.embed(&pool[..3]);
         assert_eq!(e.shape(), Shape::d2(3, 16));
         let cfg = PairRegression {
             pairs_per_epoch: 32,

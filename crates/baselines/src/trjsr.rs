@@ -9,12 +9,12 @@
 //! the sparse image lost, which is exactly the super-resolution signal the
 //! original exploits (DESIGN.md §4 records this substitution).
 
-use crate::common::TrajectoryEncoder;
+use crate::common::{epoch_mean, TrajectoryEncoder};
 use rand::Rng;
 use trajcl_data::downsample;
 use trajcl_geo::{Bbox, Trajectory};
 use trajcl_nn::{Adam, Conv2d, Fwd, Linear, ParamStore};
-use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
+use trajcl_tensor::{Exec, Shape, TapeExec, Tensor};
 
 /// Rasterises trajectories into single-channel `res × res` images over a
 /// fixed region.
@@ -63,13 +63,14 @@ impl Rasterizer {
         img
     }
 
-    /// Renders a batch into an NCHW tensor `(B, 1, res, res)`.
+    /// Renders a batch as one-channel pixel rows `(B, res·res, 1)`, each
+    /// image row-major (the layout [`Conv2d`] reads).
     pub fn render_batch(&self, trajs: &[Trajectory]) -> Tensor {
         let mut data = Vec::with_capacity(trajs.len() * self.res * self.res);
         for t in trajs {
             data.extend(self.render(t));
         }
-        Tensor::from_vec(data, Shape::d4(trajs.len(), 1, self.res, self.res))
+        Tensor::from_vec(data, Shape::d3(trajs.len(), self.res * self.res, 1))
     }
 }
 
@@ -84,7 +85,6 @@ pub struct TrjSr {
     emb_proj: Linear,
     raster: Rasterizer,
     dim: usize,
-    channels: usize,
 }
 
 /// TrjSR training configuration.
@@ -136,7 +136,6 @@ impl TrjSr {
             emb_proj,
             raster: Rasterizer::new(region, cfg.res),
             dim: cfg.dim,
-            channels: ch,
         }
     }
 
@@ -145,14 +144,17 @@ impl TrjSr {
         &self.raster
     }
 
-    fn features(&self, f: &mut Fwd<TapeExec>, images: Tensor) -> Var {
-        let x = f.exec.tape.input(images);
-        let c1 = self.conv1.forward(f, x);
-        let c1 = f.exec.tape.relu(c1);
-        let c2 = self.conv2.forward(f, c1);
-        let c2 = f.exec.tape.relu(c2);
-        let c3 = self.conv3.forward(f, c2);
-        f.exec.tape.relu(c3)
+    /// The encoder CNN over rendered images: three ReLU convolutions,
+    /// `(B, res·res, channels)`.
+    fn features<E: Exec>(&self, f: &mut Fwd<E>, images: &Tensor) -> E::Act {
+        let res = self.raster.res;
+        let mut x = f.exec.input(images);
+        for conv in [&self.conv1, &self.conv2, &self.conv3] {
+            let y = conv.forward(f, &x, res);
+            f.exec.release(x);
+            x = f.exec.relu(y);
+        }
+        x
     }
 
     /// One SR-style training step; returns the reconstruction MSE.
@@ -173,8 +175,8 @@ impl TrjSr {
         let loss_val;
         {
             let mut f = Fwd::new(&mut exec, &self.store);
-            let feats = self.features(&mut f, input);
-            let pred = self.recon.forward(&mut f, feats);
+            let feats = self.features(&mut f, &input);
+            let pred = self.recon.forward(&mut f, &feats, self.raster.res);
             let tgt = f.exec.tape.input(target);
             let diff = f.exec.tape.sub(pred, tgt);
             let sq = f.exec.tape.mul(diff, diff);
@@ -196,20 +198,13 @@ impl TrjSr {
         rng: &mut impl Rng,
     ) -> Vec<f32> {
         let mut opt = Adam::new(cfg.lr);
-        let mut losses = Vec::new();
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0;
-            let mut n = 0;
-            for chunk in pool.chunks(cfg.batch_size) {
-                if chunk.is_empty() {
-                    continue;
-                }
-                total += self.train_step(chunk, &mut opt, cfg, rng);
-                n += 1;
-            }
-            losses.push(total / n.max(1) as f32);
-        }
-        losses
+        (0..cfg.epochs)
+            .map(|_| {
+                epoch_mean(pool, cfg.batch_size, 1, |chunk| {
+                    self.train_step(chunk, &mut opt, cfg, rng)
+                })
+            })
+            .collect()
     }
 }
 
@@ -234,12 +229,15 @@ impl TrajectoryEncoder for TrjSr {
         16
     }
 
-    fn encode_on_tape(&self, f: &mut Fwd<TapeExec>, trajs: &[Trajectory]) -> Var {
-        let images = self.raster.render_batch(trajs);
-        let feats = self.features(f, images);
-        let pooled = f.exec.tape.avg_pool2d_global(feats); // (B, ch)
-        debug_assert_eq!(f.exec.tape.shape(pooled).last(), self.channels);
-        self.emb_proj.forward(f, &pooled)
+    fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
+        let feats = self.features(f, &self.raster.render_batch(trajs));
+        // Global average pool over every pixel: (B, channels).
+        let pixels = vec![self.raster.res * self.raster.res; trajs.len()];
+        let pooled = f.exec.mean_pool_masked(&feats, &pixels);
+        f.exec.release(feats);
+        let out = self.emb_proj.forward(f, &pooled);
+        f.exec.release(pooled);
+        out
     }
 }
 
@@ -300,8 +298,8 @@ mod tests {
 
     #[test]
     fn embedding_shape() {
-        let (model, pool, mut rng) = setup();
-        let e = model.embed(&pool[..3], &mut rng);
+        let (model, pool, _) = setup();
+        let e = model.embed(&pool[..3]);
         assert_eq!(e.shape(), Shape::d2(3, 16));
         assert!(e.all_finite());
     }

@@ -71,7 +71,6 @@ fn nearest(dists: &[f64], k: usize) -> Vec<usize> {
 /// wander; Hausdorff's are close but not as tight.
 pub fn fig1(zoo: &mut Zoo) -> io::Result<()> {
     let (env, models) = zoo.trained(DatasetProfile::porto());
-    let mut rng = StdRng::seed_from_u64(51);
     let db = &env.splits.test;
     let query = std::slice::from_ref(&env.splits.downstream[0]);
     let k = 3;
@@ -80,9 +79,9 @@ pub fn fig1(zoo: &mut Zoo) -> io::Result<()> {
         &pairwise_distances(query, db, HeuristicMeasure::Hausdorff),
         k,
     );
-    let mut learned_knn = |name: &str| {
-        let q = models.embed(name, &env.featurizer, query, &mut rng);
-        let d = models.embed(name, &env.featurizer, db, &mut rng);
+    let learned_knn = |name: &str| {
+        let q = models.embed(name, &env.featurizer, query);
+        let d = models.embed(name, &env.featurizer, db);
         nearest(&l1_distances(&q, &d), k)
     };
     let t2vec_knn = learned_knn("t2vec");

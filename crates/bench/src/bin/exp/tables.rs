@@ -10,6 +10,7 @@ use trajcl_baselines::{
 };
 use trajcl_bench::harness::{
     heuristic_rank_sweep, hit_ratios, ExperimentEnv, TrainedModels, Zoo, FINETUNE,
+    TABLE10_MIN_QUERIES,
 };
 use trajcl_bench::{fmt_mb, fmt_secs, heuristic_set, mean_rank_heuristic, Table, LEARNED_METHODS};
 use trajcl_core::{finetune, l1_distances, FinetuneConfig, FinetuneScope};
@@ -31,11 +32,10 @@ fn encode_and_compare(
     name: &str,
     env: &ExperimentEnv,
     proto: &QueryProtocol,
-    rng: &mut StdRng,
 ) -> (f64, f64) {
     let t0 = Instant::now();
-    let q = models.embed(name, &env.featurizer, &proto.queries, rng);
-    let d = models.embed(name, &env.featurizer, &proto.database, rng);
+    let q = models.embed(name, &env.featurizer, &proto.queries);
+    let d = models.embed(name, &env.featurizer, &proto.database);
     let encode = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let _ = l1_distances(&q, &d);
@@ -75,13 +75,12 @@ pub fn table1(zoo: &mut Zoo) -> io::Result<()> {
     let (env, models) = zoo.trained(DatasetProfile::porto());
     let proto = env.protocol();
     let n_pairs = (proto.queries.len() * proto.database.len()) as f64;
-    let mut rng = StdRng::seed_from_u64(2);
 
     let t0 = Instant::now();
     let _ = pairwise_distances(&proto.queries, &proto.database, HeuristicMeasure::Hausdorff);
     let hausdorff_us = t0.elapsed().as_micros() as f64 / n_pairs;
-    let mut per_pair_us = |name: &str| {
-        let (encode, compare) = encode_and_compare(&models, name, &env, &proto, &mut rng);
+    let per_pair_us = |name: &str| {
+        let (encode, compare) = encode_and_compare(&models, name, &env, &proto);
         paper_projection(&proto, encode, compare) / PAPER_PAIRS * 1e6
     };
     let t2vec_us = per_pair_us("t2vec");
@@ -165,9 +164,8 @@ pub fn table3(zoo: &mut Zoo) -> io::Result<()> {
                 &heuristic_rank_sweep(measure, &full, &sizes),
             );
         }
-        let mut rng = StdRng::seed_from_u64(4);
         learned_rows(&mut table, &models, sizes.len(), |name| {
-            models.learned_rank_sweep(name, &env.featurizer, &full, &sizes, &mut rng)
+            models.learned_rank_sweep(name, &env.featurizer, &full, &sizes)
         });
         table.print();
         table.save_json(&format!("table3_{}", profile.name().to_lowercase()))?;
@@ -182,7 +180,7 @@ fn robustness_table(
     zoo: &mut Zoo,
     title: &str,
     symbol: &str,
-    seeds: [u64; 2],
+    seed: u64,
     degrade: fn(&Trajectory, f64, &mut StdRng) -> Trajectory,
 ) -> Table {
     let rates = [0.1, 0.2, 0.3, 0.4, 0.5];
@@ -194,7 +192,7 @@ fn robustness_table(
     let mut table = Table::new(format!("{title} ({})", profile.name()), &header_refs);
 
     // Degrade once per rate and evaluate all methods on the same protocol.
-    let mut degrade_rng = StdRng::seed_from_u64(seeds[0]);
+    let mut degrade_rng = StdRng::seed_from_u64(seed);
     let degraded: Vec<_> = rates
         .iter()
         .map(|&r| base.degrade(|t| degrade(t, r, &mut degrade_rng)))
@@ -206,11 +204,10 @@ fn robustness_table(
             .collect();
         table.row_f64(measure.name(), &ranks);
     }
-    let mut rng = StdRng::seed_from_u64(seeds[1]);
     learned_rows(&mut table, &models, rates.len(), |name| {
         degraded
             .iter()
-            .map(|p| models.mean_rank_learned(name, &env.featurizer, p, &mut rng))
+            .map(|p| models.mean_rank_learned(name, &env.featurizer, p))
             .collect()
     });
     table
@@ -224,7 +221,7 @@ pub fn table4(zoo: &mut Zoo) -> io::Result<()> {
         zoo,
         "Table IV — mean rank vs down-sampling rate",
         "ρs",
-        [6, 7],
+        6,
         downsample,
     );
     table.print();
@@ -242,7 +239,7 @@ pub fn table5(zoo: &mut Zoo) -> io::Result<()> {
         zoo,
         "Table V — mean rank vs distortion rate",
         "ρd",
-        [9, 10],
+        9,
         |t, r, rng| distort(t, r, 100.0, 0.5, rng),
     );
     table.print();
@@ -275,7 +272,6 @@ pub fn table6(zoo: &mut Zoo) -> io::Result<()> {
     ];
     let headers: Vec<&str> = protos.iter().map(|(n, _)| *n).collect();
     let mut table = Table::new("Table VI — mean rank vs test dataset", &headers);
-    let mut rng = StdRng::seed_from_u64(13);
     for (setting, models, env) in [
         ("Xi'an->Xi'an", &models_xian, &env_xian),
         ("Porto->Xi'an", &models_porto, &env_porto),
@@ -283,7 +279,7 @@ pub fn table6(zoo: &mut Zoo) -> io::Result<()> {
         for name in ["t2vec", "TrajCL"] {
             let ranks: Vec<f64> = protos
                 .iter()
-                .map(|(_, p)| models.mean_rank_learned(name, &env.featurizer, p, &mut rng))
+                .map(|(_, p)| models.mean_rank_learned(name, &env.featurizer, p))
                 .collect();
             table.row_f64(format!("{setting} {name}"), &ranks);
         }
@@ -353,13 +349,12 @@ pub fn table8(zoo: &mut Zoo) -> io::Result<()> {
             ],
         );
     }
-    let mut rng = StdRng::seed_from_u64(16);
     for name in LEARNED_METHODS {
         if name == "CSTRM" && models.cstrm.is_none() {
             table.row(name, vec!["-".into(); 3]);
             continue;
         }
-        let (encode, compare) = encode_and_compare(&models, name, &env, &proto, &mut rng);
+        let (encode, compare) = encode_and_compare(&models, name, &env, &proto);
         let total = encode + compare;
         table.row(
             name,
@@ -417,7 +412,7 @@ pub fn table9(zoo: &mut Zoo) -> io::Result<()> {
 
         // TrajCL/IVF index: embedding conversion + k-means lists.
         let t0 = Instant::now();
-        let emb = models.embed("TrajCL", &env.featurizer, &db, &mut rng);
+        let emb = models.embed("TrajCL", &env.featurizer, &db);
         let ivf = IvfIndex::build(&emb, (n / 32).max(4), Metric::L1, &mut rng);
         let ivf_time = t0.elapsed().as_secs_f64();
         table.row(
@@ -459,7 +454,7 @@ pub fn table10(zoo: &mut Zoo) -> io::Result<()> {
     let n = pool.len();
     let ft_train = &pool[..n * 7 / 10];
     let eval_all = &pool[n * 8 / 10..];
-    let n_q = (eval_all.len() / 4).clamp(4, 20);
+    let n_q = (eval_all.len() / 4).clamp(TABLE10_MIN_QUERIES, 20);
     let queries: Vec<Trajectory> = eval_all[..n_q].to_vec();
     let database: Vec<Trajectory> = eval_all[n_q..].to_vec();
     let db = database.len();
@@ -496,8 +491,8 @@ pub fn table10(zoo: &mut Zoo) -> io::Result<()> {
             ($name:expr, $model:expr) => {{
                 let mut m = $model;
                 train_pair_regression(&mut m, ft_train, measure, &FINETUNE, &mut rng);
-                let q = m.embed(&queries, &mut rng);
-                let d = m.embed(&database, &mut rng);
+                let q = m.embed(&queries);
+                let d = m.embed(&database);
                 add($name.into(), q, d);
             }};
         }

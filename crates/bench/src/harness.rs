@@ -23,6 +23,9 @@ use trajcl_measures::{pairwise_distances, HeuristicMeasure};
 use trajcl_nn::{PairRegression, StepDecay};
 use trajcl_tensor::Tensor;
 
+/// Table X's fewest queries: a quarter of its held-out pool, at least this.
+pub const TABLE10_MIN_QUERIES: usize = 4;
+
 /// Experiment scale knobs (paper sizes ÷ ~100 by default; `exp` accepts
 /// `--train`, `--db`, `--queries`, `--pool` overrides).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +46,21 @@ impl Scale {
     fn fit_pool(mut self) -> Self {
         let needed = self.train_size + self.train_size / 10 + self.db_size * 5 / 4 + 8;
         self.dataset_size = self.dataset_size.max(needed);
+        self
+    }
+
+    /// Grows the dataset until Table X's held-out fifth of the downstream
+    /// split (the fifth of the post-train remainder the test pool leaves)
+    /// holds its [`TABLE10_MIN_QUERIES`] queries and a database row.
+    fn fit_downstream(mut self) -> Self {
+        let held_out = |n: usize| {
+            let rest = n.saturating_sub(self.train_size + (self.train_size / 10).max(1));
+            let downstream = rest - rest * 4 / 5;
+            downstream - downstream * 8 / 10
+        };
+        while held_out(self.dataset_size) <= TABLE10_MIN_QUERIES {
+            self.dataset_size += 1;
+        }
         self
     }
 }
@@ -104,7 +122,7 @@ impl Args {
         }
         Ok(Args {
             command,
-            scale: scale.fit_pool(),
+            scale: scale.fit_pool().fit_downstream(),
             all_profiles,
         })
     }
@@ -449,29 +467,23 @@ pub fn cstrm_table_feasible(tf: &TokenFeaturizer, dim: usize) -> bool {
 }
 
 impl TrainedModels {
-    /// Embeds `trajs` with the named learned method. TrajCL reads
-    /// `featurizer` (the env's, or another one for a transfer) through the
-    /// tape-free serving path; the baselines read `rng`.
+    /// Embeds `trajs` with the named learned method, each on the
+    /// tape-free executor. TrajCL reads `featurizer` (the env's, or
+    /// another one for a transfer); the baselines bring their own.
     ///
     /// # Panics
     /// Panics on an unknown name or if CSTRM was infeasible.
-    pub fn embed(
-        &self,
-        name: &str,
-        featurizer: &Featurizer,
-        trajs: &[Trajectory],
-        rng: &mut StdRng,
-    ) -> Tensor {
+    pub fn embed(&self, name: &str, featurizer: &Featurizer, trajs: &[Trajectory]) -> Tensor {
         match name {
             "TrajCL" => self.trajcl.online.embed(featurizer, trajs),
-            "t2vec" => self.t2vec.embed(trajs, rng),
-            "TrjSR" => self.trjsr.embed(trajs, rng),
-            "E2DTC" => self.e2dtc.embed(trajs, rng),
+            "t2vec" => self.t2vec.embed(trajs),
+            "TrjSR" => self.trjsr.embed(trajs),
+            "E2DTC" => self.e2dtc.embed(trajs),
             "CSTRM" => self
                 .cstrm
                 .as_ref()
                 .expect("CSTRM infeasible for this profile")
-                .embed(trajs, rng),
+                .embed(trajs),
             other => panic!("unknown learned method {other}"),
         }
     }
@@ -482,10 +494,9 @@ impl TrainedModels {
         name: &str,
         featurizer: &Featurizer,
         protocol: &QueryProtocol,
-        rng: &mut StdRng,
     ) -> f64 {
         let full = protocol.database.len();
-        self.learned_rank_sweep(name, featurizer, protocol, &[full], rng)[0]
+        self.learned_rank_sweep(name, featurizer, protocol, &[full])[0]
     }
 
     /// Mean ranks of a learned method for several database sizes, embedding
@@ -496,10 +507,9 @@ impl TrainedModels {
         featurizer: &Featurizer,
         protocol: &QueryProtocol,
         sizes: &[usize],
-        rng: &mut StdRng,
     ) -> Vec<f64> {
-        let q = self.embed(name, featurizer, &protocol.queries, rng);
-        let d = self.embed(name, featurizer, &protocol.database, rng);
+        let q = self.embed(name, featurizer, &protocol.queries);
+        let d = self.embed(name, featurizer, &protocol.database);
         let full = protocol.database.len();
         let dists = l1_distances(&q, &d);
         sizes
@@ -659,6 +669,14 @@ mod tests {
         // A pool too small for the split grows to fit it.
         let a = args("all --train 300 --db 600 --pool 10").unwrap();
         assert_eq!(a.scale.dataset_size, 300 + 30 + 750 + 8);
+        // And until Table X holds 4 queries and a database row: at
+        // `--train 8` that takes 110 trajectories (84 used to panic).
+        for (pool, want) in [(84, 110), (109, 110), (110, 110), (111, 111)] {
+            let a = args(&format!(
+                "table10 --train 8 --db 8 --queries 2 --pool {pool}"
+            ));
+            assert_eq!(a.unwrap().scale.dataset_size, want, "--pool {pool}");
+        }
         assert_eq!(args("fig10").unwrap().scale, Scale::default());
     }
 

@@ -1,28 +1,18 @@
 //! The object-safe backend abstraction and its implementations.
 //!
-//! [`SimilarityBackend`] is the one seam every similarity method in the
-//! workspace plugs into: TrajCL itself ([`TrajClBackend`]), any baseline
-//! implementing `trajcl_baselines::TrajectoryEncoder` (via the blanket
-//! adapter [`EncoderBackend`]), the exact heuristic measures
+//! [`SimilarityBackend`] is the seam the engine's similarity methods plug
+//! into: TrajCL itself ([`TrajClBackend`]), the exact heuristic measures
 //! ([`HeuristicBackend`], a no-embedding fallback) and fine-tuned
 //! heuristic estimators ([`FinetunedBackend`]). The trait is object-safe:
-//! [`crate::Engine`] owns a `Box<dyn SimilarityBackend>`.
+//! [`crate::Engine`] owns a `Box<dyn SimilarityBackend>`. The baselines
+//! are no backend: `trajcl_baselines::TrajectoryEncoder::embed` is their
+//! one inference path, which the experiments call directly.
 
 use crate::error::EngineError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use trajcl_baselines::TrajectoryEncoder;
 use trajcl_core::{Featurizer, FinetunedEstimator, TrajClModel};
 use trajcl_geo::{validate_batch, Trajectory};
 use trajcl_measures::HeuristicMeasure;
-use trajcl_nn::Fwd;
-use trajcl_tensor::{CtxPool, TapeExec, Tensor};
-
-/// Seed for the throwaway RNGs of eval-mode forward passes (only the
-/// baseline adapter still records a tape at inference). Dropout is
-/// disabled at inference, so the stream is never consumed — a fixed seed
-/// keeps `&self` receivers and bit-for-bit reproducibility.
-const EVAL_SEED: u64 = 0;
+use trajcl_tensor::{CtxPool, Tensor};
 
 /// One similarity method behind a uniform, object-safe interface.
 ///
@@ -131,51 +121,6 @@ impl SimilarityBackend for TrajClBackend {
     }
 }
 
-/// Blanket adapter: any `trajcl_baselines::TrajectoryEncoder` (t2vec,
-/// CSTRM, T3S, TrajGAT, ...) becomes a [`SimilarityBackend`] without
-/// per-baseline glue.
-pub struct EncoderBackend<E: TrajectoryEncoder> {
-    encoder: E,
-}
-
-impl<E: TrajectoryEncoder> EncoderBackend<E> {
-    /// Wraps a baseline encoder.
-    pub fn new(encoder: E) -> Self {
-        EncoderBackend { encoder }
-    }
-
-    /// The wrapped encoder.
-    pub fn encoder(&self) -> &E {
-        &self.encoder
-    }
-}
-
-impl<E: TrajectoryEncoder + Send + Sync> SimilarityBackend for EncoderBackend<E> {
-    fn name(&self) -> &str {
-        self.encoder.name()
-    }
-
-    fn dim(&self) -> usize {
-        self.encoder.dim()
-    }
-
-    fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
-        validate_batch(trajs)?;
-        let mut rng = StdRng::seed_from_u64(EVAL_SEED);
-        // Single tape over the whole chunk (TrajectoryEncoder::embed would
-        // re-chunk by its own batch_size and cap the engine's knob).
-        let mut exec = TapeExec::new(&mut rng, false);
-        let mut f = Fwd::new(&mut exec, self.encoder.store());
-        let h = self.encoder.encode_on_tape(&mut f, trajs);
-        Ok(exec.tape.value(h).clone())
-    }
-
-    fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
-        let e = self.embed_batch(&[a.clone(), b.clone()])?;
-        Ok(l1(e.row(0), e.row(1)))
-    }
-}
-
 /// Exact heuristic measures as a no-embedding fallback backend: `knn`
 /// degrades to a database scan, `distance` is the measure itself.
 pub struct HeuristicBackend {
@@ -280,7 +225,8 @@ impl SimilarityBackend for FinetunedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use trajcl_core::{EncoderVariant, TrajClConfig};
     use trajcl_geo::{Bbox, Grid, Point, SpatialNorm};
     use trajcl_tensor::Shape;
@@ -304,19 +250,8 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe_across_all_families() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
-        let tf = trajcl_baselines::TokenFeaturizer::new(region, 100.0, 64);
         let backends: Vec<Box<dyn SimilarityBackend>> = vec![
             Box::new(trajcl_backend()),
-            Box::new(EncoderBackend::new(trajcl_baselines::T2Vec::new(
-                tf.clone(),
-                16,
-                &mut rng,
-            ))),
-            Box::new(EncoderBackend::new(trajcl_baselines::T3s::new(
-                tf, 16, 2, &mut rng,
-            ))),
             Box::new(HeuristicBackend::new(HeuristicMeasure::Hausdorff)),
             Box::new(HeuristicBackend::new(HeuristicMeasure::Edwp)),
         ];

@@ -4,8 +4,7 @@
 //!
 //! * [`SimilarityBackend`] — one object-safe trait (`embed_batch`,
 //!   `distance`, `dim`, `name`) implemented by TrajCL itself
-//!   ([`TrajClBackend`]), every baseline encoder (via the blanket adapter
-//!   [`EncoderBackend`]), exact heuristic measures ([`HeuristicBackend`])
+//!   ([`TrajClBackend`]), exact heuristic measures ([`HeuristicBackend`])
 //!   and fine-tuned estimators ([`FinetunedBackend`]);
 //! * [`Engine`] / [`EngineBuilder`] — builder-pattern construction
 //!   (dataset → featurizer → backend → embedded database), chunked
@@ -40,9 +39,7 @@ pub mod backend;
 pub mod engine;
 pub mod error;
 
-pub use backend::{
-    EncoderBackend, FinetunedBackend, HeuristicBackend, SimilarityBackend, TrajClBackend,
-};
+pub use backend::{FinetunedBackend, HeuristicBackend, SimilarityBackend, TrajClBackend};
 pub use engine::{Engine, EngineBuilder, DEFAULT_BATCH};
 pub use error::EngineError;
 pub use trajcl_index::{Durability, IndexOptions, Quantization};

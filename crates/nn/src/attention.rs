@@ -145,7 +145,7 @@ impl MultiHeadSelfAttention {
         }
         let probs = self.attention_probs(f, x, lens);
         let v = project_heads(f, x, self.wv, self.heads);
-        let ctx = f.exec.attend(&probs, &v);
+        let ctx = f.exec.matmul(&probs, &v, false);
         f.exec.release(v);
         (self.output(f, ctx), Some(probs))
     }

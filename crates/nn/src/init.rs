@@ -15,12 +15,20 @@ pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tens
     Tensor::randn(Shape::d2(fan_in, fan_out), 0.0, std, rng)
 }
 
-/// Xavier uniform for a conv kernel `(out_ch, in_ch, k, k)`.
+/// Xavier uniform for a conv kernel, drawn as `(out_ch, in_ch, k, k)` and
+/// laid out as the `(k·k·in_ch, out_ch)` weight an unfolded image is
+/// multiplied by: row `(di·k + dj)·in_ch + c`, column `o`.
 pub fn conv_xavier(out_ch: usize, in_ch: usize, k: usize, rng: &mut impl Rng) -> Tensor {
     let fan_in = in_ch * k * k;
     let fan_out = out_ch * k * k;
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::rand_uniform(Shape::d4(out_ch, in_ch, k, k), -bound, bound, rng)
+    let drawn = Tensor::rand_uniform(Shape::d4(out_ch, in_ch, k, k), -bound, bound, rng);
+    let mut w = Tensor::zeros(Shape::d2(k * k * in_ch, out_ch));
+    for (i, &v) in drawn.data().iter().enumerate() {
+        let (o, c, tap) = (i / (in_ch * k * k), i / (k * k) % in_ch, i % (k * k));
+        w.data_mut()[(tap * in_ch + c) * out_ch + o] = v;
+    }
+    w
 }
 
 /// Small-scale normal initialisation for embedding tables.
@@ -61,6 +69,6 @@ mod tests {
     fn conv_kernel_shape() {
         let mut rng = StdRng::seed_from_u64(2);
         let w = conv_xavier(8, 3, 5, &mut rng);
-        assert_eq!(w.shape(), Shape::d4(8, 3, 5, 5));
+        assert_eq!(w.shape(), Shape::d2(5 * 5 * 3, 8));
     }
 }

@@ -7,11 +7,10 @@
 //! the recurrent baselines, SGD/Adam optimizers with the paper's step-decay
 //! schedule, and [`regress`], the pair-regression trainer behind Table X.
 //!
-//! Each layer the TrajCL encoder uses has one `forward`, generic over the
+//! Every layer has one `forward`, generic over the
 //! [`trajcl_tensor::Exec`] it runs on: a [`Fwd`] over a
 //! [`trajcl_tensor::TapeExec`] trains it, a [`Fwd`] over a
-//! [`trajcl_tensor::InferCtx`] serves it. The tape-only layers (embedding,
-//! conv, the recurrent cells) take a `Fwd<TapeExec>`.
+//! [`trajcl_tensor::InferCtx`] serves it.
 //!
 //! The TrajCL-specific DualMSM/DualSTB modules live in `trajcl-core` and are
 //! composed from the primitives exported here.

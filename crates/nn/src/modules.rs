@@ -3,11 +3,11 @@
 use crate::init;
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
-use trajcl_tensor::{Exec, Param, Shape, TapeExec, Tensor, Var};
+use trajcl_tensor::{Exec, Param, Shape, Tensor};
 
 /// Forward context: the executor a pass runs on plus the parameters it
 /// reads. Every layer takes one, generic over the executor, so the same
-/// `forward` trains on a [`TapeExec`] and serves on an
+/// `forward` trains on a [`TapeExec`](trajcl_tensor::TapeExec) and serves on an
 /// [`InferCtx`](trajcl_tensor::InferCtx).
 pub struct Fwd<'a, E> {
     /// Where the ops run.
@@ -174,20 +174,22 @@ impl Embedding {
         Embedding { table, vocab, dim }
     }
 
-    /// Looks up `ids`, reshaping the result to `(batch, seq, dim)`.
-    pub fn forward_seq(&self, f: &mut Fwd<TapeExec>, ids: &[u32], batch: usize, seq: usize) -> Var {
-        assert_eq!(ids.len(), batch * seq, "ids length mismatch");
-        let t = f.exec.bind(f.p(self.table));
-        let flat = f.exec.tape.embedding(t, ids);
-        f.exec.tape.reshape(flat, Shape::d3(batch, seq, self.dim))
+    /// Looks up `ids` (`batch` sequences of equal length, row-major) as
+    /// `(batch, seq, dim)`.
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, ids: &[u32], batch: usize) -> E::Act {
+        assert_eq!(ids.len() % batch, 0, "ids length mismatch");
+        f.exec.gather(f.p(self.table), ids, batch)
     }
 }
 
-/// 2-D convolution layer (NCHW) for the TrjSR baseline.
+/// Square-kernel 2-D convolution over channels-last images (the TrjSR
+/// baseline's layer): a window unfold and one product with a `(k·k·in,
+/// out)` weight, on the GEMM every linear layer runs on.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     w: ParamId,
     b: ParamId,
+    k: usize,
     stride: usize,
     pad: usize,
 }
@@ -210,14 +212,22 @@ impl Conv2d {
             init::conv_xavier(out_ch, in_ch, k, rng),
         );
         let b = store.add(format!("{name}.bias"), Tensor::zeros(Shape::d1(out_ch)));
-        Conv2d { w, b, stride, pad }
+        Conv2d {
+            w,
+            b,
+            k,
+            stride,
+            pad,
+        }
     }
 
-    /// Applies the convolution to `(B, C, H, W)` input.
-    pub fn forward(&self, f: &mut Fwd<TapeExec>, x: Var) -> Var {
-        let w = f.exec.bind(f.p(self.w));
-        let b = f.exec.bind(f.p(self.b));
-        f.exec.tape.conv2d(x, w, b, self.stride, self.pad)
+    /// Applies the convolution to a `(B, H·width, in)` image batch (each
+    /// element's rows its pixels, row-major), giving `(B, OH·OW, out)`.
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, x: &E::Act, width: usize) -> E::Act {
+        let cols = f.exec.unfold(x, width, self.k, self.stride, self.pad);
+        let y = f.exec.linear(&cols, f.p(self.w), Some(f.p(self.b)));
+        f.exec.release(cols);
+        y
     }
 }
 
@@ -225,6 +235,7 @@ impl Conv2d {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use trajcl_tensor::TapeExec;
 
     #[test]
     fn linear_shapes_and_bias() {
@@ -304,7 +315,7 @@ mod tests {
         let table = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0], Shape::d2(3, 2));
         let emb = Embedding::from_pretrained(&mut store, "e", table);
         let mut exec = TapeExec::new(&mut rng, false);
-        let y = emb.forward_seq(&mut Fwd::new(&mut exec, &store), &[2, 0, 1, 1], 2, 2);
+        let y = emb.forward(&mut Fwd::new(&mut exec, &store), &[2, 0, 1, 1], 2);
         assert_eq!(exec.tape.shape(y), Shape::d3(2, 2, 2));
         assert_eq!(exec.tape.value(y).at3(0, 0, 0), 2.0);
         assert_eq!(exec.tape.value(y).at3(1, 0, 1), 1.0);
@@ -317,8 +328,8 @@ mod tests {
         let conv = Conv2d::new(&mut store, "c", 1, 4, 3, 2, 1, &mut rng);
         let mut exec = TapeExec::new(&mut rng, false);
         let mut f = Fwd::new(&mut exec, &store);
-        let x = f.exec.tape.input(Tensor::ones(Shape::d4(2, 1, 8, 8)));
-        let y = conv.forward(&mut f, x);
-        assert_eq!(exec.tape.shape(y), Shape::d4(2, 4, 4, 4));
+        let x = f.exec.tape.input(Tensor::ones(Shape::d3(2, 64, 1)));
+        let y = conv.forward(&mut f, &x, 8);
+        assert_eq!(exec.tape.shape(y), Shape::d3(2, 16, 4));
     }
 }

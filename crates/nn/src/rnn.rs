@@ -1,8 +1,8 @@
 //! Recurrent cells (GRU / LSTM) for the t2vec, E2DTC, T3S and Traj2SimVec
 //! baselines.
 //!
-//! Sequences are processed step-by-step on the tape; variable lengths are
-//! handled with per-step update masks so the final hidden state of each
+//! Sequences are processed step by step on any [`Exec`]; variable lengths
+//! are handled with per-step update masks so the final hidden state of each
 //! batch element is the state at its own last valid position (matching how
 //! packed sequences behave in the original PyTorch baselines).
 
@@ -10,7 +10,7 @@ use crate::init;
 use crate::modules::Fwd;
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
-use trajcl_tensor::{Shape, TapeExec, Tensor, Var};
+use trajcl_tensor::{Exec, Shape, Tensor};
 
 /// One gate's parameters `[W, U, b]`.
 type Gate = [ParamId; 3];
@@ -40,14 +40,23 @@ fn register_gates<const N: usize>(
     std::array::from_fn(|i| [wu[i][0], wu[i][1], b[i]])
 }
 
-/// The pre-activation every gate shares: `x·W + h·U + b`.
-fn gate(f: &mut Fwd<TapeExec>, [w, u, b]: Gate, x: Var, h: Var) -> Var {
-    let [w, u, b] = [w, u, b].map(|id| f.exec.bind(f.p(id)));
-    let tape = &mut f.exec.tape;
-    let xs = tape.matmul(x, w, false, false);
-    let hs = tape.matmul(h, u, false, false);
-    let s = tape.add(xs, hs);
-    tape.add_bias(s, b)
+/// One gate, `act(x·W + h·U + b)`, with `act` one of [`Exec::sigmoid`]
+/// and [`Exec::tanh`].
+fn gate<E: Exec>(
+    f: &mut Fwd<E>,
+    [w, u, b]: Gate,
+    x: &E::Act,
+    h: &E::Act,
+    act: fn(&mut E, &E::Act) -> E::Act,
+) -> E::Act {
+    let xs = f.exec.linear(x, f.p(w), None);
+    let hs = f.exec.linear(h, f.p(u), None);
+    let s = f.exec.add(xs, &hs);
+    f.exec.release(hs);
+    let pre = f.exec.add_bias(s, f.p(b));
+    let out = act(f.exec, &pre);
+    f.exec.release(pre);
+    out
 }
 
 /// A gated recurrent unit cell.
@@ -83,20 +92,22 @@ impl GruCell {
     }
 
     /// One step: `(x_t (B, in), h (B, hidden)) -> h' (B, hidden)`.
-    pub fn step(&self, f: &mut Fwd<TapeExec>, x: Var, h: Var) -> Var {
-        let z_pre = gate(f, self.z, x, h);
-        let z = f.exec.tape.sigmoid(z_pre);
-        let r_pre = gate(f, self.r, x, h);
-        let r = f.exec.tape.sigmoid(r_pre);
-        let rh = f.exec.tape.mul(r, h);
-        let n_pre = gate(f, self.h, x, rh);
-        let tape = &mut f.exec.tape;
-        let n = tape.tanh_op(n_pre);
+    pub fn forward<E: Exec>(&self, f: &mut Fwd<E>, x: &E::Act, h: &E::Act) -> E::Act {
+        let z = gate(f, self.z, x, h, E::sigmoid);
+        let r = gate(f, self.r, x, h, E::sigmoid);
+        let rh = f.exec.mul(&r, h);
+        f.exec.release(r);
+        let n = gate(f, self.h, x, &rh, E::tanh);
+        f.exec.release(rh);
         // h' = (1 - z) ⊙ n + z ⊙ h
-        let zh = tape.mul(z, h);
-        let zn = tape.mul(z, n);
-        let n_minus_zn = tape.sub(n, zn);
-        tape.add(n_minus_zn, zh)
+        let zh = f.exec.mul(&z, h);
+        let zn = f.exec.mul(&z, &n);
+        f.exec.release(z);
+        let n_minus_zn = f.exec.sub(n, &zn);
+        f.exec.release(zn);
+        let out = f.exec.add(n_minus_zn, &zh);
+        f.exec.release(zh);
+        out
     }
 }
 
@@ -135,77 +146,72 @@ impl LstmCell {
     }
 
     /// One step: returns `(h', c')`.
-    pub fn step(&self, f: &mut Fwd<TapeExec>, x: Var, h: Var, c: Var) -> (Var, Var) {
-        let i_pre = gate(f, self.i, x, h);
-        let i = f.exec.tape.sigmoid(i_pre);
-        let fg_pre = gate(f, self.f, x, h);
-        let fg = f.exec.tape.sigmoid(fg_pre);
-        let o_pre = gate(f, self.o, x, h);
-        let o = f.exec.tape.sigmoid(o_pre);
-        let g_pre = gate(f, self.g, x, h);
-        let tape = &mut f.exec.tape;
-        let g = tape.tanh_op(g_pre);
-        let fc = tape.mul(fg, c);
-        let ig = tape.mul(i, g);
-        let c_new = tape.add(fc, ig);
-        let tc = tape.tanh_op(c_new);
-        let h_new = tape.mul(o, tc);
+    pub fn forward<E: Exec>(
+        &self,
+        f: &mut Fwd<E>,
+        x: &E::Act,
+        h: &E::Act,
+        c: &E::Act,
+    ) -> (E::Act, E::Act) {
+        let i = gate(f, self.i, x, h, E::sigmoid);
+        let fg = gate(f, self.f, x, h, E::sigmoid);
+        let o = gate(f, self.o, x, h, E::sigmoid);
+        let g = gate(f, self.g, x, h, E::tanh);
+        let fc = f.exec.mul(&fg, c);
+        let ig = f.exec.mul(&i, &g);
+        let c_new = f.exec.add(fc, &ig);
+        let tc = f.exec.tanh(&c_new);
+        let h_new = f.exec.mul(&o, &tc);
+        for t in [i, fg, o, g, ig, tc] {
+            f.exec.release(t);
+        }
         (h_new, c_new)
     }
 }
 
-/// Runs an RNN cell over a `(B, L, in_dim)` sequence with per-element valid
-/// lengths, freezing each element's state once its sequence ends.
-///
-/// Returns `(all_states (B, L, hidden), final_state (B, hidden))`.
-pub fn run_gru(f: &mut Fwd<TapeExec>, cell: &GruCell, xs: Var, lens: &[usize]) -> (Var, Var) {
-    let shape = f.exec.tape.shape(xs);
-    assert_eq!(shape.rank(), 3, "run_gru expects (B, L, D)");
-    let (b, l, _) = (shape[0], shape[1], shape[2]);
-    assert_eq!(lens.len(), b);
-    let mut h = f.exec.tape.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
-    let mut states = Vec::with_capacity(l);
-    for t in 0..l {
-        let x_t = f.exec.tape.select_time(xs, t);
-        let h_new = cell.step(f, x_t, h);
+/// Runs a GRU over a `(B, L, in_dim)` sequence with per-element valid
+/// lengths (`L` the longest), freezing each element's state once its
+/// sequence ends; returns the final states `(B, hidden)`.
+pub fn run_gru<E: Exec>(f: &mut Fwd<E>, cell: &GruCell, xs: &E::Act, lens: &[usize]) -> E::Act {
+    let mut h = f
+        .exec
+        .input(&Tensor::zeros(Shape::d2(lens.len(), cell.hidden)));
+    for t in 0..lens.iter().copied().max().unwrap_or(0) {
+        let x_t = f.exec.select_time(xs, t);
+        let h_new = cell.forward(f, &x_t, &h);
+        f.exec.release(x_t);
         h = freeze_finished(f, h_new, h, lens, t, cell.hidden);
-        states.push(h);
     }
-    let all = f.exec.tape.stack_time(&states);
-    (all, h)
+    h
 }
 
 /// Runs an LSTM over a sequence the same way as [`run_gru`].
-pub fn run_lstm(f: &mut Fwd<TapeExec>, cell: &LstmCell, xs: Var, lens: &[usize]) -> (Var, Var) {
-    let shape = f.exec.tape.shape(xs);
-    assert_eq!(shape.rank(), 3, "run_lstm expects (B, L, D)");
-    let (b, l, _) = (shape[0], shape[1], shape[2]);
-    assert_eq!(lens.len(), b);
-    let mut h = f.exec.tape.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
-    let mut c = f.exec.tape.input(Tensor::zeros(Shape::d2(b, cell.hidden)));
-    let mut states = Vec::with_capacity(l);
-    for t in 0..l {
-        let x_t = f.exec.tape.select_time(xs, t);
-        let (h_new, c_new) = cell.step(f, x_t, h, c);
+pub fn run_lstm<E: Exec>(f: &mut Fwd<E>, cell: &LstmCell, xs: &E::Act, lens: &[usize]) -> E::Act {
+    let zeros = Tensor::zeros(Shape::d2(lens.len(), cell.hidden));
+    let (mut h, mut c) = (f.exec.input(&zeros), f.exec.input(&zeros));
+    for t in 0..lens.iter().copied().max().unwrap_or(0) {
+        let x_t = f.exec.select_time(xs, t);
+        let (h_new, c_new) = cell.forward(f, &x_t, &h, &c);
+        f.exec.release(x_t);
         h = freeze_finished(f, h_new, h, lens, t, cell.hidden);
         c = freeze_finished(f, c_new, c, lens, t, cell.hidden);
-        states.push(h);
     }
-    let all = f.exec.tape.stack_time(&states);
-    (all, h)
+    f.exec.release(c);
+    h
 }
 
 /// `new` where `t < len[b]`, otherwise `old` (keeps finished sequences
 /// frozen at their last valid state).
-fn freeze_finished(
-    f: &mut Fwd<TapeExec>,
-    new: Var,
-    old: Var,
+fn freeze_finished<E: Exec>(
+    f: &mut Fwd<E>,
+    new: E::Act,
+    old: E::Act,
     lens: &[usize],
     t: usize,
     hidden: usize,
-) -> Var {
+) -> E::Act {
     if lens.iter().all(|&len| t < len) {
+        f.exec.release(old);
         return new;
     }
     let b = lens.len();
@@ -216,17 +222,22 @@ fn freeze_finished(
         }
     }
     let inv_mask = mask.map(|v| 1.0 - v);
-    let m = f.exec.tape.input(mask);
-    let im = f.exec.tape.input(inv_mask);
-    let keep_new = f.exec.tape.mul(new, m);
-    let keep_old = f.exec.tape.mul(old, im);
-    f.exec.tape.add(keep_new, keep_old)
+    let m = f.exec.input(&mask);
+    let im = f.exec.input(&inv_mask);
+    let keep_new = f.exec.mul(&new, &m);
+    let keep_old = f.exec.mul(&old, &im);
+    let out = f.exec.add(keep_new, &keep_old);
+    for t in [new, old, m, im, keep_old] {
+        f.exec.release(t);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use trajcl_tensor::TapeExec;
 
     #[test]
     fn gru_step_shape_and_bounded() {
@@ -242,7 +253,7 @@ mod tests {
             &mut StdRng::seed_from_u64(1),
         ));
         let h = f.exec.tape.input(Tensor::zeros(Shape::d2(3, 6)));
-        let h2 = cell.step(&mut f, x, h);
+        let h2 = cell.forward(&mut f, &x, &h);
         assert_eq!(exec.tape.shape(h2), Shape::d2(3, 6));
         // GRU state from zero init is a convex-ish mix of tanh outputs: bounded.
         assert!(exec.tape.value(h2).max_abs() <= 1.0 + 1e-5);
@@ -283,7 +294,7 @@ mod tests {
         ));
         let h = f.exec.tape.input(Tensor::zeros(Shape::d2(2, 5)));
         let c = f.exec.tape.input(Tensor::zeros(Shape::d2(2, 5)));
-        let (h2, c2) = cell.step(&mut f, x, h, c);
+        let (h2, c2) = cell.forward(&mut f, &x, &h, &c);
         assert_eq!(exec.tape.shape(h2), Shape::d2(2, 5));
         assert_eq!(exec.tape.shape(c2), Shape::d2(2, 5));
     }
@@ -293,32 +304,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut store = ParamStore::new();
         let cell = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
+        let xs = Tensor::randn(Shape::d3(2, 5, 3), 0.0, 1.0, &mut StdRng::seed_from_u64(5));
+        let row0 = Tensor::from_vec(xs.data()[..15].to_vec(), Shape::d3(1, 5, 3));
         let mut exec = TapeExec::new(&mut rng, false);
         let mut f = Fwd::new(&mut exec, &store);
-        let xs = f.exec.tape.input(Tensor::randn(
-            Shape::d3(2, 5, 3),
-            0.0,
-            1.0,
-            &mut StdRng::seed_from_u64(5),
-        ));
-        let (all, fin) = run_gru(&mut f, &cell, xs, &[2, 5]);
-        assert_eq!(exec.tape.shape(all), Shape::d3(2, 5, 4));
+        let batch = f.exec.tape.input(xs);
+        let fin = run_gru(&mut f, &cell, &batch, &[2, 5]);
+        // Element 0 (len 2) stops where a run over that row alone stops.
+        let alone = f.exec.tape.input(row0);
+        let alone = run_gru(&mut f, &cell, &alone, &[2]);
         assert_eq!(exec.tape.shape(fin), Shape::d2(2, 4));
-        // Element 0 (len 2): states at t >= 1 must all equal the state at t=1.
-        let a = exec.tape.value(all);
-        for t in 2..5 {
-            for d in 0..4 {
-                assert!(
-                    (a.at3(0, t, d) - a.at3(0, 1, d)).abs() < 1e-6,
-                    "finished sequence state changed at t={t}"
-                );
-            }
-        }
-        // Final state equals last row of all-states.
-        let fv = exec.tape.value(fin);
+        let (fv, av) = (exec.tape.value(fin), exec.tape.value(alone));
         for d in 0..4 {
-            assert!((fv.at2(0, d) - a.at3(0, 1, d)).abs() < 1e-6);
-            assert!((fv.at2(1, d) - a.at3(1, 4, d)).abs() < 1e-6);
+            assert!(
+                (fv.at2(0, d) - av.at2(0, d)).abs() < 1e-6,
+                "finished sequence state changed after its end"
+            );
         }
     }
 
@@ -335,7 +336,7 @@ mod tests {
             1.0,
             &mut StdRng::seed_from_u64(7),
         ));
-        let (_, fin) = run_gru(&mut f, &cell, xs, &[4, 4]);
+        let fin = run_gru(&mut f, &cell, &xs, &[4, 4]);
         let loss = exec.tape.mean_all(fin);
         let grads = exec.tape.backward(loss);
         store.accumulate(grads.into_param_grads(&exec.tape));

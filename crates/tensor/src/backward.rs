@@ -1,9 +1,9 @@
 //! Reverse-mode gradient sweep over a [`Tape`].
 
-use crate::kernels::{dot, matmul_acc_into};
+use crate::kernels::{dot, for_each_tap, matmul_acc_into};
 use crate::op::Op;
 use crate::shape::Shape;
-use crate::tape::{gelu_bwd, split_heads_copy, Tape, Var};
+use crate::tape::{split_heads_copy, Tape, Var};
 use crate::tensor::Tensor;
 
 /// Gradients produced by [`Tape::backward`].
@@ -87,7 +87,6 @@ impl Tape {
                 }
             }
             Op::Scale(x, c) => self.acc(grads, *x, g.map(|v| v * c)),
-            Op::AddScalar(x) => self.acc(grads, *x, g.clone()),
             Op::Matmul { a, b, ta, tb } => {
                 // With A_eff = ta?Aᵀ:A and B_eff = tb?Bᵀ:B and C = A_eff·B_eff:
                 //   dA = ta ? B_eff·gᵀ : g·B_effᵀ   (expressed via transpose flags)
@@ -200,10 +199,6 @@ impl Tape {
             }
             Op::Relu(x) => {
                 let dx = g.zip_map(val(*x), |gv, xv| if xv > 0.0 { gv } else { 0.0 });
-                self.acc(grads, *x, dx);
-            }
-            Op::Gelu(x) => {
-                let dx = g.zip_map(val(*x), |gv, xv| gv * gelu_bwd(xv));
                 self.acc(grads, *x, dx);
             }
             Op::Tanh(x) => {
@@ -361,124 +356,26 @@ impl Tape {
                 }
                 self.acc(grads, *x, dx);
             }
-            Op::StackTime { parts } => {
-                let os = self.values[i].shape();
-                let (b, l, d) = (os[0], os[1], os[2]);
-                for (t, &p) in parts.iter().enumerate() {
-                    if !self.requires[p.0] {
-                        continue;
-                    }
-                    let mut dp = Tensor::zeros(Shape::d2(b, d));
-                    for bi in 0..b {
-                        dp.data_mut()[bi * d..(bi + 1) * d]
-                            .copy_from_slice(&g.data()[(bi * l + t) * d..(bi * l + t + 1) * d]);
-                    }
-                    self.acc(grads, p, dp);
-                }
-            }
-            Op::Conv2d {
+            Op::Unfold {
                 x,
-                w,
-                bias,
+                width,
+                k,
                 stride,
                 pad,
             } => {
-                self.conv2d_backward(i, g, *x, *w, *bias, *stride, *pad, grads);
-            }
-            Op::MaxPool2d { x, argmax } => {
-                let mut dx = Tensor::zeros(val(*x).shape());
-                for (oi, &src) in argmax.iter().enumerate() {
-                    dx.data_mut()[src as usize] += g.data()[oi];
-                }
-                self.acc(grads, *x, dx);
-            }
-            Op::AvgPool2dGlobal(x) => {
                 let xs = val(*x).shape();
-                let (b, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
-                let inv = 1.0 / (h * w) as f32;
+                let c = xs.last();
                 let mut dx = Tensor::zeros(xs);
-                for bc in 0..b * c {
-                    let gv = g.data()[bc] * inv;
-                    dx.data_mut()[bc * h * w..(bc + 1) * h * w].fill(gv);
-                }
+                let dxd = dx.data_mut();
+                for_each_tap(xs, *width, *k, *stride, *pad, |slot, src| {
+                    let Some(p) = src else { return };
+                    let gs = &g.data()[slot * c..(slot + 1) * c];
+                    for (o, &v) in dxd[p * c..(p + 1) * c].iter_mut().zip(gs) {
+                        *o += v;
+                    }
+                });
                 self.acc(grads, *x, dx);
             }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn conv2d_backward(
-        &self,
-        node: usize,
-        g: &Tensor,
-        x: Var,
-        w: Var,
-        bias: Var,
-        stride: usize,
-        pad: usize,
-        grads: &mut [Option<Tensor>],
-    ) {
-        let xs = self.values[x.0].shape();
-        let ws = self.values[w.0].shape();
-        let os = self.values[node].shape();
-        let (b, c, h, wd) = (xs[0], xs[1], xs[2], xs[3]);
-        let (o, _, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        let (oh, ow) = (os[2], os[3]);
-        let xd = self.values[x.0].data();
-        let wdt = self.values[w.0].data();
-        let need_x = self.requires[x.0];
-        let need_w = self.requires[w.0];
-        let need_b = self.requires[bias.0];
-        let mut dx = Tensor::zeros(xs);
-        let mut dw = Tensor::zeros(ws);
-        let mut db = Tensor::zeros(Shape::d1(o));
-        for bi in 0..b {
-            for oc in 0..o {
-                for i in 0..oh {
-                    for j in 0..ow {
-                        let gv = g.data()[((bi * o + oc) * oh + i) * ow + j];
-                        if gv == 0.0 {
-                            continue;
-                        }
-                        if need_b {
-                            db.data_mut()[oc] += gv;
-                        }
-                        for ci in 0..c {
-                            let xbase = (bi * c + ci) * h * wd;
-                            let wbase = (oc * c + ci) * kh * kw;
-                            for di in 0..kh {
-                                let yi = (i * stride + di) as isize - pad as isize;
-                                if yi < 0 || yi as usize >= h {
-                                    continue;
-                                }
-                                for dj in 0..kw {
-                                    let xj = (j * stride + dj) as isize - pad as isize;
-                                    if xj < 0 || xj as usize >= wd {
-                                        continue;
-                                    }
-                                    let xi = xbase + yi as usize * wd + xj as usize;
-                                    let wi = wbase + di * kw + dj;
-                                    if need_x {
-                                        dx.data_mut()[xi] += gv * wdt[wi];
-                                    }
-                                    if need_w {
-                                        dw.data_mut()[wi] += gv * xd[xi];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if need_x {
-            self.acc(grads, x, dx);
-        }
-        if need_w {
-            self.acc(grads, w, dw);
-        }
-        if need_b {
-            self.acc(grads, bias, db);
         }
     }
 

@@ -34,7 +34,7 @@ pub struct Param<'a> {
     pub value: &'a Tensor,
 }
 
-/// The ops the encoder layers are written in.
+/// The ops the layers of TrajCL and of every baseline are written in.
 ///
 /// `lens` always holds one valid length per batch element; attention
 /// gives key positions `≥ lens[b]` exactly-zero weight on both executors.
@@ -90,15 +90,57 @@ pub trait Exec {
         fuse: Option<(&Self::Act, Param)>,
     ) -> Self::Act;
 
-    /// `probs·V` for coefficients already computed by
-    /// [`Exec::attention_probs`].
-    fn attend(&mut self, probs: &Self::Act, v: &Self::Act) -> Self::Act;
-
     /// Concatenates along the last dimension.
     fn concat(&mut self, a: &Self::Act, b: &Self::Act) -> Self::Act;
 
     /// Mean over the first `lens[b]` positions: `(B, L, D) -> (B, D)`.
     fn mean_pool_masked(&mut self, x: &Self::Act, lens: &[usize]) -> Self::Act;
+
+    /// Rows `ids` of a `(V, D)` table as `(batch, ids.len() / batch, D)`.
+    fn gather(&mut self, table: Param, ids: &[u32], batch: usize) -> Self::Act;
+
+    /// Adds a rank-1 bias over the last dimension in a pass of its own —
+    /// after a sum of products, as in an RNN gate's `x·W + h·U + b`.
+    fn add_bias(&mut self, x: Self::Act, bias: Param) -> Self::Act;
+
+    /// `a − b` (same shapes).
+    fn sub(&mut self, a: Self::Act, b: &Self::Act) -> Self::Act;
+
+    /// `a ⊙ b` (same shapes).
+    fn mul(&mut self, a: &Self::Act, b: &Self::Act) -> Self::Act;
+
+    /// Logistic sigmoid.
+    fn sigmoid(&mut self, x: &Self::Act) -> Self::Act;
+
+    /// Hyperbolic tangent.
+    fn tanh(&mut self, x: &Self::Act) -> Self::Act;
+
+    /// `x · s` for a one-element parameter `s`.
+    fn mul_param(&mut self, x: &Self::Act, s: Param) -> Self::Act;
+
+    /// `(B, L, D) -> (B, D)` at time step `t`.
+    fn select_time(&mut self, x: &Self::Act, t: usize) -> Self::Act;
+
+    /// `a·b`, or `a·bᵀ` with `tb`, batched as [`crate::kernels::matmul`]
+    /// (`probs·V` for coefficients from [`Exec::attention_probs`]).
+    fn matmul(&mut self, a: &Self::Act, b: &Self::Act, tb: bool) -> Self::Act;
+
+    /// `x · c` for a constant `c`.
+    fn scale(&mut self, x: Self::Act, c: f32) -> Self::Act;
+
+    /// Softmax over the last dimension.
+    fn softmax(&mut self, x: Self::Act) -> Self::Act;
+
+    /// [`crate::kernels::unfold`]: the `k × k` windows of a `(B, H·width,
+    /// C)` channels-last image batch as `(B, OH·OW, k·k·C)` rows.
+    fn unfold(
+        &mut self,
+        x: &Self::Act,
+        width: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self::Act;
 
     /// Declares `a` dead.
     fn release(&mut self, a: Self::Act);
@@ -235,15 +277,10 @@ impl Exec for TapeExec<'_> {
     ) -> Var {
         let mut probs = self.attention_probs(q, k, lens);
         if let Some((a, gamma)) = fuse {
-            let gamma = self.bind(gamma);
-            let gated = self.tape.mul_scalar_var(*a, gamma);
+            let gated = self.mul_param(a, gamma);
             probs = self.tape.add(probs, gated);
         }
         self.tape.matmul(probs, *v, false, false)
-    }
-
-    fn attend(&mut self, probs: &Var, v: &Var) -> Var {
-        self.tape.matmul(*probs, *v, false, false)
     }
 
     fn concat(&mut self, a: &Var, b: &Var) -> Var {
@@ -252,6 +289,60 @@ impl Exec for TapeExec<'_> {
 
     fn mean_pool_masked(&mut self, x: &Var, lens: &[usize]) -> Var {
         self.tape.mean_pool_masked(*x, lens)
+    }
+
+    fn gather(&mut self, table: Param, ids: &[u32], batch: usize) -> Var {
+        let table = self.bind(table);
+        let d = self.tape.shape(table).last();
+        let rows = self.tape.embedding(table, ids);
+        self.tape
+            .reshape(rows, Shape::d3(batch, ids.len() / batch, d))
+    }
+
+    fn add_bias(&mut self, x: Var, bias: Param) -> Var {
+        let bias = self.bind(bias);
+        self.tape.add_bias(x, bias)
+    }
+
+    fn sub(&mut self, a: Var, b: &Var) -> Var {
+        self.tape.sub(a, *b)
+    }
+
+    fn mul(&mut self, a: &Var, b: &Var) -> Var {
+        self.tape.mul(*a, *b)
+    }
+
+    fn sigmoid(&mut self, x: &Var) -> Var {
+        self.tape.sigmoid(*x)
+    }
+
+    fn tanh(&mut self, x: &Var) -> Var {
+        self.tape.tanh_op(*x)
+    }
+
+    fn mul_param(&mut self, x: &Var, s: Param) -> Var {
+        let s = self.bind(s);
+        self.tape.mul_scalar_var(*x, s)
+    }
+
+    fn select_time(&mut self, x: &Var, t: usize) -> Var {
+        self.tape.select_time(*x, t)
+    }
+
+    fn matmul(&mut self, a: &Var, b: &Var, tb: bool) -> Var {
+        self.tape.matmul(*a, *b, false, tb)
+    }
+
+    fn scale(&mut self, x: Var, c: f32) -> Var {
+        self.tape.scale(x, c)
+    }
+
+    fn softmax(&mut self, x: Var) -> Var {
+        self.tape.softmax(x)
+    }
+
+    fn unfold(&mut self, x: &Var, width: usize, k: usize, stride: usize, pad: usize) -> Var {
+        self.tape.unfold(*x, width, k, stride, pad)
     }
 
     fn release(&mut self, _: Var) {}

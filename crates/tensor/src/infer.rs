@@ -92,6 +92,15 @@ impl InferCtx {
         Tensor::from_vec(buf, shape)
     }
 
+    /// `f(i, x[i])` for every element of `x`, into an arena tensor.
+    fn map_into(&mut self, x: &Tensor, f: impl Fn(usize, f32) -> f32) -> Tensor {
+        let mut out = self.alloc(x.shape());
+        for (i, (o, &v)) in out.data_mut().iter_mut().zip(x.data()).enumerate() {
+            *o = f(i, v);
+        }
+        out
+    }
+
     /// Hands a tensor's backing buffer to the arena for reuse.
     pub fn recycle(&mut self, t: Tensor) {
         let buf = t.into_vec();
@@ -266,16 +275,70 @@ impl Exec for InferCtx {
         out
     }
 
-    fn attend(&mut self, probs: &Tensor, v: &Tensor) -> Tensor {
-        kernels::matmul_at(self.level, probs, v, false, false, None, |s| self.alloc(s))
-    }
-
     fn concat(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
         kernels::concat(&[a, b], |s| self.alloc(s))
     }
 
     fn mean_pool_masked(&mut self, x: &Tensor, lens: &[usize]) -> Tensor {
         kernels::mean_pool_masked(x, lens, |s| self.alloc(s))
+    }
+
+    fn gather(&mut self, table: Param, ids: &[u32], batch: usize) -> Tensor {
+        let d = table.value.shape().last();
+        let mut out = self.alloc(Shape::d3(batch, ids.len() / batch, d));
+        kernels::gather_rows(table.value, ids, out.data_mut());
+        out
+    }
+
+    fn add_bias(&mut self, mut x: Tensor, bias: Param) -> Tensor {
+        kernels::add_bias_rows(x.data_mut(), bias.value.data());
+        x
+    }
+
+    fn sub(&mut self, mut a: Tensor, b: &Tensor) -> Tensor {
+        a.add_assign_scaled(b, -1.0);
+        a
+    }
+
+    fn mul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        assert_eq!(a.shape(), b.shape(), "mul shape mismatch");
+        self.map_into(a, |i, v| v * b.data()[i])
+    }
+
+    fn sigmoid(&mut self, x: &Tensor) -> Tensor {
+        self.map_into(x, |_, v| kernels::sigmoid(v))
+    }
+
+    fn tanh(&mut self, x: &Tensor) -> Tensor {
+        self.map_into(x, |_, v| v.tanh())
+    }
+
+    fn mul_param(&mut self, x: &Tensor, s: Param) -> Tensor {
+        let s = s.value.data()[0];
+        self.map_into(x, |_, v| v * s)
+    }
+
+    fn select_time(&mut self, x: &Tensor, t: usize) -> Tensor {
+        kernels::select_time(x, t, |s| self.alloc(s))
+    }
+
+    fn matmul(&mut self, a: &Tensor, b: &Tensor, tb: bool) -> Tensor {
+        kernels::matmul_at(self.level, a, b, false, tb, None, |s| self.alloc(s))
+    }
+
+    fn scale(&mut self, mut x: Tensor, c: f32) -> Tensor {
+        x.scale_in_place(c);
+        x
+    }
+
+    fn softmax(&mut self, mut x: Tensor) -> Tensor {
+        let d = x.shape().last();
+        kernels::softmax_rows_at(self.level, x.data_mut(), d);
+        x
+    }
+
+    fn unfold(&mut self, x: &Tensor, width: usize, k: usize, stride: usize, pad: usize) -> Tensor {
+        kernels::unfold(x, width, k, stride, pad, |s| self.alloc(s))
     }
 
     fn release(&mut self, a: Tensor) {
@@ -441,7 +504,7 @@ mod tests {
         let lens = [2usize, 7, 4];
         let fused = ctx.attention(&q, &k, &v, &lens, None);
         let probs = ctx.attention_probs(&q, &k, &lens);
-        assert!(fused.approx_eq(&ctx.attend(&probs, &v), 1e-6));
+        assert!(fused.approx_eq(&ctx.matmul(&probs, &v, false), 1e-6));
         // With the γ·A term: (P + γ·P)·V = (1 + γ)·P·V.
         let gamma = Tensor::scalar(0.5);
         let blended = ctx.attention(&q, &k, &v, &lens, Some((&probs, param(&gamma))));

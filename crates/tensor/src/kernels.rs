@@ -440,15 +440,19 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn softmax_rows(x: &[f32], row_len: usize, out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     out.copy_from_slice(x);
-    let level = cpu::level();
+    softmax_rows_at(cpu::level(), out, row_len);
+}
+
+/// [`softmax_rows`] over `x` itself, at `level`.
+pub(crate) fn softmax_rows_at(level: DispatchLevel, x: &mut [f32], row_len: usize) {
     let n_rows = x.len() / row_len.max(1);
     // ~4 flops per element (max, sub, exp≈amortised, scale).
     if pool::threads() <= 1 || n_rows <= 1 || x.len() * 4 < PAR_THRESHOLD {
-        softmax_rows_inplace(level, out, row_len, row_len, 1.0);
+        softmax_rows_inplace(level, x, row_len, row_len, 1.0);
         return;
     }
     let rows_per = pool::rows_per_lane(n_rows);
-    pool::par_chunks_mut(out, rows_per * row_len, |_, chunk| {
+    pool::par_chunks_mut(x, rows_per * row_len, |_, chunk| {
         softmax_rows_inplace(level, chunk, row_len, row_len, 1.0);
     });
 }
@@ -639,6 +643,112 @@ pub fn mean_pool_masked(x: &Tensor, lens: &[usize], alloc: impl FnOnce(Shape) ->
             }
         }
     }
+    out
+}
+
+/// The logistic sigmoid `1 / (1 + e^−v)`.
+#[inline]
+pub fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
+}
+
+/// Rows `ids` of a `(V, D)` `table`, written one after another into `out`.
+///
+/// # Panics
+/// Panics on an id outside the table.
+pub fn gather_rows(table: &Tensor, ids: &[u32], out: &mut [f32]) {
+    let ts = table.shape();
+    assert_eq!(ts.rank(), 2, "embedding table must be rank 2");
+    let d = ts[1];
+    for (&id, row) in ids.iter().zip(out.chunks_mut(d)) {
+        assert!(
+            (id as usize) < ts[0],
+            "embedding id {id} out of range {}",
+            ts[0]
+        );
+        row.copy_from_slice(table.row(id as usize));
+    }
+}
+
+/// The `(B, D)` slice at time step `t` of a `(B, L, D)` tensor, into a
+/// tensor from `alloc`.
+pub fn select_time(x: &Tensor, t: usize, alloc: impl FnOnce(Shape) -> Tensor) -> Tensor {
+    let xs = x.shape();
+    assert_eq!(xs.rank(), 3, "select_time expects rank 3");
+    let (l, d) = (xs[1], xs[2]);
+    assert!(t < l, "time index {t} out of range {l}");
+    let mut out = alloc(Shape::d2(xs[0], d));
+    for (seq, row) in x.data().chunks(l * d).zip(out.data_mut().chunks_mut(d)) {
+        row.copy_from_slice(&seq[t * d..(t + 1) * d]);
+    }
+    out
+}
+
+/// `(B, H, C, OH, OW)` of an [`unfold`] of a `(B, H·width, C)` input.
+fn unfold_dims(xs: Shape, width: usize, k: usize, stride: usize, pad: usize) -> [usize; 5] {
+    assert!(
+        xs.rank() == 3 && width > 0 && xs[1].is_multiple_of(width),
+        "unfold expects (B, H·{width}, C), got {xs}"
+    );
+    let h = xs[1] / width;
+    assert!(
+        stride > 0 && h.min(width) + 2 * pad >= k,
+        "a {k}-wide window does not fit {h}x{width} padded by {pad}"
+    );
+    let out = |n: usize| (n + 2 * pad - k) / stride + 1;
+    [xs[0], h, xs[2], out(h), out(width)]
+}
+
+/// Walks the `C`-wide slots of an [`unfold`]'s output in order:
+/// `f(slot, pixel)` with the flat index of the input pixel the slot copies,
+/// `None` where the window overhangs into the padding.
+pub(crate) fn for_each_tap(
+    xs: Shape,
+    width: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    mut f: impl FnMut(usize, Option<usize>),
+) {
+    let [b, h, _, oh, ow] = unfold_dims(xs, width, k, stride, pad);
+    for slot in 0..b * oh * ow * k * k {
+        let (pixel, tap) = (slot / (k * k), slot % (k * k));
+        let (bi, o) = (pixel / (oh * ow), pixel % (oh * ow));
+        let y = (o / ow * stride + tap / k)
+            .checked_sub(pad)
+            .filter(|&y| y < h);
+        let x = (o % ow * stride + tap % k)
+            .checked_sub(pad)
+            .filter(|&x| x < width);
+        f(slot, y.zip(x).map(|(y, x)| (bi * h + y) * width + x));
+    }
+}
+
+/// Window unfold (im2col) of a channels-last image batch, into a tensor
+/// from `alloc`. `x` is `(B, H·W, C)` with `W = width`: each element's
+/// rows are its `H × W` pixels, row-major. The result is `(B, OH·OW,
+/// k·k·C)`: one row per position of a `k × k` window sliding by `stride`
+/// over the image zero-padded by `pad`, holding the window's pixels tap by
+/// tap (`(di, dj)` row-major, `C` channels each). A convolution is this
+/// followed by one product with a `(k·k·C, O)` weight.
+pub fn unfold(
+    x: &Tensor,
+    width: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    alloc: impl FnOnce(Shape) -> Tensor,
+) -> Tensor {
+    let [b, _, c, oh, ow] = unfold_dims(x.shape(), width, k, stride, pad);
+    let mut out = alloc(Shape::d3(b, oh * ow, k * k * c));
+    let (xd, od) = (x.data(), out.data_mut());
+    for_each_tap(x.shape(), width, k, stride, pad, |slot, src| {
+        let dst = &mut od[slot * c..(slot + 1) * c];
+        match src {
+            Some(p) => dst.copy_from_slice(&xd[p * c..(p + 1) * c]),
+            None => dst.fill(0.0),
+        }
+    });
     out
 }
 
@@ -1015,6 +1125,47 @@ mod tests {
         });
         for (i, row) in out.chunks(128).enumerate() {
             assert!(row.iter().all(|&v| v == i as f32));
+        }
+    }
+
+    #[test]
+    fn unfold_then_one_product_is_the_direct_convolution() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        // Two 5x4 images (H = 5, W = 4), 3 channels, a 3x3 kernel to 2
+        // outputs, at each stride/padding pair.
+        let (b, h, w, c, k, o) = (2usize, 5usize, 4usize, 3usize, 3usize, 2usize);
+        let x = Tensor::randn(Shape::d3(b, h * w, c), 0.0, 1.0, &mut rng);
+        let wt = Tensor::randn(Shape::d2(k * k * c, o), 0.0, 1.0, &mut rng);
+        for (stride, pad) in [(1, 1), (2, 1), (1, 0), (2, 0)] {
+            let got = matmul(
+                &unfold(&x, w, k, stride, pad, Tensor::zeros),
+                &wt,
+                false,
+                false,
+            );
+            let (oh, ow) = (
+                (h + 2 * pad - k) / stride + 1,
+                (w + 2 * pad - k) / stride + 1,
+            );
+            assert_eq!(got.shape(), Shape::d3(b, oh * ow, o));
+            for (bi, i, j, oc) in (0..b * oh * ow * o)
+                .map(|n| (n / (oh * ow * o), n / (ow * o) % oh, n / o % ow, n % o))
+            {
+                let mut want = 0.0f32;
+                for (di, dj, ci) in (0..k * k * c).map(|t| (t / (k * c), t / c % k, t % c)) {
+                    let (y, xx) = (i * stride + di, j * stride + dj);
+                    if y >= pad && y - pad < h && xx >= pad && xx - pad < w {
+                        let pixel = (bi * h + y - pad) * w + xx - pad;
+                        want += x.data()[pixel * c + ci] * wt.at2((di * k + dj) * c + ci, oc);
+                    }
+                }
+                let at = got.at3(bi, i * ow + j, oc);
+                assert!(
+                    (at - want).abs() < 1e-4,
+                    "({bi},{i},{j},{oc}) {at} vs {want}"
+                );
+            }
         }
     }
 }

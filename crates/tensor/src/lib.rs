@@ -5,7 +5,8 @@
 //! reproduction. It provides exactly the operations the paper's models need:
 //! batched matmul with transpose flags, masked softmax attention plumbing,
 //! layer norm, dropout, embedding lookups, sequence pooling, RNN time-step
-//! ops (for baselines), and 2-D convolution (for the TrjSR baseline).
+//! ops (for the baselines), and a window unfold (im2col) that turns a
+//! convolution into one product on the GEMM (for the TrjSR baseline).
 //!
 //! ## Design
 //! * [`Tensor`] is plain data (row-major `Vec<f32>` + [`Shape`], rank ≤ 4).
@@ -23,10 +24,12 @@
 //!   holds the process-wide dispatch level that picks between them
 //!   (`TRAJCL_FORCE_SCALAR` override), and both copies return the same
 //!   bits.
-//! * [`Exec`] is the seam every layer is written against, once: the
-//!   [`TapeExec`] executor records the ops on a [`Tape`] for training,
-//!   [`InferCtx`] runs them gradient-free with fused attention and
-//!   scratch-buffer reuse for serving (see [`exec`], [`infer`]).
+//! * [`Exec`] is the seam every layer of every model is written against,
+//!   once: the [`TapeExec`] executor records the ops on a [`Tape`] for
+//!   training, [`InferCtx`] runs them gradient-free with fused attention
+//!   and scratch-buffer reuse for serving and bulk embedding (see
+//!   [`exec`], [`infer`]). The tape keeps a few training-only primitives
+//!   (losses, `row_dot`, `abs_op`, …) outside the seam.
 //!
 //! ## Example
 //! ```

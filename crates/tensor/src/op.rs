@@ -23,8 +23,6 @@ pub(crate) enum Op {
     Mul(Var, Var),
     /// `x * c` for a compile-time constant scalar.
     Scale(Var, f32),
-    /// `x + c` for a constant scalar (gradient is pass-through).
-    AddScalar(Var),
     /// `a_eff · b_eff` with per-operand transpose flags; batched.
     Matmul {
         a: Var,
@@ -50,8 +48,6 @@ pub(crate) enum Op {
         rstd: Tensor,
     },
     Relu(Var),
-    /// tanh-approximated GELU.
-    Gelu(Var),
     Tanh(Var),
     Sigmoid(Var),
     /// Elementwise absolute value.
@@ -109,24 +105,12 @@ pub(crate) enum Op {
         x: Var,
         t: usize,
     },
-    /// `L × (B, D) -> (B, L, D)` stack along a new time dimension.
-    StackTime {
-        parts: Vec<Var>,
-    },
-    /// 2-D convolution, NCHW layout, square kernel from `w`'s shape.
-    Conv2d {
+    /// Window unfold (im2col) of a `(B, H·width, C)` image batch.
+    Unfold {
         x: Var,
-        w: Var,
-        bias: Var,
+        width: usize,
+        k: usize,
         stride: usize,
         pad: usize,
     },
-    /// Non-overlapping max pooling with square window `size`;
-    /// `argmax[i]` is the flat input index chosen for output element `i`.
-    MaxPool2d {
-        x: Var,
-        argmax: Vec<u32>,
-    },
-    /// Global average pooling `(B, C, H, W) -> (B, C)`.
-    AvgPool2dGlobal(Var),
 }

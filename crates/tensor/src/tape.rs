@@ -139,13 +139,6 @@ impl Tape {
         self.push(out, Op::Scale(x, c), r)
     }
 
-    /// Addition of a constant scalar.
-    pub fn add_scalar(&mut self, x: Var, c: f32) -> Var {
-        let out = self.value(x).map(|v| v + c);
-        let r = self.req(x);
-        self.push(out, Op::AddScalar(x), r)
-    }
-
     // ----- linear algebra ---------------------------------------------------
 
     /// (Batched) matrix product with transpose flags; see
@@ -191,13 +184,6 @@ impl Tape {
         self.push(out, Op::Relu(x), r)
     }
 
-    /// GELU (tanh approximation).
-    pub fn gelu(&mut self, x: Var) -> Var {
-        let out = self.value(x).map(gelu_fwd);
-        let r = self.req(x);
-        self.push(out, Op::Gelu(x), r)
-    }
-
     /// Hyperbolic tangent.
     pub fn tanh_op(&mut self, x: Var) -> Var {
         let out = self.value(x).map(f32::tanh);
@@ -207,7 +193,7 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
-        let out = self.value(x).map(|v| 1.0 / (1.0 + (-v).exp()));
+        let out = self.value(x).map(kernels::sigmoid);
         let r = self.req(x);
         self.push(out, Op::Sigmoid(x), r)
     }
@@ -327,43 +313,9 @@ impl Tape {
 
     /// `(B, L, D)` slice at time step `t`, producing `(B, D)`.
     pub fn select_time(&mut self, x: Var, t: usize) -> Var {
-        let xs = self.shape(x);
-        assert_eq!(xs.rank(), 3, "select_time expects rank 3");
-        let (b, l, d) = (xs[0], xs[1], xs[2]);
-        assert!(t < l, "time index {t} out of range {l}");
-        let mut out = Tensor::zeros(Shape::d2(b, d));
-        for bi in 0..b {
-            let src = &self.value(x).data()[(bi * l + t) * d..(bi * l + t + 1) * d];
-            out.data_mut()[bi * d..(bi + 1) * d].copy_from_slice(src);
-        }
+        let out = kernels::select_time(self.value(x), t, Tensor::zeros);
         let r = self.req(x);
         self.push(out, Op::SelectTime { x, t }, r)
-    }
-
-    /// Stacks `L` tensors of shape `(B, D)` into `(B, L, D)`.
-    pub fn stack_time(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "stack_time of zero parts");
-        let s0 = self.shape(parts[0]);
-        assert_eq!(s0.rank(), 2, "stack_time parts must be rank 2");
-        let (b, d) = (s0[0], s0[1]);
-        let l = parts.len();
-        let mut out = Tensor::zeros(Shape::d3(b, l, d));
-        for (t, &p) in parts.iter().enumerate() {
-            assert_eq!(self.shape(p), s0, "stack_time shape mismatch at {t}");
-            let pd = self.values[p.0].data();
-            for bi in 0..b {
-                out.data_mut()[(bi * l + t) * d..(bi * l + t + 1) * d]
-                    .copy_from_slice(&pd[bi * d..(bi + 1) * d]);
-            }
-        }
-        let r = parts.iter().any(|&p| self.req(p));
-        self.push(
-            out,
-            Op::StackTime {
-                parts: parts.to_vec(),
-            },
-            r,
-        )
     }
 
     // ----- pooling / gathering ----------------------------------------------
@@ -386,15 +338,9 @@ impl Tape {
     /// Row gather from an embedding `table` of shape `(V, D)`:
     /// `out[i, :] = table[ids[i], :]`, producing `(N, D)`.
     pub fn embedding(&mut self, table: Var, ids: &[u32]) -> Var {
-        let ts = self.shape(table);
-        assert_eq!(ts.rank(), 2, "embedding table must be rank 2");
-        let (v, d) = (ts[0], ts[1]);
+        let d = self.shape(table).last();
         let mut out = Tensor::zeros(Shape::d2(ids.len(), d));
-        for (i, &id) in ids.iter().enumerate() {
-            assert!((id as usize) < v, "embedding id {id} out of range {v}");
-            let src = &self.values[table.0].data()[id as usize * d..(id as usize + 1) * d];
-            out.data_mut()[i * d..(i + 1) * d].copy_from_slice(src);
-        }
+        kernels::gather_rows(self.value(table), ids, out.data_mut());
         let r = self.req(table);
         self.push(
             out,
@@ -458,104 +404,19 @@ impl Tape {
         self.push(out, Op::MulScalarVar { x, s }, r)
     }
 
-    // ----- convolution (for the TrjSR baseline) -------------------------------
-
-    /// 2-D convolution in NCHW layout with square stride and zero padding.
-    ///
-    /// `x: (B, C, H, W)`, `w: (O, C, K, K)`, `bias: (O)`.
-    pub fn conv2d(&mut self, x: Var, w: Var, bias: Var, stride: usize, pad: usize) -> Var {
-        let xs = self.shape(x);
-        let ws = self.shape(w);
-        assert_eq!(xs.rank(), 4, "conv2d input must be rank 4 (NCHW)");
-        assert_eq!(ws.rank(), 4, "conv2d weight must be rank 4 (OCKK)");
-        let (b, c, h, wd) = (xs[0], xs[1], xs[2], xs[3]);
-        let (o, cw, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        assert_eq!(c, cw, "conv2d channel mismatch");
-        assert_eq!(self.shape(bias), Shape::d1(o), "conv2d bias shape");
-        let oh = (h + 2 * pad - kh) / stride + 1;
-        let ow = (wd + 2 * pad - kw) / stride + 1;
-        let mut out = Tensor::zeros(Shape::d4(b, o, oh, ow));
-        {
-            let xd = self.value(x).data();
-            let wdt = self.value(w).data();
-            let bd = self.value(bias).data();
-            let plane = oh * ow;
-            kernels::for_each_row(out.data_mut(), plane, c * kh * kw * plane, |r, orow| {
-                let (bi, oc) = (r / o, r % o);
-                conv2d_plane(
-                    xd, wdt, bd[oc], bi, oc, c, h, wd, kh, kw, stride, pad, oh, ow, orow,
-                );
-            });
-        }
-        let r = self.req(x) || self.req(w) || self.req(bias);
-        self.push(
-            out,
-            Op::Conv2d {
-                x,
-                w,
-                bias,
-                stride,
-                pad,
-            },
-            r,
-        )
-    }
-
-    /// Non-overlapping max pooling with a square `size` window.
-    pub fn max_pool2d(&mut self, x: Var, size: usize) -> Var {
-        let xs = self.shape(x);
-        assert_eq!(xs.rank(), 4, "max_pool2d input must be rank 4");
-        let (b, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
-        assert!(
-            h % size == 0 && w % size == 0,
-            "pool size must divide H and W"
-        );
-        let (oh, ow) = (h / size, w / size);
-        let mut out = Tensor::zeros(Shape::d4(b, c, oh, ow));
-        let mut argmax = vec![0u32; out.numel()];
-        {
-            let xd = self.value(x).data();
-            let od = out.data_mut();
-            let mut oi = 0;
-            for bc in 0..b * c {
-                let base = bc * h * w;
-                for i in 0..oh {
-                    for j in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for di in 0..size {
-                            for dj in 0..size {
-                                let idx = base + (i * size + di) * w + (j * size + dj);
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        od[oi] = best;
-                        argmax[oi] = best_idx as u32;
-                        oi += 1;
-                    }
-                }
-            }
-        }
+    /// [`kernels::unfold`]: the `k × k` windows of a `(B, H·width, C)`
+    /// channels-last image batch as rows, `(B, OH·OW, k·k·C)`.
+    pub fn unfold(&mut self, x: Var, width: usize, k: usize, stride: usize, pad: usize) -> Var {
+        let out = kernels::unfold(self.value(x), width, k, stride, pad, Tensor::zeros);
         let r = self.req(x);
-        self.push(out, Op::MaxPool2d { x, argmax }, r)
-    }
-
-    /// Global average pooling `(B, C, H, W) -> (B, C)`.
-    pub fn avg_pool2d_global(&mut self, x: Var) -> Var {
-        let xs = self.shape(x);
-        assert_eq!(xs.rank(), 4, "avg_pool2d_global input must be rank 4");
-        let (b, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
-        let inv = 1.0 / (h * w) as f32;
-        let mut out = Tensor::zeros(Shape::d2(b, c));
-        for bc in 0..b * c {
-            let plane = &self.value(x).data()[bc * h * w..(bc + 1) * h * w];
-            out.data_mut()[bc] = plane.iter().sum::<f32>() * inv;
-        }
-        let r = self.req(x);
-        self.push(out, Op::AvgPool2dGlobal(x), r)
+        let op = Op::Unfold {
+            x,
+            width,
+            k,
+            stride,
+            pad,
+        };
+        self.push(out, op, r)
     }
 }
 
@@ -610,64 +471,6 @@ pub(crate) fn split_heads_copy(
                     dst[split..split + dh].copy_from_slice(&src[packed..packed + dh]);
                 }
             }
-        }
-    }
-}
-
-fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-/// Derivative of the tanh-approximated GELU; used by the backward pass.
-pub(crate) fn gelu_bwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv2d_plane(
-    x: &[f32],
-    w: &[f32],
-    bias: f32,
-    bi: usize,
-    oc: usize,
-    c: usize,
-    h: usize,
-    wd: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    for i in 0..oh {
-        for j in 0..ow {
-            let mut acc = bias;
-            for ci in 0..c {
-                let xbase = (bi * c + ci) * h * wd;
-                let wbase = (oc * c + ci) * kh * kw;
-                for di in 0..kh {
-                    let yi = (i * stride + di) as isize - pad as isize;
-                    if yi < 0 || yi as usize >= h {
-                        continue;
-                    }
-                    for dj in 0..kw {
-                        let xj = (j * stride + dj) as isize - pad as isize;
-                        if xj < 0 || xj as usize >= wd {
-                            continue;
-                        }
-                        acc += x[xbase + yi as usize * wd + xj as usize] * w[wbase + di * kw + dj];
-                    }
-                }
-            }
-            out[i * ow + j] = acc;
         }
     }
 }

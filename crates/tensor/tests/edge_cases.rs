@@ -170,15 +170,17 @@ fn tape_len_tracks_nodes() {
 
 #[test]
 fn rank4_tensors_supported_through_conv_path() {
+    // A (1, 6, 6, 1) channels-last image as (1, 36, 1) pixel rows: a 3x3
+    // convolution is an unfold and one product, the global pool a mean.
     let mut rng = StdRng::seed_from_u64(1);
     let mut tape = Tape::new();
-    let x = tape.input(Tensor::randn(Shape::d4(1, 1, 6, 6), 0.0, 1.0, &mut rng));
-    let w = tape.input(Tensor::randn(Shape::d4(2, 1, 3, 3), 0.0, 0.3, &mut rng));
-    let b = tape.input(Tensor::zeros(Shape::d1(2)));
-    let y = tape.conv2d(x, w, b, 1, 0);
-    assert_eq!(tape.shape(y), Shape::d4(1, 2, 4, 4));
-    let p = tape.max_pool2d(y, 2);
-    assert_eq!(tape.shape(p), Shape::d4(1, 2, 2, 2));
-    let g = tape.avg_pool2d_global(p);
+    let img = tape.input(Tensor::randn(Shape::d4(1, 6, 6, 1), 0.0, 1.0, &mut rng));
+    let x = tape.reshape(img, Shape::d3(1, 36, 1));
+    let cols = tape.unfold(x, 6, 3, 1, 0);
+    assert_eq!(tape.shape(cols), Shape::d3(1, 16, 9));
+    let w = tape.input(Tensor::randn(Shape::d2(9, 2), 0.0, 0.3, &mut rng));
+    let y = tape.matmul(cols, w, false, false);
+    assert_eq!(tape.shape(y), Shape::d3(1, 16, 2));
+    let g = tape.mean_pool_masked(y, &[16]);
     assert_eq!(tape.shape(g), Shape::d2(1, 2));
 }

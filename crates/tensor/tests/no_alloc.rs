@@ -65,7 +65,7 @@ fn warm_exec_ops_do_not_allocate() {
     let k = randn(Shape::d3(b * heads, l, d / heads), 7);
     let v = randn(Shape::d3(b * heads, l, d / heads), 8);
     let mut ctx = InferCtx::new();
-    // Coefficients for the γ·A term and for `attend`, made once up front.
+    // Coefficients for the γ·A term and for `probs·V`, made once up front.
     let a_s = ctx.attention_probs(&q, &k, &lens);
 
     type Op<'a> = Box<dyn Fn(&mut InferCtx) -> Tensor + 'a>;
@@ -86,7 +86,7 @@ fn warm_exec_ops_do_not_allocate() {
             "attention_probs",
             Box::new(|c| c.attention_probs(&q, &k, &lens)),
         ),
-        ("attend", Box::new(|c| c.attend(&a_s, &v))),
+        ("matmul (probs·V)", Box::new(|c| c.matmul(&a_s, &v, false))),
         (
             "split_heads",
             Box::new(|c| {
