@@ -4,7 +4,7 @@
 
 use trajcl_geo::{validate_batch, Bbox, FeaturizeError, Grid, Trajectory};
 use trajcl_nn::{Fwd, ParamStore};
-use trajcl_tensor::{Exec, InferCtx, Shape, Tensor};
+use trajcl_tensor::{CtxPool, Exec, Shape, Tensor};
 
 /// Featurises trajectories into grid-cell token sequences plus normalised
 /// coordinates — the input representation shared by t2vec, CSTRM, T3S and
@@ -85,8 +85,11 @@ impl TokenFeaturizer {
 }
 
 /// A trainable trajectory-embedding model. Implemented by every baseline so
-/// the experiment harness can treat them uniformly.
-pub trait TrajectoryEncoder {
+/// the experiment harness can treat them uniformly: each trains through
+/// [`TrajectoryEncoder::encode`] on the tape and embeds through
+/// [`TrajectoryEncoder::embed`], TrajCL's bulk path. `Sync`, because the
+/// embed shares the model across the pool lanes.
+pub trait TrajectoryEncoder: Sync {
     /// Human-readable name matching the paper's tables.
     fn name(&self) -> &'static str;
 
@@ -100,28 +103,21 @@ pub trait TrajectoryEncoder {
     fn store_mut(&mut self) -> &mut ParamStore;
 
     /// Encodes a batch on either executor, returning `(B, dim)`: a
-    /// [`trajcl_tensor::TapeExec`] to train, an [`InferCtx`] to embed.
+    /// [`trajcl_tensor::TapeExec`] to train, a [`trajcl_tensor::InferCtx`]
+    /// to embed.
     ///
     /// The `Fwd` context must be bound to this model's store.
     fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act;
 
-    /// Inference batch size.
-    fn batch_size(&self) -> usize {
-        32
-    }
-
-    /// Embeds trajectories in eval mode, `(N, dim)`: [`TrajectoryEncoder::encode`]
-    /// on one [`InferCtx`], `batch_size()` trajectories at a time.
+    /// Embeds trajectories in eval mode, `(N, dim)`: one unpadded
+    /// [`TrajectoryEncoder::encode`] per trajectory on `InferCtx`s, the
+    /// rows split across the pool lanes ([`CtxPool::embed_rows`], TrajCL's
+    /// bulk path too). A row's bits equal its row in a padded batch.
     fn embed(&self, trajs: &[Trajectory]) -> Tensor {
-        let (d, per) = (self.dim(), self.batch_size().max(1));
-        let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-        let mut ctx = InferCtx::new();
-        for (rows, chunk) in out.data_mut().chunks_mut(per * d).zip(trajs.chunks(per)) {
-            let h = self.encode(&mut Fwd::new(&mut ctx, self.store()), chunk);
-            rows.copy_from_slice(h.data());
-            ctx.release(h);
-        }
-        out
+        CtxPool::new().embed_rows(trajs.len(), self.dim(), |ctx, i| {
+            let mut f = Fwd::new(ctx, self.store());
+            self.encode(&mut f, std::slice::from_ref(&trajs[i]))
+        })
     }
 }
 

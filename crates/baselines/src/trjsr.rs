@@ -225,10 +225,6 @@ impl TrajectoryEncoder for TrjSr {
         &mut self.store
     }
 
-    fn batch_size(&self) -> usize {
-        16
-    }
-
     fn encode<E: Exec>(&self, f: &mut Fwd<E>, trajs: &[Trajectory]) -> E::Act {
         let feats = self.features(f, &self.raster.render_batch(trajs));
         // Global average pool over every pixel: (B, channels).

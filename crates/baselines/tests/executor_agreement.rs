@@ -1,8 +1,10 @@
 //! Every baseline embeds on the tape-free executor with the bits of its
-//! tape forward. Each of the eight is trained a few steps, then one batch
-//! of ragged lengths is encoded on a `TapeExec` and on an `InferCtx` at
-//! every dispatch level, and embedded through `TrajectoryEncoder::embed`;
-//! all must agree bit for bit.
+//! tape forward. Each of the eight is trained a few steps, then one padded
+//! batch of ragged lengths (one of them past `max_len`) is encoded on a
+//! `TapeExec` and on an `InferCtx` at every dispatch level; all must agree
+//! bit for bit. `TrajectoryEncoder::embed` runs one forward per trajectory,
+//! so its check is the check of those per-trajectory forwards against the
+//! padded batch.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,7 +78,14 @@ fn assert_executors_agree(model: &impl TrajectoryEncoder, batch: &[Trajectory]) 
 fn every_baseline_embeds_the_bits_of_its_tape_forward() {
     let mut rng = StdRng::seed_from_u64(17);
     let pool = trajs(&[14, 9, 12, 6, 11, 14, 8, 10, 13, 7, 12, 9], &mut rng);
-    let batch = trajs(&[5, 12, 2, 8, 1, 9], &mut rng);
+    let mut batch = trajs(&[5, 12, 2, 8, 1, 9], &mut rng);
+    // Longer than the token featurizer's `max_len` (32), so `embed`'s
+    // one forward per trajectory meets the padded batch across truncation.
+    batch.push(
+        (0..40)
+            .map(|i| Point::new(100.0 + (i % 20) as f64 * 90.0, 300.0 + i as f64 * 35.0))
+            .collect(),
+    );
 
     let backbone = T2VecConfig {
         dim: DIM,

@@ -324,7 +324,9 @@ pub fn table7(zoo: &mut Zoo) -> io::Result<()> {
 /// heuristics pay per pair, learned methods once per trajectory (encode)
 /// plus an L1 per pair. The measured columns sit beside a projection to
 /// the paper's 10⁸ pairs / 101 000 encodes, where the paper's "learned ≫
-/// heuristic" gap (and t2vec-vs-TrajCL recurrence gap) appears.
+/// heuristic" gap appears. The line after the table prints ratios of that
+/// column: each learned method over TrajCL, and the fastest heuristic
+/// over the slowest learned method.
 pub fn table8(zoo: &mut Zoo) -> io::Result<()> {
     let profile = DatasetProfile::porto();
     let (env, models) = zoo.trained(profile);
@@ -336,10 +338,13 @@ pub fn table8(zoo: &mut Zoo) -> io::Result<()> {
         ),
         &["measured (s)", "µs/pair", "paper-scale projection (s)"],
     );
+    // Each row's paper-scale projection, for the ratios printed below.
+    let (mut heuristic, mut learned) = (Vec::new(), Vec::new());
     for measure in heuristic_set(profile) {
         let t0 = Instant::now();
         let _ = pairwise_distances(&proto.queries, &proto.database, measure);
         let secs = t0.elapsed().as_secs_f64();
+        heuristic.push((measure.name(), secs / n_pairs as f64 * PAPER_PAIRS));
         table.row(
             measure.name(),
             vec![
@@ -356,20 +361,35 @@ pub fn table8(zoo: &mut Zoo) -> io::Result<()> {
         }
         let (encode, compare) = encode_and_compare(&models, name, &env, &proto);
         let total = encode + compare;
+        let projected = paper_projection(&proto, encode, compare);
+        learned.push((name, projected));
         table.row(
             name,
             vec![
                 fmt_secs(total),
                 format!("{:.2}", total * 1e6 / n_pairs as f64),
-                fmt_secs(paper_projection(&proto, encode, compare)),
+                fmt_secs(projected),
             ],
         );
     }
     table.print();
     table.save_json("table8")?;
+    let by_time = |a: &&(&str, f64), b: &&(&str, f64)| a.1.total_cmp(&b.1);
+    let fastest = heuristic.iter().min_by(by_time).expect("four heuristics");
+    let slowest = learned.iter().max_by(by_time).expect("TrajCL is trained");
+    let trajcl = learned.iter().find(|m| m.0 == "TrajCL").expect("TrajCL");
+    let over_trajcl: Vec<String> = learned
+        .iter()
+        .filter(|m| m.0 != "TrajCL")
+        .map(|(name, secs)| format!("{name}/TrajCL = {:.2}x", secs / trajcl.1))
+        .collect();
     println!(
-        "paper shape check (projection column): learned methods beat every heuristic; \
-         recurrent t2vec/E2DTC pay more encode time than attention-based TrajCL/CSTRM."
+        "paper shape check (projection column): {}; fastest heuristic / slowest learned \
+         = {}/{} = {:.1}x (paper: every learned method beats every heuristic)",
+        over_trajcl.join(", "),
+        fastest.0,
+        slowest.0,
+        fastest.1 / slowest.1
     );
     Ok(())
 }

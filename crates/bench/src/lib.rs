@@ -30,9 +30,9 @@
 //! scale towards the paper's sizes, and `--profiles all` runs Table III
 //! on all four profiles. One run builds each dataset environment once per
 //! (profile, dim) and trains each profile's [`Recipe`] once, and every
-//! table reads those models. Criterion benches (`benches/`) cover the
-//! microbenchmark-shaped artifacts (per-pair times, encoder cost model,
-//! index probes, kernels).
+//! table reads those models. Criterion benches (`benches/`) time what no
+//! ladder rung or `exp` table times: the kernels, the augmentations and
+//! the heuristics' cost in trajectory length.
 //!
 //! Serving-stack timing is not here: the ladder (`src/bin/ladder/`, a
 //! package of its own, declared in `BENCHMARK.json`) is the one

@@ -9,6 +9,7 @@
 //! Batches are padded to the longest member (capped at `max_len`); padding
 //! is excluded from attention (mask) and pooling (lengths) downstream.
 
+use std::borrow::Cow;
 use trajcl_geo::{
     spatial_features, validate_batch, FeaturizeError, Grid, SpatialNorm, Trajectory, SPATIAL_DIM,
 };
@@ -23,9 +24,6 @@ pub struct BatchInputs {
     pub spatial: Tensor,
     /// Valid (pre-padding) length per batch element.
     pub lens: Vec<usize>,
-    /// Grid cell id per point, row-major `(B, L)` (padding = cell 0);
-    /// kept for baselines that embed raw cell tokens.
-    pub cells: Vec<u32>,
 }
 
 impl BatchInputs {
@@ -113,18 +111,16 @@ impl Featurizer {
         let d = self.dim();
         let mut structural = Tensor::zeros(Shape::d3(b, l, d));
         let mut spatial = Tensor::zeros(Shape::d3(b, l, SPATIAL_DIM));
-        let mut cells = vec![0u32; b * l];
         for (bi, traj) in trajs.iter().enumerate() {
             let len = lens[bi];
-            let truncated: Trajectory = if traj.len() > len {
-                Trajectory::new(traj.points()[..len].to_vec())
+            let traj = if traj.len() > len {
+                Cow::Owned(Trajectory::new(traj.points()[..len].to_vec()))
             } else {
-                traj.clone()
+                Cow::Borrowed(traj)
             };
-            let feats = spatial_features(&truncated);
-            for (t, (p, feat)) in truncated.points().iter().zip(&feats).enumerate() {
+            let feats = spatial_features(&traj);
+            for (t, (p, feat)) in traj.points().iter().zip(&feats).enumerate() {
                 let cell = self.grid.cell_of(p);
-                cells[bi * l + t] = cell;
                 let src = &self.cell_embeddings.data()[cell as usize * d..(cell as usize + 1) * d];
                 structural.data_mut()[(bi * l + t) * d..(bi * l + t + 1) * d].copy_from_slice(src);
                 let sf = self.norm.apply(feat);
@@ -136,7 +132,6 @@ impl Featurizer {
             structural,
             spatial,
             lens,
-            cells,
         })
     }
 }
@@ -201,7 +196,6 @@ mod tests {
             let expect = &f.cell_embeddings.data()[cell * 8..(cell + 1) * 8];
             let got: Vec<f32> = (0..8).map(|k| batch.structural.at3(0, i, k)).collect();
             assert_eq!(got.as_slice(), expect);
-            assert_eq!(batch.cells[i], cell as u32);
         }
     }
 

@@ -13,7 +13,7 @@
 //! ranking by L1 distance in the refined embedding space.
 
 use crate::featurizer::{BatchInputs, Featurizer};
-use crate::model::{embed_each, TrajClModel};
+use crate::model::TrajClModel;
 use rand::Rng;
 use trajcl_geo::Trajectory;
 use trajcl_measures::HeuristicMeasure;
@@ -76,10 +76,12 @@ impl FinetunedEstimator {
         featurizer: &Featurizer,
         trajs: &[Trajectory],
     ) -> Tensor {
-        let d = self.model.cfg.dim;
-        embed_each(ctxs, featurizer, trajs, d, |ctx, inputs| {
+        ctxs.embed_rows(trajs.len(), self.model.cfg.dim, |ctx, i| {
+            let inputs = featurizer
+                .featurize(std::slice::from_ref(&trajs[i]))
+                .expect("embed: one trajectory");
             let mut f = Fwd::new(ctx, &self.store);
-            refined(&self.model, &self.head, &mut f, inputs)
+            refined(&self.model, &self.head, &mut f, &inputs)
         })
     }
 

@@ -70,16 +70,19 @@ impl TrajClModel {
     /// Like [`TrajClModel::embed`] on contexts from a caller-owned
     /// [`CtxPool`], so scratch buffers persist across calls (the engine
     /// backends hold one). Each trajectory runs its own unpadded forward,
-    /// the rows split across the pool lanes: the bits equal its row in any
-    /// padded batch, at any width.
+    /// the rows split across the pool lanes ([`CtxPool::embed_rows`]): the
+    /// bits equal its row in any padded batch, at any width.
     pub fn embed_with(
         &self,
         ctxs: &CtxPool,
         featurizer: &Featurizer,
         trajs: &[Trajectory],
     ) -> Tensor {
-        embed_each(ctxs, featurizer, trajs, self.cfg.dim, |ctx, inputs| {
-            self.infer_h(ctx, inputs)
+        ctxs.embed_rows(trajs.len(), self.cfg.dim, |ctx, i| {
+            let inputs = featurizer
+                .featurize(std::slice::from_ref(&trajs[i]))
+                .expect("embed: one trajectory");
+            self.infer_h(ctx, &inputs)
         })
     }
 
@@ -107,37 +110,6 @@ impl TrajClModel {
         }
         out
     }
-}
-
-/// `(N, d)` embeddings of `trajs`, each from its own unpadded `forward`:
-/// the output rows split across the pool lanes, one `ctxs` context per
-/// lane for the length of its rows — at one lane, a plain loop on one
-/// context. A row's bits depend on its trajectory alone
-/// (`tests/infer_equivalence.rs`), so neither the split nor the width
-/// shows in the output, and no context ever holds a padded batch's
-/// attention scratch.
-pub(crate) fn embed_each(
-    ctxs: &CtxPool,
-    featurizer: &Featurizer,
-    trajs: &[Trajectory],
-    d: usize,
-    forward: impl Fn(&mut InferCtx, &BatchInputs) -> Tensor + Sync,
-) -> Tensor {
-    let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-    let per_lane = pool::rows_per_lane(trajs.len());
-    pool::par_chunks_mut(out.data_mut(), per_lane * d, |lane, rows| {
-        let mut ctx = ctxs.checkout();
-        let lane_trajs = trajs[lane * per_lane..].iter();
-        for (row, traj) in rows.chunks_mut(d).zip(lane_trajs) {
-            let inputs = featurizer
-                .featurize(std::slice::from_ref(traj))
-                .expect("embed: one trajectory");
-            let h = forward(&mut ctx, &inputs);
-            row.copy_from_slice(h.data());
-            ctx.recycle(h);
-        }
-    });
-    out
 }
 
 /// Row-wise L1 distance matrix between `(Q, d)` and `(N, d)` embedding

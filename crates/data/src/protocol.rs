@@ -64,17 +64,6 @@ impl QueryProtocol {
         }
     }
 
-    /// Shrinks the database to its first `db_size` entries (all ground
-    /// truths stay — they are stored first), for the Table III |D| sweep.
-    pub fn with_db_size(&self, db_size: usize) -> QueryProtocol {
-        assert!(db_size >= self.queries.len(), "would drop ground truths");
-        QueryProtocol {
-            queries: self.queries.clone(),
-            database: self.database[..db_size.min(self.database.len())].to_vec(),
-            ground_truth: self.ground_truth.clone(),
-        }
-    }
-
     /// Applies a degradation to every query and database trajectory
     /// (down-sampling / distortion experiments degrade *both* sides).
     pub fn degrade(&self, mut f: impl FnMut(&Trajectory) -> Trajectory) -> QueryProtocol {
@@ -163,19 +152,6 @@ mod tests {
             let q = &proto.queries[qi];
             let g = &proto.database[proto.ground_truth[qi]];
             assert_eq!(q.len() + g.len(), 24);
-        }
-    }
-
-    #[test]
-    fn with_db_size_keeps_ground_truths() {
-        let p = pool(60);
-        let mut rng = StdRng::seed_from_u64(1);
-        let proto = QueryProtocol::build(&p, 4, 50, &mut rng);
-        let small = proto.with_db_size(10);
-        assert_eq!(small.database.len(), 10);
-        for (&gt, q) in small.ground_truth.iter().zip(&small.queries) {
-            assert!(gt < 10);
-            assert_eq!(small.database[gt].len() + q.len(), 24);
         }
     }
 

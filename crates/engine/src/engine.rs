@@ -38,9 +38,9 @@ use trajcl_tensor::{Shape, Tensor};
 const ENGINE_MAGIC: &[u8; 4] = b"TCE1";
 
 /// Default number of trajectories one [`SimilarityBackend::embed_batch`]
-/// call of [`Engine::embed_all`] takes. The TrajCL backends embed each
-/// trajectory in its own forward whatever the chunk, so this sets the
-/// batch of one forward only for the tape baselines.
+/// call of [`Engine::embed_all`] takes. Every embedding backend runs one
+/// forward per trajectory whatever the chunk, so this sets only how many
+/// rows one call takes.
 pub const DEFAULT_BATCH: usize = 64;
 
 /// A similarity engine: backend + database + cached embedding table.

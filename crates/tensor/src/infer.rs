@@ -406,6 +406,32 @@ impl CtxPool {
     pub fn idle(&self) -> usize {
         self.free.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
+
+    /// The workspace's one bulk embed: an `(n, d)` table whose row `i` is
+    /// `forward(ctx, i)`, a `(1, d)` forward of item `i` alone. The rows
+    /// split across the [`pool`] lanes, one checked-out context per lane
+    /// for the length of its rows — at one lane, a plain loop on one
+    /// context. When a row's bits depend on its item alone (every
+    /// encoder's unpadded forward), neither the split nor the width shows
+    /// in the output.
+    pub fn embed_rows(
+        &self,
+        n: usize,
+        d: usize,
+        forward: impl Fn(&mut InferCtx, usize) -> Tensor + Sync,
+    ) -> Tensor {
+        let mut out = Tensor::zeros(Shape::d2(n, d));
+        let per_lane = pool::rows_per_lane(n);
+        pool::par_chunks_mut(out.data_mut(), per_lane * d, |lane, rows| {
+            let mut ctx = self.checkout();
+            for (i, row) in (lane * per_lane..).zip(rows.chunks_mut(d)) {
+                let h = forward(&mut ctx, i);
+                row.copy_from_slice(h.data());
+                ctx.recycle(h);
+            }
+        });
+        out
+    }
 }
 
 /// RAII guard over a checked-out [`InferCtx`]; derefs to the context and

@@ -14,35 +14,6 @@ use crate::tensor::Tensor;
 /// matmuls use all cores.
 const PAR_THRESHOLD: usize = 1 << 17;
 
-/// Runs `f(row_index, row)` over contiguous rows of `out`, in parallel on
-/// the shared [`pool`] when the total work estimate is large enough.
-///
-/// `work_per_row` is an estimate in multiply-adds used for the threshold
-/// decision only.
-#[allow(clippy::manual_is_multiple_of)]
-pub fn for_each_row(
-    out: &mut [f32],
-    row_len: usize,
-    work_per_row: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    debug_assert!(row_len > 0 && out.len() % row_len == 0);
-    let n_rows = out.len() / row_len;
-    let threads = pool::threads();
-    if threads <= 1 || n_rows <= 1 || n_rows * work_per_row < PAR_THRESHOLD {
-        for (i, row) in out.chunks_mut(row_len).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let rows_per = pool::rows_per_lane(n_rows);
-    pool::par_chunks_mut(out, rows_per * row_len, |c, chunk| {
-        for (i, row) in chunk.chunks_mut(row_len).enumerate() {
-            f(c * rows_per + i, row);
-        }
-    });
-}
-
 /// Validated geometry of one (optionally batched) untransposed matmul.
 struct MatmulPlan {
     batch: usize,
@@ -1115,17 +1086,6 @@ mod tests {
         let b: Vec<f32> = (0..13).map(|x| 2.0 - x as f32 * 0.1).collect();
         let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - naive).abs() < 1e-4);
-    }
-
-    #[test]
-    fn for_each_row_covers_all_rows_parallel() {
-        let mut out = vec![0.0f32; 64 * 128];
-        for_each_row(&mut out, 128, 1 << 20, |i, row| {
-            row.fill(i as f32);
-        });
-        for (i, row) in out.chunks(128).enumerate() {
-            assert!(row.iter().all(|&v| v == i as f32));
-        }
     }
 
     #[test]
