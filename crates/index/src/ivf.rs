@@ -2,12 +2,15 @@
 //! embedding kNN queries (§V-E).
 //!
 //! Build: k-means coarse quantizer (the Voronoi partition) + one inverted
-//! list per centroid. Search: probe the `nprobe` nearest lists and scan
-//! them exactly. `nprobe = nlist` degenerates to exact brute force, which
-//! the tests exploit to validate recall.
+//! list per centroid; a one-list f32 index trains none. Search: score
+//! the centroids, take the `nprobe` nearest cells by (distance, cell) and
+//! scan their lists nearest-first. `nprobe = nlist` degenerates to exact
+//! brute force, which the tests exploit to validate recall.
 //!
 //! Every search ranks by L1, the distance TrajCL compares embeddings
-//! with. Storage is exact f32 rows, SQ8 scalar-quantized codes
+//! with. Storage is exact f32 rows (each list's rows as dimension-major
+//! 8-row column blocks, scanned like the centroids by
+//! [`crate::kernels::l1_scan_columns`]), SQ8 scalar-quantized codes
 //! ([`Quantization::Sq8`]: one byte per dimension; the query is quantized
 //! too and lists are scanned in pure integer arithmetic through
 //! [`crate::kernels::dispatch::sad`]) or PQ product-quantized codes
@@ -16,10 +19,9 @@
 //! Quantized distances are approximate; re-ranking them against exact
 //! vectors is [`crate::IndexSnapshot::search_rescored`]'s job, which
 //! over-fetches [`IvfIndex::rescore_factor`]` · k` candidates from here.
-//! All scans run through the
-//! blocked f32 kernels and the fused bounded top-k selector, never a
-//! full sort. Whatever depends on *how* rows are stored sits behind
-//! `Storage` (`storage.rs`); this file is the IVF half.
+//! All scans feed the fused bounded top-k selector, never a full sort.
+//! Whatever depends on *how* rows are stored sits behind `Storage`
+//! (`storage.rs`); this file is the IVF half.
 
 // A codec module (DESIGN.md §11.2): no cast in its non-test code may
 // truncate, wrap, drop a sign or round.
@@ -36,7 +38,7 @@
 use rand::Rng;
 use trajcl_tensor::{pool, Tensor};
 
-use crate::kernels::{self, PqCodebook, Sq8Codebook, TopK};
+use crate::kernels::{self, dispatch, PqCodebook, Sq8Codebook, TopK};
 use crate::storage::{self, ScanScratch, Storage};
 
 /// The distance every index searches under. It has one value, L1: the
@@ -140,9 +142,8 @@ pub const DEFAULT_PQ_M: usize = 8;
 /// layer (engine, serving config, CLI flags) holds or passes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexOptions {
-    /// IVF cells to train (`None` = one list for [`IvfIndex::build_with`];
-    /// a [`crate::MutableIndex`] then keeps unquantized parts as a flat
-    /// table instead).
+    /// IVF cells to train (`None` = one list, an exhaustive scan; an f32
+    /// one-list part trains no k-means).
     pub nlist: Option<usize>,
     /// Seed for deterministic k-means training. Holders of the options
     /// turn it into the `rng` they hand to [`IvfIndex::build_with`].
@@ -169,21 +170,28 @@ impl Default for IndexOptions {
     }
 }
 
-/// Reusable per-thread search state: centroid ranking buffer and the
-/// storage scan's heap and per-query tables. One
-/// scratch serves any number of queries — batch search allocates one per
-/// pool lane, not per query.
+/// Reusable per-thread search state: the probe selection's heap and
+/// cell order, and the storage scan's heap and per-query tables. One
+/// scratch serves any number of queries and indexes — batch search
+/// allocates one per pool lane, and snapshot searches share one per
+/// thread across shards and queries.
 #[derive(Default)]
 pub struct SearchScratch {
-    /// `(centroid distance, centroid)` ranking buffer.
-    order: Vec<(f32, u32)>,
+    /// The `nprobe` nearest cells, by (distance, cell).
+    probe: TopK,
+    /// `(cell, centroid distance)`, nearest first.
+    order: Vec<(u32, f64)>,
     scan: ScanScratch,
 }
 
 /// An IVF index over fixed-dimension vectors, stored as exact f32 rows,
 /// SQ8 codes or PQ codes.
 pub struct IvfIndex {
+    /// The centroids as one column-block chunk
+    /// ([`kernels::l1_scan_columns`]), cell `c` in row `c`.
     centroids: Vec<f32>,
+    /// `0..nlist`: the ids the centroid chunk is scanned under.
+    cells: Vec<u32>,
     lists: Vec<Vec<u32>>,
     storage: Storage,
     n: usize,
@@ -207,7 +215,8 @@ impl IvfIndex {
     /// under `opts.quantization`, and `opts.rescore_factor` kept for
     /// callers that rescore ([`IvfIndex::rescore_factor`]). All
     /// randomness comes from `rng` (`opts.seed` is the caller's to seed
-    /// it with).
+    /// it with); an f32 one-list index draws none, since its one cell is
+    /// probed whatever its centroid.
     pub fn build_with(
         embeddings: &Tensor,
         _: Metric,
@@ -216,21 +225,47 @@ impl IvfIndex {
     ) -> Self {
         let d = embeddings.shape().last();
         let n = embeddings.shape().rows();
-        assert!(n > 0, "cannot index an empty table");
+        assert!(n > 0 && d > 0, "cannot index an empty table");
         let nlist = opts.nlist.unwrap_or(1).clamp(1, n);
         let data = embeddings.data();
-        let (centroids, assign) = kernels::kmeans(kernels::l1_f32, data, d, nlist, rng);
+        let (centroids, assign) = if nlist == 1 && opts.quantization == Quantization::None {
+            (vec![0.0; d], vec![0; n])
+        } else {
+            kernels::kmeans(kernels::l1_f32, data, d, nlist, rng)
+        };
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
             #[expect(clippy::cast_possible_truncation, reason = "row ids are u32")]
             lists[c as usize].push(i as u32);
         }
-        let storage = storage::encode(opts.quantization, data, d, rng);
+        Self::from_lists(data, d, &centroids, lists, opts, rng)
+    }
+
+    /// The index over the row-major `(n, d)` table `data` whose cell `c`
+    /// has the centroid in row `c` of `centroids` and holds the positions
+    /// `lists[c]`: every position in exactly one list.
+    pub(crate) fn from_lists(
+        data: &[f32],
+        d: usize,
+        centroids: &[f32],
+        lists: Vec<Vec<u32>>,
+        opts: &IndexOptions,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let storage = storage::encode(opts.quantization, data, d, &lists, rng);
+        let mut centroid_cols = Vec::new();
+        kernels::push_column_blocks(&mut centroid_cols, d, centroids.chunks_exact(d));
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "nlist ≤ n, and row ids are u32"
+        )]
+        let cells = (0..lists.len() as u32).collect();
         IvfIndex {
-            centroids,
+            centroids: centroid_cols,
+            cells,
             lists,
             storage,
-            n,
+            n: data.len() / d,
             d,
             rescore_factor: opts.rescore_factor.max(1),
         }
@@ -288,7 +323,7 @@ impl IvfIndex {
     /// Approximate resident memory of the index in bytes (Table IX).
     pub fn memory_bytes(&self) -> usize {
         self.storage.memory_bytes()
-            + self.centroids.len() * 4
+            + (self.centroids.len() + self.cells.len()) * 4
             + self.lists.iter().map(|l| l.len() * 4 + 24).sum::<usize>()
     }
 
@@ -313,25 +348,19 @@ impl IvfIndex {
         out: &mut Vec<(u32, f64)>,
     ) {
         assert_eq!(query.len(), self.d, "query dimensionality mismatch");
-        let nprobe = nprobe.clamp(1, self.lists.len());
-        // The `nprobe` nearest centroids, unordered within the prefix:
-        // every probed list is scanned anyway, so a partial selection is
-        // all the ranking a search needs.
-        let SearchScratch { order, scan } = scratch;
-        order.clear();
-        let rows = self.centroids.chunks_exact(self.d);
-        order.extend(
-            rows.zip(0u32..)
-                .map(|(row, c)| (kernels::l1_f32(query, row), c)),
-        );
-        if nprobe < order.len() {
-            order
-                .select_nth_unstable_by(nprobe - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
+        // The `nprobe` nearest cells by (distance, cell), scanned
+        // nearest-first so the heap's bound tightens early. The probed set,
+        // and so the answer, does not depend on that order.
+        let SearchScratch { probe, order, scan } = scratch;
+        probe.reset(nprobe.clamp(1, self.lists.len()));
+        let centroids = std::iter::once((&self.cells[..], &self.centroids[..]));
+        kernels::l1_scan_columns(dispatch::level(), query, centroids, probe);
+        probe.drain_sorted_into(order);
         scan.topk.reset(k);
-        let probed = order[..nprobe]
-            .iter()
-            .map(|&(_, c)| self.lists[c as usize].as_slice());
+        let probed = order.iter().map(|&(c, _)| {
+            let c = c as usize;
+            (c, self.lists[c].as_slice())
+        });
         self.storage.scan(self.d, query, probed, scan);
         scan.topk.drain_sorted_into(out);
     }
@@ -428,6 +457,24 @@ mod tests {
         /// variants (and so the stored codes) are visible.
         pub(crate) fn storage(&self) -> &crate::storage::Storage {
             &self.storage
+        }
+
+        /// The centroids row-major, read back from their column blocks.
+        fn centroid_rows(&self) -> Vec<f32> {
+            let cells = 0..self.nlist();
+            let at = |c| kernels::column_block_offset(self.d, c);
+            let column = |c| self.centroids[at(c)..].iter().step_by(kernels::BLOCK_ROWS);
+            let rows = cells.map(|c| column(c).take(self.d));
+            rows.flatten().copied().collect()
+        }
+
+        /// Every row in position order, as `decode_vector_into` reads it.
+        fn decoded_rows(&self) -> Vec<f32> {
+            let mut out = Vec::new();
+            for id in 0..self.n as u32 {
+                self.decode_vector_into(id, &mut out);
+            }
+            out
         }
     }
 
@@ -679,9 +726,9 @@ mod tests {
                 .lists
                 .iter()
                 .flat_map(|l| std::iter::once(l.len() as u32).chain(l.iter().copied()));
-            let ivf = fnv(bits(&index.centroids).chain(lists));
+            let ivf = fnv(bits(&index.centroid_rows()).chain(lists));
             let stored = match index.storage() {
-                Storage::F32(rows) => fnv(bits(rows)),
+                Storage::F32 { .. } => fnv(bits(&index.decoded_rows())),
                 Storage::Sq8 { codes, cb } => fnv(bits(&cb.bias)
                     .chain([cb.scale.to_bits()])
                     .chain(codes.iter().map(|&c| u32::from(c)))),

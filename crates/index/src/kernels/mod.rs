@@ -6,14 +6,16 @@
 //! * **Distance kernels** accumulate in `f32` across 8 independent lanes
 //!   (one accumulator per unrolled element), so LLVM auto-vectorizes the
 //!   inner loop into full-width SIMD without any per-element `f64` upcast.
-//!   Database vectors live in contiguous row-major (SoA) storage; a search
-//!   streams one query against a block of rows, touching each cache line
-//!   exactly once. The write buffer's chunks are stored dimension-major
-//!   instead, and [`l1_scan_columns`] scores 32 of their rows per query
-//!   broadcast (four register blocks of eight, summed lane by lane, each
-//!   block filtered against the heap bound with one f32 compare), with
-//!   `l1_f32`'s bits, compiled twice like the encoder's GEMM (an AVX2 copy
-//!   and a baseline copy, picked by [`trajcl_tensor::cpu::level`]).
+//!   Every f32 vector a search scans — a sealed inverted list's rows, the
+//!   IVF centroids, the write buffer's rows — is stored in column blocks
+//!   of eight rows, each block dimension-major
+//!   (`column_block_offset`), and one kernel, [`l1_scan_columns`],
+//!   scores 32 of those rows per query broadcast (four register blocks of
+//!   eight, summed lane by lane, each block filtered against the heap
+//!   bound with one f32 compare), with `l1_f32`'s bits, compiled twice
+//!   like the encoder's GEMM (an AVX2 copy and a baseline copy, picked by
+//!   [`trajcl_tensor::cpu::level`]). The row-major [`l1_f32`] serves the
+//!   exact reference scan, k-means and rescoring.
 //! * **[`TopK`]** is a bounded binary max-heap fused into the scan: a
 //!   candidate whose distance is not below the current k-th best is
 //!   rejected with one comparison (early abandon), no full sort of the
@@ -38,9 +40,9 @@
 //!   enough to live in L1 for any realistic `m` — after which scanning a
 //!   row is `m` table lookups and adds ([`PqCodebook::lut_distance`]), no
 //!   decode in the loop.
-//! * Every inverted-list scan is one loop, [`scan_ids_by`]: gather +
-//!   per-row distance closure + the `TopK::offer` early abandon. Which
-//!   closure a stored row needs is the storage's decision
+//! * Every SQ8 or PQ inverted-list scan is one loop, [`scan_ids_by`]:
+//!   gather + per-row distance closure + the `TopK::offer` early abandon.
+//!   Which closure a stored row needs is the storage's decision
 //!   (`Storage::scan` in `storage.rs`), not a kernel per codec.
 //! * **`kmeans`** is the one Lloyd loop: the IVF coarse quantizer trains
 //!   through it under L1, every PQ sub-quantizer under squared L2 — the
@@ -76,24 +78,57 @@ pub fn l1_f32(a: &[f32], b: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// Rows per register block of [`l1_scan_columns`]: a dimension-major
-/// chunk's stride is a multiple of it.
+/// Rows per register block of [`l1_scan_columns`]: a column block holds
+/// this many rows.
 pub const BLOCK_ROWS: usize = LANES;
 
 /// Register blocks one broadcast of a query value feeds in
 /// [`l1_scan_columns`]: 32 rows, four accumulators and four running sums.
 const GROUP_BLOCKS: usize = 4;
 
-/// Offers every row of dimension-major chunks to `topk`, at its L1
-/// distance to `query`: one broadcast of a query value feeds four
-/// register blocks of eight rows. The write buffer's scan (`mutable.rs`).
+/// Index in a column-block table of `d`-dimensional rows of row `r`'s
+/// value in dimension 0; its value in dimension `x` sits `x · BLOCK_ROWS`
+/// further on. The table stores rows in blocks of [`BLOCK_ROWS`], each
+/// block dimension-major: block `b` is the `d · BLOCK_ROWS` values from
+/// `b · d · BLOCK_ROWS`, eight rows per dimension.
+#[inline]
+pub(crate) fn column_block_offset(d: usize, r: usize) -> usize {
+    (r / BLOCK_ROWS * d) * BLOCK_ROWS + r % BLOCK_ROWS
+}
+
+/// Appends the rows of the row-major `(n, d)` table `rows` to `cols` as
+/// column blocks (see `column_block_offset`), zero-padded to whole
+/// blocks.
+pub(crate) fn push_column_blocks<'a>(
+    cols: &mut Vec<f32>,
+    d: usize,
+    rows: impl ExactSizeIterator<Item = &'a [f32]>,
+) {
+    let start = cols.len();
+    cols.resize(start + rows.len().next_multiple_of(BLOCK_ROWS) * d, 0.0);
+    let cols = &mut cols[start..];
+    for (r, row) in rows.enumerate() {
+        let slots = cols[column_block_offset(d, r)..]
+            .iter_mut()
+            .step_by(BLOCK_ROWS);
+        slots.zip(row).for_each(|(slot, &v)| *slot = v);
+    }
+}
+
+/// Offers every row of column-block chunks to `topk`, at its L1 distance
+/// to `query`: one broadcast of a query value feeds four register blocks
+/// of eight rows. The one f32 scan: the sealed IVF lists and centroids
+/// (`ivf.rs`, `storage.rs`) and the write buffer's chunks (`mutable.rs`)
+/// all go through it.
 ///
-/// Each chunk is `(ids, cols)`: row `r` is `ids[r]` and its value in
-/// dimension `x` is `cols[x * stride + r]`. `stride` is a multiple of
-/// [`BLOCK_ROWS`] (not of 32), `cols` holds `query.len() * stride` values
-/// and `ids.len() ≤ stride`. A chunk is scanned in groups of four live
-/// blocks while they fit, then its last one to three live blocks one at a
-/// time; lanes past `ids.len()` may be computed but are never offered.
+/// Each chunk is `(ids, cols)`: row `r` is `ids[r]`, and `cols` holds its
+/// rows as column blocks of `query.len()` dimensions
+/// (`column_block_offset`), at least `ids.len()` rows' worth rounded up
+/// to whole blocks. A chunk is scanned in groups of four live blocks while
+/// they fit, then its last one to three live blocks one at a time; lanes
+/// past `ids.len()` may be computed but are never offered. The id type
+/// `I` is what `topk` ranks ties by: sealed positions (`u32`) or external
+/// ids (`u64`).
 ///
 /// **Same bits as [`l1_f32`], lane-major.** Lane `j` of a row sums
 /// dimensions `j, j + 8, …` in order, as in `l1_f32`. The kernel computes
@@ -106,28 +141,24 @@ const GROUP_BLOCKS: usize = 4;
 /// the registers are.
 ///
 /// **Exact f32 block filter.** Each block of eight is compared once with
-/// [`TopK::bound`] in `f32` (see `offer_block`), and only the rows not
+/// the heap's bound in `f32` (see `offer_block`), and only the rows not
 /// above it reach `offer`. A skipped row loses to the heap root under
 /// `(total_cmp, id)` whatever its id; a tie, a NaN distance or a NaN
 /// bound fails the strict `>` and reaches `offer`'s own rule. The retained
-/// set is therefore exactly the per-row `offer` loop's.
-pub fn l1_scan_columns<'a>(
+/// set is therefore exactly the per-row `offer` loop's, in any chunk
+/// order.
+pub fn l1_scan_columns<'a, I: Copy + Ord + 'a>(
     level: DispatchLevel,
     query: &[f32],
-    stride: usize,
-    chunks: impl Iterator<Item = (&'a [u64], &'a [f32])>,
-    topk: &mut TopK<u64>,
+    chunks: impl Iterator<Item = (&'a [I], &'a [f32])>,
+    topk: &mut TopK<I>,
 ) {
-    assert!(
-        stride.is_multiple_of(BLOCK_ROWS),
-        "column stride must be a multiple of {BLOCK_ROWS}"
-    );
     if level.runs_avx2() {
         // SAFETY: `runs_avx2` returned true, which includes
         // `is_x86_feature_detected!("avx2")` on the running CPU.
-        unsafe { l1_scan_columns_avx2(query, stride, chunks, topk) }
+        unsafe { l1_scan_columns_avx2(query, chunks, topk) }
     } else {
-        l1_scan_columns_body(query, stride, chunks, topk)
+        l1_scan_columns_body(query, chunks, topk)
     }
 }
 
@@ -138,59 +169,57 @@ pub fn l1_scan_columns<'a>(
 /// # Safety
 /// The running CPU must support AVX2.
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-unsafe fn l1_scan_columns_avx2<'a>(
+unsafe fn l1_scan_columns_avx2<'a, I: Copy + Ord + 'a>(
     query: &[f32],
-    stride: usize,
-    chunks: impl Iterator<Item = (&'a [u64], &'a [f32])>,
-    topk: &mut TopK<u64>,
+    chunks: impl Iterator<Item = (&'a [I], &'a [f32])>,
+    topk: &mut TopK<I>,
 ) {
-    l1_scan_columns_body(query, stride, chunks, topk);
+    l1_scan_columns_body(query, chunks, topk);
 }
 
 /// The chunk walk of [`l1_scan_columns`], written once over lane arrays
 /// and compiled per dispatch level: whole groups of [`GROUP_BLOCKS`] live
 /// blocks, then a chunk's last one to three live blocks one at a time.
+/// The heap's f32 bound is read once per call and again only after a
+/// block offered a row.
 #[inline(always)]
-fn l1_scan_columns_body<'a>(
+fn l1_scan_columns_body<'a, I: Copy + Ord + 'a>(
     query: &[f32],
-    stride: usize,
-    chunks: impl Iterator<Item = (&'a [u64], &'a [f32])>,
-    topk: &mut TopK<u64>,
+    chunks: impl Iterator<Item = (&'a [I], &'a [f32])>,
+    topk: &mut TopK<I>,
 ) {
-    let (d, per_column) = (query.len(), stride / LANES);
+    let d = query.len();
+    let mut bound = f32_bound(topk);
     for (ids, cols) in chunks {
-        debug_assert!(ids.len() <= stride);
-        let (units, _) = cols[..d * stride].as_chunks::<LANES>();
+        let (units, _) = cols.as_chunks::<LANES>();
         for (group, ids) in ids.chunks(GROUP_BLOCKS * LANES).enumerate() {
-            let first = group * GROUP_BLOCKS;
+            let units = &units[group * GROUP_BLOCKS * d..];
             if ids.len() > (GROUP_BLOCKS - 1) * LANES {
-                let dist = block_distances::<GROUP_BLOCKS>(query, &units[first..], per_column);
+                let dist = block_distances::<GROUP_BLOCKS>(query, units);
                 for (ids, dist) in ids.chunks(LANES).zip(&dist) {
-                    offer_block(ids, dist, topk);
+                    offer_block(ids, dist, &mut bound, topk);
                 }
             } else {
                 for (b, ids) in ids.chunks(LANES).enumerate() {
-                    let [dist] = block_distances::<1>(query, &units[first + b..], per_column);
-                    offer_block(ids, &dist, topk);
+                    let [dist] = block_distances::<1>(query, &units[b * d..]);
+                    offer_block(ids, &dist, &mut bound, topk);
                 }
             }
         }
     }
 }
 
-/// The L1 distances of `B` adjacent register blocks to `query`, lane by
+/// The L1 distances of `B` adjacent column blocks to `query`, lane by
 /// lane: pass `j` sums dimensions `j, j + 8, …` of all `B` blocks, then
 /// adds them to the running sums, and a last pass does the `d mod 8`
-/// tail. `units[x * per_column]` is the first block's eight values of
-/// dimension `x`.
+/// tail. `units[b * d + x]` is block `b`'s eight values of dimension `x`.
 #[inline(always)]
-fn block_distances<const B: usize>(
-    query: &[f32],
-    units: &[[f32; LANES]],
-    per_column: usize,
-) -> [[f32; LANES]; B] {
+fn block_distances<const B: usize>(query: &[f32], units: &[[f32; LANES]]) -> [[f32; LANES]; B] {
+    let d = query.len();
     let (whole, tail_dims) = query.as_chunks::<LANES>();
-    let column = |x: usize| &units[x * per_column..][..B];
+    // Each block cut like the query, so every index below is in bounds
+    // by construction.
+    let blocks: [_; B] = std::array::from_fn(|b| units[b * d..][..d].as_chunks::<LANES>());
     let mut dist = [[0.0f32; LANES]; B];
     let mut fold = |acc: [[f32; LANES]; B]| {
         for (dist, acc) in dist.iter_mut().zip(&acc) {
@@ -202,60 +231,72 @@ fn block_distances<const B: usize>(
     for j in 0..LANES {
         let mut acc = [[0.0f32; LANES]; B];
         for (g, q) in whole.iter().enumerate() {
-            add_abs_diffs(&mut acc, q[j], column(g * LANES + j));
+            add_abs_diffs(&mut acc, q[j], |b| &blocks[b].0[g][j]);
         }
         fold(acc);
     }
     let mut tail = [[0.0f32; LANES]; B];
     for (t, &q) in tail_dims.iter().enumerate() {
-        add_abs_diffs(&mut tail, q, column(whole.len() * LANES + t));
+        add_abs_diffs(&mut tail, q, |b| &blocks[b].1[t]);
     }
     fold(tail);
     dist
 }
 
-/// `acc[b][r] += |q − col[b][r]|`: one query value against `B` blocks.
+/// `acc[b][r] += |q − col(b)[r]|`: one query value against one
+/// dimension of `B` blocks.
 #[inline(always)]
-fn add_abs_diffs<const B: usize>(acc: &mut [[f32; LANES]; B], q: f32, col: &[[f32; LANES]]) {
-    for (acc, col) in acc.iter_mut().zip(col) {
+fn add_abs_diffs<'a, const B: usize>(
+    acc: &mut [[f32; LANES]; B],
+    q: f32,
+    col: impl Fn(usize) -> &'a [f32; LANES],
+) {
+    for (b, acc) in acc.iter_mut().enumerate() {
+        let col = col(b);
         for r in 0..LANES {
             acc[r] += (q - col[r]).abs();
         }
     }
 }
 
-/// Offers the live rows of one block (`ids`, at most eight) whose
-/// distance is not above the heap's bound.
-///
-/// The block filter compares in `f32`: `bound` is the f32 that
-/// [`TopK::bound`] rounds up to, so `x > bound` implies
-/// `f64::from(x) > topk.bound()` and such a row would lose to the heap
-/// root whatever its id. Only this scan feeds the write buffer's heap
-/// (`Buffer::scan` makes it fresh), so its bound is already an `f32`
-/// widened, `±∞` or NaN, and the cast is exact; the round-up keeps the
-/// filter safe should a caller seed the heap with f64 distances (sealed
-/// SQ8 or PQ ones). A tie, a NaN distance or a NaN bound fails the strict
-/// `>` and reaches `offer`'s `(total_cmp, id)` rule.
+/// The f32 a block's distances are compared with: [`TopK::bound`] rounded
+/// up to an `f32`, so `x > bound` implies `f64::from(x) > topk.bound()`.
+/// A heap fed only by [`l1_scan_columns`] holds f32 distances widened, so
+/// the cast is exact; the round-up keeps the filter safe for a heap that
+/// also holds f64 distances.
 #[inline(always)]
-fn offer_block(ids: &[u64], dist: &[f32; LANES], topk: &mut TopK<u64>) {
+fn f32_bound<I: Copy + Ord>(topk: &TopK<I>) -> f32 {
     let wide = topk.bound();
-    let mut bound = wide as f32;
+    let bound = wide as f32;
     if f64::from(bound) < wide {
-        bound = bound.next_up();
+        bound.next_up()
+    } else {
+        bound
     }
+}
+
+/// Offers the live rows of one block (`ids`, at most eight) whose
+/// distance is not above `bound`, then re-reads `bound` from the heap if
+/// any row was offered. Such a row would lose to the heap root whatever
+/// its id; a tie, a NaN distance or a NaN bound fails the strict `>` and
+/// reaches `offer`'s `(total_cmp, id)` rule. Between re-reads `bound` may
+/// lag the heap, which only lets more rows reach `offer`.
+#[inline(always)]
+fn offer_block<I: Copy + Ord>(ids: &[I], dist: &[f32; LANES], bound: &mut f32, topk: &mut TopK<I>) {
     let mut above = true;
     for &x in dist {
-        above &= x > bound;
+        above &= x > *bound;
     }
     if above {
         return;
     }
     for (&id, &x) in ids.iter().zip(dist) {
-        if x > bound {
+        if x > *bound {
             continue;
         }
         topk.offer(id, f64::from(x));
     }
+    *bound = f32_bound(topk);
 }
 
 /// Squared L2 distance, f32 accumulation, 8-wide unrolled: what PQ
@@ -280,13 +321,14 @@ fn l2_f32(a: &[f32], b: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// The one gather-scan loop of every inverted-list scan: walk the list,
-/// compute a per-row distance through `dist_of`, offer it to the fused
-/// selector (whose `offer` is the O(1) early abandon).
+/// The one gather-scan loop of every SQ8 or PQ inverted-list scan: walk
+/// the list, compute a per-row distance through `dist_of`, offer it to
+/// the fused selector (whose `offer` is the O(1) early abandon).
 ///
-/// Storages differ only in how a row id becomes a distance, so
+/// The two codecs differ only in how a row id becomes a distance, so
 /// `Storage::scan` (`storage.rs`) picks that closure once per query and
-/// every list runs through here.
+/// every quantized list runs through here (f32 lists go through
+/// [`l1_scan_columns`]).
 #[inline]
 pub fn scan_ids_by(ids: &[u32], topk: &mut TopK, mut dist_of: impl FnMut(u32) -> f64) {
     for &id in ids {
@@ -373,6 +415,14 @@ pub(crate) fn kmeans(
     (centroids, assign)
 }
 
+/// `dist`'s bits as an integer in [`f64::total_cmp`]'s order: all but
+/// the sign flipped on negative values.
+#[inline]
+fn order_key(dist: f64) -> i64 {
+    let bits = dist.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// A bounded top-k selector: binary max-heap over `(distance, id)` with
 /// the heap root as the early-abandon bound.
 ///
@@ -448,44 +498,49 @@ impl<I: Copy + Ord> TopK<I> {
         }
     }
 
-    /// `(dist, id)` lexicographic order (total over f64 via `total_cmp`).
+    /// `(dist, id)` lexicographic order (total over f64, `total_cmp`'s),
+    /// computed without branches.
     #[inline]
     fn less(a: (f64, I), b: (f64, I)) -> bool {
-        match a.0.total_cmp(&b.0) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a.1 < b.1,
-        }
+        let (ka, kb) = (order_key(a.0), order_key(b.0));
+        (ka < kb) | ((ka == kb) & (a.1 < b.1))
     }
 
     fn sift_up(&mut self, mut i: usize) {
+        let item = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if Self::less(self.heap[parent], self.heap[i]) {
-                self.heap.swap(parent, i);
-                i = parent;
-            } else {
+            if !Self::less(self.heap[parent], item) {
                 break;
             }
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
+        self.heap[i] = item;
     }
 
+    /// Moves `heap[i]` down past every larger child: the hole walks down
+    /// and the item is written once.
     fn sift_down(&mut self, mut i: usize) {
+        let (item, len) = (self.heap[i], self.heap.len());
         loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < self.heap.len() && Self::less(self.heap[largest], self.heap[l]) {
-                largest = l;
-            }
-            if r < self.heap.len() && Self::less(self.heap[largest], self.heap[r]) {
-                largest = r;
-            }
-            if largest == i {
+            let l = 2 * i + 1;
+            if l >= len {
                 break;
             }
-            self.heap.swap(i, largest);
-            i = largest;
+            let r = l + 1;
+            let child = if r < len && Self::less(self.heap[l], self.heap[r]) {
+                r
+            } else {
+                l
+            };
+            if !Self::less(item, self.heap[child]) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            i = child;
         }
+        self.heap[i] = item;
     }
 
     /// Drains the retained candidates into `out` as `(id, dist)` sorted
@@ -940,8 +995,8 @@ mod tests {
     }
 
     /// `rows` (row-major `(n, d)`) cut into chunks of `cap` rows, stored
-    /// dimension-major at `stride`, with ids running against slot order
-    /// so the id tie-break and slot order disagree.
+    /// as column blocks over `stride` slots, with ids running against slot
+    /// order so the id tie-break and slot order disagree.
     fn column_chunks(
         rows: &[f32],
         d: usize,
@@ -957,7 +1012,8 @@ mod tests {
                 let mut cols = vec![0.0f32; d * stride];
                 for r in 0..len {
                     for x in 0..d {
-                        cols[x * stride + r] = rows[(start + r) * d + x];
+                        cols[column_block_offset(d, r) + x * BLOCK_ROWS] =
+                            rows[(start + r) * d + x];
                     }
                 }
                 ((start..start + len).map(id).collect(), cols)
@@ -1004,6 +1060,10 @@ mod tests {
                     query[d / 2] = f32::NAN;
                 }
                 let chunks = column_chunks(&rows, d, cap, stride);
+                let positions: Vec<Vec<u32>> = chunks
+                    .iter()
+                    .map(|(ids, _)| ids.iter().map(|&id| id as u32).collect())
+                    .collect();
                 for k in [0usize, 1, 3, 9, n, n + 2] {
                     let mut want = TopK::new(k);
                     for (r, row) in rows.chunks_exact(d).enumerate() {
@@ -1013,12 +1073,20 @@ mod tests {
                     for level in [DispatchLevel::Scalar, DispatchLevel::Avx2] {
                         let mut got = TopK::new(k);
                         let views = chunks.iter().map(|(ids, cols)| (&ids[..], &cols[..]));
-                        l1_scan_columns(level, &query, stride, views, &mut got);
+                        l1_scan_columns(level, &query, views, &mut got);
                         assert_eq!(
                             ranked_bits(got),
                             want,
                             "d={d} cap={cap} n={n} k={k} {level:?}"
                         );
+                        // Sealed positions: the same scan over u32 ids.
+                        let mut got = TopK::<u32>::new(k);
+                        let views = chunks.iter().zip(&positions);
+                        let views = views.map(|((_, cols), ids)| (&ids[..], &cols[..]));
+                        l1_scan_columns(level, &query, views, &mut got);
+                        let got = got.into_sorted().into_iter();
+                        let got: Vec<_> = got.map(|(id, d)| (u64::from(id), d.to_bits())).collect();
+                        assert_eq!(got, want, "u32 d={d} cap={cap} n={n} k={k} {level:?}");
                     }
                 }
             }

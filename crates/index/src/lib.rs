@@ -19,18 +19,20 @@
 //! (DESIGN.md §15).
 //!
 //! Every index ranks by one distance, L1 ([`Metric`]). All hot paths run
-//! through [`kernels`]: blocked SIMD-friendly f32 distance kernels, a
-//! fused bounded top-k selector ([`TopK`]), the SQ8 scalar quantizer
-//! ([`Sq8Codebook`]) behind [`Quantization::Sq8`]-configured indexes, and
-//! the product quantizer ([`PqCodebook`], ADC lookup-table scans) behind
-//! [`Quantization::Pq`]. SQ8's integer scan is one portable
+//! through [`kernels`]: one blocked f32 scan,
+//! [`kernels::l1_scan_columns`], over the column blocks that hold every
+//! exact vector a search reads (sealed lists, centroids, write-buffer
+//! chunks), a fused bounded top-k selector ([`TopK`]), the SQ8 scalar
+//! quantizer ([`Sq8Codebook`]) behind [`Quantization::Sq8`]-configured
+//! indexes, and the product quantizer ([`PqCodebook`], ADC lookup-table
+//! scans) behind [`Quantization::Pq`]. SQ8's integer scan is one portable
 //! sum-of-absolute-differences, [`kernels::dispatch::sad`], for every
 //! CPU. Which of those a stored row is scanned and decoded with is
 //! decided in one private module (`storage`, the codec seam); [`ivf`]
 //! holds only what is IVF. Quantized hits are re-ranked exactly in one
 //! place, [`IndexSnapshot::search_rescored`]. DESIGN.md §10 documents the
 //! seam, the storage layouts and the over-fetch / rescore recall math
-//! shared by both quantizers; §12 covers the integer kernels and CPU
+//! shared by both quantizers; §12 covers the scan kernels and CPU
 //! dispatch.
 
 #![warn(missing_docs)]

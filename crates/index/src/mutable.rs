@@ -2,8 +2,8 @@
 //! snapshots — the serving layer's answer to "the database is frozen at
 //! build time".
 //!
-//! Layout: a **sealed** part (an [`IvfIndex`] when cells are configured, a
-//! flat table otherwise) built at construction or by the last
+//! Layout: a **sealed** part (an [`IvfIndex`]: the configured cells, or
+//! one list without them) built at construction or by the last
 //! [`MutableIndex::compact`], plus a **write buffer** of vectors upserted
 //! since. Deletions from the sealed part are tombstones; the buffer is
 //! brute-force-scanned alongside the sealed lists at query time, so writes
@@ -20,8 +20,8 @@
 //!
 //! [`MutableIndex::compact`] folds tombstones and buffer into a newly
 //! trained sealed part (k-means re-run), emptying the mutable tail. Its
-//! cost is a full rebuild. With [`Quantization::Sq8`] (int8 codes) or
-//! [`Quantization::Pq`] (product-quantized codes, sub-quantizers
+//! cost is a full rebuild. With [`crate::Quantization::Sq8`] (int8 codes)
+//! or [`crate::Quantization::Pq`] (product-quantized codes, sub-quantizers
 //! retrained at every compaction) the sealed part is stored compressed
 //! (the write buffer always stays exact f32); a compaction then reads
 //! sealed rows back *decoded*, so re-sealing an SQ8 part re-encodes
@@ -34,15 +34,16 @@
 //! exactly.
 //!
 //! What a write costs: the buffer is a spine of fixed-capacity chunks
-//! (ids beside dimension-major columns) and the tombstones a spine of
-//! fixed-size bit blocks, both shared structurally between the writer and
-//! every snapshot. A write copies the one or two chunks (and the one
-//! block) it touches and republishes the two spines, one pointer per
-//! chunk and per block — never the buffer. A read scans each chunk 32
-//! rows per query broadcast ([`l1_scan_columns`], the same bits as the
-//! per-row `l1_f32`) into a fused top-k, so only the buffer's own best `k`
-//! reach the final merge.
+//! (ids beside column blocks, the layout of a sealed list) and the
+//! tombstones a spine of fixed-size bit blocks, both shared structurally
+//! between the writer and every snapshot. A write copies the one or two
+//! chunks (and the one block) it touches and republishes the two spines,
+//! one pointer per chunk and per block — never the buffer. A read scans
+//! each chunk 32 rows per query broadcast ([`l1_scan_columns`], the same
+//! bits as the per-row `l1_f32`) into a fused top-k, so only the buffer's
+//! own best `k` reach the final merge.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -50,8 +51,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajcl_tensor::{Shape, Tensor};
 
-use crate::ivf::{brute_force_knn, IndexOptions, IvfIndex, Metric, Quantization};
-use crate::kernels::{dispatch, l1_scan_columns, TopK, BLOCK_ROWS};
+use crate::ivf::{IndexOptions, IvfIndex, Metric, SearchScratch};
+use crate::kernels::{column_block_offset, dispatch, l1_scan_columns, TopK, BLOCK_ROWS};
 
 /// Row data per write-buffer chunk (`CHUNK_BYTES / (4 · dim)` rows, at
 /// least 8): a write copies at most this much, and a publish clones one
@@ -61,25 +62,40 @@ const CHUNK_BYTES: usize = 16 << 10;
 /// Sealed positions per tombstone block (4 KiB of bits).
 const TOMBSTONE_BLOCK_BITS: usize = 1 << 15;
 
+thread_local! {
+    /// The sealed searches' scratch: one per thread, so a sharded search
+    /// reuses it across the shards a pool lane answers, and across
+    /// queries. It keeps the largest heaps a search on its thread needed,
+    /// at most an index's length of candidates.
+    static SCRATCH: RefCell<SearchScratch> = RefCell::default();
+}
+
 /// One block of the write buffer: external ids beside their vectors,
-/// stored dimension-major for [`l1_scan_columns`] — value `x` of slot `r`
-/// is `cols[x * stride + r]`, with the [`Buffer`]'s stride. Slots past
-/// `ids.len()` hold zeros. Every chunk of a [`Buffer`] but the last is
-/// full.
+/// stored as column blocks for [`l1_scan_columns`] — value `x` of slot
+/// `r` is `cols[column_block_offset(dim, r) + x * BLOCK_ROWS]`, as in a
+/// sealed list. Slots past `ids.len()` hold zeros. Every chunk of a
+/// [`Buffer`] but the last is full.
 struct Chunk {
     ids: Vec<u64>,
     cols: Vec<f32>,
 }
 
 impl Chunk {
+    /// Slot `at`'s values, dimension by dimension (`dim` of them).
+    fn slots(&mut self, at: usize, dim: usize) -> impl Iterator<Item = &mut f32> {
+        let values = self.cols[column_block_offset(dim, at)..].iter_mut();
+        values.step_by(BLOCK_ROWS).take(dim)
+    }
+
     /// Slot `at`'s vector, dimension by dimension.
-    fn row(&self, at: usize, stride: usize) -> impl Iterator<Item = f32> + '_ {
-        self.cols[at..].iter().step_by(stride).copied()
+    fn row(&self, at: usize, dim: usize) -> impl Iterator<Item = f32> + '_ {
+        let values = self.cols[column_block_offset(dim, at)..].iter();
+        values.step_by(BLOCK_ROWS).take(dim).copied()
     }
 
     /// Writes `row` into slot `at`.
-    fn write(&mut self, at: usize, stride: usize, row: &[f32]) {
-        let slots = self.cols[at..].iter_mut().step_by(stride);
+    fn write(&mut self, at: usize, row: &[f32]) {
+        let slots = self.slots(at, row.len());
         slots.zip(row).for_each(|(slot, &v)| *slot = v);
     }
 }
@@ -116,8 +132,8 @@ impl Buffer {
         (CHUNK_BYTES / (4 * self.dim)).max(8)
     }
 
-    /// Column length of a chunk: [`Buffer::cap`] rounded up to whole
-    /// register blocks.
+    /// Slots of a chunk: [`Buffer::cap`] rounded up to whole column
+    /// blocks.
     fn stride(&self) -> usize {
         self.cap().next_multiple_of(BLOCK_ROWS)
     }
@@ -130,10 +146,10 @@ impl Buffer {
 
     /// Every `(id, vector)` in slot order.
     fn entries(&self) -> impl Iterator<Item = (u64, impl Iterator<Item = f32> + '_)> {
-        let stride = self.stride();
+        let dim = self.dim;
         self.chunks.iter().flat_map(move |chunk| {
             let ids = chunk.ids.iter().enumerate();
-            ids.map(move |(at, &id)| (id, chunk.row(at, stride)))
+            ids.map(move |(at, &id)| (id, chunk.row(at, dim)))
         })
     }
 
@@ -148,27 +164,25 @@ impl Buffer {
         }
         let tail = self.chunks.len() - 1;
         let tail = Arc::make_mut(&mut self.chunks[tail]);
-        tail.write(tail.ids.len(), stride, row);
+        tail.write(tail.ids.len(), row);
         tail.ids.push(id);
     }
 
     /// Overwrites slot `i`.
     fn set(&mut self, i: usize, id: u64, row: &[f32]) {
         let (chunk, at) = (i / self.cap(), i % self.cap());
-        let stride = self.stride();
         let chunk = Arc::make_mut(&mut self.chunks[chunk]);
         chunk.ids[at] = id;
-        chunk.write(at, stride, row);
+        chunk.write(at, row);
     }
 
     /// Removes slot `i` by moving the last row into it (`Vec::swap_remove`
     /// order); returns the id that moved, if any did.
     fn swap_remove(&mut self, i: usize) -> Option<u64> {
         let last = self.len().checked_sub(1)?;
-        let stride = self.stride();
         let tail = Arc::make_mut(self.chunks.last_mut()?);
         let id = tail.ids.pop()?;
-        let vacated = tail.cols[tail.ids.len()..].iter_mut().step_by(stride);
+        let vacated = tail.slots(tail.ids.len(), self.dim);
         let row: Vec<f32> = vacated.map(std::mem::take).collect();
         if tail.ids.is_empty() {
             self.chunks.pop();
@@ -183,7 +197,7 @@ impl Buffer {
     /// is the f32 kernel widened to `f64`, exactly [`Metric::dist`].
     fn scan(&self, query: &[f32], topk: &mut TopK<u64>) {
         let chunks = self.chunks.iter().map(|c| (&c.ids[..], &c.cols[..]));
-        l1_scan_columns(dispatch::level(), query, self.stride(), chunks, topk);
+        l1_scan_columns(dispatch::level(), query, chunks, topk);
     }
 }
 
@@ -225,46 +239,15 @@ enum Loc {
     Buffer(usize),
 }
 
-/// The sealed (trained, immutable) part of the index.
-enum Sealed {
-    /// IVF-searched when cells are configured.
-    Ivf(IvfIndex),
-    /// Flat brute-force table otherwise.
-    Flat(Tensor),
-}
-
-impl Sealed {
-    fn len(&self) -> usize {
-        match self {
-            Sealed::Ivf(ivf) => ivf.len(),
-            Sealed::Flat(t) => t.shape().rows(),
-        }
-    }
-
-    /// Appends row `pos` to `out` (decoded when the sealed part is
-    /// quantized — the compaction read-back path).
-    fn append_vector(&self, pos: u32, out: &mut Vec<f32>) {
-        match self {
-            Sealed::Ivf(ivf) => ivf.decode_vector_into(pos, out),
-            Sealed::Flat(t) => out.extend_from_slice(t.row(pos as usize)),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            Sealed::Ivf(ivf) => ivf.memory_bytes(),
-            Sealed::Flat(t) => t.data().len() * 4,
-        }
-    }
-}
-
 /// One immutable, internally-consistent view of a [`MutableIndex`].
 ///
 /// A snapshot never changes after publication: searches against it are
 /// repeatable, and a reader mixing several calls (`len`, `search`,
 /// `live_ids`) on one snapshot sees one coherent index state.
 pub struct IndexSnapshot {
-    sealed: Option<Arc<Sealed>>,
+    /// The sealed (trained, immutable) part: one list when no cells are
+    /// configured.
+    sealed: Option<Arc<IvfIndex>>,
     /// Position -> external id for the sealed part.
     sealed_ids: Arc<Vec<u64>>,
     /// Sealed positions deleted (or replaced into the buffer) since the
@@ -342,7 +325,7 @@ impl IndexSnapshot {
             for pos in 0..sealed.len() {
                 if !self.tombstones.get(pos) {
                     let mut v = Vec::with_capacity(self.dim);
-                    sealed.append_vector(pos as u32, &mut v);
+                    sealed.decode_vector_into(pos as u32, &mut v);
                     out.push((self.sealed_ids[pos], v));
                 }
             }
@@ -351,8 +334,8 @@ impl IndexSnapshot {
         out
     }
 
-    /// kNN over this snapshot: probes the sealed part (IVF with `nprobe`
-    /// cells, or exact flat scan), filters tombstones, brute-force-scans
+    /// kNN over this snapshot: probes the sealed part (`nprobe` cells;
+    /// one list without configured cells), filters tombstones, scans
     /// the write buffer for its own top `k`, and merges. Returns
     /// `(external id, distance)` ascending, at most `k` entries. Quantized
     /// sealed hits carry quantized distances — see
@@ -386,6 +369,22 @@ impl IndexSnapshot {
         nprobe: usize,
         rescorer: Option<&dyn ExactRescorer>,
     ) -> Vec<(u64, f64)> {
+        SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+            Ok(mut scratch) => self.search_with(&mut scratch, query, k, nprobe, rescorer),
+            // A rescorer that searches again, on this thread.
+            Err(_) => self.search_with(&mut SearchScratch::default(), query, k, nprobe, rescorer),
+        })
+    }
+
+    /// [`IndexSnapshot::search_rescored`] on `scratch`.
+    fn search_with(
+        &self,
+        scratch: &mut SearchScratch,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+        rescorer: Option<&dyn ExactRescorer>,
+    ) -> Vec<(u64, f64)> {
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         // Clamp before allocating: at most len() hits exist, and k comes
         // straight off the wire in the serve protocol — an absurd k must
@@ -398,15 +397,10 @@ impl IndexSnapshot {
             // rescorer is in play, additionally over-fetch the sealed
             // IvfIndex's rescore factor so re-ranking has candidates to
             // promote.
-            let rescore_fetch = match (sealed.as_ref(), rescorer) {
-                (Sealed::Ivf(ivf), Some(_)) => ivf.rescore_fetch(k),
-                _ => None,
-            };
+            let rescore_fetch = rescorer.and_then(|_| sealed.rescore_fetch(k));
             let (fetch, rescoring) = (rescore_fetch.unwrap_or(k), rescore_fetch.is_some());
-            let sealed_hits = match sealed.as_ref() {
-                Sealed::Ivf(ivf) => ivf.search(query, fetch + self.dead, nprobe),
-                Sealed::Flat(t) => brute_force_knn(t, query, fetch + self.dead, Metric::L1),
-            };
+            let mut sealed_hits = Vec::new();
+            sealed.search_into(scratch, query, fetch + self.dead, nprobe, &mut sealed_hits);
             hits.extend(
                 sealed_hits
                     .into_iter()
@@ -727,7 +721,7 @@ impl MutableIndex {
             for pos in 0..sealed.len() {
                 if !w.tombstones.get(pos) {
                     ids.push(snap.sealed_ids[pos]);
-                    sealed.append_vector(pos as u32, &mut data);
+                    sealed.decode_vector_into(pos as u32, &mut data);
                 }
             }
         }
@@ -736,29 +730,20 @@ impl MutableIndex {
             data.extend(v);
         }
         let n = ids.len();
-        let sealed = if n == 0 {
-            None
-        } else {
+        let sealed = (n > 0).then(|| {
             let table = Tensor::from_vec(data, Shape::d2(n, self.dim));
-            // Quantized storage always lives in an IVF container; without
-            // configured cells `build_with` trains a single list, which
-            // keeps the scan exhaustive (every search probes at least one
-            // cell).
-            let flat = self.opts.nlist.is_none() && self.opts.quantization == Quantization::None;
-            Some(Arc::new(if flat {
-                Sealed::Flat(table)
-            } else {
-                // Deterministic retrain: seed varies with generation so
-                // repeated compactions don't re-use degenerate inits.
-                let mut rng = StdRng::seed_from_u64(self.opts.seed ^ w.generation);
-                Sealed::Ivf(IvfIndex::build_with(
-                    &table,
-                    Metric::L1,
-                    &self.opts,
-                    &mut rng,
-                ))
-            }))
-        };
+            // Without configured cells `build_with` makes a single list,
+            // which keeps the scan exhaustive. Deterministic retrain: the
+            // seed varies with generation so repeated compactions don't
+            // re-use degenerate inits.
+            let mut rng = StdRng::seed_from_u64(self.opts.seed ^ w.generation);
+            Arc::new(IvfIndex::build_with(
+                &table,
+                Metric::L1,
+                &self.opts,
+                &mut rng,
+            ))
+        });
         w.id_loc = ids
             .iter()
             .enumerate()
