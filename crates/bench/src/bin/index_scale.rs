@@ -140,13 +140,24 @@ fn rescored_search(
     out
 }
 
-/// Times `f` (one warmup call, one measured call), returning
-/// `(result, qps over `q` queries)`.
+/// Measured calls per contender. A quick run's IVF call over 64 queries
+/// lasts about a millisecond, so one timing is at the mercy of a single
+/// preemption or host stall.
+const TIMED_CALLS: usize = 7;
+
+/// Times `f` (one warmup call, then [`TIMED_CALLS`] measured calls),
+/// returning `(result, qps over `q` queries)` for the median call.
 fn timed<T>(q: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    std::hint::black_box(f());
-    let t0 = Instant::now();
-    let out = f();
-    (out, q as f64 / t0.elapsed().as_secs_f64())
+    let mut out = f();
+    let mut secs = Vec::with_capacity(TIMED_CALLS);
+    for _ in 0..TIMED_CALLS {
+        let t0 = Instant::now();
+        let next = f();
+        secs.push(t0.elapsed().as_secs_f64());
+        out = next;
+    }
+    secs.sort_by(f64::total_cmp);
+    (out, q as f64 / secs[TIMED_CALLS / 2])
 }
 
 struct Run {

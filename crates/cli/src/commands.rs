@@ -245,7 +245,7 @@ fn embed(args: &Args, out: &mut impl std::io::Write) -> Result<(), EngineError> 
         out,
         "wrote {} x {} embeddings to {path}",
         trajs.len(),
-        engine.backend().dim()
+        engine.dim()
     )?;
     Ok(())
 }

@@ -12,6 +12,7 @@
 //! `ŝ = exp(-‖g(h_a) − g(h_b)‖₁)`, so ranking by predicted similarity is
 //! ranking by L1 distance in the refined embedding space.
 
+use crate::encoder::DualStbEncoder;
 use crate::featurizer::{BatchInputs, Featurizer};
 use crate::model::TrajClModel;
 use rand::Rng;
@@ -51,10 +52,11 @@ impl Default for FinetuneConfig {
 }
 
 /// A fine-tuned estimator: encoder + regression head, usable as a fast
-/// approximation of the target heuristic measure.
+/// approximation of the target heuristic measure. `store` holds the
+/// fine-tuned parameters of both the encoder and the head.
 pub struct FinetunedEstimator {
     store: ParamStore,
-    model: TrajClModel,
+    encoder: DualStbEncoder,
     head: Mlp,
     sigma: f64,
 }
@@ -76,12 +78,12 @@ impl FinetunedEstimator {
         featurizer: &Featurizer,
         trajs: &[Trajectory],
     ) -> Tensor {
-        ctxs.embed_rows(trajs.len(), self.model.cfg.dim, |ctx, i| {
+        ctxs.embed_rows(trajs.len(), self.encoder.dim(), |ctx, i| {
             let inputs = featurizer
                 .featurize(std::slice::from_ref(&trajs[i]))
                 .expect("embed: one trajectory");
             let mut f = Fwd::new(ctx, &self.store);
-            refined(&self.model, &self.head, &mut f, &inputs)
+            refined(&self.encoder, &self.head, &mut f, &inputs)
         })
     }
 
@@ -123,7 +125,7 @@ pub fn finetune(
             let inputs = featurizer
                 .featurize(batch)
                 .expect("sampled pairs are non-empty");
-            refined(pretrained, &head, f, &inputs)
+            refined(&pretrained.encoder, &head, f, &inputs)
         },
         trainable,
         &cfg.train,
@@ -131,21 +133,21 @@ pub fn finetune(
     );
     FinetunedEstimator {
         store,
-        model: pretrained.clone(),
+        encoder: pretrained.encoder.clone(),
         head,
         sigma,
     }
 }
 
 /// The encoder's embedding refined by the regression `head`, with the
-/// parameters `f` carries (the fine-tuned copy, not `model.store`).
+/// parameters `f` carries (the fine-tuned copy, not the pre-trained one).
 fn refined<E: Exec>(
-    model: &TrajClModel,
+    encoder: &DualStbEncoder,
     head: &Mlp,
     f: &mut Fwd<E>,
     batch: &BatchInputs,
 ) -> E::Act {
-    let h = model.encoder.forward(f, batch);
+    let h = encoder.forward(f, batch);
     let g = head.forward(f, &h);
     f.exec.release(h);
     g

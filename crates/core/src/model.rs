@@ -69,7 +69,7 @@ impl TrajClModel {
 
     /// Like [`TrajClModel::embed`] on contexts from a caller-owned
     /// [`CtxPool`], so scratch buffers persist across calls (the engine
-    /// backends hold one). Each trajectory runs its own unpadded forward,
+    /// holds one). Each trajectory runs its own unpadded forward,
     /// the rows split across the pool lanes ([`CtxPool::embed_rows`]): the
     /// bits equal its row in any padded batch, at any width.
     pub fn embed_with(

@@ -1,12 +1,13 @@
 //! [`Engine`] + [`EngineBuilder`]: one front door for training, embedding,
 //! exact kNN, heuristic approximation and persistence.
 //!
-//! The engine owns a boxed [`SimilarityBackend`], an optional trajectory
-//! database with its cached embedding table, and the description of the
-//! index a server builds over that table ([`Engine::index_options`],
+//! The engine is the paper's encoder — a [`Featurizer`] and a DualSTB
+//! [`TrajClModel`], plus the regression head of a [`FinetunedEstimator`]
+//! once [`Engine::approximate_measure`] made it one — with an optional
+//! trajectory database, its cached embedding table, and the description
+//! of the index a server builds over that table ([`Engine::index_options`],
 //! [`Engine::nprobe`]). The engine embeds; `trajcl_serve::Server` indexes.
-//! [`Engine::knn`] itself is exact: brute force over the cached table, or
-//! a database scan for heuristic (no-embedding) backends.
+//! [`Engine::knn`] itself is exact: brute force over the cached table.
 
 // A codec module (DESIGN.md §11.2): no cast in its non-test code may
 // truncate, wrap, drop a sign or round.
@@ -20,32 +21,34 @@
     )
 )]
 
-use crate::backend::{FinetunedBackend, HeuristicBackend, SimilarityBackend, TrajClBackend};
 use crate::error::EngineError;
 use rand::Rng;
 use trajcl_core::{
-    build_featurizer, finetune, load_model, save_model, train, EncoderVariant, FinetuneConfig,
-    MocoState, TrainReport, TrajClConfig,
+    build_featurizer, finetune, load_model, save_model, train, EncoderVariant, Featurizer,
+    FinetuneConfig, FinetunedEstimator, MocoState, TrainReport, TrajClConfig, TrajClModel,
 };
 use trajcl_data::Dataset;
 use trajcl_geo::{validate_batch, Trajectory};
-use trajcl_index::{
-    atomic_write, brute_force_batch_knn, IndexOptions, Metric, Quantization, RealFs,
-};
+use trajcl_index::{atomic_write, brute_force_knn, IndexOptions, Metric, Quantization, RealFs};
 use trajcl_measures::HeuristicMeasure;
-use trajcl_tensor::{Shape, Tensor};
+use trajcl_tensor::{CtxPool, Shape, Tensor};
 
 const ENGINE_MAGIC: &[u8; 4] = b"TCE1";
 
-/// Default number of trajectories one [`SimilarityBackend::embed_batch`]
-/// call of [`Engine::embed_all`] takes. Every embedding backend runs one
-/// forward per trajectory whatever the chunk, so this sets only how many
-/// rows one call takes.
+/// Default number of trajectories one chunk of [`Engine::embed_all`]
+/// takes. The encoder runs one forward per trajectory whatever the
+/// chunk, so this sets only how many rows one chunk holds.
 pub const DEFAULT_BATCH: usize = 64;
 
-/// A similarity engine: backend + database + cached embedding table.
+/// A similarity engine: encoder + database + cached embedding table.
 pub struct Engine {
-    backend: Box<dyn SimilarityBackend>,
+    model: TrajClModel,
+    featurizer: Featurizer,
+    /// The estimator [`Engine::approximate_measure`] fine-tuned, and the
+    /// measure it approximates; `None` embeds with `model` itself.
+    finetuned: Option<(FinetunedEstimator, HeuristicMeasure)>,
+    /// Scratch contexts for the forwards, one per forward in flight.
+    infer: CtxPool,
     database: Vec<Trajectory>,
     embeddings: Option<Tensor>,
     index_options: IndexOptions,
@@ -60,9 +63,18 @@ impl Engine {
         EngineBuilder::new()
     }
 
-    /// The active backend.
-    pub fn backend(&self) -> &dyn SimilarityBackend {
-        self.backend.as_ref()
+    /// Human-readable name: `TrajCL`, or `TrajCL~<measure>` for an
+    /// estimator of a heuristic measure.
+    pub fn name(&self) -> String {
+        match &self.finetuned {
+            Some((_, measure)) => format!("TrajCL~{}", measure.name()),
+            None => "TrajCL".to_string(),
+        }
+    }
+
+    /// Embedding dimensionality `d`.
+    pub fn dim(&self) -> usize {
+        self.model.cfg.dim
     }
 
     /// The trajectory database (empty for engines reloaded from bytes
@@ -71,7 +83,7 @@ impl Engine {
         &self.database
     }
 
-    /// Cached database embeddings, when the backend embeds.
+    /// Cached database embeddings, `None` without a database.
     pub fn embeddings(&self) -> Option<&Tensor> {
         self.embeddings.as_ref()
     }
@@ -98,83 +110,48 @@ impl Engine {
         self.nprobe
     }
 
-    /// Trajectories per backend call in [`Engine::embed_all`] (see
+    /// Trajectories per chunk of [`Engine::embed_all`] (see
     /// [`DEFAULT_BATCH`]).
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
 
-    /// Embeds trajectories, one backend call per chunk of the configured
-    /// batch size, returning `(N, dim)`. Callable from any thread at once
-    /// (the serving layer's cache misses do, up to `workers` at a time):
-    /// see [`SimilarityBackend::embed_batch`].
+    /// Inference contexts idle in the engine's free list. Each forward
+    /// checks one out and puts it back, so this is the most forwards
+    /// that ever ran at once (one per pool lane a call splits over).
+    pub fn idle_contexts(&self) -> usize {
+        self.infer.idle()
+    }
+
+    /// Embeds trajectories, returning `(N, dim)`: one unpadded forward
+    /// per trajectory, the rows split across the pool lanes, on contexts
+    /// from the engine's free list. Deterministic (the same input embeds
+    /// to the same bytes) and callable from any thread at once — the
+    /// serving layer's cache misses do, up to `workers` at a time — with
+    /// no lock held across a forward.
     pub fn embed_all(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
         validate_batch(trajs)?;
-        if !self.backend.supports_embedding() {
-            return Err(EngineError::NoEmbedding {
-                backend: self.backend.name().to_string(),
-            });
-        }
-        let d = self.backend.dim();
+        let d = self.dim();
         let mut out = Tensor::zeros(Shape::d2(trajs.len(), d));
-        let mut row = 0usize;
-        for chunk in trajs.chunks(self.batch_size.max(1)) {
-            let e = self.backend.embed_batch(chunk)?;
-            out.data_mut()[row * d..(row + chunk.len()) * d].copy_from_slice(e.data());
-            row += chunk.len();
+        for (chunk, rows) in trajs
+            .chunks(self.batch_size)
+            .zip(out.data_mut().chunks_mut(self.batch_size * d))
+        {
+            let e = match &self.finetuned {
+                Some((estimator, _)) => estimator.embed_with(&self.infer, &self.featurizer, chunk),
+                None => self.model.embed_with(&self.infer, &self.featurizer, chunk),
+            };
+            rows.copy_from_slice(e.data());
         }
         Ok(out)
     }
 
-    /// Distance between two trajectories under the active backend.
-    pub fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
-        self.backend.distance(a, b)
-    }
-
-    /// k nearest database entries to `query`, `(id, distance)` ascending.
-    ///
-    /// Exact: brute force over the cached embedding table, or a measure
-    /// scan for heuristic backends. A single-query wrapper over
-    /// [`Engine::knn_batch`].
+    /// k nearest database entries to `query`, `(id, distance)` ascending:
+    /// brute force over the cached embedding table.
     pub fn knn(&self, query: &Trajectory, k: usize) -> Result<Vec<(u32, f64)>, EngineError> {
-        let mut hits = self.knn_batch(std::slice::from_ref(query), k)?;
-        Ok(hits.pop().expect("one result row per query"))
-    }
-
-    /// k nearest database entries for a *batch* of queries, one `(id,
-    /// distance)` row per query.
-    ///
-    /// All queries are embedded by one [`Engine::embed_all`] call before
-    /// fanning out to the brute-force scan.
-    pub fn knn_batch(
-        &self,
-        queries: &[Trajectory],
-        k: usize,
-    ) -> Result<Vec<Vec<(u32, f64)>>, EngineError> {
-        validate_batch(queries)?;
-        if !self.backend.supports_embedding() {
-            // Heuristic route: exact scan over database geometry.
-            if self.database.is_empty() {
-                return Err(EngineError::NoDatabase);
-            }
-            let mut out = Vec::with_capacity(queries.len());
-            for query in queries {
-                let mut hits: Vec<(u32, f64)> = Vec::with_capacity(self.database.len());
-                for (i, t) in self.database.iter().enumerate() {
-                    #[expect(clippy::cast_possible_truncation, reason = "row ids are u32")]
-                    hits.push((i as u32, self.backend.distance(query, t)?));
-                }
-                hits.sort_by(|a, b| a.1.total_cmp(&b.1));
-                hits.truncate(k);
-                out.push(hits);
-            }
-            return Ok(out);
-        }
-        let q = self.embed_all(queries)?;
-        match &self.embeddings {
-            Some(emb) => Ok(brute_force_batch_knn(emb, &q, k, Metric::L1)),
-            None => Err(EngineError::NoDatabase),
-        }
+        let q = self.embed_all(std::slice::from_ref(query))?;
+        let table = self.embeddings.as_ref().ok_or(EngineError::NoDatabase)?;
+        Ok(brute_force_knn(table, q.row(0), k, Metric::L1))
     }
 
     /// Attaches (or replaces) the database, re-embedding it into the
@@ -186,11 +163,11 @@ impl Engine {
         Ok(self)
     }
 
-    /// Embeds the database into the cached table (embedding backends
-    /// only; replaces whatever table was there).
+    /// Embeds the database into the cached table (replacing whatever
+    /// table was there).
     fn embed_database(&mut self) -> Result<(), EngineError> {
         self.embeddings = None;
-        if self.backend.supports_embedding() && !self.database.is_empty() {
+        if !self.database.is_empty() {
             self.embeddings = Some(self.embed_all(&self.database)?);
         }
         Ok(())
@@ -208,8 +185,9 @@ impl Engine {
     /// engine serving the same database through the refined embeddings.
     ///
     /// # Errors
-    /// [`EngineError::Unsupported`] unless the active backend is TrajCL;
-    /// [`EngineError::TooFewTrajectories`] when `pool` cannot form pairs.
+    /// [`EngineError::Unsupported`] when this engine is fine-tuned
+    /// already; [`EngineError::TooFewTrajectories`] when `pool` cannot
+    /// form pairs.
     pub fn approximate_measure(
         &self,
         measure: HeuristicMeasure,
@@ -217,12 +195,7 @@ impl Engine {
         cfg: &FinetuneConfig,
         rng: &mut impl Rng,
     ) -> Result<Engine, EngineError> {
-        let (model, featurizer) = self.backend.as_trajcl().ok_or_else(|| {
-            EngineError::Unsupported(format!(
-                "approximate_measure needs a TrajCL backend, got {:?}",
-                self.backend.name()
-            ))
-        })?;
+        self.pretrained("approximate_measure")?;
         if pool.len() < 2 {
             return Err(EngineError::TooFewTrajectories {
                 needed: 2,
@@ -230,16 +203,27 @@ impl Engine {
             });
         }
         validate_batch(pool)?;
-        let estimator = finetune(model, featurizer, pool, measure, cfg, rng);
-        let backend =
-            FinetunedBackend::new(estimator, featurizer.clone(), measure.name(), model.cfg.dim);
-        EngineBuilder::new()
-            .backend(Box::new(backend))
+        let estimator = finetune(&self.model, &self.featurizer, pool, measure, cfg, rng);
+        let mut builder = EngineBuilder::new()
+            .trajcl(self.model.clone(), self.featurizer.clone())
             .database(self.database.clone())
             .index_options(self.index_options)
             .nprobe(self.nprobe)
-            .batch_size(self.batch_size)
-            .build()
+            .batch_size(self.batch_size);
+        builder.finetuned = Some((estimator, measure));
+        builder.build()
+    }
+
+    /// Refuses `operation` on a fine-tuned engine: it needs the
+    /// pre-trained model alone.
+    fn pretrained(&self, operation: &str) -> Result<(), EngineError> {
+        match self.finetuned {
+            Some(_) => Err(EngineError::Unsupported(format!(
+                "{operation} needs a pre-trained engine, got {:?}",
+                self.name()
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Serialises the engine: model + featurizer (via
@@ -252,36 +236,31 @@ impl Engine {
     /// `trajcl_serve::ServeConfig`.
     ///
     /// # Errors
-    /// [`EngineError::Unsupported`] unless the active backend is TrajCL.
+    /// [`EngineError::Unsupported`] for a fine-tuned engine;
+    /// [`EngineError::InvalidInput`], naming the field, when a count does
+    /// not fit the file's `u32`.
     pub fn to_bytes(&self) -> Result<Vec<u8>, EngineError> {
-        let (model, featurizer) = self.backend.as_trajcl().ok_or_else(|| {
-            EngineError::Unsupported(format!(
-                "persistence needs a TrajCL backend, got {:?}",
-                self.backend.name()
-            ))
-        })?;
+        self.pretrained("persistence")?;
+        let model_bytes = save_model(
+            &self.model,
+            &self.featurizer,
+            self.featurizer.grid().cell_side(),
+        );
+        let opts = &self.index_options;
         let mut out = Vec::new();
         out.extend_from_slice(ENGINE_MAGIC);
-        let model_bytes = save_model(model, featurizer, featurizer.grid().cell_side());
-        #[expect(clippy::cast_possible_truncation, reason = "a model is < 4 GiB")]
-        out.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&u32_le("model size", model_bytes.len())?);
         out.extend_from_slice(&model_bytes);
-        #[expect(clippy::cast_possible_truncation, reason = "nprobe is at most nlist")]
-        out.extend_from_slice(&(self.nprobe as u32).to_le_bytes());
-        #[expect(clippy::cast_possible_truncation, reason = "a batch size fits u32")]
-        out.extend_from_slice(&(self.batch_size as u32).to_le_bytes());
-        let opts = &self.index_options;
-        #[expect(clippy::cast_possible_truncation, reason = "nlist is at most n rows")]
-        out.extend_from_slice(&(opts.nlist.unwrap_or(0) as u32).to_le_bytes());
+        out.extend_from_slice(&u32_le("nprobe", self.nprobe)?);
+        out.extend_from_slice(&u32_le("batch_size", self.batch_size)?);
+        out.extend_from_slice(&u32_le("nlist", opts.nlist.unwrap_or(0))?);
         out.extend_from_slice(&opts.seed.to_le_bytes());
         // The tail: `tag | rescore | [PQ: m]`, the tag through the one
         // wire codec of `Quantization`.
         out.push(opts.quantization.wire_tag());
-        #[expect(clippy::cast_possible_truncation, reason = "rescore factor fits u32")]
-        out.extend_from_slice(&(opts.rescore_factor as u32).to_le_bytes());
+        out.extend_from_slice(&u32_le("rescore_factor", opts.rescore_factor)?);
         if let Quantization::Pq { m } = opts.quantization {
-            #[expect(clippy::cast_possible_truncation, reason = "m is at most the dim")]
-            out.extend_from_slice(&(m as u32).to_le_bytes());
+            out.extend_from_slice(&u32_le("m", m)?);
         }
         Ok(out)
     }
@@ -291,8 +270,8 @@ impl Engine {
     /// snapshot intact — never a torn TCE1 file.
     ///
     /// # Errors
-    /// [`EngineError::Unsupported`] for non-TrajCL backends (as
-    /// [`Engine::to_bytes`]); [`EngineError::Io`] on filesystem failure.
+    /// As [`Engine::to_bytes`]; [`EngineError::Io`] on filesystem
+    /// failure.
     pub fn save(&self, path: &std::path::Path) -> Result<(), EngineError> {
         let bytes = self.to_bytes()?;
         atomic_write(&RealFs, path, &bytes).map_err(EngineError::Io)
@@ -338,7 +317,10 @@ impl Engine {
             return Err(EngineError::CorruptEngineFile("trailing bytes"));
         }
         Ok(Engine {
-            backend: Box::new(TrajClBackend::new(model, featurizer)),
+            model,
+            featurizer,
+            finetuned: None,
+            infer: CtxPool::new(),
             database: Vec::new(),
             embeddings: None,
             index_options: IndexOptions {
@@ -354,10 +336,21 @@ impl Engine {
     }
 }
 
+/// `value` as a little-endian `u32` field of the engine file.
+///
+/// # Errors
+/// [`EngineError::InvalidInput`] naming `field` when `value` does not fit.
+fn u32_le(field: &str, value: usize) -> Result<[u8; 4], EngineError> {
+    u32::try_from(value)
+        .map(u32::to_le_bytes)
+        .map_err(|_| EngineError::InvalidInput(format!("{field} {value} does not fit a u32")))
+}
+
 /// Builder-pattern construction of an [`Engine`]:
-/// dataset → featurizer → backend → embedded database.
+/// dataset → featurizer → model → embedded database.
 pub struct EngineBuilder {
-    backend: Option<Box<dyn SimilarityBackend>>,
+    encoder: Option<(TrajClModel, Featurizer)>,
+    finetuned: Option<(FinetunedEstimator, HeuristicMeasure)>,
     database: Vec<Trajectory>,
     index_options: IndexOptions,
     nprobe: usize,
@@ -372,10 +365,11 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with no backend and no database.
+    /// A builder with no model and no database.
     pub fn new() -> Self {
         EngineBuilder {
-            backend: None,
+            encoder: None,
+            finetuned: None,
             database: Vec::new(),
             index_options: IndexOptions::default(),
             nprobe: 4,
@@ -384,28 +378,15 @@ impl EngineBuilder {
         }
     }
 
-    /// Uses an explicit backend (any [`SimilarityBackend`]).
-    pub fn backend(mut self, backend: Box<dyn SimilarityBackend>) -> Self {
-        self.backend = Some(backend);
+    /// Uses a trained (or freshly initialised) TrajCL model and its
+    /// featurizer as the engine's encoder.
+    pub fn trajcl(mut self, model: TrajClModel, featurizer: Featurizer) -> Self {
+        self.encoder = Some((model, featurizer));
         self
     }
 
-    /// Uses a trained TrajCL model + featurizer as the backend.
-    pub fn trajcl(
-        self,
-        model: trajcl_core::TrajClModel,
-        featurizer: trajcl_core::Featurizer,
-    ) -> Self {
-        self.backend(Box::new(TrajClBackend::new(model, featurizer)))
-    }
-
-    /// Uses an exact heuristic measure as a no-embedding backend.
-    pub fn heuristic(self, measure: HeuristicMeasure) -> Self {
-        self.backend(Box::new(HeuristicBackend::new(measure)))
-    }
-
     /// Trains TrajCL on the dataset's trajectories and uses it as the
-    /// backend: builds the featurizer (grid + node2vec + normalisation),
+    /// encoder: builds the featurizer (grid + node2vec + normalisation),
     /// runs MoCo contrastive training, and stashes the [`TrainReport`]
     /// (readable via [`Engine::train_report`]).
     ///
@@ -474,25 +455,27 @@ impl EngineBuilder {
         self
     }
 
-    /// Trajectories per backend call in [`Engine::embed_all`] (default
-    /// [`DEFAULT_BATCH`]): the forward batch of the tape baselines; the
-    /// TrajCL backends run one forward per trajectory at any value.
+    /// Trajectories per chunk of [`Engine::embed_all`] (default
+    /// [`DEFAULT_BATCH`]); the encoder runs one forward per trajectory at
+    /// any value.
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
         self
     }
 
-    /// Assembles the engine: embeds the database (embedding backends).
+    /// Assembles the engine and embeds the database.
     ///
     /// # Errors
-    /// [`EngineError::InvalidInput`] when no backend was configured;
-    /// embedding errors propagate from the backend.
+    /// [`EngineError::InvalidInput`] when no model was configured.
     pub fn build(self) -> Result<Engine, EngineError> {
-        let backend = self.backend.ok_or_else(|| {
-            EngineError::InvalidInput("EngineBuilder: no backend configured".into())
+        let (model, featurizer) = self.encoder.ok_or_else(|| {
+            EngineError::InvalidInput("EngineBuilder: no model configured".into())
         })?;
         let mut engine = Engine {
-            backend,
+            model,
+            featurizer,
+            finetuned: self.finetuned,
+            infer: CtxPool::new(),
             database: self.database,
             embeddings: None,
             index_options: self.index_options,
@@ -502,5 +485,121 @@ impl EngineBuilder {
         };
         engine.embed_database()?;
         Ok(engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use trajcl_geo::{Bbox, Grid, Point, SpatialNorm};
+
+    fn traj(n: usize, y: f64) -> Trajectory {
+        (0..n)
+            .map(|i| Point::new(40.0 + i as f64 * 45.0, y))
+            .collect()
+    }
+
+    /// An untrained TrajCL engine over a 1 km square.
+    fn trajcl_engine() -> Engine {
+        let mut rng = StdRng::seed_from_u64(0);
+        let cfg = TrajClConfig::test_default();
+        let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
+        let grid = Grid::new(region, 100.0);
+        let table = Tensor::randn(Shape::d2(grid.num_cells(), cfg.dim), 0.0, 0.5, &mut rng);
+        let feat = Featurizer::new(grid, table, SpatialNorm::new(region, 100.0), cfg.max_len);
+        let model = TrajClModel::new(&cfg, EncoderVariant::Dual, &mut rng);
+        Engine::builder()
+            .trajcl(model, feat)
+            .batch_size(4) // sizes above 4 take several chunks per call
+            .build()
+            .unwrap()
+    }
+
+    /// 8 threads x 20 `embed_all` calls over mixed batch sizes, started
+    /// together: every row must carry the bits of a serial run, and the
+    /// free list must end no longer than the forwards that can be in
+    /// flight at once — one per pool lane a call splits over, so at one
+    /// lane 1 for the serial caller and 8 for the eight, and at width `w`
+    /// at most `w` and `8·w`.
+    fn assert_concurrent_embeds_match_serial(engine: &Engine) {
+        const THREADS: usize = 8;
+        let pool: Vec<Trajectory> = (0..11)
+            .map(|i| traj(4 + i, 60.0 + 80.0 * i as f64))
+            .collect();
+        let serial = engine.embed_all(&pool).unwrap();
+        let lanes = trajcl_tensor::pool::threads();
+        let serial_idle = engine.idle_contexts();
+        if lanes == 1 {
+            assert_eq!(serial_idle, 1, "a serial caller reuses one context");
+        } else {
+            assert!(
+                (1..=lanes).contains(&serial_idle),
+                "{serial_idle} contexts for a serial caller at {lanes} lanes"
+            );
+        }
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (pool, serial, start) = (&pool, &serial, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for call in 0..20 {
+                        let (from, len) = ((t + call) % pool.len(), [1, 2, 5, 9][call % 4]);
+                        let picks: Vec<usize> = (0..len).map(|i| (from + i) % pool.len()).collect();
+                        let batch: Vec<Trajectory> =
+                            picks.iter().map(|&i| pool[i].clone()).collect();
+                        let got = engine.embed_all(&batch).unwrap();
+                        for (row, &i) in picks.iter().enumerate() {
+                            let same = got.row(row).iter().zip(serial.row(i));
+                            assert!(
+                                same.clone().all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "thread {t} call {call}: row {row} differs from the serial run"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let idle = engine.idle_contexts();
+        if lanes == 1 {
+            assert!(
+                (1..=THREADS).contains(&idle),
+                "{idle} contexts for {THREADS} threads"
+            );
+        } else {
+            assert!(
+                (1..=THREADS * lanes).contains(&idle),
+                "{idle} contexts for {THREADS} threads at {lanes} lanes"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_embed_all_is_bit_identical_to_serial_and_reuses_contexts() {
+        let base = trajcl_engine();
+        let pool: Vec<Trajectory> = (0..6)
+            .map(|i| traj(5 + i, 100.0 + 150.0 * i as f64))
+            .collect();
+        let cfg = FinetuneConfig {
+            train: trajcl_nn::PairRegression {
+                pairs_per_epoch: 8,
+                batch_pairs: 4,
+                epochs: 1,
+                ..Default::default()
+            },
+            ..FinetuneConfig::default()
+        };
+        let finetuned = base
+            .approximate_measure(
+                HeuristicMeasure::Hausdorff,
+                &pool,
+                &cfg,
+                &mut StdRng::seed_from_u64(4),
+            )
+            .unwrap();
+        assert_concurrent_embeds_match_serial(&base);
+        assert_concurrent_embeds_match_serial(&finetuned);
     }
 }

@@ -20,12 +20,6 @@ pub enum EngineError {
         /// Position within the offending batch.
         index: usize,
     },
-    /// An embedding operation was requested from a backend without an
-    /// embedding space (a heuristic measure).
-    NoEmbedding {
-        /// Backend name.
-        backend: String,
-    },
     /// A query referenced a database the engine does not have.
     NoDatabase,
     /// A query index fell outside the database.
@@ -42,8 +36,8 @@ pub enum EngineError {
         /// Actually supplied.
         got: usize,
     },
-    /// The requested operation is not supported by the active backend
-    /// (e.g. persisting a heuristic backend).
+    /// The requested operation is not supported by this engine (e.g.
+    /// persisting a fine-tuned estimator).
     Unsupported(String),
     /// Malformed user input (CLI options, config values).
     InvalidInput(String),
@@ -63,12 +57,6 @@ impl std::fmt::Display for EngineError {
             EngineError::EmptyBatch => write!(f, "cannot operate on an empty batch"),
             EngineError::EmptyTrajectory { index } => {
                 write!(f, "trajectory {index} in the batch holds no points")
-            }
-            EngineError::NoEmbedding { backend } => {
-                write!(
-                    f,
-                    "backend {backend:?} has no embedding space (heuristic measure)"
-                )
             }
             EngineError::NoDatabase => write!(f, "engine has no database to query"),
             EngineError::QueryOutOfRange { index, len } => {
@@ -147,11 +135,6 @@ mod tests {
     fn displays_are_informative() {
         let e = EngineError::QueryOutOfRange { index: 9, len: 5 };
         assert!(e.to_string().contains('9') && e.to_string().contains('5'));
-        assert!(EngineError::NoEmbedding {
-            backend: "Hausdorff".into()
-        }
-        .to_string()
-        .contains("Hausdorff"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Integration tests for the unified engine: builder flows, exact kNN,
-//! heuristic fallback, fine-tuning, and engine persistence. The indexed
+//! Integration tests for the engine: builder flows, exact kNN,
+//! fine-tuning, and engine persistence. The indexed
 //! kNN a server builds from an engine is tested in `trajcl-serve`.
 
 use rand::rngs::StdRng;
@@ -8,16 +8,13 @@ use trajcl_core::{
     EncoderVariant, Featurizer, FinetuneConfig, FinetuneScope, TrajClConfig, TrajClModel,
 };
 use trajcl_data::{Dataset, DatasetProfile};
-use trajcl_engine::{
-    Engine, EngineBuilder, EngineError, HeuristicBackend, IndexOptions, Quantization,
-    SimilarityBackend,
-};
+use trajcl_engine::{Engine, EngineBuilder, EngineError, IndexOptions, Quantization};
 use trajcl_geo::{Grid, SpatialNorm, Trajectory};
 use trajcl_measures::HeuristicMeasure;
 use trajcl_nn::PairRegression;
 use trajcl_tensor::{Shape, Tensor};
 
-/// An untrained TrajCL backend over the dataset's region — weights are
+/// An untrained TrajCL encoder over the dataset's region — weights are
 /// random but deterministic, which is all routing/persistence tests need.
 fn untrained_trajcl(dataset: &Dataset) -> (TrajClModel, Featurizer) {
     let mut rng = StdRng::seed_from_u64(7);
@@ -48,55 +45,12 @@ fn dataset(n: usize, seed: u64) -> Dataset {
 }
 
 #[test]
-fn builder_requires_a_backend() {
+fn builder_requires_a_model() {
     let err = EngineBuilder::new()
         .build()
         .err()
-        .expect("no backend must fail");
+        .expect("no model must fail");
     assert!(matches!(err, EngineError::InvalidInput(_)));
-}
-
-#[test]
-fn boxed_dyn_backend_flows_through_builder() {
-    // The acceptance criterion in one test: Box<dyn SimilarityBackend>
-    // compiles and drives an Engine.
-    let ds = dataset(20, 1);
-    let backend: Box<dyn SimilarityBackend> =
-        Box::new(HeuristicBackend::new(HeuristicMeasure::Dtw));
-    let engine = Engine::builder()
-        .backend(backend)
-        .database(ds.trajectories.clone())
-        .build()
-        .unwrap();
-    assert_eq!(engine.backend().name(), "DTW");
-    assert_eq!(engine.backend().dim(), 0);
-    let hits = engine.knn(&ds.trajectories[3], 4).unwrap();
-    assert_eq!(
-        hits[0].0, 3,
-        "self-query returns itself under an exact measure"
-    );
-    assert_eq!(hits.len(), 4);
-}
-
-#[test]
-fn heuristic_engine_matches_direct_measure_ranking() {
-    let ds = dataset(25, 2);
-    let engine = Engine::builder()
-        .heuristic(HeuristicMeasure::Hausdorff)
-        .database(ds.trajectories.clone())
-        .build()
-        .unwrap();
-    let q = &ds.trajectories[0];
-    let hits = engine.knn(q, 5).unwrap();
-    let mut exact: Vec<(u32, f64)> = ds
-        .trajectories
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i as u32, HeuristicMeasure::Hausdorff.distance(q, t)))
-        .collect();
-    exact.sort_by(|a, b| a.1.total_cmp(&b.1));
-    exact.truncate(5);
-    assert_eq!(hits, exact);
 }
 
 #[test]
@@ -112,7 +66,7 @@ fn embed_all_chunking_is_invisible() {
                 .build()
                 .unwrap();
             let e = engine.embed_all(&ds.trajectories).unwrap();
-            assert_eq!(e.shape(), Shape::d2(30, engine.backend().dim()));
+            assert_eq!(e.shape(), Shape::d2(30, engine.dim()));
             e.data().iter().map(|v| v.to_bits()).collect()
         })
         .collect();
@@ -364,28 +318,45 @@ fn engine_file_holds_no_database_state() {
     );
 }
 
+/// The smallest fine-tuning run: one epoch of 8 pairs, head only.
+fn tiny_finetune() -> FinetuneConfig {
+    FinetuneConfig {
+        scope: FinetuneScope::HeadOnly,
+        train: PairRegression {
+            pairs_per_epoch: 8,
+            batch_pairs: 4,
+            epochs: 1,
+            lr: 1e-3,
+        },
+    }
+}
+
 #[test]
-fn persistence_rejects_garbage_and_heuristic_backends() {
+fn persistence_rejects_garbage_and_finetuned_engines() {
     assert!(matches!(
         Engine::from_bytes(b"not an engine"),
         Err(EngineError::CorruptEngineFile(_))
-    ));
-    let engine = Engine::builder()
-        .heuristic(HeuristicMeasure::Edwp)
-        .build()
-        .unwrap();
-    assert!(matches!(
-        engine.to_bytes(),
-        Err(EngineError::Unsupported(_))
     ));
 
     let ds = dataset(12, 9);
     let (model, feat) = untrained_trajcl(&ds);
     let trajcl = Engine::builder()
         .trajcl(model, feat)
-        .database(ds.trajectories)
+        .database(ds.trajectories.clone())
         .build()
         .unwrap();
+    let finetuned = trajcl
+        .approximate_measure(
+            HeuristicMeasure::Edwp,
+            &ds.trajectories,
+            &tiny_finetune(),
+            &mut StdRng::seed_from_u64(3),
+        )
+        .unwrap();
+    assert!(matches!(
+        finetuned.to_bytes(),
+        Err(EngineError::Unsupported(_))
+    ));
     let mut bytes = trajcl.to_bytes().unwrap();
     bytes.truncate(bytes.len() / 3);
     assert!(Engine::from_bytes(&bytes).is_err());
@@ -394,6 +365,34 @@ fn persistence_rejects_garbage_and_heuristic_backends() {
     let mut bytes = trajcl.to_bytes().unwrap();
     bytes.push(0);
     assert!(Engine::from_bytes(&bytes).is_err());
+}
+
+// Every count travels as a u32: one that does not fit is refused by
+// name, never written truncated (nprobe 2^32 as 0).
+#[test]
+fn to_bytes_refuses_counts_that_do_not_fit_a_u32() {
+    let ds = dataset(8, 23);
+    let too_big = u32::MAX as usize + 1;
+    let (model, feat) = untrained_trajcl(&ds);
+    let trajcl = || Engine::builder().trajcl(model.clone(), feat.clone());
+    let rescore = IndexOptions {
+        rescore_factor: too_big,
+        ..IndexOptions::default()
+    };
+    for (field, builder) in [
+        ("nprobe", trajcl().nprobe(too_big)),
+        ("batch_size", trajcl().batch_size(too_big)),
+        ("rescore_factor", trajcl().index_options(rescore)),
+    ] {
+        let engine = builder.build().unwrap();
+        match engine.to_bytes() {
+            Err(EngineError::InvalidInput(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!(
+                "{field} = 2^32 must be refused, got {:?}",
+                other.map(|file| file.len())
+            ),
+        }
+    }
 }
 
 #[test]
@@ -427,27 +426,23 @@ fn approximate_measure_produces_a_serving_engine() {
             &mut rng,
         )
         .unwrap();
-    assert!(approx.backend().name().contains("Hausdorff"));
+    assert!(approx.name().contains("Hausdorff"));
     assert_eq!(approx.database().len(), engine.database().len());
     // The index description travels whole.
     assert_eq!(approx.index_options(), engine.index_options());
     let hits = approx.knn(&ds.trajectories[0], 3).unwrap();
     assert_eq!(hits.len(), 3);
 
-    // Heuristic backends cannot be fine-tuned.
-    let heuristic = Engine::builder()
-        .heuristic(HeuristicMeasure::Dtw)
-        .build()
-        .unwrap();
+    // A fine-tuned engine is not fine-tuned again.
     assert!(matches!(
-        heuristic.approximate_measure(HeuristicMeasure::Dtw, &ds.trajectories, &cfg, &mut rng),
+        approx.approximate_measure(HeuristicMeasure::Dtw, &ds.trajectories, &cfg, &mut rng),
         Err(EngineError::Unsupported(_))
     ));
 }
 
 #[test]
 fn trained_engine_end_to_end_via_builder() {
-    // The full builder flow: dataset -> featurizer -> trained backend ->
+    // The full builder flow: dataset -> featurizer -> trained model ->
     // embedded database, then self-queries hit themselves.
     let ds = dataset(40, 13);
     let mut rng = StdRng::seed_from_u64(14);

@@ -191,15 +191,12 @@ impl Server {
     /// positions, routed to shards by id hash).
     ///
     /// # Errors
-    /// [`EngineError::NoEmbedding`] for heuristic (no-embedding) backends —
-    /// serve them through [`Engine::knn`] directly.
+    /// Only with a write-ahead log ([`ServeConfig::wal`]):
+    /// [`EngineError::InvalidInput`] for a log directory written under
+    /// another `(shards, dim)` layout, [`EngineError::Io`] for filesystem
+    /// failures and corrupt checkpoints.
     pub fn new(engine: Arc<Engine>, cfg: ServeConfig) -> Result<Server, EngineError> {
-        if !engine.backend().supports_embedding() {
-            return Err(EngineError::NoEmbedding {
-                backend: engine.backend().name().to_string(),
-            });
-        }
-        let dim = engine.backend().dim();
+        let dim = engine.dim();
         let opts = IndexOptions {
             nlist: cfg.ivf_nlist.or(engine.index_options().nlist),
             ..*engine.index_options()
@@ -366,7 +363,7 @@ impl Server {
     /// [`EngineError::InvalidInput`] when `query` is not the model's width.
     pub fn knn_vec(&self, query: &[f32], k: usize) -> Result<Vec<(u64, f64)>, EngineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let dim = self.engine.backend().dim();
+        let dim = self.engine.dim();
         if query.len() != dim {
             return Err(EngineError::InvalidInput(format!(
                 "query vector holds {} values, the model embeds {dim}",

@@ -10,16 +10,20 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajcl_core::{EncoderVariant, Featurizer, TrajClConfig, TrajClModel};
-use trajcl_engine::{Engine, EngineError, SimilarityBackend, TrajClBackend};
+use trajcl_engine::Engine;
 use trajcl_geo::{Bbox, Grid, Point, SpatialNorm, Trajectory};
 use trajcl_index::{IndexOptions, Metric, MutableIndex, Quantization};
 use trajcl_serve::{ServeConfig, Server};
 use trajcl_tensor::{Shape, Tensor};
 
-/// The model and featurizer of [`tiny_engine`].
-fn tiny_parts() -> (TrajClModel, Featurizer) {
+/// A tiny deterministic TrajCL model and its featurizer, taking inputs
+/// of up to `max_len` points.
+fn tiny_parts(max_len: usize) -> (TrajClModel, Featurizer) {
     let mut rng = StdRng::seed_from_u64(0);
-    let cfg = TrajClConfig::test_default();
+    let cfg = TrajClConfig {
+        max_len,
+        ..TrajClConfig::test_default()
+    };
     let region = Bbox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
     let grid = Grid::new(region, 100.0);
     let table = Tensor::randn(Shape::d2(grid.num_cells(), cfg.dim), 0.0, 0.5, &mut rng);
@@ -36,7 +40,7 @@ fn tiny_engine() -> Engine {
 /// [`tiny_engine`] whose index description — which the server takes
 /// whole — stores sealed rows under `quantization`.
 fn tiny_engine_storing(quantization: Quantization) -> Engine {
-    let (model, feat) = tiny_parts();
+    let (model, feat) = tiny_parts(TrajClConfig::test_default().max_len);
     Engine::builder()
         .trajcl(model, feat)
         .index_options(IndexOptions {
@@ -215,7 +219,7 @@ fn quantized_server_mixed_ops_match_oracle_within_quant_error() {
     assert_eq!(stats.index_len, oracle.len());
     // The quantized sealed part must actually be smaller than its f32
     // footprint (codes + codebook + lists vs 4 bytes/dim alone).
-    let dim = server.engine().backend().dim();
+    let dim = server.engine().dim();
     assert!(
         stats.index_memory_bytes < oracle.len() * dim * 4,
         "sq8 index ({} B) not smaller than f32 rows ({} B)",
@@ -421,50 +425,35 @@ fn sealed_rescoring_serves_exact_distances_for_clean_ids() {
     }
 }
 
-/// The TrajCL backend, recording the most `embed_batch` calls that ever
-/// ran at once; each call is held ~1 ms so that callers let through
-/// together really overlap.
-struct PeakCounting {
-    inner: TrajClBackend,
-    running: AtomicUsize,
-    peak: Arc<AtomicUsize>,
+/// A trajectory of [`LONG`] points, one per id below 48: long enough
+/// that one forward of [`long_engine`] takes milliseconds.
+fn long_traj(id: u64) -> Trajectory {
+    let y0 = 20.0 + (id % 48) as f64 * 19.0;
+    (0..LONG)
+        .map(|t| Point::new(40.0 + t as f64 * 1.8, y0 + t as f64 * 0.1))
+        .collect()
 }
 
-impl SimilarityBackend for PeakCounting {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn embed_batch(&self, trajs: &[Trajectory]) -> Result<Tensor, EngineError> {
-        let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let out = self.inner.embed_batch(trajs);
-        self.running.fetch_sub(1, Ordering::SeqCst);
-        out
-    }
-    fn distance(&self, a: &Trajectory, b: &Trajectory) -> Result<f64, EngineError> {
-        self.inner.distance(a, b)
-    }
+/// Points per [`long_traj`], and the model's length cap.
+const LONG: usize = 512;
+
+/// [`tiny_engine`]'s model over [`LONG`]-point inputs.
+fn long_engine() -> Engine {
+    let (model, feat) = tiny_parts(LONG);
+    Engine::builder()
+        .trajcl(model, feat)
+        .build()
+        .expect("engine")
 }
 
 #[test]
 fn a_burst_never_runs_more_than_workers_forwards_and_keeps_the_engines_bits() {
-    let peak = Arc::new(AtomicUsize::new(0));
-    let (model, feat) = tiny_parts();
-    let backend = PeakCounting {
-        inner: TrajClBackend::new(model, feat),
-        running: AtomicUsize::new(0),
-        peak: Arc::clone(&peak),
-    };
-    let engine = Arc::new(
-        Engine::builder()
-            .backend(Box::new(backend))
-            .build()
-            .expect("engine"),
-    );
+    // Every forward checks a context out of the engine's free list and
+    // returns it after, and a miss is one trajectory, one context: so the
+    // list ends as long as the most forwards that ever ran at once.
+    // Forwards of milliseconds make eight callers let through together
+    // overlap, on any number of CPUs.
+    let engine = Arc::new(long_engine());
     let server = Arc::new(
         Server::new(
             Arc::clone(&engine),
@@ -487,7 +476,7 @@ fn a_burst_never_runs_more_than_workers_forwards_and_keeps_the_engines_bits() {
                 barrier.wait();
                 (0..PER)
                     .map(|i| {
-                        let traj = traj_for((t * PER + i) as u64);
+                        let traj = long_traj((t * PER + i) as u64);
                         (traj.clone(), server.embed(&traj).expect("embed"))
                     })
                     .collect::<Vec<_>>()
@@ -500,7 +489,7 @@ fn a_burst_never_runs_more_than_workers_forwards_and_keeps_the_engines_bits() {
     }
     // At most `workers` at once is the cap; exactly that many shows the
     // misses still run side by side.
-    assert_eq!(peak.load(Ordering::SeqCst), 2, "forwards running at once");
+    assert_eq!(engine.idle_contexts(), 2, "forwards running at once");
     let stats = server.stats();
     assert_eq!(stats.batches, (THREADS * PER) as u64);
     assert_eq!(stats.batched_trajs, (THREADS * PER) as u64);
@@ -572,7 +561,7 @@ fn a_caller_racing_shutdown_gets_an_answer_or_an_error_never_a_hang() {
                     for i in 0.. {
                         match server.embed(&traj_for((t * 100 + i % 100) as u64)) {
                             Ok(row) => {
-                                assert_eq!(row.len(), server.engine().backend().dim());
+                                assert_eq!(row.len(), server.engine().dim());
                                 answered.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(e) => {

@@ -15,7 +15,7 @@ use trajcl_geo::{Grid, SpatialNorm, Trajectory};
 use trajcl_serve::{ServeConfig, Server};
 use trajcl_tensor::{Shape, Tensor};
 
-/// An untrained TrajCL backend over the dataset's region — weights are
+/// An untrained TrajCL encoder over the dataset's region — weights are
 /// random but deterministic.
 fn untrained_trajcl(dataset: &Dataset) -> (TrajClModel, Featurizer) {
     let mut rng = StdRng::seed_from_u64(7);
@@ -130,7 +130,7 @@ fn quantized_served_indexes_keep_the_recall_of_the_served_f32_index() {
         (engine, hits)
     };
     let (mut engine, truth) = served(engine(&ds, db, f32_opts, nprobe), f32_opts);
-    let pq_m = engine.backend().dim() / 4;
+    let pq_m = engine.dim() / 4;
     for (quantization, rescore_factor, floor) in [
         (Quantization::Sq8, 4, 0.99),
         (Quantization::Pq { m: pq_m }, 128, 0.95),

@@ -371,12 +371,12 @@ fn attn_blocks_per_lane(bh: usize) -> usize {
 /// pass*, whichever thread runs it.
 ///
 /// An `InferCtx` is deliberately not `Sync` — its scratch arena is a
-/// single-threaded bag of buffers. The embedding backends own a `CtxPool`
-/// each, which is what makes their `embed_batch` callable from any
-/// thread: [`CtxPool::checkout`] hands out an exclusive [`PooledCtx`]
-/// guard (creating a fresh context only when the free list is empty —
-/// so the list never outgrows the peak number of concurrent forwards)
-/// and the guard's `Drop` returns the context, with all its grown scratch
+/// single-threaded bag of buffers. The engine owns a `CtxPool`, which is
+/// what makes its `embed_all` callable from any thread:
+/// [`CtxPool::checkout`] hands out an exclusive [`PooledCtx`] guard
+/// (creating a fresh context only when the free list is empty — so the
+/// list never outgrows the peak number of concurrent forwards) and the
+/// guard's `Drop` returns the context, with all its grown scratch
 /// buffers, for the next caller. The lock is held for the pop and the
 /// push only, never across a forward.
 #[derive(Default)]

@@ -90,9 +90,9 @@ fn main() {
         );
     }
     println!(
-        "\nHR@5 approximating {} (backend {:?}):",
+        "\nHR@5 approximating {} (engine {:?}):",
         measure.name(),
-        estimator.backend().name()
+        estimator.name()
     );
     println!(
         "  pre-trained encoder (no fine-tuning): {:.3}",

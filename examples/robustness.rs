@@ -1,7 +1,8 @@
 //! Robustness demo (the Tables IV/V story): degrade a query workload by
 //! down-sampling and distortion and watch how the heuristic measures fall
-//! apart while TrajCL keeps finding the planted ground-truth match. Both
-//! measure families run through the unified engine API.
+//! apart while TrajCL keeps finding the planted ground-truth match. TrajCL
+//! ranks by L1 between engine embeddings, the heuristics by the exact
+//! measure (`pairwise_distances`).
 //!
 //! ```sh
 //! cargo run --release --example robustness
@@ -12,28 +13,23 @@ use rand::SeedableRng;
 use trajcl::core::{l1_distances, TrajClConfig};
 use trajcl::data::{distort, downsample, mean_rank, Dataset, DatasetProfile, QueryProtocol};
 use trajcl::engine::Engine;
-use trajcl::measures::HeuristicMeasure;
+use trajcl::measures::{pairwise_distances, HeuristicMeasure};
 
-/// Mean rank of the planted matches under any engine backend.
+/// Mean rank of the planted matches under the engine's embeddings.
 fn engine_mean_rank(engine: &Engine, proto: &QueryProtocol) -> f64 {
-    if engine.backend().dim() > 0 {
-        let q = engine.embed_all(&proto.queries).expect("embed queries");
-        let d = engine.embed_all(&proto.database).expect("embed database");
-        mean_rank(
-            &l1_distances(&q, &d),
-            proto.database.len(),
-            &proto.ground_truth,
-        )
-    } else {
-        let dbn = proto.database.len();
-        let mut dists = Vec::with_capacity(proto.queries.len() * dbn);
-        for q in &proto.queries {
-            for t in &proto.database {
-                dists.push(engine.distance(q, t).expect("distance"));
-            }
-        }
-        mean_rank(&dists, dbn, &proto.ground_truth)
-    }
+    let q = engine.embed_all(&proto.queries).expect("embed queries");
+    let d = engine.embed_all(&proto.database).expect("embed database");
+    mean_rank(
+        &l1_distances(&q, &d),
+        proto.database.len(),
+        &proto.ground_truth,
+    )
+}
+
+/// Mean rank of the planted matches under an exact heuristic measure.
+fn measure_mean_rank(measure: HeuristicMeasure, proto: &QueryProtocol) -> f64 {
+    let dists = pairwise_distances(&proto.queries, &proto.database, measure);
+    mean_rank(&dists, proto.database.len(), &proto.ground_truth)
 }
 
 fn main() {
@@ -45,14 +41,6 @@ fn main() {
     let trajcl = Engine::builder()
         .train_trajcl_on(&dataset, &splits.train, &cfg, &mut rng)
         .expect("training")
-        .build()
-        .expect("engine build");
-    let hausdorff = Engine::builder()
-        .heuristic(HeuristicMeasure::Hausdorff)
-        .build()
-        .expect("engine build");
-    let edr = Engine::builder()
-        .heuristic(HeuristicMeasure::Edr(100.0))
         .build()
         .expect("engine build");
 
@@ -76,8 +64,8 @@ fn main() {
         "", "Hausdorff", "EDR", "TrajCL"
     );
     for (name, proto) in &settings {
-        let h = engine_mean_rank(&hausdorff, proto);
-        let e = engine_mean_rank(&edr, proto);
+        let h = measure_mean_rank(HeuristicMeasure::Hausdorff, proto);
+        let e = measure_mean_rank(HeuristicMeasure::Edr(100.0), proto);
         let t = engine_mean_rank(&trajcl, proto);
         println!("{name:24} {h:>10.2} {e:>10.2} {t:>10.2}");
     }

@@ -13,17 +13,16 @@
 //! * [`core`] — TrajCL itself (DualMSM/DualSTB, MoCo, fine-tuning);
 //! * [`baselines`] — t2vec, E2DTC, TrjSR, CSTRM, T3S, Traj2SimVec, TrajGAT;
 //! * [`index`] — IVF embedding index + segment Hausdorff index;
-//! * [`engine`] — the unified similarity API: one object-safe
-//!   `SimilarityBackend` over TrajCL, baselines and heuristic measures,
-//!   served by `Engine`/`EngineBuilder` with exact kNN and persistence;
+//! * [`engine`] — the TrajCL encoder as one API: `Engine`/`EngineBuilder`
+//!   hold the featurizer and DualSTB model (fine-tuned into a heuristic
+//!   estimator or not), with bulk embedding, exact kNN and persistence;
 //! * [`serve`] — the concurrent serving runtime: gated inline embedding,
 //!   the one indexed kNN (a mutable snapshot-readable index over the
 //!   engine's table), an LRU embedding cache and the `trajcl serve` wire
 //!   protocol.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour and DESIGN.md for
-//! the architecture (crate graph, engine trait diagram, error-handling
-//! policy).
+//! the architecture (crate graph, the engine, error-handling policy).
 
 pub use trajcl_baselines as baselines;
 pub use trajcl_core as core;
