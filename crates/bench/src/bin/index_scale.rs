@@ -20,6 +20,10 @@
 //!   lookup-table scan plus exact rescoring with a deep (128×) over-fetch
 //!   to claim the coarse codes' recall back.
 //!
+//! All four are built first and then timed round-robin: each of
+//! `TIMED_CALLS` rounds calls every contender once, and each rate is its
+//! median call's. A host stall thus hits every side of a gated ratio alike.
+//!
 //! Every JSON record also captures the host's dispatch level (`cpu`) and
 //! whether `TRAJCL_FORCE_SCALAR` pinned it to scalar, so rows from
 //! different machines stay comparable; none of the index kernels timed
@@ -140,24 +144,36 @@ fn rescored_search(
     out
 }
 
+/// One batch's answer: per query, `(id, distance)` ascending.
+type Hits = Vec<Vec<(u32, f64)>>;
+
 /// Measured calls per contender. A quick run's IVF call over 64 queries
 /// lasts about a millisecond, so one timing is at the mercy of a single
 /// preemption or host stall.
 const TIMED_CALLS: usize = 7;
 
-/// Times `f` (one warmup call, then [`TIMED_CALLS`] measured calls),
-/// returning `(result, qps over `q` queries)` for the median call.
-fn timed<T>(q: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut out = f();
-    let mut secs = Vec::with_capacity(TIMED_CALLS);
+/// Times the `contenders` round-robin: one warmup call each, then
+/// [`TIMED_CALLS`] rounds that call each once in turn. Returns each
+/// contender's last answer and its qps over `q` queries at its median call.
+fn timed_interleaved<const N: usize>(
+    q: usize,
+    contenders: [&dyn Fn() -> Hits; N],
+) -> ([Hits; N], [f64; N]) {
+    let mut out = contenders.map(|f| f());
+    let mut secs = [(); N].map(|_| Vec::with_capacity(TIMED_CALLS));
     for _ in 0..TIMED_CALLS {
-        let t0 = Instant::now();
-        let next = f();
-        secs.push(t0.elapsed().as_secs_f64());
-        out = next;
+        for (i, f) in contenders.iter().enumerate() {
+            let t0 = Instant::now();
+            let next = f();
+            secs[i].push(t0.elapsed().as_secs_f64());
+            out[i] = next;
+        }
     }
-    secs.sort_by(f64::total_cmp);
-    (out, q as f64 / secs[TIMED_CALLS / 2])
+    let qps = secs.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        q as f64 / s[TIMED_CALLS / 2]
+    });
+    (out, qps)
 }
 
 struct Run {
@@ -240,20 +256,9 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     let table = mixture_table(n, d, 42);
     let queries = queries_from(&table, nq, 43);
 
-    let (truth, exact_qps) = timed(nq, || {
-        brute_force_batch_knn(&table, &queries, K, Metric::L1)
-    });
-    eprintln!("exact    {exact_qps:>9.1} qps  (ground truth)");
-
     let t0 = Instant::now();
     let ivf = IvfIndex::build(&table, nlist, Metric::L1, &mut StdRng::seed_from_u64(7));
     let ivf_build_s = t0.elapsed().as_secs_f64();
-    let (ivf_hits, ivf_qps) = timed(nq, || ivf.batch_search(&queries, K, nprobe));
-    let ivf_recall = recall_at_k(&ivf_hits, &truth, K);
-    eprintln!(
-        "ivf      {ivf_qps:>9.1} qps  recall@10 {ivf_recall:.4}  ({:.1} MB, built in {ivf_build_s:.1}s)",
-        ivf.memory_bytes() as f64 / 1e6
-    );
 
     // Every quantized cell: same cells, same seed, one field varied.
     let quantized = |quantization, rescore_factor| {
@@ -269,18 +274,33 @@ fn measure(n: usize, d: usize, nlist: usize, nprobe: usize, nq: usize) -> Run {
     let t0 = Instant::now();
     let sq8 = quantized(Quantization::Sq8, 4);
     let sq8_build_s = t0.elapsed().as_secs_f64();
-    let (sq8_hits, sq8_qps) = timed(nq, || rescored_search(&sq8, &table, &queries, nprobe));
-    let sq8_recall = recall_at_k(&sq8_hits, &truth, K);
-    eprintln!(
-        "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s)",
-        sq8.memory_bytes() as f64 / 1e6
-    );
 
     let pq_m = (d / PQ_DIMS_PER_SUBSPACE).max(1);
     let t0 = Instant::now();
     let pq = quantized(Quantization::Pq { m: pq_m }, PQ_RESCORE_FACTOR);
     let pq_build_s = t0.elapsed().as_secs_f64();
-    let (pq_hits, pq_qps) = timed(nq, || rescored_search(&pq, &table, &queries, nprobe));
+
+    let ([truth, ivf_hits, sq8_hits, pq_hits], [exact_qps, ivf_qps, sq8_qps, pq_qps]) =
+        timed_interleaved(
+            nq,
+            [
+                &|| brute_force_batch_knn(&table, &queries, K, Metric::L1),
+                &|| ivf.batch_search(&queries, K, nprobe),
+                &|| rescored_search(&sq8, &table, &queries, nprobe),
+                &|| rescored_search(&pq, &table, &queries, nprobe),
+            ],
+        );
+    eprintln!("exact    {exact_qps:>9.1} qps  (ground truth)");
+    let ivf_recall = recall_at_k(&ivf_hits, &truth, K);
+    eprintln!(
+        "ivf      {ivf_qps:>9.1} qps  recall@10 {ivf_recall:.4}  ({:.1} MB, built in {ivf_build_s:.1}s)",
+        ivf.memory_bytes() as f64 / 1e6
+    );
+    let sq8_recall = recall_at_k(&sq8_hits, &truth, K);
+    eprintln!(
+        "ivf+sq8  {sq8_qps:>9.1} qps  recall@10 {sq8_recall:.4}  ({:.1} MB, built in {sq8_build_s:.1}s)",
+        sq8.memory_bytes() as f64 / 1e6
+    );
     let pq_recall = recall_at_k(&pq_hits, &truth, K);
     eprintln!(
         "ivf+pq   {pq_qps:>9.1} qps  recall@10 {pq_recall:.4}  ({:.1} MB, m={pq_m}, built in {pq_build_s:.1}s)",

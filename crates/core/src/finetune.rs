@@ -78,13 +78,18 @@ impl FinetunedEstimator {
         featurizer: &Featurizer,
         trajs: &[Trajectory],
     ) -> Tensor {
-        ctxs.embed_rows(trajs.len(), self.encoder.dim(), |ctx, i| {
+        ctxs.embed_rows(trajs.len(), self.dim(), |ctx, i| {
             let inputs = featurizer
                 .featurize(std::slice::from_ref(&trajs[i]))
                 .expect("embed: one trajectory");
             let mut f = Fwd::new(ctx, &self.store);
             refined(&self.encoder, &self.head, &mut f, &inputs)
         })
+    }
+
+    /// Width `d` of the refined embeddings (the encoder's; the head keeps it).
+    pub fn dim(&self) -> usize {
+        self.encoder.dim()
     }
 
     /// The distance-normalisation constant learned from the training pairs.

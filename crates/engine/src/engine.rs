@@ -2,8 +2,8 @@
 //! exact kNN, heuristic approximation and persistence.
 //!
 //! The engine is the paper's encoder — a [`Featurizer`] and a DualSTB
-//! [`TrajClModel`], plus the regression head of a [`FinetunedEstimator`]
-//! once [`Engine::approximate_measure`] made it one — with an optional
+//! [`TrajClModel`], or in its place the [`FinetunedEstimator`]
+//! [`Engine::approximate_measure`] fine-tuned from it — with an optional
 //! trajectory database, its cached embedding table, and the description
 //! of the index a server builds over that table ([`Engine::index_options`],
 //! [`Engine::nprobe`]). The engine embeds; `trajcl_serve::Server` indexes.
@@ -40,13 +40,19 @@ const ENGINE_MAGIC: &[u8; 4] = b"TCE1";
 /// chunk, so this sets only how many rows one chunk holds.
 pub const DEFAULT_BATCH: usize = 64;
 
+/// The weights an engine embeds with: one store, never both.
+enum Encoder {
+    /// The pre-trained DualSTB model itself.
+    Pretrained(TrajClModel),
+    /// The estimator [`Engine::approximate_measure`] fine-tuned from it,
+    /// and the measure it approximates.
+    Finetuned(FinetunedEstimator, HeuristicMeasure),
+}
+
 /// A similarity engine: encoder + database + cached embedding table.
 pub struct Engine {
-    model: TrajClModel,
+    encoder: Encoder,
     featurizer: Featurizer,
-    /// The estimator [`Engine::approximate_measure`] fine-tuned, and the
-    /// measure it approximates; `None` embeds with `model` itself.
-    finetuned: Option<(FinetunedEstimator, HeuristicMeasure)>,
     /// Scratch contexts for the forwards, one per forward in flight.
     infer: CtxPool,
     database: Vec<Trajectory>,
@@ -66,15 +72,18 @@ impl Engine {
     /// Human-readable name: `TrajCL`, or `TrajCL~<measure>` for an
     /// estimator of a heuristic measure.
     pub fn name(&self) -> String {
-        match &self.finetuned {
-            Some((_, measure)) => format!("TrajCL~{}", measure.name()),
-            None => "TrajCL".to_string(),
+        match &self.encoder {
+            Encoder::Pretrained(_) => "TrajCL".to_string(),
+            Encoder::Finetuned(_, measure) => format!("TrajCL~{}", measure.name()),
         }
     }
 
     /// Embedding dimensionality `d`.
     pub fn dim(&self) -> usize {
-        self.model.cfg.dim
+        match &self.encoder {
+            Encoder::Pretrained(model) => model.cfg.dim,
+            Encoder::Finetuned(estimator, _) => estimator.dim(),
+        }
     }
 
     /// The trajectory database (empty for engines reloaded from bytes
@@ -137,9 +146,13 @@ impl Engine {
             .chunks(self.batch_size)
             .zip(out.data_mut().chunks_mut(self.batch_size * d))
         {
-            let e = match &self.finetuned {
-                Some((estimator, _)) => estimator.embed_with(&self.infer, &self.featurizer, chunk),
-                None => self.model.embed_with(&self.infer, &self.featurizer, chunk),
+            let e = match &self.encoder {
+                Encoder::Pretrained(model) => {
+                    model.embed_with(&self.infer, &self.featurizer, chunk)
+                }
+                Encoder::Finetuned(estimator, _) => {
+                    estimator.embed_with(&self.infer, &self.featurizer, chunk)
+                }
             };
             rows.copy_from_slice(e.data());
         }
@@ -195,7 +208,7 @@ impl Engine {
         cfg: &FinetuneConfig,
         rng: &mut impl Rng,
     ) -> Result<Engine, EngineError> {
-        self.pretrained("approximate_measure")?;
+        let model = self.pretrained("approximate_measure")?;
         if pool.len() < 2 {
             return Err(EngineError::TooFewTrajectories {
                 needed: 2,
@@ -203,26 +216,28 @@ impl Engine {
             });
         }
         validate_batch(pool)?;
-        let estimator = finetune(&self.model, &self.featurizer, pool, measure, cfg, rng);
+        let estimator = finetune(model, &self.featurizer, pool, measure, cfg, rng);
         let mut builder = EngineBuilder::new()
-            .trajcl(self.model.clone(), self.featurizer.clone())
             .database(self.database.clone())
             .index_options(self.index_options)
             .nprobe(self.nprobe)
             .batch_size(self.batch_size);
-        builder.finetuned = Some((estimator, measure));
+        builder.encoder = Some((
+            Encoder::Finetuned(estimator, measure),
+            self.featurizer.clone(),
+        ));
         builder.build()
     }
 
-    /// Refuses `operation` on a fine-tuned engine: it needs the
-    /// pre-trained model alone.
-    fn pretrained(&self, operation: &str) -> Result<(), EngineError> {
-        match self.finetuned {
-            Some(_) => Err(EngineError::Unsupported(format!(
+    /// The pre-trained model `operation` needs; refused on a fine-tuned
+    /// engine.
+    fn pretrained(&self, operation: &str) -> Result<&TrajClModel, EngineError> {
+        match &self.encoder {
+            Encoder::Pretrained(model) => Ok(model),
+            Encoder::Finetuned(..) => Err(EngineError::Unsupported(format!(
                 "{operation} needs a pre-trained engine, got {:?}",
                 self.name()
             ))),
-            None => Ok(()),
         }
     }
 
@@ -240,12 +255,8 @@ impl Engine {
     /// [`EngineError::InvalidInput`], naming the field, when a count does
     /// not fit the file's `u32`.
     pub fn to_bytes(&self) -> Result<Vec<u8>, EngineError> {
-        self.pretrained("persistence")?;
-        let model_bytes = save_model(
-            &self.model,
-            &self.featurizer,
-            self.featurizer.grid().cell_side(),
-        );
+        let model = self.pretrained("persistence")?;
+        let model_bytes = save_model(model, &self.featurizer, self.featurizer.grid().cell_side());
         let opts = &self.index_options;
         let mut out = Vec::new();
         out.extend_from_slice(ENGINE_MAGIC);
@@ -317,9 +328,8 @@ impl Engine {
             return Err(EngineError::CorruptEngineFile("trailing bytes"));
         }
         Ok(Engine {
-            model,
+            encoder: Encoder::Pretrained(model),
             featurizer,
-            finetuned: None,
             infer: CtxPool::new(),
             database: Vec::new(),
             embeddings: None,
@@ -349,8 +359,7 @@ fn u32_le(field: &str, value: usize) -> Result<[u8; 4], EngineError> {
 /// Builder-pattern construction of an [`Engine`]:
 /// dataset → featurizer → model → embedded database.
 pub struct EngineBuilder {
-    encoder: Option<(TrajClModel, Featurizer)>,
-    finetuned: Option<(FinetunedEstimator, HeuristicMeasure)>,
+    encoder: Option<(Encoder, Featurizer)>,
     database: Vec<Trajectory>,
     index_options: IndexOptions,
     nprobe: usize,
@@ -369,7 +378,6 @@ impl EngineBuilder {
     pub fn new() -> Self {
         EngineBuilder {
             encoder: None,
-            finetuned: None,
             database: Vec::new(),
             index_options: IndexOptions::default(),
             nprobe: 4,
@@ -381,7 +389,7 @@ impl EngineBuilder {
     /// Uses a trained (or freshly initialised) TrajCL model and its
     /// featurizer as the engine's encoder.
     pub fn trajcl(mut self, model: TrajClModel, featurizer: Featurizer) -> Self {
-        self.encoder = Some((model, featurizer));
+        self.encoder = Some((Encoder::Pretrained(model), featurizer));
         self
     }
 
@@ -468,13 +476,12 @@ impl EngineBuilder {
     /// # Errors
     /// [`EngineError::InvalidInput`] when no model was configured.
     pub fn build(self) -> Result<Engine, EngineError> {
-        let (model, featurizer) = self.encoder.ok_or_else(|| {
+        let (encoder, featurizer) = self.encoder.ok_or_else(|| {
             EngineError::InvalidInput("EngineBuilder: no model configured".into())
         })?;
         let mut engine = Engine {
-            model,
+            encoder,
             featurizer,
-            finetuned: self.finetuned,
             infer: CtxPool::new(),
             database: self.database,
             embeddings: None,

@@ -11,8 +11,9 @@
 //! ## Design
 //! * [`Tensor`] is plain data (row-major `Vec<f32>` + [`Shape`], rank ≤ 4).
 //! * [`Tape`] is a define-by-run autograd tape rebuilt per training step.
-//!   Ops are a closed enum; the backward sweep is a single reverse
-//!   iteration matching textbook gradient formulas (see `backward.rs`).
+//!   Each op is one constructor in `tape.rs` that computes the forward
+//!   value and records the op's own backward rule beside it; the sweep in
+//!   `backward.rs` is a single reverse iteration calling those rules.
 //! * [`Var`] is a copyable node index into the tape.
 //! * Heavy kernels parallelise across rows on a shared persistent
 //!   [`pool`] (no runtime dependency, `TRAJCL_THREADS` override), which
@@ -50,7 +51,6 @@ pub mod cpu;
 pub mod exec;
 pub mod infer;
 pub mod kernels;
-mod op;
 pub mod pool;
 pub mod shape;
 pub mod tape;
